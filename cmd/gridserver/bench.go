@@ -86,6 +86,13 @@ type benchRow struct {
 	HitRate   float64 `json:"cache_hit_rate"`  // hits / (hits+misses+shared) over the run
 	Degraded  int     `json:"degraded"`        // queries answered partially under injected faults
 
+	// Store reads over this run (server STATS deltas): wanted pages, the
+	// positioned reads (spans) that fetched them, and the unwanted pages
+	// those spans read through.
+	PagesRead    int64 `json:"pages_read"`
+	SpansRead    int64 `json:"spans_read"`
+	GapPagesRead int64 `json:"gap_pages_read"`
+
 	// Replica overhead and serving counters (DESIGN S25): what r-way
 	// replication costs in bytes and buys in failover, from the server's
 	// stats snapshot. DiskBytes/WriteAmp describe the layout; the counters
@@ -495,6 +502,9 @@ func attachServerStats(row *benchRow, c *server.Client, before server.Snapshot) 
 	}
 	row.Imbalance = fetchImbalance(after.DiskFetches)
 	row.HitRate = hitRateDelta(before.Cache, after.Cache)
+	row.PagesRead = after.PagesRead - before.PagesRead
+	row.SpansRead = after.SpansRead - before.SpansRead
+	row.GapPagesRead = after.GapPagesRead - before.GapPagesRead
 	row.Replicas = after.Replicas
 	row.DiskBytes = after.DiskBytes
 	row.WriteAmp = after.WriteAmp

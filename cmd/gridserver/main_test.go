@@ -163,6 +163,14 @@ func TestBenchOpenLoopMode(t *testing.T) {
 			t.Errorf("%s = %v, want positive latency", k, r[k])
 		}
 	}
+	// The store-read deltas ride along: wanted pages, the spans that fetched
+	// them (never more than the pages) and the gap pages read through.
+	pages, _ := r["pages_read"].(float64)
+	spans, _ := r["spans_read"].(float64)
+	if _, ok := r["gap_pages_read"].(float64); !ok || pages <= 0 || spans <= 0 || spans > pages {
+		t.Errorf("pages_read = %v, spans_read = %v, gap_pages_read = %v: want 0 < spans <= pages and a gap count",
+			r["pages_read"], r["spans_read"], r["gap_pages_read"])
+	}
 }
 
 // TestBenchSweepMode runs a two-step rate sweep and checks each step yields

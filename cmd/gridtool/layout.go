@@ -6,8 +6,11 @@ import (
 	"fmt"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
+	"pgridfile/internal/sim"
 	"pgridfile/internal/store"
+	"pgridfile/internal/workload"
 )
 
 func runLayout(args []string) error {
@@ -96,6 +99,35 @@ func runLayout(args []string) error {
 			len(m.Buckets), total, *disks, allocator.Name())
 	}
 	fmt.Printf("pages per disk: %v\n", sizes)
+	if err := printResponse(f, m, *seed); err != nil {
+		return err
+	}
 	fmt.Printf("layout is self-contained (grid.grd embedded); serve it with: gridserver serve -store %s\n", *out)
+	return nil
+}
+
+// printResponse costs a sample of range queries against the written layout
+// (primary copies) two ways: the paper's response time — buckets on the
+// busiest disk — and the positioned reads the store's span planner needs on
+// the busiest disk, given where the buckets actually sit in the disk files.
+func printResponse(f *gridfile.File, m *store.Manifest, seed int64) error {
+	const ratio, queries = 0.01, 1000
+	alloc := core.Allocation{Disks: m.Disks, Assign: make([]int, len(m.Buckets))}
+	lay := sim.DiskLayout{Page: make([]int64, len(m.Buckets)), Pages: make([]int, len(m.Buckets))}
+	for i, pl := range m.Buckets { // manifest order is f.Buckets() order
+		alloc.Assign[i], lay.Page[i], lay.Pages[i] = pl.Disk, pl.Page, pl.Pages
+	}
+	idx := f.IndexByID()
+	qs := workload.SquareRange(f.Domain(), ratio, queries, seed)
+	res, err := sim.Replay(f, alloc, idx, qs)
+	if err != nil {
+		return err
+	}
+	sr, err := sim.ReplaySpans(f, alloc, idx, qs, lay, store.ReadThroughPages)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%d range queries (r=%g): mean response %.3f buckets = %.3f spans on the busiest disk (%.1f buckets in %.1f spans per query, %.1f gap pages)\n",
+		queries, ratio, res.MeanResponseTime, sr.MeanResponseSpans, res.MeanBuckets, sr.MeanSpans, sr.MeanGapPages)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/sim"
+	"pgridfile/internal/store"
 	"pgridfile/internal/workload"
 )
 
@@ -38,8 +39,19 @@ func runSimulate(args []string) error {
 	idx := f.IndexByID()
 	qs := workload.SquareRange(f.Domain(), *ratio, *queries, *seed)
 
-	fmt.Printf("%-12s %-14s %-12s %-10s %-14s\n",
-		"method", "mean response", "optimal", "balance", "closest pairs")
+	// Beside the paper's bucket-based response time, cost each query in
+	// positioned reads on its busiest disk under three within-disk layouts
+	// of one page per bucket: bucket-id order, the page store's Hilbert
+	// order, and Hilbert order with the store's read-through.
+	ones := make([]int, len(g.Buckets))
+	idOrder := make([]int, len(g.Buckets))
+	for i := range ones {
+		ones[i], idOrder[i] = 1, i
+	}
+	hilbertOrder := store.LayoutOrder(f)
+	fmt.Printf("%-12s %-14s %-12s %-10s %-14s %-9s %-13s %-13s\n",
+		"method", "mean response", "optimal", "balance", "closest pairs",
+		"spans:id", "spans:hilbert", fmt.Sprintf("spans:hilb+%d", store.ReadThroughPages))
 	nn := sim.NearestCompanionsWorkers(g, nil, *workers)
 	for _, name := range strings.Split(*algs, ",") {
 		alg, err := parseAllocator(strings.TrimSpace(name), *seed, *workers)
@@ -54,9 +66,23 @@ func runSimulate(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %-14.3f %-12.3f %-10.3f %-14d\n",
+		byID := sim.LayoutInOrder(alloc, idOrder, ones)
+		byCurve := sim.LayoutInOrder(alloc, hilbertOrder, ones)
+		var spans [3]float64
+		for i, c := range []struct {
+			lay         sim.DiskLayout
+			readThrough int
+		}{{byID, 0}, {byCurve, 0}, {byCurve, store.ReadThroughPages}} {
+			sr, err := sim.ReplaySpans(f, alloc, idx, qs, c.lay, c.readThrough)
+			if err != nil {
+				return err
+			}
+			spans[i] = sr.MeanResponseSpans
+		}
+		fmt.Printf("%-12s %-14.3f %-12.3f %-10.3f %-14d %-9.3f %-13.3f %-13.3f\n",
 			alg.Name(), res.MeanResponseTime, res.MeanOptimal,
-			sim.DataBalanceDegree(alloc), sim.CountSameDisk(nn, alloc))
+			sim.DataBalanceDegree(alloc), sim.CountSameDisk(nn, alloc),
+			spans[0], spans[1], spans[2])
 	}
 	return nil
 }

@@ -49,14 +49,26 @@ func (c *CentroidCurve) Decluster(g Grid, disks int) (Allocation, error) {
 	if newCurve == nil {
 		newCurve = func(d, b int) sfc.Curve { return sfc.NewHilbert(d, b) }
 	}
-	curve := newCurve(dims, bits)
-	side := float64(uint64(1) << bits)
+	order := CentroidOrder(g, newCurve(dims, bits))
 
-	type ranked struct {
-		key uint64
-		idx int
+	assign := make([]int, len(g.Buckets))
+	for rank, idx := range order {
+		assign[idx] = rank % disks
 	}
-	keys := make([]ranked, len(g.Buckets))
+	return Allocation{Disks: disks, Assign: assign}, nil
+}
+
+// CentroidOrder ranks the grid's buckets along a space-filling curve: each
+// bucket's region centre is normalised to the domain, quantised to the
+// curve's 2^bits grid and keyed, and the bucket indices are returned in
+// ascending key order, ties by index. Spatially close buckets land close in
+// the order — the locality CentroidCurve deals round-robin across disks and
+// the page store (internal/store) keeps within each disk file.
+func CentroidOrder(g Grid, curve sfc.Curve) []int {
+	dims := g.Domain.Dim()
+	side := float64(uint64(1) << curve.Bits())
+	keys := make([]uint64, len(g.Buckets))
+	order := make([]int, len(g.Buckets))
 	coords := make([]uint32, dims)
 	for i, b := range g.Buckets {
 		center := b.Region.Center()
@@ -75,18 +87,14 @@ func (c *CentroidCurve) Decluster(g Grid, disks int) (Allocation, error) {
 			}
 			coords[d] = uint32(v)
 		}
-		keys[i] = ranked{key: curve.Key(coords), idx: i}
+		keys[i] = curve.Key(coords)
+		order[i] = i
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].key != keys[b].key {
-			return keys[a].key < keys[b].key
+	sort.Slice(order, func(a, b int) bool {
+		if keys[order[a]] != keys[order[b]] {
+			return keys[order[a]] < keys[order[b]]
 		}
-		return keys[a].idx < keys[b].idx
+		return order[a] < order[b]
 	})
-
-	assign := make([]int, len(g.Buckets))
-	for rank, r := range keys {
-		assign[r.idx] = rank % disks
-	}
-	return Allocation{Disks: disks, Assign: assign}, nil
+	return order
 }

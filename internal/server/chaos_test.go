@@ -262,12 +262,14 @@ func TestDegradedDiskKill(t *testing.T) {
 		}
 	}
 
-	// The Prometheus endpoint must export the chaos counters, nonzero.
+	// The Prometheus endpoint must export the chaos counters (and the span
+	// planner's, which every successful read moves), nonzero.
 	metrics := httpGet(t, s.HTTPAddr().String(), "/metrics")
 	for _, name := range []string{
 		"gridserver_fault_injected_total",
 		"gridserver_queries_degraded_total",
 		"gridserver_disk_retries_total",
+		"gridserver_spans_read_total",
 	} {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics missing %s:\n%s", name, metrics)

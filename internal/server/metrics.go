@@ -149,6 +149,10 @@ type Metrics struct {
 	diskRetries      atomic.Int64    // disk-batch retry attempts
 	pagesRead        atomic.Int64
 	mergedFetches    atomic.Int64 // fetch requests served by a merged window read
+	// What the store's span planner did for the batches pagesRead counts:
+	// positioned reads issued, and unwanted pages they read through.
+	spansRead    atomic.Int64
+	gapPagesRead atomic.Int64
 	// Replica serving counters: buckets rerouted to a surviving owner after
 	// a transient disk failure, and buckets read from primary vs secondary
 	// copies (replicated layouts only; an unreplicated server leaves all
@@ -169,6 +173,14 @@ type Metrics struct {
 	latency       hist            // service time, microseconds
 	fetches       hist            // distinct buckets fetched per data query
 	stageLat      [numStages]hist // per-stage time of traced queries, nanoseconds
+}
+
+// noteRead records one successfully served disk batch: its wanted pages and
+// what the store's span planner did to fetch them.
+func (m *Metrics) noteRead(pages int, tm *store.Timing) {
+	m.pagesRead.Add(int64(pages))
+	m.spansRead.Add(int64(tm.Spans))
+	m.gapPagesRead.Add(int64(tm.GapPages))
 }
 
 func newMetrics(disks int) *Metrics {
@@ -203,7 +215,9 @@ type Snapshot struct {
 	FaultInjected    int64            `json:"fault_injected"`
 	InFlight         int              `json:"in_flight"`
 	DiskFetches      []int64          `json:"disk_bucket_fetches"`
-	PagesRead        int64            `json:"pages_read"`
+	PagesRead        int64            `json:"pages_read"`     // wanted pages only
+	SpansRead        int64            `json:"spans_read"`     // positioned reads (store.Timing.Spans)
+	GapPagesRead     int64            `json:"gap_pages_read"` // unwanted pages read through
 	MergedFetches    int64            `json:"merged_fetches"`
 	LatencyMicros    QuantileSummary  `json:"latency_micros"`
 	FetchesPerQry    QuantileSummary  `json:"buckets_per_query"`
@@ -240,6 +254,8 @@ func (m *Metrics) snapshot(inflight int) Snapshot {
 		ScrubRepaired:    m.scrubRepaired.Load(),
 		InFlight:         inflight,
 		PagesRead:        m.pagesRead.Load(),
+		SpansRead:        m.spansRead.Load(),
+		GapPagesRead:     m.gapPagesRead.Load(),
 		MergedFetches:    m.mergedFetches.Load(),
 		LatencyMicros:    m.latency.snapshot(),
 		FetchesPerQry:    m.fetches.snapshot(),
@@ -292,6 +308,8 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(w, "gridserver_fault_injected_total %d\n", s.FaultInjected)
 	fmt.Fprintf(w, "gridserver_in_flight %d\n", s.InFlight)
 	fmt.Fprintf(w, "gridserver_pages_read_total %d\n", s.PagesRead)
+	fmt.Fprintf(w, "gridserver_spans_read_total %d\n", s.SpansRead)
+	fmt.Fprintf(w, "gridserver_gap_pages_read_total %d\n", s.GapPagesRead)
 	fmt.Fprintf(w, "gridserver_merged_fetches_total %d\n", s.MergedFetches)
 	for d, n := range s.DiskFetches {
 		fmt.Fprintf(w, "gridserver_disk_bucket_fetches_total{disk=\"%d\"} %d\n", d, n)

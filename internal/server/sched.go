@@ -4,12 +4,18 @@ package server
 // one request at a time over a channel; they append to the disk's request
 // ring and poke its worker. The worker drains the whole ring in one window,
 // answers already-expired requests cheaply, merges the rest into a single
-// coalesced store read when that is safe, and scatters completions back to
-// each query's response channel — out of order with respect to submission.
+// store batch read when that is safe, and scatters completions back to each
+// query's response channel — out of order with respect to submission.
+//
+// The scheduler decides only WHICH buckets go to the store together. Which
+// positioned reads serve them — how wanted pages group into spans and which
+// gaps are read through — is the store's span planner's decision alone
+// (nextSpan in internal/store); nothing here reasons about page positions.
+// The planner reports what it did through store.Timing.
 //
 // The window is deliberately shaped like an io_uring submission batch: a
-// future backend can take the same window, turn every placement run into an
-// SQE, and harvest CQEs, without the upper layers changing at all.
+// future backend can take the same window, turn every span into an SQE, and
+// harvest CQEs, without the upper layers changing at all.
 
 import (
 	"context"
@@ -90,9 +96,10 @@ func (q *diskQueue) close() {
 
 // windowScratch is one worker's reusable buffers for merged windows.
 type windowScratch struct {
-	reqs []fetchReq
-	ids  []int32
-	recs []geom.Flat
+	reqs  []fetchReq
+	ids   []int32
+	recs  []geom.Flat
+	pages []int32 // wanted pages per merged result slot, from the planner
 }
 
 // diskWorker is one disk's I/O worker: one head per spindle, as in the
@@ -127,7 +134,7 @@ func (s *Server) diskWorker(disk int, q *diskQueue) {
 // serveWindow serves one drained window. Requests that are traced (exact
 // per-query stage attribution), expired, or unmergeable by configuration go
 // through the individual path; when two or more plain live requests remain
-// they are merged into a single coalesced read. Merging requires the bucket
+// they are merged into a single batch read. Merging requires the bucket
 // cache: its singleflight guarantees concurrent lead batches are disjoint,
 // which the store's flat read API relies on.
 func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
@@ -161,9 +168,9 @@ func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
 	}
 }
 
-// serveMerged reads every window request's buckets in one coalesced store
-// call and scatters records, pages and cache completions back per request.
-// It reports false without answering anyone when the read fails.
+// serveMerged reads every window request's buckets in one store batch call
+// and scatters records, pages and cache completions back per request. It
+// reports false without answering anyone when the read fails.
 func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 	sc.ids = sc.ids[:0]
 	for _, req := range sc.reqs {
@@ -176,9 +183,11 @@ func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 	}
 	if cap(sc.recs) < len(sc.ids) {
 		sc.recs = make([]geom.Flat, len(sc.ids))
+		sc.pages = make([]int32, len(sc.ids))
 	}
 	sc.recs = sc.recs[:len(sc.ids)]
-	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, sc.ids, sc.recs, nil)
+	tm := store.Timing{CountsOnly: true, SlotPages: sc.pages[:len(sc.ids)]}
+	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, sc.ids, sc.recs, &tm)
 	if cancel != nil {
 		cancel()
 	}
@@ -186,21 +195,19 @@ func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 		return false
 	}
 	s.met.diskFetches[disk].Add(int64(len(sc.ids)))
-	s.met.pagesRead.Add(int64(pages))
+	s.met.noteRead(pages, &tm)
 	s.met.mergedFetches.Add(int64(len(sc.reqs)))
 	off := 0
 	for _, req := range sc.reqs {
 		recs := make([]geom.Flat, len(req.ids))
 		copy(recs, sc.recs[off:off+len(req.ids)])
-		off += len(req.ids)
-		// Buckets never share pages, so each request's share of the merged
-		// read is exactly its placements' page count.
+		// Each request's share of the merged read is its own slots' wanted
+		// pages; pages a span read through belong to no request.
 		rp := 0
-		for _, id := range req.ids {
-			if pl, ok := s.st.Placement(id); ok {
-				rp += pl.Pages
-			}
+		for _, p := range tm.SlotPages[off : off+len(req.ids)] {
+			rp += int(p)
 		}
+		off += len(req.ids)
 		s.publishLeads(req.ids, recs)
 		req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: rp}
 	}
@@ -214,26 +221,26 @@ func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
 // still fail the batch over to a surviving owner disk — only when every
 // route is exhausted does the gather loop complete them with the error.
 func (s *Server) serveOne(disk int, req fetchReq) {
-	var tm *store.Timing
+	// Untraced requests take the planner's counts but skip its clock reads.
+	tm := store.Timing{CountsOnly: req.tr == nil}
 	if req.tr != nil {
 		// Queue wait: submit to dequeue, i.e. time spent behind other
 		// batches on this spindle.
 		s.traceSince(req.tr, stageFetchWait, req.enq)
-		tm = new(store.Timing)
 	}
 	// The runtime/trace region brackets the whole batch (retries and
 	// backoff included) so `go tool trace` shows each disk worker's duty
 	// cycle. StartRegion is a no-op unless tracing is active.
 	region := rtrace.StartRegion(req.ctx, "gridserver.fetchBatch")
-	recs, pages, err := s.fetchBatch(req.ctx, disk, req.ids, req.tr, tm)
+	recs, pages, err := s.fetchBatch(req.ctx, disk, req.ids, req.tr, &tm)
 	region.End()
-	if tm != nil {
+	if req.tr != nil {
 		req.tr.add(stagePread, tm.Pread)
 		req.tr.add(stageDecode, tm.Decode)
 	}
 	if err == nil {
 		s.met.diskFetches[disk].Add(int64(len(req.ids)))
-		s.met.pagesRead.Add(int64(pages))
+		s.met.noteRead(pages, &tm)
 		s.publishLeads(req.ids, recs)
 	}
 	req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: pages, err: err}

@@ -215,6 +215,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if fetches == 0 || snap.PagesRead < fetches {
 		t.Errorf("fetches=%d pages=%d: pages must cover fetches", fetches, snap.PagesRead)
 	}
+	if snap.SpansRead == 0 || snap.SpansRead > fetches {
+		t.Errorf("fetches=%d spans=%d: every span serves at least one fetched bucket", fetches, snap.SpansRead)
+	}
 	lat := snap.LatencyMicros
 	if lat.Count != total {
 		t.Errorf("latency observations = %d, want %d", lat.Count, total)

@@ -128,6 +128,119 @@ func ReplaySource(src Source, alloc core.Allocation, indexByID []int, queries []
 	return res, nil
 }
 
+// DiskLayout records where each bucket (by dense index) sits in the page
+// file of the disk it is assigned to: Page[i] is bucket i's first page,
+// Pages[i] how many consecutive pages it occupies.
+type DiskLayout struct {
+	Page  []int64
+	Pages []int
+}
+
+// LayoutInOrder models a layout writer that visits buckets in the given
+// order (a permutation of the dense indices) and appends each to the end of
+// its assigned disk's file; pages[i] is bucket i's page count. The identity
+// order is the bucket-id layout, store.LayoutOrder the one the page store
+// writes.
+func LayoutInOrder(alloc core.Allocation, order []int, pages []int) DiskLayout {
+	lay := DiskLayout{Page: make([]int64, len(order)), Pages: pages}
+	next := make([]int64, alloc.Disks)
+	for _, i := range order {
+		d := alloc.Assign[i]
+		lay.Page[i] = next[d]
+		next[d] += int64(pages[i])
+	}
+	return lay
+}
+
+// QuerySpans is one query's cost in positioned reads.
+type QuerySpans struct {
+	// Busiest is the largest number of spans any one disk serves: the
+	// span-based response time, the analogue of the paper's max_i N_i(q) for
+	// a device that charges per positioned read rather than per bucket.
+	Busiest int
+	// Total is the number of spans over all disks.
+	Total int
+	// GapPages is the number of unwanted pages the spans read through.
+	GapPages int
+}
+
+// ResponseSpans cuts the buckets a query fetches (dense indices) into spans
+// the way the page store's read planner does: on each disk, in page order, a
+// span continues while the next wanted bucket starts at most readThrough
+// pages past the end of the previous one. readThrough 0 merges only exactly
+// adjacent buckets. (The store also caps a span at 1 MiB, which no query
+// near the paper's sizes reaches; the model leaves it out.)
+func ResponseSpans(buckets []int, alloc core.Allocation, lay DiskLayout, readThrough int) QuerySpans {
+	sorted := append([]int(nil), buckets...)
+	sort.Slice(sorted, func(a, b int) bool {
+		i, j := sorted[a], sorted[b]
+		if alloc.Assign[i] != alloc.Assign[j] {
+			return alloc.Assign[i] < alloc.Assign[j]
+		}
+		return lay.Page[i] < lay.Page[j]
+	})
+	var qs QuerySpans
+	onDisk, disk, end := 0, -1, int64(0)
+	for _, i := range sorted {
+		gap := lay.Page[i] - end
+		switch {
+		case alloc.Assign[i] != disk:
+			disk, onDisk = alloc.Assign[i], 1
+			qs.Total++
+		case gap > int64(readThrough):
+			onDisk++
+			qs.Total++
+		default:
+			qs.GapPages += int(gap)
+		}
+		qs.Busiest = max(qs.Busiest, onDisk)
+		end = lay.Page[i] + int64(lay.Pages[i])
+	}
+	return qs
+}
+
+// SpanResult aggregates ResponseSpans over a workload.
+type SpanResult struct {
+	Queries int
+	// MeanResponseSpans is the average over queries of the spans on the
+	// busiest disk — to a device that charges per positioned read what
+	// Result.MeanResponseTime is to the paper's per-bucket model.
+	MeanResponseSpans float64
+	// MeanSpans and MeanGapPages average the per-query totals.
+	MeanSpans    float64
+	MeanGapPages float64
+}
+
+// ReplaySpans replays the workload like ReplaySource, but costs each query
+// in spans under the given disk layout and read-through bound.
+func ReplaySpans(src Source, alloc core.Allocation, indexByID []int, queries []geom.Rect,
+	lay DiskLayout, readThrough int) (SpanResult, error) {
+	if len(queries) == 0 {
+		return SpanResult{}, fmt.Errorf("sim: empty workload")
+	}
+	res := SpanResult{Queries: len(queries)}
+	var dense []int
+	for _, q := range queries {
+		dense = dense[:0]
+		for _, id := range src.BucketsInRange(q) {
+			i := indexByID[id]
+			if i < 0 || i >= len(alloc.Assign) {
+				return SpanResult{}, fmt.Errorf("sim: bucket id %d has no allocation", id)
+			}
+			dense = append(dense, i)
+		}
+		qs := ResponseSpans(dense, alloc, lay, readThrough)
+		res.MeanResponseSpans += float64(qs.Busiest)
+		res.MeanSpans += float64(qs.Total)
+		res.MeanGapPages += float64(qs.GapPages)
+	}
+	n := float64(len(queries))
+	res.MeanResponseSpans /= n
+	res.MeanSpans /= n
+	res.MeanGapPages /= n
+	return res, nil
+}
+
 // DataBalanceDegree is the paper's secondary metric: B_max × M / B_sum,
 // where B(i) is the number of buckets on disk i. Its minimum (perfect
 // balance) is 1.0; larger values mean more skew.

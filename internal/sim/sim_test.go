@@ -305,3 +305,69 @@ func TestNearestCompanionsParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseSpansByHand costs one query on a six-bucket, two-disk layout
+// worked out by hand, at read-through 0 and 2.
+func TestResponseSpansByHand(t *testing.T) {
+	// Disk 0 holds buckets 0,2,4 and disk 1 holds 1,3,5, appended in the
+	// order 4,0,1,2,3,5; bucket 0 takes two pages.
+	alloc := core.Allocation{Disks: 2, Assign: []int{0, 1, 0, 1, 0, 1}}
+	lay := LayoutInOrder(alloc, []int{4, 0, 1, 2, 3, 5}, []int{2, 1, 1, 1, 1, 1})
+	wantPage := []int64{1, 0, 3, 1, 0, 2} // disk 0: 4@0 0@1-2 2@3; disk 1: 1@0 3@1 5@2
+	for i, p := range lay.Page {
+		if p != wantPage[i] {
+			t.Fatalf("bucket %d laid at page %d, want %d", i, p, wantPage[i])
+		}
+	}
+	// The query wants 4 and 2 on disk 0 (pages 0 and 3: a two-page gap) and
+	// 1, 3 on disk 1 (pages 0, 1: adjacent).
+	q := []int{2, 1, 4, 3}
+	if got, want := ResponseSpans(q, alloc, lay, 0), (QuerySpans{Busiest: 2, Total: 3}); got != want {
+		t.Errorf("exact adjacency: %+v, want %+v", got, want)
+	}
+	if got, want := ResponseSpans(q, alloc, lay, 2), (QuerySpans{Busiest: 1, Total: 2, GapPages: 2}); got != want {
+		t.Errorf("read-through 2: %+v, want %+v", got, want)
+	}
+	if got, want := ResponseSpans(q, alloc, lay, 1), (QuerySpans{Busiest: 2, Total: 3}); got != want {
+		t.Errorf("read-through 1 must not cross a two-page gap: %+v, want %+v", got, want)
+	}
+}
+
+// TestReplaySpansBounds ties the span metric to the bucket metric: a query
+// never needs more spans on a disk than buckets, and with unlimited
+// read-through it needs exactly one span per active disk.
+func TestReplaySpansBounds(t *testing.T) {
+	f, g := buildHot(t)
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, ones := make([]int, len(g.Buckets)), make([]int, len(g.Buckets))
+	for i := range order {
+		order[i], ones[i] = i, 1
+	}
+	lay := LayoutInOrder(alloc, order, ones)
+	queries := workload.SquareRange(f.Domain(), 0.05, 200, 7)
+	idx := f.IndexByID()
+	res, err := Replay(f, alloc, idx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := ReplaySpans(f, alloc, idx, queries, lay, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.MeanResponseSpans > res.MeanResponseTime || exact.MeanSpans > res.MeanBuckets || exact.MeanGapPages != 0 {
+		t.Errorf("exact adjacency: %+v against %.3f buckets on the busiest disk, %.3f in all", exact, res.MeanResponseTime, res.MeanBuckets)
+	}
+	all, err := ReplaySpans(f, alloc, idx, queries, lay, len(g.Buckets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.MeanResponseSpans != 1 || all.MeanSpans != res.MeanActiveDisks {
+		t.Errorf("unlimited read-through: %+v, want 1 span on each of %.3f active disks", all, res.MeanActiveDisks)
+	}
+	if _, err := ReplaySpans(f, alloc, idx, nil, lay, 0); err == nil {
+		t.Error("empty workload accepted")
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -32,9 +32,10 @@ func (st *ScrubStats) Add(o ScrubStats) {
 // catch corruption on the pages queries happen to touch, the scrubber
 // sweeps the rest.
 //
-// Buckets are visited in ascending id order; pause, when positive, is slept
-// between buckets so a background scrub stays low-priority next to live
-// queries. Scrub reads the disk files directly (bypassing the failpoint
+// Buckets are visited in (primary disk, primary page) order — one
+// sequential sweep per disk file, whatever order the layout was written or
+// since rewritten in; pause, when positive, is slept between buckets so a
+// background scrub stays low-priority next to live queries. Scrub reads the disk files directly (bypassing the failpoint
 // registry — it verifies the real bytes on disk, not the fault model) but
 // registers per-disk load on every owner disk for the whole of each
 // bucket's scan (verification and repair included), so replica read
@@ -60,7 +61,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 	if format != pageFormatChecksum {
 		return st, fmt.Errorf("store: layout has no page checksums to scrub (format %d)", format)
 	}
-	sort.Slice(pls, func(i, j int) bool { return pls[i].ID < pls[j].ID })
+	slices.SortFunc(pls, func(a, b Placement) int { return cmpDiskPage(&a, &b) })
 
 	// Repair handles are opened lazily, once per disk per pass, and synced
 	// in this deferred block so that EVERY exit path — completion, context

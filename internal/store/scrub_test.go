@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -269,15 +270,15 @@ func TestScrubCancelledPassSyncsRepairs(t *testing.T) {
 	}
 	defer s.Close()
 	m := s.Manifest()
-	copies := layoutPageCopies(m)
-	// Corrupt one copy of the lowest-id bucket (scrubbed first).
-	var target pageCopy
-	for _, c := range copies {
-		if c.bucket == copies[0].bucket {
-			target = c
-			break
+	// Corrupt the primary copy of the bucket the sweep starts at: the lowest
+	// primary page on the lowest disk.
+	first := m.Buckets[0]
+	for _, pl := range m.Buckets {
+		if pl.Disk < first.Disk || (pl.Disk == first.Disk && pl.Page < first.Page) {
+			first = pl
 		}
 	}
+	target := pageCopy{bucket: first.ID, disk: first.Disk, page: first.Page}
 	path := filepath.Join(dir, DiskFileName(target.disk))
 	fh, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -309,6 +310,45 @@ func TestScrubCancelledPassSyncsRepairs(t *testing.T) {
 	}
 	if got, want := binary.LittleEndian.Uint32(buf[8:]), pageChecksum(buf); got != want {
 		t.Fatalf("repaired page checksum %08x, want %08x — repair lost on early exit", got, want)
+	}
+}
+
+// TestScrubSweepsDisksSequentially pins the visiting order: buckets are
+// scrubbed by (primary disk, primary page), one sequential sweep per disk
+// file, not by id — ids are in split-history order, and the layout writer
+// places buckets along a curve, so id order would walk every file at random.
+// A pass cancelled after k buckets must have verified exactly the first k
+// placements of the sweep: damage at sweep position k-1 is found, damage at
+// position k is not.
+func TestScrubSweepsDisksSequentially(t *testing.T) {
+	dir, _, _ := buildReplicatedLayout(t, 4, 2)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := s.Manifest()
+	sweep := append([]Placement(nil), m.Buckets...)
+	slices.SortFunc(sweep, func(a, b Placement) int { return cmpDiskPage(&a, &b) })
+	byID := true
+	for i := 1; i < len(sweep); i++ {
+		byID = byID && sweep[i-1].ID < sweep[i].ID
+	}
+	if byID {
+		t.Fatal("sweep order equals id order on this layout; the test cannot tell them apart")
+	}
+	for _, k := range []int{1, len(sweep) / 2, len(sweep)} {
+		pl := sweep[k-1]
+		corruptPage(t, dir, pageCopy{bucket: pl.ID, disk: pl.Disk, page: pl.Page}, m.PageBytes, true)
+		st, _ := s.Scrub(&errAfterCtx{Context: context.Background(), n: k - 1}, 0)
+		if st.Corrupt != 0 {
+			t.Fatalf("k=%d: a pass of %d buckets reached sweep position %d", k, k-1, k-1)
+		}
+		st, _ = s.Scrub(&errAfterCtx{Context: context.Background(), n: k}, 0)
+		if st.Corrupt != 1 || st.Repaired != 1 {
+			t.Fatalf("k=%d: a pass of %d buckets found corrupt=%d repaired=%d at sweep position %d, want 1/1",
+				k, k, st.Corrupt, st.Repaired, k-1)
+		}
 	}
 }
 

@@ -16,9 +16,14 @@
 // address pages with pread-style ReadAt calls on per-disk file handles and
 // mutate no shared state, so any number of goroutines may fetch buckets
 // simultaneously — the property the network query service (internal/server)
-// relies on for its per-disk I/O goroutines. ReadBuckets additionally
-// coalesces buckets that are contiguous on disk into single large ReadAt
-// calls, cutting the syscall count of a multi-bucket query.
+// relies on for its per-disk I/O goroutines.
+//
+// Declustering spreads a query's buckets across disks; within one disk the
+// writer clusters them: every disk file is laid out along the Hilbert curve
+// of the bucket regions (LayoutOrder), so the buckets a range query needs
+// from one disk sit close together, and the batch reads plan spans — single
+// ReadAt calls that cover several wanted buckets and read through short gaps
+// of unwanted pages (nextSpan) — instead of one read per bucket.
 package store
 
 import (
@@ -42,6 +47,7 @@ import (
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
+	"pgridfile/internal/sfc"
 )
 
 // Per-page header layouts. Format 1 (legacy) carries bucket id (u32) and
@@ -182,11 +188,34 @@ func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes in
 	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, pageBytes)
 }
 
+// layoutCurveBits is the per-axis resolution of the curve LayoutOrder ranks
+// bucket centres on. 16 bits tell 65536 positions per axis apart — finer
+// than any bucket region — and four dimensions of it fill the 64-bit key;
+// beyond four dimensions the resolution shrinks to what fits.
+const layoutCurveBits = 16
+
+// LayoutOrder returns the order in which the layout writer appends the grid
+// file's buckets to their disk files, as indices into f.Buckets(): ascending
+// Hilbert key of the bucket region's centre, ties by id. Every disk receives
+// its buckets — primary and replica copies alike — in this one order, so
+// each disk file is a single Hilbert-ordered run and the buckets a range
+// query needs from a disk are near neighbours in it, whatever scheme dealt
+// them out. Placements are explicit in the manifest, so the order is a
+// property of freshly written layouts only: readers never assume it, and
+// buckets the write path rewrites or splits off are appended at the end of
+// their files, outside the order.
+func LayoutOrder(f *gridfile.File) []int {
+	bits := min(layoutCurveBits, 64/f.Dims())
+	g := core.Grid{Domain: f.Domain(), Buckets: f.Buckets()}
+	return core.CentroidOrder(g, sfc.NewHilbert(f.Dims(), bits))
+}
+
 // writeLayout is the shared layout writer: owners[i] lists the disks that
-// receive a copy of bucket views[i] (the first entry is the primary).
-// Every page carries the checksummed format-2 header and the manifest is
-// wrapped in the version-3 envelope; replicated layouts additionally record
-// per-copy owner page lists.
+// receive a copy of bucket views[i] (the first entry is the primary), and
+// buckets are appended to their disks in LayoutOrder. Every page carries the
+// checksummed format-2 header and the manifest — whose bucket list stays in
+// id order — is wrapped in the version-3 envelope; replicated layouts
+// additionally record per-copy owner page lists.
 func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int) (*Manifest, error) {
 	if pageBytes <= pageHeaderV2+8*f.Dims() {
 		return nil, fmt.Errorf("store: page size %d too small for %d-D records", pageBytes, f.Dims())
@@ -225,7 +254,9 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 
 	perPage := recordsPerPage(pageBytes, f.Dims(), pageHeaderV2)
 	page := make([]byte, pageBytes)
-	for _, v := range views {
+	m.Buckets = make([]Placement, len(views))
+	for _, vi := range LayoutOrder(f) {
+		v := views[vi]
 		var keys []float64
 		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
 			keys = append(keys, key...)
@@ -270,7 +301,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		for _, d := range own {
 			nextPage[d] += int64(npages)
 		}
-		m.Buckets = append(m.Buckets, pl)
+		m.Buckets[vi] = pl
 	}
 	for _, fh := range files {
 		if err := fh.Sync(); err != nil {
@@ -555,7 +586,7 @@ func (s *Store) Domain() geom.Rect {
 
 // bufPool recycles page read buffers between bucket fetches so the serving
 // hot path does not allocate one buffer per read. Buffers are sized to the
-// largest request seen and reused across coalesced runs.
+// largest request seen and reused across spans.
 var bufPool sync.Pool
 
 func getBuf(n int) []byte {
@@ -696,14 +727,34 @@ func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (to
 	return torn, nil
 }
 
-// Timing splits a read's cost between raw positioned I/O (including injected
-// stalls) and page validation/decoding. The timed read variants accumulate
-// into it, so one Timing can cover a whole batch of calls. Callers that pass
-// nil pay no clock reads at all.
+// Timing accumulates what a batch of reads cost and what the span planner
+// did to serve it, so one Timing can cover a whole batch of calls. Pread and
+// Decode split the wall time between raw positioned I/O (including injected
+// stalls) and page validation/decoding. Spans counts the positioned reads
+// issued and GapPages the unwanted pages they read through and dropped; the
+// page total the read calls return counts wanted pages only. Counts are added
+// by calls that succeed. Callers that pass nil pay nothing at all.
 type Timing struct {
 	Pread  time.Duration
 	Decode time.Duration
+
+	Spans    int
+	GapPages int
+
+	// SlotPages, when non-nil, receives the wanted page count of every
+	// result slot of a ReadFlatsFromTimed batch (SlotPages[i] for ids[i]; it
+	// must be at least as long as ids), so a caller that merged several
+	// requests into one batch can apportion the pages without looking the
+	// placements up again.
+	SlotPages []int32
+
+	// CountsOnly skips the clock reads and leaves Pread and Decode alone,
+	// for callers that want the planner's counts on an untimed hot path.
+	CountsOnly bool
 }
+
+// timed reports whether reads should charge wall time to tm.
+func (tm *Timing) timed() bool { return tm != nil && !tm.CountsOnly }
 
 // ReadBucket fetches one bucket's keys from its disk file. The returned
 // slice is freshly allocated. It also reports the number of pages read
@@ -740,12 +791,13 @@ func (s *Store) readOne(ctx context.Context, pl Placement, tm *Timing) ([]geom.P
 func (s *Store) readOneFlat(ctx context.Context, pl Placement, tm *Timing) (geom.Flat, int, error) {
 	buf := getBuf(pl.Pages * s.manifest.PageBytes)
 	defer putBuf(buf)
+	timed := tm.timed()
 	var t0 time.Time
-	if tm != nil {
+	if timed {
 		t0 = s.now()
 	}
 	torn, err := s.readAt(ctx, pl.Disk, buf, pl.Page*int64(s.manifest.PageBytes))
-	if tm != nil {
+	if timed {
 		now := s.now()
 		tm.Pread += now.Sub(t0)
 		t0 = now
@@ -754,7 +806,7 @@ func (s *Store) readOneFlat(ctx context.Context, pl Placement, tm *Timing) (geom
 		return geom.Flat{}, 0, fmt.Errorf("store: reading bucket %d: %w", pl.ID, err)
 	}
 	fl, err := s.decodeBucketFlat(buf, pl)
-	if tm != nil {
+	if timed {
 		tm.Decode += s.now().Sub(t0)
 	}
 	if err != nil {
@@ -763,19 +815,37 @@ func (s *Store) readOneFlat(ctx context.Context, pl Placement, tm *Timing) (geom
 		}
 		return geom.Flat{}, 0, err
 	}
+	if tm != nil {
+		tm.Spans++
+	}
 	return fl, pl.Pages, nil
 }
 
-// maxCoalesceBytes bounds one coalesced ReadAt so the pooled buffers stay a
-// sane size even when many large buckets are adjacent on disk.
+// maxCoalesceBytes bounds one span so the pooled buffers stay a sane size
+// even when many wanted buckets are close together on disk.
 const maxCoalesceBytes = 1 << 20
 
-// ReadBuckets fetches a set of buckets with coalesced I/O: placements are
-// grouped per disk, sorted by page offset, and every run of contiguous
-// pages is read with a single ReadAt into a pooled buffer — the
+// ReadThroughPages is how many unwanted pages a span may read through to
+// reach the next wanted bucket on the same disk rather than ending and
+// paying for another positioned read. Two break-evens bound it. On a device,
+// internal/diskmodel's defaults charge ~10 ms to position and ~1 ms to
+// transfer a 4 KiB page, so reading through pays up to 10 pages. On the
+// page-cache path a positioned read costs a syscall and a gap page costs a
+// copy into a buffer that is then colder; measured on the benchmark's
+// cold-closed workload, 0, 4 and 8 were within the run-to-run spread of each
+// other. 4 is inside both bounds and already halves the spans on a query's
+// busiest disk. It is a constant, not a setting — nothing in the repo needs
+// a second value — and exported only so tools that model a layout without
+// reading it (gridtool simulate, sim.ResponseSpans) cut spans the way the
+// planner does.
+const ReadThroughPages = 4
+
+// ReadBuckets fetches a set of buckets with span reads (see nextSpan):
+// placements are grouped per disk, sorted by page offset, and neighbouring
+// ones are read with a single ReadAt into a pooled buffer — the
 // disk-directed trick that turns a query's scattered per-bucket reads into
 // a few large sequential requests. It returns each bucket's decoded records
-// and the total number of pages read. Like ReadBucket it is safe for
+// and the total number of wanted pages read. Like ReadBucket it is safe for
 // concurrent use. Duplicate ids are fetched once. ctx bounds injected
 // stalls; a nil ctx is treated as background.
 func (s *Store) ReadBuckets(ctx context.Context, ids []int32) (map[int32][]geom.Point, int, error) {
@@ -806,7 +876,7 @@ func (s *Store) ReadBucketsTimed(ctx context.Context, ids []int32, tm *Timing) (
 }
 
 // ReadBucketsFrom fetches a set of buckets from ONE specific owner disk with
-// the same coalescing as ReadBuckets. Every id must have a copy on that
+// the same span reads as ReadBuckets. Every id must have a copy on that
 // disk; a replicated layout's secondary copies are addressed by their own
 // page offsets. This is the read path the server's per-disk I/O goroutines
 // use, so a failover retry against a surviving owner reads that owner's
@@ -874,8 +944,8 @@ func placementOn(pl Placement, disk int) (Placement, bool) {
 	return pl, false
 }
 
-// plIdx pairs one placement with the caller's result slot, so the coalescing
-// core can sort placements into disk order while landing each decode in the
+// plIdx pairs one placement with the caller's result slot, so the span
+// planner can sort placements into disk order while landing each decode in the
 // position the caller asked for. The scratch slices are pooled: a serving
 // path batch allocates nothing here.
 type plIdx struct {
@@ -890,16 +960,16 @@ var plScratchPool = sync.Pool{New: func() any {
 
 // ReadFlatsFrom fetches a batch of buckets from ONE specific owner disk in
 // arena form: out[i] receives ids[i]'s records as a geom.Flat (one
-// allocation per bucket), with the same run coalescing as ReadBucketsFrom.
+// allocation per bucket), with the same span reads as ReadBucketsFrom.
 // out must have at least len(ids) entries; ids must be distinct (the server
 // submits per-disk lead batches, which are). The return value is the total
-// number of pages read.
+// number of wanted pages read; pages a span read through are not counted.
 func (s *Store) ReadFlatsFrom(ctx context.Context, disk int, ids []int32, out []geom.Flat) (int, error) {
 	return s.ReadFlatsFromTimed(ctx, disk, ids, out, nil)
 }
 
-// ReadFlatsFromTimed is ReadFlatsFrom with an optional pread/decode time
-// split accumulated into tm (nil disables timing).
+// ReadFlatsFromTimed is ReadFlatsFrom with the cost and the planner's
+// counts accumulated into tm (nil disables both).
 func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, out []geom.Flat, tm *Timing) (int, error) {
 	sp := plScratchPool.Get().(*[]plIdx)
 	pls := (*sp)[:0]
@@ -938,8 +1008,7 @@ func (s *Store) ReadFlatFromTimed(ctx context.Context, disk int, id int32, tm *T
 	return s.readOneFlat(ctx, pl, tm)
 }
 
-// readPlacements is the map-keyed compatibility form of the coalescing read
-// core; results land in out keyed by bucket id.
+// readPlacements is the map-keyed compatibility form of the span planner; results land in out keyed by bucket id.
 func (s *Store) readPlacements(ctx context.Context, pls []Placement, out map[int32][]geom.Point, tm *Timing) (int, error) {
 	pidx := make([]plIdx, len(pls))
 	flats := make([]geom.Flat, len(pls))
@@ -956,45 +1025,68 @@ func (s *Store) readPlacements(ctx context.Context, pls []Placement, out map[int
 	return pages, nil
 }
 
-// readPlacementsFlat is the shared coalescing read core: placements are
-// grouped per disk, sorted by page offset, and contiguous runs are read with
-// single ReadAt calls into a pooled scatter buffer. Each placement decodes
-// into out[its idx] in arena form. The sort order — and therefore the
-// sequence of positioned reads and failpoint evaluations — is identical to
-// the pre-flat implementation, which the deterministic campaign gate relies
-// on. The return value is the total number of pages read.
+// cmpDiskPage orders placements by (disk, page): the order a sweep of the
+// disk files meets them in.
+func cmpDiskPage(a, b *Placement) int {
+	if a.Disk != b.Disk {
+		return a.Disk - b.Disk
+	}
+	return cmp.Compare(a.Page, b.Page)
+}
+
+// nextSpan is the span planner, the one place that decides which positioned
+// reads serve a batch. Given placements sorted by (disk, page) it cuts the
+// span that starts at pls[lo]: the span continues while the next wanted
+// placement on the same disk starts at most ReadThroughPages past the end of
+// the previous one and the span stays within maxCoalesceBytes (a single
+// placement larger than that is a span of its own). It returns the index one
+// past the span's last placement, the page one past its last wanted page —
+// a span always ends on a wanted page, so a torn read, which destroys the
+// final page, is still caught by a decode — and the unwanted pages inside.
+func nextSpan(pls []plIdx, lo int, pageBytes int64) (hi int, end, gaps int64) {
+	first := pls[lo].pl
+	end = first.Page + int64(first.Pages)
+	for hi = lo + 1; hi < len(pls); hi++ {
+		nx := pls[hi].pl
+		nxEnd := nx.Page + int64(nx.Pages)
+		if nx.Disk != first.Disk || nx.Page-end > ReadThroughPages ||
+			(nxEnd-first.Page)*pageBytes > maxCoalesceBytes {
+			break
+		}
+		if nx.Page > end {
+			gaps += nx.Page - end
+		}
+		end = max(end, nxEnd)
+	}
+	return hi, end, gaps
+}
+
+// readPlacementsFlat is the batch read core: placements are sorted by
+// (disk, page), cut into spans by nextSpan, and each span is one ReadAt into
+// a pooled buffer. Every wanted placement decodes into out[its idx] from its
+// own offset in the span; the gap pages in between are dropped unlooked at —
+// never decoded, checksummed, cached or counted as wanted. The sort makes the
+// sequence of positioned reads and failpoint evaluations a function of the
+// batch alone, which the deterministic campaign gate relies on. The return
+// value is the number of wanted pages read.
 func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.Flat, tm *Timing) (int, error) {
 	// slices.SortFunc rather than sort.Slice: no closure/Swapper allocations
-	// on the per-batch hot path. The comparison key (disk, then page) is a
-	// total order over distinct placements, so the two sorts agree.
-	slices.SortFunc(pls, func(a, b plIdx) int {
-		if a.pl.Disk != b.pl.Disk {
-			return a.pl.Disk - b.pl.Disk
-		}
-		return cmp.Compare(a.pl.Page, b.pl.Page)
-	})
+	// on the per-batch hot path.
+	slices.SortFunc(pls, func(a, b plIdx) int { return cmpDiskPage(&a.pl, &b.pl) })
 
 	pageBytes := int64(s.manifest.PageBytes)
-	pages := 0
+	timed := tm.timed()
+	pages, spans, gapPages := 0, 0, int64(0)
 	for lo := 0; lo < len(pls); {
-		// Grow the run while the next bucket starts exactly where this one
-		// ends on the same disk and the run stays within the buffer cap.
-		hi := lo + 1
-		runPages := pls[lo].pl.Pages
-		for hi < len(pls) &&
-			pls[hi].pl.Disk == pls[lo].pl.Disk &&
-			pls[hi].pl.Page == pls[hi-1].pl.Page+int64(pls[hi-1].pl.Pages) &&
-			int64(runPages+pls[hi].pl.Pages)*pageBytes <= maxCoalesceBytes {
-			runPages += pls[hi].pl.Pages
-			hi++
-		}
-		buf := getBuf(runPages * s.manifest.PageBytes)
+		first := pls[lo].pl
+		hi, end, gaps := nextSpan(pls, lo, pageBytes)
+		buf := getBuf(int((end - first.Page) * pageBytes))
 		var t0 time.Time
-		if tm != nil {
+		if timed {
 			t0 = s.now()
 		}
-		torn, err := s.readAt(ctx, pls[lo].pl.Disk, buf, pls[lo].pl.Page*pageBytes)
-		if tm != nil {
+		torn, err := s.readAt(ctx, first.Disk, buf, first.Page*pageBytes)
+		if timed {
 			now := s.now()
 			tm.Pread += now.Sub(t0)
 			t0 = now
@@ -1002,11 +1094,11 @@ func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.
 		if err != nil {
 			putBuf(buf)
 			return 0, fmt.Errorf("store: reading buckets %d..%d: %w",
-				pls[lo].pl.ID, pls[hi-1].pl.ID, err)
+				first.ID, pls[hi-1].pl.ID, err)
 		}
-		off := 0
 		for _, pi := range pls[lo:hi] {
-			fl, err := s.decodeBucketFlat(buf[off:off+pi.pl.Pages*s.manifest.PageBytes], pi.pl)
+			off := (pi.pl.Page - first.Page) * pageBytes
+			fl, err := s.decodeBucketFlat(buf[off:off+int64(pi.pl.Pages)*pageBytes], pi.pl)
 			if err != nil {
 				putBuf(buf)
 				if torn {
@@ -1016,14 +1108,24 @@ func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.
 				return 0, err
 			}
 			out[pi.idx] = fl
-			off += pi.pl.Pages * s.manifest.PageBytes
+			pages += pi.pl.Pages
 		}
 		putBuf(buf)
-		if tm != nil {
+		if timed {
 			tm.Decode += s.now().Sub(t0)
 		}
-		pages += runPages
+		spans++
+		gapPages += gaps
 		lo = hi
+	}
+	if tm != nil {
+		tm.Spans += spans
+		tm.GapPages += int(gapPages)
+		if tm.SlotPages != nil {
+			for _, pi := range pls {
+				tm.SlotPages[pi.idx] = int32(pi.pl.Pages)
+			}
+		}
 	}
 	return pages, nil
 }
