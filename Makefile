@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 5s
 BENCHTIME ?= 2000x
 
-.PHONY: all build test race check fmt vet fuzz chaos replica write trace campaign bench bench-alloc bench-open bench-decluster bench-all clean
+.PHONY: all build test race check fmt vet fuzz chaos replica write trace campaign bench bench-alloc bench-open bench-decluster bench-all loc clean
 
 all: build
 
@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDegradedCodec -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/gridfile
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/store
 
 # Deterministic fault-injection smoke: bench run under the chaos profile
 # must finish with zero errors and nonzero degraded answers; the replicated
@@ -90,6 +91,18 @@ bench-decluster:
 # Everything, one iteration each: a smoke pass over the full benchmark set.
 bench-all:
 	$(GO) test -bench=. -benchtime=1x .
+
+# How much there is: non-test Go lines outside bench/ per package directory,
+# and the exported field counts of the two option structs. A deletion PR
+# records the before/after of this in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} + | \
+	  awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	       END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@for t in Config ClientConfig; do \
+	  printf '%7d exported fields in server.%s\n' \
+	    "$$($(GO) doc ./internal/server $$t | grep -c '^	[A-Z][A-Za-z0-9]* ')" $$t; \
+	done
 
 clean:
 	$(GO) clean ./...

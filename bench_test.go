@@ -420,8 +420,8 @@ func BenchmarkReplayWorkload(b *testing.B) {
 // BenchmarkServerThroughput measures end-to-end queries/second of the
 // network query service (internal/server) over real per-disk files, under
 // two declustering schemes and two server configurations: baseline (no
-// bucket cache, one read per bucket — the service's original hot path) and
-// tuned (sharded bucket cache + coalesced per-disk reads, the defaults).
+// bucket cache: every bucket a query touches is read from its disk file) and
+// tuned (the defaults, with the sharded bucket cache).
 // The workload is count-only range queries from 8 closed-loop clients, so
 // the numbers isolate how well the allocation spreads bucket fetches across
 // the per-disk I/O goroutines and how much of that I/O the cache absorbs.
@@ -440,7 +440,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 		workers  int // closed-loop workers (0 = one per connection)
 		cfg      server.Config
 	}{
-		{"baseline", 1, 0, 0, server.Config{MaxInflight: 32, CacheBytes: -1, DisableCoalesce: true}},
+		{"baseline", 1, 0, 0, server.Config{MaxInflight: 32, CacheBytes: -1}},
 		{"tuned", 1, 0, 0, server.Config{MaxInflight: 32}},
 		// Tuned defaults with every query stage-traced: quantifies the
 		// observability overhead and lands the per-stage medians

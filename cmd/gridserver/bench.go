@@ -44,7 +44,6 @@ type benchOpts struct {
 	seed         int64
 	timeout      time.Duration
 	cacheBytes   int64  // in-process servers only; <=0 disables
-	coalesce     bool   // in-process servers only
 	faultSpec    string // armed through the FAULT verb before the run
 	faultSeed    int64  // in-process servers only
 	degraded     bool   // in-process servers only: partial answers over errors
@@ -64,8 +63,7 @@ type benchOpts struct {
 	sweep    string           // "start:factor:steps" rate escalation
 	slo      time.Duration    // p99 bound for a sweep step to count as sustained
 
-	pipeline int  // requests in flight per connection (closed and open loop)
-	nodelay  bool // TCP_NODELAY on both ends
+	pipeline int // requests in flight per connection (closed and open loop)
 
 	// writeFrac mixes INSERTs into the closed loop: that fraction of the
 	// ops become writes with fresh keys. In-process servers open writable
@@ -150,7 +148,6 @@ func runBench(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	timeout := fs.Duration("timeout", 10*time.Second, "client request timeout")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "bucket cache budget for in-process servers (<=0 disables)")
-	coalesce := fs.Bool("coalesce", true, "coalesce adjacent page reads (in-process servers)")
 	jsonPath := fs.String("json", "", "also write the result rows as JSON to this file")
 	faultSpec := fs.String("fault", "", "failpoint spec armed via the FAULT verb before the run (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "fault registry seed for in-process servers")
@@ -168,7 +165,6 @@ func runBench(args []string, out io.Writer) error {
 	slo := fs.Duration("slo", 0, "p99 bound a sweep step must meet to count as sustained (0 disables)")
 	pipeline := fs.Int("pipeline", 1, "requests kept in flight per connection (1 = one-at-a-time)")
 	writeFrac := fs.Float64("write-frac", 0, "fraction of closed-loop ops sent as INSERTs (in-process servers open writable; remote servers need -writable)")
-	nodelay := fs.Bool("nodelay", true, "set TCP_NODELAY on bench connections (and the in-process server)")
 	fs.Parse(args)
 
 	arrivals, err := loadgen.ParseArrivals(*arrivalsFlag)
@@ -178,14 +174,14 @@ func runBench(args []string, out io.Writer) error {
 	opts := benchOpts{
 		clients: *clients, queries: *queries, ratio: *ratio,
 		k: *k, seed: *seed, timeout: *timeout,
-		cacheBytes: *cacheBytes, coalesce: *coalesce,
-		faultSpec: *faultSpec, faultSeed: *faultSeed, degraded: *degraded,
+		cacheBytes: *cacheBytes,
+		faultSpec:  *faultSpec, faultSeed: *faultSeed, degraded: *degraded,
 		fetchRetries: *fetchRetries,
 		trace:        *trace, traceSlow: *traceSlow,
 		openLoop: *openLoop || *sweep != "", rate: *rate, duration: *duration,
 		arrivals: arrivals, hot: *hot, hotFrac: *hotFrac,
 		sweep: *sweep, slo: *slo,
-		pipeline: *pipeline, nodelay: *nodelay,
+		pipeline:  *pipeline,
 		writeFrac: *writeFrac,
 	}
 	if opts.writeFrac < 0 || opts.writeFrac >= 1 {
@@ -320,13 +316,11 @@ func runBench(args []string, out io.Writer) error {
 // load against it.
 func benchStore(dir, label string, opts benchOpts) ([]benchRow, error) {
 	cfg := server.Config{
-		CacheBytes:      cacheFlag(opts.cacheBytes),
-		DisableCoalesce: !opts.coalesce,
-		DisableNoDelay:  !opts.nodelay,
-		Faults:          fault.NewRegistry(opts.faultSeed),
-		Degraded:        opts.degraded,
-		FetchRetries:    opts.fetchRetries,
-		Writable:        opts.writeFrac > 0,
+		CacheBytes:   cacheFlag(opts.cacheBytes),
+		Faults:       fault.NewRegistry(opts.faultSeed),
+		Degraded:     opts.degraded,
+		FetchRetries: opts.fetchRetries,
+		Writable:     opts.writeFrac > 0,
 	}
 	if opts.trace {
 		cfg.TraceSample = 1
@@ -346,7 +340,7 @@ func benchStore(dir, label string, opts benchOpts) ([]benchRow, error) {
 func benchAddr(addr, label string, opts benchOpts) ([]benchRow, error) {
 	c, err := server.NewClient(server.ClientConfig{
 		Addr: addr, PoolSize: opts.clients, RequestTimeout: opts.timeout,
-		Pipeline: opts.pipeline, DisableNoDelay: !opts.nodelay,
+		Pipeline: opts.pipeline,
 	})
 	if err != nil {
 		return nil, err

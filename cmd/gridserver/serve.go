@@ -42,7 +42,6 @@ func runServe(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-query deadline")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "bucket cache budget in bytes (<=0 disables caching)")
-	coalesce := fs.Bool("coalesce", true, "coalesce adjacent page reads per disk")
 	pprof := fs.Bool("pprof", false, "expose /debug/pprof on the -http address")
 	faultSpec := fs.String("fault", "", "failpoint spec to arm at startup, e.g. store.read:err:p=0.05 (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault registry's reproducible schedules")
@@ -52,12 +51,11 @@ func runServe(args []string) error {
 	fetchBackoff := fs.Duration("fetch-backoff", 2*time.Millisecond, "base backoff between disk-batch retries")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", -1, "log traced queries at least this slow to stderr (0 logs every traced query, <0 disables the log)")
-	nodelay := fs.Bool("nodelay", true, "set TCP_NODELAY on accepted connections (disable to let Nagle batch small frames)")
 	pipelineDepth := fs.Int("pipeline-depth", 0, "per-connection bound on queued responses and concurrent tagged requests (0 = default 64)")
-	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read (layout must carry page format 2)")
+	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read")
 	scrubInterval := fs.Duration("scrub-interval", 0, "background checksum scrub period; repairs corrupt pages from replicas (0 disables)")
 	scrubPause := fs.Duration("scrub-pause", 10*time.Millisecond, "pause between buckets during a scrub pass (lowers scrub I/O priority)")
-	writable := fs.Bool("writable", false, "accept INSERT/DELETE (layout must carry checksummed pages; mutations are journaled per disk)")
+	writable := fs.Bool("writable", false, "accept INSERT/DELETE (mutations are journaled per disk)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("serve: -store is required")
@@ -74,7 +72,6 @@ func runServe(args []string) error {
 		QueryTimeout:    *timeout,
 		DrainTimeout:    *drain,
 		CacheBytes:      cacheFlag(*cacheBytes),
-		DisableCoalesce: !*coalesce,
 		Pprof:           *pprof,
 		Faults:          reg,
 		Degraded:        *degraded,
@@ -84,7 +81,6 @@ func runServe(args []string) error {
 		TraceSample:     *traceSample,
 		TraceSlowLog:    *traceSlow >= 0,
 		TraceSlow:       max(*traceSlow, 0),
-		DisableNoDelay:  !*nodelay,
 		PipelineDepth:   *pipelineDepth,
 		VerifyChecksums: *verify,
 		ScrubInterval:   *scrubInterval,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/sim"
@@ -59,33 +60,32 @@ func runLayout(args []string) error {
 	}
 
 	// Verify the layout reads back correctly before declaring success: every
-	// bucket from every owning disk, so a torn replica copy fails the build
-	// rather than the first failover that routes to it.
+	// copy on every disk (decoding checks each against the manifest's record
+	// count), so a torn replica copy fails the build rather than the first
+	// failover that routes to it.
 	s, err := store.Open(*out)
 	if err != nil {
 		return fmt.Errorf("layout verification: %w", err)
 	}
 	defer s.Close()
-	total := 0
+	copies := make([][]int32, m.Disks)
 	for _, pl := range m.Buckets {
-		pts, _, err := s.ReadBucket(context.Background(), pl.ID)
-		if err != nil {
-			return fmt.Errorf("layout verification: bucket %d: %w", pl.ID, err)
-		}
-		total += len(pts)
-		for _, d := range s.Owners(pl.ID)[1:] {
-			copyPts, _, err := s.ReadBucketFrom(context.Background(), d, pl.ID)
-			if err != nil {
-				return fmt.Errorf("layout verification: bucket %d copy on disk %d: %w", pl.ID, d, err)
-			}
-			if len(copyPts) != len(pts) {
-				return fmt.Errorf("layout verification: bucket %d copy on disk %d has %d records, primary has %d",
-					pl.ID, d, len(copyPts), len(pts))
-			}
+		for _, d := range pl.OwnerDisks {
+			copies[d] = append(copies[d], pl.ID)
 		}
 	}
-	if total != f.Len() {
-		return fmt.Errorf("layout verification: %d records read back, file has %d", total, f.Len())
+	readBack := 0
+	for d, ids := range copies {
+		flats := make([]geom.Flat, len(ids))
+		if _, err := s.ReadFlatsFromTimed(context.Background(), d, ids, flats, nil); err != nil {
+			return fmt.Errorf("layout verification: disk %d: %w", d, err)
+		}
+		for _, fl := range flats {
+			readBack += fl.Len()
+		}
+	}
+	if readBack != f.Len()*s.Replicas() {
+		return fmt.Errorf("layout verification: %d records read back, file has %d in %d copies", readBack, f.Len(), s.Replicas())
 	}
 	sizes, err := s.DiskSizes()
 	if err != nil {
@@ -93,10 +93,10 @@ func runLayout(args []string) error {
 	}
 	if *replicas > 1 {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s, %d copies each\n",
-			len(m.Buckets), total, *disks, allocator.Name(), *replicas)
+			len(m.Buckets), f.Len(), *disks, allocator.Name(), *replicas)
 	} else {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s\n",
-			len(m.Buckets), total, *disks, allocator.Name())
+			len(m.Buckets), f.Len(), *disks, allocator.Name())
 	}
 	fmt.Printf("pages per disk: %v\n", sizes)
 	if err := printResponse(f, m, *seed); err != nil {

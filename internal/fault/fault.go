@@ -51,10 +51,9 @@ import (
 
 // Failpoint site naming convention: <package>.<operation>[.<instance>].
 const (
-	// SiteStoreRead guards every positioned page read in internal/store
-	// (ReadBucket's single read and every span of a batch read): it is
-	// evaluated once per span, so an injected delay models a device that
-	// charges per positioned read.
+	// SiteStoreRead guards every positioned page read in internal/store: it
+	// is evaluated once per span of a batch read, so an injected delay
+	// models a device that charges per positioned read.
 	SiteStoreRead = "store.read"
 	// SiteStoreReadDisk is the per-disk variant: SiteStoreReadDisk + "3"
 	// guards only reads against disk 3. StoreReadDiskSite builds the name.

@@ -41,10 +41,6 @@ type ClientConfig struct {
 	// 0 or 1 disables pipelining — the client then speaks the exact PR 1–6
 	// protocol, which is what keeps it compatible with older servers.
 	Pipeline int
-	// DisableNoDelay leaves Nagle's algorithm enabled on client
-	// connections. Off by default for the same reason as the server's
-	// flag: small latency-sensitive frames (see DESIGN S26).
-	DisableNoDelay bool
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -105,15 +101,10 @@ type clientConn struct {
 	rbuf []byte
 }
 
+// dial opens one connection. TCP_NODELAY is on — Go's default for TCP — as
+// the protocol's small latency-sensitive frames want (DESIGN S26).
 func (c *Client) dial() (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(!c.cfg.DisableNoDelay)
-	}
-	return conn, nil
+	return net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 }
 
 func (c *Client) getConn() (*clientConn, error) {

@@ -148,7 +148,6 @@ type Metrics struct {
 	degraded         atomic.Int64    // queries answered partially (missed disks)
 	diskRetries      atomic.Int64    // disk-batch retry attempts
 	pagesRead        atomic.Int64
-	mergedFetches    atomic.Int64 // fetch requests served by a merged window read
 	// What the store's span planner did for the batches pagesRead counts:
 	// positioned reads issued, and unwanted pages they read through.
 	spansRead    atomic.Int64
@@ -218,7 +217,7 @@ type Snapshot struct {
 	PagesRead        int64            `json:"pages_read"`     // wanted pages only
 	SpansRead        int64            `json:"spans_read"`     // positioned reads (store.Timing.Spans)
 	GapPagesRead     int64            `json:"gap_pages_read"` // unwanted pages read through
-	MergedFetches    int64            `json:"merged_fetches"`
+	MergedFetches    int64            `json:"merged_fetches"` // always 0; the frozen benchmark (bench/) reads it
 	LatencyMicros    QuantileSummary  `json:"latency_micros"`
 	FetchesPerQry    QuantileSummary  `json:"buckets_per_query"`
 	WriteBatches     int64            `json:"write_batches"`
@@ -256,7 +255,6 @@ func (m *Metrics) snapshot(inflight int) Snapshot {
 		PagesRead:        m.pagesRead.Load(),
 		SpansRead:        m.spansRead.Load(),
 		GapPagesRead:     m.gapPagesRead.Load(),
-		MergedFetches:    m.mergedFetches.Load(),
 		LatencyMicros:    m.latency.snapshot(),
 		FetchesPerQry:    m.fetches.snapshot(),
 		WriteBatches:     m.writeBatches.Load(),
@@ -310,7 +308,6 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(w, "gridserver_pages_read_total %d\n", s.PagesRead)
 	fmt.Fprintf(w, "gridserver_spans_read_total %d\n", s.SpansRead)
 	fmt.Fprintf(w, "gridserver_gap_pages_read_total %d\n", s.GapPagesRead)
-	fmt.Fprintf(w, "gridserver_merged_fetches_total %d\n", s.MergedFetches)
 	for d, n := range s.DiskFetches {
 		fmt.Fprintf(w, "gridserver_disk_bucket_fetches_total{disk=\"%d\"} %d\n", d, n)
 	}

@@ -1,21 +1,15 @@
 package server
 
-// Batched per-disk I/O submission. Queries no longer hand a disk goroutine
-// one request at a time over a channel; they append to the disk's request
-// ring and poke its worker. The worker drains the whole ring in one window,
-// answers already-expired requests cheaply, merges the rest into a single
-// store batch read when that is safe, and scatters completions back to each
-// query's response channel — out of order with respect to submission.
+// Per-disk I/O submission. Queries append to the disk's request ring and poke
+// its worker. The worker drains the whole ring in one window and serves the
+// window's requests one after another, each as its own store batch read under
+// its own context, sending each completion to its query's response channel.
 //
-// The scheduler decides only WHICH buckets go to the store together. Which
-// positioned reads serve them — how wanted pages group into spans and which
-// gaps are read through — is the store's span planner's decision alone
+// The contract with the store is ids in, flats and counts out: which
+// positioned reads serve a batch — how wanted pages group into spans and
+// which gaps are read through — is the store's span planner's decision alone
 // (nextSpan in internal/store); nothing here reasons about page positions.
 // The planner reports what it did through store.Timing.
-//
-// The window is deliberately shaped like an io_uring submission batch: a
-// future backend can take the same window, turn every span into an SQE, and
-// harvest CQEs, without the upper layers changing at all.
 
 import (
 	"context"
@@ -94,21 +88,13 @@ func (q *diskQueue) close() {
 	}
 }
 
-// windowScratch is one worker's reusable buffers for merged windows.
-type windowScratch struct {
-	reqs  []fetchReq
-	ids   []int32
-	recs  []geom.Flat
-	pages []int32 // wanted pages per merged result slot, from the planner
-}
-
 // diskWorker is one disk's I/O worker: one head per spindle, as in the
 // paper's model. It swaps the submission ring against an empty one and
-// serves the whole window before looking again, so every request admitted
-// while a read was in flight becomes one batch.
+// serves the whole window, request by request, before looking again: one
+// lock acquisition per window however many requests queued up while a read
+// was in flight.
 func (s *Server) diskWorker(disk int, q *diskQueue) {
 	defer s.fetchWg.Done()
-	sc := &windowScratch{}
 	var window []fetchReq
 	for {
 		q.mu.Lock()
@@ -122,101 +108,16 @@ func (s *Server) diskWorker(disk int, q *diskQueue) {
 			<-q.wake
 			continue
 		}
-		s.serveWindow(disk, window, sc)
-		// Drop the served requests' references (contexts, response
-		// channels) before the next swap parks this array back in the ring.
-		for i := range window {
-			window[i] = fetchReq{}
-		}
-	}
-}
-
-// serveWindow serves one drained window. Requests that are traced (exact
-// per-query stage attribution), expired, or unmergeable by configuration go
-// through the individual path; when two or more plain live requests remain
-// they are merged into a single batch read. Merging requires the bucket
-// cache: its singleflight guarantees concurrent lead batches are disjoint,
-// which the store's flat read API relies on.
-func (s *Server) serveWindow(disk int, window []fetchReq, sc *windowScratch) {
-	mergeOK := len(window) > 1 && !s.cfg.DisableCoalesce && s.cfg.slowFetch == 0 && s.bcache != nil
-	if !mergeOK {
 		for _, req := range window {
 			s.serveOne(disk, req)
 		}
-		return
-	}
-	sc.reqs = sc.reqs[:0]
-	for _, req := range window {
-		if req.tr == nil && req.ctx.Err() == nil {
-			sc.reqs = append(sc.reqs, req)
-		} else {
-			s.serveOne(disk, req)
-		}
-	}
-	switch {
-	case len(sc.reqs) == 0:
-	case len(sc.reqs) == 1:
-		s.serveOne(disk, sc.reqs[0])
-	case !s.serveMerged(disk, sc):
-		// The merged attempt failed (possibly on one request's deadline);
-		// each request retries individually under its own context with a
-		// fresh retry budget, so merging can only improve a window, never
-		// change its outcome.
-		for _, req := range sc.reqs {
-			s.serveOne(disk, req)
-		}
+		// Drop the served requests' references (contexts, response
+		// channels) before the next swap parks this array back in the ring.
+		clear(window)
 	}
 }
 
-// serveMerged reads every window request's buckets in one store batch call
-// and scatters records, pages and cache completions back per request. It
-// reports false without answering anyone when the read fails.
-func (s *Server) serveMerged(disk int, sc *windowScratch) bool {
-	sc.ids = sc.ids[:0]
-	for _, req := range sc.reqs {
-		sc.ids = append(sc.ids, req.ids...)
-	}
-	ctx := sc.reqs[0].ctx
-	cancel := context.CancelFunc(nil)
-	if s.cfg.FetchTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.FetchTimeout)
-	}
-	if cap(sc.recs) < len(sc.ids) {
-		sc.recs = make([]geom.Flat, len(sc.ids))
-		sc.pages = make([]int32, len(sc.ids))
-	}
-	sc.recs = sc.recs[:len(sc.ids)]
-	tm := store.Timing{CountsOnly: true, SlotPages: sc.pages[:len(sc.ids)]}
-	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, sc.ids, sc.recs, &tm)
-	if cancel != nil {
-		cancel()
-	}
-	if err != nil {
-		return false
-	}
-	s.met.diskFetches[disk].Add(int64(len(sc.ids)))
-	s.met.noteRead(pages, &tm)
-	s.met.mergedFetches.Add(int64(len(sc.reqs)))
-	off := 0
-	for _, req := range sc.reqs {
-		recs := make([]geom.Flat, len(req.ids))
-		copy(recs, sc.recs[off:off+len(req.ids)])
-		// Each request's share of the merged read is its own slots' wanted
-		// pages; pages a span read through belong to no request.
-		rp := 0
-		for _, p := range tm.SlotPages[off : off+len(req.ids)] {
-			rp += int(p)
-		}
-		off += len(req.ids)
-		s.publishLeads(req.ids, recs)
-		req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: rp}
-	}
-	return true
-}
-
-// serveOne serves a single request: the pre-merge per-batch path, still used
-// for traced, expired, solitary and merge-ineligible requests, and as the
-// fallback when a merged read fails. Success is published to the cache
+// serveOne serves a single request. Success is published to the cache
 // here; a failed batch's leads stay pending because the gather loop may
 // still fail the batch over to a surviving owner disk — only when every
 // route is exhausted does the gather loop complete them with the error.
@@ -299,21 +200,9 @@ func (s *Server) readBatch(ctx context.Context, disk int, ids []int32, tm *store
 		}
 	}
 	recs := make([]geom.Flat, len(ids))
-	if !s.cfg.DisableCoalesce {
-		pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
-		if err != nil {
-			return nil, 0, err
-		}
-		return recs, pages, nil
-	}
-	pages := 0
-	for i, id := range ids {
-		rec, p, err := s.st.ReadFlatFromTimed(ctx, disk, id, tm)
-		if err != nil {
-			return nil, 0, err
-		}
-		recs[i] = rec
-		pages += p
+	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
+	if err != nil {
+		return nil, 0, err
 	}
 	return recs, pages, nil
 }

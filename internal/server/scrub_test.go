@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -218,62 +217,5 @@ func TestBackgroundScrubLoopRepairs(t *testing.T) {
 			t.Fatalf("background scrub never repaired the page: %+v", s.Snapshot())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestVerifyRequiresChecksummedLayout pins the config cross-check: asking
-// for verification or scrubbing on a checksum-free layout is refused at
-// startup instead of silently doing nothing.
-func TestVerifyRequiresChecksummedLayout(t *testing.T) {
-	f, err := synth.Uniform2D(300, 3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, m := writeReplicatedDir(t, f, 1)
-	stripChecksums(t, dir, m)
-	if _, err := OpenDir(dir, Config{VerifyChecksums: true}); err == nil {
-		t.Error("VerifyChecksums accepted on a checksum-free layout")
-	}
-	if _, err := OpenDir(dir, Config{ScrubInterval: time.Second}); err == nil {
-		t.Error("ScrubInterval accepted on a checksum-free layout")
-	}
-	if s, err := OpenDir(dir, Config{}); err != nil {
-		t.Errorf("plain serving of a legacy layout refused: %v", err)
-	} else {
-		s.Close()
-	}
-}
-
-// stripChecksums downgrades a layout to the legacy page format the way old
-// writers produced it: 8-byte headers, flat unversioned manifest.
-func stripChecksums(t *testing.T, dir string, m *store.Manifest) {
-	t.Helper()
-	for d := 0; d < m.Disks; d++ {
-		path := filepath.Join(dir, fmt.Sprintf("disk%03d.dat", d))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < len(data); off += m.PageBytes {
-			page := data[off : off+m.PageBytes]
-			body := append([]byte(nil), page[16:]...)
-			copy(page[8:], body)
-			for i := m.PageBytes - 8; i < m.PageBytes; i++ {
-				page[i] = 0
-			}
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacy := *m
-	legacy.PageFormat = 0
-	// Re-marshal as the flat legacy schema (no envelope, no page_format).
-	raw, err := json.MarshalIndent(legacy, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -52,16 +52,6 @@ type Config struct {
 	// the page store. 0 selects the default (64 MiB); negative disables
 	// caching entirely.
 	CacheBytes int64
-	// DisableCoalesce turns off coalesced per-disk reads (store.ReadBuckets)
-	// and falls back to one ReadBucket call per bucket — the PR 1 behaviour,
-	// kept togglable so the bench can measure the coalescing win.
-	DisableCoalesce bool
-	// DisableNoDelay leaves Nagle's algorithm enabled on accepted
-	// connections. By default the server sets TCP_NODELAY explicitly: the
-	// protocol's frames are small and latency-sensitive, and the batched
-	// writev path already coalesces adjacent responses into one syscall, so
-	// Nagle only adds delayed-ACK stalls on top (see DESIGN S26).
-	DisableNoDelay bool
 	// PipelineDepth bounds, per connection, both the response queue between
 	// the read and write sides and the number of tagged (pipelined) requests
 	// executing concurrently. Beyond it the reader stops draining the
@@ -74,8 +64,7 @@ type Config struct {
 	// Writable opens the layout for online mutation (OpenDir only): the
 	// store is opened via store.OpenWritable — replaying any write-ahead
 	// journals left by a crash — and the INSERT/DELETE verbs are accepted.
-	// Requires a checksummed layout. Read-only servers reject the write
-	// verbs with a protocol error.
+	// Read-only servers reject the write verbs with a protocol error.
 	Writable bool
 
 	// Faults is the failpoint registry threaded into the store's read path
@@ -103,13 +92,12 @@ type Config struct {
 	// detected mismatch is treated like a transient disk failure: the read
 	// fails over to a surviving replica (r >= 2) or is absorbed as a
 	// degraded answer, instead of silently serving corrupt records.
-	// Requires a checksummed layout.
 	VerifyChecksums bool
 	// ScrubInterval, when positive, runs a background integrity scrub of
 	// the whole layout every interval: each pass verifies every page copy
 	// against its checksum and repairs corrupt copies from an intact
-	// replica (see store.Scrub). Requires a checksummed layout. ScrubNow
-	// runs one pass synchronously regardless of this setting.
+	// replica (see store.Scrub). ScrubNow runs one pass synchronously
+	// regardless of this setting.
 	ScrubInterval time.Duration
 	// ScrubPause is slept between buckets within one scrub pass, keeping a
 	// background scrub low-priority next to live queries. 0 scrubs flat out.
@@ -268,9 +256,6 @@ func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	}
 
 	cfg = cfg.withDefaults()
-	if (cfg.VerifyChecksums || cfg.ScrubInterval > 0) && !st.Checksummed() {
-		return nil, fmt.Errorf("server: layout has no page checksums to verify (re-lay it out with a current gridtool)")
-	}
 	s := &Server{
 		cfg:      cfg,
 		grid:     grid,
@@ -313,8 +298,7 @@ func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	// head per spindle, as in the paper's model) while distinct disks
 	// proceed in parallel — this is where declustering quality becomes
 	// real wall-clock parallelism. Each worker drains its submission ring
-	// in windows, merging concurrent queries' batches into single coalesced
-	// reads (see sched.go).
+	// in windows (see sched.go).
 	for d := range s.sched {
 		q := newDiskQueue()
 		s.sched[d] = q
@@ -568,15 +552,14 @@ const maxWriteBatch = 64
 // one-request/one-response ordering pre-pipelining clients rely on; tagged
 // (pipelined) requests execute concurrently — up to PipelineDepth per
 // connection — and may complete out of order, which is exactly what the
-// echoed request id is for.
+// echoed request id is for. Connections run with TCP_NODELAY, Go's default
+// for TCP: the frames are small and latency-sensitive, and the batched
+// writev path already coalesces adjacent responses (DESIGN S26).
 //
 // A frame-level error (desynchronized or hostile stream) is answered and
 // closes the connection; a request-level error is answered and the
 // connection kept.
 func (s *Server) handleConn(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok && !s.cfg.DisableNoDelay {
-		tc.SetNoDelay(true)
-	}
 	depth := s.cfg.PipelineDepth
 	respCh := make(chan connResp, depth)
 	writerDone := make(chan struct{})

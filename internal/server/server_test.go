@@ -310,12 +310,15 @@ func TestServerCacheDisabled(t *testing.T) {
 	s, f := newTestServer(t, 300, 2, Config{CacheBytes: -1})
 	cl := newTestClient(t, s, ClientConfig{})
 	for i := 0; i < 3; i++ {
-		n, _, err := cl.RangeCount(f.Domain())
+		n, info, err := cl.RangeCount(f.Domain())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != f.Len() {
 			t.Fatalf("full-domain count = %d, want %d", n, f.Len())
+		}
+		if info.Buckets != len(f.Buckets()) || info.Pages < info.Buckets {
+			t.Fatalf("full-domain count touched %d buckets / %d pages, want all %d buckets", info.Buckets, info.Pages, len(f.Buckets()))
 		}
 	}
 	snap := s.Snapshot()
@@ -328,36 +331,6 @@ func TestServerCacheDisabled(t *testing.T) {
 	}
 	if want := int64(3 * len(f.Buckets())); fetches != want {
 		t.Errorf("disk fetches = %d, want %d (no caching)", fetches, want)
-	}
-}
-
-// TestServerCoalesceParity proves coalesced and per-bucket reads return the
-// same answers and page counts.
-func TestServerCoalesceParity(t *testing.T) {
-	_, dir := newTestLayout(t, 800, 3)
-	for _, disable := range []bool{false, true} {
-		s, err := OpenDir(dir, Config{DisableCoalesce: disable, CacheBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := NewClient(ClientConfig{Addr: s.Addr().String()})
-		if err != nil {
-			s.Close()
-			t.Fatal(err)
-		}
-		grid, _ := store.OpenGrid(dir)
-		n, info, err := cl.RangeCount(grid.Domain())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != grid.Len() {
-			t.Errorf("disableCoalesce=%v: count %d, want %d", disable, n, grid.Len())
-		}
-		if info.Buckets != len(grid.Buckets()) || info.Pages == 0 {
-			t.Errorf("disableCoalesce=%v: info %+v", disable, info)
-		}
-		cl.Close()
-		s.Close()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
@@ -40,12 +41,16 @@ func ExampleWrite() {
 	}
 	defer s.Close()
 
-	pts, pages, err := s.ReadBucket(context.Background(), m.Buckets[0].ID)
+	// One read call serves any batch of buckets from one disk; a single
+	// bucket is a batch of one, read from the disk that holds it.
+	first := m.Buckets[0]
+	recs := make([]geom.Flat, 1)
+	pages, err := s.ReadFlatsFromTimed(context.Background(), first.Disk, []int32{first.ID}, recs, nil)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("disks: %d, buckets laid out: %d\n", m.Disks, len(m.Buckets))
-	fmt.Printf("bucket %d: %d records from %d page(s)\n", m.Buckets[0].ID, len(pts), pages)
+	fmt.Printf("bucket %d: %d records from %d page(s)\n", first.ID, recs[0].Len(), pages)
 	// Output:
 	// disks: 4, buckets laid out: 28
 	// bucket 0: 35 records from 1 page(s)

@@ -83,7 +83,7 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 				var lost []int32
 				survived := map[[2]float64]int{}
 				for _, v := range f.Buckets() {
-					pts, _, err := s.ReadBucket(context.Background(), v.ID)
+					fl, _, err := readBucket(context.Background(), s, v.ID)
 					if err != nil {
 						pl, ok := s.Placement(v.ID)
 						if !ok {
@@ -100,8 +100,8 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 						lost = append(lost, v.ID)
 						continue
 					}
-					for _, p := range pts {
-						survived[[2]float64{p[0], p[1]}]++
+					for i := 0; i < fl.Len(); i++ {
+						survived[[2]float64(fl.Row(i))]++
 					}
 				}
 				if len(lost) == 0 {
@@ -133,16 +133,16 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 				// the (intact) disk file.
 				reg.Clear()
 				for _, id := range lost {
-					pts, _, err := s.ReadBucket(context.Background(), id)
+					fl, _, err := readBucket(context.Background(), s, id)
 					if err != nil {
 						t.Fatalf("%s/%s kill=%d: bucket %d still failing after Clear: %v",
 							dsName, algName, kill, id, err)
 					}
 					var pl Placement
 					pl, _ = s.Placement(id)
-					if pl.Recs != len(pts) {
+					if pl.Recs != fl.Len() {
 						t.Fatalf("%s/%s kill=%d: bucket %d recovered %d records, want %d",
-							dsName, algName, kill, id, len(pts), pl.Recs)
+							dsName, algName, kill, id, fl.Len(), pl.Recs)
 					}
 				}
 			}
@@ -179,7 +179,7 @@ func TestInjectedDelayRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = s.ReadBucket(ctx, f.Buckets()[0].ID)
+	_, _, err = readBucket(ctx, s, f.Buckets()[0].ID)
 	if err == nil {
 		t.Fatal("stalled read returned data before its context expired")
 	}
@@ -205,16 +205,13 @@ func TestTornReadIsDetectedNotSilent(t *testing.T) {
 	s.SetFaults(reg)
 
 	id := f.Buckets()[0].ID
-	if _, _, err := s.ReadBucket(context.Background(), id); !fault.IsInjected(err) {
-		t.Fatalf("torn ReadBucket: err=%v, want an injected-fault error", err)
-	}
-	if _, _, err := s.ReadBuckets(context.Background(), []int32{id}); !fault.IsInjected(err) {
-		t.Fatalf("torn ReadBuckets: err=%v, want an injected-fault error", err)
+	if _, _, err := readBucket(context.Background(), s, id); !fault.IsInjected(err) {
+		t.Fatalf("torn read: err=%v, want an injected-fault error", err)
 	}
 	// Genuine corruption (no fault armed) must stay non-transient: the
 	// sentinel separates "retry me" from "your disk is bad".
 	reg.Clear()
-	if _, _, err := s.ReadBucket(context.Background(), id); err != nil {
+	if _, _, err := readBucket(context.Background(), s, id); err != nil {
 		t.Fatalf("read still failing after Clear: %v", err)
 	}
 }

@@ -2,14 +2,14 @@ package store
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
@@ -17,9 +17,14 @@ import (
 
 // buildReplicatedLayout writes an r-way minimax layout of a uniform 2-D
 // dataset under t.TempDir.
-func buildReplicatedLayout(t *testing.T, disks, r int) (string, *gridfile.File, *replica.Map) {
+func buildReplicatedLayout(t testing.TB, disks, r int) (string, *gridfile.File, *replica.Map) {
+	return buildReplicatedLayoutOf(t, 1200, disks, r)
+}
+
+// buildReplicatedLayoutOf is buildReplicatedLayout over n records.
+func buildReplicatedLayoutOf(t testing.TB, n, disks, r int) (string, *gridfile.File, *replica.Map) {
 	t.Helper()
-	f, err := synth.Uniform2D(1200, 3).Build()
+	f, err := synth.Uniform2D(n, 3).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +67,17 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 		if want := rm.Owners[i]; own[0] != want[0] || own[1] != want[1] {
 			t.Fatalf("bucket %d: owners %v, placer said %v", v.ID, own, want)
 		}
-		primary, _, err := s.ReadBucket(ctx, v.ID)
+		primary, _, err := readBucket(ctx, s, v.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
+		one := make([]geom.Flat, 1)
 		for _, d := range own {
-			pts, _, err := s.ReadBucketFrom(ctx, d, v.ID)
-			if err != nil {
+			if _, err := s.ReadFlatsFromTimed(ctx, d, []int32{v.ID}, one, nil); err != nil {
 				t.Fatalf("bucket %d copy on disk %d: %v", v.ID, d, err)
 			}
-			if len(pts) != len(primary) {
-				t.Fatalf("bucket %d copy on disk %d: %d records, primary has %d",
-					v.ID, d, len(pts), len(primary))
+			if !slices.Equal(one[0].Coords, primary.Coords) {
+				t.Fatalf("bucket %d copy on disk %d differs from the primary", v.ID, d)
 			}
 		}
 		// A non-owner disk must refuse, not misread another bucket's pages.
@@ -81,16 +85,17 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 			if d == own[0] || d == own[1] {
 				continue
 			}
-			if _, _, err := s.ReadBucketFrom(ctx, d, v.ID); err == nil {
-				t.Fatalf("bucket %d read from non-owner disk %d succeeded", v.ID, d)
+			if _, err := s.ReadFlatsFromTimed(ctx, d, []int32{v.ID}, one, nil); err == nil || !strings.Contains(err.Error(), "no copy on disk") {
+				t.Fatalf("bucket %d read from non-owner disk %d: err=%v", v.ID, d, err)
 			}
 		}
 	}
 }
 
-// TestReadBucketsFromCoalesced checks the batched owner-directed read path
-// (the one the server's disk goroutines use) against per-bucket reads.
-func TestReadBucketsFromCoalesced(t *testing.T) {
+// TestOwnerDirectedBatch checks a whole disk's copies — primaries and
+// secondaries — read as one batch (the shape the server's disk workers
+// submit) against batches of one.
+func TestOwnerDirectedBatch(t *testing.T) {
 	const disks, r = 4, 2
 	dir, f, _ := buildReplicatedLayout(t, disks, r)
 	s, err := Open(dir)
@@ -109,21 +114,17 @@ func TestReadBucketsFromCoalesced(t *testing.T) {
 				}
 			}
 		}
-		got, _, err := s.ReadBucketsFrom(ctx, d, ids)
-		if err != nil {
+		got := make([]geom.Flat, len(ids))
+		if _, err := s.ReadFlatsFromTimed(ctx, d, ids, got, nil); err != nil {
 			t.Fatalf("disk %d: %v", d, err)
 		}
-		if len(got) != len(ids) {
-			t.Fatalf("disk %d: %d buckets, want %d", d, len(got), len(ids))
-		}
-		for _, id := range ids {
-			want, _, err := s.ReadBucketFrom(ctx, d, id)
-			if err != nil {
+		want := make([]geom.Flat, 1)
+		for i, id := range ids {
+			if _, err := s.ReadFlatsFromTimed(ctx, d, []int32{id}, want, nil); err != nil {
 				t.Fatal(err)
 			}
-			if len(got[id]) != len(want) {
-				t.Fatalf("disk %d bucket %d: batched read %d records, single read %d",
-					d, id, len(got[id]), len(want))
+			if got[i].Dims != want[0].Dims || !slices.Equal(got[i].Coords, want[0].Coords) {
+				t.Fatalf("disk %d bucket %d: batched and single reads differ", d, id)
 			}
 		}
 		// One foreign id must fail the whole batch with a clear error.
@@ -137,7 +138,7 @@ func TestReadBucketsFromCoalesced(t *testing.T) {
 			if owned {
 				continue
 			}
-			if _, _, err := s.ReadBucketsFrom(ctx, d, []int32{v.ID}); err == nil {
+			if _, err := s.ReadFlatsFromTimed(ctx, d, append([]int32{v.ID}, ids...), make([]geom.Flat, len(ids)+1), nil); err == nil {
 				t.Fatalf("disk %d: batch containing foreign bucket %d succeeded", d, v.ID)
 			}
 			break
@@ -145,147 +146,22 @@ func TestReadBucketsFromCoalesced(t *testing.T) {
 	}
 }
 
-// TestManifestVersioning pins the compatibility contract of the manifest
-// envelope: every new layout (replicated or not) carries "version": 3 with
-// "page_format": 2 and reads as implausible to the flat pre-replication
-// schema (so old readers reject it cleanly); a future version is refused by
-// name; and both older on-disk vintages — the v2 replicated envelope and
-// the flat unversioned r=1 layout, each with checksum-free 8-byte page
-// headers — still open and serve correctly.
+// TestManifestVersioning pins what the writer emits: every new layout,
+// replicated or not, carries the version-3 envelope, page format 2 and
+// explicit owner lists. (What Open refuses is TestOpenRefusals' table.)
 func TestManifestVersioning(t *testing.T) {
-	dir, _, _ := buildReplicatedLayout(t, 4, 2)
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(raw, &env); err != nil || env.Version != 3 {
-		t.Fatalf("new manifest version = %d (err %v), want 3", env.Version, err)
-	}
-	if !strings.Contains(string(raw), `"page_format": 2`) {
-		t.Error("new manifest does not declare the checksummed page format")
-	}
-	// The oldest reader parsed the whole document as a flat Manifest and
-	// rejected zero disks/dims/page as implausible; the envelope hides the
-	// layout behind an unknown key, so that is exactly what it sees.
-	var flat Manifest
-	if err := json.Unmarshal(raw, &flat); err == nil {
-		if flat.Disks != 0 || flat.PageBytes != 0 {
-			t.Fatalf("v3 envelope leaks layout fields into the flat schema: disks=%d page=%d",
-				flat.Disks, flat.PageBytes)
-		}
-	}
-
-	// r=1 layouts carry the same version bump: their pages are checksummed
-	// too, so older readers must refuse them rather than misparse records.
-	soloDir, _, _ := buildLayout(t, 2, 4096)
-	soloRaw, err := os.ReadFile(filepath.Join(soloDir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(soloRaw), `"version": 3`) {
-		t.Error("r=1 layout lacks the version-3 envelope; old readers would misread its pages")
-	}
-
-	// A version this reader does not know is refused explicitly.
-	doctored := []byte(strings.Replace(string(raw), `"version": 3`, `"version": 4`, 1))
-	if string(doctored) == string(raw) {
-		t.Fatal("could not doctor the manifest version")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), doctored, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("version 4 manifest opened: err=%v", err)
-	}
-
-	// Both pre-checksum vintages still open and read back correctly.
-	for _, vintage := range []string{"flat", "v2"} {
-		legacyDir, f, _ := buildLayout(t, 2, 4096)
-		downgradeLayout(t, legacyDir, vintage)
-		s, err := Open(legacyDir)
-		if err != nil {
-			t.Fatalf("%s legacy layout: %v", vintage, err)
-		}
-		if s.Replicas() != 1 {
-			t.Fatalf("%s legacy layout Replicas() = %d, want 1", vintage, s.Replicas())
-		}
-		if s.Checksummed() {
-			t.Fatalf("%s legacy layout reports checksummed pages", vintage)
-		}
-		for _, v := range f.Buckets() {
-			pts, _, err := s.ReadBucket(context.Background(), v.ID)
-			if err != nil {
-				t.Fatalf("%s legacy bucket %d: %v", vintage, v.ID, err)
-			}
-			if len(pts) != v.Records {
-				t.Fatalf("%s legacy bucket %d: %d records, want %d", vintage, v.ID, len(pts), v.Records)
-			}
-		}
-		s.Close()
-	}
-}
-
-// downgradeLayout rewrites a freshly-written checksummed layout into an
-// older on-disk vintage: every page's 16-byte format-2 header is squeezed
-// to the legacy 8-byte header (records slide forward, checksum dropped) and
-// the manifest loses its page_format — emitted either as the flat
-// unversioned schema ("flat") or wrapped in the v2 envelope ("v2"),
-// producing a valid instance of each pre-checksum on-disk vintage.
-func downgradeLayout(t *testing.T, dir, vintage string) {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env struct {
-		Version int             `json:"version"`
-		Layout  json.RawMessage `json:"layout"`
-	}
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(env.Layout, &m); err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < m.Disks; d++ {
-		path := filepath.Join(dir, "disk"+fmt.Sprintf("%03d", d)+".dat")
-		data, err := os.ReadFile(path)
+	r2, _, _ := buildReplicatedLayout(t, 4, 2)
+	r1, _, _ := buildLayout(t, 2, 4096)
+	for _, dir := range []string{r1, r2} {
+		raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; off < len(data); off += m.PageBytes {
-			page := data[off : off+m.PageBytes]
-			body := append([]byte(nil), page[16:]...)
-			copy(page[8:], body)
-			for i := m.PageBytes - 8; i < m.PageBytes; i++ {
-				page[i] = 0
+		for _, want := range []string{`"version": 3`, `"page_format": 2`, `"owner_disks": [`, `"owner_pages": [`} {
+			if !strings.Contains(string(raw), want) {
+				t.Errorf("%s: manifest lacks %s", dir, want)
 			}
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.PageFormat = 0
-	flat, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := flat
-	if vintage == "v2" {
-		out, err = json.MarshalIndent(struct {
-			Version int             `json:"version"`
-			Layout  json.RawMessage `json:"layout"`
-		}{Version: 2, Layout: flat}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), out, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -48,19 +48,17 @@ func (st *ScrubStats) Add(o ScrubStats) {
 //
 // A copy that cannot be read at all (truncated or missing file regions)
 // counts as corrupt in full and is repaired the same way, which also heals
-// a disk file that was cut short. Corrupt pages with no intact sibling
-// (r=1, or all copies damaged) are counted but left in place.
+// a disk file that was cut short under an open store (Open itself refuses a
+// layout whose files are shorter than its manifest says). Corrupt pages with
+// no intact sibling (r=1, or all copies damaged) are counted but left in
+// place.
 func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, err error) {
 	s.pmu.RLock()
-	format := s.manifest.PageFormat
 	pls := make([]Placement, 0, len(s.byID))
 	for _, pl := range s.byID {
 		pls = append(pls, pl)
 	}
 	s.pmu.RUnlock()
-	if format != pageFormatChecksum {
-		return st, fmt.Errorf("store: layout has no page checksums to scrub (format %d)", format)
-	}
 	slices.SortFunc(pls, func(a, b Placement) int { return cmpDiskPage(&a, &b) })
 
 	// Repair handles are opened lazily, once per disk per pass, and synced

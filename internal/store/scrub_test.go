@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/fault"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
 )
@@ -47,13 +48,9 @@ type pageCopy struct {
 func layoutPageCopies(m Manifest) []pageCopy {
 	var out []pageCopy
 	for _, pl := range m.Buckets {
-		owners, pages := pl.OwnerDisks, pl.OwnerPages
-		if len(owners) == 0 {
-			owners, pages = []int{pl.Disk}, []int64{pl.Page}
-		}
-		for i, d := range owners {
+		for i, d := range pl.OwnerDisks {
 			for p := 0; p < pl.Pages; p++ {
-				out = append(out, pageCopy{bucket: pl.ID, disk: d, page: pages[i] + int64(p)})
+				out = append(out, pageCopy{bucket: pl.ID, disk: d, page: pl.OwnerPages[i] + int64(p)})
 			}
 		}
 	}
@@ -131,7 +128,7 @@ func TestScrubRepairsEveryPage(t *testing.T) {
 						t.Fatalf("page copy %v: disk %d not byte-identical after repair", pc, d)
 					}
 				}
-				if _, _, err := s.ReadBucket(ctx, pc.bucket); err != nil {
+				if _, _, err := readBucket(ctx, s, pc.bucket); err != nil {
 					t.Fatalf("page copy %v: verified read after repair: %v", pc, err)
 				}
 			}
@@ -209,18 +206,28 @@ func TestScrubWithoutReplicaDetectsButCannotRepair(t *testing.T) {
 	}
 }
 
-// TestScrubLegacyLayoutRefused pins that a checksum-free layout cannot be
-// scrubbed: there is nothing trustworthy to verify against.
-func TestScrubLegacyLayoutRefused(t *testing.T) {
-	dir, _, _ := buildLayout(t, 2, 4096)
-	downgradeLayout(t, dir, "flat")
+// TestVerifiedReadReportsChecksum pins what a read does with the corruption
+// the scrubber has not reached yet: with verification on, a flipped bit in
+// the record area fails the read — alone or inside a batch — with an error
+// that IsChecksum recognises and that is not mistaken for an injected fault.
+func TestVerifiedReadReportsChecksum(t *testing.T) {
+	const pageBytes = 4096
+	dir, f, _ := buildLayout(t, 2, pageBytes)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Scrub(context.Background(), 0); err == nil {
-		t.Fatal("scrub of a checksum-free layout succeeded")
+	s.SetVerify(true)
+	victim := f.Buckets()[0].ID
+	pl, _ := s.Placement(victim)
+	corruptPage(t, dir, pageCopy{bucket: victim, disk: pl.Disk, page: pl.Page}, pageBytes, false)
+
+	ctx := context.Background()
+	for name, ids := range map[string][]int32{"alone": {victim}, "in a batch": bucketIDs(f)} {
+		if _, _, err := readPrimaries(ctx, s, ids, nil); !IsChecksum(err) || fault.IsInjected(err) {
+			t.Errorf("corrupt bucket read %s: err=%v, want a checksum mismatch", name, err)
+		}
 	}
 }
 

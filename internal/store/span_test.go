@@ -23,16 +23,8 @@ import (
 func copiesOnDisk(m *Manifest, disk int) []Placement {
 	var out []Placement
 	for _, pl := range m.Buckets {
-		owners, pages := pl.OwnerDisks, pl.OwnerPages
-		if len(owners) == 0 {
-			owners, pages = []int{pl.Disk}, []int64{pl.Page}
-		}
-		for i, d := range owners {
-			if d == disk {
-				c := pl
-				c.Disk, c.Page = d, pages[i]
-				out = append(out, c)
-			}
+		if c, ok := placementOn(pl, disk); ok {
+			out = append(out, c)
 		}
 	}
 	slices.SortFunc(out, func(a, b Placement) int { return cmp.Compare(a.Page, b.Page) })
@@ -128,16 +120,13 @@ func TestNextSpanInvariants(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		var pls []plIdx
 		page := int64(rng.Intn(5))
-		for disk := 0; disk < 2; disk++ {
-			for n := rng.Intn(40); n > 0; n-- {
-				pages := 1 + rng.Intn(3)
-				if rng.Intn(12) == 0 {
-					pages = 1 + rng.Intn(400)
-				}
-				pls = append(pls, plIdx{pl: Placement{ID: int32(len(pls)), Disk: disk, Page: page, Pages: pages}})
-				page += int64(pages + rng.Intn(9))
+		for n := rng.Intn(80); n > 0; n-- {
+			pages := 1 + rng.Intn(3)
+			if rng.Intn(12) == 0 {
+				pages = 1 + rng.Intn(400)
 			}
-			page = int64(rng.Intn(5))
+			pls = append(pls, plIdx{pl: Placement{ID: int32(len(pls)), Page: page, Pages: pages}})
+			page += int64(pages + rng.Intn(9))
 		}
 		for lo := 0; lo < len(pls); {
 			hi, end, gaps := nextSpan(pls, lo, pageBytes)
@@ -154,7 +143,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			wantGaps := int64(0)
 			for i := lo + 1; i < hi; i++ {
 				gap := pls[i].pl.Page - (pls[i-1].pl.Page + int64(pls[i-1].pl.Pages))
-				if pls[i].pl.Disk != first.Disk || gap < 0 || gap > ReadThroughPages {
+				if gap < 0 || gap > ReadThroughPages {
 					t.Fatalf("trial %d: span joins %+v to %+v", trial, pls[i-1].pl, pls[i].pl)
 				}
 				wantGaps += gap
@@ -164,7 +153,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			}
 			if hi < len(pls) {
 				nx := pls[hi].pl
-				if nx.Disk == first.Disk && nx.Page-end <= ReadThroughPages &&
+				if nx.Page-end <= ReadThroughPages &&
 					(nx.Page+int64(nx.Pages)-first.Page)*pageBytes <= maxCoalesceBytes {
 					t.Fatalf("trial %d: span stops before %+v, which fits", trial, nx)
 				}
@@ -205,9 +194,9 @@ func bruteSpans(filePages int64, wanted []Placement) (spans, gapPages int) {
 
 // TestSpanReadsProperty reads random wanted subsets with random holes from a
 // single-disk layout: every bucket must decode to exactly what the
-// single-bucket read returns, the wanted-page total and per-slot page counts
-// must match the placements, and the planner's span and gap-page counts must
-// equal a page-by-page brute-force count.
+// single-bucket read returns, the wanted-page total must match the
+// placements, and the planner's span and gap-page counts must equal a
+// page-by-page brute-force count.
 func TestSpanReadsProperty(t *testing.T) {
 	const pageBytes = 512
 	f, err := synth.Hotspot2D(3000, 5).Build()
@@ -233,7 +222,7 @@ func TestSpanReadsProperty(t *testing.T) {
 	ctx := context.Background()
 	want := make(map[int32]geom.Flat, len(file))
 	for _, pl := range file {
-		fl, _, err := s.ReadFlatFromTimed(ctx, 0, pl.ID, nil)
+		fl, _, err := readBucket(ctx, s, pl.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +255,7 @@ func TestSpanReadsProperty(t *testing.T) {
 			wantPages += pl.Pages
 		}
 		out := make([]geom.Flat, len(ids))
-		tm := Timing{SlotPages: make([]int32, len(ids))}
+		var tm Timing
 		pages, err := s.ReadFlatsFromTimed(ctx, 0, ids, out, &tm)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -277,9 +266,6 @@ func TestSpanReadsProperty(t *testing.T) {
 		for i, pl := range wanted {
 			if !slices.Equal(out[i].Coords, want[pl.ID].Coords) || out[i].Dims != want[pl.ID].Dims {
 				t.Fatalf("trial %d: bucket %d decoded differently in a span than alone", trial, pl.ID)
-			}
-			if int(tm.SlotPages[i]) != pl.Pages {
-				t.Fatalf("trial %d: slot %d reports %d pages, bucket %d has %d", trial, i, tm.SlotPages[i], pl.ID, pl.Pages)
 			}
 		}
 		spans, gaps := bruteSpans(filePages, wanted)

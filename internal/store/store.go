@@ -12,11 +12,11 @@
 // serves individual buckets with real file I/O, so experiments can be run
 // against actual per-disk files rather than in-memory structures.
 //
-// A Store is safe for concurrent readers: ReadBucket and ReadBuckets
-// address pages with pread-style ReadAt calls on per-disk file handles and
-// mutate no shared state, so any number of goroutines may fetch buckets
-// simultaneously — the property the network query service (internal/server)
-// relies on for its per-disk I/O goroutines.
+// A Store is safe for concurrent readers: ReadFlatsFromTimed addresses pages
+// with pread-style ReadAt calls on per-disk file handles and mutates no
+// shared state, so any number of goroutines may fetch buckets simultaneously
+// — the property the network query service (internal/server) relies on for
+// its per-disk I/O goroutines.
 //
 // Declustering spreads a query's buckets across disks; within one disk the
 // writer clusters them: every disk file is laid out along the Hilbert curve
@@ -50,22 +50,19 @@ import (
 	"pgridfile/internal/sfc"
 )
 
-// Per-page header layouts. Format 1 (legacy) carries bucket id (u32) and
-// record count (u32). Format 2 extends it with a CRC-32C of the page (u32,
-// computed with the crc field itself zeroed) and a reserved word that keeps
-// the record array 8-byte aligned. The checksum covers the whole page —
-// header, records and padding — so torn writes and bit rot anywhere in the
-// page are detectable, not just in the fields decode happens to validate.
+// The page header: bucket id (u32), record count (u32), a CRC-32C of the
+// page (u32, computed with the crc field itself zeroed) and a reserved word
+// that keeps the record array 8-byte aligned. The checksum covers the whole
+// page — header, records and padding — so torn writes and bit rot anywhere in
+// the page are detectable, not just in the fields decode happens to validate.
+// pageFormat is the number the manifest records for this layout.
 const (
-	pageHeaderV1 = 8
-	pageHeaderV2 = 16
-
-	pageFormatLegacy   = 1 // 8-byte header, no checksum
-	pageFormatChecksum = 2 // 16-byte header with CRC-32C
+	pageHeaderBytes = 16
+	pageFormat      = 2
 )
 
-// pageChecksum computes the CRC-32C of a format-2 page with the crc field
-// (bytes 8..12) treated as zero.
+// pageChecksum computes the CRC-32C of a page with the crc field (bytes
+// 8..12) treated as zero.
 func pageChecksum(page []byte) uint32 {
 	var zero [4]byte
 	c := crc32.Update(0, crcTable, page[:8])
@@ -84,30 +81,26 @@ var ErrChecksum = errors.New("page checksum mismatch")
 // IsChecksum reports whether err stems from a page checksum mismatch.
 func IsChecksum(err error) bool { return errors.Is(err, ErrChecksum) }
 
-// Placement locates one bucket in the layout. A replicated layout stores a
-// copy of the bucket on every owner disk: OwnerDisks[i] holds a copy whose
-// pages start at OwnerPages[i]. Disk and Page always mirror owner 0 (the
-// primary copy), so code that predates replication keeps addressing a valid
-// copy. Legacy r=1 manifests omit the owner lists; Open normalizes them.
+// Placement locates one bucket in the layout. Every owner disk stores a copy
+// of the bucket: OwnerDisks[i] holds a copy whose pages start at
+// OwnerPages[i]. Disk and Page always mirror owner 0 (the primary copy).
 type Placement struct {
 	ID         int32   `json:"id"`
 	Disk       int     `json:"disk"`
 	Page       int64   `json:"page"`  // first page index within the disk file
 	Pages      int     `json:"pages"` // consecutive pages occupied
 	Recs       int     `json:"recs"`
-	OwnerDisks []int   `json:"owner_disks,omitempty"`
-	OwnerPages []int64 `json:"owner_pages,omitempty"`
+	OwnerDisks []int   `json:"owner_disks"`
+	OwnerPages []int64 `json:"owner_pages"`
 }
 
-// Manifest describes a layout directory. PageFormat selects the per-page
-// header layout (0/absent means the legacy checksum-free format 1; new
-// layouts are always written with the checksummed format 2).
+// Manifest describes a layout directory.
 type Manifest struct {
 	Disks      int `json:"disks"`
 	Dims       int `json:"dims"`
 	PageBytes  int `json:"page_bytes"`
-	Replicas   int `json:"replicas,omitempty"`    // copies per bucket; 0/absent means 1
-	PageFormat int `json:"page_format,omitempty"` // 0/1 legacy, 2 checksummed
+	Replicas   int `json:"replicas,omitempty"` // copies per bucket; 0/absent means 1
+	PageFormat int `json:"page_format"`        // always pageFormat
 	// CheckpointLSN is the last journaled operation whose effects are
 	// captured by this manifest and its grid/page files. Replay skips
 	// journal records at or below it, which makes a crash between the
@@ -119,48 +112,23 @@ type Manifest struct {
 	Buckets       []Placement  `json:"buckets"`
 }
 
-// headerBytes returns the per-page header size for the manifest's page
-// format.
-func (m *Manifest) headerBytes() int {
-	if m.PageFormat == pageFormatChecksum {
-		return pageHeaderV2
-	}
-	return pageHeaderV1
-}
-
 // manifestVersion is the envelope a layout's manifest.json is wrapped in:
-// {"version": N, "layout": {…}}. Readers that predate the envelope
-// unmarshal it into the flat Manifest shape, find every required field
-// zero, and reject the directory with the "implausible manifest" error — a
-// clean refusal rather than a silent half-read of a layout they cannot
-// serve correctly. Unversioned manifests (no "version" key) are the legacy
-// checksum-free r=1 format and stay readable, as are version-2 envelopes
-// (replicated, checksum-free). Version 3 marks the checksummed page format;
-// every new layout is written at version 3 regardless of replication
-// factor, because the page header change alone makes the files unreadable
-// to older vintages.
+// {"version": N, "layout": {…}}. Version 3 with page format 2 is the only
+// layout this package writes or reads; Open refuses anything else.
 type manifestVersion struct {
 	Version int             `json:"version"`
 	Layout  json.RawMessage `json:"layout"`
 }
 
-// Envelope versions this reader understands. manifestVersionCurrent is what
-// the writer emits.
-const (
-	manifestVersionReplicated = 2
-	manifestVersionCurrent    = 3
-)
+const manifestVersionCurrent = 3
 
-// recordsPerPage returns how many dims-dimensional keys fit in a page with
-// the given header size.
-func recordsPerPage(pageBytes, dims, header int) int {
-	return (pageBytes - header) / (8 * dims)
+// recordsPerPage returns how many dims-dimensional keys fit in a page.
+func recordsPerPage(pageBytes, dims int) int {
+	return (pageBytes - pageHeaderBytes) / (8 * dims)
 }
 
 // Write lays out the grid file's buckets over per-disk page files under
-// dir, following the allocation. It returns the manifest it wrote. Pages
-// are written in the checksummed format and the manifest carries the
-// version-3 envelope (see manifestVersion).
+// dir, following the allocation. It returns the manifest it wrote.
 func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (*Manifest, error) {
 	views := f.Buckets()
 	if err := alloc.Validate(len(views)); err != nil {
@@ -177,9 +145,6 @@ func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (
 
 // WriteReplicated lays out the grid file with each bucket written to every
 // disk in its owner list, following a replica map (see internal/replica).
-// The manifest is wrapped in the version-3 envelope so readers that predate
-// replication or page checksums reject the directory cleanly instead of
-// misreading it.
 func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes int) (*Manifest, error) {
 	views := f.Buckets()
 	if err := rm.Validate(len(views)); err != nil {
@@ -210,14 +175,26 @@ func LayoutOrder(f *gridfile.File) []int {
 	return core.CentroidOrder(g, sfc.NewHilbert(f.Dims(), bits))
 }
 
+// encodePage fills page with one page of bucket id: the header, the given
+// flat keys, zero padding and the checksum over all of it.
+func encodePage(page []byte, id int32, keys []float64, dims int) {
+	clear(page)
+	binary.LittleEndian.PutUint32(page[0:], uint32(id))
+	binary.LittleEndian.PutUint32(page[4:], uint32(len(keys)/dims))
+	off := pageHeaderBytes
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(page[off:], floatBits(k))
+		off += 8
+	}
+	binary.LittleEndian.PutUint32(page[8:], pageChecksum(page))
+}
+
 // writeLayout is the shared layout writer: owners[i] lists the disks that
 // receive a copy of bucket views[i] (the first entry is the primary), and
-// buckets are appended to their disks in LayoutOrder. Every page carries the
-// checksummed format-2 header and the manifest — whose bucket list stays in
-// id order — is wrapped in the version-3 envelope; replicated layouts
-// additionally record per-copy owner page lists.
+// buckets are appended to their disks in LayoutOrder. The manifest's bucket
+// list stays in id order.
 func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int) (*Manifest, error) {
-	if pageBytes <= pageHeaderV2+8*f.Dims() {
+	if pageBytes <= pageHeaderBytes+8*f.Dims() {
 		return nil, fmt.Errorf("store: page size %d too small for %d-D records", pageBytes, f.Dims())
 	}
 	views := f.Buckets()
@@ -230,7 +207,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		Disks:      disks,
 		Dims:       f.Dims(),
 		PageBytes:  pageBytes,
-		PageFormat: pageFormatChecksum,
+		PageFormat: pageFormat,
 	}
 	if replicas > 1 {
 		m.Replicas = replicas
@@ -252,7 +229,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	}
 	defer closeAll(files)
 
-	perPage := recordsPerPage(pageBytes, f.Dims(), pageHeaderV2)
+	perPage := recordsPerPage(pageBytes, f.Dims())
 	page := make([]byte, pageBytes)
 	m.Buckets = make([]Placement, len(views))
 	for _, vi := range LayoutOrder(f) {
@@ -267,31 +244,16 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 			npages = 1 // empty buckets still own a page
 		}
 		own := owners[v.Index]
-		pl := Placement{ID: v.ID, Disk: own[0], Page: nextPage[own[0]], Pages: npages, Recs: nrec}
-		if replicas > 1 {
-			pl.OwnerDisks = append([]int(nil), own...)
-			pl.OwnerPages = make([]int64, len(own))
-			for i, d := range own {
-				pl.OwnerPages[i] = nextPage[d]
-			}
+		pl := Placement{
+			ID: v.ID, Disk: own[0], Page: nextPage[own[0]], Pages: npages, Recs: nrec,
+			OwnerDisks: append([]int(nil), own...),
+			OwnerPages: make([]int64, len(own)),
+		}
+		for i, d := range own {
+			pl.OwnerPages[i] = nextPage[d]
 		}
 		for p := 0; p < npages; p++ {
-			for i := range page {
-				page[i] = 0
-			}
-			start := p * perPage
-			end := start + perPage
-			if end > nrec {
-				end = nrec
-			}
-			binary.LittleEndian.PutUint32(page[0:], uint32(v.ID))
-			binary.LittleEndian.PutUint32(page[4:], uint32(end-start))
-			off := pageHeaderV2
-			for _, k := range keys[start*f.Dims() : end*f.Dims()] {
-				binary.LittleEndian.PutUint64(page[off:], floatBits(k))
-				off += 8
-			}
-			binary.LittleEndian.PutUint32(page[8:], pageChecksum(page))
+			encodePage(page, v.ID, keys[p*perPage*f.Dims():min((p+1)*perPage, nrec)*f.Dims()], f.Dims())
 			for _, d := range own {
 				if _, err := files[d].Write(page); err != nil {
 					return nil, err
@@ -357,15 +319,12 @@ type Store struct {
 	// nil unless the store was opened with OpenWritable.
 	w *writer
 
-	// header is the per-page header size for the layout's page format.
-	header int
-
-	// verify, when true, checks every page's CRC-32C during decode (only
-	// meaningful for checksummed layouts). Set before concurrent use.
+	// verify, when true, checks every page's CRC-32C during decode. Set
+	// before concurrent use.
 	verify bool
 
-	// now is the clock used by the timed read variants; a test hook
-	// (SetClock) can replace it.
+	// now is the clock timed reads use; a test hook (SetClock) can replace
+	// it.
 	now func() time.Time
 
 	// loads counts in-flight reads per disk. readAt maintains a baseline
@@ -382,10 +341,17 @@ type Store struct {
 }
 
 // Open loads a layout directory written by Write or WriteReplicated. It
-// accepts the legacy unversioned (r=1, checksum-free) manifest, the
-// version-2 replicated envelope, and the current version-3 checksummed
-// envelope, and rejects versions it does not understand.
+// reads one layout generation — the version-3 envelope with page format 2 —
+// and refuses every other; it also refuses a manifest whose placements could
+// not all be read from the disk files as they stand.
 func Open(dir string) (*Store, error) { return open(dir, false) }
+
+// errVintage builds the refusal for a layout generation this reader does not
+// serve: what names the field that gave it away, got its value.
+func errVintage(what string, got int) error {
+	return fmt.Errorf("store: %s %d: only version-%d manifests with page format %d are readable; regenerate the layout with `gridtool layout`",
+		what, got, manifestVersionCurrent, pageFormat)
+}
 
 // open is the shared Open/OpenWritable core; writable selects read-write
 // disk file handles.
@@ -394,34 +360,30 @@ func open(dir string, writable bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openManifest(dir, raw, writable)
+}
+
+// openManifest opens dir's disk files under the given manifest.json contents
+// (split from open so FuzzManifest can skip the file write).
+func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 	var env manifestVersion
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return nil, fmt.Errorf("store: parsing manifest: %w", err)
 	}
-	switch {
-	case env.Version == 0 && env.Layout == nil:
-		// Legacy unversioned manifest: the whole document is the layout.
-		env.Layout = raw
-	case env.Version != manifestVersionReplicated && env.Version != manifestVersionCurrent:
-		return nil, fmt.Errorf("store: manifest version %d not supported by this reader (want <= %d)",
-			env.Version, manifestVersionCurrent)
-	case env.Layout == nil:
-		return nil, fmt.Errorf("store: version %d manifest has no layout", env.Version)
+	if env.Version != manifestVersionCurrent || env.Layout == nil {
+		return nil, errVintage("manifest version", env.Version)
 	}
 	var m Manifest
 	if err := json.Unmarshal(env.Layout, &m); err != nil {
 		return nil, fmt.Errorf("store: parsing manifest: %w", err)
 	}
-	switch m.PageFormat {
-	case 0:
-		m.PageFormat = pageFormatLegacy
-	case pageFormatLegacy, pageFormatChecksum:
-	default:
-		return nil, fmt.Errorf("store: page format %d not supported by this reader", m.PageFormat)
+	if m.PageFormat != pageFormat {
+		return nil, errVintage("page format", m.PageFormat)
 	}
-	if m.Disks < 1 || m.Dims < 1 || m.PageBytes <= m.headerBytes() {
-		return nil, fmt.Errorf("store: implausible manifest (disks=%d dims=%d page=%d)",
-			m.Disks, m.Dims, m.PageBytes)
+	if m.Disks < 1 || m.Dims < 1 || len(m.Domain) != m.Dims ||
+		m.PageBytes <= pageHeaderBytes || recordsPerPage(m.PageBytes, m.Dims) < 1 {
+		return nil, fmt.Errorf("store: implausible manifest (disks=%d dims=%d page=%d domain=%d)",
+			m.Disks, m.Dims, m.PageBytes, len(m.Domain))
 	}
 	if m.Replicas == 0 {
 		m.Replicas = 1
@@ -433,65 +395,80 @@ func open(dir string, writable bool) (*Store, error) {
 		manifest: m,
 		dir:      dir,
 		byID:     make(map[int32]Placement, len(m.Buckets)),
-		header:   m.headerBytes(),
 		now:      time.Now,
 	}
-	for i := range m.Buckets {
-		pl := &m.Buckets[i]
-		if len(pl.OwnerDisks) == 0 {
-			// Legacy placement: the primary is the only owner.
-			pl.OwnerDisks = []int{pl.Disk}
-			pl.OwnerPages = []int64{pl.Page}
-		}
-		if err := validatePlacement(*pl, m.Disks, m.Replicas); err != nil {
-			return nil, err
-		}
-		s.byID[pl.ID] = *pl
-	}
-	s.loads = make([]atomic.Int64, m.Disks)
-	s.files = make([]*os.File, m.Disks)
 	flags := os.O_RDONLY
 	if writable {
 		flags = os.O_RDWR
 	}
-	for d := range s.files {
+	// The handles are opened one by one rather than into a slice sized from
+	// the manifest, so a hostile disk count fails on its first missing file
+	// instead of allocating.
+	for d := 0; d < m.Disks; d++ {
 		fh, err := os.OpenFile(filepath.Join(dir, DiskFileName(d)), flags, 0)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.files[d] = fh
+		s.files = append(s.files, fh)
+	}
+	s.loads = make([]atomic.Int64, m.Disks)
+	sizes, err := s.DiskSizes()
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	for _, pl := range m.Buckets {
+		if _, dup := s.byID[pl.ID]; dup {
+			s.Close()
+			return nil, fmt.Errorf("store: bucket %d listed twice", pl.ID)
+		}
+		if err := validatePlacement(pl, &m, sizes); err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.byID[pl.ID] = pl
 	}
 	return s, nil
 }
 
-// validatePlacement checks one placement's owner lists against the manifest:
-// exactly replicas distinct in-range owner disks, one copy page per owner,
-// and a primary that mirrors owner 0.
-func validatePlacement(pl Placement, disks, replicas int) error {
-	if len(pl.OwnerDisks) != replicas || len(pl.OwnerPages) != replicas {
+// validatePlacement checks one placement against the manifest and the disk
+// files (sizes in pages): exactly Replicas distinct in-range owner disks, one
+// copy of at least one page on each lying wholly inside its file, a primary
+// that mirrors owner 0, and a record count that fits the pages. Whatever
+// passes can be handed to the read path without a bounds check.
+func validatePlacement(pl Placement, m *Manifest, sizes []int64) error {
+	if pl.Pages < 1 {
+		return fmt.Errorf("store: bucket %d occupies %d pages", pl.ID, pl.Pages)
+	}
+	if len(pl.OwnerDisks) != m.Replicas || len(pl.OwnerPages) != m.Replicas {
 		return fmt.Errorf("store: bucket %d has %d/%d owner disks/pages, want %d",
-			pl.ID, len(pl.OwnerDisks), len(pl.OwnerPages), replicas)
+			pl.ID, len(pl.OwnerDisks), len(pl.OwnerPages), m.Replicas)
 	}
 	if pl.OwnerDisks[0] != pl.Disk || pl.OwnerPages[0] != pl.Page {
 		return fmt.Errorf("store: bucket %d primary disagrees with owner 0", pl.ID)
 	}
 	for i, d := range pl.OwnerDisks {
-		if d < 0 || d >= disks {
-			return fmt.Errorf("store: bucket %d on disk %d of %d", pl.ID, d, disks)
+		if d < 0 || d >= m.Disks {
+			return fmt.Errorf("store: bucket %d on disk %d of %d", pl.ID, d, m.Disks)
 		}
-		for j := 0; j < i; j++ {
-			if pl.OwnerDisks[j] == d {
-				return fmt.Errorf("store: bucket %d owns disk %d twice", pl.ID, d)
-			}
+		if slices.Contains(pl.OwnerDisks[:i], d) {
+			return fmt.Errorf("store: bucket %d owns disk %d twice", pl.ID, d)
 		}
+		if pg := pl.OwnerPages[i]; pg < 0 || pg > sizes[d]-int64(pl.Pages) {
+			return fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
+				pl.ID, pg, pl.Pages, d, sizes[d])
+		}
+	}
+	// Pages is bounded by a real file size by now, so the product is safe.
+	if pl.Recs < 0 || pl.Recs > pl.Pages*recordsPerPage(m.PageBytes, m.Dims) {
+		return fmt.Errorf("store: bucket %d claims %d records in %d pages", pl.ID, pl.Recs, pl.Pages)
 	}
 	return nil
 }
 
 // OpenGrid loads the grid file embedded in a layout directory by Write.
-// Its bucket ids are the ones the manifest placements (and ReadBucket)
-// address.
+// Its bucket ids are the ones the manifest placements address.
 func OpenGrid(dir string) (*gridfile.File, error) {
 	fh, err := os.Open(filepath.Join(dir, gridFileName))
 	if err != nil {
@@ -572,9 +549,6 @@ func (s *Store) PickOwner(id int32, exclude func(disk int) bool) (disk int, ok b
 // that has not reached the pread yet; calls must be balanced.
 func (s *Store) AddLoad(disk int, delta int64) { s.loads[disk].Add(delta) }
 
-// DiskLoad reports one disk's current in-flight load counter.
-func (s *Store) DiskLoad(disk int) int64 { return s.loads[disk].Load() }
-
 // Domain reconstructs the grid file's domain.
 func (s *Store) Domain() geom.Rect {
 	r := make(geom.Rect, len(s.manifest.Domain))
@@ -613,7 +587,7 @@ func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 	flat := make([]float64, 0, pl.Recs*dims)
 	for p := 0; p < pl.Pages; p++ {
 		page := data[p*pageBytes : (p+1)*pageBytes]
-		if s.verify && s.manifest.PageFormat == pageFormatChecksum {
+		if s.verify {
 			if got, want := binary.LittleEndian.Uint32(page[8:]), pageChecksum(page); got != want {
 				return geom.Flat{}, fmt.Errorf("store: bucket %d page %d: %w (stored %08x, computed %08x)",
 					pl.ID, p, ErrChecksum, got, want)
@@ -624,10 +598,10 @@ func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 			return geom.Flat{}, fmt.Errorf("store: page %d of bucket %d holds bucket %d", p, pl.ID, gotID)
 		}
 		n := int(binary.LittleEndian.Uint32(page[4:]))
-		if n < 0 || s.header+n*8*dims > pageBytes {
+		if n < 0 || pageHeaderBytes+n*8*dims > pageBytes {
 			return geom.Flat{}, fmt.Errorf("store: bucket %d page %d has implausible count %d", pl.ID, p, n)
 		}
-		o := s.header
+		o := pageHeaderBytes
 		for i := 0; i < n*dims; i++ {
 			flat = append(flat, bitsFloat(binary.LittleEndian.Uint64(page[o:])))
 			o += 8
@@ -638,16 +612,6 @@ func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 			pl.ID, len(flat)/dims, pl.Recs)
 	}
 	return geom.Flat{Dims: dims, Coords: flat}, nil
-}
-
-// decodeBucket is the conventional-view decoder: the flat arena plus one
-// subslice header per point (two allocations per bucket).
-func (s *Store) decodeBucket(data []byte, pl Placement) ([]geom.Point, error) {
-	fl, err := s.decodeBucketFlat(data, pl)
-	if err != nil {
-		return nil, err
-	}
-	return fl.Points(), nil
 }
 
 // SetFaults attaches a failpoint registry consulted before every positioned
@@ -662,22 +626,32 @@ func (s *Store) SetFaults(reg *fault.Registry) {
 	}
 }
 
-// Faults returns the registry attached with SetFaults, or nil.
-func (s *Store) Faults() *fault.Registry { return s.faults }
-
 // SetVerify enables (or disables) CRC-32C validation of every page during
-// decode. It only has an effect on checksummed layouts. Call before handing
-// the Store to concurrent readers.
+// decode. Call before handing the Store to concurrent readers.
 func (s *Store) SetVerify(on bool) { s.verify = on }
 
-// Checksummed reports whether the layout's pages carry CRC-32C checksums
-// (the format every new layout is written in).
-func (s *Store) Checksummed() bool { return s.manifest.PageFormat == pageFormatChecksum }
-
-// SetClock replaces the clock used by the timed read variants. Test hook:
+// SetClock replaces the clock timed reads use. Test hook:
 // a deterministic step clock makes pread/decode timings exact. Call before
 // handing the Store to concurrent readers.
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
+
+// inject consults an armed failpoint registry at a site and at its per-disk
+// twin and acts on what fired: the delays add up and stall the caller
+// (bounded by ctx), then the first error, if any, is returned; torn is
+// reported for reads to act on.
+func (s *Store) inject(ctx context.Context, site, diskSite string) (torn bool, err error) {
+	inj, _ := s.faults.Eval(site)
+	inj2, _ := s.faults.Eval(diskSite)
+	if d := inj.Delay + inj2.Delay; d > 0 {
+		if err := fault.Sleep(ctx, d); err != nil {
+			return false, err
+		}
+	}
+	if inj.Err == nil {
+		inj.Err = inj2.Err
+	}
+	return inj.Torn || inj2.Torn, inj.Err
+}
 
 // readAt performs one positioned read against a disk file, first consulting
 // the failpoint registry. An injected delay stalls (bounded by ctx), an
@@ -690,25 +664,8 @@ func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (to
 	s.loads[disk].Add(1)
 	defer s.loads[disk].Add(-1)
 	if s.faults.Enabled() {
-		inj, hit := s.faults.Eval(fault.SiteStoreRead)
-		if inj2, hit2 := s.faults.Eval(s.diskSites[disk]); hit2 {
-			hit = true
-			inj.Delay += inj2.Delay
-			inj.Torn = inj.Torn || inj2.Torn
-			if inj.Err == nil {
-				inj.Err = inj2.Err
-			}
-		}
-		if hit {
-			if inj.Delay > 0 {
-				if err := fault.Sleep(ctx, inj.Delay); err != nil {
-					return false, err
-				}
-			}
-			if inj.Err != nil {
-				return false, inj.Err
-			}
-			torn = inj.Torn
+		if torn, err = s.inject(ctx, fault.SiteStoreRead, s.diskSites[disk]); err != nil {
+			return false, err
 		}
 	}
 	if ctx != nil {
@@ -727,26 +684,19 @@ func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (to
 	return torn, nil
 }
 
-// Timing accumulates what a batch of reads cost and what the span planner
-// did to serve it, so one Timing can cover a whole batch of calls. Pread and
-// Decode split the wall time between raw positioned I/O (including injected
-// stalls) and page validation/decoding. Spans counts the positioned reads
-// issued and GapPages the unwanted pages they read through and dropped; the
-// page total the read calls return counts wanted pages only. Counts are added
-// by calls that succeed. Callers that pass nil pay nothing at all.
+// Timing accumulates what reads cost and what the span planner did to serve
+// them, so one Timing can cover any number of calls. Pread and Decode split
+// the wall time between raw positioned I/O (including injected stalls) and
+// page validation/decoding. Spans counts the positioned reads issued and
+// GapPages the unwanted pages they read through and dropped; the page total
+// ReadFlatsFromTimed returns counts wanted pages only. Counts are added by
+// calls that succeed. Callers that pass nil pay nothing at all.
 type Timing struct {
 	Pread  time.Duration
 	Decode time.Duration
 
 	Spans    int
 	GapPages int
-
-	// SlotPages, when non-nil, receives the wanted page count of every
-	// result slot of a ReadFlatsFromTimed batch (SlotPages[i] for ids[i]; it
-	// must be at least as long as ids), so a caller that merged several
-	// requests into one batch can apportion the pages without looking the
-	// placements up again.
-	SlotPages []int32
 
 	// CountsOnly skips the clock reads and leaves Pread and Decode alone,
 	// for callers that want the planner's counts on an untimed hot path.
@@ -755,71 +705,6 @@ type Timing struct {
 
 // timed reports whether reads should charge wall time to tm.
 func (tm *Timing) timed() bool { return tm != nil && !tm.CountsOnly }
-
-// ReadBucket fetches one bucket's keys from its disk file. The returned
-// slice is freshly allocated. It also reports the number of pages read
-// (the I/O the paper's response-time metric charges). ReadBucket is safe
-// for concurrent use: it reads with positioned ReadAt calls (pread) and
-// touches no mutable Store state. A bucket's pages are consecutive, so the
-// read is a single ReadAt regardless of bucket size. ctx bounds injected
-// stalls; a nil ctx is treated as background.
-func (s *Store) ReadBucket(ctx context.Context, id int32) ([]geom.Point, int, error) {
-	return s.ReadBucketTimed(ctx, id, nil)
-}
-
-// ReadBucketTimed is ReadBucket with an optional pread/decode time split
-// accumulated into tm (nil disables timing).
-func (s *Store) ReadBucketTimed(ctx context.Context, id int32, tm *Timing) ([]geom.Point, int, error) {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-	}
-	return s.readOne(ctx, pl, tm)
-}
-
-// readOne reads and decodes a single placement (whichever copy pl points
-// at).
-func (s *Store) readOne(ctx context.Context, pl Placement, tm *Timing) ([]geom.Point, int, error) {
-	fl, pages, err := s.readOneFlat(ctx, pl, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return fl.Points(), pages, nil
-}
-
-// readOneFlat is readOne in arena form: one allocation for the record data.
-func (s *Store) readOneFlat(ctx context.Context, pl Placement, tm *Timing) (geom.Flat, int, error) {
-	buf := getBuf(pl.Pages * s.manifest.PageBytes)
-	defer putBuf(buf)
-	timed := tm.timed()
-	var t0 time.Time
-	if timed {
-		t0 = s.now()
-	}
-	torn, err := s.readAt(ctx, pl.Disk, buf, pl.Page*int64(s.manifest.PageBytes))
-	if timed {
-		now := s.now()
-		tm.Pread += now.Sub(t0)
-		t0 = now
-	}
-	if err != nil {
-		return geom.Flat{}, 0, fmt.Errorf("store: reading bucket %d: %w", pl.ID, err)
-	}
-	fl, err := s.decodeBucketFlat(buf, pl)
-	if timed {
-		tm.Decode += s.now().Sub(t0)
-	}
-	if err != nil {
-		if torn {
-			return geom.Flat{}, 0, fmt.Errorf("store: torn read of bucket %d: %w (%v)", pl.ID, fault.ErrInjected, err)
-		}
-		return geom.Flat{}, 0, err
-	}
-	if tm != nil {
-		tm.Spans++
-	}
-	return fl, pl.Pages, nil
-}
 
 // maxCoalesceBytes bounds one span so the pooled buffers stay a sane size
 // even when many wanted buckets are close together on disk.
@@ -839,97 +724,6 @@ const maxCoalesceBytes = 1 << 20
 // reading it (gridtool simulate, sim.ResponseSpans) cut spans the way the
 // planner does.
 const ReadThroughPages = 4
-
-// ReadBuckets fetches a set of buckets with span reads (see nextSpan):
-// placements are grouped per disk, sorted by page offset, and neighbouring
-// ones are read with a single ReadAt into a pooled buffer — the
-// disk-directed trick that turns a query's scattered per-bucket reads into
-// a few large sequential requests. It returns each bucket's decoded records
-// and the total number of wanted pages read. Like ReadBucket it is safe for
-// concurrent use. Duplicate ids are fetched once. ctx bounds injected
-// stalls; a nil ctx is treated as background.
-func (s *Store) ReadBuckets(ctx context.Context, ids []int32) (map[int32][]geom.Point, int, error) {
-	return s.ReadBucketsTimed(ctx, ids, nil)
-}
-
-// ReadBucketsTimed is ReadBuckets with an optional pread/decode time split
-// accumulated into tm (nil disables timing).
-func (s *Store) ReadBucketsTimed(ctx context.Context, ids []int32, tm *Timing) (map[int32][]geom.Point, int, error) {
-	out := make(map[int32][]geom.Point, len(ids))
-	pls := make([]Placement, 0, len(ids))
-	for _, id := range ids {
-		pl, ok := s.lookup(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-		}
-		if _, dup := out[id]; dup {
-			continue
-		}
-		out[id] = nil
-		pls = append(pls, pl)
-	}
-	pages, err := s.readPlacements(ctx, pls, out, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, pages, nil
-}
-
-// ReadBucketsFrom fetches a set of buckets from ONE specific owner disk with
-// the same span reads as ReadBuckets. Every id must have a copy on that
-// disk; a replicated layout's secondary copies are addressed by their own
-// page offsets. This is the read path the server's per-disk I/O goroutines
-// use, so a failover retry against a surviving owner reads that owner's
-// copy rather than re-touching the failed disk.
-func (s *Store) ReadBucketsFrom(ctx context.Context, disk int, ids []int32) (map[int32][]geom.Point, int, error) {
-	return s.ReadBucketsFromTimed(ctx, disk, ids, nil)
-}
-
-// ReadBucketsFromTimed is ReadBucketsFrom with an optional pread/decode time
-// split accumulated into tm (nil disables timing).
-func (s *Store) ReadBucketsFromTimed(ctx context.Context, disk int, ids []int32, tm *Timing) (map[int32][]geom.Point, int, error) {
-	out := make(map[int32][]geom.Point, len(ids))
-	pls := make([]Placement, 0, len(ids))
-	for _, id := range ids {
-		pl, ok := s.lookup(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-		}
-		pl, ok = placementOn(pl, disk)
-		if !ok {
-			return nil, 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
-		}
-		if _, dup := out[id]; dup {
-			continue
-		}
-		out[id] = nil
-		pls = append(pls, pl)
-	}
-	pages, err := s.readPlacements(ctx, pls, out, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, pages, nil
-}
-
-// ReadBucketFrom fetches one bucket's keys from a specific owner disk.
-func (s *Store) ReadBucketFrom(ctx context.Context, disk int, id int32) ([]geom.Point, int, error) {
-	return s.ReadBucketFromTimed(ctx, disk, id, nil)
-}
-
-// ReadBucketFromTimed fetches one bucket's keys from a specific owner disk,
-// with the same contract as ReadBucketTimed.
-func (s *Store) ReadBucketFromTimed(ctx context.Context, disk int, id int32, tm *Timing) ([]geom.Point, int, error) {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("store: unknown bucket %d", id)
-	}
-	pl, ok = placementOn(pl, disk)
-	if !ok {
-		return nil, 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
-	}
-	return s.readOne(ctx, pl, tm)
-}
 
 // placementOn rebinds a placement to the copy held by one specific owner
 // disk, reporting whether that disk owns the bucket at all.
@@ -958,71 +752,50 @@ var plScratchPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// ReadFlatsFrom fetches a batch of buckets from ONE specific owner disk in
-// arena form: out[i] receives ids[i]'s records as a geom.Flat (one
-// allocation per bucket), with the same span reads as ReadBucketsFrom.
+// ReadFlatsFromTimed is the store's read call: it fetches a batch of buckets
+// from ONE specific owner disk, out[i] receiving ids[i]'s records as a
+// geom.Flat (one allocation per bucket). Every id must have a copy on that
+// disk — a replicated layout's secondary copies are addressed by their own
+// page offsets, so a failover retry against a surviving owner reads that
+// owner's copy rather than re-touching the failed disk. The batch is served
+// with span reads (see nextSpan): placements sorted by page offset,
+// neighbouring ones read with a single ReadAt into a pooled buffer, every
+// wanted placement decoded into out[its slot] from its own offset in the
+// span and the gap pages in between dropped unlooked at — never decoded,
+// checksummed, cached or counted as wanted. The sort makes the sequence of
+// positioned reads and failpoint evaluations a function of the batch alone,
+// which the deterministic campaign gate relies on. A single bucket is a
+// batch of one.
+//
 // out must have at least len(ids) entries; ids must be distinct (the server
-// submits per-disk lead batches, which are). The return value is the total
-// number of wanted pages read; pages a span read through are not counted.
-func (s *Store) ReadFlatsFrom(ctx context.Context, disk int, ids []int32, out []geom.Flat) (int, error) {
-	return s.ReadFlatsFromTimed(ctx, disk, ids, out, nil)
-}
-
-// ReadFlatsFromTimed is ReadFlatsFrom with the cost and the planner's
-// counts accumulated into tm (nil disables both).
+// submits per-disk lead batches, which are). ctx bounds injected stalls; a
+// nil ctx is treated as background. The return value is the number of wanted
+// pages read — the I/O the paper's response-time metric charges. The cost
+// and the planner's counts accumulate into tm (nil disables both). Safe for
+// concurrent use: positioned reads only, no mutable Store state.
 func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, out []geom.Flat, tm *Timing) (int, error) {
 	sp := plScratchPool.Get().(*[]plIdx)
 	pls := (*sp)[:0]
+	var err error
 	for i, id := range ids {
 		pl, ok := s.lookup(id)
 		if !ok {
-			*sp = pls[:0]
-			plScratchPool.Put(sp)
-			return 0, fmt.Errorf("store: unknown bucket %d", id)
+			err = fmt.Errorf("store: unknown bucket %d", id)
+			break
 		}
-		pl, ok = placementOn(pl, disk)
-		if !ok {
-			*sp = pls[:0]
-			plScratchPool.Put(sp)
-			return 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
+		if pl, ok = placementOn(pl, disk); !ok {
+			err = fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
+			break
 		}
 		pls = append(pls, plIdx{pl, i})
 	}
-	pages, err := s.readPlacementsFlat(ctx, pls, out, tm)
+	pages := 0
+	if err == nil {
+		pages, err = s.readSpans(ctx, disk, pls, out, tm)
+	}
 	*sp = pls[:0]
 	plScratchPool.Put(sp)
 	return pages, err
-}
-
-// ReadFlatFromTimed fetches one bucket's records from a specific owner disk
-// in arena form.
-func (s *Store) ReadFlatFromTimed(ctx context.Context, disk int, id int32, tm *Timing) (geom.Flat, int, error) {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return geom.Flat{}, 0, fmt.Errorf("store: unknown bucket %d", id)
-	}
-	pl, ok = placementOn(pl, disk)
-	if !ok {
-		return geom.Flat{}, 0, fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
-	}
-	return s.readOneFlat(ctx, pl, tm)
-}
-
-// readPlacements is the map-keyed compatibility form of the span planner; results land in out keyed by bucket id.
-func (s *Store) readPlacements(ctx context.Context, pls []Placement, out map[int32][]geom.Point, tm *Timing) (int, error) {
-	pidx := make([]plIdx, len(pls))
-	flats := make([]geom.Flat, len(pls))
-	for i, pl := range pls {
-		pidx[i] = plIdx{pl, i}
-	}
-	pages, err := s.readPlacementsFlat(ctx, pidx, flats, tm)
-	if err != nil {
-		return 0, err
-	}
-	for i, pl := range pls {
-		out[pl.ID] = flats[i].Points()
-	}
-	return pages, nil
 }
 
 // cmpDiskPage orders placements by (disk, page): the order a sweep of the
@@ -1035,10 +808,10 @@ func cmpDiskPage(a, b *Placement) int {
 }
 
 // nextSpan is the span planner, the one place that decides which positioned
-// reads serve a batch. Given placements sorted by (disk, page) it cuts the
+// reads serve a batch. Given one disk's placements sorted by page it cuts the
 // span that starts at pls[lo]: the span continues while the next wanted
-// placement on the same disk starts at most ReadThroughPages past the end of
-// the previous one and the span stays within maxCoalesceBytes (a single
+// placement starts at most ReadThroughPages past the end of the previous one
+// and the span stays within maxCoalesceBytes (a single
 // placement larger than that is a span of its own). It returns the index one
 // past the span's last placement, the page one past its last wanted page —
 // a span always ends on a wanted page, so a torn read, which destroys the
@@ -1049,7 +822,7 @@ func nextSpan(pls []plIdx, lo int, pageBytes int64) (hi int, end, gaps int64) {
 	for hi = lo + 1; hi < len(pls); hi++ {
 		nx := pls[hi].pl
 		nxEnd := nx.Page + int64(nx.Pages)
-		if nx.Disk != first.Disk || nx.Page-end > ReadThroughPages ||
+		if nx.Page-end > ReadThroughPages ||
 			(nxEnd-first.Page)*pageBytes > maxCoalesceBytes {
 			break
 		}
@@ -1061,18 +834,12 @@ func nextSpan(pls []plIdx, lo int, pageBytes int64) (hi int, end, gaps int64) {
 	return hi, end, gaps
 }
 
-// readPlacementsFlat is the batch read core: placements are sorted by
-// (disk, page), cut into spans by nextSpan, and each span is one ReadAt into
-// a pooled buffer. Every wanted placement decodes into out[its idx] from its
-// own offset in the span; the gap pages in between are dropped unlooked at —
-// never decoded, checksummed, cached or counted as wanted. The sort makes the
-// sequence of positioned reads and failpoint evaluations a function of the
-// batch alone, which the deterministic campaign gate relies on. The return
-// value is the number of wanted pages read.
-func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.Flat, tm *Timing) (int, error) {
+// readSpans reads one disk's placements: sorted by page, cut into spans by
+// nextSpan, one ReadAt per span.
+func (s *Store) readSpans(ctx context.Context, disk int, pls []plIdx, out []geom.Flat, tm *Timing) (int, error) {
 	// slices.SortFunc rather than sort.Slice: no closure/Swapper allocations
 	// on the per-batch hot path.
-	slices.SortFunc(pls, func(a, b plIdx) int { return cmpDiskPage(&a.pl, &b.pl) })
+	slices.SortFunc(pls, func(a, b plIdx) int { return cmp.Compare(a.pl.Page, b.pl.Page) })
 
 	pageBytes := int64(s.manifest.PageBytes)
 	timed := tm.timed()
@@ -1085,7 +852,7 @@ func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.
 		if timed {
 			t0 = s.now()
 		}
-		torn, err := s.readAt(ctx, first.Disk, buf, first.Page*pageBytes)
+		torn, err := s.readAt(ctx, disk, buf, first.Page*pageBytes)
 		if timed {
 			now := s.now()
 			tm.Pread += now.Sub(t0)
@@ -1121,11 +888,6 @@ func (s *Store) readPlacementsFlat(ctx context.Context, pls []plIdx, out []geom.
 	if tm != nil {
 		tm.Spans += spans
 		tm.GapPages += int(gapPages)
-		if tm.SlotPages != nil {
-			for _, pi := range pls {
-				tm.SlotPages[pi.idx] = int32(pi.pl.Pages)
-			}
-		}
 	}
 	return pages, nil
 }
@@ -1151,18 +913,10 @@ func (s *Store) Close() {
 	if w := s.w; w != nil {
 		w.mu.Lock()
 		_ = s.checkpointLocked(false)
-		for _, j := range w.journals {
-			if j != nil {
-				j.Close()
-			}
-		}
+		closeAll(w.journals)
 		w.mu.Unlock()
 	}
-	for _, fh := range s.files {
-		if fh != nil {
-			fh.Close()
-		}
-	}
+	closeAll(s.files)
 }
 
 // DiskFileName names disk d's page file within a layout directory. Exported

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,6 +36,42 @@ func buildLayout(t *testing.T, disks, pageBytes int) (string, *gridfile.File, co
 	return dir, f, alloc
 }
 
+// readPrimaries is the tests' view of the store's one read call: it fetches
+// ids from their primary disks — one ReadFlatsFromTimed batch per disk, in
+// disk order — and returns the decoded buckets by id with the wanted-page
+// total. An id the store does not know goes to disk 0, so the store's own
+// error comes back.
+func readPrimaries(ctx context.Context, s *Store, ids []int32, tm *Timing) (map[int32]geom.Flat, int, error) {
+	perDisk := make([][]int32, s.Disks())
+	for _, id := range ids {
+		pl, _ := s.Placement(id)
+		perDisk[pl.Disk] = append(perDisk[pl.Disk], id)
+	}
+	got := make(map[int32]geom.Flat, len(ids))
+	pages := 0
+	for d, batch := range perDisk {
+		if len(batch) == 0 {
+			continue
+		}
+		out := make([]geom.Flat, len(batch))
+		n, err := s.ReadFlatsFromTimed(ctx, d, batch, out, tm)
+		if err != nil {
+			return nil, 0, err
+		}
+		pages += n
+		for i, id := range batch {
+			got[id] = out[i]
+		}
+	}
+	return got, pages, nil
+}
+
+// readBucket reads one bucket's primary copy: a batch of one.
+func readBucket(ctx context.Context, s *Store, id int32) (geom.Flat, int, error) {
+	got, pages, err := readPrimaries(ctx, s, []int32{id}, nil)
+	return got[id], pages, err
+}
+
 func TestWriteAndReadBackAllBuckets(t *testing.T) {
 	dir, f, _ := buildLayout(t, 8, 4096)
 	s, err := Open(dir)
@@ -44,23 +82,24 @@ func TestWriteAndReadBackAllBuckets(t *testing.T) {
 
 	totalRecs := 0
 	for _, v := range f.Buckets() {
-		pts, pages, err := s.ReadBucket(context.Background(), v.ID)
+		fl, pages, err := readBucket(context.Background(), s, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}
-		if len(pts) != v.Records {
-			t.Fatalf("bucket %d: read %d records, want %d", v.ID, len(pts), v.Records)
+		if fl.Len() != v.Records {
+			t.Fatalf("bucket %d: read %d records, want %d", v.ID, fl.Len(), v.Records)
 		}
 		if pages < 1 {
 			t.Fatalf("bucket %d: %d pages", v.ID, pages)
 		}
-		totalRecs += len(pts)
+		totalRecs += fl.Len()
 		// Every key read back must exist in the in-memory bucket.
 		want := map[[2]float64]int{}
 		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
 			want[[2]float64{key[0], key[1]}]++
 		})
-		for _, p := range pts {
+		for i := 0; i < fl.Len(); i++ {
+			p := fl.Row(i)
 			k := [2]float64{p[0], p[1]}
 			if want[k] == 0 {
 				t.Fatalf("bucket %d: unexpected key %v", v.ID, p)
@@ -123,12 +162,12 @@ func TestMultiPageBuckets(t *testing.T) {
 	defer s.Close()
 	multi := 0
 	for _, v := range f.Buckets() {
-		pts, pages, err := s.ReadBucket(context.Background(), v.ID)
+		fl, pages, err := readBucket(context.Background(), s, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}
-		if len(pts) != v.Records {
-			t.Fatalf("bucket %d: %d records, want %d", v.ID, len(pts), v.Records)
+		if fl.Len() != v.Records {
+			t.Fatalf("bucket %d: %d records, want %d", v.ID, fl.Len(), v.Records)
 		}
 		if pages > 1 {
 			multi++
@@ -166,13 +205,6 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Error("broken manifest accepted")
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"),
-		[]byte(`{"disks":2,"dims":2,"page_bytes":4096,"buckets":[{"id":1,"disk":5}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil {
-		t.Error("out-of-range disk accepted")
-	}
 }
 
 func TestReadUnknownBucket(t *testing.T) {
@@ -182,8 +214,8 @@ func TestReadUnknownBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.ReadBucket(context.Background(), 99999); err == nil {
-		t.Error("unknown bucket accepted")
+	if _, _, err := readBucket(context.Background(), s, 99999); err == nil || !strings.Contains(err.Error(), "unknown bucket") {
+		t.Errorf("unknown bucket: err=%v", err)
 	}
 }
 
@@ -204,7 +236,7 @@ func TestDomainRoundTrip(t *testing.T) {
 	_ = geom.Rect(got)
 }
 
-// TestConcurrentReaders hammers ReadBucket from many goroutines at once;
+// TestConcurrentReaders hammers single-bucket reads from many goroutines at once;
 // under -race this is the regression test for the store's documented
 // concurrent-reader safety (the server's per-disk I/O goroutines depend
 // on it).
@@ -232,14 +264,14 @@ func TestConcurrentReaders(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				for j := range views {
 					v := views[(j+r)%len(views)] // stagger the access order
-					pts, _, err := s.ReadBucket(context.Background(), v.ID)
+					fl, _, err := readBucket(context.Background(), s, v.ID)
 					if err != nil {
 						errs <- err
 						return
 					}
-					if len(pts) != want[v.ID] {
+					if fl.Len() != want[v.ID] {
 						errs <- fmt.Errorf("bucket %d: %d records, want %d",
-							v.ID, len(pts), want[v.ID])
+							v.ID, fl.Len(), want[v.ID])
 						return
 					}
 				}
@@ -253,21 +285,17 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestReadBucketsMatchesReadBucket proves the coalesced multi-bucket read
-// returns exactly what per-bucket reads do, and charges the same page count.
-func TestReadBucketsMatchesReadBucket(t *testing.T) {
+// TestBatchMatchesSingleReads proves a whole-layout batch per disk returns
+// exactly what batches of one do, and charges the same page count.
+func TestBatchMatchesSingleReads(t *testing.T) {
 	for _, pageBytes := range []int{4096, 256} { // 256 forces multi-page buckets
 		dir, f, _ := buildLayout(t, 4, pageBytes)
 		s, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := f.Buckets()
-		ids := make([]int32, 0, len(views))
-		for _, v := range views {
-			ids = append(ids, v.ID)
-		}
-		got, pages, err := s.ReadBuckets(context.Background(), ids)
+		ids := bucketIDs(f)
+		got, pages, err := readPrimaries(context.Background(), s, ids, nil)
 		if err != nil {
 			t.Fatalf("page=%d: %v", pageBytes, err)
 		}
@@ -276,79 +304,71 @@ func TestReadBucketsMatchesReadBucket(t *testing.T) {
 		}
 		wantPages := 0
 		for _, id := range ids {
-			want, p, err := s.ReadBucket(context.Background(), id)
+			want, p, err := readBucket(context.Background(), s, id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantPages += p
-			if len(got[id]) != len(want) {
-				t.Fatalf("page=%d bucket %d: %d records, want %d",
-					pageBytes, id, len(got[id]), len(want))
-			}
-			for i := range want {
-				for d := range want[i] {
-					if got[id][i][d] != want[i][d] {
-						t.Fatalf("page=%d bucket %d record %d differs", pageBytes, id, i)
-					}
-				}
+			if got[id].Dims != want.Dims || !slices.Equal(got[id].Coords, want.Coords) {
+				t.Fatalf("page=%d bucket %d: batch and single reads differ", pageBytes, id)
 			}
 		}
 		if pages != wantPages {
-			t.Errorf("page=%d: coalesced read charged %d pages, per-bucket %d",
+			t.Errorf("page=%d: batch read charged %d pages, single reads %d",
 				pageBytes, pages, wantPages)
 		}
-		// Duplicates are fetched once; unknown ids fail.
-		dup, pages2, err := s.ReadBuckets(context.Background(), []int32{ids[0], ids[0]})
-		if err != nil || len(dup) != 1 {
-			t.Errorf("duplicate ids: %d buckets, %v", len(dup), err)
-		}
-		if _, p0, _ := s.ReadBucket(context.Background(), ids[0]); pages2 != p0 {
-			t.Errorf("duplicate ids charged %d pages, want %d", pages2, p0)
-		}
-		if _, _, err := s.ReadBuckets(context.Background(), []int32{ids[0], 99999}); err == nil {
+		if _, _, err := readPrimaries(context.Background(), s, []int32{ids[0], 99999}, nil); err == nil {
 			t.Error("unknown bucket id accepted")
 		}
 		s.Close()
 	}
 }
 
-// TestTruncatedPageFile proves both read paths surface I/O errors instead
-// of returning partial data when a disk file has been cut short.
+// TestTruncatedPageFile proves a disk file cut short under an open store
+// surfaces as an I/O error, never as partial data, for a batch of one and
+// for a whole-disk batch alike — and that Open then refuses the layout,
+// because its manifest places buckets past the end of the file.
 func TestTruncatedPageFile(t *testing.T) {
 	dir, f, _ := buildLayout(t, 2, 4096)
-	// Truncate disk 0 to one page: any multi-bucket read on it must fail.
-	path := filepath.Join(dir, DiskFileName(0))
-	if err := os.Truncate(path, 4096); err != nil {
-		t.Fatal(err)
-	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Truncate disk 0 to one page: any multi-bucket read on it must fail.
+	if err := os.Truncate(filepath.Join(dir, DiskFileName(0)), 4096); err != nil {
+		t.Fatal(err)
+	}
 
 	var onDisk0 []int32
+	victim, last := int32(-1), int64(-1)
 	for _, v := range f.Buckets() {
 		if pl, ok := s.Placement(v.ID); ok && pl.Disk == 0 {
 			onDisk0 = append(onDisk0, v.ID)
+			if pl.Page > last {
+				victim, last = v.ID, pl.Page
+			}
 		}
 	}
 	if len(onDisk0) < 2 {
 		t.Fatal("layout put fewer than 2 buckets on disk 0")
 	}
-	// The bucket past the surviving page must fail in both paths.
-	victim := onDisk0[len(onDisk0)-1]
-	if _, _, err := s.ReadBucket(context.Background(), victim); err == nil {
-		t.Error("ReadBucket returned data from a truncated file")
+	// The bucket past the surviving page must fail either way.
+	if _, _, err := readBucket(context.Background(), s, victim); err == nil {
+		t.Error("single read returned data from a truncated file")
 	}
-	if _, _, err := s.ReadBuckets(context.Background(), onDisk0); err == nil {
-		t.Error("ReadBuckets returned data from a truncated file")
+	if _, _, err := readPrimaries(context.Background(), s, onDisk0, nil); err == nil {
+		t.Error("batch read returned data from a truncated file")
+	}
+	if s2, err := Open(dir); err == nil {
+		s2.Close()
+		t.Error("Open accepted a manifest that places buckets past the end of a disk file")
 	}
 }
 
 // TestCorruptPageHeader flips a page's bucket-id header on disk and proves
-// both read paths detect the mismatch (the defence against a placement map
-// that disagrees with the page files).
+// the read detects the mismatch (the defence against a placement map that
+// disagrees with the page files).
 func TestCorruptPageHeader(t *testing.T) {
 	dir, f, _ := buildLayout(t, 2, 4096)
 	s, err := Open(dir)
@@ -380,11 +400,8 @@ func TestCorruptPageHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.ReadBucket(context.Background(), victim); err == nil {
-		t.Error("ReadBucket accepted a page holding another bucket")
-	}
-	if _, _, err := s.ReadBuckets(context.Background(), []int32{victim}); err == nil {
-		t.Error("ReadBuckets accepted a page holding another bucket")
+	if _, _, err := readBucket(context.Background(), s, victim); err == nil {
+		t.Error("read accepted a page holding another bucket")
 	}
 
 	// An implausible record count must be rejected too.
@@ -406,12 +423,12 @@ func TestCorruptPageHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, _, err := s2.ReadBucket(context.Background(), victim); err == nil {
-		t.Error("ReadBucket accepted an implausible record count")
+	if _, _, err := readBucket(context.Background(), s2, victim); err == nil {
+		t.Error("read accepted an implausible record count")
 	}
 }
 
-// TestConcurrentBatchReaders hammers ReadBuckets (whose pooled buffers are
+// TestConcurrentBatchReaders hammers batch reads (whose pooled buffers are
 // the shared-state risk) from many goroutines under -race, interleaved with
 // single-bucket reads.
 func TestConcurrentBatchReaders(t *testing.T) {
@@ -438,28 +455,28 @@ func TestConcurrentBatchReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				if r%2 == 0 {
-					got, _, err := s.ReadBuckets(context.Background(), ids)
+					got, _, err := readPrimaries(context.Background(), s, ids, nil)
 					if err != nil {
 						errs <- err
 						return
 					}
-					for id, pts := range got {
-						if len(pts) != want[id] {
+					for id, fl := range got {
+						if fl.Len() != want[id] {
 							errs <- fmt.Errorf("bucket %d: %d records, want %d",
-								id, len(pts), want[id])
+								id, fl.Len(), want[id])
 							return
 						}
 					}
 				} else {
 					for _, id := range ids {
-						pts, _, err := s.ReadBucket(context.Background(), id)
+						fl, _, err := readBucket(context.Background(), s, id)
 						if err != nil {
 							errs <- err
 							return
 						}
-						if len(pts) != want[id] {
+						if fl.Len() != want[id] {
 							errs <- fmt.Errorf("bucket %d: %d records, want %d",
-								id, len(pts), want[id])
+								id, fl.Len(), want[id])
 							return
 						}
 					}
@@ -474,9 +491,8 @@ func TestConcurrentBatchReaders(t *testing.T) {
 	}
 }
 
-// TestReadTiming proves the timed read variants split their cost into
-// pread and decode, return identical data to the untimed forms, and that a
-// nil Timing is accepted everywhere.
+// TestReadTiming proves a Timing splits a read's cost into pread and decode,
+// accumulates across calls, and that a nil Timing returns the same data.
 func TestReadTiming(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 4096)
 	s, err := Open(dir)
@@ -484,40 +500,44 @@ func TestReadTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	views := f.Buckets()
-	ids := make([]int32, 0, len(views))
-	for _, v := range views {
-		ids = append(ids, v.ID)
-	}
+	ids := bucketIDs(f)
 
 	var tm Timing
-	got, pages, err := s.ReadBucketsTimed(context.Background(), ids, &tm)
+	got, pages, err := readPrimaries(context.Background(), s, ids, &tm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(ids) || pages < len(ids) {
 		t.Fatalf("timed batch read: %d buckets / %d pages", len(got), pages)
 	}
-	if tm.Pread <= 0 || tm.Decode <= 0 {
+	if tm.Pread <= 0 || tm.Decode <= 0 || tm.Spans <= 0 {
 		t.Errorf("batch Timing not populated: %+v", tm)
 	}
 
-	// The single-bucket form accumulates into the same Timing.
+	// A batch of one accumulates into the same Timing.
 	before := tm
-	pts, _, err := s.ReadBucketTimed(context.Background(), ids[0], &tm)
+	one, _, err := readPrimaries(context.Background(), s, ids[:1], &tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(got[ids[0]]) {
-		t.Errorf("timed single read returned %d records, batch %d", len(pts), len(got[ids[0]]))
+	if !slices.Equal(one[ids[0]].Coords, got[ids[0]].Coords) {
+		t.Error("timed single read returned different records than the batch")
 	}
-	if tm.Pread <= before.Pread || tm.Decode <= before.Decode {
+	if tm.Pread <= before.Pread || tm.Decode <= before.Decode || tm.Spans != before.Spans+1 {
 		t.Errorf("single-read Timing did not accumulate: %+v -> %+v", before, tm)
 	}
 
+	// CountsOnly: the planner's counts without the clock reads.
+	counts := Timing{CountsOnly: true}
+	if _, _, err := readPrimaries(context.Background(), s, ids, &counts); err != nil {
+		t.Fatal(err)
+	}
+	if counts.Pread != 0 || counts.Decode != 0 || counts.Spans != before.Spans || counts.GapPages != before.GapPages {
+		t.Errorf("CountsOnly Timing = %+v, want the counts of %+v and no durations", counts, before)
+	}
+
 	// nil Timing: same data, no timing requirement.
-	got2, pages2, err := s.ReadBucketsTimed(context.Background(), ids, nil)
+	got2, pages2, err := readPrimaries(context.Background(), s, ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

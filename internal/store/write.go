@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -112,17 +111,11 @@ type writer struct {
 // OpenWritable loads a layout directory for serving and mutation. It opens
 // the page files read-write, loads the embedded grid file as the mutable
 // coordinator state, replays any journaled operations that survived a crash,
-// and checkpoints the replayed state. Only checksummed (format-2) layouts
-// are writable.
+// and checkpoints the replayed state.
 func OpenWritable(dir string) (*Store, error) {
 	s, err := open(dir, true)
 	if err != nil {
 		return nil, err
-	}
-	if s.manifest.PageFormat != pageFormatChecksum {
-		s.Close()
-		return nil, fmt.Errorf("store: layout page format %d is not writable (rebuild the layout to get checksummed pages)",
-			s.manifest.PageFormat)
 	}
 	grid, err := OpenGrid(dir)
 	if err != nil {
@@ -405,23 +398,8 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 	rec := appendJournalRec(make([]byte, 0, journalRecSize(len(key))), lsn, op, key)
 	for _, d := range owners {
 		if s.faults.Enabled() {
-			inj, hit := s.faults.Eval(fault.SiteStoreWAL)
-			if inj2, hit2 := s.faults.Eval(w.walSites[d]); hit2 {
-				hit = true
-				inj.Delay += inj2.Delay
-				if inj.Err == nil {
-					inj.Err = inj2.Err
-				}
-			}
-			if hit {
-				if inj.Delay > 0 {
-					if err := fault.Sleep(ctx, inj.Delay); err != nil {
-						return err
-					}
-				}
-				if inj.Err != nil {
-					return fmt.Errorf("store: journal append disk %d: %w", d, inj.Err)
-				}
+			if _, err := s.inject(ctx, fault.SiteStoreWAL, w.walSites[d]); err != nil {
+				return fmt.Errorf("store: journal append disk %d: %w", d, err)
 			}
 		}
 		if err := w.crashPoint(); err != nil {
@@ -459,7 +437,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 		keys = append(keys, key...)
 	})
 	nrec := len(keys) / dims
-	perPage := recordsPerPage(pageBytes, dims, pageHeaderV2)
+	perPage := recordsPerPage(pageBytes, dims)
 	npages := (nrec + perPage - 1) / perPage
 	if npages == 0 {
 		npages = 1
@@ -475,22 +453,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	defer putBuf(page)
 	skip := make([]bool, len(pl.OwnerDisks))
 	for p := 0; p < npages; p++ {
-		for i := range page {
-			page[i] = 0
-		}
-		start := p * perPage
-		end := start + perPage
-		if end > nrec {
-			end = nrec
-		}
-		binary.LittleEndian.PutUint32(page[0:], uint32(id))
-		binary.LittleEndian.PutUint32(page[4:], uint32(end-start))
-		off := pageHeaderV2
-		for _, k := range keys[start*dims : end*dims] {
-			binary.LittleEndian.PutUint64(page[off:], floatBits(k))
-			off += 8
-		}
-		binary.LittleEndian.PutUint32(page[8:], pageChecksum(page))
+		encodePage(page, id, keys[p*perPage*dims:min((p+1)*perPage, nrec)*dims], dims)
 		for i, d := range pl.OwnerDisks {
 			if skip[i] {
 				continue
@@ -524,23 +487,8 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 func (s *Store) writePage(ctx context.Context, disk int, buf []byte, off int64) error {
 	w := s.w
 	if s.faults.Enabled() {
-		inj, hit := s.faults.Eval(fault.SiteStoreWrite)
-		if inj2, hit2 := s.faults.Eval(w.writeSites[disk]); hit2 {
-			hit = true
-			inj.Delay += inj2.Delay
-			if inj.Err == nil {
-				inj.Err = inj2.Err
-			}
-		}
-		if hit {
-			if inj.Delay > 0 {
-				if err := fault.Sleep(ctx, inj.Delay); err != nil {
-					return err
-				}
-			}
-			if inj.Err != nil {
-				return inj.Err
-			}
+		if _, err := s.inject(ctx, fault.SiteStoreWrite, w.writeSites[disk]); err != nil {
+			return err
 		}
 	}
 	if err := w.crashPoint(); err != nil {

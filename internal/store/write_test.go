@@ -34,19 +34,20 @@ func verifyStoreMatchesGrid(t *testing.T, s *Store, f *gridfile.File) {
 	s.SetVerify(true)
 	total := 0
 	for _, v := range f.Buckets() {
-		pts, _, err := s.ReadBucket(context.Background(), v.ID)
+		fl, _, err := readBucket(context.Background(), s, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}
-		if len(pts) != v.Records {
-			t.Fatalf("bucket %d: read %d records, grid has %d", v.ID, len(pts), v.Records)
+		if fl.Len() != v.Records {
+			t.Fatalf("bucket %d: read %d records, grid has %d", v.ID, fl.Len(), v.Records)
 		}
-		total += len(pts)
+		total += fl.Len()
 		want := map[[2]float64]int{}
 		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
 			want[[2]float64{key[0], key[1]}]++
 		})
-		for _, p := range pts {
+		for i := 0; i < fl.Len(); i++ {
+			p := fl.Row(i)
 			k := [2]float64{p[0], p[1]}
 			if want[k] == 0 {
 				t.Fatalf("bucket %d: unexpected key %v", v.ID, p)
@@ -274,13 +275,5 @@ func TestReplayAfterAbandon(t *testing.T) {
 	}
 	if s3.Grid().Len() != f.Len()+len(keys) {
 		t.Fatalf("second reopen lost records: %d, want %d", s3.Grid().Len(), f.Len()+len(keys))
-	}
-}
-
-func TestWritableRejectsLegacyLayout(t *testing.T) {
-	dir, _, _ := buildReplicatedLayout(t, 4, 2)
-	downgradeLayout(t, dir, "legacy")
-	if _, err := OpenWritable(dir); err == nil {
-		t.Fatal("legacy layout opened writable")
 	}
 }

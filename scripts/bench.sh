@@ -3,8 +3,8 @@
 # diffed across commits. Two suites:
 #
 #   server     (default) the serving path: end-to-end server throughput
-#              (baseline vs tuned: bucket cache + coalesced I/O; pipelined
-#              variant), the open-loop rows (offered vs achieved qps and
+#              (cache-less baseline vs tuned, i.e. with the bucket cache;
+#              pipelined variant), the open-loop rows (offered vs achieved qps and
 #              intended-send-time percentiles per scheme and replication
 #              factor) plus the grid-file translation micro-benchmarks
 #              → BENCH_server.json

@@ -6,7 +6,9 @@
 #   2. go vet      static misuse
 #   3. go build    every package compiles
 #   4. go test     full suite under the race detector
-#   5. fuzz smoke  short runs of the protocol and codec fuzz targets
+#   5. fuzz smoke  short runs of the fuzz targets: wire protocol
+#                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
+#                  (FuzzRead) and layout manifests (FuzzManifest)
 #   6. trace smoke traced bench run: stage breakdown + slow-query log
 #   7. chaos smoke fault-injected bench run: zero errors, degraded answers;
 #                  then the same profile on an r=2 layout: zero errors, zero
@@ -60,6 +62,7 @@ echo "== fuzz smoke ($FUZZTIME each)"
 go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzDegradedCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
+go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
 
 echo "== trace smoke"
 TRACE_SEED="${TRACE_SEED:-1}" sh scripts/trace.sh 200
