@@ -5,7 +5,7 @@ GO ?= go
 FUZZTIME ?= 5s
 BENCHTIME ?= 2000x
 
-.PHONY: all build test race check fmt vet fuzz chaos replica write trace campaign bench bench-alloc bench-open bench-decluster bench-all loc clean
+.PHONY: all build test race check fmt vet fuzz bench bench-alloc bench-decluster bench-all loc clean
 
 all: build
 
@@ -30,34 +30,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/gridfile
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/store
 
-# Deterministic fault-injection smoke: bench run under the chaos profile
-# must finish with zero errors and nonzero degraded answers; the replicated
-# phase must finish with zero degraded answers and nonzero failovers.
-chaos:
-	sh scripts/chaos.sh
-
-# Deterministic replication smoke: r=2 layout with one disk hard-killed must
-# serve every query completely (0 errors, 0 degraded, failovers > 0).
-replica:
-	sh scripts/replica.sh
-
-# Online-write durability smoke: ingest at r=2 with one disk's page writes
-# killed, crash without a checkpoint, replay the journals; zero lost acks,
-# bucket splits observed, scrub clean.
-write:
-	sh scripts/write.sh
-
-# Observability smoke: traced bench run must emit a complete per-stage
-# breakdown in the bench JSON and one slow-query log line per query.
-trace:
-	sh scripts/trace.sh
-
-# Scenario-campaign regression gate: the deterministic fault × scheme ×
-# workload × replication matrix must reproduce byte-identically and match
-# the committed CAMPAIGN.json baseline exactly.
-campaign:
-	sh scripts/campaign.sh
-
 check:
 	sh scripts/check.sh $(FUZZTIME)
 
@@ -73,17 +45,10 @@ bench:
 bench-alloc:
 	BENCH_SUITE=alloc sh scripts/bench.sh $(BENCHTIME)
 
-# Open-loop load smoke: drive a fixed offered rate on a deterministic Poisson
-# schedule; the server must sustain it (0 errors, achieved >= 95% of offered)
-# with latency measured from intended send times.
-bench-open:
-	sh scripts/openloop.sh $(OPENLOOP_RATE)
-
-OPENLOOP_RATE ?= 2000
-
-# The build-path suite: BenchmarkDecluster serial vs parallel, parsed into
-# BENCH_decluster.json. One iteration per variant by default (the N=16k
-# serial points dominate the runtime); override with DECL_BENCHTIME.
+# The build-path suite: BenchmarkDecluster at one worker vs GOMAXPROCS
+# workers, parsed into BENCH_decluster.json. One iteration per variant by
+# default (the N=16k points dominate the runtime); override with
+# DECL_BENCHTIME.
 DECL_BENCHTIME ?= 1x
 bench-decluster:
 	BENCH_SUITE=decluster sh scripts/bench.sh $(DECL_BENCHTIME)
@@ -93,8 +58,8 @@ bench-all:
 	$(GO) test -bench=. -benchtime=1x .
 
 # How much there is: non-test Go lines outside bench/ per package directory,
-# and the exported field counts of the two option structs. A deletion PR
-# records the before/after of this in CHANGES.md.
+# the exported field counts of the two option structs, and the shell scripts.
+# A deletion PR records the before/after of this in CHANGES.md.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} + | \
 	  awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -103,6 +68,7 @@ loc:
 	  printf '%7d exported fields in server.%s\n' \
 	    "$$($(GO) doc ./internal/server $$t | grep -c '^	[A-Z][A-Za-z0-9]* ')" $$t; \
 	done
+	@wc -l scripts/*.sh
 
 clean:
 	$(GO) clean ./...

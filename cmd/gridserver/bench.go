@@ -29,13 +29,6 @@ import (
 	"pgridfile/internal/workload"
 )
 
-// parseAllocator resolves gridtool's algorithm names: minimax,
-// minimax-euclid, ssp, mst, or scheme/resolver pairs like DM/D, FX/R,
-// HCAM/F; the name grammar lives in core.ParseAllocator.
-func parseAllocator(name string, seed int64) (core.Allocator, error) {
-	return core.ParseAllocator(name, seed, 0)
-}
-
 type benchOpts struct {
 	clients      int
 	queries      int
@@ -258,7 +251,7 @@ func runBench(args []string, out io.Writer) error {
 		g := core.FromGridFile(f)
 		for _, name := range strings.Split(*algs, ",") {
 			name = strings.TrimSpace(name)
-			allocator, err := parseAllocator(name, opts.seed)
+			allocator, err := core.ParseAllocator(name, opts.seed, 0)
 			if err != nil {
 				return err
 			}

@@ -13,13 +13,11 @@ import (
 // runCampaign executes the scenario campaign (internal/campaign): a seeded
 // fault × scheme × workload × replication matrix served by in-process
 // gridservers, rendered as a table and optionally written as deterministic
-// JSON. With -baseline it becomes a regression gate: any gated counter
-// drifting beyond -tolerance from the committed report fails the run.
+// JSON. (The regression gate against the committed CAMPAIGN.json is
+// internal/campaign's TestDefaultMatrixMatchesCommittedBaseline.)
 func runCampaign(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	out := fs.String("out", "", "write the report JSON here (byte-identical for a fixed seed and matrix)")
-	baseline := fs.String("baseline", "", "baseline report to gate against; non-zero exit on any violation")
-	tolerance := fs.Float64("tolerance", 0, "relative per-counter tolerance for the baseline gate (0 = exact)")
 	records := fs.Int("records", 0, "synthetic dataset size (default 900)")
 	disks := fs.Int("disks", 0, "layout disk count (default 4)")
 	queries := fs.Int("queries", 0, "queries per trial (default 40)")
@@ -39,7 +37,7 @@ func runCampaign(args []string, w io.Writer) error {
 		Seed:      *seed,
 		Schemes:   splitList(*schemes),
 		Workloads: splitList(*workloads),
-		Faults:    splitFaults(*faults),
+		Faults:    splitList(*faults), // a spec's rules are ;-separated, so commas still delimit axes
 	}
 	for _, rs := range splitList(*replicas) {
 		r, err := strconv.Atoi(rs)
@@ -60,19 +58,6 @@ func runCampaign(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "campaign: report written to %s (%d cells)\n", *out, len(rep.Cells))
 	}
-	if *baseline != "" {
-		base, err := campaign.Load(*baseline)
-		if err != nil {
-			return err
-		}
-		if viol := campaign.Compare(rep, base, *tolerance); len(viol) > 0 {
-			for _, v := range viol {
-				fmt.Fprintf(w, "campaign: REGRESSION %s\n", v)
-			}
-			return fmt.Errorf("campaign: %d regression(s) against %s", len(viol), *baseline)
-		}
-		fmt.Fprintf(w, "campaign: gate passed against %s (tolerance %g)\n", *baseline, *tolerance)
-	}
 	return nil
 }
 
@@ -87,8 +72,3 @@ func splitList(s string) []string {
 	}
 	return out
 }
-
-// splitFaults splits the fault-axis list. Fault specs themselves may contain
-// commas only via multiple rules separated by ";", so commas still delimit
-// axes.
-func splitFaults(s string) []string { return splitList(s) }

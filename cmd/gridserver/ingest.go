@@ -14,7 +14,7 @@ import (
 )
 
 // ingestReport is the JSON document runIngest emits: the crash/replay smoke
-// evidence scripts/write.sh gates on.
+// evidence TestIngestCrashReplay gates on.
 type ingestReport struct {
 	Store     string `json:"store"`
 	Attempted int    `json:"attempted"` // inserts attempted before the crash
@@ -34,7 +34,7 @@ type ingestReport struct {
 
 // runIngest is the online-write crash/replay smoke: open a writable layout,
 // optionally arm failpoints on the write path (e.g. kill one disk's page
-// writes, the way scripts/write.sh does at r=2), ingest -n records while
+// writes, the way TestIngestCrashReplay does at r=2), ingest -n records while
 // recording which inserts were acknowledged, hard-crash the store WITHOUT a
 // checkpoint, reopen it (journal replay), and verify that every acknowledged
 // insert survived, then scrub the whole layout for checksum damage. The

@@ -30,14 +30,14 @@
 // through the FAULT admin verb: serve starts chaos-injected, bench measures a
 // server under injected disk errors, stalls and torn reads. With -degraded
 // the server answers such queries partially (flagged on the wire) instead of
-// erroring; scripts/chaos.sh is the deterministic smoke gate built on this.
+// erroring; TestBenchChaosMode is the smoke gate built on this.
 //
 // Both subcommands also expose the per-query stage trace: -trace-sample N
 // (serve) traces every Nth query, feeding per-stage latency histograms into
 // STATS and /metrics, while -trace-slow logs traced queries at or above the
 // threshold as structured one-liners on stderr (0 logs every traced query).
 // bench traces its in-process servers by default (-trace), so -json rows
-// carry a stage_p50_us breakdown; scripts/trace.sh is the smoke gate.
+// carry a stage_p50_us breakdown; TestBenchStoreMode is the smoke gate.
 //
 // With -open-loop, bench switches from the closed loop to the honest load
 // model of DESIGN S26: requests arrive on a deterministic seeded schedule
@@ -48,7 +48,7 @@
 // -sweep start:factor:steps escalates the offered rate geometrically and
 // marks the knee: the last rate served with zero errors, >=95% of the offered
 // throughput and (optionally) p99 <= -slo. -pipeline N keeps N requests in
-// flight per connection via tagged frames; scripts/openloop.sh is the gate.
+// flight per connection via tagged frames; TestBenchOpenLoopMode is the gate.
 package main
 
 import (

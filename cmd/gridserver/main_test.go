@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,14 +46,45 @@ func writeTestLayout(t *testing.T, records, disks int) (layoutDir, gridPath stri
 	return layoutDir, gridPath
 }
 
+// readBenchRows decodes the rows a `bench -json` run wrote.
+func readBenchRows(t *testing.T, path string) []benchRow {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []benchRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, data)
+	}
+	return rows
+}
+
 // TestBenchStoreMode serves a layout in-process and runs the closed-loop
-// load against it, asserting a clean (zero-error) report.
+// load against it, asserting a clean (zero-error) report and the two
+// observability surfaces of DESIGN S23: the JSON row breaks the run down by
+// all eight stages, and -trace-slow 0 puts exactly one well-formed slow-query
+// line per query on stderr.
 func TestBenchStoreMode(t *testing.T) {
+	const queries = 200
 	dir, _ := writeTestLayout(t, 600, 4)
+	jsonPath := filepath.Join(t.TempDir(), "rows.json")
+
+	// The in-process server logs slow queries to os.Stderr; point it at a
+	// file for the run.
+	logFile, err := os.Create(filepath.Join(t.TempDir(), "stderr.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	stderr := os.Stderr
+	os.Stderr = logFile
 	var buf bytes.Buffer
-	err := runBench([]string{
-		"-store", dir, "-clients", "4", "-queries", "200", "-seed", "7",
+	err = runBench([]string{
+		"-store", dir, "-clients", "4", "-queries", strconv.Itoa(queries), "-seed", "7",
+		"-trace-slow", "0", "-json", jsonPath,
 	}, &buf)
+	os.Stderr = stderr
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,45 +95,103 @@ func TestBenchStoreMode(t *testing.T) {
 	if !strings.Contains(out, "p95") || !strings.Contains(out, "fetch imbalance") {
 		t.Errorf("report missing latency/imbalance columns:\n%s", out)
 	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, filepath.Base(dir)) {
-			fields := strings.Fields(line)
-			// scheme r queries errors qps p50 p95 p99 imbalance ...
-			if len(fields) < 4 || fields[3] != "0" {
-				t.Errorf("bench reported errors: %q", line)
-			}
+	rows := readBenchRows(t, jsonPath)
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rows))
+	}
+	if rows[0].Queries != queries || rows[0].Errors != 0 {
+		t.Errorf("bench ran %d queries with %d errors, want %d/0", rows[0].Queries, rows[0].Errors, queries)
+	}
+	for _, stage := range []string{"admission", "translate", "cache", "fetch_wait", "pread", "decode", "backoff", "encode"} {
+		if _, ok := rows[0].Stages[stage]; !ok {
+			t.Errorf("stage %q missing from stage_p50_us: %v", stage, rows[0].Stages)
+		}
+	}
+
+	log, err := os.ReadFile(logFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(log)), "\n")
+	if len(lines) != queries {
+		t.Fatalf("slow-query log has %d lines, want one per query (%d)", len(lines), queries)
+	}
+	wellFormed := regexp.MustCompile(`^gridserver trace verb=.* elapsed=.* pread=.* buckets=`)
+	for _, ln := range lines {
+		if !wellFormed.MatchString(ln) {
+			t.Fatalf("malformed slow-query line: %q", ln)
 		}
 	}
 }
 
-// TestBenchChaosMode runs the closed-loop load with one disk killed through
-// the -fault flag and degraded mode on: the run must finish with zero
-// errors, and the report's trailing column must count the partial answers.
+// TestBenchChaosMode runs the closed-loop load with failpoints armed through
+// the -fault flag, degraded mode on and the cache off. Every run must finish
+// with zero errors. Without a replica the faults surface as flagged partial
+// answers (degraded > 0, proving they fired); on an r=2 layout replica
+// failover must absorb them instead (degraded = 0, failover > 0).
 func TestBenchChaosMode(t *testing.T) {
+	// The standard chaos profile: random read errors, stalls and torn reads.
+	const profile = "store.read:err:p=0.2;store.read:delay=2ms:p=0.05;store.read:torn:p=0.05"
 	dir, _ := writeTestLayout(t, 600, 4)
-	var buf bytes.Buffer
-	err := runBench([]string{
-		"-store", dir, "-clients", "4", "-queries", "200", "-seed", "7",
-		"-fault", "store.read.disk0:err", "-degraded", "-cache-bytes", "0",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "degraded") {
-		t.Errorf("report missing degraded column:\n%s", out)
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, filepath.Base(dir)) {
-			fields := strings.Fields(line)
-			// scheme r queries errors ... degraded failover
-			if len(fields) < 5 || fields[3] != "0" {
-				t.Errorf("chaos bench reported errors: %q", line)
+	for _, tc := range []struct {
+		name, layout, fault string
+		args                []string
+		replicated          bool
+		rounds              int
+	}{
+		{"r=1 dead disk", dir, "store.read.disk0:err", []string{"-queries", "200"}, false, 1},
+		{"r=1 chaos profile", dir, profile, []string{"-queries", "1000"}, false, 1},
+		{"r=2 dead disk", writeReplicatedTestLayout(t, 600, 4, 2), "store.read.disk0:err",
+			[]string{"-queries", "200"}, true, 1},
+		// Under the random profile the failover target is as faulty as the
+		// disk that just failed, and a reroute happens only when a batch
+		// exhausts its retries, so the two r=2 verdicts pull against each
+		// other: a deep budget (9 attempts per owner: a rerouted bucket is
+		// lost with probability 0.24^9) keeps degraded at zero, multi-span
+		// batches (a larger layout, 20 % queries) exhaust it a handful of
+		// times per thousand queries, and the load repeats under fresh seeds
+		// until a failover has been seen (36 of 40 calibration rounds saw one,
+		// none saw a degraded answer).
+		{"r=2 chaos profile", writeReplicatedTestLayout(t, 4000, 4, 2), profile,
+			[]string{"-queries", "1000", "-r", "0.2", "-fetch-retries", "8"}, true, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var failovers int64
+			for round := 1; round <= tc.rounds && failovers == 0; round++ {
+				jsonPath := filepath.Join(t.TempDir(), "rows.json")
+				seed := strconv.Itoa(round)
+				var buf bytes.Buffer
+				err := runBench(append([]string{
+					"-store", tc.layout, "-clients", "8", "-seed", seed,
+					"-fault", tc.fault, "-fault-seed", seed, "-degraded", "-cache-bytes", "0",
+					"-json", jsonPath,
+				}, tc.args...), &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(buf.String(), "degraded") {
+					t.Errorf("report missing degraded column:\n%s", buf.String())
+				}
+				rows := readBenchRows(t, jsonPath)
+				if len(rows) != 1 {
+					t.Fatalf("got %d rows, want 1", len(rows))
+				}
+				row := rows[0]
+				if row.Errors != 0 {
+					t.Errorf("round %d: %d queries errored out under faults", round, row.Errors)
+				}
+				switch {
+				case !tc.replicated && row.Degraded == 0:
+					t.Errorf("round %d: no degraded answers; did the faults fire?", round)
+				case tc.replicated && row.Degraded != 0:
+					t.Errorf("round %d: %d degraded answers; failover should absorb the faults", round, row.Degraded)
+				}
+				failovers += row.ReplicaFailover
 			}
-			if fields[len(fields)-2] == "0" {
-				t.Errorf("dead disk produced zero degraded answers: %q", line)
+			if tc.replicated && failovers == 0 {
+				t.Error("zero failovers; did the faults fire?")
 			}
-		}
+		})
 	}
 
 	// A malformed spec must fail the run up front.
@@ -111,16 +202,24 @@ func TestBenchChaosMode(t *testing.T) {
 	}
 }
 
-// TestBenchOpenLoopMode drives the open-loop harness against an in-process
-// server with pipelining on, and checks the report (table and JSON) carries
-// the offered/achieved rates and intended-send-time percentiles.
+// TestBenchOpenLoopMode is the open-loop load gate: requests are released
+// on a seeded Poisson schedule at a fixed offered rate however fast responses
+// come back, with latency measured from intended send times, so a slow
+// server shows up as achieved qps below offered (DESIGN S26). The in-process
+// server must sustain 2000 qps for 2 s — zero errors, achieved at least 95 %
+// of offered — with the client pipelining so the harness is not the
+// bottleneck; the report (table and JSON) must carry the offered/achieved
+// rates and intended-send-time percentiles.
 func TestBenchOpenLoopMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2 s open-loop run")
+	}
 	dir, _ := writeTestLayout(t, 600, 4)
 	jsonPath := filepath.Join(t.TempDir(), "rows.json")
 	var buf bytes.Buffer
 	err := runBench([]string{
-		"-store", dir, "-open-loop", "-rate", "500", "-duration", "500ms",
-		"-pipeline", "8", "-clients", "2", "-seed", "7", "-json", jsonPath,
+		"-store", dir, "-open-loop", "-rate", "2000", "-duration", "2s",
+		"-pipeline", "16", "-clients", "4", "-seed", "1", "-json", jsonPath,
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -143,17 +242,16 @@ func TestBenchOpenLoopMode(t *testing.T) {
 		t.Fatalf("got %d rows, want 1", len(rows))
 	}
 	r := rows[0]
-	if r["mode"] != "open" || r["arrivals"] != "poisson" || r["pipeline"] != float64(8) {
+	if r["mode"] != "open" || r["arrivals"] != "poisson" || r["pipeline"] != float64(16) {
 		t.Errorf("row metadata wrong: %v", r)
 	}
-	if off := r["offered_qps"].(float64); off != 500 {
-		t.Errorf("offered_qps = %v, want 500", off)
+	if off := r["offered_qps"].(float64); off != 2000 {
+		t.Errorf("offered_qps = %v, want 2000", off)
 	}
-	// Elapsed includes draining the in-flight tail after the last arrival,
-	// which is a visible fraction of a 500ms run; the strict 95% bound is
-	// scripts/openloop.sh's job on a 2s run.
-	if ach := r["achieved_qps"].(float64); ach < 0.8*500 {
-		t.Errorf("achieved_qps = %v: tiny layout could not sustain 500 qps", ach)
+	// Elapsed includes draining the in-flight tail after the last arrival;
+	// on a 2 s run that is well inside the 5 % allowance.
+	if ach := r["achieved_qps"].(float64); ach < 0.95*2000 {
+		t.Errorf("achieved_qps = %v: the server did not sustain 95%% of 2000 qps offered", ach)
 	}
 	if errs := r["errors"].(float64); errs != 0 {
 		t.Errorf("open-loop run had %v errors", errs)
@@ -257,19 +355,6 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
-func TestParseAllocatorNames(t *testing.T) {
-	for _, name := range []string{"minimax", "minimax-euclid", "ssp", "mst", "DM/D", "FX/R", "HCAM/F"} {
-		if _, err := parseAllocator(name, 1); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	for _, name := range []string{"", "bogus", "DM", "DM/X/Y"} {
-		if _, err := parseAllocator(name, 1); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
 // writeReplicatedTestLayout builds a small r-way replicated minimax layout
 // (checksummed pages, so it is writable).
 func writeReplicatedTestLayout(t *testing.T, records, disks, r int) string {
@@ -294,9 +379,11 @@ func writeReplicatedTestLayout(t *testing.T, records, disks, r int) string {
 	return dir
 }
 
-// TestIngestCrashReplay runs the ingest subcommand with one disk's page
-// writes killed: the JSON report must show zero lost acks, a clean scrub,
-// and a replay that actually happened.
+// TestIngestCrashReplay is the online-write durability gate: ingest at r=2
+// with one disk's page writes killed, crash without a checkpoint, replay the
+// journals. The JSON report must show zero lost acks, a clean scrub (the dead
+// disk's copies healed from the redo log), a replay that actually happened
+// and an ingest that actually split buckets.
 func TestIngestCrashReplay(t *testing.T) {
 	dir := writeReplicatedTestLayout(t, 600, 4, 2)
 	var buf bytes.Buffer
@@ -316,6 +403,9 @@ func TestIngestCrashReplay(t *testing.T) {
 	}
 	if rep.Acked == 0 || rep.Replayed == 0 {
 		t.Fatalf("ingest did not exercise the journal: %+v", rep)
+	}
+	if rep.Splits == 0 {
+		t.Fatalf("zero bucket splits; the ingest never stressed the split path: %+v", rep)
 	}
 }
 
@@ -342,14 +432,7 @@ func TestBenchWriteFrac(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []benchRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
-	}
+	rows := readBenchRows(t, jsonPath)
 	if len(rows) != 1 {
 		t.Fatalf("want 1 row, got %d", len(rows))
 	}

@@ -230,7 +230,7 @@ func runDecluster(args []string) error {
 	}
 	g := core.FromGridFile(f)
 
-	allocator, err := parseAllocator(*alg, *seed, *workers)
+	allocator, err := core.ParseAllocator(*alg, *seed, *workers)
 	if err != nil {
 		return err
 	}

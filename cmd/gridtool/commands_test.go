@@ -79,31 +79,3 @@ func TestReadPoints(t *testing.T) {
 		t.Error("non-numeric CSV accepted")
 	}
 }
-
-func TestParseAllocator(t *testing.T) {
-	cases := map[string]string{
-		"minimax":        "MiniMax",
-		"MINIMAX":        "MiniMax",
-		"minimax-euclid": "MiniMax(euclid)",
-		"ssp":            "SSP",
-		"mst":            "MST",
-		"DM/D":           "DM/D",
-		"HCAM/A":         "HCAM/A",
-		"GDM/F":          "GDM/F",
-	}
-	for in, want := range cases {
-		alg, err := parseAllocator(in, 1, 0)
-		if err != nil {
-			t.Errorf("parseAllocator(%q): %v", in, err)
-			continue
-		}
-		if alg.Name() != want {
-			t.Errorf("parseAllocator(%q).Name() = %q, want %q", in, alg.Name(), want)
-		}
-	}
-	for _, bad := range []string{"", "nope", "DM", "DM/Z", "XX/D"} {
-		if _, err := parseAllocator(bad, 1, 0); err == nil {
-			t.Errorf("parseAllocator(%q) accepted", bad)
-		}
-	}
-}

@@ -32,7 +32,7 @@ func runLayout(args []string) error {
 	if err != nil {
 		return err
 	}
-	allocator, err := parseAllocator(*alg, *seed, *workers)
+	allocator, err := core.ParseAllocator(*alg, *seed, *workers)
 	if err != nil {
 		return err
 	}

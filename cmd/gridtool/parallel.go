@@ -28,7 +28,7 @@ func runParallel(args []string) error {
 	if err != nil {
 		return err
 	}
-	allocator, err := parseAllocator(*alg, *seed, 0)
+	allocator, err := core.ParseAllocator(*alg, *seed, 0)
 	if err != nil {
 		return err
 	}

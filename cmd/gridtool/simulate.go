@@ -12,12 +12,6 @@ import (
 	"pgridfile/internal/workload"
 )
 
-// parseAllocator resolves an algorithm name shared by decluster, layout,
-// simulate and viz; the name grammar lives in core.ParseAllocator.
-func parseAllocator(name string, seed int64, workers int) (core.Allocator, error) {
-	return core.ParseAllocator(name, seed, workers)
-}
-
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	path := fs.String("file", "", "grid file (required)")
@@ -54,7 +48,7 @@ func runSimulate(args []string) error {
 		"spans:id", "spans:hilbert", fmt.Sprintf("spans:hilb+%d", store.ReadThroughPages))
 	nn := sim.NearestCompanionsWorkers(g, nil, *workers)
 	for _, name := range strings.Split(*algs, ",") {
-		alg, err := parseAllocator(strings.TrimSpace(name), *seed, *workers)
+		alg, err := core.ParseAllocator(strings.TrimSpace(name), *seed, *workers)
 		if err != nil {
 			return err
 		}

@@ -34,7 +34,7 @@ func runViz(args []string) error {
 	case "svg":
 		opts := render.SVGOptions{Width: *width, Points: *points}
 		if *alg != "" {
-			allocator, err := parseAllocator(*alg, *seed, *workers)
+			allocator, err := core.ParseAllocator(*alg, *seed, *workers)
 			if err != nil {
 				return err
 			}
@@ -51,7 +51,7 @@ func runViz(args []string) error {
 		if *alg == "" {
 			return fmt.Errorf("viz: ascii-alloc needs -alg")
 		}
-		allocator, err2 := parseAllocator(*alg, *seed, *workers)
+		allocator, err2 := core.ParseAllocator(*alg, *seed, *workers)
 		if err2 != nil {
 			return err2
 		}

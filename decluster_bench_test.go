@@ -1,16 +1,16 @@
 package pgridfile
 
 // BenchmarkDecluster tracks the declustering *build* path the way
-// BenchmarkServerThroughput tracks the serving path: serial (the pre-engine
-// reference: a Weight closure over geom.Proximity per edge) versus parallel
-// (the flattened pairwise-weight engine at Workers=GOMAXPROCS) across grid
-// and disk sizes. scripts/bench.sh parses the output into
+// BenchmarkServerThroughput tracks the serving path: the pairwise-weight
+// engine with its sweeps on one worker versus on GOMAXPROCS workers, across
+// grid and disk sizes. scripts/bench.sh parses the output into
 // BENCH_decluster.json.
 //
-// Every parallel variant also re-runs the serial reference once outside the
-// timed loop and asserts the engine assignment is byte-identical — the
-// determinism contract that makes the parallel path safe to enable by
-// default.
+// Every workers=max variant also asserts, outside the timed loop, that its
+// assignment is byte-identical to the workers=1 one — the determinism
+// contract that makes the parallel sweeps safe to enable by default. (The
+// textbook serial loops the engine is held to live in
+// internal/core/reference_test.go.)
 //
 // Run: go test -bench='^BenchmarkDecluster$' -benchtime 1x .
 
@@ -36,30 +36,16 @@ func declusterBenchGrid(tb testing.TB, side int) core.Grid {
 	return core.FromCartesian(cf)
 }
 
-// legacyProximity is ProximityWeight hidden behind a closure so the engine's
-// built-in weight detection does not fire: allocators fall back to the
-// serial reference path, giving the pre-engine baseline.
-func legacyProximity(a, b gridfile.BucketView, dom geom.Rect) float64 {
-	return geom.Proximity(a.Region, b.Region, dom)
-}
-
-// declusterBenchAlloc returns the allocator under test. Serial mode uses the
-// legacy closure path; parallel mode uses the engine with Workers=GOMAXPROCS
-// (Workers: 0).
-func declusterBenchAlloc(alg string, serial bool) core.Allocator {
-	var w core.Weight
-	if serial {
-		w = func(a, b gridfile.BucketView, dom geom.Rect) float64 {
-			return legacyProximity(a, b, dom)
-		}
-	}
+// declusterBenchAlloc returns the allocator under test at the given engine
+// worker count (0 = GOMAXPROCS).
+func declusterBenchAlloc(alg string, workers int) core.Allocator {
 	switch alg {
 	case "minimax":
-		return &core.Minimax{Weight: w, Seed: 1}
+		return &core.Minimax{Seed: 1, Workers: workers}
 	case "ssp":
-		return &core.SSP{Weight: w, Seed: 1}
+		return &core.SSP{Seed: 1, Workers: workers}
 	case "mst":
-		return &core.MST{Weight: w, Seed: 1}
+		return &core.MST{Seed: 1, Workers: workers}
 	}
 	panic("unknown algorithm " + alg)
 }
@@ -76,17 +62,16 @@ func BenchmarkDecluster(b *testing.B) {
 			cfgs = append(cfgs, cfg{"minimax", side, disks})
 		}
 	}
-	// SSP walks one path (no per-tree state) and serial MST's global scan is
-	// O(N·M) per step; one mid-size point each tracks them without
-	// dominating the suite.
+	// One mid-size point each tracks SSP and MST without dominating the
+	// suite.
 	cfgs = append(cfgs, cfg{"ssp", 64, 16}, cfg{"mst", 64, 16})
 
 	for _, c := range cfgs {
 		n := c.side * c.side
 		g := declusterBenchGrid(b, c.side)
 		name := c.alg + "/N=" + strconv.Itoa(n) + "/M=" + strconv.Itoa(c.disks)
-		b.Run(name+"/serial", func(b *testing.B) {
-			alloc := declusterBenchAlloc(c.alg, true)
+		b.Run(name+"/workers=1", func(b *testing.B) {
+			alloc := declusterBenchAlloc(c.alg, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := alloc.Decluster(g, c.disks); err != nil {
@@ -95,8 +80,8 @@ func BenchmarkDecluster(b *testing.B) {
 			}
 			b.ReportMetric(float64(n), "buckets")
 		})
-		b.Run(name+"/parallel", func(b *testing.B) {
-			alloc := declusterBenchAlloc(c.alg, false)
+		b.Run(name+"/workers=max", func(b *testing.B) {
+			alloc := declusterBenchAlloc(c.alg, 0)
 			var got core.Allocation
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -107,13 +92,13 @@ func BenchmarkDecluster(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(n), "buckets")
-			want, err := declusterBenchAlloc(c.alg, true).Decluster(g, c.disks)
+			want, err := declusterBenchAlloc(c.alg, 1).Decluster(g, c.disks)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for x := range want.Assign {
 				if got.Assign[x] != want.Assign[x] {
-					b.Fatalf("engine assignment diverges from serial reference at bucket %d: got disk %d, want %d",
+					b.Fatalf("workers=max assignment diverges from workers=1 at bucket %d: got disk %d, want %d",
 						x, got.Assign[x], want.Assign[x])
 				}
 			}

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -114,41 +116,85 @@ func TestCampaignDeterministicAndSound(t *testing.T) {
 	}
 }
 
+// TestDefaultMatrixMatchesCommittedBaseline is the campaign regression gate:
+// the default matrix must reproduce the committed CAMPAIGN.json byte for
+// byte (which also makes it deterministic run to run), span at least 24
+// cells, serve its full query budget in every cell and surface no error in
+// any. After an intentional behavior change, regenerate the baseline with
+//
+//	go run ./cmd/gridserver campaign -out CAMPAIGN.json
+//
+// and commit it alongside the change.
+func TestDefaultMatrixMatchesCommittedBaseline(t *testing.T) {
+	const baseline = "../../CAMPAIGN.json"
+	rep, err := Run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) < 24 {
+		t.Errorf("default matrix has %d cells, want >= 24", len(rep.Cells))
+	}
+	for _, c := range rep.Cells {
+		if c.Errors != 0 {
+			t.Errorf("%s: %d queries surfaced an error", c.key(), c.Errors)
+		}
+		if c.Queries != int64(rep.Queries*rep.Trials) {
+			t.Errorf("%s: served %d queries, want %d", c.key(), c.Queries, rep.Queries*rep.Trials)
+		}
+	}
+	got, err := rep.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	base, err := Load(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range Compare(rep, base) {
+		t.Error(v)
+	}
+	t.Fatalf("report drifted from %s", baseline)
+}
+
 // TestCompareGating pins the baseline gate: a report matches itself, a
-// drifted counter is a violation unless tolerance covers it, and shape or
-// config mismatches are refused loudly.
+// counter off by one is a violation, and shape or config mismatches are
+// refused loudly.
 func TestCompareGating(t *testing.T) {
 	base := &Report{Seed: 1, Records: 300, Disks: 4, Queries: 20, Trials: 1,
 		Cells: []Cell{
 			{Fault: "none", Scheme: "minimax", Workload: "uniform", Replicas: 1, Queries: 20, ScrubPages: 16},
 			{Fault: "corrupt", Scheme: "minimax", Workload: "uniform", Replicas: 2, Queries: 20, Failover: 7, ScrubPages: 32, ScrubCorrupt: 3, ScrubRepaired: 3},
 		}}
-	if v := Compare(base, base, 0); len(v) != 0 {
+	if v := Compare(base, base); len(v) != 0 {
 		t.Fatalf("report does not match itself: %v", v)
 	}
 
 	drift := *base
 	drift.Cells = append([]Cell(nil), base.Cells...)
 	drift.Cells[1].Failover = 8
-	if v := Compare(&drift, base, 0); len(v) != 1 || !strings.Contains(v[0], "failover") {
-		t.Errorf("off-by-one failover at tolerance 0: %v", v)
-	}
-	if v := Compare(&drift, base, 0.2); len(v) != 0 {
-		t.Errorf("20%% tolerance should absorb 7→8: %v", v)
+	if v := Compare(&drift, base); len(v) != 1 || !strings.Contains(v[0], "failover") {
+		t.Errorf("off-by-one failover: %v", v)
 	}
 
 	missing := *base
 	missing.Cells = base.Cells[:1]
-	if v := Compare(&missing, base, 0); len(v) != 1 || !strings.Contains(v[0], "missing") {
+	if v := Compare(&missing, base); len(v) != 1 || !strings.Contains(v[0], "missing") {
 		t.Errorf("dropped cell: %v", v)
 	}
-	if v := Compare(base, &missing, 0); len(v) != 1 || !strings.Contains(v[0], "not in baseline") {
+	if v := Compare(base, &missing); len(v) != 1 || !strings.Contains(v[0], "not in baseline") {
 		t.Errorf("extra cell: %v", v)
 	}
 
 	cfg := *base
 	cfg.Seed = 2
-	if v := Compare(&cfg, base, 0); len(v) != 1 || !strings.Contains(v[0], "config mismatch") {
+	if v := Compare(&cfg, base); len(v) != 1 || !strings.Contains(v[0], "config mismatch") {
 		t.Errorf("config mismatch: %v", v)
 	}
 }

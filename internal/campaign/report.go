@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -137,11 +136,9 @@ func (r *Report) Table() *stats.Table {
 }
 
 // Compare gates got against a baseline: identical configuration, identical
-// matrix shape, and every gated counter within tol of the baseline value
-// (relative, with an absolute floor of tol itself so zero baselines admit
-// tiny drift only when tol > 0; tol 0 demands exact equality). It returns
-// human-readable violations, empty when the gate passes.
-func Compare(got, want *Report, tol float64) []string {
+// matrix shape, and every gated counter equal to the baseline value. It
+// returns human-readable violations, empty when the gate passes.
+func Compare(got, want *Report) []string {
 	var v []string
 	if got.Seed != want.Seed || got.Records != want.Records || got.Disks != want.Disks ||
 		got.Queries != want.Queries || got.Trials != want.Trials {
@@ -163,9 +160,9 @@ func Compare(got, want *Report, tol float64) []string {
 		delete(index, w.key())
 		wc := w.gated()
 		for i, gc := range g.gated() {
-			if !within(gc.val, wc[i].val, tol) {
-				v = append(v, fmt.Sprintf("%s: %s = %d, baseline %d (tolerance %g)",
-					w.key(), gc.name, gc.val, wc[i].val, tol))
+			if gc.val != wc[i].val {
+				v = append(v, fmt.Sprintf("%s: %s = %d, baseline %d",
+					w.key(), gc.name, gc.val, wc[i].val))
 			}
 		}
 	}
@@ -178,9 +175,4 @@ func Compare(got, want *Report, tol float64) []string {
 		v = append(v, "cell not in baseline: "+k)
 	}
 	return v
-}
-
-func within(got, want int64, tol float64) bool {
-	d := float64(got - want)
-	return math.Abs(d) <= tol*math.Max(1, math.Abs(float64(want)))
 }

@@ -35,12 +35,14 @@ import (
 //     result is byte-identical for ANY worker count. Shards write disjoint
 //     vertex entries, so sweeps are race-free by construction.
 //
-// Custom Weight functions keep the existing serial slow path: the engine
-// only recognizes the package's built-in weights (a nil Weight,
-// ProximityWeight and EuclideanWeight), because only those are known to be
+// The engine inlines the package's built-in weights (a nil Weight,
+// ProximityWeight and EuclideanWeight). Any other Weight runs through the
+// same sweeps on the generic kernel, which calls the closure once per pair
+// with the sweeps pinned to one worker: only the built-ins are known to be
 // pure and safe to evaluate concurrently.
 
-// weightKind identifies the built-in edge weights the engine can inline.
+// weightKind selects the engine's kernel: generic calls the Weight closure
+// per pair, the other two are the built-in weights the engine inlines.
 type weightKind int
 
 const (
@@ -50,7 +52,7 @@ const (
 )
 
 // kindOf recognizes the package's built-in weight functions by identity.
-// Closures and user functions map to kindGeneric and take the slow path.
+// Closures and user functions map to kindGeneric.
 func kindOf(w Weight) weightKind {
 	if w == nil {
 		return kindProximity
@@ -73,6 +75,8 @@ type PairEngine struct {
 	n       int
 	dims    int
 	kind    weightKind
+	grid    Grid      // generic kernel only: the closure's arguments
+	weight  Weight    // generic kernel only
 	boxes   []float64 // n × 2·dims: lo,hi interleaved per axis
 	centers []float64 // n × dims, euclid kernel only
 	lens    []float64 // per-axis domain length, 0 for degenerate axes
@@ -87,14 +91,15 @@ type PairEngine struct {
 }
 
 // NewPairEngine builds an engine for g and w with the given worker count
-// (<= 0 means GOMAXPROCS). It returns nil when w is not one of the built-in
-// weights; callers must then use their serial slow path.
+// (<= 0 means GOMAXPROCS). When w is not one of the built-in weights the
+// worker count is ignored and every sweep runs on the calling goroutine: a
+// custom Weight may be neither pure nor safe to call concurrently.
 func NewPairEngine(g Grid, w Weight, workers int) *PairEngine {
 	kind := kindOf(w)
-	if kind == kindGeneric {
-		return nil
-	}
-	if workers <= 0 {
+	switch {
+	case kind == kindGeneric:
+		workers = 1
+	case workers <= 0:
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := len(g.Buckets)
@@ -115,6 +120,8 @@ func NewPairEngine(g Grid, w Weight, workers int) *PairEngine {
 		}
 	}
 	switch kind {
+	case kindGeneric:
+		e.grid, e.weight = g, w
 	case kindProximity:
 		e.boxes = make([]float64, n*2*dims)
 		for i, b := range g.Buckets {
@@ -165,6 +172,11 @@ func (e *PairEngine) Weigh(i, j int) float64 {
 // batch, not per edge.
 func (e *PairEngine) weighBatch(fixed int32, xs []int32, out []float64) {
 	switch {
+	case e.kind == kindGeneric:
+		fb := e.grid.Buckets[fixed]
+		for i, x := range xs {
+			out[i] = e.weight(fb, e.grid.Buckets[x], e.grid.Domain)
+		}
 	case e.kind == kindEuclid:
 		e.euclidBatch(fixed, xs, out)
 	case e.dims == 2:
@@ -177,8 +189,8 @@ func (e *PairEngine) weighBatch(fixed int32, xs []int32, out []float64) {
 // proxBatch is the Kamel–Faloutsos proximity kernel over the flattened
 // layout. It performs the exact floating-point operations of geom.Proximity
 // (including the per-axis division by the domain length), so its results —
-// and therefore every assignment built from them — are bit-identical to the
-// closure path it replaces.
+// and therefore every assignment built from them — are bit-identical to
+// calling ProximityWeight per pair.
 func (e *PairEngine) proxBatch(fixed int32, xs []int32, out []float64) {
 	d2 := 2 * e.dims
 	boxes := e.boxes
@@ -293,8 +305,8 @@ func (e *PairEngine) proxBatch2(fixed int32, xs []int32, out []float64) {
 }
 
 // euclidBatch is the center-distance similarity kernel (EuclideanWeight)
-// over precomputed bucket centers, operation-for-operation identical to the
-// closure path.
+// over precomputed bucket centers, operation-for-operation identical to
+// calling EuclideanWeight per pair.
 func (e *PairEngine) euclidBatch(fixed int32, xs []int32, out []float64) {
 	if e.diag == 0 {
 		for i := range xs {
@@ -622,7 +634,7 @@ func (e *PairEngine) NearestCompanions() []int {
 }
 
 // argminOver scans row at the given vertex indices; ties go to the lowest
-// vertex index, matching the serial reference loops.
+// vertex index, matching the textbook serial loops (reference_test.go).
 func argminOver(row []float64, xs []int32) (int32, float64) {
 	bx, bv := int32(-1), math.Inf(1)
 	for _, x := range xs {

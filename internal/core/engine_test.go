@@ -52,8 +52,20 @@ func TestKindOf(t *testing.T) {
 	if kindOf(custom) != kindGeneric {
 		t.Error("kindOf(custom closure) != kindGeneric")
 	}
-	if NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, custom, 1) != nil {
-		t.Error("NewPairEngine must refuse custom weights")
+	// A custom weight gets an engine like any other, pinned to one worker
+	// whatever was asked.
+	for _, asked := range []int{0, 1, 8} {
+		e := NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, custom, asked)
+		if e.kind != kindGeneric || e.workers != 1 {
+			t.Fatalf("NewPairEngine(custom, workers=%d): kind %d on %d workers, want the generic kernel on 1",
+				asked, e.kind, e.workers)
+		}
+		e.Close()
+	}
+	e := NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, nil, 8)
+	defer e.Close()
+	if e.workers != 8 {
+		t.Errorf("built-in weight: workers = %d, want the 8 asked for", e.workers)
 	}
 }
 
@@ -70,8 +82,8 @@ func TestEngineWeighMatchesClosure(t *testing.T) {
 		{"euclid", EuclideanWeight},
 	} {
 		e := NewPairEngine(g, tc.w, 2)
-		if e == nil {
-			t.Fatalf("%s: engine refused a built-in weight", tc.name)
+		if e.kind == kindGeneric {
+			t.Fatalf("%s: a built-in weight got the generic kernel", tc.name)
 		}
 		n := len(g.Buckets)
 		for i := 0; i < n; i += 7 {
@@ -88,10 +100,10 @@ func TestEngineWeighMatchesClosure(t *testing.T) {
 	}
 }
 
-// asClosure hides a built-in weight behind a closure so kindOf reports
-// kindGeneric, forcing the pre-engine serial reference path.
-func asClosure(w Weight) Weight {
-	return func(a, b gridfile.BucketView, d geom.Rect) float64 { return w(a, b, d) }
+// inverseProximity is a weight that is not a built-in, so it runs on the
+// generic kernel: far buckets attract, near ones repel.
+func inverseProximity(a, b gridfile.BucketView, d geom.Rect) float64 {
+	return 1 - ProximityWeight(a, b, d)
 }
 
 func proximityAllocators(seed int64, w Weight, name string, workers int) []Allocator {
@@ -141,36 +153,93 @@ func TestDeclusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesSerialReference asserts the engine path reproduces the
-// serial reference (the Weight-closure slow path) byte-for-byte, for every
-// proximity-based allocator and both built-in weights.
+// TestEngineMatchesSerialReference asserts the engine reproduces the
+// textbook serial loops of reference_test.go byte-for-byte: every
+// proximity-based allocator and ResidualAssign, under both inlined built-in
+// weights and under a closure that takes the generic kernel.
 func TestEngineMatchesSerialReference(t *testing.T) {
+	const disks, seed = 8, 7
 	grids := map[string]Grid{
 		"hotspot":   testGrid(t),
 		"cartesian": cartesianGrid(t, []int{16, 16}),
 	}
-	builtins := map[string]Weight{"proximity": ProximityWeight, "euclid": EuclideanWeight}
-	for gname, g := range grids {
-		for wname, w := range builtins {
-			engine := proximityAllocators(7, w, wname, 0)
-			serial := proximityAllocators(7, asClosure(w), wname, 0)
-			for ai := range engine {
-				want, err := serial[ai].Decluster(g, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := engine[ai].Decluster(g, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for x := range want.Assign {
-					if got.Assign[x] != want.Assign[x] {
-						t.Fatalf("%s/%s/%s: engine diverges from serial reference at bucket %d (%d vs %d)",
-							engine[ai].Name(), gname, wname, x, got.Assign[x], want.Assign[x])
-					}
-				}
+	weights := map[string]Weight{
+		"proximity": ProximityWeight,
+		"euclid":    EuclideanWeight,
+		"inverse":   inverseProximity,
+	}
+	same := func(t *testing.T, got, want []int) {
+		t.Helper()
+		for x := range want {
+			if got[x] != want[x] {
+				t.Fatalf("engine diverges from serial reference at bucket %d (%d vs %d)", x, got[x], want[x])
 			}
 		}
+	}
+	for gname, g := range grids {
+		for wname, w := range weights {
+			refs := []func(Grid, Weight, int64, int) []int{referenceMinimax, referenceSSP, referenceMST}
+			for ai, alg := range proximityAllocators(seed, w, wname, 0) {
+				t.Run(alg.Name()+"/"+gname+"/"+wname, func(t *testing.T) {
+					got, err := alg.Decluster(g, disks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(t, got.Assign, refs[ai](g, w, seed, disks))
+				})
+			}
+			t.Run("residual/"+gname+"/"+wname, func(t *testing.T) {
+				// Two levels: the second sees buckets with two owners each.
+				owners := make([][]int, len(g.Buckets))
+				for x, k := range referenceMinimax(g, w, seed, disks) {
+					owners[x] = []int{k}
+				}
+				for level := 1; level <= 2; level++ {
+					got, err := ResidualAssign(g, disks, owners, w, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(t, got, referenceResidual(g, disks, owners, w))
+					for x := range owners {
+						owners[x] = append(owners[x], got[x])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCustomWeightPinnedToOneGoroutine runs every engine caller with a
+// closure that mutates unsynchronized state, asking for 8 workers on a grid
+// large enough that a built-in weight would shard the sweeps. Under -race
+// this fails if any sweep calls the closure from a pool goroutine.
+func TestCustomWeightPinnedToOneGoroutine(t *testing.T) {
+	g := cartesianGrid(t, []int{32, 32}) // 1024 buckets: 4 shards of minShard
+	calls := 0
+	stateful := func(a, b gridfile.BucketView, d geom.Rect) float64 {
+		calls++
+		return ProximityWeight(a, b, d)
+	}
+	const disks = 4
+	var base Allocation
+	for _, alg := range proximityAllocators(1, stateful, "stateful", 8) {
+		var err error
+		if base, err = alg.Decluster(g, disks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owners := make([][]int, len(g.Buckets))
+	for x, k := range base.Assign {
+		owners[x] = []int{k}
+	}
+	if _, err := ResidualAssign(g, disks, owners, stateful, 8); err != nil {
+		t.Fatal(err)
+	}
+	e := NewPairEngine(g, stateful, 8)
+	e.NearestCompanions()
+	e.Close()
+	if calls == 0 {
+		t.Fatal("the custom weight was never called")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // Weight estimates the probability that two buckets are accessed by the same
 // range query; larger means more likely. It is the edge-weight function of
-// the proximity-based algorithms.
+// the proximity-based algorithms and must be symmetric: the engine calls it
+// as w(pivot, other), never both ways round.
 type Weight func(a, b gridfile.BucketView, domain geom.Rect) float64
 
 // ProximityWeight is the Kamel–Faloutsos proximity index, the paper's chosen
@@ -43,10 +44,10 @@ func EuclideanWeight(a, b gridfile.BucketView, domain geom.Rect) float64 {
 // perfectly balanced partitions (at most ⌈N/M⌉ buckets per disk), and a very
 // low likelihood that a bucket shares a disk with its closest companion.
 //
-// When Weight is nil, ProximityWeight or EuclideanWeight, Decluster runs on
-// the parallel pairwise-weight engine (see engine.go); the assignment is
-// byte-identical to the serial algorithm for any Workers value. Custom
-// weights take the serial reference path.
+// Decluster runs on the pairwise-weight engine (see engine.go); the
+// assignment is byte-identical to the textbook serial loops for any Workers
+// value. A Weight other than nil, ProximityWeight or EuclideanWeight is
+// called once per pair from a single goroutine, whatever Workers says.
 type Minimax struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
@@ -66,13 +67,6 @@ func (m *Minimax) Name() string {
 		return "MiniMax(" + m.WeightName + ")"
 	}
 	return "MiniMax"
-}
-
-func (m *Minimax) weight() Weight {
-	if m.Weight == nil {
-		return ProximityWeight
-	}
-	return m.Weight
 }
 
 // Decluster implements Allocator.
@@ -101,22 +95,13 @@ func (m *Minimax) Decluster(g Grid, disks int) (Allocation, error) {
 		assign[v] = k
 	}
 
-	if e := NewPairEngine(g, m.Weight, m.Workers); e != nil {
-		defer e.Close()
-		m.declusterEngine(e, seeds, assign, disks)
-		return Allocation{Disks: disks, Assign: assign}, nil
-	}
-	m.declusterSlow(g, seeds, assign, disks)
-	return Allocation{Disks: disks, Assign: assign}, nil
-}
-
-// declusterEngine is Phase 2 on the pairwise-weight engine. The selection
-// arg-min for the next tree in the round-robin order is maintained
-// incrementally: it is computed during the update sweep of the current tree
-// (which must touch every unassigned vertex anyway), so each step costs one
-// sharded O(N) sweep instead of two serial ones.
-func (m *Minimax) declusterEngine(e *PairEngine, seeds []int, assign []int, disks int) {
-	n := e.n
+	// Phase 2: round-robin expansion. The selection arg-min for the next
+	// tree in the round-robin order is maintained incrementally: it is
+	// computed during the update sweep of the current tree (which must touch
+	// every unassigned vertex anyway), so each step costs one sharded O(N)
+	// sweep instead of two serial ones.
+	e := NewPairEngine(g, m.Weight, m.Workers)
+	defer e.Close()
 	act := newActiveSet(assign)
 	// maxTo[k*n+x] is MAX_x(k), laid out row-major per tree so each step's
 	// sweep walks two contiguous rows.
@@ -127,7 +112,7 @@ func (m *Minimax) declusterEngine(e *PairEngine, seeds []int, assign []int, disk
 		assign[bestX] = k
 		act.remove(bestX)
 		if len(act.list) == 0 {
-			return
+			return Allocation{Disks: disks, Assign: assign}, nil
 		}
 		next := k + 1
 		if next == disks {
@@ -140,56 +125,5 @@ func (m *Minimax) declusterEngine(e *PairEngine, seeds []int, assign []int, disk
 		bestX, _ = e.stepMinimax(bestX, act.list,
 			maxTo[k*n:(k+1)*n], maxTo[next*n:(next+1)*n])
 		k = next
-	}
-}
-
-// declusterSlow is the serial reference Phase 2, kept for custom Weight
-// functions (which may be neither pure nor safe to call concurrently).
-func (m *Minimax) declusterSlow(g Grid, seeds []int, assign []int, disks int) {
-	n := len(g.Buckets)
-	w := m.weight()
-
-	// maxTo[x*disks+k] is MAX_x(k): the largest edge weight between
-	// unassigned vertex x and the members of tree k.
-	maxTo := make([]float64, n*disks)
-	for x := 0; x < n; x++ {
-		if assign[x] >= 0 {
-			continue
-		}
-		for k, v := range seeds {
-			maxTo[x*disks+k] = w(g.Buckets[x], g.Buckets[v], g.Domain)
-		}
-	}
-
-	// Phase 2: round-robin expansion.
-	remaining := n - disks
-	k := 0
-	for remaining > 0 {
-		// Select the unassigned vertex with the smallest MAX to tree k.
-		best, bestVal := -1, math.Inf(1)
-		for x := 0; x < n; x++ {
-			if assign[x] >= 0 {
-				continue
-			}
-			if v := maxTo[x*disks+k]; v < bestVal {
-				best, bestVal = x, v
-			}
-		}
-		assign[best] = k
-		remaining--
-
-		// Update MAX_x(k) for the remaining vertices.
-		for x := 0; x < n; x++ {
-			if assign[x] >= 0 {
-				continue
-			}
-			if c := w(g.Buckets[best], g.Buckets[x], g.Domain); c > maxTo[x*disks+k] {
-				maxTo[x*disks+k] = c
-			}
-		}
-		k++
-		if k == disks {
-			k = 0
-		}
 	}
 }

@@ -1,0 +1,44 @@
+package core
+
+import "testing"
+
+// TestParseAllocatorNames is the name table every CLI shares (gridtool
+// decluster/layout/simulate/viz/parallel, gridserver bench -algs, the
+// campaign's scheme axis): the spelling accepted on the left resolves to the
+// allocator named on the right, and everything else is refused.
+func TestParseAllocatorNames(t *testing.T) {
+	for in, want := range map[string]string{
+		"minimax":        "MiniMax",
+		"MINIMAX":        "MiniMax",
+		"minimax-euclid": "MiniMax(euclid)",
+		"ssp":            "SSP",
+		"mst":            "MST",
+		"DM/D":           "DM/D",
+		"FX/R":           "FX/R",
+		"HCAM/F":         "HCAM/F",
+		"HCAM/A":         "HCAM/A",
+		"GDM/F":          "GDM/F",
+	} {
+		alg, err := ParseAllocator(in, 1, 0)
+		if err != nil {
+			t.Errorf("ParseAllocator(%q): %v", in, err)
+			continue
+		}
+		if alg.Name() != want {
+			t.Errorf("ParseAllocator(%q).Name() = %q, want %q", in, alg.Name(), want)
+		}
+	}
+	for _, bad := range []string{"", "nope", "DM", "DM/Z", "XX/D", "DM/X/Y"} {
+		if _, err := ParseAllocator(bad, 1, 0); err == nil {
+			t.Errorf("ParseAllocator(%q) accepted", bad)
+		}
+	}
+	// workers reaches the weight-based engines.
+	alg, err := ParseAllocator("minimax", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := alg.(*Minimax); m.Workers != 3 || m.Seed != 1 {
+		t.Errorf("ParseAllocator(minimax, seed 1, workers 3) = %+v", m)
+	}
+}

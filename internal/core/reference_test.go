@@ -1,0 +1,245 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+)
+
+// The textbook serial loops of the proximity-based allocators: one Weight
+// call per edge, a full rescan per step, no engine. They are the oracle the
+// engine's byte-identical-assignment guarantee is tested against
+// (TestEngineMatchesSerialReference); production code has one build path, on
+// the engine.
+
+func referenceWeight(w Weight) Weight {
+	if w == nil {
+		return ProximityWeight
+	}
+	return w
+}
+
+// referenceSeeds is the seeding phase Minimax and MST share: M distinct
+// random buckets, bucket seeds[k] on disk k, everything else unassigned.
+func referenceSeeds(n, disks int, seed int64) (seeds, assign []int) {
+	assign = make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	seeds = rand.New(rand.NewSource(seed)).Perm(n)[:disks]
+	for k, v := range seeds {
+		assign[v] = k
+	}
+	return seeds, assign
+}
+
+// referenceMinimax is Algorithm 2 as the paper states it. Requires
+// disks < len(g.Buckets).
+func referenceMinimax(g Grid, weight Weight, seed int64, disks int) []int {
+	n := len(g.Buckets)
+	w := referenceWeight(weight)
+	seeds, assign := referenceSeeds(n, disks, seed)
+
+	// maxTo[x*disks+k] is MAX_x(k): the largest edge weight between
+	// unassigned vertex x and the members of tree k.
+	maxTo := make([]float64, n*disks)
+	for x := 0; x < n; x++ {
+		if assign[x] >= 0 {
+			continue
+		}
+		for k, v := range seeds {
+			maxTo[x*disks+k] = w(g.Buckets[x], g.Buckets[v], g.Domain)
+		}
+	}
+
+	// Phase 2: round-robin expansion.
+	remaining := n - disks
+	k := 0
+	for remaining > 0 {
+		// Select the unassigned vertex with the smallest MAX to tree k.
+		best, bestVal := -1, math.Inf(1)
+		for x := 0; x < n; x++ {
+			if assign[x] >= 0 {
+				continue
+			}
+			if v := maxTo[x*disks+k]; v < bestVal {
+				best, bestVal = x, v
+			}
+		}
+		assign[best] = k
+		remaining--
+
+		// Update MAX_x(k) for the remaining vertices.
+		for x := 0; x < n; x++ {
+			if assign[x] >= 0 {
+				continue
+			}
+			if c := w(g.Buckets[best], g.Buckets[x], g.Domain); c > maxTo[x*disks+k] {
+				maxTo[x*disks+k] = c
+			}
+		}
+		k++
+		if k == disks {
+			k = 0
+		}
+	}
+	return assign
+}
+
+// referenceSSP grows the nearest-neighbour spanning path one full scan per
+// step and deals disks round-robin along it.
+func referenceSSP(g Grid, weight Weight, seed int64, disks int) []int {
+	n := len(g.Buckets)
+	w := referenceWeight(weight)
+	start := rand.New(rand.NewSource(seed)).Intn(n)
+
+	order := make([]int, 0, n)
+	order = append(order, start)
+	visited := make([]bool, n)
+	visited[start] = true
+	cur := start
+	for len(order) < n {
+		best, bestVal := -1, math.Inf(-1)
+		for x := 0; x < n; x++ {
+			if visited[x] {
+				continue
+			}
+			if v := w(g.Buckets[cur], g.Buckets[x], g.Domain); v > bestVal {
+				best, bestVal = x, v
+			}
+		}
+		visited[best] = true
+		order = append(order, best)
+		cur = best
+	}
+
+	assign := make([]int, n)
+	for pos, v := range order {
+		assign[v] = pos % disks
+	}
+	return assign
+}
+
+// referenceMST joins the globally cheapest tree/vertex pair each step,
+// rescanning every tree's frontier. Requires disks < len(g.Buckets).
+func referenceMST(g Grid, weight Weight, seed int64, disks int) []int {
+	n := len(g.Buckets)
+	w := referenceWeight(weight)
+	seeds, assign := referenceSeeds(n, disks, seed)
+
+	// minTo[x*disks+k] is the smallest edge weight between unassigned x and
+	// tree k (Prim's frontier value per tree).
+	minTo := make([]float64, n*disks)
+	for x := 0; x < n; x++ {
+		if assign[x] >= 0 {
+			continue
+		}
+		for k, v := range seeds {
+			minTo[x*disks+k] = w(g.Buckets[x], g.Buckets[v], g.Domain)
+		}
+	}
+
+	for remaining := n - disks; remaining > 0; remaining-- {
+		bestX, bestK, bestVal := -1, -1, math.Inf(1)
+		for x := 0; x < n; x++ {
+			if assign[x] >= 0 {
+				continue
+			}
+			for k := 0; k < disks; k++ {
+				if v := minTo[x*disks+k]; v < bestVal {
+					bestX, bestK, bestVal = x, k, v
+				}
+			}
+		}
+		assign[bestX] = bestK
+		for x := 0; x < n; x++ {
+			if assign[x] >= 0 {
+				continue
+			}
+			if c := w(g.Buckets[bestX], g.Buckets[x], g.Domain); c < minTo[x*disks+bestK] {
+				minTo[x*disks+bestK] = c
+			}
+		}
+	}
+	return assign
+}
+
+// referenceResidual is ResidualAssign with the rows seeded and maintained by
+// one Weight call per pair and every selection a full scan in index order.
+// owners must satisfy ResidualAssign's argument contract.
+func referenceResidual(g Grid, disks int, owners [][]int, weight Weight) []int {
+	n := len(g.Buckets)
+	w := referenceWeight(weight)
+
+	rows := make([]float64, disks*n)
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			v := w(g.Buckets[y], g.Buckets[x], g.Domain)
+			for _, k := range owners[y] {
+				if v > rows[k*n+x] {
+					rows[k*n+x] = v
+				}
+			}
+		}
+	}
+
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	quota := (n + disks - 1) / disks
+	loads := make([]int, disks)
+	remaining := n
+	stalled := 0
+	for k := 0; remaining > 0 && stalled < disks; k = (k + 1) % disks {
+		if loads[k] >= quota {
+			stalled++
+			continue
+		}
+		row := rows[k*n : (k+1)*n]
+		best, bestVal := -1, math.Inf(1)
+		for x := 0; x < n; x++ {
+			if assign[x] >= 0 || ownedBy(owners[x], k) {
+				continue
+			}
+			if v := row[x]; v < bestVal {
+				best, bestVal = x, v
+			}
+		}
+		if best < 0 {
+			stalled++
+			continue
+		}
+		stalled = 0
+		assign[best] = k
+		loads[k]++
+		remaining--
+		for x := 0; x < n; x++ {
+			if assign[x] >= 0 {
+				continue
+			}
+			if v := w(g.Buckets[best], g.Buckets[x], g.Domain); v > row[x] {
+				row[x] = v
+			}
+		}
+	}
+
+	// Leftover pass, quota relaxed: stragglers in index order to their
+	// least-loaded eligible disk.
+	for x := 0; x < n; x++ {
+		if assign[x] >= 0 {
+			continue
+		}
+		best := -1
+		for k := 0; k < disks; k++ {
+			if ownedBy(owners[x], k) {
+				continue
+			}
+			if best < 0 || loads[k] < loads[best] {
+				best = k
+			}
+		}
+		assign[x] = best
+		loads[best]++
+	}
+	return assign
+}

@@ -55,37 +55,9 @@ func ResidualAssign(g Grid, disks int, owners [][]int, w Weight, workers int) ([
 	}
 
 	rows := make([]float64, disks*n)
-	var merge func(newMember int32, active []int32, row []float64)
-	if e := NewPairEngine(g, w, workers); e != nil {
-		defer e.Close()
-		e.initResidualRows(owners, rows)
-		merge = func(newMember int32, active []int32, row []float64) {
-			e.maxInto(newMember, active, row)
-		}
-	} else {
-		// Custom weight: serial reference path, like declusterSlow.
-		wf := w
-		if wf == nil {
-			wf = ProximityWeight
-		}
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				v := wf(g.Buckets[y], g.Buckets[x], g.Domain)
-				for _, k := range owners[y] {
-					if v > rows[k*n+x] {
-						rows[k*n+x] = v
-					}
-				}
-			}
-		}
-		merge = func(newMember int32, active []int32, row []float64) {
-			for _, x := range active {
-				if v := wf(g.Buckets[newMember], g.Buckets[x], g.Domain); v > row[x] {
-					row[x] = v
-				}
-			}
-		}
-	}
+	e := NewPairEngine(g, w, workers)
+	defer e.Close()
+	e.initResidualRows(owners, rows)
 
 	assign := make([]int, n)
 	for i := range assign {
@@ -125,7 +97,7 @@ func ResidualAssign(g Grid, disks int, owners [][]int, w Weight, workers int) ([
 		act.remove(best)
 		remaining--
 		if remaining > 0 {
-			merge(best, act.list, row)
+			e.maxInto(best, act.list, row)
 		}
 	}
 

@@ -84,10 +84,10 @@ func TestResidualAssignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestResidualAssignSerialFallback exercises the custom-weight path (no
-// engine) and its distinct-disk guarantee, including a third level where
-// each bucket already owns two of the four disks.
-func TestResidualAssignSerialFallback(t *testing.T) {
+// TestResidualAssignCustomWeight exercises the custom-weight (generic
+// kernel) path and its distinct-disk guarantee, including a third level
+// where each bucket already owns two of the four disks.
+func TestResidualAssignCustomWeight(t *testing.T) {
 	const disks = 4
 	g, owners, n := residualFixture(t, disks)
 	custom := func(a, b gridfile.BucketView, dom geom.Rect) float64 {

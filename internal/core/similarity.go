@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // SSP is the short spanning path algorithm of Fang, Lee and Chang,
 // reconstructed as described in DESIGN.md: a spanning path is grown greedily
@@ -15,8 +12,8 @@ import (
 // bucket, but unlike minimax the path heuristic bounds only each bucket's
 // similarity to its path predecessor, not to the whole partition.
 //
-// Built-in weights run on the pairwise-weight engine with deterministic
-// output for any Workers value; custom weights take the serial path.
+// Runs on the pairwise-weight engine with deterministic output for any
+// Workers value; a custom weight pins the sweeps to one goroutine.
 type SSP struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
@@ -30,13 +27,6 @@ type SSP struct {
 // Name implements Allocator.
 func (s *SSP) Name() string { return "SSP" }
 
-func (s *SSP) weight() Weight {
-	if s.Weight == nil {
-		return ProximityWeight
-	}
-	return s.Weight
-}
-
 // Decluster implements Allocator.
 func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 	if err := checkArgs(g, disks); err != nil {
@@ -49,36 +39,16 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 	order := make([]int, 0, n)
 	order = append(order, start)
 
-	if e := NewPairEngine(g, s.Weight, s.Workers); e != nil {
-		defer e.Close()
-		act := newActiveSetAll(n)
-		act.remove(int32(start))
-		cur := int32(start)
-		for len(act.list) > 0 {
-			best, _ := e.argmaxTo(cur, act.list)
-			act.remove(best)
-			order = append(order, int(best))
-			cur = best
-		}
-	} else {
-		w := s.weight()
-		visited := make([]bool, n)
-		visited[start] = true
-		cur := start
-		for len(order) < n {
-			best, bestVal := -1, math.Inf(-1)
-			for x := 0; x < n; x++ {
-				if visited[x] {
-					continue
-				}
-				if v := w(g.Buckets[cur], g.Buckets[x], g.Domain); v > bestVal {
-					best, bestVal = x, v
-				}
-			}
-			visited[best] = true
-			order = append(order, best)
-			cur = best
-		}
+	e := NewPairEngine(g, s.Weight, s.Workers)
+	defer e.Close()
+	act := newActiveSetAll(n)
+	act.remove(int32(start))
+	cur := int32(start)
+	for len(act.list) > 0 {
+		best, _ := e.argmaxTo(cur, act.list)
+		act.remove(best)
+		order = append(order, int(best))
+		cur = best
 	}
 
 	assign := make([]int, n)
@@ -97,8 +67,8 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 // buckets: MST does not guarantee balanced partitions, the drawback the
 // paper cites. Cost is O(N²·M).
 //
-// Built-in weights run on the pairwise-weight engine with deterministic
-// output for any Workers value; custom weights take the serial path.
+// Runs on the pairwise-weight engine with deterministic output for any
+// Workers value; a custom weight pins the sweeps to one goroutine.
 type MST struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
@@ -111,13 +81,6 @@ type MST struct {
 
 // Name implements Allocator.
 func (m *MST) Name() string { return "MST" }
-
-func (m *MST) weight() Weight {
-	if m.Weight == nil {
-		return ProximityWeight
-	}
-	return m.Weight
-}
 
 // Decluster implements Allocator.
 func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
@@ -142,24 +105,14 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 		assign[v] = k
 	}
 
-	if e := NewPairEngine(g, m.Weight, m.Workers); e != nil {
-		defer e.Close()
-		m.declusterEngine(e, seeds, assign, disks)
-		return Allocation{Disks: disks, Assign: assign}, nil
-	}
-	m.declusterSlow(g, seeds, assign, disks)
-	return Allocation{Disks: disks, Assign: assign}, nil
-}
-
-// declusterEngine runs the greedy expansion on the pairwise-weight engine
-// with per-tree cached arg-mins: each step picks the globally cheapest
-// cached (value, x, k) triple, min-merges only the winning tree's row
-// against its new member (recomputing that cached arg-min in the same
-// sweep), and rescans — without any weight evaluations — the rows of trees
-// whose cached arg-min was the vertex just removed. The serial reference
-// rescans every tree's full row each step.
-func (m *MST) declusterEngine(e *PairEngine, seeds []int, assign []int, disks int) {
-	n := e.n
+	// Greedy expansion with per-tree cached arg-mins: each step picks the
+	// globally cheapest cached (value, x, k) triple, min-merges only the
+	// winning tree's row against its new member (recomputing that cached
+	// arg-min in the same sweep), and rescans — without any weight
+	// evaluations — the rows of trees whose cached arg-min was the vertex
+	// just removed. The textbook loop rescans every tree's full row each step.
+	e := NewPairEngine(g, m.Weight, m.Workers)
+	defer e.Close()
 	act := newActiveSet(assign)
 	// minTo[k*n+x] is Prim's frontier value of vertex x for tree k.
 	minTo := make([]float64, disks*n)
@@ -184,7 +137,7 @@ func (m *MST) declusterEngine(e *PairEngine, seeds []int, assign []int, disks in
 		assign[bestX] = bestK
 		act.remove(bestX)
 		if len(act.list) == 0 {
-			return
+			return Allocation{Disks: disks, Assign: assign}, nil
 		}
 		bestXk[bestK], bestVk[bestK] = e.stepMST(bestX, act.list,
 			minTo[bestK*n:(bestK+1)*n])
@@ -193,48 +146,6 @@ func (m *MST) declusterEngine(e *PairEngine, seeds []int, assign []int, disks in
 		for k := 0; k < disks; k++ {
 			if k != bestK && bestXk[k] == bestX {
 				bestXk[k], bestVk[k] = e.argminRow(minTo[k*n:(k+1)*n], act.list)
-			}
-		}
-	}
-}
-
-// declusterSlow is the serial reference expansion, kept for custom Weight
-// functions (which may be neither pure nor safe to call concurrently).
-func (m *MST) declusterSlow(g Grid, seeds []int, assign []int, disks int) {
-	n := len(g.Buckets)
-	w := m.weight()
-
-	// minTo[x*disks+k] is the smallest edge weight between unassigned x and
-	// tree k (Prim's frontier value per tree).
-	minTo := make([]float64, n*disks)
-	for x := 0; x < n; x++ {
-		if assign[x] >= 0 {
-			continue
-		}
-		for k, v := range seeds {
-			minTo[x*disks+k] = w(g.Buckets[x], g.Buckets[v], g.Domain)
-		}
-	}
-
-	for remaining := n - disks; remaining > 0; remaining-- {
-		bestX, bestK, bestVal := -1, -1, math.Inf(1)
-		for x := 0; x < n; x++ {
-			if assign[x] >= 0 {
-				continue
-			}
-			for k := 0; k < disks; k++ {
-				if v := minTo[x*disks+k]; v < bestVal {
-					bestX, bestK, bestVal = x, k, v
-				}
-			}
-		}
-		assign[bestX] = bestK
-		for x := 0; x < n; x++ {
-			if assign[x] >= 0 {
-				continue
-			}
-			if c := w(g.Buckets[bestX], g.Buckets[x], g.Domain); c < minTo[x*disks+bestK] {
-				minTo[x*disks+bestK] = c
 			}
 		}
 	}

@@ -17,7 +17,7 @@
 // registry is one atomic load. Sites pay the mutex + map lookup only while
 // at least one rule is armed.
 //
-// Spec grammar (CLI flags, the FAULT admin verb, scripts/chaos.sh):
+// Spec grammar (CLI flags, the FAULT admin verb):
 //
 //	spec      := rule { ";" rule }
 //	rule      := site ":" directive { ":" directive }

@@ -12,7 +12,7 @@ import (
 )
 
 // buildFaultEngine starts an engine wired to a fresh fault registry.
-func buildFaultEngine(t *testing.T, workers int, tr Transport) (*Engine, *gridfile.File, *fault.Registry) {
+func buildFaultEngine(t *testing.T, workers int) (*Engine, *gridfile.File, *fault.Registry) {
 	t.Helper()
 	f, err := synth.DSMC4D(8, 1000, 3).Build()
 	if err != nil {
@@ -25,7 +25,7 @@ func buildFaultEngine(t *testing.T, workers int, tr Transport) (*Engine, *gridfi
 	reg := fault.NewRegistry(2)
 	e, err := New(f, alloc, Config{
 		Workers: workers, Disk: diskmodel.DefaultParams(),
-		Cost: DefaultCostModel(), Transport: tr, Faults: reg,
+		Cost: DefaultCostModel(), Faults: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,25 +34,20 @@ func buildFaultEngine(t *testing.T, workers int, tr Transport) (*Engine, *gridfi
 	return e, f, reg
 }
 
-// TestDroppedMessagesFailQueryEngineSurvives proves, for both message sites
-// and both transports, that a dropped message fails the query with an
-// injected error — and that the engine is immediately usable again once the
-// fault clears, with answers matching the grid file exactly. On the gob wire
-// this is the lockstep regression: a dropped reply must still be drained off
-// the stream, or the next query would read the previous query's frames.
+// TestDroppedMessagesFailQueryEngineSurvives proves, for both message
+// sites, that a dropped message fails the query with an injected error — and
+// that the engine is immediately usable again once the fault clears, with
+// answers matching the grid file exactly.
 func TestDroppedMessagesFailQueryEngineSurvives(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		tr   Transport
 		site string
 	}{
-		{"channel send", TransportChannel, fault.SiteParallelSend},
-		{"channel recv", TransportChannel, fault.SiteParallelRecv},
-		{"wire send", TransportWire, fault.SiteParallelSend},
-		{"wire recv", TransportWire, fault.SiteParallelRecv},
+		{"send", fault.SiteParallelSend},
+		{"recv", fault.SiteParallelRecv},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, f, reg := buildFaultEngine(t, 4, tc.tr)
+			e, f, reg := buildFaultEngine(t, 4)
 			q := f.Domain()
 			want := f.Len()
 
@@ -88,7 +83,7 @@ func TestDroppedMessagesFailQueryEngineSurvives(t *testing.T) {
 // armed on every 2nd send evaluation of a single-worker engine, queries
 // alternate cleanly between success and injected failure.
 func TestNthDropFailsOnlyMatchingQueries(t *testing.T) {
-	e, f, reg := buildFaultEngine(t, 1, TransportChannel)
+	e, f, reg := buildFaultEngine(t, 1)
 	reg.Set(fault.Rule{Site: fault.SiteParallelSend, Kind: fault.KindError, Nth: 2})
 	q := f.Domain() // one worker: exactly one send evaluation per query
 	for i := 0; i < 6; i++ {
@@ -106,7 +101,7 @@ func TestNthDropFailsOnlyMatchingQueries(t *testing.T) {
 // TestInjectedMessageDelayStallsQuery proves a delay rule stalls the
 // exchange in real wall-clock time without failing it.
 func TestInjectedMessageDelayStallsQuery(t *testing.T) {
-	e, f, reg := buildFaultEngine(t, 2, TransportChannel)
+	e, f, reg := buildFaultEngine(t, 2)
 	q := f.Domain()
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)

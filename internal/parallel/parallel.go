@@ -74,8 +74,6 @@ type Config struct {
 	Disk diskmodel.Params
 	// Cost prices coordination and communication.
 	Cost CostModel
-	// Transport selects channel (default) or gob-over-pipe messaging.
-	Transport Transport
 	// DirectoryPageCells, when positive, routes the coordinator's query
 	// translation through a two-level paged directory with pages of that
 	// many cells, charging Cost.DirPageRead per page touched. Zero keeps
@@ -140,15 +138,14 @@ type Engine struct {
 
 	workers  []*worker
 	reqs     []chan request
-	links    []*wireLink                 // wire transports (gob over pipe or TCP) only
 	pagedDir *gridfile.TwoLevelDirectory // nil = flat directory
 	wg       sync.WaitGroup
 	closed   bool
 
 	// mu serializes the coordinator's directory translation (the grid
-	// file's range search reuses scratch space) and, for TransportWire,
-	// the per-link encoders. Worker-side processing still overlaps across
-	// workers when queries arrive concurrently via RunConcurrent.
+	// file's range search reuses scratch space). Worker-side processing
+	// still overlaps across workers when queries arrive concurrently via
+	// RunConcurrent.
 	mu sync.Mutex
 }
 
@@ -246,27 +243,16 @@ func New(f *gridfile.File, alloc core.Allocation, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Launch the SPMD workers on the configured transport.
-	switch cfg.Transport {
-	case TransportChannel:
-		for w := range e.workers {
-			e.reqs[w] = make(chan request)
-			e.wg.Add(1)
-			go e.workers[w].run(e.reqs[w], &e.wg)
-		}
-	case TransportWire:
-		e.startWireWorkers()
-	case TransportTCP:
-		if err := e.startTCPWorkers(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("parallel: unknown transport %d", cfg.Transport)
+	// Launch the SPMD workers.
+	for w := range e.workers {
+		e.reqs[w] = make(chan request)
+		e.wg.Add(1)
+		go e.workers[w].run(e.reqs[w], &e.wg)
 	}
 	return e, nil
 }
 
-// run is the channel-transport worker loop.
+// run is the worker loop.
 func (w *worker) run(reqs <-chan request, wg *sync.WaitGroup) {
 	defer wg.Done()
 	perDisk := make([][]int64, len(w.disks))
@@ -368,9 +354,7 @@ func (e *Engine) query(q geom.Rect, wantKeys bool) (QueryResult, []float64, erro
 	}
 	// Coordinator: translate the query into per-worker block lists using
 	// the scales and directory. The translation shares scratch state in
-	// the grid file, so it is serialized; for the wire transport the
-	// per-link gob streams must not interleave either, so the whole
-	// exchange stays under the lock there.
+	// the grid file, so it is serialized.
 	e.mu.Lock()
 	var ids []int32
 	coordExtra := time.Duration(0)
@@ -390,11 +374,6 @@ func (e *Engine) query(q geom.Rect, wantKeys bool) (QueryResult, []float64, erro
 		}
 		w := e.assign[dense]
 		perWorker[w] = append(perWorker[w], int64(id))
-	}
-
-	if e.cfg.Transport.overWire() {
-		defer e.mu.Unlock()
-		return e.queryWire(q, perWorker, wantKeys, coordExtra)
 	}
 	e.mu.Unlock()
 
@@ -485,11 +464,8 @@ func (e *Engine) Run(queries []geom.Rect) (Totals, error) {
 // the paper's single-stream experiments. Block and record accounting in the
 // returned totals is exact; the summed Elapsed no longer models a serial
 // wall clock (in-flight queries overlap at the workers), so callers should
-// interpret it as aggregate service demand. Requires TransportChannel.
+// interpret it as aggregate service demand.
 func (e *Engine) RunConcurrent(queries []geom.Rect, clients int) (Totals, error) {
-	if e.cfg.Transport != TransportChannel {
-		return Totals{}, fmt.Errorf("parallel: RunConcurrent requires the channel transport")
-	}
 	if clients < 1 {
 		clients = 1
 	}
@@ -587,15 +563,8 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	switch {
-	case e.cfg.Transport.overWire():
-		for _, l := range e.links {
-			l.conn.Close()
-		}
-	default:
-		for _, ch := range e.reqs {
-			close(ch)
-		}
+	for _, ch := range e.reqs {
+		close(ch)
 	}
 	e.wg.Wait()
 }

@@ -290,3 +290,148 @@ func TestDisksPerWorkerDefaultsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRunConcurrentMatchesSequentialAccounting(t *testing.T) {
+	ds := synth.DSMC4D(6, 900, 3)
+	f, err := ds.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := workload.RandomRange4D(f.Domain(), 0.15, 40, 41)
+
+	disk := diskmodel.DefaultParams()
+	disk.CacheBlocks = 0 // caching depends on arrival order; disable for exactness
+	mk := func() *Engine {
+		e, err := New(f, alloc, Config{
+			Workers: 4, Disk: disk, Cost: DefaultCostModel(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	seq := mk()
+	seqTot, err := seq.Run(queries)
+	seq.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conc := mk()
+	concTot, err := conc.RunConcurrent(queries, 8)
+	conc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if concTot.Queries != seqTot.Queries ||
+		concTot.Blocks != seqTot.Blocks ||
+		concTot.ResponseBlocks != seqTot.ResponseBlocks ||
+		concTot.Records != seqTot.Records {
+		t.Errorf("accounting differs:\nseq:  %+v\nconc: %+v", seqTot, concTot)
+	}
+}
+
+func TestQueryRecordsMatchesGridFile(t *testing.T) {
+	ds := synth.DSMC4D(5, 800, 3)
+	f, err := ds.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 4)
+	e, err := New(f, alloc, Config{
+		Workers: 4, Disk: diskmodel.DefaultParams(), Cost: DefaultCostModel(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, q := range workload.RandomRange4D(f.Domain(), 0.2, 10, 51) {
+		got, res, err := e.QueryRecords(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := f.RangeSearch(q)
+		if len(got) != len(want) || res.Records != len(want) {
+			t.Fatalf("%d records shipped, grid file has %d", len(got), len(want))
+		}
+		// Compare as multisets of first coordinates (cheap fingerprint)
+		// plus exact containment checks.
+		var sumGot, sumWant float64
+		for _, p := range got {
+			if !q.ContainsPoint(p) {
+				t.Fatalf("shipped record %v outside query %v", p, q)
+			}
+			sumGot += p[0] + p[1]*3 + p[2]*7 + p[3]*13
+		}
+		for _, r := range want {
+			sumWant += r.Key[0] + r.Key[1]*3 + r.Key[2]*7 + r.Key[3]*13
+		}
+		if diff := sumGot - sumWant; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("shipped record set differs (checksum %v vs %v)", sumGot, sumWant)
+		}
+	}
+}
+
+func TestPagedDirectoryCoordinator(t *testing.T) {
+	ds := synth.DSMC4D(6, 900, 3)
+	f, err := ds.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 4)
+	queries := workload.RandomRange4D(f.Domain(), 0.15, 20, 61)
+
+	run := func(pageCells int) Totals {
+		e, err := New(f, alloc, Config{
+			Workers: 4, Disk: diskmodel.DefaultParams(),
+			Cost: DefaultCostModel(), DirectoryPageCells: pageCells,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		tot, err := e.Run(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tot
+	}
+
+	flat := run(0)
+	paged := run(256)
+	// Identical block/record accounting: the paged directory changes only
+	// the coordinator's simulated cost.
+	if flat.Blocks != paged.Blocks || flat.Records != paged.Records ||
+		flat.ResponseBlocks != paged.ResponseBlocks {
+		t.Errorf("accounting differs:\nflat:  %+v\npaged: %+v", flat, paged)
+	}
+	if paged.Elapsed <= flat.Elapsed {
+		t.Errorf("paged-directory elapsed %v not above flat %v (page reads cost time)",
+			paged.Elapsed, flat.Elapsed)
+	}
+}
+
+func TestPagedDirectoryRejectsBadPageSize(t *testing.T) {
+	ds := synth.DSMC4D(2, 200, 3)
+	f, err := ds.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 2)
+	if _, err := New(f, alloc, Config{
+		Workers: 2, Disk: diskmodel.DefaultParams(),
+		Cost: DefaultCostModel(), DirectoryPageCells: -5,
+	}); err != nil {
+		t.Fatalf("negative page cells should mean flat directory, got %v", err)
+	}
+}

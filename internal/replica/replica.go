@@ -22,7 +22,6 @@ type Placer struct {
 	// replication: the map echoes the base allocation.
 	Replicas int
 	// Weight scores the residual allocation; nil means ProximityWeight.
-	// Custom weights take the serial path, built-ins run on the engine.
 	Weight core.Weight
 	// Workers bounds the engine's sweep parallelism (0 = GOMAXPROCS). The
 	// placement does not depend on it.

@@ -122,9 +122,18 @@ func TestPipelinedEndToEnd(t *testing.T) {
 		t.Error(err)
 	}
 
-	snap, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
+	// A connection writer counts a batch after its write returns, so the
+	// last replies can reach the client — and this STATS request, on the
+	// other connection, the server — before their frames are counted.
+	var snap Snapshot
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if snap, err = cl.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if snap.WriteFrames >= int64(len(queries)) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if snap.QueriesTotal < int64(len(queries)) {
 		t.Errorf("server served %d queries, want >= %d", snap.QueriesTotal, len(queries))

@@ -263,8 +263,8 @@ func DataBalanceDegree(alloc core.Allocation) float64 {
 // companion: the bucket with the highest edge weight (ties broken by lower
 // index), or -1 for a single-bucket grid. Cost is O(N²) weight evaluations;
 // the result is allocation-independent, so Tables 2 and 3 compute it once
-// per dataset and reuse it across disk counts and algorithms. Built-in
-// weights run on core's pairwise-weight engine at GOMAXPROCS workers; use
+// per dataset and reuse it across disk counts and algorithms. It runs on
+// core's pairwise-weight engine at GOMAXPROCS workers; use
 // NearestCompanionsWorkers to bound the parallelism.
 func NearestCompanions(g core.Grid, w core.Weight) []int {
 	return NearestCompanionsWorkers(g, w, 0)
@@ -274,30 +274,11 @@ func NearestCompanions(g core.Grid, w core.Weight) []int {
 // bound (0 or negative means GOMAXPROCS, 1 forces the single-threaded
 // sweep). The result is identical for every worker count: rows are
 // independent and each row's arg-max matches the serial scan's tie-breaking.
-// Custom weights take the serial reference loop regardless of workers.
+// A custom weight is evaluated on one goroutine regardless of workers.
 func NearestCompanionsWorkers(g core.Grid, w core.Weight, workers int) []int {
-	if e := core.NewPairEngine(g, w, workers); e != nil {
-		defer e.Close()
-		return e.NearestCompanions()
-	}
-	if w == nil {
-		w = core.ProximityWeight
-	}
-	n := len(g.Buckets)
-	nn := make([]int, n)
-	for i := 0; i < n; i++ {
-		best, bestVal := -1, -1.0
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if v := w(g.Buckets[i], g.Buckets[j], g.Domain); v > bestVal {
-				best, bestVal = j, v
-			}
-		}
-		nn[i] = best
-	}
-	return nn
+	e := core.NewPairEngine(g, w, workers)
+	defer e.Close()
+	return e.NearestCompanions()
 }
 
 // CountSameDisk counts buckets co-located with their nearest companion.

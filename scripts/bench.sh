@@ -8,9 +8,9 @@
 #              intended-send-time percentiles per scheme and replication
 #              factor) plus the grid-file translation micro-benchmarks
 #              → BENCH_server.json
-#   decluster  the build path: BenchmarkDecluster, serial (pre-engine
-#              closure reference) vs parallel (pairwise-weight engine at
-#              GOMAXPROCS) across grid and disk sizes → BENCH_decluster.json
+#   decluster  the build path: BenchmarkDecluster, the pairwise-weight engine
+#              at one worker vs at GOMAXPROCS workers across grid and disk
+#              sizes → BENCH_decluster.json
 #   alloc      regression gate only: the tuned and tuned-pipelined throughput
 #              rows with -benchmem, checked against the committed allocs/op
 #              budget (no JSON output)

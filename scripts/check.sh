@@ -5,34 +5,23 @@
 #   1. gofmt       formatting drift
 #   2. go vet      static misuse
 #   3. go build    every package compiles
-#   4. go test     full suite under the race detector
+#   4. go test     full suite under the race detector. The serving gates are
+#                  tests in it: chaos, replica failover and stage tracing
+#                  (cmd/gridserver TestBenchChaosMode, TestBenchStoreMode),
+#                  online-write durability (TestIngestCrashReplay), open-loop
+#                  load (TestBenchOpenLoopMode) and the scenario campaign
+#                  against the committed CAMPAIGN.json (internal/campaign
+#                  TestDefaultMatrixMatchesCommittedBaseline)
 #   5. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
 #                  (FuzzRead) and layout manifests (FuzzManifest)
-#   6. trace smoke traced bench run: stage breakdown + slow-query log
-#   7. chaos smoke fault-injected bench run: zero errors, degraded answers;
-#                  then the same profile on an r=2 layout: zero errors, zero
-#                  degraded, nonzero failovers
-#   8. replica smoke
-#                  r=2 layout with one disk hard-killed: zero errors, zero
-#                  degraded, nonzero failovers
-#   9. write smoke  online-write durability: ingest under a killed disk's
-#                  page writes at r=2, crash without checkpoint, replay;
-#                  zero lost acks, splits observed, scrub clean
-#  10. open-loop smoke
-#                  open-loop run at a fixed offered rate: zero errors,
-#                  achieved qps >= 95% of offered
-#  11. campaign gate
-#                  deterministic fault x scheme x workload x replication
-#                  matrix: byte-identical across runs, zero surfaced errors,
-#                  and exactly matching the committed CAMPAIGN.json
-#  12. bench smoke one-shot run of the serving-path benchmark suite
-#  13. alloc gate  tuned and tuned-pipelined throughput rows with -benchmem
+#   6. bench smoke one-shot run of the serving-path benchmark suite
+#   7. alloc gate  tuned and tuned-pipelined throughput rows with -benchmem
 #                  must stay within the committed allocs/op budget
-#  14. decluster smoke
-#                  one iteration of the build-path benchmark; its parallel
-#                  variant asserts the engine assignment is byte-identical
-#                  to the serial reference
+#   8. decluster smoke
+#                  one iteration of the build-path benchmark; its workers=max
+#                  variant asserts the assignment is byte-identical to the
+#                  workers=1 one
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -56,31 +45,23 @@ echo "== go build"
 go build ./...
 
 echo "== go test -race"
-go test -race ./...
+# The output streams as it comes and is kept, so that when a package fails
+# the lines naming what failed can be repeated after the last package's
+# output instead of scrolling away above it.
+TEST_OUT=$(mktemp)
+trap 'rm -f "$TEST_OUT"' EXIT
+{ go test -race ./... 2>&1 || echo "check.sh: go test exited $?"; } | tee "$TEST_OUT"
+if grep -q '^check.sh: go test exited' "$TEST_OUT"; then
+    echo "== go test -race failed; the failures again:" >&2
+    grep -E '^[[:space:]]*--- FAIL|^FAIL|^panic:' "$TEST_OUT" >&2 || true
+    exit 1
+fi
 
 echo "== fuzz smoke ($FUZZTIME each)"
 go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzDegradedCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
 go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
-
-echo "== trace smoke"
-TRACE_SEED="${TRACE_SEED:-1}" sh scripts/trace.sh 200
-
-echo "== chaos smoke"
-CHAOS_SEED="${CHAOS_SEED:-1}" sh scripts/chaos.sh 1000
-
-echo "== replica smoke"
-REPLICA_SEED="${REPLICA_SEED:-1}" sh scripts/replica.sh 500
-
-echo "== write smoke"
-WRITE_SEED="${WRITE_SEED:-1}" sh scripts/write.sh 2000
-
-echo "== open-loop smoke"
-OPENLOOP_SEED="${OPENLOOP_SEED:-1}" sh scripts/openloop.sh 2000
-
-echo "== campaign gate"
-sh scripts/campaign.sh
 
 echo "== bench smoke"
 BENCH_SMOKE_OUT=$(mktemp)
