@@ -11,25 +11,7 @@ const mergeFillFraction = 0.7
 // returning whether a record was removed. Underflowing buckets are merged
 // with a buddy bucket when the union of their cell regions is again a box,
 // preserving the grid-file region invariant.
-func (f *File) Delete(p geom.Point) bool {
-	if f.checkKey(p) != nil {
-		return false
-	}
-	cell := make([]int32, f.cfg.Dims)
-	f.locateCell(p, cell)
-	id := f.dir[f.cellIndex(cell)]
-	b := f.bkts[id]
-	dims := f.cfg.Dims
-	for i, n := 0, b.count(dims); i < n; i++ {
-		if pointEqual(b.keys[i*dims:(i+1)*dims], p) {
-			b.removeRecord(i, dims)
-			f.nrec--
-			f.maybeMerge(id)
-			return true
-		}
-	}
-	return false
-}
+func (f *File) Delete(p geom.Point) bool { return f.DeleteTracked(p).Removed }
 
 // maybeMerge merges bucket id with a buddy if both are lightly loaded. It
 // reports whether a merge happened and, if so, which bucket survived (keep)

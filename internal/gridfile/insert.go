@@ -12,18 +12,8 @@ const minCellFraction = 1e-9
 // occasional bucket splits; a split that needs a new split point rebuilds the
 // directory in O(#cells).
 func (f *File) Insert(rec Record) error {
-	if err := f.checkKey(rec.Key); err != nil {
-		return err
-	}
-	sc := f.getScratch()
-	f.locateCell(rec.Key, sc.cell)
-	id := f.dir[f.cellIndex(sc.cell)]
-	putScratch(sc)
-	b := f.bkts[id]
-	b.appendRecord(rec, f.cfg.Dims)
-	f.nrec++
-	f.splitWhileOverfull(id)
-	return nil
+	_, err := f.InsertTracked(rec)
+	return err
 }
 
 // InsertAll adds a batch of records, stopping at the first error.

@@ -8,17 +8,30 @@ import (
 	"pgridfile/internal/geom"
 )
 
+// locate returns the id of the bucket owning the cell that contains p: the
+// key check, the scale search and the directory lookup every point-addressed
+// operation starts with. It reads only structures that are immutable between
+// mutations plus pooled scratch, so it is safe for concurrent readers.
+func (f *File) locate(p geom.Point) (int32, error) {
+	if err := f.checkKey(p); err != nil {
+		return 0, err
+	}
+	sc := f.getScratch()
+	f.locateCell(p, sc.cell)
+	id := f.dir[f.cellIndex(sc.cell)]
+	putScratch(sc)
+	return id, nil
+}
+
 // Lookup returns all records whose key equals p exactly (duplicate keys are
 // permitted). Returned keys are copies and safe to retain. Lookup is safe
 // for concurrent readers.
 func (f *File) Lookup(p geom.Point) []Record {
-	if f.checkKey(p) != nil {
+	id, err := f.locate(p)
+	if err != nil {
 		return nil
 	}
-	sc := f.getScratch()
-	f.locateCell(p, sc.cell)
-	b := f.bkts[f.dir[f.cellIndex(sc.cell)]]
-	putScratch(sc)
+	b := f.bkts[id]
 	dims := f.cfg.Dims
 	var out []Record
 	for i, n := 0, b.count(dims); i < n; i++ {
@@ -30,19 +43,13 @@ func (f *File) Lookup(p geom.Point) []Record {
 }
 
 // BucketAt returns the id of the bucket owning the cell that contains p,
-// or ok=false when p lies outside the domain. This is the coordinator-side
-// translation a point query needs before fetching the bucket from a page
-// store; it reads only immutable structures plus pooled scratch and is safe
-// for concurrent readers.
+// or ok=false when p is not a key of this file (wrong dimensionality or
+// outside the domain). This is the coordinator-side translation a point query
+// or a mutation needs before touching the page store; it is safe for
+// concurrent readers.
 func (f *File) BucketAt(p geom.Point) (id int32, ok bool) {
-	if f.checkKey(p) != nil {
-		return 0, false
-	}
-	sc := f.getScratch()
-	f.locateCell(p, sc.cell)
-	id = f.dir[f.cellIndex(sc.cell)]
-	putScratch(sc)
-	return id, true
+	id, err := f.locate(p)
+	return id, err == nil
 }
 
 func pointEqual(a []float64, b geom.Point) bool {

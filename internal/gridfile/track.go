@@ -2,12 +2,12 @@ package gridfile
 
 import "pgridfile/internal/geom"
 
-// Tracked mutations: Insert/Delete variants that additionally report which
-// buckets the mutation touched, created or destroyed. The persistent store's
-// write path needs this bookkeeping to know which bucket pages to rewrite,
-// which placements to allocate and which to retire — without diffing the
-// whole file after every record. Like Insert and Delete, the tracked
-// variants require exclusive access to the File.
+// Tracked mutations: the bodies of Insert and Delete, which additionally
+// report which buckets the mutation touched, created or destroyed. The
+// persistent store's write path needs this bookkeeping to know which bucket
+// pages to rewrite, which placements to allocate and which to retire —
+// without diffing the whole file after every record. They require exclusive
+// access to the File.
 
 // InsertResult describes the bucket-level effect of one tracked insert.
 type InsertResult struct {
@@ -44,44 +44,24 @@ type DeleteResult struct {
 	Dead   int32
 }
 
-// Dirty returns every surviving bucket whose record set may have changed.
+// Dirty returns every surviving bucket whose record set may have changed: the
+// target, or after a merge (which always involves the target) the survivor.
 func (r DeleteResult) Dirty() []int32 {
-	if !r.Removed {
+	switch {
+	case !r.Removed:
 		return nil
+	case r.Merged:
+		return []int32{r.Keep}
 	}
-	if !r.Merged {
-		return []int32{r.Target}
-	}
-	if r.Keep != r.Target && r.Dead != r.Target {
-		// Cannot happen today (merges involve the target), but keep the
-		// contract honest if merge policy ever changes.
-		return []int32{r.Target, r.Keep}
-	}
-	return []int32{r.Keep}
-}
-
-// LocateBucket returns the id of the live bucket whose region contains p.
-// It is a read-only lookup, safe for concurrent readers.
-func (f *File) LocateBucket(p geom.Point) (int32, error) {
-	if err := f.checkKey(p); err != nil {
-		return 0, err
-	}
-	sc := f.getScratch()
-	f.locateCell(p, sc.cell)
-	id := f.dir[f.cellIndex(sc.cell)]
-	putScratch(sc)
-	return id, nil
+	return []int32{r.Target}
 }
 
 // InsertTracked is Insert with bucket-level effect reporting.
 func (f *File) InsertTracked(rec Record) (InsertResult, error) {
-	if err := f.checkKey(rec.Key); err != nil {
+	id, err := f.locate(rec.Key)
+	if err != nil {
 		return InsertResult{}, err
 	}
-	sc := f.getScratch()
-	f.locateCell(rec.Key, sc.cell)
-	id := f.dir[f.cellIndex(sc.cell)]
-	putScratch(sc)
 	before := len(f.bkts)
 	f.bkts[id].appendRecord(rec, f.cfg.Dims)
 	f.nrec++
@@ -95,12 +75,10 @@ func (f *File) InsertTracked(rec Record) (InsertResult, error) {
 
 // DeleteTracked is Delete with bucket-level effect reporting.
 func (f *File) DeleteTracked(p geom.Point) DeleteResult {
-	if f.checkKey(p) != nil {
+	id, err := f.locate(p)
+	if err != nil {
 		return DeleteResult{}
 	}
-	cell := make([]int32, f.cfg.Dims)
-	f.locateCell(p, cell)
-	id := f.dir[f.cellIndex(cell)]
 	b := f.bkts[id]
 	dims := f.cfg.Dims
 	for i, n := 0, b.count(dims); i < n; i++ {

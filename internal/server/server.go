@@ -349,7 +349,7 @@ func OpenDir(dir string, cfg Config) (*Server, error) {
 	}
 	grid := st.Grid()
 	if grid == nil {
-		grid, err = store.OpenGrid(dir)
+		grid, err = st.OpenGrid()
 		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("server: %w (layouts written before grid embedding must be re-laid out)", err)
@@ -1068,51 +1068,37 @@ func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *result
 			return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(req.Key), dims)
 		}
 		return s.knnQuery(ctx, qs, tr, enc, req.Key, req.K)
-	case VerbInsert, VerbDelete:
-		if len(req.Key) != dims {
-			return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(req.Key), dims)
-		}
-		return s.writeOp(ctx, req.Verb, req.Key)
+	case VerbInsert:
+		return s.writeOp(ctx, (*store.Store).Insert, req.Key)
+	case VerbDelete:
+		return s.writeOp(ctx, (*store.Store).Delete, req.Key)
 	}
 	return Result{}, fmt.Errorf("unhandled verb 0x%02x", uint8(req.Verb))
 }
 
-// writeOp executes one INSERT or DELETE against the writable store and
-// invalidates every bucket the mutation touched in the bucket cache — only
-// after the store has journaled the op and swapped the rewritten placements,
-// so a read admitted after the ack can never see pre-write data through a
-// stale cache entry (a concurrent leader that loaded the old pages is fenced
-// by the cache's invalidation stamp). The store serializes mutations
+// writeOp executes one mutation (mutate is the store's Insert or Delete)
+// against the writable store and invalidates every bucket it made stale in the
+// bucket cache — only after the store has journaled the op and swapped the rewritten
+// placements, so a read admitted after the ack can never see pre-write data
+// through a stale cache entry (a concurrent leader that loaded the old pages
+// is fenced by the cache's invalidation stamp). The store serializes mutations
 // internally; concurrent INSERTs from many connections are safe.
-func (s *Server) writeOp(ctx context.Context, verb Verb, key geom.Point) (Result, error) {
+func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.Context, geom.Point) (store.Mutation, error), key geom.Point) (Result, error) {
+	if len(key) != s.grid.Dims() {
+		return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(key), s.grid.Dims())
+	}
 	if !s.writable {
 		return Result{}, errors.New("server is read-only (restart with writes enabled)")
 	}
-	var res Result
-	var dirty []int32
-	if verb == VerbInsert {
-		ir, err := s.st.Insert(ctx, key)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Applied = true
-		res.Splits = ir.Splits
-		dirty = ir.Dirty()
-	} else {
-		dr, err := s.st.Delete(ctx, key)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Applied = dr.Removed
-		dirty = dr.Dirty()
-		if dr.Merged {
-			dirty = append(dirty, dr.Dead)
-		}
+	m, err := mutate(s.st, ctx, key)
+	if err != nil {
+		return Result{}, err
 	}
-	if s.bcache != nil && len(dirty) > 0 {
-		s.bcache.Invalidate(dirty...)
+	if s.bcache != nil {
+		s.bcache.Invalidate(m.Stale...)
 	}
-	res.Info.Buckets = len(dirty)
+	res := Result{Applied: m.Applied, Splits: m.Splits}
+	res.Info.Buckets = len(m.Stale)
 	return res, nil
 }
 

@@ -1,0 +1,246 @@
+package store
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"pgridfile/internal/geom"
+)
+
+// TestCheckpointKilledBeforeCommit is the regression test for the checkpoint
+// that had two commit points: the store is killed after the new grid state is
+// durable but before manifest.json is renamed. While the grid file was renamed
+// over grid.grd ahead of the manifest, reopening paired the new grid with the
+// old manifest and replayed the journals on top of it — 3 inserts came back as
+// 6 records, and 200 inserts (with splits) left a layout OpenWritable refused
+// with "live bucket … has no placement".
+func TestCheckpointKilledBeforeCommit(t *testing.T) {
+	for _, n := range []int{3, 200} {
+		for _, r := range []int{1, 2} {
+			t.Run(fmt.Sprintf("n=%d/r=%d", n, r), func(t *testing.T) {
+				dir, f, _ := buildReplicatedLayout(t, 4, r)
+				s, err := OpenWritable(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetCheckpointEvery(0)
+				keys := randKeys(s.Domain(), n, 5)
+				for _, key := range keys {
+					if _, err := s.Insert(context.Background(), key); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n == 200 && s.WriteCounters().BucketSplits == 0 {
+					t.Fatal("200 inserts split no bucket")
+				}
+				// The checkpoint's crash points: 1 after the data fsyncs, 2
+				// after the grid state is durable, 3 after the commit rename.
+				calls := 0
+				s.w.crash = func() bool { calls++; return calls == 2 }
+				if err := s.Checkpoint(); !errors.Is(err, errSimulatedCrash) {
+					t.Fatalf("checkpoint: %v, want the simulated crash", err)
+				}
+				s.CloseNoCheckpoint()
+
+				s2, err := OpenWritable(dir)
+				if err != nil {
+					t.Fatalf("reopen after the torn checkpoint: %v", err)
+				}
+				defer s2.Close()
+				grid := s2.Grid()
+				if grid.Len() != f.Len()+n {
+					t.Fatalf("%d records after reopen, want %d+%d", grid.Len(), f.Len(), n)
+				}
+				for _, key := range keys {
+					if got := len(grid.Lookup(key)); got != 1 {
+						t.Fatalf("inserted key %v found %d times", key, got)
+					}
+				}
+				verifyStoreMatchesGrid(t, s2, grid)
+				if st, err := s2.Scrub(context.Background(), 0); err != nil || st.Corrupt != 0 {
+					t.Fatalf("scrub after reopen: %+v, %v", st, err)
+				}
+			})
+		}
+	}
+}
+
+// TestReplayMatchesLive runs one seeded insert/delete sequence — enough
+// inserts to split buckets, enough deletes to merge some — down both ends of
+// the write path: applied live and checkpointed, and applied live, dropped
+// without a checkpoint and recovered by journal replay. The two must end in
+// the same grid file, byte for byte, and the same records in every copy of
+// every bucket.
+func TestReplayMatchesLive(t *testing.T) {
+	base, f, _ := buildReplicatedLayoutOf(t, 600, 4, 2)
+	var ops []crashOp
+	for _, key := range randKeys(f.Domain(), 500, 21) {
+		ops = append(ops, crashOp{key: key})
+	}
+	for i, v := range f.Buckets() { // empty three buckets in four of the original
+		if i%4 != 0 {
+			f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
+				ops = append(ops, crashOp{del: true, key: slices.Clone(key)})
+			})
+		}
+	}
+	for i := 0; i < 500; i += 2 { // and drop half of the inserted
+		ops = append(ops, crashOp{del: true, key: ops[i].key})
+	}
+
+	// apply runs the sequence against a copy of the base layout and reports
+	// how many buddy merges it saw (a delete that retired a bucket reports
+	// two stale buckets: the survivor and the retired one). Every bucket an
+	// op reports stale must read back, rewritten, straight after the op — and
+	// after a merge every bucket, in case the report named the wrong ones.
+	apply := func() (s *Store, merges int) {
+		s, err := OpenWritable(copyLayout(t, base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCheckpointEvery(0)
+		for i, op := range ops {
+			mutate := s.Insert
+			if op.del {
+				mutate = s.Delete
+			}
+			m, err := mutate(context.Background(), op.key)
+			if err != nil || !m.Applied {
+				t.Fatalf("op %d: applied=%v err=%v", i, m.Applied, err)
+			}
+			for _, id := range m.Stale {
+				checkBucketCopies(t, s, id)
+			}
+			if op.del && len(m.Stale) == 2 {
+				merges++
+				for _, v := range s.Grid().Buckets() {
+					checkBucketCopies(t, s, v.ID)
+				}
+			}
+		}
+		return s, merges
+	}
+
+	live, merges := apply()
+	defer live.Close()
+	if splits := live.WriteCounters().BucketSplits; splits == 0 || merges == 0 {
+		t.Fatalf("sequence caused %d splits and %d merges, want some of each", splits, merges)
+	}
+	if err := live.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	crashed, _ := apply()
+	crashed.CloseNoCheckpoint()
+	replayed, err := OpenWritable(crashed.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	if got := replayed.WriteCounters().JournalReplays; got != int64(len(ops)) {
+		t.Fatalf("replayed %d ops, want %d", got, len(ops))
+	}
+
+	var a, b bytes.Buffer
+	if _, err := live.Grid().WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replayed.Grid().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("grid after replay (%d bytes) differs from grid after the live run (%d bytes)", b.Len(), a.Len())
+	}
+	for _, v := range live.Grid().Buckets() {
+		checkBucketCopies(t, live, v.ID)
+		checkBucketCopies(t, replayed, v.ID)
+	}
+}
+
+// checkBucketCopies reads one bucket of a writable store from every disk that
+// owns a copy and requires each to decode to the multiset of records the
+// store's grid holds for it. A bucket a merge retired has nothing to check.
+func checkBucketCopies(t *testing.T, s *Store, id int32) {
+	t.Helper()
+	var want [][2]float64
+	if !s.Grid().ForEachRecordInBucket(id, func(key []float64, _ []byte) {
+		want = append(want, [2]float64{key[0], key[1]})
+	}) {
+		return
+	}
+	slices.SortFunc(want, cmpRow)
+	pl, ok := s.Placement(id)
+	if !ok {
+		t.Fatalf("bucket %d has no placement", id)
+	}
+	for _, d := range pl.OwnerDisks {
+		out := make([]geom.Flat, 1)
+		if _, err := s.ReadFlatsFromTimed(context.Background(), d, []int32{id}, out, nil); err != nil {
+			t.Fatalf("bucket %d on disk %d: %v", id, d, err)
+		}
+		var got [][2]float64
+		for i := 0; i < out[0].Len(); i++ {
+			got = append(got, [2]float64{out[0].Row(i)[0], out[0].Row(i)[1]})
+		}
+		slices.SortFunc(got, cmpRow)
+		if !slices.Equal(got, want) {
+			t.Fatalf("bucket %d on disk %d: read %d records, the grid holds %d (or they differ)", id, d, len(got), len(want))
+		}
+	}
+}
+
+func cmpRow(a, b [2]float64) int { return slices.Compare(a[:], b[:]) }
+
+// TestOpenWritableRemovesStrays plants what a kill inside a checkpoint can
+// leave in a layout directory — atomicWriteFile temporaries and a grid file
+// the manifest does not name — beside files that are none of the store's
+// business, and checks OpenWritable removes the former and only the former.
+func TestOpenWritableRemovesStrays(t *testing.T) {
+	dir, _, _ := buildReplicatedLayout(t, 4, 2)
+	bystanders := []string{"NOTES.txt", ".hidden", "grid.grd.bak"}
+	strays := []string{".manifest.json.tmp", ".grid.1024.grd.tmp", "grid.1024.grd"}
+	want := map[string]bool{}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		want[e.Name()] = true
+	}
+	for d := 0; d < 4; d++ {
+		want[JournalFileName(d)] = true // OpenWritable creates the journals
+	}
+	for _, name := range bystanders {
+		want[name] = true
+	}
+	for _, name := range append(bystanders, strays...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stranded"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := OpenWritable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.CloseNoCheckpoint()
+	ents, err = os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !want[e.Name()] {
+			t.Errorf("%s survived OpenWritable", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("%s was removed by OpenWritable", name)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"pgridfile/internal/geom"
 )
@@ -67,17 +66,11 @@ type journalRec struct {
 	key []float64
 }
 
-// readJournal decodes every valid record from one journal file, stopping at
-// the first torn or corrupt entry (see the package comment above — the tail
-// past that point holds only unacknowledged writes).
-func readJournal(path string, dims int) ([]journalRec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
+// readJournal decodes every valid record from one journal file's contents,
+// stopping at the first torn or corrupt entry (see the package comment above
+// — the tail past that point holds only unacknowledged writes). A record is
+// valid only if appendJournalRec could have written it, byte for byte.
+func readJournal(data []byte, dims int) []journalRec {
 	want := journalRecSize(dims)
 	var out []journalRec
 	for off := 0; off+want <= len(data); off += want {
@@ -94,7 +87,7 @@ func readJournal(path string, dims int) ([]journalRec, error) {
 			op:  rec[12],
 			key: make([]float64, dims),
 		}
-		if r.op != journalOpInsert && r.op != journalOpDelete {
+		if (r.op != journalOpInsert && r.op != journalOpDelete) || rec[13]|rec[14]|rec[15] != 0 {
 			break
 		}
 		for d := 0; d < dims; d++ {
@@ -102,5 +95,5 @@ func readJournal(path string, dims int) ([]journalRec, error) {
 		}
 		out = append(out, r)
 	}
-	return out, nil
+	return out
 }

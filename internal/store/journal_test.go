@@ -89,9 +89,12 @@ func crashOps(dom geom.Rect) []crashOp {
 	return ops
 }
 
-// applyUntilCrash runs the sequence against an open writable store whose
-// crash hook is already armed. It returns the index of the op that observed
-// the simulated crash (len(ops) if none did).
+// applyUntilCrash runs the sequence, then an explicit checkpoint, against an
+// open writable store whose crash hook is already armed. It returns the index
+// of the op that observed the simulated crash; len(ops) means every op was
+// acknowledged (a crash, if any, then fell inside the final checkpoint). A
+// crash inside an automatic checkpoint is observed by the following op, which
+// the dead store refuses before journaling it.
 func applyUntilCrash(t *testing.T, s *Store, ops []crashOp) int {
 	t.Helper()
 	for i, op := range ops {
@@ -108,17 +111,26 @@ func applyUntilCrash(t *testing.T, s *Store, ops []crashOp) int {
 			return i
 		}
 	}
+	if err := s.Checkpoint(); err != nil && !errors.Is(err, errSimulatedCrash) {
+		t.Fatalf("final checkpoint failed with a non-crash error: %v", err)
+	}
 	return len(ops)
 }
 
+// crashCheckpointEvery makes automatic checkpoints fall inside crashOps'
+// twelve operations (after the 5th and the 10th), so the crash points of a
+// checkpoint are traversed between journaled operations as well as after them.
+const crashCheckpointEvery = 5
+
 // TestCrashRecoveryAtEveryFailpoint is the recovery property test: for a
 // matrix of allocator families and replication factors, the write path is
-// killed at EVERY crash point — before/after each per-disk journal fsync and
-// before/after each replica page write — and the store reopened. The
-// property: every acknowledged operation is durable, no never-attempted
-// operation appears, the single in-flight op is either fully applied or
-// fully absent (never half), and every bucket's replica copies come back
-// checksum-valid and byte-identical.
+// killed at EVERY crash point — before/after each per-disk journal fsync,
+// before/after each replica page write, and after every step of a checkpoint
+// (data fsyncs, grid file, manifest rename, each journal truncate) — and the
+// store reopened. The property: every acknowledged operation is durable
+// exactly once, no never-attempted operation appears, the single in-flight op
+// is either fully applied or fully absent (never half), and every bucket's
+// replica copies come back checksum-valid and byte-identical.
 func TestCrashRecoveryAtEveryFailpoint(t *testing.T) {
 	allocs := scrubAllocators(t)
 	if testing.Short() {
@@ -142,7 +154,8 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 	base, f := buildCrashLayout(t, alloc, disks, r)
 	ops := crashOps(f.Domain())
 
-	// Dry run: count the crash points the full sequence passes through.
+	// Dry run: count the crash points the full sequence passes through, and
+	// the checkpoint LSNs they were reached under.
 	total := 0
 	{
 		dir := copyLayout(t, base)
@@ -150,16 +163,19 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetCheckpointEvery(0)
-		s.w.crash = func() bool { total++; return false }
+		s.SetCheckpointEvery(crashCheckpointEvery)
+		lsns := map[uint64]bool{}
+		s.w.crash = func() bool { total++; lsns[s.w.checkpointLSN] = true; return false }
 		if got := applyUntilCrash(t, s, ops); got != len(ops) {
 			t.Fatalf("dry run crashed at op %d", got)
 		}
+		s.w.crash = nil
 		s.Close()
+		if len(lsns) < 4 {
+			t.Fatalf("crash points seen under checkpoint LSNs %v: want the base, two automatic checkpoints and the final one", lsns)
+		}
 	}
-	if total == 0 {
-		t.Fatal("no crash points traversed")
-	}
+	t.Logf("%d crash points", total)
 
 	for k := 1; k <= total; k++ {
 		dir := copyLayout(t, base)
@@ -167,14 +183,14 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		s.SetCheckpointEvery(0)
+		s.SetCheckpointEvery(crashCheckpointEvery)
 		calls := 0
 		s.w.crash = func() bool { calls++; return calls == k }
 		crashed := applyUntilCrash(t, s, ops)
-		if crashed == len(ops) {
+		if calls < k {
 			t.Fatalf("k=%d: hook never fired (%d calls)", k, calls)
 		}
-		s.CloseNoCheckpoint() // kill -9: no checkpoint, manifest+grid stale
+		s.CloseNoCheckpoint() // kill -9 at crash point k
 
 		// Recovery: reopen replays the journals.
 		s2, err := OpenWritable(dir)
@@ -209,8 +225,8 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 				continue
 			}
 			got := len(grid.Lookup(op.key))
-			if inserted && got == 0 {
-				t.Fatalf("k=%d: acked insert %v lost after recovery", k, op.key)
+			if inserted && got != 1 {
+				t.Fatalf("k=%d: acked insert %v stored %d times after recovery", k, op.key, got)
 			}
 			if !inserted && got != 0 {
 				t.Fatalf("k=%d: acked delete of %v undone after recovery", k, op.key)

@@ -3,7 +3,8 @@
 // corresponding to every disk being simulated". A layout directory holds
 //
 //	manifest.json   grid metadata, page size and the bucket placement map
-//	grid.grd        the grid file's scales and directory (coordinator state)
+//	grid.grd        the grid file's scales and directory (coordinator state);
+//	                grid.<lsn>.grd once a checkpoint has moved the layout on
 //	disk000.dat …   one page file per disk; each bucket occupies one or
 //	                more consecutive pages on its assigned disk
 //
@@ -121,6 +122,18 @@ type manifestVersion struct {
 }
 
 const manifestVersionCurrent = 3
+
+// marshalManifest encodes m in its version envelope, as manifest.json holds it.
+func marshalManifest(m *Manifest) ([]byte, error) {
+	layout, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(manifestVersion{
+		Version: manifestVersionCurrent,
+		Layout:  layout,
+	}, "", "  ")
+}
 
 // recordsPerPage returns how many dims-dimensional keys fit in a page.
 func recordsPerPage(pageBytes, dims int) int {
@@ -274,7 +287,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	// Embed the grid file itself so the layout is self-contained: a server
 	// can reopen the coordinator's scales and directory (whose bucket ids
 	// the manifest placements refer to) from the layout directory alone.
-	gf, err := os.Create(filepath.Join(dir, gridFileName))
+	gf, err := os.Create(filepath.Join(dir, gridFileName(0)))
 	if err != nil {
 		return nil, err
 	}
@@ -286,14 +299,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		return nil, err
 	}
 
-	manifest, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	env, err := json.MarshalIndent(manifestVersion{
-		Version: manifestVersionCurrent,
-		Layout:  manifest,
-	}, "", "  ")
+	env, err := marshalManifest(m)
 	if err != nil {
 		return nil, err
 	}
@@ -467,10 +473,11 @@ func validatePlacement(pl Placement, m *Manifest, sizes []int64) error {
 	return nil
 }
 
-// OpenGrid loads the grid file embedded in a layout directory by Write.
-// Its bucket ids are the ones the manifest placements address.
-func OpenGrid(dir string) (*gridfile.File, error) {
-	fh, err := os.Open(filepath.Join(dir, gridFileName))
+// OpenGrid loads the grid file embedded in the layout directory: the one the
+// manifest's checkpoint LSN names (gridFileName). Its bucket ids are the ones
+// the manifest placements address.
+func (s *Store) OpenGrid() (*gridfile.File, error) {
+	fh, err := os.Open(filepath.Join(s.dir, gridFileName(s.Manifest().CheckpointLSN)))
 	if err != nil {
 		return nil, fmt.Errorf("store: layout has no embedded grid file: %w", err)
 	}
@@ -924,8 +931,17 @@ func (s *Store) Close() {
 // agrees with the writer on spelling.
 func DiskFileName(d int) string { return fmt.Sprintf("disk%03d.dat", d) }
 
-// gridFileName is the embedded grid file within a layout directory.
-const gridFileName = "grid.grd"
+// gridFileName names the grid file embedded in a layout directory whose
+// manifest is at checkpoint LSN lsn: grid.grd as the layout writer leaves it,
+// grid.<lsn>.grd once checkpoints have moved it on. A grid file is reachable
+// only through the manifest that names it this way, which is what lets the
+// manifest's rename commit both at once.
+func gridFileName(lsn uint64) string {
+	if lsn == 0 {
+		return "grid.grd"
+	}
+	return fmt.Sprintf("grid.%d.grd", lsn)
+}
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

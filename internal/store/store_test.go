@@ -551,7 +551,12 @@ func TestReadTiming(t *testing.T) {
 // bucket ids agree with the manifest placements.
 func TestOpenGrid(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 4096)
-	g, err := OpenGrid(dir)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g, err := s.OpenGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,11 +564,6 @@ func TestOpenGrid(t *testing.T) {
 		t.Fatalf("embedded grid: %d recs / %d buckets, want %d / %d",
 			g.Len(), g.NumBuckets(), f.Len(), f.NumBuckets())
 	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	for _, v := range g.Buckets() {
 		pl, ok := s.Placement(v.ID)
 		if !ok {
@@ -573,7 +573,10 @@ func TestOpenGrid(t *testing.T) {
 			t.Fatalf("bucket %d: manifest has %d records, grid %d", v.ID, pl.Recs, v.Records)
 		}
 	}
-	if _, err := OpenGrid(t.TempDir()); err == nil {
-		t.Error("OpenGrid succeeded on a directory without a layout")
+	if err := os.Remove(filepath.Join(dir, gridFileName(0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenGrid(); err == nil {
+		t.Error("OpenGrid succeeded on a layout without its grid file")
 	}
 }

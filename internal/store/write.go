@@ -1,13 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,27 +19,31 @@ import (
 )
 
 // The mutable store. OpenWritable loads a layout directory for serving AND
-// mutation: Insert and Delete route through the grid file's split/merge
-// machinery and persist the affected buckets to every replica copy, guarded
-// by the per-disk write-ahead journal (journal.go). The write protocol is
+// mutation. There is one write path: Insert and Delete are the same function
+// (mutate) with a different journal op, and journal replay runs the same apply
+// step the live path does. An operation goes through, in order,
 //
-//  1. locate the target bucket and its owner disks (grid translation);
-//  2. append the operation to every owner disk's journal, fsyncing each —
-//     only now is the operation committed (and acknowledgeable);
-//  3. apply the operation to the in-memory grid file (splits, merges and
-//     directory refinements happen here), holding the grid write lock so
-//     concurrent readers never observe a half-mutated directory;
-//  4. rewrite every dirty bucket's pages — to *fresh* extents appended at
-//     the end of each owner's page file (shadow paging), never over live
+//  1. locate: the target bucket and its owner disks (grid translation);
+//  2. journal: the operation is appended to every owner disk's journal
+//     (journal.go), each append fsynced — only now is it committed, and
+//     acknowledgeable;
+//  3. apply: the in-memory grid file is mutated (splits, merges and directory
+//     refinements happen here), split-born buckets get a placement stub on
+//     the target's owner disks, and the set of buckets whose pages are now
+//     stale falls out. The grid write lock is held, so concurrent readers
+//     never observe a half-mutated directory;
+//  4. rewrite: every stale live bucket's pages go to *fresh* extents appended
+//     at the end of each owner's page file (shadow paging), never over live
 //     pages, so a concurrent reader holding the old placement still reads
-//     intact old bytes — then swap the placements.
+//     intact old bytes — then the placements are swapped. The live path
+//     rewrites straight after each apply, replay once per bucket at the end.
 //
 // Data pages are not fsynced per operation; the journal is the durability
-// story. A checkpoint (periodic, and on Close) fsyncs the page files,
-// atomically rewrites manifest.json and grid.grd, and truncates the
-// journals. Dead extents left behind by shadow rewrites are reclaimed only
-// by a full layout rebuild — space amplification traded for never blocking
-// readers.
+// story. A checkpoint (periodic, and on Close) moves the layout from one LSN
+// to the next, and has exactly one commit point — the rename of manifest.json
+// (see checkpointLocked). Dead extents left behind by shadow rewrites are
+// reclaimed only by a full layout rebuild — space amplification traded for
+// never blocking readers.
 //
 // Failure semantics: a journal append failure aborts the operation before
 // it is acknowledged (partially appended records are discarded by replay's
@@ -59,6 +65,19 @@ type WriteCounters struct {
 	JournalAppends int64 `json:"journal_appends"` // per-owner-journal record appends (fsynced)
 	JournalReplays int64 `json:"journal_replays"` // journaled operations re-applied by OpenWritable
 	BucketSplits   int64 `json:"bucket_splits"`   // bucket splits triggered by inserts
+}
+
+// Mutation reports what one Insert or Delete did.
+type Mutation struct {
+	// Applied reports whether the record set changed: always true for an
+	// insert, false for a delete whose key matched no record.
+	Applied bool
+	// Splits is the number of bucket splits the operation triggered.
+	Splits int
+	// Stale lists every bucket whose stored pages the operation superseded —
+	// the rewritten ones and, after a buddy merge, the retired one. The
+	// caller owns invalidating any cache layered above the store.
+	Stale []int32
 }
 
 // errSimulatedCrash is returned by the crash test hook; the store refuses
@@ -101,23 +120,31 @@ type writer struct {
 	dead bool
 
 	// crash, when non-nil, is consulted at every crash point on the write
-	// path (before/after each journal fsync and each page write); returning
-	// true simulates a kill -9 there. Test hook.
+	// path (before/after each journal fsync and each page write, and after
+	// every step of a checkpoint); returning true simulates a kill -9 there.
+	// Test hook.
 	crash func() bool
 
-	inserts, deletes, appends, replays, splits atomic.Int64
+	// applied counts acknowledged operations that changed the record set,
+	// indexed by journal op.
+	applied                  [journalOpDelete + 1]atomic.Int64
+	appends, replays, splits atomic.Int64
 }
 
 // OpenWritable loads a layout directory for serving and mutation. It opens
-// the page files read-write, loads the embedded grid file as the mutable
-// coordinator state, replays any journaled operations that survived a crash,
-// and checkpoints the replayed state.
+// the page files read-write, loads the manifest's grid file as the mutable
+// coordinator state, clears out what a kill inside a checkpoint may have
+// stranded, replays any journaled operations that survived a crash, and
+// checkpoints the replayed state.
 func OpenWritable(dir string) (*Store, error) {
 	s, err := open(dir, true)
 	if err != nil {
 		return nil, err
 	}
-	grid, err := OpenGrid(dir)
+	grid, err := s.OpenGrid()
+	if err == nil {
+		err = removeStrays(dir, s.manifest.CheckpointLSN)
+	}
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -206,8 +233,8 @@ func (s *Store) WriteCounters() WriteCounters {
 		return WriteCounters{}
 	}
 	return WriteCounters{
-		Inserts:        w.inserts.Load(),
-		Deletes:        w.deletes.Load(),
+		Inserts:        w.applied[journalOpInsert].Load(),
+		Deletes:        w.applied[journalOpDelete].Load(),
 		JournalAppends: w.appends.Load(),
 		JournalReplays: w.replays.Load(),
 		BucketSplits:   w.splits.Load(),
@@ -236,16 +263,37 @@ func (w *writer) crashPoint() error {
 
 // Insert adds one record to the layout: journaled to every owner disk of
 // the target bucket, applied through the grid file's split machinery, and
-// persisted to every replica copy via shadow page rewrites. On success the
-// result lists the buckets whose cached contents are now stale (Dirty) —
-// the caller owns invalidating any cache layered above the store. ctx
-// bounds injected stalls only; the journal fsyncs themselves are not
-// cancellable (aborting between owner journals would leave a committed-on-
-// some-disks record that replay must then disambiguate — simpler to finish).
-func (s *Store) Insert(ctx context.Context, key geom.Point) (gridfile.InsertResult, error) {
+// persisted to every replica copy via shadow page rewrites. ctx bounds
+// injected stalls only; the journal fsyncs themselves are not cancellable
+// (aborting between owner journals would leave a committed-on-some-disks
+// record that replay must then disambiguate — simpler to finish).
+func (s *Store) Insert(ctx context.Context, key geom.Point) (Mutation, error) {
+	return s.mutate(ctx, journalOpInsert, key)
+}
+
+// Delete removes one record whose key equals key exactly, by the same path as
+// Insert. A key with no matching record is a no-op (Applied=false) and is not
+// journaled; should a concurrent delete win the race for the last match after
+// the check here, the operation is journaled and then applies as a no-op.
+func (s *Store) Delete(ctx context.Context, key geom.Point) (Mutation, error) {
+	if w := s.w; w != nil {
+		w.gridMu.RLock()
+		missing := len(w.grid.Lookup(key)) == 0
+		w.gridMu.RUnlock()
+		if missing {
+			return Mutation{}, nil
+		}
+	}
+	return s.mutate(ctx, journalOpDelete, key)
+}
+
+// mutate is the write path, top to bottom, for both operations: locate the
+// target bucket and its owners, journal the operation to every owner, apply
+// it, rewrite the buckets it made stale, count it.
+func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation, error) {
 	w := s.w
 	if w == nil {
-		return gridfile.InsertResult{}, errors.New("store: not opened writable")
+		return Mutation{}, errors.New("store: not opened writable")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -253,140 +301,92 @@ func (s *Store) Insert(ctx context.Context, key geom.Point) (gridfile.InsertResu
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
-		return gridfile.InsertResult{}, errSimulatedCrash
+		return Mutation{}, errSimulatedCrash
 	}
-	id, err := w.grid.LocateBucket(key)
-	if err != nil {
-		return gridfile.InsertResult{}, err
+	id, ok := w.grid.BucketAt(key)
+	if !ok {
+		return Mutation{}, fmt.Errorf("store: key %v is not in the layout's domain", key)
 	}
-	owners := s.ownerDisks(id)
-	if owners == nil {
-		return gridfile.InsertResult{}, fmt.Errorf("store: bucket %d has no placement", id)
+	pl, ok := s.lookup(id)
+	if !ok {
+		return Mutation{}, fmt.Errorf("store: bucket %d has no placement", id)
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
-	if err := s.journalAppend(ctx, owners, lsn, journalOpInsert, key); err != nil {
-		return gridfile.InsertResult{}, err
+	if err := s.journalAppend(ctx, pl.OwnerDisks, lsn, op, key); err != nil {
+		return Mutation{}, err
 	}
 
 	// Committed. Apply under the grid write lock: directory mutation, page
 	// rewrites to fresh extents, and placement swaps become visible to
-	// readers atomically when the lock is released.
+	// readers atomically when the lock is released. A retired bucket's
+	// placement is kept as a tombstone (its old extent is still intact, so a
+	// reader that translated before the merge reads a consistent pre-delete
+	// copy); checkpoints build the manifest from the grid's live buckets, so
+	// tombstones never persist.
 	w.gridMu.Lock()
-	res, err := w.grid.InsertTracked(gridfile.Record{Key: key})
-	if err == nil {
-		for _, nid := range res.Created {
-			s.addPlacementLocked(nid, owners)
-		}
-		for _, did := range res.Dirty() {
-			if err = s.rewriteBucket(ctx, did); err != nil {
-				break
-			}
-		}
+	m, dirty, err := s.apply(op, key, pl.OwnerDisks)
+	for i := 0; err == nil && i < len(dirty); i++ {
+		err = s.rewriteBucket(ctx, dirty[i])
 	}
 	w.gridMu.Unlock()
 	if err != nil {
 		// A committed operation failed to apply (simulated crash, or an
 		// impossibility): refuse further writes, recover through replay.
 		w.dead = true
-		return gridfile.InsertResult{}, err
+		return Mutation{}, err
 	}
-	w.inserts.Add(1)
-	w.splits.Add(int64(res.Splits))
-	s.noteCommitted()
-	return res, nil
-}
-
-// Delete removes one record whose key equals key exactly, with the same
-// journal/apply/rewrite protocol as Insert. A key with no matching record
-// is a no-op (Removed=false) and is not journaled.
-func (s *Store) Delete(ctx context.Context, key geom.Point) (gridfile.DeleteResult, error) {
-	w := s.w
-	if w == nil {
-		return gridfile.DeleteResult{}, errors.New("store: not opened writable")
+	if m.Applied {
+		w.applied[op].Add(1)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.dead {
-		return gridfile.DeleteResult{}, errSimulatedCrash
-	}
-	id, err := w.grid.LocateBucket(key)
-	if err != nil {
-		return gridfile.DeleteResult{}, err
-	}
-	if len(w.grid.Lookup(key)) == 0 {
-		return gridfile.DeleteResult{}, nil
-	}
-	owners := s.ownerDisks(id)
-	if owners == nil {
-		return gridfile.DeleteResult{}, fmt.Errorf("store: bucket %d has no placement", id)
-	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	if err := s.journalAppend(ctx, owners, lsn, journalOpDelete, key); err != nil {
-		return gridfile.DeleteResult{}, err
-	}
-
-	w.gridMu.Lock()
-	res := w.grid.DeleteTracked(key)
-	for _, did := range res.Dirty() {
-		if err = s.rewriteBucket(ctx, did); err != nil {
-			break
-		}
-	}
-	w.gridMu.Unlock()
-	if err != nil {
-		w.dead = true
-		return gridfile.DeleteResult{}, err
-	}
-	// A merged-away bucket's placement is kept as a tombstone (its old
-	// extent is still intact, so a reader that translated before the merge
-	// reads a consistent pre-delete copy); checkpoints rebuild the manifest
-	// from the grid's live buckets, so tombstones never persist.
-	if res.Removed {
-		w.deletes.Add(1)
-		s.noteCommitted()
-	}
-	return res, nil
-}
-
-// noteCommitted bumps the ops-since-checkpoint counter and runs an
-// automatic checkpoint when the threshold is reached (best-effort: a
-// withheld checkpoint just means the journals keep growing until the
-// condition clears or the store restarts).
-func (s *Store) noteCommitted() {
-	w := s.w
+	// Best-effort automatic checkpoint: a withheld one just means the
+	// journals keep growing until the condition clears or the store restarts.
 	w.pendingOps++
 	if w.checkpointEvery > 0 && w.pendingOps >= w.checkpointEvery {
 		_ = s.checkpointLocked(false)
 	}
+	return m, nil
 }
 
-// ownerDisks returns a copy-safe owner list for one bucket (nil if the
-// bucket has no placement).
-func (s *Store) ownerDisks(id int32) []int {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return nil
+// apply performs one committed operation on the in-memory state — the grid
+// mutation, and a placement stub on the target's owner disks for every bucket
+// a split created (the rewrite that follows assigns its pages). It is the only
+// caller of the grid file's mutating entry points, shared by the live path and
+// by replay, so both derive the same splits and merges from the same journal
+// record. It returns what the operation did and the live buckets whose pages
+// must be rewritten: dirty is a prefix of m.Stale, and what follows it in
+// m.Stale was retired by a buddy merge. Caller holds w.mu and, online, gridMu.
+func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty []int32, err error) {
+	w := s.w
+	switch op {
+	case journalOpInsert:
+		res, err := w.grid.InsertTracked(gridfile.Record{Key: key})
+		if err != nil {
+			return Mutation{}, nil, err
+		}
+		for _, id := range res.Created {
+			stub := Placement{
+				ID:         id,
+				Disk:       owners[0],
+				OwnerDisks: append([]int(nil), owners...),
+				OwnerPages: make([]int64, len(owners)),
+			}
+			s.pmu.Lock()
+			s.byID[id] = stub
+			s.pmu.Unlock()
+		}
+		dirty = res.Dirty()
+		m = Mutation{Applied: true, Splits: res.Splits, Stale: dirty}
+		w.splits.Add(int64(res.Splits))
+	case journalOpDelete:
+		res := w.grid.DeleteTracked(key)
+		dirty = res.Dirty()
+		m = Mutation{Applied: res.Removed, Stale: dirty}
+		if res.Merged {
+			m.Stale = []int32{res.Keep, res.Dead}
+		}
 	}
-	return pl.OwnerDisks
-}
-
-// addPlacementLocked registers a placement stub for a split-born bucket; the
-// following rewriteBucket assigns its pages. Caller holds w.mu and gridMu.
-func (s *Store) addPlacementLocked(id int32, owners []int) {
-	pl := Placement{
-		ID:         id,
-		Disk:       owners[0],
-		OwnerDisks: append([]int(nil), owners...),
-		OwnerPages: make([]int64, len(owners)),
-	}
-	s.pmu.Lock()
-	s.byID[id] = pl
-	s.pmu.Unlock()
+	return m, dirty, nil
 }
 
 // journalAppend appends one operation record to every owner disk's journal,
@@ -504,8 +504,11 @@ func (s *Store) writePage(ctx context.Context, disk int, buf []byte, off int64) 
 // committed — and therefore replayed — iff a valid record for its LSN is
 // present in the journal of EVERY disk owning its target bucket (located
 // against the deterministically replayed grid state). Anything less was
-// never acknowledged and is discarded. Replay finishes with a forced
-// checkpoint, so a successfully opened store is always clean.
+// never acknowledged and is discarded. Records at or below the manifest's
+// checkpoint LSN are already in the layout — a checkpoint that was killed
+// after its commit point but before it truncated the journals leaves them
+// behind — and are skipped. Replay finishes with a forced checkpoint, so a
+// successfully opened store is always clean.
 func (s *Store) replay() error {
 	w := s.w
 	dims := s.manifest.Dims
@@ -517,19 +520,19 @@ func (s *Store) replay() error {
 	pending := make(map[uint64]*pendOp)
 	journalBytes := false
 	for d := 0; d < s.manifest.Disks; d++ {
-		recs, err := readJournal(filepath.Join(s.dir, JournalFileName(d)), dims)
-		if err != nil {
+		data, err := os.ReadFile(filepath.Join(s.dir, JournalFileName(d)))
+		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		if len(recs) > 0 {
+		if len(data) > 0 {
 			journalBytes = true
 		}
-		for _, r := range recs {
+		for _, r := range readJournal(data, dims) {
 			if r.lsn >= w.nextLSN {
 				w.nextLSN = r.lsn + 1
 			}
 			if r.lsn <= w.checkpointLSN {
-				continue // already captured by the checkpoint
+				continue
 			}
 			p := pending[r.lsn]
 			if p == nil {
@@ -541,11 +544,7 @@ func (s *Store) replay() error {
 			p.have[d] = true
 		}
 	}
-	if len(pending) == 0 {
-		if journalBytes {
-			// Stale journals from a crash mid-checkpoint: truncate them.
-			return s.checkpointLocked(true)
-		}
+	if !journalBytes {
 		return nil
 	}
 
@@ -553,73 +552,46 @@ func (s *Store) replay() error {
 	for lsn := range pending {
 		lsns = append(lsns, lsn)
 	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
+	slices.Sort(lsns)
 
 	dirty := make(map[int32]bool)
-	dead := make(map[int32]bool)
 	for _, lsn := range lsns {
 		p := pending[lsn]
 		if p.bad {
 			continue
 		}
 		key := geom.Point(p.rec.key)
-		id, err := w.grid.LocateBucket(key)
-		if err != nil {
+		id, ok := w.grid.BucketAt(key)
+		if !ok {
 			continue // key no longer plausible: cannot have been committed
 		}
 		pl, ok := s.byID[id]
-		if !ok {
-			continue
+		if !ok || slices.ContainsFunc(pl.OwnerDisks, func(d int) bool { return !p.have[d] }) {
+			continue // some owner's journal lacks the record: never committed
 		}
-		committed := true
-		for _, d := range pl.OwnerDisks {
-			if !p.have[d] {
-				committed = false
-				break
-			}
+		m, live, err := s.apply(p.rec.op, key, pl.OwnerDisks)
+		if err != nil {
+			return err
 		}
-		if !committed {
-			continue
+		for _, id := range live {
+			dirty[id] = true
 		}
-		switch p.rec.op {
-		case journalOpInsert:
-			res, err := w.grid.InsertTracked(gridfile.Record{Key: key})
-			if err != nil {
-				continue
-			}
-			for _, nid := range res.Created {
-				s.addPlacementLocked(nid, pl.OwnerDisks)
-				dirty[nid] = true
-			}
-			dirty[res.Target] = true
-			w.splits.Add(int64(res.Splits))
-		case journalOpDelete:
-			res := w.grid.DeleteTracked(key)
-			if !res.Removed {
-				continue
-			}
-			for _, did := range res.Dirty() {
-				dirty[did] = true
-			}
-			if res.Merged {
-				dead[res.Dead] = true
-			}
+		// No reader holds a retired bucket's id during replay, so it needs
+		// no tombstone (and may never have had pages to point one at).
+		for _, id := range m.Stale[len(live):] {
+			delete(dirty, id)
+			delete(s.byID, id)
 		}
-		w.replays.Add(1)
-		w.pendingOps++
+		if m.Applied {
+			w.replays.Add(1)
+		}
 	}
 
-	for id := range dead {
-		delete(dirty, id)
-		s.pmu.Lock()
-		delete(s.byID, id)
-		s.pmu.Unlock()
-	}
 	ids := make([]int32, 0, len(dirty))
 	for id := range dirty {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		if err := s.rewriteBucket(context.Background(), id); err != nil {
 			return err
@@ -629,7 +601,7 @@ func (s *Store) replay() error {
 }
 
 // Checkpoint makes every committed mutation durable in the data files,
-// atomically rewrites manifest.json and grid.grd, and truncates the
+// commits a manifest and grid file that capture them, and truncates the
 // journals. It is withheld (with an error) while any replica copy write has
 // failed since the last checkpoint — truncating the journals then would
 // drop the only redo for the stale copies.
@@ -646,10 +618,23 @@ func (s *Store) Checkpoint() error {
 // checkpointLocked is Checkpoint with w.mu held; force checkpoints even
 // when no operations are pending (used by replay to truncate stale
 // journals and refresh the manifest).
+//
+// A checkpoint moves the layout from the manifest's LSN a to b, the last LSN
+// handed out, and the rename of manifest.json is the only step that does so:
+// placements, checkpoint LSN and — by its name, gridFileName(b) — the grid
+// file move together. Before it, the fsynced data pages and the new grid file
+// are durable but nothing refers to them: reopening removes the unreferenced
+// grid file and replays the journals from a. After it, all that is left to do
+// is unlink a's grid file and truncate the journals; a kill there leaves only
+// an unreferenced file and records at or below b, which the next open removes
+// and skips.
 func (s *Store) checkpointLocked(force bool) error {
 	w := s.w
 	if w.pendingOps == 0 && !force {
 		return nil
+	}
+	if w.dead {
+		return errSimulatedCrash
 	}
 	if w.failed {
 		return errors.New("store: checkpoint withheld: a replica copy write failed since the last checkpoint (journals retained for replay)")
@@ -660,14 +645,12 @@ func (s *Store) checkpointLocked(force bool) error {
 			return fmt.Errorf("store: checkpoint fsync disk %d: %w", d, err)
 		}
 	}
-
-	// grid.grd: the coordinator state every future open replays from.
-	if err := s.atomicWriteGrid(); err != nil {
+	if err := w.crashPoint(); err != nil {
 		return err
 	}
 
-	// manifest.json: placements for exactly the grid's live buckets
-	// (merged-away tombstones drop out here).
+	// Placements for exactly the grid's live buckets (merged-away tombstones
+	// drop out here).
 	views := w.grid.Buckets()
 	bks := make([]Placement, 0, len(views))
 	for _, v := range views {
@@ -680,24 +663,36 @@ func (s *Store) checkpointLocked(force bool) error {
 	m := s.manifest
 	m.Buckets = bks
 	m.CheckpointLSN = w.nextLSN - 1
-	layout, err := json.MarshalIndent(&m, "", "  ")
+	env, err := marshalManifest(&m)
 	if err != nil {
 		return err
 	}
-	env, err := json.MarshalIndent(manifestVersion{
-		Version: manifestVersionCurrent,
-		Layout:  layout,
-	}, "", "  ")
-	if err != nil {
+
+	if err := atomicWriteFile(s.dir, gridFileName(m.CheckpointLSN), w.grid); err != nil {
 		return err
 	}
-	if err := atomicWriteFile(s.dir, "manifest.json", env); err != nil {
+	if err := w.crashPoint(); err != nil {
 		return err
 	}
+
+	if err := atomicWriteFile(s.dir, "manifest.json", bytes.NewReader(env)); err != nil {
+		return err
+	}
+	superseded := w.checkpointLSN
 	s.pmu.Lock()
 	s.manifest = m
 	s.pmu.Unlock()
+	w.checkpointLSN = m.CheckpointLSN
+	w.pendingOps = 0
+	if err := w.crashPoint(); err != nil {
+		return err
+	}
 
+	if superseded != m.CheckpointLSN {
+		if err := os.Remove(filepath.Join(s.dir, gridFileName(superseded))); err != nil {
+			return fmt.Errorf("store: removing the superseded grid file: %w", err)
+		}
+	}
 	for d, j := range w.journals {
 		if err := j.Truncate(0); err != nil {
 			return fmt.Errorf("store: truncating journal %d: %w", d, err)
@@ -705,63 +700,53 @@ func (s *Store) checkpointLocked(force bool) error {
 		if err := j.Sync(); err != nil {
 			return fmt.Errorf("store: syncing journal %d: %w", d, err)
 		}
+		if err := w.crashPoint(); err != nil {
+			return err
+		}
 	}
-	w.checkpointLSN = m.CheckpointLSN
-	w.pendingOps = 0
 	return nil
 }
 
-// atomicWriteGrid rewrites the layout's embedded grid file via tmp+rename.
-func (s *Store) atomicWriteGrid() error {
-	tmp := filepath.Join(s.dir, "."+gridFileName+".tmp")
-	fh, err := os.Create(tmp)
+// removeStrays deletes what a kill inside a checkpoint can strand in a layout
+// directory: atomicWriteFile's temporaries, and grid files other than the one
+// the manifest at checkpoint LSN lsn names.
+func removeStrays(dir string, lsn uint64) error {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	if _, err := s.w.grid.WriteTo(fh); err != nil {
-		fh.Close()
-		os.Remove(tmp)
-		return err
+	keep := gridFileName(lsn)
+	for _, e := range ents {
+		n := e.Name()
+		tmp := strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp")
+		grid := strings.HasPrefix(n, "grid.") && strings.HasSuffix(n, ".grd") && n != keep
+		if tmp || grid {
+			if err := os.Remove(filepath.Join(dir, n)); err != nil {
+				return err
+			}
+		}
 	}
-	if err := fh.Sync(); err != nil {
-		fh.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := fh.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, gridFileName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(s.dir)
+	return nil
 }
 
-// atomicWriteFile writes name under dir via a synced temp file and rename,
-// then syncs the directory so the rename itself is durable.
-func atomicWriteFile(dir, name string, data []byte) error {
+// atomicWriteFile streams src into name under dir via a synced temp file and
+// rename, then syncs the directory so the rename itself is durable.
+func atomicWriteFile(dir, name string, src io.WriterTo) error {
 	tmp := filepath.Join(dir, "."+name+".tmp")
 	fh, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := fh.Write(data); err != nil {
-		fh.Close()
-		os.Remove(tmp)
-		return err
+	if _, err = src.WriteTo(fh); err == nil {
+		err = fh.Sync()
 	}
-	if err := fh.Sync(); err != nil {
-		fh.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := fh.Close(); err == nil {
+		err = cerr
 	}
-	if err := fh.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -781,14 +766,7 @@ func syncDir(dir string) error {
 	return err
 }
 
+// keysEqual compares two keys bit for bit (NaNs and signed zeros included).
 func keysEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if floatBits(a[i]) != floatBits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return floatBits(x) == floatBits(y) })
 }

@@ -132,7 +132,7 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	g2, err := OpenGrid(dir)
+	g2, err := ro.OpenGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delete %v: %v", key, err)
 		}
-		if !res.Removed {
+		if !res.Applied {
 			t.Fatalf("delete %v: record not found", key)
 		}
 		removed++
@@ -198,7 +198,7 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 
 	// Deleting a missing key is a clean no-op.
 	res, err := s.Delete(context.Background(), geom.Point{-0.5, -0.5})
-	if err == nil && res.Removed {
+	if err == nil && res.Applied {
 		t.Fatal("deleting an out-of-domain key removed something")
 	}
 
@@ -209,7 +209,7 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	g2, err := OpenGrid(dir)
+	g2, err := ro.OpenGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,12 @@ func TestReplayAfterAbandon(t *testing.T) {
 	s.CloseNoCheckpoint() // crash stand-in: manifest and grid.grd are stale
 
 	// The stale on-disk grid must not see the inserts...
-	g, err := OpenGrid(dir)
+	stale, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := stale.OpenGrid()
+	stale.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@
 #                  TestDefaultMatrixMatchesCommittedBaseline)
 #   5. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
-#                  (FuzzRead) and layout manifests (FuzzManifest)
+#                  (FuzzRead), layout manifests (FuzzManifest) and the
+#                  write-ahead journal reader (FuzzJournalReplay)
 #   6. bench smoke one-shot run of the serving-path benchmark suite
 #   7. alloc gate  tuned and tuned-pipelined throughput rows with -benchmem
 #                  must stay within the committed allocs/op budget
@@ -62,6 +63,7 @@ go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzDegradedCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
 go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
+go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/store
 
 echo "== bench smoke"
 BENCH_SMOKE_OUT=$(mktemp)
