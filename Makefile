@@ -3,9 +3,8 @@
 
 GO ?= go
 FUZZTIME ?= 5s
-BENCHTIME ?= 2000x
 
-.PHONY: all build test race check fmt vet fuzz bench bench-alloc bench-decluster bench-all loc clean
+.PHONY: all build test race check fmt vet fuzz bench loc clean
 
 all: build
 
@@ -34,29 +33,10 @@ fuzz:
 check:
 	sh scripts/check.sh $(FUZZTIME)
 
-# The serving-path suite: server throughput (baseline vs tuned vs pipelined),
-# the open-loop offered-vs-achieved rows, plus the translation
-# micro-benchmarks, parsed into BENCH_server.json.
+# Every Go benchmark once: a smoke pass that they still run, no numbers kept.
+# The benchmark of record is the repo benchmark (bench/, BENCHMARK.json).
 bench:
-	sh scripts/bench.sh $(BENCHTIME)
-
-# Allocation regression gate: the tuned and tuned-pipelined throughput rows
-# with -benchmem, checked against the committed allocs/op budget (see
-# ALLOC_BUDGET in scripts/bench.sh).
-bench-alloc:
-	BENCH_SUITE=alloc sh scripts/bench.sh $(BENCHTIME)
-
-# The build-path suite: BenchmarkDecluster at one worker vs GOMAXPROCS
-# workers, parsed into BENCH_decluster.json. One iteration per variant by
-# default (the N=16k points dominate the runtime); override with
-# DECL_BENCHTIME.
-DECL_BENCHTIME ?= 1x
-bench-decluster:
-	BENCH_SUITE=decluster sh scripts/bench.sh $(DECL_BENCHTIME)
-
-# Everything, one iteration each: a smoke pass over the full benchmark set.
-bench-all:
-	$(GO) test -bench=. -benchtime=1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # How much there is: non-test Go lines outside bench/ per package directory,
 # the exported field counts of the two option structs, and the shell scripts.

@@ -14,23 +14,14 @@ package pgridfile
 // Run: go test -bench=. -benchmem
 
 import (
-	"context"
-	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/experiments"
-	"pgridfile/internal/loadgen"
-	"pgridfile/internal/replica"
-	"pgridfile/internal/server"
 	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
-	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
@@ -413,245 +404,6 @@ func BenchmarkReplayWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Replay(f, alloc, idx, queries); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServerThroughput measures end-to-end queries/second of the
-// network query service (internal/server) over real per-disk files, under
-// two declustering schemes and two server configurations: baseline (no
-// bucket cache: every bucket a query touches is read from its disk file) and
-// tuned (the defaults, with the sharded bucket cache).
-// The workload is count-only range queries from 8 closed-loop clients, so
-// the numbers isolate how well the allocation spreads bucket fetches across
-// the per-disk I/O goroutines and how much of that I/O the cache absorbs.
-// Each variant also reports client-observed p50/p95/p99 latency, the run's
-// cache hit rate, and the replication overhead gauges (disk-bytes,
-// write-amp); the tuned-r2 variant repeats the tuned configuration over an
-// r=2 replicated layout so the r=1 vs r=2 qps and storage cost land in
-// BENCH_server.json.
-//
-//	go test -bench=ServerThroughput -benchtime=2000x
-func BenchmarkServerThroughput(b *testing.B) {
-	configs := []struct {
-		name     string
-		replicas int
-		pipeline int
-		workers  int // closed-loop workers (0 = one per connection)
-		cfg      server.Config
-	}{
-		{"baseline", 1, 0, 0, server.Config{MaxInflight: 32, CacheBytes: -1}},
-		{"tuned", 1, 0, 0, server.Config{MaxInflight: 32}},
-		// Tuned defaults with every query stage-traced: quantifies the
-		// observability overhead and lands the per-stage medians
-		// (<stage>-p50-us) in BENCH_server.json for regression bisection.
-		{"traced", 1, 0, 0, server.Config{MaxInflight: 32, TraceSample: 1}},
-		// Tuned defaults over an r=2 replicated layout with no disk failed:
-		// together with the disk-bytes and write-amp gauges this lands the
-		// replication overhead (storage and fault-free qps cost of load-aware
-		// owner selection) in BENCH_server.json next to the r=1 rows.
-		{"tuned-r2", 2, 0, 0, server.Config{MaxInflight: 32}},
-		// Tuned defaults with request pipelining: 64 closed-loop workers
-		// multiplexed over the same 8 connections, each connection keeping up
-		// to 32 tagged requests in flight; the server executes them
-		// concurrently and its per-connection writer coalesces adjacent
-		// responses into single writev submissions. Without pipelining, 8
-		// connections cap the in-flight work at 8 — the delta against
-		// "tuned" is what the pipelined serving path buys from the same
-		// sockets.
-		{"tuned-pipelined", 1, 32, 64, server.Config{MaxInflight: 64}},
-	}
-	for _, scheme := range []string{"minimax", "DM/D"} {
-		for _, c := range configs {
-			b.Run(strings.ReplaceAll(scheme, "/", "-")+"/"+c.name, func(b *testing.B) {
-				f, err := synth.Uniform2D(3000, 7).Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				g := core.FromGridFile(f)
-				var allocator core.Allocator
-				if scheme == "minimax" {
-					allocator = &core.Minimax{Seed: 1}
-				} else {
-					allocator, err = core.NewIndexBased("DM", "D", 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				alloc, err := allocator.Decluster(g, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dir := b.TempDir()
-				if c.replicas > 1 {
-					p := replica.Placer{Replicas: c.replicas}
-					rm, err := p.Place(g, alloc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-						b.Fatal(err)
-					}
-				} else if _, err := store.Write(dir, f, alloc, 4096); err != nil {
-					b.Fatal(err)
-				}
-				s, err := server.OpenDir(dir, c.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				cl, err := server.NewClient(server.ClientConfig{
-					Addr: s.Addr().String(), PoolSize: 8, Pipeline: c.pipeline,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				ranges := workload.SquareRange(f.Domain(), 0.02, 512, 3)
-
-				clients := c.workers
-				if clients == 0 {
-					clients = 8
-				}
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				lats := make([][]float64, clients) // per-worker, merged after
-				b.ResetTimer()
-				start := time.Now()
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for {
-							i := int(next.Add(1)) - 1
-							if i >= b.N {
-								return
-							}
-							t0 := time.Now()
-							if _, _, err := cl.RangeCount(ranges[i%len(ranges)]); err != nil {
-								b.Error(err)
-								return
-							}
-							lats[w] = append(lats[w], float64(time.Since(t0).Microseconds())/1000)
-						}
-					}(w)
-				}
-				wg.Wait()
-				elapsed := time.Since(start)
-
-				var all []float64
-				for _, l := range lats {
-					all = append(all, l...)
-				}
-				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
-				b.ReportMetric(stats.Percentile(all, 50), "p50-ms")
-				b.ReportMetric(stats.Percentile(all, 95), "p95-ms")
-				b.ReportMetric(stats.Percentile(all, 99), "p99-ms")
-				snap := s.Snapshot()
-				hitRate := 0.0
-				if cs := snap.Cache; cs != nil {
-					if total := cs.Hits + cs.Shared + cs.Misses; total > 0 {
-						hitRate = float64(cs.Hits+cs.Shared) / float64(total)
-					}
-				}
-				b.ReportMetric(hitRate, "cache-hit-rate")
-				// Replication overhead: total bytes across per-disk files and
-				// the write amplification factor (total/unique pages). 1.0 at
-				// r=1; the r=2 row shows the storage price of failover.
-				b.ReportMetric(float64(snap.DiskBytes), "disk-bytes")
-				b.ReportMetric(snap.WriteAmp, "write-amp")
-				// The stage histograms observe nanoseconds (DESIGN S26); the
-				// µs medians reported here come from the derived scaled view.
-				for name, q := range snap.StagesMicros {
-					b.ReportMetric(q.P50, name+"-p50-us")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkServerOpenLoop measures the serving path under the open-loop
-// harness (internal/loadgen, DESIGN S26): b.N queries arrive on a seeded
-// Poisson schedule at a fixed offered rate, pipelined 32-deep per
-// connection, and every latency is measured from the query's intended send
-// time — so percentiles here include queueing delay the closed-loop
-// BenchmarkServerThroughput structurally cannot see. Variants cover both
-// declustering schemes at r=1 and r=2; achieved-qps falling below
-// offered-qps is the saturation signature.
-//
-//	go test -bench=ServerOpenLoop -benchtime=2000x
-func BenchmarkServerOpenLoop(b *testing.B) {
-	const offeredRate = 15000 // high enough to stress, low enough to sustain
-	for _, scheme := range []string{"minimax", "DM/D"} {
-		for _, replicas := range []int{1, 2} {
-			name := fmt.Sprintf("%s/r%d", strings.ReplaceAll(scheme, "/", "-"), replicas)
-			b.Run(name, func(b *testing.B) {
-				f, err := synth.Uniform2D(3000, 7).Build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				g := core.FromGridFile(f)
-				var allocator core.Allocator
-				if scheme == "minimax" {
-					allocator = &core.Minimax{Seed: 1}
-				} else {
-					allocator, err = core.NewIndexBased("DM", "D", 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				alloc, err := allocator.Decluster(g, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dir := b.TempDir()
-				if replicas > 1 {
-					p := replica.Placer{Replicas: replicas}
-					rm, err := p.Place(g, alloc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
-						b.Fatal(err)
-					}
-				} else if _, err := store.Write(dir, f, alloc, 4096); err != nil {
-					b.Fatal(err)
-				}
-				s, err := server.OpenDir(dir, server.Config{MaxInflight: 64})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				cl, err := server.NewClient(server.ClientConfig{
-					Addr: s.Addr().String(), PoolSize: 4, Pipeline: 32,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				ranges := workload.SquareRange(f.Domain(), 0.02, 512, 3)
-
-				b.ResetTimer()
-				res, err := loadgen.Run(context.Background(), loadgen.Options{
-					Rate: offeredRate, N: b.N, Seed: 3, MaxInFlight: 512,
-				}, func(ctx context.Context, i int) error {
-					_, _, err := cl.RangeCountCtx(ctx, ranges[i%len(ranges)])
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors > 0 {
-					b.Fatalf("open-loop run hit %d errors", res.Errors)
-				}
-				msOf := func(d time.Duration) float64 { return float64(d) / 1e6 }
-				b.ReportMetric(res.Offered, "offered-qps")
-				b.ReportMetric(res.Achieved, "achieved-qps")
-				b.ReportMetric(msOf(res.Latency.P50), "p50-ms")
-				b.ReportMetric(msOf(res.Latency.P99), "p99-ms")
-				b.ReportMetric(msOf(res.Latency.P999), "p999-ms")
-				b.ReportMetric(msOf(res.MaxLag), "max-lag-ms")
-			})
 		}
 	}
 }

@@ -219,7 +219,6 @@ func runDecluster(args []string) error {
 	disks := fs.Int("disks", 16, "number of disks")
 	seed := fs.Int64("seed", 1, "seed for randomized phases")
 	out := fs.String("out", "", "write bucketID,disk CSV here (default: summary only)")
-	workers := fs.Int("workers", 0, "build worker goroutines for proximity-based algorithms (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *path == "" {
 		return fmt.Errorf("decluster: -file is required")
@@ -230,7 +229,7 @@ func runDecluster(args []string) error {
 	}
 	g := core.FromGridFile(f)
 
-	allocator, err := core.ParseAllocator(*alg, *seed, *workers)
+	allocator, err := core.ParseAllocator(*alg, *seed, 0)
 	if err != nil {
 		return err
 	}

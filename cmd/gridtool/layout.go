@@ -22,7 +22,6 @@ func runLayout(args []string) error {
 	pageBytes := fs.Int("page", 4096, "page size in bytes")
 	seed := fs.Int64("seed", 1, "seed for randomized phases")
 	out := fs.String("out", "", "layout directory (required)")
-	workers := fs.Int("workers", 0, "build worker goroutines for proximity-based algorithms (0 = GOMAXPROCS)")
 	replicas := fs.Int("replicas", 1, "copies of every bucket, each on a distinct disk (1 = no replication)")
 	fs.Parse(args)
 	if *path == "" || *out == "" {
@@ -32,7 +31,7 @@ func runLayout(args []string) error {
 	if err != nil {
 		return err
 	}
-	allocator, err := core.ParseAllocator(*alg, *seed, *workers)
+	allocator, err := core.ParseAllocator(*alg, *seed, 0)
 	if err != nil {
 		return err
 	}
@@ -43,7 +42,7 @@ func runLayout(args []string) error {
 	}
 	var m *store.Manifest
 	if *replicas > 1 {
-		placer := &replica.Placer{Replicas: *replicas, Workers: *workers}
+		placer := &replica.Placer{Replicas: *replicas}
 		rm, err := placer.Place(g, alloc)
 		if err != nil {
 			return err

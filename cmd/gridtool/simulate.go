@@ -20,7 +20,6 @@ func runSimulate(args []string) error {
 	ratio := fs.Float64("r", 0.05, "query volume ratio")
 	queries := fs.Int("queries", 1000, "number of random square range queries")
 	seed := fs.Int64("seed", 1, "workload and heuristic seed")
-	workers := fs.Int("workers", 0, "build worker goroutines for proximity-based algorithms (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *path == "" {
 		return fmt.Errorf("simulate: -file is required")
@@ -46,9 +45,9 @@ func runSimulate(args []string) error {
 	fmt.Printf("%-12s %-14s %-12s %-10s %-14s %-9s %-13s %-13s\n",
 		"method", "mean response", "optimal", "balance", "closest pairs",
 		"spans:id", "spans:hilbert", fmt.Sprintf("spans:hilb+%d", store.ReadThroughPages))
-	nn := sim.NearestCompanionsWorkers(g, nil, *workers)
+	nn := sim.NearestCompanions(g, nil)
 	for _, name := range strings.Split(*algs, ",") {
-		alg, err := core.ParseAllocator(strings.TrimSpace(name), *seed, *workers)
+		alg, err := core.ParseAllocator(strings.TrimSpace(name), *seed, 0)
 		if err != nil {
 			return err
 		}

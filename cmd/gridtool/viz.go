@@ -19,7 +19,6 @@ func runViz(args []string) error {
 	alg := fs.String("alg", "", "colour buckets by this declustering (e.g. minimax, HCAM/D)")
 	disks := fs.Int("disks", 16, "disk count for -alg")
 	seed := fs.Int64("seed", 1, "seed for -alg")
-	workers := fs.Int("workers", 0, "build worker goroutines for proximity-based algorithms (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if *path == "" {
 		return fmt.Errorf("viz: -file is required")
@@ -34,7 +33,7 @@ func runViz(args []string) error {
 	case "svg":
 		opts := render.SVGOptions{Width: *width, Points: *points}
 		if *alg != "" {
-			allocator, err := core.ParseAllocator(*alg, *seed, *workers)
+			allocator, err := core.ParseAllocator(*alg, *seed, 0)
 			if err != nil {
 				return err
 			}
@@ -51,7 +50,7 @@ func runViz(args []string) error {
 		if *alg == "" {
 			return fmt.Errorf("viz: ascii-alloc needs -alg")
 		}
-		allocator, err2 := core.ParseAllocator(*alg, *seed, *workers)
+		allocator, err2 := core.ParseAllocator(*alg, *seed, 0)
 		if err2 != nil {
 			return err2
 		}

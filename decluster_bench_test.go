@@ -1,18 +1,11 @@
 package pgridfile
 
-// BenchmarkDecluster tracks the declustering *build* path the way
-// BenchmarkServerThroughput tracks the serving path: the pairwise-weight
-// engine with its sweeps on one worker versus on GOMAXPROCS workers, across
-// grid and disk sizes. scripts/bench.sh parses the output into
-// BENCH_decluster.json.
+// BenchmarkDecluster is the micro-benchmark of the declustering *build*
+// path — the pairwise-weight engine — across grid and disk sizes, one row
+// per (algorithm, N, M). The repo benchmark (bench/) times the same path at
+// full scale as core.decluster_s.
 //
-// Every workers=max variant also asserts, outside the timed loop, that its
-// assignment is byte-identical to the workers=1 one — the determinism
-// contract that makes the parallel sweeps safe to enable by default. (The
-// textbook serial loops the engine is held to live in
-// internal/core/reference_test.go.)
-//
-// Run: go test -bench='^BenchmarkDecluster$' -benchtime 1x .
+// Run: go test -run '^$' -bench='^BenchmarkDecluster$' -benchtime 1x .
 
 import (
 	"strconv"
@@ -21,6 +14,7 @@ import (
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/sim"
 )
 
 // declusterBenchGrid builds a side×side Cartesian grid over the synthetic
@@ -36,16 +30,15 @@ func declusterBenchGrid(tb testing.TB, side int) core.Grid {
 	return core.FromCartesian(cf)
 }
 
-// declusterBenchAlloc returns the allocator under test at the given engine
-// worker count (0 = GOMAXPROCS).
-func declusterBenchAlloc(alg string, workers int) core.Allocator {
+// declusterBenchAlloc returns the allocator under test.
+func declusterBenchAlloc(alg string) core.Allocator {
 	switch alg {
 	case "minimax":
-		return &core.Minimax{Seed: 1, Workers: workers}
+		return &core.Minimax{Seed: 1}
 	case "ssp":
-		return &core.SSP{Seed: 1, Workers: workers}
+		return &core.SSP{Seed: 1}
 	case "mst":
-		return &core.MST{Seed: 1, Workers: workers}
+		return &core.MST{Seed: 1}
 	}
 	panic("unknown algorithm " + alg)
 }
@@ -70,8 +63,8 @@ func BenchmarkDecluster(b *testing.B) {
 		n := c.side * c.side
 		g := declusterBenchGrid(b, c.side)
 		name := c.alg + "/N=" + strconv.Itoa(n) + "/M=" + strconv.Itoa(c.disks)
-		b.Run(name+"/workers=1", func(b *testing.B) {
-			alloc := declusterBenchAlloc(c.alg, 1)
+		b.Run(name, func(b *testing.B) {
+			alloc := declusterBenchAlloc(c.alg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := alloc.Decluster(g, c.disks); err != nil {
@@ -80,28 +73,41 @@ func BenchmarkDecluster(b *testing.B) {
 			}
 			b.ReportMetric(float64(n), "buckets")
 		})
-		b.Run(name+"/workers=max", func(b *testing.B) {
-			alloc := declusterBenchAlloc(c.alg, 0)
-			var got core.Allocation
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if got, err = alloc.Decluster(g, c.disks); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(n), "buckets")
-			want, err := declusterBenchAlloc(c.alg, 1).Decluster(g, c.disks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for x := range want.Assign {
-				if got.Assign[x] != want.Assign[x] {
-					b.Fatalf("workers=max assignment diverges from workers=1 at bucket %d: got disk %d, want %d",
-						x, got.Assign[x], want.Assign[x])
-				}
-			}
-		})
+	}
+}
+
+// onePassBenchSide is the grid the two single-pass N² sweeps are timed on:
+// 96² = 9216 buckets, the scale of the repo benchmark's grid file.
+const onePassBenchSide = 96
+
+// BenchmarkNearestCompanions times the simulator's closest-pair sweep, one
+// of the engine's two single-pass N² sweeps that split rows across
+// goroutines (DESIGN.md S34). Run it with -cpu 1,2 to see each side of
+// that choice.
+func BenchmarkNearestCompanions(b *testing.B) {
+	g := declusterBenchGrid(b, onePassBenchSide)
+	for i := 0; i < b.N; i++ {
+		sim.NearestCompanions(g, nil)
+	}
+}
+
+// BenchmarkResidualAssign times one replica level's placement (the repo
+// benchmark's replica.place_s), whose first pass is the other split sweep.
+func BenchmarkResidualAssign(b *testing.B) {
+	const disks = 8
+	g := declusterBenchGrid(b, onePassBenchSide)
+	primary, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owners := make([][]int, len(primary.Assign))
+	for x, d := range primary.Assign {
+		owners[x] = []int{d}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ResidualAssign(g, disks, owners, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// This file implements the parallel pairwise-weight engine shared by every
+// This file implements the pairwise-weight engine shared by every
 // proximity-based algorithm in the package (Minimax, SSP, MST) and by the
 // simulator's nearest-companion computation. All of them have the same
 // Θ(N²) shape — evaluate an edge weight between one "pivot" bucket and every
@@ -16,7 +16,7 @@ import (
 // so they share one engine instead of each calling a Weight closure over
 // geom.Proximity per edge.
 //
-// The engine gains its speed from three sources:
+// The engine gains its speed from two sources:
 //
 //  1. Flattened geometry. Bucket regions are copied once per Decluster into
 //     a contiguous []float64 (lo/hi interleaved per axis) and the per-axis
@@ -25,21 +25,24 @@ import (
 //     Rect slice-header chasing, no closure call, no per-edge division by a
 //     recomputed domain length.
 //
-//  2. Sharded sweeps. Each O(N) sweep over the unassigned vertices is split
-//     into contiguous shards executed by a persistent worker pool
-//     (Workers goroutines; Workers <= 0 means GOMAXPROCS).
+//  2. Tiled sweeps. Each O(N) sweep over the unassigned vertices computes
+//     sweepTile weights into one L1-resident scratch buffer and folds them
+//     into its reduction before computing the next tile.
 //
-//  3. Deterministic reductions. Every reduction uses a total order —
-//     (value, vertex index) for arg-min/arg-max, plus tree index for MST's
-//     global pick — and shard results are merged in shard order, so the
-//     result is byte-identical for ANY worker count. Shards write disjoint
-//     vertex entries, so sweeps are race-free by construction.
+// Every reduction uses a total order — (value, vertex index) for
+// arg-min/arg-max, plus tree index for MST's global pick — so the order in
+// which the active set lists its vertices never influences a result.
+//
+// The per-step sweeps run on the calling goroutine: sharding a sweep of at
+// most N cheap weights across a worker pool cost a hand-off per step and was
+// measured never to pay. The two sweeps that do all N² of their work in one
+// call — initResidualRows and NearestCompanions — write disjoint rows, so
+// they split those rows once across plain goroutines (splitRows), which was
+// measured to pay (DESIGN.md S34).
 //
 // The engine inlines the package's built-in weights (a nil Weight,
 // ProximityWeight and EuclideanWeight). Any other Weight runs through the
-// same sweeps on the generic kernel, which calls the closure once per pair
-// with the sweeps pinned to one worker: only the built-ins are known to be
-// pure and safe to evaluate concurrently.
+// same sweeps on the generic kernel, which calls the closure once per pair.
 
 // weightKind selects the engine's kernel: generic calls the Weight closure
 // per pair, the other two are the built-in weights the engine inlines.
@@ -67,10 +70,9 @@ func kindOf(w Weight) weightKind {
 }
 
 // PairEngine is the shared pairwise-weight engine: a flattened copy of a
-// grid's bucket geometry plus a sharded sweep executor. Construct one per
-// Decluster (or per NearestCompanions run) and Close it when done. A
-// PairEngine must be driven from a single goroutine; the parallelism lives
-// inside each sweep, not across calls.
+// grid's bucket geometry plus the tiled sweeps over it. Construct one per
+// Decluster (or per NearestCompanions run). A PairEngine must be driven from
+// a single goroutine: its per-step sweeps share one scratch buffer.
 type PairEngine struct {
 	n       int
 	dims    int
@@ -82,37 +84,20 @@ type PairEngine struct {
 	lens    []float64 // per-axis domain length, 0 for degenerate axes
 	diag    float64   // euclid: domain diagonal, 0 for a degenerate domain
 
-	workers  int
-	pool     *workerPool
-	scratch  [][]float64 // one weight buffer per shard
-	resX     []int32     // per-shard reduction results
-	resV     []float64
-	rangeIdx []int32 // identity vertex list for weighRange, built lazily
+	scratch []float64 // sweepTile weights, reused by every per-step sweep
 }
 
-// NewPairEngine builds an engine for g and w with the given worker count
-// (<= 0 means GOMAXPROCS). When w is not one of the built-in weights the
-// worker count is ignored and every sweep runs on the calling goroutine: a
-// custom Weight may be neither pure nor safe to call concurrently.
-func NewPairEngine(g Grid, w Weight, workers int) *PairEngine {
+// NewPairEngine builds an engine for g and w (nil means ProximityWeight).
+func NewPairEngine(g Grid, w Weight) *PairEngine {
 	kind := kindOf(w)
-	switch {
-	case kind == kindGeneric:
-		workers = 1
-	case workers <= 0:
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := len(g.Buckets)
 	dims := len(g.Domain)
 	e := &PairEngine{
 		n:       n,
 		dims:    dims,
 		kind:    kind,
-		workers: workers,
 		lens:    make([]float64, dims),
-		scratch: make([][]float64, workers),
-		resX:    make([]int32, workers),
-		resV:    make([]float64, workers),
+		scratch: make([]float64, sweepTile),
 	}
 	for d, iv := range g.Domain {
 		if l := iv.Length(); l > 0 {
@@ -145,18 +130,7 @@ func NewPairEngine(g Grid, w Weight, workers int) *PairEngine {
 		}
 		e.diag = math.Sqrt(diag)
 	}
-	for i := range e.scratch {
-		e.scratch[i] = make([]float64, sweepTile)
-	}
 	return e
-}
-
-// Close releases the engine's worker pool, if one was started.
-func (e *PairEngine) Close() {
-	if e.pool != nil {
-		e.pool.close()
-		e.pool = nil
-	}
 }
 
 // Weigh evaluates the engine's edge weight for one bucket pair. It exists
@@ -328,94 +302,38 @@ func (e *PairEngine) euclidBatch(fixed int32, xs []int32, out []float64) {
 	}
 }
 
-// minShard is the smallest per-shard sweep length worth dispatching to the
-// pool; below it the channel round-trip costs more than the work.
-const minShard = 256
-
 // sweepTile bounds how many weights a sweep computes before folding them
 // into its reduction, so the scratch buffer stays L1-resident instead of
 // being streamed through the cache once per step.
 const sweepTile = 512
 
-// runShards executes fn over contiguous shards of [0, m) and returns the
-// number of shards used. Shard boundaries never influence results: every
-// reduction merged across shards uses a total order on (value, index).
-func (e *PairEngine) runShards(m int, fn func(shard, lo, hi int)) int {
-	w := e.workers
-	if max := m / minShard; w > max {
-		w = max
-	}
-	if w <= 1 {
-		fn(0, 0, m)
-		return 1
-	}
-	if e.pool == nil {
-		e.pool = newWorkerPool(e.workers - 1)
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for s := 1; s < w; s++ {
-		e.pool.work <- poolTask{fn: fn, shard: s, lo: s * m / w, hi: (s + 1) * m / w, wg: &wg}
-	}
-	fn(0, 0, m/w)
-	wg.Wait()
-	return w
+// weighTile weighs the fixed bucket against the sweepTile vertices of active
+// starting at t (fewer at the tail) and returns them with their weights, which
+// live in the engine's scratch buffer until the next call.
+func (e *PairEngine) weighTile(fixed int32, active []int32, t int) ([]int32, []float64) {
+	xs := active[t:min(t+sweepTile, len(active))]
+	out := e.scratch[:len(xs)]
+	e.weighBatch(fixed, xs, out)
+	return xs, out
 }
-
-// workerPool runs sweep shards on persistent goroutines so the per-step
-// dispatch cost is two channel operations rather than a goroutine spawn.
-type workerPool struct {
-	work chan poolTask
-}
-
-type poolTask struct {
-	fn     func(shard, lo, hi int)
-	shard  int
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-func newWorkerPool(n int) *workerPool {
-	p := &workerPool{work: make(chan poolTask)}
-	for i := 0; i < n; i++ {
-		go func() {
-			for t := range p.work {
-				t.fn(t.shard, t.lo, t.hi)
-				t.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *workerPool) close() { close(p.work) }
 
 // initRows fills rows[k·n : (k+1)·n] with the weight of every active vertex
 // against seeds[k], and returns the arg-min of row selRow over the active
 // set (ties to the lowest vertex index) — the first selection of the
-// round-robin expansion, computed during the same pass.
+// round-robin expansion.
 func (e *PairEngine) initRows(seeds []int, active []int32, rows []float64, selRow int) (int32, float64) {
-	shards := e.runShards(len(active), func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
-		for t := lo; t < hi; t += sweepTile {
-			te := t + sweepTile
-			if te > hi {
-				te = hi
-			}
-			xs := active[t:te]
-			out := scratch[:len(xs)]
-			for k, seed := range seeds {
-				row := rows[k*e.n : (k+1)*e.n]
-				e.weighBatch(int32(seed), xs, out)
-				for i, x := range xs {
-					row[x] = out[i]
-				}
+	for t := 0; t < len(active); t += sweepTile {
+		xs := active[t:min(t+sweepTile, len(active))]
+		out := e.scratch[:len(xs)]
+		for k, seed := range seeds {
+			row := rows[k*e.n : (k+1)*e.n]
+			e.weighBatch(int32(seed), xs, out)
+			for i, x := range xs {
+				row[x] = out[i]
 			}
 		}
-		row := rows[selRow*e.n : (selRow+1)*e.n]
-		e.resX[shard], e.resV[shard] = argminOver(row, active[lo:hi])
-	})
-	return e.mergeMin(shards)
+	}
+	return argminOver(rows[selRow*e.n:(selRow+1)*e.n], active)
 }
 
 // stepMinimax performs one round-robin expansion step's sweep: max-merge
@@ -425,115 +343,100 @@ func (e *PairEngine) initRows(seeds []int, active []int32, rows []float64, selRo
 // active set. Selection therefore never rescans the vertices on its own;
 // it rides along the update sweep that must touch them anyway.
 func (e *PairEngine) stepMinimax(newMember int32, active []int32, upd, sel []float64) (int32, float64) {
-	shards := e.runShards(len(active), func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
-		bx, bv := int32(-1), math.Inf(1)
-		for t := lo; t < hi; t += sweepTile {
-			te := t + sweepTile
-			if te > hi {
-				te = hi
+	bx, bv := int32(-1), math.Inf(1)
+	for t := 0; t < len(active); t += sweepTile {
+		xs, out := e.weighTile(newMember, active, t)
+		for i, x := range xs {
+			if out[i] > upd[x] {
+				upd[x] = out[i]
 			}
-			xs := active[t:te]
-			out := scratch[:len(xs)]
-			e.weighBatch(newMember, xs, out)
-			for i, x := range xs {
-				if out[i] > upd[x] {
-					upd[x] = out[i]
-				}
-				if v := sel[x]; v < bv || (v == bv && x < bx) {
-					bx, bv = x, v
-				}
+			if v := sel[x]; v < bv || (v == bv && x < bx) {
+				bx, bv = x, v
 			}
 		}
-		e.resX[shard], e.resV[shard] = bx, bv
-	})
-	return e.mergeMin(shards)
+	}
+	return bx, bv
 }
 
 // stepMST min-merges the weight of every active vertex against the newly
 // assigned member into row (Prim's frontier maintenance for one tree) and
 // returns the row's new arg-min over the active set.
 func (e *PairEngine) stepMST(newMember int32, active []int32, row []float64) (int32, float64) {
-	shards := e.runShards(len(active), func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
-		bx, bv := int32(-1), math.Inf(1)
-		for t := lo; t < hi; t += sweepTile {
-			te := t + sweepTile
-			if te > hi {
-				te = hi
+	bx, bv := int32(-1), math.Inf(1)
+	for t := 0; t < len(active); t += sweepTile {
+		xs, out := e.weighTile(newMember, active, t)
+		for i, x := range xs {
+			if out[i] < row[x] {
+				row[x] = out[i]
 			}
-			xs := active[t:te]
-			out := scratch[:len(xs)]
-			e.weighBatch(newMember, xs, out)
-			for i, x := range xs {
-				if out[i] < row[x] {
-					row[x] = out[i]
-				}
-				if v := row[x]; v < bv || (v == bv && x < bx) {
-					bx, bv = x, v
-				}
+			if v := row[x]; v < bv || (v == bv && x < bx) {
+				bx, bv = x, v
 			}
 		}
-		e.resX[shard], e.resV[shard] = bx, bv
-	})
-	return e.mergeMin(shards)
+	}
+	return bx, bv
 }
 
 // maxInto max-merges the weight of every active vertex against the fixed
 // bucket into row, with no selection riding along — the residual-allocation
-// row-maintenance sweep. Shards write disjoint vertex entries, so the sweep
-// is race-free and the resulting row is identical for any worker count.
+// row-maintenance sweep.
 func (e *PairEngine) maxInto(fixed int32, active []int32, row []float64) {
-	e.runShards(len(active), func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
-		for t := lo; t < hi; t += sweepTile {
-			te := t + sweepTile
-			if te > hi {
-				te = hi
-			}
-			xs := active[t:te]
-			out := scratch[:len(xs)]
-			e.weighBatch(fixed, xs, out)
-			for i, x := range xs {
-				if out[i] > row[x] {
-					row[x] = out[i]
-				}
+	for t := 0; t < len(active); t += sweepTile {
+		xs, out := e.weighTile(fixed, active, t)
+		for i, x := range xs {
+			if out[i] > row[x] {
+				row[x] = out[i]
 			}
 		}
-	})
+	}
+}
+
+// minSplit is the fewest rows splitRows gives a goroutine.
+const minSplit = 256
+
+// splitRows runs fn over [0, n) cut into one contiguous range per CPU, each
+// range on its own goroutine with its own scratch tile, and waits for all of
+// them. It serves the two sweeps whose N² work is a single call over disjoint
+// rows, so where the cuts fall never shows in a result. A custom Weight stays
+// on the calling goroutine: the closure need not be safe for concurrent use.
+func (e *PairEngine) splitRows(n int, fn func(lo, hi int, scratch []float64)) {
+	parts := min(runtime.GOMAXPROCS(0), n/minSplit)
+	if parts <= 1 || e.kind == kindGeneric {
+		fn(0, n, e.scratch)
+		return
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(p*n/parts, (p+1)*n/parts, make([]float64, sweepTile))
+		}()
+	}
+	wg.Wait()
 }
 
 // initResidualRows fills rows[k·n : (k+1)·n] with the maximum weight between
 // each vertex x and any bucket already owned by disk k, per the owners lists
-// (owners[y] = disks that already hold a copy of bucket y). The sweep shards
-// over the destination vertices x, so each shard writes disjoint row entries
-// and the max over each owner set is order-independent — identical for any
-// worker count.
+// (owners[y] = disks that already hold a copy of bucket y). The max over each
+// owner set is order-independent, and each goroutine of the split owns the
+// row entries of its own vertices x.
 func (e *PairEngine) initResidualRows(owners [][]int, rows []float64) {
 	n := e.n
-	if e.rangeIdx == nil {
-		e.rangeIdx = make([]int32, n)
-		for i := range e.rangeIdx {
-			e.rangeIdx[i] = int32(i)
-		}
-	}
-	e.runShards(n, func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
+	all := identity(n)
+	e.splitRows(n, func(lo, hi int, scratch []float64) {
 		for t := lo; t < hi; t += sweepTile {
-			te := t + sweepTile
-			if te > hi {
-				te = hi
-			}
-			out := scratch[: te-t : te-t]
+			xs := all[t:min(t+sweepTile, hi)]
+			out := scratch[:len(xs)]
 			for y := 0; y < n; y++ {
 				if len(owners[y]) == 0 {
 					continue
 				}
-				e.weighRange(int32(y), t, te, out)
+				e.weighBatch(int32(y), xs, out)
 				for _, k := range owners[y] {
-					row := rows[k*n : (k+1)*n : (k+1)*n]
-					for i := t; i < te; i++ {
-						if v := out[i-t]; v > row[i] {
+					row := rows[k*n+t : k*n+t+len(xs)]
+					for i, v := range out {
+						if v > row[i] {
 							row[i] = v
 						}
 					}
@@ -543,49 +446,16 @@ func (e *PairEngine) initResidualRows(owners [][]int, rows []float64) {
 	})
 }
 
-// weighRange computes the weight between the fixed bucket and every vertex in
-// [lo, hi), writing results into out (indexed from lo). The caller must have
-// populated rangeIdx (initResidualRows does) before dispatching shards.
-func (e *PairEngine) weighRange(fixed int32, lo, hi int, out []float64) {
-	e.weighBatch(fixed, e.rangeIdx[lo:hi], out)
-}
-
-// argminRow returns the arg-min of row over the active set without touching
-// the weights (used when a removal invalidates a cached arg-min).
-func (e *PairEngine) argminRow(row []float64, active []int32) (int32, float64) {
-	shards := e.runShards(len(active), func(shard, lo, hi int) {
-		e.resX[shard], e.resV[shard] = argminOver(row, active[lo:hi])
-	})
-	return e.mergeMin(shards)
-}
-
 // argmaxTo returns the active vertex with the largest weight to the fixed
 // bucket (ties to the lowest vertex index) — SSP's path-growth step.
 func (e *PairEngine) argmaxTo(fixed int32, active []int32) (int32, float64) {
-	shards := e.runShards(len(active), func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
-		bx, bv := int32(-1), math.Inf(-1)
-		for t := lo; t < hi; t += sweepTile {
-			te := t + sweepTile
-			if te > hi {
-				te = hi
+	bx, bv := int32(-1), math.Inf(-1)
+	for t := 0; t < len(active); t += sweepTile {
+		xs, out := e.weighTile(fixed, active, t)
+		for i, x := range xs {
+			if v := out[i]; v > bv || (v == bv && x < bx) {
+				bx, bv = x, v
 			}
-			xs := active[t:te]
-			out := scratch[:len(xs)]
-			e.weighBatch(fixed, xs, out)
-			for i, x := range xs {
-				if v := out[i]; v > bv || (v == bv && x < bx) {
-					bx, bv = x, v
-				}
-			}
-		}
-		e.resX[shard], e.resV[shard] = bx, bv
-	})
-	// Merge in shard order under the same total order as the shard scan.
-	bx, bv := e.resX[0], e.resV[0]
-	for s := 1; s < shards; s++ {
-		if x, v := e.resX[s], e.resV[s]; x >= 0 && (v > bv || (v == bv && x < bx)) {
-			bx, bv = x, v
 		}
 	}
 	return bx, bv
@@ -593,29 +463,16 @@ func (e *PairEngine) argmaxTo(fixed int32, active []int32) (int32, float64) {
 
 // NearestCompanions returns, for every bucket, the index of its closest
 // companion under the engine's weight (ties to the lower index), or -1 for
-// a single-bucket grid. Rows are independent, so the sweep shards over rows
-// and the result is identical for any worker count.
+// a single-bucket grid. Rows are independent, so the sweep splits over them.
 func (e *PairEngine) NearestCompanions() []int {
 	n := e.n
 	nn := make([]int, n)
-	if n == 1 {
-		nn[0] = -1
-		return nn
-	}
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	e.runShards(n, func(shard, lo, hi int) {
-		scratch := e.scratch[shard]
+	all := identity(n)
+	e.splitRows(n, func(lo, hi int, scratch []float64) {
 		for i := lo; i < hi; i++ {
 			best, bestVal := -1, math.Inf(-1)
 			for t := 0; t < n; t += sweepTile {
-				te := t + sweepTile
-				if te > n {
-					te = n
-				}
-				xs := all[t:te]
+				xs := all[t:min(t+sweepTile, n)]
 				out := scratch[:len(xs)]
 				e.weighBatch(int32(i), xs, out)
 				for j, x := range xs {
@@ -645,15 +502,13 @@ func argminOver(row []float64, xs []int32) (int32, float64) {
 	return bx, bv
 }
 
-// mergeMin folds the per-shard arg-min results in shard order.
-func (e *PairEngine) mergeMin(shards int) (int32, float64) {
-	bx, bv := e.resX[0], e.resV[0]
-	for s := 1; s < shards; s++ {
-		if x, v := e.resX[s], e.resV[s]; x >= 0 && (v < bv || (v == bv && x < bx)) {
-			bx, bv = x, v
-		}
+// identity returns the vertex list 0, 1, …, n-1.
+func identity(n int) []int32 {
+	xs := make([]int32, n)
+	for i := range xs {
+		xs[i] = int32(i)
 	}
-	return bx, bv
+	return xs
 }
 
 // activeSet is the shrinking unassigned-vertex list shared by the engine
@@ -666,12 +521,7 @@ type activeSet struct {
 }
 
 func newActiveSetAll(n int) *activeSet {
-	a := &activeSet{list: make([]int32, n), pos: make([]int32, n)}
-	for i := range a.list {
-		a.list[i] = int32(i)
-		a.pos[i] = int32(i)
-	}
-	return a
+	return &activeSet{list: identity(n), pos: identity(n)}
 }
 
 func newActiveSet(assign []int) *activeSet {

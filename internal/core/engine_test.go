@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pgridfile/internal/geom"
@@ -52,51 +53,61 @@ func TestKindOf(t *testing.T) {
 	if kindOf(custom) != kindGeneric {
 		t.Error("kindOf(custom closure) != kindGeneric")
 	}
-	// A custom weight gets an engine like any other, pinned to one worker
-	// whatever was asked.
-	for _, asked := range []int{0, 1, 8} {
-		e := NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, custom, asked)
-		if e.kind != kindGeneric || e.workers != 1 {
-			t.Fatalf("NewPairEngine(custom, workers=%d): kind %d on %d workers, want the generic kernel on 1",
-				asked, e.kind, e.workers)
-		}
-		e.Close()
+	// A custom weight gets an engine like any other, on the generic kernel.
+	if e := NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, custom); e.kind != kindGeneric {
+		t.Fatalf("NewPairEngine(custom): kind %d, want the generic kernel", e.kind)
 	}
-	e := NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, nil, 8)
-	defer e.Close()
-	if e.workers != 8 {
-		t.Errorf("built-in weight: workers = %d, want the 8 asked for", e.workers)
+}
+
+// flatAxis returns g with axis d collapsed to the point 0 in the domain and
+// in every bucket region: a degenerate axis, which the proximity kernels skip.
+func flatAxis(g Grid, d int) Grid {
+	g.Domain[d] = geom.Interval{}
+	for _, b := range g.Buckets {
+		b.Region[d] = geom.Interval{}
+	}
+	return g
+}
+
+// engineTestGrids are the inputs the engine is held to the oracle on: the 2-D
+// ones dispatch to proxBatch2, the 3-D ones to the d-dimensional proxBatch.
+func engineTestGrids(t *testing.T) map[string]Grid {
+	return map[string]Grid{
+		"hotspot":     testGrid(t),
+		"cartesian":   cartesianGrid(t, []int{16, 16}),
+		"cartesian3d": cartesianGrid(t, []int{6, 5, 4}),
+		"flat-axis3d": flatAxis(cartesianGrid(t, []int{8, 2, 8}), 1),
 	}
 }
 
 // TestEngineWeighMatchesClosure checks the flattened kernels reproduce the
-// closure weights bit-for-bit on an irregular grid — the property the
-// engine's byte-identical-assignment guarantee rests on.
+// closure weights bit-for-bit — the property the engine's
+// byte-identical-assignment guarantee rests on.
 func TestEngineWeighMatchesClosure(t *testing.T) {
-	g := testGrid(t)
-	for _, tc := range []struct {
-		name string
-		w    Weight
-	}{
-		{"proximity", ProximityWeight},
-		{"euclid", EuclideanWeight},
-	} {
-		e := NewPairEngine(g, tc.w, 2)
-		if e.kind == kindGeneric {
-			t.Fatalf("%s: a built-in weight got the generic kernel", tc.name)
-		}
-		n := len(g.Buckets)
-		for i := 0; i < n; i += 7 {
-			for j := 0; j < n; j += 11 {
-				got := e.Weigh(i, j)
-				want := tc.w(g.Buckets[i], g.Buckets[j], g.Domain)
-				if got != want {
-					t.Fatalf("%s: Weigh(%d,%d) = %v, want %v (must be bit-identical)",
-						tc.name, i, j, got, want)
+	for gname, g := range engineTestGrids(t) {
+		for _, tc := range []struct {
+			name string
+			w    Weight
+		}{
+			{"proximity", ProximityWeight},
+			{"euclid", EuclideanWeight},
+		} {
+			e := NewPairEngine(g, tc.w)
+			if e.kind == kindGeneric {
+				t.Fatalf("%s: a built-in weight got the generic kernel", tc.name)
+			}
+			n := len(g.Buckets)
+			for i := 0; i < n; i += 7 {
+				for j := 0; j < n; j += 11 {
+					got := e.Weigh(i, j)
+					want := tc.w(g.Buckets[i], g.Buckets[j], g.Domain)
+					if got != want {
+						t.Fatalf("%s/%s: Weigh(%d,%d) = %v, want %v (must be bit-identical)",
+							gname, tc.name, i, j, got, want)
+					}
 				}
 			}
 		}
-		e.Close()
 	}
 }
 
@@ -106,50 +117,11 @@ func inverseProximity(a, b gridfile.BucketView, d geom.Rect) float64 {
 	return 1 - ProximityWeight(a, b, d)
 }
 
-func proximityAllocators(seed int64, w Weight, name string, workers int) []Allocator {
+func proximityAllocators(seed int64, w Weight, name string) []Allocator {
 	return []Allocator{
-		&Minimax{Weight: w, WeightName: name, Seed: seed, Workers: workers},
-		&SSP{Weight: w, Seed: seed, Workers: workers},
-		&MST{Weight: w, Seed: seed, Workers: workers},
-	}
-}
-
-// TestDeclusterDeterministicAcrossWorkers is the determinism property test:
-// every proximity-based allocator, under both built-in weights, must produce
-// an identical assignment for workers ∈ {1, 2, 4, 8}. Run under -race by
-// make check, this also exercises the sweeps' disjoint-write discipline.
-func TestDeclusterDeterministicAcrossWorkers(t *testing.T) {
-	grids := map[string]Grid{
-		"hotspot":   testGrid(t),
-		"cartesian": cartesianGrid(t, []int{17, 13}),
-	}
-	weights := map[string]Weight{"proximity": nil, "euclid": EuclideanWeight}
-	for gname, g := range grids {
-		for wname, w := range weights {
-			for _, disks := range []int{4, 16} {
-				ref := proximityAllocators(3, w, wname, 1)
-				for ai, alg := range ref {
-					want, err := alg.Decluster(g, disks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{2, 4, 8} {
-						alg2 := proximityAllocators(3, w, wname, workers)[ai]
-						got, err := alg2.Decluster(g, disks)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for x := range want.Assign {
-							if got.Assign[x] != want.Assign[x] {
-								t.Fatalf("%s/%s/%s disks=%d: workers=%d diverges from workers=1 at bucket %d (%d vs %d)",
-									alg2.Name(), gname, wname, disks, workers, x,
-									got.Assign[x], want.Assign[x])
-							}
-						}
-					}
-				}
-			}
-		}
+		&Minimax{Weight: w, WeightName: name, Seed: seed},
+		&SSP{Weight: w, Seed: seed},
+		&MST{Weight: w, Seed: seed},
 	}
 }
 
@@ -159,10 +131,7 @@ func TestDeclusterDeterministicAcrossWorkers(t *testing.T) {
 // weights and under a closure that takes the generic kernel.
 func TestEngineMatchesSerialReference(t *testing.T) {
 	const disks, seed = 8, 7
-	grids := map[string]Grid{
-		"hotspot":   testGrid(t),
-		"cartesian": cartesianGrid(t, []int{16, 16}),
-	}
+	grids := engineTestGrids(t)
 	weights := map[string]Weight{
 		"proximity": ProximityWeight,
 		"euclid":    EuclideanWeight,
@@ -179,7 +148,7 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 	for gname, g := range grids {
 		for wname, w := range weights {
 			refs := []func(Grid, Weight, int64, int) []int{referenceMinimax, referenceSSP, referenceMST}
-			for ai, alg := range proximityAllocators(seed, w, wname, 0) {
+			for ai, alg := range proximityAllocators(seed, w, wname) {
 				t.Run(alg.Name()+"/"+gname+"/"+wname, func(t *testing.T) {
 					got, err := alg.Decluster(g, disks)
 					if err != nil {
@@ -195,7 +164,7 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 					owners[x] = []int{k}
 				}
 				for level := 1; level <= 2; level++ {
-					got, err := ResidualAssign(g, disks, owners, w, 0)
+					got, err := ResidualAssign(g, disks, owners, w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -209,42 +178,8 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestCustomWeightPinnedToOneGoroutine runs every engine caller with a
-// closure that mutates unsynchronized state, asking for 8 workers on a grid
-// large enough that a built-in weight would shard the sweeps. Under -race
-// this fails if any sweep calls the closure from a pool goroutine.
-func TestCustomWeightPinnedToOneGoroutine(t *testing.T) {
-	g := cartesianGrid(t, []int{32, 32}) // 1024 buckets: 4 shards of minShard
-	calls := 0
-	stateful := func(a, b gridfile.BucketView, d geom.Rect) float64 {
-		calls++
-		return ProximityWeight(a, b, d)
-	}
-	const disks = 4
-	var base Allocation
-	for _, alg := range proximityAllocators(1, stateful, "stateful", 8) {
-		var err error
-		if base, err = alg.Decluster(g, disks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owners := make([][]int, len(g.Buckets))
-	for x, k := range base.Assign {
-		owners[x] = []int{k}
-	}
-	if _, err := ResidualAssign(g, disks, owners, stateful, 8); err != nil {
-		t.Fatal(err)
-	}
-	e := NewPairEngine(g, stateful, 8)
-	e.NearestCompanions()
-	e.Close()
-	if calls == 0 {
-		t.Fatal("the custom weight was never called")
-	}
-}
-
-// TestEngineNearestCompanions checks the engine's row-parallel companion
-// sweep against the serial scan for several worker counts.
+// TestEngineNearestCompanions checks the engine's companion sweep against
+// the serial scan.
 func TestEngineNearestCompanions(t *testing.T) {
 	g := testGrid(t)
 	n := len(g.Buckets)
@@ -261,14 +196,61 @@ func TestEngineNearestCompanions(t *testing.T) {
 		}
 		want[i] = best
 	}
-	for _, workers := range []int{1, 2, 8} {
-		e := NewPairEngine(g, nil, workers)
-		got := e.NearestCompanions()
-		e.Close()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: companion[%d] = %d, want %d", workers, i, got[i], want[i])
+	got := NewPairEngine(g, nil).NearestCompanions()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("companion[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSplitSweepsMatchSerial runs the two sweeps that split their rows across
+// goroutines on a grid large enough to be cut in four, with four CPUs asked
+// for whatever the host has. The built-in weights must reproduce the serial
+// references; a closure that mutates unsynchronized state must stay on the
+// calling goroutine, which fails under -race if splitRows ever spawns for it.
+func TestSplitSweepsMatchSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const disks = 4
+	g := cartesianGrid(t, []int{32, 33}) // 1056 rows: four uneven ranges
+	n := len(g.Buckets)
+	calls := 0
+	stateful := func(a, b gridfile.BucketView, d geom.Rect) float64 {
+		calls++
+		return ProximityWeight(a, b, d)
+	}
+	owners := make([][]int, n)
+	for x := range owners {
+		owners[x] = []int{x % disks}
+	}
+	for name, w := range map[string]Weight{"proximity": ProximityWeight, "euclid": EuclideanWeight, "stateful": stateful} {
+		got, err := ResidualAssign(g, disks, owners, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceResidual(g, disks, owners, w)
+		for x := range want {
+			if got[x] != want[x] {
+				t.Fatalf("%s: residual diverges from the serial reference at bucket %d (%d vs %d)", name, x, got[x], want[x])
 			}
 		}
+		nn := NewPairEngine(g, w).NearestCompanions()
+		for i := 0; i < n; i++ {
+			best, bestVal := -1, -1.0
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				if v := w(g.Buckets[i], g.Buckets[j], g.Domain); v > bestVal {
+					best, bestVal = j, v
+				}
+			}
+			if nn[i] != best {
+				t.Fatalf("%s: companion[%d] = %d, want %d", name, i, nn[i], best)
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("the custom weight was never called")
 	}
 }

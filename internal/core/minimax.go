@@ -11,7 +11,8 @@ import (
 // Weight estimates the probability that two buckets are accessed by the same
 // range query; larger means more likely. It is the edge-weight function of
 // the proximity-based algorithms and must be symmetric: the engine calls it
-// as w(pivot, other), never both ways round.
+// as w(pivot, other), never both ways round, and only from the goroutine that
+// called into the package, so a custom Weight may keep unsynchronized state.
 type Weight func(a, b gridfile.BucketView, domain geom.Rect) float64
 
 // ProximityWeight is the Kamel–Faloutsos proximity index, the paper's chosen
@@ -45,9 +46,8 @@ func EuclideanWeight(a, b gridfile.BucketView, domain geom.Rect) float64 {
 // low likelihood that a bucket shares a disk with its closest companion.
 //
 // Decluster runs on the pairwise-weight engine (see engine.go); the
-// assignment is byte-identical to the textbook serial loops for any Workers
-// value. A Weight other than nil, ProximityWeight or EuclideanWeight is
-// called once per pair from a single goroutine, whatever Workers says.
+// assignment is byte-identical to the textbook serial loops. A Weight other
+// than nil, ProximityWeight or EuclideanWeight is called once per pair.
 type Minimax struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
@@ -55,10 +55,6 @@ type Minimax struct {
 	WeightName string
 	// Seed drives the random seeding phase.
 	Seed int64
-	// Workers bounds the engine's sweep parallelism: 0 (or negative) means
-	// GOMAXPROCS, 1 forces single-threaded sweeps. The assignment does not
-	// depend on it.
-	Workers int
 }
 
 // Name implements Allocator.
@@ -98,10 +94,9 @@ func (m *Minimax) Decluster(g Grid, disks int) (Allocation, error) {
 	// Phase 2: round-robin expansion. The selection arg-min for the next
 	// tree in the round-robin order is maintained incrementally: it is
 	// computed during the update sweep of the current tree (which must touch
-	// every unassigned vertex anyway), so each step costs one sharded O(N)
-	// sweep instead of two serial ones.
-	e := NewPairEngine(g, m.Weight, m.Workers)
-	defer e.Close()
+	// every unassigned vertex anyway), so each step costs one O(N) sweep
+	// instead of two.
+	e := NewPairEngine(g, m.Weight)
 	act := newActiveSet(assign)
 	// maxTo[k*n+x] is MAX_x(k), laid out row-major per tree so each step's
 	// sweep walks two contiguous rows.

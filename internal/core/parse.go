@@ -8,19 +8,19 @@ import (
 // ParseAllocator resolves an allocator name the way every CLI spells it:
 // the weight-based engines by lowercase name ("minimax", "minimax-euclid",
 // "ssp", "mst") or an index-based scheme/resolver pair ("DM/D", "HCAM/F").
-// seed drives each allocator's randomized choices; workers bounds the
-// pairwise-weight engine's sweep parallelism for the weight-based engines
-// (0 means GOMAXPROCS; index-based schemes have no engine and ignore it).
-func ParseAllocator(name string, seed int64, workers int) (Allocator, error) {
+// seed drives each allocator's randomized choices. The third argument is
+// ignored: it was the worker count of the engine's sweep pool, which is gone,
+// and stays in the signature only because the frozen bench/ passes it.
+func ParseAllocator(name string, seed int64, _ int) (Allocator, error) {
 	switch strings.ToLower(name) {
 	case "minimax":
-		return &Minimax{Seed: seed, Workers: workers}, nil
+		return &Minimax{Seed: seed}, nil
 	case "minimax-euclid":
-		return &Minimax{Weight: EuclideanWeight, WeightName: "euclid", Seed: seed, Workers: workers}, nil
+		return &Minimax{Weight: EuclideanWeight, WeightName: "euclid", Seed: seed}, nil
 	case "ssp":
-		return &SSP{Seed: seed, Workers: workers}, nil
+		return &SSP{Seed: seed}, nil
 	case "mst":
-		return &MST{Seed: seed, Workers: workers}, nil
+		return &MST{Seed: seed}, nil
 	}
 	scheme, resolver, ok := strings.Cut(name, "/")
 	if !ok {

@@ -33,12 +33,4 @@ func TestParseAllocatorNames(t *testing.T) {
 			t.Errorf("ParseAllocator(%q) accepted", bad)
 		}
 	}
-	// workers reaches the weight-based engines.
-	alg, err := ParseAllocator("minimax", 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := alg.(*Minimax); m.Workers != 3 || m.Seed != 1 {
-		t.Errorf("ParseAllocator(minimax, seed 1, workers 3) = %+v", m)
-	}
 }

@@ -24,15 +24,14 @@ import (
 // from fresh random seeds (so level r sees levels 0..r−1), and each disk's
 // selection skips buckets it already owns. Selection ties break to the
 // lowest bucket index and the row maintenance runs on the pairwise-weight
-// engine, so the output is byte-identical for any Workers value.
+// engine.
 
 // ResidualAssign computes the next replica level: one additional disk per
 // bucket, distinct from that bucket's existing owners. owners[x] lists the
 // disks that already hold a copy of bucket x (at least one, all in
 // [0, disks)); the returned slice has one new disk per bucket. w selects the
-// edge weight (nil means ProximityWeight); workers bounds the engine's sweep
-// parallelism exactly as in Minimax and does not affect the result.
-func ResidualAssign(g Grid, disks int, owners [][]int, w Weight, workers int) ([]int, error) {
+// edge weight (nil means ProximityWeight).
+func ResidualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, error) {
 	if err := checkArgs(g, disks); err != nil {
 		return nil, err
 	}
@@ -55,8 +54,7 @@ func ResidualAssign(g Grid, disks int, owners [][]int, w Weight, workers int) ([
 	}
 
 	rows := make([]float64, disks*n)
-	e := NewPairEngine(g, w, workers)
-	defer e.Close()
+	e := NewPairEngine(g, w)
 	e.initResidualRows(owners, rows)
 
 	assign := make([]int, n)

@@ -34,7 +34,7 @@ func residualFixture(t *testing.T, disks int) (Grid, [][]int, int) {
 func TestResidualAssignDistinctAndBalanced(t *testing.T) {
 	const disks = 4
 	g, owners, n := residualFixture(t, disks)
-	assign, err := ResidualAssign(g, disks, owners, nil, 0)
+	assign, err := ResidualAssign(g, disks, owners, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,31 +59,6 @@ func TestResidualAssignDistinctAndBalanced(t *testing.T) {
 	}
 }
 
-// TestResidualAssignDeterministicAcrossWorkers pins the scalability contract
-// inherited from the pairwise-weight engine: the residual level is
-// byte-identical at any worker count.
-func TestResidualAssignDeterministicAcrossWorkers(t *testing.T) {
-	const disks = 4
-	g, owners, _ := residualFixture(t, disks)
-	var ref []int
-	for _, w := range []int{1, 2, 4, 8} {
-		assign, err := ResidualAssign(g, disks, owners, nil, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = assign
-			continue
-		}
-		for x := range ref {
-			if assign[x] != ref[x] {
-				t.Fatalf("workers=%d: bucket %d on disk %d, workers=1 chose %d",
-					w, x, assign[x], ref[x])
-			}
-		}
-	}
-}
-
 // TestResidualAssignCustomWeight exercises the custom-weight (generic
 // kernel) path and its distinct-disk guarantee, including a third level
 // where each bucket already owns two of the four disks.
@@ -93,14 +68,14 @@ func TestResidualAssignCustomWeight(t *testing.T) {
 	custom := func(a, b gridfile.BucketView, dom geom.Rect) float64 {
 		return ProximityWeight(a, b, dom)
 	}
-	second, err := ResidualAssign(g, disks, owners, custom, 0)
+	second, err := ResidualAssign(g, disks, owners, custom)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for x := range owners {
 		owners[x] = append(owners[x], second[x])
 	}
-	third, err := ResidualAssign(g, disks, owners, custom, 0)
+	third, err := ResidualAssign(g, disks, owners, custom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,19 +95,19 @@ func TestResidualAssignRejectsBadOwners(t *testing.T) {
 
 	saved := owners[0]
 	owners[0] = nil
-	if _, err := ResidualAssign(g, disks, owners, nil, 0); err == nil {
+	if _, err := ResidualAssign(g, disks, owners, nil); err == nil {
 		t.Error("empty owner list accepted")
 	}
 	owners[0] = []int{0, 1}
-	if _, err := ResidualAssign(g, disks, owners, nil, 0); err == nil {
+	if _, err := ResidualAssign(g, disks, owners, nil); err == nil {
 		t.Error("fully-owned bucket accepted — no disk left for another copy")
 	}
 	owners[0] = []int{disks}
-	if _, err := ResidualAssign(g, disks, owners, nil, 0); err == nil {
+	if _, err := ResidualAssign(g, disks, owners, nil); err == nil {
 		t.Error("out-of-range owner accepted")
 	}
 	owners[0] = saved
-	if _, err := ResidualAssign(g, disks, owners[:1], nil, 0); err == nil {
+	if _, err := ResidualAssign(g, disks, owners[:1], nil); err == nil {
 		t.Error("short owners slice accepted")
 	}
 }

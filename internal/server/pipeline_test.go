@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,6 +148,95 @@ func TestPipelinedEndToEnd(t *testing.T) {
 	if snap.WriteBatches == 0 || snap.WriteBatches > snap.WriteFrames {
 		t.Errorf("write_batches = %d of %d frames", snap.WriteBatches, snap.WriteFrames)
 	}
+}
+
+// TestPipelinedCoalescing holds the pipelined write path to its purpose —
+// several replies to a writev — at both of its stages, each driven so that
+// the count is exact on any machine rather than a ratio that depends on how
+// the scheduler interleaves reader, workers and writer. A server that writes
+// one response per writev counts burst (or queued) batches, not 1.
+func TestPipelinedCoalescing(t *testing.T) {
+	const burst = 16 // one taggedBatch
+
+	// Reader and worker: tagged requests that arrive in one read ride one
+	// hand-off, and the worker encodes their replies into one buffer. With
+	// PipelineDepth 1 the connection has a single worker, so no sibling can
+	// take half of the batch.
+	t.Run("burst", func(t *testing.T) {
+		s, f := newTestServer(t, 900, 4, Config{PipelineDepth: 1})
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		queries := workload.SquareRange(f.Domain(), 0.02, burst, 5)
+		var wire bytes.Buffer
+		for i, q := range queries {
+			fr, err := EncodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := WrapTagged(uint32(i), fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(&wire, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One write of well under a segment: the server's first read
+		// delivers the whole burst.
+		if _, err := conn.Write(wire.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			resp, err := ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			id, inner, err := UnwrapTagged(resp)
+			if err != nil || id != uint32(i) {
+				t.Fatalf("reply %d: id %d, %v", i, id, err)
+			}
+			if res, err := DecodeResult(inner); err != nil || res.Count != f.RangeCount(q) {
+				t.Fatalf("reply %d: count %d (%v), want %d", i, res.Count, err, f.RangeCount(q))
+			}
+		}
+		// The writer counts a batch after its write returns, so the replies
+		// can reach this side before they are counted.
+		var snap Snapshot
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			snap = s.Snapshot()
+			if snap.WriteFrames >= burst || time.Now().After(deadline) {
+				break
+			}
+		}
+		if snap.WriteFrames != burst || snap.WriteBatches != 1 {
+			t.Errorf("%d frames in %d write batches, want %d in 1", snap.WriteFrames, snap.WriteBatches, burst)
+		}
+	})
+
+	// Writer: every response already queued when the writer looks goes out
+	// in the same writev.
+	t.Run("queued", func(t *testing.T) {
+		s, _ := newTestServer(t, 400, 2, Config{})
+		respCh := make(chan connResp, burst)
+		for i := 0; i < burst; i++ {
+			bp := getRespBuf()
+			*bp = appendErrorFrame((*bp)[:0], "queued", uint32(i), true)
+			respCh <- connResp{bp: bp, frames: 1}
+		}
+		close(respCh)
+		srvSide, cliSide := net.Pipe()
+		defer srvSide.Close()
+		defer cliSide.Close()
+		go io.Copy(io.Discard, cliSide)
+		var failed atomic.Bool
+		s.connWriter(srvSide, respCh, &failed, make(chan struct{}))
+		if snap := s.Snapshot(); snap.WriteFrames != burst || snap.WriteBatches != 1 {
+			t.Errorf("%d frames in %d write batches, want %d in 1", snap.WriteFrames, snap.WriteBatches, burst)
+		}
+	})
 }
 
 // TestPipelinedUnderFaults injects transient disk errors under a pipelined

@@ -43,8 +43,6 @@ type Config struct {
 	// QueryTimeout is the per-query deadline covering admission wait and
 	// execution. Default 5s.
 	QueryTimeout time.Duration
-	// IdleTimeout closes connections with no traffic. Default 2m.
-	IdleTimeout time.Duration
 	// DrainTimeout bounds how long Close waits for in-flight queries
 	// before force-closing connections. Default 5s.
 	DrainTimeout time.Duration
@@ -136,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 5 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
@@ -544,6 +539,9 @@ const connReadBufBytes = 16 << 10
 // maxWriteBatch bounds how many queued responses one writev submits.
 const maxWriteBatch = 64
 
+// connIdleTimeout closes a connection that sends no frame for this long.
+const connIdleTimeout = 2 * time.Minute
+
 // handleConn serves one client connection with decoupled read and write
 // sides (DESIGN S26). The reader decodes frames and dispatches them; fully
 // encoded responses flow through a bounded queue to a writer goroutine that
@@ -604,7 +602,7 @@ func (s *Server) handleConn(c net.Conn) {
 	rbuf := getRespBuf()
 	defer func() { putRespBuf(rbuf) }()
 	for {
-		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		c.SetReadDeadline(time.Now().Add(connIdleTimeout))
 		f, err := readFrameBuf(br, rbuf)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooBig) || errors.Is(err, ErrEmptyFrame) {

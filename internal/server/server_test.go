@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +59,32 @@ func newTestClient(t *testing.T, s *Server, cfg ClientConfig) *Client {
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// runClosedLoop issues ops count-only range queries, cycling through ranges,
+// from workers goroutines that each send their next query when the last one
+// is answered.
+func runClosedLoop(t *testing.T, cl *Client, ranges []geom.Rect, workers, ops int) {
+	t.Helper()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= ops {
+					return
+				}
+				if _, _, err := cl.RangeCount(ranges[i%len(ranges)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestServerEndToEnd is the acceptance demo: 16 concurrent clients issue

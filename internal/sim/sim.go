@@ -264,21 +264,9 @@ func DataBalanceDegree(alloc core.Allocation) float64 {
 // index), or -1 for a single-bucket grid. Cost is O(N²) weight evaluations;
 // the result is allocation-independent, so Tables 2 and 3 compute it once
 // per dataset and reuse it across disk counts and algorithms. It runs on
-// core's pairwise-weight engine at GOMAXPROCS workers; use
-// NearestCompanionsWorkers to bound the parallelism.
+// core's pairwise-weight engine.
 func NearestCompanions(g core.Grid, w core.Weight) []int {
-	return NearestCompanionsWorkers(g, w, 0)
-}
-
-// NearestCompanionsWorkers is NearestCompanions with an explicit worker
-// bound (0 or negative means GOMAXPROCS, 1 forces the single-threaded
-// sweep). The result is identical for every worker count: rows are
-// independent and each row's arg-max matches the serial scan's tie-breaking.
-// A custom weight is evaluated on one goroutine regardless of workers.
-func NearestCompanionsWorkers(g core.Grid, w core.Weight, workers int) []int {
-	e := core.NewPairEngine(g, w, workers)
-	defer e.Close()
-	return e.NearestCompanions()
+	return core.NewPairEngine(g, w).NearestCompanions()
 }
 
 // CountSameDisk counts buckets co-located with their nearest companion.

@@ -255,7 +255,7 @@ func TestMeanActiveDisks(t *testing.T) {
 }
 
 // serialNearestCompanions is the pre-engine reference scan, kept in the test
-// to pin NearestCompanions' parallel output against.
+// to pin NearestCompanions' output against.
 func serialNearestCompanions(g core.Grid, w core.Weight) []int {
 	if w == nil {
 		w = core.ProximityWeight
@@ -277,10 +277,10 @@ func serialNearestCompanions(g core.Grid, w core.Weight) []int {
 	return nn
 }
 
-// TestNearestCompanionsParallelMatchesSerial is the regression test for the
+// TestNearestCompanionsMatchesSerial is the regression test for the
 // engine-backed NearestCompanions: on the paper's uniform.2d and hot.2d
-// grids, every worker count must reproduce the serial reference exactly.
-func TestNearestCompanionsParallelMatchesSerial(t *testing.T) {
+// grids it must reproduce the serial reference exactly.
+func TestNearestCompanionsMatchesSerial(t *testing.T) {
 	datasets := map[string]*synth.Dataset{
 		"uniform.2d": synth.Uniform2D(3000, 5),
 		"hot.2d":     synth.Hotspot2D(3000, 5),
@@ -293,13 +293,10 @@ func TestNearestCompanionsParallelMatchesSerial(t *testing.T) {
 		g := core.FromGridFile(f)
 		for _, w := range []core.Weight{nil, core.EuclideanWeight} {
 			want := serialNearestCompanions(g, w)
-			for _, workers := range []int{0, 1, 2, 8} {
-				got := NearestCompanionsWorkers(g, w, workers)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s workers=%d: companion[%d] = %d, want %d",
-							name, workers, i, got[i], want[i])
-					}
+			got := NearestCompanions(g, w)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: companion[%d] = %d, want %d", name, i, got[i], want[i])
 				}
 			}
 		}
