@@ -4,45 +4,49 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
-	"sync"
+
+	"pgridfile/internal/geom"
+	"pgridfile/internal/sfc"
 )
 
 // This file implements the pairwise-weight engine shared by every
-// proximity-based algorithm in the package (Minimax, SSP, MST) and by the
-// simulator's nearest-companion computation. All of them have the same
-// Θ(N²) shape — evaluate an edge weight between one "pivot" bucket and every
-// other live bucket, then reduce (max-merge, min-merge, arg-min, arg-max) —
-// so they share one engine instead of each calling a Weight closure over
-// geom.Proximity per edge.
+// proximity-based algorithm in the package (Minimax, SSP, MST), by residual
+// replica placement and by the simulator's nearest-companion computation. All
+// of them have the same shape — evaluate an edge weight between one "pivot"
+// bucket and the other live buckets, then reduce (max-merge, min-merge,
+// arg-min, arg-max) — so they share one engine instead of each calling a
+// Weight closure over geom.Proximity per edge.
 //
 // The engine gains its speed from two sources:
 //
 //  1. Flattened geometry. Bucket regions are copied once per Decluster into
-//     a contiguous []float64 (lo/hi interleaved per axis) and the per-axis
-//     inverse domain lengths are precomputed, so the proximity kernel is a
-//     devirtualized, zero-alloc inner loop: no BucketView struct copies, no
-//     Rect slice-header chasing, no closure call, no per-edge division by a
-//     recomputed domain length.
+//     a contiguous []float64 (lo/hi interleaved per axis), so the proximity
+//     kernel is a devirtualized, zero-alloc inner loop: no BucketView struct
+//     copies, no Rect slice-header chasing, no closure call.
 //
-//  2. Tiled sweeps. Each O(N) sweep over the unassigned vertices computes
-//     sweepTile weights into one L1-resident scratch buffer and folds them
-//     into its reduction before computing the next tile.
+//  2. Block pruning. The buckets are sorted along the Hilbert curve of their
+//     region centres and cut into blocks of blockSize, each with a bounding
+//     box stored behind the bucket boxes in the same layout. The proximity
+//     index never decreases when one of its arguments grows (every operation
+//     of the kernel is monotone, in floating point too — DESIGN.md S35), so
+//     the kernel applied to a pivot and a block's box bounds the pivot's
+//     weight to every bucket of the block from above. A max-merge sweep
+//     skips a block whose bound does not exceed the smallest value the row
+//     holds there, an arg-max sweep one whose bound is below the running
+//     best, and an arg-min one whose smallest row value is above it. What a
+//     sweep skips could not have changed its result, so every result is the
+//     one the full sweep computes. Weights without a proven bound (Weight
+//     closures, EuclideanWeight, MST's min-merge) take the same block loops
+//     with the bound at +Inf: every block is visited.
 //
 // Every reduction uses a total order — (value, vertex index) for
 // arg-min/arg-max, plus tree index for MST's global pick — so the order in
-// which the active set lists its vertices never influences a result.
+// which blocks and their vertices are visited never influences a result.
 //
-// The per-step sweeps run on the calling goroutine: sharding a sweep of at
-// most N cheap weights across a worker pool cost a hand-off per step and was
-// measured never to pay. The two sweeps that do all N² of their work in one
-// call — initResidualRows and NearestCompanions — write disjoint rows, so
-// they split those rows once across plain goroutines (splitRows), which was
-// measured to pay (DESIGN.md S34).
-//
-// The engine inlines the package's built-in weights (a nil Weight,
-// ProximityWeight and EuclideanWeight). Any other Weight runs through the
-// same sweeps on the generic kernel, which calls the closure once per pair.
+// Everything runs on the calling goroutine. The engine inlines the package's
+// built-in weights (a nil Weight, ProximityWeight and EuclideanWeight). Any
+// other Weight runs through the same sweeps on the generic kernel, which
+// calls the closure once per pair.
 
 // weightKind selects the engine's kernel: generic calls the Weight closure
 // per pair, the other two are the built-in weights the engine inlines.
@@ -69,22 +73,51 @@ func kindOf(w Weight) weightKind {
 	return kindGeneric
 }
 
+// blockSize is how many buckets share one bounding box. A sweep pays one
+// bound per block and one weight per bucket of each block it cannot skip:
+// smaller blocks have tighter boxes but more bounds to evaluate.
+const blockSize = 32
+
 // PairEngine is the shared pairwise-weight engine: a flattened copy of a
-// grid's bucket geometry plus the tiled sweeps over it. Construct one per
-// Decluster (or per NearestCompanions run). A PairEngine must be driven from
-// a single goroutine: its per-step sweeps share one scratch buffer.
+// grid's bucket geometry, the set of still-active buckets grouped into
+// spatial blocks, and the pruned sweeps over them. Construct one per
+// Decluster (or per NearestCompanions run); every bucket starts active. A
+// PairEngine must be driven from a single goroutine: its sweeps share
+// scratch buffers.
 type PairEngine struct {
 	n       int
 	dims    int
 	kind    weightKind
 	grid    Grid      // generic kernel only: the closure's arguments
 	weight  Weight    // generic kernel only
-	boxes   []float64 // n × 2·dims: lo,hi interleaved per axis
+	boxes   []float64 // (n + blocks) × 2·dims, lo,hi interleaved per axis: bucket boxes, then block boxes
 	centers []float64 // n × dims, euclid kernel only
 	lens    []float64 // per-axis domain length, 0 for degenerate axes
 	diag    float64   // euclid: domain diagonal, 0 for a degenerate domain
 
-	scratch []float64 // sweepTile weights, reused by every per-step sweep
+	// Block b holds members[b·blockSize : (b+1)·blockSize], its active
+	// vertices first: live[b] of them.
+	members []int32
+	pos     []int32 // vertex -> index in members
+	live    []int32
+	active  int // vertices still active, over all blocks
+
+	// bounded reports that the kernel applied to a block's box bounds the
+	// weight to each of its members: the proximity kernel, every region
+	// inside the domain. Otherwise ub stays at +Inf and nothing is skipped.
+	bounded  bool
+	blockIDs []int32   // the block boxes' indices in boxes: n, n+1, …
+	ub       []float64 // per block: the current pivot's bound
+	scratch  []float64 // blockSize weights, reused by every sweep
+
+	work
+}
+
+// work counts the engine's kernel evaluations: the pruning's cost model, in
+// counts rather than clocks (TestPrunedWorkBudget, BenchmarkDecluster).
+type work struct {
+	weights int64 // bucket–bucket weights
+	bounds  int64 // bucket–block bounds
 }
 
 // NewPairEngine builds an engine for g and w (nil means ProximityWeight).
@@ -92,23 +125,36 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 	kind := kindOf(w)
 	n := len(g.Buckets)
 	dims := len(g.Domain)
+	nb := (n + blockSize - 1) / blockSize
 	e := &PairEngine{
 		n:       n,
 		dims:    dims,
 		kind:    kind,
 		lens:    make([]float64, dims),
-		scratch: make([]float64, sweepTile),
+		members: curveOrder(g),
+		pos:     make([]int32, n),
+		live:    make([]int32, nb),
+		active:  n,
+		ub:      make([]float64, nb),
+		scratch: make([]float64, blockSize),
 	}
 	for d, iv := range g.Domain {
 		if l := iv.Length(); l > 0 {
 			e.lens[d] = l
 		}
 	}
+	for i, x := range e.members {
+		e.pos[x] = int32(i)
+	}
+	for b := range e.live {
+		e.live[b] = int32(min(blockSize, n-b*blockSize))
+		e.ub[b] = math.Inf(1)
+	}
 	switch kind {
 	case kindGeneric:
 		e.grid, e.weight = g, w
 	case kindProximity:
-		e.boxes = make([]float64, n*2*dims)
+		e.boxes = make([]float64, (n+nb)*2*dims)
 		for i, b := range g.Buckets {
 			base := i * 2 * dims
 			for d, iv := range b.Region {
@@ -116,6 +162,7 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 				e.boxes[base+2*d+1] = iv.Hi
 			}
 		}
+		e.bounded = e.boxBlocks(g.Domain)
 	case kindEuclid:
 		e.centers = make([]float64, n*dims)
 		for i, b := range g.Buckets {
@@ -131,6 +178,74 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 		e.diag = math.Sqrt(diag)
 	}
 	return e
+}
+
+// curveOrder lists g's buckets along the Hilbert curve of their region
+// centres, so that consecutive runs of the list are spatially compact.
+func curveOrder(g Grid) []int32 {
+	order := make([]int32, len(g.Buckets))
+	dims := len(g.Domain)
+	if dims < 1 || dims > 64 {
+		// No curve fits a 64-bit key: index order, whose blocks prune less.
+		for i := range order {
+			order[i] = int32(i)
+		}
+		return order
+	}
+	for i, x := range CentroidOrder(g, sfc.NewHilbert(dims, min(16, 64/dims))) {
+		order[i] = int32(x)
+	}
+	return order
+}
+
+// boxBlocks stores each block's bounding box behind the bucket boxes and
+// reports whether the boxes are proven bounds: the monotonicity argument
+// needs every gap to be at most the domain length, which holds when every
+// region is a well-formed interval inside the domain (a NaN fails the test).
+func (e *PairEngine) boxBlocks(domain geom.Rect) bool {
+	d2 := 2 * e.dims
+	inside := true
+	e.blockIDs = make([]int32, len(e.live))
+	for b := range e.live {
+		id := e.n + b
+		e.blockIDs[b] = int32(id)
+		bb := e.boxes[id*d2 : id*d2+d2]
+		for i, x := range e.block(b) {
+			xb := e.boxes[int(x)*d2 : int(x)*d2+d2]
+			for d := 0; d < e.dims; d++ {
+				lo, hi := xb[2*d], xb[2*d+1]
+				if i == 0 || lo < bb[2*d] {
+					bb[2*d] = lo
+				}
+				if i == 0 || hi > bb[2*d+1] {
+					bb[2*d+1] = hi
+				}
+				if e.lens[d] != 0 && !(domain[d].Lo <= lo && lo <= hi && hi <= domain[d].Hi) {
+					inside = false
+				}
+			}
+		}
+	}
+	return inside
+}
+
+// block returns block b's active vertices.
+func (e *PairEngine) block(b int) []int32 {
+	return e.members[b*blockSize : b*blockSize+int(e.live[b])]
+}
+
+// remove takes x out of the active set: O(1), by swapping it behind its
+// block's active prefix. Reductions use a total order on (value, index), so
+// the order of a block's vertices is free to change.
+func (e *PairEngine) remove(x int32) {
+	i := e.pos[x]
+	b := int(i) / blockSize
+	e.live[b]--
+	last := int32(b*blockSize) + e.live[b]
+	y := e.members[last]
+	e.members[i], e.members[last] = y, x
+	e.pos[y], e.pos[x] = i, last
+	e.active--
 }
 
 // Weigh evaluates the engine's edge weight for one bucket pair. It exists
@@ -302,158 +417,242 @@ func (e *PairEngine) euclidBatch(fixed int32, xs []int32, out []float64) {
 	}
 }
 
-// sweepTile bounds how many weights a sweep computes before folding them
-// into its reduction, so the scratch buffer stays L1-resident instead of
-// being streamed through the cache once per step.
-const sweepTile = 512
-
-// weighTile weighs the fixed bucket against the sweepTile vertices of active
-// starting at t (fewer at the tail) and returns them with their weights, which
-// live in the engine's scratch buffer until the next call.
-func (e *PairEngine) weighTile(fixed int32, active []int32, t int) ([]int32, []float64) {
-	xs := active[t:min(t+sweepTile, len(active))]
+// weigh computes the weight between the fixed bucket and each of xs (at most
+// blockSize of them) into the engine's scratch buffer, where they live until
+// the next call.
+func (e *PairEngine) weigh(fixed int32, xs []int32) []float64 {
 	out := e.scratch[:len(xs)]
 	e.weighBatch(fixed, xs, out)
-	return xs, out
+	e.weights += int64(len(xs))
+	return out
 }
 
-// initRows fills rows[k·n : (k+1)·n] with the weight of every active vertex
-// against seeds[k], and returns the arg-min of row selRow over the active
-// set (ties to the lowest vertex index) — the first selection of the
-// round-robin expansion.
-func (e *PairEngine) initRows(seeds []int, active []int32, rows []float64, selRow int) (int32, float64) {
-	for t := 0; t < len(active); t += sweepTile {
-		xs := active[t:min(t+sweepTile, len(active))]
-		out := e.scratch[:len(xs)]
-		for k, seed := range seeds {
-			row := rows[k*e.n : (k+1)*e.n]
-			e.weighBatch(int32(seed), xs, out)
-			for i, x := range xs {
-				row[x] = out[i]
+// boundBlocks returns, per block, an upper bound on the weight between the
+// fixed bucket and any bucket of the block: the kernel applied to the block
+// boxes, or +Inf where that is no proven bound.
+func (e *PairEngine) boundBlocks(fixed int32) []float64 {
+	if e.bounded {
+		e.weighBatch(fixed, e.blockIDs, e.ub)
+		e.bounds += int64(len(e.ub))
+	}
+	return e.ub
+}
+
+// treeRow is one tree's (disk's) row: a value per vertex and, per block, a
+// lower bound in the (value, vertex) order on the row's entries at the
+// block's active vertices. A bound may be stale-low — removing a vertex or
+// raising a value leaves it valid — and is made exact whenever a sweep scans
+// the block.
+type treeRow struct {
+	val []float64 // per vertex
+	lo  []float64 // per block: the smallest value…
+	arg []int32   // …and the lowest vertex holding it
+}
+
+// newRows returns one treeRow for each of m trees, all values zero.
+func (e *PairEngine) newRows(m int) []treeRow {
+	n, nb := e.n, len(e.live)
+	val, lo, arg := make([]float64, m*n), make([]float64, m*nb), make([]int32, m*nb)
+	rows := make([]treeRow, m)
+	for k := range rows {
+		rows[k] = treeRow{val[k*n : (k+1)*n], lo[k*nb : (k+1)*nb], arg[k*nb : (k+1)*nb]}
+	}
+	return rows
+}
+
+// before is the total order of every arg-min: by value, ties to the lower
+// vertex index.
+func before(v float64, x int32, bv float64, bx int32) bool {
+	return v < bv || (v == bv && x < bx)
+}
+
+// initRows sets tree k's row to the weight of every active vertex against
+// seeds[k].
+func (e *PairEngine) initRows(seeds []int, rows []treeRow) {
+	for k, seed := range seeds {
+		r := rows[k]
+		for b := range e.live {
+			xs := e.block(b)
+			mx, mv := int32(-1), math.Inf(1)
+			for i, v := range e.weigh(int32(seed), xs) {
+				x := xs[i]
+				r.val[x] = v
+				if before(v, x, mv, mx) {
+					mx, mv = x, v
+				}
 			}
+			r.lo[b], r.arg[b] = mv, mx
 		}
 	}
-	return argminOver(rows[selRow*e.n:(selRow+1)*e.n], active)
 }
 
-// stepMinimax performs one round-robin expansion step's sweep: max-merge
-// the weight of every active vertex against the newly assigned member into
-// upd (MAX_x(k) maintenance), while simultaneously computing the arg-min of
-// sel — the row of the NEXT tree in the round-robin order — over the same
-// active set. Selection therefore never rescans the vertices on its own;
-// it rides along the update sweep that must touch them anyway.
-func (e *PairEngine) stepMinimax(newMember int32, active []int32, upd, sel []float64) (int32, float64) {
+// mergeMax max-merges the weights out of block b's active vertices xs into
+// the row and makes the block's bound exact.
+func (r treeRow) mergeMax(b int, xs []int32, out []float64) {
+	mx, mv := int32(-1), math.Inf(1)
+	for i, x := range xs {
+		v := r.val[x]
+		if out[i] > v {
+			v = out[i]
+			r.val[x] = v
+		}
+		if before(v, x, mv, mx) {
+			mx, mv = x, v
+		}
+	}
+	r.lo[b], r.arg[b] = mv, mx
+}
+
+// maxInto max-merges the weight of every active vertex against the fixed
+// bucket into the row — MAX_x(k) maintenance for minimax and residual
+// allocation. A block whose bound does not exceed the row's smallest value
+// there is skipped: no weight in it can exceed the value its entry holds.
+func (e *PairEngine) maxInto(fixed int32, r treeRow) {
+	ub := e.boundBlocks(fixed)
+	for b, cnt := range e.live {
+		if cnt == 0 || ub[b] <= r.lo[b] {
+			continue
+		}
+		xs := e.block(b)
+		r.mergeMax(b, xs, e.weigh(fixed, xs))
+	}
+}
+
+// argminRow returns the arg-min of the row over the active vertices (ties to
+// the lowest vertex index), or -1 when there is none. With owners non-nil,
+// the vertices disk already owns are passed over. It starts at the block with
+// the smallest bound, then scans only blocks whose bound comes before the
+// running best.
+func (e *PairEngine) argminRow(r treeRow, owners [][]int, disk int) (int32, float64) {
+	first := -1
+	for b, cnt := range e.live {
+		if cnt > 0 && (first < 0 || r.lo[b] < r.lo[first]) {
+			first = b
+		}
+	}
 	bx, bv := int32(-1), math.Inf(1)
-	for t := 0; t < len(active); t += sweepTile {
-		xs, out := e.weighTile(newMember, active, t)
-		for i, x := range xs {
-			if out[i] > upd[x] {
-				upd[x] = out[i]
+	if first < 0 {
+		return bx, bv
+	}
+	for i := -1; i < len(e.live); i++ {
+		b := i // every block in turn, after the first
+		if i < 0 {
+			b = first
+		} else if i == first {
+			continue
+		}
+		if e.live[b] == 0 || (bx >= 0 && !before(r.lo[b], r.arg[b], bv, bx)) {
+			continue
+		}
+		mx, mv := int32(-1), math.Inf(1)
+		for _, x := range e.block(b) {
+			v := r.val[x]
+			if before(v, x, mv, mx) {
+				mx, mv = x, v
 			}
-			if v := sel[x]; v < bv || (v == bv && x < bx) {
+			if before(v, x, bv, bx) && (owners == nil || !ownedBy(owners[x], disk)) {
 				bx, bv = x, v
 			}
 		}
+		r.lo[b], r.arg[b] = mv, mx
 	}
 	return bx, bv
 }
 
 // stepMST min-merges the weight of every active vertex against the newly
 // assigned member into row (Prim's frontier maintenance for one tree) and
-// returns the row's new arg-min over the active set.
-func (e *PairEngine) stepMST(newMember int32, active []int32, row []float64) (int32, float64) {
+// returns the row's new arg-min over the active set. No block is skipped:
+// the block boxes bound weights from above, a min-merge would need them
+// bounded from below.
+func (e *PairEngine) stepMST(newMember int32, r treeRow) (int32, float64) {
 	bx, bv := int32(-1), math.Inf(1)
-	for t := 0; t < len(active); t += sweepTile {
-		xs, out := e.weighTile(newMember, active, t)
-		for i, x := range xs {
-			if out[i] < row[x] {
-				row[x] = out[i]
+	for b, cnt := range e.live {
+		if cnt == 0 {
+			continue
+		}
+		xs := e.block(b)
+		mx, mv := int32(-1), math.Inf(1)
+		for i, v := range e.weigh(newMember, xs) {
+			x := xs[i]
+			if v < r.val[x] {
+				r.val[x] = v
+			} else {
+				v = r.val[x]
 			}
-			if v := row[x]; v < bv || (v == bv && x < bx) {
-				bx, bv = x, v
+			if before(v, x, mv, mx) {
+				mx, mv = x, v
 			}
+		}
+		r.lo[b], r.arg[b] = mv, mx
+		if before(mv, mx, bv, bx) {
+			bx, bv = mx, mv
 		}
 	}
 	return bx, bv
 }
 
-// maxInto max-merges the weight of every active vertex against the fixed
-// bucket into row, with no selection riding along — the residual-allocation
-// row-maintenance sweep.
-func (e *PairEngine) maxInto(fixed int32, active []int32, row []float64) {
-	for t := 0; t < len(active); t += sweepTile {
-		xs, out := e.weighTile(fixed, active, t)
-		for i, x := range xs {
-			if out[i] > row[x] {
-				row[x] = out[i]
-			}
+// initResidualRows sets disk k's row to the maximum weight between each
+// vertex x and any bucket disk k already owns, per the owners lists
+// (owners[y] = disks that already hold a copy of bucket y). Each owned bucket
+// is max-merged in like a new member, so once a row holds a nearby bucket's
+// weights the far ones are skipped; the buckets are fed in a shuffled order
+// (a max is order-independent) so that every row meets nearby buckets early
+// wherever it is looked at.
+func (e *PairEngine) initResidualRows(owners [][]int, rows []treeRow) {
+	var own []treeRow // the rows of y's owner disks
+	for _, y := range rand.New(rand.NewSource(1)).Perm(e.n) {
+		own = own[:0]
+		for _, k := range owners[y] {
+			own = append(own, rows[k])
 		}
-	}
-}
-
-// minSplit is the fewest rows splitRows gives a goroutine.
-const minSplit = 256
-
-// splitRows runs fn over [0, n) cut into one contiguous range per CPU, each
-// range on its own goroutine with its own scratch tile, and waits for all of
-// them. It serves the two sweeps whose N² work is a single call over disjoint
-// rows, so where the cuts fall never shows in a result. A custom Weight stays
-// on the calling goroutine: the closure need not be safe for concurrent use.
-func (e *PairEngine) splitRows(n int, fn func(lo, hi int, scratch []float64)) {
-	parts := min(runtime.GOMAXPROCS(0), n/minSplit)
-	if parts <= 1 || e.kind == kindGeneric {
-		fn(0, n, e.scratch)
-		return
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(p*n/parts, (p+1)*n/parts, make([]float64, sweepTile))
-		}()
-	}
-	wg.Wait()
-}
-
-// initResidualRows fills rows[k·n : (k+1)·n] with the maximum weight between
-// each vertex x and any bucket already owned by disk k, per the owners lists
-// (owners[y] = disks that already hold a copy of bucket y). The max over each
-// owner set is order-independent, and each goroutine of the split owns the
-// row entries of its own vertices x.
-func (e *PairEngine) initResidualRows(owners [][]int, rows []float64) {
-	n := e.n
-	all := identity(n)
-	e.splitRows(n, func(lo, hi int, scratch []float64) {
-		for t := lo; t < hi; t += sweepTile {
-			xs := all[t:min(t+sweepTile, hi)]
-			out := scratch[:len(xs)]
-			for y := 0; y < n; y++ {
-				if len(owners[y]) == 0 {
+		ub := e.boundBlocks(int32(y))
+		for b := range e.live {
+			var out []float64 // weighed once, however many rows take it
+			for _, r := range own {
+				if ub[b] <= r.lo[b] {
 					continue
 				}
-				e.weighBatch(int32(y), xs, out)
-				for _, k := range owners[y] {
-					row := rows[k*n+t : k*n+t+len(xs)]
-					for i, v := range out {
-						if v > row[i] {
-							row[i] = v
-						}
-					}
+				xs := e.block(b)
+				if out == nil {
+					out = e.weigh(int32(y), xs)
 				}
+				r.mergeMax(b, xs, out)
 			}
 		}
-	})
+	}
 }
 
-// argmaxTo returns the active vertex with the largest weight to the fixed
-// bucket (ties to the lowest vertex index) — SSP's path-growth step.
-func (e *PairEngine) argmaxTo(fixed int32, active []int32) (int32, float64) {
+// argmaxTo returns the active vertex other than fixed with the largest
+// weight to the fixed bucket (ties to the lowest vertex index), or -1 when
+// there is none — SSP's path-growth step and the nearest-companion search.
+// It starts at the block with the largest bound, then scans only blocks
+// whose bound reaches the running best.
+func (e *PairEngine) argmaxTo(fixed int32) (int32, float64) {
+	ub := e.boundBlocks(fixed)
+	first := -1
+	for b, cnt := range e.live {
+		if cnt > 0 && (first < 0 || ub[b] > ub[first]) {
+			first = b
+		}
+	}
 	bx, bv := int32(-1), math.Inf(-1)
-	for t := 0; t < len(active); t += sweepTile {
-		xs, out := e.weighTile(fixed, active, t)
-		for i, x := range xs {
-			if v := out[i]; v > bv || (v == bv && x < bx) {
+	if first < 0 {
+		return bx, bv
+	}
+	for i := -1; i < len(e.live); i++ {
+		b := i // every block in turn, after the first
+		if i < 0 {
+			b = first
+		} else if i == first {
+			continue
+		}
+		if e.live[b] == 0 || ub[b] < bv {
+			continue
+		}
+		xs := e.block(b)
+		for j, v := range e.weigh(fixed, xs) {
+			x := xs[j]
+			if x != fixed && (v > bv || (v == bv && x < bx)) {
 				bx, bv = x, v
 			}
 		}
@@ -463,85 +662,14 @@ func (e *PairEngine) argmaxTo(fixed int32, active []int32) (int32, float64) {
 
 // NearestCompanions returns, for every bucket, the index of its closest
 // companion under the engine's weight (ties to the lower index), or -1 for
-// a single-bucket grid. Rows are independent, so the sweep splits over them.
+// a single-bucket grid.
 func (e *PairEngine) NearestCompanions() []int {
-	n := e.n
-	nn := make([]int, n)
-	all := identity(n)
-	e.splitRows(n, func(lo, hi int, scratch []float64) {
-		for i := lo; i < hi; i++ {
-			best, bestVal := -1, math.Inf(-1)
-			for t := 0; t < n; t += sweepTile {
-				xs := all[t:min(t+sweepTile, n)]
-				out := scratch[:len(xs)]
-				e.weighBatch(int32(i), xs, out)
-				for j, x := range xs {
-					if int(x) == i {
-						continue
-					}
-					if v := out[j]; v > bestVal {
-						best, bestVal = int(x), v
-					}
-				}
-			}
-			nn[i] = best
-		}
-	})
+	nn := make([]int, e.n)
+	for i := range nn {
+		x, _ := e.argmaxTo(int32(i))
+		nn[i] = int(x)
+	}
 	return nn
-}
-
-// argminOver scans row at the given vertex indices; ties go to the lowest
-// vertex index, matching the textbook serial loops (reference_test.go).
-func argminOver(row []float64, xs []int32) (int32, float64) {
-	bx, bv := int32(-1), math.Inf(1)
-	for _, x := range xs {
-		if v := row[x]; v < bv || (v == bv && x < bx) {
-			bx, bv = x, v
-		}
-	}
-	return bx, bv
-}
-
-// identity returns the vertex list 0, 1, …, n-1.
-func identity(n int) []int32 {
-	xs := make([]int32, n)
-	for i := range xs {
-		xs[i] = int32(i)
-	}
-	return xs
-}
-
-// activeSet is the shrinking unassigned-vertex list shared by the engine
-// paths: O(1) removal by swapping with the last element. Reductions use a
-// total order on (value, index), so the resulting element order is free to
-// change without affecting any outcome.
-type activeSet struct {
-	list []int32
-	pos  []int32 // vertex -> index in list
-}
-
-func newActiveSetAll(n int) *activeSet {
-	return &activeSet{list: identity(n), pos: identity(n)}
-}
-
-func newActiveSet(assign []int) *activeSet {
-	a := &activeSet{pos: make([]int32, len(assign))}
-	a.list = make([]int32, 0, len(assign))
-	for x, d := range assign {
-		if d < 0 {
-			a.pos[x] = int32(len(a.list))
-			a.list = append(a.list, int32(x))
-		}
-	}
-	return a
-}
-
-func (a *activeSet) remove(x int32) {
-	i := a.pos[x]
-	last := a.list[len(a.list)-1]
-	a.list[i] = last
-	a.pos[last] = i
-	a.list = a.list[:len(a.list)-1]
 }
 
 // permPrefix returns the first m elements of rand.Perm(n) while allocating

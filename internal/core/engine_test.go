@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"pgridfile/internal/geom"
@@ -69,14 +69,33 @@ func flatAxis(g Grid, d int) Grid {
 	return g
 }
 
-// engineTestGrids are the inputs the engine is held to the oracle on: the 2-D
-// ones dispatch to proxBatch2, the 3-D ones to the d-dimensional proxBatch.
+// doubled returns g with every bucket listed twice: duplicate regions, so
+// every weight and every row value ties with its twin's.
+func doubled(g Grid) Grid {
+	n := len(g.Buckets)
+	g.Buckets = append(g.Buckets[:n:n], g.Buckets...)
+	for i := n; i < 2*n; i++ {
+		g.Buckets[i].Index = i
+	}
+	return g
+}
+
+// engineTestGrids are the inputs the engine is held to the oracle on: one to
+// four dimensions (the 2-D ones dispatch to proxBatch2, the others to the
+// d-dimensional proxBatch), a degenerate domain axis, tie-heavy Cartesian
+// grids, duplicate regions, and bucket counts below one block, of exactly
+// eight blocks, and not a multiple of the block size.
 func engineTestGrids(t *testing.T) map[string]Grid {
 	return map[string]Grid{
-		"hotspot":     testGrid(t),
-		"cartesian":   cartesianGrid(t, []int{16, 16}),
-		"cartesian3d": cartesianGrid(t, []int{6, 5, 4}),
-		"flat-axis3d": flatAxis(cartesianGrid(t, []int{8, 2, 8}), 1),
+		"hotspot":      testGrid(t),
+		"line1d":       cartesianGrid(t, []int{50}),
+		"sub-block":    cartesianGrid(t, []int{5, 5}),
+		"cartesian":    cartesianGrid(t, []int{16, 16}),
+		"cartesian-33": cartesianGrid(t, []int{32, 33}),
+		"duplicates":   doubled(cartesianGrid(t, []int{6, 7})),
+		"cartesian3d":  cartesianGrid(t, []int{6, 5, 4}),
+		"flat-axis3d":  flatAxis(cartesianGrid(t, []int{8, 2, 8}), 1),
+		"cartesian4d":  cartesianGrid(t, []int{3, 3, 3, 3}),
 	}
 }
 
@@ -125,40 +144,52 @@ func proximityAllocators(seed int64, w Weight, name string) []Allocator {
 	}
 }
 
+// sameAssign fails unless the engine's result is the reference's.
+func sameAssign(t *testing.T, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("engine returns %d entries, serial reference %d", len(got), len(want))
+	}
+	for x := range want {
+		if got[x] != want[x] {
+			t.Fatalf("engine diverges from serial reference at bucket %d (%d vs %d)", x, got[x], want[x])
+		}
+	}
+}
+
 // TestEngineMatchesSerialReference asserts the engine reproduces the
 // textbook serial loops of reference_test.go byte-for-byte: every
-// proximity-based allocator and ResidualAssign, under both inlined built-in
-// weights and under a closure that takes the generic kernel.
+// proximity-based allocator, ResidualAssign (copies two and three) and
+// NearestCompanions, under both inlined built-in weights and under a closure
+// that takes the generic kernel, with one tree and with several.
 func TestEngineMatchesSerialReference(t *testing.T) {
-	const disks, seed = 8, 7
-	grids := engineTestGrids(t)
+	const seed = 7
 	weights := map[string]Weight{
 		"proximity": ProximityWeight,
 		"euclid":    EuclideanWeight,
 		"inverse":   inverseProximity,
 	}
-	same := func(t *testing.T, got, want []int) {
-		t.Helper()
-		for x := range want {
-			if got[x] != want[x] {
-				t.Fatalf("engine diverges from serial reference at bucket %d (%d vs %d)", x, got[x], want[x])
-			}
-		}
-	}
-	for gname, g := range grids {
+	refs := []func(Grid, Weight, int64, int) []int{referenceMinimax, referenceSSP, referenceMST}
+	for gname, g := range engineTestGrids(t) {
 		for wname, w := range weights {
-			refs := []func(Grid, Weight, int64, int) []int{referenceMinimax, referenceSSP, referenceMST}
-			for ai, alg := range proximityAllocators(seed, w, wname) {
-				t.Run(alg.Name()+"/"+gname+"/"+wname, func(t *testing.T) {
-					got, err := alg.Decluster(g, disks)
-					if err != nil {
-						t.Fatal(err)
+			for _, disks := range []int{8, 1} {
+				for ai, alg := range proximityAllocators(seed, w, wname) {
+					name := alg.Name() + "/" + gname + "/" + wname
+					if disks == 1 {
+						name += "/one-tree"
 					}
-					same(t, got.Assign, refs[ai](g, w, seed, disks))
-				})
+					t.Run(name, func(t *testing.T) {
+						got, err := alg.Decluster(g, disks)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameAssign(t, got.Assign, refs[ai](g, w, seed, disks))
+					})
+				}
 			}
 			t.Run("residual/"+gname+"/"+wname, func(t *testing.T) {
 				// Two levels: the second sees buckets with two owners each.
+				const disks = 8
 				owners := make([][]int, len(g.Buckets))
 				for x, k := range referenceMinimax(g, w, seed, disks) {
 					owners[x] = []int{k}
@@ -168,89 +199,188 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					same(t, got, referenceResidual(g, disks, owners, w))
+					sameAssign(t, got, referenceResidual(g, disks, owners, w))
 					for x := range owners {
 						owners[x] = append(owners[x], got[x])
 					}
 				}
 			})
+			t.Run("companions/"+gname+"/"+wname, func(t *testing.T) {
+				sameAssign(t, NewPairEngine(g, w).NearestCompanions(), referenceCompanions(g, w))
+			})
 		}
 	}
 }
 
-// TestEngineNearestCompanions checks the engine's companion sweep against
-// the serial scan.
-func TestEngineNearestCompanions(t *testing.T) {
-	g := testGrid(t)
+// TestEngineAtLeastAsManyDisksAsBuckets covers M ≥ N: Minimax and MST give
+// every bucket its own disk without building an engine, SSP and
+// ResidualAssign run their usual course.
+func TestEngineAtLeastAsManyDisksAsBuckets(t *testing.T) {
+	const seed = 7
+	g := cartesianGrid(t, []int{5, 5})
 	n := len(g.Buckets)
-	want := make([]int, n)
-	for i := 0; i < n; i++ {
-		best, bestVal := -1, -1.0
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if v := ProximityWeight(g.Buckets[i], g.Buckets[j], g.Domain); v > bestVal {
-				best, bestVal = j, v
-			}
-		}
-		want[i] = best
+	own := make([]int, n)
+	owners := make([][]int, n)
+	for x := range own {
+		own[x] = x
+		owners[x] = []int{x}
 	}
-	got := NewPairEngine(g, nil).NearestCompanions()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("companion[%d] = %d, want %d", i, got[i], want[i])
+	for _, disks := range []int{n, n + 3} {
+		for _, alg := range []Allocator{&Minimax{Seed: seed}, &MST{Seed: seed}} {
+			got, err := alg.Decluster(g, disks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAssign(t, got.Assign, own)
 		}
+		got, err := (&SSP{Seed: seed}).Decluster(g, disks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAssign(t, got.Assign, referenceSSP(g, nil, seed, disks))
+		second, err := ResidualAssign(g, disks, owners, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAssign(t, second, referenceResidual(g, disks, owners, nil))
 	}
 }
 
-// TestSplitSweepsMatchSerial runs the two sweeps that split their rows across
-// goroutines on a grid large enough to be cut in four, with four CPUs asked
-// for whatever the host has. The built-in weights must reproduce the serial
-// references; a closure that mutates unsynchronized state must stay on the
-// calling goroutine, which fails under -race if splitRows ever spawns for it.
-func TestSplitSweepsMatchSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+// TestCustomWeightCalledOncePerPair pins the contract a stateful Weight
+// relies on: each sweep calls it once per (pivot, other) pair — never for a
+// bound, never twice for a bucket with two owners — and the engine never
+// skips a pair it has no proven bound for.
+func TestCustomWeightCalledOncePerPair(t *testing.T) {
 	const disks = 4
-	g := cartesianGrid(t, []int{32, 33}) // 1056 rows: four uneven ranges
+	g := cartesianGrid(t, []int{7, 9})
 	n := len(g.Buckets)
 	calls := 0
-	stateful := func(a, b gridfile.BucketView, d geom.Rect) float64 {
+	counting := func(a, b gridfile.BucketView, d geom.Rect) float64 {
 		calls++
 		return ProximityWeight(a, b, d)
 	}
 	owners := make([][]int, n)
 	for x := range owners {
-		owners[x] = []int{x % disks}
+		owners[x] = []int{x % disks, (x + 1) % disks}
 	}
-	for name, w := range map[string]Weight{"proximity": ProximityWeight, "euclid": EuclideanWeight, "stateful": stateful} {
-		got, err := ResidualAssign(g, disks, owners, w)
+	if _, err := ResidualAssign(g, disks, owners, counting); err != nil {
+		t.Fatal(err)
+	}
+	// n² to seed the rows, then each pick against the buckets still unplaced.
+	if want := n*n + n*(n-1)/2; calls != want {
+		t.Fatalf("ResidualAssign called the weight %d times, want %d", calls, want)
+	}
+	calls = 0
+	if _, err := (&Minimax{Weight: counting, Seed: 1}).Decluster(g, disks); err != nil {
+		t.Fatal(err)
+	}
+	// Each seed against the n-M others, then each pick against the rest.
+	if want := disks*(n-disks) + (n-disks)*(n-disks-1)/2; calls != want {
+		t.Fatalf("Minimax called the weight %d times, want %d", calls, want)
+	}
+}
+
+// randomBoxes returns n well-formed boxes inside domain whose coordinates
+// come half from a coarse lattice of sevenths — so that boxes touch, nest,
+// coincide, collapse to zero width and sit on the domain's edge, at values
+// that do not round cleanly — and half from anywhere.
+func randomBoxes(rng *rand.Rand, domain geom.Rect, n int) []gridfile.BucketView {
+	coord := func(iv geom.Interval) float64 {
+		if rng.Intn(2) == 0 {
+			return iv.Lo + float64(rng.Intn(8))/7*iv.Length()
+		}
+		return min(iv.Lo+rng.Float64()*iv.Length(), iv.Hi)
+	}
+	views := make([]gridfile.BucketView, n)
+	for i := range views {
+		region := make(geom.Rect, len(domain))
+		for d, iv := range domain {
+			a, b := coord(iv), coord(iv)
+			region[d] = geom.Interval{Lo: min(a, b), Hi: max(a, b)}
+		}
+		views[i] = gridfile.BucketView{Index: i, Region: region}
+	}
+	return views
+}
+
+// TestBlockBoundDominates checks the property the pruning rests on, against
+// geom.Proximity rather than against the engine's own kernel: the kernel
+// applied to a block's box is at least the proximity of every member, bit
+// for bit, and the kernel on the members themselves still equals
+// geom.Proximity. A region outside the domain, where the argument does not
+// hold, must switch the bounds off.
+func TestBlockBoundDominates(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	domains := map[string]geom.Rect{
+		"1d":      {{Lo: -3, Hi: 4}},
+		"2d":      {{Lo: 0, Hi: 2000}, {Lo: 0, Hi: 0.7}},
+		"3d":      {{Lo: 0, Hi: 1}, {Lo: 1e6, Hi: 1e6 + 3}, {Lo: -1, Hi: 1}},
+		"4d":      {{Lo: 0, Hi: 10}, {Lo: 0, Hi: 10}, {Lo: 0, Hi: 1e-3}, {Lo: 5, Hi: 6}},
+		"flat-2d": {{Lo: 0, Hi: 3}, {Lo: 2, Hi: 2}},
+	}
+	for name, domain := range domains {
+		g := Grid{Sizes: make([]int, len(domain)), Domain: domain, Buckets: randomBoxes(rng, domain, 300)}
+		e := NewPairEngine(g, nil)
+		if !e.bounded {
+			t.Fatalf("%s: regions inside the domain, but the block bounds are off", name)
+		}
+		for i := range g.Buckets {
+			for b := range e.live {
+				ub := e.Weigh(i, e.n+b)
+				for _, x := range e.block(b) {
+					want := geom.Proximity(g.Buckets[i].Region, g.Buckets[x].Region, domain)
+					if got := e.Weigh(i, int(x)); got != want {
+						t.Fatalf("%s: Weigh(%d,%d) = %v, geom.Proximity %v", name, i, x, got, want)
+					}
+					if ub < want {
+						t.Fatalf("%s: bound of bucket %d to block %d is %v, below member %d's proximity %v",
+							name, i, b, ub, x, want)
+					}
+				}
+			}
+		}
+	}
+
+	domain := geom.Rect{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
+	for name, stray := range map[string]geom.Interval{
+		"outside":  {Lo: 0.5, Hi: 3},
+		"inverted": {Lo: 0.6, Hi: 0.4},
+		"nan":      {Lo: math.NaN(), Hi: 1},
+	} {
+		g := Grid{Sizes: []int{1, 1}, Domain: domain, Buckets: randomBoxes(rng, domain, 40)}
+		g.Buckets[17].Region[1] = stray
+		if NewPairEngine(g, nil).bounded {
+			t.Errorf("%s region: the block bounds must be off", name)
+		}
+	}
+}
+
+// TestPrunedWorkBudget holds the pruning to a budget of kernel evaluations —
+// counts, not clocks — on the 128×128 Cartesian grid: the full sweeps cost
+// N²/2 weights for Minimax and 3N²/2 for one ResidualAssign level.
+func TestPrunedWorkBudget(t *testing.T) {
+	g := cartesianGrid(t, []int{128, 128})
+	n := int64(len(g.Buckets))
+	for _, disks := range []int{8, 64} {
+		alloc, w, err := (&Minimax{Seed: 1}).decluster(g, disks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceResidual(g, disks, owners, w)
-		for x := range want {
-			if got[x] != want[x] {
-				t.Fatalf("%s: residual diverges from the serial reference at bucket %d (%d vs %d)", name, x, got[x], want[x])
-			}
+		t.Logf("Minimax M=%d: %d weights + %d bounds (full sweeps: %d weights)", disks, w.weights, w.bounds, n*n/2)
+		if w.weights+w.bounds > n*n/8 {
+			t.Errorf("Minimax M=%d: %d kernel evaluations, budget N²/8 = %d", disks, w.weights+w.bounds, n*n/8)
 		}
-		nn := NewPairEngine(g, w).NearestCompanions()
-		for i := 0; i < n; i++ {
-			best, bestVal := -1, -1.0
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				if v := w(g.Buckets[i], g.Buckets[j], g.Domain); v > bestVal {
-					best, bestVal = j, v
-				}
-			}
-			if nn[i] != best {
-				t.Fatalf("%s: companion[%d] = %d, want %d", name, i, nn[i], best)
-			}
+		owners := make([][]int, n)
+		for x, k := range alloc.Assign {
+			owners[x] = []int{k}
 		}
-	}
-	if calls == 0 {
-		t.Fatal("the custom weight was never called")
+		_, w, err = residualAssign(g, disks, owners, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("ResidualAssign M=%d: %d weights + %d bounds (full sweeps: %d weights)", disks, w.weights, w.bounds, 3*n*n/2)
+		if w.weights+w.bounds > n*n/4 {
+			t.Errorf("ResidualAssign M=%d: %d kernel evaluations, budget N²/4 = %d", disks, w.weights+w.bounds, n*n/4)
+		}
 	}
 }

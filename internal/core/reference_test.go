@@ -243,3 +243,24 @@ func referenceResidual(g Grid, disks int, owners [][]int, weight Weight) []int {
 	}
 	return assign
 }
+
+// referenceCompanions scans every other bucket for each bucket's closest
+// companion, ties to the lower index; -1 on a single-bucket grid.
+func referenceCompanions(g Grid, weight Weight) []int {
+	n := len(g.Buckets)
+	w := referenceWeight(weight)
+	nn := make([]int, n)
+	for i := 0; i < n; i++ {
+		best, bestVal := -1, math.Inf(-1)
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			if v := w(g.Buckets[i], g.Buckets[j], g.Domain); v > bestVal {
+				best, bestVal = j, v
+			}
+		}
+		nn[i] = best
+	}
+	return nn
+}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file implements residual allocation: declustering a grid a second (or
 // r-th) time against the copies that already exist. It is the scoring core of
@@ -32,36 +29,42 @@ import (
 // [0, disks)); the returned slice has one new disk per bucket. w selects the
 // edge weight (nil means ProximityWeight).
 func ResidualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, error) {
+	assign, _, err := residualAssign(g, disks, owners, w)
+	return assign, err
+}
+
+// residualAssign is ResidualAssign, also reporting the kernel evaluations it
+// cost.
+func residualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, work, error) {
 	if err := checkArgs(g, disks); err != nil {
-		return nil, err
+		return nil, work{}, err
 	}
 	n := len(g.Buckets)
 	if len(owners) != n {
-		return nil, fmt.Errorf("core: residual owners cover %d buckets, want %d", len(owners), n)
+		return nil, work{}, fmt.Errorf("core: residual owners cover %d buckets, want %d", len(owners), n)
 	}
 	for x, own := range owners {
 		if len(own) == 0 {
-			return nil, fmt.Errorf("core: bucket %d has no existing owner", x)
+			return nil, work{}, fmt.Errorf("core: bucket %d has no existing owner", x)
 		}
 		if len(own) >= disks {
-			return nil, fmt.Errorf("core: bucket %d already owned by %d of %d disks", x, len(own), disks)
+			return nil, work{}, fmt.Errorf("core: bucket %d already owned by %d of %d disks", x, len(own), disks)
 		}
 		for _, k := range own {
 			if k < 0 || k >= disks {
-				return nil, fmt.Errorf("core: bucket %d owned by disk %d of %d", x, k, disks)
+				return nil, work{}, fmt.Errorf("core: bucket %d owned by disk %d of %d", x, k, disks)
 			}
 		}
 	}
 
-	rows := make([]float64, disks*n)
 	e := NewPairEngine(g, w)
+	rows := e.newRows(disks)
 	e.initResidualRows(owners, rows)
 
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
 	}
-	act := newActiveSet(assign)
 	quota := (n + disks - 1) / disks
 	loads := make([]int, disks)
 
@@ -75,16 +78,8 @@ func ResidualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, error) 
 			stalled++
 			continue
 		}
-		row := rows[k*n : (k+1)*n]
-		best, bestVal := int32(-1), math.Inf(1)
-		for _, x := range act.list {
-			if ownedBy(owners[x], k) {
-				continue
-			}
-			if v := row[x]; v < bestVal || (v == bestVal && x < best) {
-				best, bestVal = x, v
-			}
-		}
+		row := rows[k]
+		best, _ := e.argminRow(row, owners, k)
 		if best < 0 {
 			stalled++
 			continue
@@ -92,10 +87,10 @@ func ResidualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, error) 
 		stalled = 0
 		assign[best] = k
 		loads[k]++
-		act.remove(best)
+		e.remove(best)
 		remaining--
 		if remaining > 0 {
-			e.maxInto(best, act.list, row)
+			e.maxInto(best, row)
 		}
 	}
 
@@ -120,7 +115,7 @@ func ResidualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, error) 
 			loads[best]++
 		}
 	}
-	return assign, nil
+	return assign, e.work, nil
 }
 
 func ownedBy(owners []int, disk int) bool {

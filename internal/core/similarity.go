@@ -8,9 +8,11 @@ import "math/rand"
 // current endpoint (the nearest-neighbour heuristic for short spanning
 // paths), and disks are assigned round-robin along the path so that
 // neighbouring — hence similar — buckets land on different disks. Cost is
-// O(N²) edge-weight evaluations. Partitions are balanced to within one
-// bucket, but unlike minimax the path heuristic bounds only each bucket's
-// similarity to its path predecessor, not to the whole partition.
+// O(N²) edge-weight evaluations at worst (under the proximity index the
+// engine skips the blocks of buckets too far to be the nearest). Partitions
+// are balanced to within one bucket, but unlike minimax the path heuristic
+// bounds only each bucket's similarity to its path predecessor, not to the
+// whole partition.
 //
 // Runs on the pairwise-weight engine.
 type SSP struct {
@@ -36,12 +38,11 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 	order = append(order, start)
 
 	e := NewPairEngine(g, s.Weight)
-	act := newActiveSetAll(n)
-	act.remove(int32(start))
+	e.remove(int32(start))
 	cur := int32(start)
-	for len(act.list) > 0 {
-		best, _ := e.argmaxTo(cur, act.list)
-		act.remove(best)
+	for e.active > 0 {
+		best, _ := e.argmaxTo(cur)
+		e.remove(best)
 		order = append(order, int(best))
 		cur = best
 	}
@@ -103,14 +104,17 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 	// evaluations — the rows of trees whose cached arg-min was the vertex
 	// just removed. The textbook loop rescans every tree's full row each step.
 	e := NewPairEngine(g, m.Weight)
-	act := newActiveSet(assign)
-	// minTo[k*n+x] is Prim's frontier value of vertex x for tree k.
-	minTo := make([]float64, disks*n)
+	for _, v := range seeds {
+		e.remove(int32(v))
+	}
+	// minTo's row k holds Prim's frontier value of every vertex for tree k.
+	minTo := e.newRows(disks)
+	e.initRows(seeds, minTo)
+	argmin := func(k int) (int32, float64) { return e.argminRow(minTo[k], nil, 0) }
 	bestXk := make([]int32, disks)
 	bestVk := make([]float64, disks)
-	bestXk[0], bestVk[0] = e.initRows(seeds, act.list, minTo, 0)
-	for k := 1; k < disks; k++ {
-		bestXk[k], bestVk[k] = argminOver(minTo[k*n:(k+1)*n], act.list)
+	for k := range bestXk {
+		bestXk[k], bestVk[k] = argmin(k)
 	}
 	for {
 		// Global pick over the cached per-tree arg-mins, lexicographic on
@@ -125,17 +129,16 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 		}
 		bestX := bestXk[bestK]
 		assign[bestX] = bestK
-		act.remove(bestX)
-		if len(act.list) == 0 {
+		e.remove(bestX)
+		if e.active == 0 {
 			return Allocation{Disks: disks, Assign: assign}, nil
 		}
-		bestXk[bestK], bestVk[bestK] = e.stepMST(bestX, act.list,
-			minTo[bestK*n:(bestK+1)*n])
+		bestXk[bestK], bestVk[bestK] = e.stepMST(bestX, minTo[bestK])
 		// Other trees' rows are unchanged and the active set only shrank, so
 		// their cached arg-mins stay valid unless they pointed at bestX.
 		for k := 0; k < disks; k++ {
 			if k != bestK && bestXk[k] == bestX {
-				bestXk[k], bestVk[k] = argminOver(minTo[k*n:(k+1)*n], act.list)
+				bestXk[k], bestVk[k] = argmin(k)
 			}
 		}
 	}

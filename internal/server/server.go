@@ -273,6 +273,10 @@ func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	}
 	if cfg.CacheBytes > 0 {
 		s.bcache = cache.New(cfg.CacheBytes, 0)
+		// Every bucket a write makes stale leaves the cache before the write
+		// releases the grid lock: a query that translates against the
+		// post-split directory must not find the pre-split bucket cached.
+		st.SetStaleHook(s.bcache.Invalidate)
 	}
 	s.replicated = st.Replicas() > 1
 	if sizes, err := st.DiskSizes(); err == nil {
@@ -1075,12 +1079,13 @@ func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *result
 }
 
 // writeOp executes one mutation (mutate is the store's Insert or Delete)
-// against the writable store and invalidates every bucket it made stale in the
-// bucket cache — only after the store has journaled the op and swapped the rewritten
-// placements, so a read admitted after the ack can never see pre-write data
-// through a stale cache entry (a concurrent leader that loaded the old pages
-// is fenced by the cache's invalidation stamp). The store serializes mutations
-// internally; concurrent INSERTs from many connections are safe.
+// against the writable store. The store tells the bucket cache which buckets
+// the op made stale (SetStaleHook) once it has journaled the op and swapped
+// the rewritten placements, so a read admitted after the ack can never see
+// pre-write data through a stale cache entry (a concurrent leader that loaded
+// the old pages is fenced by the cache's invalidation stamp). The store
+// serializes mutations internally; concurrent INSERTs from many connections
+// are safe.
 func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.Context, geom.Point) (store.Mutation, error), key geom.Point) (Result, error) {
 	if len(key) != s.grid.Dims() {
 		return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(key), s.grid.Dims())
@@ -1091,9 +1096,6 @@ func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.
 	m, err := mutate(s.st, ctx, key)
 	if err != nil {
 		return Result{}, err
-	}
-	if s.bcache != nil {
-		s.bcache.Invalidate(m.Stale...)
 	}
 	res := Result{Applied: m.Applied, Splits: m.Splits}
 	res.Info.Buckets = len(m.Stale)
@@ -1454,6 +1456,13 @@ func (s *Server) degradable(ctx context.Context, err error) bool {
 // write-lock for the in-memory apply step of a mutation (journal fsyncs
 // happen before it), so readers are never blocked on disk I/O. On read-only
 // stores RLockGrid is a no-op and translation stays lock-free.
+//
+// The buckets are fetched after the lock is released, so a split or merge
+// may land between the two: the translated ids then miss the bucket the
+// split moved records to (a short answer), or name both halves of a merge (a
+// long one). Every query therefore reads the store's grid generation with
+// its translation and compares it after the fetch, translating and fetching
+// again when it moved.
 
 // growFlats returns a zeroed length-n slice, reusing s's backing array when
 // it is big enough. Zeroing matters: a degraded fetch leaves missing
@@ -1470,18 +1479,37 @@ func growFlats(s []geom.Flat, n int) []geom.Flat {
 	return s
 }
 
-func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point) (Result, error) {
-	tstart := s.traceNow(tr)
-	s.st.RLockGrid()
-	id, ok := s.grid.BucketAt(key)
-	s.st.RUnlockGrid()
-	s.traceSince(tr, stageTranslate, tstart)
-	if !ok {
-		return Result{}, fmt.Errorf("key %v outside the domain", key)
+// fetchTranslated runs translate — which fills qs.ids — under the grid read
+// lock and fetches those buckets into qs.recs, again from the translation if
+// the grid's generation moved in between.
+func (s *Server) fetchTranslated(ctx context.Context, qs *qstate, tr *Trace, translate func() error) (QueryInfo, error) {
+	for {
+		tstart := s.traceNow(tr)
+		s.st.RLockGrid()
+		gen := s.st.GridGen()
+		err := translate()
+		s.st.RUnlockGrid()
+		s.traceSince(tr, stageTranslate, tstart)
+		if err != nil {
+			return QueryInfo{}, err
+		}
+		qs.recs = growFlats(qs.recs, len(qs.ids))
+		info, err := s.fetchBuckets(ctx, tr, qs.ids, qs.recs)
+		if err != nil || s.st.GridGen() == gen {
+			return info, err
+		}
 	}
-	qs.ids = append(qs.ids[:0], id)
-	qs.recs = growFlats(qs.recs, 1)
-	info, err := s.fetchBuckets(ctx, tr, qs.ids, qs.recs)
+}
+
+func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point) (Result, error) {
+	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
+		id, ok := s.grid.BucketAt(key)
+		if !ok {
+			return fmt.Errorf("key %v outside the domain", key)
+		}
+		qs.ids = append(qs.ids[:0], id)
+		return nil
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -1499,20 +1527,17 @@ func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 }
 
 func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, q geom.Rect, countOnly bool) (Result, error) {
-	tstart := s.traceNow(tr)
-	s.st.RLockGrid()
-	qs.ids = s.grid.BucketsInRangeAppend(q, qs.ids[:0])
-	s.st.RUnlockGrid()
-	s.traceSince(tr, stageTranslate, tstart)
-	qs.recs = growFlats(qs.recs, len(qs.ids))
-	info, err := s.fetchBuckets(ctx, tr, qs.ids, qs.recs)
+	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
+		qs.ids = s.grid.BucketsInRangeAppend(q, qs.ids[:0])
+		return nil
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	// The filter predicate runs directly over the arena rows; matches are
-	// either counted or appended straight into the response frame.
 	var res Result
 	res.Info = info
+	// The filter predicate runs directly over the arena rows; matches are
+	// either counted or appended straight into the response frame.
 	for _, rec := range qs.recs {
 		for i := 0; i < rec.Len(); i++ {
 			row := rec.Row(i)
@@ -1575,6 +1600,7 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		dist float64
 	}
 	fetched := make(map[int32]geom.Flat)
+	var fetchedGen uint64 // the grid generation fetched was translated and read at
 	var info QueryInfo
 	for {
 		q := make(geom.Rect, len(key))
@@ -1590,9 +1616,16 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		}
 		tstart := s.traceNow(tr)
 		s.st.RLockGrid()
+		gen := s.st.GridGen()
 		ids := s.grid.BucketsInRange(q)
 		s.st.RUnlockGrid()
 		s.traceSince(tr, stageTranslate, tstart)
+		if gen != fetchedGen {
+			// A split or merge since the earlier probes: their buckets no
+			// longer fit together with this translation.
+			clear(fetched)
+			fetchedGen = gen
+		}
 		var fresh []int32
 		for _, id := range ids {
 			if _, ok := fetched[id]; !ok {
@@ -1606,6 +1639,9 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		}
 		info.Buckets += fi.Buckets
 		info.Pages += fi.Pages
+		if s.st.GridGen() != gen {
+			continue // probe again at this radius; the next translation drops fetched
+		}
 		if fi.Degraded {
 			// Part of the probe is gone; the distance bound no longer
 			// proves anything, so stop expanding and return the best

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,6 +221,87 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	}
 	if snap.Writes == nil || snap.Writes.Inserts != writers*per {
 		t.Fatalf("write counters after concurrent load: %+v", snap.Writes)
+	}
+}
+
+// TestRangeCountAcrossSplits is the regression test for the first wrong
+// answer the repo benchmark found: a query translated its bucket ids under
+// the grid read-lock and fetched them after releasing it, so a split landing
+// in between moved rows to a bucket the query never asked for and the count
+// came back short, undegraded — and a query translating just after a split
+// still found the bucket's pre-split records cached and counted the moved
+// rows twice. Four clients insert until the grid has split 300 times while
+// six count the whole domain: no count may be below the records acknowledged
+// before it was sent, or above those whose insert had been sent when it
+// came back.
+func TestRangeCountAcrossSplits(t *testing.T) {
+	const base, writers, readers, wantSplits, maxInserts = 2000, 4, 6, 300, 20000
+	s := newWritableServer(t, base, 4, 2, Config{})
+	cl := newTestClient(t, s, ClientConfig{Pipeline: 16})
+	snap, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := make(geom.Rect, len(snap.Domain))
+	for d, iv := range snap.Domain {
+		dom[d] = geom.Interval{Lo: iv[0], Hi: iv[1]}
+	}
+
+	var sent, acked, splits, reads, wrong atomic.Int64
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for _, key := range testKeys(dom, maxInserts/writers, int64(200+w)) {
+				if splits.Load() >= wantSplits {
+					return
+				}
+				sent.Add(1)
+				res, err := cl.Insert(key)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				acked.Add(1)
+				splits.Add(int64(res.Splits))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				floor := base + acked.Load()
+				n, _, err := cl.RangeCount(dom)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reads.Add(1)
+				if ceil := base + sent.Load(); int64(n) < floor || int64(n) > ceil {
+					wrong.Add(1)
+					t.Errorf("whole-domain count %d, want between %d (acknowledged before it) and %d (sent by its end)", n, floor, ceil)
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+	t.Logf("%d counts across %d splits (%d inserts): %d wrong", reads.Load(), splits.Load(), acked.Load(), wrong.Load())
+	if splits.Load() < wantSplits {
+		t.Fatalf("only %d splits in %d inserts, want %d", splits.Load(), acked.Load(), wantSplits)
+	}
+	if n, _, err := cl.RangeCount(dom); err != nil || int64(n) != base+acked.Load() {
+		t.Fatalf("final count %d (err %v), want %d", n, err, base+acked.Load())
 	}
 }
 

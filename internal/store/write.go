@@ -75,8 +75,8 @@ type Mutation struct {
 	// Splits is the number of bucket splits the operation triggered.
 	Splits int
 	// Stale lists every bucket whose stored pages the operation superseded —
-	// the rewritten ones and, after a buddy merge, the retired one. The
-	// caller owns invalidating any cache layered above the store.
+	// the rewritten ones and, after a buddy merge, the retired one. A cache
+	// layered above the store hears of them through SetStaleHook.
 	Stale []int32
 }
 
@@ -98,6 +98,13 @@ type writer struct {
 	// blocked only for the in-memory apply and buffered page writes.
 	gridMu sync.RWMutex
 	grid   *gridfile.File
+	// gridGen counts the operations that created or retired a bucket. It
+	// changes only under gridMu's write lock, so a reader holding the read
+	// lock gets the generation of the directory it translates against.
+	gridGen atomic.Uint64
+	// onStale, when set, is told the buckets each mutation superseded before
+	// the grid write lock is released (SetStaleHook).
+	onStale func(ids ...int32)
 
 	journals   []*os.File
 	walSites   []string // per-disk fault sites for journal appends
@@ -209,10 +216,35 @@ func (s *Store) RLockGrid() {
 	}
 }
 
+// GridGen returns the grid's generation: it changes whenever a mutation
+// splits a bucket off or merges one away, and never on a read-only store.
+// Bucket ids translated under RLockGrid cover their query only while the
+// generation read under that same lock still stands; a reader that finds
+// another one after fetching them must translate and fetch again, because a
+// split moves records to a bucket it never asked for and a merge copies them
+// into one it also read as it was.
+func (s *Store) GridGen() uint64 {
+	if s.w == nil {
+		return 0
+	}
+	return s.w.gridGen.Load()
+}
+
 // RUnlockGrid releases RLockGrid.
 func (s *Store) RUnlockGrid() {
 	if s.w != nil {
 		s.w.gridMu.RUnlock()
+	}
+}
+
+// SetStaleHook registers fn to be called with the buckets a mutation
+// superseded (Mutation.Stale) while the mutation still holds the grid write
+// lock: a cache layered above the store drops them there, so that no reader
+// can translate against the new directory and still be handed a bucket's
+// pre-split records. Call before handing the store to concurrent writers.
+func (s *Store) SetStaleHook(fn func(ids ...int32)) {
+	if s.w != nil {
+		s.w.onStale = fn
 	}
 }
 
@@ -329,6 +361,9 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	for i := 0; err == nil && i < len(dirty); i++ {
 		err = s.rewriteBucket(ctx, dirty[i])
 	}
+	if err == nil && w.onStale != nil {
+		w.onStale(m.Stale...)
+	}
 	w.gridMu.Unlock()
 	if err != nil {
 		// A committed operation failed to apply (simulated crash, or an
@@ -375,6 +410,9 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 			s.byID[id] = stub
 			s.pmu.Unlock()
 		}
+		if len(res.Created) > 0 {
+			w.gridGen.Add(1)
+		}
 		dirty = res.Dirty()
 		m = Mutation{Applied: true, Splits: res.Splits, Stale: dirty}
 		w.splits.Add(int64(res.Splits))
@@ -383,6 +421,7 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 		dirty = res.Dirty()
 		m = Mutation{Applied: res.Removed, Stale: dirty}
 		if res.Merged {
+			w.gridGen.Add(1)
 			m.Stale = []int32{res.Keep, res.Dead}
 		}
 	}

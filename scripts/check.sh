@@ -11,7 +11,10 @@
 #                  online-write durability (TestIngestCrashReplay), open-loop
 #                  load (TestBenchOpenLoopMode) and the scenario campaign
 #                  against the committed CAMPAIGN.json (internal/campaign
-#                  TestDefaultMatrixMatchesCommittedBaseline)
+#                  TestDefaultMatrixMatchesCommittedBaseline). So are the
+#                  count budgets that need no quiet machine: the pruned
+#                  declustering sweeps' kernel evaluations (internal/core
+#                  TestPrunedWorkBudget)
 #   5. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
 #                  (FuzzRead), layout manifests (FuzzManifest) and the
