@@ -1,16 +1,19 @@
-// Package cache provides the byte-bounded, sharded LRU bucket cache that
-// fronts the page store on the network server's hot path. The cached unit
-// is a decoded bucket in arena form: one geom.Flat — a contiguous []float64
-// coordinate array plus a dimension header — keyed by bucket id. Three
-// properties matter for the serving path:
+// Package cache provides the byte-bounded, sharded second-chance bucket
+// cache that fronts the page store on the network server's hot path. The
+// cached unit is a decoded bucket in arena form: one geom.Flat — a contiguous
+// []float64 coordinate array plus a dimension header — keyed by bucket id.
+// Four properties matter for the serving path:
 //
 //   - Sharding: the id space is hashed over independently locked shards, so
 //     concurrent queries rarely contend on one mutex.
 //   - Byte bound: each shard owns an equal slice of the configured budget
-//     and evicts from the cold end of its LRU list whenever an insert
-//     pushes it over; the whole cache never holds more than MaxBytes of
-//     decoded records (plus bounded per-entry overhead accounted with
-//     them).
+//     and evicts from the cold end of its list whenever an insert pushes it
+//     over; the whole cache never holds more than MaxBytes of decoded
+//     records (plus bounded per-entry overhead accounted with them).
+//   - Second chance: a hit only sets the entry's referenced bit — a lookup
+//     and one store, no list surgery — and eviction, the rare operation,
+//     pays for recency: an entry reaching the cold end with the bit set has
+//     it cleared and goes round once more; the first one found clear goes.
 //   - Singleflight: when several queries miss on the same bucket at once,
 //     exactly one (the leader) performs the disk read; the rest wait for
 //     its result instead of duplicating the I/O. The Acquire/Complete pair
@@ -37,12 +40,12 @@ import (
 )
 
 // entryOverhead approximates the bookkeeping bytes an entry costs beyond
-// its decoded records: map slot, LRU links, entry struct.
+// its decoded records: map slot, list links, entry struct, bounding box.
 const entryOverhead = 128
 
-// Cache is a sharded, byte-bounded LRU over decoded buckets with
-// singleflight loading. All methods are safe for concurrent use. The zero
-// value is not usable; call New.
+// Cache is a sharded, byte-bounded second-chance cache of decoded buckets
+// with singleflight loading. All methods are safe for concurrent use. The
+// zero value is not usable; call New.
 type Cache struct {
 	shards []shard
 	mask   uint32
@@ -62,13 +65,14 @@ type entry struct {
 	rec        geom.Flat
 	pages      int
 	bytes      int64
+	ref        bool // hit since it was inserted or last reached the cold end
 	prev, next *entry
 }
 
 type shard struct {
 	mu       sync.Mutex
 	m        map[int32]*entry
-	sentinel entry // circular LRU list; sentinel.next is hottest
+	sentinel entry // circular list; sentinel.prev is the cold end eviction sweeps from
 	bytes    int64
 	max      int64
 	inflight map[int32]*Pending
@@ -157,7 +161,7 @@ func (c *Cache) Acquire(id int32) AcquireResult {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	if e, ok := s.m[id]; ok {
-		s.moveToFront(e)
+		e.ref = true
 		s.mu.Unlock()
 		c.hits.Add(1)
 		return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}
@@ -262,8 +266,11 @@ func cost(rec geom.Flat) int64 {
 	return entryOverhead + 8*int64(len(rec.Coords))
 }
 
-// evictLocked drops cold entries until the shard is within budget. Caller
-// holds s.mu.
+// evictLocked sweeps from the cold end until the shard is within budget: an
+// entry hit since its last pass loses the mark and moves to the front, the
+// first one found unmarked is dropped. Each pass clears a mark or drops an
+// entry, so a shard whose every entry is marked still evicts. Caller holds
+// s.mu.
 func (c *Cache) evictLocked(s *shard) {
 	for s.bytes > s.max {
 		cold := s.sentinel.prev
@@ -271,6 +278,11 @@ func (c *Cache) evictLocked(s *shard) {
 			return
 		}
 		s.unlink(cold)
+		if cold.ref {
+			cold.ref = false
+			s.pushFront(cold)
+			continue
+		}
 		delete(s.m, cold.key)
 		s.bytes -= cold.bytes
 		c.bytes.Add(-cold.bytes)
@@ -290,14 +302,6 @@ func (s *shard) unlink(e *entry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
-}
-
-func (s *shard) moveToFront(e *entry) {
-	if s.sentinel.next == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
 }
 
 // Stats is a point-in-time view of the cache's counters.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,7 +75,9 @@ func TestByteBoundAndEviction(t *testing.T) {
 
 func TestLRUOrder(t *testing.T) {
 	// Budget of 3 entries in one shard; touching id 0 between inserts must
-	// keep it resident while colder ids rotate out.
+	// keep it resident while colder ids rotate out — the property an LRU
+	// list gave, kept by the second-chance sweep: 0 is always marked when it
+	// reaches the cold end.
 	const entryBytes = entryOverhead + 10*16
 	c := New(3*entryBytes, 1)
 	ctx := context.Background()
@@ -462,5 +465,174 @@ func TestArenaPinnedAcrossInvalidate(t *testing.T) {
 	// And the pinned snapshot still reads old.
 	if pinned.Coords[0] != 1.0 {
 		t.Fatalf("pinned snapshot changed: %v", pinned.Coords[0])
+	}
+}
+
+// resident reports whether id is cached, without the hit an Acquire would
+// mark it with.
+func resident(c *Cache, id int32) bool {
+	s := c.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.m[id]
+	return ok
+}
+
+// TestSecondChanceSurvivesOneSweep: an entry hit once passes the cold end
+// once — the entry behind it goes instead — and, not hit again, is the
+// victim the next time it gets there.
+func TestSecondChanceSurvivesOneSweep(t *testing.T) {
+	const entryBytes = entryOverhead + 10*16
+	c := New(3*entryBytes, 1)
+	ctx := context.Background()
+	insert := func(id int32) { c.Get(ctx, id, loadOf(makeFlat(10), 1)) }
+	for id := int32(0); id < 3; id++ {
+		insert(id)
+	}
+	if r := c.Acquire(0); !r.Hit {
+		t.Fatal("id 0 not resident after its insert")
+	}
+	// Cold end first, the list reads 0* 1 2; each insert evicts one entry.
+	for _, step := range []struct{ insert, victim int32 }{
+		{3, 1}, // 0 is marked: unmarked, moved to the front, 1 goes instead
+		{4, 2},
+		{5, 3},
+		{6, 0}, // 0 is back at the cold end with no hit since
+	} {
+		insert(step.insert)
+		if resident(c, step.victim) {
+			t.Fatalf("insert of %d: id %d still resident", step.insert, step.victim)
+		}
+		if step.victim != 0 && !resident(c, 0) {
+			t.Fatalf("insert of %d evicted id 0 before its second arrival at the cold end", step.insert)
+		}
+		if c.Len() != 3 {
+			t.Fatalf("insert of %d: %d entries, want 3", step.insert, c.Len())
+		}
+	}
+	if got := c.Stats().Evictions; got != 4 {
+		t.Errorf("evictions = %d, want 4", got)
+	}
+}
+
+// TestAllReferencedShardStillEvicts: a sweep over a shard whose every entry
+// is marked ends — it unmarks them all and then takes the first unmarked
+// entry it meets — and the byte bound holds afterwards.
+func TestAllReferencedShardStillEvicts(t *testing.T) {
+	const entryBytes = entryOverhead + 10*16
+	c := New(3*entryBytes, 1)
+	ctx := context.Background()
+	for id := int32(0); id < 3; id++ {
+		c.Get(ctx, id, loadOf(makeFlat(10), 1))
+	}
+	for round := int32(0); round < 5; round++ {
+		for id := int32(0); id < 100; id++ {
+			if resident(c, id) {
+				c.Acquire(id)
+			}
+		}
+		c.Get(ctx, 100+round, loadOf(makeFlat(10), 1))
+		st := c.Stats()
+		if st.Entries != 3 || st.Bytes != 3*entryBytes || st.Evictions != int64(round)+1 {
+			t.Fatalf("round %d: %+v, want 3 entries, %d bytes, %d evictions",
+				round, st, 3*entryBytes, round+1)
+		}
+	}
+}
+
+// TestInvalidateReferencedEntry: the mark does not protect an entry from
+// the write path, and the reload that follows starts unmarked.
+func TestInvalidateReferencedEntry(t *testing.T) {
+	const entryBytes = entryOverhead + 10*16
+	c := New(2*entryBytes, 1)
+	ctx := context.Background()
+	c.Get(ctx, 1, loadOf(makeFlat(10), 1))
+	c.Acquire(1)
+	c.Invalidate(1)
+	if resident(c, 1) || c.Stats().Bytes != 0 {
+		t.Fatalf("marked entry survived Invalidate: %+v", c.Stats())
+	}
+	if r := c.Acquire(1); !r.Leader {
+		t.Fatalf("acquire after invalidate: %+v, want leadership", r)
+	}
+	c.Complete(1, makeFlat(10), 1, nil)
+	c.Get(ctx, 2, loadOf(makeFlat(10), 1))
+	c.Get(ctx, 3, loadOf(makeFlat(10), 1)) // 1 is coldest and unmarked: it goes
+	if resident(c, 1) || !resident(c, 2) || !resident(c, 3) {
+		t.Errorf("reloaded entry kept a mark from before its invalidation")
+	}
+}
+
+// TestByteBoundUnderRandomOps drives Acquire/Complete/Invalidate at random
+// from several goroutines over entries of mixed size and checks after every
+// step that no shard holds more than its budget whenever its lock is free —
+// so the cache as a whole never does — and, once the dust settles, that the
+// cache's totals agree with its shards and stay under the bound.
+func TestByteBoundUnderRandomOps(t *testing.T) {
+	const maxBytes = 16 << 10
+	c := New(maxBytes, 4)
+	check := func() {
+		for i := range c.shards {
+			s := &c.shards[i]
+			s.mu.Lock()
+			b, limit := s.bytes, s.max
+			s.mu.Unlock()
+			if b > limit {
+				t.Errorf("shard %d holds %d bytes, budget %d", i, b, limit)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 3000; i++ {
+				id := int32(rng.Intn(96))
+				switch op := rng.Intn(10); {
+				case op == 0:
+					c.Invalidate(id)
+				default:
+					if r := c.Acquire(id); r.Leader {
+						c.Complete(id, makeFlat(1+rng.Intn(120)), 1, nil)
+					}
+				}
+				check()
+			}
+		}(int64(g) + 1)
+	}
+	wg.Wait()
+	var bytes, entries int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		for _, e := range s.m {
+			bytes += e.bytes
+			entries++
+		}
+		if len(s.inflight) != 0 {
+			t.Errorf("shard %d: %d loads left in flight", i, len(s.inflight))
+		}
+	}
+	if st := c.Stats(); st.Bytes != bytes || st.Entries != entries || st.Bytes > maxBytes {
+		t.Errorf("stats say %d bytes in %d entries, shards hold %d in %d, bound %d", st.Bytes, st.Entries, bytes, entries, maxBytes)
+	}
+}
+
+// BenchmarkAcquireHit is the cache's share of a resident read: Acquire on an
+// entry that is there, cycling over more ids than fit a CPU cache line's
+// worth of entries so every shard is visited.
+func BenchmarkAcquireHit(b *testing.B) {
+	const ids = 4096
+	c := New(64<<20, 0)
+	for id := int32(0); id < ids; id++ {
+		c.Get(context.Background(), id, loadOf(makeFlat(40), 1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := c.Acquire(int32(i % ids)); !r.Hit {
+			b.Fatal("miss on a resident id")
+		}
 	}
 }

@@ -16,6 +16,46 @@ package geom
 type Flat struct {
 	Dims   int
 	Coords []float64
+
+	// Box is the records' bounding box, lo then hi for each dimension
+	// (len 2*Dims), or nil when it is not known — an empty record set, a
+	// Flat nobody computed one for, a record with a NaN coordinate. A scan
+	// may decide a whole bucket from it (Cover) and must fall back to the
+	// per-row predicate when it is nil.
+	Box []float64
+}
+
+// Cover is how a Flat's records lie relative to a closed query box, as far
+// as the Flat's bounding box can tell.
+type Cover int
+
+const (
+	Straddles Cover = iota // some rows may match, some may not: test each
+	Inside                 // every row matches
+	Outside                // no row matches
+)
+
+// Cover classifies f's records against the closed box q from f.Box alone,
+// agreeing with q.ContainsPoint on every row: Inside and Outside are
+// returned only when the bounding box proves them, Straddles otherwise
+// (and always when Box is nil or the dimensionalities differ).
+func (f Flat) Cover(q Rect) Cover {
+	if len(f.Box) != 2*len(q) || len(q) != f.Dims {
+		return Straddles
+	}
+	c := Inside
+	for d, iv := range q {
+		lo, hi := f.Box[2*d], f.Box[2*d+1]
+		// Written so that a NaN query bound, which no row can satisfy,
+		// lands on Outside like the row predicate does.
+		if !(iv.Lo <= hi && lo <= iv.Hi) {
+			return Outside
+		}
+		if !(iv.Lo <= lo && hi <= iv.Hi) {
+			c = Straddles
+		}
+	}
+	return c
 }
 
 // Len returns the number of records.

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -23,10 +24,21 @@ import (
 // climb here is exactly what this test exists to catch.
 const allocBudget = 4.5
 
+// allocBytesBudget is the committed budget, in bytes allocated process-wide
+// per byte of encoded answer, for cache-resident ranges that return their
+// points in answers too large for a pooled buffer (≈ 72 KB each; the repo
+// benchmark's range op is 64 KB). The client's decode — arena and point
+// headers — is 2.5 of it on both sides of this budget; the server's share is
+// the answer buffer: reserved once, the whole measures 3.8; regrown as the
+// rows arrive, as it was before, 6.5. A count budget never sees the
+// difference (each regrowth is one malloc, of tens of kilobytes).
+const allocBytesBudget = 4.5
+
 // TestAllocBudget holds the all-hit serving path to allocBudget for a FIFO
 // client and for a pipelined one: count-only range queries over a server
 // whose cache holds every bucket, so fetchBuckets never leaves its hit loop
-// and every per-query buffer comes from a pool.
+// and every per-query buffer comes from a pool. Its last case holds
+// points-returning ranges to allocBytesBudget.
 func TestAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -68,5 +80,67 @@ func TestAllocBudget(t *testing.T) {
 				t.Errorf("%.2f mallocs/op on the cache-resident path, budget %v", perOp, allocBudget)
 			}
 		})
+	}
+
+	t.Run("points bytes", func(t *testing.T) {
+		s, f := newTestServer(t, 20000, 8, Config{})
+		cl := newTestClient(t, s, ClientConfig{PoolSize: 2})
+		ranges := workload.SquareRange(f.Domain(), 0.3, 64, 3)
+		answer := 0 // encoded bytes of one pass over ranges
+		for i := 0; i < 2; i++ {
+			answer = 0
+			for _, q := range ranges {
+				pts, _, err := cl.Range(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answer += 6 + 16*len(pts) + resultInfoBytes
+			}
+		}
+		const passes = 3
+		perByte := math.Inf(1)
+		for p := 0; p < passes; p++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, q := range ranges {
+				if _, _, err := cl.Range(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perByte = min(perByte, float64(after.TotalAlloc-before.TotalAlloc)/float64(answer))
+		}
+		t.Logf("%.2f bytes allocated per answer byte, lowest of %d passes of %d ranges (mean answer %d B, budget %v)",
+			perByte, passes, len(ranges), answer/len(ranges), allocBytesBudget)
+		if perByte > allocBytesBudget {
+			t.Errorf("%.2f bytes allocated per answer byte on the cache-resident path, budget %v", perByte, allocBytesBudget)
+		}
+	})
+}
+
+// TestOversizedRangeAllocation: what a range too large for a frame allocates
+// before it is refused — lowest of three calls, the count being process-wide
+// — stays near one frame: the reservation is capped there and the scan stops
+// at the first row past it. Encoding every row first took six frames' worth
+// of regrown buffers. TestOversizedRangeRefusedEarly holds the refusal itself.
+func TestOversizedRangeAllocation(t *testing.T) {
+	s, f := newTestServer(t, 72000, 4, Config{}) // × 16 B per row = 1.1 × MaxFrameBytes
+	req, err := EncodeRequest(Request{Verb: VerbRange, Query: f.Domain()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := uint64(math.MaxUint64)
+	for i := 0; i < 4; i++ { // the first call fills the cache
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := s.serveFrame(nil, req, 0, false)
+		runtime.ReadMemStats(&after)
+		if fr, err := ReadFrame(bytes.NewReader(out)); err != nil || fr.Verb != VerbError {
+			t.Fatalf("serveFrame: verb 0x%02x, %v", uint8(fr.Verb), err)
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(MaxFrameBytes + 128<<10); alloc > limit {
+		t.Errorf("a refused answer allocated %d bytes, want at most %d", alloc, limit)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"pgridfile/internal/geom"
@@ -728,6 +729,24 @@ func newResultEncoder(buf []byte, dims int) resultEncoder {
 	return e
 }
 
+// resultInfoBytes is the size of the accounting trailer appendResultInfo
+// puts behind every answer payload.
+const resultInfoBytes = 4 + 4 + 8 + 1 + 2
+
+// room reports whether rows more records still leave the payload, trailer
+// included, inside the frame limit — the bound finish enforces, checked
+// before the rows are written and not after.
+func (e *resultEncoder) room(rows int) bool {
+	return len(e.buf)-e.start+rows*e.dims*8+resultInfoBytes+1 <= MaxFrameBytes
+}
+
+// reserve grows the buffer once for an answer of up to rows records and its
+// trailer, so that the scan's appends never regrow it. It asks for no more
+// than a frame may hold: an answer past that is refused, not sent.
+func (e *resultEncoder) reserve(rows int) {
+	e.buf = slices.Grow(e.buf, min(rows*e.dims*8, MaxFrameBytes)+resultInfoBytes)
+}
+
 // appendRow appends one record's coordinates. row must have exactly dims
 // elements; rows are validated in aggregate by finish via the count.
 func (e *resultEncoder) appendRow(row []float64) {
@@ -735,6 +754,19 @@ func (e *resultEncoder) appendRow(row []float64) {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 	}
 	e.n++
+}
+
+// appendRows appends the records of an arena — a multiple of dims
+// coordinates — in one step: the copy a bucket lying wholly inside the query
+// box gets, without a look at its rows.
+func (e *resultEncoder) appendRows(coords []float64) {
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(coords))[:off+8*len(coords)]
+	dst := e.buf[off:]
+	for i, v := range coords {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+	e.n += len(coords) / e.dims
 }
 
 // count returns the number of rows appended so far.

@@ -46,9 +46,9 @@ type Config struct {
 	// DrainTimeout bounds how long Close waits for in-flight queries
 	// before force-closing connections. Default 5s.
 	DrainTimeout time.Duration
-	// CacheBytes bounds the sharded LRU cache of decoded buckets fronting
-	// the page store. 0 selects the default (64 MiB); negative disables
-	// caching entirely.
+	// CacheBytes bounds the sharded second-chance cache of decoded buckets
+	// fronting the page store. 0 selects the default (64 MiB); negative
+	// disables caching entirely.
 	CacheBytes int64
 	// PipelineDepth bounds, per connection, both the response queue between
 	// the read and write sides and the number of tagged (pipelined) requests
@@ -1109,8 +1109,7 @@ func (s *Server) publishLeads(ids []int32, recs []geom.Flat) {
 		return
 	}
 	for i, id := range ids {
-		pl, _ := s.st.Placement(id)
-		s.bcache.Complete(id, recs[i], pl.Pages, nil)
+		s.bcache.Complete(id, recs[i], s.st.PagesFor(recs[i].Len()), nil)
 	}
 }
 
@@ -1536,24 +1535,61 @@ func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 	}
 	var res Result
 	res.Info = info
-	// The filter predicate runs directly over the arena rows; matches are
-	// either counted or appended straight into the response frame.
-	for _, rec := range qs.recs {
-		for i := 0; i < rec.Len(); i++ {
-			row := rec.Row(i)
-			if q.ContainsPoint(row) {
-				if countOnly {
-					res.Count++
-				} else {
+	if countOnly {
+		enc = nil
+	}
+	res.Count, err = scanBuckets(qs.recs, q, enc)
+	return res, err
+}
+
+// scanBuckets applies the closed-box predicate q to every record of recs —
+// the one scan behind range, range-count and partial-match — and returns how
+// many matched; with a non-nil enc the matches are also appended to the
+// response frame, in bucket then row order, and an answer that would pass
+// the frame limit is refused at the first row that does not fit. Each bucket
+// is first decided as a whole from its bounding box: one the query contains
+// is copied (or counted) without looking at its rows, one it misses is
+// skipped, and only a bucket on the query's boundary, or one with no box,
+// pays the per-row test. A grid file's range query mostly meets the first
+// kind. Zero Flats (what a degraded fetch leaves) scan as empty.
+func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder) (int, error) {
+	if enc != nil {
+		rows := 0
+		for _, rec := range recs {
+			rows += rec.Len()
+		}
+		enc.reserve(rows)
+	}
+	count := 0
+	for _, rec := range recs {
+		n := rec.Len()
+		switch rec.Cover(q) {
+		case geom.Outside:
+		case geom.Inside:
+			count += n
+			if enc != nil {
+				if !enc.room(n) {
+					return 0, ErrFrameTooBig
+				}
+				enc.appendRows(rec.Coords)
+			}
+		default:
+			for i := 0; i < n; i++ {
+				row := rec.Row(i)
+				if !q.ContainsPoint(row) {
+					continue
+				}
+				count++
+				if enc != nil {
+					if !enc.room(1) {
+						return 0, ErrFrameTooBig
+					}
 					enc.appendRow(row)
 				}
 			}
 		}
 	}
-	if !countOnly {
-		res.Count = enc.count()
-	}
-	return res, nil
+	return count, nil
 }
 
 func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, vals []float64) (Result, error) {

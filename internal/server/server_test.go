@@ -22,7 +22,7 @@ import (
 
 // newTestLayout builds a uniform 2-D grid file, declusters it with minimax
 // over disks, and writes the layout under t.TempDir.
-func newTestLayout(t *testing.T, records, disks int) (*gridfile.File, string) {
+func newTestLayout(t testing.TB, records, disks int) (*gridfile.File, string) {
 	t.Helper()
 	f, err := synth.Uniform2D(records, 3).Build()
 	if err != nil {
@@ -39,7 +39,7 @@ func newTestLayout(t *testing.T, records, disks int) (*gridfile.File, string) {
 	return f, dir
 }
 
-func newTestServer(t *testing.T, records, disks int, cfg Config) (*Server, *gridfile.File) {
+func newTestServer(t testing.TB, records, disks int, cfg Config) (*Server, *gridfile.File) {
 	t.Helper()
 	f, dir := newTestLayout(t, records, disks)
 	s, err := OpenDir(dir, cfg)
@@ -50,7 +50,7 @@ func newTestServer(t *testing.T, records, disks int, cfg Config) (*Server, *grid
 	return s, f
 }
 
-func newTestClient(t *testing.T, s *Server, cfg ClientConfig) *Client {
+func newTestClient(t testing.TB, s *Server, cfg ClientConfig) *Client {
 	t.Helper()
 	cfg.Addr = s.Addr().String()
 	c, err := NewClient(cfg)

@@ -140,6 +140,19 @@ func recordsPerPage(pageBytes, dims int) int {
 	return (pageBytes - pageHeaderBytes) / (8 * dims)
 }
 
+// pagesFor returns how many pages a bucket of nrec records occupies: full
+// pages of recordsPerPage, and one page even when it is empty.
+func pagesFor(nrec, perPage int) int {
+	return max(1, (nrec+perPage-1)/perPage)
+}
+
+// PagesFor returns how many pages this layout stores a bucket of nrec
+// records in — what a Placement of that bucket carries as Pages — for a
+// caller that holds the decoded bucket and not its Placement.
+func (s *Store) PagesFor(nrec int) int {
+	return pagesFor(nrec, recordsPerPage(s.manifest.PageBytes, s.manifest.Dims))
+}
+
 // Write lays out the grid file's buckets over per-disk page files under
 // dir, following the allocation. It returns the manifest it wrote.
 func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (*Manifest, error) {
@@ -252,10 +265,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 			keys = append(keys, key...)
 		})
 		nrec := len(keys) / f.Dims()
-		npages := (nrec + perPage - 1) / perPage
-		if npages == 0 {
-			npages = 1 // empty buckets still own a page
-		}
+		npages := pagesFor(nrec, perPage)
 		own := owners[v.Index]
 		pl := Placement{
 			ID: v.ID, Disk: own[0], Page: nextPage[own[0]], Pages: npages, Recs: nrec,
@@ -585,13 +595,21 @@ func putBuf(b []byte) { bufPool.Put(&b) }
 // decodeBucketFlat validates and decodes one bucket's pages from data
 // (exactly pl.Pages consecutive pages) into arena form: one freshly
 // allocated flat coordinate array — a single allocation regardless of
-// record count. The result always carries the manifest's dimensionality,
-// even for an empty bucket, so callers can distinguish "decoded empty"
-// from the zero Flat.
+// record count, with the records' bounding box (geom.Flat.Box) carved from
+// its head. The box is left nil for an empty bucket and when a coordinate is
+// NaN (only a damaged page read with verification off holds one): no box
+// bounds such a row, and the scan's per-row predicate excludes it. The
+// result always carries the manifest's dimensionality, even for an empty
+// bucket, so callers can distinguish "decoded empty" from the zero Flat.
 func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 	dims := s.manifest.Dims
 	pageBytes := s.manifest.PageBytes
-	flat := make([]float64, 0, pl.Recs*dims)
+	ncoords := pl.Recs * dims
+	// The box goes in front: a scan reads it first, and the cache line it
+	// arrives in brings the first rows along.
+	arena := make([]float64, 2*dims+ncoords)
+	box, coords := arena[:2*dims:2*dims], arena[2*dims:]
+	k := 0 // coordinates decoded so far
 	for p := 0; p < pl.Pages; p++ {
 		page := data[p*pageBytes : (p+1)*pageBytes]
 		if s.verify {
@@ -608,17 +626,45 @@ func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 		if n < 0 || pageHeaderBytes+n*8*dims > pageBytes {
 			return geom.Flat{}, fmt.Errorf("store: bucket %d page %d has implausible count %d", pl.ID, p, n)
 		}
-		o := pageHeaderBytes
-		for i := 0; i < n*dims; i++ {
-			flat = append(flat, bitsFloat(binary.LittleEndian.Uint64(page[o:])))
-			o += 8
+		if k+n*dims > ncoords {
+			return geom.Flat{}, fmt.Errorf("store: bucket %d holds at least %d records, manifest says %d",
+				pl.ID, k/dims+n, pl.Recs)
+		}
+		src := page[pageHeaderBytes : pageHeaderBytes+n*8*dims]
+		dst := coords[k : k+n*dims]
+		for i := range dst {
+			dst[i] = bitsFloat(binary.LittleEndian.Uint64(src))
+			src = src[8:]
+		}
+		k += n * dims
+	}
+	if k != ncoords {
+		return geom.Flat{}, fmt.Errorf("store: bucket %d holds %d records, manifest says %d",
+			pl.ID, k/dims, pl.Recs)
+	}
+	fl := geom.Flat{Dims: dims, Coords: coords}
+	if ncoords == 0 {
+		return fl, nil
+	}
+	// The bounds: one strided pass per dimension over what is now in the
+	// CPU's cache. Which row holds the next minimum is a coin toss a branch
+	// predictor loses, so the pass compares order keys — unsigned integers
+	// that sort as their floats do — whose min and max compile to
+	// conditional moves. NaNs sort beyond both infinities: if there is one,
+	// a bound decodes to it.
+	for d := 0; d < dims; d++ {
+		lo, hi := ^uint64(0), uint64(0)
+		for i := d; i < ncoords; i += dims {
+			key := orderKey(coords[i])
+			lo, hi = min(lo, key), max(hi, key)
+		}
+		box[2*d], box[2*d+1] = keyFloat(lo), keyFloat(hi)
+		if math.IsNaN(box[2*d]) || math.IsNaN(box[2*d+1]) {
+			return fl, nil
 		}
 	}
-	if len(flat) != pl.Recs*dims {
-		return geom.Flat{}, fmt.Errorf("store: bucket %d holds %d records, manifest says %d",
-			pl.ID, len(flat)/dims, pl.Recs)
-	}
-	return geom.Flat{Dims: dims, Coords: flat}, nil
+	fl.Box = box
+	return fl, nil
 }
 
 // SetFaults attaches a failpoint registry consulted before every positioned
@@ -941,6 +987,19 @@ func gridFileName(lsn uint64) string {
 		return "grid.grd"
 	}
 	return fmt.Sprintf("grid.%d.grd", lsn)
+}
+
+// orderKey maps a float64 to an unsigned integer that orders as the floats
+// do (−0 just below +0), with negative NaNs below −Inf and positive NaNs
+// above +Inf: a negative float's bits are all flipped, a positive one's sign
+// bit set. keyFloat is its inverse.
+func orderKey(v float64) uint64 {
+	u := math.Float64bits(v)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+func keyFloat(key uint64) float64 {
+	return math.Float64frombits(key ^ (^uint64(int64(key)>>63) | 1<<63))
 }
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }

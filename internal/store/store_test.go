@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -578,5 +579,70 @@ func TestOpenGrid(t *testing.T) {
 	}
 	if _, err := s.OpenGrid(); err == nil {
 		t.Error("OpenGrid succeeded on a layout without its grid file")
+	}
+}
+
+// TestDecodeBucketFlatBox: every decoded bucket carries the bounding box a
+// brute-force pass over its rows gives (buckets spanning several pages
+// included), carved from the arena's own allocation; an empty bucket and one
+// holding a NaN coordinate carry none. PagesFor, which the server uses in
+// place of a second Placement lookup, agrees with every placement written.
+func TestDecodeBucketFlatBox(t *testing.T) {
+	dir, f, _ := buildLayout(t, 4, 256)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, v := range f.Buckets() {
+		fl, _, err := readBucket(context.Background(), s, v.ID)
+		if err != nil {
+			t.Fatalf("bucket %d: %v", v.ID, err)
+		}
+		if pl, _ := s.Placement(v.ID); s.PagesFor(fl.Len()) != pl.Pages {
+			t.Errorf("bucket %d: PagesFor(%d) = %d, placement has %d pages", v.ID, fl.Len(), s.PagesFor(fl.Len()), pl.Pages)
+		}
+		if fl.Len() == 0 {
+			if fl.Box != nil {
+				t.Errorf("bucket %d: empty, yet Box = %v", v.ID, fl.Box)
+			}
+			continue
+		}
+		want := []float64{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
+		for i := 0; i < fl.Len(); i++ {
+			for d, x := range fl.Row(i) {
+				want[2*d] = min(want[2*d], x)
+				want[2*d+1] = max(want[2*d+1], x)
+			}
+		}
+		if !slices.Equal(fl.Box, want) {
+			t.Errorf("bucket %d: Box = %v, brute force says %v", v.ID, fl.Box, want)
+		}
+		if cap(fl.Coords) != len(fl.Coords) {
+			t.Errorf("bucket %d: an append to Coords (cap %d, len %d) would write into Box", v.ID, cap(fl.Coords), len(fl.Coords))
+		}
+	}
+
+	page := make([]byte, 256)
+	decode := func(keys ...float64) geom.Flat {
+		t.Helper()
+		encodePage(page, 7, keys, 2)
+		fl, err := s.decodeBucketFlat(page, Placement{ID: 7, Pages: 1, Recs: len(keys) / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl
+	}
+	if fl := decode(3, 9, 1, 12, 2, 10); !slices.Equal(fl.Box, []float64{1, 3, 9, 12}) {
+		t.Errorf("Box = %v, want [1 3 9 12]", fl.Box)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.decodeBucketFlat(page, Placement{ID: 7, Pages: 1, Recs: 3}) }); n != 1 {
+		t.Errorf("%v allocations per decoded bucket, want 1: the box must share the arena's", n)
+	}
+	if fl := decode(3, 9, math.NaN(), 12, 2, 10); fl.Box != nil || fl.Len() != 3 {
+		t.Errorf("NaN coordinate: Box = %v over %d rows, want no box over 3", fl.Box, fl.Len())
+	}
+	if fl := decode(); fl.Box != nil || fl.Dims != 2 {
+		t.Errorf("empty bucket: Box = %v, Dims = %d, want no box and Dims 2", fl.Box, fl.Dims)
 	}
 }

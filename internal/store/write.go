@@ -477,10 +477,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	})
 	nrec := len(keys) / dims
 	perPage := recordsPerPage(pageBytes, dims)
-	npages := (nrec + perPage - 1) / perPage
-	if npages == 0 {
-		npages = 1
-	}
+	npages := pagesFor(nrec, perPage)
 
 	newPages := make([]int64, len(pl.OwnerDisks))
 	for i, d := range pl.OwnerDisks {
