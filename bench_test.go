@@ -3,8 +3,8 @@ package pgridfile
 // One benchmark per table and figure of the paper's evaluation, plus the
 // ablations from DESIGN.md and micro-benchmarks of the core algorithms.
 // Each experiment benchmark regenerates its artifact at benchmark scale
-// (~1/8 datasets, 150 queries — the shapes are preserved; see
-// experiments.BenchOptions) and reports headline metrics via ReportMetric:
+// (benchOptions: ~1/8 datasets, 150 queries, four disk counts — the shapes
+// are preserved) and reports headline metrics via ReportMetric:
 //
 //	rt@32disks      mean response time (buckets) at the largest disk count
 //	opt@32disks     the optimal reference at the same point
@@ -26,13 +26,15 @@ import (
 	"pgridfile/internal/workload"
 )
 
+var benchOptions = experiments.Options{Seed: 1996, Queries: 150, Scale: 0.125, Disks: []int{4, 8, 16, 32}}
+
 // runExperiment executes one experiment driver b.N times and returns the
 // last run's tables for metric extraction.
 func runExperiment(b *testing.B, id string) []*stats.Table {
 	b.Helper()
 	var tables []*stats.Table
 	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(experiments.BenchOptions())
+		lab := experiments.NewLab(benchOptions)
 		var err error
 		tables, err = lab.Run(id)
 		if err != nil {
@@ -124,7 +126,7 @@ func BenchmarkFig6AllAlgorithms(b *testing.B) {
 func BenchmarkTables23ClosestPairs(b *testing.B) {
 	var t2, t3 *stats.Table
 	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(experiments.BenchOptions())
+		lab := experiments.NewLab(benchOptions)
 		a, err := lab.Run("tab2")
 		if err != nil {
 			b.Fatal(err)

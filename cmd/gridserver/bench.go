@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,14 +25,18 @@ import (
 	"pgridfile/internal/server"
 	"pgridfile/internal/stats"
 	"pgridfile/internal/store"
-	"pgridfile/internal/workload"
+)
+
+// The page size of the layouts -grid writes, and k of the k-NN ops.
+const (
+	benchPageBytes = 4096
+	benchK         = 5
 )
 
 type benchOpts struct {
 	clients      int
 	queries      int
 	ratio        float64
-	k            int
 	seed         int64
 	timeout      time.Duration
 	cacheBytes   int64  // in-process servers only; <=0 disables
@@ -45,18 +48,16 @@ type benchOpts struct {
 	trace     bool          // in-process servers only: stage-trace every query
 	traceSlow time.Duration // in-process servers only: slow-query log threshold (<0 disables)
 
-	// Open-loop mode (DESIGN S26): offer load on a deterministic schedule
-	// and measure latency from intended send times.
+	// Open-loop mode (DESIGN S26): offer load on a deterministic Poisson
+	// schedule and measure latency from intended send times.
 	openLoop bool
-	rate     float64          // offered rate, queries/sec
-	duration time.Duration    // run length; N = rate × duration
-	arrivals loadgen.Arrivals // poisson or fixed
-	hot      float64          // fraction of queries aimed at the hot spot
-	hotFrac  float64          // hot-spot extent per dimension
-	sweep    string           // "start:factor:steps" rate escalation
-	slo      time.Duration    // p99 bound for a sweep step to count as sustained
+	rate     float64       // offered rate, queries/sec
+	duration time.Duration // run length; N = rate × duration
+	sweep    string        // "start:factor:steps" rate escalation
+	slo      time.Duration // p99 bound for a sweep step to count as sustained
 
-	pipeline int // requests in flight per connection (closed and open loop)
+	hot      float64 // fraction of queries aimed at the hot spot
+	pipeline int     // requests in flight per connection (closed and open loop)
 
 	// writeFrac mixes INSERTs into the closed loop: that fraction of the
 	// ops become writes with fresh keys. In-process servers open writable
@@ -133,11 +134,9 @@ func runBench(args []string, out io.Writer) error {
 	algs := fs.String("algs", "minimax,DM/D", "comma-separated schemes to compare (with -grid)")
 	disks := fs.Int("disks", 8, "disks per layout (with -grid)")
 	replicasFlag := fs.String("replicas", "1", "comma-separated replication factors to compare per scheme (with -grid)")
-	pageBytes := fs.Int("page", 4096, "page size in bytes (with -grid)")
 	clients := fs.Int("clients", 8, "concurrent closed-loop clients")
 	queries := fs.Int("queries", 2000, "total queries per scheme")
 	ratio := fs.Float64("r", 0.02, "range-query volume ratio")
-	k := fs.Int("k", 5, "k for k-NN queries")
 	seed := fs.Int64("seed", 1, "workload seed")
 	timeout := fs.Duration("timeout", 10*time.Second, "client request timeout")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "bucket cache budget for in-process servers (<=0 disables)")
@@ -151,30 +150,23 @@ func runBench(args []string, out io.Writer) error {
 	openLoop := fs.Bool("open-loop", false, "offer load on a deterministic schedule instead of closed-loop; latency measured from intended send times")
 	rate := fs.Float64("rate", 5000, "open-loop offered rate, queries/sec")
 	duration := fs.Duration("duration", 2*time.Second, "open-loop run length (query count = rate x duration)")
-	arrivalsFlag := fs.String("arrivals", "poisson", "open-loop arrival process: poisson or fixed")
-	hot := fs.Float64("hot", 0, "fraction of open-loop queries aimed at a hot spot (0 = uniform keys)")
-	hotFrac := fs.Float64("hot-frac", 0.1, "hot-spot extent per dimension, as a fraction of the domain")
+	hot := fs.Float64("hot", 0, "fraction of queries aimed at a hot spot a tenth of the domain wide (0 = uniform keys)")
 	sweep := fs.String("sweep", "", "open-loop rate sweep start:factor:steps, e.g. 1000:2:6 (implies -open-loop)")
 	slo := fs.Duration("slo", 0, "p99 bound a sweep step must meet to count as sustained (0 disables)")
 	pipeline := fs.Int("pipeline", 1, "requests kept in flight per connection (1 = one-at-a-time)")
 	writeFrac := fs.Float64("write-frac", 0, "fraction of closed-loop ops sent as INSERTs (in-process servers open writable; remote servers need -writable)")
 	fs.Parse(args)
 
-	arrivals, err := loadgen.ParseArrivals(*arrivalsFlag)
-	if err != nil {
-		return err
-	}
 	opts := benchOpts{
 		clients: *clients, queries: *queries, ratio: *ratio,
-		k: *k, seed: *seed, timeout: *timeout,
+		seed: *seed, timeout: *timeout,
 		cacheBytes: *cacheBytes,
 		faultSpec:  *faultSpec, faultSeed: *faultSeed, degraded: *degraded,
 		fetchRetries: *fetchRetries,
 		trace:        *trace, traceSlow: *traceSlow,
 		openLoop: *openLoop || *sweep != "", rate: *rate, duration: *duration,
-		arrivals: arrivals, hot: *hot, hotFrac: *hotFrac,
 		sweep: *sweep, slo: *slo,
-		pipeline:  *pipeline,
+		hot: *hot, pipeline: *pipeline,
 		writeFrac: *writeFrac,
 	}
 	if opts.writeFrac < 0 || opts.writeFrac >= 1 {
@@ -201,7 +193,7 @@ func runBench(args []string, out io.Writer) error {
 	var table *stats.Table
 	if opts.openLoop {
 		table = stats.NewTable("gridserver bench: open-loop "+
-			fmt.Sprintf("(%s arrivals, pipeline %d), latency from intended send times", opts.arrivals, opts.pipeline),
+			fmt.Sprintf("(%s arrivals, pipeline %d), latency from intended send times", loadgen.Poisson, opts.pipeline),
 			"scheme", "r", "offered qps", "achieved qps", "sent", "errors", "p50 ms", "p99 ms", "p999 ms", "max lag ms", "sustained")
 	} else {
 		table = stats.NewTable("gridserver bench: closed-loop, "+
@@ -264,18 +256,11 @@ func runBench(args []string, out io.Writer) error {
 				if err != nil {
 					return err
 				}
-				if r > 1 {
-					placer := &replica.Placer{Replicas: r}
-					rm, err := placer.Place(g, alloc)
-					if err != nil {
-						os.RemoveAll(tmp)
-						return err
-					}
-					if _, err := store.WriteReplicated(tmp, f, rm, *pageBytes); err != nil {
-						os.RemoveAll(tmp)
-						return err
-					}
-				} else if _, err := store.Write(tmp, f, alloc, *pageBytes); err != nil {
+				rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
+				if err == nil {
+					_, err = store.WriteReplicated(tmp, f, rm, benchPageBytes)
+				}
+				if err != nil {
 					os.RemoveAll(tmp)
 					return err
 				}
@@ -329,7 +314,9 @@ func benchStore(dir, label string, opts benchOpts) ([]benchRow, error) {
 }
 
 // benchAddr dials a server and runs the configured load shape against it —
-// one closed-loop row, or one open-loop row per offered rate.
+// one closed-loop row, or one open-loop row per offered rate. Both shapes
+// draw their queries from loadgen.Synthesize, send them through loadgen.Send
+// and are paced by loadgen (RunClosed, Run, Sweep).
 func benchAddr(addr, label string, opts benchOpts) ([]benchRow, error) {
 	c, err := server.NewClient(server.ClientConfig{
 		Addr: addr, PoolSize: opts.clients, RequestTimeout: opts.timeout,
@@ -354,134 +341,133 @@ func benchAddr(addr, label string, opts benchOpts) ([]benchRow, error) {
 	for d, iv := range snap.Domain {
 		dom[d] = geom.Interval{Lo: iv[0], Hi: iv[1]}
 	}
-	if opts.openLoop {
-		return openAddr(c, snap, dom, label, opts)
-	}
-	row, err := closedAddr(c, snap, dom, label, opts)
+	sopts, err := parseSweep(opts.sweep, opts)
 	if err != nil {
 		return nil, err
 	}
-	return []benchRow{row}, nil
-}
 
-// closedAddr runs the classic closed-loop load: opts.clients workers, each
-// waiting for its response before sending the next query.
-func closedAddr(c *server.Client, snap server.Snapshot, dom geom.Rect, label string, opts benchOpts) (benchRow, error) {
-
-	// Pre-generate the mixed workload: 60% range (half count-only), 20%
-	// point, 10% k-NN, 10% partial-match.
-	ranges := workload.SquareRange(dom, opts.ratio, opts.queries, opts.seed)
-	partials := workload.PartialMatch(dom, 1, opts.queries, opts.seed+1)
-	rng := rand.New(rand.NewSource(opts.seed + 2))
-	points := make([]geom.Point, opts.queries)
-	for i := range points {
-		p := make(geom.Point, len(dom))
-		for d := range p {
-			p[d] = dom[d].Lo + rng.Float64()*dom[d].Length()
-		}
-		points[i] = p
+	// The closed loop sends each of its queries once. An open-loop run that
+	// needs more than the pool holds repeats it via modulo — determinism is
+	// preserved, memory stays bounded.
+	pool := opts.queries
+	if opts.sweep != "" {
+		last := sopts.Start * math.Pow(sopts.Factor, float64(sopts.MaxSteps-1))
+		pool = int(last * sopts.StepDuration.Seconds())
+	} else if opts.openLoop {
+		pool = int(opts.rate * opts.duration.Seconds())
 	}
-	// -write-frac: a deterministic subset of the ops become INSERTs with
-	// fresh keys (own seed stream, so the read workload is unchanged).
-	var isWrite []bool
-	var writeKeys []geom.Point
+	if opts.openLoop {
+		pool = min(max(pool, 1024), 1<<16)
+	}
+	ops := loadgen.Synthesize(dom, loadgen.SynthOptions{
+		Skew:       loadgen.Skew{Hot: opts.hot},
+		RangeRatio: opts.ratio,
+		K:          benchK,
+	}, pool, opts.seed)
+	// -write-frac: a deterministic subset of the closed loop's ops become
+	// INSERTs with fresh keys (own seed stream, so the read workload is
+	// unchanged).
+	var writeKeys []geom.Point // nil where the op stays a read
 	if opts.writeFrac > 0 {
 		wrng := rand.New(rand.NewSource(opts.seed + 3))
-		isWrite = make([]bool, opts.queries)
 		writeKeys = make([]geom.Point, opts.queries)
-		for i := range isWrite {
-			isWrite[i] = wrng.Float64() < opts.writeFrac
-			p := make(geom.Point, len(dom))
-			for d := range p {
-				p[d] = dom[d].Lo + wrng.Float64()*dom[d].Length()
+		for i := range writeKeys {
+			if wrng.Float64() >= opts.writeFrac {
+				continue
 			}
-			writeKeys[i] = p
+			writeKeys[i] = make(geom.Point, len(dom))
+			for d := range dom {
+				writeKeys[i][d] = dom[d].Lo + wrng.Float64()*dom[d].Length()
+			}
 		}
 	}
-
-	var (
-		next        atomic.Int64
-		mu          sync.Mutex
-		lats        []float64 // milliseconds
-		errors      int
-		degraded    int
-		writesSent  int
-		writesAcked int
-		wg          sync.WaitGroup
-	)
-	start := time.Now()
-	for w := 0; w < opts.clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= opts.queries {
-					return
-				}
-				t0 := time.Now()
-				var err error
-				var info server.QueryInfo
-				wrote, applied := false, false
-				switch {
-				case isWrite != nil && isWrite[i]:
-					wrote = true
-					var res server.Result
-					res, err = c.Insert(writeKeys[i])
-					info, applied = res.Info, res.Applied
-				case i%10 < 3:
-					_, info, err = c.Range(ranges[i])
-				case i%10 < 6:
-					_, info, err = c.RangeCount(ranges[i])
-				case i%10 < 8:
-					_, info, err = c.Point(points[i])
-				case i%10 == 8:
-					_, info, err = c.KNN(points[i], opts.k)
-				default:
-					_, info, err = c.PartialMatch(partials[i])
-				}
-				ms := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				lats = append(lats, ms)
-				if err != nil {
-					errors++
-				}
-				if info.Degraded {
-					degraded++
-				}
-				if wrote {
-					writesSent++
-					if applied {
-						writesAcked++
-					}
-				}
-				mu.Unlock()
+	var degraded, writesSent, writesAcked atomic.Int64
+	do := func(ctx context.Context, i int) error {
+		var info server.QueryInfo
+		var err error
+		if i < len(writeKeys) && writeKeys[i] != nil {
+			var res server.Result
+			res, err = c.InsertCtx(ctx, writeKeys[i])
+			info = res.Info
+			writesSent.Add(1)
+			if res.Applied {
+				writesAcked.Add(1)
 			}
-		}()
+		} else {
+			info, err = loadgen.Send(ctx, c, ops[i%len(ops)])
+		}
+		if info.Degraded {
+			degraded.Add(1)
+		}
+		return err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
 
-	row := benchRow{
-		Scheme:   label,
-		Queries:  opts.queries,
-		Errors:   errors,
-		Degraded: degraded,
-		QPS:      float64(opts.queries) / elapsed.Seconds(),
-		P50:      stats.Percentile(lats, 50),
-		P95:      stats.Percentile(lats, 95),
-		P99:      stats.Percentile(lats, 99),
-
-		WritesSent:  writesSent,
-		WritesAcked: writesAcked,
+	ctx := context.Background()
+	base := loadgen.Options{
+		Seed: opts.seed,
+		// Bound outstanding requests at 4× the client's own in-flight
+		// capacity: enough queueing headroom to see saturation in the
+		// latencies, without unbounded goroutine pile-up on a dead server.
+		MaxInFlight: 4 * opts.clients * max(opts.pipeline, 1),
 	}
-	attachServerStats(&row, c, snap)
-	return row, nil
+	var results []loadgen.Result
+	knee := -1
+	switch {
+	case opts.sweep != "":
+		results, knee, err = loadgen.Sweep(ctx, sopts, base, do)
+	case opts.openLoop:
+		base.Rate = opts.rate
+		base.N = max(int(opts.rate*opts.duration.Seconds()), 1)
+		results = make([]loadgen.Result, 1)
+		results[0], err = loadgen.Run(ctx, base, do)
+	default:
+		results = make([]loadgen.Result, 1)
+		results[0], err = loadgen.RunClosed(ctx, opts.clients, opts.queries, do)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	rows := make([]benchRow, len(results))
+	for i, r := range results {
+		rows[i] = benchRow{
+			Scheme:   label,
+			Replicas: snap.Replicas,
+			Queries:  r.Sent,
+			Errors:   r.Errors,
+			P50:      ms(r.Latency.P50),
+			P95:      ms(r.Latency.P95),
+			P99:      ms(r.Latency.P99),
+		}
+		if !opts.openLoop {
+			rows[i].QPS = float64(r.Sent) / r.Elapsed.Seconds()
+			continue
+		}
+		rows[i].Mode = "open"
+		rows[i].Arrivals = loadgen.Poisson.String()
+		rows[i].Pipeline = max(opts.pipeline, 1)
+		rows[i].Offered = r.Offered
+		rows[i].Achieved = r.Achieved
+		rows[i].P999 = ms(r.Latency.P999)
+		rows[i].MaxLagMs = ms(r.MaxLag)
+		rows[i].Sustained = sopts.Sustained(r)
+		rows[i].Knee = i == knee
+	}
+	// The client-side counts and the server-side deltas cover the whole run
+	// set; they go on the last row (of a sweep: the heaviest load, the one
+	// worth bisecting).
+	last := &rows[len(rows)-1]
+	last.Degraded = int(degraded.Load())
+	last.WritesSent = int(writesSent.Load())
+	last.WritesAcked = int(writesAcked.Load())
+	attachServerStats(last, c, snap)
+	return rows, nil
 }
 
 // attachServerStats decorates a finished row with the server-side deltas:
 // fetch balance, cache behaviour, replica counters and the traced stage
-// medians (µs, from the ns histograms' derived view).
+// medians (µs; the server's histograms are in ns).
 func attachServerStats(row *benchRow, c *server.Client, before server.Snapshot) {
 	after, err := c.Stats()
 	if err != nil {
@@ -492,7 +478,6 @@ func attachServerStats(row *benchRow, c *server.Client, before server.Snapshot) 
 	row.PagesRead = after.PagesRead - before.PagesRead
 	row.SpansRead = after.SpansRead - before.SpansRead
 	row.GapPagesRead = after.GapPagesRead - before.GapPagesRead
-	row.Replicas = after.Replicas
 	row.DiskBytes = after.DiskBytes
 	row.WriteAmp = after.WriteAmp
 	row.ReplicaFailover = after.ReplicaFailover - before.ReplicaFailover
@@ -508,110 +493,11 @@ func attachServerStats(row *benchRow, c *server.Client, before server.Snapshot) 
 		row.JournalAppends = after.Writes.JournalAppends - b.JournalAppends
 		row.BucketSplits = after.Writes.BucketSplits - b.BucketSplits
 	}
-	if len(after.StagesMicros) > 0 {
-		row.Stages = make(map[string]float64, len(after.StagesMicros))
-		for name, q := range after.StagesMicros {
-			row.Stages[name] = q.P50
+	if len(after.Stages) > 0 {
+		row.Stages = make(map[string]float64, len(after.Stages))
+		for name, q := range after.Stages {
+			row.Stages[name] = q.P50 / 1e3
 		}
-	}
-}
-
-// openAddr runs the open-loop harness (DESIGN S26) against an established
-// client: a deterministic arrival schedule at the offered rate (or a
-// geometric rate sweep), queries synthesized per the workload mix with
-// optional hot-spot skew, latency measured from intended send times.
-func openAddr(c *server.Client, snap server.Snapshot, dom geom.Rect, label string, opts benchOpts) ([]benchRow, error) {
-	sopts, err := parseSweep(opts.sweep, opts)
-	if err != nil {
-		return nil, err
-	}
-	// The op pool repeats via modulo when a run needs more queries than the
-	// pool holds — determinism is preserved, memory stays bounded.
-	poolSize := int(opts.rate * opts.duration.Seconds())
-	if opts.sweep != "" {
-		last := sopts.Start * math.Pow(sopts.Factor, float64(sopts.MaxSteps-1))
-		poolSize = int(last * sopts.StepDuration.Seconds())
-	}
-	poolSize = min(max(poolSize, 1024), 1<<16)
-	ops := loadgen.Synthesize(dom, loadgen.SynthOptions{
-		Skew:       loadgen.Skew{Hot: opts.hot, HotFrac: opts.hotFrac},
-		RangeRatio: opts.ratio,
-		K:          opts.k,
-	}, poolSize, opts.seed)
-	do := func(ctx context.Context, i int) error {
-		var err error
-		switch op := ops[i%len(ops)]; op.Kind {
-		case loadgen.OpPoint:
-			_, _, err = c.PointCtx(ctx, op.Key)
-		case loadgen.OpRange:
-			_, _, err = c.RangeCtx(ctx, op.Rect)
-		case loadgen.OpRangeCount:
-			_, _, err = c.RangeCountCtx(ctx, op.Rect)
-		case loadgen.OpPartialMatch:
-			_, _, err = c.PartialMatchCtx(ctx, op.Key)
-		case loadgen.OpKNN:
-			_, _, err = c.KNNCtx(ctx, op.Key, op.K)
-		}
-		return err
-	}
-	base := loadgen.Options{
-		Arrivals: opts.arrivals,
-		Seed:     opts.seed,
-		// Bound outstanding requests at 4× the client's own in-flight
-		// capacity: enough queueing headroom to see saturation in the
-		// latencies, without unbounded goroutine pile-up on a dead server.
-		MaxInFlight: 4 * opts.clients * max(opts.pipeline, 1),
-	}
-	ctx := context.Background()
-
-	var rows []benchRow
-	if opts.sweep != "" {
-		results, knee, err := loadgen.Sweep(ctx, sopts, base, do)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range results {
-			row := openRow(label, r, opts)
-			row.Replicas = max(snap.Replicas, 1)
-			row.Sustained = sopts.Sustained(r)
-			row.Knee = i == knee
-			rows = append(rows, row)
-		}
-	} else {
-		base.Rate = opts.rate
-		base.N = max(int(opts.rate*opts.duration.Seconds()), 1)
-		r, err := loadgen.Run(ctx, base, do)
-		if err != nil {
-			return nil, err
-		}
-		row := openRow(label, r, opts)
-		row.Replicas = max(snap.Replicas, 1)
-		row.Sustained = sopts.Sustained(r)
-		rows = append(rows, row)
-	}
-	// The server-side deltas cover the whole run set; attach them to the
-	// last row (the heaviest load, the one worth bisecting).
-	attachServerStats(&rows[len(rows)-1], c, snap)
-	return rows, nil
-}
-
-// openRow converts one loadgen result into a bench row (durations in ms).
-func openRow(label string, r loadgen.Result, opts benchOpts) benchRow {
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	return benchRow{
-		Scheme:   label,
-		Mode:     "open",
-		Arrivals: opts.arrivals.String(),
-		Pipeline: max(opts.pipeline, 1),
-		Offered:  r.Offered,
-		Achieved: r.Achieved,
-		Queries:  r.Sent,
-		Errors:   r.Errors,
-		P50:      ms(r.Latency.P50),
-		P95:      ms(r.Latency.P95),
-		P99:      ms(r.Latency.P99),
-		P999:     ms(r.Latency.P999),
-		MaxLagMs: ms(r.MaxLag),
 	}
 }
 

@@ -46,7 +46,6 @@ func runServe(args []string) error {
 	faultSpec := fs.String("fault", "", "failpoint spec to arm at startup, e.g. store.read:err:p=0.05 (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault registry's reproducible schedules")
 	degraded := fs.Bool("degraded", true, "answer partially (with the degraded flag) when disks fail transiently, instead of erroring")
-	fetchTimeout := fs.Duration("fetch-timeout", 0, "per-attempt deadline for one disk batch read (0 disables)")
 	fetchRetries := fs.Int("fetch-retries", 2, "retries per transiently-failed disk batch (-1 disables)")
 	fetchBackoff := fs.Duration("fetch-backoff", 2*time.Millisecond, "base backoff between disk-batch retries")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
@@ -75,7 +74,6 @@ func runServe(args []string) error {
 		Pprof:           *pprof,
 		Faults:          reg,
 		Degraded:        *degraded,
-		FetchTimeout:    *fetchTimeout,
 		FetchRetries:    *fetchRetries,
 		FetchBackoff:    *fetchBackoff,
 		TraceSample:     *traceSample,

@@ -40,22 +40,13 @@ func runLayout(args []string) error {
 	if err != nil {
 		return err
 	}
-	var m *store.Manifest
-	if *replicas > 1 {
-		placer := &replica.Placer{Replicas: *replicas}
-		rm, err := placer.Place(g, alloc)
-		if err != nil {
-			return err
-		}
-		m, err = store.WriteReplicated(*out, f, rm, *pageBytes)
-		if err != nil {
-			return err
-		}
-	} else {
-		m, err = store.Write(*out, f, alloc, *pageBytes)
-		if err != nil {
-			return err
-		}
+	rm, err := (&replica.Placer{Replicas: *replicas}).Place(g, alloc)
+	if err != nil {
+		return err
+	}
+	m, err := store.WriteReplicated(*out, f, rm, *pageBytes)
+	if err != nil {
+		return err
 	}
 
 	// Verify the layout reads back correctly before declaring success: every

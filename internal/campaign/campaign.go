@@ -189,16 +189,11 @@ func buildLayout(root string, idx int, f *gridfile.File, g core.Grid, scheme str
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	var m *store.Manifest
-	if r == 1 {
-		m, err = store.Write(dir, f, a, opts.PageBytes)
-	} else {
-		var rm *replica.Map
-		rm, err = (&replica.Placer{Replicas: r}).Place(g, a)
-		if err == nil {
-			m, err = store.WriteReplicated(dir, f, rm, opts.PageBytes)
-		}
+	rm, err := (&replica.Placer{Replicas: r}).Place(g, a)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: place %s r=%d: %v", scheme, r, err)
 	}
+	m, err := store.WriteReplicated(dir, f, rm, opts.PageBytes)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: layout %s r=%d: %v", scheme, r, err)
 	}
@@ -343,17 +338,15 @@ func Run(opts Options) (*Report, error) {
 // a fresh server (fresh metrics) over the shared layout directory.
 func runCell(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl workloadAxis) (Cell, error) {
 	cell := Cell{Fault: fa.name, Scheme: l.scheme, Workload: wl.name, Replicas: l.replicas}
-	rec := loadgen.NewRecorder()
 	for t := 0; t < opts.Trials; t++ {
-		if err := runTrial(opts, f, l, fa, wl, t, &cell, rec); err != nil {
+		if err := runTrial(opts, f, l, fa, wl, t, &cell); err != nil {
 			return cell, err
 		}
 	}
-	cell.P99Micros = float64(rec.Quantile(0.99).Microseconds())
 	return cell, nil
 }
 
-func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl workloadAxis, trial int, cell *Cell, rec *loadgen.Recorder) error {
+func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl workloadAxis, trial int, cell *Cell) error {
 	if fa.corrupt {
 		if err := l.corrupt(); err != nil {
 			return err
@@ -385,18 +378,21 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	}
 	defer cl.Close()
 
+	// One worker: the sequential client the determinism contract needs.
+	// Degraded mode should absorb every injected fault; a surfaced error is
+	// a finding, not a crash — the loop counts it and keeps going.
+	ctx := context.Background()
 	ops := loadgen.Synthesize(f.Domain(), wl.opts, opts.Queries, opts.Seed*1000+int64(trial))
-	for _, op := range ops {
-		start := time.Now()
-		err := runOp(cl, op)
-		rec.Record(time.Since(start))
-		if err != nil {
-			// Degraded mode should absorb every injected fault; a surfaced
-			// error is a finding, not a crash — count it and keep going.
-			cell.ClientErrors++
-		}
+	res, err := loadgen.RunClosed(ctx, 1, len(ops), func(ctx context.Context, i int) error {
+		_, err := loadgen.Send(ctx, cl, ops[i])
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	scrub, err := s.ScrubNow(context.Background())
+	cell.ClientErrors += int64(res.Errors)
+	cell.P99Micros = max(cell.P99Micros, float64(res.Latency.P99.Microseconds()))
+	scrub, err := s.ScrubNow(ctx)
 	if err != nil {
 		return fmt.Errorf("scrub: %v", err)
 	}
@@ -411,23 +407,4 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	cell.ScrubCorrupt += scrub.Corrupt
 	cell.ScrubRepaired += scrub.Repaired
 	return nil
-}
-
-func runOp(cl *server.Client, op loadgen.Op) error {
-	var err error
-	switch op.Kind {
-	case loadgen.OpPoint:
-		_, _, err = cl.Point(op.Key)
-	case loadgen.OpRange:
-		_, _, err = cl.Range(op.Rect)
-	case loadgen.OpRangeCount:
-		_, _, err = cl.RangeCount(op.Rect)
-	case loadgen.OpPartialMatch:
-		_, _, err = cl.PartialMatch(op.Key)
-	case loadgen.OpKNN:
-		_, _, err = cl.KNN(op.Key, op.K)
-	default:
-		err = fmt.Errorf("campaign: unmapped op kind %v", op.Kind)
-	}
-	return err
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallOpts is a reduced matrix that still spans every axis kind: a healthy
@@ -113,6 +114,33 @@ func TestCampaignDeterministicAndSound(t *testing.T) {
 		if c.Replicas == 1 && c.Degraded == 0 {
 			t.Errorf("%s: corrupt page never degraded an answer", c.key())
 		}
+	}
+}
+
+// TestCellP99IsTheTail pins the table's one wall-clock column to the tail of
+// the distribution. Every fourth positioned read stalls 20 ms, so well over
+// one query in a hundred takes at least that long while others pay no stall
+// at all: a p99 below the stall is not a 99th percentile (the column once
+// printed the minimum, from a fraction passed where a percentile was meant).
+func TestCellP99IsTheTail(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	rep, err := Run(Options{
+		Records: 300, Disks: 4, Queries: 20, Trials: 2, Seed: 1,
+		Schemes: []string{"minimax"}, Replicas: []int{1}, Workloads: []string{"scans"},
+		Faults: []string{"store.read:delay=" + stall.String() + ":n=4"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 1 {
+		t.Fatalf("%d cells, want 1", len(rep.Cells))
+	}
+	c := rep.Cells[0]
+	if c.FaultsFired < 2 || c.Errors != 0 || c.ClientErrors != 0 {
+		t.Fatalf("stalls fired %d times, errors %d/%d; the cell did not run as planned", c.FaultsFired, c.Errors, c.ClientErrors)
+	}
+	if c.P99Micros < float64(stall.Microseconds()) {
+		t.Errorf("p99 = %.0f µs with %d reads stalled %v each", c.P99Micros, c.FaultsFired, stall)
 	}
 }
 

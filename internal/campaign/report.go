@@ -43,8 +43,9 @@ type Cell struct {
 	ScrubCorrupt  int64 `json:"scrub_corrupt"`
 	ScrubRepaired int64 `json:"scrub_repaired"`
 
-	// P99Micros is wall-clock query latency: rendered in the table for the
-	// operator, never persisted or gated.
+	// P99Micros is wall-clock query latency, the worst trial's 99th
+	// percentile: rendered in the table for the operator, never persisted
+	// or gated.
 	P99Micros float64 `json:"-"`
 }
 

@@ -248,14 +248,6 @@ func (e *PairEngine) remove(x int32) {
 	e.active--
 }
 
-// Weigh evaluates the engine's edge weight for one bucket pair. It exists
-// for tests and spot checks; the sweeps below are the hot path.
-func (e *PairEngine) Weigh(i, j int) float64 {
-	var out [1]float64
-	e.weighBatch(int32(i), []int32{int32(j)}, out[:])
-	return out[0]
-}
-
 // weighBatch computes the weight between the fixed bucket and each bucket in
 // xs, writing results into out (indexed like xs). Dispatch happens once per
 // batch, not per edge.

@@ -99,6 +99,15 @@ func engineTestGrids(t *testing.T) map[string]Grid {
 	}
 }
 
+// weighOne evaluates the engine's edge weight for one bucket pair (j may be
+// a block id, n+b, for the block's bounding box), through the same batch
+// kernel the sweeps run.
+func weighOne(e *PairEngine, i, j int) float64 {
+	var out [1]float64
+	e.weighBatch(int32(i), []int32{int32(j)}, out[:])
+	return out[0]
+}
+
 // TestEngineWeighMatchesClosure checks the flattened kernels reproduce the
 // closure weights bit-for-bit — the property the engine's
 // byte-identical-assignment guarantee rests on.
@@ -118,10 +127,10 @@ func TestEngineWeighMatchesClosure(t *testing.T) {
 			n := len(g.Buckets)
 			for i := 0; i < n; i += 7 {
 				for j := 0; j < n; j += 11 {
-					got := e.Weigh(i, j)
+					got := weighOne(e, i, j)
 					want := tc.w(g.Buckets[i], g.Buckets[j], g.Domain)
 					if got != want {
-						t.Fatalf("%s/%s: Weigh(%d,%d) = %v, want %v (must be bit-identical)",
+						t.Fatalf("%s/%s: weight(%d,%d) = %v, want %v (must be bit-identical)",
 							gname, tc.name, i, j, got, want)
 					}
 				}
@@ -326,11 +335,11 @@ func TestBlockBoundDominates(t *testing.T) {
 		}
 		for i := range g.Buckets {
 			for b := range e.live {
-				ub := e.Weigh(i, e.n+b)
+				ub := weighOne(e, i, e.n+b)
 				for _, x := range e.block(b) {
 					want := geom.Proximity(g.Buckets[i].Region, g.Buckets[x].Region, domain)
-					if got := e.Weigh(i, int(x)); got != want {
-						t.Fatalf("%s: Weigh(%d,%d) = %v, geom.Proximity %v", name, i, x, got, want)
+					if got := weighOne(e, i, int(x)); got != want {
+						t.Fatalf("%s: weight(%d,%d) = %v, geom.Proximity %v", name, i, x, got, want)
 					}
 					if ub < want {
 						t.Fatalf("%s: bound of bucket %d to block %d is %v, below member %d's proximity %v",

@@ -89,17 +89,11 @@ func New(p Params) *Disk {
 	return d
 }
 
-// SeqHits returns how many reads were served sequentially (transfer-only).
-func (d *Disk) SeqHits() int { return d.stats.SeqReads }
-
 // Params returns the disk's configuration.
 func (d *Disk) Params() Params { return d.params }
 
 // Stats returns the accumulated statistics.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// ResetStats clears the statistics but keeps the cache contents.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
 
 // DropCache empties the cache (cold start between experiments).
 func (d *Disk) DropCache() {

@@ -102,9 +102,9 @@ func TestDropCacheAndResetStats(t *testing.T) {
 	if _, hit := d.Read(1); hit {
 		t.Error("hit after DropCache")
 	}
-	d.ResetStats()
-	if st := d.Stats(); st.Reads != 0 || st.BusyTime != 0 {
-		t.Errorf("stats after reset = %+v", st)
+	// DropCache empties the cache and does not reset the statistics.
+	if st := d.Stats(); st.Reads != 3 || st.Hits != 1 {
+		t.Errorf("stats after DropCache = %+v, want 3 reads, 1 hit", st)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestSequentialReads(t *testing.T) {
 	if cost, _ := d.Read(12); cost != full {
 		t.Errorf("backward read cost %v, want full %v", cost, full)
 	}
-	if got := d.SeqHits(); got != 1 {
-		t.Errorf("SeqHits = %d, want 1", got)
+	if got := d.Stats().SeqReads; got != 1 {
+		t.Errorf("SeqReads = %d, want 1", got)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestSequentialReadsDisabledByDefault(t *testing.T) {
 	if cost, _ := d.Read(11); cost != d.Params().MissCost() {
 		t.Errorf("sequential optimization active without opt-in: %v", cost)
 	}
-	if d.SeqHits() != 0 {
-		t.Error("SeqHits counted without opt-in")
+	if d.Stats().SeqReads != 0 {
+		t.Error("SeqReads counted without opt-in")
 	}
 }
 

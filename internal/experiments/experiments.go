@@ -34,17 +34,6 @@ type Options struct {
 	Disks []int
 }
 
-// DefaultOptions returns the paper-scale configuration.
-func DefaultOptions() Options {
-	return Options{Seed: 1996, Queries: 1000, Scale: 1.0, Disks: evens(4, 32)}
-}
-
-// BenchOptions returns a reduced configuration for benchmarks and smoke
-// tests: ~1/8-scale datasets, 150 queries, four disk counts.
-func BenchOptions() Options {
-	return Options{Seed: 1996, Queries: 150, Scale: 0.125, Disks: []int{4, 8, 16, 32}}
-}
-
 func evens(lo, hi int) []int {
 	var out []int
 	for m := lo; m <= hi; m += 2 {
@@ -234,19 +223,6 @@ func ListExperiments() []string {
 		"ablation-sfc", "ablation-mst", "ablation-weight", "ablation-gdm",
 		"ablation-refine", "ablation-seqio", "ablation-split", "dirio",
 	}
-}
-
-// RunAll executes every experiment in order.
-func (l *Lab) RunAll() ([]*stats.Table, error) {
-	var out []*stats.Table
-	for _, id := range ListExperiments() {
-		ts, err := l.Run(id)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, ts...)
-	}
-	return out, nil
 }
 
 // fmtDisks renders a disks column header list in ascending order.

@@ -29,11 +29,9 @@ func TestRunAllExperimentsProduceTables(t *testing.T) {
 			t.Fatalf("%s: no tables", id)
 		}
 		for _, tb := range ts {
-			if tb.NumRows() == 0 {
+			// Title, header and rule are three lines; rows come after.
+			if strings.Count(tb.Render(), "\n") <= 3 {
 				t.Errorf("%s: empty table %q", id, tb.Title)
-			}
-			if out := tb.Render(); len(out) == 0 {
-				t.Errorf("%s: empty render", id)
 			}
 		}
 	}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
@@ -20,47 +18,21 @@ func squareQueries(dom geom.Rect, r float64, n int, seed int64) []geom.Rect {
 
 // meanResponseRow replays the workload for one allocator across all disk
 // counts and returns the mean response times (and, once, the optimal curve).
-// The disk counts are independent, so each (decluster, replay) pair runs in
-// its own goroutine. Declustering — the dominant cost for the O(N²)
-// algorithms — parallelizes freely (allocators only read the Grid); the
-// replay serializes on a mutex because the grid file's range search shares
-// scratch state. Results are deterministic and identical to a serial sweep.
+// A plain loop: fanning the disk counts out over goroutines measured under
+// 1 s of 26 on `gridbench -exp all` once declustering was cheap (DESIGN S37).
 func (l *Lab) meanResponseRow(b *built, alg core.Allocator, queries []geom.Rect) ([]float64, []float64, error) {
-	n := len(l.opts.Disks)
-	rts := make([]float64, n)
-	opts := make([]float64, n)
-	errs := make([]error, n)
-	var fileMu sync.Mutex
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	rts := make([]float64, len(l.opts.Disks))
+	opts := make([]float64, len(l.opts.Disks))
 	for i, m := range l.opts.Disks {
-		wg.Add(1)
-		go func(i, m int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			alloc, err := alg.Decluster(b.grid, m)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s on %s, M=%d: %w", alg.Name(), b.ds.Name, m, err)
-				return
-			}
-			fileMu.Lock()
-			res, err := sim.Replay(b.file, alloc, b.indexByID, queries)
-			fileMu.Unlock()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rts[i] = res.MeanResponseTime
-			opts[i] = res.MeanOptimal
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		alloc, err := alg.Decluster(b.grid, m)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s on %s, M=%d: %w", alg.Name(), b.ds.Name, m, err)
+		}
+		res, err := sim.Replay(b.file, alloc, b.indexByID, queries)
 		if err != nil {
 			return nil, nil, err
 		}
+		rts[i], opts[i] = res.MeanResponseTime, res.MeanOptimal
 	}
 	return rts, opts, nil
 }

@@ -218,15 +218,6 @@ func Parse(spec string) ([]Rule, error) {
 	return rules, nil
 }
 
-// MustParse is Parse for compile-time-constant specs in tests.
-func MustParse(spec string) []Rule {
-	rules, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return rules
-}
-
 // armedRule is one rule plus its firing state. The registry mutex guards
 // calls/fired and the PRNG.
 type armedRule struct {

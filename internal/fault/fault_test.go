@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// mustParse is Parse for the constant specs of these tests.
+func mustParse(t *testing.T, spec string) []Rule {
+	t.Helper()
+	rules, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rules
+}
+
 func TestParseRoundTrips(t *testing.T) {
 	specs := []string{
 		"store.read:err",
@@ -83,7 +93,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 
 func TestUnconditionalAndNthTriggers(t *testing.T) {
 	r := NewRegistry(1)
-	r.Set(MustParse("a:err; b:err:n=3")...)
+	r.Set(mustParse(t, "a:err; b:err:n=3")...)
 	for i := 1; i <= 6; i++ {
 		if _, hit := r.Eval("a"); !hit {
 			t.Fatalf("call %d on a: no hit", i)
@@ -123,7 +133,7 @@ func TestProbabilityIsDeterministicAndCalibrated(t *testing.T) {
 
 func TestInjectionComposes(t *testing.T) {
 	r := NewRegistry(1)
-	r.Set(MustParse("s:delay=5ms; s:delay=7ms; s:torn; s:err")...)
+	r.Set(mustParse(t, "s:delay=5ms; s:delay=7ms; s:torn; s:err")...)
 	inj, hit := r.Eval("s")
 	if !hit {
 		t.Fatal("no hit")
@@ -158,7 +168,7 @@ func TestIsInjectedDistinguishesWrapping(t *testing.T) {
 
 func TestClearAndStatus(t *testing.T) {
 	r := NewRegistry(1)
-	r.Set(MustParse("b:err; a:err:n=2")...)
+	r.Set(mustParse(t, "b:err; a:err:n=2")...)
 	r.Eval("a")
 	r.Eval("a")
 	r.Eval("b")
@@ -184,7 +194,7 @@ func TestClearAndStatus(t *testing.T) {
 
 func TestEvalConcurrent(t *testing.T) {
 	r := NewRegistry(7)
-	r.Set(MustParse("s:err:p=0.5; s:delay=1ns:n=10")...)
+	r.Set(mustParse(t, "s:err:p=0.5; s:delay=1ns:n=10")...)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {

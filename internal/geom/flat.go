@@ -71,36 +71,3 @@ func (f Flat) Len() int {
 func (f Flat) Row(i int) []float64 {
 	return f.Coords[i*f.Dims : (i+1)*f.Dims]
 }
-
-// At returns record i as a Point view into the arena (no copy). The point
-// aliases Coords and must not be modified; use Clone to retain it.
-func (f Flat) At(i int) Point {
-	return Point(f.Coords[i*f.Dims : (i+1)*f.Dims : (i+1)*f.Dims])
-}
-
-// Points materializes the conventional []Point view: one subslice header per
-// record, all sharing the arena. Used by compatibility wrappers; the hot
-// path scans the Flat directly instead.
-func (f Flat) Points() []Point {
-	n := f.Len()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Point, n)
-	for i := range out {
-		out[i] = f.At(i)
-	}
-	return out
-}
-
-// FlatOf packs points (all of the given dimensionality) into a fresh Flat.
-func FlatOf(dims int, pts []Point) Flat {
-	if len(pts) == 0 {
-		return Flat{Dims: dims}
-	}
-	coords := make([]float64, 0, len(pts)*dims)
-	for _, p := range pts {
-		coords = append(coords, p...)
-	}
-	return Flat{Dims: dims, Coords: coords}
-}

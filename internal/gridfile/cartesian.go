@@ -65,43 +65,6 @@ func (c *CartesianFile) CellRegion(cell []int32) geom.Rect {
 	return r
 }
 
-// CellsInWindow calls fn with the coordinates of every cell in the inclusive
-// window [lo,hi]. Coordinates are clamped to the grid.
-func (c *CartesianFile) CellsInWindow(lo, hi []int32, fn func(cell []int32)) {
-	clampedLo := make([]int32, len(c.sizes))
-	clampedHi := make([]int32, len(c.sizes))
-	for d := range c.sizes {
-		l, h := lo[d], hi[d]
-		if l < 0 {
-			l = 0
-		}
-		if h >= c.sizes[d] {
-			h = c.sizes[d] - 1
-		}
-		if l > h {
-			return
-		}
-		clampedLo[d], clampedHi[d] = l, h
-	}
-	cell := make([]int32, len(c.sizes))
-	copy(cell, clampedLo)
-	for {
-		fn(cell)
-		d := len(cell) - 1
-		for d >= 0 {
-			cell[d]++
-			if cell[d] <= clampedHi[d] {
-				break
-			}
-			cell[d] = clampedLo[d]
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
 // Buckets returns one BucketView per cell, in row-major order, so that a
 // Cartesian file can be declustered by the same algorithms as a grid file.
 func (c *CartesianFile) Buckets() []BucketView {

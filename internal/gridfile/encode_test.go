@@ -135,18 +135,6 @@ func TestCartesianFile(t *testing.T) {
 			t.Errorf("CellRegion dim %d = %v, want %v", d, r[d], want[d])
 		}
 	}
-	// Window enumeration with clamping.
-	count := 0
-	c.CellsInWindow([]int32{-5, 3}, []int32{2, 100}, func(cell []int32) { count++ })
-	if count != 3*2 {
-		t.Errorf("window enumerated %d cells, want 6", count)
-	}
-	// Degenerate empty window.
-	count = 0
-	c.CellsInWindow([]int32{20, 0}, []int32{25, 0}, func(cell []int32) { count++ })
-	if count != 0 {
-		t.Errorf("out-of-grid window enumerated %d cells", count)
-	}
 }
 
 func TestCartesianValidation(t *testing.T) {

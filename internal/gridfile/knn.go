@@ -139,10 +139,3 @@ func (f *File) interiorRadius(p geom.Point, lo, hi []int32) float64 {
 	}
 	return r
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

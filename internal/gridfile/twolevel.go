@@ -191,8 +191,8 @@ func (d *TwoLevelDirectory) BucketsInCellBox(lo, hi []int32) []int32 {
 		cLo := make([]int32, dims)
 		cHi := make([]int32, dims)
 		for k := 0; k < dims; k++ {
-			cLo[k] = maxI32(lo[k], page.lo[k])
-			cHi[k] = minI32(hi[k], page.hi[k])
+			cLo[k] = max(lo[k], page.lo[k])
+			cHi[k] = min(hi[k], page.hi[k])
 		}
 		scanBox(cLo, cHi, func(cell []int32) {
 			id := page.idAt(cell)
@@ -253,18 +253,4 @@ func scanBox(lo, hi []int32, fn func(cell []int32)) {
 			return
 		}
 	}
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

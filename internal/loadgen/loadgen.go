@@ -1,15 +1,21 @@
-// Package loadgen is the open-loop load harness (DESIGN S26): it offers
-// requests to a server at a configured arrival rate on a deterministic,
-// seeded schedule, instead of waiting for each response before sending the
-// next request the way a closed-loop bench does.
+// Package loadgen is the load harness (DESIGN S26, S37) — the one place
+// outside bench/ that paces requests at a server, in either shape.
 //
-// The distinction matters for honesty. A closed-loop generator self-throttles
-// — when the server stalls, the generator stops offering load, so the stall
-// barely registers in the recorded latencies (coordinated omission). Here
-// every request has an *intended* send time fixed before the run starts, and
-// its latency is measured from that intended time regardless of when the
-// pacer actually got it onto the wire; a stall therefore penalizes every
-// request scheduled behind it, exactly as it would penalize real clients.
+// The open loop (Run) offers requests at a configured arrival rate on a
+// deterministic, seeded schedule instead of waiting for each response before
+// sending the next. The distinction matters for honesty. A closed-loop
+// generator self-throttles — when the server stalls, the generator stops
+// offering load, so the stall barely registers in the recorded latencies
+// (coordinated omission). In the open loop every request has an *intended*
+// send time fixed before the run starts, and its latency is measured from
+// that intended time regardless of when the pacer actually got it onto the
+// wire; a stall therefore penalizes every request scheduled behind it,
+// exactly as it would penalize real clients.
+//
+// The closed loop (RunClosed) is the other shape: a fixed number of callers
+// that each wait for a reply before asking again. Both take the same
+// do(ctx, i) callback and fill the same Result; Synthesize generates the ops
+// and Send maps one onto the server's client.
 package loadgen
 
 import (
@@ -20,64 +26,39 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pgridfile/internal/stats"
 )
 
-// Arrivals selects the arrival process of the schedule.
+// Arrivals names the arrival process of the schedule. There is one.
 type Arrivals uint8
 
-const (
-	// Poisson arrivals: exponential inter-arrival gaps with mean 1/rate —
-	// the memoryless open-system model, and the one that actually exercises
-	// queueing (bursts arrive with the full burstiness of independence).
-	Poisson Arrivals = iota
-	// Fixed arrivals: a metronome at exactly 1/rate intervals. Useful as a
-	// best-case comparison — no burst ever exceeds the offered rate.
-	Fixed
-)
+// Poisson arrivals: exponential inter-arrival gaps with mean 1/rate — the
+// memoryless open-system model, and the one that actually exercises queueing
+// (bursts arrive with the full burstiness of independence).
+const Poisson Arrivals = 0
 
 func (a Arrivals) String() string {
-	switch a {
-	case Poisson:
+	if a == Poisson {
 		return "poisson"
-	case Fixed:
-		return "fixed"
 	}
 	return fmt.Sprintf("arrivals(%d)", uint8(a))
 }
 
-// ParseArrivals parses "poisson" or "fixed".
-func ParseArrivals(s string) (Arrivals, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "fixed":
-		return Fixed, nil
-	}
-	return 0, fmt.Errorf("loadgen: unknown arrival process %q (want poisson or fixed)", s)
-}
-
-// Schedule returns n arrival offsets from the start of the run, at the given
-// offered rate (arrivals per second). The schedule is fully determined by
-// (kind, rate, n, seed): the same inputs yield the identical schedule, so a
-// run can be reproduced bit-for-bit.
-func Schedule(kind Arrivals, rate float64, n int, seed int64) []time.Duration {
+// Schedule returns n Poisson arrival offsets from the start of the run, at
+// the given offered rate (arrivals per second). The schedule is fully
+// determined by (rate, n, seed): the same inputs yield the identical
+// schedule, so a run can be reproduced bit-for-bit.
+func Schedule(rate float64, n int, seed int64) []time.Duration {
 	if rate <= 0 || n <= 0 {
 		return nil
 	}
 	out := make([]time.Duration, n)
-	switch kind {
-	case Fixed:
-		per := float64(time.Second) / rate
-		for i := range out {
-			out[i] = time.Duration(float64(i) * per)
-		}
-	default: // Poisson
-		rng := rand.New(rand.NewSource(seed))
-		t := 0.0
-		for i := range out {
-			t += rng.ExpFloat64() / rate * float64(time.Second)
-			out[i] = time.Duration(t)
-		}
+	rng := rand.New(rand.NewSource(seed))
+	t := 0.0
+	for i := range out {
+		t += rng.ExpFloat64() / rate * float64(time.Second)
+		out[i] = time.Duration(t)
 	}
 	return out
 }
@@ -88,7 +69,7 @@ type Options struct {
 	Rate float64
 	// N is the number of requests in the run (required).
 	N int
-	// Arrivals selects the arrival process; default Poisson.
+	// Arrivals is the arrival process: Poisson, the zero value.
 	Arrivals Arrivals
 	// Seed determines the schedule (and nothing else); same seed, same
 	// schedule.
@@ -107,9 +88,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result summarizes one open-loop run.
+// Result summarizes one run, open- or closed-loop.
 type Result struct {
-	// Offered is the configured arrival rate; Achieved is completions per
+	// Offered is the configured arrival rate (0 on a closed loop, which
+	// offers whatever the server takes); Achieved is completions per
 	// second of wall clock, the throughput the server actually sustained.
 	// Achieved falling visibly below Offered is the signature of
 	// saturation — the knee the rate sweep looks for.
@@ -118,10 +100,11 @@ type Result struct {
 	Sent     int           `json:"sent"`
 	Errors   int           `json:"errors"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
-	// Latency is measured from each request's intended send time — pacer
-	// lag and in-flight queueing count against the server, never for it.
-	Latency LatencySummary `json:"latency"`
-	// MaxLag is the worst pacer lateness (intended vs actual dispatch):
+	// Latency is measured from each request's intended send time on the
+	// open loop — pacer lag and in-flight queueing count against the server,
+	// never for it — and from the moment a worker sends on the closed loop.
+	Latency stats.LatencySummary `json:"latency"`
+	// MaxLag is the worst open-loop pacer lateness (intended vs actual dispatch):
 	// small lag means the generator itself kept up and the latencies are
 	// trustworthy; lag commensurate with the latencies means the harness —
 	// not the server — was the bottleneck.
@@ -140,8 +123,8 @@ func Run(ctx context.Context, opts Options, do func(ctx context.Context, i int) 
 	if opts.N <= 0 {
 		return Result{}, fmt.Errorf("loadgen: request count %d must be positive", opts.N)
 	}
-	sched := Schedule(opts.Arrivals, opts.Rate, opts.N, opts.Seed)
-	rec := NewRecorder()
+	sched := Schedule(opts.Rate, opts.N, opts.Seed)
+	var rec stats.Recorder
 	slots := make(chan struct{}, opts.MaxInFlight)
 	var wg sync.WaitGroup
 	var errs atomic.Int64
@@ -181,23 +164,56 @@ pace:
 		}(i, target)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	res := newResult(start, sent, int(errs.Load()), &rec)
+	res.Offered, res.MaxLag = opts.Rate, maxLag
+	return res, ctx.Err()
+}
 
-	res := Result{
-		Offered: opts.Rate,
-		Sent:    sent,
-		Errors:  int(errs.Load()),
-		Elapsed: elapsed,
-		Latency: rec.Summary(),
-		MaxLag:  maxLag,
+// RunClosed executes one closed-loop run: workers goroutines each call
+// do(ctx, i) for the next unclaimed i below n and wait for it to return
+// before claiming another, so a slow server is offered less load. A call's
+// latency is its own duration. A do error counts toward Errors; cancelling
+// ctx abandons the indexes not yet claimed.
+func RunClosed(ctx context.Context, workers, n int, do func(ctx context.Context, i int) error) (Result, error) {
+	if workers <= 0 || n <= 0 {
+		return Result{}, fmt.Errorf("loadgen: closed loop wants positive workers and requests, got %d and %d", workers, n)
 	}
-	if elapsed > 0 {
-		res.Achieved = float64(sent-res.Errors) / elapsed.Seconds()
+	var rec stats.Recorder
+	var wg sync.WaitGroup
+	var next, errs atomic.Int64
+
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				t0 := time.Now()
+				err := do(ctx, i)
+				rec.Record(time.Since(t0))
+				if err != nil {
+					errs.Add(1)
+				}
+			}
+		}()
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
+	wg.Wait()
+	// Every index claimed below n ran; each worker that found none left
+	// pushed next one past it.
+	return newResult(start, min(int(next.Load()), n), int(errs.Load()), &rec), ctx.Err()
+}
+
+// newResult fills the fields both loops share once every call has returned.
+func newResult(start time.Time, sent, errs int, rec *stats.Recorder) Result {
+	res := Result{Sent: sent, Errors: errs, Elapsed: time.Since(start), Latency: rec.Summary()}
+	if res.Elapsed > 0 {
+		res.Achieved = float64(sent-errs) / res.Elapsed.Seconds()
 	}
-	return res, nil
+	return res
 }
 
 // SweepOptions configures a rate sweep.

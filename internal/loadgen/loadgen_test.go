@@ -5,138 +5,50 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/stats"
 )
 
 // TestScheduleDeterminism is the ISSUE's reproducibility requirement: the
-// same (kind, rate, n, seed) must yield the identical schedule, and a
-// different seed a different one.
+// same (rate, n, seed) must yield the identical schedule, and a different
+// seed a different one.
 func TestScheduleDeterminism(t *testing.T) {
-	for _, kind := range []Arrivals{Poisson, Fixed} {
-		a := Schedule(kind, 5000, 1000, 42)
-		b := Schedule(kind, 5000, 1000, 42)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%v: same seed produced different schedules", kind)
-		}
-		if len(a) != 1000 {
-			t.Fatalf("%v: schedule has %d entries, want 1000", kind, len(a))
-		}
-		for i := 1; i < len(a); i++ {
-			if a[i] < a[i-1] {
-				t.Fatalf("%v: schedule not monotone at %d: %v < %v", kind, i, a[i], a[i-1])
-			}
+	a := Schedule(5000, 1000, 42)
+	b := Schedule(5000, 1000, 42)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("same seed produced different schedules")
+	}
+	if len(a) != 1000 {
+		t.Fatalf("schedule has %d entries, want 1000", len(a))
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i] < a[i-1] {
+			t.Fatalf("schedule not monotone at %d: %v < %v", i, a[i], a[i-1])
 		}
 	}
-	a := Schedule(Poisson, 5000, 1000, 42)
-	c := Schedule(Poisson, 5000, 1000, 43)
-	if reflect.DeepEqual(a, c) {
+	if c := Schedule(5000, 1000, 43); reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical Poisson schedules")
+	}
+	// The name is part of `gridserver bench`'s JSON rows.
+	if got := Poisson.String(); got != "poisson" {
+		t.Errorf("Poisson.String() = %q", got)
 	}
 }
 
-// TestScheduleRates checks both processes actually offer the configured
+// TestScheduleRates checks the schedule actually offers the configured
 // rate: n arrivals should span about n/rate seconds.
 func TestScheduleRates(t *testing.T) {
 	const rate, n = 10000.0, 20000
-	for _, kind := range []Arrivals{Poisson, Fixed} {
-		s := Schedule(kind, rate, n, 7)
-		span := s[n-1].Seconds()
-		want := float64(n) / rate
-		if math.Abs(span-want) > 0.1*want {
-			t.Errorf("%v: %d arrivals span %.3fs, want ≈%.3fs", kind, n, span, want)
-		}
-	}
-	// Fixed is exactly a metronome.
-	s := Schedule(Fixed, 1000, 10, 0)
-	for i, off := range s {
-		if want := time.Duration(i) * time.Millisecond; off != want {
-			t.Errorf("fixed[%d] = %v, want %v", i, off, want)
-		}
-	}
-}
-
-func TestParseArrivals(t *testing.T) {
-	for _, tc := range []struct {
-		s    string
-		want Arrivals
-	}{{"poisson", Poisson}, {"fixed", Fixed}} {
-		got, err := ParseArrivals(tc.s)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseArrivals(%q) = %v, %v", tc.s, got, err)
-		}
-		if got.String() != tc.s {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.s)
-		}
-	}
-	if _, err := ParseArrivals("bursty"); err == nil {
-		t.Error("ParseArrivals accepted unknown process")
-	}
-}
-
-// TestRecorderQuantiles feeds a known distribution and checks the log-linear
-// buckets resolve quantiles within their ~1.6% design error.
-func TestRecorderQuantiles(t *testing.T) {
-	r := NewRecorder()
-	// 1..10000 µs uniformly: p50 ≈ 5000µs, p99 ≈ 9900µs, p999 ≈ 9990µs.
-	for i := 1; i <= 10000; i++ {
-		r.Record(time.Duration(i) * time.Microsecond)
-	}
-	s := r.Summary()
-	if s.Count != 10000 {
-		t.Fatalf("count = %d, want 10000", s.Count)
-	}
-	checks := []struct {
-		name string
-		got  time.Duration
-		want time.Duration
-	}{
-		{"p50", s.P50, 5000 * time.Microsecond},
-		{"p95", s.P95, 9500 * time.Microsecond},
-		{"p99", s.P99, 9900 * time.Microsecond},
-		{"p999", s.P999, 9990 * time.Microsecond},
-		{"mean", s.Mean, 5000 * time.Microsecond},
-	}
-	for _, c := range checks {
-		if relErr := math.Abs(float64(c.got-c.want)) / float64(c.want); relErr > 0.02 {
-			t.Errorf("%s = %v, want %v ±2%% (err %.2f%%)", c.name, c.got, c.want, 100*relErr)
-		}
-	}
-	if s.Max != 10000*time.Microsecond {
-		t.Errorf("max = %v, want 10ms", s.Max)
-	}
-}
-
-// TestRecorderBucketRoundTrip: for any value, the bucket midpoint must be
-// within 1/64 relative error (values ≥ 64) or exact (values < 64).
-func TestRecorderBucketRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		v := int64(rng.Uint64() >> uint(1+rng.Intn(40)))
-		idx := bucketOf(v)
-		mid := int64(bucketMid(idx))
-		if v < subBuckets {
-			if mid != v {
-				t.Fatalf("value %d: midpoint %d, want exact", v, mid)
-			}
-			continue
-		}
-		if relErr := math.Abs(float64(mid-v)) / float64(v); relErr > 1.0/subBuckets {
-			t.Fatalf("value %d → bucket %d midpoint %d: rel err %.4f > 1/%d", v, idx, mid, relErr, subBuckets)
-		}
-	}
-	if r := NewRecorder(); r.Quantile(50) != 0 || r.Summary().Count != 0 {
-		t.Error("empty recorder must report zeros")
-	}
-	r := NewRecorder()
-	r.Record(-time.Second) // clamps, never panics
-	if got := r.Summary().Max; got != 0 {
-		t.Errorf("negative observation recorded max %v, want 0", got)
+	s := Schedule(rate, n, 7)
+	span := s[n-1].Seconds()
+	want := float64(n) / rate
+	if math.Abs(span-want) > 0.1*want {
+		t.Errorf("%d arrivals span %.3fs, want ≈%.3fs", n, span, want)
 	}
 }
 
@@ -212,6 +124,66 @@ func TestRunCancel(t *testing.T) {
 	}
 }
 
+// TestRunClosed checks the closed loop's contract: every index below n is
+// called exactly once, never more than `workers` at a time, errors are
+// counted, latency is each call's own duration, and a cancelled run stops
+// claiming indexes.
+func TestRunClosed(t *testing.T) {
+	const workers, n = 4, 200
+	var seen [n]atomic.Int32
+	var inFlight, peak atomic.Int32
+	res, err := RunClosed(context.Background(), workers, n, func(ctx context.Context, i int) error {
+		cur := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		seen[i].Add(1)
+		time.Sleep(200 * time.Microsecond)
+		inFlight.Add(-1)
+		if i%10 == 0 {
+			return errors.New("injected")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Fatalf("index %d called %d times, want once", i, c)
+		}
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("%d calls in flight at once, want at most %d", p, workers)
+	}
+	if res.Sent != n || res.Errors != n/10 || res.Latency.Count != n {
+		t.Errorf("sent %d, errors %d, timed %d; want %d, %d, %d", res.Sent, res.Errors, res.Latency.Count, n, n/10, n)
+	}
+	if res.Latency.P50 < 200*time.Microsecond || res.Offered != 0 || res.Achieved <= 0 {
+		t.Errorf("p50 %v (each call sleeps 200µs), offered %g, achieved %g", res.Latency.P50, res.Offered, res.Achieved)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	res, err = RunClosed(ctx, 2, 1000, func(ctx context.Context, i int) error {
+		if i == 5 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run returned %v", err)
+	}
+	if res.Sent >= 1000 || int64(res.Sent) != res.Latency.Count {
+		t.Errorf("cancelled run reports %d sent, %d timed, of 1000", res.Sent, res.Latency.Count)
+	}
+	if _, err := RunClosed(context.Background(), 0, 10, nil); err == nil {
+		t.Error("zero workers accepted")
+	}
+}
+
 // TestSweepFindsKnee: a fake server whose capacity is bounded by slow
 // handlers must yield a knee at the last rate it could sustain. With 8
 // in-flight slots and a 5ms handler the capacity is ~1600 qps, so 1000
@@ -278,14 +250,14 @@ func TestSweepKneeDetection(t *testing.T) {
 
 func TestSustainedCriteria(t *testing.T) {
 	o := SweepOptions{SLO: 10 * time.Millisecond}
-	good := Result{Offered: 1000, Achieved: 990, Latency: LatencySummary{P99: 5 * time.Millisecond}}
+	good := Result{Offered: 1000, Achieved: 990, Latency: stats.LatencySummary{P99: 5 * time.Millisecond}}
 	if !o.Sustained(good) {
 		t.Error("healthy step not sustained")
 	}
 	for name, r := range map[string]Result{
-		"errors":   {Offered: 1000, Achieved: 990, Errors: 1, Latency: LatencySummary{P99: time.Millisecond}},
-		"achieved": {Offered: 1000, Achieved: 900, Latency: LatencySummary{P99: time.Millisecond}},
-		"slo":      {Offered: 1000, Achieved: 990, Latency: LatencySummary{P99: 50 * time.Millisecond}},
+		"errors":   {Offered: 1000, Achieved: 990, Errors: 1, Latency: stats.LatencySummary{P99: time.Millisecond}},
+		"achieved": {Offered: 1000, Achieved: 900, Latency: stats.LatencySummary{P99: time.Millisecond}},
+		"slo":      {Offered: 1000, Achieved: 990, Latency: stats.LatencySummary{P99: 50 * time.Millisecond}},
 	} {
 		if o.Sustained(r) {
 			t.Errorf("%s violation still counted as sustained", name)

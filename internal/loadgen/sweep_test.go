@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"pgridfile/internal/stats"
 )
 
 // Knee edge cases for Sweep. The interesting boundaries are the ones the
@@ -63,7 +65,7 @@ func TestSweepAllStepsSustained(t *testing.T) {
 // the SLO still counts as sustained; one nanosecond over does not.
 func TestSustainedSLOBoundary(t *testing.T) {
 	o := SweepOptions{SLO: 10 * time.Millisecond}.withDefaults()
-	at := Result{Offered: 1000, Achieved: 1000, Latency: LatencySummary{P99: 10 * time.Millisecond}}
+	at := Result{Offered: 1000, Achieved: 1000, Latency: stats.LatencySummary{P99: 10 * time.Millisecond}}
 	if !o.Sustained(at) {
 		t.Error("p99 exactly at the SLO counted as a violation")
 	}

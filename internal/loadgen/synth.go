@@ -35,8 +35,8 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
-// Op is one synthesized query, protocol-agnostic: the caller maps it onto
-// whatever client API it drives.
+// Op is one synthesized query. Send maps it onto the server's client; the
+// repo benchmark (bench/) maps it onto its own checked calls.
 type Op struct {
 	Kind OpKind
 	// Key is the point / kNN centre / partial-match pattern (NaN marks an

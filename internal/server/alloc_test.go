@@ -125,7 +125,7 @@ func TestAllocBudget(t *testing.T) {
 // of regrown buffers. TestOversizedRangeRefusedEarly holds the refusal itself.
 func TestOversizedRangeAllocation(t *testing.T) {
 	s, f := newTestServer(t, 72000, 4, Config{}) // × 16 B per row = 1.1 × MaxFrameBytes
-	req, err := EncodeRequest(Request{Verb: VerbRange, Query: f.Domain()})
+	req, err := encodeRequest(Request{Verb: VerbRange, Query: f.Domain()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,12 +106,12 @@ func TestGenFuzzCorpus(t *testing.T) {
 
 func frameBytes(t *testing.T, req Request) []byte {
 	t.Helper()
-	fr, err := EncodeRequest(req)
+	fr, err := encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, fr); err != nil {
+	if err := writeFrame(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -119,16 +119,16 @@ func frameBytes(t *testing.T, req Request) []byte {
 
 func taggedBytes(t *testing.T, id uint32, req Request) []byte {
 	t.Helper()
-	fr, err := EncodeRequest(req)
+	fr, err := encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := WrapTagged(id, fr)
+	w, err := wrapTagged(id, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, w); err != nil {
+	if err := writeFrame(&buf, w); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -143,17 +143,17 @@ func resultFrameBytes(t *testing.T, tagged bool, id uint32, res Result) []byte {
 	if res.Points != nil {
 		verb = VerbPoints
 	}
-	fr, err := EncodeResult(verb, res)
+	fr, err := encodeResult(verb, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tagged {
-		if fr, err = WrapTagged(id, fr); err != nil {
+		if fr, err = wrapTagged(id, fr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, fr); err != nil {
+	if err := writeFrame(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -174,7 +174,7 @@ func emptyStreamedPayload(t *testing.T, dims int) []byte {
 func emptyPointsFrameBytes(t *testing.T, dims int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Verb: VerbPoints, Payload: emptyStreamedPayload(t, dims)}); err != nil {
+	if err := writeFrame(&buf, Frame{Verb: VerbPoints, Payload: emptyStreamedPayload(t, dims)}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -182,7 +182,7 @@ func emptyPointsFrameBytes(t *testing.T, dims int) []byte {
 
 func resultPayload(t *testing.T, verb Verb, res Result) []byte {
 	t.Helper()
-	fr, err := EncodeResult(verb, res)
+	fr, err := encodeResult(verb, res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,12 @@ func FuzzCodec(f *testing.F) {
 		{Verb: VerbDelete, Key: geom.Point{-3.5, 42}},
 	}
 	for _, req := range seed {
-		fr, err := EncodeRequest(req)
+		fr, err := encodeRequest(req)
 		if err != nil {
 			f.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr); err != nil {
+		if err := writeFrame(&buf, fr); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -49,12 +49,12 @@ func FuzzCodec(f *testing.F) {
 			return // malformed payloads must error, never panic
 		}
 		// Whatever decoded must re-encode and decode to the same request.
-		fr2, err := EncodeRequest(req)
+		fr2, err := encodeRequest(req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %+v: %v", req, err)
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr2); err != nil {
+		if err := writeFrame(&buf, fr2); err != nil {
 			t.Fatal(err)
 		}
 		fr3, err := ReadFrame(&buf)
@@ -71,7 +71,7 @@ func FuzzCodec(f *testing.F) {
 		// The pipelining envelope must also be a fixed point around any
 		// decodable request, for any id.
 		id := uint32(len(raw)) * 2654435761
-		w, err := WrapTagged(id, fr2)
+		w, err := wrapTagged(id, fr2)
 		if err != nil {
 			t.Fatalf("valid request does not wrap: %v", err)
 		}
@@ -122,13 +122,13 @@ func FuzzBatchFraming(f *testing.F) {
 	var respBatch bytes.Buffer
 	for i, fr := range respFrames {
 		if i%2 == 0 {
-			w, err := WrapTagged(uint32(1000+i), fr)
+			w, err := wrapTagged(uint32(1000+i), fr)
 			if err != nil {
 				f.Fatal(err)
 			}
 			fr = w
 		}
-		if err := WriteFrame(&respBatch, fr); err != nil {
+		if err := writeFrame(&respBatch, fr); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func FuzzBatchFraming(f *testing.F) {
 		// into its own buffer, buffers concatenated verbatim.
 		var batch bytes.Buffer
 		for _, fr := range frames {
-			if err := WriteFrame(&batch, fr); err != nil {
+			if err := writeFrame(&batch, fr); err != nil {
 				return // unencodable (e.g. oversized) frames never reach the writer
 			}
 		}
@@ -180,7 +180,7 @@ func FuzzBatchFraming(f *testing.F) {
 
 func mustResultFrame(f *testing.F, verb Verb, res Result) Frame {
 	f.Helper()
-	fr, err := EncodeResult(verb, res)
+	fr, err := encodeResult(verb, res)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func FuzzDegradedCodec(f *testing.F) {
 		{VerbWriteOK, Result{Applied: false}},
 	}
 	for _, s := range seeds {
-		fr, err := EncodeResult(s.verb, s.res)
+		fr, err := encodeResult(s.verb, s.res)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func FuzzDegradedCodec(f *testing.F) {
 	}
 	// Hand-corrupted trailers: degraded flag without a missed count, and an
 	// unknown flag bit. Both must be rejected by the decoder.
-	base, err := EncodeResult(VerbCount, Result{Count: 1})
+	base, err := encodeResult(VerbCount, Result{Count: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func FuzzDegradedCodec(f *testing.F) {
 		f.Add(uint8(VerbCount), bad)
 	}
 	// The streamed empty-points payload (dims > 0, zero rows) that only the
-	// serving path's incremental encoder produces — EncodeResult cannot,
+	// serving path's incremental encoder produces — AppendResult cannot,
 	// because it derives dims from the rows it is given.
 	f.Add(uint8(VerbPoints), emptyPointsFrame(f, 3).Payload)
 
@@ -275,7 +275,7 @@ func FuzzDegradedCodec(f *testing.F) {
 		if res.Info.Degraded != (res.Info.MissedDisks > 0) {
 			t.Fatalf("decoder let an inconsistent degraded trailer through: %+v", res.Info)
 		}
-		fr2, err := EncodeResult(Verb(verb), res)
+		fr2, err := encodeResult(Verb(verb), res)
 		if err != nil {
 			t.Fatalf("decoded result does not re-encode: %+v: %v", res, err)
 		}

@@ -2,14 +2,12 @@ package server
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"pgridfile/internal/cache"
+	"pgridfile/internal/stats"
 	"pgridfile/internal/store"
 )
 
@@ -38,84 +36,6 @@ func verbIndex(v Verb) int {
 	return -1
 }
 
-// hist is a log2-bucketed histogram of non-negative values: bin i holds
-// values in [2^(i-1), 2^i). Log bins keep observation O(1) and lock-light
-// while still answering the percentile questions the bench cares about
-// (p50/p95/p99 within a factor of two).
-type hist struct {
-	mu     sync.Mutex
-	counts [64]int64
-	total  int64
-	max    float64
-}
-
-func (h *hist) observe(v float64) {
-	if v < 0 || math.IsNaN(v) {
-		v = 0
-	}
-	// float64→uint64 conversion is undefined for values ≥ 2^63; clamp into
-	// the top bin explicitly rather than trusting the conversion result.
-	var bin int
-	if v >= math.Exp2(63) {
-		bin = len(h.counts) - 1
-	} else {
-		bin = bits.Len64(uint64(v))
-		if bin >= len(h.counts) {
-			bin = len(h.counts) - 1
-		}
-	}
-	h.mu.Lock()
-	h.counts[bin]++
-	h.total++
-	if v > h.max {
-		h.max = v
-	}
-	h.mu.Unlock()
-}
-
-// quantile estimates the p-th percentile (0..100) as the geometric midpoint
-// lo*√2 of the bin [lo, 2*lo) holding the target rank; the true value lies
-// within a factor of √2 either way. Bin 0 holds [0, 1) and has no geometric
-// midpoint, so it reports the arithmetic one, 0.5, rather than collapsing
-// every sub-unit observation to 0.
-func (h *hist) quantile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(p / 100 * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i == 0 {
-				return 0.5
-			}
-			lo := math.Exp2(float64(i - 1))
-			return lo * math.Sqrt2
-		}
-	}
-	return h.max
-}
-
-func (h *hist) snapshot() QuantileSummary {
-	s := QuantileSummary{
-		P50: h.quantile(50),
-		P90: h.quantile(90),
-		P95: h.quantile(95),
-		P99: h.quantile(99),
-	}
-	h.mu.Lock()
-	s.Count = h.total
-	s.Max = h.max
-	h.mu.Unlock()
-	return s
-}
-
 // QuantileSummary reports a histogram's percentiles.
 type QuantileSummary struct {
 	Count int64   `json:"count"`
@@ -126,15 +46,18 @@ type QuantileSummary struct {
 	Max   float64 `json:"max"`
 }
 
-// scaled returns the summary with every quantile multiplied by f — used to
-// derive the µs stage view from the ns histograms.
-func (q QuantileSummary) scaled(f float64) QuantileSummary {
-	q.P50 *= f
-	q.P90 *= f
-	q.P95 *= f
-	q.P99 *= f
-	q.Max *= f
-	return q
+// summarize reads a recorder in multiples of unit: time.Microsecond for a
+// latency reported in µs, 1 for nanoseconds and for plain counts.
+func summarize(r *stats.Recorder, unit time.Duration) QuantileSummary {
+	s, u := r.Summary(), float64(unit)
+	return QuantileSummary{
+		Count: s.Count,
+		P50:   float64(s.P50) / u,
+		P90:   float64(s.P90) / u,
+		P95:   float64(s.P95) / u,
+		P99:   float64(s.P99) / u,
+		Max:   float64(s.Max) / u,
+	}
 }
 
 // Metrics aggregates the server's observability counters. All methods are
@@ -165,13 +88,13 @@ type Metrics struct {
 	scrubPages    atomic.Int64
 	scrubCorrupt  atomic.Int64
 	scrubRepaired atomic.Int64
-	traced        atomic.Int64    // queries that carried a stage trace
-	writeBatches  atomic.Int64    // writev submissions by connection writers
-	writeFrames   atomic.Int64    // response frames carried by those writes
-	diskFetches   []atomic.Int64  // bucket fetches per disk
-	latency       hist            // service time, microseconds
-	fetches       hist            // distinct buckets fetched per data query
-	stageLat      [numStages]hist // per-stage time of traced queries, nanoseconds
+	traced        atomic.Int64              // queries that carried a stage trace
+	writeBatches  atomic.Int64              // writev submissions by connection writers
+	writeFrames   atomic.Int64              // response frames carried by those writes
+	diskFetches   []atomic.Int64            // bucket fetches per disk
+	latency       stats.Recorder            // service time
+	fetches       stats.Recorder            // distinct buckets fetched per data query (a count)
+	stageLat      [numStages]stats.Recorder // per-stage time of traced queries
 }
 
 // noteRead records one successfully served disk batch: its wanted pages and
@@ -223,14 +146,10 @@ type Snapshot struct {
 	WriteBatches     int64            `json:"write_batches"`
 	WriteFrames      int64            `json:"write_frames"`
 	Traced           int64            `json:"queries_traced,omitempty"`
-	// Stages holds the per-stage histograms in nanoseconds — the stages are
-	// sub-microsecond on a warm cache, so recording in µs collapsed every
-	// quantile into bin 0 (a flat 0.5). StagesMicros is the same summary
-	// divided down to µs, kept as a derived column for dashboards and older
-	// tooling keyed on "stage_micros".
-	Stages       map[string]QuantileSummary `json:"stage_nanos,omitempty"`
-	StagesMicros map[string]QuantileSummary `json:"stage_micros,omitempty"`
-	Cache        *cache.Stats               `json:"cache,omitempty"`
+	// Stages holds the per-stage histograms of traced queries, in
+	// nanoseconds: the stages are sub-microsecond on a warm cache.
+	Stages map[string]QuantileSummary `json:"stage_nanos,omitempty"`
+	Cache  *cache.Stats               `json:"cache,omitempty"`
 	// Writes reports the store's mutation counters on writable servers
 	// (absent on read-only ones).
 	Writes *store.WriteCounters `json:"writes,omitempty"`
@@ -255,19 +174,16 @@ func (m *Metrics) snapshot(inflight int) Snapshot {
 		PagesRead:        m.pagesRead.Load(),
 		SpansRead:        m.spansRead.Load(),
 		GapPagesRead:     m.gapPagesRead.Load(),
-		LatencyMicros:    m.latency.snapshot(),
-		FetchesPerQry:    m.fetches.snapshot(),
+		LatencyMicros:    summarize(&m.latency, time.Microsecond),
+		FetchesPerQry:    summarize(&m.fetches, 1),
 		WriteBatches:     m.writeBatches.Load(),
 		WriteFrames:      m.writeFrames.Load(),
 		Traced:           m.traced.Load(),
 	}
 	if s.Traced > 0 {
 		s.Stages = make(map[string]QuantileSummary, numStages)
-		s.StagesMicros = make(map[string]QuantileSummary, numStages)
 		for i := range m.stageLat {
-			q := m.stageLat[i].snapshot()
-			s.Stages[stageNames[i]] = q
-			s.StagesMicros[stageNames[i]] = q.scaled(1e-3)
+			s.Stages[stageNames[i]] = summarize(&m.stageLat[i], time.Nanosecond)
 		}
 	}
 	for i, name := range verbNames {
@@ -324,8 +240,6 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(w, "gridserver_queries_traced_total %d\n", s.Traced)
 	if s.Stages != nil {
 		// Iterate stageNames, not the map, for a deterministic exposition.
-		// stage_nanos is the measured histogram; stage_micros is the same
-		// data scaled down, kept for dashboards built against PR 4.
 		for _, name := range stageNames {
 			q, ok := s.Stages[name]
 			if !ok {
@@ -337,8 +251,6 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 			}{{"0.5", q.P50}, {"0.9", q.P90}, {"0.95", q.P95}, {"0.99", q.P99}} {
 				fmt.Fprintf(w, "gridserver_stage_nanos{stage=%q,quantile=%q} %g\n",
 					name, pq.q, pq.v)
-				fmt.Fprintf(w, "gridserver_stage_micros{stage=%q,quantile=%q} %g\n",
-					name, pq.q, pq.v/1e3)
 			}
 			fmt.Fprintf(w, "gridserver_stage_observations_total{stage=%q} %d\n", name, q.Count)
 		}

@@ -3,103 +3,38 @@ package server
 import (
 	"math"
 	"testing"
+	"time"
+
+	"pgridfile/internal/stats"
 )
 
-// TestHistObserveBinning drives observe across the bin edges and checks each
-// value lands where the [2^(i-1), 2^i) bin definition says it must.
+// TestHistObserveBinning checks what the server's histograms make of an
+// observation: each is a stats.Recorder (whose binning stats tests), fed in
+// its own unit and reported in the advertised one — service time in µs with
+// sub-µs resolution, buckets per query as the count itself (exact below 64),
+// and a negative duration (a clock stepping back) as zero rather than a
+// wrapped index.
 func TestHistObserveBinning(t *testing.T) {
-	cases := []struct {
-		v   float64
-		bin int
-	}{
-		{0, 0},
-		{0.25, 0},
-		{0.5, 0},
-		{0.999, 0},
-		{1, 1},
-		{1.5, 1},
-		{2, 2},
-		{3, 2},
-		{4, 3},
-		{7, 3},
-		{8, 4},
-		{math.Exp2(32) - 1, 32},
-		{math.Exp2(32), 33},
-		{math.Exp2(32) + 1, 33},
-		{math.Exp2(62), 63},
-		{math.Exp2(63), 63},     // conversion edge: must clamp, not wrap
-		{math.Exp2(64) * 4, 63}, // far past the top bin
-		{math.MaxFloat64, 63},   // clamped, never undefined behaviour
-		{-5, 0},                 // negatives are floored to 0
-		{math.NaN(), 0},         // NaN is floored to 0
+	m := newMetrics(1)
+	m.latency.Record(1500 * time.Nanosecond)
+	m.fetches.Record(time.Duration(7))
+	s := m.snapshot(0)
+	if got := s.LatencyMicros; got.Count != 1 || math.Abs(got.P50-1.5) > 1.5/64 || got.Max != 1.5 {
+		t.Errorf("1500 ns service time reads %+v, want p50 ≈ 1.5 µs, max 1.5 µs", got)
 	}
-	for _, tc := range cases {
-		var h hist
-		h.observe(tc.v)
-		for i, c := range h.counts {
-			want := int64(0)
-			if i == tc.bin {
-				want = 1
-			}
-			if c != want {
-				t.Errorf("observe(%g): bin %d count = %d, want %d", tc.v, i, c, want)
-			}
-		}
-		if h.total != 1 {
-			t.Errorf("observe(%g): total = %d, want 1", tc.v, h.total)
-		}
+	if got := s.FetchesPerQry; got.P50 != 7 || got.P99 != 7 || got.Max != 7 {
+		t.Errorf("7 buckets fetched reads %+v, want exactly 7", got)
 	}
-}
-
-// TestHistQuantileGeometricMidpoint is the regression test for the lo*1.5
-// midpoint bug: the estimate for bin [lo, 2*lo) must be the geometric
-// midpoint lo*√2, and bin 0 (values in [0,1)) must report 0.5, not collapse
-// to 0.
-func TestHistQuantileGeometricMidpoint(t *testing.T) {
-	cases := []struct {
-		name string
-		obs  []float64
-		p    float64
-		want float64
-	}{
-		{"sub-unit values report 0.5", []float64{0, 0.3, 0.9}, 50, 0.5},
-		{"bin 1 midpoint", []float64{1, 1.2, 1.9}, 50, math.Sqrt2},
-		{"bin 2 midpoint", []float64{2, 3}, 50, 2 * math.Sqrt2},
-		{"bin 3 midpoint", []float64{4, 5, 6, 7}, 50, 4 * math.Sqrt2},
-		{"p99 in top occupied bin", []float64{1, 1, 1, 1000}, 99, 512 * math.Sqrt2},
-		{"huge values clamp to bin 63", []float64{math.Exp2(63)}, 50, math.Exp2(62) * math.Sqrt2},
-	}
-	for _, tc := range cases {
-		var h hist
-		for _, v := range tc.obs {
-			h.observe(v)
-		}
-		if got := h.quantile(tc.p); math.Abs(got-tc.want) > 1e-9*tc.want+1e-12 {
-			t.Errorf("%s: quantile(%g) = %g, want %g", tc.name, tc.p, got, tc.want)
-		}
-	}
-
-	// The estimate must bracket the true value within √2 either way — the
-	// property the old arithmetic midpoint silently broke for the low edge.
-	var h hist
-	for v := 1.0; v < 1e6; v *= 1.7 {
-		h.observe(v)
-		q := h.quantile(100)
-		lo, hi := v/math.Sqrt2, v*math.Sqrt2
-		if q < lo-1e-9 || q > hi+1e-9 {
-			t.Errorf("quantile(100) after observing %g = %g, want within [%g, %g]", v, q, lo, hi)
-		}
-		h = hist{}
+	m.latency.Record(-time.Second)
+	if got := m.snapshot(0).LatencyMicros; got.Count != 2 || got.P50 != 0 || got.Max != 1.5 {
+		t.Errorf("after a negative observation: %+v, want it counted as 0", got)
 	}
 }
 
 func TestHistQuantileEmpty(t *testing.T) {
-	var h hist
-	if got := h.quantile(50); got != 0 {
-		t.Errorf("empty hist quantile = %g, want 0", got)
-	}
-	if s := h.snapshot(); s.Count != 0 || s.P50 != 0 || s.Max != 0 {
-		t.Errorf("empty snapshot = %+v", s)
+	var r stats.Recorder
+	if s := summarize(&r, time.Microsecond); s != (QuantileSummary{}) {
+		t.Errorf("empty histogram summarizes to %+v, want zeros", s)
 	}
 }
 
@@ -111,8 +46,8 @@ func TestSnapshotStageSummaries(t *testing.T) {
 		t.Errorf("untraced snapshot exposes stages: %+v", s)
 	}
 	m.traced.Add(1)
-	m.stageLat[stageTranslate].observe(12)
-	m.stageLat[stagePread].observe(300)
+	m.stageLat[stageTranslate].Record(12)
+	m.stageLat[stagePread].Record(300)
 	s := m.snapshot(0)
 	if s.Traced != 1 {
 		t.Errorf("traced = %d, want 1", s.Traced)
@@ -128,11 +63,8 @@ func TestSnapshotStageSummaries(t *testing.T) {
 	if got := s.Stages["translate"].Count; got != 1 {
 		t.Errorf("translate count = %d, want 1", got)
 	}
-	if got := s.Stages["pread"].P50; math.Abs(got-256*math.Sqrt2) > 1e-9 {
-		t.Errorf("pread p50 = %g, want %g", got, 256*math.Sqrt2)
-	}
-	// The µs view is derived from the ns histogram by scaling.
-	if got := s.StagesMicros["pread"].P50; math.Abs(got-256*math.Sqrt2/1e3) > 1e-12 {
-		t.Errorf("pread micros p50 = %g, want %g", got, 256*math.Sqrt2/1e3)
+	// Stage times are reported in nanoseconds, within the recorder's 1/64.
+	if got := s.Stages["pread"].P50; math.Abs(got-300) > 300.0/64 {
+		t.Errorf("pread p50 = %g ns, want 300 within 1/64", got)
 	}
 }

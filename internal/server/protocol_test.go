@@ -14,12 +14,12 @@ import (
 
 func roundTripRequest(t *testing.T, req Request) Request {
 	t.Helper()
-	f, err := EncodeRequest(req)
+	f, err := encodeRequest(req)
 	if err != nil {
 		t.Fatalf("encode %+v: %v", req, err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
+	if err := writeFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf)
@@ -81,7 +81,7 @@ func TestResultRoundTrips(t *testing.T) {
 		Count:  3,
 		Info:   info,
 	}
-	f, err := EncodeResult(VerbPoints, res)
+	f, err := encodeResult(VerbPoints, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestResultRoundTrips(t *testing.T) {
 		}
 	}
 
-	cf, err := EncodeResult(VerbCount, Result{Count: 42, Info: info})
+	cf, err := encodeResult(VerbCount, Result{Count: 42, Info: info})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestResultRoundTrips(t *testing.T) {
 		if verb == VerbPoints {
 			res.Points = []geom.Point{{1, 2}}
 		}
-		df, err := EncodeResult(verb, res)
+		df, err := encodeResult(verb, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestSnapshotStatsRoundTrip(t *testing.T) {
 	m.traced.Add(5)
 	for i := range m.stageLat {
 		for j := 0; j <= i; j++ {
-			m.stageLat[i].observe(float64(int64(1) << i))
+			m.stageLat[i].Record(time.Duration(1) << i)
 		}
 	}
 	snap := m.snapshot(1)
@@ -181,7 +181,7 @@ func TestSnapshotStatsRoundTrip(t *testing.T) {
 
 	// The wire field names are part of the protocol: the ISSUE-specified
 	// keys must appear verbatim in the STATS JSON.
-	for _, key := range []string{`"rejected"`, `"deadline_exceeded"`, `"queries_traced"`, `"stage_nanos"`, `"stage_micros"`} {
+	for _, key := range []string{`"rejected"`, `"deadline_exceeded"`, `"queries_traced"`, `"stage_nanos"`} {
 		if !bytes.Contains(raw, []byte(key)) {
 			t.Errorf("STATS JSON lacks %s:\n%s", key, raw)
 		}
@@ -192,8 +192,7 @@ func TestSnapshotStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(lean, []byte("stage_micros")) || bytes.Contains(lean, []byte("stage_nanos")) ||
-		bytes.Contains(lean, []byte("queries_traced")) {
+	if bytes.Contains(lean, []byte("stage_nanos")) || bytes.Contains(lean, []byte("queries_traced")) {
 		t.Errorf("untraced STATS JSON carries trace fields:\n%s", lean)
 	}
 }
@@ -209,13 +208,13 @@ func TestDegradedTrailerValidation(t *testing.T) {
 		{Degraded: true, MissedDisks: math.MaxUint16 + 1},
 	}
 	for _, info := range bad {
-		if _, err := EncodeResult(VerbCount, Result{Info: info}); err == nil {
+		if _, err := encodeResult(VerbCount, Result{Info: info}); err == nil {
 			t.Errorf("encoded inconsistent degraded info %+v", info)
 		}
 	}
 
 	// Corrupt the trailer of a well-formed frame byte by byte.
-	f, err := EncodeResult(VerbCount, Result{Count: 7})
+	f, err := encodeResult(VerbCount, Result{Count: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +309,7 @@ func TestMalformedRequests(t *testing.T) {
 
 func mustEncode(t *testing.T, req Request) Frame {
 	t.Helper()
-	// Build the frame by hand for cases EncodeRequest itself would reject.
+	// Build the frame by hand for cases the request encoder itself would reject.
 	if req.Verb == VerbRange && len(req.Query) == 1 && req.Query[0].Hi < req.Query[0].Lo {
 		var w wbuf
 		w.u8(0)
@@ -319,7 +318,7 @@ func mustEncode(t *testing.T, req Request) Frame {
 		w.f64(req.Query[0].Hi)
 		return Frame{Verb: VerbRange, Payload: w.b}
 	}
-	f, err := EncodeRequest(req)
+	f, err := encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +327,7 @@ func mustEncode(t *testing.T, req Request) Frame {
 
 func TestEncodeRejectsOversized(t *testing.T) {
 	big := make([]byte, MaxFrameBytes)
-	if err := WriteFrame(&bytes.Buffer{}, Frame{Verb: VerbStats, Payload: big}); err != ErrFrameTooBig {
+	if err := writeFrame(&bytes.Buffer{}, Frame{Verb: VerbStats, Payload: big}); err != ErrFrameTooBig {
 		t.Errorf("got %v, want ErrFrameTooBig", err)
 	}
 	// A result too large for one frame must be refused at encode time.
@@ -336,7 +335,7 @@ func TestEncodeRejectsOversized(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{1, 2}
 	}
-	if _, err := EncodeResult(VerbPoints, Result{Points: pts}); err == nil {
+	if _, err := encodeResult(VerbPoints, Result{Points: pts}); err == nil {
 		t.Error("oversized result encoded")
 	}
 }

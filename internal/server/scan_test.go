@@ -109,7 +109,7 @@ func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 					branches[rec.Cover(q)]++
 					for i := 0; i < rec.Len(); i++ {
 						if q.ContainsPoint(rec.Row(i)) {
-							want = append(want, rec.At(i))
+							want = append(want, geom.Point(rec.Row(i)))
 						}
 					}
 				}
@@ -152,11 +152,11 @@ func TestOversizedRangeRefusedEarly(t *testing.T) {
 	const records = 72000 // × 16 B per row = 1.1 × MaxFrameBytes
 	s, f := newTestServer(t, records, 4, Config{})
 	dom := f.Domain()
-	rangeReq, err := EncodeRequest(Request{Verb: VerbRange, Query: dom})
+	rangeReq, err := encodeRequest(Request{Verb: VerbRange, Query: dom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	countReq, err := EncodeRequest(Request{Verb: VerbRange, Query: dom, CountOnly: true})
+	countReq, err := encodeRequest(Request{Verb: VerbRange, Query: dom, CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestOversizedRangeRefusedEarly(t *testing.T) {
 	}
 	defer conn.Close()
 	for round := 0; round < 2; round++ { // the second pass is cache-resident
-		if err := WriteFrame(conn, rangeReq); err != nil {
+		if err := writeFrame(conn, rangeReq); err != nil {
 			t.Fatal(err)
 		}
 		fr, err := ReadFrame(conn)
@@ -177,7 +177,7 @@ func TestOversizedRangeRefusedEarly(t *testing.T) {
 		if fr.Verb != VerbError || !strings.Contains(string(fr.Payload), ErrFrameTooBig.Error()) {
 			t.Fatalf("whole-domain range answered verb 0x%02x %q, want the frame-too-big error", uint8(fr.Verb), fr.Payload)
 		}
-		if err := WriteFrame(conn, countReq); err != nil {
+		if err := writeFrame(conn, countReq); err != nil {
 			t.Fatal(err)
 		}
 		if fr, err = ReadFrame(conn); err != nil {

@@ -13,7 +13,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	rtrace "runtime/trace"
 	"sync"
 	"time"
@@ -147,30 +146,20 @@ func (s *Server) serveOne(disk int, req fetchReq) {
 	req.resp <- fetchResp{ids: req.ids, idxs: req.idxs, recs: recs, disk: disk, pages: pages, err: err}
 }
 
-// fetchBatch runs one disk batch with the per-attempt deadline and the
-// bounded retry/backoff policy. Only transient failures are retried:
-// injected faults (including torn reads, which wrap fault.ErrInjected) and
-// per-attempt timeouts. Checksum mismatches are deliberately NOT retried
+// fetchBatch runs one disk batch with the bounded retry/backoff policy. Only
+// transient failures are retried: injected faults (including torn reads,
+// which wrap fault.ErrInjected). Checksum mismatches are deliberately NOT retried
 // here — rereading the same corrupt copy returns the same bytes — but they
 // are transient to the gather loop, which fails them over to a surviving
 // replica. Structural corruption or unknown buckets fail immediately, and
 // an expired query stops retrying at once.
 func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trace, tm *store.Timing) ([]geom.Flat, int, error) {
 	for attempt := 1; ; attempt++ {
-		actx, cancel := ctx, context.CancelFunc(nil)
-		if s.cfg.FetchTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, s.cfg.FetchTimeout)
-		}
-		recs, pages, err := s.readBatch(actx, disk, ids, tm)
-		if cancel != nil {
-			cancel()
-		}
+		recs, pages, err := s.readBatch(ctx, disk, ids, tm)
 		if err == nil {
 			return recs, pages, nil
 		}
-		transient := fault.IsInjected(err) ||
-			(s.cfg.FetchTimeout > 0 && errors.Is(err, context.DeadlineExceeded))
-		if !transient || attempt > s.cfg.FetchRetries || ctx.Err() != nil {
+		if !fault.IsInjected(err) || attempt > s.cfg.FetchRetries || ctx.Err() != nil {
 			return nil, 0, err
 		}
 		s.met.diskRetries.Add(1)

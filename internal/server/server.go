@@ -70,12 +70,8 @@ type Config struct {
 	// the admin verb always works; injection costs one atomic load until a
 	// rule is armed.
 	Faults *fault.Registry
-	// FetchTimeout bounds one disk-batch read attempt, so a stalled disk
-	// is abandoned (and possibly retried) instead of holding the query to
-	// its full deadline. 0 disables the per-attempt bound.
-	FetchTimeout time.Duration
 	// FetchRetries is how many times a failed disk batch is retried when
-	// the failure is transient (injected faults, per-attempt timeouts).
+	// the failure is transient (an injected fault).
 	// Default 2; -1 disables retries.
 	FetchRetries int
 	// FetchBackoff is the base of the exponential full-jitter backoff
@@ -1000,8 +996,8 @@ func (s *Server) serveFrame(buf []byte, f Frame, id uint32, tagged bool) []byte 
 	if res.Info.Degraded {
 		s.met.degraded.Add(1)
 	}
-	s.met.latency.observe(float64(res.Info.Elapsed.Microseconds()))
-	s.met.fetches.observe(float64(res.Info.Buckets))
+	s.met.latency.Record(res.Info.Elapsed)
+	s.met.fetches.Record(time.Duration(res.Info.Buckets))
 
 	// Row payloads were encoded during the scan; all that is left is the
 	// count back-patch and the info trailer.
@@ -1427,8 +1423,8 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 }
 
 // transientErr reports whether a fetch failure is recoverable by reading
-// elsewhere — injected, a per-attempt fetch timeout, or a detected page
-// checksum mismatch, with the query itself still live — and thus a
+// elsewhere — injected, or a detected page checksum mismatch, with the
+// query itself still live — and thus a
 // candidate for replica failover or degraded absorption. A checksum
 // failure is corruption of ONE copy, not of the bucket: a surviving
 // replica (or the scrubber's repair) still holds the records, which is
@@ -1438,8 +1434,7 @@ func (s *Server) transientErr(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	return fault.IsInjected(err) || store.IsChecksum(err) ||
-		(s.cfg.FetchTimeout > 0 && errors.Is(err, context.DeadlineExceeded))
+	return fault.IsInjected(err) || store.IsChecksum(err)
 }
 
 // degradable reports whether a fetch error may be absorbed into a partial

@@ -394,7 +394,7 @@ func TestServerRejectsMalformedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	if err := WriteFrame(conn2, Frame{Verb: VerbPoint, Payload: []byte{0xDE, 0xAD}}); err != nil {
+	if err := writeFrame(conn2, Frame{Verb: VerbPoint, Payload: []byte{0xDE, 0xAD}}); err != nil {
 		t.Fatal(err)
 	}
 	fr, err = ReadFrame(conn2)

@@ -153,9 +153,7 @@ func (s *Server) finishTrace(t *Trace, verb Verb, elapsed time.Duration, info Qu
 	}
 	s.met.traced.Add(1)
 	for i := range t.stages {
-		// Raw nanoseconds: most stages are sub-µs on a warm cache, and a µs
-		// histogram would clamp them all into bin 0 (every quantile 0.5).
-		s.met.stageLat[i].observe(float64(t.stages[i].Load()))
+		s.met.stageLat[i].Record(time.Duration(t.stages[i].Load()))
 	}
 	if s.cfg.TraceSlowLog && elapsed >= s.cfg.TraceSlow {
 		var b strings.Builder

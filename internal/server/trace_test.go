@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,9 +107,9 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 	// Stage sums must explain the measured latency. The step clock drives
 	// both sides, so the untraced slack between stages is a handful of clock
-	// reads and the remaining error is log2-bin quantile rounding (√2 on
-	// each side): sum of stage p50s within 2x of the end-to-end p50. Disk
-	// stages overlap across spindles, so the sum may also exceed elapsed.
+	// reads and the histograms resolve 1/64: the sum of stage p50s explains
+	// at least half of the end-to-end p50. Disk stages overlap across
+	// spindles, so the sum may also exceed elapsed.
 	sum := 0.0
 	for _, name := range stageNames {
 		sum += snap.Stages[name].P50 / 1e3 // stage histograms are ns
@@ -118,22 +117,9 @@ func TestTracingEndToEnd(t *testing.T) {
 	if p50 := snap.LatencyMicros.P50; sum < p50/2 {
 		t.Errorf("stage p50 sum %.1fµs explains less than half of end-to-end p50 %.1fµs", sum, p50)
 	}
-	// The derived µs view must be the ns view scaled, not a second histogram
-	// that could drift. Compare with a 1-ulp tolerance: ×1e-3 and ÷1e3
-	// round differently.
-	sameScaled := func(us, ns float64) bool {
-		return math.Abs(us-ns/1e3) <= 1e-12*math.Abs(us)
-	}
-	for _, name := range stageNames {
-		ns, us := snap.Stages[name], snap.StagesMicros[name]
-		if us.Count != ns.Count || !sameScaled(us.P50, ns.P50) || !sameScaled(us.Max, ns.Max) {
-			t.Errorf("stage %q micros view %+v is not nanos %+v / 1e3", name, us, ns)
-		}
-	}
-	// Nanosecond resolution is the point of the change: with a µs histogram
-	// every sub-µs stage collapsed into bin 0 and reported a flat 0.5. The
-	// cheap always-run stages (translate, encode) must now resolve to
-	// something a real clock could produce — at least tens of ns.
+	// The stage histograms are in nanoseconds so that the cheap always-run
+	// stages (translate, encode), sub-µs on a warm cache, resolve to
+	// something a real clock could produce.
 	for _, name := range []string{"translate", "encode"} {
 		if p50 := snap.Stages[name].P50; p50 < 1 {
 			t.Errorf("stage %q p50 = %gns: ns histograms should resolve sub-µs stages", name, p50)

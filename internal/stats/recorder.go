@@ -1,19 +1,20 @@
-package loadgen
+package stats
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// The latency recorder is HDR-histogram shaped: log-linear buckets with
-// subBits sub-buckets per power of two, so every recorded value is resolved
-// to within 1/2^subBits ≈ 1.6% relative error across the full range from
-// 1ns to hours. That resolution is what the server's log2 `hist` (factor-√2
-// error, and a flat 0.5 for anything below the unit) cannot deliver, and
-// tail quantiles like p999 need it. Recording is one atomic add — safe for
-// the many concurrent in-flight goroutines an open-loop run spawns — and
-// costs no allocation.
+// The recorder is HDR-histogram shaped: log-linear buckets with subBits
+// sub-buckets per power of two, so every recorded value is resolved to within
+// 1/2^subBits ≈ 1.6% relative error across the full range (values below 64
+// exactly), which tail quantiles like p999 need. Recording is a few atomic
+// adds and no allocation — safe for the many in-flight goroutines of an
+// open-loop run and for every worker of a server at once. It is the one
+// histogram of the load harness (internal/loadgen) and of the server's
+// metrics; latencies go in as nanoseconds, counts as themselves.
 const (
 	subBits    = 6
 	subBuckets = 1 << subBits // 64
@@ -22,16 +23,14 @@ const (
 	numBuckets = (63 - subBits + 1) * subBuckets
 )
 
-// Recorder is a concurrent log-linear latency histogram.
+// Recorder is a concurrent log-linear histogram of non-negative values. The
+// zero value is empty and ready to use; it must not be copied after first use.
 type Recorder struct {
 	counts [numBuckets]atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
 }
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return new(Recorder) }
 
 // bucketOf maps a non-negative nanosecond value to its bucket index.
 func bucketOf(v int64) int {
@@ -76,21 +75,16 @@ func (r *Recorder) Record(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (r *Recorder) Count() int64 { return r.count.Load() }
-
-// Quantile estimates the p-th percentile (0 < p ≤ 100). The estimate is the
-// midpoint of the bucket holding the target rank — within ~1.6% of the true
-// value for anything over 64ns.
-func (r *Recorder) Quantile(p float64) time.Duration {
+// percentile estimates the p-th percentile (0 < p ≤ 100) as the midpoint of
+// the bucket holding the target rank. It is unexported because a fraction
+// passed by mistake (0.99 for p99) silently reads the minimum; callers take
+// the named percentiles of Summary.
+func (r *Recorder) percentile(p float64) time.Duration {
 	total := r.count.Load()
 	if total == 0 {
 		return 0
 	}
-	target := int64(p / 100 * float64(total))
-	if target < 1 {
-		target = 1
-	}
+	target := max(int64(math.Ceil(p/100*float64(total))), 1) // nearest rank
 	var cum int64
 	for i := range r.counts {
 		c := r.counts[i].Load()
@@ -105,12 +99,12 @@ func (r *Recorder) Quantile(p float64) time.Duration {
 	return time.Duration(r.max.Load())
 }
 
-// LatencySummary reports an open-loop run's latency distribution, measured
-// from intended send times.
+// LatencySummary reports a recorder's distribution.
 type LatencySummary struct {
 	Count int64         `json:"count"`
 	Mean  time.Duration `json:"mean_ns"`
 	P50   time.Duration `json:"p50_ns"`
+	P90   time.Duration `json:"p90_ns"`
 	P95   time.Duration `json:"p95_ns"`
 	P99   time.Duration `json:"p99_ns"`
 	P999  time.Duration `json:"p999_ns"`
@@ -122,10 +116,11 @@ type LatencySummary struct {
 func (r *Recorder) Summary() LatencySummary {
 	s := LatencySummary{
 		Count: r.count.Load(),
-		P50:   r.Quantile(50),
-		P95:   r.Quantile(95),
-		P99:   r.Quantile(99),
-		P999:  r.Quantile(99.9),
+		P50:   r.percentile(50),
+		P90:   r.percentile(90),
+		P95:   r.percentile(95),
+		P99:   r.percentile(99),
+		P999:  r.percentile(99.9),
 		Max:   time.Duration(r.max.Load()),
 	}
 	if s.Count > 0 {

@@ -1,82 +1,14 @@
-// Package stats provides the small numeric and presentation helpers shared
-// by the experiment drivers: summary statistics, text histograms (for the
-// Figure 5 dataset-distribution views) and fixed-width tables rendered in
-// the style of the paper's tables.
+// Package stats provides the presentation helpers shared by the experiment
+// drivers — text histograms (for the Figure 5 dataset-distribution views)
+// and fixed-width tables rendered in the style of the paper's tables — and
+// the latency Recorder that the load harness and the server's metrics both
+// record into. It imports nothing from this module.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation, or 0 for fewer than two
-// samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using the
-// nearest-rank method on a sorted copy; p is clamped into [0,100] and an
-// empty slice yields 0. The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// MinMax returns the extrema, or (0,0) for an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
 
 // Histogram counts samples into equal-width bins over [lo, hi]; samples
 // outside the range are clamped into the edge bins.
@@ -154,9 +86,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // CSV renders the table as RFC-4180 CSV with the title as a comment line,
 // for machine consumption (plotting the figures, diffing runs).

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -88,6 +89,41 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 			if _, err := s.ReadFlatsFromTimed(ctx, d, []int32{v.ID}, one, nil); err == nil || !strings.Contains(err.Error(), "no copy on disk") {
 				t.Fatalf("bucket %d read from non-owner disk %d: err=%v", v.ID, d, err)
 			}
+		}
+	}
+
+	// r=1: every tool lays out through Placer.Place and WriteReplicated, and
+	// Write stays for callers holding a bare allocation. The two routes must
+	// leave the same directory, byte for byte: manifest, grid file and every
+	// disk file.
+	viaPlacer, f, rm := buildReplicatedLayout(t, disks, 1)
+	alloc := core.Allocation{Disks: disks, Assign: make([]int, len(rm.Owners))}
+	for i, own := range rm.Owners {
+		alloc.Assign[i] = own[0]
+	}
+	direct := t.TempDir()
+	if _, err := Write(direct, f, alloc, 4096); err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadDir(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if others, err := os.ReadDir(viaPlacer); err != nil || len(others) != len(names) || len(names) != disks+2 {
+		t.Fatalf("Write left %d files, Place+WriteReplicated %d (%v), want manifest, grid file and %d disk files",
+			len(names), len(others), err, disks)
+	}
+	for _, e := range names {
+		a, err := os.ReadFile(filepath.Join(direct, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(viaPlacer, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between Write and Place+WriteReplicated at r=1", e.Name())
 		}
 	}
 }

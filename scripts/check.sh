@@ -14,7 +14,11 @@
 #                  TestDefaultMatrixMatchesCommittedBaseline). So are the
 #                  count budgets that need no quiet machine: the pruned
 #                  declustering sweeps' kernel evaluations (internal/core
-#                  TestPrunedWorkBudget)
+#                  TestPrunedWorkBudget). And the guard that keeps internal/*
+#                  cut to what is read: the root package's
+#                  TestNoTestOnlyExports fails on an exported func or method
+#                  that only tests call (allow-list with reasons in
+#                  exports_test.go)
 #   5. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
 #                  (FuzzRead), layout manifests (FuzzManifest) and the
