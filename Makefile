@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race check fmt vet fuzz bench loc clean
+.PHONY: all build test race check fmt vet fuzz bench loc golden clean
 
 all: build
 
@@ -50,6 +50,13 @@ loc:
 	    "$$($(GO) doc ./internal/server $$t | grep -c '^	[A-Z][A-Za-z0-9]* ')" $$t; \
 	done
 	@wc -l scripts/*.sh
+
+# The reproduction's golden: every experiment's tables at the scale the tests
+# run (internal/experiments testOptions), as gridbench prints them.
+# TestRunAllExperimentsProduceTables compares bytes; on a clean tree this
+# leaves `git status` empty, and after a change its diff is what moved.
+golden:
+	$(GO) run ./cmd/gridbench -exp all -seed 7 -queries 80 -scale 0.08 -disks 4,16,32 > internal/experiments/testdata/results_test_scale.txt
 
 clean:
 	$(GO) clean ./...

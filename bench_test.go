@@ -203,42 +203,8 @@ func BenchmarkRTreeDeclustering(b *testing.B) {
 	b.ReportMetric(lastValue(b, rt, "CentroidCurve(hilbert)"), "CentroidCurve-rt@32disks")
 }
 
-func BenchmarkAblationSplitPolicy(b *testing.B) {
-	tables := runExperiment(b, "ablation-split")
-	lines := strings.Split(tables[0].Render(), "\n")
-	parseRT := func(line string) float64 {
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			b.Fatalf("bad row %q", line)
-		}
-		return v
-	}
-	b.ReportMetric(parseRT(lines[3]), "largest-extent-rt@16")
-	b.ReportMetric(parseRT(lines[4]), "cyclic-rt@16")
-}
-
 func BenchmarkOptimalityGap(b *testing.B) {
 	runExperiment(b, "optimality")
-}
-
-func BenchmarkDiskUtilization(b *testing.B) {
-	tables := runExperiment(b, "utilization")
-	lines := strings.Split(tables[0].Render(), "\n")
-	// Last data row is MiniMax; column 1 is mean active disks.
-	last := strings.Fields(lines[len(lines)-2])
-	v, err := strconv.ParseFloat(last[1], 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(v, "MiniMax-active-disks@16")
-}
-
-func BenchmarkQuadtreeDeclustering(b *testing.B) {
-	tables := runExperiment(b, "quadtree")
-	rt := tables[0]
-	b.ReportMetric(lastValue(b, rt, "MiniMax"), "MiniMax-rt@32disks")
-	b.ReportMetric(lastValue(b, rt, "CentroidCurve(hilbert)"), "CentroidCurve-rt@32disks")
 }
 
 func BenchmarkTraceWorkload(b *testing.B) {

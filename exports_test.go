@@ -36,8 +36,6 @@ var testOnlyExports = map[string]string{
 	"internal/campaign.Compare":                 "the baseline gate test names every counter that moved with it",
 	"internal/parallel.(*Engine).RunConcurrent": "the SPMD engine's only concurrent entry; its accounting test is what runs the workers under -race",
 	"internal/sim.(Result).Percentile":          "tail of the per-query response times; the test ranking MST below minimax by p95 reads it",
-	"internal/quadtree.(*Tree).Depth":           "probe of the duplicate-point depth guard test; printed by the package Example",
-	"internal/quadtree.(*Tree).NonEmptyLeaves":  "probe of the full-scan test; printed by the package Example",
 	"internal/rtree.(*Tree).Height":             "probe of the STR bulk-load tiling test; printed by the package Example",
 }
 

@@ -2,10 +2,7 @@
 // evaluation (and the ablations listed in DESIGN.md) as programmatic
 // drivers. Each driver returns text tables in the style of the paper; the
 // cmd/gridbench binary and the repository's bench_test.go both dispatch
-// through Run.
-//
-// Experiment ids: fig2 fig3 fig4 tab1 thm1 thm2 fig5 fig6 tab2 tab3 fig7
-// tab4 tab5 ablation-sfc ablation-mst ablation-weight.
+// through Run. `gridbench -list` prints the experiment ids.
 package experiments
 
 import (
@@ -15,6 +12,7 @@ import (
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
 	"pgridfile/internal/synth"
 )
@@ -30,7 +28,8 @@ type Options struct {
 	// The experiment shapes are stable down to about 0.1, which the
 	// benchmarks use to keep iterations fast.
 	Scale float64
-	// Disks lists the disk counts swept; default is the paper's 4..32.
+	// Disks lists the disk counts swept, in any order (tables run
+	// ascending); default is the paper's 4..32.
 	Disks []int
 }
 
@@ -52,6 +51,10 @@ func (o Options) normalize() Options {
 	if len(o.Disks) == 0 {
 		o.Disks = evens(4, 32)
 	}
+	// One ascending copy: every driver's columns and fmtDisks' header both
+	// follow it.
+	o.Disks = append([]int(nil), o.Disks...)
+	sort.Ints(o.Disks)
 	return o
 }
 
@@ -65,27 +68,27 @@ func (o Options) scaled(n int) int {
 }
 
 // built is a dataset loaded into a grid file plus its declustering view.
+// src answers the range queries of a replay: the grid file, or (rtree) the
+// tree whose leaves grid holds, in which case file is nil. nn is each
+// bucket's nearest companion, filled by the first closest-pairs table.
 type built struct {
 	ds        *synth.Dataset
 	file      *gridfile.File
+	src       sim.Source
 	grid      core.Grid
 	indexByID []int
+	nn        []int
 }
 
 // Lab memoizes datasets and grid files across the experiments of one run.
 type Lab struct {
-	opts   Options
-	cache  map[string]*built
-	nnMemo map[string][]int
+	opts  Options
+	cache map[string]*built
 }
 
 // NewLab creates a lab with the given options.
 func NewLab(opts Options) *Lab {
-	return &Lab{
-		opts:   opts.normalize(),
-		cache:  map[string]*built{},
-		nnMemo: map[string][]int{},
-	}
+	return &Lab{opts: opts.normalize(), cache: map[string]*built{}}
 }
 
 // Options returns the lab's normalized options.
@@ -140,97 +143,70 @@ func (l *Lab) dataset(name string) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &built{ds: ds, file: f, grid: core.FromGridFile(f), indexByID: f.IndexByID()}
+	b := &built{ds: ds, file: f, src: f, grid: core.FromGridFile(f), indexByID: f.IndexByID()}
 	l.cache[name] = b
 	return b, nil
 }
 
+// experimentTable is every experiment in presentation order: the id
+// gridbench takes and the driver it runs. Run and ListExperiments read
+// nothing else.
+var experimentTable = []struct {
+	id  string
+	run func(*Lab) ([]*stats.Table, error)
+}{
+	{"fig2", (*Lab).Figure2},
+	{"fig3", (*Lab).Figure3},
+	{"fig4", (*Lab).Figure4},
+	{"tab1", (*Lab).Table1},
+	{"thm1", (*Lab).Theorem1},
+	{"thm1-kd", (*Lab).TheoremKD},
+	{"thm2", (*Lab).Theorem2},
+	{"hcam-scaling", (*Lab).HCAMScaling},
+	{"fig5", (*Lab).Figure5},
+	{"fig6", (*Lab).Figure6},
+	{"tab2", (*Lab).Table2},
+	{"tab3", (*Lab).Table3},
+	{"fig7", (*Lab).Figure7},
+	{"tab4", (*Lab).Table4},
+	{"tab5", (*Lab).Table5},
+	{"tab6", (*Lab).Table6},
+	{"pm", (*Lab).PartialMatch},
+	{"trace", (*Lab).Trace},
+	{"rtree", (*Lab).RTree},
+	{"optimality", (*Lab).Optimality},
+	{"ablation-sfc", (*Lab).AblationCurves},
+	{"ablation-mst", (*Lab).AblationMinimaxVsMST},
+	{"ablation-weight", (*Lab).AblationEdgeWeight},
+	{"ablation-gdm", (*Lab).AblationGDM},
+	{"ablation-refine", (*Lab).AblationRefine},
+	{"ablation-seqio", (*Lab).AblationSeqIO},
+	{"dirio", (*Lab).DirIO},
+}
+
 // Run dispatches an experiment by id.
 func (l *Lab) Run(id string) ([]*stats.Table, error) {
-	switch id {
-	case "fig2":
-		return l.Figure2()
-	case "fig3":
-		return l.Figure3()
-	case "fig4":
-		return l.Figure4()
-	case "tab1":
-		return l.Table1()
-	case "thm1":
-		return l.Theorem1()
-	case "thm2":
-		return l.Theorem2()
-	case "hcam-scaling":
-		return l.HCAMScaling()
-	case "fig5":
-		return l.Figure5()
-	case "fig6":
-		return l.Figure6()
-	case "tab2":
-		return l.Table2()
-	case "tab3":
-		return l.Table3()
-	case "fig7":
-		return l.Figure7()
-	case "tab4":
-		return l.Table4()
-	case "tab5":
-		return l.Table5()
-	case "pm":
-		return l.PartialMatch()
-	case "thm1-kd":
-		return l.TheoremKD()
-	case "tab6":
-		return l.Table6()
-	case "trace":
-		return l.Trace()
-	case "rtree":
-		return l.RTree()
-	case "quadtree":
-		return l.Quadtree()
-	case "utilization":
-		return l.Utilization()
-	case "optimality":
-		return l.Optimality()
-	case "ablation-sfc":
-		return l.AblationCurves()
-	case "ablation-mst":
-		return l.AblationMinimaxVsMST()
-	case "ablation-weight":
-		return l.AblationEdgeWeight()
-	case "ablation-gdm":
-		return l.AblationGDM()
-	case "ablation-refine":
-		return l.AblationRefine()
-	case "ablation-seqio":
-		return l.AblationSeqIO()
-	case "ablation-split":
-		return l.AblationSplit()
-	case "dirio":
-		return l.DirIO()
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (see ListExperiments)", id)
+	for _, e := range experimentTable {
+		if e.id == id {
+			return e.run(l)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (see ListExperiments)", id)
 }
 
 // ListExperiments returns the experiment ids in presentation order.
 func ListExperiments() []string {
-	return []string{
-		"fig2", "fig3", "fig4", "tab1", "thm1", "thm1-kd", "thm2",
-		"hcam-scaling", "fig5",
-		"fig6", "tab2", "tab3", "fig7", "tab4", "tab5", "tab6", "pm", "trace",
-		"rtree", "quadtree", "utilization", "optimality",
-		"ablation-sfc", "ablation-mst", "ablation-weight", "ablation-gdm",
-		"ablation-refine", "ablation-seqio", "ablation-split", "dirio",
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
 	}
+	return ids
 }
 
-// fmtDisks renders a disks column header list in ascending order.
+// fmtDisks renders the disk sweep as column headers.
 func fmtDisks(disks []int) []string {
-	sorted := append([]int(nil), disks...)
-	sort.Ints(sorted)
-	out := make([]string, len(sorted))
-	for i, m := range sorted {
+	out := make([]string, len(disks))
+	for i, m := range disks {
 		out[i] = fmt.Sprintf("%d", m)
 	}
 	return out

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,11 +16,21 @@ func testOptions() Options {
 	return Options{Seed: 7, Queries: 80, Scale: 0.08, Disks: []int{4, 16, 32}}
 }
 
+// goldenFile is what `gridbench -exp all` prints at testOptions, committed
+// byte for byte; `make golden` regenerates it with that command line.
+const goldenFile = "testdata/results_test_scale.txt"
+
+// TestRunAllExperimentsProduceTables is the reproduction's gate: every
+// experiment, run in listing order on one lab as gridbench does, prints
+// exactly the committed bytes. A change that moves any digit of any table
+// fails here and names the first line that differs; one that means to runs
+// `make golden` and shows the diff.
 func TestRunAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
 	lab := NewLab(testOptions())
+	var got strings.Builder
 	for _, id := range ListExperiments() {
 		ts, err := lab.Run(id)
 		if err != nil {
@@ -29,12 +40,34 @@ func TestRunAllExperimentsProduceTables(t *testing.T) {
 			t.Fatalf("%s: no tables", id)
 		}
 		for _, tb := range ts {
+			out := tb.Render()
 			// Title, header and rule are three lines; rows come after.
-			if strings.Count(tb.Render(), "\n") <= 3 {
+			if strings.Count(out, "\n") <= 3 {
 				t.Errorf("%s: empty table %q", id, tb.Title)
 			}
+			got.WriteString(out + "\n") // gridbench Printlns each table
 		}
 	}
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return strconv.Quote(lines[i])
+		}
+		return "end of output"
+	}
+	t.Fatalf("output differs from %s at line %d (`make golden` regenerates it)\n got: %s\nwant: %s",
+		goldenFile, i+1, line(gotLines), line(wantLines))
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -52,6 +85,28 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 	if o.Disks[0] != 4 || o.Disks[len(o.Disks)-1] != 32 {
 		t.Errorf("disk sweep = %v", o.Disks)
+	}
+
+	// Disks given out of order: the header and every driver's columns follow
+	// one ascending sweep, so the table is the in-order one, and the caller's
+	// slice is left as it was.
+	given := []int{32, 4}
+	opts := testOptions()
+	opts.Disks = given
+	unordered, err := NewLab(opts).Run("tab1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Disks = []int{4, 32}
+	ordered, err := NewLab(opts).Run("tab1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := unordered[0].Render(), ordered[0].Render(); got != want {
+		t.Errorf("-disks 32,4 prints\n%s\nwant the -disks 4,32 table\n%s", got, want)
+	}
+	if given[0] != 32 || given[1] != 4 {
+		t.Errorf("caller's Disks reordered: %v", given)
 	}
 }
 
@@ -371,6 +426,51 @@ func TestAblationGDMDeSaturates(t *testing.T) {
 	last := len(dm) - 1
 	if gdm[last] > dm[last] {
 		t.Errorf("GDM %.3f above DM %.3f at the largest disk count", gdm[last], dm[last])
+	}
+}
+
+// TestAblationsA1toA3Shapes holds the conclusions EXPERIMENTS.md draws from
+// ablation-sfc, ablation-mst and ablation-weight. Summed over the disk sweep
+// (single disk counts wobble either way, at full scale too), Hilbert is the
+// best linearization and the proximity index no worse an edge weight than
+// Euclidean distance, in response time and in co-located closest pairs; at
+// every disk count MST is less balanced than minimax and no faster.
+func TestAblationsA1toA3Shapes(t *testing.T) {
+	lab := NewLab(testOptions())
+	run := func(id string) []*stats.Table {
+		ts, err := lab.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	sweepSum := func(tb *stats.Table, label string) (total float64) {
+		for _, v := range parseSeries(t, tb, label) {
+			total += v
+		}
+		return total
+	}
+	sfc, weight, mst := run("ablation-sfc"), run("ablation-weight"), run("ablation-mst")
+	for _, c := range []struct {
+		tb            *stats.Table
+		better, worse string
+	}{
+		{sfc[0], "HCAM/D", "ZCAM/D"},
+		{sfc[0], "HCAM/D", "GrayCAM/D"},
+		{weight[0], "MiniMax", "MiniMax(euclid)"},
+		{weight[1], "MiniMax", "MiniMax(euclid)"},
+	} {
+		if b, w := sweepSum(c.tb, c.better), sweepSum(c.tb, c.worse); b > w {
+			t.Errorf("%s: %s sums to %.2f over the sweep, above %s at %.2f", c.tb.Title, c.better, b, c.worse, w)
+		}
+	}
+	mmRT, mstRT := parseSeries(t, mst[0], "MiniMax"), parseSeries(t, mst[0], "MST")
+	mmBal, mstBal := parseSeries(t, mst[1], "MiniMax"), parseSeries(t, mst[1], "MST")
+	for i := range mmRT {
+		if mstRT[i] < mmRT[i] || mstBal[i] <= mmBal[i] {
+			t.Errorf("disks idx %d: MST response %.2f, balance %.2f against minimax %.2f, %.2f",
+				i, mstRT[i], mstBal[i], mmRT[i], mmBal[i])
+		}
 	}
 }
 

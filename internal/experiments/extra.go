@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"math"
 
+	"pgridfile/internal/analytic"
 	"pgridfile/internal/core"
 	"pgridfile/internal/diskmodel"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/parallel"
-	"pgridfile/internal/quadtree"
 	"pgridfile/internal/rtree"
-	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
-	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
 
@@ -44,19 +42,12 @@ func (l *Lab) PartialMatch() ([]*stats.Table, error) {
 			}
 			queries[i] = q
 		}
-		t := stats.NewTable(
+		t, err := l.responseTable(
 			fmt.Sprintf("Partial match — one unspecified attribute on %s (mean response time in buckets)", name),
-			append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-		var optimal []float64
-		for _, alg := range core.Figure6Lineup(l.opts.Seed) {
-			rts, opts, err := l.meanResponseRow(b, alg, queries)
-			if err != nil {
-				return nil, err
-			}
-			addSeriesRow(t, alg.Name(), rts)
-			optimal = opts
+			"method", b, core.Figure6Lineup(l.opts.Seed), queries)
+		if err != nil {
+			return nil, err
 		}
-		addSeriesRow(t, "optimal", optimal)
 		out = append(out, t)
 	}
 	return out, nil
@@ -72,24 +63,16 @@ func (l *Lab) AblationGDM() ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	queries := l.queriesFor(b.grid.Domain, 0.05)
-	t := stats.NewTable(
-		"Ablation A4 — DM vs generalized DM (golden-ratio coefficients) on uniform.2d (r=0.05)",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	var optimal []float64
-	for _, scheme := range []string{"DM", "GDM"} {
-		alg, err := core.NewIndexBased(scheme, "D", l.opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rts, opts, err := l.meanResponseRow(b, alg, queries)
-		if err != nil {
-			return nil, err
-		}
-		addSeriesRow(t, alg.Name(), rts)
-		optimal = opts
+	algs, err := l.indexBased("DM", "GDM")
+	if err != nil {
+		return nil, err
 	}
-	addSeriesRow(t, "optimal", optimal)
+	t, err := l.responseTable(
+		"Ablation A4 — DM vs generalized DM (golden-ratio coefficients) on uniform.2d (r=0.05)",
+		"method", b, algs, l.queriesFor(b.grid.Domain, 0.05))
+	if err != nil {
+		return nil, err
+	}
 	return []*stats.Table{t}, nil
 }
 
@@ -214,45 +197,29 @@ func (l *Lab) RTree() ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := core.Grid{Sizes: ones(tr.Dims()), Domain: tr.Domain(), Buckets: tr.Leaves()}
-	queries := l.queriesFor(tr.Domain(), 0.01)
-	nn := sim.NearestCompanions(g, nil)
-
+	leaves := &built{
+		ds:        b.ds,
+		src:       tr,
+		grid:      core.Grid{Sizes: ones(tr.Dims()), Domain: tr.Domain(), Buckets: tr.Leaves()},
+		indexByID: tr.IndexByID(),
+	}
 	algs := []core.Allocator{
 		&core.CentroidCurve{},
 		&core.SSP{Seed: l.opts.Seed},
 		&core.Minimax{Seed: l.opts.Seed},
 	}
-	rt := stats.NewTable(
+	rt, err := l.responseTable(
 		fmt.Sprintf("R-tree (extension) — declustering %d STR leaf pages of stock.3d (r=0.01): mean response time", tr.NumLeaves()),
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	cp := stats.NewTable(
-		"R-tree (extension) — closest leaf pairs on the same disk",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	var optimal []float64
-	for _, alg := range algs {
-		rts := make([]float64, len(l.opts.Disks))
-		opts := make([]float64, len(l.opts.Disks))
-		pairs := make([]any, 0, len(l.opts.Disks)+1)
-		pairs = append(pairs, alg.Name())
-		for i, m := range l.opts.Disks {
-			alloc, err := alg.Decluster(g, m)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.ReplaySource(tr, alloc, tr.IndexByID(), queries)
-			if err != nil {
-				return nil, err
-			}
-			rts[i] = res.MeanResponseTime
-			opts[i] = res.MeanOptimal
-			pairs = append(pairs, sim.CountSameDisk(nn, alloc))
-		}
-		addSeriesRow(rt, alg.Name(), rts)
-		cp.AddRow(pairs...)
-		optimal = opts
+		"method", leaves, algs, l.queriesFor(tr.Domain(), 0.01))
+	if err != nil {
+		return nil, err
 	}
-	addSeriesRow(rt, "optimal", optimal)
+	cp, err := l.closestPairsTable(
+		"R-tree (extension) — closest leaf pairs on the same disk",
+		leaves, algs)
+	if err != nil {
+		return nil, err
+	}
 	return []*stats.Table{rt, cp}, nil
 }
 
@@ -262,51 +229,6 @@ func ones(n int) []int {
 		out[i] = 1
 	}
 	return out
-}
-
-// AblationSplit (experiment id "ablation-split") compares the grid file's
-// split-dimension policies on the skewed correl.2d dataset: the default
-// largest-extent policy against the literature's simple cyclic rotation.
-// Structure statistics and minimax response time are reported for both;
-// the correlated diagonal punishes cyclic splitting with more elongated
-// cells and a larger directory.
-func (l *Lab) AblationSplit() ([]*stats.Table, error) {
-	ds := synth.Correl2D(l.opts.scaled(10000), l.opts.Seed+2)
-	t := stats.NewTable(
-		"Ablation A7 — grid-file split policy on correl.2d",
-		"policy", "cells", "buckets", "merged", "minimax rt@16 (r=0.05)")
-	for _, pol := range []struct {
-		name string
-		p    gridfile.SplitPolicy
-	}{
-		{"largest-extent", gridfile.SplitLargestExtent},
-		{"cyclic", gridfile.SplitCyclic},
-	} {
-		f, err := gridfile.New(gridfile.Config{
-			Dims:           2,
-			Domain:         ds.Domain,
-			BucketCapacity: ds.BucketCapacity(),
-			Split:          pol.p,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := f.InsertAll(ds.Records); err != nil {
-			return nil, err
-		}
-		g := core.FromGridFile(f)
-		alloc, err := (&core.Minimax{Seed: l.opts.Seed}).Decluster(g, 16)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Replay(f, alloc, f.IndexByID(), l.queriesFor(g.Domain, 0.05))
-		if err != nil {
-			return nil, err
-		}
-		st := f.Stats()
-		t.AddRow(pol.name, st.Cells, st.Buckets, st.MergedBuckets, res.MeanResponseTime)
-	}
-	return []*stats.Table{t}, nil
 }
 
 // Optimality (experiment id "optimality") measures the heuristics' exact
@@ -319,11 +241,7 @@ func (l *Lab) Optimality() ([]*stats.Table, error) {
 	t := stats.NewTable(
 		"Optimality gap (extension) — exact optimum via branch-and-bound on small Cartesian grids",
 		"grid", "disks", "optimum", "MiniMax", "SSP", "HCAM/D", "DM/D", "MiniMax gap")
-	hcam, err := core.NewIndexBased("HCAM", "D", l.opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	dm, err := core.NewIndexBased("DM", "D", l.opts.Seed)
+	indexed, err := l.indexBased("HCAM", "DM")
 	if err != nil {
 		return nil, err
 	}
@@ -368,13 +286,11 @@ func (l *Lab) Optimality() ([]*stats.Table, error) {
 			return total
 		}
 
-		algs := []core.Allocator{
+		algs := append([]core.Allocator{
 			&core.Exhaustive{Queries: queries},
 			&core.Minimax{Seed: l.opts.Seed},
 			&core.SSP{Seed: l.opts.Seed},
-			hcam,
-			dm,
-		}
+		}, indexed...)
 		vals := make([]int64, len(algs))
 		for i, alg := range algs {
 			alloc, err := alg.Decluster(g, cfg.disks)
@@ -389,101 +305,6 @@ func (l *Lab) Optimality() ([]*stats.Table, error) {
 			fmt.Sprintf("+%.1f%%", gap))
 	}
 	return []*stats.Table{t}, nil
-}
-
-// Utilization (experiment id "utilization") reports the mean number of
-// disks each query draws from — the disk parallelism the paper's
-// introduction sets out to maximize — side by side with the response time,
-// for the Figure 6 lineup on DSMC.3d at 16 disks. High parallelism with a
-// low response time is the goal; an algorithm can also reach high
-// parallelism with poor balance (many disks active, one overloaded), which
-// the response column exposes.
-func (l *Lab) Utilization() ([]*stats.Table, error) {
-	b, err := l.dataset("DSMC.3d")
-	if err != nil {
-		return nil, err
-	}
-	queries := l.queriesFor(b.grid.Domain, 0.05)
-	const disks = 16
-	t := stats.NewTable(
-		"Disk utilization (extension) — DSMC.3d, r=0.05, 16 disks",
-		"method", "mean active disks", "mean buckets/query", "mean response", "optimal")
-	for _, alg := range core.Figure6Lineup(l.opts.Seed) {
-		alloc, err := alg.Decluster(b.grid, disks)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Replay(b.file, alloc, b.indexByID, queries)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(alg.Name(), res.MeanActiveDisks, res.MeanBuckets,
-			res.MeanResponseTime, res.MeanOptimal)
-	}
-	return []*stats.Table{t}, nil
-}
-
-// Quadtree (experiment id "quadtree") repeats the structure-generality check
-// on the second tree class the paper's introduction cites: a PR quadtree
-// over hot.2d, leaves declustered by the region-based algorithms.
-func (l *Lab) Quadtree() ([]*stats.Table, error) {
-	b, err := l.dataset("hot.2d")
-	if err != nil {
-		return nil, err
-	}
-	tr, err := quadtree.New(quadtree.Config{
-		Dims:         2,
-		Domain:       b.ds.Domain,
-		LeafCapacity: b.ds.BucketCapacity(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range b.ds.Records {
-		if err := tr.Insert(r.Key); err != nil {
-			return nil, err
-		}
-	}
-	g := core.Grid{Sizes: ones(2), Domain: tr.Domain(), Buckets: tr.Leaves()}
-	queries := l.queriesFor(tr.Domain(), 0.05)
-	nn := sim.NearestCompanions(g, nil)
-
-	algs := []core.Allocator{
-		&core.CentroidCurve{},
-		&core.SSP{Seed: l.opts.Seed},
-		&core.Minimax{Seed: l.opts.Seed},
-	}
-	rt := stats.NewTable(
-		fmt.Sprintf("Quadtree (extension) — declustering %d PR-quadtree leaves of hot.2d (r=0.05): mean response time", len(g.Buckets)),
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	cp := stats.NewTable(
-		"Quadtree (extension) — closest leaf pairs on the same disk",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	var optimal []float64
-	for _, alg := range algs {
-		rts := make([]float64, len(l.opts.Disks))
-		opts := make([]float64, len(l.opts.Disks))
-		pairs := make([]any, 0, len(l.opts.Disks)+1)
-		pairs = append(pairs, alg.Name())
-		for i, m := range l.opts.Disks {
-			alloc, err := alg.Decluster(g, m)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.ReplaySource(tr, alloc, tr.IndexByID(), queries)
-			if err != nil {
-				return nil, err
-			}
-			rts[i] = res.MeanResponseTime
-			opts[i] = res.MeanOptimal
-			pairs = append(pairs, sim.CountSameDisk(nn, alloc))
-		}
-		addSeriesRow(rt, alg.Name(), rts)
-		cp.AddRow(pairs...)
-		optimal = opts
-	}
-	addSeriesRow(rt, "optimal", optimal)
-	return []*stats.Table{rt, cp}, nil
 }
 
 // AblationSeqIO (experiment id "ablation-seqio") toggles elevator
@@ -581,19 +402,12 @@ func (l *Lab) AblationRefine() ([]*stats.Table, error) {
 	base := &core.Minimax{Seed: l.opts.Seed}
 	refined := &core.Refine{Base: base, Queries: train, Seed: l.opts.Seed}
 
-	t := stats.NewTable(
+	t, err := l.responseTable(
 		"Ablation A5 — workload-driven refinement of minimax on hot.2d (r=0.05, held-out workload)",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	var optimal []float64
-	for _, alg := range []core.Allocator{base, refined} {
-		rts, opts, err := l.meanResponseRow(b, alg, eval)
-		if err != nil {
-			return nil, err
-		}
-		addSeriesRow(t, alg.Name(), rts)
-		optimal = opts
+		"method", b, []core.Allocator{base, refined}, eval)
+	if err != nil {
+		return nil, err
 	}
-	addSeriesRow(t, "optimal", optimal)
 	return []*stats.Table{t}, nil
 }
 
@@ -611,7 +425,7 @@ func (l *Lab) TheoremKD() ([]*stats.Table, error) {
 		sat := saturationDisks(w)
 		for _, m := range []int{4, 8, 16, 32, 64} {
 			t.AddRow(fmt.Sprintf("%v", w), m,
-				analyticKD(w, m), optimalKD(w, m), sat)
+				analytic.DMResponseKD(w, m), analytic.OptimalResponseKD(w, m), sat)
 		}
 	}
 	return []*stats.Table{t}, nil

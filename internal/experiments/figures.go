@@ -28,13 +28,64 @@ func (l *Lab) meanResponseRow(b *built, alg core.Allocator, queries []geom.Rect)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s on %s, M=%d: %w", alg.Name(), b.ds.Name, m, err)
 		}
-		res, err := sim.Replay(b.file, alloc, b.indexByID, queries)
+		res, err := sim.ReplaySource(b.src, alloc, b.indexByID, queries)
 		if err != nil {
 			return nil, nil, err
 		}
 		rts[i], opts[i] = res.MeanResponseTime, res.MeanOptimal
 	}
 	return rts, opts, nil
+}
+
+// responseTable is the lab's standard artifact: one row of mean response
+// times per allocator across the disk sweep, closed by the optimal curve
+// (a property of the queries, so the last allocator's replay supplies it).
+func (l *Lab) responseTable(title, label string, b *built, algs []core.Allocator, queries []geom.Rect) (*stats.Table, error) {
+	t := stats.NewTable(title, append([]string{label}, fmtDisks(l.opts.Disks)...)...)
+	var optimal []float64
+	for _, alg := range algs {
+		rts, opts, err := l.meanResponseRow(b, alg, queries)
+		if err != nil {
+			return nil, err
+		}
+		addSeriesRow(t, alg.Name(), rts)
+		optimal = opts
+	}
+	addSeriesRow(t, "optimal", optimal)
+	return t, nil
+}
+
+// allocationTable tabulates one figure of each allocator's allocation across
+// the disk sweep: the balance degree, or the co-located closest pairs.
+func (l *Lab) allocationTable(title string, g core.Grid, algs []core.Allocator, figure func(core.Allocation) any) (*stats.Table, error) {
+	t := stats.NewTable(title, append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
+	for _, alg := range algs {
+		cells := make([]any, 0, len(l.opts.Disks)+1)
+		cells = append(cells, alg.Name())
+		for _, m := range l.opts.Disks {
+			alloc, err := alg.Decluster(g, m)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, figure(alloc))
+		}
+		t.AddRow(cells...)
+	}
+	return t, nil
+}
+
+// indexBased builds the named index-based schemes, conflicts resolved by
+// data balance (the paper's recommended heuristic).
+func (l *Lab) indexBased(schemes ...string) ([]core.Allocator, error) {
+	algs := make([]core.Allocator, len(schemes))
+	for i, scheme := range schemes {
+		alg, err := core.NewIndexBased(scheme, "D", l.opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		algs[i] = alg
+	}
+	return algs, nil
 }
 
 // addSeriesRow appends a labelled series of float values to a table.
@@ -79,23 +130,16 @@ func (l *Lab) Figure3() ([]*stats.Table, error) {
 
 	var out []*stats.Table
 	for _, scheme := range []string{"HCAM", "FX"} {
-		t := stats.NewTable(
-			fmt.Sprintf("Figure 3 — conflict resolution for %s on hot.2d (r=0.05, mean response time in buckets)", scheme),
-			append([]string{"heuristic"}, fmtDisks(l.opts.Disks)...)...)
 		lineup, err := core.ResolverLineup(scheme, l.opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		var optimal []float64
-		for _, alg := range lineup {
-			rts, opts, err := l.meanResponseRow(b, alg, queries)
-			if err != nil {
-				return nil, err
-			}
-			addSeriesRow(t, alg.Name(), rts)
-			optimal = opts
+		t, err := l.responseTable(
+			fmt.Sprintf("Figure 3 — conflict resolution for %s on hot.2d (r=0.05, mean response time in buckets)", scheme),
+			"heuristic", b, lineup, queries)
+		if err != nil {
+			return nil, err
 		}
-		addSeriesRow(t, "optimal", optimal)
 		out = append(out, t)
 	}
 	return out, nil
@@ -110,20 +154,12 @@ func (l *Lab) Figure4() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		queries := l.queriesFor(b.grid.Domain, 0.05)
-		t := stats.NewTable(
+		t, err := l.responseTable(
 			fmt.Sprintf("Figure 4 — declustering algorithms on %s (r=0.05, mean response time in buckets)", name),
-			append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-		var optimal []float64
-		for _, alg := range core.Figure4Lineup(l.opts.Seed) {
-			rts, opts, err := l.meanResponseRow(b, alg, queries)
-			if err != nil {
-				return nil, err
-			}
-			addSeriesRow(t, alg.Name(), rts)
-			optimal = opts
+			"method", b, core.Figure4Lineup(l.opts.Seed), l.queriesFor(b.grid.Domain, 0.05))
+		if err != nil {
+			return nil, err
 		}
-		addSeriesRow(t, "optimal", optimal)
 		out = append(out, t)
 	}
 	return out, nil
@@ -214,20 +250,12 @@ func (l *Lab) Figure6() ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		queries := l.queriesFor(b.grid.Domain, 0.01)
-		t := stats.NewTable(
+		t, err := l.responseTable(
 			fmt.Sprintf("Figure 6 — all algorithms on %s (r=0.01, mean response time in buckets)", name),
-			append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-		var optimal []float64
-		for _, alg := range core.Figure6Lineup(l.opts.Seed) {
-			rts, opts, err := l.meanResponseRow(b, alg, queries)
-			if err != nil {
-				return nil, err
-			}
-			addSeriesRow(t, alg.Name(), rts)
-			optimal = opts
+			"method", b, core.Figure6Lineup(l.opts.Seed), l.queriesFor(b.grid.Domain, 0.01))
+		if err != nil {
+			return nil, err
 		}
-		addSeriesRow(t, "optimal", optimal)
 		out = append(out, t)
 	}
 	return out, nil
@@ -241,11 +269,11 @@ func (l *Lab) Figure7() ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hcam, err := core.NewIndexBased("HCAM", "D", l.opts.Seed)
+	algs, err := l.indexBased("HCAM")
 	if err != nil {
 		return nil, err
 	}
-	algs := []core.Allocator{hcam, &core.Minimax{Seed: l.opts.Seed}}
+	algs = append(algs, &core.Minimax{Seed: l.opts.Seed})
 
 	rt := stats.NewTable(
 		"Figure 7 (left) — response time vs query size on stock.3d",

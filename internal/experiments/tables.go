@@ -6,6 +6,9 @@ import (
 	"pgridfile/internal/stats"
 )
 
+// balanceDegree is allocationTable's figure for the data-balance tables.
+func balanceDegree(a core.Allocation) any { return sim.DataBalanceDegree(a) }
+
 // Table1 reports the degree of data balance (B_max × M / B_sum) achieved by
 // DM/D, FX/D and HCAM/D on hot.2d across the disk sweep.
 func (l *Lab) Table1() ([]*stats.Table, error) {
@@ -13,73 +16,52 @@ func (l *Lab) Table1() ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable(
-		"Table 1 — degree of data balance on hot.2d (1.00 = perfect)",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	for _, alg := range core.Figure4Lineup(l.opts.Seed) {
-		row := make([]float64, len(l.opts.Disks))
-		for i, m := range l.opts.Disks {
-			alloc, err := alg.Decluster(b.grid, m)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = sim.DataBalanceDegree(alloc)
-		}
-		addSeriesRow(t, alg.Name(), row)
-	}
 	// MiniMax achieves the ⌈N/M⌉ bound by construction; include it as the
 	// reference floor.
-	mm := &core.Minimax{Seed: l.opts.Seed}
-	row := make([]float64, len(l.opts.Disks))
-	for i, m := range l.opts.Disks {
-		alloc, err := mm.Decluster(b.grid, m)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = sim.DataBalanceDegree(alloc)
+	algs := append(core.Figure4Lineup(l.opts.Seed), &core.Minimax{Seed: l.opts.Seed})
+	t, err := l.allocationTable(
+		"Table 1 — degree of data balance on hot.2d (1.00 = perfect)",
+		b.grid, algs, balanceDegree)
+	if err != nil {
+		return nil, err
 	}
-	addSeriesRow(t, mm.Name(), row)
 	return []*stats.Table{t}, nil
 }
 
-// closestPairsTable builds Tables 2/3: the number of closest bucket pairs
-// mapped to the same disk, per algorithm and disk count.
-func (l *Lab) closestPairsTable(dataset, title string) ([]*stats.Table, error) {
+// closestPairsTable tabulates the number of closest bucket pairs (each
+// bucket and its nearest companion by proximity index) mapped to the same
+// disk, per algorithm and disk count.
+func (l *Lab) closestPairsTable(title string, b *built, algs []core.Allocator) (*stats.Table, error) {
+	if b.nn == nil {
+		b.nn = sim.NearestCompanions(b.grid, nil)
+	}
+	return l.allocationTable(title, b.grid, algs, func(a core.Allocation) any {
+		return sim.CountSameDisk(b.nn, a)
+	})
+}
+
+// closestPairs builds Tables 2/3 for a dataset.
+func (l *Lab) closestPairs(dataset, title string) ([]*stats.Table, error) {
 	b, err := l.dataset(dataset)
 	if err != nil {
 		return nil, err
 	}
-	nn, ok := l.nnMemo[dataset]
-	if !ok {
-		nn = sim.NearestCompanions(b.grid, nil)
-		l.nnMemo[dataset] = nn
-	}
-	t := stats.NewTable(title,
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	for _, alg := range core.Figure6Lineup(l.opts.Seed) {
-		cells := make([]any, 0, len(l.opts.Disks)+1)
-		cells = append(cells, alg.Name())
-		for _, m := range l.opts.Disks {
-			alloc, err := alg.Decluster(b.grid, m)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, sim.CountSameDisk(nn, alloc))
-		}
-		t.AddRow(cells...)
+	t, err := l.closestPairsTable(title, b, core.Figure6Lineup(l.opts.Seed))
+	if err != nil {
+		return nil, err
 	}
 	return []*stats.Table{t}, nil
 }
 
 // Table2 is the closest-pairs table for DSMC.3d.
 func (l *Lab) Table2() ([]*stats.Table, error) {
-	return l.closestPairsTable("DSMC.3d",
+	return l.closestPairs("DSMC.3d",
 		"Table 2 — closest pairs assigned to the same disk: DSMC.3d")
 }
 
 // Table3 is the closest-pairs table for stock.3d.
 func (l *Lab) Table3() ([]*stats.Table, error) {
-	return l.closestPairsTable("stock.3d",
+	return l.closestPairs("stock.3d",
 		"Table 3 — closest pairs assigned to the same disk: stock.3d")
 }
 
@@ -91,24 +73,16 @@ func (l *Lab) AblationCurves() ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	queries := l.queriesFor(b.grid.Domain, 0.05)
-	t := stats.NewTable(
-		"Ablation A1 — linearization curve inside curve allocation, hot.2d (r=0.05)",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	var optimal []float64
-	for _, scheme := range []string{"HCAM", "ZCAM", "GrayCAM"} {
-		alg, err := core.NewIndexBased(scheme, "D", l.opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rts, opts, err := l.meanResponseRow(b, alg, queries)
-		if err != nil {
-			return nil, err
-		}
-		addSeriesRow(t, alg.Name(), rts)
-		optimal = opts
+	algs, err := l.indexBased("HCAM", "ZCAM", "GrayCAM")
+	if err != nil {
+		return nil, err
 	}
-	addSeriesRow(t, "optimal", optimal)
+	t, err := l.responseTable(
+		"Ablation A1 — linearization curve inside curve allocation, hot.2d (r=0.05)",
+		"method", b, algs, l.queriesFor(b.grid.Domain, 0.05))
+	if err != nil {
+		return nil, err
+	}
 	return []*stats.Table{t}, nil
 }
 
@@ -129,24 +103,18 @@ func (l *Lab) AblationMinimaxVsMST() ([]*stats.Table, error) {
 	rt := stats.NewTable(
 		"Ablation A2 — tree-growth policy on DSMC.3d (r=0.01): mean response time",
 		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	bal := stats.NewTable(
-		"Ablation A2 — tree-growth policy on DSMC.3d: degree of data balance",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
 	for _, alg := range algs {
 		rts, _, err := l.meanResponseRow(b, alg, queries)
 		if err != nil {
 			return nil, err
 		}
 		addSeriesRow(rt, alg.Name(), rts)
-		degs := make([]float64, len(l.opts.Disks))
-		for i, m := range l.opts.Disks {
-			alloc, err := alg.Decluster(b.grid, m)
-			if err != nil {
-				return nil, err
-			}
-			degs[i] = sim.DataBalanceDegree(alloc)
-		}
-		addSeriesRow(bal, alg.Name(), degs)
+	}
+	bal, err := l.allocationTable(
+		"Ablation A2 — tree-growth policy on DSMC.3d: degree of data balance",
+		b.grid, algs, balanceDegree)
+	if err != nil {
+		return nil, err
 	}
 	return []*stats.Table{rt, bal}, nil
 }
@@ -159,11 +127,6 @@ func (l *Lab) AblationEdgeWeight() ([]*stats.Table, error) {
 		return nil, err
 	}
 	queries := l.queriesFor(b.grid.Domain, 0.01)
-	nn, ok := l.nnMemo["stock.3d"]
-	if !ok {
-		nn = sim.NearestCompanions(b.grid, nil)
-		l.nnMemo["stock.3d"] = nn
-	}
 	algs := []core.Allocator{
 		&core.Minimax{Seed: l.opts.Seed},
 		&core.Minimax{Weight: core.EuclideanWeight, WeightName: "euclid", Seed: l.opts.Seed},
@@ -171,25 +134,18 @@ func (l *Lab) AblationEdgeWeight() ([]*stats.Table, error) {
 	rt := stats.NewTable(
 		"Ablation A3 — minimax edge weight on stock.3d (r=0.01): mean response time",
 		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
-	cp := stats.NewTable(
-		"Ablation A3 — minimax edge weight on stock.3d: closest pairs on same disk",
-		append([]string{"method"}, fmtDisks(l.opts.Disks)...)...)
 	for _, alg := range algs {
 		rts, _, err := l.meanResponseRow(b, alg, queries)
 		if err != nil {
 			return nil, err
 		}
 		addSeriesRow(rt, alg.Name(), rts)
-		cells := make([]any, 0, len(l.opts.Disks)+1)
-		cells = append(cells, alg.Name())
-		for _, m := range l.opts.Disks {
-			alloc, err := alg.Decluster(b.grid, m)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, sim.CountSameDisk(nn, alloc))
-		}
-		cp.AddRow(cells...)
+	}
+	cp, err := l.closestPairsTable(
+		"Ablation A3 — minimax edge weight on stock.3d: closest pairs on same disk",
+		b, algs)
+	if err != nil {
+		return nil, err
 	}
 	return []*stats.Table{rt, cp}, nil
 }

@@ -8,11 +8,6 @@ import (
 	"pgridfile/internal/stats"
 )
 
-// Thin wrappers keep extra.go free of a direct analytic import cycle risk
-// and give the KD table short names.
-func analyticKD(sides []int, m int) int { return analytic.DMResponseKD(sides, m) }
-func optimalKD(sides []int, m int) int  { return analytic.OptimalResponseKD(sides, m) }
-
 // saturationDisks returns the sum spread: the M beyond which DM's response
 // for the window cannot improve.
 func saturationDisks(sides []int) int {

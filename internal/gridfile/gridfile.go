@@ -40,21 +40,6 @@ type Record struct {
 	Data []byte
 }
 
-// SplitPolicy selects the dimension a bucket splits along.
-type SplitPolicy int
-
-const (
-	// SplitLargestExtent (the default) splits the dimension where the
-	// bucket's region is widest relative to the domain, keeping cells
-	// square-ish — the policy behind the paper-like grid shapes.
-	SplitLargestExtent SplitPolicy = iota
-	// SplitCyclic rotates through the dimensions in order, the original
-	// grid-file paper's simplest policy; it ignores region shape, so
-	// skewed data produces more elongated cells (ablation-split measures
-	// the consequences).
-	SplitCyclic
-)
-
 // Config describes a new grid file.
 type Config struct {
 	// Dims is the number of key dimensions (>= 1).
@@ -64,8 +49,6 @@ type Config struct {
 	// BucketCapacity is the maximum number of records per bucket (>= 2).
 	// With 4 KB pages and fixed-size records this is PageSize/recordSize.
 	BucketCapacity int
-	// Split selects the split-dimension policy (default SplitLargestExtent).
-	Split SplitPolicy
 }
 
 func (c Config) validate() error {
@@ -82,9 +65,6 @@ func (c Config) validate() error {
 	}
 	if c.BucketCapacity < 2 {
 		return fmt.Errorf("gridfile: BucketCapacity must be >= 2, got %d", c.BucketCapacity)
-	}
-	if c.Split != SplitLargestExtent && c.Split != SplitCyclic {
-		return fmt.Errorf("gridfile: unknown split policy %d", c.Split)
 	}
 	return nil
 }
@@ -154,9 +134,6 @@ type File struct {
 	bkts   []*bucket   // nil entries are dead (after merges)
 	live   int         // number of live buckets
 	nrec   int         // number of records
-
-	// splitCursor rotates the dimension for SplitCyclic.
-	splitCursor int
 }
 
 // New creates an empty grid file with a single cell and a single bucket.

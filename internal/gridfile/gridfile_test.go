@@ -431,58 +431,3 @@ func TestBoundaryKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSplitCyclicPolicy(t *testing.T) {
-	cfg := Config{
-		Dims:           2,
-		Domain:         domain2D(),
-		BucketCapacity: 6,
-		Split:          SplitCyclic,
-	}
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1301))
-	for i := 0; i < 2000; i++ {
-		p := geom.Point{rng.Float64() * 2000, rng.Float64() * 2000}
-		if err := f.Insert(Record{Key: p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Cyclic splitting on uniform data keeps the grid near-square.
-	sizes := f.CellSizes()
-	ratio := float64(sizes[0]) / float64(sizes[1])
-	if ratio < 0.4 || ratio > 2.5 {
-		t.Errorf("cyclic grid heavily skewed: %v", sizes)
-	}
-	// Query answers are policy independent.
-	g, err := New(Config{Dims: 2, Domain: domain2D(), BucketCapacity: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng = rand.New(rand.NewSource(1301))
-	for i := 0; i < 2000; i++ {
-		p := geom.Point{rng.Float64() * 2000, rng.Float64() * 2000}
-		if err := g.Insert(Record{Key: p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	qrng := rand.New(rand.NewSource(1302))
-	for trial := 0; trial < 30; trial++ {
-		q := randomQuery(qrng, domain2D())
-		if a, b := f.RangeCount(q), g.RangeCount(q); a != b {
-			t.Fatalf("trial %d: cyclic %d records, largest-extent %d", trial, a, b)
-		}
-	}
-}
-
-func TestConfigRejectsUnknownSplitPolicy(t *testing.T) {
-	_, err := New(Config{Dims: 2, Domain: domain2D(), BucketCapacity: 4, Split: SplitPolicy(9)})
-	if err == nil {
-		t.Error("unknown split policy accepted")
-	}
-}

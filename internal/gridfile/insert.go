@@ -69,9 +69,11 @@ func (f *File) splitBucket(id int32) (int32, bool) {
 	return f.divideRegion(id, d), true
 }
 
-// chooseSplitDim picks the dimension along which to split bucket b,
-// following the configured policy. Dimensions refined down to the minimum
-// cell width are excluded. ok=false means the bucket cannot be split at all.
+// chooseSplitDim picks the dimension along which to split bucket b: the one
+// where its region is widest relative to the domain, which keeps cells
+// square-ish (the policy behind the paper-like grid shapes). Dimensions
+// refined down to the minimum cell width are excluded. ok=false means the
+// bucket cannot be split at all.
 func (f *File) chooseSplitDim(b *bucket) (int, bool) {
 	region := f.bucketRegion(b)
 	splittable := func(d int) bool {
@@ -79,20 +81,8 @@ func (f *File) chooseSplitDim(b *bucket) (int, bool) {
 		return b.hi[d] > b.lo[d] || rel/2 >= minCellFraction
 	}
 
-	if f.cfg.Split == SplitCyclic {
-		for k := 0; k < f.cfg.Dims; k++ {
-			d := (f.splitCursor + k) % f.cfg.Dims
-			if splittable(d) {
-				f.splitCursor = (d + 1) % f.cfg.Dims
-				return d, true
-			}
-		}
-		return 0, false
-	}
-
-	// SplitLargestExtent: widest domain-relative region, preferring
-	// multi-cell regions at equal extent (splitting those needs no
-	// directory rebuild).
+	// At equal extent prefer a multi-cell region: splitting it needs no
+	// directory rebuild.
 	best, bestScore := -1, -1.0
 	bestMulti := false
 	for d := 0; d < f.cfg.Dims; d++ {

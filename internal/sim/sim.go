@@ -31,10 +31,6 @@ type Result struct {
 	MaxResponseTime int
 	// TotalBuckets is the total number of bucket fetches.
 	TotalBuckets int
-	// MeanActiveDisks is the average number of disks a query draws from —
-	// the "disk parallelism" declustering maximizes. Its ceiling is
-	// min(disks, MeanBuckets).
-	MeanActiveDisks float64
 	// perQuery records each query's response time for the distribution
 	// accessors; kept unexported to keep Result comparable by its summary
 	// fields in tests.
@@ -101,16 +97,11 @@ func ReplaySource(src Source, alloc core.Allocation, indexByID []int, queries []
 			perDisk[alloc.Assign[dense]]++
 		}
 		rt := 0
-		active := 0
 		for _, n := range perDisk {
 			if n > rt {
 				rt = n
 			}
-			if n > 0 {
-				active++
-			}
 		}
-		res.MeanActiveDisks += float64(active)
 		res.MeanResponseTime += float64(rt)
 		res.MeanOptimal += float64(len(ids)) / float64(alloc.Disks)
 		res.MeanBuckets += float64(len(ids))
@@ -124,7 +115,6 @@ func ReplaySource(src Source, alloc core.Allocation, indexByID []int, queries []
 	res.MeanResponseTime /= n
 	res.MeanOptimal /= n
 	res.MeanBuckets /= n
-	res.MeanActiveDisks /= n
 	return res, nil
 }
 

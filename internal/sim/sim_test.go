@@ -215,45 +215,6 @@ func TestTailIsWorseForUnbalancedAllocations(t *testing.T) {
 	}
 }
 
-func TestMeanActiveDisks(t *testing.T) {
-	f, g := buildHot(t)
-	queries := workload.SquareRange(f.Domain(), 0.05, 200, 7)
-	for _, m := range []int{4, 16} {
-		mm, err := (&core.Minimax{Seed: 1}).Decluster(g, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Replay(f, mm, f.IndexByID(), queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MeanActiveDisks <= 0 {
-			t.Fatalf("m=%d: MeanActiveDisks = %v", m, res.MeanActiveDisks)
-		}
-		if res.MeanActiveDisks > float64(m)+1e-9 {
-			t.Fatalf("m=%d: MeanActiveDisks %v above disk count", m, res.MeanActiveDisks)
-		}
-		if res.MeanActiveDisks > res.MeanBuckets+1e-9 {
-			t.Fatalf("m=%d: MeanActiveDisks %v above MeanBuckets %v",
-				m, res.MeanActiveDisks, res.MeanBuckets)
-		}
-		// Parallelism x response >= total work (max >= mean per disk).
-		if res.MeanActiveDisks*res.MeanResponseTime < res.MeanBuckets-1e-9 {
-			t.Fatalf("m=%d: active %.2f x response %.2f below buckets %.2f",
-				m, res.MeanActiveDisks, res.MeanResponseTime, res.MeanBuckets)
-		}
-	}
-	// Minimax spreads better than a degenerate one-disk pile.
-	pile := core.Allocation{Disks: 16, Assign: make([]int, len(g.Buckets))}
-	res, err := Replay(f, pile, f.IndexByID(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanActiveDisks != 1 {
-		t.Errorf("all-on-one-disk MeanActiveDisks = %v, want 1", res.MeanActiveDisks)
-	}
-}
-
 // serialNearestCompanions is the pre-engine reference scan, kept in the test
 // to pin NearestCompanions' output against.
 func serialNearestCompanions(g core.Grid, w core.Weight) []int {
@@ -361,8 +322,17 @@ func TestReplaySpansBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.MeanResponseSpans != 1 || all.MeanSpans != res.MeanActiveDisks {
-		t.Errorf("unlimited read-through: %+v, want 1 span on each of %.3f active disks", all, res.MeanActiveDisks)
+	var activeDisks float64
+	for _, q := range queries {
+		active := map[int]bool{}
+		for _, id := range f.BucketsInRange(q) {
+			active[alloc.Assign[idx[id]]] = true
+		}
+		activeDisks += float64(len(active))
+	}
+	activeDisks /= float64(len(queries))
+	if all.MeanResponseSpans != 1 || all.MeanSpans != activeDisks {
+		t.Errorf("unlimited read-through: %+v, want 1 span on each of %.3f active disks", all, activeDisks)
 	}
 	if _, err := ReplaySpans(f, alloc, idx, nil, lay, 0); err == nil {
 		t.Error("empty workload accepted")

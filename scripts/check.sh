@@ -18,7 +18,11 @@
 #                  cut to what is read: the root package's
 #                  TestNoTestOnlyExports fails on an exported func or method
 #                  that only tests call (allow-list with reasons in
-#                  exports_test.go)
+#                  exports_test.go). And the paper reproduction's gate:
+#                  internal/experiments TestRunAllExperimentsProduceTables
+#                  compares every table gridbench prints at test scale, byte
+#                  for byte, with testdata/results_test_scale.txt
+#                  (`make golden` regenerates it)
 #   5. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
 #                  (FuzzRead), layout manifests (FuzzManifest) and the
