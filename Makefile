@@ -39,12 +39,15 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # How much there is: non-test Go lines outside bench/ per package directory,
-# the exported field counts of the two option structs, and the shell scripts.
+# the three largest of those files (where the next split would go), the
+# exported field counts of the two option structs, and the shell scripts.
 # A deletion PR records the before/after of this in CHANGES.md.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} +
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec wc -l {} + | \
+	@$(LOC_FILES) | \
 	  awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 	       END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@$(LOC_FILES) | awk '$$2 != "total"' | sort -rn | head -3
 	@for t in Config ClientConfig; do \
 	  printf '%7d exported fields in server.%s\n' \
 	    "$$($(GO) doc ./internal/server $$t | grep -c '^	[A-Z][A-Za-z0-9]* ')" $$t; \

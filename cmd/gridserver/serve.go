@@ -40,7 +40,6 @@ func runServe(args []string) error {
 	httpAddr := fs.String("http", "", "optional HTTP address for /metrics and /healthz")
 	maxInflight := fs.Int("max-inflight", 64, "admission control: max concurrently executing queries")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-query deadline")
-	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "bucket cache budget in bytes (<=0 disables caching)")
 	pprof := fs.Bool("pprof", false, "expose /debug/pprof on the -http address")
 	faultSpec := fs.String("fault", "", "failpoint spec to arm at startup, e.g. store.read:err:p=0.05 (see internal/fault)")
@@ -50,10 +49,8 @@ func runServe(args []string) error {
 	fetchBackoff := fs.Duration("fetch-backoff", 2*time.Millisecond, "base backoff between disk-batch retries")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", -1, "log traced queries at least this slow to stderr (0 logs every traced query, <0 disables the log)")
-	pipelineDepth := fs.Int("pipeline-depth", 0, "per-connection bound on queued responses and concurrent tagged requests (0 = default 64)")
 	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read")
 	scrubInterval := fs.Duration("scrub-interval", 0, "background checksum scrub period; repairs corrupt pages from replicas (0 disables)")
-	scrubPause := fs.Duration("scrub-pause", 10*time.Millisecond, "pause between buckets during a scrub pass (lowers scrub I/O priority)")
 	writable := fs.Bool("writable", false, "accept INSERT/DELETE (mutations are journaled per disk)")
 	fs.Parse(args)
 	if *dir == "" {
@@ -69,7 +66,6 @@ func runServe(args []string) error {
 		HTTPAddr:        *httpAddr,
 		MaxInflight:     *maxInflight,
 		QueryTimeout:    *timeout,
-		DrainTimeout:    *drain,
 		CacheBytes:      cacheFlag(*cacheBytes),
 		Pprof:           *pprof,
 		Faults:          reg,
@@ -79,10 +75,8 @@ func runServe(args []string) error {
 		TraceSample:     *traceSample,
 		TraceSlowLog:    *traceSlow >= 0,
 		TraceSlow:       max(*traceSlow, 0),
-		PipelineDepth:   *pipelineDepth,
 		VerifyChecksums: *verify,
 		ScrubInterval:   *scrubInterval,
-		ScrubPause:      *scrubPause,
 		Writable:        *writable,
 	})
 	if err != nil {
@@ -105,7 +99,7 @@ func runServe(args []string) error {
 		fmt.Println()
 	}
 	if *scrubInterval > 0 {
-		fmt.Printf("gridserver: background scrub every %s (pause %s between buckets)\n", *scrubInterval, *scrubPause)
+		fmt.Printf("gridserver: background scrub every %s\n", *scrubInterval)
 	}
 	if *writable {
 		fmt.Println("gridserver: online writes enabled (INSERT/DELETE journaled to every owner disk)")

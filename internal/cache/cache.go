@@ -16,10 +16,12 @@
 //     it cleared and goes round once more; the first one found clear goes.
 //   - Singleflight: when several queries miss on the same bucket at once,
 //     exactly one (the leader) performs the disk read; the rest wait for
-//     its result instead of duplicating the I/O. The Acquire/Complete pair
-//     exposes this to callers that batch their disk reads (the server
-//     groups leader misses per disk before reading), and Get wraps it for
-//     callers with a simple loader function.
+//     its result instead of duplicating the I/O — unless the bucket was
+//     invalidated since that read began, in which case the first late
+//     arrival leads a fresh read. The Acquire/Complete pair exposes this to
+//     callers that batch their disk reads (the server groups leader misses
+//     per disk before reading), and Get wraps it for callers with a simple
+//     loader function.
 //
 // Cached arenas are shared between all readers and must be treated as
 // immutable. Lifetime under writes is version-pinned, not refcounted:
@@ -78,18 +80,22 @@ type shard struct {
 	inflight map[int32]*Pending
 
 	// versions stamps ids that have been invalidated at least once. A
-	// leader records the stamp at Acquire; Complete caches its result only
-	// if the stamp is unchanged, so a load that raced with an Invalidate
+	// leader's Pending records the stamp at Acquire; Complete caches its result
+	// only if the stamp is unchanged, so a load that raced with an Invalidate
 	// (read the old pages, completed after the write) can never park stale
-	// data in the cache. Waiters still receive the leader's (possibly old)
-	// result — their reads began before the write completed, so that is
-	// linearizable.
+	// data in the cache. Waiters that joined before the Invalidate still
+	// receive the leader's (possibly old) result — their reads began before
+	// the write completed, so that is linearizable. A reader arriving after
+	// it must not: Acquire replaces the outdated Pending with a fresh one that
+	// this reader leads and later arrivals join.
 	versions map[int32]uint64
 }
 
-// Pending is an in-progress load another query is performing. Wait blocks
+// Pending is one in-progress load: the handle its leader passes back to
+// Complete, and what every other query of the bucket waits on. Wait blocks
 // until the leader Completes it or ctx expires.
 type Pending struct {
+	id      int32
 	done    chan struct{}
 	rec     geom.Flat
 	pages   int
@@ -145,8 +151,8 @@ func (c *Cache) shardFor(id int32) *shard {
 
 // AcquireResult reports how an Acquire was satisfied. Exactly one of three
 // shapes comes back: a hit (Hit true, Rec/Pages valid), leadership (Leader
-// true: the caller MUST load the bucket and call Complete exactly once), or
-// a pending join (Pending non-nil: call Wait).
+// true: the caller MUST load the bucket and hand Pending to Complete exactly
+// once), or a join (neither: call Pending.Wait).
 type AcquireResult struct {
 	Rec     geom.Flat
 	Pages   int
@@ -166,16 +172,19 @@ func (c *Cache) Acquire(id int32) AcquireResult {
 		c.hits.Add(1)
 		return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}
 	}
-	if p, ok := s.inflight[id]; ok {
+	// A load that began before a write since acknowledged may carry data
+	// that predates the write, and this reader may not: it is not joined but
+	// replaced. Those already waiting on it keep their handle.
+	if p, ok := s.inflight[id]; ok && p.version == s.versions[id] {
 		s.mu.Unlock()
 		c.shared.Add(1)
 		return AcquireResult{Pending: p}
 	}
-	p := &Pending{done: make(chan struct{}), version: s.versions[id]}
+	p := &Pending{id: id, done: make(chan struct{}), version: s.versions[id]}
 	s.inflight[id] = p
 	s.mu.Unlock()
 	c.misses.Add(1)
-	return AcquireResult{Leader: true}
+	return AcquireResult{Leader: true, Pending: p}
 }
 
 // Invalidate drops the given buckets from the cache and stamps their ids so
@@ -202,23 +211,22 @@ func (c *Cache) Invalidate(ids ...int32) {
 	}
 }
 
-// Complete finishes a load this caller leads: the result is published to
-// every waiter and, on success, inserted into the cache (evicting cold
-// entries past the shard's byte budget). An entry too large for its shard's
-// entire budget is returned to waiters but not cached.
-func (c *Cache) Complete(id int32, rec geom.Flat, pages int, err error) {
-	s := c.shardFor(id)
+// Complete finishes the load p this caller leads: the result is published to
+// p's waiters and, on success, inserted into the cache (evicting cold entries
+// past the shard's byte budget). An entry too large for its shard's entire
+// budget is returned to waiters but not cached, and neither is the result of
+// a load an Invalidate has outdated.
+func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int, err error) {
+	s := c.shardFor(p.id)
 	s.mu.Lock()
-	p, ok := s.inflight[id]
-	if ok {
-		delete(s.inflight, id)
+	if s.inflight[p.id] == p {
+		delete(s.inflight, p.id)
 	}
-	stale := ok && p.version != s.versions[id]
-	if err == nil && !stale {
-		if _, dup := s.m[id]; !dup {
-			e := &entry{key: id, rec: rec, pages: pages, bytes: cost(rec)}
+	if err == nil && p.version == s.versions[p.id] {
+		if _, dup := s.m[p.id]; !dup {
+			e := &entry{key: p.id, rec: rec, pages: pages, bytes: cost(rec)}
 			if e.bytes <= s.max {
-				s.m[id] = e
+				s.m[p.id] = e
 				s.pushFront(e)
 				s.bytes += e.bytes
 				c.bytes.Add(e.bytes)
@@ -228,10 +236,8 @@ func (c *Cache) Complete(id int32, rec geom.Flat, pages int, err error) {
 		}
 	}
 	s.mu.Unlock()
-	if ok {
-		p.rec, p.pages, p.err = rec, pages, err
-		close(p.done)
-	}
+	p.rec, p.pages, p.err = rec, pages, err
+	close(p.done)
 }
 
 // Get is the one-call form: a hit returns immediately, a join waits for the
@@ -245,18 +251,18 @@ func (c *Cache) Get(ctx context.Context, id int32, load func() (geom.Flat, int, 
 	switch {
 	case r.Hit:
 		return r.Rec, r.Pages, nil
-	case r.Pending != nil:
+	case !r.Leader:
 		return r.Pending.Wait(ctx)
 	}
 	completed := false
 	defer func() {
 		if !completed {
-			c.Complete(id, geom.Flat{}, 0, fmt.Errorf("cache: leader load for bucket %d panicked", id))
+			c.Complete(r.Pending, geom.Flat{}, 0, fmt.Errorf("cache: leader load for bucket %d panicked", id))
 		}
 	}()
 	rec, pages, err := load()
 	completed = true
-	c.Complete(id, rec, pages, err)
+	c.Complete(r.Pending, rec, pages, err)
 	return rec, pages, err
 }
 
@@ -329,6 +335,3 @@ func (c *Cache) Stats() Stats {
 		MaxBytes:      c.maxBytes,
 	}
 }
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int { return int(c.entries.Load()) }

@@ -93,8 +93,8 @@ func TestLRUOrder(t *testing.T) {
 		}
 		c.Get(ctx, id, loadOf(makeFlat(10), 1))
 	}
-	if c.Len() != 3 {
-		t.Errorf("resident entries = %d, want 3", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Errorf("resident entries = %d, want 3", c.Stats().Entries)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestOversizeEntryNotCached(t *testing.T) {
 	if _, _, err := c.Get(ctx, 7, load); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 || c.Stats().Bytes != 0 {
+	if c.Stats().Entries != 0 || c.Stats().Bytes != 0 {
 		t.Errorf("oversize entry cached: %+v", c.Stats())
 	}
 	c.Get(ctx, 7, load)
@@ -122,7 +122,7 @@ func TestErrorNotCached(t *testing.T) {
 	if _, _, err := c.Get(ctx, 3, func() (geom.Flat, int, error) { return geom.Flat{}, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("load error not surfaced: %v", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("failed load left a cache entry")
 	}
 	rec, _, err := c.Get(ctx, 3, loadOf(makeFlat(5), 1))
@@ -236,7 +236,7 @@ func TestPanickingLeaderDoesNotWedge(t *testing.T) {
 	}()
 	<-entered
 	join := c.Acquire(6)
-	if join.Pending == nil {
+	if join.Leader || join.Pending == nil {
 		t.Fatalf("expected to join the in-flight load, got %+v", join)
 	}
 	close(release)
@@ -253,8 +253,8 @@ func TestPanickingLeaderDoesNotWedge(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter wedged behind panicking leader")
 	}
-	if c.Len() != 1 { // only id 5's reload should be resident
-		t.Errorf("resident entries = %d, want 1 (panicked loads must not cache)", c.Len())
+	if c.Stats().Entries != 1 { // only id 5's reload should be resident
+		t.Errorf("resident entries = %d, want 1 (panicked loads must not cache)", c.Stats().Entries)
 	}
 }
 
@@ -265,7 +265,7 @@ func TestWaitRespectsContext(t *testing.T) {
 		t.Fatal("first acquire not leader")
 	}
 	join := c.Acquire(9)
-	if join.Pending == nil {
+	if join.Leader || join.Pending == nil {
 		t.Fatal("second acquire did not join")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -274,7 +274,7 @@ func TestWaitRespectsContext(t *testing.T) {
 		t.Errorf("wait returned %v, want context.Canceled", err)
 	}
 	// The leader must still be able to complete and unblock future readers.
-	c.Complete(9, makeFlat(3), 1, nil)
+	c.Complete(r.Pending, makeFlat(3), 1, nil)
 	rec, _, err := c.Get(context.Background(), 9, nil)
 	if err != nil || rec.Len() != 3 {
 		t.Fatalf("completion after abandoned waiter: %v %v", rec, err)
@@ -335,12 +335,12 @@ func TestInvalidateDropsResidentEntry(t *testing.T) {
 	if _, _, err := c.Get(ctx, 7, loadOf(makeFlat(10), 1)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("entries = %d, want 1", c.Stats().Entries)
 	}
 	c.Invalidate(7, 8) // 8 is absent: must still be a safe no-op drop
-	if c.Len() != 0 || c.Stats().Bytes != 0 {
-		t.Fatalf("after invalidate: %d entries, %d bytes", c.Len(), c.Stats().Bytes)
+	if c.Stats().Entries != 0 || c.Stats().Bytes != 0 {
+		t.Fatalf("after invalidate: %d entries, %d bytes", c.Stats().Entries, c.Stats().Bytes)
 	}
 	if got := c.Stats().Invalidations; got != 2 {
 		t.Fatalf("invalidations = %d, want 2", got)
@@ -370,30 +370,87 @@ func TestInvalidateRacingLeader(t *testing.T) {
 	}
 	// A waiter joins the in-flight load.
 	w := c.Acquire(3)
-	if w.Pending == nil {
+	if w.Leader || w.Pending == nil {
 		t.Fatal("expected second acquire to join the in-flight load")
 	}
 	// The bucket mutates while the leader's disk read is in flight.
 	c.Invalidate(3)
 
 	stale := makeFlat(9)
-	c.Complete(3, stale, 2, nil)
+	c.Complete(r.Pending, stale, 2, nil)
 
 	rec, pages, err := w.Pending.Wait(ctx)
 	if err != nil || rec.Len() != 9 || pages != 2 {
 		t.Fatalf("waiter result: %d recs, %d pages, %v", rec.Len(), pages, err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("stale leader result was cached (%d entries)", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("stale leader result was cached (%d entries)", c.Stats().Entries)
 	}
 	// The next read re-elects a leader and its (fresh) result does cache.
 	r2 := c.Acquire(3)
 	if !r2.Leader {
 		t.Fatal("expected fresh leadership after invalidate")
 	}
-	c.Complete(3, makeFlat(4), 1, nil)
-	if c.Len() != 1 {
-		t.Fatalf("fresh result not cached (%d entries)", c.Len())
+	c.Complete(r2.Pending, makeFlat(4), 1, nil)
+	if c.Stats().Entries != 1 {
+		t.Fatalf("fresh result not cached (%d entries)", c.Stats().Entries)
+	}
+}
+
+// TestAcquireAfterInvalidateDoesNotJoinStaleLoad pins the follower half of
+// that race: a reader that arrives after the Invalidate — after the write was
+// acknowledged — must not be handed the load begun before it, whose data may
+// predate the write. The first such reader leads a fresh load and the rest
+// join that one, so the bucket is read once more, not once per reader, and
+// is cached again as soon as the fresh load reports — in either order of
+// completion, and with the outdated load's result reaching nobody but the
+// waiters it had before the write.
+func TestAcquireAfterInvalidateDoesNotJoinStaleLoad(t *testing.T) {
+	old, fresh := makeFlat(9), makeFlat(4)
+	for _, staleFirst := range []bool{false, true} {
+		c := New(1<<20, 1)
+		a := c.Acquire(3)
+		if !a.Leader {
+			t.Fatal("expected leadership on empty cache")
+		}
+		early := c.Acquire(3) // joined before the write: old or new are both fine
+		c.Invalidate(3)
+		b := c.Acquire(3)
+		if !b.Leader || b.Pending == a.Pending {
+			t.Fatalf("acquire after invalidate: %+v, want to lead a load of its own", b)
+		}
+		// Every later reader joins the fresh load: one read, however many.
+		var late [8]AcquireResult
+		for i := range late {
+			late[i] = c.Acquire(3)
+			if late[i].Hit || late[i].Leader || late[i].Pending != b.Pending {
+				t.Fatalf("late reader %d: %+v, want a join of the fresh load", i, late[i])
+			}
+		}
+		if staleFirst {
+			c.Complete(a.Pending, old, 2, nil)
+			if r := c.Acquire(3); r.Hit || r.Leader || r.Pending != b.Pending {
+				t.Fatalf("acquire after the outdated completion: %+v, want a join of the fresh load", r)
+			}
+			c.Complete(b.Pending, fresh, 1, nil)
+		} else {
+			c.Complete(b.Pending, fresh, 1, nil)
+			c.Complete(a.Pending, old, 2, nil) // the outdated leader, last to know
+		}
+		if rec, _, err := early.Pending.Wait(context.Background()); err != nil || rec.Len() != 9 {
+			t.Fatalf("early waiter: %d recs, %v; want its own leader's 9", rec.Len(), err)
+		}
+		for i, l := range late {
+			if rec, _, err := l.Pending.Wait(context.Background()); err != nil || rec.Len() != 4 {
+				t.Fatalf("late reader %d: %d recs, %v; want the fresh load's 4", i, rec.Len(), err)
+			}
+		}
+		if r := c.Acquire(3); !r.Hit || r.Rec.Len() != 4 {
+			t.Fatalf("staleFirst=%v: acquire after both reported: %+v, want a hit on the fresh bucket", staleFirst, r)
+		}
+		if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+			t.Fatalf("staleFirst=%v: %d loads led, %d entries; want 2 and 1", staleFirst, st.Misses, st.Entries)
+		}
 	}
 }
 
@@ -506,8 +563,8 @@ func TestSecondChanceSurvivesOneSweep(t *testing.T) {
 		if step.victim != 0 && !resident(c, 0) {
 			t.Fatalf("insert of %d evicted id 0 before its second arrival at the cold end", step.insert)
 		}
-		if c.Len() != 3 {
-			t.Fatalf("insert of %d: %d entries, want 3", step.insert, c.Len())
+		if c.Stats().Entries != 3 {
+			t.Fatalf("insert of %d: %d entries, want 3", step.insert, c.Stats().Entries)
 		}
 	}
 	if got := c.Stats().Evictions; got != 4 {
@@ -552,10 +609,11 @@ func TestInvalidateReferencedEntry(t *testing.T) {
 	if resident(c, 1) || c.Stats().Bytes != 0 {
 		t.Fatalf("marked entry survived Invalidate: %+v", c.Stats())
 	}
-	if r := c.Acquire(1); !r.Leader {
+	r := c.Acquire(1)
+	if !r.Leader {
 		t.Fatalf("acquire after invalidate: %+v, want leadership", r)
 	}
-	c.Complete(1, makeFlat(10), 1, nil)
+	c.Complete(r.Pending, makeFlat(10), 1, nil)
 	c.Get(ctx, 2, loadOf(makeFlat(10), 1))
 	c.Get(ctx, 3, loadOf(makeFlat(10), 1)) // 1 is coldest and unmarked: it goes
 	if resident(c, 1) || !resident(c, 2) || !resident(c, 3) {
@@ -595,7 +653,7 @@ func TestByteBoundUnderRandomOps(t *testing.T) {
 					c.Invalidate(id)
 				default:
 					if r := c.Acquire(id); r.Leader {
-						c.Complete(id, makeFlat(1+rng.Intn(120)), 1, nil)
+						c.Complete(r.Pending, makeFlat(1+rng.Intn(120)), 1, nil)
 					}
 				}
 				check()

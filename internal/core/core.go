@@ -37,9 +37,6 @@ type Grid struct {
 	Buckets []gridfile.BucketView
 }
 
-// Dims returns the grid dimensionality.
-func (g *Grid) Dims() int { return len(g.Sizes) }
-
 // FromGridFile captures the declustering view of a grid file.
 func FromGridFile(f *gridfile.File) Grid {
 	return Grid{

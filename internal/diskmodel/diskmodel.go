@@ -89,9 +89,6 @@ func New(p Params) *Disk {
 	return d
 }
 
-// Params returns the disk's configuration.
-func (d *Disk) Params() Params { return d.params }
-
 // Stats returns the accumulated statistics.
 func (d *Disk) Stats() Stats { return d.stats }
 

@@ -24,13 +24,14 @@ func TestMissCost(t *testing.T) {
 }
 
 func TestReadWithoutCache(t *testing.T) {
-	d := New(testParams(0))
+	p := testParams(0)
+	d := New(p)
 	for i := 0; i < 3; i++ {
 		cost, hit := d.Read(7)
 		if hit {
 			t.Fatal("cache hit with caching disabled")
 		}
-		if cost != d.Params().MissCost() {
+		if cost != p.MissCost() {
 			t.Fatalf("cost = %v", cost)
 		}
 	}
@@ -38,7 +39,7 @@ func TestReadWithoutCache(t *testing.T) {
 	if st.Reads != 3 || st.Hits != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.BusyTime != 3*d.Params().MissCost() {
+	if st.BusyTime != 3*p.MissCost() {
 		t.Errorf("BusyTime = %v", st.BusyTime)
 	}
 }
@@ -88,7 +89,7 @@ func TestReadAll(t *testing.T) {
 	if hits != 2 {
 		t.Errorf("hits = %d, want 2", hits)
 	}
-	want := 3*d.Params().MissCost() + 2*time.Millisecond
+	want := 3*testParams(10).MissCost() + 2*time.Millisecond
 	if total != want {
 		t.Errorf("total = %v, want %v", total, want)
 	}
@@ -164,7 +165,7 @@ func TestSequentialReads(t *testing.T) {
 func TestSequentialReadsDisabledByDefault(t *testing.T) {
 	d := New(testParams(0))
 	d.Read(10)
-	if cost, _ := d.Read(11); cost != d.Params().MissCost() {
+	if cost, _ := d.Read(11); cost != testParams(0).MissCost() {
 		t.Errorf("sequential optimization active without opt-in: %v", cost)
 	}
 	if d.Stats().SeqReads != 0 {

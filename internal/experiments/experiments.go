@@ -91,9 +91,6 @@ func NewLab(opts Options) *Lab {
 	return &Lab{opts: opts.normalize(), cache: map[string]*built{}}
 }
 
-// Options returns the lab's normalized options.
-func (l *Lab) Options() Options { return l.opts }
-
 // dataset builds (or returns the memoized) named dataset.
 func (l *Lab) dataset(name string) (*built, error) {
 	if b, ok := l.cache[name]; ok {

@@ -79,7 +79,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	lab := NewLab(Options{})
-	o := lab.Options()
+	o := lab.opts
 	if o.Queries != 1000 || o.Scale != 1.0 || len(o.Disks) != 15 {
 		t.Errorf("normalized options = %+v", o)
 	}
@@ -225,7 +225,7 @@ func TestTable1BalanceBounds(t *testing.T) {
 	b, _ := lab.dataset("hot.2d")
 	n := len(b.grid.Buckets)
 	mm := parseSeries(t, tb, "MiniMax")
-	for i, m := range lab.Options().Disks {
+	for i, m := range lab.opts.Disks {
 		ceil := (n + m - 1) / m
 		bound := float64(ceil) * float64(m) / float64(n)
 		if mm[i] > bound+1e-6 {
@@ -314,12 +314,12 @@ func TestMeanResponseRowAgainstDirectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := lab.queriesFor(b.grid.Domain, 0.05)
-	alg := &core.Minimax{Seed: lab.Options().Seed}
+	alg := &core.Minimax{Seed: lab.opts.Seed}
 	rts, _, err := lab.meanResponseRow(b, alg, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, _ := alg.Decluster(b.grid, lab.Options().Disks[0])
+	alloc, _ := alg.Decluster(b.grid, lab.opts.Disks[0])
 	res, err := sim.Replay(b.file, alloc, b.indexByID, queries)
 	if err != nil {
 		t.Fatal(err)

@@ -35,9 +35,6 @@ func NewCartesian(sizes []int, domain geom.Rect) (*CartesianFile, error) {
 	return &CartesianFile{sizes: s, domain: domain.Clone()}, nil
 }
 
-// Dims returns the dimensionality.
-func (c *CartesianFile) Dims() int { return len(c.sizes) }
-
 // Domain returns the data domain.
 func (c *CartesianFile) Domain() geom.Rect { return c.domain.Clone() }
 

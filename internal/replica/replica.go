@@ -10,7 +10,6 @@
 package replica
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pgridfile/internal/core"
@@ -96,32 +95,4 @@ func (m *Map) Validate(nBuckets int) error {
 		}
 	}
 	return nil
-}
-
-// DiskLoads returns the number of bucket copies per disk across all levels.
-func (m *Map) DiskLoads() []int {
-	loads := make([]int, m.Disks)
-	for _, own := range m.Owners {
-		for _, k := range own {
-			loads[k]++
-		}
-	}
-	return loads
-}
-
-// Encode serializes the map into a canonical byte string: disks, replicas,
-// bucket count, then each bucket's owner list, all little-endian uint32.
-// Two maps are equal iff their encodings are byte-identical — the form the
-// determinism tests compare.
-func (m *Map) Encode() []byte {
-	buf := make([]byte, 0, 12+4*len(m.Owners)*m.Replicas)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Disks))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Replicas))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Owners)))
-	for _, own := range m.Owners {
-		for _, k := range own {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
-		}
-	}
-	return buf
 }

@@ -44,7 +44,13 @@ func TestPlaceOwnersDistinct(t *testing.T) {
 		}
 	}
 	quota := (n + disks - 1) / disks
-	for d, l := range m.DiskLoads() {
+	loads := make([]int, disks) // bucket copies per disk across all levels
+	for _, own := range m.Owners {
+		for _, k := range own {
+			loads[k]++
+		}
+	}
+	for d, l := range loads {
 		if l > r*quota+disks {
 			t.Fatalf("disk %d holds %d copies, per-level quota %d × %d levels", d, l, quota, r)
 		}

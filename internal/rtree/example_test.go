@@ -21,7 +21,7 @@ func ExampleBulkLoad() {
 		panic(err)
 	}
 	q := geom.NewRect([]float64{0, 0}, []float64{4, 4})
-	fmt.Printf("points: %d in %d leaves (height %d)\n", tr.Len(), tr.NumLeaves(), tr.Height())
+	fmt.Printf("points: %d in %d leaves (height %d)\n", tr.RangeCount(tr.Domain()), tr.NumLeaves(), tr.Height())
 	fmt.Printf("range [0,4]^2: %d points from %d leaves\n",
 		tr.RangeCount(q), len(tr.BucketsInRange(q)))
 	// Output:

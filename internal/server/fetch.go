@@ -1,0 +1,541 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	rtrace "runtime/trace"
+	"slices"
+	"sync"
+	"time"
+
+	"pgridfile/internal/cache"
+	"pgridfile/internal/fault"
+	"pgridfile/internal/geom"
+	"pgridfile/internal/store"
+)
+
+// publishLeads completes every bucket of a successfully read batch in the
+// cache, so followers blocked in Pending.Wait unblock with the data.
+func (s *Server) publishLeads(loads []*cache.Pending, recs []geom.Flat) {
+	if s.bcache == nil {
+		return
+	}
+	for i, p := range loads {
+		s.bcache.Complete(p, recs[i], s.st.PagesFor(recs[i].Len()), nil)
+	}
+}
+
+// failLeads publishes err for every bucket this query volunteered to load,
+// so waiting followers unblock and the cache's in-flight table stays clean.
+// Used for batches never handed to a disk worker and for batches whose
+// failover routes are exhausted; successful batches are published by the
+// disk workers.
+func (s *Server) failLeads(loads []*cache.Pending, err error) {
+	if s.bcache == nil {
+		return
+	}
+	for _, p := range loads {
+		s.bcache.Complete(p, geom.Flat{}, 0, err)
+	}
+}
+
+// fetchBuckets resolves a query's bucket set into recs (parallel to ids,
+// len(recs) == len(ids), pre-zeroed by the caller): cache hits are filled
+// immediately, buckets another in-flight query is already reading are
+// joined (singleflight), and the rest are batched per disk and submitted to
+// the disk workers' request rings. Every bucket this query leads is
+// published to the cache exactly once — with data or with the error —
+// before fetchBuckets returns, so followers never wait on an abandoned
+// load. A degraded return leaves missed buckets as zero Flats, which scan
+// as empty.
+//
+// The common case — every bucket resident — never leaves this function and
+// allocates nothing.
+func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, ids []int32, recs []geom.Flat) (QueryInfo, error) {
+	var info QueryInfo
+	cacheStart := s.traceNow(tr)
+	if s.bcache != nil {
+		for i, id := range ids {
+			r := s.bcache.Acquire(id)
+			if !r.Hit {
+				return s.fetchBucketsSlow(ctx, tr, ids, recs, i, r, true, info, cacheStart)
+			}
+			recs[i] = r.Rec
+			info.Buckets++
+		}
+		s.traceSince(tr, stageCache, cacheStart)
+		tr.noteCache(len(ids), 0, 0)
+		return info, nil
+	}
+	return s.fetchBucketsSlow(ctx, tr, ids, recs, 0, cache.AcquireResult{}, false, info, cacheStart)
+}
+
+// leadBatch is one disk's worth of buckets a query must read itself, with
+// each bucket's index into the query's recs slice riding along so responses
+// scatter straight into place, and the cache's handle for the load so its
+// completion reaches this load's waiters and no later one's.
+type leadBatch struct {
+	ids   []int32
+	idxs  []int
+	loads []*cache.Pending
+}
+
+// fetchBucketsSlow is the miss path of fetchBuckets, entered at position i
+// with — when haveFirst — the AcquireResult already obtained for ids[i]
+// (re-acquiring would self-join a load this query leads and deadlock).
+func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, recs []geom.Flat,
+	i int, first cache.AcquireResult, haveFirst bool, info QueryInfo, cacheStart time.Time) (QueryInfo, error) {
+	type join struct {
+		idx int
+		id  int32
+		p   *cache.Pending
+	}
+	var joins []join
+	var leads map[int]*leadBatch // disk -> buckets this query must read
+	nleads := 0
+	hits := info.Buckets
+	for ; i < len(ids); i++ {
+		id := ids[i]
+		var r cache.AcquireResult
+		switch {
+		case haveFirst:
+			r, haveFirst = first, false
+		case s.bcache != nil:
+			r = s.bcache.Acquire(id)
+		default:
+			// No cache: every bucket is this query's own read.
+			r = cache.AcquireResult{Leader: true}
+		}
+		switch {
+		case r.Hit:
+			recs[i] = r.Rec
+			info.Buckets++
+			hits++
+			continue
+		case !r.Leader:
+			joins = append(joins, join{i, id, r.Pending})
+			continue
+		}
+		pl, ok := s.st.Placement(id)
+		if !ok {
+			err := fmt.Errorf("bucket %d not in store", id)
+			s.failLeads([]*cache.Pending{r.Pending}, err)
+			for _, b := range leads {
+				s.failLeads(b.loads, err)
+			}
+			s.traceSince(tr, stageCache, cacheStart)
+			return info, err
+		}
+		disk := pl.Disk
+		if s.replicated {
+			// Load-aware read selection: route the lead to the least-loaded
+			// live owner. Ties prefer the primary, so an idle server reads
+			// like an unreplicated one.
+			if d, live := s.st.PickOwner(id, nil); live {
+				disk = d
+			}
+		}
+		if leads == nil {
+			leads = make(map[int]*leadBatch)
+		}
+		b := leads[disk]
+		if b == nil {
+			b = &leadBatch{}
+			leads[disk] = b
+		}
+		b.ids = append(b.ids, id)
+		b.idxs = append(b.idxs, i)
+		b.loads = append(b.loads, r.Pending)
+		nleads++
+	}
+	s.traceSince(tr, stageCache, cacheStart)
+	tr.noteCache(hits, len(joins), nleads)
+
+	// One batch per disk. The response channel is buffered for every lead
+	// bucket: outstanding batches always hold disjoint lead sets (a failed
+	// batch is regrouped only after its response is drained), so at most
+	// nleads responses can ever be in flight and disk workers never block
+	// on an abandoned query. The gather loop waits for every submitted batch
+	// (the workers answer expired contexts immediately). Leads of successful
+	// batches are completed by the disk workers; failed or never-submitted
+	// batches are completed here, after failover is exhausted.
+	resp := make(chan fetchResp, nleads)
+	var err error
+	submitted := 0
+	for disk, b := range leads {
+		if err != nil {
+			s.failLeads(b.loads, err)
+			continue
+		}
+		if !s.sched[disk].submit(fetchReq{leadBatch: *b, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}) {
+			err = errShuttingDown
+			s.failLeads(b.loads, err)
+			continue
+		}
+		s.st.AddLoad(disk, int64(len(b.ids)))
+		submitted++
+	}
+	// missedDisks records disks whose batches failed transiently while
+	// degraded mode absorbs the failure; the answer then covers only the
+	// surviving disks (a strict subset of the full result, never wrong
+	// records, because buckets are whole-disk resident). On a replicated
+	// layout failover comes first: bucketFailed tracks, PER BUCKET, the
+	// disks it has already failed on, and each failed bucket is rerouted to
+	// its least-loaded remaining owner. The exclusion set is per bucket, not
+	// per query: two unrelated batches failing on different disks must not
+	// condemn a third bucket that owns copies on both but never tried either
+	// — with transient (probabilistic) faults that would lose buckets a live
+	// owner could still serve. Each reroute excludes one more distinct owner,
+	// so a bucket fails over at most r-1 times before it is lost.
+	var missedDisks map[int]bool
+	degrade := func(disk int) {
+		if missedDisks == nil {
+			missedDisks = make(map[int]bool)
+		}
+		missedDisks[disk] = true
+	}
+	var bucketFailed map[int32][]int
+	var nPrimary, nSecondary int64
+	for outstanding := submitted; outstanding > 0; {
+		r := <-resp
+		outstanding--
+		s.st.AddLoad(r.disk, -int64(len(r.ids)))
+		if r.err == nil {
+			for k := range r.ids {
+				recs[r.idxs[k]] = r.recs[k]
+				info.Buckets++
+			}
+			info.Pages += r.pages
+			if s.replicated {
+				for _, id := range r.ids {
+					if own := s.st.Owners(id); len(own) > 0 && own[0] != r.disk {
+						nSecondary++
+					} else {
+						nPrimary++
+					}
+				}
+			}
+			continue
+		}
+		if s.replicated && err == nil && s.transientErr(ctx, r.err) {
+			if bucketFailed == nil {
+				bucketFailed = make(map[int32][]int)
+			}
+			for _, id := range r.ids {
+				bucketFailed[id] = append(bucketFailed[id], r.disk)
+			}
+			if resubmitted := s.failOver(ctx, tr, resp, r, bucketFailed, degrade, &err); resubmitted > 0 {
+				outstanding += resubmitted
+			}
+			continue
+		}
+		// No failover route: complete the leads with the error so followers
+		// unblock, then absorb the failure (degraded) or surface it.
+		s.failLeads(r.loads, r.err)
+		if s.degradable(ctx, r.err) {
+			degrade(r.disk)
+			continue
+		}
+		if err == nil {
+			err = r.err
+		}
+	}
+	if nPrimary > 0 {
+		s.met.replicaReadsPrimary.Add(nPrimary)
+	}
+	if nSecondary > 0 {
+		s.met.replicaReadsSecondary.Add(nSecondary)
+	}
+	if err != nil {
+		return info, err
+	}
+
+	// Collect joined loads last: their leaders read in parallel with ours.
+	// A leader's transient failure degrades this query too — the bucket's
+	// disk is what actually failed. Waiting on a leader counts as cache
+	// time: the bucket is being materialized by the cache's singleflight,
+	// not by this query's own I/O.
+	joinStart := s.traceNow(tr)
+	defer s.traceSince(tr, stageCache, joinStart)
+	for _, j := range joins {
+		rec, _, werr := j.p.Wait(ctx)
+		if werr != nil {
+			if s.degradable(ctx, werr) {
+				if pl, ok := s.st.Placement(j.id); ok {
+					degrade(pl.Disk)
+					continue
+				}
+			}
+			return info, werr
+		}
+		recs[j.idx] = rec
+		info.Buckets++
+	}
+	if len(missedDisks) > 0 {
+		info.Degraded = true
+		info.MissedDisks = len(missedDisks)
+	}
+	return info, nil
+}
+
+// failOver reroutes one transiently failed batch to surviving owner disks:
+// each bucket is resubmitted to its least-loaded owner it has not yet failed
+// on (per bucketFailed) as its OWN single-bucket batch with a fresh retry
+// budget. The split is deliberate — failover is the last stop before losing
+// the bucket, and in the original coalesced batch one unlucky injected pread
+// fails every bucket riding along; independent retries make the per-bucket
+// survival odds (1-p)^attempts instead of (1-p)^(attempts·runs). Buckets
+// whose every owner already failed — and reroutes the failover failpoint
+// kills — are completed with the original error and absorbed as degraded (or
+// surfaced via *errp). It returns the number of batches resubmitted, which
+// the gather loop must keep waiting for.
+func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
+	r fetchResp, bucketFailed map[int32][]int, degrade func(int), errp *error) int {
+	var lost []*cache.Pending
+	resubmitted := 0
+	for k, id := range r.ids {
+		tried := bucketFailed[id]
+		disk, ok := s.st.PickOwner(id, func(d int) bool { return slices.Contains(tried, d) })
+		if !ok {
+			lost = append(lost, r.loads[k])
+			continue
+		}
+		// The failover redirect is itself a failpoint site: chaos runs can
+		// stall it or kill it, forcing the pre-replication degraded fallback.
+		redirected := true
+		if inj, hit := s.faults.Eval(fault.SiteServerFailover); hit {
+			if inj.Delay > 0 && fault.Sleep(ctx, inj.Delay) != nil {
+				redirected = false
+			}
+			if inj.Err != nil {
+				redirected = false
+			}
+		}
+		if !redirected {
+			lost = append(lost, r.loads[k])
+			continue
+		}
+		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1]}
+		if !s.sched[disk].submit(fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}) {
+			lost = append(lost, r.loads[k])
+			continue
+		}
+		s.st.AddLoad(disk, 1)
+		s.met.replicaFailover.Add(1)
+		resubmitted++
+	}
+	if len(lost) > 0 {
+		s.failLeads(lost, r.err)
+		if s.degradable(ctx, r.err) {
+			degrade(r.disk)
+		} else if *errp == nil {
+			*errp = r.err
+		}
+	}
+	return resubmitted
+}
+
+// transientErr reports whether a fetch failure is recoverable by reading
+// elsewhere — injected, or a detected page checksum mismatch, with the
+// query itself still live — and thus a
+// candidate for replica failover or degraded absorption. A checksum
+// failure is corruption of ONE copy, not of the bucket: a surviving
+// replica (or the scrubber's repair) still holds the records, which is
+// exactly what failover routes to. Structural failures (unknown buckets, a
+// manifest that disagrees with the page files) stay fatal.
+func (s *Server) transientErr(ctx context.Context, err error) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	return fault.IsInjected(err) || store.IsChecksum(err)
+}
+
+// degradable reports whether a fetch error may be absorbed into a partial
+// answer: degraded mode is on, the query itself is still live, and the
+// failure is transient.
+func (s *Server) degradable(ctx context.Context, err error) bool {
+	return s.cfg.Degraded && s.transientErr(ctx, err)
+}
+
+// Per-disk I/O submission. Queries append to the disk's request ring and poke
+// its worker. The worker drains the whole ring in one window and serves the
+// window's requests one after another, each as its own store batch read under
+// its own context, sending each completion to its query's response channel.
+//
+// The contract with the store is ids in, flats and counts out: which
+// positioned reads serve a batch — how wanted pages group into spans and
+// which gaps are read through — is the store's span planner's decision alone
+// (nextSpan in internal/store); nothing here reasons about page positions.
+// The planner reports what it did through store.Timing.
+
+// fetchReq asks a disk worker for a batch of buckets, all resident on that
+// disk. idxs carries each bucket's index in the submitting query's recs
+// slice so the response can be scattered into place without a map.
+type fetchReq struct {
+	leadBatch
+	ctx  context.Context  // the owning query; expired fetches are skipped
+	resp chan<- fetchResp // buffered by the submitter; never blocks
+	tr   *Trace           // the owning query's stage trace; nil when untraced
+	enq  time.Time        // submit time, for the fetch_wait stage (zero when untraced)
+}
+
+type fetchResp struct {
+	leadBatch             // the requested batch, echoed (error accounting, scatter, failover)
+	recs      []geom.Flat // decoded arenas, parallel to ids; nil on error
+	disk      int         // which disk served (or failed) the batch
+	pages     int
+	err       error
+}
+
+// diskQueue is one disk's submission ring: submitters append under a mutex
+// and poke the worker through a 1-slot wake channel, so a submission is two
+// cheap operations regardless of how deep the backlog is, and the worker
+// picks up every request queued while it was busy in one swap.
+type diskQueue struct {
+	mu     sync.Mutex
+	reqs   []fetchReq
+	wake   chan struct{}
+	closed bool
+}
+
+func newDiskQueue() *diskQueue {
+	return &diskQueue{wake: make(chan struct{}, 1)}
+}
+
+// submit enqueues r and wakes the worker. It reports false — without
+// enqueueing — once the queue is closed.
+func (q *diskQueue) submit(r fetchReq) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.reqs = append(q.reqs, r)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// close marks the queue closed and wakes the worker so it can exit once the
+// backlog drains. Callers guarantee no submissions race with close.
+func (q *diskQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// diskWorker is one disk's I/O worker: one head per spindle, as in the
+// paper's model. It swaps the submission ring against an empty one and
+// serves the whole window, request by request, before looking again: one
+// lock acquisition per window however many requests queued up while a read
+// was in flight.
+func (s *Server) diskWorker(disk int, q *diskQueue) {
+	defer s.fetchWg.Done()
+	var window []fetchReq
+	for {
+		q.mu.Lock()
+		window, q.reqs = q.reqs, window[:0]
+		closed := q.closed
+		q.mu.Unlock()
+		if len(window) == 0 {
+			if closed {
+				return
+			}
+			<-q.wake
+			continue
+		}
+		for _, req := range window {
+			s.serveOne(disk, req)
+		}
+		// Drop the served requests' references (contexts, response
+		// channels) before the next swap parks this array back in the ring.
+		clear(window)
+	}
+}
+
+// serveOne serves a single request. Success is published to the cache
+// here; a failed batch's leads stay pending because the gather loop may
+// still fail the batch over to a surviving owner disk — only when every
+// route is exhausted does the gather loop complete them with the error.
+func (s *Server) serveOne(disk int, req fetchReq) {
+	// Untraced requests take the planner's counts but skip its clock reads.
+	tm := store.Timing{CountsOnly: req.tr == nil}
+	if req.tr != nil {
+		// Queue wait: submit to dequeue, i.e. time spent behind other
+		// batches on this spindle.
+		s.traceSince(req.tr, stageFetchWait, req.enq)
+	}
+	// The runtime/trace region brackets the whole batch (retries and
+	// backoff included) so `go tool trace` shows each disk worker's duty
+	// cycle. StartRegion is a no-op unless tracing is active.
+	region := rtrace.StartRegion(req.ctx, "gridserver.fetchBatch")
+	recs, pages, err := s.fetchBatch(req.ctx, disk, req.ids, req.tr, &tm)
+	region.End()
+	if req.tr != nil {
+		req.tr.add(stagePread, tm.Pread)
+		req.tr.add(stageDecode, tm.Decode)
+	}
+	if err == nil {
+		s.met.diskFetches[disk].Add(int64(len(req.ids)))
+		s.met.noteRead(pages, &tm)
+		s.publishLeads(req.loads, recs)
+	}
+	req.resp <- fetchResp{leadBatch: req.leadBatch, recs: recs, disk: disk, pages: pages, err: err}
+}
+
+// fetchBatch runs one disk batch with the bounded retry/backoff policy. Only
+// transient failures are retried: injected faults (including torn reads,
+// which wrap fault.ErrInjected). Checksum mismatches are deliberately NOT retried
+// here — rereading the same corrupt copy returns the same bytes — but they
+// are transient to the gather loop, which fails them over to a surviving
+// replica. Structural corruption or unknown buckets fail immediately, and
+// an expired query stops retrying at once.
+func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trace, tm *store.Timing) ([]geom.Flat, int, error) {
+	for attempt := 1; ; attempt++ {
+		recs, pages, err := s.readBatch(ctx, disk, ids, tm)
+		if err == nil {
+			return recs, pages, nil
+		}
+		if !fault.IsInjected(err) || attempt > s.cfg.FetchRetries || ctx.Err() != nil {
+			return nil, 0, err
+		}
+		s.met.diskRetries.Add(1)
+		backoffStart := s.traceNow(tr)
+		serr := fault.Sleep(ctx, retryDelay(s.cfg.FetchBackoff, attempt))
+		s.traceSince(tr, stageBackoff, backoffStart)
+		if serr != nil {
+			return nil, 0, err
+		}
+	}
+}
+
+// readBatch performs one disk's share of a query. A query whose deadline
+// already expired has abandoned the fetch; skipping the I/O (checked again
+// between simulated-latency sleeps) keeps its backlog from starving live
+// queries.
+func (s *Server) readBatch(ctx context.Context, disk int, ids []int32, tm *store.Timing) ([]geom.Flat, int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	if s.cfg.slowFetch > 0 {
+		for range ids {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			time.Sleep(s.cfg.slowFetch)
+		}
+	}
+	recs := make([]geom.Flat, len(ids))
+	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
+	if err != nil {
+		return nil, 0, err
+	}
+	return recs, pages, nil
+}

@@ -30,11 +30,20 @@ func encodeResult(verb Verb, res Result) (Frame, error) {
 	return Frame{Verb: verb, Payload: payload}, nil
 }
 
+// DecodeResult is DecodeResultInto a fresh Result.
+func DecodeResult(f Frame) (Result, error) {
+	var res Result
+	if err := DecodeResultInto(f, &res); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
 // appendFrame frames an already encoded payload the way the server's reply
 // path and the client's request path do.
 func appendFrame(buf []byte, f Frame, id uint32, tagged bool) ([]byte, error) {
-	buf, start := beginFrame(buf, f.Verb, id, tagged)
-	return endFrame(append(buf, f.Payload...), start)
+	buf, start := beginFrame(buf, envelopeFor(f.Verb), id, tagged)
+	return endFrame(append(append(buf, byte(f.Verb)), f.Payload...), start)
 }
 
 // writeFrame writes one bare frame to w.

@@ -46,6 +46,16 @@ type QuantileSummary struct {
 	Max   float64 `json:"max"`
 }
 
+// quantiles lists the percentiles /metrics exposes, under their labels.
+func (s QuantileSummary) quantiles() [4]quantile {
+	return [4]quantile{{"0.5", s.P50}, {"0.9", s.P90}, {"0.95", s.P95}, {"0.99", s.P99}}
+}
+
+type quantile struct {
+	q string
+	v float64
+}
+
 // summarize reads a recorder in multiples of unit: time.Microsecond for a
 // latency reported in µs, 1 for nanoseconds and for plain counts.
 func summarize(r *stats.Recorder, unit time.Duration) QuantileSummary {
@@ -227,11 +237,7 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	for d, n := range s.DiskFetches {
 		fmt.Fprintf(w, "gridserver_disk_bucket_fetches_total{disk=\"%d\"} %d\n", d, n)
 	}
-	for _, q := range []struct {
-		q string
-		v float64
-	}{{"0.5", s.LatencyMicros.P50}, {"0.9", s.LatencyMicros.P90},
-		{"0.95", s.LatencyMicros.P95}, {"0.99", s.LatencyMicros.P99}} {
+	for _, q := range s.LatencyMicros.quantiles() {
 		fmt.Fprintf(w, "gridserver_latency_micros{quantile=%q} %g\n", q.q, q.v)
 	}
 	fmt.Fprintf(w, "gridserver_latency_observations_total %d\n", s.LatencyMicros.Count)
@@ -245,12 +251,8 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 			if !ok {
 				continue
 			}
-			for _, pq := range []struct {
-				q string
-				v float64
-			}{{"0.5", q.P50}, {"0.9", q.P90}, {"0.95", q.P95}, {"0.99", q.P99}} {
-				fmt.Fprintf(w, "gridserver_stage_nanos{stage=%q,quantile=%q} %g\n",
-					name, pq.q, pq.v)
+			for _, pq := range q.quantiles() {
+				fmt.Fprintf(w, "gridserver_stage_nanos{stage=%q,quantile=%q} %g\n", name, pq.q, pq.v)
 			}
 			fmt.Fprintf(w, "gridserver_stage_observations_total{stage=%q} %d\n", name, q.Count)
 		}

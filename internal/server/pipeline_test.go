@@ -102,7 +102,7 @@ func TestPipelinedEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q geom.Rect) {
 			defer wg.Done()
-			n, _, err := cl.RangeCount(q)
+			n, _, err := cl.RangeCountCtx(context.Background(), q)
 			if err != nil {
 				errCh <- fmt.Errorf("query %d: %w", i, err)
 				return
@@ -156,10 +156,10 @@ func TestPipelinedCoalescing(t *testing.T) {
 
 	// Reader and worker: tagged requests that arrive in one read ride one
 	// hand-off, and the worker encodes their replies into one buffer. With
-	// PipelineDepth 1 the connection has a single worker, so no sibling can
+	// pipelineDepth 1 the connection has a single worker, so no sibling can
 	// take half of the batch.
 	t.Run("burst", func(t *testing.T) {
-		s, f := newTestServer(t, 900, 4, Config{PipelineDepth: 1})
+		s, f := newTestServer(t, 900, 4, Config{pipelineDepth: 1})
 		conn, err := net.Dial("tcp", s.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -254,7 +254,7 @@ func TestPipelinedUnderFaults(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q geom.Rect) {
 			defer wg.Done()
-			n, _, err := cl.RangeCount(q)
+			n, _, err := cl.RangeCountCtx(context.Background(), q)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -284,7 +284,7 @@ func TestPipelinedUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries[:8] {
-		n, _, err := cl.RangeCount(q)
+		n, _, err := cl.RangeCountCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("post-chaos query %d: %v", i, err)
 		}

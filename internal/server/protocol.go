@@ -11,9 +11,14 @@
 // The package has three layers:
 //
 //   - protocol.go: the wire format — frames, request and response payloads;
-//   - server.go + metrics.go: the serving side — admission control,
-//     per-disk fetch goroutines, deadlines, graceful shutdown, counters and
-//     latency histograms exported via the STATS verb and optional HTTP;
+//   - the serving side, cut where the socket ends (DESIGN S39): conn.go owns
+//     connections, pipelining and the wire envelope of replies; exec.go is
+//     the executor — request frame in, inner reply out, admission control
+//     and deadlines, the query verbs — and runs without a listener; fetch.go
+//     takes its cache misses to the per-disk fetch goroutines, with retry,
+//     failover and degraded answers; admin.go has STATS/FAULT, scrub, the
+//     optional HTTP endpoint and graceful shutdown; server.go the Config and
+//     construction; metrics.go and trace.go the counters and stage traces;
 //   - client.go: a pooled client with request timeouts and retry/backoff.
 package server
 
@@ -95,22 +100,8 @@ type Frame struct {
 // before allocating the payload. A truncated stream yields an error rather
 // than a short frame.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 {
-		return Frame{}, ErrEmptyFrame
-	}
-	if n > MaxFrameBytes {
-		return Frame{}, ErrFrameTooBig
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, fmt.Errorf("server: truncated frame: %w", err)
-	}
-	return Frame{Verb: Verb(buf[0]), Payload: buf[1:]}, nil
+	var buf []byte
+	return readFrameBuf(r, &buf)
 }
 
 // readFrameBuf is ReadFrame with a caller-owned scratch buffer: a long-lived
@@ -175,19 +166,19 @@ func UnwrapTagged(f Frame) (uint32, Frame, error) {
 	return id, inner, nil
 }
 
-// beginFrame appends a frame header onto buf — the u32 length placeholder,
-// the envelope header when tagged, and the inner verb — and returns the
-// extended buffer plus the frame's start offset. The caller appends the
-// payload and seals the frame with endFrame, so a complete wire frame is
-// assembled in place with no intermediate copies.
-func beginFrame(buf []byte, inner Verb, id uint32, tagged bool) ([]byte, int) {
+// beginFrame opens a frame on buf — the u32 length placeholder and, when
+// tagged, the header of envelope env (VerbTagged for a request,
+// VerbTaggedReply for a reply) — and returns the extended buffer plus the
+// frame's start offset. The caller appends the inner verb and payload and
+// seals the frame with endFrame, so a complete wire frame is assembled in
+// place with no intermediate copies.
+func beginFrame(buf []byte, env Verb, id uint32, tagged bool) ([]byte, int) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length, patched by endFrame
 	if tagged {
-		buf = append(buf, byte(envelopeFor(inner)))
+		buf = append(buf, byte(env))
 		buf = binary.LittleEndian.AppendUint32(buf, id)
 	}
-	buf = append(buf, byte(inner))
 	return buf, start
 }
 
@@ -206,17 +197,22 @@ func endFrame(buf []byte, start int) ([]byte, error) {
 	return buf, nil
 }
 
-// appendErrorFrame appends a complete error-response frame onto buf,
-// preserving the request id of a pipelined request so the failure stays
-// matchable. The message is truncated rather than rejected: an error reply
-// must always be expressible.
-func appendErrorFrame(buf []byte, msg string, id uint32, tagged bool) []byte {
+// appendError appends an inner error reply — VerbError and the message — onto
+// buf. The message is truncated rather than rejected, to what fits a frame
+// with or without an envelope: an error reply must always be expressible.
+func appendError(buf []byte, msg string) []byte {
 	if max := MaxFrameBytes - 1 - taggedHdrLen; len(msg) > max {
 		msg = msg[:max]
 	}
-	buf, start := beginFrame(buf, VerbError, id, tagged)
-	buf = append(buf, msg...)
-	buf, _ = endFrame(buf, start)
+	return append(append(buf, byte(VerbError)), msg...)
+}
+
+// appendErrorFrame appends a complete error-response frame onto buf,
+// preserving the request id of a pipelined request so the failure stays
+// matchable.
+func appendErrorFrame(buf []byte, msg string, id uint32, tagged bool) []byte {
+	buf, start := beginFrame(buf, VerbTaggedReply, id, tagged)
+	buf, _ = endFrame(appendError(buf, msg), start)
 	return buf
 }
 
@@ -367,8 +363,8 @@ func checkFinite(vs ...float64) error {
 // connection paths).
 // On error the buffer is returned truncated back to its original length.
 func AppendRequestFrame(buf []byte, req Request, id uint32, tagged bool) ([]byte, error) {
-	buf, start := beginFrame(buf, req.Verb, id, tagged)
-	buf, err := appendRequestPayload(buf, req)
+	buf, start := beginFrame(buf, VerbTagged, id, tagged)
+	buf, err := appendRequestPayload(append(buf, byte(req.Verb)), req)
 	if err != nil {
 		return buf[:start], err
 	}
@@ -733,19 +729,9 @@ func (e *resultEncoder) finish(info QueryInfo) ([]byte, error) {
 	return appendResultInfo(e.buf, info, e.start)
 }
 
-// DecodeResult parses a VerbPoints or VerbCount answer frame.
-func DecodeResult(f Frame) (Result, error) {
-	var res Result
-	if err := DecodeResultInto(f, &res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
 // DecodeResultInto parses an answer frame into *res, reusing res's point
-// slice and coordinate arena when their capacities allow — the steady-state
-// form of DecodeResult for callers that keep a Result alive across requests
-// (the client's query paths). The decoded points alias res's internal arena
+// slice and coordinate arena when their capacities allow, for callers that
+// keep a Result alive across requests. The decoded points alias res's internal arena
 // and stay valid until the next DecodeResultInto on the same res. On error
 // *res is left in an unspecified state.
 func DecodeResultInto(f Frame, res *Result) error {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 				reg.Clear()
 				reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(kill), Kind: fault.KindError})
 				for i := 0; i < 3; i++ {
-					n, info, err := cl.RangeCount(f.Domain())
+					n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 					if err != nil {
 						t.Fatalf("%s/%s kill=%d: full-domain count errored: %v",
 							dsName, algName, kill, err)
@@ -150,7 +151,7 @@ func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
 		CacheBytes:   -1,
 	})
 	cl := newTestClient(t, s, ClientConfig{})
-	n, info, err := cl.RangeCount(f.Domain())
+	n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	if err != nil {
 		t.Fatalf("full-domain count with Degraded=false errored: %v", err)
 	}
@@ -187,7 +188,7 @@ func TestReplicaMetricsExposition(t *testing.T) {
 		HTTPAddr:     "127.0.0.1:0",
 	})
 	cl := newTestClient(t, s, ClientConfig{})
-	if _, _, err := cl.RangeCount(f.Domain()); err != nil {
+	if _, _, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()

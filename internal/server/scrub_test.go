@@ -95,7 +95,7 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	cl := newTestClient(t, s, ClientConfig{})
 
 	for i := 0; i < 3; i++ {
-		n, info, err := cl.RangeCount(f.Domain())
+		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 		if err != nil {
 			t.Fatalf("query %d over corrupt primary: %v", i, err)
 		}
@@ -135,7 +135,7 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 		t.Fatalf("layout still corrupt after repair: %+v", st)
 	}
 	// The repaired primary serves again without failover or degradation.
-	if n, info, err := cl.RangeCount(f.Domain()); err != nil || info.Degraded || n != f.Len() {
+	if n, info, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil || info.Degraded || n != f.Len() {
 		t.Fatalf("post-repair query: n=%d degraded=%v err=%v", n, info.Degraded, err)
 	}
 }
@@ -163,7 +163,7 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	}
 	defer s.Close()
 	cl := newTestClient(t, s, ClientConfig{})
-	n, info, err := cl.RangeCount(f.Domain())
+	n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	if err != nil {
 		t.Fatalf("query over corrupt page errored despite degraded mode: %v", err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,7 +78,7 @@ func runClosedLoop(t *testing.T, cl *Client, ranges []geom.Rect, workers, ops in
 				if i >= ops {
 					return
 				}
-				if _, _, err := cl.RangeCount(ranges[i%len(ranges)]); err != nil {
+				if _, _, err := cl.RangeCountCtx(context.Background(), ranges[i%len(ranges)]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -146,7 +147,7 @@ func TestServerEndToEnd(t *testing.T) {
 				var err error
 				switch i % 8 {
 				case 0, 1: // range returning points
-					pts, _, e := cl.Range(ranges[i])
+					pts, _, e := cl.RangeCtx(context.Background(), ranges[i])
 					err = e
 					if e == nil && len(pts) != wantRange[i] {
 						err = fmt.Errorf("range %d: got %d points, want %d", i, len(pts), wantRange[i])
@@ -157,7 +158,7 @@ func TestServerEndToEnd(t *testing.T) {
 						}
 					}
 				case 2, 3: // count-only range
-					n, info, e := cl.RangeCount(ranges[i])
+					n, info, e := cl.RangeCountCtx(context.Background(), ranges[i])
 					err = e
 					if e == nil && n != wantRange[i] {
 						err = fmt.Errorf("count %d: got %d, want %d", i, n, wantRange[i])
@@ -166,13 +167,13 @@ func TestServerEndToEnd(t *testing.T) {
 						err = fmt.Errorf("count %d: %d records from zero bucket fetches", i, n)
 					}
 				case 4, 5: // exact point lookup of a stored key
-					pts, _, e := cl.Point(keys[i%len(keys)])
+					pts, _, e := cl.PointCtx(context.Background(), keys[i%len(keys)])
 					err = e
 					if e == nil && len(pts) != wantLookup[i] {
 						err = fmt.Errorf("point %d: got %d, want %d", i, len(pts), wantLookup[i])
 					}
 				case 6: // k nearest neighbours
-					pts, _, e := cl.KNN(keys[i%len(keys)], k)
+					pts, _, e := cl.KNNCtx(context.Background(), keys[i%len(keys)], k)
 					err = e
 					if e == nil {
 						if len(pts) != len(wantKNN[i]) {
@@ -189,7 +190,7 @@ func TestServerEndToEnd(t *testing.T) {
 						}
 					}
 				case 7: // partial match
-					pts, _, e := cl.PartialMatch(partials[i])
+					pts, _, e := cl.PartialMatchCtx(context.Background(), partials[i])
 					err = e
 					if e == nil && len(pts) != wantPartial[i] {
 						err = fmt.Errorf("partial %d: got %d, want %d", i, len(pts), wantPartial[i])
@@ -296,7 +297,7 @@ func TestConcurrentRangeSharedCache(t *testing.T) {
 			defer cl.Close()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(queries) // overlap across goroutines
-				n, _, err := cl.RangeCount(queries[i])
+				n, _, err := cl.RangeCountCtx(context.Background(), queries[i])
 				if err != nil {
 					errs <- err
 					return
@@ -337,7 +338,7 @@ func TestServerCacheDisabled(t *testing.T) {
 	s, f := newTestServer(t, 300, 2, Config{CacheBytes: -1})
 	cl := newTestClient(t, s, ClientConfig{})
 	for i := 0; i < 3; i++ {
-		n, info, err := cl.RangeCount(f.Domain())
+		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +405,7 @@ func TestServerRejectsMalformedStream(t *testing.T) {
 
 	// The server is still healthy for a real client.
 	cl := newTestClient(t, s, ClientConfig{})
-	n, _, err := cl.RangeCount(f.Domain())
+	n, _, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +433,7 @@ func TestServerDeadlines(t *testing.T) {
 
 	// A full-domain range touches every bucket; two disks at 25ms per
 	// fetch cannot finish inside 60ms.
-	_, _, err := cl.Range(f.Domain())
+	_, _, err := cl.RangeCtx(context.Background(), f.Domain())
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("got %v, want a server error", err)
@@ -444,7 +445,7 @@ func TestServerDeadlines(t *testing.T) {
 	// A single-bucket point query fits in the deadline; stats still serve.
 	var key geom.Point
 	f.Scan(func(k []float64, _ []byte) bool { key = geom.Point{k[0], k[1]}; return false })
-	if _, _, err := cl.Point(key); err != nil {
+	if _, _, err := cl.PointCtx(context.Background(), key); err != nil {
 		t.Fatalf("single-bucket query after timeout: %v", err)
 	}
 	snap, err := cl.Stats()
@@ -482,7 +483,7 @@ func TestServerAdmissionControl(t *testing.T) {
 			defer wg.Done()
 			cl := NewClientMust(t, s)
 			defer cl.Close()
-			if _, _, err := cl.Point(key); err != nil {
+			if _, _, err := cl.PointCtx(context.Background(), key); err != nil {
 				errs <- err
 			}
 		}()
@@ -510,7 +511,7 @@ func TestServerAdmissionControl(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			if _, _, err := cl.RangeCount(fTight.Domain()); err != nil {
+			if _, _, err := cl.RangeCountCtx(context.Background(), fTight.Domain()); err != nil {
 				var se *ServerError
 				if errors.As(err, &se) {
 					rejected <- struct{}{}
@@ -535,10 +536,7 @@ func TestServerAdmissionControl(t *testing.T) {
 // called complete and deliver their replies; new connections are refused
 // afterwards.
 func TestGracefulShutdown(t *testing.T) {
-	s, f := newTestServer(t, 400, 2, Config{
-		slowFetch:    10 * time.Millisecond,
-		DrainTimeout: 5 * time.Second,
-	})
+	s, f := newTestServer(t, 400, 2, Config{slowFetch: 10 * time.Millisecond})
 
 	started := make(chan struct{}, 4)
 	results := make(chan error, 4)
@@ -551,7 +549,7 @@ func TestGracefulShutdown(t *testing.T) {
 			}
 			defer cl.Close()
 			started <- struct{}{}
-			n, _, err := cl.RangeCount(f.Domain())
+			n, _, err := cl.RangeCountCtx(context.Background(), f.Domain())
 			if err == nil && n != f.Len() {
 				err = fmt.Errorf("drained query returned %d of %d records", n, f.Len())
 			}
@@ -621,7 +619,7 @@ func TestClientRetriesExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, _, err = cl.Point(geom.Point{1, 2})
+	_, _, err = cl.PointCtx(context.Background(), geom.Point{1, 2})
 	if err == nil {
 		t.Fatal("request against hang-up server succeeded")
 	}
@@ -658,7 +656,7 @@ func TestRetryDelayJitter(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	s, f := newTestServer(t, 200, 2, Config{HTTPAddr: "127.0.0.1:0", Pprof: true})
 	cl := newTestClient(t, s, ClientConfig{})
-	if _, _, err := cl.RangeCount(f.Domain()); err != nil {
+	if _, _, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,7 +65,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	dom := f.Domain()
 	const queries = 40
 	for i, q := range workload.SquareRange(dom, 0.1, queries, 3) {
-		n, _, err := cl.RangeCount(q)
+		n, _, err := cl.RangeCountCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -74,7 +75,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 	var key [2]float64
 	f.Scan(func(k []float64, _ []byte) bool { key = [2]float64{k[0], k[1]}; return false })
-	if _, _, err := cl.Point(key[:]); err != nil {
+	if _, _, err := cl.PointCtx(context.Background(), key[:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +159,7 @@ func TestTraceSampling(t *testing.T) {
 	f.Scan(func(k []float64, _ []byte) bool { key = [2]float64{k[0], k[1]}; return false })
 	const queries = 40
 	for i := 0; i < queries; i++ {
-		if _, _, err := cl.Point(key[:]); err != nil {
+		if _, _, err := cl.PointCtx(context.Background(), key[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +183,7 @@ func TestTraceSlowThreshold(t *testing.T) {
 		TraceLog:     &log,
 	})
 	cl := newTestClient(t, s, ClientConfig{})
-	if _, _, err := cl.RangeCount(f.Domain()); err != nil {
+	if _, _, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := cl.Stats()
@@ -202,7 +203,7 @@ func TestTracingOffByDefault(t *testing.T) {
 	var log syncBuffer
 	s, f := newTestServer(t, 300, 2, Config{TraceLog: &log})
 	cl := newTestClient(t, s, ClientConfig{})
-	if _, _, err := cl.RangeCount(f.Domain()); err != nil {
+	if _, _, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := cl.Stats()

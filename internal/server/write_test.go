@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
@@ -83,7 +85,7 @@ func TestServerOnlineWrites(t *testing.T) {
 	keys := testKeys(dom, 300, 21)
 	splits := 0
 	for _, key := range keys {
-		res, err := cl.Insert(key)
+		res, err := cl.InsertCtx(context.Background(), key)
 		if err != nil {
 			t.Fatalf("insert %v: %v", key, err)
 		}
@@ -92,7 +94,7 @@ func TestServerOnlineWrites(t *testing.T) {
 		}
 		splits += res.Splits
 		// Read-after-write: the ack means the record is queryable NOW.
-		pts, _, err := cl.Point(key)
+		pts, _, err := cl.PointCtx(context.Background(), key)
 		if err != nil {
 			t.Fatalf("point after insert %v: %v", key, err)
 		}
@@ -122,14 +124,14 @@ func TestServerOnlineWrites(t *testing.T) {
 	}
 
 	for _, key := range keys {
-		res, err := cl.Delete(key)
+		res, err := cl.DeleteCtx(context.Background(), key)
 		if err != nil {
 			t.Fatalf("delete %v: %v", key, err)
 		}
 		if !res.Applied {
 			t.Fatalf("delete %v found nothing", key)
 		}
-		pts, _, err := cl.Point(key)
+		pts, _, err := cl.PointCtx(context.Background(), key)
 		if err != nil {
 			t.Fatalf("point after delete %v: %v", key, err)
 		}
@@ -138,7 +140,7 @@ func TestServerOnlineWrites(t *testing.T) {
 		}
 	}
 	// Deleting an absent key acks with Applied=false.
-	res, err := cl.Delete(keys[0])
+	res, err := cl.DeleteCtx(context.Background(), keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +155,13 @@ func TestServerOnlineWrites(t *testing.T) {
 func TestReadOnlyServerRejectsWrites(t *testing.T) {
 	s, f := newTestServer(t, 300, 4, Config{})
 	cl := newTestClient(t, s, ClientConfig{})
-	_, err := cl.Insert(geom.Point{0.5, 0.5})
+	_, err := cl.InsertCtx(context.Background(), geom.Point{0.5, 0.5})
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("expected a server error, got %v", err)
 	}
 	// The connection is still serviceable.
-	if _, _, err := cl.Range(f.Domain()); err != nil {
+	if _, _, err := cl.RangeCtx(context.Background(), f.Domain()); err != nil {
 		t.Fatalf("query after rejected write: %v", err)
 	}
 }
@@ -187,7 +189,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, key := range testKeys(dom, per, int64(100+w)) {
-				if _, err := cl.Insert(key); err != nil {
+				if _, err := cl.InsertCtx(context.Background(), key); err != nil {
 					errCh <- err
 					return
 				}
@@ -203,7 +205,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 					{Lo: 0.1 * float64(r), Hi: 0.1*float64(r) + 0.2},
 					{Lo: 0.3, Hi: 0.6},
 				}
-				if _, _, err := cl.Range(q); err != nil {
+				if _, _, err := cl.RangeCtx(context.Background(), q); err != nil {
 					errCh <- err
 					return
 				}
@@ -258,7 +260,7 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 					return
 				}
 				sent.Add(1)
-				res, err := cl.Insert(key)
+				res, err := cl.InsertCtx(context.Background(), key)
 				if err != nil {
 					t.Error(err)
 					return
@@ -280,7 +282,7 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 				default:
 				}
 				floor := base + acked.Load()
-				n, _, err := cl.RangeCount(dom)
+				n, _, err := cl.RangeCountCtx(context.Background(), dom)
 				if err != nil {
 					t.Error(err)
 					return
@@ -300,8 +302,57 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 	if splits.Load() < wantSplits {
 		t.Fatalf("only %d splits in %d inserts, want %d", splits.Load(), acked.Load(), wantSplits)
 	}
-	if n, _, err := cl.RangeCount(dom); err != nil || int64(n) != base+acked.Load() {
+	if n, _, err := cl.RangeCountCtx(context.Background(), dom); err != nil || int64(n) != base+acked.Load() {
 		t.Fatalf("final count %d (err %v), want %d", n, err, base+acked.Load())
+	}
+}
+
+// TestReadAfterAckSkipsLoadBegunBeforeWrite pins the singleflight follower
+// window (DESIGN S39): a count that arrives after an insert was acknowledged
+// must not be answered from a bucket load another query began before the
+// insert. The first reader's disk batch resolves its placements and then
+// stalls in an injected pread delay — slowFetch would not do: it sleeps before
+// the placements are looked up, so the late read would see the new pages — the
+// insert lands and is acknowledged meanwhile (shadow paging leaves the old
+// pages intact), and the second reader finds that load still in flight. It
+// used to join it and count the bucket as it was before the write.
+func TestReadAfterAckSkipsLoadBegunBeforeWrite(t *testing.T) {
+	const base = 600
+	reg := fault.NewRegistry(1)
+	s := newWritableServer(t, base, 4, 1, Config{Faults: reg})
+	cl := newTestClient(t, s, ClientConfig{Pipeline: 4})
+	ctx := context.Background()
+	dom := s.grid.Domain()
+	key := testKeys(dom, 1, 77)[0]
+	id, _ := s.grid.BucketAt(key)
+	pl, _ := s.st.Placement(id)
+	if err := reg.SetSpec(fault.StoreReadDiskSite(pl.Disk) + ":delay=300ms"); err != nil {
+		t.Fatal(err)
+	}
+
+	early := make(chan error, 1)
+	go func() {
+		n, _, err := cl.RangeCountCtx(ctx, dom)
+		if err == nil && n != base && n != base+1 {
+			err = fmt.Errorf("the count begun before the insert read %d, want %d or %d", n, base, base+1)
+		}
+		early <- err
+	}()
+	for reg.Total() == 0 { // the batch holding the bucket has its placements and sleeps
+		time.Sleep(time.Millisecond)
+	}
+	reg.Clear()
+	if res, err := cl.InsertCtx(ctx, key); err != nil || !res.Applied {
+		t.Fatalf("insert: %+v, %v", res, err)
+	}
+	if n, _, err := cl.RangeCountCtx(ctx, dom); err != nil || n != base+1 {
+		t.Errorf("count after the acknowledged insert: %d (%v), want %d", n, err, base+1)
+	}
+	if err := <-early; err != nil {
+		t.Error(err)
+	}
+	if n, _, err := cl.RangeCountCtx(ctx, dom); err != nil || n != base+1 {
+		t.Errorf("count once both loads are done: %d (%v), want %d", n, err, base+1)
 	}
 }
 
@@ -360,7 +411,7 @@ func TestTornConnectionNeverDoubleAppliesWrite(t *testing.T) {
 	defer cl.Close()
 
 	key := geom.Point{0.123456, 0.654321}
-	if _, err := cl.Insert(key); err == nil {
+	if _, err := cl.InsertCtx(context.Background(), key); err == nil {
 		t.Fatal("insert through the torn proxy reported success")
 	}
 
@@ -379,7 +430,7 @@ func TestTornConnectionNeverDoubleAppliesWrite(t *testing.T) {
 	}
 	// Exactly one copy of the record exists — ask the server directly.
 	direct := newTestClient(t, s, ClientConfig{})
-	pts, _, err := direct.Point(key)
+	pts, _, err := direct.PointCtx(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,8 @@ type Curve interface {
 	Key(coords []uint32) uint64
 	// Coords inverts Key, filling out with the coordinate vector of key.
 	Coords(key uint64, out []uint32)
-	// Dims returns the dimensionality d.
-	Dims() int
 	// Bits returns the number of bits per dimension.
 	Bits() int
-	// Name identifies the curve in experiment output.
-	Name() string
 }
 
 func checkParams(dims, bits int) {
@@ -62,11 +58,9 @@ func NewHilbert(dims, bits int) *Hilbert {
 	return &Hilbert{dims: dims, bits: bits}
 }
 
-func (h *Hilbert) Dims() int    { return h.dims }
-func (h *Hilbert) Bits() int    { return h.bits }
-func (h *Hilbert) Name() string { return "hilbert" }
+func (h *Hilbert) Bits() int { return h.bits }
 
-// Key maps coords to the Hilbert index. It panics if len(coords) != Dims()
+// Key maps coords to the Hilbert index. It panics if len(coords) != dims
 // or any coordinate overflows the per-dimension bit budget.
 func (h *Hilbert) Key(coords []uint32) uint64 {
 	x := h.checkedCopy(coords)
@@ -202,9 +196,7 @@ func NewZOrder(dims, bits int) *ZOrder {
 	return &ZOrder{dims: dims, bits: bits}
 }
 
-func (z *ZOrder) Dims() int    { return z.dims }
-func (z *ZOrder) Bits() int    { return z.bits }
-func (z *ZOrder) Name() string { return "zorder" }
+func (z *ZOrder) Bits() int { return z.bits }
 
 // Key interleaves coordinate bits most-significant first.
 func (z *ZOrder) Key(coords []uint32) uint64 {
@@ -251,9 +243,7 @@ func NewGray(dims, bits int) *Gray {
 	return &Gray{z: ZOrder{dims: dims, bits: bits}}
 }
 
-func (g *Gray) Dims() int    { return g.z.dims }
-func (g *Gray) Bits() int    { return g.z.bits }
-func (g *Gray) Name() string { return "gray" }
+func (g *Gray) Bits() int { return g.z.bits }
 
 // Key returns the position of coords along the Gray-coded curve.
 func (g *Gray) Key(coords []uint32) uint64 {

@@ -75,15 +75,15 @@ func TestBijectivity(t *testing.T) {
 				c.Coords(key, coords)
 				back := c.Key(coords)
 				if back != key {
-					t.Fatalf("%s d=%d b=%d: Key(Coords(%d)) = %d", c.Name(), cfg.dims, cfg.bits, key, back)
+					t.Fatalf("%T d=%d b=%d: Key(Coords(%d)) = %d", c, cfg.dims, cfg.bits, key, back)
 				}
 				if seen[back] {
-					t.Fatalf("%s d=%d b=%d: duplicate key %d", c.Name(), cfg.dims, cfg.bits, back)
+					t.Fatalf("%T d=%d b=%d: duplicate key %d", c, cfg.dims, cfg.bits, back)
 				}
 				seen[back] = true
 			}
 			if uint64(len(seen)) != total {
-				t.Fatalf("%s: only %d of %d keys visited", c.Name(), len(seen), total)
+				t.Fatalf("%T: only %d of %d keys visited", c, len(seen), total)
 			}
 		}
 	}
@@ -184,8 +184,8 @@ func TestRandomRoundTrip64Bit(t *testing.T) {
 				c.Coords(key, out)
 				for i := range coords {
 					if coords[i] != out[i] {
-						t.Fatalf("%s d=%d b=%d: round trip %v -> %d -> %v",
-							c.Name(), cfg.dims, cfg.bits, coords, key, out)
+						t.Fatalf("%T d=%d b=%d: round trip %v -> %d -> %v",
+							c, cfg.dims, cfg.bits, coords, key, out)
 					}
 				}
 			}

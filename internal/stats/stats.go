@@ -39,27 +39,6 @@ func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
 	return h
 }
 
-// Render draws the histogram as rows of '#' bars, width characters wide at
-// the tallest bin.
-func (h *Histogram) Render(width int) string {
-	max := 0
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	step := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := 0
-		if max > 0 {
-			bar = c * width / max
-		}
-		fmt.Fprintf(&b, "%10.1f |%-*s| %d\n", h.Lo+float64(i)*step, width, strings.Repeat("#", bar), c)
-	}
-	return b.String()
-}
-
 // Table renders fixed-width text tables in the style of the paper.
 type Table struct {
 	Title   string

@@ -14,13 +14,6 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("bin %d = %d, want %d (all: %v)", i, c, want[i], h.Counts)
 		}
 	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Error("render has no bars")
-	}
-	if lines := strings.Count(out, "\n"); lines != 5 {
-		t.Errorf("render has %d lines, want 5", lines)
-	}
 }
 
 func TestHistogramPanics(t *testing.T) {

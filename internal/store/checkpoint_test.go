@@ -30,7 +30,7 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.SetCheckpointEvery(0)
-				keys := randKeys(s.Domain(), n, 5)
+				keys := randKeys(f.Domain(), n, 5)
 				for _, key := range keys {
 					if _, err := s.Insert(context.Background(), key); err != nil {
 						t.Fatal(err)

@@ -17,13 +17,6 @@ type ScrubStats struct {
 	Repaired int64 // corrupt copies rewritten from an intact replica and re-verified
 }
 
-// Add accumulates another pass's counts.
-func (st *ScrubStats) Add(o ScrubStats) {
-	st.Pages += o.Pages
-	st.Corrupt += o.Corrupt
-	st.Repaired += o.Repaired
-}
-
 // Scrub verifies every page copy of every bucket against its stored
 // CRC-32C and, where a copy is corrupt but another owner holds an intact
 // one, rewrites the damaged pages from the good copy in place — the repair

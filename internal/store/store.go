@@ -518,9 +518,6 @@ func (s *Store) Placement(id int32) (Placement, bool) {
 	return s.lookup(id)
 }
 
-// Disks returns the number of disk files in the layout.
-func (s *Store) Disks() int { return s.manifest.Disks }
-
 // Replicas returns the number of copies of each bucket in the layout
 // (1 for an unreplicated layout).
 func (s *Store) Replicas() int { return s.manifest.Replicas }
@@ -565,15 +562,6 @@ func (s *Store) PickOwner(id int32, exclude func(disk int) bool) (disk int, ok b
 // registers queued batch depth here so replica selection reacts to pressure
 // that has not reached the pread yet; calls must be balanced.
 func (s *Store) AddLoad(disk int, delta int64) { s.loads[disk].Add(delta) }
-
-// Domain reconstructs the grid file's domain.
-func (s *Store) Domain() geom.Rect {
-	r := make(geom.Rect, len(s.manifest.Domain))
-	for i, iv := range s.manifest.Domain {
-		r[i] = geom.Interval{Lo: iv[0], Hi: iv[1]}
-	}
-	return r
-}
 
 // bufPool recycles page read buffers between bucket fetches so the serving
 // hot path does not allocate one buffer per read. Buffers are sized to the

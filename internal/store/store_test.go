@@ -43,7 +43,7 @@ func buildLayout(t *testing.T, disks, pageBytes int) (string, *gridfile.File, co
 // total. An id the store does not know goes to disk 0, so the store's own
 // error comes back.
 func readPrimaries(ctx context.Context, s *Store, ids []int32, tm *Timing) (map[int32]geom.Flat, int, error) {
-	perDisk := make([][]int32, s.Disks())
+	perDisk := make([][]int32, s.Manifest().Disks)
 	for _, id := range ids {
 		pl, _ := s.Placement(id)
 		perDisk[pl.Disk] = append(perDisk[pl.Disk], id)
@@ -227,14 +227,13 @@ func TestDomainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := s.Domain()
+	got := s.Manifest().Domain
 	want := f.Domain()
 	for d := range want {
-		if got[d] != want[d] {
+		if got[d] != [2]float64{want[d].Lo, want[d].Hi} {
 			t.Errorf("domain dim %d = %v, want %v", d, got[d], want[d])
 		}
 	}
-	_ = geom.Rect(got)
 }
 
 // TestConcurrentReaders hammers single-bucket reads from many goroutines at once;

@@ -105,7 +105,7 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 	}
 
 	buckets0 := grid.NumBuckets()
-	for _, key := range randKeys(s.Domain(), 2000, 7) {
+	for _, key := range randKeys(grid.Domain(), 2000, 7) {
 		if _, err := s.Insert(context.Background(), key); err != nil {
 			t.Fatalf("insert %v: %v", key, err)
 		}
@@ -144,7 +144,7 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 	}
 	verifyStoreMatchesGrid(t, ro, g2)
 	// Checkpoint must have truncated the journals.
-	for d := 0; d < ro.Disks(); d++ {
+	for d := 0; d < ro.Manifest().Disks; d++ {
 		st, err := os.Stat(filepath.Join(dir, JournalFileName(d)))
 		if err != nil {
 			t.Fatal(err)
@@ -226,7 +226,7 @@ func TestReplayAfterAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCheckpointEvery(0) // keep everything in the journals
-	keys := randKeys(s.Domain(), 500, 11)
+	keys := randKeys(f.Domain(), 500, 11)
 	for _, key := range keys {
 		if _, err := s.Insert(context.Background(), key); err != nil {
 			t.Fatal(err)

@@ -18,7 +18,11 @@
 #                  cut to what is read: the root package's
 #                  TestNoTestOnlyExports fails on an exported func or method
 #                  that only tests call (allow-list with reasons in
-#                  exports_test.go). And the paper reproduction's gate:
+#                  exports_test.go), and beside it
+#                  TestExecutorKnowsNoSocketNoEnvelope fails when
+#                  internal/server's exec.go or fetch.go imports net, bufio
+#                  or net/http, or names the wire envelope. And the paper
+#                  reproduction's gate:
 #                  internal/experiments TestRunAllExperimentsProduceTables
 #                  compares every table gridbench prints at test scale, byte
 #                  for byte, with testdata/results_test_scale.txt
