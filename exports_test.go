@@ -287,6 +287,72 @@ func TestExecutorKnowsNoSocketNoEnvelope(t *testing.T) {
 	}
 }
 
+// TestLayoutHasOneWriter holds internal/store to one way of putting a layout
+// on disk (DESIGN S40): a fresh build and a checkpoint are the same path, so
+// in the package's non-test files nothing calls os.WriteFile, os.Rename is
+// called by atomicWriteFile alone, pages are encoded by rewriteBucket alone,
+// and "manifest.json" is named only by the opener that reads it, the
+// committer that renames it into place and the builder's first step, which
+// unlinks the old one so that a directory under construction is no layout.
+func TestLayoutHasOneWriter(t *testing.T) {
+	allowed := map[string]map[string]bool{
+		"os.WriteFile":    {},
+		"os.Rename":       {"atomicWriteFile": true},
+		"encodePage":      {"rewriteBucket": true},
+		`"manifest.json"`: {"open": true, "checkpointLocked": true, "writeLayout": true},
+	}
+	dir := filepath.Join("internal", "store")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				var what string
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						what = x.Name + "." + n.Sel.Name
+					}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok {
+						what = id.Name
+					}
+				case *ast.BasicLit:
+					what = n.Value
+				}
+				if in, ok := allowed[what]; ok {
+					seen[what] = true
+					if !in[fn.Name.Name] {
+						t.Errorf("%s: %s in %s: a layout reaches disk through rewriteBucket and checkpointLocked only",
+							fset.Position(n.Pos()), what, fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for what, in := range allowed {
+		if len(in) > 0 && !seen[what] {
+			t.Errorf("%s occurs nowhere in %s: the guard is looking for the wrong thing", what, dir)
+		}
+	}
+}
+
 // receiverName renders a method receiver's type: T or *T, type parameters
 // dropped.
 func receiverName(e ast.Expr) string {

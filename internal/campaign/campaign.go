@@ -151,7 +151,7 @@ func parseWorkloadAxis(name string) (workloadAxis, error) {
 		return workloadAxis{name: name}, nil
 	case "hotspot":
 		return workloadAxis{name: name, opts: loadgen.SynthOptions{
-			Skew: loadgen.Skew{Hot: 0.8, HotFrac: 0.1},
+			Skew: loadgen.Skew{Hot: 0.8},
 		}}, nil
 	case "points":
 		return workloadAxis{name: name, opts: loadgen.SynthOptions{

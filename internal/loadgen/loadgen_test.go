@@ -269,7 +269,7 @@ func TestSustainedCriteria(t *testing.T) {
 // respects the mix weights and the hot-spot skew.
 func TestSynthesizeDeterministicMix(t *testing.T) {
 	dom := geom.Rect{{Lo: 0, Hi: 100}, {Lo: 0, Hi: 100}}
-	opts := SynthOptions{Skew: Skew{Hot: 0.5, HotFrac: 0.1}, RangeRatio: 0.01}
+	opts := SynthOptions{Skew: Skew{Hot: 0.5}, RangeRatio: 0.01}
 	a := Synthesize(dom, opts, 4000, 9)
 	b := Synthesize(dom, opts, 4000, 9)
 	// DeepEqual can't compare the NaN markers in partial-match keys, so
@@ -279,7 +279,7 @@ func TestSynthesizeDeterministicMix(t *testing.T) {
 	}
 	counts := map[OpKind]int{}
 	hotPoints, points := 0, 0
-	hot := hotRegion(dom, 0.1)
+	hot := hotRegion(dom)
 	for _, op := range a {
 		counts[op.Kind]++
 		switch op.Kind {

@@ -68,15 +68,20 @@ func (m Mix) total() int {
 }
 
 // Skew adds a hot spot to the key distribution: a Hot fraction of ops target
-// a sub-region covering HotFrac of each dimension's extent, centred at the
+// a sub-region covering hotFrac of each dimension's extent, centred at the
 // domain midpoint. The zero Skew is uniform.
 type Skew struct {
 	// Hot is the fraction of ops (0..1) whose centre falls in the hot region.
 	Hot float64
-	// HotFrac is the hot region's extent per dimension as a fraction of the
-	// domain (default 0.1 when Hot > 0).
-	HotFrac float64
 }
+
+// hotFrac is the hot region's extent per dimension as a fraction of the
+// domain, and unspecified the number of unspecified attributes in a
+// partial-match op. Constants: nothing ever set another value.
+const (
+	hotFrac     = 0.1
+	unspecified = 1
+)
 
 // SynthOptions configures Synthesize.
 type SynthOptions struct {
@@ -85,9 +90,6 @@ type SynthOptions struct {
 	// RangeRatio is the volume fraction of the domain each range query
 	// covers, as in the paper's square-range workload (default 0.01).
 	RangeRatio float64
-	// Unspecified is the number of unspecified attributes in partial-match
-	// ops (default 1).
-	Unspecified int
 	// K is the neighbour count for kNN ops (default 8).
 	K int
 }
@@ -96,14 +98,8 @@ func (o SynthOptions) withDefaults() SynthOptions {
 	if o.Mix.total() <= 0 {
 		o.Mix = DefaultMix
 	}
-	if o.Skew.Hot > 0 && o.Skew.HotFrac <= 0 {
-		o.Skew.HotFrac = 0.1
-	}
 	if o.RangeRatio <= 0 {
 		o.RangeRatio = 0.01
-	}
-	if o.Unspecified < 1 {
-		o.Unspecified = 1
 	}
 	if o.K <= 0 {
 		o.K = 8
@@ -111,13 +107,13 @@ func (o SynthOptions) withDefaults() SynthOptions {
 	return o
 }
 
-// hotRegion returns the skewed sub-domain: HotFrac of each extent, centred
+// hotRegion returns the skewed sub-domain: hotFrac of each extent, centred
 // at the domain midpoint.
-func hotRegion(dom geom.Rect, frac float64) geom.Rect {
+func hotRegion(dom geom.Rect) geom.Rect {
 	hot := make(geom.Rect, dom.Dim())
 	for k := range dom {
 		mid := (dom[k].Lo + dom[k].Hi) / 2
-		half := frac * dom[k].Length() / 2
+		half := hotFrac * dom[k].Length() / 2
 		hot[k] = geom.Interval{Lo: mid - half, Hi: mid + half}
 	}
 	return hot
@@ -133,7 +129,7 @@ func Synthesize(dom geom.Rect, opts SynthOptions, n int, seed int64) []Op {
 	total := opts.Mix.total()
 	hot := dom
 	if opts.Skew.Hot > 0 {
-		hot = hotRegion(dom, opts.Skew.HotFrac)
+		hot = hotRegion(dom)
 	}
 	// Centres are drawn from the hot region with probability Skew.Hot, the
 	// full domain otherwise; range extents are always sized off the full
@@ -174,11 +170,7 @@ func Synthesize(dom geom.Rect, opts SynthOptions, n int, seed int64) []Op {
 			op = Op{Kind: kind, Rect: q}
 		case w < opts.Mix.Point+opts.Mix.Range+opts.Mix.RangeCount+opts.Mix.PartialMatch:
 			key := centre(make([]float64, d))
-			uns := opts.Unspecified
-			if uns > d {
-				uns = d
-			}
-			for _, k := range rng.Perm(d)[:uns] {
+			for _, k := range rng.Perm(d)[:min(unspecified, d)] {
 				key[k] = math.NaN()
 			}
 			op = Op{Kind: OpPartialMatch, Key: key}

@@ -24,7 +24,7 @@ func (s *Server) HTTPAddr() net.Addr {
 // Snapshot returns the server's current statistics.
 func (s *Server) Snapshot() Snapshot {
 	snap := s.met.snapshot(len(s.sem))
-	snap.Dims = s.grid.Dims()
+	snap.Dims = s.st.Grid().Dims()
 	snap.Disks = s.st.Manifest().Disks
 	snap.Domain = s.st.Manifest().Domain
 	snap.Replicas = s.st.Replicas()
@@ -35,7 +35,7 @@ func (s *Server) Snapshot() Snapshot {
 		st := s.bcache.Stats()
 		snap.Cache = &st
 	}
-	if s.writable {
+	if s.st.Writable() {
 		wc := s.st.WriteCounters()
 		snap.Writes = &wc
 	}

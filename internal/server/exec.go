@@ -104,7 +104,7 @@ func (s *Server) serve(buf []byte, f Frame) ([]byte, error) {
 	out := append(buf, byte(verb))
 	var enc resultEncoder
 	if verb == VerbPoints {
-		enc = newResultEncoder(out, s.grid.Dims())
+		enc = newResultEncoder(out, s.st.Grid().Dims())
 	}
 
 	start := s.cfg.clock()
@@ -169,7 +169,7 @@ func (s *Server) executeTraced(ctx context.Context, qs *qstate, tr *Trace, enc *
 
 func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder) (Result, error) {
 	req := &qs.req
-	dims := s.grid.Dims()
+	dims := s.st.Grid().Dims()
 	switch req.Verb {
 	case VerbPoint:
 		if len(req.Key) != dims {
@@ -208,10 +208,10 @@ func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *result
 // serializes mutations internally; concurrent INSERTs from many connections
 // are safe.
 func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.Context, geom.Point) (store.Mutation, error), key geom.Point) (Result, error) {
-	if len(key) != s.grid.Dims() {
-		return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(key), s.grid.Dims())
+	if dims := s.st.Grid().Dims(); len(key) != dims {
+		return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(key), dims)
 	}
-	if !s.writable {
+	if !s.st.Writable() {
 		return Result{}, errors.New("server is read-only (restart with writes enabled)")
 	}
 	m, err := mutate(s.st, ctx, key)
@@ -265,7 +265,7 @@ func (s *Server) fetchTranslated(ctx context.Context, qs *qstate, tr *Trace, tra
 
 func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point) (Result, error) {
 	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
-		id, ok := s.grid.BucketAt(key)
+		id, ok := s.st.Grid().BucketAt(key)
 		if !ok {
 			return fmt.Errorf("key %v outside the domain", key)
 		}
@@ -290,7 +290,7 @@ func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 
 func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, q geom.Rect, countOnly bool) (Result, error) {
 	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
-		qs.ids = s.grid.BucketsInRangeAppend(q, qs.ids[:0])
+		qs.ids = s.st.Grid().BucketsInRangeAppend(q, qs.ids[:0])
 		return nil
 	})
 	if err != nil {
@@ -356,7 +356,7 @@ func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder) (int, error)
 }
 
 func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, vals []float64) (Result, error) {
-	dom := s.grid.Domain()
+	dom := s.st.Grid().Domain()
 	q := make(geom.Rect, len(vals))
 	for d, v := range vals {
 		if math.IsNaN(v) {
@@ -375,7 +375,8 @@ func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *r
 // against the page store so every probe is real declustered I/O. Buckets
 // are fetched at most once per query.
 func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
-	dom := s.grid.Domain()
+	grid := s.st.Grid()
+	dom := grid.Domain()
 	if !dom.ContainsPoint(key) {
 		return Result{}, fmt.Errorf("key %v outside the domain", key)
 	}
@@ -383,7 +384,7 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 	// roughly the cell neighbourhood of the key.
 	r := 0.0
 	s.st.RLockGrid()
-	cells := s.grid.CellSizes()
+	cells := grid.CellSizes()
 	s.st.RUnlockGrid()
 	for d, n := range cells {
 		if ext := dom[d].Length() / float64(n); ext > r {
@@ -416,7 +417,7 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		tstart := s.traceNow(tr)
 		s.st.RLockGrid()
 		gen := s.st.GridGen()
-		ids := s.grid.BucketsInRange(q)
+		ids := grid.BucketsInRange(q)
 		s.st.RUnlockGrid()
 		s.traceSince(tr, stageTranslate, tstart)
 		if gen != fetchedGen {

@@ -25,17 +25,7 @@ func newTestEngine(t testing.TB, records, disks int, cfg Config) (*Server, *grid
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := st.Grid()
-	if grid == nil {
-		if grid, err = st.OpenGrid(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := newEngine(grid, st, cfg)
-	if err != nil {
-		st.Close()
-		t.Fatal(err)
-	}
+	s := newEngine(st, cfg)
 	t.Cleanup(func() {
 		s.Close()
 		st.Close()

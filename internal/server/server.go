@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -155,12 +154,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is a running query service: an acceptor, one handler goroutine per
-// connection, and one I/O goroutine per disk file. The grid file acts as
-// the coordinator's scales+directory; record data is fetched from the page
-// store with real file I/O.
+// connection, and one I/O goroutine per disk file. The store's grid file
+// (st.Grid()) acts as the coordinator's scales+directory; record data is
+// fetched from the page store with real file I/O. When the store is writable
+// (st.Writable()) the INSERT/DELETE verbs are accepted and every directory
+// translation runs under the store's grid read-lock, since the grid mutates
+// underneath concurrent queries.
 type Server struct {
 	cfg    Config
-	grid   *gridfile.File
 	st     *store.Store
 	met    *Metrics
 	faults *fault.Registry
@@ -192,11 +193,6 @@ type Server struct {
 	diskBytes  int64
 	writeAmp   float64
 
-	// writable mirrors st.Writable(): the INSERT/DELETE verbs are accepted
-	// and every directory translation runs under the store's grid read-lock,
-	// since the grid mutates underneath concurrent queries.
-	writable bool
-
 	traceSeq atomic.Uint64 // data-query counter driving trace sampling
 	traceMu  sync.Mutex    // serializes slow-query log lines
 
@@ -211,16 +207,17 @@ type Server struct {
 	done     chan struct{}
 }
 
-// New starts a server over an already-open grid file (scales + directory)
-// and page store. The grid file must be the one the layout was written
-// from: every stored bucket is cross-checked against the directory before
-// serving starts. The caller keeps ownership of grid and st.
+// New starts a server over an already-open page store. The store owns the
+// layout's grid file — it loaded it and checked it against the manifest when
+// it opened — so grid must be st.Grid(); the parameter stays only because the
+// frozen bench/ passes it. The caller keeps ownership of st.
 func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
-	s, err := newEngine(grid, st, cfg)
-	if err != nil {
-		return nil, err
+	if grid != st.Grid() {
+		return nil, errors.New("server: a store is served from its own grid (pass st.Grid())")
 	}
-	if err = s.listen(); err == nil && s.cfg.HTTPAddr != "" {
+	s := newEngine(st, cfg)
+	err := s.listen()
+	if err == nil && s.cfg.HTTPAddr != "" {
 		err = s.startHTTP(s.cfg.HTTPAddr)
 	}
 	if err != nil {
@@ -234,31 +231,11 @@ func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 // hooks, cache, admission, disk workers, metrics, the scrub loop — and opens
 // no socket: exec serves request frames on it as it stands, and New puts the
 // listeners on top. Close releases it either way.
-func newEngine(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
+func newEngine(st *store.Store, cfg Config) *Server {
 	m := st.Manifest()
-	if grid.Dims() != m.Dims {
-		return nil, fmt.Errorf("server: grid is %d-D, store is %d-D", grid.Dims(), m.Dims)
-	}
-	views := grid.Buckets()
-	if len(views) != len(m.Buckets) {
-		return nil, fmt.Errorf("server: grid has %d buckets, store has %d (layout from a different grid file?)",
-			len(views), len(m.Buckets))
-	}
-	for _, v := range views {
-		pl, ok := st.Placement(v.ID)
-		if !ok {
-			return nil, fmt.Errorf("server: bucket %d missing from store", v.ID)
-		}
-		if pl.Recs != v.Records {
-			return nil, fmt.Errorf("server: bucket %d holds %d records in store, %d in grid",
-				v.ID, pl.Recs, v.Records)
-		}
-	}
-
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		grid:     grid,
 		st:       st,
 		met:      newMetrics(m.Disks),
 		faults:   cfg.Faults,
@@ -271,10 +248,6 @@ func newEngine(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error
 	st.SetFaults(s.faults)
 	if cfg.VerifyChecksums {
 		st.SetVerify(true)
-	}
-	s.writable = st.Writable()
-	if s.writable && st.Grid() != grid {
-		return nil, errors.New("server: a writable store must be served from its own grid (store.Grid())")
 	}
 	if cfg.CacheBytes > 0 {
 		s.bcache = cache.New(cfg.CacheBytes, 0)
@@ -314,34 +287,23 @@ func newEngine(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error
 		s.scrubWg.Add(1)
 		go s.scrubLoop()
 	}
-	return s, nil
+	return s
 }
 
-// OpenDir opens a layout directory written by store.Write (which embeds the
-// grid file as grid.grd) and serves it; Close releases the store. With
-// cfg.Writable the store is opened for online mutation — crash-left journals
-// are replayed before serving starts — and the server serves directly from
-// the store's own (mutable) grid.
+// OpenDir opens a layout directory written by store.Write or WriteReplicated
+// and serves it; Close releases the store. With cfg.Writable the store is
+// opened for online mutation — crash-left journals are replayed before
+// serving starts.
 func OpenDir(dir string, cfg Config) (*Server, error) {
-	var st *store.Store
-	var err error
+	open := store.Open
 	if cfg.Writable {
-		st, err = store.OpenWritable(dir)
-	} else {
-		st, err = store.Open(dir)
+		open = store.OpenWritable
 	}
+	st, err := open(dir)
 	if err != nil {
 		return nil, err
 	}
-	grid := st.Grid()
-	if grid == nil {
-		grid, err = st.OpenGrid()
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("server: %w (layouts written before grid embedding must be re-laid out)", err)
-		}
-	}
-	s, err := New(grid, st, cfg)
+	s, err := New(st.Grid(), st, cfg)
 	if err != nil {
 		st.Close()
 		return nil, err

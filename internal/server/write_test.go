@@ -322,9 +322,9 @@ func TestReadAfterAckSkipsLoadBegunBeforeWrite(t *testing.T) {
 	s := newWritableServer(t, base, 4, 1, Config{Faults: reg})
 	cl := newTestClient(t, s, ClientConfig{Pipeline: 4})
 	ctx := context.Background()
-	dom := s.grid.Domain()
+	dom := s.st.Grid().Domain()
 	key := testKeys(dom, 1, 77)[0]
-	id, _ := s.grid.BucketAt(key)
+	id, _ := s.st.Grid().BucketAt(key)
 	pl, _ := s.st.Placement(id)
 	if err := reg.SetSpec(fault.StoreReadDiskSite(pl.Disk) + ":delay=300ms"); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,237 @@
+package store
+
+import (
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"syscall"
+	"testing"
+
+	"pgridfile/internal/gridfile"
+)
+
+// layoutDigest hashes a layout directory: its files in name order (as
+// os.ReadDir lists them), each as the line "name len\n" followed by its bytes.
+func layoutDigest(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// abandonAfterInserts gives a layout directory a writable life that ends
+// without a checkpoint: n inserts, all of them still in the journals.
+func abandonAfterInserts(t *testing.T, dir string, n int) {
+	t.Helper()
+	s, err := OpenWritable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetCheckpointEvery(0)
+	for _, key := range randKeys(s.Grid().Domain(), n, 17) {
+		if _, err := s.Insert(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.CloseNoCheckpoint()
+}
+
+// TestFreshLayoutBytes pins what a fresh layout is, byte for byte: the uniform
+// 1 200-record file, minimax seed 1, 4 disks, 4096-byte pages, at r=1 and r=2.
+// The digests were computed at the commit before the layout writer became
+// checkpoint zero of the write path (PR 23), so they hold the rewrite to the
+// old writer's bytes, and LayoutOrder, the page format and the manifest
+// encoding to what they are from here on. A change that means to move them
+// re-records the constants and says so.
+func TestFreshLayoutBytes(t *testing.T) {
+	const gridDigest = "8512d862e28865aa3b47a95eaea7e6d1d77eb8bef3921d4531999be517619f5b"
+	for r, want := range map[int]string{
+		1: "038f80d691700dbd0d00a10e96adf40842bfadea6320890ba7df1d93a5bd45b8",
+		2: "4b87ac21f8f9e35766929115532a5411d1bc2d6d60b6b894ea31eacc1955a655",
+	} {
+		dir, _, _ := buildReplicatedLayout(t, 4, r)
+		if got := layoutDigest(t, dir); got != want {
+			t.Errorf("r=%d: layout digest %s, want %s", r, got, want)
+		}
+		grid, err := os.ReadFile(filepath.Join(dir, "grid.grd"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(grid)); len(grid) != 20154 || got != gridDigest {
+			t.Errorf("r=%d: grid.grd is %d bytes, digest %s; want 20154 bytes, %s", r, len(grid), got, gridDigest)
+		}
+	}
+}
+
+// TestRelayoutOverUncheckpointedDirectory is the regression test for a fresh
+// layout inheriting the journals of the directory's previous life: a writable
+// store takes 50 inserts and dies without a checkpoint, the original file is
+// laid out again over the same directory, and the next OpenWritable replayed
+// the dead store's journals into the new layout (1 250 records, not 1 200).
+// A fresh layout clears what the earlier life left, strays included.
+func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
+	dir, f, rm := buildReplicatedLayout(t, 4, 2)
+	abandonAfterInserts(t, dir, 50)
+	// What a kill inside a checkpoint would have added to the leftovers.
+	for _, name := range []string{"grid.50.grd", ".manifest.json.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stranded"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := WriteReplicated(dir, f, rm, 4096); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if n := e.Name(); n != "grid.grd" && (strings.HasPrefix(n, "grid.") || strings.HasSuffix(n, ".tmp")) {
+			t.Errorf("%s survived the re-layout", n)
+		}
+	}
+
+	s2, err := OpenWritable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.WriteCounters().JournalReplays; got != 0 {
+		t.Errorf("the fresh layout replayed %d operations of the directory's previous life", got)
+	}
+	if got := s2.Grid().Len(); got != f.Len() {
+		t.Errorf("%d records after the re-layout, the file laid out has %d", got, f.Len())
+	}
+	verifyStoreMatchesGrid(t, s2, s2.Grid())
+}
+
+// TestBuildCrashAtEveryFailpoint extends the crash matrix to the build: a
+// fresh layout is killed at every crash point it passes — before and after
+// each page write, and after each step of the commit — into an empty
+// directory and over a used one: the same file with two buckets of equal size
+// on each other's disks, left with journals by a store that died without a
+// checkpoint. A directory under construction is not a layout: Open refuses it
+// for want of a manifest until the commit's rename, and from then on opens
+// the complete new layout, every copy reading, with nothing of the earlier
+// life replayed into it. The used directory is the hard case: its grid file
+// is the new one byte for byte and its disk files are as long as the new
+// ones, so were the old manifest still there once the new grid.grd is in,
+// Open would accept the old placements over the new pages.
+func TestBuildCrashAtEveryFailpoint(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
+			t.Parallel()
+			_, f, rm := buildReplicatedLayoutOf(t, 300, 3, r)
+			build := func(dir string, owners [][]int, crash func() bool) error {
+				_, err := writeLayout(dir, f, owners, rm.Disks, rm.Replicas, 1024, crash)
+				return err
+			}
+			moved := slices.Clone(rm.Owners)
+			views := f.Buckets()
+			perPage := recordsPerPage(1024, f.Dims())
+			j := slices.IndexFunc(views, func(v gridfile.BucketView) bool {
+				return pagesFor(v.Records, perPage) == pagesFor(views[0].Records, perPage) &&
+					!slices.Equal(moved[v.Index], moved[0])
+			})
+			if j < 0 {
+				t.Fatal("no bucket the size of bucket 0 on other disks")
+			}
+			moved[0], moved[j] = moved[j], moved[0]
+			used := t.TempDir()
+			if err := build(used, moved, nil); err != nil {
+				t.Fatal(err)
+			}
+			abandonAfterInserts(t, used, 20)
+
+			total := 0
+			if err := build(t.TempDir(), rm.Owners, func() bool { total++; return false }); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d crash points", total)
+			if total <= 3 { // the commit's own: data fsyncs, grid file, manifest rename
+				t.Fatalf("%d crash points: the build's page writes passed none", total)
+			}
+			for _, base := range []string{"", used} {
+				for k := 1; k <= total; k++ {
+					dir := t.TempDir()
+					if base != "" {
+						dir = copyLayout(t, base)
+					}
+					calls := 0
+					err := build(dir, rm.Owners, func() bool { calls++; return calls == k })
+					if !errors.Is(err, errSimulatedCrash) {
+						t.Fatalf("k=%d: build returned %v, want the simulated crash", k, err)
+					}
+					s, err := Open(dir)
+					if k < total {
+						if err == nil {
+							s.Close()
+						}
+						if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "manifest.json") {
+							t.Fatalf("k=%d (used=%v): Open of a half-built directory: %v, want no manifest", k, base != "", err)
+						}
+						continue
+					}
+					// Killed after the rename: the layout is committed.
+					if err != nil {
+						t.Fatalf("k=%d (used=%v): Open after the commit: %v", k, base != "", err)
+					}
+					verifyStoreMatchesGrid(t, s, f)
+					s.Close()
+					w, err := OpenWritable(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n := w.WriteCounters().JournalReplays; n != 0 || w.Grid().Len() != f.Len() {
+						t.Fatalf("k=%d (used=%v): %d replays, %d records; want 0 and %d", k, base != "", n, w.Grid().Len(), f.Len())
+					}
+					w.Close()
+				}
+			}
+		})
+	}
+}
+
+// TestBuildFailsOnPageWriteError: the write path absorbs a failed page write
+// (the journal keeps the redo) and withholds checkpoints; a build has no
+// journal, so the withheld checkpoint zero is the build failing — with the
+// write's own error, and without a manifest. Disk 1's file is /dev/full.
+func TestBuildFailsOnPageWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	_, f, rm := buildReplicatedLayoutOf(t, 300, 3, 2)
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, DiskFileName(1))); err != nil {
+		t.Fatal(err)
+	}
+	_, err := WriteReplicated(dir, f, rm, 1024)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("build over a full disk: %v, want ENOSPC", err)
+	}
+	if _, err := Open(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Open after the failed build: %v, want no manifest", err)
+	}
+}

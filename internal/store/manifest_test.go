@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/synth"
 )
 
 // manifestCase is one doctored manifest.json: edit rewrites a valid layout's
@@ -134,7 +136,9 @@ func readEverything(s *Store) (failed int) {
 // TestOpenRefusals walks the table: Open returns an error on every retired
 // vintage (naming the way to regenerate) and every malformed placement, and
 // never panics. The untouched manifest, re-encoded the same way, still opens
-// and reads clean, so a refusal is the edit's doing.
+// and reads clean, so a refusal is the edit's doing. Last, under that valid
+// manifest, the grid file is swapped for another dataset's: Open loads and
+// checks the grid itself, so it refuses that too, whoever the caller is.
 func TestOpenRefusals(t *testing.T) {
 	dir, valid := doctorableLayout(t)
 	path := filepath.Join(dir, "manifest.json")
@@ -158,6 +162,27 @@ func TestOpenRefusals(t *testing.T) {
 		case c.vintage && !strings.Contains(err.Error(), "gridtool layout"):
 			t.Errorf("%s: refusal does not say how to regenerate: %v", c.name, err)
 		}
+	}
+
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, err := synth.Uniform2D(500, 99).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grid bytes.Buffer
+	if _, err := other.WriteTo(&grid); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, gridFileName(0)), grid.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir); err == nil {
+		s.Close()
+		t.Error("another dataset's grid.grd: Open accepted it")
+	} else if !strings.Contains(err.Error(), "grid file") {
+		t.Errorf("another dataset's grid.grd: refusal does not name the grid file: %v", err)
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			// Find an intact sibling copy of this page.
 			src := -1
 			for i, d := range pl.OwnerDisks {
-				if containsInt(owners, i) {
+				if slices.Contains(owners, i) {
 					continue
 				}
 				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), good) {
@@ -176,13 +176,4 @@ func (s *Store) scrubReadPage(disk int, page int64, buf []byte) bool {
 		return false
 	}
 	return binary.LittleEndian.Uint32(buf[8:]) == pageChecksum(buf)
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

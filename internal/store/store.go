@@ -2,11 +2,20 @@
 // simulator does: "reads in the dataset and declusters it to separate files
 // corresponding to every disk being simulated". A layout directory holds
 //
-//	manifest.json   grid metadata, page size and the bucket placement map
+//	manifest.json   grid metadata, page size and the bucket placement map;
+//	                it appears by rename once all it names is durable, and a
+//	                directory without one is not a layout
 //	grid.grd        the grid file's scales and directory (coordinator state);
 //	                grid.<lsn>.grd once a checkpoint has moved the layout on
 //	disk000.dat …   one page file per disk; each bucket occupies one or
 //	                more consecutive pages on its assigned disk
+//	journal000.wal … one write-ahead journal per disk, from the first
+//	                OpenWritable on (write.go); a fresh layout has none
+//
+// There is one way onto disk: a fresh layout (writeLayout) is checkpoint zero
+// of the write path, and one owner of the grid file: the Store loads it and
+// checks it against the manifest (loadGrid), and callers translate queries
+// against Store.Grid().
 //
 // Pages are fixed-size; a bucket larger than one page (possible only for
 // the overfull duplicate-key case) spans consecutive pages. The reader
@@ -156,27 +165,25 @@ func (s *Store) PagesFor(nrec int) int {
 // Write lays out the grid file's buckets over per-disk page files under
 // dir, following the allocation. It returns the manifest it wrote.
 func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (*Manifest, error) {
-	views := f.Buckets()
-	if err := alloc.Validate(len(views)); err != nil {
+	if err := alloc.Validate(f.NumBuckets()); err != nil {
 		return nil, err
 	}
-	owners := make([][]int, len(views))
-	backing := make([]int, len(views))
+	owners := make([][]int, f.NumBuckets())
+	backing := make([]int, f.NumBuckets())
 	for i, d := range alloc.Assign {
 		backing[i] = d
 		owners[i] = backing[i : i+1 : i+1]
 	}
-	return writeLayout(dir, f, owners, alloc.Disks, 1, pageBytes)
+	return writeLayout(dir, f, owners, alloc.Disks, 1, pageBytes, nil)
 }
 
 // WriteReplicated lays out the grid file with each bucket written to every
 // disk in its owner list, following a replica map (see internal/replica).
 func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes int) (*Manifest, error) {
-	views := f.Buckets()
-	if err := rm.Validate(len(views)); err != nil {
+	if err := rm.Validate(f.NumBuckets()); err != nil {
 		return nil, err
 	}
-	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, pageBytes)
+	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, pageBytes, nil)
 }
 
 // layoutCurveBits is the per-axis resolution of the curve LayoutOrder ranks
@@ -215,108 +222,69 @@ func encodePage(page []byte, id int32, keys []float64, dims int) {
 	binary.LittleEndian.PutUint32(page[8:], pageChecksum(page))
 }
 
-// writeLayout is the shared layout writer: owners[i] lists the disks that
-// receive a copy of bucket views[i] (the first entry is the primary), and
-// buckets are appended to their disks in LayoutOrder. The manifest's bucket
-// list stays in id order.
-func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int) (*Manifest, error) {
+// writeLayout is the layout writer: owners[i] lists the disks that receive a
+// copy of bucket f.Buckets()[i], the primary first. A fresh layout is
+// checkpoint zero of an empty one, put on disk by the write path itself: empty
+// disk files, a placement stub per bucket, each bucket's pages appended by
+// rewriteBucket in LayoutOrder, and the whole committed by checkpointLocked —
+// data fsynced, then grid.grd, then manifest.json by rename. Until that rename
+// the directory is not a layout: whatever an earlier life left in it goes
+// first, the manifest before anything else and the journals with it, so that
+// neither a kill part-way nor the next OpenWritable pairs the new pages with
+// the old life's placements or operations. crash is the write path's kill
+// hook, for the tests.
+func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) (*Manifest, error) {
 	if pageBytes <= pageHeaderBytes+8*f.Dims() {
 		return nil, fmt.Errorf("store: page size %d too small for %d-D records", pageBytes, f.Dims())
 	}
-	views := f.Buckets()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if err := os.Remove(filepath.Join(dir, "manifest.json")); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	if err := removeStrays(dir, "", true); err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		return nil, err
+	}
 
-	dom := f.Domain()
-	m := &Manifest{
-		Disks:      disks,
-		Dims:       f.Dims(),
-		PageBytes:  pageBytes,
-		PageFormat: pageFormat,
+	s := &Store{
+		manifest: Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, PageFormat: pageFormat},
+		dir:      dir,
+		grid:     f,
+		byID:     make(map[int32]Placement, f.NumBuckets()),
+		w:        &writer{nextPage: make([]int64, disks), nextLSN: 1, crash: crash},
 	}
 	if replicas > 1 {
-		m.Replicas = replicas
+		s.manifest.Replicas = replicas
 	}
-	for _, iv := range dom {
-		m.Domain = append(m.Domain, [2]float64{iv.Lo, iv.Hi})
+	for _, iv := range f.Domain() {
+		s.manifest.Domain = append(s.manifest.Domain, [2]float64{iv.Lo, iv.Hi})
 	}
-
-	files := make([]*os.File, disks)
-	nextPage := make([]int64, disks)
-	for d := range files {
-		path := filepath.Join(dir, DiskFileName(d))
-		fh, err := os.Create(path)
+	defer func() { closeAll(s.files) }()
+	for d := 0; d < disks; d++ {
+		fh, err := os.Create(filepath.Join(dir, DiskFileName(d)))
 		if err != nil {
-			closeAll(files)
 			return nil, err
 		}
-		files[d] = fh
+		s.files = append(s.files, fh)
 	}
-	defer closeAll(files)
 
-	perPage := recordsPerPage(pageBytes, f.Dims())
-	page := make([]byte, pageBytes)
-	m.Buckets = make([]Placement, len(views))
+	views := f.Buckets()
 	for _, vi := range LayoutOrder(f) {
-		v := views[vi]
-		var keys []float64
-		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
-			keys = append(keys, key...)
-		})
-		nrec := len(keys) / f.Dims()
-		npages := pagesFor(nrec, perPage)
-		own := owners[v.Index]
-		pl := Placement{
-			ID: v.ID, Disk: own[0], Page: nextPage[own[0]], Pages: npages, Recs: nrec,
-			OwnerDisks: append([]int(nil), own...),
-			OwnerPages: make([]int64, len(own)),
-		}
-		for i, d := range own {
-			pl.OwnerPages[i] = nextPage[d]
-		}
-		for p := 0; p < npages; p++ {
-			encodePage(page, v.ID, keys[p*perPage*f.Dims():min((p+1)*perPage, nrec)*f.Dims()], f.Dims())
-			for _, d := range own {
-				if _, err := files[d].Write(page); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, d := range own {
-			nextPage[d] += int64(npages)
-		}
-		m.Buckets[vi] = pl
-	}
-	for _, fh := range files {
-		if err := fh.Sync(); err != nil {
+		id, own := views[vi].ID, owners[vi]
+		s.byID[id] = placementStub(id, own)
+		if err := s.rewriteBucket(context.Background(), id); err != nil {
 			return nil, err
 		}
 	}
-
-	// Embed the grid file itself so the layout is self-contained: a server
-	// can reopen the coordinator's scales and directory (whose bucket ids
-	// the manifest placements refer to) from the layout directory alone.
-	gf, err := os.Create(filepath.Join(dir, gridFileName(0)))
-	if err != nil {
+	if err := s.checkpointLocked(true); err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteTo(gf); err != nil {
-		gf.Close()
-		return nil, err
-	}
-	if err := gf.Close(); err != nil {
-		return nil, err
-	}
-
-	env, err := marshalManifest(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), env, 0o644); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m := s.manifest
+	return &m, nil
 }
 
 // Store reads buckets from a layout directory with real file I/O.
@@ -325,14 +293,20 @@ type Store struct {
 	dir      string
 	files    []*os.File
 
+	// grid is the layout's grid file — the coordinator's scales, directory
+	// and records — loaded from the file the manifest's checkpoint LSN names
+	// and checked against the manifest by open. A read-only store never
+	// changes it; a writable one mutates it under w.gridMu.
+	grid *gridfile.File
+
 	// pmu guards byID (and the manifest's bucket list) against the write
 	// path's placement swaps. Read-only stores never take the write lock,
 	// so the read path pays only an uncontended RLock.
 	pmu  sync.RWMutex
 	byID map[int32]Placement
 
-	// w holds the mutable-store state (grid, journals, allocation cursors);
-	// nil unless the store was opened with OpenWritable.
+	// w holds the mutable-store state (grid lock, journals, allocation
+	// cursors); nil unless the store was opened with OpenWritable.
 	w *writer
 
 	// verify, when true, checks every page's CRC-32C during decode. Set
@@ -359,7 +333,8 @@ type Store struct {
 // Open loads a layout directory written by Write or WriteReplicated. It
 // reads one layout generation — the version-3 envelope with page format 2 —
 // and refuses every other; it also refuses a manifest whose placements could
-// not all be read from the disk files as they stand.
+// not all be read from the disk files as they stand, and one whose grid file
+// is missing or is not the grid the placements describe.
 func Open(dir string) (*Store, error) { return open(dir, false) }
 
 // errVintage builds the refusal for a layout generation this reader does not
@@ -379,8 +354,9 @@ func open(dir string, writable bool) (*Store, error) {
 	return openManifest(dir, raw, writable)
 }
 
-// openManifest opens dir's disk files under the given manifest.json contents
-// (split from open so FuzzManifest can skip the file write).
+// openManifest opens dir's disk files and grid file under the given
+// manifest.json contents (split from open so FuzzManifest can skip the file
+// write).
 func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 	var env manifestVersion
 	if err := json.Unmarshal(raw, &env); err != nil {
@@ -445,7 +421,46 @@ func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 		}
 		s.byID[pl.ID] = pl
 	}
+	if err := s.loadGrid(); err != nil {
+		s.Close()
+		return nil, err
+	}
 	return s, nil
+}
+
+// loadGrid reads the grid file the manifest's checkpoint LSN names
+// (gridFileName) and requires it to be the grid the manifest places: the same
+// dimensionality and buckets, holding the same number of records each. The
+// store is the one owner of a layout's grid; whoever translates queries
+// translates against this one.
+func (s *Store) loadGrid() error {
+	m := &s.manifest
+	fh, err := os.Open(filepath.Join(s.dir, gridFileName(m.CheckpointLSN)))
+	if err != nil {
+		return fmt.Errorf("store: layout has no grid file: %w", err)
+	}
+	defer fh.Close()
+	g, err := gridfile.Read(fh)
+	if err != nil {
+		return fmt.Errorf("store: %s: %w", gridFileName(m.CheckpointLSN), err)
+	}
+	views := g.Buckets()
+	if g.Dims() != m.Dims || len(views) != len(m.Buckets) {
+		return fmt.Errorf("store: grid file is %d-D with %d buckets, manifest %d-D with %d (layout from a different grid file?)",
+			g.Dims(), len(views), m.Dims, len(m.Buckets))
+	}
+	for _, v := range views {
+		pl, ok := s.byID[v.ID]
+		if !ok {
+			return fmt.Errorf("store: the grid file's bucket %d is missing from the manifest", v.ID)
+		}
+		if pl.Recs != v.Records {
+			return fmt.Errorf("store: bucket %d holds %d records in the manifest, %d in the grid file",
+				v.ID, pl.Recs, v.Records)
+		}
+	}
+	s.grid = g
+	return nil
 }
 
 // validatePlacement checks one placement against the manifest and the disk
@@ -483,17 +498,10 @@ func validatePlacement(pl Placement, m *Manifest, sizes []int64) error {
 	return nil
 }
 
-// OpenGrid loads the grid file embedded in the layout directory: the one the
-// manifest's checkpoint LSN names (gridFileName). Its bucket ids are the ones
-// the manifest placements address.
-func (s *Store) OpenGrid() (*gridfile.File, error) {
-	fh, err := os.Open(filepath.Join(s.dir, gridFileName(s.Manifest().CheckpointLSN)))
-	if err != nil {
-		return nil, fmt.Errorf("store: layout has no embedded grid file: %w", err)
-	}
-	defer fh.Close()
-	return gridfile.Read(fh)
-}
+// Grid returns the layout's grid file. On a writable store it mutates under
+// concurrent queries: callers translating against it must hold the grid read
+// lock (RLockGrid) so a mutation cannot rewrite the directory mid-translation.
+func (s *Store) Grid() *gridfile.File { return s.grid }
 
 // Manifest returns the layout description.
 func (s *Store) Manifest() Manifest {

@@ -547,8 +547,8 @@ func TestReadTiming(t *testing.T) {
 	}
 }
 
-// TestOpenGrid proves the grid file embedded by Write round-trips and its
-// bucket ids agree with the manifest placements.
+// TestOpenGrid proves the grid file embedded by Write round-trips — Open
+// loads it — and its bucket ids agree with the manifest placements.
 func TestOpenGrid(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 4096)
 	s, err := Open(dir)
@@ -556,9 +556,9 @@ func TestOpenGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	g, err := s.OpenGrid()
-	if err != nil {
-		t.Fatal(err)
+	g := s.Grid()
+	if g == nil {
+		t.Fatal("read-only store has no grid")
 	}
 	if g.Len() != f.Len() || g.NumBuckets() != f.NumBuckets() {
 		t.Fatalf("embedded grid: %d recs / %d buckets, want %d / %d",
@@ -576,8 +576,9 @@ func TestOpenGrid(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, gridFileName(0))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.OpenGrid(); err == nil {
-		t.Error("OpenGrid succeeded on a layout without its grid file")
+	if s2, err := Open(dir); err == nil {
+		s2.Close()
+		t.Error("Open succeeded on a layout without its grid file")
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 
 // The mutable store. OpenWritable loads a layout directory for serving AND
 // mutation. There is one write path: Insert and Delete are the same function
-// (mutate) with a different journal op, and journal replay runs the same apply
-// step the live path does. An operation goes through, in order,
+// (mutate) with a different journal op, journal replay runs the same apply
+// step the live path does, and a fresh layout (writeLayout) is step 4 for
+// every bucket followed by a checkpoint. An operation goes through, in order,
 //
 //  1. locate: the target bucket and its owner disks (grid translation);
 //  2. journal: the operation is appended to every owner disk's journal
@@ -91,13 +92,12 @@ type writer struct {
 	// never take it.
 	mu sync.Mutex
 
-	// gridMu guards the in-memory grid file: queries translate under
-	// RLock, the apply step of a mutation (grid mutation + page rewrite +
-	// placement swap) runs under Lock. The slow part of a write — the
-	// journal fsyncs — happens before this lock is taken, so readers are
-	// blocked only for the in-memory apply and buffered page writes.
+	// gridMu guards the store's grid file: queries translate under RLock,
+	// the apply step of a mutation (grid mutation + page rewrite + placement
+	// swap) runs under Lock. The slow part of a write — the journal fsyncs —
+	// happens before this lock is taken, so readers are blocked only for the
+	// in-memory apply and buffered page writes.
 	gridMu sync.RWMutex
-	grid   *gridfile.File
 	// gridGen counts the operations that created or retired a bucket. It
 	// changes only under gridMu's write lock, so a reader holding the read
 	// lock gets the generation of the directory it translates against.
@@ -117,10 +117,10 @@ type writer struct {
 	pendingOps      int // committed ops since the last checkpoint
 	checkpointEvery int
 
-	// failed records that some replica copy write (or data fsync) failed
+	// failed is the first replica copy write (or data fsync) that failed
 	// since the last checkpoint; while set, checkpoints are withheld so
 	// the journals keep the redo for the stale copies.
-	failed bool
+	failed error
 	// dead is set when the crash hook fires or a committed operation could
 	// not be applied; every subsequent write is refused, forcing recovery
 	// through replay.
@@ -139,8 +139,8 @@ type writer struct {
 }
 
 // OpenWritable loads a layout directory for serving and mutation. It opens
-// the page files read-write, loads the manifest's grid file as the mutable
-// coordinator state, clears out what a kill inside a checkpoint may have
+// the page files read-write — the grid file open loaded becomes the mutable
+// coordinator state — clears out what a kill inside a checkpoint may have
 // stranded, replays any journaled operations that survived a crash, and
 // checkpoints the replayed state.
 func OpenWritable(dir string) (*Store, error) {
@@ -148,16 +148,11 @@ func OpenWritable(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid, err := s.OpenGrid()
-	if err == nil {
-		err = removeStrays(dir, s.manifest.CheckpointLSN)
-	}
-	if err != nil {
+	if err := removeStrays(dir, gridFileName(s.manifest.CheckpointLSN), false); err != nil {
 		s.Close()
 		return nil, err
 	}
 	w := &writer{
-		grid:            grid,
 		checkpointEvery: DefaultCheckpointEvery,
 		nextPage:        make([]int64, s.manifest.Disks),
 		walSites:        make([]string, s.manifest.Disks),
@@ -196,17 +191,6 @@ func OpenWritable(dir string) (*Store, error) {
 
 // Writable reports whether the store was opened with OpenWritable.
 func (s *Store) Writable() bool { return s.w != nil }
-
-// Grid returns the mutable store's in-memory grid file (the coordinator's
-// scales, directory and records), or nil for a read-only store. Callers
-// translating queries against it must hold the grid read lock (RLockGrid)
-// so mutations cannot rewrite the directory mid-translation.
-func (s *Store) Grid() *gridfile.File {
-	if s.w == nil {
-		return nil
-	}
-	return s.w.grid
-}
 
 // RLockGrid takes the grid translation read lock. A no-op on read-only
 // stores, whose grid never changes.
@@ -310,7 +294,7 @@ func (s *Store) Insert(ctx context.Context, key geom.Point) (Mutation, error) {
 func (s *Store) Delete(ctx context.Context, key geom.Point) (Mutation, error) {
 	if w := s.w; w != nil {
 		w.gridMu.RLock()
-		missing := len(w.grid.Lookup(key)) == 0
+		missing := len(s.grid.Lookup(key)) == 0
 		w.gridMu.RUnlock()
 		if missing {
 			return Mutation{}, nil
@@ -335,7 +319,7 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	if w.dead {
 		return Mutation{}, errSimulatedCrash
 	}
-	id, ok := w.grid.BucketAt(key)
+	id, ok := s.grid.BucketAt(key)
 	if !ok {
 		return Mutation{}, fmt.Errorf("store: key %v is not in the layout's domain", key)
 	}
@@ -395,7 +379,7 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 	w := s.w
 	switch op {
 	case journalOpInsert:
-		res, err := w.grid.InsertTracked(gridfile.Record{Key: key})
+		res, err := s.grid.InsertTracked(gridfile.Record{Key: key})
 		if err != nil {
 			return Mutation{}, nil, err
 		}
@@ -417,7 +401,7 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 		m = Mutation{Applied: true, Splits: res.Splits, Stale: dirty}
 		w.splits.Add(int64(res.Splits))
 	case journalOpDelete:
-		res := w.grid.DeleteTracked(key)
+		res := s.grid.DeleteTracked(key)
 		dirty = res.Dirty()
 		m = Mutation{Applied: res.Removed, Stale: dirty}
 		if res.Merged {
@@ -426,6 +410,17 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 		}
 	}
 	return m, dirty, nil
+}
+
+// placementStub places a bucket that has no pages yet on its owner disks; the
+// rewriteBucket that follows assigns them.
+func placementStub(id int32, owners []int) Placement {
+	return Placement{
+		ID:         id,
+		Disk:       owners[0],
+		OwnerDisks: slices.Clone(owners),
+		OwnerPages: make([]int64, len(owners)),
+	}
 }
 
 // journalAppend appends one operation record to every owner disk's journal,
@@ -472,7 +467,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	dims := s.manifest.Dims
 	pageBytes := s.manifest.PageBytes
 	var keys []float64
-	w.grid.ForEachRecordInBucket(id, func(key []float64, _ []byte) {
+	s.grid.ForEachRecordInBucket(id, func(key []float64, _ []byte) {
 		keys = append(keys, key...)
 	})
 	nrec := len(keys) / dims
@@ -502,7 +497,9 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 				// This copy is stale; leave the rest of it unwritten,
 				// withhold checkpoints so the journal keeps its redo.
 				skip[i] = true
-				w.failed = true
+				if w.failed == nil {
+					w.failed = fmt.Errorf("bucket %d on disk %d: %w", id, d, err)
+				}
 			}
 		}
 	}
@@ -597,7 +594,7 @@ func (s *Store) replay() error {
 			continue
 		}
 		key := geom.Point(p.rec.key)
-		id, ok := w.grid.BucketAt(key)
+		id, ok := s.grid.BucketAt(key)
 		if !ok {
 			continue // key no longer plausible: cannot have been committed
 		}
@@ -653,7 +650,8 @@ func (s *Store) Checkpoint() error {
 
 // checkpointLocked is Checkpoint with w.mu held; force checkpoints even
 // when no operations are pending (used by replay to truncate stale
-// journals and refresh the manifest).
+// journals and refresh the manifest, and by writeLayout, whose checkpoint
+// zero is what makes a directory of page files a layout).
 //
 // A checkpoint moves the layout from the manifest's LSN a to b, the last LSN
 // handed out, and the rename of manifest.json is the only step that does so:
@@ -672,13 +670,13 @@ func (s *Store) checkpointLocked(force bool) error {
 	if w.dead {
 		return errSimulatedCrash
 	}
-	if w.failed {
-		return errors.New("store: checkpoint withheld: a replica copy write failed since the last checkpoint (journals retained for replay)")
+	if w.failed != nil {
+		return fmt.Errorf("store: checkpoint withheld: a replica copy write failed since the last checkpoint (journals retained for replay): %w", w.failed)
 	}
 	for d, fh := range s.files {
 		if err := fh.Sync(); err != nil {
-			w.failed = true
-			return fmt.Errorf("store: checkpoint fsync disk %d: %w", d, err)
+			w.failed = fmt.Errorf("store: checkpoint fsync disk %d: %w", d, err)
+			return w.failed
 		}
 	}
 	if err := w.crashPoint(); err != nil {
@@ -687,7 +685,7 @@ func (s *Store) checkpointLocked(force bool) error {
 
 	// Placements for exactly the grid's live buckets (merged-away tombstones
 	// drop out here).
-	views := w.grid.Buckets()
+	views := s.grid.Buckets()
 	bks := make([]Placement, 0, len(views))
 	for _, v := range views {
 		pl, ok := s.byID[v.ID]
@@ -704,7 +702,7 @@ func (s *Store) checkpointLocked(force bool) error {
 		return err
 	}
 
-	if err := atomicWriteFile(s.dir, gridFileName(m.CheckpointLSN), w.grid); err != nil {
+	if err := atomicWriteFile(s.dir, gridFileName(m.CheckpointLSN), s.grid); err != nil {
 		return err
 	}
 	if err := w.crashPoint(); err != nil {
@@ -743,20 +741,21 @@ func (s *Store) checkpointLocked(force bool) error {
 	return nil
 }
 
-// removeStrays deletes what a kill inside a checkpoint can strand in a layout
-// directory: atomicWriteFile's temporaries, and grid files other than the one
-// the manifest at checkpoint LSN lsn names.
-func removeStrays(dir string, lsn uint64) error {
+// removeStrays deletes what a layout directory must not hand to its next
+// opener: atomicWriteFile's temporaries and grid files other than keepGrid —
+// what a kill inside a checkpoint can strand — and, for a fresh build, which
+// keeps no grid file and must replay nothing, the journals.
+func removeStrays(dir, keepGrid string, journals bool) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	keep := gridFileName(lsn)
 	for _, e := range ents {
 		n := e.Name()
 		tmp := strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp")
-		grid := strings.HasPrefix(n, "grid.") && strings.HasSuffix(n, ".grd") && n != keep
-		if tmp || grid {
+		grid := strings.HasPrefix(n, "grid.") && strings.HasSuffix(n, ".grd") && n != keepGrid
+		wal := journals && strings.HasPrefix(n, "journal") && strings.HasSuffix(n, ".wal")
+		if tmp || grid || wal {
 			if err := os.Remove(filepath.Join(dir, n)); err != nil {
 				return err
 			}

@@ -132,10 +132,7 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	g2, err := ro.OpenGrid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := ro.Grid()
 	if g2.Len() != f.Len()+2000 {
 		t.Fatalf("reopened grid holds %d records, want %d", g2.Len(), f.Len()+2000)
 	}
@@ -209,10 +206,7 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	g2, err := ro.OpenGrid()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := ro.Grid()
 	if g2.Len() != f.Len()-removed {
 		t.Fatalf("reopened grid holds %d records, want %d", g2.Len(), f.Len()-removed)
 	}
@@ -239,11 +233,8 @@ func TestReplayAfterAbandon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := stale.OpenGrid()
+	g := stale.Grid()
 	stale.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if g.Len() != f.Len() {
 		t.Fatalf("stale grid holds %d records, want %d", g.Len(), f.Len())
 	}

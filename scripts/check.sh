@@ -21,7 +21,13 @@
 #                  exports_test.go), and beside it
 #                  TestExecutorKnowsNoSocketNoEnvelope fails when
 #                  internal/server's exec.go or fetch.go imports net, bufio
-#                  or net/http, or names the wire envelope. And the paper
+#                  or net/http, or names the wire envelope, and
+#                  TestLayoutHasOneWriter fails when internal/store puts a
+#                  layout on disk any other way than rewriteBucket and
+#                  checkpointLocked (os.WriteFile anywhere, os.Rename outside
+#                  atomicWriteFile, encodePage outside rewriteBucket,
+#                  "manifest.json" named by other than the opener, the
+#                  committer and the builder's unlink). And the paper
 #                  reproduction's gate:
 #                  internal/experiments TestRunAllExperimentsProduceTables
 #                  compares every table gridbench prints at test scale, byte
