@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pgridfile/internal/core"
-	"pgridfile/internal/diskmodel"
 	"pgridfile/internal/parallel"
 	"pgridfile/internal/workload"
 )
@@ -37,16 +36,12 @@ func runParallel(args []string) error {
 		return err
 	}
 	eng, err := parallel.New(f, alloc, parallel.Config{
-		Workers:            *workers,
 		DisksPerWorker:     *disksPer,
-		Disk:               diskmodel.DefaultParams(),
-		Cost:               parallel.DefaultCostModel(),
 		DirectoryPageCells: *pageCells,
 	})
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
 
 	qs := workload.SquareRange(f.Domain(), *ratio, *queries, *seed)
 	tot, err := eng.Run(qs)

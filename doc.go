@@ -7,8 +7,8 @@
 // SSP/MST algorithms, and the paper's minimax spanning tree algorithm
 // (internal/core), a d-dimensional Hilbert curve (internal/sfc), the
 // declustering simulator and metrics (internal/sim), the analytic models of
-// Theorems 1 and 2 (internal/analytic), and a shared-nothing SPMD parallel
-// grid file engine (internal/parallel).
+// Theorems 1 and 2 (internal/analytic), and a cost model of the paper's
+// shared-nothing SPMD parallel grid file (internal/parallel).
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation via internal/experiments; cmd/gridbench does the same

@@ -48,16 +48,11 @@ func main() {
 		}
 		disk := diskmodel.DefaultParams()
 		disk.BlockBytes = ds.PageBytes
-		cost := parallel.DefaultCostModel()
-		cost.RecordBytes = ds.RecordBytes
-		eng, err := parallel.New(file, alloc, parallel.Config{
-			Workers: workers, Disk: disk, Cost: cost,
-		})
+		eng, err := parallel.New(file, alloc, parallel.Config{Disk: disk, RecordBytes: ds.RecordBytes})
 		if err != nil {
 			log.Fatal(err)
 		}
 		tot, err := eng.Run(queries)
-		eng.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

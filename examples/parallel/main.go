@@ -37,15 +37,10 @@ func main() {
 
 	disk := diskmodel.DefaultParams()
 	disk.BlockBytes = ds.PageBytes
-	cost := parallel.DefaultCostModel()
-	cost.RecordBytes = ds.RecordBytes
-	eng, err := parallel.New(file, alloc, parallel.Config{
-		Workers: workers, Disk: disk, Cost: cost,
-	})
+	eng, err := parallel.New(file, alloc, parallel.Config{Disk: disk, RecordBytes: ds.RecordBytes})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
 	fmt.Println(eng.BucketsPerWorker())
 
 	queries := workload.RandomRange4D(grid.Domain, 0.15, 5, 9)

@@ -37,7 +37,6 @@ var testOnlyExports = map[string]string{
 	"internal/store.(*Store).SetClock":                "test hook: the server's trace test drives store timings from a step clock",
 	"internal/campaign.Load":                          "reads the committed CAMPAIGN.json for the baseline gate test",
 	"internal/campaign.Compare":                       "the baseline gate test names every counter that moved with it",
-	"internal/parallel.(*Engine).RunConcurrent":       "the SPMD engine's only concurrent entry; its accounting test is what runs the workers under -race",
 	"internal/sim.(Result).Percentile":                "tail of the per-query response times; the test ranking MST below minimax by p95 reads it",
 	"internal/rtree.(*Tree).Height":                   "probe of the STR bulk-load tiling test; printed by the package Example",
 	"internal/rtree.(*Tree).RangeCount":               "what the tree holds, checked against brute force: the oracle that bulk loading lost or duplicated no point",
@@ -302,20 +301,9 @@ func TestLayoutHasOneWriter(t *testing.T) {
 		`"manifest.json"`: {"open": true, "checkpointLocked": true, "writeLayout": true},
 	}
 	dir := filepath.Join("internal", "store")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	seen := map[string]bool{}
-	for _, e := range ents {
-		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		file, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, file := range parseNonTestFiles(t, fset, dir) {
 		for _, d := range file.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -351,6 +339,61 @@ func TestLayoutHasOneWriter(t *testing.T) {
 			t.Errorf("%s occurs nowhere in %s: the guard is looking for the wrong thing", what, dir)
 		}
 	}
+}
+
+// TestLabModelsAreSequential holds the lab's three response-time models —
+// sim.Replay and sim.ReplaySpans, the SP-2 cost model of internal/parallel,
+// and the disk model under it — to what they are (DESIGN S41): functions of
+// file × allocation × queries that compute every time they report. Their
+// non-test files start no goroutine, declare no channel, and import neither
+// sync nor internal/fault; the design running concurrently, with failpoints,
+// is internal/server.
+func TestLabModelsAreSequential(t *testing.T) {
+	banned := map[string]bool{"sync": true, "pgridfile/internal/fault": true}
+	for _, pkg := range []string{"sim", "parallel", "diskmodel"} {
+		fset := token.NewFileSet()
+		files := parseNonTestFiles(t, fset, filepath.Join("internal", pkg))
+		if len(files) == 0 {
+			t.Errorf("internal/%s has no non-test files: the guard is looking in the wrong place", pkg)
+		}
+		for _, file := range files {
+			for _, im := range file.Imports {
+				if ipath, _ := strconv.Unquote(im.Path.Value); banned[ipath] {
+					t.Errorf("%s imports %q: a lab model is a sequential function", fset.Position(im.Pos()), ipath)
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement: a lab model is a sequential function", fset.Position(n.Pos()))
+				case *ast.ChanType:
+					t.Errorf("%s: channel type: a lab model is a sequential function", fset.Position(n.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
+// parseNonTestFiles parses the non-test Go files of one package directory.
+func parseNonTestFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, file)
+	}
+	return files
 }
 
 // receiverName renders a method receiver's type: T or *T, type parameters

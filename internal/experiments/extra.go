@@ -99,16 +99,13 @@ func (l *Lab) Table6() ([]*stats.Table, error) {
 		disk := diskmodel.DefaultParams()
 		disk.BlockBytes = b.ds.PageBytes
 		disk.CacheBlocks = 0
-		cost := parallel.DefaultCostModel()
-		cost.RecordBytes = b.ds.RecordBytes
 		eng, err := parallel.New(b.file, alloc, parallel.Config{
-			Workers: workers, DisksPerWorker: dpn, Disk: disk, Cost: cost,
+			DisksPerWorker: dpn, Disk: disk, RecordBytes: b.ds.RecordBytes,
 		})
 		if err != nil {
 			return nil, err
 		}
 		tot, err := eng.Run(queries)
-		eng.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -140,11 +137,7 @@ func (l *Lab) Trace() ([]*stats.Table, error) {
 		}
 		disk := diskmodel.DefaultParams()
 		disk.BlockBytes = b.ds.PageBytes
-		cost := parallel.DefaultCostModel()
-		cost.RecordBytes = b.ds.RecordBytes
-		eng, err := parallel.New(b.file, alloc, parallel.Config{
-			Workers: workers, Disk: disk, Cost: cost,
-		})
+		eng, err := parallel.New(b.file, alloc, parallel.Config{Disk: disk, RecordBytes: b.ds.RecordBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +153,6 @@ func (l *Lab) Trace() ([]*stats.Table, error) {
 			eng.DropCaches()
 			tot, err := eng.Run(w.queries)
 			if err != nil {
-				eng.Close()
 				return nil, err
 			}
 			hitRate := 0.0
@@ -169,7 +161,6 @@ func (l *Lab) Trace() ([]*stats.Table, error) {
 			}
 			t.AddRow(name, w.label, tot.Queries, tot.Blocks, hitRate, seconds(tot.Elapsed))
 		}
-		eng.Close()
 	}
 	return []*stats.Table{t}, nil
 }
@@ -333,24 +324,18 @@ func (l *Lab) AblationSeqIO() ([]*stats.Table, error) {
 		disk := diskmodel.DefaultParams()
 		disk.BlockBytes = b.ds.PageBytes
 		disk.SequentialReads = seq
-		cost := parallel.DefaultCostModel()
-		cost.RecordBytes = b.ds.RecordBytes
-		eng, err := parallel.New(b.file, alloc, parallel.Config{
-			Workers: workers, Disk: disk, Cost: cost,
-		})
+		eng, err := parallel.New(b.file, alloc, parallel.Config{Disk: disk, RecordBytes: b.ds.RecordBytes})
 		if err != nil {
 			return nil, err
 		}
 		tot, err := eng.Run(queries)
 		if err != nil {
-			eng.Close()
 			return nil, err
 		}
 		seqServed := 0
 		for _, st := range eng.DiskStats() {
 			seqServed += st.SeqReads
 		}
-		eng.Close()
 		t.AddRow(seq, tot.Blocks, seqServed, seconds(tot.Elapsed))
 	}
 	return []*stats.Table{t}, nil

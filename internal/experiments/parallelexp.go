@@ -15,7 +15,7 @@ import (
 var spWorkers = []int{4, 8, 16}
 
 // buildEngine declusters the 4-D dataset with minimax (the paper's choice
-// for the SP-2 experiments) and starts an engine.
+// for the SP-2 experiments) and builds an engine.
 func (l *Lab) buildEngine(workers int) (*parallel.Engine, *built, error) {
 	b, err := l.dataset("DSMC.4d")
 	if err != nil {
@@ -27,11 +27,7 @@ func (l *Lab) buildEngine(workers int) (*parallel.Engine, *built, error) {
 	}
 	disk := diskmodel.DefaultParams()
 	disk.BlockBytes = b.ds.PageBytes
-	cost := parallel.DefaultCostModel()
-	cost.RecordBytes = b.ds.RecordBytes
-	eng, err := parallel.New(b.file, alloc, parallel.Config{
-		Workers: workers, Disk: disk, Cost: cost,
-	})
+	eng, err := parallel.New(b.file, alloc, parallel.Config{Disk: disk, RecordBytes: b.ds.RecordBytes})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,7 +52,6 @@ func (l *Lab) Table4() ([]*stats.Table, error) {
 		steps := int(b.grid.Domain[0].Length())
 		queries := workload.AnimationSweep(b.grid.Domain, 0.1, steps)
 		tot, err := eng.Run(queries)
-		eng.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -87,13 +82,11 @@ func (l *Lab) Table5() ([]*stats.Table, error) {
 			queries := workload.RandomRange4D(b.grid.Domain, r, nQueries, l.opts.Seed+int64(1000*r))
 			tot, err := eng.Run(queries)
 			if err != nil {
-				eng.Close()
 				return nil, err
 			}
 			t.AddRow(workers, fmt.Sprintf("%.2f", r), tot.ResponseBlocks,
 				seconds(tot.Comm), seconds(tot.Elapsed))
 		}
-		eng.Close()
 	}
 	return []*stats.Table{t}, nil
 }

@@ -1,6 +1,6 @@
 // Package fault is a deterministic, seedable failpoint registry for chaos
 // testing the declustered serving stack. A failpoint ("site") is a named
-// location in the code — a store pread, a transport send — that consults
+// location in the code — a store pread, a journal append — that consults
 // the registry on every pass; when a rule armed on that site fires, the
 // site injects the configured fault: an error, added latency, or a torn
 // (truncated) read.
@@ -28,7 +28,7 @@
 //	store.read:err:p=0.05                    5% of preads fail
 //	store.read:delay=10ms:p=0.1              10% of preads stall 10ms
 //	store.read.disk2:err                     every read of disk 2 fails
-//	parallel.send:err:n=40                   every 40th message is dropped
+//	store.wal:err:n=40                       every 40th journal append fails
 //
 // Well-known site names are declared as constants here so the layers and
 // their tests agree on spelling; registering rules for unknown sites is
@@ -58,12 +58,6 @@ const (
 	// SiteStoreReadDisk is the per-disk variant: SiteStoreReadDisk + "3"
 	// guards only reads against disk 3. StoreReadDiskSite builds the name.
 	SiteStoreReadDisk = "store.read.disk"
-	// SiteParallelSend guards coordinator→worker request messages in
-	// internal/parallel (an injected error models a dropped request).
-	SiteParallelSend = "parallel.send"
-	// SiteParallelRecv guards worker→coordinator reply messages (an
-	// injected error models a dropped reply).
-	SiteParallelRecv = "parallel.recv"
 	// SiteServerFailover guards the server's replica-failover redirect: it
 	// is evaluated once per batch rerouted to a surviving owner disk, so
 	// chaos runs can stall the failover path or fail it outright (forcing

@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"pgridfile/internal/core"
-	"pgridfile/internal/diskmodel"
 	"pgridfile/internal/parallel"
 	"pgridfile/internal/synth"
 )
 
 // ExampleEngine stands up the SPMD engine on a small 4-D dataset and runs a
 // full-volume query: the coordinator translates it against the grid
-// directory, workers fetch their blocks in parallel and ship back the
-// qualified record count. All timing comes from the deterministic cost
-// model, so the output is stable.
+// directory, each worker fetches its blocks and ships back the qualified
+// record count. All timing comes from the deterministic cost model, so the
+// output is stable.
 func ExampleEngine() {
 	ds := synth.DSMC4D(4, 1000, 7)
 	file, err := ds.Build()
@@ -25,15 +24,10 @@ func ExampleEngine() {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := parallel.New(file, alloc, parallel.Config{
-		Workers: 4,
-		Disk:    diskmodel.DefaultParams(),
-		Cost:    parallel.DefaultCostModel(),
-	})
+	eng, err := parallel.New(file, alloc, parallel.Config{})
 	if err != nil {
 		panic(err)
 	}
-	defer eng.Close()
 
 	res, err := eng.Query(file.Domain())
 	if err != nil {

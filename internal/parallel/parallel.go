@@ -6,85 +6,69 @@
 // which fetch the blocks from their (simulated) disks, filter the qualified
 // records, and send them back.
 //
-// Workers are real goroutines exchanging messages over channels — the
-// engine genuinely runs in parallel — but all reported times come from the
-// deterministic cost model (per-block disk service times from
-// internal/diskmodel plus a message-passing cost model), so Tables 4 and 5
-// are reproducible on any host. As in the paper, one of the nodes doubles
-// as coordinator and worker.
+// The engine is a cost model, not a concurrent program: a query visits its
+// workers one after another on the calling goroutine, and every reported
+// time is computed (per-block disk service times from internal/diskmodel
+// plus the message costs below), so Tables 4 and 5 are reproducible on any
+// host. A worker's answer depends only on its own disks, so the visiting
+// order changes no figure; the slowest worker sets the query's disk time,
+// as it would with the nodes running side by side. As in the paper, one of
+// the nodes doubles as coordinator and worker. The paper's design running
+// concurrently over real sockets and files is internal/server.
 package parallel
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/diskmodel"
-	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 )
 
-// CostModel prices the non-disk components of query processing.
-type CostModel struct {
-	// CoordPerQuery is the coordinator's cost to translate a query against
-	// the scales and directory and schedule the block requests. When the
-	// engine is configured with a paged directory (Config.DirectoryPageCells),
-	// the translation additionally charges DirPageRead per directory page
-	// the query touches, replaying the paper's design of keeping scales and
-	// directory on the coordinator's local disk.
-	CoordPerQuery time.Duration
-	// DirPageRead is the cost of one directory-page fetch on the
-	// coordinator's disk (used only with a paged directory).
-	DirPageRead time.Duration
-	// MsgLatency is the fixed cost of one message (request or reply).
-	MsgLatency time.Duration
-	// BytePerSecondInverse is the per-byte transfer cost on the interconnect.
-	TransferPerByte time.Duration
-	// RecordBytes sizes reply payloads (qualified records).
-	RecordBytes int
-	// RequestBytesPerBlock sizes request payloads (block ids).
-	RequestBytesPerBlock int
-}
+// The non-disk components of query processing, priced for the SP-2's
+// interconnect class: ~0.3 ms per request/reply pair, ~10 MB/s effective
+// point-to-point bandwidth.
+const (
+	// coordPerQuery is the coordinator's cost to translate a query against
+	// the scales and directory and schedule the block requests. With a paged
+	// directory (Config.DirectoryPageCells) the translation additionally
+	// charges dirPageRead per directory page the query touches, replaying
+	// the paper's design of keeping scales and directory on the
+	// coordinator's local disk.
+	coordPerQuery = 3 * time.Millisecond
+	// dirPageRead is the cost of one (cached) directory-page fetch on the
+	// coordinator's disk.
+	dirPageRead = 200 * time.Microsecond
+	// msgLatency is the fixed cost of one message (request or reply).
+	msgLatency = 150 * time.Microsecond
+	// transferPerByte is the per-byte transfer cost on the interconnect.
+	transferPerByte = time.Second / (10 << 20)
+	// requestBytesPerBlock sizes request payloads (block ids).
+	requestBytesPerBlock = 4
+	// defaultRecordBytes is Config.RecordBytes when unset.
+	defaultRecordBytes = 38
+)
 
-// DefaultCostModel models the SP-2's interconnect class: ~0.3 ms message
-// latency, ~10 MB/s effective point-to-point bandwidth.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		CoordPerQuery:        3 * time.Millisecond,
-		DirPageRead:          200 * time.Microsecond, // cached directory page
-		MsgLatency:           150 * time.Microsecond,
-		TransferPerByte:      time.Second / (10 << 20),
-		RecordBytes:          38,
-		RequestBytesPerBlock: 4,
-	}
-}
-
-// Config assembles an engine.
+// Config assembles an engine. There is one processing node per disk of the
+// allocation handed to New.
 type Config struct {
-	// Workers is the number of processing nodes.
-	Workers int
 	// DisksPerWorker is the number of local disks per node (default 1).
 	// The paper's SP-2 had seven disks per processor; a node's buckets are
 	// striped over its local disks, which serve a query's blocks in
 	// parallel, so the node's disk time is the maximum over its disks.
 	DisksPerWorker int
-	// Disk parameterizes every local disk.
+	// Disk parameterizes every local disk; the zero value means
+	// diskmodel.DefaultParams().
 	Disk diskmodel.Params
-	// Cost prices coordination and communication.
-	Cost CostModel
+	// RecordBytes sizes reply payloads (qualified records; default 38).
+	RecordBytes int
 	// DirectoryPageCells, when positive, routes the coordinator's query
 	// translation through a two-level paged directory with pages of that
-	// many cells, charging Cost.DirPageRead per page touched. Zero keeps
-	// the flat in-memory directory with the constant CoordPerQuery cost.
+	// many cells, charging dirPageRead per page touched. Zero keeps the
+	// flat in-memory directory with the constant coordPerQuery cost.
 	DirectoryPageCells int
-	// Faults, when non-nil, is consulted for every coordinator↔worker
-	// message at the fault.SiteParallelSend / SiteParallelRecv sites: an
-	// injected delay stalls the message, an injected error drops it and
-	// fails the query. Underlying exchanges that did happen are always
-	// completed, so the engine stays usable after an injected drop.
-	Faults *fault.Registry
 }
 
 // QueryResult reports one query's execution.
@@ -127,39 +111,20 @@ func (t *Totals) Add(r QueryResult) {
 	t.CacheHits += r.CacheHits
 }
 
-// Engine is a running parallel grid file: a coordinator plus worker
-// goroutines. Create with New, run queries with Query or Run, release the
-// worker goroutines with Close.
+// Engine is a parallel grid file: a coordinator plus its workers. Create
+// with New, run queries with Query or Run. Not safe for concurrent use.
 type Engine struct {
-	cfg       Config
-	file      *gridfile.File
-	indexByID []int
-	assign    []int // dense bucket index -> worker
+	file        *gridfile.File
+	indexByID   []int
+	assign      []int // dense bucket index -> worker
+	recordBytes int   // reply payload per qualified record
 
 	workers  []*worker
-	reqs     []chan request
 	pagedDir *gridfile.TwoLevelDirectory // nil = flat directory
-	wg       sync.WaitGroup
-	closed   bool
-
-	// mu serializes the coordinator's directory translation (the grid
-	// file's range search reuses scratch space). Worker-side processing
-	// still overlaps across workers when queries arrive concurrently via
-	// RunConcurrent.
-	mu sync.Mutex
 }
 
-// request asks one worker to fetch blocks and filter records for a query.
-type request struct {
-	blocks   []int64
-	query    geom.Rect
-	wantKeys bool // ship the qualified keys back, not just their count
-	reply    chan<- reply
-}
-
+// reply is one worker's answer to a block request.
 type reply struct {
-	worker   int
-	blocks   int
 	records  int
 	hits     int
 	diskTime time.Duration
@@ -169,9 +134,9 @@ type reply struct {
 // worker owns one or more local disks and the record contents of its
 // assigned buckets, striped over the disks by block id.
 type worker struct {
-	id      int
 	disks   []*diskmodel.Disk
 	buckets map[int64]bucketData
+	perDisk [][]int64 // process's scratch space, reused across requests
 }
 
 type bucketData struct {
@@ -185,18 +150,20 @@ type bucketData struct {
 }
 
 // New builds an engine over a loaded grid file and a declustering
-// allocation whose disk count equals cfg.Workers. Bucket contents are
-// distributed to the workers according to the allocation.
+// allocation, with one worker per disk of the allocation. Bucket contents
+// are distributed to the workers according to the allocation.
 func New(f *gridfile.File, alloc core.Allocation, cfg Config) (*Engine, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("parallel: %d workers", cfg.Workers)
-	}
 	if cfg.DisksPerWorker < 1 {
 		cfg.DisksPerWorker = 1
 	}
-	if alloc.Disks != cfg.Workers {
-		return nil, fmt.Errorf("parallel: allocation has %d disks, engine has %d workers",
-			alloc.Disks, cfg.Workers)
+	if cfg.Disk == (diskmodel.Params{}) {
+		cfg.Disk = diskmodel.DefaultParams()
+	}
+	if cfg.Disk.BlockBytes <= 0 {
+		return nil, fmt.Errorf("parallel: disk block size %d", cfg.Disk.BlockBytes)
+	}
+	if cfg.RecordBytes < 1 {
+		cfg.RecordBytes = defaultRecordBytes
 	}
 	views := f.Buckets()
 	if err := alloc.Validate(len(views)); err != nil {
@@ -204,12 +171,11 @@ func New(f *gridfile.File, alloc core.Allocation, cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg:       cfg,
-		file:      f,
-		indexByID: f.IndexByID(),
-		assign:    alloc.Assign,
-		workers:   make([]*worker, cfg.Workers),
-		reqs:      make([]chan request, cfg.Workers),
+		file:        f,
+		indexByID:   f.IndexByID(),
+		assign:      alloc.Assign,
+		recordBytes: cfg.RecordBytes,
+		workers:     make([]*worker, alloc.Disks),
 	}
 	if cfg.DirectoryPageCells > 0 {
 		dir, err := gridfile.NewTwoLevelDirectory(f, cfg.DirectoryPageCells)
@@ -224,9 +190,9 @@ func New(f *gridfile.File, alloc core.Allocation, cfg Config) (*Engine, error) {
 			disks[i] = diskmodel.New(cfg.Disk)
 		}
 		e.workers[w] = &worker{
-			id:      w,
 			disks:   disks,
 			buckets: make(map[int64]bucketData),
+			perDisk: make([][]int64, len(disks)),
 		}
 	}
 	dims := f.Dims()
@@ -242,78 +208,44 @@ func New(f *gridfile.File, alloc core.Allocation, cfg Config) (*Engine, error) {
 			page: int64(len(w.buckets)), // views arrive in ascending id order
 		}
 	}
-
-	// Launch the SPMD workers.
-	for w := range e.workers {
-		e.reqs[w] = make(chan request)
-		e.wg.Add(1)
-		go e.workers[w].run(e.reqs[w], &e.wg)
-	}
 	return e, nil
 }
 
-// run is the worker loop.
-func (w *worker) run(reqs <-chan request, wg *sync.WaitGroup) {
-	defer wg.Done()
-	perDisk := make([][]int64, len(w.disks))
-	for req := range reqs {
-		req.reply <- w.process(req, perDisk)
+// process serves one request for blocks this worker owns (the coordinator
+// routes by the allocation): fetch them from the local disks (striped by
+// local page, served in parallel within the node) and filter the records
+// qualified by q, shipping their keys back only when wantKeys is set.
+func (w *worker) process(blocks []int64, q geom.Rect, wantKeys bool) reply {
+	for i := range w.perDisk {
+		w.perDisk[i] = w.perDisk[i][:0]
 	}
-}
-
-// process serves one block request: fetch the blocks from the local disks
-// (striped by block id, served in parallel within the node) and filter the
-// qualified records. perDisk is the caller's scratch space, reused across
-// requests.
-func (w *worker) process(req request, perDisk [][]int64) reply {
-	for i := range perDisk {
-		perDisk[i] = perDisk[i][:0]
-	}
-	for _, b := range req.blocks {
-		// Address the local page, not the global bucket id; blocks not
-		// owned here (wasted fetches) keep their global address.
-		page := b
-		if bd, ok := w.buckets[b]; ok {
-			page = bd.page
-		}
+	for _, b := range blocks {
+		page := w.buckets[b].page // the local page, not the global bucket id
 		i := int(page % int64(len(w.disks)))
-		perDisk[i] = append(perDisk[i], page)
+		w.perDisk[i] = append(w.perDisk[i], page)
 	}
-	var diskTime time.Duration
-	hits := 0
-	for i, blocks := range perDisk {
-		t, h := w.disks[i].ReadAll(blocks)
-		hits += h
-		if t > diskTime {
-			diskTime = t // local disks operate in parallel
+	var rep reply
+	for i, pages := range w.perDisk {
+		t, h := w.disks[i].ReadAll(pages)
+		rep.hits += h
+		if t > rep.diskTime {
+			rep.diskTime = t // local disks operate in parallel
 		}
 	}
-	records := 0
-	var keys []float64
-	for _, b := range req.blocks {
-		bd, ok := w.buckets[b]
-		if !ok {
-			continue // block not owned here: counted as a wasted fetch
-		}
+	for _, b := range blocks {
+		bd := w.buckets[b]
 		n := len(bd.keys) / bd.dims
 		for i := 0; i < n; i++ {
 			key := bd.keys[i*bd.dims : (i+1)*bd.dims]
-			if keyInRect(key, req.query) {
-				records++
-				if req.wantKeys {
-					keys = append(keys, key...)
+			if keyInRect(key, q) {
+				rep.records++
+				if wantKeys {
+					rep.keys = append(rep.keys, key...)
 				}
 			}
 		}
 	}
-	return reply{
-		worker:   w.id,
-		blocks:   len(req.blocks),
-		records:  records,
-		hits:     hits,
-		diskTime: diskTime,
-		keys:     keys,
-	}
+	return rep
 }
 
 func keyInRect(key []float64, q geom.Rect) bool {
@@ -325,7 +257,7 @@ func keyInRect(key []float64, q geom.Rect) bool {
 	return true
 }
 
-// Query executes one range query through the full SPMD path and returns its
+// Query costs one range query along the full SPMD path and returns its
 // simulated execution profile.
 func (e *Engine) Query(q geom.Rect) (QueryResult, error) {
 	res, _, err := e.query(q, false)
@@ -349,100 +281,53 @@ func (e *Engine) QueryRecords(q geom.Rect) ([]geom.Point, QueryResult, error) {
 }
 
 func (e *Engine) query(q geom.Rect, wantKeys bool) (QueryResult, []float64, error) {
-	if e.closed {
-		return QueryResult{}, nil, fmt.Errorf("parallel: engine closed")
-	}
 	// Coordinator: translate the query into per-worker block lists using
-	// the scales and directory. The translation shares scratch state in
-	// the grid file, so it is serialized.
-	e.mu.Lock()
+	// the scales and directory.
 	var ids []int32
 	coordExtra := time.Duration(0)
 	if e.pagedDir != nil {
 		e.pagedDir.ResetCounters()
 		ids = e.pagedDir.BucketsInRange(e.file, q)
-		coordExtra = time.Duration(e.pagedDir.PageAccesses) * e.cfg.Cost.DirPageRead
+		coordExtra = time.Duration(e.pagedDir.PageAccesses) * dirPageRead
 	} else {
 		ids = e.file.BucketsInRange(q)
 	}
-	perWorker := make([][]int64, e.cfg.Workers)
+	perWorker := make([][]int64, len(e.workers))
 	for _, id := range ids {
 		dense := e.indexByID[id]
 		if dense < 0 {
-			e.mu.Unlock()
 			return QueryResult{}, nil, fmt.Errorf("parallel: bucket %d not allocated", id)
 		}
 		w := e.assign[dense]
 		perWorker[w] = append(perWorker[w], int64(id))
 	}
-	e.mu.Unlock()
 
-	// Ship requests to the active workers and gather replies. A dropped
-	// request skips that worker entirely; a dropped reply is still taken
-	// off the channel. Either way the query fails with the injected error
-	// only after every in-flight exchange has been collected, so the
-	// engine survives the fault.
-	replyCh := make(chan reply, e.cfg.Workers)
-	active := 0
-	var injErr error
+	// Each worker with blocks to fetch costs one request and one reply
+	// message; the slowest of them sets the query's disk time.
+	var res QueryResult
+	var keys []float64
+	var maxDisk time.Duration
 	for w, blocks := range perWorker {
 		if len(blocks) == 0 {
 			continue
 		}
-		if err := e.evalFault(fault.SiteParallelSend); err != nil {
-			injErr = err
-			continue
-		}
-		active++
-		e.reqs[w] <- request{blocks: blocks, query: q, wantKeys: wantKeys, reply: replyCh}
-	}
-
-	var res QueryResult
-	var keys []float64
-	var maxDisk time.Duration
-	cm := e.cfg.Cost
-	for i := 0; i < active; i++ {
-		rep := <-replyCh
-		if err := e.evalFault(fault.SiteParallelRecv); err != nil {
-			if injErr == nil {
-				injErr = err
-			}
-			continue
-		}
-		res.Blocks += rep.blocks
+		rep := e.workers[w].process(blocks, q, wantKeys)
+		res.Blocks += len(blocks)
 		res.Records += rep.records
 		res.CacheHits += rep.hits
 		keys = append(keys, rep.keys...)
-		if rep.blocks > res.ResponseBlocks {
-			res.ResponseBlocks = rep.blocks
+		if len(blocks) > res.ResponseBlocks {
+			res.ResponseBlocks = len(blocks)
 		}
 		if rep.diskTime > maxDisk {
 			maxDisk = rep.diskTime
 		}
-		// Request message + reply message for this worker.
-		res.Comm += 2 * cm.MsgLatency
-		res.Comm += time.Duration(rep.blocks*cm.RequestBytesPerBlock) * cm.TransferPerByte
-		res.Comm += time.Duration(rep.records*cm.RecordBytes) * cm.TransferPerByte
+		res.Comm += 2 * msgLatency
+		res.Comm += time.Duration(len(blocks)*requestBytesPerBlock) * transferPerByte
+		res.Comm += time.Duration(rep.records*e.recordBytes) * transferPerByte
 	}
-	if injErr != nil {
-		return QueryResult{}, nil, injErr
-	}
-	res.Elapsed = cm.CoordPerQuery + coordExtra + maxDisk + res.Comm
+	res.Elapsed = coordPerQuery + coordExtra + maxDisk + res.Comm
 	return res, keys, nil
-}
-
-// evalFault consults the engine's failpoint registry at a message site: an
-// injected delay stalls the caller (modelling interconnect latency), an
-// injected error means the message was dropped.
-func (e *Engine) evalFault(site string) error {
-	inj, hit := e.cfg.Faults.Eval(site)
-	if !hit {
-		return nil
-	}
-	if inj.Delay > 0 {
-		time.Sleep(inj.Delay)
-	}
-	return inj.Err
 }
 
 // Run executes a whole workload sequentially (queries are not pipelined,
@@ -455,68 +340,6 @@ func (e *Engine) Run(queries []geom.Rect) (Totals, error) {
 			return Totals{}, err
 		}
 		t.Add(r)
-	}
-	return t, nil
-}
-
-// RunConcurrent executes the workload with the given number of client
-// goroutines issuing queries concurrently — the multi-user regime beyond
-// the paper's single-stream experiments. Block and record accounting in the
-// returned totals is exact; the summed Elapsed no longer models a serial
-// wall clock (in-flight queries overlap at the workers), so callers should
-// interpret it as aggregate service demand.
-func (e *Engine) RunConcurrent(queries []geom.Rect, clients int) (Totals, error) {
-	if clients < 1 {
-		clients = 1
-	}
-	work := make(chan geom.Rect)
-	results := make(chan QueryResult, clients)
-	errs := make(chan error, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := range work {
-				r, err := e.Query(q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				results <- r
-			}
-		}()
-	}
-
-	var t Totals
-	done := make(chan struct{})
-	go func() {
-		for r := range results {
-			t.Add(r)
-		}
-		close(done)
-	}()
-
-	var firstErr error
-feed:
-	for _, q := range queries {
-		select {
-		case work <- q:
-		case firstErr = <-errs:
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	close(results)
-	<-done
-	if firstErr != nil {
-		return Totals{}, firstErr
-	}
-	select {
-	case err := <-errs:
-		return Totals{}, err
-	default:
 	}
 	return t, nil
 }
@@ -555,16 +378,4 @@ func (e *Engine) BucketsPerWorker() []int {
 		out[i] = len(w.buckets)
 	}
 	return out
-}
-
-// Close shuts down the worker goroutines. The engine cannot be used after.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for _, ch := range e.reqs {
-		close(ch)
-	}
-	e.wg.Wait()
 }

@@ -6,13 +6,15 @@ import (
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/diskmodel"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/sim"
 	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
 
 // buildEngine loads a small 4-D dataset, declusters it with minimax and
-// starts an engine with the given worker count.
+// builds an engine with the given worker count.
 func buildEngine(t *testing.T, workers int) (*Engine, *gridfile.File) {
 	t.Helper()
 	ds := synth.DSMC4D(8, 1200, 3)
@@ -25,12 +27,10 @@ func buildEngine(t *testing.T, workers int) (*Engine, *gridfile.File) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: workers, Disk: diskmodel.DefaultParams(), Cost: DefaultCostModel()}
-	e, err := New(f, alloc, cfg)
+	e, err := New(f, alloc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e.Close)
 	return e, f
 }
 
@@ -42,11 +42,29 @@ func TestEngineValidation(t *testing.T) {
 	}
 	g := core.FromGridFile(f)
 	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 4)
-	if _, err := New(f, alloc, Config{Workers: 0}); err == nil {
+	if _, err := New(f, core.Allocation{Assign: alloc.Assign}, Config{}); err == nil {
 		t.Error("0 workers accepted")
 	}
-	if _, err := New(f, alloc, Config{Workers: 8, Disk: diskmodel.DefaultParams()}); err == nil {
-		t.Error("mismatched allocation accepted")
+	if _, err := New(f, core.Allocation{Disks: 4, Assign: alloc.Assign[1:]}, Config{}); err == nil {
+		t.Error("allocation covering too few buckets accepted")
+	}
+	// A zero Disk means diskmodel.DefaultParams(), as DisksPerWorker 0 means 1;
+	// a Disk that is set but has no block size is an error, not a panic.
+	def, err := New(f, alloc, Config{})
+	if err != nil {
+		t.Fatalf("zero Disk: %v", err)
+	}
+	set, err := New(f, alloc, Config{Disk: diskmodel.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := def.Query(f.Domain())
+	b, _ := set.Query(f.Domain())
+	if a != b || a.Elapsed == 0 {
+		t.Errorf("zero Disk ran %+v, DefaultParams %+v", a, b)
+	}
+	if _, err := New(f, alloc, Config{Disk: diskmodel.Params{CacheBlocks: 8}}); err == nil {
+		t.Error("disk with no block size accepted")
 	}
 }
 
@@ -116,12 +134,11 @@ func TestElapsedDropsWithWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(f, alloc, Config{Workers: workers, Disk: diskmodel.DefaultParams(), Cost: DefaultCostModel()})
+		e, err := New(f, alloc, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tot, err := e.Run(queries)
-		e.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +219,10 @@ func TestDeterministicTimings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(f, alloc, Config{Workers: 4, Disk: diskmodel.DefaultParams(), Cost: DefaultCostModel()})
+		e, err := New(f, alloc, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 		tot, err := e.Run(workload.RandomRange4D(f.Domain(), 0.1, 25, 19))
 		if err != nil {
 			t.Fatal(err)
@@ -217,15 +233,6 @@ func TestDeterministicTimings(t *testing.T) {
 	if a != b {
 		t.Errorf("engine timings not deterministic:\n%+v\n%+v", a, b)
 	}
-}
-
-func TestClosedEngineRejectsQueries(t *testing.T) {
-	e, f := buildEngine(t, 4)
-	e.Close()
-	if _, err := e.Query(f.Domain()); err == nil {
-		t.Error("closed engine accepted a query")
-	}
-	e.Close() // double close must be safe
 }
 
 func TestMultiDiskNodesReduceDiskTime(t *testing.T) {
@@ -244,14 +251,10 @@ func TestMultiDiskNodesReduceDiskTime(t *testing.T) {
 	run := func(disksPerWorker int) Totals {
 		disk := diskmodel.DefaultParams()
 		disk.CacheBlocks = 0 // isolate the striping effect
-		e, err := New(f, alloc, Config{
-			Workers: 4, DisksPerWorker: disksPerWorker,
-			Disk: disk, Cost: DefaultCostModel(),
-		})
+		e, err := New(f, alloc, Config{DisksPerWorker: disksPerWorker, Disk: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 		tot, err := e.Run(queries)
 		if err != nil {
 			t.Fatal(err)
@@ -281,60 +284,12 @@ func TestDisksPerWorkerDefaultsToOne(t *testing.T) {
 	}
 	g := core.FromGridFile(f)
 	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 2)
-	e, err := New(f, alloc, Config{Workers: 2, Disk: diskmodel.DefaultParams(), Cost: DefaultCostModel()})
+	e, err := New(f, alloc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	if _, err := e.Query(f.Domain()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunConcurrentMatchesSequentialAccounting(t *testing.T) {
-	ds := synth.DSMC4D(6, 900, 3)
-	f, err := ds.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := workload.RandomRange4D(f.Domain(), 0.15, 40, 41)
-
-	disk := diskmodel.DefaultParams()
-	disk.CacheBlocks = 0 // caching depends on arrival order; disable for exactness
-	mk := func() *Engine {
-		e, err := New(f, alloc, Config{
-			Workers: 4, Disk: disk, Cost: DefaultCostModel(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-
-	seq := mk()
-	seqTot, err := seq.Run(queries)
-	seq.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	conc := mk()
-	concTot, err := conc.RunConcurrent(queries, 8)
-	conc.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if concTot.Queries != seqTot.Queries ||
-		concTot.Blocks != seqTot.Blocks ||
-		concTot.ResponseBlocks != seqTot.ResponseBlocks ||
-		concTot.Records != seqTot.Records {
-		t.Errorf("accounting differs:\nseq:  %+v\nconc: %+v", seqTot, concTot)
 	}
 }
 
@@ -346,13 +301,10 @@ func TestQueryRecordsMatchesGridFile(t *testing.T) {
 	}
 	g := core.FromGridFile(f)
 	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 4)
-	e, err := New(f, alloc, Config{
-		Workers: 4, Disk: diskmodel.DefaultParams(), Cost: DefaultCostModel(),
-	})
+	e, err := New(f, alloc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	for _, q := range workload.RandomRange4D(f.Domain(), 0.2, 10, 51) {
 		got, res, err := e.QueryRecords(q)
 		if err != nil {
@@ -391,14 +343,10 @@ func TestPagedDirectoryCoordinator(t *testing.T) {
 	queries := workload.RandomRange4D(f.Domain(), 0.15, 20, 61)
 
 	run := func(pageCells int) Totals {
-		e, err := New(f, alloc, Config{
-			Workers: 4, Disk: diskmodel.DefaultParams(),
-			Cost: DefaultCostModel(), DirectoryPageCells: pageCells,
-		})
+		e, err := New(f, alloc, Config{DirectoryPageCells: pageCells})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 		tot, err := e.Run(queries)
 		if err != nil {
 			t.Fatal(err)
@@ -428,10 +376,58 @@ func TestPagedDirectoryRejectsBadPageSize(t *testing.T) {
 	}
 	g := core.FromGridFile(f)
 	alloc, _ := (&core.Minimax{Seed: 1}).Decluster(g, 2)
-	if _, err := New(f, alloc, Config{
-		Workers: 2, Disk: diskmodel.DefaultParams(),
-		Cost: DefaultCostModel(), DirectoryPageCells: -5,
-	}); err != nil {
+	if _, err := New(f, alloc, Config{DirectoryPageCells: -5}); err != nil {
 		t.Fatalf("negative page cells should mean flat directory, got %v", err)
+	}
+}
+
+// The SP-2 model's "response by definition" and the paper's response-time
+// metric are the same count: per query, the most buckets any one disk
+// serves. The engine and sim.Replay must agree exactly on its sum over a
+// workload and on the buckets fetched.
+func TestEngineAgreesWithReplay(t *testing.T) {
+	f, err := synth.Hotspot2D(10000, 2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	idx := f.IndexByID()
+	queries := workload.SquareRange(f.Domain(), 0.05, 200, 71)
+	for _, name := range []string{"minimax", "DM/D", "HCAM/D"} {
+		for _, disks := range []int{4, 16} {
+			allocator, err := core.ParseAllocator(name, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc, err := allocator.Decluster(g, disks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(f, alloc, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tot, err := e.Run(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A one-query replay's maximum is that query's response time.
+			response := 0
+			for _, q := range queries {
+				one, err := sim.Replay(f, alloc, idx, []geom.Rect{q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				response += one.MaxResponseTime
+			}
+			all, err := sim.Replay(f, alloc, idx, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tot.ResponseBlocks != response || tot.Blocks != all.TotalBuckets || response == 0 {
+				t.Errorf("%s M=%d: engine response %d of %d blocks, replay %d of %d",
+					name, disks, tot.ResponseBlocks, tot.Blocks, response, all.TotalBuckets)
+			}
+		}
 	}
 }

@@ -92,7 +92,8 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Render draws the table with columns padded to their widest cell.
+// Render draws the table with columns padded to their widest cell. Cells
+// beyond the last header are kept, as in CSV, and not padded.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
@@ -114,7 +115,11 @@ func (t *Table) Render() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			if i < len(widths) {
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
+			} else {
+				b.WriteString(c)
+			}
 		}
 		b.WriteByte('\n')
 	}

@@ -80,3 +80,17 @@ func TestTableCSV(t *testing.T) {
 		t.Errorf("escaped row = %q", lines[4])
 	}
 }
+
+// A row may carry more cells than the table has headers: both renderings
+// keep the extra cells, and the text one does not pad them.
+func TestTableRowWiderThanHeaders(t *testing.T) {
+	tb := NewTable("", "x", "a")
+	tb.AddRow(1, 2, "extra", 4)
+	tb.AddRow("long", 5)
+	if got, want := tb.Render(), "x     a\n--------\n1     2  extra  4\nlong  5\n"; got != want {
+		t.Errorf("Render:\n%q, want\n%q", got, want)
+	}
+	if got, want := tb.CSV(), "x,a\n1,2,extra,4\nlong,5\n"; got != want {
+		t.Errorf("CSV:\n%q, want\n%q", got, want)
+	}
+}

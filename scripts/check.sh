@@ -27,8 +27,11 @@
 #                  checkpointLocked (os.WriteFile anywhere, os.Rename outside
 #                  atomicWriteFile, encodePage outside rewriteBucket,
 #                  "manifest.json" named by other than the opener, the
-#                  committer and the builder's unlink). And the paper
-#                  reproduction's gate:
+#                  committer and the builder's unlink), and
+#                  TestLabModelsAreSequential fails when a non-test file of
+#                  internal/sim, internal/parallel or internal/diskmodel has
+#                  a go statement or a channel type, or imports sync or
+#                  internal/fault. And the paper reproduction's gate:
 #                  internal/experiments TestRunAllExperimentsProduceTables
 #                  compares every table gridbench prints at test scale, byte
 #                  for byte, with testdata/results_test_scale.txt
