@@ -51,6 +51,9 @@ func runIngest(args []string, out io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("ingest: -store is required")
 	}
+	if *n < 1 {
+		return fmt.Errorf("ingest: -n wants at least 1, got %d", *n)
+	}
 	reg, err := faultRegistry(*faultSpec, *faultSeed)
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)

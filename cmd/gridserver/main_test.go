@@ -11,14 +11,15 @@ import (
 	"testing"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/fault"
 	"pgridfile/internal/replica"
+	"pgridfile/internal/server"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 )
 
-// writeTestLayout builds a small minimax layout plus a standalone grid
-// file under t.TempDir.
-func writeTestLayout(t *testing.T, records, disks int) (layoutDir, gridPath string) {
+// writeTestLayout builds a small minimax layout under t.TempDir.
+func writeTestLayout(t *testing.T, records, disks int) string {
 	t.Helper()
 	f, err := synth.Uniform2D(records, 11).Build()
 	if err != nil {
@@ -28,22 +29,23 @@ func writeTestLayout(t *testing.T, records, disks int) (layoutDir, gridPath stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	layoutDir = filepath.Join(t.TempDir(), "layout")
-	if _, err := store.Write(layoutDir, f, alloc, 4096); err != nil {
+	dir := filepath.Join(t.TempDir(), "layout")
+	if _, err := store.Write(dir, f, alloc, 4096); err != nil {
 		t.Fatal(err)
 	}
-	gridPath = filepath.Join(t.TempDir(), "test.grd")
-	gf, err := os.Create(gridPath)
+	return dir
+}
+
+// serveTestLayout serves a layout on an ephemeral port until the test ends:
+// what `gridserver serve` does, with cfg in place of its flags.
+func serveTestLayout(t *testing.T, dir string, cfg server.Config) *server.Server {
+	t.Helper()
+	s, err := server.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteTo(gf); err != nil {
-		t.Fatal(err)
-	}
-	if err := gf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return layoutDir, gridPath
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 // readBenchRows decodes the rows a `bench -json` run wrote.
@@ -60,37 +62,30 @@ func readBenchRows(t *testing.T, path string) []benchRow {
 	return rows
 }
 
-// TestBenchStoreMode serves a layout in-process and runs the closed-loop
-// load against it, asserting a clean (zero-error) report and the two
-// observability surfaces of DESIGN S23: the JSON row breaks the run down by
-// all eight stages, and -trace-slow 0 puts exactly one well-formed slow-query
-// line per query on stderr.
+// TestBenchStoreMode runs the closed-loop load against a served layout,
+// asserting a clean (zero-error) report and the two observability surfaces
+// of DESIGN S23: the JSON row breaks the run down by all eight stages, and a
+// server tracing every query with a zero slow-query threshold logs exactly
+// one well-formed line per query.
 func TestBenchStoreMode(t *testing.T) {
 	const queries = 200
-	dir, _ := writeTestLayout(t, 600, 4)
+	var log bytes.Buffer
+	s := serveTestLayout(t, writeTestLayout(t, 600, 4), server.Config{
+		TraceSample: 1, TraceSlowLog: true, TraceLog: &log,
+	})
+	addr := s.Addr().String()
 	jsonPath := filepath.Join(t.TempDir(), "rows.json")
-
-	// The in-process server logs slow queries to os.Stderr; point it at a
-	// file for the run.
-	logFile, err := os.Create(filepath.Join(t.TempDir(), "stderr.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer logFile.Close()
-	stderr := os.Stderr
-	os.Stderr = logFile
 	var buf bytes.Buffer
-	err = runBench([]string{
-		"-store", dir, "-clients", "4", "-queries", strconv.Itoa(queries), "-seed", "7",
-		"-trace-slow", "0", "-json", jsonPath,
+	err := runBench([]string{
+		"-addr", addr, "-clients", "4", "-queries", strconv.Itoa(queries), "-seed", "7",
+		"-json", jsonPath,
 	}, &buf)
-	os.Stderr = stderr
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, filepath.Base(dir)) {
-		t.Errorf("report does not name the layout:\n%s", out)
+	if !strings.Contains(out, addr) {
+		t.Errorf("report does not name the server:\n%s", out)
 	}
 	if !strings.Contains(out, "p95") || !strings.Contains(out, "fetch imbalance") {
 		t.Errorf("report missing latency/imbalance columns:\n%s", out)
@@ -108,11 +103,8 @@ func TestBenchStoreMode(t *testing.T) {
 		}
 	}
 
-	log, err := os.ReadFile(logFile.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(log)), "\n")
+	s.Close() // drains the connections, so every trace line is written
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
 	if len(lines) != queries {
 		t.Fatalf("slow-query log has %d lines, want one per query (%d)", len(lines), queries)
 	}
@@ -125,24 +117,26 @@ func TestBenchStoreMode(t *testing.T) {
 }
 
 // TestBenchChaosMode runs the closed-loop load with failpoints armed through
-// the -fault flag, degraded mode on and the cache off. Every run must finish
-// with zero errors. Without a replica the faults surface as flagged partial
-// answers (degraded > 0, proving they fired); on an r=2 layout replica
-// failover must absorb them instead (degraded = 0, failover > 0).
+// the -fault flag against a server with degraded mode on and the cache off.
+// Every run must finish with zero errors. Without a replica the faults
+// surface as flagged partial answers (degraded > 0, proving they fired); on
+// an r=2 layout replica failover must absorb them instead (degraded = 0,
+// failover > 0).
 func TestBenchChaosMode(t *testing.T) {
 	// The standard chaos profile: random read errors, stalls and torn reads.
 	const profile = "store.read:err:p=0.2;store.read:delay=2ms:p=0.05;store.read:torn:p=0.05"
-	dir, _ := writeTestLayout(t, 600, 4)
+	dir := writeTestLayout(t, 600, 4)
 	for _, tc := range []struct {
 		name, layout, fault string
 		args                []string
+		retries             int // server.Config.FetchRetries
 		replicated          bool
 		rounds              int
 	}{
-		{"r=1 dead disk", dir, "store.read.disk0:err", []string{"-queries", "200"}, false, 1},
-		{"r=1 chaos profile", dir, profile, []string{"-queries", "1000"}, false, 1},
+		{"r=1 dead disk", dir, "store.read.disk0:err", []string{"-queries", "200"}, 0, false, 1},
+		{"r=1 chaos profile", dir, profile, []string{"-queries", "1000"}, 0, false, 1},
 		{"r=2 dead disk", writeReplicatedTestLayout(t, 600, 4, 2), "store.read.disk0:err",
-			[]string{"-queries", "200"}, true, 1},
+			[]string{"-queries", "200"}, 0, true, 1},
 		// Under the random profile the failover target is as faulty as the
 		// disk that just failed, and a reroute happens only when a batch
 		// exhausts its retries, so the two r=2 verdicts pull against each
@@ -153,19 +147,22 @@ func TestBenchChaosMode(t *testing.T) {
 		// until a failover has been seen (36 of 40 calibration rounds saw one,
 		// none saw a degraded answer).
 		{"r=2 chaos profile", writeReplicatedTestLayout(t, 4000, 4, 2), profile,
-			[]string{"-queries", "1000", "-r", "0.2", "-fetch-retries", "8"}, true, 6},
+			[]string{"-queries", "1000", "-r", "0.2"}, 8, true, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var failovers int64
 			for round := 1; round <= tc.rounds && failovers == 0; round++ {
+				s := serveTestLayout(t, tc.layout, server.Config{
+					CacheBytes: -1, Faults: fault.NewRegistry(int64(round)),
+					Degraded: true, FetchRetries: tc.retries,
+				})
 				jsonPath := filepath.Join(t.TempDir(), "rows.json")
-				seed := strconv.Itoa(round)
 				var buf bytes.Buffer
 				err := runBench(append([]string{
-					"-store", tc.layout, "-clients", "8", "-seed", seed,
-					"-fault", tc.fault, "-fault-seed", seed, "-degraded", "-cache-bytes", "0",
-					"-json", jsonPath,
+					"-addr", s.Addr().String(), "-clients", "8", "-seed", strconv.Itoa(round),
+					"-fault", tc.fault, "-json", jsonPath,
 				}, tc.args...), &buf)
+				s.Close()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,8 +192,9 @@ func TestBenchChaosMode(t *testing.T) {
 	}
 
 	// A malformed spec must fail the run up front.
+	s := serveTestLayout(t, dir, server.Config{})
 	if err := runBench([]string{
-		"-store", dir, "-queries", "10", "-fault", "store.read:bogus",
+		"-addr", s.Addr().String(), "-queries", "10", "-fault", "store.read:bogus",
 	}, &bytes.Buffer{}); err == nil {
 		t.Error("malformed -fault spec accepted")
 	}
@@ -205,20 +203,20 @@ func TestBenchChaosMode(t *testing.T) {
 // TestBenchOpenLoopMode is the open-loop load gate: requests are released
 // on a seeded Poisson schedule at a fixed offered rate however fast responses
 // come back, with latency measured from intended send times, so a slow
-// server shows up as achieved qps below offered (DESIGN S26). The in-process
-// server must sustain 2000 qps for 2 s — zero errors, achieved at least 95 %
-// of offered — with the client pipelining so the harness is not the
+// server shows up as achieved qps below offered (DESIGN S26). The server
+// must sustain 2000 qps for 2 s — zero errors, achieved at least 95 % of
+// offered — with the client pipelining so the harness is not the
 // bottleneck; the report (table and JSON) must carry the offered/achieved
 // rates and intended-send-time percentiles.
 func TestBenchOpenLoopMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2 s open-loop run")
 	}
-	dir, _ := writeTestLayout(t, 600, 4)
+	s := serveTestLayout(t, writeTestLayout(t, 600, 4), server.Config{})
 	jsonPath := filepath.Join(t.TempDir(), "rows.json")
 	var buf bytes.Buffer
 	err := runBench([]string{
-		"-store", dir, "-open-loop", "-rate", "2000", "-duration", "2s",
+		"-addr", s.Addr().String(), "-open-loop", "-rate", "2000", "-duration", "2s",
 		"-pipeline", "16", "-clients", "4", "-seed", "1", "-json", jsonPath,
 	}, &buf)
 	if err != nil {
@@ -271,78 +269,19 @@ func TestBenchOpenLoopMode(t *testing.T) {
 	}
 }
 
-// TestBenchSweepMode runs a two-step rate sweep and checks each step yields
-// a row with the sustained/knee annotations.
-func TestBenchSweepMode(t *testing.T) {
-	dir, _ := writeTestLayout(t, 400, 4)
-	jsonPath := filepath.Join(t.TempDir(), "rows.json")
-	var buf bytes.Buffer
-	err := runBench([]string{
-		"-store", dir, "-sweep", "200:2:2", "-duration", "400ms",
-		"-pipeline", "4", "-clients", "2", "-seed", "7", "-json", jsonPath,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]any
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 || len(rows) > 2 {
-		t.Fatalf("sweep produced %d rows, want 1-2", len(rows))
-	}
-	if off := rows[0]["offered_qps"].(float64); off != 200 {
-		t.Errorf("first step offered %v, want 200", off)
-	}
-	if len(rows) == 2 {
-		if off := rows[1]["offered_qps"].(float64); off != 400 {
-			t.Errorf("second step offered %v, want 400", off)
-		}
-	}
-
-	// Malformed sweep specs fail up front.
-	for _, bad := range []string{"200", "0:2:3", "200:1:3", "200:2:0", "a:b:c"} {
-		if err := runBench([]string{"-store", dir, "-sweep", bad}, &bytes.Buffer{}); err == nil {
-			t.Errorf("malformed -sweep %q accepted", bad)
-		}
-	}
-}
-
-// TestBenchGridMode declusters one grid file under two schemes and
-// benchmarks both layouts, producing one comparison row per scheme.
-func TestBenchGridMode(t *testing.T) {
-	_, grid := writeTestLayout(t, 500, 4)
-	var buf bytes.Buffer
-	err := runBench([]string{
-		"-grid", grid, "-algs", "minimax,DM/D", "-disks", "4",
-		"-clients", "2", "-queries", "120",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "minimax") || !strings.Contains(out, "DM/D") {
-		t.Errorf("comparison rows missing:\n%s", out)
-	}
-}
-
 func TestBenchFlagValidation(t *testing.T) {
 	if err := runBench(nil, &bytes.Buffer{}); err == nil {
-		t.Error("no mode flag accepted")
+		t.Error("bench without -addr accepted")
 	}
-	dir, grid := writeTestLayout(t, 200, 2)
-	if err := runBench([]string{"-store", dir, "-grid", grid}, &bytes.Buffer{}); err == nil {
-		t.Error("two mode flags accepted")
-	}
-	if err := runBench([]string{"-grid", grid, "-algs", "bogus", "-queries", "10"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if err := runBench([]string{"-store", filepath.Join(t.TempDir(), "nope")}, &bytes.Buffer{}); err == nil {
-		t.Error("missing layout accepted")
+	// Refused before dialing; against a live server -queries -1 used to
+	// panic in loadgen.Synthesize and -hot 3 to run as if it meant something.
+	addr := serveTestLayout(t, writeTestLayout(t, 200, 2), server.Config{}).Addr().String()
+	for _, bad := range [][]string{
+		{"-queries", "-1"}, {"-queries", "0"}, {"-clients", "0"}, {"-hot", "3"}, {"-hot", "-0.5"},
+	} {
+		if err := runBench(append([]string{"-addr", addr, "-queries", "10"}, bad...), &bytes.Buffer{}); err == nil {
+			t.Errorf("bench %v accepted", bad)
+		}
 	}
 }
 
@@ -416,44 +355,10 @@ func TestIngestFlagValidation(t *testing.T) {
 	if err := runIngest([]string{"-store", filepath.Join(t.TempDir(), "nope")}, &bytes.Buffer{}); err == nil {
 		t.Error("ingest with missing layout accepted")
 	}
-}
-
-// TestBenchWriteFrac mixes INSERTs into the closed loop against an
-// in-process writable server; the JSON rows must carry the acked write and
-// journal counters.
-func TestBenchWriteFrac(t *testing.T) {
-	dir := writeReplicatedTestLayout(t, 600, 4, 2)
-	jsonPath := filepath.Join(t.TempDir(), "rows.json")
-	var buf bytes.Buffer
-	err := runBench([]string{
-		"-store", dir, "-clients", "4", "-queries", "300", "-seed", "5",
-		"-write-frac", "0.3", "-json", jsonPath,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := readBenchRows(t, jsonPath)
-	if len(rows) != 1 {
-		t.Fatalf("want 1 row, got %d", len(rows))
-	}
-	row := rows[0]
-	if row.Errors != 0 {
-		t.Errorf("write-mix bench reported %d errors", row.Errors)
-	}
-	if row.WritesSent == 0 || row.WritesAcked != row.WritesSent {
-		t.Errorf("writes sent %d, acked %d; want all acked", row.WritesSent, row.WritesAcked)
-	}
-	if row.Inserts != int64(row.WritesAcked) {
-		t.Errorf("server inserts %d, client acked %d", row.Inserts, row.WritesAcked)
-	}
-	if row.JournalAppends != 2*row.Inserts {
-		t.Errorf("journal appends %d, want %d (r=2)", row.JournalAppends, 2*row.Inserts)
-	}
-	// Invalid fractions and open-loop combinations are rejected.
-	if err := runBench([]string{"-store", dir, "-write-frac", "1.5"}, &bytes.Buffer{}); err == nil {
-		t.Error("-write-frac 1.5 accepted")
-	}
-	if err := runBench([]string{"-store", dir, "-write-frac", "0.2", "-open-loop"}, &bytes.Buffer{}); err == nil {
-		t.Error("-write-frac with -open-loop accepted")
+	dir := writeTestLayout(t, 200, 2)
+	for _, n := range []string{"-1", "0"} {
+		if err := runIngest([]string{"-store", dir, "-n", n}, &bytes.Buffer{}); err == nil {
+			t.Errorf("ingest -n %s accepted", n)
+		}
 	}
 }

@@ -63,7 +63,7 @@ type Options struct {
 	// Replicas are the replication factors to sweep. Default 1, 2.
 	Replicas []int
 	// Faults are fault-axis names: "none", "corrupt", "kill-diskN",
-	// "torn-diskN", or a raw internal/fault spec.
+	// "torn-diskN" (N below Disks), or a raw internal/fault spec.
 	// Default none, kill-disk0, corrupt.
 	Faults []string
 	// Workloads are workload-axis names: "uniform", "hotspot", "points",
@@ -113,7 +113,7 @@ type faultAxis struct {
 	corrupt bool
 }
 
-func parseFaultAxis(name string) (faultAxis, error) {
+func parseFaultAxis(name string, disks int) (faultAxis, error) {
 	ax := faultAxis{name: name}
 	switch {
 	case name == "none":
@@ -121,8 +121,8 @@ func parseFaultAxis(name string) (faultAxis, error) {
 		ax.corrupt = true
 	case strings.HasPrefix(name, "kill-disk"), strings.HasPrefix(name, "torn-disk"):
 		d, err := strconv.Atoi(name[len("kill-disk"):])
-		if err != nil || d < 0 {
-			return ax, fmt.Errorf("campaign: fault %q: bad disk number", name)
+		if err != nil || d < 0 || d >= disks {
+			return ax, fmt.Errorf("campaign: fault %q: bad disk number (the layout has %d disks)", name, disks)
 		}
 		kind := fault.KindError
 		if strings.HasPrefix(name, "torn-") {
@@ -264,7 +264,7 @@ func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	faults := make([]faultAxis, len(opts.Faults))
 	for i, name := range opts.Faults {
-		ax, err := parseFaultAxis(name)
+		ax, err := parseFaultAxis(name, opts.Disks)
 		if err != nil {
 			return nil, err
 		}

@@ -231,12 +231,12 @@ func TestCompareGating(t *testing.T) {
 // passing through to internal/fault.
 func TestAxisParsing(t *testing.T) {
 	for _, name := range []string{"none", "corrupt", "kill-disk3", "torn-disk0", "store.read:err:p=0.5"} {
-		if _, err := parseFaultAxis(name); err != nil {
+		if _, err := parseFaultAxis(name, 4); err != nil {
 			t.Errorf("fault axis %q rejected: %v", name, err)
 		}
 	}
 	for _, name := range []string{"kill-diskX", "bogus", "store.read:maybe"} {
-		if _, err := parseFaultAxis(name); err == nil {
+		if _, err := parseFaultAxis(name, 4); err == nil {
 			t.Errorf("fault axis %q accepted", name)
 		}
 	}
@@ -250,5 +250,13 @@ func TestAxisParsing(t *testing.T) {
 	}
 	if _, err := Run(Options{Records: 10, Replicas: []int{9}, Disks: 4}); err == nil {
 		t.Error("replicas > disks accepted")
+	}
+	// A disk the layout does not have would run a fault-free cell under a
+	// fault's name.
+	for _, name := range []string{"kill-disk4", "torn-disk9"} {
+		if _, err := Run(Options{Records: 10, Queries: 1, Trials: 1, Schemes: []string{"minimax"},
+			Replicas: []int{1}, Workloads: []string{"points"}, Faults: []string{name}}); err == nil {
+			t.Errorf("fault axis %q accepted on 4 disks", name)
+		}
 	}
 }

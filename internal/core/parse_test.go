@@ -3,8 +3,8 @@ package core
 import "testing"
 
 // TestParseAllocatorNames is the name table every CLI shares (gridtool
-// decluster/layout/simulate/viz/parallel, gridserver bench -algs, the
-// campaign's scheme axis): the spelling accepted on the left resolves to the
+// decluster/layout/simulate/viz/parallel, the campaign's scheme axis, the
+// repo benchmark): the spelling accepted on the left resolves to the
 // allocator named on the right, and everything else is refused.
 func TestParseAllocatorNames(t *testing.T) {
 	for in, want := range map[string]string{

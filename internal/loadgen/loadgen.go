@@ -21,7 +21,6 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -94,7 +93,7 @@ type Result struct {
 	// offers whatever the server takes); Achieved is completions per
 	// second of wall clock, the throughput the server actually sustained.
 	// Achieved falling visibly below Offered is the signature of
-	// saturation — the knee the rate sweep looks for.
+	// saturation.
 	Offered  float64       `json:"offered_qps"`
 	Achieved float64       `json:"achieved_qps"`
 	Sent     int           `json:"sent"`
@@ -214,86 +213,4 @@ func newResult(start time.Time, sent, errs int, rec *stats.Recorder) Result {
 		res.Achieved = float64(sent-errs) / res.Elapsed.Seconds()
 	}
 	return res
-}
-
-// SweepOptions configures a rate sweep.
-type SweepOptions struct {
-	// Start is the first offered rate; each step multiplies by Factor
-	// (default 2) for up to MaxSteps steps (default 8).
-	Start    float64
-	Factor   float64
-	MaxSteps int
-	// StepDuration sizes each step's request count as rate×duration.
-	// Default 2s.
-	StepDuration time.Duration
-	// SLO is the p99 bound (from intended send time) a step must meet to
-	// count as sustained; 0 disables the latency criterion.
-	SLO time.Duration
-	// MinAchieved is the fraction of the offered rate a step must complete
-	// to count as sustained. Default 0.95.
-	MinAchieved float64
-}
-
-func (o SweepOptions) withDefaults() SweepOptions {
-	if o.Factor <= 1 {
-		o.Factor = 2
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 8
-	}
-	if o.StepDuration <= 0 {
-		o.StepDuration = 2 * time.Second
-	}
-	if o.MinAchieved <= 0 || o.MinAchieved > 1 {
-		o.MinAchieved = 0.95
-	}
-	return o
-}
-
-// Sustained reports whether r met the sweep's acceptance criteria.
-func (o SweepOptions) Sustained(r Result) bool {
-	o = o.withDefaults()
-	if r.Errors > 0 {
-		return false
-	}
-	if r.Achieved < o.MinAchieved*r.Offered {
-		return false
-	}
-	if o.SLO > 0 && r.Latency.P99 > o.SLO {
-		return false
-	}
-	return true
-}
-
-// Sweep escalates the offered rate geometrically until a step fails the
-// acceptance criteria (the knee) or MaxSteps is exhausted. It returns every
-// step's result and the index of the last sustained step, or -1 if even the
-// first rate was not sustained.
-func Sweep(ctx context.Context, sopts SweepOptions, base Options,
-	do func(ctx context.Context, i int) error) ([]Result, int, error) {
-	sopts = sopts.withDefaults()
-	if sopts.Start <= 0 {
-		return nil, -1, fmt.Errorf("loadgen: sweep start rate %g must be positive", sopts.Start)
-	}
-	var results []Result
-	knee := -1
-	rate := sopts.Start
-	for step := 0; step < sopts.MaxSteps; step++ {
-		opts := base
-		opts.Rate = rate
-		opts.N = int(math.Ceil(rate * sopts.StepDuration.Seconds()))
-		// Each step gets a distinct schedule stream, still deterministic.
-		opts.Seed = base.Seed + int64(step)
-		r, err := Run(ctx, opts, do)
-		results = append(results, r)
-		if err != nil {
-			return results, knee, err
-		}
-		if !sopts.Sustained(r) {
-			break
-		}
-		knee = step
-		rate *= sopts.Factor
-	}
-	return results, knee, nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pgridfile/internal/geom"
-	"pgridfile/internal/stats"
 )
 
 // TestScheduleDeterminism is the ISSUE's reproducibility requirement: the
@@ -181,87 +180,6 @@ func TestRunClosed(t *testing.T) {
 	}
 	if _, err := RunClosed(context.Background(), 0, 10, nil); err == nil {
 		t.Error("zero workers accepted")
-	}
-}
-
-// TestSweepFindsKnee: a fake server whose capacity is bounded by slow
-// handlers must yield a knee at the last rate it could sustain. With 8
-// in-flight slots and a 5ms handler the capacity is ~1600 qps, so 1000
-// sustains and 2000 must fail the 95% criterion.
-func TestSweepFindsKnee(t *testing.T) {
-	do := func(ctx context.Context, i int) error {
-		time.Sleep(5 * time.Millisecond)
-		return nil
-	}
-	sopts := SweepOptions{Start: 1000, Factor: 2, MaxSteps: 4, StepDuration: 400 * time.Millisecond}
-	base := Options{Seed: 4, MaxInFlight: 8}
-	results, knee, err := Sweep(context.Background(), sopts, base, do)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if knee != 0 {
-		t.Errorf("knee at step %d, want 0 (1000 qps sustained, 2000 not)", knee)
-	}
-	// The sweep stops at the first unsustained step: exactly knee+2 results.
-	if len(results) != 2 {
-		t.Errorf("sweep ran %d steps, want 2", len(results))
-	}
-	if r := results[0]; r.Offered != 1000 || r.Achieved < 950 {
-		t.Errorf("step 0: offered %.0f achieved %.0f, want sustained 1000", r.Offered, r.Achieved)
-	}
-	if r := results[1]; r.Offered != 2000 || r.Achieved >= 0.95*2000 {
-		t.Errorf("step 1: offered %.0f achieved %.0f, want collapse below 1900", r.Offered, r.Achieved)
-	}
-}
-
-// TestSweepKneeDetection exercises the real knee logic with a do that reads
-// the offered rate from the closed-over step counter.
-func TestSweepKneeDetection(t *testing.T) {
-	var offered atomic.Int64
-	do := func(ctx context.Context, i int) error {
-		if offered.Load() > 2500 {
-			time.Sleep(20 * time.Millisecond)
-		}
-		return nil
-	}
-	sopts := SweepOptions{Start: 1000, Factor: 2, MaxSteps: 4, StepDuration: 200 * time.Millisecond, MinAchieved: 0.95}
-	// Run the sweep manually so each step can publish its rate first.
-	rate := sopts.Start
-	knee := -1
-	for step := 0; step < sopts.MaxSteps; step++ {
-		offered.Store(int64(rate))
-		opts := Options{Rate: rate, N: int(rate * sopts.StepDuration.Seconds()), Seed: 5, MaxInFlight: 16}
-		r, err := Run(context.Background(), opts, do)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sopts.Sustained(r) {
-			break
-		}
-		knee = step
-		rate *= sopts.Factor
-	}
-	// 1000 and 2000 sustained; 4000 exceeds the 2500 capacity (16 slots ×
-	// 20ms ≈ 800 qps max) and must fail the 95% criterion.
-	if knee != 1 {
-		t.Errorf("knee at step %d, want 1 (last sustained rate 2000)", knee)
-	}
-}
-
-func TestSustainedCriteria(t *testing.T) {
-	o := SweepOptions{SLO: 10 * time.Millisecond}
-	good := Result{Offered: 1000, Achieved: 990, Latency: stats.LatencySummary{P99: 5 * time.Millisecond}}
-	if !o.Sustained(good) {
-		t.Error("healthy step not sustained")
-	}
-	for name, r := range map[string]Result{
-		"errors":   {Offered: 1000, Achieved: 990, Errors: 1, Latency: stats.LatencySummary{P99: time.Millisecond}},
-		"achieved": {Offered: 1000, Achieved: 900, Latency: stats.LatencySummary{P99: time.Millisecond}},
-		"slo":      {Offered: 1000, Achieved: 990, Latency: stats.LatencySummary{P99: 50 * time.Millisecond}},
-	} {
-		if o.Sustained(r) {
-			t.Errorf("%s violation still counted as sustained", name)
-		}
 	}
 }
 

@@ -6,10 +6,14 @@
 #   2. go vet      static misuse
 #   3. go build    every package compiles
 #   4. go test     full suite under the race detector. The serving gates are
-#                  tests in it: chaos, replica failover and stage tracing
-#                  (cmd/gridserver TestBenchChaosMode, TestBenchStoreMode),
-#                  online-write durability (TestIngestCrashReplay), open-loop
-#                  load (TestBenchOpenLoopMode) and the scenario campaign
+#                  tests in it. In cmd/gridserver each starts a server on a
+#                  layout (server.OpenDir) and drives `bench -addr` at it:
+#                  chaos, replica failover and stage tracing
+#                  (TestBenchChaosMode, TestBenchStoreMode) and open-loop
+#                  load (TestBenchOpenLoopMode); beside them online-write
+#                  durability (TestIngestCrashReplay). Served writes and
+#                  their journal counters are internal/server
+#                  TestServerOnlineWrites. So is the scenario campaign
 #                  against the committed CAMPAIGN.json (internal/campaign
 #                  TestDefaultMatrixMatchesCommittedBaseline). So are the
 #                  count budgets that need no quiet machine: the pruned
