@@ -30,89 +30,97 @@ const (
 	fileVersion = 1
 )
 
-// WriteTo serializes the grid file. It implements io.WriterTo.
+// WriteTo serializes the grid file. It implements io.WriterTo. Every value
+// is appended little-endian to one chunk buffer that goes to w each time it
+// fills — no reflection and no call into w per field, because a store
+// checkpoint encodes the whole grid every time.
 func (f *File) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-
-	if _, err := cw.Write([]byte(fileMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(fileVersion)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(f.cfg.Dims)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(f.cfg.BucketCapacity)); err != nil {
-		return cw.n, err
-	}
+	e := leWriter{w: w, buf: make([]byte, 0, 2*leChunk)}
+	e.raw([]byte(fileMagic))
+	e.u32(fileVersion)
+	e.u32(uint32(f.cfg.Dims))
+	e.u32(uint32(f.cfg.BucketCapacity))
 	for _, iv := range f.cfg.Domain {
-		if err := write(iv.Lo); err != nil {
-			return cw.n, err
-		}
-		if err := write(iv.Hi); err != nil {
-			return cw.n, err
-		}
+		e.f64(iv.Lo)
+		e.f64(iv.Hi)
 	}
 	for d := 0; d < f.cfg.Dims; d++ {
-		if err := write(uint32(len(f.scales[d]))); err != nil {
-			return cw.n, err
-		}
-		if err := write(f.scales[d]); err != nil {
-			return cw.n, err
-		}
+		e.u32(uint32(len(f.scales[d])))
+		e.f64s(f.scales[d])
 	}
-	if err := write(uint32(len(f.bkts))); err != nil {
-		return cw.n, err
-	}
+	e.u32(uint32(len(f.bkts)))
 	for _, b := range f.bkts {
 		if b == nil {
-			if err := write(uint8(0)); err != nil {
-				return cw.n, err
-			}
+			e.u8(0)
 			continue
 		}
-		if err := write(uint8(1)); err != nil {
-			return cw.n, err
-		}
-		if err := write(b.lo); err != nil {
-			return cw.n, err
-		}
-		if err := write(b.hi); err != nil {
-			return cw.n, err
-		}
-		if err := write(uint32(b.count(f.cfg.Dims))); err != nil {
-			return cw.n, err
-		}
-		if err := write(b.keys); err != nil {
-			return cw.n, err
-		}
+		e.u8(1)
+		e.i32s(b.lo)
+		e.i32s(b.hi)
+		e.u32(uint32(b.count(f.cfg.Dims)))
+		e.f64s(b.keys)
 		if b.data == nil {
-			if err := write(uint8(0)); err != nil {
-				return cw.n, err
-			}
-		} else {
-			if err := write(uint8(1)); err != nil {
-				return cw.n, err
-			}
-			for _, d := range b.data {
-				if err := write(uint32(len(d))); err != nil {
-					return cw.n, err
-				}
-				if _, err := cw.Write(d); err != nil {
-					return cw.n, err
-				}
-			}
+			e.u8(0)
+			continue
+		}
+		e.u8(1)
+		for _, d := range b.data {
+			e.u32(uint32(len(d)))
+			e.raw(d)
 		}
 	}
-	if err := write(uint32(len(f.dir))); err != nil {
-		return cw.n, err
+	e.u32(uint32(len(f.dir)))
+	e.i32s(f.dir)
+	return e.flush()
+}
+
+// leChunk is how many encoded bytes leWriter gathers before handing them on.
+const leChunk = 64 << 10
+
+// leWriter appends little-endian values to buf and writes buf out whenever it
+// holds leChunk bytes or more. After the first failed write it only discards;
+// flush reports the bytes written and that error.
+type leWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int64
+	err error
+}
+
+func (e *leWriter) flush() (int64, error) {
+	if e.err == nil && len(e.buf) > 0 {
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
 	}
-	if err := write(f.dir); err != nil {
-		return cw.n, err
+	e.buf = e.buf[:0]
+	return e.n, e.err
+}
+
+func (e *leWriter) spill() {
+	if len(e.buf) >= leChunk {
+		e.flush()
 	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+}
+
+func (e *leWriter) u8(v uint8)   { e.buf = append(e.buf, v); e.spill() }
+func (e *leWriter) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v); e.spill() }
+func (e *leWriter) raw(p []byte) { e.buf = append(e.buf, p...); e.spill() }
+func (e *leWriter) f64(v float64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+	e.spill()
+}
+
+func (e *leWriter) f64s(vs []float64) {
+	for _, v := range vs {
+		e.f64(v)
+	}
+}
+
+func (e *leWriter) i32s(vs []int32) {
+	for _, v := range vs {
+		e.u32(uint32(v))
+	}
 }
 
 // maxReasonable caps decoded counts to guard against corrupt or hostile
@@ -261,15 +269,4 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("gridfile: loaded file fails invariants: %w", err)
 	}
 	return f, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

@@ -2,6 +2,8 @@ package gridfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -13,7 +15,9 @@ func newRand(seed int64) *rand.Rand       { return rand.New(rand.NewSource(seed)
 
 // FuzzRead hardens the binary decoder: any input must either be rejected
 // with an error or produce a file that passes the structural invariants —
-// never panic, never corrupt. Seeds are valid encodings of small files; run
+// never panic, never corrupt — and that WriteTo encodes to the bytes the
+// reference encoder (referenceWriteTo) gives, which Read then takes back to
+// the same bytes again. Seeds are valid encodings of small files; run
 // with `go test -fuzz=FuzzRead ./internal/gridfile` for a real fuzzing
 // session (without -fuzz the seeds replay as regular tests).
 func FuzzRead(f *testing.F) {
@@ -62,5 +66,63 @@ func FuzzRead(f *testing.F) {
 		// The accepted file must be usable.
 		_ = gf.BucketsInRange(gf.Domain())
 		_ = gf.Stats()
+
+		var got, want bytes.Buffer
+		if _, err := gf.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := referenceWriteTo(gf, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteTo gave %d bytes, the reference encoder %d (or they differ)", got.Len(), want.Len())
+		}
+		again, err := Read(bytes.NewReader(got.Bytes()))
+		if err != nil {
+			t.Fatalf("Read refused WriteTo's encoding: %v", err)
+		}
+		var re bytes.Buffer
+		if _, err := again.WriteTo(&re); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), got.Bytes()) {
+			t.Fatal("a decoded encoding re-encodes to other bytes")
+		}
 	})
+}
+
+// referenceWriteTo is the encoder WriteTo replaced — one binary.Write per
+// field — kept as the byte-for-byte reference the fuzzer holds WriteTo to.
+func referenceWriteTo(f *File, w io.Writer) error {
+	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
+	vals := []any{[]byte(fileMagic), uint32(fileVersion), uint32(f.cfg.Dims), uint32(f.cfg.BucketCapacity)}
+	for _, iv := range f.cfg.Domain {
+		vals = append(vals, iv.Lo, iv.Hi)
+	}
+	for d := 0; d < f.cfg.Dims; d++ {
+		vals = append(vals, uint32(len(f.scales[d])), f.scales[d])
+	}
+	vals = append(vals, uint32(len(f.bkts)))
+	for _, b := range f.bkts {
+		if b == nil {
+			vals = append(vals, uint8(0))
+			continue
+		}
+		vals = append(vals, uint8(1), b.lo, b.hi, uint32(b.count(f.cfg.Dims)), b.keys)
+		if b.data == nil {
+			vals = append(vals, uint8(0))
+			continue
+		}
+		vals = append(vals, uint8(1))
+		for _, d := range b.data {
+			vals = append(vals, uint32(len(d)), d)
+		}
+	}
+	vals = append(vals, uint32(len(f.dir)), f.dir)
+	for _, v := range vals {
+		if err := write(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -233,9 +233,11 @@ func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.
 // The buckets are fetched after the lock is released, so a split or merge
 // may land between the two: the translated ids then miss the bucket the
 // split moved records to (a short answer), or name both halves of a merge (a
-// long one). Every query therefore reads the store's grid generation with
-// its translation and compares it after the fetch, translating and fetching
-// again when it moved.
+// long one), or name a merged-away bucket whose placement a checkpoint has
+// since dropped (a failed fetch). Every query therefore reads the store's
+// grid generation with its translation and compares it after the fetch,
+// translating and fetching again when it moved — whether the fetch answered
+// or failed.
 
 // fetchTranslated runs translate — which fills qs.ids — under the grid read
 // lock and fetches those buckets into qs.recs, again from the translation if
@@ -257,7 +259,7 @@ func (s *Server) fetchTranslated(ctx context.Context, qs *qstate, tr *Trace, tra
 		qs.recs = slices.Grow(qs.recs[:0], len(qs.ids))[:len(qs.ids)]
 		clear(qs.recs)
 		info, err := s.fetchBuckets(ctx, tr, qs.ids, qs.recs)
-		if err != nil || s.st.GridGen() == gen {
+		if s.st.GridGen() == gen || (err != nil && ctx.Err() != nil) {
 			return info, err
 		}
 	}
@@ -434,12 +436,13 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		}
 		recs := make([]geom.Flat, len(fresh))
 		fi, err := s.fetchBuckets(ctx, tr, fresh, recs)
-		if err != nil {
+		moved := s.st.GridGen() != gen
+		if err != nil && (!moved || ctx.Err() != nil) {
 			return Result{}, err
 		}
 		info.Buckets += fi.Buckets
 		info.Pages += fi.Pages
-		if s.st.GridGen() != gen {
+		if moved {
 			continue // probe again at this radius; the next translation drops fetched
 		}
 		if fi.Degraded {

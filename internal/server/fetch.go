@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	rtrace "runtime/trace"
 	"slices"
@@ -336,18 +337,18 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 }
 
 // transientErr reports whether a fetch failure is recoverable by reading
-// elsewhere — injected, or a detected page checksum mismatch, with the
-// query itself still live — and thus a
+// elsewhere — injected, a detected page checksum mismatch, or a copy that
+// missed its last write, with the query itself still live — and thus a
 // candidate for replica failover or degraded absorption. A checksum
-// failure is corruption of ONE copy, not of the bucket: a surviving
-// replica (or the scrubber's repair) still holds the records, which is
-// exactly what failover routes to. Structural failures (unknown buckets, a
-// manifest that disagrees with the page files) stay fatal.
+// failure or a missed write condemns ONE copy, not the bucket: a surviving
+// replica (or the scrubber's repair, or replay) still holds the records,
+// which is exactly what failover routes to. Structural failures (unknown
+// buckets, a manifest that disagrees with the page files) stay fatal.
 func (s *Server) transientErr(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	return fault.IsInjected(err) || store.IsChecksum(err)
+	return fault.IsInjected(err) || store.IsChecksum(err) || errors.Is(err, store.ErrStaleCopy)
 }
 
 // degradable reports whether a fetch error may be absorbed into a partial

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
@@ -353,6 +356,148 @@ func TestReadAfterAckSkipsLoadBegunBeforeWrite(t *testing.T) {
 	}
 	if n, _, err := cl.RangeCountCtx(ctx, dom); err != nil || n != base+1 {
 		t.Errorf("count once both loads are done: %d (%v), want %d", n, err, base+1)
+	}
+}
+
+// TestMissedPageWriteIsNeverServed is the regression test for a copy whose
+// page write failed being served anyway: with disk 0's page writes failing,
+// 200 acknowledged inserts left their disk-0 copies unwritten (past the end
+// of the file, so a read of one hit EOF — or, once pages are reused, another
+// bucket's page or an older version of the same one), and the reads that
+// picked them failed with "reading buckets …: EOF" although at r=2 an intact
+// copy sat on another disk: 62 of these 200 keys, at r=1 and at r=2. Every
+// key must now be found at r=2, and at r=1, where the missed copy is the only
+// one, the query must come back degraded, not as an error.
+func TestMissedPageWriteIsNeverServed(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
+			reg := fault.NewRegistry(1)
+			s := newWritableServer(t, 800, 4, r, Config{Faults: reg, Degraded: true})
+			cl := newTestClient(t, s, ClientConfig{})
+			ctx := context.Background()
+			if err := reg.SetSpec(fault.StoreWriteDiskSite(0) + ":err"); err != nil {
+				t.Fatal(err)
+			}
+			keys := testKeys(s.st.Grid().Domain(), 200, 31)
+			for _, key := range keys {
+				if _, err := cl.InsertCtx(ctx, key); err != nil {
+					t.Fatalf("insert %v: %v", key, err)
+				}
+			}
+			reg.Clear()
+			failed, degraded := 0, 0
+			for _, key := range keys {
+				pts, info, err := cl.PointCtx(ctx, key)
+				switch {
+				case err != nil:
+					failed++
+					t.Errorf("point %v: %v", key, err)
+				case info.Degraded:
+					degraded++
+				case len(pts) != 1:
+					t.Errorf("point %v: %d records, want 1", key, len(pts))
+				}
+			}
+			t.Logf("r=%d: %d of %d keys failed, %d degraded", r, failed, len(keys), degraded)
+			if r == 2 && degraded != 0 {
+				t.Errorf("%d degraded answers with an intact copy on another disk", degraded)
+			}
+			if r == 1 && degraded == 0 {
+				t.Error("no answer degraded although disk 0's copies missed their writes")
+			}
+		})
+	}
+}
+
+// TestFetchOfMergedAwayBucketTranslatesAgain: a point query translates to a
+// bucket and its disk read stalls (an injected delay, then an injected
+// error) while deletes merge that bucket away and a checkpoint drops the
+// retired placement. The read's retry then finds no placement at all. The
+// grid moved since the query translated, so that failure, like an answer,
+// belongs to a stale translation: the query must translate again and find
+// its record in the surviving bucket, not report the error.
+func TestFetchOfMergedAwayBucketTranslatesAgain(t *testing.T) {
+	reg := fault.NewRegistry(1)
+	s := newWritableServer(t, 300, 4, 1, Config{Faults: reg, CacheBytes: -1})
+	cl := newTestClient(t, s, ClientConfig{})
+	ctx := context.Background()
+
+	// On a copy of the grid, find a bucket, a record of it to query, and the
+	// deletes — the bucket's other records first, then the rest in bucket
+	// order — after which a merge retires that bucket.
+	var buf bytes.Buffer
+	if _, err := s.st.Grid().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	grid := buf.Bytes()
+	keysOf := func(f *gridfile.File, id int32) (keys []geom.Point) {
+		f.ForEachRecordInBucket(id, func(key []float64, _ []byte) { keys = append(keys, slices.Clone(key)) })
+		return keys
+	}
+	var victim int32
+	var query geom.Point
+	var deletes []geom.Point
+	views := s.st.Grid().Buckets()
+	for i := len(views) - 1; i >= 0 && deletes == nil; i-- {
+		f, err := gridfile.Read(bytes.NewReader(grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := views[i].ID
+		own := keysOf(f, id)
+		order := slices.Clone(own[1:])
+		for _, v := range views {
+			if v.ID != id {
+				order = append(order, keysOf(f, v.ID)...)
+			}
+		}
+		for j, key := range order {
+			if res := f.DeleteTracked(key); res.Merged && res.Dead == id {
+				victim, query, deletes = id, own[0], order[:j+1]
+				break
+			}
+		}
+	}
+	if deletes == nil {
+		t.Fatal("no bucket of the layout is ever merged away")
+	}
+
+	pl, _ := s.st.Placement(victim)
+	if err := reg.SetSpec(fault.StoreReadDiskSite(pl.Disk) + ":delay=500ms;" + fault.StoreReadDiskSite(pl.Disk) + ":err"); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		n   int
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		pts, _, err := cl.PointCtx(ctx, query)
+		done <- answer{len(pts), err}
+	}()
+	for reg.Total() == 0 { // the read has looked the victim's placement up and stalls
+		time.Sleep(time.Millisecond)
+	}
+	merged := false
+	for _, key := range deletes {
+		m, err := s.st.Delete(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = merged || (len(m.Stale) == 2 && m.Stale[1] == victim)
+	}
+	if !merged {
+		t.Fatalf("the deletes did not retire bucket %d", victim)
+	}
+	if err := s.st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.st.Placement(victim); ok {
+		t.Fatalf("the checkpoint kept the placement of retired bucket %d", victim)
+	}
+	reg.Clear()
+	if a := <-done; a.err != nil || a.n != 1 {
+		t.Fatalf("point query across the merge: %d records, %v; want 1, nil", a.n, a.err)
 	}
 }
 

@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/replica"
+	"pgridfile/internal/synth"
 )
 
 // TestCheckpointKilledBeforeCommit is the regression test for the checkpoint
@@ -76,7 +80,8 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 // the write path: applied live and checkpointed, and applied live, dropped
 // without a checkpoint and recovered by journal replay. The two must end in
 // the same grid file, byte for byte, and the same records in every copy of
-// every bucket.
+// every bucket. The live store, checkpointed and reopened, must find free
+// exactly the pages it would have reused itself.
 func TestReplayMatchesLive(t *testing.T) {
 	base, f, _ := buildReplicatedLayoutOf(t, 600, 4, 2)
 	var ops []crashOp
@@ -128,12 +133,24 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 
 	live, merges := apply()
-	defer live.Close()
 	if splits := live.WriteCounters().BucketSplits; splits == 0 || merges == 0 {
 		t.Fatalf("sequence caused %d splits and %d merges, want some of each", splits, merges)
 	}
 	if err := live.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	free := reusablePages(live)
+	live.Close()
+	live, err := OpenWritable(live.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if got := reusablePages(live); !maps.EqualFunc(got, free, slices.Equal) {
+		t.Fatalf("free pages after reopen %v, the live store's %v", got, free)
+	}
+	if len(free) == 0 {
+		t.Fatal("the live run left no page to reuse")
 	}
 
 	crashed, _ := apply()
@@ -243,4 +260,42 @@ func TestOpenWritableRemovesStrays(t *testing.T) {
 	for name := range want {
 		t.Errorf("%s was removed by OpenWritable", name)
 	}
+}
+
+// BenchmarkCheckpoint times one forced checkpoint of a writable layout the
+// size of the repo benchmark's write-mix layout — 400 000 hot.2d records, so
+// about 10 000 buckets, minimax over 8 disks at r=2: the data fsyncs, the
+// grid file and the manifest written, synced and renamed, the journals
+// truncated. It guards the checkpoint's cost below the served benchmark,
+// where it shows as store.checkpoint_s.
+func BenchmarkCheckpoint(b *testing.B) {
+	f, err := synth.Hotspot2D(400_000, 1).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rm, err := (&replica.Placer{Replicas: 2}).Place(g, alloc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if _, err := WriteReplicated(dir, f, rm, 4096); err != nil {
+		b.Fatal(err)
+	}
+	s, err := OpenWritable(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.Grid().NumBuckets()), "buckets")
 }

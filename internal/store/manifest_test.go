@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,7 +189,8 @@ func TestOpenRefusals(t *testing.T) {
 
 // FuzzManifest opens arbitrary bytes as the manifest.json beside a valid
 // layout's disk files: the result must be an error or a store whose every
-// bucket copy can be read — successfully or not — without a panic.
+// bucket copy can be read — successfully or not — without a panic, and whose
+// manifest marshalManifest encodes to the bytes referenceMarshalManifest does.
 func FuzzManifest(f *testing.F) {
 	dir, valid := doctorableLayout(f)
 	f.Add(valid)
@@ -202,5 +204,71 @@ func FuzzManifest(f *testing.F) {
 		}
 		defer s.Close()
 		readEverything(s)
+		m := s.Manifest()
+		got, err := marshalManifest(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceMarshalManifest(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("marshalManifest gave %d bytes, the reference encoder %d (or they differ)", len(got), len(want))
+		}
 	})
+}
+
+// TestMarshalManifestMatchesReference holds marshalManifest to the reference
+// encoder where FuzzManifest cannot take it, since Open refuses such layouts:
+// nil and empty lists, zero omitted fields, extreme ids and pages, floats that
+// encoding/json writes in exponent form — and both refuse a bound that is not
+// a JSON number.
+func TestMarshalManifestMatchesReference(t *testing.T) {
+	cases := []Manifest{
+		{},
+		{Disks: 2, Dims: 1, PageBytes: 4096, Replicas: 2, PageFormat: 2, CheckpointLSN: 1<<64 - 1,
+			Domain: [][2]float64{}, Buckets: []Placement{}},
+		{Domain: [][2]float64{{math.Copysign(0, -1), 1e-7}, {1e21, -123.456}, {5e-324, math.MaxFloat64}, {-1e-6, 999999999999999999999}},
+			Buckets: []Placement{
+				{ID: math.MinInt32, OwnerDisks: []int{}},
+				{ID: 3, Disk: 1, Page: 1 << 62, Pages: 2, Recs: -9, OwnerDisks: []int{1, 0}, OwnerPages: []int64{1 << 62, -5}},
+			}},
+	}
+	for i, m := range cases {
+		got, err := marshalManifest(&m)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		want, err := referenceMarshalManifest(&m)
+		if err != nil {
+			t.Fatalf("case %d: reference: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("case %d: got\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		m := Manifest{Domain: [][2]float64{{0, bad}}}
+		if _, err := marshalManifest(&m); err == nil {
+			t.Errorf("domain bound %v encoded", bad)
+		}
+		if _, err := referenceMarshalManifest(&m); err == nil {
+			t.Errorf("the reference encoded domain bound %v", bad)
+		}
+	}
+}
+
+// referenceMarshalManifest is the encoder marshalManifest replaced — the
+// layout indented on its own, then indented again inside the envelope — kept
+// as the byte-for-byte reference the fuzzer holds marshalManifest to.
+func referenceMarshalManifest(m *Manifest) ([]byte, error) {
+	layout, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(manifestVersion{
+		Version: manifestVersionCurrent,
+		Layout:  layout,
+	}, "", "  ")
 }

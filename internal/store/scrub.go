@@ -25,10 +25,15 @@ type ScrubStats struct {
 // catch corruption on the pages queries happen to touch, the scrubber
 // sweeps the rest.
 //
-// Buckets are visited in (primary disk, primary page) order — one
-// sequential sweep per disk file, whatever order the layout was written or
-// since rewritten in; pause, when positive, is slept between buckets so a
-// background scrub stays low-priority next to live queries. Scrub reads the disk files directly (bypassing the failpoint
+// Buckets are visited in (primary disk, primary page) order as of the start
+// of the pass — one sequential sweep per disk file, whatever order the layout
+// was written or since rewritten in; pause, when positive, is slept between
+// buckets so a background scrub stays low-priority next to live queries.
+// Each bucket's placement is looked up again when its turn comes and pinned
+// (pinPages) while it is scanned: on a writable store the pages a placement
+// named at the start of the pass may since hold another bucket. A copy that
+// missed its last write (ErrStaleCopy) is neither verified nor repaired from;
+// replay rewrites it. Scrub reads the disk files directly (bypassing the failpoint
 // registry — it verifies the real bytes on disk, not the fault model) but
 // registers per-disk load on every owner disk for the whole of each
 // bucket's scan (verification and repair included), so replica read
@@ -101,6 +106,9 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 		// bad[p] lists the owner indices whose copy of page p failed.
 		var bad map[int][]int
 		for i, d := range pl.OwnerDisks {
+			if slices.Contains(pl.missed, d) {
+				continue
+			}
 			for p := 0; p < pl.Pages; p++ {
 				st.Pages++
 				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), buf) {
@@ -117,7 +125,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			// Find an intact sibling copy of this page.
 			src := -1
 			for i, d := range pl.OwnerDisks {
-				if slices.Contains(owners, i) {
+				if slices.Contains(owners, i) || slices.Contains(pl.missed, d) {
 					continue
 				}
 				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), good) {
@@ -146,11 +154,17 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 		return nil
 	}
 
-	for _, pl := range pls {
+	for _, at := range pls {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		if err := scanBucket(pl); err != nil {
+		e := s.pinPages()
+		pl, ok := s.lookup(at.ID)
+		if ok {
+			err = scanBucket(pl)
+		}
+		s.unpinPages(e)
+		if err != nil {
 			return st, err
 		}
 		if pause > 0 {

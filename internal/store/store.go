@@ -48,6 +48,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,6 +92,12 @@ var ErrChecksum = errors.New("page checksum mismatch")
 // IsChecksum reports whether err stems from a page checksum mismatch.
 func IsChecksum(err error) bool { return errors.Is(err, ErrChecksum) }
 
+// ErrStaleCopy reports a read of a bucket copy whose last rewrite failed to
+// reach its disk: its pages may hold another bucket's records or an older
+// version of this one. Like a checksum mismatch it condemns one copy, not the
+// bucket — another owner may hold it whole, and replay rewrites it.
+var ErrStaleCopy = errors.New("copy missed its last write")
+
 // Placement locates one bucket in the layout. Every owner disk stores a copy
 // of the bucket: OwnerDisks[i] holds a copy whose pages start at
 // OwnerPages[i]. Disk and Page always mirror owner 0 (the primary copy).
@@ -102,6 +109,11 @@ type Placement struct {
 	Recs       int     `json:"recs"`
 	OwnerDisks []int   `json:"owner_disks"`
 	OwnerPages []int64 `json:"owner_pages"`
+
+	// missed lists the owner disks whose copy a page-write failure kept from
+	// the bucket's last rewrite (write.go); never part of a manifest, because
+	// checkpoints are withheld while any copy has missed a write.
+	missed []int
 }
 
 // Manifest describes a layout directory.
@@ -124,7 +136,8 @@ type Manifest struct {
 
 // manifestVersion is the envelope a layout's manifest.json is wrapped in:
 // {"version": N, "layout": {…}}. Version 3 with page format 2 is the only
-// layout this package writes or reads; Open refuses anything else.
+// layout this package writes or reads; Open refuses anything else. The layout
+// stays raw when read, so the version is checked before it is parsed.
 type manifestVersion struct {
 	Version int             `json:"version"`
 	Layout  json.RawMessage `json:"layout"`
@@ -132,16 +145,126 @@ type manifestVersion struct {
 
 const manifestVersionCurrent = 3
 
-// marshalManifest encodes m in its version envelope, as manifest.json holds it.
+// marshalManifest encodes m in its version envelope, as manifest.json holds
+// it: byte for byte what encoding/json's MarshalIndent with a two-space
+// indent gives (FuzzManifest holds it to that reference), but appended by
+// hand, because a checkpoint encodes one placement per bucket and reflection
+// and indenting were most of its cost.
 func marshalManifest(m *Manifest) ([]byte, error) {
-	layout, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
+	b := make([]byte, 0, 512+220*len(m.Buckets))
+	b = append(b, "{\n  \"version\": "...)
+	b = strconv.AppendInt(b, manifestVersionCurrent, 10)
+	b = append(b, ",\n  \"layout\": {\n    \"disks\": "...)
+	b = strconv.AppendInt(b, int64(m.Disks), 10)
+	b = append(b, ",\n    \"dims\": "...)
+	b = strconv.AppendInt(b, int64(m.Dims), 10)
+	b = append(b, ",\n    \"page_bytes\": "...)
+	b = strconv.AppendInt(b, int64(m.PageBytes), 10)
+	if m.Replicas != 0 {
+		b = append(b, ",\n    \"replicas\": "...)
+		b = strconv.AppendInt(b, int64(m.Replicas), 10)
 	}
-	return json.MarshalIndent(manifestVersion{
-		Version: manifestVersionCurrent,
-		Layout:  layout,
-	}, "", "  ")
+	b = append(b, ",\n    \"page_format\": "...)
+	b = strconv.AppendInt(b, int64(m.PageFormat), 10)
+	if m.CheckpointLSN != 0 {
+		b = append(b, ",\n    \"checkpoint_lsn\": "...)
+		b = strconv.AppendUint(b, m.CheckpointLSN, 10)
+	}
+	b = append(b, ",\n    \"domain\": "...)
+	switch {
+	case m.Domain == nil:
+		b = append(b, "null"...)
+	case len(m.Domain) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, iv := range m.Domain {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n      [\n        "...)
+			var err error
+			if b, err = appendJSONFloat(b, iv[0]); err != nil {
+				return nil, err
+			}
+			b = append(b, ",\n        "...)
+			if b, err = appendJSONFloat(b, iv[1]); err != nil {
+				return nil, err
+			}
+			b = append(b, "\n      ]"...)
+		}
+		b = append(b, "\n    ]"...)
+	}
+	b = append(b, ",\n    \"buckets\": "...)
+	switch {
+	case m.Buckets == nil:
+		b = append(b, "null"...)
+	case len(m.Buckets) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, pl := range m.Buckets {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n      {\n        \"id\": "...)
+			b = strconv.AppendInt(b, int64(pl.ID), 10)
+			b = append(b, ",\n        \"disk\": "...)
+			b = strconv.AppendInt(b, int64(pl.Disk), 10)
+			b = append(b, ",\n        \"page\": "...)
+			b = strconv.AppendInt(b, pl.Page, 10)
+			b = append(b, ",\n        \"pages\": "...)
+			b = strconv.AppendInt(b, int64(pl.Pages), 10)
+			b = append(b, ",\n        \"recs\": "...)
+			b = strconv.AppendInt(b, int64(pl.Recs), 10)
+			b = append(b, ",\n        \"owner_disks\": "...)
+			b = appendJSONInts(b, pl.OwnerDisks)
+			b = append(b, ",\n        \"owner_pages\": "...)
+			b = appendJSONInts(b, pl.OwnerPages)
+			b = append(b, "\n      }"...)
+		}
+		b = append(b, "\n    ]"...)
+	}
+	return append(b, "\n  }\n}"...), nil
+}
+
+// appendJSONInts appends a placement's owner list as marshalManifest lays it
+// out: one number per line, the brackets at the placement's field indent.
+func appendJSONInts[T int | int64](b []byte, xs []T) []byte {
+	switch {
+	case xs == nil:
+		return append(b, "null"...)
+	case len(xs) == 0:
+		return append(b, "[]"...)
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n          "...)
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, "\n        ]"...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form (e-7, not e-07) below 1e-6
+// and from 1e21 up. NaN and the infinities are not JSON numbers.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("store: manifest: domain bound %v is not a JSON number", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // recordsPerPage returns how many dims-dimensional keys fit in a page.
@@ -200,8 +323,8 @@ const layoutCurveBits = 16
 // query needs from a disk are near neighbours in it, whatever scheme dealt
 // them out. Placements are explicit in the manifest, so the order is a
 // property of freshly written layouts only: readers never assume it, and
-// buckets the write path rewrites or splits off are appended at the end of
-// their files, outside the order.
+// buckets the write path rewrites or splits off land in a reused extent or
+// at the end of their files, outside the order.
 func LayoutOrder(f *gridfile.File) []int {
 	bits := min(layoutCurveBits, 64/f.Dims())
 	g := core.Grid{Domain: f.Domain(), Buckets: f.Buckets()}
@@ -541,11 +664,12 @@ func (s *Store) Owners(id int32) []int {
 }
 
 // PickOwner returns the least-loaded owner disk for one bucket, skipping
-// disks for which exclude returns true (nil excludes nothing). Load is the
+// disks for which exclude returns true (nil excludes nothing) and copies that
+// missed their last write (ErrStaleCopy). Load is the
 // in-flight read count maintained by readAt plus whatever queue depth the
 // caller registered with AddLoad; ties prefer the earlier replica level, so
 // an idle store reads primaries. ok is false when the bucket is unknown or
-// every owner is excluded.
+// no owner is left.
 func (s *Store) PickOwner(id int32, exclude func(disk int) bool) (disk int, ok bool) {
 	pl, found := s.lookup(id)
 	if !found {
@@ -553,7 +677,7 @@ func (s *Store) PickOwner(id int32, exclude func(disk int) bool) (disk int, ok b
 	}
 	best, bestLoad := -1, int64(0)
 	for _, d := range pl.OwnerDisks {
-		if exclude != nil && exclude(d) {
+		if (exclude != nil && exclude(d)) || slices.Contains(pl.missed, d) {
 			continue
 		}
 		if l := s.loads[d].Load(); best < 0 || l < bestLoad {
@@ -820,9 +944,13 @@ var plScratchPool = sync.Pool{New: func() any {
 // submits per-disk lead batches, which are). ctx bounds injected stalls; a
 // nil ctx is treated as background. The return value is the number of wanted
 // pages read — the I/O the paper's response-time metric charges. The cost
-// and the planner's counts accumulate into tm (nil disables both). Safe for
-// concurrent use: positioned reads only, no mutable Store state.
+// and the planner's counts accumulate into tm (nil disables both). A copy
+// that missed its last write is refused with ErrStaleCopy. Safe for
+// concurrent use: positioned reads only, and on a writable store the pages
+// looked up stay pinned (pinPages) until the last pread has returned.
 func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, out []geom.Flat, tm *Timing) (int, error) {
+	e := s.pinPages()
+	defer s.unpinPages(e)
 	sp := plScratchPool.Get().(*[]plIdx)
 	pls := (*sp)[:0]
 	var err error
@@ -830,6 +958,10 @@ func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, o
 		pl, ok := s.lookup(id)
 		if !ok {
 			err = fmt.Errorf("store: unknown bucket %d", id)
+			break
+		}
+		if slices.Contains(pl.missed, disk) {
+			err = fmt.Errorf("store: bucket %d on disk %d: %w", id, disk, ErrStaleCopy)
 			break
 		}
 		if pl, ok = placementOn(pl, disk); !ok {

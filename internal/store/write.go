@@ -26,32 +26,49 @@ import (
 //
 //  1. locate: the target bucket and its owner disks (grid translation);
 //  2. journal: the operation is appended to every owner disk's journal
-//     (journal.go), each append fsynced — only now is it committed, and
-//     acknowledgeable;
+//     (journal.go) and the appends are fsynced together — only once every
+//     one has synced is it committed, and acknowledgeable;
 //  3. apply: the in-memory grid file is mutated (splits, merges and directory
 //     refinements happen here), split-born buckets get a placement stub on
 //     the target's owner disks, and the set of buckets whose pages are now
 //     stale falls out. The grid write lock is held, so concurrent readers
 //     never observe a half-mutated directory;
-//  4. rewrite: every stale live bucket's pages go to *fresh* extents appended
-//     at the end of each owner's page file (shadow paging), never over live
-//     pages, so a concurrent reader holding the old placement still reads
-//     intact old bytes — then the placements are swapped. The live path
-//     rewrites straight after each apply, replay once per bucket at the end.
+//  4. rewrite: every stale live bucket's pages go to *other* extents than the
+//     ones it occupies (shadow paging), never over pages a reader may hold,
+//     so a concurrent reader holding the old placement still reads intact
+//     old bytes — then the placements are swapped. The live path rewrites
+//     straight after each apply, replay once per bucket at the end.
 //
 // Data pages are not fsynced per operation; the journal is the durability
 // story. A checkpoint (periodic, and on Close) moves the layout from one LSN
 // to the next, and has exactly one commit point — the rename of manifest.json
-// (see checkpointLocked). Dead extents left behind by shadow rewrites are
-// reclaimed only by a full layout rebuild — space amplification traded for
-// never blocking readers.
+// (see checkpointLocked).
+//
+// Pages (DESIGN.md S43). A rewrite takes an extent of exactly the bucket's
+// page count from the disk's free pages if there is one, and appends at the
+// end of the file otherwise. The extents it supersedes become free once two
+// things hold: the checkpoint whose manifest no longer names them has
+// committed (so a crash never replays onto them), and every reader that could
+// have looked their placement up before the swap has left. Readers — a batch
+// read from placement lookup to its last pread, a scrub per bucket — register
+// in a two-epoch count (pinPages); a checkpoint retires the extents superseded
+// since the last one and flips the epoch, and the next rewrite that finds no
+// free extent frees them once the old epoch's count is zero. Nothing waits:
+// a checkpoint that finds the previous epoch still held leaves its extents
+// for the next one. OpenWritable takes every page below a disk's end that the
+// committed manifest does not name as free, so the set needs no file of its
+// own.
 //
 // Failure semantics: a journal append failure aborts the operation before
 // it is acknowledged (partially appended records are discarded by replay's
 // all-owner-journals commit rule). A page-write failure after the journal
-// committed does NOT un-acknowledge the operation — the stale copy is
-// healed by read failover and the scrubber, checkpoints are withheld so the
-// journals keep the redo, and replay rewrites every copy on the next open.
+// committed does NOT un-acknowledge the operation. The copy it missed is
+// remembered (Placement.missed) until a later rewrite writes it whole: reads
+// steer around it and one that lands on it fails with ErrStaleCopy, which the
+// server fails over (r >= 2) or absorbs as degraded — the pages there may be
+// another bucket's, or an older version of this one. Checkpoints are withheld
+// so the journals keep the redo, and replay rewrites every copy on the next
+// open.
 
 // DefaultCheckpointEvery is how many committed mutations a writable store
 // absorbs before checkpointing on its own. SetCheckpointEvery overrides it;
@@ -114,6 +131,18 @@ type writer struct {
 	nextLSN       uint64
 	checkpointLSN uint64
 
+	// Page reuse (see the file comment): superseded holds the extents
+	// rewrites and merges left since the last checkpoint that retired any,
+	// retired those a checkpoint retired at the last epoch flip, free the
+	// reusable ones by disk and size. epoch and readers are the two-epoch
+	// reader count: a reader adds itself to readers[epoch&1] (pinPages), so
+	// once the epoch has moved on, the other slot counts exactly the readers
+	// that may still hold a placement from before the flip.
+	superseded, retired []extent
+	free                map[extentSize][]int64
+	epoch               atomic.Uint64
+	readers             [2]atomic.Int64
+
 	pendingOps      int // committed ops since the last checkpoint
 	checkpointEvery int
 
@@ -165,12 +194,9 @@ func OpenWritable(dir string) (*Store, error) {
 		w.walSites[d] = fault.StoreWALDiskSite(d)
 		w.writeSites[d] = fault.StoreWriteDiskSite(d)
 	}
-	for _, pl := range s.manifest.Buckets {
-		for i, d := range pl.OwnerDisks {
-			if end := pl.OwnerPages[i] + int64(pl.Pages); end > w.nextPage[d] {
-				w.nextPage[d] = end
-			}
-		}
+	if err := w.deriveFree(s); err != nil {
+		s.Close()
+		return nil, err
 	}
 	for d := range w.journals {
 		jh, err := os.OpenFile(filepath.Join(dir, JournalFileName(d)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -191,6 +217,135 @@ func OpenWritable(dir string) (*Store, error) {
 
 // Writable reports whether the store was opened with OpenWritable.
 func (s *Store) Writable() bool { return s.w != nil }
+
+// extent is the run of pages one copy of a bucket occupies on one disk;
+// extentSize is what a rewrite looking for room matches free extents by.
+type extent struct {
+	extentSize
+	page int64
+}
+
+type extentSize struct{ disk, pages int }
+
+// deriveFree sets up page allocation for a store just opened on a committed
+// manifest: each disk's file ends where the cursor starts, and every page
+// below it that no placement names is free — nothing names it, and no reader
+// has looked anything up yet.
+func (w *writer) deriveFree(s *Store) error {
+	sizes, err := s.DiskSizes()
+	if err != nil {
+		return err
+	}
+	named := make([][]bool, len(sizes))
+	for d, n := range sizes {
+		named[d] = make([]bool, n)
+	}
+	for _, pl := range s.manifest.Buckets {
+		for i, d := range pl.OwnerDisks {
+			for p := range pl.Pages {
+				named[d][pl.OwnerPages[i]+int64(p)] = true
+			}
+		}
+	}
+	for d, n := range sizes {
+		w.nextPage[d] = n
+		for p, used := range named[d] {
+			if !used {
+				w.addFree(extent{extentSize{d, 1}, int64(p)})
+			}
+		}
+	}
+	return nil
+}
+
+func (w *writer) addFree(x extent) {
+	if w.free == nil {
+		w.free = make(map[extentSize][]int64)
+	}
+	w.free[x.extentSize] = append(w.free[x.extentSize], x.page)
+}
+
+// allocPages finds room for pages consecutive pages on disk: a free extent of
+// exactly that size if there is one, otherwise the end of the file.
+func (w *writer) allocPages(disk, pages int) int64 {
+	k := extentSize{disk, pages}
+	if len(w.free[k]) == 0 {
+		w.reclaim()
+	}
+	if st := w.free[k]; len(st) > 0 {
+		w.free[k] = st[:len(st)-1]
+		return st[len(st)-1]
+	}
+	p := w.nextPage[disk]
+	w.nextPage[disk] += int64(pages)
+	return p
+}
+
+// supersede records the extents of a placement its bucket has left (a
+// rewrite moved it, or a merge retired it). A stub has none.
+func (w *writer) supersede(pl Placement) {
+	if pl.Pages == 0 {
+		return
+	}
+	for i, d := range pl.OwnerDisks {
+		w.superseded = append(w.superseded, extent{extentSize{d, pl.Pages}, pl.OwnerPages[i]})
+	}
+}
+
+// retireSuperseded is a committed checkpoint's part in page reuse: the
+// manifest it committed names no superseded extent, so they are retired and
+// the epoch flips — unless extents retired at the last flip are still held
+// by a reader from before it, in which case the flip, and these extents, wait
+// for the next checkpoint (flipping now would count new readers with those
+// old ones).
+func (w *writer) retireSuperseded() {
+	w.reclaim()
+	if len(w.retired) > 0 || len(w.superseded) == 0 {
+		return
+	}
+	w.retired, w.superseded = w.superseded, w.retired
+	w.epoch.Add(1)
+}
+
+// reclaim frees the retired extents once no reader registered before the
+// epoch flip that retired them is left.
+func (w *writer) reclaim() {
+	if len(w.retired) == 0 || w.readers[(w.epoch.Load()+1)&1].Load() != 0 {
+		return
+	}
+	for _, x := range w.retired {
+		w.addFree(x)
+	}
+	w.retired = w.retired[:0]
+}
+
+// pinPages registers a reader of page positions with a writable store: no
+// extent a placement names when the reader looks it up afterwards is written
+// again until the reader calls unpinPages with the epoch returned. The
+// re-check after the increment keeps a reader that raced an epoch flip from
+// counting itself under an epoch the writer already considers old. A no-op on
+// read-only stores.
+func (s *Store) pinPages() uint64 {
+	w := s.w
+	if w == nil {
+		return 0
+	}
+	for {
+		e := w.epoch.Load()
+		w.readers[e&1].Add(1)
+		if w.epoch.Load() == e {
+			return e
+		}
+		w.readers[e&1].Add(-1)
+	}
+}
+
+// unpinPages ends the read pinPages began.
+func (s *Store) unpinPages(e uint64) {
+	if w := s.w; w != nil {
+		w.readers[e&1].Add(-1)
+	}
+}
 
 // RLockGrid takes the grid translation read lock. A no-op on read-only
 // stores, whose grid never changes.
@@ -334,12 +489,12 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	}
 
 	// Committed. Apply under the grid write lock: directory mutation, page
-	// rewrites to fresh extents, and placement swaps become visible to
+	// rewrites to other extents, and placement swaps become visible to
 	// readers atomically when the lock is released. A retired bucket's
 	// placement is kept as a tombstone (its old extent is still intact, so a
 	// reader that translated before the merge reads a consistent pre-delete
-	// copy); checkpoints build the manifest from the grid's live buckets, so
-	// tombstones never persist.
+	// copy) until the next checkpoint, which builds the manifest from the
+	// grid's live buckets and drops it (dropTombstones).
 	w.gridMu.Lock()
 	m, dirty, err := s.apply(op, key, pl.OwnerDisks)
 	for i := 0; err == nil && i < len(dirty); i++ {
@@ -384,14 +539,11 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 			return Mutation{}, nil, err
 		}
 		for _, id := range res.Created {
-			stub := Placement{
-				ID:         id,
-				Disk:       owners[0],
-				OwnerDisks: append([]int(nil), owners...),
-				OwnerPages: make([]int64, len(owners)),
-			}
 			s.pmu.Lock()
-			s.byID[id] = stub
+			if old, ok := s.byID[id]; ok {
+				w.supersede(old) // the tombstone of a merged-away bucket whose id the split reuses
+			}
+			s.byID[id] = placementStub(id, owners)
 			s.pmu.Unlock()
 		}
 		if len(res.Created) > 0 {
@@ -424,9 +576,10 @@ func placementStub(id int32, owners []int) Placement {
 }
 
 // journalAppend appends one operation record to every owner disk's journal,
-// fsyncing each append. The operation is committed once every append has
-// synced; any failure aborts the (unacknowledged) operation, and replay's
-// all-owner-journals rule discards the partial appends.
+// then fsyncs the owners' journals together. The operation is committed once
+// every one has synced; any failure aborts the (unacknowledged) operation,
+// and replay's all-owner-journals rule discards the partial appends. The
+// crash hook fires before each append and after each fsync, in owner order.
 func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op uint8, key geom.Point) error {
 	w := s.w
 	rec := appendJournalRec(make([]byte, 0, journalRecSize(len(key))), lsn, op, key)
@@ -442,8 +595,21 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 		if _, err := w.journals[d].Write(rec); err != nil {
 			return fmt.Errorf("store: journal append disk %d: %w", d, err)
 		}
-		if err := w.journals[d].Sync(); err != nil {
-			return fmt.Errorf("store: journal fsync disk %d: %w", d, err)
+	}
+	errs := make([]error, len(owners))
+	var wg sync.WaitGroup
+	for i := 1; i < len(owners); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = w.journals[owners[i]].Sync()
+		}(i)
+	}
+	errs[0] = w.journals[owners[0]].Sync()
+	wg.Wait()
+	for i, d := range owners {
+		if errs[i] != nil {
+			return fmt.Errorf("store: journal fsync disk %d: %w", d, errs[i])
 		}
 		w.appends.Add(1)
 		if err := w.crashPoint(); err != nil {
@@ -454,13 +620,14 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 }
 
 // rewriteBucket re-encodes one bucket's records from the grid file and
-// writes them to fresh extents on every owner disk, then swaps the
-// placement. Page-write failures on individual copies are absorbed (the
-// journal keeps the redo and checkpoints are withheld); only a simulated
-// crash propagates. Caller holds w.mu and, online, gridMu.
+// writes them to other extents on every owner disk (allocPages), then swaps
+// the placement and supersedes the old one. Page-write failures on individual
+// copies are absorbed: the copy is marked missed in the new placement, the
+// journal keeps the redo and checkpoints are withheld; only a simulated crash
+// propagates. Caller holds w.mu and, online, gridMu.
 func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	w := s.w
-	pl, ok := s.lookup(id)
+	old, ok := s.lookup(id)
 	if !ok {
 		return fmt.Errorf("store: rewrite of unplaced bucket %d", id)
 	}
@@ -474,19 +641,18 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	perPage := recordsPerPage(pageBytes, dims)
 	npages := pagesFor(nrec, perPage)
 
-	newPages := make([]int64, len(pl.OwnerDisks))
-	for i, d := range pl.OwnerDisks {
-		newPages[i] = w.nextPage[d]
-		w.nextPage[d] += int64(npages)
+	newPages := make([]int64, len(old.OwnerDisks))
+	for i, d := range old.OwnerDisks {
+		newPages[i] = w.allocPages(d, npages)
 	}
 
 	page := getBuf(pageBytes)
 	defer putBuf(page)
-	skip := make([]bool, len(pl.OwnerDisks))
+	var missed []int
 	for p := 0; p < npages; p++ {
 		encodePage(page, id, keys[p*perPage*dims:min((p+1)*perPage, nrec)*dims], dims)
-		for i, d := range pl.OwnerDisks {
-			if skip[i] {
+		for i, d := range old.OwnerDisks {
+			if slices.Contains(missed, d) {
 				continue
 			}
 			err := s.writePage(ctx, d, page, (newPages[i]+int64(p))*int64(pageBytes))
@@ -496,7 +662,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 			if err != nil {
 				// This copy is stale; leave the rest of it unwritten,
 				// withhold checkpoints so the journal keeps its redo.
-				skip[i] = true
+				missed = append(missed, d)
 				if w.failed == nil {
 					w.failed = fmt.Errorf("bucket %d on disk %d: %w", id, d, err)
 				}
@@ -504,14 +670,17 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 		}
 	}
 
+	pl := old
 	pl.OwnerPages = newPages
 	pl.Disk = pl.OwnerDisks[0]
 	pl.Page = newPages[0]
 	pl.Pages = npages
 	pl.Recs = nrec
+	pl.missed = missed
 	s.pmu.Lock()
 	s.byID[id] = pl
 	s.pmu.Unlock()
+	w.supersede(old)
 	return nil
 }
 
@@ -609,11 +778,10 @@ func (s *Store) replay() error {
 		for _, id := range live {
 			dirty[id] = true
 		}
-		// No reader holds a retired bucket's id during replay, so it needs
-		// no tombstone (and may never have had pages to point one at).
+		// A retired bucket is not rewritten; the checkpoint that ends replay
+		// drops its placement and supersedes its pages, as it does online.
 		for _, id := range m.Stale[len(live):] {
 			delete(dirty, id)
-			delete(s.byID, id)
 		}
 		if m.Applied {
 			w.replays.Add(1)
@@ -713,11 +881,15 @@ func (s *Store) checkpointLocked(force bool) error {
 		return err
 	}
 	superseded := w.checkpointLSN
+	// Only the fields a checkpoint moves are stored: readers take the
+	// layout's geometry (disks, dims, page size) from s.manifest unlocked.
 	s.pmu.Lock()
-	s.manifest = m
+	s.manifest.Buckets, s.manifest.CheckpointLSN = m.Buckets, m.CheckpointLSN
+	s.dropTombstones(bks)
 	s.pmu.Unlock()
 	w.checkpointLSN = m.CheckpointLSN
 	w.pendingOps = 0
+	w.retireSuperseded()
 	if err := w.crashPoint(); err != nil {
 		return err
 	}
@@ -739,6 +911,33 @@ func (s *Store) checkpointLocked(force bool) error {
 		}
 	}
 	return nil
+}
+
+// dropTombstones removes the placements of buckets a merge retired — kept so
+// a reader that translated before the merge could still read them — once the
+// manifest just committed (live, its bucket list) no longer names them, and
+// supersedes their pages. A reader looking one up afterwards translated
+// before the merge, and its query translates again (Store.GridGen). Caller
+// holds w.mu and pmu.
+func (s *Store) dropTombstones(live []Placement) {
+	if len(s.byID) == len(live) {
+		return
+	}
+	named := make(map[int32]bool, len(live))
+	for _, pl := range live {
+		named[pl.ID] = true
+	}
+	var gone []int32
+	for id := range s.byID {
+		if !named[id] {
+			gone = append(gone, id)
+		}
+	}
+	slices.Sort(gone) // the order pages are reused in is a function of the operations
+	for _, id := range gone {
+		s.w.supersede(s.byID[id])
+		delete(s.byID, id)
+	}
 }
 
 // removeStrays deletes what a layout directory must not hand to its next
