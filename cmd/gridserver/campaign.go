@@ -25,7 +25,7 @@ func runCampaign(args []string, w io.Writer) error {
 	seed := fs.Int64("seed", 0, "campaign seed (default 1)")
 	schemes := fs.String("schemes", "", "comma-separated allocator names (default minimax,DM/D,HCAM/F)")
 	replicas := fs.String("replicas", "", "comma-separated replication factors (default 1,2)")
-	faults := fs.String("faults", "", "comma-separated fault axes: none, corrupt, kill-diskN, torn-diskN, or a fault spec (default none,kill-disk0,corrupt)")
+	faults := fs.String("faults", "", "comma-separated fault axes: none, corrupt, kill-diskN, torn-diskN, lose-diskN, or a fault spec (default none,kill-disk0,corrupt,lose-disk0)")
 	workloads := fs.String("workloads", "", "comma-separated workload axes: uniform, hotspot, points, scans (default uniform,hotspot)")
 	fs.Parse(args)
 

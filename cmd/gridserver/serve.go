@@ -44,9 +44,8 @@ func runServe(args []string) error {
 	pprof := fs.Bool("pprof", false, "expose /debug/pprof on the -http address")
 	faultSpec := fs.String("fault", "", "failpoint spec to arm at startup, e.g. store.read:err:p=0.05 (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault registry's reproducible schedules")
-	degraded := fs.Bool("degraded", true, "answer partially (with the degraded flag) when disks fail transiently, instead of erroring")
-	fetchRetries := fs.Int("fetch-retries", 2, "retries per transiently-failed disk batch (-1 disables)")
-	fetchBackoff := fs.Duration("fetch-backoff", 2*time.Millisecond, "base backoff between disk-batch retries")
+	degraded := fs.Bool("degraded", true, "answer partially (with the degraded flag) when a read fails and no replica can stand in, instead of erroring")
+	fetchRetries := fs.Int("fetch-retries", 2, "same-disk retries per disk batch an injected fault failed (-1 disables)")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", -1, "log traced queries at least this slow to stderr (0 logs every traced query, <0 disables the log)")
 	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read")
@@ -71,7 +70,6 @@ func runServe(args []string) error {
 		Faults:          reg,
 		Degraded:        *degraded,
 		FetchRetries:    *fetchRetries,
-		FetchBackoff:    *fetchBackoff,
 		TraceSample:     *traceSample,
 		TraceSlowLog:    *traceSlow >= 0,
 		TraceSlow:       max(*traceSlow, 0),

@@ -16,10 +16,10 @@ import (
 	"testing"
 )
 
-// testOnlyExports is the allow-list of TestNoTestOnlyExports: exported funcs
-// and methods of internal/* that no non-test file uses, each with the reason
-// it stays. An entry whose func has gained a user, or is gone, fails the test
-// too, so the list cannot rot.
+// testOnlyExports is the allow-list of TestNoTestOnlyExports: exported funcs,
+// methods, package-level vars and consts of internal/* that no non-test file
+// uses, each with the reason it stays. An entry whose declaration has gained
+// a user, or is gone, fails the test too, so the list cannot rot.
 var testOnlyExports = map[string]string{
 	// The paper's analytic results, stated as code and tested against
 	// enumeration; no experiment driver prints these particular ones.
@@ -52,9 +52,11 @@ var testOnlyExports = map[string]string{
 }
 
 // TestNoTestOnlyExports keeps internal/* cut to what is read: an exported
-// func or method there must be used by some non-test Go file, or carry a
-// reason in testOnlyExports. Production code that only tests call is how a
-// second framing API and a second percentile grew unnoticed (DESIGN S37).
+// func, method, package-level var or const there must be used by some
+// non-test Go file, or carry a reason in testOnlyExports. Production code
+// that only tests call is how a second framing API and a second percentile
+// grew unnoticed (DESIGN S37), and a failpoint site constant outlived the
+// last code that evaluated it (DESIGN S44).
 //
 // It type-checks the module's non-test files with go/types, so a use is a
 // use of that very func: a method is live when some non-test file calls it
@@ -110,11 +112,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	for _, obj := range imp.info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
-			used[fn.Origin()] = true
+			obj = fn.Origin()
 		}
+		used[obj] = true
 	}
 	// Interfaces a method can be reached through: the module's named ones,
 	// where some non-test file calls the method on the interface, and the
@@ -160,6 +163,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		for _, file := range files {
 			for _, d := range file.Decls {
+				if g, ok := d.(*ast.GenDecl); ok && (g.Tok == token.CONST || g.Tok == token.VAR) {
+					for _, spec := range g.Specs {
+						for _, name := range spec.(*ast.ValueSpec).Names {
+							if name.IsExported() && !used[imp.info.Defs[name]] {
+								dead[dir+"."+name.Name] = name.Pos()
+							}
+						}
+					}
+					continue
+				}
 				n, ok := d.(*ast.FuncDecl)
 				if !ok || !n.Name.IsExported() {
 					continue
@@ -194,7 +207,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for key, reason := range testOnlyExports {
 		if _, ok := dead[key]; !ok {
-			t.Errorf("testOnlyExports[%q] is stale: that func has a non-test user or no longer exists", key)
+			t.Errorf("testOnlyExports[%q] is stale: it has a non-test user or no longer exists", key)
 		}
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("testOnlyExports[%q] has no reason", key)

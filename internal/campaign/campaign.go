@@ -14,12 +14,14 @@
 // wall-clock latency (p99) out of the persisted report — it appears in the
 // rendered table but is never gated.
 //
-// Fault axes come in three flavors: none, registry-injected faults (a dead
-// disk, torn reads — see internal/fault), and physical page corruption,
-// which flips bits in the on-disk page files themselves so the per-page
-// checksums (store format 2) and the scrubber's repair-from-replica path
-// are exercised end to end. Corrupted layouts are restored from pristine
-// bytes between trials, so cells never contaminate each other.
+// Fault axes come in four flavors: none, registry-injected faults (a dead
+// disk, torn reads — see internal/fault), physical page corruption, which
+// flips bits in the on-disk page files themselves so the per-page checksums
+// (store format 2) and the scrubber's repair-from-replica path are exercised
+// end to end, and a lost disk, whose file is truncated to nothing under the
+// running server — a real read failure, not an injected one. Damaged layouts
+// are restored from pristine bytes between trials, so cells never
+// contaminate each other.
 package campaign
 
 import (
@@ -29,7 +31,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
@@ -42,7 +43,7 @@ import (
 )
 
 // Options configures a campaign. The zero value runs the default matrix:
-// 3 faults × 3 schemes × 2 workloads × r ∈ {1,2} = 36 cells, 2 trials each.
+// 4 faults × 3 schemes × 2 workloads × r ∈ {1,2} = 48 cells, 2 trials each.
 type Options struct {
 	// Records sizes the synthetic dataset (synth.Uniform2D). Default 900.
 	Records int
@@ -63,8 +64,8 @@ type Options struct {
 	// Replicas are the replication factors to sweep. Default 1, 2.
 	Replicas []int
 	// Faults are fault-axis names: "none", "corrupt", "kill-diskN",
-	// "torn-diskN" (N below Disks), or a raw internal/fault spec.
-	// Default none, kill-disk0, corrupt.
+	// "torn-diskN", "lose-diskN" (N below Disks), or a raw internal/fault
+	// spec. Default none, kill-disk0, corrupt, lose-disk0.
 	Faults []string
 	// Workloads are workload-axis names: "uniform", "hotspot", "points",
 	// "scans". Default uniform, hotspot.
@@ -97,7 +98,7 @@ func (o Options) withDefaults() Options {
 		o.Replicas = []int{1, 2}
 	}
 	if len(o.Faults) == 0 {
-		o.Faults = []string{"none", "kill-disk0", "corrupt"}
+		o.Faults = []string{"none", "kill-disk0", "corrupt", "lose-disk0"}
 	}
 	if len(o.Workloads) == 0 {
 		o.Workloads = []string{"uniform", "hotspot"}
@@ -106,11 +107,13 @@ func (o Options) withDefaults() Options {
 }
 
 // faultAxis is one resolved fault scenario: registry rules armed for every
-// trial, and/or physical page corruption applied before the server opens.
+// trial, and/or physical page corruption applied before the server opens,
+// and/or the disk file lose names truncated once it has.
 type faultAxis struct {
 	name    string
 	rules   []fault.Rule
 	corrupt bool
+	lose    string
 }
 
 func parseFaultAxis(name string, disks int) (faultAxis, error) {
@@ -119,16 +122,19 @@ func parseFaultAxis(name string, disks int) (faultAxis, error) {
 	case name == "none":
 	case name == "corrupt":
 		ax.corrupt = true
-	case strings.HasPrefix(name, "kill-disk"), strings.HasPrefix(name, "torn-disk"):
+	case strings.HasPrefix(name, "kill-disk"), strings.HasPrefix(name, "torn-disk"), strings.HasPrefix(name, "lose-disk"):
 		d, err := strconv.Atoi(name[len("kill-disk"):])
 		if err != nil || d < 0 || d >= disks {
 			return ax, fmt.Errorf("campaign: fault %q: bad disk number (the layout has %d disks)", name, disks)
 		}
-		kind := fault.KindError
-		if strings.HasPrefix(name, "torn-") {
-			kind = fault.KindTorn
+		switch name[:len("kill")] {
+		case "kill":
+			ax.rules = []fault.Rule{{Site: fault.StoreReadDiskSite(d), Kind: fault.KindError}}
+		case "torn":
+			ax.rules = []fault.Rule{{Site: fault.StoreReadDiskSite(d), Kind: fault.KindTorn}}
+		default:
+			ax.lose = store.DiskFileName(d)
 		}
-		ax.rules = []fault.Rule{{Site: fault.StoreReadDiskSite(d), Kind: kind}}
 	default:
 		rules, err := fault.Parse(name)
 		if err != nil {
@@ -167,7 +173,8 @@ func parseWorkloadAxis(name string) (workloadAxis, error) {
 }
 
 // layout is one on-disk layout shared by every cell of a (scheme, replicas)
-// pair, plus the pristine file bytes corruption cells restore from.
+// pair, plus the pristine file bytes corruption and lost-disk cells restore
+// from.
 type layout struct {
 	scheme   string
 	replicas int
@@ -347,13 +354,15 @@ func runCell(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl workloa
 }
 
 func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl workloadAxis, trial int, cell *Cell) error {
+	if fa.corrupt || fa.lose != "" {
+		// The scrubber repairs r>=2 layouts during the trial; restoring
+		// pristine bytes afterwards re-baselines r=1 layouts too.
+		defer func() { _ = l.restore() }()
+	}
 	if fa.corrupt {
 		if err := l.corrupt(); err != nil {
 			return err
 		}
-		// The scrubber repairs r>=2 layouts during the trial; restoring
-		// pristine bytes afterwards re-baselines r=1 layouts too.
-		defer func() { _ = l.restore() }()
 	}
 	reg := fault.NewRegistry(opts.Seed + int64(trial))
 	reg.Set(fa.rules...)
@@ -362,13 +371,19 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 		CacheBytes:      -1, // every query pays the full read path
 		VerifyChecksums: true,
 		FetchRetries:    1,
-		FetchBackoff:    time.Millisecond,
 		Faults:          reg,
 	})
 	if err != nil {
 		return err
 	}
 	defer s.Close()
+	// A lost disk goes once the server is up: Open refuses a layout whose
+	// files are shorter than its manifest says.
+	if fa.lose != "" {
+		if err := os.Truncate(filepath.Join(l.dir, fa.lose), 0); err != nil {
+			return err
+		}
+	}
 	cl, err := server.NewClient(server.ClientConfig{
 		Addr:    s.Addr().String(),
 		Retries: -1, // transport retries would re-run queries and skew counters

@@ -9,8 +9,8 @@ import (
 )
 
 // smallOpts is a reduced matrix that still spans every axis kind: a healthy
-// baseline, a dead disk, physical corruption; two allocator families; both
-// replication factors.
+// baseline, a dead disk, physical corruption, a lost disk file; two
+// allocator families; both replication factors.
 func smallOpts() Options {
 	return Options{
 		Records:   300,
@@ -20,7 +20,7 @@ func smallOpts() Options {
 		Seed:      1,
 		Schemes:   []string{"minimax", "DM/D"},
 		Replicas:  []int{1, 2},
-		Faults:    []string{"none", "kill-disk0", "corrupt"},
+		Faults:    []string{"none", "kill-disk0", "corrupt", "lose-disk0"},
 		Workloads: []string{"uniform"},
 	}
 }
@@ -59,7 +59,7 @@ func TestCampaignDeterministicAndSound(t *testing.T) {
 	if string(aj) != string(bj) {
 		t.Fatalf("same options, different reports:\n--- run A ---\n%s\n--- run B ---\n%s", aj, bj)
 	}
-	if want := 3 * 2 * 1 * 2; len(a.Cells) != want {
+	if want := 4 * 2 * 1 * 2; len(a.Cells) != want {
 		t.Fatalf("matrix has %d cells, want %d", len(a.Cells), want)
 	}
 
@@ -79,14 +79,14 @@ func TestCampaignDeterministicAndSound(t *testing.T) {
 			if c.Degraded != 0 || c.Failover != 0 || c.ScrubCorrupt != 0 {
 				t.Errorf("%s: healthy cell shows degraded=%d failover=%d corrupt=%d", key, c.Degraded, c.Failover, c.ScrubCorrupt)
 			}
-		case strings.HasPrefix(key, "kill-disk0|") && c.Replicas == 2:
+		case (strings.HasPrefix(key, "kill-disk0|") || strings.HasPrefix(key, "lose-disk0|")) && c.Replicas == 2:
 			if c.Failover == 0 {
 				t.Errorf("%s: dead disk with a replica never failed over", key)
 			}
 			if c.Degraded != 0 {
 				t.Errorf("%s: replicated cell degraded %d queries", key, c.Degraded)
 			}
-		case strings.HasPrefix(key, "kill-disk0|") && c.Replicas == 1:
+		case strings.HasPrefix(key, "kill-disk0|") || strings.HasPrefix(key, "lose-disk0|"):
 			if c.Degraded == 0 {
 				t.Errorf("%s: dead disk without a replica never degraded", key)
 			}
@@ -230,12 +230,12 @@ func TestCompareGating(t *testing.T) {
 // TestAxisParsing pins the axis-name grammar, including raw fault specs
 // passing through to internal/fault.
 func TestAxisParsing(t *testing.T) {
-	for _, name := range []string{"none", "corrupt", "kill-disk3", "torn-disk0", "store.read:err:p=0.5"} {
+	for _, name := range []string{"none", "corrupt", "kill-disk3", "torn-disk0", "lose-disk0", "store.read:err:p=0.5"} {
 		if _, err := parseFaultAxis(name, 4); err != nil {
 			t.Errorf("fault axis %q rejected: %v", name, err)
 		}
 	}
-	for _, name := range []string{"kill-diskX", "bogus", "store.read:maybe"} {
+	for _, name := range []string{"kill-diskX", "lose-disk4", "lose-diskx", "bogus", "store.read:maybe"} {
 		if _, err := parseFaultAxis(name, 4); err == nil {
 			t.Errorf("fault axis %q accepted", name)
 		}

@@ -33,6 +33,12 @@
 // Well-known site names are declared as constants here so the layers and
 // their tests agree on spelling; registering rules for unknown sites is
 // allowed (they simply never fire).
+//
+// An injected read error stands in for a real one, not for a class of its
+// own: the server fails over or degrades every read that failed while its
+// query was still live, whatever the error. IsInjected decides only the
+// same-disk retry: an injected fault may not fire again, while a corrupt or
+// missing page reads back the same.
 package fault
 
 import (
@@ -58,11 +64,6 @@ const (
 	// SiteStoreReadDisk is the per-disk variant: SiteStoreReadDisk + "3"
 	// guards only reads against disk 3. StoreReadDiskSite builds the name.
 	SiteStoreReadDisk = "store.read.disk"
-	// SiteServerFailover guards the server's replica-failover redirect: it
-	// is evaluated once per batch rerouted to a surviving owner disk, so
-	// chaos runs can stall the failover path or fail it outright (forcing
-	// the degraded fallback even on a replicated layout).
-	SiteServerFailover = "server.failover"
 	// SiteStoreWAL guards every journal append on the store's write path
 	// (one evaluation per owner-disk journal, before the fsync). An injected
 	// error aborts the mutation before it is acknowledged.

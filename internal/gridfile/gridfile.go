@@ -29,11 +29,6 @@ import (
 	"pgridfile/internal/geom"
 )
 
-// PageSize is the simulated disk page (bucket) size in bytes, matching the
-// paper's 4 KB buckets for the 2-D/3-D experiments. The 4-D SP-2 experiments
-// use 8 KB pages; callers set Config.BucketCapacity accordingly.
-const PageSize = 4096
-
 // Record is a multidimensional point plus an optional payload.
 type Record struct {
 	Key  geom.Point
@@ -46,8 +41,9 @@ type Config struct {
 	Dims int
 	// Domain is the data domain; keys outside it are rejected.
 	Domain geom.Rect
-	// BucketCapacity is the maximum number of records per bucket (>= 2).
-	// With 4 KB pages and fixed-size records this is PageSize/recordSize.
+	// BucketCapacity is the maximum number of records per bucket (>= 2):
+	// a page's size over the record size — the paper's buckets are 4 KB
+	// pages in the 2-D/3-D experiments and 8 KB in the 4-D SP-2 ones.
 	BucketCapacity int
 }
 

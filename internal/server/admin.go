@@ -24,12 +24,26 @@ func (s *Server) HTTPAddr() net.Addr {
 // Snapshot returns the server's current statistics.
 func (s *Server) Snapshot() Snapshot {
 	snap := s.met.snapshot(len(s.sem))
+	m := s.st.Manifest()
 	snap.Dims = s.st.Grid().Dims()
-	snap.Disks = s.st.Manifest().Disks
-	snap.Domain = s.st.Manifest().Domain
+	snap.Disks = m.Disks
+	snap.Domain = m.Domain
 	snap.Replicas = s.st.Replicas()
-	snap.DiskBytes = s.diskBytes
-	snap.WriteAmp = s.writeAmp
+	// Storage overhead as the disk files stand: every page they hold,
+	// against one copy of each bucket the last checkpoint placed.
+	if sizes, err := s.st.DiskSizes(); err == nil {
+		var total, unique int64
+		for _, n := range sizes {
+			total += n
+		}
+		for _, pl := range m.Buckets {
+			unique += int64(pl.Pages)
+		}
+		snap.DiskBytes = total * int64(m.PageBytes)
+		if unique > 0 {
+			snap.WriteAmp = float64(total) / float64(unique)
+		}
+	}
 	snap.FaultInjected = s.faults.Total()
 	if s.bcache != nil {
 		st := s.bcache.Stats()

@@ -194,7 +194,6 @@ func TestDegradedDiskKill(t *testing.T) {
 		Faults:       reg,
 		Degraded:     true,
 		FetchRetries: 1,
-		FetchBackoff: time.Millisecond,
 		CacheBytes:   -1,
 		HTTPAddr:     "127.0.0.1:0",
 	})

@@ -374,8 +374,9 @@ func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *r
 
 // knnQuery finds the k nearest stored points by growing a range box around
 // the key — the grid file's classic expanding-search strategy, executed
-// against the page store so every probe is real declustered I/O. Buckets
-// are fetched at most once per query.
+// against the page store so every probe is real declustered I/O. Each probe
+// translates and fetches through fetchTranslated, as every other verb does,
+// and reads only buckets no earlier probe read at the same grid generation.
 func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
 	grid := s.st.Grid()
 	dom := grid.Domain()
@@ -416,35 +417,28 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 				covers = false
 			}
 		}
-		tstart := s.traceNow(tr)
-		s.st.RLockGrid()
-		gen := s.st.GridGen()
-		ids := grid.BucketsInRange(q)
-		s.st.RUnlockGrid()
-		s.traceSince(tr, stageTranslate, tstart)
-		if gen != fetchedGen {
-			// A split or merge since the earlier probes: their buckets no
-			// longer fit together with this translation.
-			clear(fetched)
-			fetchedGen = gen
-		}
-		var fresh []int32
-		for _, id := range ids {
-			if _, ok := fetched[id]; !ok {
-				fresh = append(fresh, id)
+		// The probe reads only the buckets no earlier probe fetched — all of
+		// them again after a split or merge, whose buckets no longer fit
+		// together with the earlier probes'.
+		fi, err := s.fetchTranslated(ctx, qs, tr, func() error {
+			if gen := s.st.GridGen(); gen != fetchedGen {
+				clear(fetched)
+				fetchedGen = gen
 			}
-		}
-		recs := make([]geom.Flat, len(fresh))
-		fi, err := s.fetchBuckets(ctx, tr, fresh, recs)
-		moved := s.st.GridGen() != gen
-		if err != nil && (!moved || ctx.Err() != nil) {
+			ids := grid.BucketsInRangeAppend(q, qs.ids[:0])
+			qs.ids = ids[:0]
+			for _, id := range ids {
+				if _, ok := fetched[id]; !ok {
+					qs.ids = append(qs.ids, id)
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return Result{}, err
 		}
 		info.Buckets += fi.Buckets
 		info.Pages += fi.Pages
-		if moved {
-			continue // probe again at this radius; the next translation drops fetched
-		}
 		if fi.Degraded {
 			// Part of the probe is gone; the distance bound no longer
 			// proves anything, so stop expanding and return the best
@@ -455,8 +449,8 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 			}
 			covers = true
 		}
-		for i, id := range fresh {
-			fetched[id] = recs[i]
+		for i, id := range qs.ids {
+			fetched[id] = qs.recs[i]
 		}
 
 		var cands []cand

@@ -94,28 +94,18 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 	var joins []join
 	var leads map[int]*leadBatch // disk -> buckets this query must read
 	nleads := 0
-	hits := info.Buckets
-	for ; i < len(ids); i++ {
-		id := ids[i]
-		var r cache.AcquireResult
-		switch {
-		case haveFirst:
-			r, haveFirst = first, false
-		case s.bcache != nil:
-			r = s.bcache.Acquire(id)
-		default:
-			// No cache: every bucket is this query's own read.
-			r = cache.AcquireResult{Leader: true}
-		}
+	// take files bucket id, recs[idx], by the cache's answer for it: a hit
+	// is filled in, a join waits for its leader below, and a load this query
+	// leads goes into the batch of the disk it will be read from.
+	take := func(idx int, id int32, r cache.AcquireResult) error {
 		switch {
 		case r.Hit:
-			recs[i] = r.Rec
+			recs[idx] = r.Rec
 			info.Buckets++
-			hits++
-			continue
+			return nil
 		case !r.Leader:
-			joins = append(joins, join{i, id, r.Pending})
-			continue
+			joins = append(joins, join{idx, id, r.Pending})
+			return nil
 		}
 		pl, ok := s.st.Placement(id)
 		if !ok {
@@ -124,8 +114,7 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 			for _, b := range leads {
 				s.failLeads(b.loads, err)
 			}
-			s.traceSince(tr, stageCache, cacheStart)
-			return info, err
+			return err
 		}
 		disk := pl.Disk
 		if s.replicated {
@@ -145,21 +134,109 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 			leads[disk] = b
 		}
 		b.ids = append(b.ids, id)
-		b.idxs = append(b.idxs, i)
+		b.idxs = append(b.idxs, idx)
 		b.loads = append(b.loads, r.Pending)
 		nleads++
+		return nil
+	}
+	for ; i < len(ids); i++ {
+		var r cache.AcquireResult
+		switch {
+		case haveFirst:
+			r, haveFirst = first, false
+		case s.bcache != nil:
+			r = s.bcache.Acquire(ids[i])
+		default:
+			// No cache: every bucket is this query's own read.
+			r = cache.AcquireResult{Leader: true}
+		}
+		if err := take(i, ids[i], r); err != nil {
+			s.traceSince(tr, stageCache, cacheStart)
+			return info, err
+		}
 	}
 	s.traceSince(tr, stageCache, cacheStart)
-	tr.noteCache(hits, len(joins), nleads)
+	tr.noteCache(info.Buckets, len(joins), nleads)
 
-	// One batch per disk. The response channel is buffered for every lead
-	// bucket: outstanding batches always hold disjoint lead sets (a failed
-	// batch is regrouped only after its response is drained), so at most
-	// nleads responses can ever be in flight and disk workers never block
-	// on an abandoned query. The gather loop waits for every submitted batch
-	// (the workers answer expired contexts immediately). Leads of successful
-	// batches are completed by the disk workers; failed or never-submitted
-	// batches are completed here, after failover is exhausted.
+	// missedDisks records the disks of buckets lost while degraded mode
+	// absorbs the failure; the answer then covers only the surviving disks
+	// (a strict subset of the full result, never wrong records, because
+	// buckets are whole-disk resident).
+	var missedDisks map[int]bool
+	degrade := func(disk int) {
+		if missedDisks == nil {
+			missedDisks = make(map[int]bool)
+		}
+		missedDisks[disk] = true
+	}
+	for {
+		if err := s.readLeads(ctx, tr, leads, nleads, recs, &info, degrade); err != nil {
+			return info, err
+		}
+		leads, nleads = nil, 0
+
+		// Collect joined loads last: their leaders read in parallel with
+		// ours. A leader's failed read degrades this query too — the
+		// bucket's copies are what failed — but a load that failed for no
+		// copy's fault while this query is live was abandoned by its
+		// leader's query: the bucket goes round again, to be read by this
+		// query or joined anew. Waiting on a leader counts as cache time.
+		joinStart := s.traceNow(tr)
+		var orphans []join
+		var err error
+		for _, j := range joins {
+			rec, _, werr := j.p.Wait(ctx)
+			switch {
+			case werr == nil:
+				recs[j.idx] = rec
+				info.Buckets++
+			case ctx.Err() == nil && !copyFailed(ctx, werr):
+				orphans = append(orphans, j)
+			default:
+				if pl, ok := s.st.Placement(j.id); ok && s.cfg.Degraded && copyFailed(ctx, werr) {
+					degrade(pl.Disk)
+				} else {
+					err = werr
+				}
+			}
+			if err != nil {
+				break
+			}
+		}
+		s.traceSince(tr, stageCache, joinStart)
+		if err != nil {
+			return info, err
+		}
+		if len(orphans) == 0 {
+			break
+		}
+		joins = nil
+		for _, j := range orphans {
+			if err := take(j.idx, j.id, s.bcache.Acquire(j.id)); err != nil {
+				return info, err
+			}
+		}
+	}
+	if len(missedDisks) > 0 {
+		info.Degraded = true
+		info.MissedDisks = len(missedDisks)
+	}
+	return info, nil
+}
+
+// readLeads reads the buckets a query leads into recs: one batch per disk,
+// handed to the disk workers. A batch whose copies failed (copyFailed) fails
+// over bucket by bucket; a bucket no owner is left for is absorbed through
+// degrade, or fails the query. Leads of successful batches are completed by
+// the disk workers, every other lead here, before readLeads returns.
+func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBatch, nleads int,
+	recs []geom.Flat, info *QueryInfo, degrade func(int)) error {
+	// The response channel is buffered for every lead bucket: outstanding
+	// batches always hold disjoint lead sets (a failed batch is regrouped
+	// only after its response is drained), so at most nleads responses can
+	// ever be in flight and disk workers never block on an abandoned query.
+	// The gather loop waits for every submitted batch (the workers answer
+	// expired contexts immediately).
 	resp := make(chan fetchResp, nleads)
 	var err error
 	submitted := 0
@@ -176,32 +253,19 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 		s.st.AddLoad(disk, int64(len(b.ids)))
 		submitted++
 	}
-	// missedDisks records disks whose batches failed transiently while
-	// degraded mode absorbs the failure; the answer then covers only the
-	// surviving disks (a strict subset of the full result, never wrong
-	// records, because buckets are whole-disk resident). On a replicated
-	// layout failover comes first: bucketFailed tracks, PER BUCKET, the
-	// disks it has already failed on, and each failed bucket is rerouted to
-	// its least-loaded remaining owner. The exclusion set is per bucket, not
-	// per query: two unrelated batches failing on different disks must not
-	// condemn a third bucket that owns copies on both but never tried either
-	// — with transient (probabilistic) faults that would lose buckets a live
-	// owner could still serve. Each reroute excludes one more distinct owner,
-	// so a bucket fails over at most r-1 times before it is lost.
-	var missedDisks map[int]bool
-	degrade := func(disk int) {
-		if missedDisks == nil {
-			missedDisks = make(map[int]bool)
-		}
-		missedDisks[disk] = true
-	}
+	// bucketFailed tracks, PER BUCKET, the disks it has already failed on:
+	// two batches failing on different disks must not condemn a third bucket
+	// that owns copies on both but tried neither. Each reroute excludes one
+	// more distinct owner, so a bucket fails over at most r-1 times before
+	// it is lost.
 	var bucketFailed map[int32][]int
 	var nPrimary, nSecondary int64
 	for outstanding := submitted; outstanding > 0; {
 		r := <-resp
 		outstanding--
 		s.st.AddLoad(r.disk, -int64(len(r.ids)))
-		if r.err == nil {
+		switch {
+		case r.err == nil:
 			for k := range r.ids {
 				recs[r.idxs[k]] = r.recs[k]
 				info.Buckets++
@@ -216,29 +280,21 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 					}
 				}
 			}
-			continue
-		}
-		if s.replicated && err == nil && s.transientErr(ctx, r.err) {
+		case err == nil && copyFailed(ctx, r.err):
 			if bucketFailed == nil {
 				bucketFailed = make(map[int32][]int)
 			}
 			for _, id := range r.ids {
 				bucketFailed[id] = append(bucketFailed[id], r.disk)
 			}
-			if resubmitted := s.failOver(ctx, tr, resp, r, bucketFailed, degrade, &err); resubmitted > 0 {
-				outstanding += resubmitted
+			outstanding += s.failOver(ctx, tr, resp, r, bucketFailed, degrade, &err)
+		default:
+			// The query is over, or failing already: complete the leads
+			// with the error so followers unblock.
+			s.failLeads(r.loads, r.err)
+			if err == nil {
+				err = r.err
 			}
-			continue
-		}
-		// No failover route: complete the leads with the error so followers
-		// unblock, then absorb the failure (degraded) or surface it.
-		s.failLeads(r.loads, r.err)
-		if s.degradable(ctx, r.err) {
-			degrade(r.disk)
-			continue
-		}
-		if err == nil {
-			err = r.err
 		}
 	}
 	if nPrimary > 0 {
@@ -247,47 +303,18 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 	if nSecondary > 0 {
 		s.met.replicaReadsSecondary.Add(nSecondary)
 	}
-	if err != nil {
-		return info, err
-	}
-
-	// Collect joined loads last: their leaders read in parallel with ours.
-	// A leader's transient failure degrades this query too — the bucket's
-	// disk is what actually failed. Waiting on a leader counts as cache
-	// time: the bucket is being materialized by the cache's singleflight,
-	// not by this query's own I/O.
-	joinStart := s.traceNow(tr)
-	defer s.traceSince(tr, stageCache, joinStart)
-	for _, j := range joins {
-		rec, _, werr := j.p.Wait(ctx)
-		if werr != nil {
-			if s.degradable(ctx, werr) {
-				if pl, ok := s.st.Placement(j.id); ok {
-					degrade(pl.Disk)
-					continue
-				}
-			}
-			return info, werr
-		}
-		recs[j.idx] = rec
-		info.Buckets++
-	}
-	if len(missedDisks) > 0 {
-		info.Degraded = true
-		info.MissedDisks = len(missedDisks)
-	}
-	return info, nil
+	return err
 }
 
-// failOver reroutes one transiently failed batch to surviving owner disks:
+// failOver reroutes one batch whose copies failed to surviving owner disks:
 // each bucket is resubmitted to its least-loaded owner it has not yet failed
 // on (per bucketFailed) as its OWN single-bucket batch with a fresh retry
 // budget. The split is deliberate — failover is the last stop before losing
 // the bucket, and in the original coalesced batch one unlucky injected pread
 // fails every bucket riding along; independent retries make the per-bucket
 // survival odds (1-p)^attempts instead of (1-p)^(attempts·runs). Buckets
-// whose every owner already failed — and reroutes the failover failpoint
-// kills — are completed with the original error and absorbed as degraded (or
+// whose every owner already failed — at r = 1 the first failure does that —
+// are completed with the original error and absorbed as degraded (or
 // surfaced via *errp). It returns the number of batches resubmitted, which
 // the gather loop must keep waiting for.
 func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
@@ -297,27 +324,8 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 	for k, id := range r.ids {
 		tried := bucketFailed[id]
 		disk, ok := s.st.PickOwner(id, func(d int) bool { return slices.Contains(tried, d) })
-		if !ok {
-			lost = append(lost, r.loads[k])
-			continue
-		}
-		// The failover redirect is itself a failpoint site: chaos runs can
-		// stall it or kill it, forcing the pre-replication degraded fallback.
-		redirected := true
-		if inj, hit := s.faults.Eval(fault.SiteServerFailover); hit {
-			if inj.Delay > 0 && fault.Sleep(ctx, inj.Delay) != nil {
-				redirected = false
-			}
-			if inj.Err != nil {
-				redirected = false
-			}
-		}
-		if !redirected {
-			lost = append(lost, r.loads[k])
-			continue
-		}
 		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1]}
-		if !s.sched[disk].submit(fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}) {
+		if !ok || !s.sched[disk].submit(fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}) {
 			lost = append(lost, r.loads[k])
 			continue
 		}
@@ -327,7 +335,7 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 	}
 	if len(lost) > 0 {
 		s.failLeads(lost, r.err)
-		if s.degradable(ctx, r.err) {
+		if s.cfg.Degraded {
 			degrade(r.disk)
 		} else if *errp == nil {
 			*errp = r.err
@@ -336,26 +344,14 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 	return resubmitted
 }
 
-// transientErr reports whether a fetch failure is recoverable by reading
-// elsewhere — injected, a detected page checksum mismatch, or a copy that
-// missed its last write, with the query itself still live — and thus a
-// candidate for replica failover or degraded absorption. A checksum
-// failure or a missed write condemns ONE copy, not the bucket: a surviving
-// replica (or the scrubber's repair, or replay) still holds the records,
-// which is exactly what failover routes to. Structural failures (unknown
-// buckets, a manifest that disagrees with the page files) stay fatal.
-func (s *Server) transientErr(ctx context.Context, err error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	return fault.IsInjected(err) || store.IsChecksum(err) || errors.Is(err, store.ErrStaleCopy)
-}
-
-// degradable reports whether a fetch error may be absorbed into a partial
-// answer: degraded mode is on, the query itself is still live, and the
-// failure is transient.
-func (s *Server) degradable(ctx context.Context, err error) bool {
-	return s.cfg.Degraded && s.transientErr(ctx, err)
+// copyFailed is the one rule for a read that did not come back whole: while
+// the query's own context is live, any error but a context error — a short
+// read, EIO, a checksum mismatch, another bucket's page, a missed write, an
+// injected fault — failed the copy it read, which is then failed over to an
+// untried owner, absorbed as degraded, or returned. A context error means a
+// query (this one, or the leader it joined) gave up, not that a copy failed.
+func copyFailed(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // Per-disk I/O submission. Queries append to the disk's request ring and poke
@@ -492,12 +488,11 @@ func (s *Server) serveOne(disk int, req fetchReq) {
 }
 
 // fetchBatch runs one disk batch with the bounded retry/backoff policy. Only
-// transient failures are retried: injected faults (including torn reads,
-// which wrap fault.ErrInjected). Checksum mismatches are deliberately NOT retried
-// here — rereading the same corrupt copy returns the same bytes — but they
-// are transient to the gather loop, which fails them over to a surviving
-// replica. Structural corruption or unknown buckets fail immediately, and
-// an expired query stops retrying at once.
+// injected faults (torn reads among them, which wrap fault.ErrInjected) are
+// retried on the same disk: they model a fault that may not fire again, while
+// a corrupt, misdirected or missing page reads back the same. Every failure is
+// the gather loop's to fail over (copyFailed), and an expired query stops
+// retrying at once.
 func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trace, tm *store.Timing) ([]geom.Flat, int, error) {
 	for attempt := 1; ; attempt++ {
 		recs, pages, err := s.readBatch(ctx, disk, ids, tm)
@@ -509,7 +504,7 @@ func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trac
 		}
 		s.met.diskRetries.Add(1)
 		backoffStart := s.traceNow(tr)
-		serr := fault.Sleep(ctx, retryDelay(s.cfg.FetchBackoff, attempt))
+		serr := fault.Sleep(ctx, retryDelay(fetchBackoff, attempt))
 		s.traceSince(tr, stageBackoff, backoffStart)
 		if serr != nil {
 			return nil, 0, err
@@ -518,20 +513,11 @@ func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trac
 }
 
 // readBatch performs one disk's share of a query. A query whose deadline
-// already expired has abandoned the fetch; skipping the I/O (checked again
-// between simulated-latency sleeps) keeps its backlog from starving live
-// queries.
+// already expired has abandoned the fetch; skipping the I/O keeps its backlog
+// from starving live queries.
 func (s *Server) readBatch(ctx context.Context, disk int, ids []int32, tm *store.Timing) ([]geom.Flat, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
-	}
-	if s.cfg.slowFetch > 0 {
-		for range ids {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			time.Sleep(s.cfg.slowFetch)
-		}
 	}
 	recs := make([]geom.Flat, len(ids))
 	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)

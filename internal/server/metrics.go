@@ -86,7 +86,7 @@ type Metrics struct {
 	spansRead    atomic.Int64
 	gapPagesRead atomic.Int64
 	// Replica serving counters: buckets rerouted to a surviving owner after
-	// a transient disk failure, and buckets read from primary vs secondary
+	// a failed read of their copy, and buckets read from primary vs secondary
 	// copies (replicated layouts only; an unreplicated server leaves all
 	// three at zero).
 	replicaFailover       atomic.Int64

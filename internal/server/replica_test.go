@@ -2,9 +2,10 @@ package server
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
@@ -36,8 +37,8 @@ func replicaAllocators(t *testing.T) map[string]core.Allocator {
 }
 
 // newReplicatedServer lays out f with alloc at replication factor r and
-// serves it with the given config.
-func newReplicatedServer(t *testing.T, f *gridfile.File, g core.Grid, alloc core.Allocation, r int, cfg Config) *Server {
+// serves it with the given config; it returns the layout directory too.
+func newReplicatedServer(t *testing.T, f *gridfile.File, g core.Grid, alloc core.Allocation, r int, cfg Config) (*Server, string) {
 	t.Helper()
 	rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
 	if err != nil {
@@ -52,7 +53,46 @@ func newReplicatedServer(t *testing.T, f *gridfile.File, g core.Grid, alloc core
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s
+	return s, dir
+}
+
+// loseDisk truncates disk d's page file to nothing under a running server —
+// a real failure of every copy on it, not an injected one — and returns the
+// function that puts its bytes back.
+func loseDisk(t *testing.T, dir string, d int) (restore func()) {
+	t.Helper()
+	path := filepath.Join(dir, store.DiskFileName(d))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// fullAnswerWithout truncates each disk of dir in turn and requires the
+// full-domain count to stay complete and undegraded, failing over every
+// time: at r=2 a lost disk costs no answer, with degraded mode on or off.
+func fullAnswerWithout(t *testing.T, s *Server, cl *Client, dir string, f *gridfile.File, disks int) {
+	t.Helper()
+	for lose := 0; lose < disks; lose++ {
+		restore := loseDisk(t, dir, lose)
+		before := s.Snapshot().ReplicaFailover
+		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
+		if err != nil || info.Degraded || n != f.Len() {
+			t.Fatalf("disk %d truncated: count %d of %d, degraded=%v, err %v", lose, n, f.Len(), info.Degraded, err)
+		}
+		if s.Snapshot().ReplicaFailover == before {
+			t.Fatalf("disk %d truncated: the count never failed over", lose)
+		}
+		restore()
+	}
 }
 
 // TestReplicatedKillAnyDiskFullAnswers is the acceptance property of the
@@ -61,7 +101,8 @@ func newReplicatedServer(t *testing.T, f *gridfile.File, g core.Grid, alloc core
 // (non-degraded) answers — the failover path reroutes every batch that hits
 // the dead disk to the surviving owner. Degraded mode is ON, so a partial
 // answer would be a silent pass for the old behavior; the test demands the
-// stronger outcome.
+// stronger outcome. A disk whose file is truncated under the server — a real
+// read failure, not an injected one — is survived the same way.
 func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 	const disks = 4
 	datasets := map[string]*synth.Dataset{
@@ -81,11 +122,10 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 				t.Fatalf("%s/%s: %v", dsName, algName, err)
 			}
 			reg := fault.NewRegistry(1)
-			s := newReplicatedServer(t, f, g, alloc, 2, Config{
+			s, dir := newReplicatedServer(t, f, g, alloc, 2, Config{
 				Faults:       reg,
 				Degraded:     true,
 				FetchRetries: 1,
-				FetchBackoff: time.Millisecond,
 				CacheBytes:   -1, // every query does real injected I/O
 			})
 			cl := newTestClient(t, s, ClientConfig{})
@@ -109,6 +149,7 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 				}
 			}
 			reg.Clear()
+			fullAnswerWithout(t, s, cl, dir, f, disks)
 			snap := s.Snapshot()
 			if snap.Replicas != 2 {
 				t.Errorf("%s/%s: snapshot replicas = %d, want 2", dsName, algName, snap.Replicas)
@@ -129,8 +170,9 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 }
 
 // TestReplicatedFailoverWithoutDegradedMode proves failover is not a feature
-// of degraded serving: with Degraded off, a dead disk in an r=2 layout still
-// yields complete answers instead of hard errors.
+// of degraded serving: with Degraded off, a dead disk in an r=2 layout — an
+// injected kill, or any one disk file truncated — still yields complete
+// answers instead of hard errors.
 func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
 	const disks = 4
 	f, err := synth.Uniform2D(900, 3).Build()
@@ -144,10 +186,9 @@ func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
 	}
 	reg := fault.NewRegistry(1)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(2), Kind: fault.KindError})
-	s := newReplicatedServer(t, f, g, alloc, 2, Config{
+	s, dir := newReplicatedServer(t, f, g, alloc, 2, Config{
 		Faults:       reg,
 		FetchRetries: 1,
-		FetchBackoff: time.Millisecond,
 		CacheBytes:   -1,
 	})
 	cl := newTestClient(t, s, ClientConfig{})
@@ -160,6 +201,11 @@ func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
 	}
 	if snap := s.Snapshot(); snap.ReplicaFailover == 0 {
 		t.Error("no failovers recorded")
+	}
+	reg.Clear()
+	fullAnswerWithout(t, s, cl, dir, f, disks)
+	if snap := s.Snapshot(); snap.Errors != 0 {
+		t.Errorf("%d queries failed", snap.Errors)
 	}
 }
 
@@ -179,11 +225,10 @@ func TestReplicaMetricsExposition(t *testing.T) {
 	}
 	reg := fault.NewRegistry(1)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(0), Kind: fault.KindError})
-	s := newReplicatedServer(t, f, g, alloc, 2, Config{
+	s, _ := newReplicatedServer(t, f, g, alloc, 2, Config{
 		Faults:       reg,
 		Degraded:     true,
 		FetchRetries: 1,
-		FetchBackoff: time.Millisecond,
 		CacheBytes:   -1,
 		HTTPAddr:     "127.0.0.1:0",
 	})

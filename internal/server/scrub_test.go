@@ -44,6 +44,29 @@ func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, *store.M
 	return dir, m
 }
 
+// copyPage overwrites page to of disk toDisk with page from of disk
+// fromDisk: a write that landed on the wrong page.
+func copyPage(t *testing.T, dir string, fromDisk int, from int64, toDisk int, to int64, pageBytes int) {
+	t.Helper()
+	page := make([]byte, pageBytes)
+	src, err := os.Open(filepath.Join(dir, store.DiskFileName(fromDisk)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if _, err := src.ReadAt(page, from*int64(pageBytes)); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := os.OpenFile(filepath.Join(dir, store.DiskFileName(toDisk)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if _, err := dst.WriteAt(page, to*int64(pageBytes)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // flipPage XOR-damages one byte in the middle of a page file's page.
 func flipPage(t *testing.T, dir string, disk int, page int64, pageBytes int) {
 	t.Helper()
@@ -66,10 +89,11 @@ func flipPage(t *testing.T, dir string, disk int, page int64, pageBytes int) {
 
 // TestChecksumFailoverAndScrubRepair is the end-to-end integrity story on a
 // replicated layout: with read-time verification on, a query that hits a
-// corrupt primary copy fails over to the intact replica and still serves a
-// complete (non-degraded) answer; a scrub pass then detects and repairs the
-// corruption, the counters surface all of it, and a second pass finds the
-// layout clean.
+// corrupt primary copy — a flipped bit, or another bucket's intact page
+// written where this bucket's should be — fails over to the intact replica
+// and still serves a complete (non-degraded) answer; a scrub pass then
+// detects and repairs both, the counters surface all of it, and a second
+// pass finds the layout clean.
 func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	f, err := synth.Uniform2D(900, 3).Build()
 	if err != nil {
@@ -81,12 +105,14 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	// load-aware read selection prefers primaries, so queries will hit it.
 	victim := m.Buckets[0]
 	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], m.PageBytes)
+	misdirected, source := m.Buckets[1], m.Buckets[2]
+	copyPage(t, dir, source.OwnerDisks[0], source.OwnerPages[0],
+		misdirected.OwnerDisks[0], misdirected.OwnerPages[0], m.PageBytes)
 
 	s, err := OpenDir(dir, Config{
 		Degraded:        true,
 		VerifyChecksums: true,
 		CacheBytes:      -1,
-		FetchBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +133,8 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	if snap.ReplicaFailover == 0 {
-		t.Error("no failovers recorded — did verification miss the corrupt copy?")
+	if snap.ReplicaFailover < 6 {
+		t.Errorf("%d failovers, want >= 6 (two condemned copies, three queries) — did a read miss one?", snap.ReplicaFailover)
 	}
 	if snap.Errors != 0 || snap.Degraded != 0 {
 		t.Errorf("errors=%d degraded=%d, want 0/0", snap.Errors, snap.Degraded)
@@ -118,12 +144,12 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Corrupt != 1 || st.Repaired != 1 {
-		t.Fatalf("scrub corrupt=%d repaired=%d, want 1/1", st.Corrupt, st.Repaired)
+	if st.Corrupt != 2 || st.Repaired != 2 {
+		t.Fatalf("scrub corrupt=%d repaired=%d, want 2/2", st.Corrupt, st.Repaired)
 	}
 	snap = s.Snapshot()
-	if snap.ScrubPages == 0 || snap.ScrubCorrupt != 1 || snap.ScrubRepaired != 1 {
-		t.Fatalf("snapshot scrub counters pages=%d corrupt=%d repaired=%d, want >0/1/1",
+	if snap.ScrubPages == 0 || snap.ScrubCorrupt != 2 || snap.ScrubRepaired != 2 {
+		t.Fatalf("snapshot scrub counters pages=%d corrupt=%d repaired=%d, want >0/2/2",
 			snap.ScrubPages, snap.ScrubCorrupt, snap.ScrubRepaired)
 	}
 
@@ -134,7 +160,7 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	if st.Corrupt != 0 {
 		t.Fatalf("layout still corrupt after repair: %+v", st)
 	}
-	// The repaired primary serves again without failover or degradation.
+	// The repaired primaries serve again without failover or degradation.
 	if n, info, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil || info.Degraded || n != f.Len() {
 		t.Fatalf("post-repair query: n=%d degraded=%v err=%v", n, info.Degraded, err)
 	}
@@ -142,7 +168,9 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 
 // TestChecksumCorruptionDegradesUnreplicated pins the r=1 contract: a
 // corrupt page cannot be healed or rerouted, so with degraded mode on the
-// answer is partial — never an error, never silently wrong records.
+// answer is partial — never an error, never silently wrong records. A disk
+// file truncated under the server is the same story for every bucket on it,
+// and with degraded mode off it fails the query.
 func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	f, err := synth.Uniform2D(900, 3).Build()
 	if err != nil {
@@ -156,7 +184,6 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 		Degraded:        true,
 		VerifyChecksums: true,
 		CacheBytes:      -1,
-		FetchBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +207,22 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	}
 	if st.Corrupt != 1 || st.Repaired != 0 {
 		t.Fatalf("scrub corrupt=%d repaired=%d, want 1/0", st.Corrupt, st.Repaired)
+	}
+
+	strict, err := OpenDir(dir, Config{VerifyChecksums: true, CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer strict.Close()
+	gone := (victim.Disk + 1) % 4
+	loseDisk(t, dir, gone)
+	lost, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
+	if err != nil || !info.Degraded || info.MissedDisks != 2 || lost >= n {
+		t.Fatalf("disk %d truncated: count %d (was %d), degraded=%v missed=%d, err %v, want fewer, 2 disks missed",
+			gone, lost, n, info.Degraded, info.MissedDisks, err)
+	}
+	if _, _, err := newTestClient(t, strict, ClientConfig{}).RangeCountCtx(context.Background(), f.Domain()); err == nil {
+		t.Fatal("a truncated disk with degraded mode off did not fail the query")
 	}
 }
 

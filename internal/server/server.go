@@ -51,20 +51,17 @@ type Config struct {
 	// the admin verb always works; injection costs one atomic load until a
 	// rule is armed.
 	Faults *fault.Registry
-	// FetchRetries is how many times a failed disk batch is retried when
-	// the failure is transient (an injected fault).
-	// Default 2; -1 disables retries.
+	// FetchRetries is how many times a failed disk batch is retried on the
+	// same disk when the failure is an injected fault (backing off
+	// fetchBackoff, doubling). Default 2; -1 disables retries.
 	FetchRetries int
-	// FetchBackoff is the base of the exponential full-jitter backoff
-	// between batch retries. Default 2ms.
-	FetchBackoff time.Duration
-	// Degraded turns disk-level transient failures (after retries) into
+	// Degraded turns failed reads that no surviving copy could replace into
 	// partial answers — the response carries the degraded flag and a
 	// missed-disk count instead of an error. Off by default: the zero
 	// value preserves fail-fast behaviour.
 	Degraded bool
 	// VerifyChecksums validates every page's CRC-32C during decode. A
-	// detected mismatch is treated like a transient disk failure: the read
+	// detected mismatch fails the copy like any failed read: the read
 	// fails over to a surviving replica (r >= 2) or is absorbed as a
 	// degraded answer, instead of silently serving corrupt records.
 	VerifyChecksums bool
@@ -91,9 +88,6 @@ type Config struct {
 	// TraceLog receives slow-query lines; default os.Stderr.
 	TraceLog io.Writer
 
-	// slowFetch artificially delays every bucket fetch; test hook for
-	// exercising deadlines, admission control and shutdown under load.
-	slowFetch time.Duration
 	// clock is the time source behind latency and stage-trace measurement;
 	// test hook for deterministic timing assertions. Defaults to time.Now.
 	clock func() time.Time
@@ -108,6 +102,10 @@ type Config struct {
 // drainTimeout bounds how long Close waits for in-flight queries before
 // force-closing connections.
 const drainTimeout = 5 * time.Second
+
+// fetchBackoff is the base of the exponential full-jitter backoff between
+// same-disk retries of a batch.
+const fetchBackoff = 2 * time.Millisecond
 
 // scrubPause is slept between buckets within one background scrub pass,
 // keeping it low-priority next to live queries.
@@ -137,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FetchRetries < 0 {
 		c.FetchRetries = 0 // disabled
-	}
-	if c.FetchBackoff <= 0 {
-		c.FetchBackoff = 2 * time.Millisecond
 	}
 	if c.TraceLog == nil {
 		c.TraceLog = os.Stderr
@@ -186,12 +181,8 @@ type Server struct {
 	fetchWg  sync.WaitGroup
 
 	// replicated is st.Replicas() > 1: bucket reads choose the least-loaded
-	// owner disk and transient per-disk failures fail over to surviving
-	// owners before degrading. diskBytes/writeAmp describe the layout's
-	// storage overhead (computed once at startup, reported in STATS).
+	// owner disk.
 	replicated bool
-	diskBytes  int64
-	writeAmp   float64
 
 	traceSeq atomic.Uint64 // data-query counter driving trace sampling
 	traceMu  sync.Mutex    // serializes slow-query log lines
@@ -257,19 +248,6 @@ func newEngine(st *store.Store, cfg Config) *Server {
 		st.SetStaleHook(s.bcache.Invalidate)
 	}
 	s.replicated = st.Replicas() > 1
-	if sizes, err := st.DiskSizes(); err == nil {
-		var totalPages, uniquePages int64
-		for _, n := range sizes {
-			totalPages += n
-		}
-		for _, pl := range m.Buckets {
-			uniquePages += int64(pl.Pages)
-		}
-		s.diskBytes = totalPages * int64(m.PageBytes)
-		if uniquePages > 0 {
-			s.writeAmp = float64(totalPages) / float64(uniquePages)
-		}
-	}
 
 	// One I/O worker per disk file: fetches on the same disk serialize (one
 	// head per spindle, as in the paper's model) while distinct disks

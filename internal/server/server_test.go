@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/store"
@@ -421,18 +422,28 @@ func TestServerRejectsMalformedStream(t *testing.T) {
 	}
 }
 
-// TestServerDeadlines slows every bucket fetch down and proves a query
-// whose I/O cannot finish within the deadline is answered with an error
-// while the server stays healthy.
+// armed returns a failpoint registry with spec armed, for Config.Faults.
+func armed(t testing.TB, spec string) *fault.Registry {
+	t.Helper()
+	reg := fault.NewRegistry(1)
+	if err := reg.SetSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestServerDeadlines stalls one disk's reads and proves a query whose I/O
+// cannot finish within the deadline is answered with an error while the
+// server stays healthy.
 func TestServerDeadlines(t *testing.T) {
 	s, f := newTestServer(t, 600, 2, Config{
 		QueryTimeout: 100 * time.Millisecond,
-		slowFetch:    25 * time.Millisecond,
+		Faults:       armed(t, fault.StoreReadDiskSite(0)+":delay=150ms"),
 	})
 	cl := newTestClient(t, s, ClientConfig{Retries: -1})
 
-	// A full-domain range touches every bucket; two disks at 25ms per
-	// fetch cannot finish inside 60ms.
+	// A full-domain range touches every bucket; disk 0 stalls each read
+	// 150ms, past the 100ms deadline.
 	_, _, err := cl.RangeCtx(context.Background(), f.Domain())
 	var se *ServerError
 	if !errors.As(err, &se) {
@@ -442,9 +453,15 @@ func TestServerDeadlines(t *testing.T) {
 		t.Errorf("unexpected deadline message: %q", se.Msg)
 	}
 
-	// A single-bucket point query fits in the deadline; stats still serve.
+	// A single-bucket point query on the other disk fits in the deadline;
+	// stats still serve.
 	var key geom.Point
-	f.Scan(func(k []float64, _ []byte) bool { key = geom.Point{k[0], k[1]}; return false })
+	f.Scan(func(k []float64, _ []byte) bool {
+		key = geom.Point{k[0], k[1]}
+		id, _ := s.st.Grid().BucketAt(key)
+		pl, _ := s.st.Placement(id)
+		return pl.Disk == 0
+	})
 	if _, _, err := cl.PointCtx(context.Background(), key); err != nil {
 		t.Fatalf("single-bucket query after timeout: %v", err)
 	}
@@ -461,6 +478,45 @@ func TestServerDeadlines(t *testing.T) {
 	if snap.Rejected != 0 {
 		t.Errorf("mid-flight deadline expiry counted as %d admission rejections", snap.Rejected)
 	}
+
+	// A deadline belongs to its own query. A point query joins another's
+	// load of the same bucket while that read is stalled; the disk recovers,
+	// the leader's deadline passes with its read still stalled, and the
+	// follower — with time left — must read the bucket itself, not fail with
+	// the leader's expiry.
+	reg := fault.NewRegistry(1)
+	js, jf := newTestServer(t, 600, 2, Config{QueryTimeout: 300 * time.Millisecond, Faults: reg})
+	leaderCl := newTestClient(t, js, ClientConfig{Retries: -1})
+	followerCl := newTestClient(t, js, ClientConfig{Retries: -1})
+	jf.Scan(func(k []float64, _ []byte) bool { key = geom.Point{k[0], k[1]}; return false })
+	if err := reg.SetSpec("store.read:delay=10s"); err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := leaderCl.PointCtx(context.Background(), key)
+		leader <- err
+	}()
+	for reg.Total() == 0 { // the leader's read has its placement and stalls
+		time.Sleep(time.Millisecond)
+	}
+	reg.Clear()
+	time.Sleep(100 * time.Millisecond)
+	start := time.Now()
+	pts, _, err := followerCl.PointCtx(context.Background(), key)
+	if err != nil || len(pts) == 0 {
+		t.Errorf("follower of an abandoned load: %d records, %v (after %v)", len(pts), err, time.Since(start))
+	}
+	if err := <-leader; err == nil {
+		t.Error("the stalled leader answered within its deadline")
+	}
+	snap = js.Snapshot()
+	if snap.Cache == nil || snap.Cache.Shared == 0 {
+		t.Error("the follower never joined the stalled load")
+	}
+	if snap.Errors != 0 || snap.DeadlineExceeded != 1 {
+		t.Errorf("errors=%d deadline_exceeded=%d, want 0/1 (the leader's expiry alone)", snap.Errors, snap.DeadlineExceeded)
+	}
 }
 
 // TestServerAdmissionControl saturates a MaxInflight=1 server: with a
@@ -470,7 +526,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	s, f := newTestServer(t, 300, 2, Config{
 		MaxInflight:  1,
 		QueryTimeout: 2 * time.Second,
-		slowFetch:    5 * time.Millisecond,
+		Faults:       armed(t, "store.read:delay=5ms"),
 	})
 	var key geom.Point
 	f.Scan(func(k []float64, _ []byte) bool { key = geom.Point{k[0], k[1]}; return false })
@@ -497,7 +553,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	tight, fTight := newTestServer(t, 300, 2, Config{
 		MaxInflight:  1,
 		QueryTimeout: 30 * time.Millisecond,
-		slowFetch:    50 * time.Millisecond,
+		Faults:       armed(t, "store.read:delay=50ms"),
 	})
 	var wg2 sync.WaitGroup
 	rejected := make(chan struct{}, 4)
@@ -536,7 +592,7 @@ func TestServerAdmissionControl(t *testing.T) {
 // called complete and deliver their replies; new connections are refused
 // afterwards.
 func TestGracefulShutdown(t *testing.T) {
-	s, f := newTestServer(t, 400, 2, Config{slowFetch: 10 * time.Millisecond})
+	s, f := newTestServer(t, 400, 2, Config{Faults: armed(t, "store.read:delay=100ms")})
 
 	started := make(chan struct{}, 4)
 	results := make(chan error, 4)

@@ -71,7 +71,8 @@ func testKeys(dom geom.Rect, n int, seed int64) []geom.Point {
 // TestServerOnlineWrites drives INSERT and DELETE over the network: every
 // acknowledged insert is immediately visible to a point query (read-after-
 // write through the cache invalidation path), deletes remove exactly the
-// written records, and the STATS snapshot carries the write counters.
+// written records, and the STATS snapshot carries the write counters and
+// the disk files' size as it stands, not as it was at start-up.
 func TestServerOnlineWrites(t *testing.T) {
 	s := newWritableServer(t, 800, 4, 2, Config{})
 	cl := newTestClient(t, s, ClientConfig{Pipeline: 8})
@@ -84,6 +85,7 @@ func TestServerOnlineWrites(t *testing.T) {
 	for d, iv := range snap.Domain {
 		dom[d] = geom.Interval{Lo: iv[0], Hi: iv[1]}
 	}
+	start := snap
 
 	keys := testKeys(dom, 300, 21)
 	splits := 0
@@ -124,6 +126,23 @@ func TestServerOnlineWrites(t *testing.T) {
 	}
 	if snap.Cache != nil && snap.Cache.Invalidations == 0 {
 		t.Error("writes invalidated nothing in the cache")
+	}
+	// Shadow rewrites grew the disk files, and no checkpoint (one per 1024
+	// operations) has moved the placements on: more pages on disk per
+	// bucket page placed.
+	sizes, err := s.st.DiskSizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages int64
+	for _, n := range sizes {
+		pages += n
+	}
+	if want := pages * int64(s.st.Manifest().PageBytes); snap.DiskBytes != want || snap.DiskBytes <= start.DiskBytes {
+		t.Errorf("disk_bytes %d after %d inserts (%d at start), the files hold %d", snap.DiskBytes, len(keys), start.DiskBytes, want)
+	}
+	if snap.WriteAmp <= start.WriteAmp {
+		t.Errorf("write_amplification %g after %d inserts, %g at start", snap.WriteAmp, len(keys), start.WriteAmp)
 	}
 
 	for _, key := range keys {
@@ -314,9 +333,9 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 // window (DESIGN S39): a count that arrives after an insert was acknowledged
 // must not be answered from a bucket load another query began before the
 // insert. The first reader's disk batch resolves its placements and then
-// stalls in an injected pread delay — slowFetch would not do: it sleeps before
-// the placements are looked up, so the late read would see the new pages — the
-// insert lands and is acknowledged meanwhile (shadow paging leaves the old
+// stalls in an injected pread delay, which fires after the placements are
+// looked up (a stall before that would let the late read see the new pages);
+// the insert lands and is acknowledged meanwhile (shadow paging leaves the old
 // pages intact), and the second reader finds that load still in flight. It
 // used to join it and count the bucket as it was before the write.
 func TestReadAfterAckSkipsLoadBegunBeforeWrite(t *testing.T) {

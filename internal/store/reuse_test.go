@@ -400,7 +400,7 @@ func TestDiskFilesStayNearLive(t *testing.T) {
 }
 
 // TestReadOfMissedCopyIsRefused pins what a read of a copy whose rewrite
-// failed does: it is refused with ErrStaleCopy — whatever the pages there
+// failed does: it is refused with errStaleCopy — whatever the pages there
 // hold — PickOwner steers around it while another owner has the bucket, and
 // the next rewrite that reaches the disk clears it.
 func TestReadOfMissedCopyIsRefused(t *testing.T) {
@@ -427,8 +427,8 @@ func TestReadOfMissedCopyIsRefused(t *testing.T) {
 	reg.Clear()
 	id, _ = s.Grid().BucketAt(keys[0])
 	out := make([]geom.Flat, 1)
-	if _, err := s.ReadFlatsFromTimed(ctx, bad, []int32{id}, out, nil); !errors.Is(err, ErrStaleCopy) {
-		t.Fatalf("read of the copy that missed its write: %v, want ErrStaleCopy", err)
+	if _, err := s.ReadFlatsFromTimed(ctx, bad, []int32{id}, out, nil); !errors.Is(err, errStaleCopy) {
+		t.Fatalf("read of the copy that missed its write: %v, want errStaleCopy", err)
 	}
 	if d, ok := s.PickOwner(id, nil); !ok || d != good {
 		t.Fatalf("PickOwner = %d, %v; want the intact copy on disk %d", d, ok, good)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,15 +11,16 @@ import (
 
 // ScrubStats summarizes one scrub pass over a layout.
 type ScrubStats struct {
-	Pages    int64 // page copies whose checksum was verified
+	Pages    int64 // page copies verified
 	Corrupt  int64 // page copies that failed verification
 	Repaired int64 // corrupt copies rewritten from an intact replica and re-verified
 }
 
-// Scrub verifies every page copy of every bucket against its stored
-// CRC-32C and, where a copy is corrupt but another owner holds an intact
-// one, rewrites the damaged pages from the good copy in place — the repair
-// path that makes r >= 2 replication worth its write amplification. It is
+// Scrub verifies every page copy of every bucket the way a verifying read
+// does (checkPage: its stored CRC-32C, its bucket id, a plausible count) and,
+// where a copy is corrupt but another owner holds an intact one, rewrites
+// the damaged pages from the good copy in place — the repair path that
+// makes r >= 2 replication worth its write amplification. It is
 // the background-integrity analogue of the read-time verify flag: reads
 // catch corruption on the pages queries happen to touch, the scrubber
 // sweeps the rest.
@@ -32,7 +32,7 @@ type ScrubStats struct {
 // Each bucket's placement is looked up again when its turn comes and pinned
 // (pinPages) while it is scanned: on a writable store the pages a placement
 // named at the start of the pass may since hold another bucket. A copy that
-// missed its last write (ErrStaleCopy) is neither verified nor repaired from;
+// missed its last write (errStaleCopy) is neither verified nor repaired from;
 // replay rewrites it. Scrub reads the disk files directly (bypassing the failpoint
 // registry — it verifies the real bytes on disk, not the fault model) but
 // registers per-disk load on every owner disk for the whole of each
@@ -111,7 +111,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			}
 			for p := 0; p < pl.Pages; p++ {
 				st.Pages++
-				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), buf) {
+				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), buf, pl.ID, p) {
 					continue
 				}
 				st.Corrupt++
@@ -128,7 +128,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 				if slices.Contains(owners, i) || slices.Contains(pl.missed, d) {
 					continue
 				}
-				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), good) {
+				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), good, pl.ID, p) {
 					src = i
 					break
 				}
@@ -146,7 +146,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 				if _, err := fh.WriteAt(good, off); err != nil {
 					return fmt.Errorf("store: repairing bucket %d page %d on disk %d: %w", pl.ID, p, d, err)
 				}
-				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), buf) {
+				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), buf, pl.ID, p) {
 					st.Repaired++
 				}
 			}
@@ -180,14 +180,17 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 	return st, nil
 }
 
-// scrubReadPage reads one page copy directly from its disk file and reports
-// whether it is intact: readable, carrying the expected checksum. Short or
-// failed reads report false (the copy is unusable as-is). Load accounting is
-// the caller's job — Scrub holds a load unit per owner disk for the whole
-// bucket scan rather than per pread.
-func (s *Store) scrubReadPage(disk int, page int64, buf []byte) bool {
+// scrubReadPage reads page p of bucket id's copy directly from its disk file,
+// at file page page, and reports whether it is intact: readable, and passing
+// the read path's checkPage with the checksum verified — so a valid page of
+// another bucket is as corrupt here as a flipped bit. Short or failed reads
+// report false (the copy is unusable as-is). Load accounting is the caller's
+// job — Scrub holds a load unit per owner disk for the whole bucket scan
+// rather than per pread.
+func (s *Store) scrubReadPage(disk int, page int64, buf []byte, id int32, p int) bool {
 	if _, err := s.files[disk].ReadAt(buf, page*int64(s.manifest.PageBytes)); err != nil {
 		return false
 	}
-	return binary.LittleEndian.Uint32(buf[8:]) == pageChecksum(buf)
+	_, err := s.checkPage(buf, id, p, true)
+	return err == nil
 }

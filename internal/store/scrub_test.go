@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -59,7 +60,8 @@ func layoutPageCopies(m Manifest) []pageCopy {
 
 // TestScrubRepairsEveryPage is the scrubber's acceptance property: for every
 // allocator family, corrupt each physical page copy of an r=2 layout in turn
-// — alternating a mid-page bit flip with a torn (tail-zeroed) write — and
+// — rotating a mid-page bit flip, a torn (tail-zeroed) write and a
+// misdirected write (another bucket's intact page, checksum and all) — and
 // the scrubber must detect exactly that copy, repair it from the intact
 // replica, and leave every disk file byte-identical to its pristine state,
 // after which every bucket reads back clean under full checksum
@@ -108,7 +110,12 @@ func TestScrubRepairsEveryPage(t *testing.T) {
 			total := int64(len(copies))
 			ctx := context.Background()
 			for i, pc := range copies {
-				corruptPage(t, dir, pc, pageBytes, i%2 == 0)
+				if i%3 == 2 {
+					from := copies[slices.IndexFunc(copies, func(c pageCopy) bool { return c.bucket != pc.bucket })]
+					misdirectPage(t, dir, pc, from, pageBytes)
+				} else {
+					corruptPage(t, dir, pc, pageBytes, i%3 == 0)
+				}
 				st, err := s.Scrub(ctx, 0)
 				if err != nil {
 					t.Fatalf("page copy %v: scrub: %v", pc, err)
@@ -180,6 +187,32 @@ func corruptPage(t *testing.T, dir string, pc pageCopy, pageBytes int, flip bool
 	}
 }
 
+// misdirectPage overwrites page copy pc with page copy from — a write that
+// landed on the wrong page: intact in itself, but another bucket's.
+func misdirectPage(t *testing.T, dir string, pc, from pageCopy, pageBytes int) {
+	t.Helper()
+	if pc.bucket == from.bucket {
+		t.Fatalf("misdirecting bucket %d's page onto itself", pc.bucket)
+	}
+	page := make([]byte, pageBytes)
+	src, err := os.Open(filepath.Join(dir, DiskFileName(from.disk)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if _, err := src.ReadAt(page, from.page*int64(pageBytes)); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := os.OpenFile(filepath.Join(dir, DiskFileName(pc.disk)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if _, err := dst.WriteAt(page, pc.page*int64(pageBytes)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScrubWithoutReplicaDetectsButCannotRepair pins r=1 behavior: the
 // scrubber still finds the corruption (and keeps finding it) but has no
 // intact sibling to heal from, so the damage is counted, not hidden.
@@ -209,7 +242,7 @@ func TestScrubWithoutReplicaDetectsButCannotRepair(t *testing.T) {
 // TestVerifiedReadReportsChecksum pins what a read does with the corruption
 // the scrubber has not reached yet: with verification on, a flipped bit in
 // the record area fails the read — alone or inside a batch — with an error
-// that IsChecksum recognises and that is not mistaken for an injected fault.
+// that wraps errChecksum and that is not mistaken for an injected fault.
 func TestVerifiedReadReportsChecksum(t *testing.T) {
 	const pageBytes = 4096
 	dir, f, _ := buildLayout(t, 2, pageBytes)
@@ -225,7 +258,7 @@ func TestVerifiedReadReportsChecksum(t *testing.T) {
 
 	ctx := context.Background()
 	for name, ids := range map[string][]int32{"alone": {victim}, "in a batch": bucketIDs(f)} {
-		if _, _, err := readPrimaries(ctx, s, ids, nil); !IsChecksum(err) || fault.IsInjected(err) {
+		if _, _, err := readPrimaries(ctx, s, ids, nil); !errors.Is(err, errChecksum) || fault.IsInjected(err) {
 			t.Errorf("corrupt bucket read %s: err=%v, want a checksum mismatch", name, err)
 		}
 	}

@@ -83,20 +83,15 @@ func pageChecksum(page []byte) uint32 {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrChecksum reports a page whose stored CRC-32C does not match its
-// contents. It is wrapped by decode errors so callers can distinguish
-// detected corruption (recoverable from another replica) from structural
-// manifest/layout disagreements.
-var ErrChecksum = errors.New("page checksum mismatch")
+// errChecksum reports a page whose stored CRC-32C does not match its
+// contents; checkPage wraps it.
+var errChecksum = errors.New("page checksum mismatch")
 
-// IsChecksum reports whether err stems from a page checksum mismatch.
-func IsChecksum(err error) bool { return errors.Is(err, ErrChecksum) }
-
-// ErrStaleCopy reports a read of a bucket copy whose last rewrite failed to
+// errStaleCopy reports a read of a bucket copy whose last rewrite failed to
 // reach its disk: its pages may hold another bucket's records or an older
-// version of this one. Like a checksum mismatch it condemns one copy, not the
+// version of this one. Like any failed read it condemns one copy, not the
 // bucket — another owner may hold it whole, and replay rewrites it.
-var ErrStaleCopy = errors.New("copy missed its last write")
+var errStaleCopy = errors.New("copy missed its last write")
 
 // Placement locates one bucket in the layout. Every owner disk stores a copy
 // of the bucket: OwnerDisks[i] holds a copy whose pages start at
@@ -665,7 +660,7 @@ func (s *Store) Owners(id int32) []int {
 
 // PickOwner returns the least-loaded owner disk for one bucket, skipping
 // disks for which exclude returns true (nil excludes nothing) and copies that
-// missed their last write (ErrStaleCopy). Load is the
+// missed their last write (errStaleCopy). Load is the
 // in-flight read count maintained by readAt plus whatever queue depth the
 // caller registered with AddLoad; ties prefer the earlier replica level, so
 // an idle store reads primaries. ok is false when the bucket is unknown or
@@ -712,6 +707,27 @@ func getBuf(n int) []byte {
 
 func putBuf(b []byte) { bufPool.Put(&b) }
 
+// checkPage is the one test of a page read from disk, for decode and scrub
+// alike: page p of bucket id must carry its checksum (checked when verify is
+// set), the bucket's id and a record count that fits the page. It returns the
+// count.
+func (s *Store) checkPage(page []byte, id int32, p int, verify bool) (int, error) {
+	if verify {
+		if got, want := binary.LittleEndian.Uint32(page[8:]), pageChecksum(page); got != want {
+			return 0, fmt.Errorf("store: bucket %d page %d: %w (stored %08x, computed %08x)",
+				id, p, errChecksum, got, want)
+		}
+	}
+	if got := int32(binary.LittleEndian.Uint32(page[0:])); got != id {
+		return 0, fmt.Errorf("store: page %d of bucket %d holds bucket %d", p, id, got)
+	}
+	n := int(binary.LittleEndian.Uint32(page[4:]))
+	if n < 0 || pageHeaderBytes+n*8*s.manifest.Dims > len(page) {
+		return 0, fmt.Errorf("store: bucket %d page %d has implausible count %d", id, p, n)
+	}
+	return n, nil
+}
+
 // decodeBucketFlat validates and decodes one bucket's pages from data
 // (exactly pl.Pages consecutive pages) into arena form: one freshly
 // allocated flat coordinate array — a single allocation regardless of
@@ -732,19 +748,9 @@ func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
 	k := 0 // coordinates decoded so far
 	for p := 0; p < pl.Pages; p++ {
 		page := data[p*pageBytes : (p+1)*pageBytes]
-		if s.verify {
-			if got, want := binary.LittleEndian.Uint32(page[8:]), pageChecksum(page); got != want {
-				return geom.Flat{}, fmt.Errorf("store: bucket %d page %d: %w (stored %08x, computed %08x)",
-					pl.ID, p, ErrChecksum, got, want)
-			}
-		}
-		gotID := int32(binary.LittleEndian.Uint32(page[0:]))
-		if gotID != pl.ID {
-			return geom.Flat{}, fmt.Errorf("store: page %d of bucket %d holds bucket %d", p, pl.ID, gotID)
-		}
-		n := int(binary.LittleEndian.Uint32(page[4:]))
-		if n < 0 || pageHeaderBytes+n*8*dims > pageBytes {
-			return geom.Flat{}, fmt.Errorf("store: bucket %d page %d has implausible count %d", pl.ID, p, n)
+		n, err := s.checkPage(page, pl.ID, p, s.verify)
+		if err != nil {
+			return geom.Flat{}, err
 		}
 		if k+n*dims > ncoords {
 			return geom.Flat{}, fmt.Errorf("store: bucket %d holds at least %d records, manifest says %d",
@@ -831,8 +837,8 @@ func (s *Store) inject(ctx context.Context, site, diskSite string) (torn bool, e
 // injected error aborts the read, and a torn injection lets the read
 // complete but destroys the last page's header so decode validation fails —
 // modelling a partial write/read that delivered garbage past some point.
-// It reports whether the buffer was torn so callers can classify the decode
-// failure as transient.
+// It reports whether the buffer was torn so callers can report the decode
+// failure as an injected fault, which the server retries on the same disk.
 func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (torn bool, err error) {
 	s.loads[disk].Add(1)
 	defer s.loads[disk].Add(-1)
@@ -945,7 +951,7 @@ var plScratchPool = sync.Pool{New: func() any {
 // nil ctx is treated as background. The return value is the number of wanted
 // pages read — the I/O the paper's response-time metric charges. The cost
 // and the planner's counts accumulate into tm (nil disables both). A copy
-// that missed its last write is refused with ErrStaleCopy. Safe for
+// that missed its last write is refused with errStaleCopy. Safe for
 // concurrent use: positioned reads only, and on a writable store the pages
 // looked up stay pinned (pinPages) until the last pread has returned.
 func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, out []geom.Flat, tm *Timing) (int, error) {
@@ -961,7 +967,7 @@ func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, o
 			break
 		}
 		if slices.Contains(pl.missed, disk) {
-			err = fmt.Errorf("store: bucket %d on disk %d: %w", id, disk, ErrStaleCopy)
+			err = fmt.Errorf("store: bucket %d on disk %d: %w", id, disk, errStaleCopy)
 			break
 		}
 		if pl, ok = placementOn(pl, disk); !ok {

@@ -64,7 +64,7 @@ import (
 // all-owner-journals commit rule). A page-write failure after the journal
 // committed does NOT un-acknowledge the operation. The copy it missed is
 // remembered (Placement.missed) until a later rewrite writes it whole: reads
-// steer around it and one that lands on it fails with ErrStaleCopy, which the
+// steer around it and one that lands on it fails with errStaleCopy, which the
 // server fails over (r >= 2) or absorbs as degraded — the pages there may be
 // another bucket's, or an older version of this one. Checkpoints are withheld
 // so the journals keep the redo, and replay rewrites every copy on the next
