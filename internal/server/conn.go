@@ -59,15 +59,22 @@ func (s *Server) dropConn(c net.Conn) {
 }
 
 // respBufPool pools fully encoded response frames on their way from a
-// dispatching goroutine to the connection writer. Buffers above
-// maxPooledRespBuf are dropped on return so one huge point-set reply cannot
-// pin memory for the life of the pool.
+// dispatching goroutine to the connection writer, the frames a connection
+// reads, and the pipelined client's reply buffers. A buffer is kept across
+// queries up to maxPooledRespBuf; one above it is dropped on return.
 var respBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
 }}
 
-const maxPooledRespBuf = 64 << 10
+// maxPooledRespBuf is the retention cap: one whole reply frame — the length
+// prefix, a pipelining envelope, MaxFrameBytes — and the trailer's room that
+// resultEncoder.reserve asks for on top. So any single answer's buffer is
+// kept and reused, and only a pipelined worker's buffer holding several
+// replies at once is dropped. A smaller cap drops the buffer of every answer
+// above it, to be allocated and cleared anew by the next; DESIGN S45 has the
+// measurements the cap was chosen from.
+const maxPooledRespBuf = MaxFrameBytes + 64
 
 func getRespBuf() *[]byte { return respBufPool.Get().(*[]byte) }
 

@@ -16,12 +16,14 @@ import (
 )
 
 // qstate is the pooled per-query scratch: the decoded request plus the
-// bucket-id and arena-record slices query execution scans over. Pooling it
-// keeps the steady-state serving path allocation-free.
+// bucket-id and arena-record slices query execution scans over, and the
+// scan's per-bucket covers. Pooling it keeps the steady-state serving path
+// allocation-free.
 type qstate struct {
-	req  Request
-	ids  []int32
-	recs []geom.Flat
+	req    Request
+	ids    []int32
+	recs   []geom.Flat
+	covers []geom.Cover
 }
 
 var qstatePool = sync.Pool{New: func() any { return new(qstate) }}
@@ -303,7 +305,7 @@ func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 	if countOnly {
 		enc = nil
 	}
-	res.Count, err = scanBuckets(qs.recs, q, enc)
+	res.Count, err = scanBuckets(qs.recs, q, enc, &qs.covers)
 	return res, err
 }
 
@@ -317,18 +319,27 @@ func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 // skipped, and only a bucket on the query's boundary, or one with no box,
 // pays the per-row test. A grid file's range query mostly meets the first
 // kind. Zero Flats (what a degraded fetch leaves) scan as empty.
-func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder) (int, error) {
-	if enc != nil {
-		rows := 0
-		for _, rec := range recs {
+//
+// The buckets are decided first, into the scratch *covers, so that the
+// answer buffer is reserved once for the rows of every bucket the query does
+// not miss — the most the scan can emit — and not for buckets it skips
+// (DESIGN S45).
+func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder, covers *[]geom.Cover) (int, error) {
+	cs := slices.Grow((*covers)[:0], len(recs))[:len(recs)]
+	*covers = cs
+	rows := 0
+	for i, rec := range recs {
+		if cs[i] = rec.Cover(q); cs[i] != geom.Outside {
 			rows += rec.Len()
 		}
+	}
+	if enc != nil {
 		enc.reserve(rows)
 	}
 	count := 0
-	for _, rec := range recs {
+	for i, rec := range recs {
 		n := rec.Len()
-		switch rec.Cover(q) {
+		switch cs[i] {
 		case geom.Outside:
 		case geom.Inside:
 			count += n

@@ -2,16 +2,22 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"pgridfile/internal/geom"
 )
 
 // FuzzCodec feeds arbitrary bytes through the frame reader and request
 // decoder, and round-trips whatever decodes cleanly: decode → encode →
-// decode must be a fixed point. This is the protocol's safety net against
-// malformed, truncated and hostile frames.
+// decode must be a fixed point. Every frame read is also decoded as an
+// answer, and DecodeResultInto must agree with referenceDecodeResult on it.
+// This is the protocol's safety net against malformed, truncated and hostile
+// frames.
 func FuzzCodec(f *testing.F) {
 	seed := []Request{
 		{Verb: VerbPoint, Key: geom.Point{1.5, -2.5}},
@@ -38,11 +44,25 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	// Answers at the frame limit, which is also the pool's retention cap: the
+	// largest 2-D answer that fits and one row more, which ReadFrame refuses;
+	// and a count that claims one row more than the payload holds, so the
+	// rows run into the trailer.
+	const fit = (MaxFrameBytes - 1 - 6 - resultInfoBytes) / 16
+	f.Add(pointsWire(fit, fit))
+	f.Add(pointsWire(fit+1, fit+1))
+	f.Add(pointsWire(3, 4))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := ReadFrame(bytes.NewReader(raw))
 		if err != nil {
 			return // malformed frames must error, never panic
+		}
+		// Read as an answer, bare or in its envelope, the frame must get the
+		// reference decoder's verdict.
+		checkDecodersAgree(t, fr)
+		if _, inner, err := UnwrapTagged(fr); err == nil {
+			checkDecodersAgree(t, inner)
 		}
 		req, err := DecodeRequest(fr)
 		if err != nil {
@@ -178,6 +198,27 @@ func FuzzBatchFraming(f *testing.F) {
 	})
 }
 
+// pointsWire writes a bare VerbPoints wire frame by hand — rows 2-D points
+// under a header that claims `claimed` of them — without the encoder's checks,
+// so the length prefix may pass MaxFrameBytes and the count may lie.
+func pointsWire(rows, claimed int) []byte {
+	w := wbuf{b: make([]byte, 4, 4+1+6+16*rows+resultInfoBytes)}
+	w.u8(uint8(VerbPoints))
+	w.u16(2)
+	w.u32(uint32(claimed))
+	for i := 0; i < rows; i++ {
+		w.f64(float64(i))
+		w.f64(-0.5 * float64(i))
+	}
+	w.u32(uint32(rows)) // buckets
+	w.u32(1)            // pages
+	w.u64(1500)         // elapsed
+	w.u8(0)             // flags
+	w.u16(0)            // missed disks
+	binary.LittleEndian.PutUint32(w.b, uint32(len(w.b)-4))
+	return w.b
+}
+
 func mustResultFrame(f *testing.F, verb Verb, res Result) Frame {
 	f.Helper()
 	fr, err := encodeResult(verb, res)
@@ -266,8 +307,11 @@ func FuzzDegradedCodec(f *testing.F) {
 	// serving path's incremental encoder produces — AppendResult cannot,
 	// because it derives dims from the rows it is given.
 	f.Add(uint8(VerbPoints), emptyPointsFrame(f, 3).Payload)
+	// A count that claims one row more than the payload holds.
+	f.Add(uint8(VerbPoints), pointsWire(3, 4)[5:])
 
 	f.Fuzz(func(t *testing.T, verb uint8, payload []byte) {
+		checkDecodersAgree(t, Frame{Verb: Verb(verb), Payload: payload})
 		res, err := DecodeResult(Frame{Verb: Verb(verb), Payload: payload})
 		if err != nil {
 			return // malformed results must error, never panic
@@ -287,6 +331,99 @@ func FuzzDegradedCodec(f *testing.F) {
 			t.Fatalf("round trip not a fixed point:\n%+v\n%+v", res, res2)
 		}
 	})
+}
+
+// referenceDecodeResult is the answer decoder DecodeResultInto replaced: every
+// coordinate read through rbuf.f64, with its bounds check and error test per
+// value. FuzzCodec and FuzzDegradedCodec hold the one-pass decoder to it —
+// the same points, count, info and write fields, and the same error — on
+// every input.
+func referenceDecodeResult(f Frame) (Result, error) {
+	var res Result
+	r := rbuf{b: f.Payload}
+	switch f.Verb {
+	case VerbPoints:
+		dims := int(r.u16())
+		n := int(r.u32())
+		if r.err == nil {
+			if dims > maxDims {
+				return Result{}, fmt.Errorf("server: implausible dimensionality %d", dims)
+			}
+			if dims == 0 && n > 0 {
+				return Result{}, errors.New("server: zero-dimensional points")
+			}
+			if need := n * dims * 8; need > len(r.b) {
+				return Result{}, errors.New("server: short point payload")
+			}
+		}
+		if r.err == nil && n > 0 {
+			arena := make([]float64, n*dims)
+			for i := range arena {
+				arena[i] = r.f64()
+			}
+			for i := 0; i < n; i++ {
+				res.Points = append(res.Points, geom.Point(arena[i*dims:(i+1)*dims:(i+1)*dims]))
+			}
+		}
+		res.Count = len(res.Points)
+	case VerbCount:
+		res.Count = int(r.u32())
+	case VerbWriteOK:
+		applied := r.u8()
+		res.Splits = int(r.u16())
+		if r.err == nil && applied > 1 {
+			return Result{}, fmt.Errorf("server: bad applied flag 0x%02x", applied)
+		}
+		res.Applied = applied == 1
+	default:
+		return Result{}, fmt.Errorf("server: not a result verb: 0x%02x", uint8(f.Verb))
+	}
+	res.Info.Buckets = int(r.u32())
+	res.Info.Pages = int(r.u32())
+	res.Info.Elapsed = time.Duration(r.u64())
+	flags := r.u8()
+	missed := int(r.u16())
+	if err := r.done(); err != nil {
+		return Result{}, err
+	}
+	if flags > 1 {
+		return Result{}, fmt.Errorf("server: unknown result flags 0x%02x", flags)
+	}
+	res.Info.Degraded = flags&1 != 0
+	res.Info.MissedDisks = missed
+	if res.Info.Degraded != (missed > 0) {
+		return Result{}, fmt.Errorf("server: inconsistent degraded info (flags=0x%02x missed=%d)",
+			flags, missed)
+	}
+	return res, nil
+}
+
+// checkDecodersAgree decodes f with DecodeResultInto — into a Result that
+// already holds an earlier answer, as a client's does — and with
+// referenceDecodeResult, and fails unless both refuse it with the same error
+// or both accept it with the same result.
+func checkDecodersAgree(t *testing.T, f Frame) {
+	t.Helper()
+	want, wantErr := referenceDecodeResult(f)
+	got := Result{Points: []geom.Point{{9, 9, 9}}, Count: 1, Applied: true, Splits: 3,
+		Info:  QueryInfo{Buckets: 5, Degraded: true, MissedDisks: 1},
+		arena: []float64{9, 9, 9}}
+	gotErr := DecodeResultInto(f, &got)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("verb 0x%02x, %d-byte payload: decoder says %v, reference says %v",
+			uint8(f.Verb), len(f.Payload), gotErr, wantErr)
+	}
+	if gotErr != nil || resultsEqual(got, want) {
+		return
+	}
+	for i := range min(len(got.Points), len(want.Points)) {
+		if !resultsEqual(Result{Points: got.Points[i : i+1]}, Result{Points: want.Points[i : i+1]}) {
+			t.Fatalf("verb 0x%02x: decoders disagree on point %d of %d: %v, reference %v",
+				uint8(f.Verb), i, len(want.Points), got.Points[i], want.Points[i])
+		}
+	}
+	got.Points, got.arena, want.Points = nil, nil, nil
+	t.Fatalf("verb 0x%02x: decoders disagree (points aside):\n got %+v\nwant %+v", uint8(f.Verb), got, want)
 }
 
 func resultsEqual(a, b Result) bool {

@@ -692,9 +692,14 @@ func (e *resultEncoder) room(rows int) bool {
 
 // reserve grows the buffer once for an answer of up to rows records and its
 // trailer, so that the scan's appends never regrow it. It asks for no more
-// than a frame may hold: an answer past that is refused, not sent.
+// than a frame may hold: an answer past that is refused, not sent. The new
+// buffer is exactly that large — not the doubling append would pick — so a
+// single answer's buffer never outgrows the pool's retention cap.
 func (e *resultEncoder) reserve(rows int) {
-	e.buf = slices.Grow(e.buf, min(rows*e.dims*8, MaxFrameBytes)+resultInfoBytes)
+	need := min(rows*e.dims*8, MaxFrameBytes) + resultInfoBytes
+	if cap(e.buf)-len(e.buf) < need {
+		e.buf = append(make([]byte, 0, len(e.buf)+need), e.buf...)
+	}
 }
 
 // appendRow appends one record's coordinates. row must have exactly dims
@@ -757,23 +762,26 @@ func DecodeResultInto(f Frame, res *Result) error {
 				return errors.New("server: short point payload")
 			}
 		}
-		// The size pre-check above guarantees the reads below cannot come up
-		// short once the header parsed, so the fill loop needs no per-value
-		// error checks.
+		// The size pre-check above is the answer's one bounds check: the rows
+		// are taken in one piece, decoded by a plain little-endian loop into
+		// the arena, and the point headers sliced from it (DESIGN S45).
 		if r.err == nil && n > 0 {
 			need := n * dims
+			src := r.take(8 * need)
 			if cap(res.arena) < need {
 				res.arena = make([]float64, need)
 			}
 			arena := res.arena[:need]
 			for i := range arena {
-				arena[i] = r.f64()
+				arena[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+				src = src[8:]
 			}
 			if cap(res.Points) < n {
-				res.Points = make([]geom.Point, 0, n)
+				res.Points = make([]geom.Point, n)
 			}
-			for i := 0; i < n; i++ {
-				res.Points = append(res.Points, geom.Point(arena[i*dims:(i+1)*dims:(i+1)*dims]))
+			res.Points = res.Points[:n]
+			for i := range res.Points {
+				res.Points[i] = arena[i*dims : (i+1)*dims : (i+1)*dims]
 			}
 		}
 		res.Count = len(res.Points)

@@ -103,6 +103,7 @@ func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 			}
 
 			branches := map[geom.Cover]int{}
+			var covers []geom.Cover // the scratch, reused across queries as a pooled qstate's is
 			for _, q := range queries {
 				var want []geom.Point
 				for _, rec := range recs {
@@ -113,11 +114,11 @@ func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 						}
 					}
 				}
-				if n, err := scanBuckets(recs, q, nil); err != nil || n != len(want) {
+				if n, err := scanBuckets(recs, q, nil, &covers); err != nil || n != len(want) {
 					t.Fatalf("%v: counted %d (%v), row predicate says %d", q, n, err, len(want))
 				}
 				enc := newResultEncoder(nil, dims)
-				n, err := scanBuckets(recs, q, &enc)
+				n, err := scanBuckets(recs, q, &enc, &covers)
 				if err != nil || n != len(want) || enc.count() != n {
 					t.Fatalf("%v: returned %d rows, encoded %d (%v), row predicate says %d", q, n, enc.count(), err, len(want))
 				}

@@ -44,8 +44,9 @@
 #                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
 #                  (FuzzRead), layout manifests (FuzzManifest) and the
 #                  write-ahead journal reader (FuzzJournalReplay)
-#   6. alloc test  internal/server TestAllocBudget without the race detector
-#                  (it is built out under -race: sync.Pool drops there)
+#   6. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
+#                  and TestScanReservesOnce without the race detector (their
+#                  file is built out under -race: sync.Pool drops there)
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -88,7 +89,7 @@ go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
 go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
 go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/store
 
-echo "== alloc test"
-go test -run '^TestAllocBudget$' -count=1 ./internal/server
+echo "== alloc tests"
+go test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$' -count=1 ./internal/server
 
 echo "check.sh: all green"
