@@ -323,7 +323,7 @@ func TestClientCancelDuringBackoff(t *testing.T) {
 	cl, err := NewClient(ClientConfig{
 		Addr:           ln.Addr().String(),
 		Retries:        5,
-		Backoff:        10 * time.Second, // without cancellation this blocks for minutes
+		backoff:        10 * time.Second, // without cancellation this blocks for minutes
 		RequestTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -375,7 +375,7 @@ func TestFaultCommandNotRetried(t *testing.T) {
 
 	cl, err := NewClient(ClientConfig{
 		Addr: ln.Addr().String(), Retries: 3,
-		Backoff: time.Millisecond, RequestTimeout: 100 * time.Millisecond,
+		RequestTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,6 @@ type ClientConfig struct {
 	// fresh connection (server-reported errors are never retried).
 	// Default 2.
 	Retries int
-	// Backoff is the initial retry delay, doubling per attempt with full
-	// jitter (each sleep is uniform in (0, backoff]) so clients that failed
-	// together don't retry in lockstep. Default 25ms.
-	Backoff time.Duration
 	// Pipeline, when > 1, keeps up to that many requests in flight per
 	// connection: requests are wrapped in tagged envelopes (VerbTagged)
 	// carrying a request id the server echoes, so responses may complete
@@ -40,7 +36,16 @@ type ClientConfig struct {
 	// 0 or 1 disables pipelining — the client then speaks the exact PR 1–6
 	// protocol, which is what keeps it compatible with older servers.
 	Pipeline int
+
+	// backoff is the initial retry delay. Always retryBackoff outside tests:
+	// the cancellation test sets a long one to cancel a caller mid-sleep.
+	backoff time.Duration
 }
+
+// retryBackoff is the initial retry delay, doubling per attempt with full
+// jitter (each sleep is uniform in (0, backoff]) so clients that failed
+// together don't retry in lockstep.
+const retryBackoff = 25 * time.Millisecond
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.PoolSize <= 0 {
@@ -54,8 +59,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	} else if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = 25 * time.Millisecond
+	if c.backoff <= 0 {
+		c.backoff = retryBackoff
 	}
 	if c.Pipeline < 1 {
 		c.Pipeline = 1
@@ -174,7 +179,7 @@ func (c *Client) exchange(ctx context.Context, req Request, handle func(Frame) e
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			if err := fault.Sleep(ctx, retryDelay(c.cfg.Backoff, attempt)); err != nil {
+			if err := fault.Sleep(ctx, retryDelay(c.cfg.backoff, attempt)); err != nil {
 				return fmt.Errorf("server: request cancelled during retry backoff: %w (last error: %v)",
 					err, lastErr)
 			}
@@ -266,16 +271,16 @@ type waiter struct {
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan Frame, 1)} }}
 
 // pipeConn is one pipelined connection: callers frame tagged requests into a
-// shared pending buffer, a writer goroutine group-commits that buffer — every
-// frame queued while the previous write syscall was in flight goes out in the
-// next single write — a reader goroutine matches tagged replies to waiting
-// callers by request id, and a semaphore bounds requests in flight. Reply
-// timeouts are enforced by one per-connection watchdog timer instead of a
-// timer per request: on a multiplexed stream a missing reply fails the whole
-// connection anyway, so a coarse shared deadline scan detects it just as
-// well at a fraction of the cost. Any transport error fails the whole
-// connection — every pending caller gets the error and the next request
-// dials a replacement.
+// shared pending buffer and group-commit it themselves — the caller that
+// finds no write in flight writes everything pending, and every frame queued
+// while that write syscall was in flight goes out in its next single write —
+// a reader goroutine matches tagged replies to waiting callers by request
+// id, and a semaphore bounds requests in flight. Reply timeouts are enforced
+// by one per-connection watchdog timer instead of a timer per request: on a
+// multiplexed stream a missing reply fails the whole connection anyway, so a
+// coarse shared deadline scan detects it just as well at a fraction of the
+// cost. Any transport error fails the whole connection — every pending
+// caller gets the error and the next request dials a replacement.
 type pipeConn struct {
 	conn     net.Conn
 	br       *bufio.Reader
@@ -287,12 +292,11 @@ type pipeConn struct {
 	mu      sync.Mutex
 	pend    map[uint32]*waiter
 	nextID  uint32
-	err     error         // terminal error; set once, before failing pend
-	pending []byte        // frames enqueued for the writer's next group commit
-	closed  bool          // tells the parked writer to exit
-	wake    chan struct{} // 1-slot; poked when pending goes non-empty
+	err     error  // terminal error; set once, before failing pend
+	pending []byte // frames enqueued for the next group commit
+	writing bool   // a caller is in flush; frames enqueued meanwhile are its
 
-	wbuf []byte // writer-owned; swapped against pending under mu
+	wbuf []byte // the flushing caller's; swapped against pending under mu
 }
 
 func newPipeConn(conn net.Conn, depth int, timeout time.Duration) *pipeConn {
@@ -302,7 +306,6 @@ func newPipeConn(conn net.Conn, depth int, timeout time.Duration) *pipeConn {
 		sem:      make(chan struct{}, depth),
 		wtimeout: timeout,
 		pend:     make(map[uint32]*waiter),
-		wake:     make(chan struct{}, 1),
 	}
 	// The watchdog granularity trades timeout precision (a timed-out request
 	// is detected at most one period late) for never touching a timer on the
@@ -313,27 +316,19 @@ func newPipeConn(conn net.Conn, depth int, timeout time.Duration) *pipeConn {
 	}
 	pc.wd = time.AfterFunc(pc.wdPeriod, pc.watchdog)
 	go pc.readLoop()
-	go pc.writeLoop()
 	return pc
 }
 
-// writeLoop is the connection's group-commit writer: it swaps the shared
-// pending buffer against its own and submits everything accumulated there as
-// one write syscall. Requests framed while that write was in flight ride the
-// next swap, so under concurrent load the per-request write cost amortizes
-// toward zero without adding any latency when the connection is idle.
-func (pc *pipeConn) writeLoop() {
-	for {
-		pc.mu.Lock()
-		for len(pc.pending) == 0 {
-			closed := pc.closed
-			pc.mu.Unlock()
-			if closed {
-				return
-			}
-			<-pc.wake
-			pc.mu.Lock()
-		}
+// flush is the connection's group commit, run by the caller whose enqueue
+// found no write in flight: it swaps the shared pending buffer against its
+// own and submits everything accumulated there as one write syscall, again
+// until nothing is pending. Requests framed while a write was in flight ride
+// the next swap, so under concurrent load the per-request write cost
+// amortizes toward zero without adding any latency when the connection is
+// idle.
+func (pc *pipeConn) flush() {
+	pc.mu.Lock()
+	for len(pc.pending) > 0 && pc.err == nil {
 		pc.wbuf, pc.pending = pc.pending, pc.wbuf[:0]
 		pc.mu.Unlock()
 		pc.conn.SetWriteDeadline(time.Now().Add(pc.wtimeout))
@@ -341,9 +336,11 @@ func (pc *pipeConn) writeLoop() {
 			// A partial write poisons the stream for everyone, including
 			// callers whose frames rode this batch and already returned.
 			pc.fail(err)
-			return
 		}
+		pc.mu.Lock()
 	}
+	pc.writing = false
+	pc.mu.Unlock()
 }
 
 // watchdog fails the connection when any pending request has outlived its
@@ -414,32 +411,27 @@ func (pc *pipeConn) readLoop() {
 }
 
 // fail marks the connection dead, closes it, and unblocks every pending
-// caller by closing their channels; pc.err carries the cause. The parked
-// writer is woken so it can observe closed and exit, and the watchdog stops
-// rearming.
+// caller by closing their channels; pc.err carries the cause. The watchdog
+// stops rearming.
 func (pc *pipeConn) fail(err error) {
 	pc.mu.Lock()
 	if pc.err == nil {
 		pc.err = err
-		pc.closed = true
 		for id, w := range pc.pend {
 			delete(pc.pend, id)
 			close(w.ch)
 		}
 	}
 	pc.mu.Unlock()
-	select {
-	case pc.wake <- struct{}{}:
-	default:
-	}
 	pc.wd.Stop()
 	pc.conn.Close()
 }
 
 // enqueue allocates a request id, registers its reply waiter, and frames the
-// request into the connection's pending buffer, all under one lock; the
-// writer goroutine group-commits the buffer. An encoding failure leaves the
-// buffer and the connection untouched.
+// request into the connection's pending buffer, all under one lock. If no
+// write is in flight it flushes the buffer itself; otherwise the flushing
+// caller's next swap takes the frame. An encoding failure leaves the buffer
+// and the connection untouched.
 func (pc *pipeConn) enqueue(req Request, deadline time.Time) (uint32, *waiter, error) {
 	pc.mu.Lock()
 	if pc.err != nil {
@@ -460,14 +452,11 @@ func (pc *pipeConn) enqueue(req Request, deadline time.Time) (uint32, *waiter, e
 	w := waiterPool.Get().(*waiter)
 	w.deadline = deadline
 	pc.pend[id] = w
+	write := !pc.writing
+	pc.writing = true
 	pc.mu.Unlock()
-	if n == 0 {
-		// The buffer went empty→non-empty, so the writer may be parked;
-		// later frames ride the batch the writer will pick up anyway.
-		select {
-		case pc.wake <- struct{}{}:
-		default:
-		}
+	if write {
+		pc.flush()
 	}
 	return id, w, nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -58,10 +57,10 @@ func (s *Server) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// respBufPool pools fully encoded response frames on their way from a
-// dispatching goroutine to the connection writer, the frames a connection
-// reads, and the pipelined client's reply buffers. A buffer is kept across
-// queries up to maxPooledRespBuf; one above it is dropped on return.
+// respBufPool pools fully encoded response frames until the goroutine that
+// encoded them has written them, the frames a connection reads, and the
+// pipelined client's reply buffers. A buffer is kept across queries up to
+// maxPooledRespBuf; one above it is dropped on return.
 var respBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
@@ -90,40 +89,60 @@ func putRespBuf(bp *[]byte) {
 // window instead of paying two syscalls (header + payload) per frame.
 const connReadBufBytes = 16 << 10
 
-// maxWriteBatch bounds how many queued responses one writev submits.
-const maxWriteBatch = 64
-
 // connIdleTimeout closes a connection that sends no frame for this long.
 const connIdleTimeout = 2 * time.Minute
 
-// handleConn serves one client connection with decoupled read and write
-// sides (DESIGN S26). The reader decodes frames and dispatches them; fully
-// encoded responses flow through a bounded queue to a writer goroutine that
-// coalesces adjacent responses into a single writev. Untagged requests are
-// executed inline in the reader, which preserves the strict
+// connOut is a connection's write side: the goroutine that finished a reply
+// writes it, holding mu, so replies from the reader and from several tagged
+// workers never interleave on the wire.
+type connOut struct {
+	c      net.Conn
+	mu     sync.Mutex
+	failed bool
+}
+
+// write sends one encoded buffer holding frames wire frames in one write
+// and recycles it. A write that does not complete within QueryTimeout — a
+// client that stopped reading — fails the connection: closing it ends the
+// reader's next read, so the connection tears down, and later writes only
+// recycle their buffers.
+func (s *Server) write(out *connOut, bp *[]byte, frames int) {
+	out.mu.Lock()
+	if !out.failed {
+		out.c.SetWriteDeadline(time.Now().Add(s.cfg.QueryTimeout))
+		if _, err := out.c.Write(*bp); err != nil {
+			out.failed = true
+			out.c.Close()
+		} else {
+			s.met.writeBatches.Add(1)
+			s.met.writeFrames.Add(int64(frames))
+		}
+	}
+	out.mu.Unlock()
+	putRespBuf(bp)
+}
+
+// handleConn serves one client connection on one goroutine, the reader
+// (DESIGN S26, S46). It decodes frames and dispatches them. Untagged
+// requests are executed and answered inline, which preserves the strict
 // one-request/one-response ordering pre-pipelining clients rely on; tagged
-// (pipelined) requests execute concurrently — up to pipelineDepth per
-// connection — and may complete out of order, which is exactly what the
-// echoed request id is for. Connections run with TCP_NODELAY, Go's default
-// for TCP: the frames are small and latency-sensitive, and the batched
-// writev path already coalesces adjacent responses (DESIGN S26).
+// (pipelined) requests execute concurrently on workers — up to
+// pipelineDepth per connection — that write their own replies, possibly out
+// of order, which is exactly what the echoed request id is for. Connections
+// run with TCP_NODELAY, Go's default for TCP: the frames are small and
+// latency-sensitive, and a tagged batch's replies already leave in one write.
 //
 // A frame-level error (desynchronized or hostile stream) is answered and
 // closes the connection; a request-level error is answered and the
 // connection kept.
 func (s *Server) handleConn(c net.Conn) {
-	depth := s.cfg.pipelineDepth
-	respCh := make(chan connResp, depth)
-	writerDone := make(chan struct{})
-	var writeFailed atomic.Bool
-	go s.connWriter(c, respCh, &writeFailed, writerDone)
+	out := &connOut{c: c}
 
 	// Tagged requests execute on a per-connection worker pool, grown lazily
-	// up to depth goroutines. The work channel is unbuffered, so when every
-	// worker is busy the reader blocks here — that bounds both concurrent
-	// execution and (since each worker holds at most one encoded response)
-	// the number of responses ever in flight, and enqueueing can never
-	// deadlock against the queue bound.
+	// up to pipelineDepth goroutines. The work channel is unbuffered, so
+	// when every worker is busy — serving, or writing to a client slow to
+	// read — the reader blocks here, which bounds both concurrent execution
+	// and the replies ever held for the connection.
 	work := make(chan *taggedBatch)
 	spread := make(chan *taggedBatch)
 	workers := 0
@@ -132,21 +151,18 @@ func (s *Server) handleConn(c net.Conn) {
 	defer s.connWg.Done()
 	defer s.dropConn(c)
 	defer func() {
-		// Teardown order matters: release the workers (they hold references
-		// to respCh), wait for them to drain, close the queue, and only
-		// after the writer has flushed and exited close the connection.
+		// The workers have written their last replies before the
+		// connection closes.
 		close(work)
 		inflight.Wait()
-		close(respCh)
-		<-writerDone
 	}()
 
-	// sendError enqueues an error reply for stream-level failures that have
-	// no decodable request behind them.
+	// sendError answers a stream-level failure that has no decodable
+	// request behind it.
 	sendError := func(msg string) {
 		bp := getRespBuf()
 		*bp = appendErrorFrame((*bp)[:0], msg, 0, false)
-		respCh <- connResp{bp: bp, frames: 1}
+		s.write(out, bp, 1)
 	}
 
 	br := bufio.NewReaderSize(c, connReadBufBytes)
@@ -165,9 +181,6 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			return
 		}
-		if writeFailed.Load() {
-			return
-		}
 		if f.Verb == VerbTagged {
 			id, inner, uerr := UnwrapTagged(f)
 			if uerr != nil {
@@ -180,8 +193,8 @@ func (s *Server) handleConn(c net.Conn) {
 			// Batch the dispatch: every complete tagged frame already
 			// sitting in the read buffer rides the same handoff, so a burst
 			// of pipelined requests costs one worker wakeup — and, since the
-			// worker encodes the whole batch into one buffer, one response
-			// enqueue — instead of one per request.
+			// worker encodes the whole batch into one buffer, one write —
+			// instead of one per request.
 			batch := batchPool.Get().(*taggedBatch)
 			batch.works[0] = taggedWork{id: id, f: inner, buf: rbuf}
 			batch.n = 1
@@ -212,14 +225,11 @@ func (s *Server) handleConn(c net.Conn) {
 			// its requests turn out to be expensive; growth is one-time
 			// (workers persist until the connection closes), so steady
 			// state pays nothing here.
-			need := batch.n
-			if need > depth {
-				need = depth
-			}
+			need := min(batch.n, s.cfg.pipelineDepth)
 			for workers < need && (workers == 0 || s.tryTagSlot()) {
 				workers++
 				inflight.Add(1)
-				go s.taggedWorker(work, spread, respCh, &inflight, workers > 1)
+				go s.taggedWorker(out, work, spread, &inflight, workers > 1)
 			}
 			select {
 			case work <- batch:
@@ -234,7 +244,7 @@ func (s *Server) handleConn(c net.Conn) {
 		} else {
 			bp := getRespBuf()
 			*bp = s.reply((*bp)[:0], f, 0, false)
-			respCh <- connResp{bp: bp, frames: 1}
+			s.write(out, bp, 1)
 		}
 		select {
 		case <-s.done:
@@ -255,7 +265,7 @@ type taggedWork struct {
 
 // taggedBatch groups the tagged requests one reader pass drained from its
 // connection's buffer: one handoff to a worker, one encoded response buffer
-// back. Its capacity caps how many requests serve serially on one worker, so
+// written. Its capacity caps how many requests serve serially on one worker, so
 // a batch never serializes more work than one bufio refill delivers.
 type taggedBatch struct {
 	n     int
@@ -294,10 +304,10 @@ func (s *Server) tryTagSlot() bool {
 }
 
 // taggedWorker serves tagged request batches for one connection until the
-// work channel closes. Workers never block each other: each serves one batch
-// at a time, encoding every response in the batch into a single buffer, and
-// parks on the (bounded) response queue only while the writer drains. A
-// slotted worker returns its tagSlots token on exit.
+// work channel closes. Each serves one batch at a time, encodes every
+// response in the batch into a single buffer and writes it itself; workers
+// wait on each other only for the connection's write lock. A slotted worker
+// returns its tagSlots token on exit.
 //
 // A worker holding a multi-request batch offers half of what remains to an
 // idle sibling before each serve (steal-half work spreading, via a
@@ -307,7 +317,7 @@ func (s *Server) tryTagSlot() bool {
 // mid-offer can never race the reader closing the work channel at teardown;
 // it is unbuffered, so a batch moves across it only by direct handoff to a
 // parked sibling and nothing is ever stranded in it.
-func (s *Server) taggedWorker(work <-chan *taggedBatch, spread chan *taggedBatch, respCh chan<- connResp, inflight *sync.WaitGroup, slotted bool) {
+func (s *Server) taggedWorker(out *connOut, work <-chan *taggedBatch, spread chan *taggedBatch, inflight *sync.WaitGroup, slotted bool) {
 	defer inflight.Done()
 	if slotted {
 		defer func() { <-s.tagSlots }()
@@ -323,7 +333,7 @@ func (s *Server) taggedWorker(work <-chan *taggedBatch, spread chan *taggedBatch
 		case batch = <-spread:
 		}
 		bp := getRespBuf()
-		out := (*bp)[:0]
+		buf := (*bp)[:0]
 		served := 0
 		for i := 0; i < batch.n; i++ {
 			// Before each serve, offer half of what remains to an idle
@@ -351,15 +361,15 @@ func (s *Server) taggedWorker(work <-chan *taggedBatch, spread chan *taggedBatch
 				}
 			}
 			tw := &batch.works[i]
-			out = s.reply(out, tw.f, tw.id, true)
+			buf = s.reply(buf, tw.f, tw.id, true)
 			putRespBuf(tw.buf)
 			batch.works[i] = taggedWork{}
 			served++
 		}
-		*bp = out
+		*bp = buf
 		batch.n = 0
 		batchPool.Put(batch)
-		respCh <- connResp{bp: bp, frames: served}
+		s.write(out, bp, served)
 	}
 }
 
@@ -377,70 +387,4 @@ func (s *Server) reply(buf []byte, f Frame, id uint32, tagged bool) []byte {
 		return appendErrorFrame(out, err.Error(), id, tagged)
 	}
 	return out
-}
-
-// connResp is one encoded response buffer headed for a connection's writer,
-// with the number of wire frames it holds: a tagged worker packs a whole
-// request batch's replies into one buffer.
-type connResp struct {
-	bp     *[]byte
-	frames int
-}
-
-// connWriter drains one connection's response queue. Each pass takes
-// everything immediately available (up to maxWriteBatch buffers) and submits
-// it as a single writev via net.Buffers, so under pipelined load adjacent
-// responses coalesce into one syscall instead of one each. After a write
-// error the writer keeps draining and recycling buffers — dispatchers must
-// never block on a dead connection — and closes the conn to unblock the
-// reader.
-func (s *Server) connWriter(c net.Conn, respCh <-chan connResp, failed *atomic.Bool, done chan<- struct{}) {
-	defer close(done)
-	batch := make([]connResp, 0, maxWriteBatch)
-	iov := make(net.Buffers, 0, maxWriteBatch)
-	for {
-		r, ok := <-respCh
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], r)
-		open := true
-	drain:
-		for len(batch) < maxWriteBatch {
-			select {
-			case r, ok := <-respCh:
-				if !ok {
-					open = false
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		if !failed.Load() {
-			// WriteTo consumes its receiver, so rebuild the iovec from the
-			// batch each pass; the buffers themselves are not copied.
-			iov = iov[:0]
-			frames := 0
-			for _, r := range batch {
-				iov = append(iov, *r.bp)
-				frames += r.frames
-			}
-			c.SetWriteDeadline(time.Now().Add(s.cfg.QueryTimeout))
-			if _, err := iov.WriteTo(c); err != nil {
-				failed.Store(true)
-				c.Close()
-			} else {
-				s.met.writeBatches.Add(1)
-				s.met.writeFrames.Add(int64(frames))
-			}
-		}
-		for _, r := range batch {
-			putRespBuf(r.bp)
-		}
-		if !open {
-			return
-		}
-	}
 }

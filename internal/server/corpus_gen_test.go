@@ -42,7 +42,8 @@ func TestGenFuzzCorpus(t *testing.T) {
 			Result{Points: []geom.Point{{1.5, 2.5}}, Count: 1, Info: QueryInfo{Buckets: 1, Pages: 1}}),
 	})
 
-	// FuzzBatchFraming: concatenated frame sequences as connWriter emits them.
+	// FuzzBatchFraming: concatenated frame sequences as a tagged worker's
+	// batch reply and a client's group-commit buffer hold them.
 	var batch []byte
 	for i, req := range []Request{
 		{Verb: VerbStats},
@@ -57,7 +58,7 @@ func TestGenFuzzCorpus(t *testing.T) {
 		}
 	}
 	var many []byte
-	for i := 0; i < 70; i++ { // past the 64-frame batch cap in the target
+	for i := 0; i < 70; i++ { // past the 64-frame cap in the target
 		var err error
 		if many, err = AppendRequestFrame(many, Request{Verb: VerbStats}, uint32(i), true); err != nil {
 			t.Fatal(err)
@@ -135,8 +136,8 @@ func taggedBytes(t *testing.T, id uint32, req Request) []byte {
 }
 
 // resultFrameBytes encodes a VerbPoints or VerbCount answer as whole frame
-// bytes, optionally wrapped in a tagged envelope — the shape connWriter puts
-// on the wire.
+// bytes, optionally wrapped in a tagged envelope — the shape a reply takes on
+// the wire.
 func resultFrameBytes(t *testing.T, tagged bool, id uint32, res Result) []byte {
 	t.Helper()
 	verb := VerbCount

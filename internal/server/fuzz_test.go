@@ -105,11 +105,12 @@ func FuzzCodec(f *testing.F) {
 	})
 }
 
-// FuzzBatchFraming models the server's writev path: however a byte stream
-// splits into frames, re-emitting those frames as one concatenated batch
-// (exactly what net.Buffers delivers to the socket) must parse back to the
-// identical sequence — tagged envelopes included. A framing bug here would
-// desynchronize every pipelined client mid-batch.
+// FuzzBatchFraming models the two buffers that concatenate frames into one
+// write — a tagged worker's batch reply on the server and a pipelined
+// client's group-commit buffer: however a byte stream splits into frames,
+// re-emitting those frames back to back must parse back to the identical
+// sequence — tagged envelopes included. A framing bug here would
+// desynchronize every pipelined connection mid-batch.
 func FuzzBatchFraming(f *testing.F) {
 	var seedBatch []byte
 	for i, req := range []Request{
@@ -128,9 +129,8 @@ func FuzzBatchFraming(f *testing.F) {
 	// Response-side batch: the pipelined worker encodes every reply of a
 	// batch into one buffer with AppendResult — tagged envelopes around
 	// streamed VerbPoints rows, the dims>0/zero-row shape only the streaming
-	// encoder emits, plus count and write acks — and the writer concatenates
-	// those buffers onto the wire. Framing must hold for response bytes
-	// exactly as for requests.
+	// encoder emits, plus count and write acks — and writes that buffer
+	// whole. Framing must hold for response bytes exactly as for requests.
 	respFrames := []Frame{
 		mustResultFrame(f, VerbPoints, Result{
 			Points: []geom.Point{{1, 2, 3}, {4, 5, 6}}, Count: 2,
@@ -166,14 +166,14 @@ func FuzzBatchFraming(f *testing.F) {
 			}
 			frames = append(frames, Frame{Verb: fr.Verb, Payload: append([]byte(nil), fr.Payload...)})
 			if len(frames) >= 64 {
-				break // maxWriteBatch-sized batches are the real workload
+				break // a tagged batch holds 16; a client's buffer one per request in flight
 			}
 		}
 		if len(frames) == 0 {
 			return
 		}
-		// Re-emit as one batch the way connWriter does: each frame encoded
-		// into its own buffer, buffers concatenated verbatim.
+		// Re-emit as one batch the way both buffers are filled: each frame
+		// appended whole, back to back.
 		var batch bytes.Buffer
 		for _, fr := range frames {
 			if err := writeFrame(&batch, fr); err != nil {

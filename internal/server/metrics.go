@@ -99,7 +99,7 @@ type Metrics struct {
 	scrubCorrupt  atomic.Int64
 	scrubRepaired atomic.Int64
 	traced        atomic.Int64              // queries that carried a stage trace
-	writeBatches  atomic.Int64              // writev submissions by connection writers
+	writeBatches  atomic.Int64              // reply write syscalls on client connections
 	writeFrames   atomic.Int64              // response frames carried by those writes
 	diskFetches   []atomic.Int64            // bucket fetches per disk
 	latency       stats.Recorder            // service time

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,9 +121,9 @@ func TestPipelinedEndToEnd(t *testing.T) {
 		t.Error(err)
 	}
 
-	// A connection writer counts a batch after its write returns, so the
-	// last replies can reach the client — and this STATS request, on the
-	// other connection, the server — before their frames are counted.
+	// A worker counts a batch after its write returns, so the last replies
+	// can reach the client — and this STATS request, on the other
+	// connection, the server — before their frames are counted.
 	var snap Snapshot
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		var err error
@@ -136,8 +137,7 @@ func TestPipelinedEndToEnd(t *testing.T) {
 	if snap.QueriesTotal < int64(len(queries)) {
 		t.Errorf("server served %d queries, want >= %d", snap.QueriesTotal, len(queries))
 	}
-	// The writev path must have batched at least some adjacent responses:
-	// strictly fewer write batches than frames written.
+	// Every frame left in some write, and no write was empty.
 	if snap.WriteFrames < int64(len(queries)) {
 		t.Errorf("write_frames = %d, want >= %d", snap.WriteFrames, len(queries))
 	}
@@ -147,10 +147,11 @@ func TestPipelinedEndToEnd(t *testing.T) {
 }
 
 // TestPipelinedCoalescing holds the pipelined write path to its purpose —
-// several replies to a writev — at both of its stages, each driven so that
-// the count is exact on any machine rather than a ratio that depends on how
-// the scheduler interleaves reader, workers and writer. A server that writes
-// one response per writev counts burst (or queued) batches, not 1.
+// several replies to a write — driven so that the count is exact on any
+// machine rather than a ratio that depends on how the scheduler interleaves
+// reader and workers. A server that writes one response per write counts
+// burst batches, not 1. The client half of the coalescing is
+// TestClientGroupCommit.
 func TestPipelinedCoalescing(t *testing.T) {
 	const burst = 16 // one taggedBatch
 
@@ -198,7 +199,7 @@ func TestPipelinedCoalescing(t *testing.T) {
 				t.Fatalf("reply %d: count %d (%v), want %d", i, res.Count, err, f.RangeCount(q))
 			}
 		}
-		// The writer counts a batch after its write returns, so the replies
+		// The worker counts a batch after its write returns, so the replies
 		// can reach this side before they are counted.
 		var snap Snapshot
 		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -212,27 +213,177 @@ func TestPipelinedCoalescing(t *testing.T) {
 		}
 	})
 
-	// Writer: every response already queued when the writer looks goes out
-	// in the same writev.
-	t.Run("queued", func(t *testing.T) {
-		s, _ := newTestServer(t, 400, 2, Config{})
-		respCh := make(chan connResp, burst)
-		for i := 0; i < burst; i++ {
-			bp := getRespBuf()
-			*bp = appendErrorFrame((*bp)[:0], "queued", uint32(i), true)
-			respCh <- connResp{bp: bp, frames: 1}
+}
+
+// gateConn holds its first Write until release is closed and records how
+// many wire frames each write carried; it sends nothing anywhere.
+type gateConn struct {
+	net.Conn
+	entered, release chan struct{}
+
+	mu     sync.Mutex
+	writes []int
+}
+
+func (g *gateConn) Write(b []byte) (int, error) {
+	frames := 0
+	for r := bytes.NewReader(b); ; frames++ {
+		if _, err := ReadFrame(r); err != nil {
+			break
 		}
-		close(respCh)
-		srvSide, cliSide := net.Pipe()
-		defer srvSide.Close()
-		defer cliSide.Close()
-		go io.Copy(io.Discard, cliSide)
-		var failed atomic.Bool
-		s.connWriter(srvSide, respCh, &failed, make(chan struct{}))
-		if snap := s.Snapshot(); snap.WriteFrames != burst || snap.WriteBatches != 1 {
-			t.Errorf("%d frames in %d write batches, want %d in 1", snap.WriteFrames, snap.WriteBatches, burst)
+	}
+	g.mu.Lock()
+	g.writes = append(g.writes, frames)
+	first := len(g.writes) == 1
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		<-g.release
+	}
+	return len(b), nil
+}
+
+// TestClientGroupCommit holds the client half of coalescing: requests
+// enqueued while a pipelined connection's write is in flight return at once
+// and leave together in the next write, made by the caller that was already
+// writing.
+func TestClientGroupCommit(t *testing.T) {
+	const k = 8
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	g := &gateConn{Conn: cli, entered: make(chan struct{}), release: make(chan struct{})}
+	pc := newPipeConn(g, k+1, 10*time.Second)
+	defer pc.fail(errors.New("test over"))
+
+	deadline := time.Now().Add(10 * time.Second)
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := pc.enqueue(Request{Verb: VerbStats}, deadline)
+		first <- err
+	}()
+	<-g.entered
+	for i := 0; i < k; i++ {
+		if _, _, err := pc.enqueue(Request{Verb: VerbStats}, deadline); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
+	close(g.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !slices.Equal(g.writes, []int{1, k}) {
+		t.Errorf("writes carried %v frames, want [1 %d]", g.writes, k)
+	}
+}
+
+// settledGoroutines waits until the goroutine count holds still for 50 ms —
+// goroutines an earlier test started may still be exiting — and returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same, deadline := 0, time.Now().Add(5*time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestConnectionCostsOneGoroutine holds the connection layer's shape: a
+// served connection runs its reader and nothing else — replies are written
+// by the goroutine that made them — and a pipelined client connection runs
+// its reply reader and nothing else.
+func TestConnectionCostsOneGoroutine(t *testing.T) {
+	s, f := newTestServer(t, 400, 2, Config{})
+	req, err := encodeRequest(Request{Verb: VerbRange, Query: f.Domain(), CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	base := settledGoroutines()
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := settledGoroutines() - base; got != n {
+		t.Errorf("%d served connections cost %d goroutines, want %d", n, got, n)
+	}
+
+	base = settledGoroutines()
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	pc := newPipeConn(cli, 4, 10*time.Second)
+	defer pc.fail(errors.New("test over"))
+	if got := settledGoroutines() - base; got != 1 {
+		t.Errorf("a pipelined client connection costs %d goroutines, want 1", got)
+	}
+}
+
+// TestClientThatStopsReading holds the write deadline where the replies are
+// written now: a client that pipelines range requests and never reads fills
+// the server's send buffer, the blocked write gives up after QueryTimeout and
+// closes the connection, the connection's reader and workers exit, and Close
+// has nothing left to drain.
+func TestClientThatStopsReading(t *testing.T) {
+	// 4 000 2-D records: each whole-domain answer is ≈ 64 KiB, so 500 of
+	// them are far more than two loopback socket buffers hold.
+	s, f := newTestServer(t, 4000, 2, Config{QueryTimeout: 100 * time.Millisecond})
+	req, err := encodeRequest(Request{Verb: VerbRange, Query: f.Domain()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	for i := 0; i < 500; i++ {
+		w, err := wrapTagged(uint32(i), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(&wire, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base := settledGoroutines()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wrote := make(chan struct{})
+	go func() {
+		conn.Write(wire.Bytes()) // fails instead if the server hangs up first
+		close(wrote)
+	}()
+	<-wrote
+
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); got != base && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got != base {
+		t.Fatalf("%d goroutines left over from a connection whose client stopped reading", got-base)
+	}
+	start := time.Now()
+	s.Close()
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("Close took %v with the stalled connection gone (drainTimeout is %v)", el, drainTimeout)
+	}
+	if n := s.Snapshot().WriteFrames; n >= 500 {
+		t.Errorf("all %d replies were written: the send buffer never filled", n)
+	}
 }
 
 // TestPipelinedUnderFaults injects transient disk errors under a pipelined

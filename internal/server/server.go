@@ -36,9 +36,9 @@ type Config struct {
 	// fronting the page store. 0 selects the default (64 MiB); negative
 	// disables caching entirely.
 	CacheBytes int64
-	// Pprof, together with HTTPAddr, additionally exposes the standard
-	// net/http/pprof profiling handlers under /debug/pprof/ on the same
-	// mux, so the serving path can be profiled in place.
+	// Pprof additionally exposes the standard net/http/pprof profiling
+	// handlers under /debug/pprof/ on the HTTPAddr mux, so the serving path
+	// can be profiled in place. It needs HTTPAddr: New refuses it alone.
 	Pprof bool
 	// Writable opens the layout for online mutation (OpenDir only): the
 	// store is opened via store.OpenWritable — replaying any write-ahead
@@ -91,11 +91,11 @@ type Config struct {
 	// clock is the time source behind latency and stage-trace measurement;
 	// test hook for deterministic timing assertions. Defaults to time.Now.
 	clock func() time.Time
-	// pipelineDepth bounds, per connection, both the response queue between
-	// the read and write sides and the number of tagged (pipelined) requests
-	// executing concurrently; beyond it the reader stops draining the socket,
-	// backpressuring the client. Always 64 outside tests: the coalescing test
-	// sets 1 to get a connection with a single worker.
+	// pipelineDepth bounds, per connection, the number of tagged
+	// (pipelined) requests executing concurrently; beyond it the reader
+	// stops draining the socket, backpressuring the client. Always 64
+	// outside tests: the coalescing test sets 1 to get a connection with a
+	// single worker.
 	pipelineDepth int
 }
 
@@ -205,6 +205,9 @@ type Server struct {
 func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	if grid != st.Grid() {
 		return nil, errors.New("server: a store is served from its own grid (pass st.Grid())")
+	}
+	if cfg.Pprof && cfg.HTTPAddr == "" {
+		return nil, errors.New("server: Config.Pprof needs Config.HTTPAddr: the pprof handlers are served on the HTTP listener")
 	}
 	s := newEngine(st, cfg)
 	err := s.listen()

@@ -668,7 +668,7 @@ func TestClientRetriesExhausted(t *testing.T) {
 	defer ln.Close()
 
 	cl, err := NewClient(ClientConfig{
-		Addr: ln.Addr().String(), Retries: 2, Backoff: time.Millisecond,
+		Addr: ln.Addr().String(), Retries: 2,
 		RequestTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -710,6 +710,21 @@ func TestRetryDelayJitter(t *testing.T) {
 // TestHTTPEndpoints exercises the optional /metrics, /healthz and
 // /debug/pprof listener.
 func TestHTTPEndpoints(t *testing.T) {
+	// Pprof without HTTPAddr has nowhere to serve from: it is refused, by
+	// name, instead of starting a server with no profiling endpoint.
+	_, dir := newTestLayout(t, 200, 2)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if s, err := New(st.Grid(), st, Config{Pprof: true}); err == nil {
+		s.Close()
+		t.Error("Pprof without HTTPAddr accepted")
+	} else if !strings.Contains(err.Error(), "Config.Pprof") || !strings.Contains(err.Error(), "Config.HTTPAddr") {
+		t.Errorf("refusal does not name both fields: %v", err)
+	}
+
 	s, f := newTestServer(t, 200, 2, Config{HTTPAddr: "127.0.0.1:0", Pprof: true})
 	cl := newTestClient(t, s, ClientConfig{})
 	if _, _, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil {

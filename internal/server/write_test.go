@@ -566,7 +566,6 @@ func TestTornConnectionNeverDoubleAppliesWrite(t *testing.T) {
 	cl, err := NewClient(ClientConfig{
 		Addr:           proxy.Addr().String(),
 		Retries:        3,
-		Backoff:        time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {

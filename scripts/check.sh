@@ -41,7 +41,8 @@
 #                  for byte, with testdata/results_test_scale.txt
 #                  (`make golden` regenerates it)
 #   5. fuzz smoke  short runs of the fuzz targets: wire protocol
-#                  (FuzzCodec, FuzzDegradedCodec), grid-file persistence
+#                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
+#                  one write (FuzzBatchFraming), grid-file persistence
 #                  (FuzzRead), layout manifests (FuzzManifest) and the
 #                  write-ahead journal reader (FuzzJournalReplay)
 #   6. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
@@ -85,6 +86,7 @@ fi
 echo "== fuzz smoke ($FUZZTIME each)"
 go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzDegradedCodec -fuzztime="$FUZZTIME" ./internal/server
+go test -run='^$' -fuzz=FuzzBatchFraming -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
 go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
 go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/store
