@@ -206,8 +206,12 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		s.connWg.Wait()
 	}
+	// Only queries send to the disk queues, and every query runs on a
+	// connection handler or one of its tagged workers, all of which connWg
+	// has seen return: nothing can send on a closed queue. Each worker
+	// serves what is left in its queue, then exits.
 	for _, q := range s.sched {
-		q.close()
+		close(q)
 	}
 	s.fetchWg.Wait()
 	s.scrubWg.Wait()

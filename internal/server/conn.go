@@ -173,6 +173,14 @@ func (s *Server) handleConn(c net.Conn) {
 	defer func() { putRespBuf(rbuf) }()
 	for {
 		c.SetReadDeadline(time.Now().Add(connIdleTimeout))
+		// Check for shutdown after arming, not before: Close closes done and
+		// then sets every read deadline to now, so either this sees done or
+		// Close's deadline replaces the one just set.
+		select {
+		case <-s.done:
+			return // draining: finish the in-flight replies, then hang up
+		default:
+		}
 		f, err := readFrameBuf(br, rbuf)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooBig) || errors.Is(err, ErrEmptyFrame) {
@@ -245,11 +253,6 @@ func (s *Server) handleConn(c net.Conn) {
 			bp := getRespBuf()
 			*bp = s.reply((*bp)[:0], f, 0, false)
 			s.write(out, bp, 1)
-		}
-		select {
-		case <-s.done:
-			return // draining: finish the in-flight replies, then hang up
-		default:
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	rtrace "runtime/trace"
 	"slices"
-	"sync"
 	"time"
 
 	"pgridfile/internal/cache"
@@ -43,8 +42,8 @@ func (s *Server) failLeads(loads []*cache.Pending, err error) {
 // fetchBuckets resolves a query's bucket set into recs (parallel to ids,
 // len(recs) == len(ids), pre-zeroed by the caller): cache hits are filled
 // immediately, buckets another in-flight query is already reading are
-// joined (singleflight), and the rest are batched per disk and submitted to
-// the disk workers' request rings. Every bucket this query leads is
+// joined (singleflight), and the rest are batched per disk and sent to the
+// disk workers' queues. Every bucket this query leads is
 // published to the cache exactly once — with data or with the error —
 // before fetchBuckets returns, so followers never wait on an abandoned
 // load. A degraded return leaves missed buckets as zero Flats, which scan
@@ -236,22 +235,13 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 	// only after its response is drained), so at most nleads responses can
 	// ever be in flight and disk workers never block on an abandoned query.
 	// The gather loop waits for every submitted batch (the workers answer
-	// expired contexts immediately).
+	// expired contexts immediately). A send to a disk's queue blocks only
+	// when MaxInflight requests are already queued there, which takes a
+	// failover burst; the worker drains it without waiting on anyone.
 	resp := make(chan fetchResp, nleads)
-	var err error
-	submitted := 0
 	for disk, b := range leads {
-		if err != nil {
-			s.failLeads(b.loads, err)
-			continue
-		}
-		if !s.sched[disk].submit(fetchReq{leadBatch: *b, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}) {
-			err = errShuttingDown
-			s.failLeads(b.loads, err)
-			continue
-		}
+		s.sched[disk] <- fetchReq{leadBatch: *b, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
 		s.st.AddLoad(disk, int64(len(b.ids)))
-		submitted++
 	}
 	// bucketFailed tracks, PER BUCKET, the disks it has already failed on:
 	// two batches failing on different disks must not condemn a third bucket
@@ -260,7 +250,8 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 	// it is lost.
 	var bucketFailed map[int32][]int
 	var nPrimary, nSecondary int64
-	for outstanding := submitted; outstanding > 0; {
+	var err error
+	for outstanding := len(leads); outstanding > 0; {
 		r := <-resp
 		outstanding--
 		s.st.AddLoad(r.disk, -int64(len(r.ids)))
@@ -324,11 +315,12 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 	for k, id := range r.ids {
 		tried := bucketFailed[id]
 		disk, ok := s.st.PickOwner(id, func(d int) bool { return slices.Contains(tried, d) })
-		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1]}
-		if !ok || !s.sched[disk].submit(fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}) {
+		if !ok {
 			lost = append(lost, r.loads[k])
 			continue
 		}
+		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1]}
+		s.sched[disk] <- fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
 		s.st.AddLoad(disk, 1)
 		s.met.replicaFailover.Add(1)
 		resubmitted++
@@ -354,17 +346,6 @@ func copyFailed(ctx context.Context, err error) bool {
 	return ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// Per-disk I/O submission. Queries append to the disk's request ring and poke
-// its worker. The worker drains the whole ring in one window and serves the
-// window's requests one after another, each as its own store batch read under
-// its own context, sending each completion to its query's response channel.
-//
-// The contract with the store is ids in, flats and counts out: which
-// positioned reads serve a batch — how wanted pages group into spans and
-// which gaps are read through — is the store's span planner's decision alone
-// (nextSpan in internal/store); nothing here reasons about page positions.
-// The planner reports what it did through store.Timing.
-
 // fetchReq asks a disk worker for a batch of buckets, all resident on that
 // disk. idxs carries each bucket's index in the submitting query's recs
 // slice so the response can be scattered into place without a map.
@@ -384,83 +365,22 @@ type fetchResp struct {
 	err       error
 }
 
-// diskQueue is one disk's submission ring: submitters append under a mutex
-// and poke the worker through a 1-slot wake channel, so a submission is two
-// cheap operations regardless of how deep the backlog is, and the worker
-// picks up every request queued while it was busy in one swap.
-type diskQueue struct {
-	mu     sync.Mutex
-	reqs   []fetchReq
-	wake   chan struct{}
-	closed bool
-}
-
-func newDiskQueue() *diskQueue {
-	return &diskQueue{wake: make(chan struct{}, 1)}
-}
-
-// submit enqueues r and wakes the worker. It reports false — without
-// enqueueing — once the queue is closed.
-func (q *diskQueue) submit(r fetchReq) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.reqs = append(q.reqs, r)
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// close marks the queue closed and wakes the worker so it can exit once the
-// backlog drains. Callers guarantee no submissions race with close.
-func (q *diskQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-}
-
 // diskWorker is one disk's I/O worker: one head per spindle, as in the
-// paper's model. It swaps the submission ring against an empty one and
-// serves the whole window, request by request, before looking again: one
-// lock acquisition per window however many requests queued up while a read
-// was in flight.
-func (s *Server) diskWorker(disk int, q *diskQueue) {
+// paper's model, serving its queue in arrival order, one request at a time.
+func (s *Server) diskWorker(disk int, q <-chan fetchReq) {
 	defer s.fetchWg.Done()
-	var window []fetchReq
-	for {
-		q.mu.Lock()
-		window, q.reqs = q.reqs, window[:0]
-		closed := q.closed
-		q.mu.Unlock()
-		if len(window) == 0 {
-			if closed {
-				return
-			}
-			<-q.wake
-			continue
-		}
-		for _, req := range window {
-			s.serveOne(disk, req)
-		}
-		// Drop the served requests' references (contexts, response
-		// channels) before the next swap parks this array back in the ring.
-		clear(window)
+	for req := range q {
+		s.serveOne(disk, req)
 	}
 }
 
-// serveOne serves a single request. Success is published to the cache
-// here; a failed batch's leads stay pending because the gather loop may
-// still fail the batch over to a surviving owner disk — only when every
-// route is exhausted does the gather loop complete them with the error.
+// serveOne serves a single request as its own store batch under its own
+// context. The store's span planner (nextSpan in internal/store) alone
+// decides which positioned reads serve it; nothing here reasons about page
+// positions. Success is published to the cache here; a failed batch's leads
+// stay pending because the gather loop may still fail the batch over to a
+// surviving owner disk — only when every route is exhausted does the gather
+// loop complete them with the error.
 func (s *Server) serveOne(disk int, req fetchReq) {
 	// Untraced requests take the planner's counts but skip its clock reads.
 	tm := store.Timing{CountsOnly: req.tr == nil}
@@ -491,11 +411,16 @@ func (s *Server) serveOne(disk int, req fetchReq) {
 // injected faults (torn reads among them, which wrap fault.ErrInjected) are
 // retried on the same disk: they model a fault that may not fire again, while
 // a corrupt, misdirected or missing page reads back the same. Every failure is
-// the gather loop's to fail over (copyFailed), and an expired query stops
-// retrying at once.
+// the gather loop's to fail over (copyFailed). A query whose deadline already
+// expired has abandoned the fetch: it reads nothing, so its backlog does not
+// starve live queries, and it stops retrying at once.
 func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trace, tm *store.Timing) ([]geom.Flat, int, error) {
 	for attempt := 1; ; attempt++ {
-		recs, pages, err := s.readBatch(ctx, disk, ids, tm)
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		recs := make([]geom.Flat, len(ids))
+		pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
 		if err == nil {
 			return recs, pages, nil
 		}
@@ -510,19 +435,4 @@ func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trac
 			return nil, 0, err
 		}
 	}
-}
-
-// readBatch performs one disk's share of a query. A query whose deadline
-// already expired has abandoned the fetch; skipping the I/O keeps its backlog
-// from starving live queries.
-func (s *Server) readBatch(ctx context.Context, disk int, ids []int32, tm *store.Timing) ([]geom.Flat, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	recs := make([]geom.Flat, len(ids))
-	pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
-	if err != nil {
-		return nil, 0, err
-	}
-	return recs, pages, nil
 }

@@ -9,15 +9,19 @@ import (
 	"time"
 )
 
-// TestWindowServesEachRequestAlone fails if sharing a window ever changes a
-// request's outcome. Six fetches for disjoint buckets of one disk are put in
-// the disk's ring under its lock, so the worker drains them as a single
-// window: two plain ones, one whose query already expired, one naming a
-// bucket the store does not hold, one traced, and one more plain one behind
-// them. Each must come back with exactly its own buckets' records, its own
-// page count and its own error — the expired and the failing request taking
-// nobody with them — and the traced one with its own stage times.
-func TestWindowServesEachRequestAlone(t *testing.T) {
+// TestDiskQueueServesEachRequestAlone fails if queueing behind other requests
+// ever changes a request's outcome, or if a disk serves its queue out of
+// arrival order. Six fetches for disjoint buckets of one disk are sent to the
+// disk's queue back to back: two plain ones, one whose query already expired,
+// one naming a bucket the store does not hold, one traced, and one more plain
+// one behind them. Each must come back with exactly its own buckets' records,
+// its own page count and its own error — the expired and the failing request
+// taking nobody with them — and the traced one with its own stage times. They
+// share one response channel, and the answers must arrive in the order the
+// requests were sent: disk-model's latency (spans on the busiest disk × the
+// device delay) assumes a disk serves one request at a time, first come first
+// served.
+func TestDiskQueueServesEachRequestAlone(t *testing.T) {
 	s, f := newTestServer(t, 900, 1, Config{CacheBytes: -1, FetchRetries: -1})
 	file := s.st.Manifest().Buckets
 	const n = 6
@@ -29,7 +33,7 @@ func TestWindowServesEachRequestAlone(t *testing.T) {
 	cancel()
 	const expiredAt, unknownAt, tracedAt = 2, 3, 4
 	tr := new(Trace)
-	resps := make([]chan fetchResp, n)
+	resp := make(chan fetchResp, n)
 	reqs := make([]fetchReq, n)
 	wantPages := make([]int, n)
 	for i := range reqs {
@@ -41,8 +45,7 @@ func TestWindowServesEachRequestAlone(t *testing.T) {
 			reqs[i].idxs = append(reqs[i].idxs, j)
 			wantPages[i] += file[j].Pages
 		}
-		resps[i] = make(chan fetchResp, 1)
-		reqs[i].ctx, reqs[i].resp = context.Background(), resps[i]
+		reqs[i].ctx, reqs[i].resp = context.Background(), resp
 	}
 	reqs[expiredAt].ctx = expired
 	reqs[unknownAt].ids = append(reqs[unknownAt].ids, 1<<30)
@@ -50,24 +53,20 @@ func TestWindowServesEachRequestAlone(t *testing.T) {
 	reqs[tracedAt].tr, reqs[tracedAt].enq = tr, time.Now().Add(-time.Millisecond)
 
 	before := s.Snapshot()
-	q := s.sched[0]
-	q.mu.Lock()
-	q.reqs = append(q.reqs, reqs...)
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
+	for _, r := range reqs {
+		s.sched[0] <- r
 	}
 
-	for i, ch := range resps {
+	for i := range reqs {
 		var r fetchResp
 		select {
-		case r = <-ch:
+		case r = <-resp:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("request %d was never answered", i)
+			t.Fatalf("answer %d never came", i)
 		}
 		if !slices.Equal(r.ids, reqs[i].ids) || !slices.Equal(r.idxs, reqs[i].idxs) || r.disk != 0 {
-			t.Errorf("request %d: answer echoes ids %v idxs %v disk %d, want its own", i, r.ids, r.idxs, r.disk)
+			t.Fatalf("answer %d echoes ids %v idxs %v disk %d, want request %d's: answers out of arrival order",
+				i, r.ids, r.idxs, r.disk, i)
 		}
 		switch i {
 		case expiredAt:
@@ -111,7 +110,7 @@ func TestWindowServesEachRequestAlone(t *testing.T) {
 		}
 	}
 	if got := after.PagesRead - before.PagesRead; got != int64(served) {
-		t.Errorf("window read %d wanted pages, its four successful requests hold %d", got, served)
+		t.Errorf("queue read %d wanted pages, its four successful requests hold %d", got, served)
 	}
 	if after.MergedFetches != 0 {
 		t.Errorf("merged_fetches = %d, want the constant 0", after.MergedFetches)

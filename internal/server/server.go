@@ -177,7 +177,7 @@ type Server struct {
 	// Without it, conns×pipelineDepth goroutines pile up behind the
 	// admission semaphore and scheduler churn erases the pipelining win.
 	tagSlots chan struct{}
-	sched    []*diskQueue
+	sched    []chan fetchReq
 	fetchWg  sync.WaitGroup
 
 	// replicated is st.Replicas() > 1: bucket reads choose the least-loaded
@@ -235,7 +235,7 @@ func newEngine(st *store.Store, cfg Config) *Server {
 		faults:   cfg.Faults,
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		tagSlots: make(chan struct{}, cfg.MaxInflight),
-		sched:    make([]*diskQueue, m.Disks),
+		sched:    make([]chan fetchReq, m.Disks),
 		conns:    make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
@@ -255,13 +255,14 @@ func newEngine(st *store.Store, cfg Config) *Server {
 	// One I/O worker per disk file: fetches on the same disk serialize (one
 	// head per spindle, as in the paper's model) while distinct disks
 	// proceed in parallel — this is where declustering quality becomes
-	// real wall-clock parallelism. Each worker drains its submission ring
-	// in windows (see fetch.go).
+	// real wall-clock parallelism. A worker's queue is a channel served in
+	// arrival order. It holds MaxInflight requests: an admitted query has at
+	// most one batch per disk outstanding, so only a failover burst can fill
+	// it, and then the submitting query waits for the worker to drain.
 	for d := range s.sched {
-		q := newDiskQueue()
-		s.sched[d] = q
+		s.sched[d] = make(chan fetchReq, cfg.MaxInflight)
 		s.fetchWg.Add(1)
-		go s.diskWorker(d, q)
+		go s.diskWorker(d, s.sched[d])
 	}
 
 	if cfg.ScrubInterval > 0 {

@@ -631,6 +631,53 @@ func TestGracefulShutdown(t *testing.T) {
 	s.Close() // idempotent
 }
 
+// heldDeadlineConn holds its first SetReadDeadline — a connection reader
+// arming its idle timeout — until a second call, Close's, has been applied,
+// so the reader's deadline is the one that lands last.
+type heldDeadlineConn struct {
+	net.Conn
+	calls    atomic.Int32
+	arrived  chan struct{}
+	released chan struct{}
+}
+
+func (c *heldDeadlineConn) SetReadDeadline(t time.Time) error {
+	switch c.calls.Add(1) {
+	case 1:
+		close(c.arrived)
+		<-c.released
+	case 2:
+		defer close(c.released)
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestCloseDuringIdleRearm closes the server while an idle connection's
+// reader is between its check for shutdown and re-arming its idle deadline:
+// Close's "read deadline now" is applied first and the reader's two minutes
+// after it. The reader must still notice the shutdown instead of blocking in
+// its read until Close gives up draining (drainTimeout, 5 s) and force-closes
+// the connection.
+func TestCloseDuringIdleRearm(t *testing.T) {
+	s, _ := newTestEngine(t, 200, 1, Config{})
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	c := &heldDeadlineConn{Conn: srv, arrived: make(chan struct{}), released: make(chan struct{})}
+	// Register the connection the way acceptLoop does.
+	s.mu.Lock()
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	s.connWg.Add(1)
+	go s.handleConn(c)
+
+	<-c.arrived
+	start := time.Now()
+	s.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v with an idle connection open, want well under a second", d.Round(time.Millisecond))
+	}
+}
+
 // TestServerGridStoreMismatch proves New refuses to serve a store written
 // from a different grid file.
 func TestServerGridStoreMismatch(t *testing.T) {

@@ -48,6 +48,10 @@
 #   6. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
 #                  and TestScanReservesOnce without the race detector (their
 #                  file is built out under -race: sync.Pool drops there)
+#   7. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
+#                  checks — BenchmarkExecRange's reply verb,
+#                  BenchmarkCheckpoint's and BenchmarkDecluster's errors —
+#                  run nowhere else
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -93,5 +97,8 @@ go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/store
 
 echo "== alloc tests"
 go test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$' -count=1 ./internal/server
+
+echo "== benchmarks (once each)"
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "check.sh: all green"
