@@ -2,18 +2,24 @@
 // cache that fronts the page store on the network server's hot path. The
 // cached unit is a decoded bucket in arena form: one geom.Flat — a contiguous
 // []float64 coordinate array plus a dimension header — keyed by bucket id.
-// Four properties matter for the serving path:
+// Five properties matter for the serving path:
 //
-//   - Sharding: the id space is hashed over independently locked shards, so
-//     concurrent queries rarely contend on one mutex.
+//   - Lock-free hits: the resident set is one slot table indexed by bucket
+//     id (ids are dense), so a hit is a load of the table and of the slot
+//     and, at most, one bit — the entry's referenced bit, stored only when
+//     it is clear. A hit takes no lock, and Resident counts a query's whole
+//     run of hits with one add to the shared counter.
+//   - Sharding: writers — a completed load, an invalidation, an eviction —
+//     lock the shard the id hashes to, so concurrent misses rarely contend
+//     on one mutex.
 //   - Byte bound: each shard owns an equal slice of the configured budget
 //     and evicts from the cold end of its list whenever an insert pushes it
 //     over; the whole cache never holds more than MaxBytes of decoded
 //     records (plus bounded per-entry overhead accounted with them).
-//   - Second chance: a hit only sets the entry's referenced bit — a lookup
-//     and one store, no list surgery — and eviction, the rare operation,
-//     pays for recency: an entry reaching the cold end with the bit set has
-//     it cleared and goes round once more; the first one found clear goes.
+//   - Second chance: a hit only sets the entry's referenced bit — no list
+//     surgery — and eviction, the rare operation, pays for recency: an entry
+//     reaching the cold end with the bit set has it cleared and goes round
+//     once more; the first one found clear goes.
 //   - Singleflight: when several queries miss on the same bucket at once,
 //     exactly one (the leader) performs the disk read; the rest wait for
 //     its result instead of duplicating the I/O — unless the bucket was
@@ -25,7 +31,7 @@
 //
 // Cached arenas are shared between all readers and must be treated as
 // immutable. Lifetime under writes is version-pinned, not refcounted:
-// Invalidate unlinks the entry and stamps the id, but never frees or
+// Invalidate clears the slot and stamps the id, but never frees or
 // reuses the arena — a reader that acquired the Flat before the
 // invalidation keeps a consistent old snapshot for as long as it holds the
 // slice (the garbage collector pins the arena), while readers arriving
@@ -42,7 +48,7 @@ import (
 )
 
 // entryOverhead approximates the bookkeeping bytes an entry costs beyond
-// its decoded records: map slot, list links, entry struct, bounding box.
+// its decoded records: table slot, list links, entry struct, bounding box.
 const entryOverhead = 128
 
 // Cache is a sharded, byte-bounded second-chance cache of decoded buckets
@@ -51,6 +57,18 @@ const entryOverhead = 128
 type Cache struct {
 	shards []shard
 	mask   uint32
+
+	// slots is the resident set: slot id holds bucket id's entry, or nil.
+	// Readers load the table and a slot with no lock. A writer stores a
+	// slot only while it holds the lock of the shard id hashes to
+	// (Complete, Invalidate, evictLocked), and grow replaces the table only
+	// while it holds every shard lock, so a writer always stores into the
+	// current table. A reader that loaded the table before a growth may read
+	// pre-growth slots; any write acknowledged after that growth was
+	// acknowledged after the reader began, so its query overlaps the write
+	// and old-or-new holds. A query that starts after an Invalidate returns
+	// loads the current table and finds the slot nil.
+	slots atomic.Pointer[[]atomic.Pointer[entry]]
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -62,18 +80,19 @@ type Cache struct {
 	maxBytes      int64
 }
 
+// entry is one resident bucket. Everything but ref and the list links is
+// set before the entry is published in its slot and never changes after.
 type entry struct {
 	key        int32
 	rec        geom.Flat
 	pages      int
 	bytes      int64
-	ref        bool // hit since it was inserted or last reached the cold end
-	prev, next *entry
+	ref        atomic.Bool // hit since it was inserted or last reached the cold end
+	prev, next *entry      // the shard's list; under its lock
 }
 
 type shard struct {
 	mu       sync.Mutex
-	m        map[int32]*entry
 	sentinel entry // circular list; sentinel.prev is the cold end eviction sweeps from
 	bytes    int64
 	max      int64
@@ -126,13 +145,13 @@ func New(maxBytes int64, shards int) *Cache {
 		n <<= 1
 	}
 	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1), maxBytes: maxBytes}
+	c.slots.Store(new([]atomic.Pointer[entry]))
 	per := maxBytes / int64(n)
 	if per < 1 {
 		per = 1
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.m = make(map[int32]*entry)
 		s.inflight = make(map[int32]*Pending)
 		s.versions = make(map[int32]uint64)
 		s.sentinel.prev = &s.sentinel
@@ -149,6 +168,66 @@ func (c *Cache) shardFor(id int32) *shard {
 	return &c.shards[(h>>16)&c.mask]
 }
 
+// lookup returns id's entry in the slot table t, or nil.
+func lookup(t []atomic.Pointer[entry], id int32) *entry {
+	if uint32(id) >= uint32(len(t)) { // a negative id too
+		return nil
+	}
+	return t[id].Load()
+}
+
+// mark records a hit on e. The bit is stored only when it is clear, so the
+// hits of a resident working set write nothing at all.
+func (e *entry) mark() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+}
+
+// grow makes the slot table long enough to hold id. Growth takes every
+// shard lock, in order, so that no writer stores into the table it
+// replaces; the table only ever grows, so a caller that saw it long enough
+// once need not look again.
+func (c *Cache) grow(id int32) {
+	if int(id) < len(*c.slots.Load()) {
+		return
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	if old := *c.slots.Load(); int(id) >= len(old) {
+		t := make([]atomic.Pointer[entry], max(int(id)+1, 2*len(old)))
+		for i := range old {
+			t[i].Store(old[i].Load())
+		}
+		c.slots.Store(&t)
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+}
+
+// Resident fills recs[i] for the leading run of ids whose buckets are
+// resident and returns the run's length: a query's all-hit path, with no
+// lock and one add to the hit counter for the whole run. ids[n], the first
+// id that is not resident, is left to Acquire.
+func (c *Cache) Resident(ids []int32, recs []geom.Flat) int {
+	t := *c.slots.Load()
+	n := 0
+	for ; n < len(ids); n++ {
+		e := lookup(t, ids[n])
+		if e == nil {
+			break
+		}
+		e.mark()
+		recs[n] = e.rec
+	}
+	if n > 0 {
+		c.hits.Add(int64(n))
+	}
+	return n
+}
+
 // AcquireResult reports how an Acquire was satisfied. Exactly one of three
 // shapes comes back: a hit (Hit true, Rec/Pages valid), leadership (Leader
 // true: the caller MUST load the bucket and hand Pending to Complete exactly
@@ -161,16 +240,30 @@ type AcquireResult struct {
 	Pending *Pending
 }
 
+// hit is Acquire's answer when id is resident.
+func (c *Cache) hit(id int32) (AcquireResult, bool) {
+	e := lookup(*c.slots.Load(), id)
+	if e == nil {
+		return AcquireResult{}, false
+	}
+	e.mark()
+	c.hits.Add(1)
+	return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}, true
+}
+
 // Acquire looks id up, joining an in-flight load when one exists and
-// electing the caller leader otherwise.
+// electing the caller leader otherwise. A hit takes no lock.
 func (c *Cache) Acquire(id int32) AcquireResult {
+	if r, ok := c.hit(id); ok {
+		return r
+	}
 	s := c.shardFor(id)
 	s.mu.Lock()
-	if e, ok := s.m[id]; ok {
-		e.ref = true
+	// A load may have completed since the look above; under the lock the
+	// slot and the in-flight table agree.
+	if r, ok := c.hit(id); ok {
 		s.mu.Unlock()
-		c.hits.Add(1)
-		return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}
+		return r
 	}
 	// A load that began before a write since acknowledged may carry data
 	// that predates the write, and this reader may not: it is not joined but
@@ -199,12 +292,9 @@ func (c *Cache) Invalidate(ids ...int32) {
 		s := c.shardFor(id)
 		s.mu.Lock()
 		s.versions[id]++
-		if e, ok := s.m[id]; ok {
+		if e := lookup(*c.slots.Load(), id); e != nil {
 			s.unlink(e)
-			delete(s.m, id)
-			s.bytes -= e.bytes
-			c.bytes.Add(-e.bytes)
-			c.entries.Add(-1)
+			c.removeLocked(s, e)
 		}
 		s.mu.Unlock()
 		c.invalidations.Add(1)
@@ -217,17 +307,21 @@ func (c *Cache) Invalidate(ids ...int32) {
 // budget is returned to waiters but not cached, and neither is the result of
 // a load an Invalidate has outdated.
 func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int, err error) {
+	insert := err == nil && p.id >= 0
+	if insert {
+		c.grow(p.id) // before the shard lock: growth takes them all
+	}
 	s := c.shardFor(p.id)
 	s.mu.Lock()
 	if s.inflight[p.id] == p {
 		delete(s.inflight, p.id)
 	}
-	if err == nil && p.version == s.versions[p.id] {
-		if _, dup := s.m[p.id]; !dup {
+	if insert && p.version == s.versions[p.id] {
+		if slot := &(*c.slots.Load())[p.id]; slot.Load() == nil {
 			e := &entry{key: p.id, rec: rec, pages: pages, bytes: cost(rec)}
 			if e.bytes <= s.max {
-				s.m[p.id] = e
 				s.pushFront(e)
+				slot.Store(e)
 				s.bytes += e.bytes
 				c.bytes.Add(e.bytes)
 				c.entries.Add(1)
@@ -284,17 +378,23 @@ func (c *Cache) evictLocked(s *shard) {
 			return
 		}
 		s.unlink(cold)
-		if cold.ref {
-			cold.ref = false
+		if cold.ref.Load() {
+			cold.ref.Store(false)
 			s.pushFront(cold)
 			continue
 		}
-		delete(s.m, cold.key)
-		s.bytes -= cold.bytes
-		c.bytes.Add(-cold.bytes)
-		c.entries.Add(-1)
+		c.removeLocked(s, cold)
 		c.evictions.Add(1)
 	}
+}
+
+// removeLocked clears unlinked entry e's slot and takes its bytes off the
+// books. Caller holds s.mu, the lock of e's shard.
+func (c *Cache) removeLocked(s *shard, e *entry) {
+	(*c.slots.Load())[e.key].Store(nil)
+	s.bytes -= e.bytes
+	c.bytes.Add(-e.bytes)
+	c.entries.Add(-1)
 }
 
 func (s *shard) pushFront(e *entry) {

@@ -528,11 +528,7 @@ func TestArenaPinnedAcrossInvalidate(t *testing.T) {
 // resident reports whether id is cached, without the hit an Acquire would
 // mark it with.
 func resident(c *Cache, id int32) bool {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.m[id]
-	return ok
+	return lookup(*c.slots.Load(), id) != nil
 }
 
 // TestSecondChanceSurvivesOneSweep: an entry hit once passes the cold end
@@ -625,7 +621,8 @@ func TestInvalidateReferencedEntry(t *testing.T) {
 // from several goroutines over entries of mixed size and checks after every
 // step that no shard holds more than its budget whenever its lock is free —
 // so the cache as a whole never does — and, once the dust settles, that the
-// cache's totals agree with its shards and stay under the bound.
+// shards' lists and the slot table hold the same entries, and that the
+// cache's totals agree with them and stay under the bound.
 func TestByteBoundUnderRandomOps(t *testing.T) {
 	const maxBytes = 16 << 10
 	c := New(maxBytes, 4)
@@ -662,14 +659,33 @@ func TestByteBoundUnderRandomOps(t *testing.T) {
 	}
 	wg.Wait()
 	var bytes, entries int64
+	listed := map[*entry]bool{}
 	for i := range c.shards {
 		s := &c.shards[i]
-		for _, e := range s.m {
-			bytes += e.bytes
+		var shardBytes int64
+		for e := s.sentinel.next; e != &s.sentinel; e = e.next {
+			if c.shardFor(e.key) != s {
+				t.Errorf("bucket %d is listed in shard %d, not the one it hashes to", e.key, i)
+			}
+			if got := lookup(*c.slots.Load(), e.key); got != e {
+				t.Errorf("shard %d lists bucket %d, its slot holds %p", i, e.key, got)
+			}
+			listed[e] = true
+			shardBytes += e.bytes
 			entries++
 		}
+		if shardBytes != s.bytes {
+			t.Errorf("shard %d lists %d bytes, counts %d", i, shardBytes, s.bytes)
+		}
+		bytes += shardBytes
 		if len(s.inflight) != 0 {
 			t.Errorf("shard %d: %d loads left in flight", i, len(s.inflight))
+		}
+	}
+	slots := *c.slots.Load()
+	for id := range slots {
+		if e := slots[id].Load(); e != nil && (!listed[e] || e.key != int32(id)) {
+			t.Errorf("slot %d holds bucket %d, listed %v", id, e.key, listed[e])
 		}
 	}
 	if st := c.Stats(); st.Bytes != bytes || st.Entries != entries || st.Bytes > maxBytes {
@@ -677,15 +693,112 @@ func TestByteBoundUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestResidentNeverReturnsInvalidatedArena races lock-free readers against
+// writers that invalidate and reload ids spread far enough apart to grow the
+// slot table several times while the readers run. Every arena carries its
+// bucket id and a version in its two coordinates. A writer stores a new
+// version — what a load reads from then on — calls Invalidate, and once that
+// has returned acknowledges the version. A Resident or Acquire that starts
+// after the acknowledgement must see that version or a later one, never the
+// arena it replaced.
+func TestResidentNeverReturnsInvalidatedArena(t *testing.T) {
+	const (
+		writers = 4
+		perW    = 8
+		rounds  = 300
+	)
+	c := New(64<<20, 4)
+	// ids[w][j] is writer w's j-th id; spacing them out quadratically
+	// forces growths as the rounds reach the later ones.
+	var ids [writers][perW]int32
+	var stored, acked [writers][perW]atomic.Int64
+	for w := range ids {
+		for j := range ids[w] {
+			ids[w][j] = int32(w + writers*64*j*(j+1))
+		}
+	}
+	arena := func(id int32, v int64) geom.Flat {
+		return geom.Flat{Dims: 2, Coords: []float64{float64(id), float64(v)}}
+	}
+	check := func(id int32, floor int64, rec geom.Flat) error {
+		if rec.Coords[0] != float64(id) {
+			return fmt.Errorf("bucket %d returned bucket %v's arena", id, rec.Coords[0])
+		}
+		if v := int64(rec.Coords[1]); v < floor {
+			return fmt.Errorf("bucket %d: version %d returned after version %d was acknowledged", id, v, floor)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			recs := make([]geom.Flat, 1)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w, j := rng.Intn(writers), rng.Intn(perW)
+				id := ids[w][j]
+				floor := acked[w][j].Load()
+				var err error
+				if rng.Intn(2) == 0 {
+					if c.Resident([]int32{id}, recs) == 1 {
+						err = check(id, floor, recs[0])
+					}
+				} else if a := c.Acquire(id); a.Hit {
+					err = check(id, floor, a.Rec)
+				} else if a.Leader {
+					// A leader reads what is stored after it was elected.
+					c.Complete(a.Pending, arena(id, stored[w][j].Load()), 1, nil)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(r))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				j := round % perW
+				id := ids[w][j]
+				v := stored[w][j].Add(1)
+				c.Invalidate(id)
+				acked[w][j].Store(v)
+				if r := c.Acquire(id); r.Leader {
+					c.Complete(r.Pending, arena(id, stored[w][j].Load()), 1, nil)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := len(*c.slots.Load()); n <= int(ids[writers-1][perW-1]) {
+		t.Fatalf("slot table of %d slots, shorter than the largest id %d", n, ids[writers-1][perW-1])
+	}
+}
+
 // BenchmarkAcquireHit is the cache's share of a resident read: Acquire on an
 // entry that is there, cycling over more ids than fit a CPU cache line's
 // worth of entries so every shard is visited.
 func BenchmarkAcquireHit(b *testing.B) {
-	const ids = 4096
-	c := New(64<<20, 0)
-	for id := int32(0); id < ids; id++ {
-		c.Get(context.Background(), id, loadOf(makeFlat(40), 1))
-	}
+	c, ids := residentCache()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -693,4 +806,31 @@ func BenchmarkAcquireHit(b *testing.B) {
 			b.Fatal("miss on a resident id")
 		}
 	}
+}
+
+// BenchmarkAcquireHitParallel is BenchmarkAcquireHit from every P at once:
+// the cross-core cost of a hit — a lock or a shared counter bouncing between
+// caches — shows only when several goroutines share the cache.
+func BenchmarkAcquireHitParallel(b *testing.B) {
+	c, ids := residentCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if r := c.Acquire(int32(i % ids)); !r.Hit {
+				b.Error("miss on a resident id")
+				return
+			}
+		}
+	})
+}
+
+// residentCache returns a cache holding buckets 0 to ids-1.
+func residentCache() (c *Cache, ids int) {
+	const n = 4096
+	c = New(64<<20, 0)
+	for id := int32(0); id < n; id++ {
+		c.Get(context.Background(), id, loadOf(makeFlat(40), 1))
+	}
+	return c, n
 }

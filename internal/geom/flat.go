@@ -35,27 +35,38 @@ const (
 	Outside                // no row matches
 )
 
+// AllDims is the cross set of a Straddles decision made without a box: test
+// every dimension.
+const AllDims = ^uint64(0)
+
 // Cover classifies f's records against the closed box q from f.Box alone,
 // agreeing with q.ContainsPoint on every row: Inside and Outside are
 // returned only when the bounding box proves them, Straddles otherwise
 // (and always when Box is nil or the dimensionalities differ).
-func (f Flat) Cover(q Rect) Cover {
-	if len(f.Box) != 2*len(q) || len(q) != f.Dims {
-		return Straddles
+//
+// For Straddles, cross says which dimensions a row still has to be tested
+// on: bit d is set when the box does not lie inside q along dimension d,
+// and along every other dimension every row lies inside q. Without a usable
+// box — or above 64 dimensions, which have no bit — cross is AllDims.
+func (f Flat) Cover(q Rect) (c Cover, cross uint64) {
+	if len(f.Box) != 2*len(q) || len(q) != f.Dims || len(q) > 64 {
+		return Straddles, AllDims
 	}
-	c := Inside
 	for d, iv := range q {
 		lo, hi := f.Box[2*d], f.Box[2*d+1]
 		// Written so that a NaN query bound, which no row can satisfy,
 		// lands on Outside like the row predicate does.
 		if !(iv.Lo <= hi && lo <= iv.Hi) {
-			return Outside
+			return Outside, 0
 		}
 		if !(iv.Lo <= lo && hi <= iv.Hi) {
-			c = Straddles
+			cross |= 1 << d
 		}
 	}
-	return c
+	if cross == 0 {
+		return Inside, 0
+	}
+	return Straddles, cross
 }
 
 // Len returns the number of records.

@@ -103,7 +103,7 @@ func (f *File) mergeInto(idA, idB int32, d int) (int32, int32) {
 	if db.hi[d] > kb.hi[d] {
 		kb.hi[d] = db.hi[d]
 	}
-	f.forEachCellIn(db.lo, db.hi, func(idx int) {
+	f.forEachCellIn(db.lo, db.hi, make([]int32, dims), func(idx int) {
 		f.dir[idx] = keep
 	})
 	f.bkts[drop] = nil

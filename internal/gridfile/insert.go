@@ -182,16 +182,15 @@ func (f *File) divideRegion(id int32, d int) int32 {
 	}
 
 	// Update directory entries for the new bucket's region.
-	f.forEachCellIn(nb.lo, nb.hi, func(idx int) {
+	f.forEachCellIn(nb.lo, nb.hi, make([]int32, dims), func(idx int) {
 		f.dir[idx] = newID
 	})
 	return newID
 }
 
 // forEachCellIn invokes fn with the flat index of every cell in the box
-// [lo,hi] (inclusive).
-func (f *File) forEachCellIn(lo, hi []int32, fn func(idx int)) {
-	cell := make([]int32, len(lo))
+// [lo,hi] (inclusive), walking with cell (len(lo)) as its cursor.
+func (f *File) forEachCellIn(lo, hi, cell []int32, fn func(idx int)) {
 	copy(cell, lo)
 	for {
 		fn(f.cellIndex(cell))

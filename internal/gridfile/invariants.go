@@ -72,7 +72,7 @@ func (f *File) checkInvariants() error {
 		}
 		live++
 		ok := true
-		f.forEachCellIn(b.lo, b.hi, func(idx int) {
+		f.forEachCellIn(b.lo, b.hi, cell, func(idx int) {
 			if f.dir[idx] != int32(id) {
 				ok = false
 			}

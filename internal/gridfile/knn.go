@@ -59,7 +59,7 @@ func (f *File) NearestNeighbors(p geom.Point, k int) []Neighbor {
 	seen := make(map[int32]bool)
 	for {
 		// Collect records from buckets of cells in [lo,hi] not seen yet.
-		f.forEachCellIn(lo, hi, func(idx int) {
+		f.forEachCellIn(lo, hi, cell, func(idx int) {
 			id := f.dir[idx]
 			if seen[id] {
 				return

@@ -104,13 +104,17 @@ func (f *File) queryCellBox(q geom.Rect, lo, hi []int32) bool {
 // so it is safe for concurrent readers — the property the network query
 // service relies on to translate queries without a coordinator lock.
 func (f *File) BucketsInRange(q geom.Rect) []int32 {
-	return f.BucketsInRangeAppend(q, nil)
+	ids := f.BucketsInRangeAppend(q, nil)
+	slices.Sort(ids)
+	return ids
 }
 
 // BucketsInRangeAppend is BucketsInRange appending onto a caller-owned
-// slice — the allocation-free form for callers that reuse a scratch slice
-// across queries (the network server's translation step). The appended ids
-// are in ascending order; ids already in the slice are left untouched.
+// slice, and allocating nothing when it has room — the form for callers
+// that reuse a scratch slice across queries (the network server's
+// translation step). The appended ids are distinct and in directory order,
+// not sorted: the server reads them through the store, which orders each
+// disk's batch by page itself. Ids already in the slice are left untouched.
 func (f *File) BucketsInRangeAppend(q geom.Rect, ids []int32) []int32 {
 	if len(q) != f.cfg.Dims {
 		return ids
@@ -120,13 +124,11 @@ func (f *File) BucketsInRangeAppend(q geom.Rect, ids []int32) []int32 {
 	if !f.queryCellBox(q, sc.lo, sc.hi) {
 		return ids
 	}
-	base := len(ids)
-	f.forEachCellIn(sc.lo, sc.hi, func(idx int) {
+	f.forEachCellIn(sc.lo, sc.hi, sc.cell, func(idx int) {
 		if id := f.dir[idx]; !sc.visit(id) {
 			ids = append(ids, id)
 		}
 	})
-	slices.Sort(ids[base:])
 	return ids
 }
 

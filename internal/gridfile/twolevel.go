@@ -83,7 +83,7 @@ func NewTwoLevelDirectory(f *File, pageCells int) (*TwoLevelDirectory, error) {
 		nTiles *= d.tileCount[k]
 	}
 	d.pages = make([]*directoryPage, nTiles)
-	tile := make([]int32, dims)
+	tile, cell := make([]int32, dims), make([]int32, dims)
 	for t := int32(0); t < nTiles; t++ {
 		lo := make([]int32, dims)
 		hi := make([]int32, dims)
@@ -95,7 +95,7 @@ func NewTwoLevelDirectory(f *File, pageCells int) (*TwoLevelDirectory, error) {
 			}
 		}
 		page := &directoryPage{lo: lo, hi: hi}
-		f.forEachCellIn(lo, hi, func(idx int) {
+		f.forEachCellIn(lo, hi, cell, func(idx int) {
 			page.ids = append(page.ids, f.dir[idx])
 		})
 		d.pages[t] = page

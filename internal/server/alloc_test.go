@@ -16,17 +16,19 @@ import (
 	"testing"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/gridfile"
 	"pgridfile/internal/workload"
 )
 
 // allocBudget is the committed per-query allocation budget of the
 // cache-resident serving path, client side included: the whole process's
-// mallocs divided by the queries served. The path measures 3.6–4.02 (FIFO
-// and pipelined, GOMAXPROCS 1–8, GOGC 10–400), so the budget leaves room for
-// the runtime's background allocations and none for a new per-query one,
-// which lands at 4.8–5.0. Raise it deliberately or not at all — a silent
-// climb here is exactly what this test exists to catch.
-const allocBudget = 4.5
+// mallocs divided by the queries served. The path measures 2.00–2.04 (FIFO
+// and pipelined, GOMAXPROCS 1–8, GOGC 10–400, and beside a busy test
+// binary), so the budget leaves room for the runtime's background
+// allocations and none for a new per-query one (a fresh cell vector for
+// each translation measured 3.00). Raise it deliberately or not at all — a
+// silent climb here is exactly what this test exists to catch.
+const allocBudget = 2.5
 
 // allocBytesBudget is the committed budget, in bytes allocated process-wide
 // per byte of encoded answer, for cache-resident ranges that return their
@@ -50,10 +52,10 @@ const serverBytesBudget = 0.5
 
 // TestAllocBudget holds the all-hit serving path to allocBudget for a FIFO
 // client and for a pipelined one: count-only range queries over a server
-// whose cache holds every bucket, so fetchBuckets never leaves its hit loop
-// and every per-query buffer comes from a pool. The exec case holds the
-// executor alone to its own budget, and the last case holds points-returning
-// ranges to serverBytesBudget and allocBytesBudget.
+// whose cache holds every bucket, so fetchBuckets is one Resident call and
+// every per-query buffer comes from a pool. The exec cases hold the executor
+// alone, on ranges and on kNN, to budgets of their own, and the last case
+// holds points-returning ranges to serverBytesBudget and allocBytesBudget.
 func TestAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -98,46 +100,74 @@ func TestAllocBudget(t *testing.T) {
 	}
 
 	// The executor alone, no socket and no Client: exec on an engine without a
-	// listener, the reply appended to one reused buffer. It measures 1.00 — the
-	// closure gridfile's range translation hands its cell walk; the pooled
-	// scratch, query context and answer buffer add nothing per query — so of
-	// the ≈ 4.0 above, 3 are the connection layer's and the client's. The
-	// budget leaves the same half an allocation for the runtime and none for a
-	// new per-query one.
-	t.Run("exec", func(t *testing.T) {
-		const execBudget = 1.5
-		s, f := newTestEngine(t, 3000, 8, Config{})
-		var reqs []Frame
-		for _, q := range workload.SquareRange(f.Domain(), 0.02, 512, 3) {
-			fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
-			if err != nil {
-				t.Fatal(err)
+	// listener, the reply appended to one reused buffer, lowest of three
+	// passes. A count-only range measures 0.00 — the pooled scratch, query
+	// context and answer buffer add nothing per query, and translation walks
+	// the directory with the pooled scratch's cell vector (a fresh one per
+	// query measured 1.00) — so the 2.0 above are the connection layer's and
+	// the client's. Ten nearest neighbours over the same resident engine
+	// measure 4.68: the domain and cell-size copies, the probe box and the
+	// fetched-bucket set's storage; the candidates live in the pooled heap
+	// (a candidate slice per probe, sorted whole, measured 15.33). Each
+	// budget leaves half an allocation for the runtime and none for a new
+	// per-query one.
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		req    func(f *gridfile.File) []Request
+		reply  Verb
+	}{
+		{"exec", 0.5, func(f *gridfile.File) (reqs []Request) {
+			for _, q := range workload.SquareRange(f.Domain(), 0.02, 512, 3) {
+				reqs = append(reqs, Request{Verb: VerbRange, Query: q, CountOnly: true})
 			}
-			reqs = append(reqs, fr)
-		}
-		var out []byte
-		run := func(ops int) {
-			for i := 0; i < ops; i++ {
-				if out = s.exec(out[:0], reqs[i%len(reqs)]); Verb(out[0]) != VerbCount {
-					t.Fatalf("reply verb 0x%02x: %s", out[0], out[1:])
+			return reqs
+		}, VerbCount},
+		{"exec knn", 5.2, func(f *gridfile.File) (reqs []Request) {
+			f.Scan(func(key []float64, _ []byte) bool {
+				reqs = append(reqs, Request{Verb: VerbKNN, Key: geom.Point{key[0], key[1]}, K: 10})
+				return len(reqs) < 512
+			})
+			return reqs
+		}, VerbPoints},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, f := newTestEngine(t, 3000, 8, Config{})
+			var reqs []Frame
+			for _, req := range tc.req(f) {
+				fr, err := encodeRequest(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reqs = append(reqs, fr)
+			}
+			var out []byte
+			run := func(ops int) {
+				for i := 0; i < ops; i++ {
+					if out = s.exec(out[:0], reqs[i%len(reqs)]); Verb(out[0]) != tc.reply {
+						t.Fatalf("reply verb 0x%02x: %s", out[0], out[1:])
+					}
 				}
 			}
-		}
-		run(2 * len(reqs))
-		const ops, passes = 4000, 3
-		perOp := math.Inf(1)
-		for p := 0; p < passes; p++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run(ops)
-			runtime.ReadMemStats(&after)
-			perOp = min(perOp, float64(after.Mallocs-before.Mallocs)/ops)
-		}
-		t.Logf("%.2f mallocs/op through exec alone, lowest of %d passes of %d ops (budget %v)", perOp, passes, ops, execBudget)
-		if perOp > execBudget {
-			t.Errorf("%.2f mallocs/op through exec on the cache-resident path, budget %v", perOp, execBudget)
-		}
-	})
+			run(2 * len(reqs))
+			const ops, passes = 4000, 3
+			perOp := math.Inf(1)
+			for p := 0; p < passes; p++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run(ops)
+				runtime.ReadMemStats(&after)
+				perOp = min(perOp, float64(after.Mallocs-before.Mallocs)/ops)
+			}
+			if misses := s.Snapshot().Cache.Misses; misses > int64(f.NumBuckets()) {
+				t.Fatalf("%d cache misses over %d buckets: the measured pass was not cache-resident", misses, f.NumBuckets())
+			}
+			t.Logf("%.2f mallocs/op through exec alone, lowest of %d passes of %d ops (budget %v)", perOp, passes, ops, tc.budget)
+			if perOp > tc.budget {
+				t.Errorf("%.2f mallocs/op through exec on the cache-resident path, budget %v", perOp, tc.budget)
+			}
+		})
+	}
 
 	// Points-returning ranges, by bytes: the server's share alone — what a
 	// connection does per request short of the socket: a pooled buffer, reply,
@@ -231,7 +261,7 @@ func TestScanReservesOnce(t *testing.T) {
 		}
 		recs = append(recs, geom.Flat{Dims: 2, Coords: coords, Box: boxOf(2, coords)})
 	}
-	var covers []geom.Cover
+	var covers []bucketCover
 	for _, tc := range []struct {
 		name    string
 		q       geom.Rect

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
+	"pgridfile/internal/geom"
 	"pgridfile/internal/workload"
 )
 
@@ -40,12 +42,55 @@ func BenchmarkRangeResident(b *testing.B) {
 // engine that has no listener, the inner reply appended to one reused buffer.
 // What is left is translate, cache hits, scan and encode, so the difference
 // between the two is the connection layer plus the client (DESIGN.md S39).
-func BenchmarkExecRange(b *testing.B) {
+func BenchmarkExecRange(b *testing.B) { benchExec(b, false, residentRanges) }
+
+// BenchmarkExecRangeParallel is BenchmarkExecRange from every P at once, each
+// goroutine with its own reply buffer. One goroutine never shows what a cache
+// hit costs when the cache is shared: a lock or a counter whose cache line
+// moves between cores (DESIGN.md S48).
+func BenchmarkExecRangeParallel(b *testing.B) { benchExec(b, true, residentRanges) }
+
+// residentRanges are BenchmarkRangeResident's 4 % ranges as requests.
+func residentRanges(dom geom.Rect) (reqs []Request) {
+	for _, q := range workload.SquareRange(dom, 0.04, 256, 3) {
+		reqs = append(reqs, Request{Verb: VerbRange, Query: q})
+	}
+	return reqs
+}
+
+// BenchmarkExecPartial is BenchmarkExecRange on partial-match lines (one
+// attribute given): nearly every bucket a line crosses straddles it along
+// that one dimension, so the time is the per-row test the scan runs there.
+func BenchmarkExecPartial(b *testing.B) {
+	benchExec(b, false, func(dom geom.Rect) (reqs []Request) {
+		for _, vals := range workload.PartialMatch(dom, 1, 256, 3) {
+			reqs = append(reqs, Request{Verb: VerbPartial, Vals: vals})
+		}
+		return reqs
+	})
+}
+
+// BenchmarkExecKNN is BenchmarkExecRange on ten-nearest-neighbour queries
+// around keys spread over the domain: expanding probes, each translated and
+// fetched from the cache, and the candidates of every fetched bucket.
+func BenchmarkExecKNN(b *testing.B) {
+	benchExec(b, false, func(dom geom.Rect) (reqs []Request) {
+		for _, q := range workload.SquareRange(dom, 0.0001, 256, 3) {
+			reqs = append(reqs, Request{Verb: VerbKNN, Key: geom.Point{q[0].Lo, q[1].Lo}, K: 10})
+		}
+		return reqs
+	})
+}
+
+// benchExec runs the requests gen makes, in turn, through exec on an engine
+// over 100 000 uniform 2-D records whose cache holds every bucket they touch
+// — from every P at once when parallel — and reports answer rows per op.
+func benchExec(b *testing.B, parallel bool, gen func(dom geom.Rect) []Request) {
 	s, f := newTestEngine(b, 100000, 8, Config{})
 	var reqs []Frame
 	var out []byte
-	for _, q := range workload.SquareRange(f.Domain(), 0.04, 256, 3) {
-		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q})
+	for _, req := range gen(f.Domain()) {
+		fr, err := encodeRequest(req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,12 +99,23 @@ func BenchmarkExecRange(b *testing.B) {
 			b.Fatalf("reply verb 0x%02x: %s", out[0], out[1:])
 		}
 	}
+	var rows atomic.Int64
+	loop := func(next func() bool) {
+		var out []byte
+		n := 0
+		for i := 0; next(); i++ {
+			out = s.exec(out[:0], reqs[i%len(reqs)])
+			n += (len(out) - 1 - 6 - resultInfoBytes) / 16 // verb, dims+count, rows of two float64s, trailer
+		}
+		rows.Add(int64(n))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		out = s.exec(out[:0], reqs[i%len(reqs)])
-		rows += (len(out) - 1 - 6 - resultInfoBytes) / 16 // verb, dims+count, rows of two float64s, trailer
+	if parallel {
+		b.RunParallel(func(pb *testing.PB) { loop(pb.Next) })
+	} else {
+		i := 0
+		loop(func() bool { i++; return i <= b.N })
 	}
-	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(rows.Load())/float64(b.N), "rows/op")
 }

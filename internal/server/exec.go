@@ -16,14 +16,15 @@ import (
 )
 
 // qstate is the pooled per-query scratch: the decoded request plus the
-// bucket-id and arena-record slices query execution scans over, and the
-// scan's per-bucket covers. Pooling it keeps the steady-state serving path
-// allocation-free.
+// bucket-id and arena-record slices query execution scans over, the scan's
+// per-bucket covers and kNN's candidate heap. Pooling it keeps the
+// steady-state serving path allocation-free.
 type qstate struct {
 	req    Request
 	ids    []int32
 	recs   []geom.Flat
-	covers []geom.Cover
+	covers []bucketCover
+	near   knnHeap
 }
 
 var qstatePool = sync.Pool{New: func() any { return new(qstate) }}
@@ -317,19 +318,21 @@ func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 // is first decided as a whole from its bounding box: one the query contains
 // is copied (or counted) without looking at its rows, one it misses is
 // skipped, and only a bucket on the query's boundary, or one with no box,
-// pays the per-row test. A grid file's range query mostly meets the first
-// kind. Zero Flats (what a degraded fetch leaves) scan as empty.
+// pays the per-row test — on the dimensions its box crosses, so a
+// partial-match line tests one dimension of each row, not every one. A grid
+// file's range query mostly meets the first kind. Zero Flats (what a
+// degraded fetch leaves) scan as empty.
 //
 // The buckets are decided first, into the scratch *covers, so that the
 // answer buffer is reserved once for the rows of every bucket the query does
 // not miss — the most the scan can emit — and not for buckets it skips
 // (DESIGN S45).
-func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder, covers *[]geom.Cover) (int, error) {
+func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder, covers *[]bucketCover) (int, error) {
 	cs := slices.Grow((*covers)[:0], len(recs))[:len(recs)]
 	*covers = cs
 	rows := 0
 	for i, rec := range recs {
-		if cs[i] = rec.Cover(q); cs[i] != geom.Outside {
+		if cs[i].how, cs[i].cross = rec.Cover(q); cs[i].how != geom.Outside {
 			rows += rec.Len()
 		}
 	}
@@ -337,9 +340,10 @@ func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder, covers *[]ge
 		enc.reserve(rows)
 	}
 	count := 0
+	var testBuf [4]rowTest // room for the dimensions of the paper's datasets
 	for i, rec := range recs {
 		n := rec.Len()
-		switch cs[i] {
+		switch cs[i].how {
 		case geom.Outside:
 		case geom.Inside:
 			count += n
@@ -350,22 +354,57 @@ func scanBuckets(recs []geom.Flat, q geom.Rect, enc *resultEncoder, covers *[]ge
 				enc.appendRows(rec.Coords)
 			}
 		default:
-			for i := 0; i < n; i++ {
-				row := rec.Row(i)
-				if !q.ContainsPoint(row) {
-					continue
+			d := rec.Dims
+			if d != len(q) {
+				break // a row of another dimensionality is in no box of q's, as ContainsPoint says
+			}
+			tests := appendRowTests(testBuf[:0], q, cs[i].cross)
+		nextRow:
+			for off := 0; off < n*d; off += d {
+				for _, t := range tests {
+					// Written so that a NaN coordinate fails, as in ContainsPoint.
+					if v := rec.Coords[off+t.dim]; !(t.lo <= v && v <= t.hi) {
+						continue nextRow
+					}
 				}
 				count++
 				if enc != nil {
 					if !enc.room(1) {
 						return 0, ErrFrameTooBig
 					}
-					enc.appendRow(row)
+					enc.appendRow(rec.Coords[off : off+d])
 				}
 			}
 		}
 	}
 	return count, nil
+}
+
+// bucketCover is scanBuckets' decision for one bucket: how its box lies
+// against the query and, when it straddles, the dimensions its rows are
+// tested on (geom.Flat.Cover).
+type bucketCover struct {
+	how   geom.Cover
+	cross uint64
+}
+
+// rowTest is one dimension of the per-row test: the row's coordinate dim
+// must lie in [lo, hi].
+type rowTest struct {
+	dim    int
+	lo, hi float64
+}
+
+// appendRowTests appends the tests a straddling bucket's rows must pass: q
+// along each dimension in cross, every dimension when cross is
+// geom.AllDims.
+func appendRowTests(tests []rowTest, q geom.Rect, cross uint64) []rowTest {
+	for d, iv := range q {
+		if cross == geom.AllDims || cross>>d&1 == 1 { // a shift past 63 leaves 0
+			tests = append(tests, rowTest{d, iv.Lo, iv.Hi})
+		}
+	}
+	return tests
 }
 
 func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, vals []float64) (Result, error) {
@@ -387,7 +426,9 @@ func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *r
 // the key — the grid file's classic expanding-search strategy, executed
 // against the page store so every probe is real declustered I/O. Each probe
 // translates and fetches through fetchTranslated, as every other verb does,
-// and reads only buckets no earlier probe read at the same grid generation.
+// and reads only buckets no earlier probe read at the same grid generation;
+// their rows are offered to a heap of the k nearest seen so far, and only
+// those k are sorted, once, for the answer.
 func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
 	grid := s.st.Grid()
 	dom := grid.Domain()
@@ -409,15 +450,12 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		r = 1
 	}
 
-	type cand struct {
-		row  []float64
-		dist float64
-	}
-	fetched := make(map[int32]geom.Flat)
+	qs.near = qs.near[:0]
+	fetched := make(map[int32]struct{})
 	var fetchedGen uint64 // the grid generation fetched was translated and read at
 	var info QueryInfo
+	q := make(geom.Rect, len(key))
 	for {
-		q := make(geom.Rect, len(key))
 		covers := true
 		for d := range key {
 			q[d] = geom.Interval{
@@ -430,10 +468,12 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		}
 		// The probe reads only the buckets no earlier probe fetched — all of
 		// them again after a split or merge, whose buckets no longer fit
-		// together with the earlier probes'.
+		// together with the earlier probes', and whose rows the heap then
+		// forgets.
 		fi, err := s.fetchTranslated(ctx, qs, tr, func() error {
 			if gen := s.st.GridGen(); gen != fetchedGen {
 				clear(fetched)
+				qs.near = qs.near[:0]
 				fetchedGen = gen
 			}
 			ids := grid.BucketsInRangeAppend(q, qs.ids[:0])
@@ -461,27 +501,73 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 			covers = true
 		}
 		for i, id := range qs.ids {
-			fetched[id] = qs.recs[i]
-		}
-
-		var cands []cand
-		for _, rec := range fetched {
-			for i := 0; i < rec.Len(); i++ {
-				row := rec.Row(i)
-				cands = append(cands, cand{row: row, dist: euclid(row, key)})
+			fetched[id] = struct{}{}
+			rec := qs.recs[i]
+			for off, d := 0, rec.Dims; off < rec.Len()*d; off += d {
+				row := rec.Coords[off : off+d]
+				qs.near.offer(k, row, euclid(row, key))
 			}
 		}
-		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 		// Done when the k-th distance is inside the probed radius (no
 		// unfetched point can be closer) or the box covers the domain.
-		if covers || (len(cands) >= k && cands[k-1].dist <= r) {
-			n := min(k, len(cands))
-			for _, c := range cands[:n] {
+		if near := qs.near; covers || (len(near) == k && near[0].dist <= r) {
+			slices.SortFunc(near, func(a, b knnCand) int { return cmp.Compare(a.dist, b.dist) })
+			for _, c := range near {
 				enc.appendRow(c.row)
 			}
-			return Result{Count: n, Info: info}, nil
+			return Result{Count: len(near), Info: info}, nil
 		}
 		r *= 2
+	}
+}
+
+// knnCand is a kNN candidate: a row of a fetched arena and its distance to
+// the key.
+type knnCand struct {
+	row  []float64
+	dist float64
+}
+
+// knnHeap holds the k nearest candidates offered so far as a max-heap on
+// distance: the farthest of them is at the root, so a row no nearer than it
+// is turned away with one comparison.
+type knnHeap []knnCand
+
+// offer adds the candidate (row, dist) if fewer than k are held or it is
+// nearer than the farthest held, which it then replaces.
+func (h *knnHeap) offer(k int, row []float64, dist float64) {
+	a := *h
+	i := len(a)
+	if i < k {
+		a = append(a, knnCand{row, dist})
+		for i > 0 { // sift up
+			p := (i - 1) / 2
+			if a[p].dist >= dist {
+				break
+			}
+			a[i], a[p] = a[p], a[i]
+			i = p
+		}
+		*h = a
+		return
+	}
+	if dist >= a[0].dist {
+		return
+	}
+	a[0] = knnCand{row, dist}
+	for i = 0; ; { // sift down
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1].dist > a[c].dist {
+			c++
+		}
+		if a[c].dist <= dist {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
 	}
 }
 

@@ -49,25 +49,20 @@ func (s *Server) failLeads(loads []*cache.Pending, err error) {
 // load. A degraded return leaves missed buckets as zero Flats, which scan
 // as empty.
 //
-// The common case — every bucket resident — never leaves this function and
-// allocates nothing.
+// The common case — every bucket resident — is one Resident call: no lock,
+// no allocation, one add to the cache's hit counter.
 func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, ids []int32, recs []geom.Flat) (QueryInfo, error) {
-	var info QueryInfo
 	cacheStart := s.traceNow(tr)
+	n := 0
 	if s.bcache != nil {
-		for i, id := range ids {
-			r := s.bcache.Acquire(id)
-			if !r.Hit {
-				return s.fetchBucketsSlow(ctx, tr, ids, recs, i, r, true, info, cacheStart)
-			}
-			recs[i] = r.Rec
-			info.Buckets++
-		}
-		s.traceSince(tr, stageCache, cacheStart)
-		tr.noteCache(len(ids), 0, 0)
-		return info, nil
+		n = s.bcache.Resident(ids, recs)
 	}
-	return s.fetchBucketsSlow(ctx, tr, ids, recs, 0, cache.AcquireResult{}, false, info, cacheStart)
+	if n < len(ids) {
+		return s.fetchBucketsSlow(ctx, tr, ids, recs, n, cacheStart)
+	}
+	s.traceSince(tr, stageCache, cacheStart)
+	tr.noteCache(n, 0, 0)
+	return QueryInfo{Buckets: n}, nil
 }
 
 // leadBatch is one disk's worth of buckets a query must read itself, with
@@ -80,11 +75,11 @@ type leadBatch struct {
 	loads []*cache.Pending
 }
 
-// fetchBucketsSlow is the miss path of fetchBuckets, entered at position i
-// with — when haveFirst — the AcquireResult already obtained for ids[i]
-// (re-acquiring would self-join a load this query leads and deadlock).
+// fetchBucketsSlow is the miss path of fetchBuckets, entered at ids[i], the
+// first bucket that was not resident: recs[:i] hold the hits before it.
 func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, recs []geom.Flat,
-	i int, first cache.AcquireResult, haveFirst bool, info QueryInfo, cacheStart time.Time) (QueryInfo, error) {
+	i int, cacheStart time.Time) (QueryInfo, error) {
+	info := QueryInfo{Buckets: i}
 	type join struct {
 		idx int
 		id  int32
@@ -139,15 +134,10 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 		return nil
 	}
 	for ; i < len(ids); i++ {
-		var r cache.AcquireResult
-		switch {
-		case haveFirst:
-			r, haveFirst = first, false
-		case s.bcache != nil:
+		// No cache: every bucket is this query's own read.
+		r := cache.AcquireResult{Leader: true}
+		if s.bcache != nil {
 			r = s.bcache.Acquire(ids[i])
-		default:
-			// No cache: every bucket is this query's own read.
-			r = cache.AcquireResult{Leader: true}
 		}
 		if err := take(i, ids[i], r); err != nil {
 			s.traceSince(tr, stageCache, cacheStart)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"net"
 	"slices"
@@ -31,7 +32,8 @@ func boxOf(dims int, coords []float64) []float64 {
 // scanBuckets to the plain per-row loop they replace: the same count, and the
 // same rows in the same order, for seeded random and degenerate
 // (partial-match) boxes in 2-D and 3-D over buckets chosen to land on every
-// branch. Coordinates sit on a coarse integer lattice, so rows lie exactly on
+// branch — a straddled bucket's rows tested on some dimensions only among
+// them. Coordinates sit on a coarse integer lattice, so rows lie exactly on
 // query faces and query boxes equal bucket boxes all the time, not by luck.
 func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 	for _, dims := range []int{2, 3} {
@@ -87,6 +89,15 @@ func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 					beside[d] = geom.Interval{Lo: hi + 1, Hi: hi + 2}
 				}
 				queries = append(queries, equal, inside, beside)
+				// Inside q along every dimension but one, which q cuts
+				// with a face on the box's low row and one on a row
+				// inside it.
+				for cut := 0; cut < dims; cut++ {
+					part := equal.Clone()
+					lo := fl.Box[2*cut]
+					part[cut] = geom.Interval{Lo: lo, Hi: lo + 1}
+					queries = append(queries, part)
+				}
 			}
 			for i := 0; i < 300; i++ {
 				q := make(geom.Rect, dims)
@@ -99,18 +110,37 @@ func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 					v := float64(rng.Intn(lattice + 4))
 					q[rng.Intn(dims)] = geom.Interval{Lo: v, Hi: v}
 				}
+				if i%3 == 1 && dims == 3 { // a partial-match line: one attribute open
+					q = whole.Clone()
+					for d := range q {
+						if v := float64(rng.Intn(lattice + 4)); d != i%dims {
+							q[d] = geom.Interval{Lo: v, Hi: v}
+						}
+					}
+				}
 				queries = append(queries, q)
 			}
 
 			branches := map[geom.Cover]int{}
-			var covers []geom.Cover // the scratch, reused across queries as a pooled qstate's is
+			someDims := 0            // straddled buckets whose rows are tested on fewer than dims dimensions
+			var covers []bucketCover // the scratch, reused across queries as a pooled qstate's is
 			for _, q := range queries {
 				var want []geom.Point
 				for _, rec := range recs {
-					branches[rec.Cover(q)]++
+					c, cross := rec.Cover(q)
+					branches[c]++
+					if c == geom.Straddles && cross != geom.AllDims && bits.OnesCount64(cross) < dims {
+						someDims++
+					}
 					for i := 0; i < rec.Len(); i++ {
-						if q.ContainsPoint(rec.Row(i)) {
-							want = append(want, geom.Point(rec.Row(i)))
+						row := rec.Row(i)
+						if q.ContainsPoint(row) {
+							want = append(want, geom.Point(row))
+						}
+						for d := range q { // the dimensions cross leaves out need no test
+							if c == geom.Straddles && cross>>d&1 == 0 && !q[d].Contains(row[d]) {
+								t.Fatalf("%v: row %v of a bucket straddling on %b is outside q along dimension %d", q, row, cross, d)
+							}
 						}
 					}
 				}
@@ -138,6 +168,9 @@ func TestScanBucketsMatchesRowPredicate(t *testing.T) {
 				if branches[c] == 0 {
 					t.Errorf("no (bucket, query) pair took branch %d", c)
 				}
+			}
+			if someDims == 0 {
+				t.Error("no straddled bucket was tested on fewer than every dimension")
 			}
 		})
 	}
