@@ -7,12 +7,13 @@
 // Determinism is the design constraint everything else bends around: a
 // cell's gated counters must depend only on (code, options), never on
 // wall-clock timing, so the same seed reproduces a byte-identical report on
-// any machine. The campaign therefore runs one sequential client (each
-// query starts with every disk idle, so load-aware replica selection always
-// resolves the same way), disables the bucket cache (every query pays the
-// full read path), uses only always-fire or seeded fault rules, and keeps
-// wall-clock latency (p99) out of the persisted report — it appears in the
-// rendered table but is never gated.
+// any machine. The campaign therefore runs one sequential client (so the
+// queries, and the faults they meet, come in one order; which copy a read
+// takes is a function of the placements and the query anyway), disables
+// the bucket cache (every query pays the full read path), uses only
+// always-fire or seeded fault rules, and keeps wall-clock latency (p99) out
+// of the persisted report — it appears in the rendered table but is never
+// gated.
 //
 // Fault axes come in four flavors: none, registry-injected faults (a dead
 // disk, torn reads — see internal/fault), physical page corruption, which

@@ -106,11 +106,11 @@ func TestAllocBudget(t *testing.T) {
 	// the directory with the pooled scratch's cell vector (a fresh one per
 	// query measured 1.00) — so the 2.0 above are the connection layer's and
 	// the client's. Ten nearest neighbours over the same resident engine
-	// measure 4.68: the domain and cell-size copies, the probe box and the
-	// fetched-bucket set's storage; the candidates live in the pooled heap
-	// (a candidate slice per probe, sorted whole, measured 15.33). Each
-	// budget leaves half an allocation for the runtime and none for a new
-	// per-query one.
+	// measure 3.00: the domain and cell-size copies and the probe box; the
+	// candidates live in the pooled heap (a candidate slice per probe, sorted
+	// whole, measured 15.33; a set of the buckets earlier probes fetched,
+	// 4.68). Each budget leaves half an allocation for the runtime and none
+	// for a new per-query one.
 	for _, tc := range []struct {
 		name   string
 		budget float64
@@ -123,7 +123,7 @@ func TestAllocBudget(t *testing.T) {
 			}
 			return reqs
 		}, VerbCount},
-		{"exec knn", 5.2, func(f *gridfile.File) (reqs []Request) {
+		{"exec knn", 3.5, func(f *gridfile.File) (reqs []Request) {
 			f.Scan(func(key []float64, _ []byte) bool {
 				reqs = append(reqs, Request{Verb: VerbKNN, Key: geom.Point{key[0], key[1]}, K: 10})
 				return len(reqs) < 512
@@ -132,7 +132,7 @@ func TestAllocBudget(t *testing.T) {
 		}, VerbPoints},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, f := newTestEngine(t, 3000, 8, Config{})
+			s, f := newTestEngine(t, 3000, 8, 1, Config{})
 			var reqs []Frame
 			for _, req := range tc.req(f) {
 				fr, err := encodeRequest(req)

@@ -86,7 +86,7 @@ func BenchmarkExecKNN(b *testing.B) {
 // over 100 000 uniform 2-D records whose cache holds every bucket they touch
 // — from every P at once when parallel — and reports answer rows per op.
 func benchExec(b *testing.B, parallel bool, gen func(dom geom.Rect) []Request) {
-	s, f := newTestEngine(b, 100000, 8, Config{})
+	s, f := newTestEngine(b, 100000, 8, 1, Config{})
 	var reqs []Frame
 	var out []byte
 	for _, req := range gen(f.Domain()) {

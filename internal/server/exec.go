@@ -425,10 +425,11 @@ func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *r
 // knnQuery finds the k nearest stored points by growing a range box around
 // the key — the grid file's classic expanding-search strategy, executed
 // against the page store so every probe is real declustered I/O. Each probe
-// translates and fetches through fetchTranslated, as every other verb does,
-// and reads only buckets no earlier probe read at the same grid generation;
-// their rows are offered to a heap of the k nearest seen so far, and only
-// those k are sorted, once, for the answer.
+// translates and fetches its whole box through fetchTranslated, as every
+// other verb does, so a split between probes is that function's retry; a
+// probe that follows another re-reads its buckets. Every row fetched is
+// offered to a heap of the k nearest, and only those k are sorted, once,
+// for the answer.
 func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
 	grid := s.st.Grid()
 	dom := grid.Domain()
@@ -450,9 +451,6 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 		r = 1
 	}
 
-	qs.near = qs.near[:0]
-	fetched := make(map[int32]struct{})
-	var fetchedGen uint64 // the grid generation fetched was translated and read at
 	var info QueryInfo
 	q := make(geom.Rect, len(key))
 	for {
@@ -466,23 +464,8 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 				covers = false
 			}
 		}
-		// The probe reads only the buckets no earlier probe fetched — all of
-		// them again after a split or merge, whose buckets no longer fit
-		// together with the earlier probes', and whose rows the heap then
-		// forgets.
 		fi, err := s.fetchTranslated(ctx, qs, tr, func() error {
-			if gen := s.st.GridGen(); gen != fetchedGen {
-				clear(fetched)
-				qs.near = qs.near[:0]
-				fetchedGen = gen
-			}
-			ids := grid.BucketsInRangeAppend(q, qs.ids[:0])
-			qs.ids = ids[:0]
-			for _, id := range ids {
-				if _, ok := fetched[id]; !ok {
-					qs.ids = append(qs.ids, id)
-				}
-			}
+			qs.ids = grid.BucketsInRangeAppend(q, qs.ids[:0])
 			return nil
 		})
 		if err != nil {
@@ -500,9 +483,8 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 			}
 			covers = true
 		}
-		for i, id := range qs.ids {
-			fetched[id] = struct{}{}
-			rec := qs.recs[i]
+		qs.near = qs.near[:0]
+		for _, rec := range qs.recs {
 			for off, d := 0, rec.Dims; off < rec.Len()*d; off += d {
 				row := rec.Coords[off : off+d]
 				qs.near.offer(k, row, euclid(row, key))

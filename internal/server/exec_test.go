@@ -12,11 +12,18 @@ import (
 	"pgridfile/internal/workload"
 )
 
-// newTestEngine serves a fresh uniform 2-D layout with no listener: the
-// executor as newEngine leaves it, reachable through exec (and reply) only.
-func newTestEngine(t testing.TB, records, disks int, cfg Config) (*Server, *gridfile.File) {
+// newTestEngine serves a fresh uniform 2-D layout of replicas copies with no
+// listener (engineAt).
+func newTestEngine(t testing.TB, records, disks, replicas int, cfg Config) (*Server, *gridfile.File) {
 	t.Helper()
-	f, dir := newTestLayout(t, records, disks)
+	f, dir := newTestLayout(t, records, disks, replicas)
+	return engineAt(t, dir, cfg), f
+}
+
+// engineAt serves the layout in dir with no listener: the executor as
+// newEngine leaves it, reachable through exec (and reply) only.
+func engineAt(t testing.TB, dir string, cfg Config) *Server {
+	t.Helper()
 	open := store.Open
 	if cfg.Writable {
 		open = store.OpenWritable
@@ -30,7 +37,7 @@ func newTestEngine(t testing.TB, records, disks int, cfg Config) (*Server, *grid
 		s.Close()
 		st.Close()
 	})
-	return s, f
+	return s
 }
 
 // wireFrame spells a reply frame out byte by byte — u32 length, the tagged
@@ -60,8 +67,8 @@ func wireFrame(tagged bool, id uint32, verb Verb, payload []byte) []byte {
 // has them, so a reply that truncates past its own start shows too.
 func TestReplyBytesAcrossTheSeam(t *testing.T) {
 	clk := &stepClock{step: 250}
-	s, f := newTestEngine(t, 900, 4, Config{Writable: true, clock: clk.now})
-	ro, _ := newTestEngine(t, 200, 2, Config{})
+	s, f := newTestEngine(t, 900, 4, 1, Config{Writable: true, clock: clk.now})
+	ro, _ := newTestEngine(t, 200, 2, 1, Config{})
 	q := workload.SquareRange(f.Domain(), 0.1, 1, 5)[0]
 	key := f.RangeSearch(q)[0].Key
 	fresh := geom.Point{0.123456, 0.654321}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	rtrace "runtime/trace"
-	"slices"
 	"time"
 
 	"pgridfile/internal/cache"
@@ -110,14 +109,12 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 			}
 			return err
 		}
-		disk := pl.Disk
-		if s.replicated {
-			// Load-aware read selection: route the lead to the least-loaded
-			// live owner. Ties prefer the primary, so an idle server reads
-			// like an unreplicated one.
-			if d, live := s.st.PickOwner(id, nil); live {
-				disk = d
-			}
+		// A lead is read from its first whole copy in owner order. When no
+		// copy is whole, the primary's read fails with the store's stale-copy
+		// error and takes the failed-read path like any other.
+		disk, live := s.st.PickOwner(id, -1)
+		if !live {
+			disk = pl.Disk
 		}
 		if leads == nil {
 			leads = make(map[int]*leadBatch)
@@ -231,20 +228,12 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 	resp := make(chan fetchResp, nleads)
 	for disk, b := range leads {
 		s.sched[disk] <- fetchReq{leadBatch: *b, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
-		s.st.AddLoad(disk, int64(len(b.ids)))
 	}
-	// bucketFailed tracks, PER BUCKET, the disks it has already failed on:
-	// two batches failing on different disks must not condemn a third bucket
-	// that owns copies on both but tried neither. Each reroute excludes one
-	// more distinct owner, so a bucket fails over at most r-1 times before
-	// it is lost.
-	var bucketFailed map[int32][]int
 	var nPrimary, nSecondary int64
 	var err error
 	for outstanding := len(leads); outstanding > 0; {
 		r := <-resp
 		outstanding--
-		s.st.AddLoad(r.disk, -int64(len(r.ids)))
 		switch {
 		case r.err == nil:
 			for k := range r.ids {
@@ -262,13 +251,7 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 				}
 			}
 		case err == nil && copyFailed(ctx, r.err):
-			if bucketFailed == nil {
-				bucketFailed = make(map[int32][]int)
-			}
-			for _, id := range r.ids {
-				bucketFailed[id] = append(bucketFailed[id], r.disk)
-			}
-			outstanding += s.failOver(ctx, tr, resp, r, bucketFailed, degrade, &err)
+			outstanding += s.failOver(ctx, tr, resp, r, degrade, &err)
 		default:
 			// The query is over, or failing already: complete the leads
 			// with the error so followers unblock.
@@ -288,8 +271,9 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 }
 
 // failOver reroutes one batch whose copies failed to surviving owner disks:
-// each bucket is resubmitted to its least-loaded owner it has not yet failed
-// on (per bucketFailed) as its OWN single-bucket batch with a fresh retry
+// each bucket is resubmitted to its next whole copy after the disk that
+// failed (Store.PickOwner), so its owners are tried in order and each at most
+// once, as its OWN single-bucket batch with a fresh retry
 // budget. The split is deliberate — failover is the last stop before losing
 // the bucket, and in the original coalesced batch one unlucky injected pread
 // fails every bucket riding along; independent retries make the per-bucket
@@ -299,19 +283,17 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 // surfaced via *errp). It returns the number of batches resubmitted, which
 // the gather loop must keep waiting for.
 func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
-	r fetchResp, bucketFailed map[int32][]int, degrade func(int), errp *error) int {
+	r fetchResp, degrade func(int), errp *error) int {
 	var lost []*cache.Pending
 	resubmitted := 0
 	for k, id := range r.ids {
-		tried := bucketFailed[id]
-		disk, ok := s.st.PickOwner(id, func(d int) bool { return slices.Contains(tried, d) })
+		disk, ok := s.st.PickOwner(id, r.disk)
 		if !ok {
 			lost = append(lost, r.loads[k])
 			continue
 		}
 		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1]}
 		s.sched[disk] <- fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
-		s.st.AddLoad(disk, 1)
 		s.met.replicaFailover.Add(1)
 		resubmitted++
 	}
@@ -329,8 +311,8 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 // copyFailed is the one rule for a read that did not come back whole: while
 // the query's own context is live, any error but a context error — a short
 // read, EIO, a checksum mismatch, another bucket's page, a missed write, an
-// injected fault — failed the copy it read, which is then failed over to an
-// untried owner, absorbed as degraded, or returned. A context error means a
+// injected fault — failed the copy it read, which is then failed over to the
+// next owner, absorbed as degraded, or returned. A context error means a
 // query (this one, or the leader it joined) gave up, not that a copy failed.
 func copyFailed(ctx context.Context, err error) bool {
 	return ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)

@@ -4,15 +4,19 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
+	"pgridfile/internal/workload"
 )
 
 // replicaAllocators mirrors the store package's single-disk-failure matrix:
@@ -257,5 +261,92 @@ func TestReplicaMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(metrics, "gridserver_replica_failover_total 0\n") {
 		t.Error("/metrics reports zero failovers after a disk kill")
+	}
+}
+
+// TestReadRouteIsAFunctionOfTheQuery pins which copy a read takes at r=2 with
+// the cache off: its first whole copy in owner order, so the (bucket, disk)
+// reads a query stream issues do not depend on what else is in flight. The
+// same stream of ranges and kNN queries, run on one goroutine and then on
+// eight, reads the same buckets from every disk, and never a secondary. With
+// one disk's reads failing, each bucket whose primary is that disk is read
+// from its next owner, once per query that wants it, and every other bucket
+// from its primary.
+func TestReadRouteIsAFunctionOfTheQuery(t *testing.T) {
+	const disks, dead = 4, 1
+	reg := fault.NewRegistry(1)
+	s, f := newTestEngine(t, 3000, disks, 2, Config{Faults: reg, CacheBytes: -1, FetchRetries: -1})
+	var ranges, reqs []Frame
+	for _, q := range workload.SquareRange(f.Domain(), 0.03, 60, 7) {
+		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranges = append(ranges, fr)
+	}
+	reqs = append(reqs, ranges...)
+	f.Scan(func(key []float64, _ []byte) bool {
+		fr, err := encodeRequest(Request{Verb: VerbKNN, Key: geom.Point{key[0], key[1]}, K: 1 + len(reqs)%40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, fr)
+		return len(reqs) < 120
+	})
+	// run serves reqs from workers goroutines and returns what each disk
+	// served and the failovers, as deltas over the run.
+	run := func(reqs []Frame, workers int) (fetches []int64, failovers int64) {
+		before := s.Snapshot()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(reqs); i += workers {
+					if out := s.exec(nil, reqs[i]); Verb(out[0]) == VerbError {
+						t.Errorf("request %d: %s", i, out[1:])
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		after := s.Snapshot()
+		fetches = make([]int64, disks)
+		for d := range fetches {
+			fetches[d] = after.DiskFetches[d] - before.DiskFetches[d]
+		}
+		return fetches, after.ReplicaFailover - before.ReplicaFailover
+	}
+
+	seq, _ := run(reqs, 1)
+	par, _ := run(reqs, 8)
+	if !slices.Equal(seq, par) {
+		t.Errorf("buckets read per disk: %v on one goroutine, %v on eight", seq, par)
+	}
+	if snap := s.Snapshot(); snap.ReplicaSecondary != 0 {
+		t.Errorf("%d secondary reads with every copy whole", snap.ReplicaSecondary)
+	}
+
+	want := make([]int64, disks)
+	var wantFailovers int64
+	for _, q := range workload.SquareRange(f.Domain(), 0.03, 60, 7) {
+		for _, id := range s.st.Grid().BucketsInRange(q) {
+			own := s.st.Owners(id)
+			if own[0] == dead {
+				want[own[1]]++
+				wantFailovers++
+			} else {
+				want[own[0]]++
+			}
+		}
+	}
+	if wantFailovers == 0 {
+		t.Fatalf("no range reads a bucket whose primary is disk %d", dead)
+	}
+	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(dead), Kind: fault.KindError})
+	got, failovers := run(ranges, 8)
+	if !slices.Equal(got, want) || failovers != wantFailovers {
+		t.Errorf("disk %d failing: buckets read per disk %v with %d failovers, want %v with %d",
+			dead, got, failovers, want, wantFailovers)
 	}
 }

@@ -101,8 +101,8 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	}
 	dir, m := writeReplicatedDir(t, f, 2)
 
-	// Corrupt the primary copy of the first bucket: an idle server's
-	// load-aware read selection prefers primaries, so queries will hit it.
+	// Corrupt the primary copy of the first bucket: reads take the first
+	// whole copy in owner order, the primary, so queries will hit it.
 	victim := m.Buckets[0]
 	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], m.PageBytes)
 	misdirected, source := m.Buckets[1], m.Buckets[2]

@@ -180,8 +180,8 @@ type Server struct {
 	sched    []chan fetchReq
 	fetchWg  sync.WaitGroup
 
-	// replicated is st.Replicas() > 1: bucket reads choose the least-loaded
-	// owner disk.
+	// replicated is st.Replicas() > 1: bucket reads are counted as primary
+	// or secondary copy reads.
 	replicated bool
 
 	traceSeq atomic.Uint64 // data-query counter driving trace sampling

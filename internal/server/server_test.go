@@ -17,33 +17,46 @@ import (
 	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
 
-// newTestLayout builds a uniform 2-D grid file, declusters it with minimax
-// over disks, and writes the layout under t.TempDir.
-func newTestLayout(t testing.TB, records, disks int) (*gridfile.File, string) {
+// newTestLayout builds a uniform 2-D grid file and writes it as a layout
+// (writeTestLayout).
+func newTestLayout(t testing.TB, records, disks, replicas int) (*gridfile.File, string) {
 	t.Helper()
 	f, err := synth.Uniform2D(records, 3).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), disks)
+	return f, writeTestLayout(t, f, disks, replicas)
+}
+
+// writeTestLayout declusters f with minimax over disks, places replicas
+// copies of each bucket, and writes the layout under t.TempDir.
+func writeTestLayout(t testing.TB, f *gridfile.File, disks, replicas int) string {
+	t.Helper()
+	g := core.FromGridFile(f)
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := (&replica.Placer{Replicas: replicas}).Place(g, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := store.Write(dir, f, alloc, 4096); err != nil {
+	if _, err := store.WriteReplicated(dir, f, rm, 4096); err != nil {
 		t.Fatal(err)
 	}
-	return f, dir
+	return dir
 }
 
 func newTestServer(t testing.TB, records, disks int, cfg Config) (*Server, *gridfile.File) {
 	t.Helper()
-	f, dir := newTestLayout(t, records, disks)
+	f, dir := newTestLayout(t, records, disks, 1)
 	s, err := OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -550,13 +563,16 @@ func TestServerAdmissionControl(t *testing.T) {
 		t.Errorf("backpressured query failed: %v", err)
 	}
 
+	// The tight server's one admission slot is held here, so the four
+	// queries can only expire waiting for it. (A query holding the slot
+	// until its own deadline would admit each waiter just before that
+	// waiter's deadline, to expire mid-flight instead.)
 	tight, fTight := newTestServer(t, 300, 2, Config{
 		MaxInflight:  1,
 		QueryTimeout: 30 * time.Millisecond,
-		Faults:       armed(t, "store.read:delay=50ms"),
 	})
+	tight.sem <- struct{}{}
 	var wg2 sync.WaitGroup
-	rejected := make(chan struct{}, 4)
 	for i := 0; i < 4; i++ {
 		wg2.Add(1)
 		go func() {
@@ -567,24 +583,23 @@ func TestServerAdmissionControl(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			if _, _, err := cl.RangeCountCtx(context.Background(), fTight.Domain()); err != nil {
-				var se *ServerError
-				if errors.As(err, &se) {
-					rejected <- struct{}{}
-				} else {
-					t.Errorf("transport error under overload: %v", err)
-				}
+			var se *ServerError
+			if _, _, err := cl.RangeCountCtx(context.Background(), fTight.Domain()); !errors.As(err, &se) {
+				t.Errorf("query against a full admission queue: %v, want a server error", err)
 			}
 		}()
 	}
 	wg2.Wait()
-	if len(rejected) == 0 {
-		t.Error("overloaded server rejected nothing")
-	}
 	// Queries that expired while queued for admission are rejections; they
 	// must be visible on the admission counter, not only as error replies.
-	if snap := tight.Snapshot(); snap.Rejected == 0 {
-		t.Errorf("admission-queue expiry not counted as rejected (snapshot %+v)", snap)
+	if snap := tight.Snapshot(); snap.Rejected != 4 || snap.DeadlineExceeded != 0 {
+		t.Errorf("rejected=%d deadline_exceeded=%d, want 4/0", snap.Rejected, snap.DeadlineExceeded)
+	}
+	<-tight.sem
+	cl := NewClientMust(t, tight)
+	defer cl.Close()
+	if n, _, err := cl.RangeCountCtx(context.Background(), fTight.Domain()); err != nil || n != fTight.Len() {
+		t.Errorf("after the slot is released: count %d (%v), want %d", n, err, fTight.Len())
 	}
 }
 
@@ -659,7 +674,7 @@ func (c *heldDeadlineConn) SetReadDeadline(t time.Time) error {
 // its read until Close gives up draining (drainTimeout, 5 s) and force-closes
 // the connection.
 func TestCloseDuringIdleRearm(t *testing.T) {
-	s, _ := newTestEngine(t, 200, 1, Config{})
+	s, _ := newTestEngine(t, 200, 1, 1, Config{})
 	srv, cli := net.Pipe()
 	defer cli.Close()
 	c := &heldDeadlineConn{Conn: srv, arrived: make(chan struct{}), released: make(chan struct{})}
@@ -681,7 +696,7 @@ func TestCloseDuringIdleRearm(t *testing.T) {
 // TestServerGridStoreMismatch proves New refuses to serve a store written
 // from a different grid file.
 func TestServerGridStoreMismatch(t *testing.T) {
-	_, dir := newTestLayout(t, 300, 2)
+	_, dir := newTestLayout(t, 300, 2, 1)
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -759,7 +774,7 @@ func TestRetryDelayJitter(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	// Pprof without HTTPAddr has nowhere to serve from: it is refused, by
 	// name, instead of starting a server with no profiling endpoint.
-	_, dir := newTestLayout(t, 200, 2)
+	_, dir := newTestLayout(t, 200, 2, 1)
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)

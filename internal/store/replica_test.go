@@ -201,11 +201,11 @@ func TestManifestVersioning(t *testing.T) {
 	}
 }
 
-// TestPickOwnerLoadAware pins read selection: primary wins ties, load shifts
-// the pick to the idler owner, and exclusion models dead disks down to the
-// no-owner-left case.
-func TestPickOwnerLoadAware(t *testing.T) {
-	dir, f, _ := buildReplicatedLayout(t, 4, 2)
+// TestPickOwnerTakesOwnersInOrder pins read selection: a read goes to the
+// primary, each failover to the next owner in OwnerDisks order, and after the
+// last owner — or after a disk that owns no copy — there is none.
+func TestPickOwnerTakesOwnersInOrder(t *testing.T) {
+	dir, f, _ := buildReplicatedLayout(t, 4, 3)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -214,24 +214,25 @@ func TestPickOwnerLoadAware(t *testing.T) {
 	id := f.Buckets()[0].ID
 	own := s.Owners(id)
 
-	if d, ok := s.PickOwner(id, nil); !ok || d != own[0] {
-		t.Fatalf("idle pick = %d/%v, want primary %d", d, ok, own[0])
+	after := -1
+	for i, want := range own {
+		d, ok := s.PickOwner(id, after)
+		if !ok || d != want {
+			t.Fatalf("pick %d after disk %d = %d/%v, want owner %d", i, after, d, ok, want)
+		}
+		after = d
 	}
-	s.AddLoad(own[0], 10)
-	if d, ok := s.PickOwner(id, nil); !ok || d != own[1] {
-		t.Fatalf("pick with loaded primary = %d/%v, want secondary %d", d, ok, own[1])
+	if _, ok := s.PickOwner(id, after); ok {
+		t.Fatal("pick after the last owner reported a live disk")
 	}
-	s.AddLoad(own[1], 20)
-	if d, ok := s.PickOwner(id, nil); !ok || d != own[0] {
-		t.Fatalf("pick with both loaded = %d/%v, want lighter primary %d", d, ok, own[0])
+	for d := 0; d < 4; d++ {
+		if !slices.Contains(own, d) {
+			if _, ok := s.PickOwner(id, d); ok {
+				t.Fatalf("pick after disk %d, which owns no copy, reported a live disk", d)
+			}
+		}
 	}
-	s.AddLoad(own[0], -10)
-	s.AddLoad(own[1], -20)
-
-	if d, ok := s.PickOwner(id, func(d int) bool { return d == own[0] }); !ok || d != own[1] {
-		t.Fatalf("pick excluding primary = %d/%v, want %d", d, ok, own[1])
-	}
-	if _, ok := s.PickOwner(id, func(int) bool { return true }); ok {
-		t.Fatal("pick with every owner excluded reported a live disk")
+	if _, ok := s.PickOwner(-7, -1); ok {
+		t.Fatal("pick of an unknown bucket reported a live disk")
 	}
 }

@@ -92,7 +92,7 @@ func TestConcurrentReadsAgreeWithModel(t *testing.T) {
 	readIDs := func(ids []int32, gen uint64) ([]geom.Flat, bool, error) {
 		out := make([]geom.Flat, len(ids))
 		for i, id := range ids {
-			d, ok := s.PickOwner(id, nil)
+			d, ok := s.PickOwner(id, -1)
 			if !ok {
 				return nil, false, fmt.Errorf("bucket %d: no owner", id)
 			}
@@ -430,11 +430,11 @@ func TestReadOfMissedCopyIsRefused(t *testing.T) {
 	if _, err := s.ReadFlatsFromTimed(ctx, bad, []int32{id}, out, nil); !errors.Is(err, errStaleCopy) {
 		t.Fatalf("read of the copy that missed its write: %v, want errStaleCopy", err)
 	}
-	if d, ok := s.PickOwner(id, nil); !ok || d != good {
+	if d, ok := s.PickOwner(id, -1); !ok || d != good {
 		t.Fatalf("PickOwner = %d, %v; want the intact copy on disk %d", d, ok, good)
 	}
-	if _, ok := s.PickOwner(id, func(d int) bool { return d == good }); ok {
-		t.Fatal("PickOwner offered the stale copy once the intact one was excluded")
+	if _, ok := s.PickOwner(id, good); ok {
+		t.Fatal("PickOwner offered a copy after the intact one, the last owner")
 	}
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("checkpoint taken while a copy misses its write")

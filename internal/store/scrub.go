@@ -33,12 +33,8 @@ type ScrubStats struct {
 // (pinPages) while it is scanned: on a writable store the pages a placement
 // named at the start of the pass may since hold another bucket. A copy that
 // missed its last write (errStaleCopy) is neither verified nor repaired from;
-// replay rewrites it. Scrub reads the disk files directly (bypassing the failpoint
-// registry — it verifies the real bytes on disk, not the fault model) but
-// registers per-disk load on every owner disk for the whole of each
-// bucket's scan (verification and repair included), so replica read
-// selection steers queries away from the disks being scrubbed for the full
-// time their heads are busy, not just during each individual pread.
+// replay rewrites it. Scrub reads the disk files directly, bypassing the
+// failpoint registry: it verifies the real bytes on disk, not the fault model.
 // Concurrent readers are safe: pages are
 // fixed-size and repair rewrites a page with its own correct contents, so
 // a racing read sees either the torn page (and fails verification or
@@ -90,19 +86,8 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 	buf := make([]byte, pageBytes)
 	good := make([]byte, pageBytes)
 
-	// scanBucket verifies and repairs one bucket's copies while holding one
-	// unit of load on each owner disk — the steering promised in the package
-	// comment. The deferred release keeps the load accounting balanced on
-	// every exit path, including failed repairs.
+	// scanBucket verifies and repairs one bucket's copies.
 	scanBucket := func(pl Placement) error {
-		for _, d := range pl.OwnerDisks {
-			s.loads[d].Add(1)
-		}
-		defer func() {
-			for _, d := range pl.OwnerDisks {
-				s.loads[d].Add(-1)
-			}
-		}()
 		// bad[p] lists the owner indices whose copy of page p failed.
 		var bad map[int][]int
 		for i, d := range pl.OwnerDisks {
@@ -184,9 +169,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 // at file page page, and reports whether it is intact: readable, and passing
 // the read path's checkPage with the checksum verified — so a valid page of
 // another bucket is as corrupt here as a flipped bit. Short or failed reads
-// report false (the copy is unusable as-is). Load accounting is the caller's
-// job — Scrub holds a load unit per owner disk for the whole bucket scan
-// rather than per pread.
+// report false (the copy is unusable as-is).
 func (s *Store) scrubReadPage(disk int, page int64, buf []byte, id int32, p int) bool {
 	if _, err := s.files[disk].ReadAt(buf, page*int64(s.manifest.PageBytes)); err != nil {
 		return false

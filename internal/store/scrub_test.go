@@ -391,54 +391,3 @@ func TestScrubSweepsDisksSequentially(t *testing.T) {
 		}
 	}
 }
-
-// TestScrubHoldsLoadForBucketScan pins the steering fix: while a bucket is
-// being scrubbed, EVERY owner disk of that bucket must carry scrub load
-// simultaneously (so PickOwner steers replica reads elsewhere for the whole
-// scan). The old code registered load only inside each individual pread, so
-// at most one disk ever showed load at a time; sampling the load counters
-// during an r=2 scrub must now observe >= 2 loaded disks at once.
-func TestScrubHoldsLoadForBucketScan(t *testing.T) {
-	dir, _, _ := buildReplicatedLayout(t, 4, 2)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	stop := make(chan struct{})
-	scrubErr := make(chan error, 1)
-	go func() {
-		defer close(scrubErr)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := s.Scrub(context.Background(), 0); err != nil {
-				scrubErr <- err
-				return
-			}
-		}
-	}()
-
-	deadline := time.Now().Add(10 * time.Second)
-	seen := false
-	for !seen && time.Now().Before(deadline) {
-		loaded := 0
-		for d := range s.loads {
-			if s.loads[d].Load() > 0 {
-				loaded++
-			}
-		}
-		seen = loaded >= 2
-	}
-	close(stop)
-	if err := <-scrubErr; err != nil {
-		t.Fatal(err)
-	}
-	if !seen {
-		t.Fatal("scrub never held load on both owner disks of a bucket simultaneously")
-	}
-}

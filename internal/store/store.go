@@ -50,7 +50,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pgridfile/internal/core"
@@ -435,12 +434,6 @@ type Store struct {
 	// it.
 	now func() time.Time
 
-	// loads counts in-flight reads per disk. readAt maintains a baseline
-	// (each positioned read counts while it runs, stalls included) and the
-	// server adds queued batch depth via AddLoad, so PickOwner's load-aware
-	// replica selection sees pressure before the pread even starts.
-	loads []atomic.Int64
-
 	// faults, when non-nil, is consulted before every positioned read at
 	// the fault.SiteStoreRead and per-disk sites. diskSites precomputes the
 	// per-disk names so the hot path never formats strings.
@@ -522,7 +515,6 @@ func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 		}
 		s.files = append(s.files, fh)
 	}
-	s.loads = make([]atomic.Int64, m.Disks)
 	sizes, err := s.DiskSizes()
 	if err != nil {
 		s.Close()
@@ -658,37 +650,38 @@ func (s *Store) Owners(id int32) []int {
 	return pl.OwnerDisks
 }
 
-// PickOwner returns the least-loaded owner disk for one bucket, skipping
-// disks for which exclude returns true (nil excludes nothing) and copies that
-// missed their last write (errStaleCopy). Load is the
-// in-flight read count maintained by readAt plus whatever queue depth the
-// caller registered with AddLoad; ties prefer the earlier replica level, so
-// an idle store reads primaries. ok is false when the bucket is unknown or
-// no owner is left.
-func (s *Store) PickOwner(id int32, exclude func(disk int) bool) (disk int, ok bool) {
+// PickOwner returns the first owner disk of one bucket after disk after, in
+// OwnerDisks order, whose copy did not miss its last write (errStaleCopy).
+// With after = -1 it starts at the primary, so a read goes to the first whole
+// copy and a failed read goes to the next one: a bucket's owners are tried in
+// order, each at most once. ok is false when the bucket is unknown, after is
+// not one of its owners, or no whole copy follows it.
+//
+// This relies on one invariant: a live bucket's owner list never changes.
+// rewriteBucket writes new pages on the same owners, and apply gives a
+// split-born bucket its target's owners, so a read that failed on disk after
+// finds after in the list it was routed by. Anything that moves a bucket to
+// other owners must revisit this rule first.
+func (s *Store) PickOwner(id int32, after int) (disk int, ok bool) {
 	pl, found := s.lookup(id)
 	if !found {
 		return 0, false
 	}
-	best, bestLoad := -1, int64(0)
-	for _, d := range pl.OwnerDisks {
-		if (exclude != nil && exclude(d)) || slices.Contains(pl.missed, d) {
-			continue
+	owners := pl.OwnerDisks
+	if after >= 0 {
+		i := slices.Index(owners, after)
+		if i < 0 {
+			return 0, false
 		}
-		if l := s.loads[d].Load(); best < 0 || l < bestLoad {
-			best, bestLoad = d, l
+		owners = owners[i+1:]
+	}
+	for _, d := range owners {
+		if !slices.Contains(pl.missed, d) {
+			return d, true
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return 0, false
 }
-
-// AddLoad adjusts one disk's in-flight load counter by delta. The server
-// registers queued batch depth here so replica selection reacts to pressure
-// that has not reached the pread yet; calls must be balanced.
-func (s *Store) AddLoad(disk int, delta int64) { s.loads[disk].Add(delta) }
 
 // bufPool recycles page read buffers between bucket fetches so the serving
 // hot path does not allocate one buffer per read. Buffers are sized to the
@@ -840,8 +833,6 @@ func (s *Store) inject(ctx context.Context, site, diskSite string) (torn bool, e
 // It reports whether the buffer was torn so callers can report the decode
 // failure as an injected fault, which the server retries on the same disk.
 func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (torn bool, err error) {
-	s.loads[disk].Add(1)
-	defer s.loads[disk].Add(-1)
 	if s.faults.Enabled() {
 		if torn, err = s.inject(ctx, fault.SiteStoreRead, s.diskSites[disk]); err != nil {
 			return false, err
