@@ -7,11 +7,14 @@
 //   - Lock-free hits: the resident set is one slot table indexed by bucket
 //     id (ids are dense), so a hit is a load of the table and of the slot
 //     and, at most, one bit — the entry's referenced bit, stored only when
-//     it is clear. A hit takes no lock, and Resident counts a query's whole
-//     run of hits with one add to the shared counter.
-//   - Sharding: writers — a completed load, an invalidation, an eviction —
-//     lock the shard the id hashes to, so concurrent misses rarely contend
-//     on one mutex.
+//     it is clear. A hit takes no lock, and a query counts its hits with one
+//     add to the one cache-wide counter (Resident, CountHits).
+//   - Sharding: writers — a miss, a completed load, an invalidation, an
+//     eviction — lock the shard the id hashes to, so concurrent misses rarely
+//     contend on one mutex, and write nothing shared beyond that shard: an
+//     id's in-flight load and invalidation stamp sit beside its slot, and
+//     the miss, join, eviction, invalidation, byte and entry counts are the
+//     shard's own, summed by Stats.
 //   - Byte bound: each shard owns an equal slice of the configured budget
 //     and evicts from the cold end of its list whenever an insert pushes it
 //     over; the whole cache never holds more than MaxBytes of decoded
@@ -24,10 +27,11 @@
 //     exactly one (the leader) performs the disk read; the rest wait for
 //     its result instead of duplicating the I/O — unless the bucket was
 //     invalidated since that read began, in which case the first late
-//     arrival leads a fresh read. The Acquire/Complete pair exposes this to
-//     callers that batch their disk reads (the server groups leader misses
-//     per disk before reading), and Get wraps it for callers with a simple
-//     loader function.
+//     arrival leads a fresh read. The channel they wait on is made by the
+//     first of them to join, so a miss nobody joins makes none. The
+//     Acquire/Complete pair exposes this to callers that batch their disk
+//     reads (the server groups leader misses per disk before reading), and
+//     Get wraps it for callers with a simple loader function.
 //
 // Cached arenas are shared between all readers and must be treated as
 // immutable. Lifetime under writes is version-pinned, not refcounted:
@@ -52,32 +56,50 @@ import (
 const entryOverhead = 128
 
 // Cache is a sharded, byte-bounded second-chance cache of decoded buckets
-// with singleflight loading. All methods are safe for concurrent use. The
-// zero value is not usable; call New.
+// with singleflight loading. All methods are safe for concurrent use. Ids
+// are bucket ids and must not be negative. The zero value is not usable;
+// call New.
 type Cache struct {
 	shards []shard
 	mask   uint32
 
-	// slots is the resident set: slot id holds bucket id's entry, or nil.
-	// Readers load the table and a slot with no lock. A writer stores a
-	// slot only while it holds the lock of the shard id hashes to
-	// (Complete, Invalidate, evictLocked), and grow replaces the table only
-	// while it holds every shard lock, so a writer always stores into the
-	// current table. A reader that loaded the table before a growth may read
-	// pre-growth slots; any write acknowledged after that growth was
-	// acknowledged after the reader began, so its query overlaps the write
-	// and old-or-new holds. A query that starts after an Invalidate returns
-	// loads the current table and finds the slot nil.
-	slots atomic.Pointer[[]atomic.Pointer[entry]]
+	// tab is the slot table. Readers load it and an entry slot with no lock.
+	// A writer stores id's slots only while it holds the lock of the shard id
+	// hashes to (Acquire, Complete, Invalidate, evictLocked), and grow
+	// replaces the table only while it holds every shard lock, so a writer
+	// always stores into the current table. A reader that loaded the table
+	// before a growth may read pre-growth slots; any write acknowledged after
+	// that growth was acknowledged after the reader began, so its query
+	// overlaps the write and old-or-new holds. A query that starts after an
+	// Invalidate returns loads the current table and finds the slot nil.
+	tab atomic.Pointer[table]
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	shared        atomic.Int64 // singleflight joins: misses served by a leader's read
-	evictions     atomic.Int64
-	invalidations atomic.Int64 // write-path drops (distinct from budget evictions)
-	bytes         atomic.Int64
-	entries       atomic.Int64
-	maxBytes      int64
+	// hits is the one counter the whole cache shares: hits take no lock, and
+	// each query adds its hits once. Every other count is a shard's.
+	hits     atomic.Int64
+	maxBytes int64
+}
+
+// table is the per-id state, indexed by bucket id. entries is the resident
+// set, the only part lock-free readers touch; loads is kept under the lock
+// of the shard the id hashes to.
+type table struct {
+	entries []atomic.Pointer[entry]
+	loads   []load
+}
+
+// load is one id's singleflight state. pending is the load in flight, or
+// nil. version stamps the id's invalidations: a leader's Pending records it
+// at Acquire, and Complete caches the result only if it is unchanged, so a
+// load that raced with an Invalidate (read the old pages, completed after
+// the write) can never park stale data in the cache. Waiters that joined
+// before the Invalidate still receive the leader's (possibly old) result —
+// their reads began before the write completed, so that is linearizable. A
+// reader arriving after it must not: Acquire replaces the outdated Pending
+// with a fresh one that this reader leads and later arrivals join.
+type load struct {
+	pending *Pending
+	version uint64
 }
 
 // entry is one resident bucket. Everything but ref and the list links is
@@ -96,34 +118,33 @@ type shard struct {
 	sentinel entry // circular list; sentinel.prev is the cold end eviction sweeps from
 	bytes    int64
 	max      int64
-	inflight map[int32]*Pending
 
-	// versions stamps ids that have been invalidated at least once. A
-	// leader's Pending records the stamp at Acquire; Complete caches its result
-	// only if the stamp is unchanged, so a load that raced with an Invalidate
-	// (read the old pages, completed after the write) can never park stale
-	// data in the cache. Waiters that joined before the Invalidate still
-	// receive the leader's (possibly old) result — their reads began before
-	// the write completed, so that is linearizable. A reader arriving after
-	// it must not: Acquire replaces the outdated Pending with a fresh one that
-	// this reader leads and later arrivals join.
-	versions map[int32]uint64
+	// The shard's counts, under mu; Stats sums them over the shards.
+	entries       int64
+	misses        int64
+	shared        int64 // singleflight joins: misses served by a leader's read
+	evictions     int64
+	invalidations int64 // write-path drops (distinct from budget evictions)
 }
 
 // Pending is one in-progress load: the handle its leader passes back to
 // Complete, and what every other query of the bucket waits on. Wait blocks
-// until the leader Completes it or ctx expires.
+// until the leader Completes it or ctx expires. It is also the entry the
+// load becomes: Complete fills the embedded entry in and, when the result
+// is cached, publishes that entry, so a miss allocates one object for both.
 type Pending struct {
-	id      int32
+	entry
+	// done is made by the first query to join the load, under the shard
+	// lock, and closed by Complete if it was made: a load nobody joins makes
+	// no channel.
 	done    chan struct{}
-	rec     geom.Flat
-	pages   int
 	err     error
 	version uint64 // invalidation stamp observed when the leader was elected
 }
 
 // Wait returns the leader's result, or ctx's error if the caller's own
-// deadline expires first.
+// deadline expires first. Only a query that joined the load waits on it;
+// its leader has the result already.
 func (p *Pending) Wait(ctx context.Context) (geom.Flat, int, error) {
 	select {
 	case <-p.done:
@@ -145,15 +166,13 @@ func New(maxBytes int64, shards int) *Cache {
 		n <<= 1
 	}
 	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1), maxBytes: maxBytes}
-	c.slots.Store(new([]atomic.Pointer[entry]))
+	c.tab.Store(new(table))
 	per := maxBytes / int64(n)
 	if per < 1 {
 		per = 1
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.inflight = make(map[int32]*Pending)
-		s.versions = make(map[int32]uint64)
 		s.sentinel.prev = &s.sentinel
 		s.sentinel.next = &s.sentinel
 		s.max = per
@@ -189,18 +208,20 @@ func (e *entry) mark() {
 // replaces; the table only ever grows, so a caller that saw it long enough
 // once need not look again.
 func (c *Cache) grow(id int32) {
-	if int(id) < len(*c.slots.Load()) {
+	if int(id) < len(c.tab.Load().entries) {
 		return
 	}
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 	}
-	if old := *c.slots.Load(); int(id) >= len(old) {
-		t := make([]atomic.Pointer[entry], max(int(id)+1, 2*len(old)))
-		for i := range old {
-			t[i].Store(old[i].Load())
+	if old := c.tab.Load(); int(id) >= len(old.entries) {
+		n := max(int(id)+1, 2*len(old.entries))
+		t := &table{entries: make([]atomic.Pointer[entry], n), loads: make([]load, n)}
+		for i := range old.entries {
+			t.entries[i].Store(old.entries[i].Load())
 		}
-		c.slots.Store(&t)
+		copy(t.loads, old.loads)
+		c.tab.Store(t)
 	}
 	for i := range c.shards {
 		c.shards[i].mu.Unlock()
@@ -212,7 +233,7 @@ func (c *Cache) grow(id int32) {
 // lock and one add to the hit counter for the whole run. ids[n], the first
 // id that is not resident, is left to Acquire.
 func (c *Cache) Resident(ids []int32, recs []geom.Flat) int {
-	t := *c.slots.Load()
+	t := c.tab.Load().entries
 	n := 0
 	for ; n < len(ids); n++ {
 		e := lookup(t, ids[n])
@@ -222,10 +243,16 @@ func (c *Cache) Resident(ids []int32, recs []geom.Flat) int {
 		e.mark()
 		recs[n] = e.rec
 	}
+	c.CountHits(n)
+	return n
+}
+
+// CountHits adds n hits that Acquire answered to the hit counter: a query
+// counts its hits once, not once per bucket.
+func (c *Cache) CountHits(n int) {
 	if n > 0 {
 		c.hits.Add(int64(n))
 	}
-	return n
 }
 
 // AcquireResult reports how an Acquire was satisfied. Exactly one of three
@@ -240,43 +267,49 @@ type AcquireResult struct {
 	Pending *Pending
 }
 
-// hit is Acquire's answer when id is resident.
-func (c *Cache) hit(id int32) (AcquireResult, bool) {
-	e := lookup(*c.slots.Load(), id)
+// hit is Acquire's answer when id is resident in entries.
+func hit(entries []atomic.Pointer[entry], id int32) (AcquireResult, bool) {
+	e := lookup(entries, id)
 	if e == nil {
 		return AcquireResult{}, false
 	}
 	e.mark()
-	c.hits.Add(1)
 	return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}, true
 }
 
 // Acquire looks id up, joining an in-flight load when one exists and
-// electing the caller leader otherwise. A hit takes no lock.
+// electing the caller leader otherwise. A hit takes no lock and is not
+// counted: the caller counts its hits with CountHits.
 func (c *Cache) Acquire(id int32) AcquireResult {
-	if r, ok := c.hit(id); ok {
+	if r, ok := hit(c.tab.Load().entries, id); ok {
 		return r
 	}
+	c.grow(id) // before the shard lock: growth takes them all
 	s := c.shardFor(id)
 	s.mu.Lock()
 	// A load may have completed since the look above; under the lock the
-	// slot and the in-flight table agree.
-	if r, ok := c.hit(id); ok {
+	// slot and the in-flight load agree.
+	t := c.tab.Load()
+	if r, ok := hit(t.entries, id); ok {
 		s.mu.Unlock()
 		return r
 	}
 	// A load that began before a write since acknowledged may carry data
 	// that predates the write, and this reader may not: it is not joined but
 	// replaced. Those already waiting on it keep their handle.
-	if p, ok := s.inflight[id]; ok && p.version == s.versions[id] {
+	l := &t.loads[id]
+	if p := l.pending; p != nil && p.version == l.version {
+		if p.done == nil {
+			p.done = make(chan struct{})
+		}
+		s.shared++
 		s.mu.Unlock()
-		c.shared.Add(1)
 		return AcquireResult{Pending: p}
 	}
-	p := &Pending{id: id, done: make(chan struct{}), version: s.versions[id]}
-	s.inflight[id] = p
+	p := &Pending{entry: entry{key: id}, version: l.version}
+	l.pending = p
+	s.misses++
 	s.mu.Unlock()
-	c.misses.Add(1)
 	return AcquireResult{Leader: true, Pending: p}
 }
 
@@ -291,13 +324,17 @@ func (c *Cache) Invalidate(ids ...int32) {
 	for _, id := range ids {
 		s := c.shardFor(id)
 		s.mu.Lock()
-		s.versions[id]++
-		if e := lookup(*c.slots.Load(), id); e != nil {
-			s.unlink(e)
-			c.removeLocked(s, e)
+		// An id beyond the table has no entry and no load in flight (Acquire
+		// grows the table first), and any later load reads after this call.
+		if t := c.tab.Load(); int(id) < len(t.loads) {
+			t.loads[id].version++
+			if e := t.entries[id].Load(); e != nil {
+				s.unlink(e)
+				s.remove(t, e)
+			}
 		}
+		s.invalidations++
 		s.mu.Unlock()
-		c.invalidations.Add(1)
 	}
 }
 
@@ -307,31 +344,28 @@ func (c *Cache) Invalidate(ids ...int32) {
 // budget is returned to waiters but not cached, and neither is the result of
 // a load an Invalidate has outdated.
 func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int, err error) {
-	insert := err == nil && p.id >= 0
-	if insert {
-		c.grow(p.id) // before the shard lock: growth takes them all
-	}
-	s := c.shardFor(p.id)
+	p.rec, p.pages, p.bytes, p.err = rec, pages, cost(rec), err
+	s := c.shardFor(p.key)
 	s.mu.Lock()
-	if s.inflight[p.id] == p {
-		delete(s.inflight, p.id)
+	t := c.tab.Load() // holds p.key: Acquire grew it to
+	l := &t.loads[p.key]
+	if l.pending == p {
+		l.pending = nil
 	}
-	if insert && p.version == s.versions[p.id] {
-		if slot := &(*c.slots.Load())[p.id]; slot.Load() == nil {
-			e := &entry{key: p.id, rec: rec, pages: pages, bytes: cost(rec)}
-			if e.bytes <= s.max {
-				s.pushFront(e)
-				slot.Store(e)
-				s.bytes += e.bytes
-				c.bytes.Add(e.bytes)
-				c.entries.Add(1)
-				c.evictLocked(s)
-			}
-		}
+	if slot := &t.entries[p.key]; err == nil && p.version == l.version && slot.Load() == nil && p.bytes <= s.max {
+		e := &p.entry
+		s.pushFront(e)
+		slot.Store(e)
+		s.bytes += e.bytes
+		s.entries++
+		s.evictLocked(t)
 	}
+	// No query joins p once it has left the table, so done is final here.
+	done := p.done
 	s.mu.Unlock()
-	p.rec, p.pages, p.err = rec, pages, err
-	close(p.done)
+	if done != nil {
+		close(done)
+	}
 }
 
 // Get is the one-call form: a hit returns immediately, a join waits for the
@@ -344,6 +378,7 @@ func (c *Cache) Get(ctx context.Context, id int32, load func() (geom.Flat, int, 
 	r := c.Acquire(id)
 	switch {
 	case r.Hit:
+		c.CountHits(1)
 		return r.Rec, r.Pages, nil
 	case !r.Leader:
 		return r.Pending.Wait(ctx)
@@ -370,8 +405,8 @@ func cost(rec geom.Flat) int64 {
 // entry hit since its last pass loses the mark and moves to the front, the
 // first one found unmarked is dropped. Each pass clears a mark or drops an
 // entry, so a shard whose every entry is marked still evicts. Caller holds
-// s.mu.
-func (c *Cache) evictLocked(s *shard) {
+// s.mu, and t is the current table.
+func (s *shard) evictLocked(t *table) {
 	for s.bytes > s.max {
 		cold := s.sentinel.prev
 		if cold == &s.sentinel {
@@ -383,18 +418,17 @@ func (c *Cache) evictLocked(s *shard) {
 			s.pushFront(cold)
 			continue
 		}
-		c.removeLocked(s, cold)
-		c.evictions.Add(1)
+		s.remove(t, cold)
+		s.evictions++
 	}
 }
 
-// removeLocked clears unlinked entry e's slot and takes its bytes off the
-// books. Caller holds s.mu, the lock of e's shard.
-func (c *Cache) removeLocked(s *shard, e *entry) {
-	(*c.slots.Load())[e.key].Store(nil)
+// remove clears unlinked entry e's slot in the current table t and takes it
+// off the shard's books. Caller holds s.mu, the lock of e's shard.
+func (s *shard) remove(t *table, e *entry) {
+	t.entries[e.key].Store(nil)
 	s.bytes -= e.bytes
-	c.bytes.Add(-e.bytes)
-	c.entries.Add(-1)
+	s.entries--
 }
 
 func (s *shard) pushFront(e *entry) {
@@ -422,16 +456,20 @@ type Stats struct {
 	MaxBytes      int64 `json:"max_bytes"`
 }
 
-// Stats returns the current counters.
+// Stats returns the current counters: the hit counter and the sums of the
+// shards' counts, each shard's read under its lock.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Shared:        c.shared.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Bytes:         c.bytes.Load(),
-		Entries:       c.entries.Load(),
-		MaxBytes:      c.maxBytes,
+	st := Stats{Hits: c.hits.Load(), MaxBytes: c.maxBytes}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		st.Misses += s.misses
+		st.Shared += s.shared
+		st.Evictions += s.evictions
+		st.Invalidations += s.invalidations
+		st.Bytes += s.bytes
+		st.Entries += s.entries
+		s.mu.Unlock()
 	}
+	return st
 }

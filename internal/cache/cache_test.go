@@ -528,7 +528,7 @@ func TestArenaPinnedAcrossInvalidate(t *testing.T) {
 // resident reports whether id is cached, without the hit an Acquire would
 // mark it with.
 func resident(c *Cache, id int32) bool {
-	return lookup(*c.slots.Load(), id) != nil
+	return lookup(c.tab.Load().entries, id) != nil
 }
 
 // TestSecondChanceSurvivesOneSweep: an entry hit once passes the cold end
@@ -621,8 +621,10 @@ func TestInvalidateReferencedEntry(t *testing.T) {
 // from several goroutines over entries of mixed size and checks after every
 // step that no shard holds more than its budget whenever its lock is free —
 // so the cache as a whole never does — and, once the dust settles, that the
-// shards' lists and the slot table hold the same entries, and that the
-// cache's totals agree with them and stay under the bound.
+// shards' lists and the slot table hold the same entries, that no load is
+// left in flight, and that each shard's byte and entry counts, and the
+// totals Stats sums from them, agree with a walk of the lists and stay under
+// the bound.
 func TestByteBoundUnderRandomOps(t *testing.T) {
 	const maxBytes = 16 << 10
 	c := New(maxBytes, 4)
@@ -660,32 +662,33 @@ func TestByteBoundUnderRandomOps(t *testing.T) {
 	wg.Wait()
 	var bytes, entries int64
 	listed := map[*entry]bool{}
+	tab := c.tab.Load()
 	for i := range c.shards {
 		s := &c.shards[i]
-		var shardBytes int64
+		var shardBytes, shardEntries int64
 		for e := s.sentinel.next; e != &s.sentinel; e = e.next {
 			if c.shardFor(e.key) != s {
 				t.Errorf("bucket %d is listed in shard %d, not the one it hashes to", e.key, i)
 			}
-			if got := lookup(*c.slots.Load(), e.key); got != e {
+			if got := lookup(tab.entries, e.key); got != e {
 				t.Errorf("shard %d lists bucket %d, its slot holds %p", i, e.key, got)
 			}
 			listed[e] = true
 			shardBytes += e.bytes
-			entries++
+			shardEntries++
 		}
-		if shardBytes != s.bytes {
-			t.Errorf("shard %d lists %d bytes, counts %d", i, shardBytes, s.bytes)
+		if shardBytes != s.bytes || shardEntries != s.entries {
+			t.Errorf("shard %d lists %d bytes in %d entries, counts %d in %d", i, shardBytes, shardEntries, s.bytes, s.entries)
 		}
 		bytes += shardBytes
-		if len(s.inflight) != 0 {
-			t.Errorf("shard %d: %d loads left in flight", i, len(s.inflight))
-		}
+		entries += shardEntries
 	}
-	slots := *c.slots.Load()
-	for id := range slots {
-		if e := slots[id].Load(); e != nil && (!listed[e] || e.key != int32(id)) {
+	for id := range tab.entries {
+		if e := tab.entries[id].Load(); e != nil && (!listed[e] || e.key != int32(id)) {
 			t.Errorf("slot %d holds bucket %d, listed %v", id, e.key, listed[e])
+		}
+		if tab.loads[id].pending != nil {
+			t.Errorf("bucket %d: a load left in flight", id)
 		}
 	}
 	if st := c.Stats(); st.Bytes != bytes || st.Entries != entries || st.Bytes > maxBytes {
@@ -789,8 +792,79 @@ func TestResidentNeverReturnsInvalidatedArena(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := len(*c.slots.Load()); n <= int(ids[writers-1][perW-1]) {
+	if n := len(c.tab.Load().entries); n <= int(ids[writers-1][perW-1]) {
 		t.Fatalf("slot table of %d slots, shorter than the largest id %d", n, ids[writers-1][perW-1])
+	}
+}
+
+// TestJoinersRaceTheLeader runs many rounds of one load each: a leader
+// completes it while joiners arrive, some before the channel exists, some
+// racing Complete, some after. Every joiner must get the leader's result —
+// none blocks, whether it made the channel, found it, or came too late to
+// join at all — and no load may stay in flight. Under -race it also holds
+// the channel's making and its close to the shard lock.
+func TestJoinersRaceTheLeader(t *testing.T) {
+	const rounds, joiners = 2000, 4
+	c := New(1<<20, 2)
+	var late atomic.Int64 // joiners that came after Complete: hits
+	for round := 0; round < rounds; round++ {
+		id := int32(round % 64)
+		c.Invalidate(id) // the id is cold again, and any earlier round's load outdated
+		lead := c.Acquire(id)
+		if !lead.Leader {
+			t.Fatalf("round %d: first Acquire of a cold id did not lead", round)
+		}
+		want := geom.Flat{Dims: 2, Coords: []float64{float64(round), 0}}
+		var wg sync.WaitGroup
+		errs := make(chan error, joiners)
+		for j := 0; j < joiners; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := c.Acquire(id)
+				var got geom.Flat
+				switch {
+				case r.Hit:
+					got = r.Rec
+					late.Add(1)
+				case r.Leader: // came after Complete, which the round's Invalidate outdated
+					c.Complete(r.Pending, want, 1, nil)
+					got = want
+				default:
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					rec, _, err := r.Pending.Wait(ctx)
+					cancel()
+					if err != nil {
+						errs <- fmt.Errorf("round %d: joiner: %v", round, err)
+						return
+					}
+					got = rec
+				}
+				if got.Coords[0] != float64(round) {
+					errs <- fmt.Errorf("round %d: joiner got round %v's result", round, got.Coords[0])
+				}
+			}()
+		}
+		if round%2 == 0 {
+			runtime.Gosched() // let some joiners in before the leader completes
+		}
+		c.Complete(lead.Pending, want, 1, nil)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	tab := c.tab.Load()
+	for id := range tab.loads {
+		if tab.loads[id].pending != nil {
+			t.Errorf("bucket %d: a load left in flight", id)
+		}
+	}
+	st := c.Stats()
+	t.Logf("%d joins and %d late arrivals over %d rounds of %d joiners", st.Shared, late.Load(), rounds, joiners)
+	if st.Shared == 0 || late.Load() == 0 {
+		t.Error("the joiners never both joined a load and came after it")
 	}
 }
 

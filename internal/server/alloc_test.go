@@ -54,8 +54,9 @@ const serverBytesBudget = 0.5
 // client and for a pipelined one: count-only range queries over a server
 // whose cache holds every bucket, so fetchBuckets is one Resident call and
 // every per-query buffer comes from a pool. The exec cases hold the executor
-// alone, on ranges and on kNN, to budgets of their own, and the last case
-// holds points-returning ranges to serverBytesBudget and allocBytesBudget.
+// alone, on ranges and on kNN, to budgets of their own, "exec miss" holds the
+// miss path to a budget per missed bucket, and the last case holds
+// points-returning ranges to serverBytesBudget and allocBytesBudget.
 func TestAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -168,6 +169,59 @@ func TestAllocBudget(t *testing.T) {
 			}
 		})
 	}
+
+	// The miss path, per missed bucket: count-only ranges through exec on an
+	// engine whose cache holds a few dozen buckets (coldCache), so nearly
+	// every bucket a query needs is read by its disk worker, decoded and
+	// cached, evicting another. The floor is two allocations a miss: the
+	// decode arena and the cache's Pending, which is also the entry it
+	// becomes. It measures 2.43 at 23.3 misses a query; the rest is per
+	// query or per disk batch: the response channel (one a query) and the
+	// disk worker's result slice (one a batch). It measured 7.61 while a
+	// miss also made a channel nobody joined and a separate entry, each
+	// query a map of fresh per-disk batches whose slices grew lead by lead,
+	// and each span read a slice header to put its buffer back in the pool.
+	// The budget leaves half an allocation for the runtime.
+	t.Run("exec miss", func(t *testing.T) {
+		const budget = 2.9
+		s, f := newTestEngine(t, 20000, 8, 1, coldCache)
+		var reqs []Frame
+		for _, q := range workload.SquareRange(f.Domain(), 0.04, 256, 3) {
+			fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, fr)
+		}
+		var out []byte
+		run := func(ops int) {
+			for i := 0; i < ops; i++ {
+				if out = s.exec(out[:0], reqs[i%len(reqs)]); Verb(out[0]) != VerbCount {
+					t.Fatalf("reply verb 0x%02x: %s", out[0], out[1:])
+				}
+			}
+		}
+		run(2 * len(reqs))
+		const ops, passes = 2000, 3
+		perMiss, misses := math.Inf(1), int64(0)
+		for p := 0; p < passes; p++ {
+			misses = s.Snapshot().Cache.Misses
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(ops)
+			runtime.ReadMemStats(&after)
+			misses = s.Snapshot().Cache.Misses - misses
+			if misses < 10*ops {
+				t.Fatalf("%d misses in %d ops: the pass was not the miss path", misses, ops)
+			}
+			perMiss = min(perMiss, float64(after.Mallocs-before.Mallocs)/float64(misses))
+		}
+		t.Logf("%.2f mallocs per missed bucket through exec (%.1f misses a query), lowest of %d passes of %d ops (budget %v)",
+			perMiss, float64(misses)/ops, passes, ops, budget)
+		if perMiss > budget {
+			t.Errorf("%.2f mallocs per missed bucket on the miss path, budget %v", perMiss, budget)
+		}
+	})
 
 	// Points-returning ranges, by bytes: the server's share alone — what a
 	// connection does per request short of the socket: a pooled buffer, reply,

@@ -42,13 +42,30 @@ func BenchmarkRangeResident(b *testing.B) {
 // engine that has no listener, the inner reply appended to one reused buffer.
 // What is left is translate, cache hits, scan and encode, so the difference
 // between the two is the connection layer plus the client (DESIGN.md S39).
-func BenchmarkExecRange(b *testing.B) { benchExec(b, false, residentRanges) }
+func BenchmarkExecRange(b *testing.B) { benchExec(b, Config{}, false, residentRanges) }
 
 // BenchmarkExecRangeParallel is BenchmarkExecRange from every P at once, each
 // goroutine with its own reply buffer. One goroutine never shows what a cache
 // hit costs when the cache is shared: a lock or a counter whose cache line
 // moves between cores (DESIGN.md S48).
-func BenchmarkExecRangeParallel(b *testing.B) { benchExec(b, true, residentRanges) }
+func BenchmarkExecRangeParallel(b *testing.B) { benchExec(b, Config{}, true, residentRanges) }
+
+// coldCache is a cache of 64 KiB: a few dozen of the benchmark layout's
+// buckets, so nearly every bucket a 4 % range needs is a miss.
+var coldCache = Config{CacheBytes: 64 << 10}
+
+// BenchmarkExecRangeCold is BenchmarkExecRange on an engine whose cache
+// holds a few buckets: the miss path, from "this bucket is not resident"
+// through the disk worker's pread and decode to the cache insert and its
+// eviction — the regime of the repo benchmark's cold-closed, where that
+// path's bookkeeping once cost as much as its preads (DESIGN.md S50). The
+// preads hit the page cache.
+func BenchmarkExecRangeCold(b *testing.B) { benchExec(b, coldCache, false, residentRanges) }
+
+// BenchmarkExecRangeColdParallel is BenchmarkExecRangeCold from every P at
+// once: misses of different queries meet in the cache's shards and the
+// disk workers' queues.
+func BenchmarkExecRangeColdParallel(b *testing.B) { benchExec(b, coldCache, true, residentRanges) }
 
 // residentRanges are BenchmarkRangeResident's 4 % ranges as requests.
 func residentRanges(dom geom.Rect) (reqs []Request) {
@@ -62,7 +79,7 @@ func residentRanges(dom geom.Rect) (reqs []Request) {
 // attribute given): nearly every bucket a line crosses straddles it along
 // that one dimension, so the time is the per-row test the scan runs there.
 func BenchmarkExecPartial(b *testing.B) {
-	benchExec(b, false, func(dom geom.Rect) (reqs []Request) {
+	benchExec(b, Config{}, false, func(dom geom.Rect) (reqs []Request) {
 		for _, vals := range workload.PartialMatch(dom, 1, 256, 3) {
 			reqs = append(reqs, Request{Verb: VerbPartial, Vals: vals})
 		}
@@ -74,7 +91,7 @@ func BenchmarkExecPartial(b *testing.B) {
 // around keys spread over the domain: expanding probes, each translated and
 // fetched from the cache, and the candidates of every fetched bucket.
 func BenchmarkExecKNN(b *testing.B) {
-	benchExec(b, false, func(dom geom.Rect) (reqs []Request) {
+	benchExec(b, Config{}, false, func(dom geom.Rect) (reqs []Request) {
 		for _, q := range workload.SquareRange(dom, 0.0001, 256, 3) {
 			reqs = append(reqs, Request{Verb: VerbKNN, Key: geom.Point{q[0].Lo, q[1].Lo}, K: 10})
 		}
@@ -83,10 +100,11 @@ func BenchmarkExecKNN(b *testing.B) {
 }
 
 // benchExec runs the requests gen makes, in turn, through exec on an engine
-// over 100 000 uniform 2-D records whose cache holds every bucket they touch
-// — from every P at once when parallel — and reports answer rows per op.
-func benchExec(b *testing.B, parallel bool, gen func(dom geom.Rect) []Request) {
-	s, f := newTestEngine(b, 100000, 8, 1, Config{})
+// configured by cfg over 100 000 uniform 2-D records — with the default
+// cache, one that holds every bucket they touch — from every P at once when
+// parallel, and reports answer rows per op.
+func benchExec(b *testing.B, cfg Config, parallel bool, gen func(dom geom.Rect) []Request) {
+	s, f := newTestEngine(b, 100000, 8, 1, cfg)
 	var reqs []Frame
 	var out []byte
 	for _, req := range gen(f.Domain()) {

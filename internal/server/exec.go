@@ -16,13 +16,15 @@ import (
 )
 
 // qstate is the pooled per-query scratch: the decoded request plus the
-// bucket-id and arena-record slices query execution scans over, the scan's
+// bucket-id and arena-record slices query execution scans over, the per-disk
+// batches of the buckets a fetch reads itself (fetchBucketsSlow), the scan's
 // per-bucket covers and kNN's candidate heap. Pooling it keeps the
 // steady-state serving path allocation-free.
 type qstate struct {
 	req    Request
 	ids    []int32
 	recs   []geom.Flat
+	leads  []leadBatch
 	covers []bucketCover
 	near   knnHeap
 }
@@ -261,7 +263,7 @@ func (s *Server) fetchTranslated(ctx context.Context, qs *qstate, tr *Trace, tra
 		// pooled scratch would otherwise be scanned as live data.
 		qs.recs = slices.Grow(qs.recs[:0], len(qs.ids))[:len(qs.ids)]
 		clear(qs.recs)
-		info, err := s.fetchBuckets(ctx, tr, qs.ids, qs.recs)
+		info, err := s.fetchBuckets(ctx, tr, qs)
 		if s.st.GridGen() == gen || (err != nil && ctx.Err() != nil) {
 			return info, err
 		}

@@ -38,8 +38,8 @@ func (s *Server) failLeads(loads []*cache.Pending, err error) {
 	}
 }
 
-// fetchBuckets resolves a query's bucket set into recs (parallel to ids,
-// len(recs) == len(ids), pre-zeroed by the caller): cache hits are filled
+// fetchBuckets resolves a query's bucket set, qs.ids, into qs.recs (parallel
+// to ids, pre-zeroed by the caller): cache hits are filled
 // immediately, buckets another in-flight query is already reading are
 // joined (singleflight), and the rest are batched per disk and sent to the
 // disk workers' queues. Every bucket this query leads is
@@ -50,14 +50,14 @@ func (s *Server) failLeads(loads []*cache.Pending, err error) {
 //
 // The common case — every bucket resident — is one Resident call: no lock,
 // no allocation, one add to the cache's hit counter.
-func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, ids []int32, recs []geom.Flat) (QueryInfo, error) {
+func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, qs *qstate) (QueryInfo, error) {
 	cacheStart := s.traceNow(tr)
 	n := 0
 	if s.bcache != nil {
-		n = s.bcache.Resident(ids, recs)
+		n = s.bcache.Resident(qs.ids, qs.recs)
 	}
-	if n < len(ids) {
-		return s.fetchBucketsSlow(ctx, tr, ids, recs, n, cacheStart)
+	if n < len(qs.ids) {
+		return s.fetchBucketsSlow(ctx, tr, qs, n, cacheStart)
 	}
 	s.traceSince(tr, stageCache, cacheStart)
 	tr.noteCache(n, 0, 0)
@@ -67,17 +67,35 @@ func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, ids []int32, recs 
 // leadBatch is one disk's worth of buckets a query must read itself, with
 // each bucket's index into the query's recs slice riding along so responses
 // scatter straight into place, and the cache's handle for the load so its
-// completion reaches this load's waiters and no later one's.
+// completion reaches this load's waiters and no later one's. rerouted marks a
+// failover's batch: its bucket is read from a copy after the one it was
+// routed to.
 type leadBatch struct {
-	ids   []int32
-	idxs  []int
-	loads []*cache.Pending
+	ids      []int32
+	idxs     []int
+	loads    []*cache.Pending
+	rerouted bool
+}
+
+// batches returns the query's per-disk lead batches, one for each disk and
+// every one empty. They keep their slices from query to query; the loads
+// are cleared, so the pooled state holds no leader's result alive.
+func (qs *qstate) batches(disks int) []leadBatch {
+	if len(qs.leads) != disks {
+		qs.leads = make([]leadBatch, disks)
+	}
+	for d := range qs.leads {
+		b := &qs.leads[d]
+		clear(b.loads[:cap(b.loads)])
+		b.ids, b.idxs, b.loads = b.ids[:0], b.idxs[:0], b.loads[:0]
+	}
+	return qs.leads
 }
 
 // fetchBucketsSlow is the miss path of fetchBuckets, entered at ids[i], the
 // first bucket that was not resident: recs[:i] hold the hits before it.
-func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, recs []geom.Flat,
-	i int, cacheStart time.Time) (QueryInfo, error) {
+func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i int, cacheStart time.Time) (QueryInfo, error) {
+	ids, recs := qs.ids, qs.recs
 	info := QueryInfo{Buckets: i}
 	type join struct {
 		idx int
@@ -85,63 +103,62 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 		p   *cache.Pending
 	}
 	var joins []join
-	var leads map[int]*leadBatch // disk -> buckets this query must read
-	nleads := 0
+	leads := qs.batches(len(s.sched)) // by disk: the buckets this query must read
+	nleads, hits := 0, 0
 	// take files bucket id, recs[idx], by the cache's answer for it: a hit
-	// is filled in, a join waits for its leader below, and a load this query
-	// leads goes into the batch of the disk it will be read from.
+	// is filled in (and counted in the cache once, by the caller of take), a
+	// join waits for its leader below, and a load this query leads goes into
+	// the batch of the disk it will be read from.
 	take := func(idx int, id int32, r cache.AcquireResult) error {
 		switch {
 		case r.Hit:
 			recs[idx] = r.Rec
 			info.Buckets++
+			hits++
 			return nil
 		case !r.Leader:
 			joins = append(joins, join{idx, id, r.Pending})
 			return nil
-		}
-		pl, ok := s.st.Placement(id)
-		if !ok {
-			err := fmt.Errorf("bucket %d not in store", id)
-			s.failLeads([]*cache.Pending{r.Pending}, err)
-			for _, b := range leads {
-				s.failLeads(b.loads, err)
-			}
-			return err
 		}
 		// A lead is read from its first whole copy in owner order. When no
 		// copy is whole, the primary's read fails with the store's stale-copy
 		// error and takes the failed-read path like any other.
 		disk, live := s.st.PickOwner(id, -1)
 		if !live {
+			pl, ok := s.st.Placement(id)
+			if !ok {
+				err := fmt.Errorf("bucket %d not in store", id)
+				s.failLeads([]*cache.Pending{r.Pending}, err)
+				for _, b := range leads {
+					s.failLeads(b.loads, err)
+				}
+				return err
+			}
 			disk = pl.Disk
 		}
-		if leads == nil {
-			leads = make(map[int]*leadBatch)
-		}
-		b := leads[disk]
-		if b == nil {
-			b = &leadBatch{}
-			leads[disk] = b
-		}
+		b := &leads[disk]
 		b.ids = append(b.ids, id)
 		b.idxs = append(b.idxs, idx)
 		b.loads = append(b.loads, r.Pending)
 		nleads++
 		return nil
 	}
-	for ; i < len(ids); i++ {
+	var err error
+	for ; i < len(ids) && err == nil; i++ {
 		// No cache: every bucket is this query's own read.
 		r := cache.AcquireResult{Leader: true}
 		if s.bcache != nil {
 			r = s.bcache.Acquire(ids[i])
 		}
-		if err := take(i, ids[i], r); err != nil {
-			s.traceSince(tr, stageCache, cacheStart)
-			return info, err
-		}
+		err = take(i, ids[i], r)
+	}
+	if s.bcache != nil {
+		s.bcache.CountHits(hits)
 	}
 	s.traceSince(tr, stageCache, cacheStart)
+	if err != nil {
+		return info, err
+	}
 	tr.noteCache(info.Buckets, len(joins), nleads)
 
 	// missedDisks records the disks of buckets lost while degraded mode
@@ -159,7 +176,7 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 		if err := s.readLeads(ctx, tr, leads, nleads, recs, &info, degrade); err != nil {
 			return info, err
 		}
-		leads, nleads = nil, 0
+		leads, nleads = qs.batches(len(leads)), 0
 
 		// Collect joined loads last: their leaders read in parallel with
 		// ours. A leader's failed read degrades this query too — the
@@ -169,7 +186,6 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 		// query or joined anew. Waiting on a leader counts as cache time.
 		joinStart := s.traceNow(tr)
 		var orphans []join
-		var err error
 		for _, j := range joins {
 			rec, _, werr := j.p.Wait(ctx)
 			switch {
@@ -196,11 +212,15 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 		if len(orphans) == 0 {
 			break
 		}
-		joins = nil
+		joins, hits = nil, 0
 		for _, j := range orphans {
-			if err := take(j.idx, j.id, s.bcache.Acquire(j.id)); err != nil {
-				return info, err
+			if err = take(j.idx, j.id, s.bcache.Acquire(j.id)); err != nil {
+				break
 			}
+		}
+		s.bcache.CountHits(hits)
+		if err != nil {
+			return info, err
 		}
 	}
 	if len(missedDisks) > 0 {
@@ -215,8 +235,11 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, ids []int32, r
 // over bucket by bucket; a bucket no owner is left for is absorbed through
 // degrade, or fails the query. Leads of successful batches are completed by
 // the disk workers, every other lead here, before readLeads returns.
-func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBatch, nleads int,
+func (s *Server) readLeads(ctx context.Context, tr *Trace, leads []leadBatch, nleads int,
 	recs []geom.Flat, info *QueryInfo, degrade func(int)) error {
+	if nleads == 0 {
+		return nil
+	}
 	// The response channel is buffered for every lead bucket: outstanding
 	// batches always hold disjoint lead sets (a failed batch is regrouped
 	// only after its response is drained), so at most nleads responses can
@@ -226,12 +249,16 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 	// when MaxInflight requests are already queued there, which takes a
 	// failover burst; the worker drains it without waiting on anyone.
 	resp := make(chan fetchResp, nleads)
+	outstanding := 0
 	for disk, b := range leads {
-		s.sched[disk] <- fetchReq{leadBatch: *b, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
+		if len(b.ids) > 0 {
+			s.sched[disk] <- fetchReq{leadBatch: b, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
+			outstanding++
+		}
 	}
 	var nPrimary, nSecondary int64
 	var err error
-	for outstanding := len(leads); outstanding > 0; {
+	for outstanding > 0 {
 		r := <-resp
 		outstanding--
 		switch {
@@ -241,14 +268,10 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads map[int]*leadBa
 				info.Buckets++
 			}
 			info.Pages += r.pages
-			if s.replicated {
-				for _, id := range r.ids {
-					if own := s.st.Owners(id); len(own) > 0 && own[0] != r.disk {
-						nSecondary++
-					} else {
-						nPrimary++
-					}
-				}
+			if s.replicated && r.rerouted {
+				nSecondary += int64(len(r.ids))
+			} else if s.replicated {
+				nPrimary += int64(len(r.ids))
 			}
 		case err == nil && copyFailed(ctx, r.err):
 			outstanding += s.failOver(ctx, tr, resp, r, degrade, &err)
@@ -292,7 +315,7 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 			lost = append(lost, r.loads[k])
 			continue
 		}
-		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1]}
+		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1], true}
 		s.sched[disk] <- fetchReq{leadBatch: one, ctx: ctx, resp: resp, tr: tr, enq: s.traceNow(tr)}
 		s.met.replicaFailover.Add(1)
 		resubmitted++

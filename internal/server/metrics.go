@@ -87,8 +87,9 @@ type Metrics struct {
 	gapPagesRead atomic.Int64
 	// Replica serving counters: buckets rerouted to a surviving owner after
 	// a failed read of their copy, and buckets read from primary vs secondary
-	// copies (replicated layouts only; an unreplicated server leaves all
-	// three at zero).
+	// copies — primary meaning the copy a lead was routed to, its first whole
+	// one, and secondary a later owner a failover read (replicated layouts
+	// only; an unreplicated server leaves all three at zero).
 	replicaFailover       atomic.Int64
 	replicaReadsPrimary   atomic.Int64
 	replicaReadsSecondary atomic.Int64

@@ -331,7 +331,8 @@ func TestReadRouteIsAFunctionOfTheQuery(t *testing.T) {
 	var wantFailovers int64
 	for _, q := range workload.SquareRange(f.Domain(), 0.03, 60, 7) {
 		for _, id := range s.st.Grid().BucketsInRange(q) {
-			own := s.st.Owners(id)
+			pl, _ := s.st.Placement(id)
+			own := pl.OwnerDisks
 			if own[0] == dead {
 				want[own[1]]++
 				wantFailovers++

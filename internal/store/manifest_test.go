@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -51,6 +52,8 @@ var manifestCases = []manifestCase{
 		m.Buckets[0].Pages, m.Buckets[0].Recs = 1<<20, 0
 	}},
 	{name: "duplicate id", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[1].ID = m.Buckets[0].ID }},
+	{name: "id 2^31-1", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].ID = math.MaxInt32 }},
+	{name: "id -1", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].ID = -1 }},
 	{name: "no owner lists", edit: func(_ *manifestVersion, m *Manifest) {
 		m.Buckets[0].OwnerDisks, m.Buckets[0].OwnerPages = nil, nil
 	}},
@@ -185,6 +188,39 @@ func TestOpenRefusals(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "grid file") {
 		t.Errorf("another dataset's grid.grd: refusal does not name the grid file: %v", err)
 	}
+}
+
+// TestHostileIDSizesNothing: the placement table is indexed by bucket id, so
+// a manifest that claims bucket 2³¹−1 must be refused before that id can
+// size it — a 16 GiB table of pointers otherwise. Open checks every claimed
+// id against the grid file's buckets first; what it allocates on the way to
+// the refusal stays far below one such table.
+func TestHostileIDSizesNothing(t *testing.T) {
+	dir, valid := doctorableLayout(t)
+	for _, c := range manifestCases {
+		if c.name != "id 2^31-1" {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), c.render(t, valid), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Open(dir)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			s.Close()
+			t.Fatal("a manifest placing bucket 2147483647 was accepted")
+		}
+		if !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("refusal does not name the id: %v", err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("refusing the manifest allocated %d bytes", alloc)
+		}
+		return
+	}
+	t.Fatal("no manifest case places bucket 2147483647")
 }
 
 // FuzzManifest opens arbitrary bytes as the manifest.json beside a valid

@@ -61,7 +61,7 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i, v := range f.Buckets() {
-		own := s.Owners(v.ID)
+		own := s.placement(v.ID).OwnerDisks
 		if len(own) != r {
 			t.Fatalf("bucket %d: %d owners, want %d", v.ID, len(own), r)
 		}
@@ -143,7 +143,7 @@ func TestOwnerDirectedBatch(t *testing.T) {
 	for d := 0; d < disks; d++ {
 		var ids []int32
 		for _, v := range f.Buckets() {
-			for _, o := range s.Owners(v.ID) {
+			for _, o := range s.placement(v.ID).OwnerDisks {
 				if o == d {
 					ids = append(ids, v.ID)
 					break
@@ -166,7 +166,7 @@ func TestOwnerDirectedBatch(t *testing.T) {
 		// One foreign id must fail the whole batch with a clear error.
 		for _, v := range f.Buckets() {
 			owned := false
-			for _, o := range s.Owners(v.ID) {
+			for _, o := range s.placement(v.ID).OwnerDisks {
 				if o == d {
 					owned = true
 				}
@@ -212,7 +212,7 @@ func TestPickOwnerTakesOwnersInOrder(t *testing.T) {
 	}
 	defer s.Close()
 	id := f.Buckets()[0].ID
-	own := s.Owners(id)
+	own := s.placement(id).OwnerDisks
 
 	after := -1
 	for i, want := range own {

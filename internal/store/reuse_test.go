@@ -185,6 +185,199 @@ func TestConcurrentReadsAgreeWithModel(t *testing.T) {
 	verifyStoreMatchesGrid(t, s, s.Grid())
 }
 
+// TestPlacementTableGrowsUnderReaders races lock-free placement readers —
+// PickOwner and ReadFlatsFromTimed over every bucket of a whole-domain
+// translation — against a writer that inserts into a layout of a few buckets
+// until the placement table has grown several times, then deletes until
+// buddies merge, checkpointing every 16 operations so that dropTombstones
+// clears the merged-away buckets' slots. No lookup may miss while the writer
+// only inserts, nor under a grid generation that still stands after the
+// read, and then the records read must number between what the writer had
+// surely applied and what it may have:
+// inserts acknowledged before the read less deletes sent by its end, and
+// inserts sent by its end less deletes acknowledged before it. A table
+// published before its slots were copied, or a growth that lost a slot,
+// fails it; under -race, so does a slot stored without the atomics.
+func TestPlacementTableGrowsUnderReaders(t *testing.T) {
+	const base, readers, inserts = 60, 2, 700
+	dir, f, _ := buildReplicatedLayoutOf(t, base, 4, 2)
+	s, err := OpenWritable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetCheckpointEvery(16)
+	keys := randKeys(f.Domain(), inserts, 43)
+	dom := f.Domain()
+	ctx := context.Background()
+
+	var insSent, insAcked, delSent, delAcked atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			one := make([]geom.Flat, 1)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				insA, delA := insAcked.Load(), delAcked.Load()
+				s.RLockGrid()
+				gen := s.GridGen()
+				ids := s.Grid().BucketsInRange(dom)
+				s.RUnlockGrid()
+				n := int64(0)
+				var err error
+				for _, id := range ids {
+					d, ok := s.PickOwner(id, -1)
+					if !ok {
+						err = fmt.Errorf("bucket %d: no owner", id)
+						break
+					}
+					if _, err = s.ReadFlatsFromTimed(ctx, d, []int32{id}, one, nil); err != nil {
+						break
+					}
+					n += int64(one[0].Len())
+				}
+				// Until the first delete no bucket goes away, so no lookup
+				// may miss whatever the generation did; after it, a merge
+				// may have dropped a bucket this translation named.
+				stands := s.GridGen() == gen
+				if err != nil && (stands || delSent.Load() == 0) {
+					t.Errorf("read of %d buckets: %v", len(ids), err)
+					return
+				}
+				if !stands || err != nil {
+					continue // a split or a merge voided the translation
+				}
+				lo, hi := base+insA-delSent.Load(), base+insSent.Load()-delA
+				if n < lo || n > hi {
+					t.Errorf("whole-domain count %d, want between %d and %d", n, lo, hi)
+					return
+				}
+			}
+		}()
+	}
+	slots, growths, merges := len(*s.places.Load()), 0, 0
+	for _, key := range keys {
+		insSent.Add(1)
+		if _, err := s.Insert(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		insAcked.Add(1)
+		if n := len(*s.places.Load()); n != slots {
+			slots, growths = n, growths+1
+		}
+	}
+	for _, key := range keys[:inserts/2] {
+		delSent.Add(1)
+		m, err := s.Delete(ctx, key)
+		if err != nil || !m.Applied {
+			t.Fatalf("delete of %v: applied %v, %v", key, m.Applied, err)
+		}
+		delAcked.Add(1)
+		if len(m.Stale) == 2 { // the bucket kept and the one merged away
+			merges++
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+	t.Logf("the table grew %d times to %d slots; %d merges", growths, slots, merges)
+	if growths < 3 || merges == 0 {
+		t.Errorf("%d growths and %d merges: the writer did not exercise the table", growths, merges)
+	}
+	placed := 0
+	for i := range *s.places.Load() {
+		if (*s.places.Load())[i].Load() != nil {
+			placed++
+		}
+	}
+	if placed != s.Grid().NumBuckets() {
+		t.Errorf("%d placements after the checkpoint, the grid has %d buckets: tombstones left", placed, s.Grid().NumBuckets())
+	}
+	verifyStoreMatchesGrid(t, s, s.Grid())
+}
+
+// TestPlacementTableGrowth races lock-free lookups against two writers that
+// publish placements for interleaved ids, each store under pmu alone, so
+// the table grows from empty fifteen times, copying up to 16 384 slots. A
+// reader that looks up an id a writer has acknowledged must find that id's
+// placement: a table published before its slots are copied, or a growth
+// that copies them outside pmu and so loses the other writer's store, hands
+// it nil.
+func TestPlacementTableGrowth(t *testing.T) {
+	const n, writers, readers = 1 << 15, 2, 2
+	s := &Store{}
+	s.places.Store(new([]atomic.Pointer[Placement]))
+	var acked [writers]atomic.Int64 // writer w has published ids w, w+writers, … below acked[w] of them
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(seed int64) {
+			defer rwg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				w := rng.Intn(writers)
+				k := acked[w].Load()
+				if k == 0 {
+					continue
+				}
+				// The latest ids as often as the rest: they are the ones a
+				// growth has just copied.
+				j := k - 1 - rng.Int63n(min(k, 64))
+				if rng.Intn(2) == 0 {
+					j = rng.Int63n(k)
+				}
+				id := int32(w + writers*int(j))
+				if pl := s.placement(id); pl == nil || pl.ID != id {
+					errs <- fmt.Errorf("bucket %d acknowledged, lookup gave %v", id, pl)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	var wwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			for id := w; id < n; id += writers {
+				pl := &Placement{ID: int32(id)}
+				s.pmu.Lock()
+				s.setPlacement(int32(id), pl)
+				s.pmu.Unlock()
+				acked[w].Add(1)
+			}
+		}(w)
+	}
+	wwg.Wait()
+	close(done)
+	rwg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for id := int32(0); id < n; id++ {
+		if pl := s.placement(id); pl == nil || pl.ID != id {
+			t.Fatalf("bucket %d: lookup gave %v after every writer returned", id, pl)
+		}
+	}
+}
+
 // TestPinnedReaderOutlivesCheckpoints holds one batch read between its
 // placement lookup and its pread (an injected read delay) while the writer
 // rewrites that very bucket, and a run of others on the same disk, across

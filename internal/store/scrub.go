@@ -47,13 +47,14 @@ type ScrubStats struct {
 // no intact sibling (r=1, or all copies damaged) are counted but left in
 // place.
 func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, err error) {
-	s.pmu.RLock()
-	pls := make([]Placement, 0, len(s.byID))
-	for _, pl := range s.byID {
-		pls = append(pls, pl)
+	var pls []*Placement
+	t := *s.places.Load()
+	for id := range t {
+		if pl := t[id].Load(); pl != nil {
+			pls = append(pls, pl)
+		}
 	}
-	s.pmu.RUnlock()
-	slices.SortFunc(pls, func(a, b Placement) int { return cmpDiskPage(&a, &b) })
+	slices.SortFunc(pls, cmpDiskPage)
 
 	// Repair handles are opened lazily, once per disk per pass, and synced
 	// in this deferred block so that EVERY exit path — completion, context
@@ -87,7 +88,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 	good := make([]byte, pageBytes)
 
 	// scanBucket verifies and repairs one bucket's copies.
-	scanBucket := func(pl Placement) error {
+	scanBucket := func(pl *Placement) error {
 		// bad[p] lists the owner indices whose copy of page p failed.
 		var bad map[int][]int
 		for i, d := range pl.OwnerDisks {
@@ -144,8 +145,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			return st, err
 		}
 		e := s.pinPages()
-		pl, ok := s.lookup(at.ID)
-		if ok {
+		if pl := s.placement(at.ID); pl != nil {
 			err = scanBucket(pl)
 		}
 		s.unpinPages(e)

@@ -23,8 +23,9 @@ import (
 func copiesOnDisk(m *Manifest, disk int) []Placement {
 	var out []Placement
 	for _, pl := range m.Buckets {
-		if c, ok := placementOn(pl, disk); ok {
-			out = append(out, c)
+		if i := slices.Index(pl.OwnerDisks, disk); i >= 0 {
+			pl.Disk, pl.Page = disk, pl.OwnerPages[i]
+			out = append(out, pl)
 		}
 	}
 	slices.SortFunc(out, func(a, b Placement) int { return cmp.Compare(a.Page, b.Page) })
@@ -125,7 +126,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			if rng.Intn(12) == 0 {
 				pages = 1 + rng.Intn(400)
 			}
-			pls = append(pls, plIdx{pl: Placement{ID: int32(len(pls)), Page: page, Pages: pages}})
+			pls = append(pls, plIdx{pl: &Placement{ID: int32(len(pls)), Page: page, Pages: pages}, page: page})
 			page += int64(pages + rng.Intn(9))
 		}
 		for lo := 0; lo < len(pls); {
@@ -142,7 +143,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			}
 			wantGaps := int64(0)
 			for i := lo + 1; i < hi; i++ {
-				gap := pls[i].pl.Page - (pls[i-1].pl.Page + int64(pls[i-1].pl.Pages))
+				gap := pls[i].page - (pls[i-1].page + int64(pls[i-1].pl.Pages))
 				if gap < 0 || gap > ReadThroughPages {
 					t.Fatalf("trial %d: span joins %+v to %+v", trial, pls[i-1].pl, pls[i].pl)
 				}

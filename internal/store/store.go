@@ -50,6 +50,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pgridfile/internal/core"
@@ -371,7 +372,6 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		manifest: Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, PageFormat: pageFormat},
 		dir:      dir,
 		grid:     f,
-		byID:     make(map[int32]Placement, f.NumBuckets()),
 		w:        &writer{nextPage: make([]int64, disks), nextLSN: 1, crash: crash},
 	}
 	if replicas > 1 {
@@ -389,10 +389,15 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		s.files = append(s.files, fh)
 	}
 
+	// The table is made once, at its final size, and the stubs share one
+	// allocation: each bucket's rewrite publishes the one placement it keeps.
 	views := f.Buckets()
+	s.places.Store(newPlaceTable(views))
+	stubs := make([]Placement, len(views))
 	for _, vi := range LayoutOrder(f) {
-		id, own := views[vi].ID, owners[vi]
-		s.byID[id] = placementStub(id, own)
+		id := views[vi].ID
+		stubs[vi] = placementStub(id, owners[vi])
+		s.setPlacement(id, &stubs[vi])
 		if err := s.rewriteBucket(context.Background(), id); err != nil {
 			return nil, err
 		}
@@ -416,11 +421,25 @@ type Store struct {
 	// changes it; a writable one mutates it under w.gridMu.
 	grid *gridfile.File
 
-	// pmu guards byID (and the manifest's bucket list) against the write
-	// path's placement swaps. Read-only stores never take the write lock,
-	// so the read path pays only an uncontended RLock.
-	pmu  sync.RWMutex
-	byID map[int32]Placement
+	// pmu is the writers' lock: a placement store (setPlacement) holds it, and
+	// so does a checkpoint's update of the manifest's bucket list, which
+	// Manifest reads under RLock. No read path takes it.
+	pmu sync.RWMutex
+	// places is the placement table: slot id holds bucket id's placement, or
+	// nil. Bucket ids index the grid file's bucket table, so the table is
+	// dense. A reader loads the table and a slot with no lock. Placements are
+	// copy-on-write: a writer holding pmu stores a fresh one and never
+	// changes one it has published, so whatever a reader loaded stays whole.
+	// The table grows only by replacement, under pmu, after every slot has
+	// been copied, so a writer always stores into the current table.
+	// Old-or-new: a reader that loaded the table before a growth may read a
+	// slot as it stood at that growth; any placement published after the
+	// growth was published after the reader began, so its query overlaps that
+	// write. A reader that starts after a write has returned loads the
+	// current table. The pages an old placement names stay intact while the
+	// reader is pinned (pinPages), which is why ReadFlatsFromTimed pins
+	// before it loads the table.
+	places atomic.Pointer[[]atomic.Pointer[Placement]]
 
 	// w holds the mutable-store state (grid lock, journals, allocation
 	// cursors); nil unless the store was opened with OpenWritable.
@@ -497,7 +516,6 @@ func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 	s := &Store{
 		manifest: m,
 		dir:      dir,
-		byID:     make(map[int32]Placement, len(m.Buckets)),
 		now:      time.Now,
 	}
 	flags := os.O_RDONLY
@@ -521,15 +539,10 @@ func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 		return nil, err
 	}
 	for _, pl := range m.Buckets {
-		if _, dup := s.byID[pl.ID]; dup {
-			s.Close()
-			return nil, fmt.Errorf("store: bucket %d listed twice", pl.ID)
-		}
 		if err := validatePlacement(pl, &m, sizes); err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.byID[pl.ID] = pl
 	}
 	if err := s.loadGrid(); err != nil {
 		s.Close()
@@ -542,7 +555,9 @@ func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
 // (gridFileName) and requires it to be the grid the manifest places: the same
 // dimensionality and buckets, holding the same number of records each. The
 // store is the one owner of a layout's grid; whoever translates queries
-// translates against this one.
+// translates against this one. The placement table is built here, sized by
+// the grid file's bucket ids: an id the manifest claims is checked against
+// them before it can size anything.
 func (s *Store) loadGrid() error {
 	m := &s.manifest
 	fh, err := os.Open(filepath.Join(s.dir, gridFileName(m.CheckpointLSN)))
@@ -559,9 +574,21 @@ func (s *Store) loadGrid() error {
 		return fmt.Errorf("store: grid file is %d-D with %d buckets, manifest %d-D with %d (layout from a different grid file?)",
 			g.Dims(), len(views), m.Dims, len(m.Buckets))
 	}
+	t := newPlaceTable(views)
+	pls := slices.Clone(m.Buckets) // one allocation backs every placement
+	for i := range pls {
+		pl := &pls[i]
+		if uint32(pl.ID) >= uint32(len(*t)) { // a negative id too
+			return fmt.Errorf("store: manifest places bucket %d, which the grid file does not hold", pl.ID)
+		}
+		if (*t)[pl.ID].Load() != nil {
+			return fmt.Errorf("store: bucket %d listed twice", pl.ID)
+		}
+		(*t)[pl.ID].Store(pl)
+	}
 	for _, v := range views {
-		pl, ok := s.byID[v.ID]
-		if !ok {
+		pl := (*t)[v.ID].Load()
+		if pl == nil {
 			return fmt.Errorf("store: the grid file's bucket %d is missing from the manifest", v.ID)
 		}
 		if pl.Recs != v.Records {
@@ -569,8 +596,20 @@ func (s *Store) loadGrid() error {
 				v.ID, pl.Recs, v.Records)
 		}
 	}
+	s.places.Store(t)
 	s.grid = g
 	return nil
+}
+
+// newPlaceTable makes an empty placement table with a slot for every bucket
+// id among views.
+func newPlaceTable(views []gridfile.BucketView) *[]atomic.Pointer[Placement] {
+	n := 0
+	for _, v := range views {
+		n = max(n, int(v.ID)+1)
+	}
+	t := make([]atomic.Pointer[Placement], n)
+	return &t
 }
 
 // validatePlacement checks one placement against the manifest and the disk
@@ -620,35 +659,44 @@ func (s *Store) Manifest() Manifest {
 	return s.manifest
 }
 
-// lookup fetches one placement under the read lock. Placement values are
-// copied out and their owner slices are copy-on-write (the write path
-// builds fresh slices instead of mutating), so the copy stays valid after
-// the lock is released even while mutations land.
-func (s *Store) lookup(id int32) (Placement, bool) {
-	s.pmu.RLock()
-	pl, ok := s.byID[id]
-	s.pmu.RUnlock()
-	return pl, ok
+// placement returns bucket id's placement, or nil for an unknown bucket: a
+// load of the table and of one slot, no lock. The Placement is shared and
+// must not be modified.
+func (s *Store) placement(id int32) *Placement {
+	t := *s.places.Load()
+	if uint32(id) >= uint32(len(t)) { // a negative id too
+		return nil
+	}
+	return t[id].Load()
+}
+
+// setPlacement publishes pl as bucket id's placement, or drops the bucket's
+// when pl is nil, growing the table first when id lies beyond it. Caller
+// holds pmu, and pl is never modified once stored.
+func (s *Store) setPlacement(id int32, pl *Placement) {
+	t := *s.places.Load()
+	if int(id) >= len(t) {
+		g := make([]atomic.Pointer[Placement], max(int(id)+1, 2*len(t)))
+		for i := range t {
+			g[i].Store(t[i].Load())
+		}
+		s.places.Store(&g)
+		t = g
+	}
+	t[id].Store(pl)
 }
 
 // Placement reports where one bucket lives, and whether it exists.
 func (s *Store) Placement(id int32) (Placement, bool) {
-	return s.lookup(id)
+	if pl := s.placement(id); pl != nil {
+		return *pl, true
+	}
+	return Placement{}, false
 }
 
 // Replicas returns the number of copies of each bucket in the layout
 // (1 for an unreplicated layout).
 func (s *Store) Replicas() int { return s.manifest.Replicas }
-
-// Owners returns one bucket's ordered owner-disk list (primary first), or
-// nil for an unknown bucket. The returned slice must not be modified.
-func (s *Store) Owners(id int32) []int {
-	pl, ok := s.lookup(id)
-	if !ok {
-		return nil
-	}
-	return pl.OwnerDisks
-}
 
 // PickOwner returns the first owner disk of one bucket after disk after, in
 // OwnerDisks order, whose copy did not miss its last write (errStaleCopy).
@@ -663,8 +711,8 @@ func (s *Store) Owners(id int32) []int {
 // finds after in the list it was routed by. Anything that moves a bucket to
 // other owners must revisit this rule first.
 func (s *Store) PickOwner(id int32, after int) (disk int, ok bool) {
-	pl, found := s.lookup(id)
-	if !found {
+	pl := s.placement(id)
+	if pl == nil {
 		return 0, false
 	}
 	owners := pl.OwnerDisks
@@ -685,20 +733,23 @@ func (s *Store) PickOwner(id int32, after int) (disk int, ok bool) {
 
 // bufPool recycles page read buffers between bucket fetches so the serving
 // hot path does not allocate one buffer per read. Buffers are sized to the
-// largest request seen and reused across spans.
+// largest request seen and reused across spans. The pool holds the pointer
+// getBuf handed out, so a put allocates no slice header.
 var bufPool sync.Pool
 
-func getBuf(n int) []byte {
+func getBuf(n int) *[]byte {
 	if v := bufPool.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
+		bp := v.(*[]byte)
+		if cap(*bp) >= n {
+			*bp = (*bp)[:n]
+			return bp
 		}
 	}
-	return make([]byte, n)
+	b := make([]byte, n)
+	return &b
 }
 
-func putBuf(b []byte) { bufPool.Put(&b) }
+func putBuf(bp *[]byte) { bufPool.Put(bp) }
 
 // checkPage is the one test of a page read from disk, for decode and scrub
 // alike: page p of bucket id must carry its checksum (checked when verify is
@@ -730,7 +781,7 @@ func (s *Store) checkPage(page []byte, id int32, p int, verify bool) (int, error
 // bounds such a row, and the scan's per-row predicate excludes it. The
 // result always carries the manifest's dimensionality, even for an empty
 // bucket, so callers can distinguish "decoded empty" from the zero Flat.
-func (s *Store) decodeBucketFlat(data []byte, pl Placement) (geom.Flat, error) {
+func (s *Store) decodeBucketFlat(data []byte, pl *Placement) (geom.Flat, error) {
 	dims := s.manifest.Dims
 	pageBytes := s.manifest.PageBytes
 	ncoords := pl.Recs * dims
@@ -895,26 +946,16 @@ const maxCoalesceBytes = 1 << 20
 // planner does.
 const ReadThroughPages = 4
 
-// placementOn rebinds a placement to the copy held by one specific owner
-// disk, reporting whether that disk owns the bucket at all.
-func placementOn(pl Placement, disk int) (Placement, bool) {
-	for i, d := range pl.OwnerDisks {
-		if d == disk {
-			pl.Disk = disk
-			pl.Page = pl.OwnerPages[i]
-			return pl, true
-		}
-	}
-	return pl, false
-}
-
-// plIdx pairs one placement with the caller's result slot, so the span
-// planner can sort placements into disk order while landing each decode in the
-// position the caller asked for. The scratch slices are pooled: a serving
-// path batch allocates nothing here.
+// plIdx is one bucket of a batch as the span planner sees it: its placement,
+// the first page of the copy on the disk being read, and the caller's result
+// slot, so the planner can sort the batch into page order while landing each
+// decode in the position the caller asked for. It holds the placement by
+// pointer, so the sort moves 24 bytes an element. The scratch slices are
+// pooled: a serving path batch allocates nothing here.
 type plIdx struct {
-	pl  Placement
-	idx int
+	pl   *Placement
+	page int64
+	idx  int
 }
 
 var plScratchPool = sync.Pool{New: func() any {
@@ -952,8 +993,8 @@ func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, o
 	pls := (*sp)[:0]
 	var err error
 	for i, id := range ids {
-		pl, ok := s.lookup(id)
-		if !ok {
+		pl := s.placement(id)
+		if pl == nil {
 			err = fmt.Errorf("store: unknown bucket %d", id)
 			break
 		}
@@ -961,11 +1002,12 @@ func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, o
 			err = fmt.Errorf("store: bucket %d on disk %d: %w", id, disk, errStaleCopy)
 			break
 		}
-		if pl, ok = placementOn(pl, disk); !ok {
+		o := slices.Index(pl.OwnerDisks, disk)
+		if o < 0 {
 			err = fmt.Errorf("store: bucket %d has no copy on disk %d", id, disk)
 			break
 		}
-		pls = append(pls, plIdx{pl, i})
+		pls = append(pls, plIdx{pl, pl.OwnerPages[o], i})
 	}
 	pages := 0
 	if err == nil {
@@ -995,17 +1037,17 @@ func cmpDiskPage(a, b *Placement) int {
 // a span always ends on a wanted page, so a torn read, which destroys the
 // final page, is still caught by a decode — and the unwanted pages inside.
 func nextSpan(pls []plIdx, lo int, pageBytes int64) (hi int, end, gaps int64) {
-	first := pls[lo].pl
-	end = first.Page + int64(first.Pages)
+	first := pls[lo].page
+	end = first + int64(pls[lo].pl.Pages)
 	for hi = lo + 1; hi < len(pls); hi++ {
-		nx := pls[hi].pl
-		nxEnd := nx.Page + int64(nx.Pages)
-		if nx.Page-end > ReadThroughPages ||
-			(nxEnd-first.Page)*pageBytes > maxCoalesceBytes {
+		nx := pls[hi].page
+		nxEnd := nx + int64(pls[hi].pl.Pages)
+		if nx-end > ReadThroughPages ||
+			(nxEnd-first)*pageBytes > maxCoalesceBytes {
 			break
 		}
-		if nx.Page > end {
-			gaps += nx.Page - end
+		if nx > end {
+			gaps += nx - end
 		}
 		end = max(end, nxEnd)
 	}
@@ -1017,35 +1059,36 @@ func nextSpan(pls []plIdx, lo int, pageBytes int64) (hi int, end, gaps int64) {
 func (s *Store) readSpans(ctx context.Context, disk int, pls []plIdx, out []geom.Flat, tm *Timing) (int, error) {
 	// slices.SortFunc rather than sort.Slice: no closure/Swapper allocations
 	// on the per-batch hot path.
-	slices.SortFunc(pls, func(a, b plIdx) int { return cmp.Compare(a.pl.Page, b.pl.Page) })
+	slices.SortFunc(pls, func(a, b plIdx) int { return cmp.Compare(a.page, b.page) })
 
 	pageBytes := int64(s.manifest.PageBytes)
 	timed := tm.timed()
 	pages, spans, gapPages := 0, 0, int64(0)
 	for lo := 0; lo < len(pls); {
-		first := pls[lo].pl
+		first := pls[lo].page
 		hi, end, gaps := nextSpan(pls, lo, pageBytes)
-		buf := getBuf(int((end - first.Page) * pageBytes))
+		bp := getBuf(int((end - first) * pageBytes))
+		buf := *bp
 		var t0 time.Time
 		if timed {
 			t0 = s.now()
 		}
-		torn, err := s.readAt(ctx, disk, buf, first.Page*pageBytes)
+		torn, err := s.readAt(ctx, disk, buf, first*pageBytes)
 		if timed {
 			now := s.now()
 			tm.Pread += now.Sub(t0)
 			t0 = now
 		}
 		if err != nil {
-			putBuf(buf)
+			putBuf(bp)
 			return 0, fmt.Errorf("store: reading buckets %d..%d: %w",
-				first.ID, pls[hi-1].pl.ID, err)
+				pls[lo].pl.ID, pls[hi-1].pl.ID, err)
 		}
 		for _, pi := range pls[lo:hi] {
-			off := (pi.pl.Page - first.Page) * pageBytes
+			off := (pi.page - first) * pageBytes
 			fl, err := s.decodeBucketFlat(buf[off:off+int64(pi.pl.Pages)*pageBytes], pi.pl)
 			if err != nil {
-				putBuf(buf)
+				putBuf(bp)
 				if torn {
 					return 0, fmt.Errorf("store: torn read of bucket %d: %w (%v)",
 						pi.pl.ID, fault.ErrInjected, err)
@@ -1055,7 +1098,7 @@ func (s *Store) readSpans(ctx context.Context, disk int, pls []plIdx, out []geom
 			out[pi.idx] = fl
 			pages += pi.pl.Pages
 		}
-		putBuf(buf)
+		putBuf(bp)
 		if timed {
 			tm.Decode += s.now().Sub(t0)
 		}

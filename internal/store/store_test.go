@@ -627,7 +627,7 @@ func TestDecodeBucketFlatBox(t *testing.T) {
 	decode := func(keys ...float64) geom.Flat {
 		t.Helper()
 		encodePage(page, 7, keys, 2)
-		fl, err := s.decodeBucketFlat(page, Placement{ID: 7, Pages: 1, Recs: len(keys) / 2})
+		fl, err := s.decodeBucketFlat(page, &Placement{ID: 7, Pages: 1, Recs: len(keys) / 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -636,7 +636,7 @@ func TestDecodeBucketFlatBox(t *testing.T) {
 	if fl := decode(3, 9, 1, 12, 2, 10); !slices.Equal(fl.Box, []float64{1, 3, 9, 12}) {
 		t.Errorf("Box = %v, want [1 3 9 12]", fl.Box)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.decodeBucketFlat(page, Placement{ID: 7, Pages: 1, Recs: 3}) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { s.decodeBucketFlat(page, &Placement{ID: 7, Pages: 1, Recs: 3}) }); n != 1 {
 		t.Errorf("%v allocations per decoded bucket, want 1: the box must share the arena's", n)
 	}
 	if fl := decode(3, 9, math.NaN(), 12, 2, 10); fl.Box != nil || fl.Len() != 3 {

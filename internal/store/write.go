@@ -283,7 +283,7 @@ func (w *writer) allocPages(disk, pages int) int64 {
 
 // supersede records the extents of a placement its bucket has left (a
 // rewrite moved it, or a merge retired it). A stub has none.
-func (w *writer) supersede(pl Placement) {
+func (w *writer) supersede(pl *Placement) {
 	if pl.Pages == 0 {
 		return
 	}
@@ -478,8 +478,8 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	if !ok {
 		return Mutation{}, fmt.Errorf("store: key %v is not in the layout's domain", key)
 	}
-	pl, ok := s.lookup(id)
-	if !ok {
+	pl := s.placement(id)
+	if pl == nil {
 		return Mutation{}, fmt.Errorf("store: bucket %d has no placement", id)
 	}
 	lsn := w.nextLSN
@@ -539,11 +539,12 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 			return Mutation{}, nil, err
 		}
 		for _, id := range res.Created {
-			s.pmu.Lock()
-			if old, ok := s.byID[id]; ok {
+			if old := s.placement(id); old != nil {
 				w.supersede(old) // the tombstone of a merged-away bucket whose id the split reuses
 			}
-			s.byID[id] = placementStub(id, owners)
+			stub := placementStub(id, owners)
+			s.pmu.Lock()
+			s.setPlacement(id, &stub)
 			s.pmu.Unlock()
 		}
 		if len(res.Created) > 0 {
@@ -627,8 +628,8 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 // propagates. Caller holds w.mu and, online, gridMu.
 func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	w := s.w
-	old, ok := s.lookup(id)
-	if !ok {
+	old := s.placement(id)
+	if old == nil {
 		return fmt.Errorf("store: rewrite of unplaced bucket %d", id)
 	}
 	dims := s.manifest.Dims
@@ -646,8 +647,9 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 		newPages[i] = w.allocPages(d, npages)
 	}
 
-	page := getBuf(pageBytes)
-	defer putBuf(page)
+	bp := getBuf(pageBytes)
+	defer putBuf(bp)
+	page := *bp
 	var missed []int
 	for p := 0; p < npages; p++ {
 		encodePage(page, id, keys[p*perPage*dims:min((p+1)*perPage, nrec)*dims], dims)
@@ -670,7 +672,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 		}
 	}
 
-	pl := old
+	pl := *old
 	pl.OwnerPages = newPages
 	pl.Disk = pl.OwnerDisks[0]
 	pl.Page = newPages[0]
@@ -678,7 +680,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	pl.Recs = nrec
 	pl.missed = missed
 	s.pmu.Lock()
-	s.byID[id] = pl
+	s.setPlacement(id, &pl)
 	s.pmu.Unlock()
 	w.supersede(old)
 	return nil
@@ -767,8 +769,8 @@ func (s *Store) replay() error {
 		if !ok {
 			continue // key no longer plausible: cannot have been committed
 		}
-		pl, ok := s.byID[id]
-		if !ok || slices.ContainsFunc(pl.OwnerDisks, func(d int) bool { return !p.have[d] }) {
+		pl := s.placement(id)
+		if pl == nil || slices.ContainsFunc(pl.OwnerDisks, func(d int) bool { return !p.have[d] }) {
 			continue // some owner's journal lacks the record: never committed
 		}
 		m, live, err := s.apply(p.rec.op, key, pl.OwnerDisks)
@@ -856,11 +858,11 @@ func (s *Store) checkpointLocked(force bool) error {
 	views := s.grid.Buckets()
 	bks := make([]Placement, 0, len(views))
 	for _, v := range views {
-		pl, ok := s.byID[v.ID]
-		if !ok {
+		pl := s.placement(v.ID)
+		if pl == nil {
 			return fmt.Errorf("store: checkpoint: live bucket %d has no placement", v.ID)
 		}
-		bks = append(bks, pl)
+		bks = append(bks, *pl)
 	}
 	m := s.manifest
 	m.Buckets = bks
@@ -916,27 +918,21 @@ func (s *Store) checkpointLocked(force bool) error {
 // dropTombstones removes the placements of buckets a merge retired — kept so
 // a reader that translated before the merge could still read them — once the
 // manifest just committed (live, its bucket list) no longer names them, and
-// supersedes their pages. A reader looking one up afterwards translated
-// before the merge, and its query translates again (Store.GridGen). Caller
-// holds w.mu and pmu.
+// supersedes their pages in ascending id order, so the order pages are reused
+// in is a function of the operations. A reader looking one up afterwards
+// translated before the merge, and its query translates again
+// (Store.GridGen). Caller holds w.mu and pmu.
 func (s *Store) dropTombstones(live []Placement) {
-	if len(s.byID) == len(live) {
-		return
-	}
-	named := make(map[int32]bool, len(live))
+	t := *s.places.Load()
+	named := make([]bool, len(t))
 	for _, pl := range live {
 		named[pl.ID] = true
 	}
-	var gone []int32
-	for id := range s.byID {
-		if !named[id] {
-			gone = append(gone, id)
+	for id := range t {
+		if pl := t[id].Load(); pl != nil && !named[id] {
+			s.w.supersede(pl)
+			t[id].Store(nil)
 		}
-	}
-	slices.Sort(gone) // the order pages are reused in is a function of the operations
-	for _, id := range gone {
-		s.w.supersede(s.byID[id])
-		delete(s.byID, id)
 	}
 }
 

@@ -40,18 +40,27 @@
 #                  compares every table gridbench prints at test scale, byte
 #                  for byte, with testdata/results_test_scale.txt
 #                  (`make golden` regenerates it)
-#   5. fuzz smoke  short runs of the fuzz targets: wire protocol
+#   5. race x20    the lock-free tables' race tests again, twenty times each,
+#                  because a growth or hand-off race shows only on some
+#                  interleavings: internal/store TestPlacementTableGrowth
+#                  (lookups against two writers growing the placement table)
+#                  and TestPlacementTableGrowsUnderReaders (reads against a
+#                  writer that grows it and drops merged buckets' slots), and
+#                  internal/cache TestJoinersRaceTheLeader,
+#                  TestResidentNeverReturnsInvalidatedArena and
+#                  TestByteBoundUnderRandomOps
+#   6. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
 #                  one write (FuzzBatchFraming), grid-file persistence
 #                  (FuzzRead), layout manifests (FuzzManifest) and the
 #                  write-ahead journal reader (FuzzJournalReplay)
-#   6. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
+#   7. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
 #                  and TestScanReservesOnce without the race detector (their
 #                  file is built out under -race: sync.Pool drops there)
-#   7. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
-#                  checks — BenchmarkExecRange's reply verb,
-#                  BenchmarkCheckpoint's and BenchmarkDecluster's errors —
-#                  run nowhere else
+#   8. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
+#                  checks — BenchmarkExecRange's and BenchmarkExecRangeCold's
+#                  reply verb, BenchmarkCheckpoint's and BenchmarkDecluster's
+#                  errors — run nowhere else
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -86,6 +95,10 @@ if grep -q '^check.sh: go test exited' "$TEST_OUT"; then
     grep -E '^[[:space:]]*--- FAIL|^FAIL|^panic:' "$TEST_OUT" >&2 || true
     exit 1
 fi
+
+echo "== race x20"
+go test -race -count=20 -run '^(TestPlacementTableGrowth|TestPlacementTableGrowsUnderReaders)$' ./internal/store
+go test -race -count=20 -run '^(TestJoinersRaceTheLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$' ./internal/cache
 
 echo "== fuzz smoke ($FUZZTIME each)"
 go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
