@@ -269,8 +269,8 @@ func attachServerStats(row *benchRow, c *server.Client, before server.Snapshot) 
 }
 
 // hitRateDelta computes the cache hit fraction over one bench run from the
-// before/after stats snapshots; singleflight joins count as hits (they were
-// served without extra I/O). Returns 0 when the server runs uncached.
+// before/after stats snapshots: hits/(hits+misses). Returns 0 when the
+// server runs uncached.
 func hitRateDelta(before, after *cache.Stats) float64 {
 	if after == nil {
 		return 0
@@ -279,7 +279,7 @@ func hitRateDelta(before, after *cache.Stats) float64 {
 	if before != nil {
 		b = *before
 	}
-	hits := float64(after.Hits - b.Hits + after.Shared - b.Shared)
+	hits := float64(after.Hits - b.Hits)
 	total := hits + float64(after.Misses-b.Misses)
 	if total == 0 {
 		return 0

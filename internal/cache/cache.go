@@ -12,9 +12,9 @@
 //   - Sharding: writers — a miss, a completed load, an invalidation, an
 //     eviction — lock the shard the id hashes to, so concurrent misses rarely
 //     contend on one mutex, and write nothing shared beyond that shard: an
-//     id's in-flight load and invalidation stamp sit beside its slot, and
-//     the miss, join, eviction, invalidation, byte and entry counts are the
-//     shard's own, summed by Stats.
+//     id's invalidation stamp sits beside its slot, and the miss, eviction,
+//     invalidation, byte and entry counts are the shard's own, summed by
+//     Stats.
 //   - Byte bound: each shard owns an equal slice of the configured budget
 //     and evicts from the cold end of its list whenever an insert pushes it
 //     over; the whole cache never holds more than MaxBytes of decoded
@@ -23,15 +23,22 @@
 //     surgery — and eviction, the rare operation, pays for recency: an entry
 //     reaching the cold end with the bit set has it cleared and goes round
 //     once more; the first one found clear goes.
-//   - Singleflight: when several queries miss on the same bucket at once,
-//     exactly one (the leader) performs the disk read; the rest wait for
-//     its result instead of duplicating the I/O — unless the bucket was
-//     invalidated since that read began, in which case the first late
-//     arrival leads a fresh read. The channel they wait on is made by the
-//     first of them to join, so a miss nobody joins makes none. The
-//     Acquire/Complete pair exposes this to callers that batch their disk
-//     reads (the server groups leader misses per disk before reading), and
-//     Get wraps it for callers with a simple loader function.
+//   - A miss is its own query's read: Acquire hands the caller a load
+//     handle, the caller reads the bucket and passes the handle to Complete
+//     on success. Two queries that miss one bucket at once both read it; no
+//     query ever waits on another's I/O. The pair serves callers that batch
+//     their disk reads (the server groups a query's misses per disk before
+//     reading), and Get wraps it for callers with a simple loader function.
+//
+// The stale-load fence: Invalidate stamps the id, the handle carries the
+// stamp Acquire saw, and Complete caches a load only if the stamp is
+// unchanged. A load that began before an Invalidate — it may have read the
+// old pages — is therefore never cached, though its reader still gets its
+// result. Two orders make this hold. The caller takes the stamp (Acquire)
+// before it looks the bucket's placement up to read it, so a write whose
+// placement swap precedes that lookup is either read or fenced. And
+// Acquire grows the table before it hands out a stamp, so Invalidate never
+// skips an id a load is out for.
 //
 // Cached arenas are shared between all readers and must be treated as
 // immutable. Lifetime under writes is version-pinned, not refcounted:
@@ -44,7 +51,6 @@ package cache
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -56,7 +62,7 @@ import (
 const entryOverhead = 128
 
 // Cache is a sharded, byte-bounded second-chance cache of decoded buckets
-// with singleflight loading. All methods are safe for concurrent use. Ids
+// with fenced loads. All methods are safe for concurrent use. Ids
 // are bucket ids and must not be negative. The zero value is not usable;
 // call New.
 type Cache struct {
@@ -81,25 +87,11 @@ type Cache struct {
 }
 
 // table is the per-id state, indexed by bucket id. entries is the resident
-// set, the only part lock-free readers touch; loads is kept under the lock
-// of the shard the id hashes to.
+// set, the only part lock-free readers touch; stamps counts each id's
+// invalidations and is kept under the lock of the shard the id hashes to.
 type table struct {
 	entries []atomic.Pointer[entry]
-	loads   []load
-}
-
-// load is one id's singleflight state. pending is the load in flight, or
-// nil. version stamps the id's invalidations: a leader's Pending records it
-// at Acquire, and Complete caches the result only if it is unchanged, so a
-// load that raced with an Invalidate (read the old pages, completed after
-// the write) can never park stale data in the cache. Waiters that joined
-// before the Invalidate still receive the leader's (possibly old) result —
-// their reads began before the write completed, so that is linearizable. A
-// reader arriving after it must not: Acquire replaces the outdated Pending
-// with a fresh one that this reader leads and later arrivals join.
-type load struct {
-	pending *Pending
-	version uint64
+	stamps  []uint64
 }
 
 // entry is one resident bucket. Everything but ref and the list links is
@@ -122,36 +114,18 @@ type shard struct {
 	// The shard's counts, under mu; Stats sums them over the shards.
 	entries       int64
 	misses        int64
-	shared        int64 // singleflight joins: misses served by a leader's read
 	evictions     int64
 	invalidations int64 // write-path drops (distinct from budget evictions)
 }
 
-// Pending is one in-progress load: the handle its leader passes back to
-// Complete, and what every other query of the bucket waits on. Wait blocks
-// until the leader Completes it or ctx expires. It is also the entry the
-// load becomes: Complete fills the embedded entry in and, when the result
-// is cached, publishes that entry, so a miss allocates one object for both.
+// Pending is one miss's load: the handle Acquire gives the query that
+// missed, which passes it to Complete once its read succeeds. It is also
+// the entry the load becomes: Complete fills the embedded entry in and,
+// when the result is cached, publishes that entry, so a miss allocates one
+// object for both.
 type Pending struct {
 	entry
-	// done is made by the first query to join the load, under the shard
-	// lock, and closed by Complete if it was made: a load nobody joins makes
-	// no channel.
-	done    chan struct{}
-	err     error
-	version uint64 // invalidation stamp observed when the leader was elected
-}
-
-// Wait returns the leader's result, or ctx's error if the caller's own
-// deadline expires first. Only a query that joined the load waits on it;
-// its leader has the result already.
-func (p *Pending) Wait(ctx context.Context) (geom.Flat, int, error) {
-	select {
-	case <-p.done:
-		return p.rec, p.pages, p.err
-	case <-ctx.Done():
-		return geom.Flat{}, 0, ctx.Err()
-	}
+	stamp uint64 // the id's invalidation stamp when Acquire handed it out
 }
 
 // New creates a cache bounded by maxBytes of decoded bucket data spread
@@ -216,11 +190,11 @@ func (c *Cache) grow(id int32) {
 	}
 	if old := c.tab.Load(); int(id) >= len(old.entries) {
 		n := max(int(id)+1, 2*len(old.entries))
-		t := &table{entries: make([]atomic.Pointer[entry], n), loads: make([]load, n)}
+		t := &table{entries: make([]atomic.Pointer[entry], n), stamps: make([]uint64, n)}
 		for i := range old.entries {
 			t.entries[i].Store(old.entries[i].Load())
 		}
-		copy(t.loads, old.loads)
+		copy(t.stamps, old.stamps)
 		c.tab.Store(t)
 	}
 	for i := range c.shards {
@@ -255,15 +229,14 @@ func (c *Cache) CountHits(n int) {
 	}
 }
 
-// AcquireResult reports how an Acquire was satisfied. Exactly one of three
-// shapes comes back: a hit (Hit true, Rec/Pages valid), leadership (Leader
-// true: the caller MUST load the bucket and hand Pending to Complete exactly
-// once), or a join (neither: call Pending.Wait).
+// AcquireResult reports how an Acquire was satisfied: a hit (Hit true,
+// Rec/Pages valid) or a miss (Pending set: the caller reads the bucket and,
+// if the read succeeds, hands Pending to Complete once; a failed read just
+// drops it).
 type AcquireResult struct {
 	Rec     geom.Flat
 	Pages   int
 	Hit     bool
-	Leader  bool
 	Pending *Pending
 }
 
@@ -277,45 +250,34 @@ func hit(entries []atomic.Pointer[entry], id int32) (AcquireResult, bool) {
 	return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}, true
 }
 
-// Acquire looks id up, joining an in-flight load when one exists and
-// electing the caller leader otherwise. A hit takes no lock and is not
-// counted: the caller counts its hits with CountHits.
+// Acquire looks id up and, on a miss, hands the caller a load handle
+// carrying id's invalidation stamp. A hit takes no lock and is not counted:
+// the caller counts its hits with CountHits.
 func (c *Cache) Acquire(id int32) AcquireResult {
 	if r, ok := hit(c.tab.Load().entries, id); ok {
 		return r
 	}
-	c.grow(id) // before the shard lock: growth takes them all
+	// Grow before taking the stamp, so an Invalidate from here on finds id
+	// in the table and fences this load; and before the shard lock, because
+	// growth takes them all.
+	c.grow(id)
 	s := c.shardFor(id)
 	s.mu.Lock()
-	// A load may have completed since the look above; under the lock the
-	// slot and the in-flight load agree.
+	// A load may have completed since the look above.
 	t := c.tab.Load()
 	if r, ok := hit(t.entries, id); ok {
 		s.mu.Unlock()
 		return r
 	}
-	// A load that began before a write since acknowledged may carry data
-	// that predates the write, and this reader may not: it is not joined but
-	// replaced. Those already waiting on it keep their handle.
-	l := &t.loads[id]
-	if p := l.pending; p != nil && p.version == l.version {
-		if p.done == nil {
-			p.done = make(chan struct{})
-		}
-		s.shared++
-		s.mu.Unlock()
-		return AcquireResult{Pending: p}
-	}
-	p := &Pending{entry: entry{key: id}, version: l.version}
-	l.pending = p
+	p := &Pending{entry: entry{key: id}, stamp: t.stamps[id]}
 	s.misses++
 	s.mu.Unlock()
-	return AcquireResult{Leader: true, Pending: p}
+	return AcquireResult{Pending: p}
 }
 
 // Invalidate drops the given buckets from the cache and stamps their ids so
-// any in-flight leader load started before this call completes without
-// caching its (now stale) result. The write path calls this after swapping
+// any load handed out before this call completes without caching its
+// (possibly stale) result. The write path calls this after swapping
 // a mutated bucket's placement, making reads-after-write see fresh pages.
 // The dropped entries' arenas are never recycled — readers that acquired
 // them stay safe — only unlinked, so the collector reclaims each arena when
@@ -324,10 +286,10 @@ func (c *Cache) Invalidate(ids ...int32) {
 	for _, id := range ids {
 		s := c.shardFor(id)
 		s.mu.Lock()
-		// An id beyond the table has no entry and no load in flight (Acquire
-		// grows the table first), and any later load reads after this call.
-		if t := c.tab.Load(); int(id) < len(t.loads) {
-			t.loads[id].version++
+		// An id beyond the table has no entry and no load out (Acquire grows
+		// the table first), and any later load reads after this call.
+		if t := c.tab.Load(); int(id) < len(t.stamps) {
+			t.stamps[id]++
 			if e := t.entries[id].Load(); e != nil {
 				s.unlink(e)
 				s.remove(t, e)
@@ -338,21 +300,16 @@ func (c *Cache) Invalidate(ids ...int32) {
 	}
 }
 
-// Complete finishes the load p this caller leads: the result is published to
-// p's waiters and, on success, inserted into the cache (evicting cold entries
-// past the shard's byte budget). An entry too large for its shard's entire
-// budget is returned to waiters but not cached, and neither is the result of
-// a load an Invalidate has outdated.
-func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int, err error) {
-	p.rec, p.pages, p.bytes, p.err = rec, pages, cost(rec), err
+// Complete caches the successful load p (evicting cold entries past the
+// shard's byte budget), unless an Invalidate has stamped its id since
+// Acquire handed p out, another load of the id was cached first, or the
+// entry is too large for its shard's entire budget.
+func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int) {
+	p.rec, p.pages, p.bytes = rec, pages, cost(rec)
 	s := c.shardFor(p.key)
 	s.mu.Lock()
 	t := c.tab.Load() // holds p.key: Acquire grew it to
-	l := &t.loads[p.key]
-	if l.pending == p {
-		l.pending = nil
-	}
-	if slot := &t.entries[p.key]; err == nil && p.version == l.version && slot.Load() == nil && p.bytes <= s.max {
+	if slot := &t.entries[p.key]; p.stamp == t.stamps[p.key] && slot.Load() == nil && p.bytes <= s.max {
 		e := &p.entry
 		s.pushFront(e)
 		slot.Store(e)
@@ -360,38 +317,22 @@ func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int, err error) {
 		s.entries++
 		s.evictLocked(t)
 	}
-	// No query joins p once it has left the table, so done is final here.
-	done := p.done
 	s.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 }
 
-// Get is the one-call form: a hit returns immediately, a join waits for the
-// in-flight leader, and a miss elects this caller to run load and publish
-// its result. ctx bounds only the waiting; the load itself is the caller's.
-// A load that panics still Completes the entry (with an error) before the
-// panic propagates, so waiters and later acquirers of the id are not wedged
-// behind an inflight entry that can never finish.
+// Get is the one-call form: a hit returns at once, and a miss runs load and
+// caches its result if it succeeds. ctx is unused, since nothing waits; the
+// signature stays for the benchmark's cache layer (bench/layers.go).
 func (c *Cache) Get(ctx context.Context, id int32, load func() (geom.Flat, int, error)) (geom.Flat, int, error) {
 	r := c.Acquire(id)
-	switch {
-	case r.Hit:
+	if r.Hit {
 		c.CountHits(1)
 		return r.Rec, r.Pages, nil
-	case !r.Leader:
-		return r.Pending.Wait(ctx)
 	}
-	completed := false
-	defer func() {
-		if !completed {
-			c.Complete(r.Pending, geom.Flat{}, 0, fmt.Errorf("cache: leader load for bucket %d panicked", id))
-		}
-	}()
 	rec, pages, err := load()
-	completed = true
-	c.Complete(r.Pending, rec, pages, err)
+	if err == nil {
+		c.Complete(r.Pending, rec, pages)
+	}
 	return rec, pages, err
 }
 
@@ -448,7 +389,7 @@ func (s *shard) unlink(e *entry) {
 type Stats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
-	Shared        int64 `json:"shared"` // misses absorbed by an in-flight load
+	Shared        int64 `json:"shared"` // always 0; the benchmark (bench/run.go) reads it
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"` // write-path drops
 	Bytes         int64 `json:"bytes"`
@@ -464,7 +405,6 @@ func (c *Cache) Stats() Stats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Misses += s.misses
-		st.Shared += s.shared
 		st.Evictions += s.evictions
 		st.Invalidations += s.invalidations
 		st.Bytes += s.bytes

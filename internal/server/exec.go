@@ -208,7 +208,7 @@ func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *result
 // against the writable store. The store tells the bucket cache which buckets
 // the op made stale (SetStaleHook) once it has journaled the op and swapped
 // the rewritten placements, so a read admitted after the ack can never see
-// pre-write data through a stale cache entry (a concurrent leader that loaded
+// pre-write data through a stale cache entry (a concurrent miss that loaded
 // the old pages is fenced by the cache's invalidation stamp). The store
 // serializes mutations internally; concurrent INSERTs from many connections
 // are safe.

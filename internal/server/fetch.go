@@ -14,39 +14,22 @@ import (
 )
 
 // publishLeads completes every bucket of a successfully read batch in the
-// cache, so followers blocked in Pending.Wait unblock with the data.
+// cache. A failed read completes nothing: no query waits on another's load,
+// so its handle is simply dropped.
 func (s *Server) publishLeads(loads []*cache.Pending, recs []geom.Flat) {
 	if s.bcache == nil {
 		return
 	}
 	for i, p := range loads {
-		s.bcache.Complete(p, recs[i], s.st.PagesFor(recs[i].Len()), nil)
-	}
-}
-
-// failLeads publishes err for every bucket this query volunteered to load,
-// so waiting followers unblock and the cache's in-flight table stays clean.
-// Used for batches never handed to a disk worker and for batches whose
-// failover routes are exhausted; successful batches are published by the
-// disk workers.
-func (s *Server) failLeads(loads []*cache.Pending, err error) {
-	if s.bcache == nil {
-		return
-	}
-	for _, p := range loads {
-		s.bcache.Complete(p, geom.Flat{}, 0, err)
+		s.bcache.Complete(p, recs[i], s.st.PagesFor(recs[i].Len()))
 	}
 }
 
 // fetchBuckets resolves a query's bucket set, qs.ids, into qs.recs (parallel
-// to ids, pre-zeroed by the caller): cache hits are filled
-// immediately, buckets another in-flight query is already reading are
-// joined (singleflight), and the rest are batched per disk and sent to the
-// disk workers' queues. Every bucket this query leads is
-// published to the cache exactly once — with data or with the error —
-// before fetchBuckets returns, so followers never wait on an abandoned
-// load. A degraded return leaves missed buckets as zero Flats, which scan
-// as empty.
+// to ids, pre-zeroed by the caller): cache hits are filled immediately, and
+// every miss is this query's own read, batched per disk and sent to the disk
+// workers' queues. A degraded return leaves missed buckets as zero Flats,
+// which scan as empty.
 //
 // The common case — every bucket resident — is one Resident call: no lock,
 // no allocation, one add to the cache's hit counter.
@@ -60,16 +43,16 @@ func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, qs *qstate) (Query
 		return s.fetchBucketsSlow(ctx, tr, qs, n, cacheStart)
 	}
 	s.traceSince(tr, stageCache, cacheStart)
-	tr.noteCache(n, 0, 0)
+	tr.noteCache(n, 0)
 	return QueryInfo{Buckets: n}, nil
 }
 
 // leadBatch is one disk's worth of buckets a query must read itself, with
 // each bucket's index into the query's recs slice riding along so responses
-// scatter straight into place, and the cache's handle for the load so its
-// completion reaches this load's waiters and no later one's. rerouted marks a
-// failover's batch: its bucket is read from a copy after the one it was
-// routed to.
+// scatter straight into place, and the cache's handle for the load, stamped
+// before the read, so a load an Invalidate overtook is not cached. rerouted
+// marks a failover's batch: its bucket is read from a copy after the one it
+// was routed to.
 type leadBatch struct {
 	ids      []int32
 	idxs     []int
@@ -79,7 +62,7 @@ type leadBatch struct {
 
 // batches returns the query's per-disk lead batches, one for each disk and
 // every one empty. They keep their slices from query to query; the loads
-// are cleared, so the pooled state holds no leader's result alive.
+// are cleared, so the pooled state holds no load's result alive.
 func (qs *qstate) batches(disks int) []leadBatch {
 	if len(qs.leads) != disks {
 		qs.leads = make([]leadBatch, disks)
@@ -97,60 +80,41 @@ func (qs *qstate) batches(disks int) []leadBatch {
 func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i int, cacheStart time.Time) (QueryInfo, error) {
 	ids, recs := qs.ids, qs.recs
 	info := QueryInfo{Buckets: i}
-	type join struct {
-		idx int
-		id  int32
-		p   *cache.Pending
-	}
-	var joins []join
 	leads := qs.batches(len(s.sched)) // by disk: the buckets this query must read
 	nleads, hits := 0, 0
-	// take files bucket id, recs[idx], by the cache's answer for it: a hit
-	// is filled in (and counted in the cache once, by the caller of take), a
-	// join waits for its leader below, and a load this query leads goes into
-	// the batch of the disk it will be read from.
-	take := func(idx int, id int32, r cache.AcquireResult) error {
-		switch {
-		case r.Hit:
-			recs[idx] = r.Rec
+	var err error
+	for ; i < len(ids); i++ {
+		// No cache: every bucket is this query's own read.
+		var r cache.AcquireResult
+		if s.bcache != nil {
+			r = s.bcache.Acquire(ids[i])
+		}
+		if r.Hit {
+			recs[i] = r.Rec
 			info.Buckets++
 			hits++
-			return nil
-		case !r.Leader:
-			joins = append(joins, join{idx, id, r.Pending})
-			return nil
+			continue
 		}
-		// A lead is read from its first whole copy in owner order. When no
+		// A miss is read from its first whole copy in owner order. When no
 		// copy is whole, the primary's read fails with the store's stale-copy
-		// error and takes the failed-read path like any other.
-		disk, live := s.st.PickOwner(id, -1)
+		// error and takes the failed-read path like any other. Acquire took
+		// the stamp before any placement lookup of this read, here or in the
+		// store: a write whose swap precedes the lookup is read, and one whose
+		// swap follows it invalidates after the stamp, so the load is fenced.
+		disk, live := s.st.PickOwner(ids[i], -1)
 		if !live {
-			pl, ok := s.st.Placement(id)
+			pl, ok := s.st.Placement(ids[i])
 			if !ok {
-				err := fmt.Errorf("bucket %d not in store", id)
-				s.failLeads([]*cache.Pending{r.Pending}, err)
-				for _, b := range leads {
-					s.failLeads(b.loads, err)
-				}
-				return err
+				err = fmt.Errorf("bucket %d not in store", ids[i])
+				break
 			}
 			disk = pl.Disk
 		}
 		b := &leads[disk]
-		b.ids = append(b.ids, id)
-		b.idxs = append(b.idxs, idx)
+		b.ids = append(b.ids, ids[i])
+		b.idxs = append(b.idxs, i)
 		b.loads = append(b.loads, r.Pending)
 		nleads++
-		return nil
-	}
-	var err error
-	for ; i < len(ids) && err == nil; i++ {
-		// No cache: every bucket is this query's own read.
-		r := cache.AcquireResult{Leader: true}
-		if s.bcache != nil {
-			r = s.bcache.Acquire(ids[i])
-		}
-		err = take(i, ids[i], r)
 	}
 	if s.bcache != nil {
 		s.bcache.CountHits(hits)
@@ -159,7 +123,7 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i 
 	if err != nil {
 		return info, err
 	}
-	tr.noteCache(info.Buckets, len(joins), nleads)
+	tr.noteCache(info.Buckets, nleads)
 
 	// missedDisks records the disks of buckets lost while degraded mode
 	// absorbs the failure; the answer then covers only the surviving disks
@@ -172,56 +136,8 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i 
 		}
 		missedDisks[disk] = true
 	}
-	for {
-		if err := s.readLeads(ctx, tr, leads, nleads, recs, &info, degrade); err != nil {
-			return info, err
-		}
-		leads, nleads = qs.batches(len(leads)), 0
-
-		// Collect joined loads last: their leaders read in parallel with
-		// ours. A leader's failed read degrades this query too — the
-		// bucket's copies are what failed — but a load that failed for no
-		// copy's fault while this query is live was abandoned by its
-		// leader's query: the bucket goes round again, to be read by this
-		// query or joined anew. Waiting on a leader counts as cache time.
-		joinStart := s.traceNow(tr)
-		var orphans []join
-		for _, j := range joins {
-			rec, _, werr := j.p.Wait(ctx)
-			switch {
-			case werr == nil:
-				recs[j.idx] = rec
-				info.Buckets++
-			case ctx.Err() == nil && !copyFailed(ctx, werr):
-				orphans = append(orphans, j)
-			default:
-				if pl, ok := s.st.Placement(j.id); ok && s.cfg.Degraded && copyFailed(ctx, werr) {
-					degrade(pl.Disk)
-				} else {
-					err = werr
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		s.traceSince(tr, stageCache, joinStart)
-		if err != nil {
-			return info, err
-		}
-		if len(orphans) == 0 {
-			break
-		}
-		joins, hits = nil, 0
-		for _, j := range orphans {
-			if err = take(j.idx, j.id, s.bcache.Acquire(j.id)); err != nil {
-				break
-			}
-		}
-		s.bcache.CountHits(hits)
-		if err != nil {
-			return info, err
-		}
+	if err := s.readLeads(ctx, tr, leads, nleads, recs, &info, degrade); err != nil {
+		return info, err
 	}
 	if len(missedDisks) > 0 {
 		info.Degraded = true
@@ -230,11 +146,11 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i 
 	return info, nil
 }
 
-// readLeads reads the buckets a query leads into recs: one batch per disk,
+// readLeads reads the buckets a query missed into recs: one batch per disk,
 // handed to the disk workers. A batch whose copies failed (copyFailed) fails
 // over bucket by bucket; a bucket no owner is left for is absorbed through
-// degrade, or fails the query. Leads of successful batches are completed by
-// the disk workers, every other lead here, before readLeads returns.
+// degrade, or fails the query. The disk workers cache the buckets of
+// successful batches.
 func (s *Server) readLeads(ctx context.Context, tr *Trace, leads []leadBatch, nleads int,
 	recs []geom.Flat, info *QueryInfo, degrade func(int)) error {
 	if nleads == 0 {
@@ -276,9 +192,7 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads []leadBatch, nl
 		case err == nil && copyFailed(ctx, r.err):
 			outstanding += s.failOver(ctx, tr, resp, r, degrade, &err)
 		default:
-			// The query is over, or failing already: complete the leads
-			// with the error so followers unblock.
-			s.failLeads(r.loads, r.err)
+			// The query is over, or failing already.
 			if err == nil {
 				err = r.err
 			}
@@ -302,17 +216,15 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads []leadBatch, nl
 // fails every bucket riding along; independent retries make the per-bucket
 // survival odds (1-p)^attempts instead of (1-p)^(attempts·runs). Buckets
 // whose every owner already failed — at r = 1 the first failure does that —
-// are completed with the original error and absorbed as degraded (or
-// surfaced via *errp). It returns the number of batches resubmitted, which
+// are absorbed as degraded (or surfaced via *errp). It returns the number of batches resubmitted, which
 // the gather loop must keep waiting for.
 func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 	r fetchResp, degrade func(int), errp *error) int {
-	var lost []*cache.Pending
-	resubmitted := 0
+	lost, resubmitted := false, 0
 	for k, id := range r.ids {
 		disk, ok := s.st.PickOwner(id, r.disk)
 		if !ok {
-			lost = append(lost, r.loads[k])
+			lost = true
 			continue
 		}
 		one := leadBatch{r.ids[k : k+1], r.idxs[k : k+1], r.loads[k : k+1], true}
@@ -320,8 +232,7 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 		s.met.replicaFailover.Add(1)
 		resubmitted++
 	}
-	if len(lost) > 0 {
-		s.failLeads(lost, r.err)
+	if lost {
 		if s.cfg.Degraded {
 			degrade(r.disk)
 		} else if *errp == nil {
@@ -335,8 +246,8 @@ func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 // the query's own context is live, any error but a context error — a short
 // read, EIO, a checksum mismatch, another bucket's page, a missed write, an
 // injected fault — failed the copy it read, which is then failed over to the
-// next owner, absorbed as degraded, or returned. A context error means a
-// query (this one, or the leader it joined) gave up, not that a copy failed.
+// next owner, absorbed as degraded, or returned. A context error means the
+// query gave up, not that a copy failed.
 func copyFailed(ctx context.Context, err error) bool {
 	return ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
@@ -372,10 +283,8 @@ func (s *Server) diskWorker(disk int, q <-chan fetchReq) {
 // serveOne serves a single request as its own store batch under its own
 // context. The store's span planner (nextSpan in internal/store) alone
 // decides which positioned reads serve it; nothing here reasons about page
-// positions. Success is published to the cache here; a failed batch's leads
-// stay pending because the gather loop may still fail the batch over to a
-// surviving owner disk — only when every route is exhausted does the gather
-// loop complete them with the error.
+// positions. Success is published to the cache here; a failed batch is the
+// gather loop's to fail over to a surviving owner disk.
 func (s *Server) serveOne(disk int, req fetchReq) {
 	// Untraced requests take the planner's counts but skip its clock reads.
 	tm := store.Timing{CountsOnly: req.tr == nil}

@@ -261,7 +261,6 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	if c := s.Cache; c != nil {
 		fmt.Fprintf(w, "gridserver_cache_hits_total %d\n", c.Hits)
 		fmt.Fprintf(w, "gridserver_cache_misses_total %d\n", c.Misses)
-		fmt.Fprintf(w, "gridserver_cache_shared_total %d\n", c.Shared)
 		fmt.Fprintf(w, "gridserver_cache_evictions_total %d\n", c.Evictions)
 		fmt.Fprintf(w, "gridserver_cache_invalidations_total %d\n", c.Invalidations)
 		fmt.Fprintf(w, "gridserver_cache_resident_bytes %d\n", c.Bytes)

@@ -18,7 +18,7 @@ import (
 //
 //	admission   waiting for an admission-control slot
 //	translate   grid-directory translation (BucketAt / BucketsInRange)
-//	cache       bucket-cache acquire plus waiting on joined in-flight loads
+//	cache       bucket-cache acquire
 //	fetch_wait  batches queued behind other work on their disk goroutine
 //	pread       positioned disk reads, including injected stalls
 //	decode      page validation and record decoding
@@ -66,7 +66,6 @@ type Trace struct {
 
 	// Cache outcome of the query's bucket set.
 	hits  int32 // served from the bucket cache
-	joins int32 // waited on another query's in-flight load
 	leads int32 // loaded by this query via a disk batch
 }
 
@@ -93,7 +92,7 @@ func releaseTrace(t *Trace) {
 	for i := range t.stages {
 		t.stages[i].Store(0)
 	}
-	t.hits, t.joins, t.leads = 0, 0, 0
+	t.hits, t.leads = 0, 0
 	tracePool.Put(t)
 }
 
@@ -126,12 +125,11 @@ func (s *Server) traceSince(t *Trace, stage int, start time.Time) {
 
 // noteCache accumulates the cache outcome of one fetchBuckets pass (k-NN
 // runs several per query).
-func (t *Trace) noteCache(hits, joins, leads int) {
+func (t *Trace) noteCache(hits, leads int) {
 	if t == nil {
 		return
 	}
 	t.hits += int32(hits)
-	t.joins += int32(joins)
 	t.leads += int32(leads)
 }
 
@@ -161,8 +159,8 @@ func (s *Server) finishTrace(t *Trace, verb Verb, elapsed time.Duration, info Qu
 		for i := range t.stages {
 			fmt.Fprintf(&b, " %s=%s", stageNames[i], time.Duration(t.stages[i].Load()))
 		}
-		fmt.Fprintf(&b, " buckets=%d pages=%d hits=%d joins=%d leads=%d degraded=%v",
-			info.Buckets, info.Pages, t.hits, t.joins, t.leads, info.Degraded)
+		fmt.Fprintf(&b, " buckets=%d pages=%d hits=%d leads=%d degraded=%v",
+			info.Buckets, info.Pages, t.hits, t.leads, info.Degraded)
 		if qerr != nil {
 			fmt.Fprintf(&b, " err=%q", qerr.Error())
 		}

@@ -329,15 +329,16 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 	}
 }
 
-// TestReadAfterAckSkipsLoadBegunBeforeWrite pins the singleflight follower
-// window (DESIGN S39): a count that arrives after an insert was acknowledged
-// must not be answered from a bucket load another query began before the
-// insert. The first reader's disk batch resolves its placements and then
-// stalls in an injected pread delay, which fires after the placements are
-// looked up (a stall before that would let the late read see the new pages);
-// the insert lands and is acknowledged meanwhile (shadow paging leaves the old
-// pages intact), and the second reader finds that load still in flight. It
-// used to join it and count the bucket as it was before the write.
+// TestReadAfterAckSkipsLoadBegunBeforeWrite pins the cache's stale-load
+// fence (DESIGN S39, S51): a count that arrives after an insert was
+// acknowledged must not be answered from a bucket load another query began
+// before the insert. The first reader's disk batch resolves its placements
+// and then stalls in an injected pread delay, which fires after the
+// placements are looked up (a stall before that would let the early read
+// see the new pages); the insert lands and is acknowledged meanwhile (shadow
+// paging leaves the old pages intact). The second reader reads the bucket
+// itself, and the early load, completing after the write, must not be
+// cached, or the last count would see the bucket as it was before it.
 func TestReadAfterAckSkipsLoadBegunBeforeWrite(t *testing.T) {
 	const base = 600
 	reg := fault.NewRegistry(1)

@@ -41,13 +41,14 @@
 #                  for byte, with testdata/results_test_scale.txt
 #                  (`make golden` regenerates it)
 #   5. race x20    the lock-free tables' race tests again, twenty times each,
-#                  because a growth or hand-off race shows only on some
+#                  because a growth or fencing race shows only on some
 #                  interleavings: internal/store TestPlacementTableGrowth
 #                  (lookups against two writers growing the placement table)
 #                  and TestPlacementTableGrowsUnderReaders (reads against a
 #                  writer that grows it and drops merged buckets' slots), and
-#                  internal/cache TestJoinersRaceTheLeader,
-#                  TestResidentNeverReturnsInvalidatedArena and
+#                  internal/cache TestInvalidateRacingLeader (loads racing
+#                  a write's invalidation: none begun before it stays
+#                  cached), TestResidentNeverReturnsInvalidatedArena and
 #                  TestByteBoundUnderRandomOps
 #   6. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
@@ -98,7 +99,7 @@ fi
 
 echo "== race x20"
 go test -race -count=20 -run '^(TestPlacementTableGrowth|TestPlacementTableGrowsUnderReaders)$' ./internal/store
-go test -race -count=20 -run '^(TestJoinersRaceTheLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$' ./internal/cache
+go test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$' ./internal/cache
 
 echo "== fuzz smoke ($FUZZTIME each)"
 go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
