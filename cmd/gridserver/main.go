@@ -18,7 +18,7 @@
 // grid file as the coordinator's scales and directory, and answers point,
 // range, partial-match and k-NN queries over the binary protocol of
 // internal/server. Every server setting — cache, faults, degraded answers,
-// retries, tracing, writes — is a serve flag.
+// tracing, writes — is a serve flag.
 //
 // bench loads a running server at -addr and nothing else: a seeded mix of
 // point, range, count, partial-match and k-NN ops (-r, -hot) offered by

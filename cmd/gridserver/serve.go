@@ -45,7 +45,6 @@ func runServe(args []string) error {
 	faultSpec := fs.String("fault", "", "failpoint spec to arm at startup, e.g. store.read:err:p=0.05 (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault registry's reproducible schedules")
 	degraded := fs.Bool("degraded", true, "answer partially (with the degraded flag) when a read fails and no replica can stand in, instead of erroring")
-	fetchRetries := fs.Int("fetch-retries", 2, "same-disk retries per disk batch an injected fault failed (-1 disables)")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", -1, "log traced queries at least this slow to stderr (0 logs every traced query, <0 disables the log)")
 	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read")
@@ -69,7 +68,6 @@ func runServe(args []string) error {
 		Pprof:           *pprof,
 		Faults:          reg,
 		Degraded:        *degraded,
-		FetchRetries:    *fetchRetries,
 		TraceSample:     *traceSample,
 		TraceSlowLog:    *traceSlow >= 0,
 		TraceSlow:       max(*traceSlow, 0),

@@ -354,6 +354,76 @@ func TestLayoutHasOneWriter(t *testing.T) {
 	}
 }
 
+// TestInjectedFaultIsAFailedRead holds the serving path to one rule for a
+// failed read (DESIGN S52): it is read once, then failed over, degraded or
+// returned, whatever the error. So no non-test Go file names
+// fault.ErrInjected to tell an injected failure from a real one, except the
+// fault package that defines it and internal/store's readSpans, which wraps
+// it into a torn read's error; a branch on it anywhere else would be a path
+// only injected faults take.
+func TestInjectedFaultIsAFailedRead(t *testing.T) {
+	allowed := map[string]string{filepath.Join("internal", "store"): "readSpans"}
+	var dirs []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") || p == filepath.Join("internal", "fault") {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		fset := token.NewFileSet()
+		for _, file := range parseNonTestFiles(t, fset, dir) {
+			name := ""
+			for _, im := range file.Imports {
+				if ipath, _ := strconv.Unquote(im.Path.Value); ipath == "pgridfile/internal/fault" {
+					name = "fault"
+					if im.Name != nil {
+						name = im.Name.Name
+					}
+				}
+			}
+			if name == "" {
+				continue
+			}
+			for _, d := range file.Decls {
+				fn := ""
+				if f, ok := d.(*ast.FuncDecl); ok {
+					fn = f.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "ErrInjected" {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); !ok || x.Name != name {
+						return true
+					}
+					if allowed[dir] == fn {
+						seen[dir] = true
+					} else {
+						t.Errorf("%s: fault.ErrInjected in %s: an injected fault is a failed read like any other",
+							fset.Position(sel.Pos()), fn)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for dir, fn := range allowed {
+		if !seen[dir] {
+			t.Errorf("%s's %s names no fault.ErrInjected: the guard is looking for the wrong thing", dir, fn)
+		}
+	}
+}
+
 // TestLabModelsAreSequential holds the lab's three response-time models —
 // sim.Replay and sim.ReplaySpans, the SP-2 cost model of internal/parallel,
 // and the disk model under it — to what they are (DESIGN S41): functions of

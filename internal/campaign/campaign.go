@@ -371,7 +371,6 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 		Degraded:        true,
 		CacheBytes:      -1, // every query pays the full read path
 		VerifyChecksums: true,
-		FetchRetries:    1,
 		Faults:          reg,
 	})
 	if err != nil {
@@ -417,7 +416,6 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	cell.Errors += snap.Errors
 	cell.Degraded += snap.Degraded
 	cell.Failover += snap.ReplicaFailover
-	cell.Retries += snap.DiskRetries
 	cell.FaultsFired += snap.FaultInjected
 	cell.ScrubPages += scrub.Pages
 	cell.ScrubCorrupt += scrub.Corrupt

@@ -30,10 +30,9 @@ type Cell struct {
 	ClientErrors int64 `json:"client_errors"`
 	// Degraded counts queries answered partially (disk lost, no replica).
 	Degraded int64 `json:"degraded"`
-	// Failover counts disk batches rerouted to a surviving replica.
+	// Failover counts buckets rerouted to a surviving replica after a
+	// failed read of their copy.
 	Failover int64 `json:"failover"`
-	// Retries counts disk-batch retry attempts.
-	Retries int64 `json:"retries"`
 	// FaultsFired counts registry injections that actually fired.
 	FaultsFired int64 `json:"faults_fired"`
 	// ScrubPages/ScrubCorrupt/ScrubRepaired report the end-of-trial scrub
@@ -62,7 +61,6 @@ func (c Cell) gated() []counter {
 		{"client_errors", c.ClientErrors},
 		{"degraded", c.Degraded},
 		{"failover", c.Failover},
-		{"retries", c.Retries},
 		{"faults_fired", c.FaultsFired},
 		{"scrub_pages", c.ScrubPages},
 		{"scrub_corrupt", c.ScrubCorrupt},
@@ -126,11 +124,11 @@ func (r *Report) Table() *stats.Table {
 		fmt.Sprintf("scenario campaign — %d cells, %d trials × %d queries (p99 is wall-clock, not gated)",
 			len(r.Cells), r.Trials, r.Queries),
 		"fault", "scheme", "workload", "r",
-		"queries", "errors", "degraded", "failover", "retries",
+		"queries", "errors", "degraded", "failover",
 		"corrupt", "repaired", "p99(µs)")
 	for _, c := range r.Cells {
 		t.AddRow(c.Fault, c.Scheme, c.Workload, c.Replicas,
-			c.Queries, c.Errors, c.Degraded, c.Failover, c.Retries,
+			c.Queries, c.Errors, c.Degraded, c.Failover,
 			c.ScrubCorrupt, c.ScrubRepaired, c.P99Micros)
 	}
 	return t

@@ -35,10 +35,9 @@
 // allowed (they simply never fire).
 //
 // An injected read error stands in for a real one, not for a class of its
-// own: the server fails over or degrades every read that failed while its
-// query was still live, whatever the error. IsInjected decides only the
-// same-disk retry: an injected fault may not fire again, while a corrupt or
-// missing page reads back the same.
+// own: the server reads a disk batch once and fails over or degrades every
+// read that failed while its query was still live, whatever the error.
+// Nothing on the serving path tells an injected failure from a real one.
 package fault
 
 import (
@@ -96,13 +95,11 @@ func StoreWriteDiskSite(disk int) string {
 	return SiteStoreWriteDisk + strconv.Itoa(disk)
 }
 
-// ErrInjected is the sentinel every injected error wraps. Injected errors
-// model transient faults (a failed read that would succeed if retried), so
-// retry policies test against it with IsInjected.
+// ErrInjected is the sentinel every injected error wraps, so that a test can
+// tell with errors.Is that a failure came from a fired failpoint. The
+// serving path does not ask: an injected failure is a failed read like any
+// other.
 var ErrInjected = errors.New("injected fault")
-
-// IsInjected reports whether err originates from a fired failpoint.
-func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
 
 // Kind selects what a rule injects when it fires.
 type Kind uint8

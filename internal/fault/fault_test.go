@@ -144,7 +144,7 @@ func TestInjectionComposes(t *testing.T) {
 	if !inj.Torn {
 		t.Error("Torn not set")
 	}
-	if !IsInjected(inj.Err) {
+	if !errors.Is(inj.Err, ErrInjected) {
 		t.Errorf("Err = %v, want injected", inj.Err)
 	}
 	// Composed site passes count once toward the total.
@@ -155,13 +155,13 @@ func TestInjectionComposes(t *testing.T) {
 
 func TestIsInjectedDistinguishesWrapping(t *testing.T) {
 	wrapped := fmt.Errorf("outer: %w", ErrInjected)
-	if !IsInjected(wrapped) {
+	if !errors.Is(wrapped, ErrInjected) {
 		t.Error("wrapped injected error not recognised")
 	}
-	if IsInjected(errors.New("injected fault")) {
+	if errors.Is(errors.New("injected fault"), ErrInjected) {
 		t.Error("textual lookalike recognised as injected")
 	}
-	if IsInjected(nil) {
+	if errors.Is(nil, ErrInjected) {
 		t.Error("nil recognised as injected")
 	}
 }

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
+	"pgridfile/internal/gridfile"
+	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
 
@@ -38,32 +41,66 @@ func httpGet(t *testing.T, addr, path string) string {
 }
 
 // chaosProfile is the satellite chaos schedule: 5% of preads fail, 5% stall
-// 10ms, 2% deliver torn pages. All three are transient, so the retry policy
-// absorbs most of them and degraded mode the rest.
+// 10ms, 2% deliver torn pages. A failed read is never retried on its disk:
+// at r=2 the other copy answers most of them, and degraded mode the rest.
 const chaosProfile = "store.read:err:p=0.05;store.read:delay=10ms:p=0.05;store.read:torn:p=0.02"
 
 // TestChaosRangeQueriesNeverErrorOut drives 1000 concurrent range queries
-// into a server whose store randomly fails, stalls and tears reads. The
+// into a server whose store randomly fails, stalls and tears reads, on one
+// set of records laid out once without and once with a second copy. The
 // contract under chaos: no query hangs, no query errors out — every answer
 // is either complete (and exactly correct) or explicitly degraded (and a
-// strict subset of the correct answer). Run under -race by scripts/check.sh.
+// strict subset of the correct answer). The second copy is what a failed
+// read falls back on: at r=2 reads fail over, and the same queries under
+// the same schedule degrade less than a quarter as often as at r=1. Run
+// under -race by scripts/check.sh.
 func TestChaosRangeQueriesNeverErrorOut(t *testing.T) {
+	const disks = 4
+	f, err := synth.Uniform2D(900, 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := map[int]int64{}
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
+			reg := fault.NewRegistry(7)
+			if err := reg.SetSpec(chaosProfile); err != nil {
+				t.Fatal(err)
+			}
+			s, _ := newReplicatedServer(t, f, g, alloc, r, Config{
+				Faults:     reg,
+				Degraded:   true,
+				CacheBytes: -1, // every query does real injected I/O
+			})
+			degraded[r] = chaosRanges(t, s, f, disks)
+			if t.Failed() || r == 1 {
+				return
+			}
+			snap := s.Snapshot()
+			t.Logf("degraded: r=2 %d (%d failovers), r=1 %d", degraded[2], snap.ReplicaFailover, degraded[1])
+			if snap.ReplicaFailover == 0 {
+				t.Error("r=2 chaos run failed over zero buckets")
+			}
+			if 4*degraded[2] >= degraded[1] {
+				t.Errorf("r=2 degraded %d answers, r=1 %d: want fewer than a quarter", degraded[2], degraded[1])
+			}
+		})
+	}
+}
+
+// chaosRanges runs the chaos workload against s, checks every answer and the
+// server's counters, and returns the number of degraded answers.
+func chaosRanges(t *testing.T, s *Server, f *gridfile.File, disks int) int64 {
 	const (
 		clients   = 8
 		perClient = 125
 		total     = clients * perClient // 1000
-		disks     = 4
 	)
-	reg := fault.NewRegistry(7)
-	if err := reg.SetSpec(chaosProfile); err != nil {
-		t.Fatal(err)
-	}
-	s, f := newTestServer(t, 900, disks, Config{
-		Faults:       reg,
-		Degraded:     true,
-		FetchRetries: 1,
-		CacheBytes:   -1, // every query does real injected I/O
-	})
 	dom := f.Domain()
 	ranges := workload.SquareRange(dom, 0.05, total, 11)
 	want := make([]int, total)
@@ -161,18 +198,15 @@ func TestChaosRangeQueriesNeverErrorOut(t *testing.T) {
 		t.Error(err)
 	}
 	if t.Failed() {
-		t.FailNow()
+		return degraded
 	}
 	if complete == 0 {
-		t.Error("every query degraded — the retry policy absorbed nothing")
+		t.Error("every query degraded — no read came back whole")
 	}
 
 	snap := s.Snapshot()
 	if snap.FaultInjected == 0 {
 		t.Error("chaos run injected zero faults")
-	}
-	if snap.DiskRetries == 0 {
-		t.Error("chaos run retried zero disk batches")
 	}
 	if snap.Degraded != degraded {
 		t.Errorf("server counted %d degraded queries, clients saw %d", snap.Degraded, degraded)
@@ -180,22 +214,22 @@ func TestChaosRangeQueriesNeverErrorOut(t *testing.T) {
 	if snap.Errors != 0 {
 		t.Errorf("%d queries errored out under chaos; all failures must degrade", snap.Errors)
 	}
+	return degraded
 }
 
 // TestDegradedDiskKill kills one whole disk via the FAULT admin verb and
 // proves: every full-domain answer is flagged degraded with exactly one
 // missed disk and exactly the surviving disks' records; clearing the fault
 // restores complete answers; and the /metrics endpoint exports nonzero
-// fault/degraded/retry counters.
+// fault/degraded counters.
 func TestDegradedDiskKill(t *testing.T) {
 	const disks = 4
 	reg := fault.NewRegistry(3)
 	s, f := newTestServer(t, 700, disks, Config{
-		Faults:       reg,
-		Degraded:     true,
-		FetchRetries: 1,
-		CacheBytes:   -1,
-		HTTPAddr:     "127.0.0.1:0",
+		Faults:     reg,
+		Degraded:   true,
+		CacheBytes: -1,
+		HTTPAddr:   "127.0.0.1:0",
 	})
 	cl := newTestClient(t, s, ClientConfig{})
 
@@ -267,7 +301,6 @@ func TestDegradedDiskKill(t *testing.T) {
 	for _, name := range []string{
 		"gridserver_fault_injected_total",
 		"gridserver_queries_degraded_total",
-		"gridserver_disk_retries_total",
 		"gridserver_spans_read_total",
 	} {
 		if !strings.Contains(metrics, name) {
@@ -286,9 +319,8 @@ func TestDegradedOffFailsFast(t *testing.T) {
 	reg := fault.NewRegistry(5)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(0), Kind: fault.KindError})
 	s, f := newTestServer(t, 400, 2, Config{
-		Faults:       reg,
-		FetchRetries: -1,
-		CacheBytes:   -1,
+		Faults:     reg,
+		CacheBytes: -1,
 	})
 	cl := newTestClient(t, s, ClientConfig{Retries: -1})
 	_, info, err := cl.RangeCountCtx(context.Background(), f.Domain())

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pgridfile/internal/cache"
-	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/store"
 )
@@ -210,14 +209,13 @@ func (s *Server) readLeads(ctx context.Context, tr *Trace, leads []leadBatch, nl
 // failOver reroutes one batch whose copies failed to surviving owner disks:
 // each bucket is resubmitted to its next whole copy after the disk that
 // failed (Store.PickOwner), so its owners are tried in order and each at most
-// once, as its OWN single-bucket batch with a fresh retry
-// budget. The split is deliberate — failover is the last stop before losing
-// the bucket, and in the original coalesced batch one unlucky injected pread
-// fails every bucket riding along; independent retries make the per-bucket
-// survival odds (1-p)^attempts instead of (1-p)^(attempts·runs). Buckets
-// whose every owner already failed — at r = 1 the first failure does that —
-// are absorbed as degraded (or surfaced via *errp). It returns the number of batches resubmitted, which
-// the gather loop must keep waiting for.
+// once, as its OWN single-bucket batch. The split is deliberate: a failed
+// store batch fails every bucket riding in it, so a bucket read alone from
+// its next copy is lost only when that copy fails, not when a batch-mate's
+// does. Buckets whose every owner already failed — at r = 1 the first
+// failure does that — are absorbed as degraded (or surfaced via *errp). It
+// returns the number of batches resubmitted, which the gather loop must keep
+// waiting for.
 func (s *Server) failOver(ctx context.Context, tr *Trace, resp chan fetchResp,
 	r fetchResp, degrade func(int), errp *error) int {
 	lost, resubmitted := false, 0
@@ -280,11 +278,14 @@ func (s *Server) diskWorker(disk int, q <-chan fetchReq) {
 	}
 }
 
-// serveOne serves a single request as its own store batch under its own
+// serveOne reads a single request once, as its own store batch under its own
 // context. The store's span planner (nextSpan in internal/store) alone
 // decides which positioned reads serve it; nothing here reasons about page
 // positions. Success is published to the cache here; a failed batch is the
-// gather loop's to fail over to a surviving owner disk.
+// gather loop's to fail over to a surviving owner disk (copyFailed) — it is
+// never read again from this disk. A query whose deadline already expired
+// has abandoned the fetch: it reads nothing, so its backlog does not starve
+// live queries.
 func (s *Server) serveOne(disk int, req fetchReq) {
 	// Untraced requests take the planner's counts but skip its clock reads.
 	tm := store.Timing{CountsOnly: req.tr == nil}
@@ -293,50 +294,27 @@ func (s *Server) serveOne(disk int, req fetchReq) {
 		// batches on this spindle.
 		s.traceSince(req.tr, stageFetchWait, req.enq)
 	}
-	// The runtime/trace region brackets the whole batch (retries and
-	// backoff included) so `go tool trace` shows each disk worker's duty
-	// cycle. StartRegion is a no-op unless tracing is active.
-	region := rtrace.StartRegion(req.ctx, "gridserver.fetchBatch")
-	recs, pages, err := s.fetchBatch(req.ctx, disk, req.ids, req.tr, &tm)
-	region.End()
+	var recs []geom.Flat
+	pages, err := 0, req.ctx.Err()
+	if err == nil {
+		// The runtime/trace region brackets the batch's read so `go tool
+		// trace` shows each disk worker's duty cycle. StartRegion is a no-op
+		// unless tracing is active.
+		region := rtrace.StartRegion(req.ctx, "gridserver.fetchBatch")
+		recs = make([]geom.Flat, len(req.ids))
+		pages, err = s.st.ReadFlatsFromTimed(req.ctx, disk, req.ids, recs, &tm)
+		region.End()
+	}
 	if req.tr != nil {
 		req.tr.add(stagePread, tm.Pread)
 		req.tr.add(stageDecode, tm.Decode)
 	}
-	if err == nil {
+	if err != nil {
+		recs, pages = nil, 0
+	} else {
 		s.met.diskFetches[disk].Add(int64(len(req.ids)))
 		s.met.noteRead(pages, &tm)
 		s.publishLeads(req.loads, recs)
 	}
 	req.resp <- fetchResp{leadBatch: req.leadBatch, recs: recs, disk: disk, pages: pages, err: err}
-}
-
-// fetchBatch runs one disk batch with the bounded retry/backoff policy. Only
-// injected faults (torn reads among them, which wrap fault.ErrInjected) are
-// retried on the same disk: they model a fault that may not fire again, while
-// a corrupt, misdirected or missing page reads back the same. Every failure is
-// the gather loop's to fail over (copyFailed). A query whose deadline already
-// expired has abandoned the fetch: it reads nothing, so its backlog does not
-// starve live queries, and it stops retrying at once.
-func (s *Server) fetchBatch(ctx context.Context, disk int, ids []int32, tr *Trace, tm *store.Timing) ([]geom.Flat, int, error) {
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		recs := make([]geom.Flat, len(ids))
-		pages, err := s.st.ReadFlatsFromTimed(ctx, disk, ids, recs, tm)
-		if err == nil {
-			return recs, pages, nil
-		}
-		if !fault.IsInjected(err) || attempt > s.cfg.FetchRetries || ctx.Err() != nil {
-			return nil, 0, err
-		}
-		s.met.diskRetries.Add(1)
-		backoffStart := s.traceNow(tr)
-		serr := fault.Sleep(ctx, retryDelay(fetchBackoff, attempt))
-		s.traceSince(tr, stageBackoff, backoffStart)
-		if serr != nil {
-			return nil, 0, err
-		}
-	}
 }

@@ -79,7 +79,6 @@ type Metrics struct {
 	rejected         atomic.Int64    // admission-control rejections (never admitted)
 	deadlineExceeded atomic.Int64    // admitted queries that expired mid-flight
 	degraded         atomic.Int64    // queries answered partially (missed disks)
-	diskRetries      atomic.Int64    // disk-batch retry attempts
 	pagesRead        atomic.Int64
 	// What the store's span planner did for the batches pagesRead counts:
 	// positioned reads issued, and unwanted pages they read through.
@@ -135,7 +134,7 @@ type Snapshot struct {
 	Rejected         int64            `json:"rejected"`
 	DeadlineExceeded int64            `json:"deadline_exceeded"`
 	Degraded         int64            `json:"queries_degraded"`
-	DiskRetries      int64            `json:"disk_retries"`
+	DiskRetries      int64            `json:"disk_retries"` // always 0; the frozen benchmark (bench/) reads it
 	Replicas         int              `json:"replicas,omitempty"`
 	ReplicaFailover  int64            `json:"replica_failover"`
 	ReplicaPrimary   int64            `json:"replica_reads_primary"`
@@ -174,7 +173,6 @@ func (m *Metrics) snapshot(inflight int) Snapshot {
 		Rejected:         m.rejected.Load(),
 		DeadlineExceeded: m.deadlineExceeded.Load(),
 		Degraded:         m.degraded.Load(),
-		DiskRetries:      m.diskRetries.Load(),
 		ReplicaFailover:  m.replicaFailover.Load(),
 		ReplicaPrimary:   m.replicaReadsPrimary.Load(),
 		ReplicaSecondary: m.replicaReadsSecondary.Load(),
@@ -220,7 +218,6 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(w, "gridserver_rejected_total %d\n", s.Rejected)
 	fmt.Fprintf(w, "gridserver_deadline_exceeded_total %d\n", s.DeadlineExceeded)
 	fmt.Fprintf(w, "gridserver_queries_degraded_total %d\n", s.Degraded)
-	fmt.Fprintf(w, "gridserver_disk_retries_total %d\n", s.DiskRetries)
 	fmt.Fprintf(w, "gridserver_replicas %d\n", s.Replicas)
 	fmt.Fprintf(w, "gridserver_replica_failover_total %d\n", s.ReplicaFailover)
 	fmt.Fprintf(w, "gridserver_replica_reads_total{copy=\"primary\"} %d\n", s.ReplicaPrimary)

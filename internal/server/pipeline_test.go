@@ -390,7 +390,7 @@ func TestClientThatStopsReading(t *testing.T) {
 // client: failures must surface as per-request ServerErrors on the request
 // that hit them, while the connection keeps serving the rest.
 func TestPipelinedUnderFaults(t *testing.T) {
-	s, f := newTestServer(t, 600, 4, Config{Faults: fault.NewRegistry(7), FetchRetries: -1})
+	s, f := newTestServer(t, 600, 4, Config{Faults: fault.NewRegistry(7)})
 	cl := newTestClient(t, s, ClientConfig{Pipeline: 8, PoolSize: 1})
 	if _, err := cl.Fault(context.Background(), "store.read:err:p=0.4"); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@
 //     connections, pipelining and the wire envelope of replies; exec.go is
 //     the executor — request frame in, inner reply out, admission control
 //     and deadlines, the query verbs — and runs without a listener; fetch.go
-//     takes its cache misses to the per-disk fetch goroutines, with retry,
+//     takes its cache misses to the per-disk fetch goroutines, with
 //     failover and degraded answers; admin.go has STATS/FAULT, scrub, the
 //     optional HTTP endpoint and graceful shutdown; server.go the Config and
 //     construction; metrics.go and trace.go the counters and stage traces;
@@ -230,11 +230,11 @@ type Request struct {
 // QueryInfo is the server-side execution profile shipped with every answer:
 // the paper's I/O accounting (distinct buckets fetched, pages read) plus the
 // service time observed at the server. Degraded marks a partial answer —
-// MissedDisks of the layout's disks could not be read before the fetch
-// deadline/retry budget ran out, so the result covers only the surviving
-// disks (always a subset of the full answer, never wrong data). The two
-// fields travel together: a response is degraded iff MissedDisks > 0, and
-// both codec directions enforce that invariant.
+// MissedDisks of the layout's disks failed reads that no surviving copy
+// could replace, so the result covers only the surviving disks (always a
+// subset of the full answer, never wrong data). The two fields travel
+// together: a response is degraded iff MissedDisks > 0, and both codec
+// directions enforce that invariant.
 type QueryInfo struct {
 	Buckets     int
 	Pages       int

@@ -127,10 +127,9 @@ func TestReplicatedKillAnyDiskFullAnswers(t *testing.T) {
 			}
 			reg := fault.NewRegistry(1)
 			s, dir := newReplicatedServer(t, f, g, alloc, 2, Config{
-				Faults:       reg,
-				Degraded:     true,
-				FetchRetries: 1,
-				CacheBytes:   -1, // every query does real injected I/O
+				Faults:     reg,
+				Degraded:   true,
+				CacheBytes: -1, // every query does real injected I/O
 			})
 			cl := newTestClient(t, s, ClientConfig{})
 			for kill := 0; kill < disks; kill++ {
@@ -191,9 +190,8 @@ func TestReplicatedFailoverWithoutDegradedMode(t *testing.T) {
 	reg := fault.NewRegistry(1)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(2), Kind: fault.KindError})
 	s, dir := newReplicatedServer(t, f, g, alloc, 2, Config{
-		Faults:       reg,
-		FetchRetries: 1,
-		CacheBytes:   -1,
+		Faults:     reg,
+		CacheBytes: -1,
 	})
 	cl := newTestClient(t, s, ClientConfig{})
 	n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
@@ -230,11 +228,10 @@ func TestReplicaMetricsExposition(t *testing.T) {
 	reg := fault.NewRegistry(1)
 	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(0), Kind: fault.KindError})
 	s, _ := newReplicatedServer(t, f, g, alloc, 2, Config{
-		Faults:       reg,
-		Degraded:     true,
-		FetchRetries: 1,
-		CacheBytes:   -1,
-		HTTPAddr:     "127.0.0.1:0",
+		Faults:     reg,
+		Degraded:   true,
+		CacheBytes: -1,
+		HTTPAddr:   "127.0.0.1:0",
 	})
 	cl := newTestClient(t, s, ClientConfig{})
 	if _, _, err := cl.RangeCountCtx(context.Background(), f.Domain()); err != nil {
@@ -275,7 +272,7 @@ func TestReplicaMetricsExposition(t *testing.T) {
 func TestReadRouteIsAFunctionOfTheQuery(t *testing.T) {
 	const disks, dead = 4, 1
 	reg := fault.NewRegistry(1)
-	s, f := newTestEngine(t, 3000, disks, 2, Config{Faults: reg, CacheBytes: -1, FetchRetries: -1})
+	s, f := newTestEngine(t, 3000, disks, 2, Config{Faults: reg, CacheBytes: -1})
 	var ranges, reqs []Frame
 	for _, q := range workload.SquareRange(f.Domain(), 0.03, 60, 7) {
 		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})

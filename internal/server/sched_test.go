@@ -22,7 +22,7 @@ import (
 // device delay) assumes a disk serves one request at a time, first come first
 // served.
 func TestDiskQueueServesEachRequestAlone(t *testing.T) {
-	s, f := newTestServer(t, 900, 1, Config{CacheBytes: -1, FetchRetries: -1})
+	s, f := newTestServer(t, 900, 1, Config{CacheBytes: -1})
 	file := s.st.Manifest().Buckets
 	const n = 6
 	if len(file) < 2*n {

@@ -51,10 +51,6 @@ type Config struct {
 	// the admin verb always works; injection costs one atomic load until a
 	// rule is armed.
 	Faults *fault.Registry
-	// FetchRetries is how many times a failed disk batch is retried on the
-	// same disk when the failure is an injected fault (backing off
-	// fetchBackoff, doubling). Default 2; -1 disables retries.
-	FetchRetries int
 	// Degraded turns failed reads that no surviving copy could replace into
 	// partial answers — the response carries the degraded flag and a
 	// missed-disk count instead of an error. Off by default: the zero
@@ -103,10 +99,6 @@ type Config struct {
 // force-closing connections.
 const drainTimeout = 5 * time.Second
 
-// fetchBackoff is the base of the exponential full-jitter backoff between
-// same-disk retries of a batch.
-const fetchBackoff = 2 * time.Millisecond
-
 // scrubPause is slept between buckets within one background scrub pass,
 // keeping it low-priority next to live queries.
 const scrubPause = 10 * time.Millisecond
@@ -129,12 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Faults == nil {
 		c.Faults = fault.NewRegistry(1)
-	}
-	if c.FetchRetries == 0 {
-		c.FetchRetries = 2
-	}
-	if c.FetchRetries < 0 {
-		c.FetchRetries = 0 // disabled
 	}
 	if c.TraceLog == nil {
 		c.TraceLog = os.Stderr

@@ -22,10 +22,9 @@ import (
 //	fetch_wait  batches queued behind other work on their disk goroutine
 //	pread       positioned disk reads, including injected stalls
 //	decode      page validation and record decoding
-//	backoff     sleeps between disk-batch retry attempts
 //	encode      result encoding to the wire frame
 //
-// Disk-side stages (fetch_wait, pread, decode, backoff) sum over the disks a
+// Disk-side stages (fetch_wait, pread, decode) sum over the disks a
 // query touched, which run in parallel — their sum can legitimately exceed
 // the query's elapsed wall clock.
 const (
@@ -35,7 +34,6 @@ const (
 	stageFetchWait
 	stagePread
 	stageDecode
-	stageBackoff
 	stageEncode
 	numStages
 )
@@ -47,14 +45,13 @@ var stageNames = [numStages]string{
 	stageFetchWait: "fetch_wait",
 	stagePread:     "pread",
 	stageDecode:    "decode",
-	stageBackoff:   "backoff",
 	stageEncode:    "encode",
 }
 
 // Trace accumulates one query's per-stage durations. Stage cells are atomic
-// because disk goroutines record their share (fetch_wait, pread, decode,
-// backoff) concurrently with the query goroutine; the cache-outcome counters
-// are touched by the query goroutine only. fetchBuckets gathers every
+// because disk goroutines record their share (fetch_wait, pread, decode)
+// concurrently with the query goroutine; the cache-outcome counters are
+// touched by the query goroutine only. fetchBuckets gathers every
 // submitted batch before returning, so all disk-side writes happen before
 // the trace is read and released.
 //

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -93,7 +94,7 @@ func TestSingleDiskFailureLosesOnlyThatDisk(t *testing.T) {
 							t.Fatalf("%s/%s kill=%d: bucket %d on disk %d failed: %v",
 								dsName, algName, kill, v.ID, pl.Disk, err)
 						}
-						if !fault.IsInjected(err) {
+						if !errors.Is(err, fault.ErrInjected) {
 							t.Fatalf("%s/%s kill=%d: bucket %d failed with a non-injected error: %v",
 								dsName, algName, kill, v.ID, err)
 						}
@@ -205,7 +206,7 @@ func TestTornReadIsDetectedNotSilent(t *testing.T) {
 	s.SetFaults(reg)
 
 	id := f.Buckets()[0].ID
-	if _, _, err := readBucket(context.Background(), s, id); !fault.IsInjected(err) {
+	if _, _, err := readBucket(context.Background(), s, id); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn read: err=%v, want an injected-fault error", err)
 	}
 	// Genuine corruption (no fault armed) must stay non-transient: the

@@ -258,7 +258,7 @@ func TestVerifiedReadReportsChecksum(t *testing.T) {
 
 	ctx := context.Background()
 	for name, ids := range map[string][]int32{"alone": {victim}, "in a batch": bucketIDs(f)} {
-		if _, _, err := readPrimaries(ctx, s, ids, nil); !errors.Is(err, errChecksum) || fault.IsInjected(err) {
+		if _, _, err := readPrimaries(ctx, s, ids, nil); !errors.Is(err, errChecksum) || errors.Is(err, fault.ErrInjected) {
 			t.Errorf("corrupt bucket read %s: err=%v, want a checksum mismatch", name, err)
 		}
 	}

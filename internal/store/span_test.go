@@ -3,6 +3,7 @@ package store
 import (
 	"cmp"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -309,7 +310,7 @@ func TestTornReadOfGapBearingSpan(t *testing.T) {
 	}
 	s.SetFaults(reg)
 	tm = Timing{}
-	if _, err := s.ReadFlatsFromTimed(context.Background(), 0, ids, out, &tm); !fault.IsInjected(err) {
+	if _, err := s.ReadFlatsFromTimed(context.Background(), 0, ids, out, &tm); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn gap-bearing span: err=%v, want an injected-fault error", err)
 	}
 	if tm.Spans != 0 || tm.GapPages != 0 {

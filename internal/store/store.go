@@ -882,7 +882,7 @@ func (s *Store) inject(ctx context.Context, site, diskSite string) (torn bool, e
 // complete but destroys the last page's header so decode validation fails —
 // modelling a partial write/read that delivered garbage past some point.
 // It reports whether the buffer was torn so callers can report the decode
-// failure as an injected fault, which the server retries on the same disk.
+// failure as an injected fault (wrapping fault.ErrInjected).
 func (s *Store) readAt(ctx context.Context, disk int, buf []byte, off int64) (torn bool, err error) {
 	if s.faults.Enabled() {
 		if torn, err = s.inject(ctx, fault.SiteStoreRead, s.diskSites[disk]); err != nil {
@@ -967,7 +967,7 @@ var plScratchPool = sync.Pool{New: func() any {
 // from ONE specific owner disk, out[i] receiving ids[i]'s records as a
 // geom.Flat (one allocation per bucket). Every id must have a copy on that
 // disk — a replicated layout's secondary copies are addressed by their own
-// page offsets, so a failover retry against a surviving owner reads that
+// page offsets, so a failover read against a surviving owner reads that
 // owner's copy rather than re-touching the failed disk. The batch is served
 // with span reads (see nextSpan): placements sorted by page offset,
 // neighbouring ones read with a single ReadAt into a pooled buffer, every

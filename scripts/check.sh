@@ -32,6 +32,11 @@
 #                  atomicWriteFile, encodePage outside rewriteBucket,
 #                  "manifest.json" named by other than the opener, the
 #                  committer and the builder's unlink), and
+#                  TestInjectedFaultIsAFailedRead fails when a non-test Go
+#                  file outside internal/fault names fault.ErrInjected
+#                  (internal/store's readSpans excepted: it wraps a torn
+#                  read's error), so that no read path tells an injected
+#                  failure from a real one, and
 #                  TestLabModelsAreSequential fails when a non-test file of
 #                  internal/sim, internal/parallel or internal/diskmodel has
 #                  a go statement or a channel type, or imports sync or
