@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDegradedCodec -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzBatchFraming -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/gridfile
+	$(GO) test -run='^$$' -fuzz=FuzzCountSplit -fuzztime=$(FUZZTIME) ./internal/gridfile
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store
 

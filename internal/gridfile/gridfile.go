@@ -182,6 +182,10 @@ func (f *File) CellSizes() []int {
 	return s
 }
 
+// CellsAlong returns the number of cells along dimension d: CellSizes()[d]
+// without the copy.
+func (f *File) CellsAlong(d int) int { return int(f.sizes[d]) }
+
 // Scales returns a copy of the interior split points along dim d.
 func (f *File) Scales(d int) []float64 {
 	out := make([]float64, len(f.scales[d]))

@@ -132,6 +132,67 @@ func (f *File) BucketsInRangeAppend(q geom.Rect, ids []int32) []int32 {
 	return ids
 }
 
+// CountSplitAppend is the translation of a range count. It appends onto ids
+// the border buckets of q — those owning a cell on the border of q's cell
+// box, whose records a count must still test — and returns how many inside
+// buckets there are and the records they hold. An inside bucket owns no
+// border cell; its region is a box of cells, so it owns only interior ones,
+// and every interior cell lies inside q (cellRange: the cell after the
+// lowest starts at or above q.Lo, the cell before the highest ends at or
+// below q.Hi). Each of its records is in the count without being read.
+// Border and inside buckets are disjoint and together are BucketsInRange(q).
+// A bound that is NaN or inverted leaves every bucket on the border.
+//
+// The split is decided by cell position, not by testing each bucket's
+// bounds: the faces of the cell box are walked first and their buckets
+// appended, then the interior cells, where a bucket not seen yet is inside.
+// Only an inside bucket's record count is read. Like BucketsInRangeAppend it
+// allocates nothing when ids has room and is safe for concurrent readers.
+func (f *File) CountSplitAppend(q geom.Rect, ids []int32) (out []int32, insideBuckets, insideRecords int) {
+	for _, iv := range q {
+		if !(iv.Lo <= iv.Hi) {
+			return f.BucketsInRangeAppend(q, ids), 0, 0
+		}
+	}
+	if len(q) != f.cfg.Dims {
+		return ids, 0, 0
+	}
+	sc := f.getScratch()
+	defer putScratch(sc)
+	lo, hi := sc.lo, sc.hi
+	if !f.queryCellBox(q, lo, hi) {
+		return ids, 0, 0
+	}
+	border := func(idx int) {
+		if id := f.dir[idx]; !sc.visit(id) {
+			ids = append(ids, id)
+		}
+	}
+	// The faces across dimension d, within the box the dimensions before it
+	// have shrunk to their interior: together, every border cell once.
+	for d := range lo {
+		bottom, top := lo[d], hi[d]
+		hi[d] = bottom
+		f.forEachCellIn(lo, hi, sc.cell, border)
+		if top > bottom {
+			lo[d], hi[d] = top, top
+			f.forEachCellIn(lo, hi, sc.cell, border)
+		}
+		lo[d], hi[d] = bottom+1, top-1
+		if lo[d] > hi[d] {
+			return ids, 0, 0
+		}
+	}
+	keys := 0
+	f.forEachCellIn(lo, hi, sc.cell, func(idx int) {
+		if id := f.dir[idx]; !sc.visit(id) {
+			insideBuckets++
+			keys += len(f.bkts[id].keys)
+		}
+	})
+	return ids, insideBuckets, keys / f.cfg.Dims
+}
+
 // RangeSearch returns copies of all records whose keys lie inside the closed
 // query box.
 func (f *File) RangeSearch(q geom.Rect) []Record {

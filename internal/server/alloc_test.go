@@ -54,7 +54,7 @@ const serverBytesBudget = 0.5
 // client and for a pipelined one: count-only range queries over a server
 // whose cache holds every bucket, so fetchBuckets is one Resident call and
 // every per-query buffer comes from a pool. The exec cases hold the executor
-// alone, on ranges and on kNN, to budgets of their own, "exec miss" holds the
+// alone, on counts, partial match and kNN, to budgets of their own, "exec miss" holds the
 // miss path to a budget per missed bucket, and the last case holds
 // points-returning ranges to serverBytesBudget and allocBytesBudget.
 func TestAllocBudget(t *testing.T) {
@@ -107,8 +107,11 @@ func TestAllocBudget(t *testing.T) {
 	// context and answer buffer add nothing per query, and translation walks
 	// the directory with the pooled scratch's cell vector (a fresh one per
 	// query measured 1.00) — so the 2.0 above are the connection layer's and
-	// the client's. Ten nearest neighbours over the same resident engine
-	// measure 3.00: the domain and cell-size copies and the probe box; the
+	// the client's. A partial-match line measures 0.00 with its box built in
+	// the pooled scratch (a fresh box and a copy of the domain measured
+	// 2.00). Ten nearest neighbours over the same resident engine measure
+	// 0.00: the probe box is pooled too, and the domain and the cell counts
+	// are read in place (copying them and the box measured 3.00); the
 	// candidates live in the pooled heap (a candidate slice per probe, sorted
 	// whole, measured 15.33; a set of the buckets earlier probes fetched,
 	// 4.68). Each budget leaves half an allocation for the runtime and none
@@ -125,7 +128,13 @@ func TestAllocBudget(t *testing.T) {
 			}
 			return reqs
 		}, VerbCount},
-		{"exec knn", 3.5, func(f *gridfile.File) (reqs []Request) {
+		{"exec partial", 0.5, func(f *gridfile.File) (reqs []Request) {
+			for _, vals := range workload.PartialMatch(f.Domain(), 1, 512, 3) {
+				reqs = append(reqs, Request{Verb: VerbPartial, Vals: vals})
+			}
+			return reqs
+		}, VerbPoints},
+		{"exec knn", 0.5, func(f *gridfile.File) (reqs []Request) {
 			f.Scan(func(key []float64, _ []byte) bool {
 				reqs = append(reqs, Request{Verb: VerbKNN, Key: geom.Point{key[0], key[1]}, K: 10})
 				return len(reqs) < 512
@@ -173,16 +182,19 @@ func TestAllocBudget(t *testing.T) {
 
 	// The miss path, per missed bucket: count-only ranges through exec on an
 	// engine whose cache holds a few dozen buckets (coldCache), so nearly
-	// every bucket a query needs is read by its disk worker, decoded and
+	// every bucket a query reads is read by its disk worker, decoded and
 	// cached, evicting another. The floor is two allocations a miss: the
 	// decode arena and the cache's Pending, which is also the entry it
-	// becomes. It measures 2.43 at 23.3 misses a query; the rest is per
+	// becomes. It measures 2.62 at 15.1 misses a query; the rest is per
 	// query or per disk batch: the response channel (one a query) and the
-	// disk worker's result slice (one a batch). It measured 7.61 while a
-	// miss also made a channel nobody joined and a separate entry, each
-	// query a map of fresh per-disk batches whose slices grew lead by lead,
-	// and each span read a slice header to put its buffer back in the pool.
-	// The budget leaves half an allocation for the runtime.
+	// disk worker's result slice (one a batch), spread over fewer misses
+	// since a count reads only the buckets on its border (2.43 at 23.3
+	// misses a query while it read every bucket it touched, DESIGN S53). It
+	// measured 7.61 while a miss also made a channel nobody joined and a
+	// separate entry, each query a map of fresh per-disk batches whose
+	// slices grew lead by lead, and each span read a slice header to put its
+	// buffer back in the pool. The budget was set at 2.43 plus half an
+	// allocation for the runtime.
 	t.Run("exec miss", func(t *testing.T) {
 		const budget = 2.9
 		s, f := newTestEngine(t, 20000, 8, 1, coldCache)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"sync/atomic"
 	"testing"
 
@@ -75,6 +76,25 @@ func residentRanges(dom geom.Rect) (reqs []Request) {
 	return reqs
 }
 
+// BenchmarkExecCount is BenchmarkExecRange on count-only 1 % ranges, the
+// repo benchmark's range-count op: translation splits each box's buckets
+// into those on its border, which are read and scanned, and those inside
+// it, whose records the directory counts (DESIGN.md S53). rows/op is the
+// mean count.
+func BenchmarkExecCount(b *testing.B) { benchExec(b, Config{}, false, countRanges) }
+
+// BenchmarkExecCountCold is BenchmarkExecCount on coldCache: only the border
+// buckets are missed, read and decoded.
+func BenchmarkExecCountCold(b *testing.B) { benchExec(b, coldCache, false, countRanges) }
+
+// countRanges are 1 % count-only ranges as requests.
+func countRanges(dom geom.Rect) (reqs []Request) {
+	for _, q := range workload.SquareRange(dom, 0.01, 256, 3) {
+		reqs = append(reqs, Request{Verb: VerbRange, Query: q, CountOnly: true})
+	}
+	return reqs
+}
+
 // BenchmarkExecPartial is BenchmarkExecRange on partial-match lines (one
 // attribute given): nearly every bucket a line crosses straddles it along
 // that one dimension, so the time is the per-row test the scan runs there.
@@ -102,7 +122,7 @@ func BenchmarkExecKNN(b *testing.B) {
 // benchExec runs the requests gen makes, in turn, through exec on an engine
 // configured by cfg over 100 000 uniform 2-D records — with the default
 // cache, one that holds every bucket they touch — from every P at once when
-// parallel, and reports answer rows per op.
+// parallel, and reports answer rows (or counted records) per op.
 func benchExec(b *testing.B, cfg Config, parallel bool, gen func(dom geom.Rect) []Request) {
 	s, f := newTestEngine(b, 100000, 8, 1, cfg)
 	var reqs []Frame
@@ -113,7 +133,11 @@ func benchExec(b *testing.B, cfg Config, parallel bool, gen func(dom geom.Rect) 
 			b.Fatal(err)
 		}
 		reqs = append(reqs, fr)
-		if out = s.exec(out[:0], fr); Verb(out[0]) != VerbPoints { // and the buckets become resident
+		want := VerbPoints
+		if req.CountOnly {
+			want = VerbCount
+		}
+		if out = s.exec(out[:0], fr); Verb(out[0]) != want { // and the buckets become resident
 			b.Fatalf("reply verb 0x%02x: %s", out[0], out[1:])
 		}
 	}
@@ -123,7 +147,11 @@ func benchExec(b *testing.B, cfg Config, parallel bool, gen func(dom geom.Rect) 
 		n := 0
 		for i := 0; next(); i++ {
 			out = s.exec(out[:0], reqs[i%len(reqs)])
-			n += (len(out) - 1 - 6 - resultInfoBytes) / 16 // verb, dims+count, rows of two float64s, trailer
+			if Verb(out[0]) == VerbCount {
+				n += int(binary.LittleEndian.Uint32(out[1:])) // verb, count, trailer
+			} else {
+				n += (len(out) - 1 - 6 - resultInfoBytes) / 16 // verb, dims+count, rows of two float64s, trailer
+			}
 		}
 		rows.Add(int64(n))
 	}

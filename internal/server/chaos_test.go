@@ -12,6 +12,7 @@ import (
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
@@ -218,8 +219,11 @@ func chaosRanges(t *testing.T, s *Server, f *gridfile.File, disks int) int64 {
 }
 
 // TestDegradedDiskKill kills one whole disk via the FAULT admin verb and
-// proves: every full-domain answer is flagged degraded with exactly one
-// missed disk and exactly the surviving disks' records; clearing the fault
+// proves: every full-domain range is flagged degraded with exactly one
+// missed disk and exactly the surviving disks' records; a full-domain count,
+// which reads only the buckets owning an edge cell of the grid and takes the
+// rest from the directory, misses exactly the dead disk's records in those
+// buckets, and is degraded iff the disk holds one; clearing the fault
 // restores complete answers; and the /metrics endpoint exports nonzero
 // fault/degraded counters.
 func TestDegradedDiskKill(t *testing.T) {
@@ -243,29 +247,51 @@ func TestDegradedDiskKill(t *testing.T) {
 		t.Fatalf("armed sites = %+v", st.Sites)
 	}
 
-	// Count the records the dead disk holds; the degraded answer must be
-	// everything else.
-	lost := 0
+	// Count the records the dead disk holds — the degraded range must be
+	// everything else — and those of them in a bucket owning an edge cell of
+	// the grid, the only ones a full-domain count reads.
+	lost, lostEdge := 0, 0
+	sizes := f.CellSizes()
 	for _, v := range f.Buckets() {
-		if pl, ok := s.st.Placement(v.ID); ok && pl.Disk == kill {
-			lost += pl.Recs
+		pl, ok := s.st.Placement(v.ID)
+		if !ok || pl.Disk != kill {
+			continue
+		}
+		lost += pl.Recs
+		for d, n := range sizes {
+			if v.CellLo[d] == 0 || int(v.CellHi[d]) == n-1 {
+				lostEdge += pl.Recs
+				break
+			}
 		}
 	}
-	if lost == 0 {
-		t.Fatalf("disk %d holds no records; kill test is vacuous", kill)
+	if lost == 0 || lostEdge == 0 || lostEdge == lost {
+		t.Fatalf("disk %d holds %d records, %d of them in edge buckets: want some of each", kill, lost, lostEdge)
 	}
 
 	for i := 0; i < 5; i++ {
+		pts, info, err := cl.RangeCtx(context.Background(), f.Domain())
+		if err != nil {
+			t.Fatalf("full-domain range with a dead disk errored: %v", err)
+		}
+		if !info.Degraded || info.MissedDisks != 1 {
+			t.Fatalf("range: degraded=%v missed=%d, want true/1", info.Degraded, info.MissedDisks)
+		}
+		if len(pts) != f.Len()-lost {
+			t.Fatalf("degraded range = %d points, want %d (%d total - %d on disk %d)",
+				len(pts), f.Len()-lost, f.Len(), lost, kill)
+		}
+
 		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 		if err != nil {
 			t.Fatalf("full-domain count with a dead disk errored: %v", err)
 		}
 		if !info.Degraded || info.MissedDisks != 1 {
-			t.Fatalf("degraded=%v missed=%d, want true/1", info.Degraded, info.MissedDisks)
+			t.Fatalf("count: degraded=%v missed=%d, want true/1", info.Degraded, info.MissedDisks)
 		}
-		if n != f.Len()-lost {
-			t.Fatalf("degraded count = %d, want %d (%d total - %d on disk %d)",
-				n, f.Len()-lost, f.Len(), lost, kill)
+		if n != f.Len()-lostEdge {
+			t.Fatalf("degraded count = %d, want %d (%d total - %d in edge buckets on disk %d)",
+				n, f.Len()-lostEdge, f.Len(), lostEdge, kill)
 		}
 	}
 
@@ -309,6 +335,64 @@ func TestDegradedDiskKill(t *testing.T) {
 		if strings.Contains(metrics, name+" 0\n") {
 			t.Errorf("/metrics reports %s = 0 after the kill", name)
 		}
+	}
+}
+
+// TestDegradedCountReadsOnlyItsBorder: at r=1 with one disk dead, a count
+// whose border buckets all live on other disks answers complete and
+// undegraded, though the dead disk holds buckets inside its box, and reads
+// nothing from the dead disk: the inside buckets' records come from the
+// directory (DESIGN S53). A range over the same box reads those buckets and
+// comes back degraded.
+func TestDegradedCountReadsOnlyItsBorder(t *testing.T) {
+	const disks = 8
+	reg := fault.NewRegistry(1)
+	s, f := newTestServer(t, 3000, disks, Config{Faults: reg, Degraded: true, CacheBytes: -1})
+	cl := newTestClient(t, s, ClientConfig{})
+	diskOf := func(id int32) int {
+		pl, ok := s.st.Placement(id)
+		if !ok {
+			t.Fatalf("bucket %d has no placement", id)
+		}
+		return pl.Disk
+	}
+
+	// A box and a disk that holds a bucket inside the box and none on its
+	// border.
+	var q geom.Rect
+	dead := -1
+search:
+	for _, ratio := range []float64{0.01, 0.02, 0.05} {
+		for _, box := range workload.SquareRange(f.Domain(), ratio, 200, 5) {
+			border, _, _ := f.CountSplitAppend(box, nil)
+			onBorder := make([]bool, disks)
+			for _, id := range border {
+				onBorder[diskOf(id)] = true
+			}
+			for _, id := range f.BucketsInRange(box) {
+				if d := diskOf(id); !onBorder[d] { // so id is not on the border either
+					q, dead = box, d
+					break search
+				}
+			}
+		}
+	}
+	if dead < 0 {
+		t.Fatal("no box has a disk holding an inside bucket and no border bucket")
+	}
+	reg.Set(fault.Rule{Site: fault.StoreReadDiskSite(dead), Kind: fault.KindError})
+
+	before := s.Snapshot().DiskFetches[dead]
+	n, info, err := cl.RangeCountCtx(context.Background(), q)
+	if err != nil || info.Degraded || n != f.RangeCount(q) {
+		t.Fatalf("count of %v with disk %d dead: %d (degraded=%v, err %v), want %d, complete", q, dead, n, info.Degraded, err, f.RangeCount(q))
+	}
+	if got := s.Snapshot().DiskFetches[dead] - before; got != 0 {
+		t.Errorf("the count fetched %d buckets from disk %d, which holds none on its border", got, dead)
+	}
+	pts, info, err := cl.RangeCtx(context.Background(), q)
+	if err != nil || !info.Degraded || len(pts) >= f.RangeCount(q) {
+		t.Errorf("range of %v with disk %d dead: %d points (degraded=%v, err %v), want fewer than %d, degraded", q, dead, len(pts), info.Degraded, err, f.RangeCount(q))
 	}
 }
 

@@ -15,13 +15,15 @@ import (
 	"pgridfile/internal/store"
 )
 
-// qstate is the pooled per-query scratch: the decoded request plus the
-// bucket-id and arena-record slices query execution scans over, the per-disk
-// batches of the buckets a fetch reads itself (fetchBucketsSlow), the scan's
-// per-bucket covers and kNN's candidate heap. Pooling it keeps the
-// steady-state serving path allocation-free.
+// qstate is the pooled per-query scratch: the decoded request, the box of a
+// partial match or kNN probe, the bucket-id and arena-record slices query
+// execution scans over, the per-disk batches of the buckets a fetch reads
+// itself (fetchBucketsSlow), the scan's per-bucket covers and kNN's
+// candidate heap. Pooling it keeps the steady-state serving path
+// allocation-free.
 type qstate struct {
 	req    Request
+	box    geom.Rect
 	ids    []int32
 	recs   []geom.Flat
 	leads  []leadBatch
@@ -30,6 +32,13 @@ type qstate struct {
 }
 
 var qstatePool = sync.Pool{New: func() any { return new(qstate) }}
+
+// queryBox returns the pooled query box, dims intervals long, for the verbs
+// that build their box themselves (partial match, a kNN probe).
+func (qs *qstate) queryBox(dims int) geom.Rect {
+	qs.box = slices.Grow(qs.box[:0], dims)[:dims]
+	return qs.box
+}
 
 // exec is the executor's whole surface: it decodes, admits and executes the
 // request in f and appends the inner reply — the reply verb and its payload —
@@ -295,9 +304,22 @@ func (s *Server) pointQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 	return res, nil
 }
 
+// rangeQuery answers a range and a range count. A count reads only the
+// buckets on the border of the query's cell box: the inside ones lie wholly
+// in the box, so the directory's record counts stand for them
+// (gridfile.CountSplitAppend, DESIGN S53). They are read under the grid
+// read lock with the translation, and a mutation rewrites a bucket's pages,
+// swaps its placement and invalidates it under the write lock, so the total
+// holds every write acknowledged before the translation; a split between
+// translation and fetch sends the whole count round again.
 func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, q geom.Rect, countOnly bool) (Result, error) {
+	var insideBuckets, insideRecords int
 	info, err := s.fetchTranslated(ctx, qs, tr, func() error {
-		qs.ids = s.st.Grid().BucketsInRangeAppend(q, qs.ids[:0])
+		if countOnly {
+			qs.ids, insideBuckets, insideRecords = s.st.Grid().CountSplitAppend(q, qs.ids[:0])
+		} else {
+			qs.ids = s.st.Grid().BucketsInRangeAppend(q, qs.ids[:0])
+		}
 		return nil
 	})
 	if err != nil {
@@ -307,8 +329,10 @@ func (s *Server) rangeQuery(ctx context.Context, qs *qstate, tr *Trace, enc *res
 	res.Info = info
 	if countOnly {
 		enc = nil
+		tr.noteInside(insideBuckets)
 	}
 	res.Count, err = scanBuckets(qs.recs, q, enc, &qs.covers)
+	res.Count += insideRecords
 	return res, err
 }
 
@@ -410,11 +434,10 @@ func appendRowTests(tests []rowTest, q geom.Rect, cross uint64) []rowTest {
 }
 
 func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, vals []float64) (Result, error) {
-	dom := s.st.Grid().Domain()
-	q := make(geom.Rect, len(vals))
+	q := qs.queryBox(len(vals))
 	for d, v := range vals {
 		if math.IsNaN(v) {
-			q[d] = dom[d]
+			q[d] = s.dom[d]
 		} else {
 			q[d] = geom.Interval{Lo: v, Hi: v}
 		}
@@ -433,8 +456,7 @@ func (s *Server) partialQuery(ctx context.Context, qs *qstate, tr *Trace, enc *r
 // offered to a heap of the k nearest, and only those k are sorted, once,
 // for the answer.
 func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resultEncoder, key geom.Point, k int) (Result, error) {
-	grid := s.st.Grid()
-	dom := grid.Domain()
+	grid, dom := s.st.Grid(), s.dom
 	if !dom.ContainsPoint(key) {
 		return Result{}, fmt.Errorf("key %v outside the domain", key)
 	}
@@ -442,19 +464,18 @@ func (s *Server) knnQuery(ctx context.Context, qs *qstate, tr *Trace, enc *resul
 	// roughly the cell neighbourhood of the key.
 	r := 0.0
 	s.st.RLockGrid()
-	cells := grid.CellSizes()
-	s.st.RUnlockGrid()
-	for d, n := range cells {
-		if ext := dom[d].Length() / float64(n); ext > r {
+	for d := range dom {
+		if ext := dom[d].Length() / float64(grid.CellsAlong(d)); ext > r {
 			r = ext
 		}
 	}
+	s.st.RUnlockGrid()
 	if r <= 0 {
 		r = 1
 	}
 
 	var info QueryInfo
-	q := make(geom.Rect, len(key))
+	q := qs.queryBox(len(key))
 	for {
 		covers := true
 		for d := range key {

@@ -229,7 +229,9 @@ type Request struct {
 
 // QueryInfo is the server-side execution profile shipped with every answer:
 // the paper's I/O accounting (distinct buckets fetched, pages read) plus the
-// service time observed at the server. Degraded marks a partial answer —
+// service time observed at the server. Buckets counts the buckets the query
+// read or was served from the cache, not those a count decided from the
+// directory alone (the buckets inside its box, DESIGN S53). Degraded marks a partial answer —
 // MissedDisks of the layout's disks failed reads that no surviving copy
 // could replace, so the result covers only the surviving disks (always a
 // subset of the full answer, never wrong data). The two fields travel

@@ -81,19 +81,26 @@ func loseDisk(t *testing.T, dir string, d int) (restore func()) {
 }
 
 // fullAnswerWithout truncates each disk of dir in turn and requires the
-// full-domain count to stay complete and undegraded, failing over every
-// time: at r=2 a lost disk costs no answer, with degraded mode on or off.
+// full-domain range to stay complete and undegraded, failing over every
+// time, and the full-domain count to stay complete and undegraded: at r=2 a
+// lost disk costs no answer, with degraded mode on or off. The range reads
+// every bucket, so each lost disk must be failed over; the count reads only
+// the buckets owning an edge cell of the grid, which a disk may not hold.
 func fullAnswerWithout(t *testing.T, s *Server, cl *Client, dir string, f *gridfile.File, disks int) {
 	t.Helper()
 	for lose := 0; lose < disks; lose++ {
 		restore := loseDisk(t, dir, lose)
 		before := s.Snapshot().ReplicaFailover
+		pts, info, err := cl.RangeCtx(context.Background(), f.Domain())
+		if err != nil || info.Degraded || len(pts) != f.Len() {
+			t.Fatalf("disk %d truncated: range %d of %d, degraded=%v, err %v", lose, len(pts), f.Len(), info.Degraded, err)
+		}
+		if s.Snapshot().ReplicaFailover == before {
+			t.Fatalf("disk %d truncated: the range never failed over", lose)
+		}
 		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 		if err != nil || info.Degraded || n != f.Len() {
 			t.Fatalf("disk %d truncated: count %d of %d, degraded=%v, err %v", lose, n, f.Len(), info.Degraded, err)
-		}
-		if s.Snapshot().ReplicaFailover == before {
-			t.Fatalf("disk %d truncated: the count never failed over", lose)
 		}
 		restore()
 	}
@@ -264,18 +271,19 @@ func TestReplicaMetricsExposition(t *testing.T) {
 // TestReadRouteIsAFunctionOfTheQuery pins which copy a read takes at r=2 with
 // the cache off: its first whole copy in owner order, so the (bucket, disk)
 // reads a query stream issues do not depend on what else is in flight. The
-// same stream of ranges and kNN queries, run on one goroutine and then on
-// eight, reads the same buckets from every disk, and never a secondary. With
-// one disk's reads failing, each bucket whose primary is that disk is read
-// from its next owner, once per query that wants it, and every other bucket
-// from its primary.
+// same stream of point-returning ranges and kNN queries, run on one
+// goroutine and then on eight, reads the same buckets from every disk, and
+// never a secondary. With one disk's reads failing, each bucket a range
+// touches whose primary is that disk is read from its next owner, once per
+// range, and every other bucket from its primary. (A range is what reads
+// every bucket it touches; a count reads only those on its border.)
 func TestReadRouteIsAFunctionOfTheQuery(t *testing.T) {
 	const disks, dead = 4, 1
 	reg := fault.NewRegistry(1)
 	s, f := newTestEngine(t, 3000, disks, 2, Config{Faults: reg, CacheBytes: -1})
 	var ranges, reqs []Frame
 	for _, q := range workload.SquareRange(f.Domain(), 0.03, 60, 7) {
-		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q, CountOnly: true})
+		fr, err := encodeRequest(Request{Verb: VerbRange, Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}

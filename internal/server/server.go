@@ -12,6 +12,7 @@ import (
 
 	"pgridfile/internal/cache"
 	"pgridfile/internal/fault"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/store"
 )
@@ -144,6 +145,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	st     *store.Store
+	dom    geom.Rect // the grid's domain, fixed for the layout's life
 	met    *Metrics
 	faults *fault.Registry
 
@@ -217,6 +219,7 @@ func newEngine(st *store.Store, cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		st:       st,
+		dom:      st.Grid().Domain(),
 		met:      newMetrics(m.Disks),
 		faults:   cfg.Faults,
 		sem:      make(chan struct{}, cfg.MaxInflight),

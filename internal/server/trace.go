@@ -64,6 +64,8 @@ type Trace struct {
 	// Cache outcome of the query's bucket set.
 	hits  int32 // served from the bucket cache
 	leads int32 // loaded by this query via a disk batch
+
+	inside int32 // a count's buckets decided from the directory, not read
 }
 
 var tracePool = sync.Pool{New: func() any { return new(Trace) }}
@@ -89,7 +91,7 @@ func releaseTrace(t *Trace) {
 	for i := range t.stages {
 		t.stages[i].Store(0)
 	}
-	t.hits, t.leads = 0, 0
+	t.hits, t.leads, t.inside = 0, 0, 0
 	tracePool.Put(t)
 }
 
@@ -130,6 +132,14 @@ func (t *Trace) noteCache(hits, leads int) {
 	t.leads += int32(leads)
 }
 
+// noteInside records the buckets a count took from the directory; nil-safe.
+func (t *Trace) noteInside(buckets int) {
+	if t == nil {
+		return
+	}
+	t.inside += int32(buckets)
+}
+
 // verbName names a verb for labels and the slow-query log.
 func verbName(v Verb) string {
 	if i := verbIndex(v); i >= 0 {
@@ -156,8 +166,8 @@ func (s *Server) finishTrace(t *Trace, verb Verb, elapsed time.Duration, info Qu
 		for i := range t.stages {
 			fmt.Fprintf(&b, " %s=%s", stageNames[i], time.Duration(t.stages[i].Load()))
 		}
-		fmt.Fprintf(&b, " buckets=%d pages=%d hits=%d leads=%d degraded=%v",
-			info.Buckets, info.Pages, t.hits, t.leads, info.Degraded)
+		fmt.Fprintf(&b, " buckets=%d pages=%d hits=%d leads=%d inside=%d degraded=%v",
+			info.Buckets, info.Pages, t.hits, t.leads, t.inside, info.Degraded)
 		if qerr != nil {
 			fmt.Fprintf(&b, " err=%q", qerr.Error())
 		}

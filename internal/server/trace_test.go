@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,7 @@ func TestTracingEndToEnd(t *testing.T) {
 		if !strings.HasPrefix(ln, "gridserver trace verb=") {
 			t.Fatalf("malformed slow-log line: %q", ln)
 		}
-		for _, field := range []string{"elapsed=", "buckets=", "pages=", "degraded=", "leads="} {
+		for _, field := range []string{"elapsed=", "buckets=", "pages=", "degraded=", "leads=", "inside="} {
 			if !strings.Contains(ln, " "+field) {
 				t.Errorf("slow-log line missing %s: %q", field, ln)
 			}
@@ -146,6 +147,10 @@ func TestTracingEndToEnd(t *testing.T) {
 				t.Errorf("slow-log line missing stage %s: %q", name, ln)
 			}
 		}
+	}
+	// A 10 % count has buckets inside its box, which the directory counts.
+	if !regexp.MustCompile(` inside=[1-9]`).MatchString(log.String()) {
+		t.Errorf("no count took a bucket from the directory:\n%s", log.String())
 	}
 }
 

@@ -255,9 +255,12 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 // came back short, undegraded — and a query translating just after a split
 // still found the bucket's pre-split records cached and counted the moved
 // rows twice. Four clients insert until the grid has split 300 times while
-// six count the whole domain: no count may be below the records acknowledged
-// before it was sent, or above those whose insert had been sent when it
-// came back.
+// six count the whole domain and three interior boxes, whose counts add the
+// directory's totals for the buckets inside them to the rows read from the
+// buckets on their border (DESIGN S53): no count may be below the records in
+// its box before the writes plus the inserts into it acknowledged before it
+// was sent, or above those plus the inserts into it sent by when it came
+// back.
 func TestRangeCountAcrossSplits(t *testing.T) {
 	const base, writers, readers, wantSplits, maxInserts = 2000, 4, 6, 300, 20000
 	s := newWritableServer(t, base, 4, 2, Config{})
@@ -270,8 +273,29 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 	for d, iv := range snap.Domain {
 		dom[d] = geom.Interval{Lo: iv[0], Hi: iv[1]}
 	}
+	// The boxes, as fractions of the domain along each dimension.
+	boxes := []geom.Rect{dom}
+	for _, fr := range [][4]float64{{0.1, 0.6, 0.2, 0.7}, {0.45, 0.95, 0.05, 0.5}, {0.3, 0.7, 0.3, 0.7}} {
+		boxes = append(boxes, geom.Rect{
+			{Lo: dom[0].Lo + fr[0]*dom[0].Length(), Hi: dom[0].Lo + fr[1]*dom[0].Length()},
+			{Lo: dom[1].Lo + fr[2]*dom[1].Length(), Hi: dom[1].Lo + fr[3]*dom[1].Length()},
+		})
+	}
+	before := make([]int64, len(boxes)) // records in each box before the writes
+	for b, q := range boxes {
+		before[b] = int64(s.st.Grid().RangeCount(q))
+		if _, inside, _ := s.st.Grid().CountSplitAppend(q, nil); b > 0 && inside == 0 {
+			t.Fatalf("box %v has no bucket inside it: its count reads every bucket", q)
+		}
+	}
+	if before[0] != base {
+		t.Fatalf("%d records in the domain, want %d", before[0], base)
+	}
 
-	var sent, acked, splits, reads, wrong atomic.Int64
+	// Per box: inserts into it sent and acknowledged so far.
+	sent := make([]atomic.Int64, len(boxes))
+	acked := make([]atomic.Int64, len(boxes))
+	var ackedAll, splits, reads, wrong atomic.Int64
 	var writing, reading sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writing.Add(1)
@@ -281,13 +305,22 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 				if splits.Load() >= wantSplits {
 					return
 				}
-				sent.Add(1)
+				for b, q := range boxes {
+					if q.ContainsPoint(key) {
+						sent[b].Add(1)
+					}
+				}
 				res, err := cl.InsertCtx(context.Background(), key)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				acked.Add(1)
+				for b, q := range boxes {
+					if q.ContainsPoint(key) {
+						acked[b].Add(1)
+					}
+				}
+				ackedAll.Add(1)
 				splits.Add(int64(res.Splits))
 			}
 		}()
@@ -297,22 +330,23 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 		reading.Add(1)
 		go func() {
 			defer reading.Done()
-			for {
+			for i := r; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				floor := base + acked.Load()
-				n, _, err := cl.RangeCountCtx(context.Background(), dom)
+				b := i % len(boxes)
+				floor := before[b] + acked[b].Load()
+				n, _, err := cl.RangeCountCtx(context.Background(), boxes[b])
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				reads.Add(1)
-				if ceil := base + sent.Load(); int64(n) < floor || int64(n) > ceil {
+				if ceil := before[b] + sent[b].Load(); int64(n) < floor || int64(n) > ceil {
 					wrong.Add(1)
-					t.Errorf("whole-domain count %d, want between %d (acknowledged before it) and %d (sent by its end)", n, floor, ceil)
+					t.Errorf("count of %v: %d, want between %d (acknowledged before it) and %d (sent by its end)", boxes[b], n, floor, ceil)
 				}
 			}
 		}()
@@ -320,12 +354,17 @@ func TestRangeCountAcrossSplits(t *testing.T) {
 	writing.Wait()
 	close(done)
 	reading.Wait()
-	t.Logf("%d counts across %d splits (%d inserts): %d wrong", reads.Load(), splits.Load(), acked.Load(), wrong.Load())
+	t.Logf("%d counts across %d splits (%d inserts): %d wrong", reads.Load(), splits.Load(), ackedAll.Load(), wrong.Load())
 	if splits.Load() < wantSplits {
-		t.Fatalf("only %d splits in %d inserts, want %d", splits.Load(), acked.Load(), wantSplits)
+		t.Fatalf("only %d splits in %d inserts, want %d", splits.Load(), ackedAll.Load(), wantSplits)
 	}
-	if n, _, err := cl.RangeCountCtx(context.Background(), dom); err != nil || int64(n) != base+acked.Load() {
-		t.Fatalf("final count %d (err %v), want %d", n, err, base+acked.Load())
+	for b, q := range boxes {
+		if n, _, err := cl.RangeCountCtx(context.Background(), q); err != nil || int64(n) != before[b]+acked[b].Load() {
+			t.Errorf("final count of %v: %d (err %v), want %d", q, n, err, before[b]+acked[b].Load())
+		}
+		if n := s.st.Grid().RangeCount(q); int64(n) != before[b]+acked[b].Load() {
+			t.Errorf("the grid holds %d records in %v, want %d", n, q, before[b]+acked[b].Load())
+		}
 	}
 }
 

@@ -58,15 +58,18 @@
 #   6. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
 #                  one write (FuzzBatchFraming), grid-file persistence
-#                  (FuzzRead), layout manifests (FuzzManifest) and the
-#                  write-ahead journal reader (FuzzJournalReplay)
+#                  (FuzzRead), the range count's split of a box's buckets
+#                  into border and inside (FuzzCountSplit), layout manifests
+#                  (FuzzManifest) and the write-ahead journal reader
+#                  (FuzzJournalReplay)
 #   7. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
 #                  and TestScanReservesOnce without the race detector (their
 #                  file is built out under -race: sync.Pool drops there)
 #   8. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
-#                  checks — BenchmarkExecRange's and BenchmarkExecRangeCold's
-#                  reply verb, BenchmarkCheckpoint's and BenchmarkDecluster's
-#                  errors — run nowhere else
+#                  checks — the reply verb of BenchmarkExecRange,
+#                  BenchmarkExecCount and their Cold forms,
+#                  BenchmarkCheckpoint's and BenchmarkDecluster's errors —
+#                  run nowhere else
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
@@ -111,6 +114,7 @@ go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzDegradedCodec -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzBatchFraming -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
+go test -run='^$' -fuzz=FuzzCountSplit -fuzztime="$FUZZTIME" ./internal/gridfile
 go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
 go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/store
 
