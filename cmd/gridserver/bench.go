@@ -46,8 +46,8 @@ type benchRow struct {
 	P50       float64 `json:"p50_ms"` // client-observed latency, milliseconds
 	P95       float64 `json:"p95_ms"`
 	P99       float64 `json:"p99_ms"`
-	Imbalance float64 `json:"fetch_imbalance"` // max/mean bucket fetches across disks
-	HitRate   float64 `json:"cache_hit_rate"`  // hits / (hits+misses+shared) over the run
+	Imbalance float64 `json:"fetch_imbalance"` // max/mean bucket fetches across disks over the run
+	HitRate   float64 `json:"cache_hit_rate"`  // hits / (hits+misses) over the run
 	Degraded  int     `json:"degraded"`        // queries answered partially under injected faults
 
 	// Store reads over this run (server STATS deltas): wanted pages, the
@@ -238,19 +238,19 @@ func benchAddr(addr string, opts benchOpts) (benchRow, error) {
 	} else {
 		row.QPS = float64(r.Sent) / r.Elapsed.Seconds()
 	}
-	attachServerStats(&row, c, snap)
+	if after, err := c.Stats(); err == nil {
+		attachServerStats(&row, snap, after)
+	}
 	return row, nil
 }
 
-// attachServerStats decorates a finished row with the server-side deltas:
-// fetch balance, cache behaviour, replica counters and the traced stage
-// medians (µs; the server's histograms are in ns).
-func attachServerStats(row *benchRow, c *server.Client, before server.Snapshot) {
-	after, err := c.Stats()
-	if err != nil {
-		return
-	}
-	row.Imbalance = fetchImbalance(after.DiskFetches)
+// attachServerStats decorates a finished row with what the server did over
+// the run, from its stats before and after: the counters' deltas — fetch
+// balance, cache behaviour, store reads, replica counters — the storage
+// overhead as it stands, and the traced stage medians (µs; the server's
+// histograms are in ns).
+func attachServerStats(row *benchRow, before, after server.Snapshot) {
+	row.Imbalance = fetchImbalance(before.DiskFetches, after.DiskFetches)
 	row.HitRate = hitRateDelta(before.Cache, after.Cache)
 	row.PagesRead = after.PagesRead - before.PagesRead
 	row.SpansRead = after.SpansRead - before.SpansRead
@@ -287,14 +287,18 @@ func hitRateDelta(before, after *cache.Stats) float64 {
 	return hits / total
 }
 
-// fetchImbalance is max/mean of per-disk bucket fetches: 1.0 means the
-// declustering spread the benchmark's I/O perfectly evenly.
-func fetchImbalance(fetches []int64) float64 {
-	if len(fetches) == 0 {
+// fetchImbalance is max/mean of the per-disk bucket fetches between two
+// snapshots of the server's lifetime counters: 1.0 means the declustering
+// spread the run's I/O perfectly evenly.
+func fetchImbalance(before, after []int64) float64 {
+	if len(after) == 0 {
 		return 0
 	}
 	var sum, max int64
-	for _, n := range fetches {
+	for d, n := range after {
+		if d < len(before) {
+			n -= before[d]
+		}
 		sum += n
 		if n > max {
 			max = n
@@ -303,6 +307,6 @@ func fetchImbalance(fetches []int64) float64 {
 	if sum == 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(len(fetches))
+	mean := float64(sum) / float64(len(after))
 	return float64(max) / mean
 }

@@ -89,7 +89,7 @@ func runIngest(args []string, out io.Writer) error {
 	}
 	rep.JournalAppends = s.WriteCounters().JournalAppends
 
-	// kill -9: no checkpoint. The grid and manifest on disk are stale; only
+	// kill -9: no checkpoint. The checkpoint file on disk is stale; only
 	// the per-disk journals carry the ingest.
 	s.CloseNoCheckpoint()
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pgridfile/internal/cache"
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/replica"
@@ -263,6 +264,30 @@ func TestBenchOpenLoopMode(t *testing.T) {
 	if _, ok := r["gap_pages_read"].(float64); !ok || pages <= 0 || spans <= 0 || spans > pages {
 		t.Errorf("pages_read = %v, spans_read = %v, gap_pages_read = %v: want 0 < spans <= pages and a gap count",
 			r["pages_read"], r["spans_read"], r["gap_pages_read"])
+	}
+}
+
+// TestBenchRowIsTheRunsDeltas: a bench row reports what the server did over
+// the run, though a server's counters count its whole life. Before the run
+// an earlier one has fetched 900 buckets from disk 0 alone and the cache has
+// hit 50 of 100 lookups; the run itself fetches 100 from every disk and hits
+// every lookup, so its fetch balance is perfect and its hit rate 1.
+func TestBenchRowIsTheRunsDeltas(t *testing.T) {
+	before := server.Snapshot{
+		DiskFetches: []int64{900, 0, 0, 0},
+		PagesRead:   1000,
+		Cache:       &cache.Stats{Hits: 50, Misses: 50},
+	}
+	after := server.Snapshot{
+		DiskFetches: []int64{1000, 100, 100, 100},
+		PagesRead:   1400,
+		Cache:       &cache.Stats{Hits: 450, Misses: 50},
+	}
+	var row benchRow
+	attachServerStats(&row, before, after)
+	if row.Imbalance != 1 || row.HitRate != 1 || row.PagesRead != 400 {
+		t.Errorf("fetch imbalance %v, hit rate %v, pages read %d; want 1, 1 and 400 — the run's, not the server's lifetime",
+			row.Imbalance, row.HitRate, row.PagesRead)
 	}
 }
 

@@ -50,7 +50,7 @@ func runLayout(args []string) error {
 	}
 
 	// Verify the layout reads back correctly before declaring success: every
-	// copy on every disk (decoding checks each against the manifest's record
+	// copy on every disk (decoding checks each against the grid's record
 	// count), so a torn replica copy fails the build rather than the first
 	// failover that routes to it.
 	s, err := store.Open(*out)
@@ -92,7 +92,7 @@ func runLayout(args []string) error {
 	if err := printResponse(f, m, *seed); err != nil {
 		return err
 	}
-	fmt.Printf("layout is self-contained (grid.grd embedded); serve it with: gridserver serve -store %s\n", *out)
+	fmt.Printf("layout is self-contained (the grid file is in layout.grd); serve it with: gridserver serve -store %s\n", *out)
 	return nil
 }
 
@@ -105,7 +105,7 @@ func printResponse(f *gridfile.File, m *store.Manifest, seed int64) error {
 	alloc := core.Allocation{Disks: m.Disks, Assign: make([]int, len(m.Buckets))}
 	lay := sim.DiskLayout{Page: make([]int64, len(m.Buckets)), Pages: make([]int, len(m.Buckets))}
 	for i, pl := range m.Buckets { // manifest order is f.Buckets() order
-		alloc.Assign[i], lay.Page[i], lay.Pages[i] = pl.Disk, pl.Page, pl.Pages
+		alloc.Assign[i], lay.Page[i], lay.Pages[i] = pl.OwnerDisks[0], pl.OwnerPages[0], pl.Pages
 	}
 	idx := f.IndexByID()
 	qs := workload.SquareRange(f.Domain(), ratio, queries, seed)

@@ -303,15 +303,16 @@ func TestExecutorKnowsNoSocketNoEnvelope(t *testing.T) {
 // on disk (DESIGN S40): a fresh build and a checkpoint are the same path, so
 // in the package's non-test files nothing calls os.WriteFile, os.Rename is
 // called by atomicWriteFile alone, pages are encoded by rewriteBucket alone,
-// and "manifest.json" is named only by the opener that reads it, the
-// committer that renames it into place and the builder's first step, which
-// unlinks the old one so that a directory under construction is no layout.
+// and "layout.grd", the checkpoint file, is named only by the opener that
+// reads it, the committer that renames it into place and the builder's first
+// step, which unlinks the old one so that a directory under construction is
+// no layout.
 func TestLayoutHasOneWriter(t *testing.T) {
 	allowed := map[string]map[string]bool{
-		"os.WriteFile":    {},
-		"os.Rename":       {"atomicWriteFile": true},
-		"encodePage":      {"rewriteBucket": true},
-		`"manifest.json"`: {"open": true, "checkpointLocked": true, "writeLayout": true},
+		"os.WriteFile": {},
+		"os.Rename":    {"atomicWriteFile": true},
+		"encodePage":   {"rewriteBucket": true},
+		`"layout.grd"`: {"open": true, "checkpointLocked": true, "writeLayout": true},
 	}
 	dir := filepath.Join("internal", "store")
 	fset := token.NewFileSet()

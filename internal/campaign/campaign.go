@@ -243,11 +243,11 @@ func (l *layout) corrupt() error {
 		}
 		seen[i] = true
 		pl := l.manifest.Buckets[i]
-		fh, err := os.OpenFile(filepath.Join(l.dir, store.DiskFileName(pl.Disk)), os.O_RDWR, 0)
+		fh, err := os.OpenFile(filepath.Join(l.dir, store.DiskFileName(pl.OwnerDisks[0])), os.O_RDWR, 0)
 		if err != nil {
 			return err
 		}
-		off := pl.Page*int64(l.manifest.PageBytes) + int64(l.manifest.PageBytes)/2
+		off := pl.OwnerPages[0]*int64(l.manifest.PageBytes) + int64(l.manifest.PageBytes)/2
 		var b [1]byte
 		if _, err := fh.ReadAt(b[:], off); err != nil {
 			fh.Close()
@@ -378,7 +378,7 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	}
 	defer s.Close()
 	// A lost disk goes once the server is up: Open refuses a layout whose
-	// files are shorter than its manifest says.
+	// files are shorter than its checkpoint says.
 	if fa.lose != "" {
 		if err := os.Truncate(filepath.Join(l.dir, fa.lose), 0); err != nil {
 			return err

@@ -131,7 +131,9 @@ func (e *leWriter) i32s(vs []int32) {
 const maxReasonable = 1 << 22
 
 // Read deserializes a grid file written by WriteTo and validates its
-// invariants.
+// invariants. From a *bufio.Reader of the default size or larger it reads
+// exactly the bytes WriteTo wrote and no more, so a container can carry
+// further sections behind them (the store's checkpoint file does).
 func Read(r io.Reader) (*File, error) {
 	br := bufio.NewReader(r)
 	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }

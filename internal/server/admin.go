@@ -27,7 +27,9 @@ func (s *Server) Snapshot() Snapshot {
 	m := s.st.Manifest()
 	snap.Dims = s.st.Grid().Dims()
 	snap.Disks = m.Disks
-	snap.Domain = m.Domain
+	for _, iv := range s.dom {
+		snap.Domain = append(snap.Domain, [2]float64{iv.Lo, iv.Hi})
+	}
 	snap.Replicas = s.st.Replicas()
 	// Storage overhead as the disk files stand: every page they hold,
 	// against one copy of each bucket the last checkpoint placed.

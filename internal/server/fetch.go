@@ -107,7 +107,7 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i 
 				err = fmt.Errorf("bucket %d not in store", ids[i])
 				break
 			}
-			disk = pl.Disk
+			disk = pl.OwnerDisks[0]
 		}
 		b := &leads[disk]
 		b.ids = append(b.ids, ids[i])

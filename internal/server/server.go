@@ -187,9 +187,10 @@ type Server struct {
 }
 
 // New starts a server over an already-open page store. The store owns the
-// layout's grid file — it loaded it and checked it against the manifest when
-// it opened — so grid must be st.Grid(); the parameter stays only because the
-// frozen bench/ passes it. The caller keeps ownership of st.
+// layout's grid file — it decoded it from the layout's checkpoint file with
+// the placements when it opened — so grid must be st.Grid(); the parameter
+// stays only because the frozen bench/ passes it. The caller keeps ownership
+// of st.
 func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	if grid != st.Grid() {
 		return nil, errors.New("server: a store is served from its own grid (pass st.Grid())")

@@ -18,12 +18,16 @@ import (
 )
 
 // TestCheckpointKilledBeforeCommit is the regression test for the checkpoint
-// that had two commit points: the store is killed after the new grid state is
-// durable but before manifest.json is renamed. While the grid file was renamed
-// over grid.grd ahead of the manifest, reopening paired the new grid with the
-// old manifest and replayed the journals on top of it — 3 inserts came back as
-// 6 records, and 200 inserts (with splits) left a layout OpenWritable refused
-// with "live bucket … has no placement".
+// that had two commit points: the store is killed after the new state is
+// durable but before its one rename. While the grid file was renamed over
+// grid.grd ahead of a separate manifest, reopening paired the new grid with
+// the old placements and replayed the journals on top of it — 3 inserts came
+// back as 6 records, and 200 inserts (with splits) left a layout OpenWritable
+// refused with "live bucket … has no placement". Here the kill comes after the
+// data fsyncs, and the directory is left holding what the rename would have
+// committed, complete and synced, as the temporary: reopening must remove it
+// and replay the journals onto the last committed checkpoint, each insert
+// exactly once.
 func TestCheckpointKilledBeforeCommit(t *testing.T) {
 	for _, n := range []int{3, 200} {
 		for _, r := range []int{1, 2} {
@@ -44,11 +48,27 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 					t.Fatal("200 inserts split no bucket")
 				}
 				// The checkpoint's crash points: 1 after the data fsyncs, 2
-				// after the grid state is durable, 3 after the commit rename.
+				// after the commit rename.
 				calls := 0
-				s.w.crash = func() bool { calls++; return calls == 2 }
+				s.w.crash = func() bool { calls++; return calls == 1 }
 				if err := s.Checkpoint(); !errors.Is(err, errSimulatedCrash) {
 					t.Fatalf("checkpoint: %v, want the simulated crash", err)
+				}
+				next := s.Manifest()
+				next.Buckets, next.CheckpointLSN = nil, s.w.nextLSN-1
+				for _, v := range s.Grid().Buckets() {
+					pl, _ := s.Placement(v.ID)
+					next.Buckets = append(next.Buckets, pl)
+				}
+				tmp, err := os.Create(filepath.Join(dir, ".layout.grd.tmp"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := writeCheckpoint(tmp, s.Grid(), &next); err != nil {
+					t.Fatal(err)
+				}
+				if err := tmp.Close(); err != nil {
+					t.Fatal(err)
 				}
 				s.CloseNoCheckpoint()
 
@@ -65,6 +85,9 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 					if got := len(grid.Lookup(key)); got != 1 {
 						t.Fatalf("inserted key %v found %d times", key, got)
 					}
+				}
+				if _, err := os.Stat(filepath.Join(dir, ".layout.grd.tmp")); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("the uncommitted checkpoint survived the reopen: %v", err)
 				}
 				verifyStoreMatchesGrid(t, s2, grid)
 				if st, err := s2.Scrub(context.Background(), 0); err != nil || st.Corrupt != 0 {
@@ -215,13 +238,14 @@ func checkBucketCopies(t *testing.T, s *Store, id int32) {
 func cmpRow(a, b [2]float64) int { return slices.Compare(a[:], b[:]) }
 
 // TestOpenWritableRemovesStrays plants what a kill inside a checkpoint can
-// leave in a layout directory — atomicWriteFile temporaries and a grid file
-// the manifest does not name — beside files that are none of the store's
-// business, and checks OpenWritable removes the former and only the former.
+// leave in a layout directory — atomicWriteFile's temporary — beside files
+// that are none of the store's business, the files of older layout
+// generations among them, and checks OpenWritable removes the former and only
+// the former.
 func TestOpenWritableRemovesStrays(t *testing.T) {
 	dir, _, _ := buildReplicatedLayout(t, 4, 2)
-	bystanders := []string{"NOTES.txt", ".hidden", "grid.grd.bak"}
-	strays := []string{".manifest.json.tmp", ".grid.1024.grd.tmp", "grid.1024.grd"}
+	bystanders := []string{"NOTES.txt", ".hidden", "layout.grd.bak", "grid.grd", "grid.1024.grd"}
+	strays := []string{".layout.grd.tmp", ".manifest.json.tmp"}
 	want := map[string]bool{}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -262,13 +286,10 @@ func TestOpenWritableRemovesStrays(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint times one forced checkpoint of a writable layout the
-// size of the repo benchmark's write-mix layout — 400 000 hot.2d records, so
-// about 10 000 buckets, minimax over 8 disks at r=2: the data fsyncs, the
-// grid file and the manifest written, synced and renamed, the journals
-// truncated. It guards the checkpoint's cost below the served benchmark,
-// where it shows as store.checkpoint_s.
-func BenchmarkCheckpoint(b *testing.B) {
+// writeMixLayout writes a layout the size of the repo benchmark's write-mix
+// layout — 400 000 hot.2d records, so about 10 000 buckets, minimax over 8
+// disks at r=2.
+func writeMixLayout(b *testing.B) string {
 	f, err := synth.Hotspot2D(400_000, 1).Build()
 	if err != nil {
 		b.Fatal(err)
@@ -286,7 +307,15 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if _, err := WriteReplicated(dir, f, rm, 4096); err != nil {
 		b.Fatal(err)
 	}
-	s, err := OpenWritable(dir)
+	return dir
+}
+
+// BenchmarkCheckpoint times one forced checkpoint of a writable write-mix
+// sized layout: the data fsyncs, the checkpoint file written, synced and
+// renamed, the journals truncated. It guards the checkpoint's cost below the
+// served benchmark, where it shows as store.checkpoint_s.
+func BenchmarkCheckpoint(b *testing.B) {
+	s, err := OpenWritable(writeMixLayout(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,4 +327,19 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(s.Grid().NumBuckets()), "buckets")
+}
+
+// BenchmarkOpen times Open of a write-mix sized layout: the checkpoint file
+// decoded, the disk files opened and every placement checked against them.
+// It shows in the served benchmark as store.open_s, and inside setup_s.
+func BenchmarkOpen(b *testing.B) {
+	dir := writeMixLayout(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
 }

@@ -126,14 +126,14 @@ const crashCheckpointEvery = 5
 // matrix of allocator families and replication factors, the write path is
 // killed at EVERY crash point — before/after each per-disk journal fsync,
 // before/after each replica page write, and after every step of a checkpoint
-// (data fsyncs, grid file, manifest rename, each journal truncate) — and the
+// (data fsyncs, the checkpoint file's rename, each journal truncate) — and the
 // store reopened. The property: every acknowledged operation is durable
 // exactly once, no never-attempted operation appears, the single in-flight op
 // is either fully applied or fully absent (never half), and every bucket's
 // replica copies come back checksum-valid and byte-identical. Before the
-// recovery, the layout the last committed manifest describes must read back
+// recovery, the layout the last committed checkpoint describes must read back
 // whole as it stands — pages are reused between checkpoints (the dry run
-// checks some are), but never one that manifest still names.
+// checks some are), but never one that checkpoint still names.
 func TestCrashRecoveryAtEveryFailpoint(t *testing.T) {
 	allocs := scrubAllocators(t)
 	if testing.Short() {

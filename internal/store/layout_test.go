@@ -54,27 +54,53 @@ func abandonAfterInserts(t *testing.T, dir string, n int) {
 
 // TestFreshLayoutBytes pins what a fresh layout is, byte for byte: the uniform
 // 1 200-record file, minimax seed 1, 4 disks, 4096-byte pages, at r=1 and r=2.
-// The digests were computed at the commit before the layout writer became
-// checkpoint zero of the write path (PR 23), so they hold the rewrite to the
-// old writer's bytes, and LayoutOrder, the page format and the manifest
-// encoding to what they are from here on. A change that means to move them
-// re-records the constants and says so.
+// The disk files' digests were computed at the commit before the layout
+// writer became checkpoint zero of the write path (PR 23) and have not moved
+// since; the checkpoint file opens with the grid file those commits wrote as
+// grid.grd, and the whole-directory digests were re-recorded when layout.grd
+// replaced manifest.json and grid.grd. So they hold LayoutOrder and the page
+// format to what they were, and the checkpoint encoding to what it is from
+// here on. A change that means to move them re-records the constants and says
+// so.
 func TestFreshLayoutBytes(t *testing.T) {
 	const gridDigest = "8512d862e28865aa3b47a95eaea7e6d1d77eb8bef3921d4531999be517619f5b"
-	for r, want := range map[int]string{
-		1: "038f80d691700dbd0d00a10e96adf40842bfadea6320890ba7df1d93a5bd45b8",
-		2: "4b87ac21f8f9e35766929115532a5411d1bc2d6d60b6b894ea31eacc1955a655",
+	for _, c := range []struct {
+		r      int
+		layout string
+		disks  [4]string
+	}{
+		{1, "5195368ac1b49c6a988831b131296268411758954a5d094549ff60df2224fa60", [4]string{
+			"43ebcadf76a80174b62b65b2fb0d2e1287220983541efa2f5d73df1f5bdfd340",
+			"e38ded0603668d2c46031c49571c6c40000ad16b5296c93bfa319e04de9c7f85",
+			"9d2c5a593ee7bcf36fc7e5f6292db4f8e93e1200db69a32e2c1eb580764aa34a",
+			"7920951941713b9e298e19e713250817ecf919755272b7034873883a9760a58b",
+		}},
+		{2, "04df8fcaf071de722d70ad5fad69ae058c6235b42e261791981bd7e0a6a50be4", [4]string{
+			"a673c1c28eb0345feef735d70e7eee5de2bce3d8428bf3ba079991404344c230",
+			"ef7478c23112777d93b7cce72e7e9c7334941e200ac3f7cdfd102948b395ceab",
+			"dc761fbbd225162848d774808722cb73c0ffd92b12b35576a0da304ff6a7e91b",
+			"8aeda380bd876f5761e5fdb31aa92bb3baa1fedee5e3fd97863c4dae03eca1ff",
+		}},
 	} {
-		dir, _, _ := buildReplicatedLayout(t, 4, r)
-		if got := layoutDigest(t, dir); got != want {
-			t.Errorf("r=%d: layout digest %s, want %s", r, got, want)
+		dir, _, _ := buildReplicatedLayout(t, 4, c.r)
+		if got := layoutDigest(t, dir); got != c.layout {
+			t.Errorf("r=%d: layout digest %s, want %s", c.r, got, c.layout)
 		}
-		grid, err := os.ReadFile(filepath.Join(dir, "grid.grd"))
+		for d, want := range c.disks {
+			data, err := os.ReadFile(filepath.Join(dir, DiskFileName(d)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+				t.Errorf("r=%d: %s digest %s, want %s", c.r, DiskFileName(d), got, want)
+			}
+		}
+		ckpt, err := os.ReadFile(filepath.Join(dir, "layout.grd"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(grid)); len(grid) != 20154 || got != gridDigest {
-			t.Errorf("r=%d: grid.grd is %d bytes, digest %s; want 20154 bytes, %s", r, len(grid), got, gridDigest)
+		if got := fmt.Sprintf("%x", sha256.Sum256(ckpt[:min(len(ckpt), 20154)])); got != gridDigest {
+			t.Errorf("r=%d: layout.grd's first 20154 bytes have digest %s; want the grid file's, %s", c.r, got, gridDigest)
 		}
 	}
 }
@@ -89,7 +115,7 @@ func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
 	dir, f, rm := buildReplicatedLayout(t, 4, 2)
 	abandonAfterInserts(t, dir, 50)
 	// What a kill inside a checkpoint would have added to the leftovers.
-	for _, name := range []string{"grid.50.grd", ".manifest.json.tmp"} {
+	for _, name := range []string{".layout.grd.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("stranded"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +134,7 @@ func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if n := e.Name(); n != "grid.grd" && (strings.HasPrefix(n, "grid.") || strings.HasSuffix(n, ".tmp")) {
+		if n := e.Name(); strings.HasSuffix(n, ".tmp") {
 			t.Errorf("%s survived the re-layout", n)
 		}
 	}
@@ -133,12 +159,12 @@ func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
 // directory and over a used one: the same file with two buckets of equal size
 // on each other's disks, left with journals by a store that died without a
 // checkpoint. A directory under construction is not a layout: Open refuses it
-// for want of a manifest until the commit's rename, and from then on opens
-// the complete new layout, every copy reading, with nothing of the earlier
-// life replayed into it. The used directory is the hard case: its grid file
-// is the new one byte for byte and its disk files are as long as the new
-// ones, so were the old manifest still there once the new grid.grd is in,
-// Open would accept the old placements over the new pages.
+// for want of a checkpoint file until the commit's rename, and from then on
+// opens the complete new layout, every copy reading, with nothing of the
+// earlier life replayed into it. The used directory is the hard case: its
+// grid is the new one byte for byte and its disk files are as long as the new
+// ones, so were the old checkpoint still there while the new pages go in,
+// Open would accept the old placements over them.
 func TestBuildCrashAtEveryFailpoint(t *testing.T) {
 	for _, r := range []int{1, 2} {
 		t.Run(fmt.Sprintf("r=%d", r), func(t *testing.T) {
@@ -170,7 +196,7 @@ func TestBuildCrashAtEveryFailpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%d crash points", total)
-			if total <= 3 { // the commit's own: data fsyncs, grid file, manifest rename
+			if total <= 2 { // the commit's own: data fsyncs, the rename
 				t.Fatalf("%d crash points: the build's page writes passed none", total)
 			}
 			for _, base := range []string{"", used} {
@@ -189,8 +215,8 @@ func TestBuildCrashAtEveryFailpoint(t *testing.T) {
 						if err == nil {
 							s.Close()
 						}
-						if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "manifest.json") {
-							t.Fatalf("k=%d (used=%v): Open of a half-built directory: %v, want no manifest", k, base != "", err)
+						if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "layout.grd") {
+							t.Fatalf("k=%d (used=%v): Open of a half-built directory: %v, want no checkpoint file", k, base != "", err)
 						}
 						continue
 					}
@@ -217,7 +243,8 @@ func TestBuildCrashAtEveryFailpoint(t *testing.T) {
 // TestBuildFailsOnPageWriteError: the write path absorbs a failed page write
 // (the journal keeps the redo) and withholds checkpoints; a build has no
 // journal, so the withheld checkpoint zero is the build failing — with the
-// write's own error, and without a manifest. Disk 1's file is /dev/full.
+// write's own error, and without a checkpoint file. Disk 1's file is
+// /dev/full.
 func TestBuildFailsOnPageWriteError(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full")
@@ -232,6 +259,6 @@ func TestBuildFailsOnPageWriteError(t *testing.T) {
 		t.Fatalf("build over a full disk: %v, want ENOSPC", err)
 	}
 	if _, err := Open(dir); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Open after the failed build: %v, want no manifest", err)
+		t.Fatalf("Open after the failed build: %v, want no checkpoint file", err)
 	}
 }

@@ -1,116 +1,153 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"math"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
 )
 
-// manifestCase is one doctored manifest.json: edit rewrites a valid layout's
-// envelope and layout in place; flat, when set, drops the envelope and writes
-// the layout as the whole document (the pre-replication shape).
-type manifestCase struct {
+// doctorable is a small valid layout's checkpoint file and where its sections
+// start, for the cases to edit: r=2 over 3 disks, so bucket 0 has two owners
+// to collide, and 64-byte pages, so it spans several — but only two buckets of
+// 60 records, because the fuzzer minimises every input that finds new
+// coverage, at a cost that grows with the square of its length.
+type doctorable struct {
+	dir   string
+	valid []byte
+	slots int     // offset of the grid section's bucket slot count
+	hdr   int     // offset of the header: the grid section's length
+	pls   int     // offset of the placements
+	sizes []int64 // disk file sizes in pages
+	pages int     // pages of the first bucket placed
+}
+
+func doctorableLayout(t testing.TB) *doctorable {
+	t.Helper()
+	f, err := synth.Uniform2D(60, 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.FromGridFile(f)
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := (&replica.Placer{Replicas: 2}).Place(g, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := WriteReplicated(dir, f, rm, 64); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, "layout.grd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grid bytes.Buffer
+	if _, err := f.WriteTo(&grid); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(valid, grid.Bytes()) {
+		t.Fatal("the checkpoint file does not open with the grid file")
+	}
+	d := &doctorable{dir: dir, valid: valid, slots: 16 + 16*f.Dims(), hdr: grid.Len(), pls: grid.Len() + checkpointHeaderBytes}
+	for dim := range f.Dims() {
+		d.slots += 4 + 8*len(f.Scales(dim))
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if d.sizes, err = s.DiskSizes(); err != nil {
+		t.Fatal(err)
+	}
+	if d.pages = s.Manifest().Buckets[0].Pages; d.pages < 2 || f.NumBuckets() < 2 {
+		t.Fatalf("bucket 0 spans %d pages of %d buckets; the cases need two of each", d.pages, f.NumBuckets())
+	}
+	return d
+}
+
+// copyAt is the offset of copy c of the i-th placement (bucket order, r=2).
+func (d *doctorable) copyAt(i, c int) int { return d.pls + (2*i+c)*checkpointCopyBytes }
+
+func put32(b []byte, off int, v uint32) []byte { binary.LittleEndian.PutUint32(b[off:], v); return b }
+func put64(b []byte, off int, v uint64) []byte { binary.LittleEndian.PutUint64(b[off:], v); return b }
+
+// checkpointCase is one doctored checkpoint file: edit rewrites a copy of the
+// valid one.
+type checkpointCase struct {
 	name    string
-	vintage bool // a retired generation: the refusal must name gridtool layout
-	flat    bool
-	edit    func(env *manifestVersion, m *Manifest)
+	vintage bool // another generation: the refusal must name gridtool layout
+	edit    func(d *doctorable, b []byte) []byte
 }
 
-// manifestCases is every manifest Open must refuse: the retired on-disk
-// generations, and placements that would send the read path out of bounds.
-// The base layout (doctorableLayout) is r=2, so bucket 0 has two owners to
-// disagree.
-var manifestCases = []manifestCase{
-	{name: "no envelope", vintage: true, flat: true},
-	{name: "version 2", vintage: true, edit: func(env *manifestVersion, _ *Manifest) { env.Version = 2 }},
-	{name: "version 4", vintage: true, edit: func(env *manifestVersion, _ *Manifest) { env.Version = 4 }},
-	{name: "page_format 0", vintage: true, edit: func(_ *manifestVersion, m *Manifest) { m.PageFormat = 0 }},
-	{name: "page_format 1", vintage: true, edit: func(_ *manifestVersion, m *Manifest) { m.PageFormat = 1 }},
+// checkpointCases is every checkpoint file Open must refuse: other
+// generations, truncation at and inside each section, and headers and
+// placements that would send the read path out of bounds or size something
+// from an unchecked count.
+var checkpointCases = []checkpointCase{
+	{name: "bad magic", vintage: true, edit: func(d *doctorable, b []byte) []byte { copy(b[d.hdr:], "JSON"); return b }},
+	{name: "page format 1", vintage: true, edit: func(d *doctorable, b []byte) []byte { return put32(b, d.hdr+4, 1) }},
+	{name: "page format 3", vintage: true, edit: func(d *doctorable, b []byte) []byte { return put32(b, d.hdr+4, 3) }},
+	{name: "not a grid file", edit: func(_ *doctorable, b []byte) []byte { b[0] = '{'; return b }},
 
-	{name: "recs -1", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].Recs = -1 }},
-	{name: "recs beyond the pages", edit: func(_ *manifestVersion, m *Manifest) {
-		m.Buckets[0].Recs = m.Buckets[0].Pages*recordsPerPage(m.PageBytes, m.Dims) + 1
+	{name: "empty", edit: func(_ *doctorable, b []byte) []byte { return b[:0] }},
+	{name: "truncated inside the grid", edit: func(d *doctorable, b []byte) []byte { return b[:d.hdr/2] }},
+	{name: "truncated after the grid", edit: func(d *doctorable, b []byte) []byte { return b[:d.hdr] }},
+	{name: "truncated inside the header", edit: func(d *doctorable, b []byte) []byte { return b[:d.hdr+20] }},
+	{name: "truncated after the header", edit: func(d *doctorable, b []byte) []byte { return b[:d.pls] }},
+	{name: "truncated inside a placement", edit: func(d *doctorable, b []byte) []byte { return b[:d.pls+6] }},
+	{name: "a copy short", edit: func(_ *doctorable, b []byte) []byte { return b[:len(b)-checkpointCopyBytes] }},
+	{name: "a byte short", edit: func(_ *doctorable, b []byte) []byte { return b[:len(b)-1] }},
+	{name: "a trailing byte", edit: func(_ *doctorable, b []byte) []byte { return append(b, 0) }},
+	{name: "a trailing copy", edit: func(d *doctorable, b []byte) []byte { return append(b, b[d.pls:d.pls+checkpointCopyBytes]...) }},
+
+	{name: "owner out of range", edit: func(d *doctorable, b []byte) []byte { return put32(b, d.copyAt(0, 1), 3) }},
+	{name: "owner 2^32-1", edit: func(d *doctorable, b []byte) []byte { return put32(b, d.copyAt(0, 1), 1<<32-1) }},
+	{name: "owner twice", edit: func(d *doctorable, b []byte) []byte {
+		return put32(b, d.copyAt(0, 1), binary.LittleEndian.Uint32(b[d.copyAt(0, 0):]))
 	}},
-	{name: "pages 0", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].Pages = 0 }},
-	{name: "pages -1", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].Pages = -1 }},
-	{name: "pages huge", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].Pages = 1 << 40 }},
-	{name: "pages overflow", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].Pages = 1<<63 - 1 }},
-	{name: "primary page -1", edit: func(_ *manifestVersion, m *Manifest) {
-		m.Buckets[0].Page, m.Buckets[0].OwnerPages[0] = -1, -1
+	{name: "copy past end of file", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.copyAt(0, 1)+4, 1<<30) }},
+	{name: "copy at end of file", edit: func(d *doctorable, b []byte) []byte {
+		return put64(b, d.copyAt(0, 0)+4, uint64(d.sizes[binary.LittleEndian.Uint32(b[d.copyAt(0, 0):])]))
 	}},
-	{name: "copy past end of file", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].OwnerPages[1] = 1 << 30 }},
-	{name: "copy straddles end of file", edit: func(_ *manifestVersion, m *Manifest) {
-		m.Buckets[0].Pages, m.Buckets[0].Recs = 1<<20, 0
+	{name: "copy straddles end of file", edit: func(d *doctorable, b []byte) []byte {
+		size := d.sizes[binary.LittleEndian.Uint32(b[d.copyAt(0, 0):])]
+		return put64(b, d.copyAt(0, 0)+4, uint64(size-int64(d.pages)+1))
 	}},
-	{name: "duplicate id", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[1].ID = m.Buckets[0].ID }},
-	{name: "id 2^31-1", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].ID = math.MaxInt32 }},
-	{name: "id -1", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].ID = -1 }},
-	{name: "no owner lists", edit: func(_ *manifestVersion, m *Manifest) {
-		m.Buckets[0].OwnerDisks, m.Buckets[0].OwnerPages = nil, nil
-	}},
-	{name: "primary disagrees with owner 0", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].Page++ }},
-	{name: "owner disk out of range", edit: func(_ *manifestVersion, m *Manifest) { m.Buckets[0].OwnerDisks[1] = m.Disks }},
-	{name: "owner disk twice", edit: func(_ *manifestVersion, m *Manifest) {
-		m.Buckets[0].OwnerDisks[1] = m.Buckets[0].OwnerDisks[0]
-	}},
-	{name: "more disks than files", edit: func(_ *manifestVersion, m *Manifest) { m.Disks = 1 << 40 }},
-	{name: "dims disagree with domain", edit: func(_ *manifestVersion, m *Manifest) { m.Dims = 1 << 61 }},
-	{name: "page smaller than a record", edit: func(_ *manifestVersion, m *Manifest) { m.PageBytes = pageHeaderBytes + 8 }},
-	{name: "more replicas than disks", edit: func(_ *manifestVersion, m *Manifest) { m.Replicas = m.Disks + 1 }},
+	{name: "first page 2^63", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.copyAt(1, 0)+4, 1<<63) }},
+	{name: "first page 2^64-1", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.copyAt(1, 1)+4, 1<<64-1) }},
+
+	{name: "more replicas than disks", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+24, 4) }},
+	{name: "replicas 0", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+24, 0) }},
+	{name: "replicas 1 on an r=2 file", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+24, 1) }},
+	{name: "disks 0", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+8, 0) }},
+	{name: "more disks than files", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+8, 4) }},
+	{name: "disks 2^40", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+8, 1<<40) }},
+	{name: "page smaller than a record", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+16, pageHeaderBytes+8) }},
+	{name: "page 2^40 bytes", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+16, 1<<40) }},
+	{name: "grid of 2^31 buckets", edit: func(d *doctorable, b []byte) []byte { return put32(b, d.slots, 1<<31) }},
 }
 
-// doctorableLayout writes the small r=2 layout the cases edit: a handful of
-// buckets, so its manifest is a seed the fuzzer can minimise quickly.
-func doctorableLayout(t testing.TB) (dir string, manifest []byte) {
-	t.Helper()
-	dir, f, _ := buildReplicatedLayoutOf(t, 150, 3, 2)
-	if f.NumBuckets() < 2 {
-		t.Fatalf("layout has %d buckets, the cases need two", f.NumBuckets())
+func (c checkpointCase) render(d *doctorable) []byte {
+	if c.edit == nil {
+		return bytes.Clone(d.valid)
 	}
-	manifest, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, manifest
-}
-
-// render applies the case to a valid manifest.json and returns the doctored
-// document.
-func (c manifestCase) render(t testing.TB, valid []byte) []byte {
-	t.Helper()
-	var env manifestVersion
-	var m Manifest
-	if err := json.Unmarshal(valid, &env); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(env.Layout, &m); err != nil {
-		t.Fatal(err)
-	}
-	if c.edit != nil {
-		c.edit(&env, &m)
-	}
-	layout, err := json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.flat {
-		return layout
-	}
-	env.Layout = layout
-	out, err := json.Marshal(&env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return c.edit(d, bytes.Clone(d.valid))
 }
 
 // readEverything reads every copy of every bucket, singly and as one batch
@@ -137,24 +174,24 @@ func readEverything(s *Store) (failed int) {
 	return failed
 }
 
-// TestOpenRefusals walks the table: Open returns an error on every retired
-// vintage (naming the way to regenerate) and every malformed placement, and
-// never panics. The untouched manifest, re-encoded the same way, still opens
-// and reads clean, so a refusal is the edit's doing. Last, under that valid
-// manifest, the grid file is swapped for another dataset's: Open loads and
-// checks the grid itself, so it refuses that too, whoever the caller is.
+// TestOpenRefusals walks the table: Open returns an error on every doctored
+// checkpoint file — naming the way to regenerate where the file is of another
+// generation — and never panics. The untouched file, written back, still
+// opens and reads clean, so a refusal is the edit's doing. Last, a directory
+// of the generation before the checkpoint file — manifest.json beside
+// grid.grd — is refused with the same advice.
 func TestOpenRefusals(t *testing.T) {
-	dir, valid := doctorableLayout(t)
-	path := filepath.Join(dir, "manifest.json")
-	for _, c := range append([]manifestCase{{name: "untouched"}}, manifestCases...) {
-		if err := os.WriteFile(path, c.render(t, valid), 0o644); err != nil {
+	d := doctorableLayout(t)
+	path := filepath.Join(d.dir, "layout.grd")
+	for _, c := range append([]checkpointCase{{name: "untouched"}}, checkpointCases...) {
+		if err := os.WriteFile(path, c.render(d), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir)
+		s, err := Open(d.dir)
 		switch {
 		case c.name == "untouched":
 			if err != nil {
-				t.Fatalf("re-encoded valid manifest refused: %v", err)
+				t.Fatalf("valid checkpoint refused: %v", err)
 			}
 			if n := readEverything(s); n != 0 {
 				t.Errorf("valid layout: %d reads failed", n)
@@ -168,143 +205,87 @@ func TestOpenRefusals(t *testing.T) {
 		}
 	}
 
-	if err := os.WriteFile(path, valid, 0o644); err != nil {
+	if err := os.Rename(path, filepath.Join(d.dir, "grid.grd")); err != nil {
 		t.Fatal(err)
 	}
-	other, err := synth.Uniform2D(500, 99).Build()
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(d.dir, "manifest.json"), []byte(`{"version": 3, "layout": {}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var grid bytes.Buffer
-	if _, err := other.WriteTo(&grid); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, gridFileName(0)), grid.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := Open(dir); err == nil {
+	if s, err := Open(d.dir); err == nil {
 		s.Close()
-		t.Error("another dataset's grid.grd: Open accepted it")
-	} else if !strings.Contains(err.Error(), "grid file") {
-		t.Errorf("another dataset's grid.grd: refusal does not name the grid file: %v", err)
+		t.Error("a manifest.json layout: Open accepted it")
+	} else if !strings.Contains(err.Error(), "manifest.json") || !strings.Contains(err.Error(), "gridtool layout") {
+		t.Errorf("a manifest.json layout: refusal names neither the file nor gridtool layout: %v", err)
 	}
 }
 
-// TestHostileIDSizesNothing: the placement table is indexed by bucket id, so
-// a manifest that claims bucket 2³¹−1 must be refused before that id can
-// size it — a 16 GiB table of pointers otherwise. Open checks every claimed
-// id against the grid file's buckets first; what it allocates on the way to
-// the refusal stays far below one such table.
+// TestHostileIDSizesNothing: a checkpoint file's counts size the grid's
+// bucket table, the disk handles and the placements, so a grid claiming 2³¹
+// bucket slots (a 16 GiB table of pointers) or a header claiming 2⁴⁰ disks
+// must be refused before either can size anything. What Open allocates on the
+// way to each refusal stays far below one such table.
 func TestHostileIDSizesNothing(t *testing.T) {
-	dir, valid := doctorableLayout(t)
-	for _, c := range manifestCases {
-		if c.name != "id 2^31-1" {
+	d := doctorableLayout(t)
+	want := map[string]string{"grid of 2^31 buckets": "2147483648", "disks 2^40": "1099511627776"}
+	for _, c := range checkpointCases {
+		count, ok := want[c.name]
+		if !ok {
 			continue
 		}
-		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), c.render(t, valid), 0o644); err != nil {
+		delete(want, c.name)
+		if err := os.WriteFile(filepath.Join(d.dir, "layout.grd"), c.render(d), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, err := Open(dir)
+		s, err := Open(d.dir)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			s.Close()
-			t.Fatal("a manifest placing bucket 2147483647 was accepted")
+			t.Fatalf("%s: accepted", c.name)
 		}
-		if !strings.Contains(err.Error(), "2147483647") {
-			t.Errorf("refusal does not name the id: %v", err)
+		if !strings.Contains(err.Error(), count) {
+			t.Errorf("%s: refusal does not name the count: %v", c.name, err)
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
-			t.Errorf("refusing the manifest allocated %d bytes", alloc)
+			t.Errorf("%s: refusing it allocated %d bytes", c.name, alloc)
 		}
-		return
 	}
-	t.Fatal("no manifest case places bucket 2147483647")
+	for name := range want {
+		t.Errorf("no checkpoint case %q", name)
+	}
 }
 
-// FuzzManifest opens arbitrary bytes as the manifest.json beside a valid
-// layout's disk files: the result must be an error or a store whose every
+// FuzzManifest decodes arbitrary bytes as the checkpoint file beside a valid
+// layout's disk files, seeded with the real encoder's file and every row of
+// the refusal table: the result must be an error or a store whose every
 // bucket copy can be read — successfully or not — without a panic, and whose
-// manifest marshalManifest encodes to the bytes referenceMarshalManifest does.
+// layout, encoded again by the writer, decodes to the same Manifest.
 func FuzzManifest(f *testing.F) {
-	dir, valid := doctorableLayout(f)
-	f.Add(valid)
-	for _, c := range manifestCases {
-		f.Add(c.render(f, valid))
+	d := doctorableLayout(f)
+	f.Add(d.valid)
+	for _, c := range checkpointCases {
+		f.Add(c.render(d))
 	}
-	f.Fuzz(func(t *testing.T, manifest []byte) {
-		s, err := openManifest(dir, manifest, false)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := openCheckpoint(d.dir, bufio.NewReader(bytes.NewReader(data)), false)
 		if err != nil {
 			return
 		}
 		defer s.Close()
 		readEverything(s)
 		m := s.Manifest()
-		got, err := marshalManifest(&m)
-		if err != nil {
+		var again bytes.Buffer
+		if err := writeCheckpoint(&again, s.Grid(), &m); err != nil {
 			t.Fatal(err)
 		}
-		want, err := referenceMarshalManifest(&m)
+		s2, err := openCheckpoint(d.dir, bufio.NewReader(&again), false)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("the writer's encoding of an accepted checkpoint is refused: %v", err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("marshalManifest gave %d bytes, the reference encoder %d (or they differ)", len(got), len(want))
+		defer s2.Close()
+		if m2 := s2.Manifest(); !reflect.DeepEqual(m, m2) {
+			t.Fatalf("re-encoded checkpoint decodes to another layout:\n%+v\n%+v", m, m2)
 		}
 	})
-}
-
-// TestMarshalManifestMatchesReference holds marshalManifest to the reference
-// encoder where FuzzManifest cannot take it, since Open refuses such layouts:
-// nil and empty lists, zero omitted fields, extreme ids and pages, floats that
-// encoding/json writes in exponent form — and both refuse a bound that is not
-// a JSON number.
-func TestMarshalManifestMatchesReference(t *testing.T) {
-	cases := []Manifest{
-		{},
-		{Disks: 2, Dims: 1, PageBytes: 4096, Replicas: 2, PageFormat: 2, CheckpointLSN: 1<<64 - 1,
-			Domain: [][2]float64{}, Buckets: []Placement{}},
-		{Domain: [][2]float64{{math.Copysign(0, -1), 1e-7}, {1e21, -123.456}, {5e-324, math.MaxFloat64}, {-1e-6, 999999999999999999999}},
-			Buckets: []Placement{
-				{ID: math.MinInt32, OwnerDisks: []int{}},
-				{ID: 3, Disk: 1, Page: 1 << 62, Pages: 2, Recs: -9, OwnerDisks: []int{1, 0}, OwnerPages: []int64{1 << 62, -5}},
-			}},
-	}
-	for i, m := range cases {
-		got, err := marshalManifest(&m)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		want, err := referenceMarshalManifest(&m)
-		if err != nil {
-			t.Fatalf("case %d: reference: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: got\n%s\nwant\n%s", i, got, want)
-		}
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
-		m := Manifest{Domain: [][2]float64{{0, bad}}}
-		if _, err := marshalManifest(&m); err == nil {
-			t.Errorf("domain bound %v encoded", bad)
-		}
-		if _, err := referenceMarshalManifest(&m); err == nil {
-			t.Errorf("the reference encoded domain bound %v", bad)
-		}
-	}
-}
-
-// referenceMarshalManifest is the encoder marshalManifest replaced — the
-// layout indented on its own, then indented again inside the envelope — kept
-// as the byte-for-byte reference the fuzzer holds marshalManifest to.
-func referenceMarshalManifest(m *Manifest) ([]byte, error) {
-	layout, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(manifestVersion{
-		Version: manifestVersionCurrent,
-		Layout:  layout,
-	}, "", "  ")
 }

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -94,7 +96,7 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 
 	// r=1: every tool lays out through Placer.Place and WriteReplicated, and
 	// Write stays for callers holding a bare allocation. The two routes must
-	// leave the same directory, byte for byte: manifest, grid file and every
+	// leave the same directory, byte for byte: the checkpoint file and every
 	// disk file.
 	viaPlacer, f, rm := buildReplicatedLayout(t, disks, 1)
 	alloc := core.Allocation{Disks: disks, Assign: make([]int, len(rm.Owners))}
@@ -109,8 +111,8 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if others, err := os.ReadDir(viaPlacer); err != nil || len(others) != len(names) || len(names) != disks+2 {
-		t.Fatalf("Write left %d files, Place+WriteReplicated %d (%v), want manifest, grid file and %d disk files",
+	if others, err := os.ReadDir(viaPlacer); err != nil || len(others) != len(names) || len(names) != disks+1 {
+		t.Fatalf("Write left %d files, Place+WriteReplicated %d (%v), want the checkpoint file and %d disk files",
 			len(names), len(others), err, disks)
 	}
 	for _, e := range names {
@@ -183,19 +185,40 @@ func TestOwnerDirectedBatch(t *testing.T) {
 }
 
 // TestManifestVersioning pins what the writer emits: every new layout,
-// replicated or not, carries the version-3 envelope, page format 2 and
-// explicit owner lists. (What Open refuses is TestOpenRefusals' table.)
+// replicated or not, is one checkpoint file — the grid file, which any grid
+// file reader reads, then the header with page format 2, the disk and replica
+// counts, and an owner disk and first page per copy — beside its disk files,
+// with no manifest.json or grid.grd. (What Open refuses is TestOpenRefusals'
+// table.)
 func TestManifestVersioning(t *testing.T) {
 	r2, _, _ := buildReplicatedLayout(t, 4, 2)
 	r1, _, _ := buildLayout(t, 2, 4096)
-	for _, dir := range []string{r1, r2} {
-		raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	for _, c := range []struct {
+		dir             string
+		disks, replicas uint64
+	}{{r1, 2, 1}, {r2, 4, 2}} {
+		raw, err := os.ReadFile(filepath.Join(c.dir, "layout.grd"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []string{`"version": 3`, `"page_format": 2`, `"owner_disks": [`, `"owner_pages": [`} {
-			if !strings.Contains(string(raw), want) {
-				t.Errorf("%s: manifest lacks %s", dir, want)
+		g, err := gridfile.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: the checkpoint file does not read as a grid file: %v", c.dir, err)
+		}
+		var grid bytes.Buffer
+		if _, err := g.WriteTo(&grid); err != nil {
+			t.Fatal(err)
+		}
+		h := raw[grid.Len():]
+		le := binary.LittleEndian
+		if len(h) != checkpointHeaderBytes+g.NumBuckets()*int(c.replicas)*checkpointCopyBytes ||
+			string(h[:4]) != "PGLY" || le.Uint32(h[4:]) != 2 || le.Uint64(h[8:]) != c.disks || le.Uint64(h[24:]) != c.replicas {
+			t.Errorf("%s: header % x and %d bytes behind the grid; want PGLY, format 2, %d disks, %d replicas and a copy per replica per bucket",
+				c.dir, h[:min(len(h), checkpointHeaderBytes)], len(h), c.disks, c.replicas)
+		}
+		for _, old := range []string{"manifest.json", "grid.grd"} {
+			if _, err := os.Stat(filepath.Join(c.dir, old)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: %s: %v, want none", c.dir, old, err)
 			}
 		}
 	}

@@ -2,20 +2,20 @@
 // simulator does: "reads in the dataset and declusters it to separate files
 // corresponding to every disk being simulated". A layout directory holds
 //
-//	manifest.json   grid metadata, page size and the bucket placement map;
-//	                it appears by rename once all it names is durable, and a
-//	                directory without one is not a layout
-//	grid.grd        the grid file's scales and directory (coordinator state);
-//	                grid.<lsn>.grd once a checkpoint has moved the layout on
+//	layout.grd      the checkpoint (checkpoint.go): the grid file's scales,
+//	                directory and records — the coordinator state — then the
+//	                page size, the replica count, the checkpoint LSN and where
+//	                each bucket's copies start; it appears by rename once all
+//	                it names is durable, and a directory without one is not a
+//	                layout
 //	disk000.dat …   one page file per disk; each bucket occupies one or
 //	                more consecutive pages on its assigned disk
 //	journal000.wal … one write-ahead journal per disk, from the first
 //	                OpenWritable on (write.go); a fresh layout has none
 //
 // There is one way onto disk: a fresh layout (writeLayout) is checkpoint zero
-// of the write path, and one owner of the grid file: the Store loads it and
-// checks it against the manifest (loadGrid), and callers translate queries
-// against Store.Grid().
+// of the write path, and one owner of the grid file: the Store decodes it
+// with the placements, and callers translate queries against Store.Grid().
 //
 // Pages are fixed-size; a bucket larger than one page (possible only for
 // the overfull duplicate-key case) spans consecutive pages. The reader
@@ -37,10 +37,10 @@
 package store
 
 import (
+	"bufio"
 	"cmp"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -48,7 +48,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,7 +65,7 @@ import (
 // that keeps the record array 8-byte aligned. The checksum covers the whole
 // page — header, records and padding — so torn writes and bit rot anywhere in
 // the page are detectable, not just in the fields decode happens to validate.
-// pageFormat is the number the manifest records for this layout.
+// pageFormat is the number the checkpoint file records for this layout.
 const (
 	pageHeaderBytes = 16
 	pageFormat      = 2
@@ -95,171 +94,39 @@ var errStaleCopy = errors.New("copy missed its last write")
 
 // Placement locates one bucket in the layout. Every owner disk stores a copy
 // of the bucket: OwnerDisks[i] holds a copy whose pages start at
-// OwnerPages[i]. Disk and Page always mirror owner 0 (the primary copy).
+// OwnerPages[i]. A checkpoint stores only those two lists; ID, Recs and Pages
+// follow from the grid file, and Disk and Page mirror owner 0 (the primary
+// copy) for callers outside this module — code in it reads OwnerDisks[0] and
+// OwnerPages[0].
 type Placement struct {
-	ID         int32   `json:"id"`
-	Disk       int     `json:"disk"`
-	Page       int64   `json:"page"`  // first page index within the disk file
-	Pages      int     `json:"pages"` // consecutive pages occupied
-	Recs       int     `json:"recs"`
-	OwnerDisks []int   `json:"owner_disks"`
-	OwnerPages []int64 `json:"owner_pages"`
+	ID         int32
+	Disk       int
+	Page       int64 // first page index within the disk file
+	Pages      int   // consecutive pages occupied
+	Recs       int
+	OwnerDisks []int
+	OwnerPages []int64
 
 	// missed lists the owner disks whose copy a page-write failure kept from
-	// the bucket's last rewrite (write.go); never part of a manifest, because
-	// checkpoints are withheld while any copy has missed a write.
+	// the bucket's last rewrite (write.go); never part of a checkpoint,
+	// because checkpoints are withheld while any copy has missed a write.
 	missed []int
 }
 
-// Manifest describes a layout directory.
+// Manifest describes a layout directory: the geometry its checkpoint file
+// records, and a placement per live bucket in the grid's Buckets() order.
 type Manifest struct {
-	Disks      int `json:"disks"`
-	Dims       int `json:"dims"`
-	PageBytes  int `json:"page_bytes"`
-	Replicas   int `json:"replicas,omitempty"` // copies per bucket; 0/absent means 1
-	PageFormat int `json:"page_format"`        // always pageFormat
-	// CheckpointLSN is the last journaled operation whose effects are
-	// captured by this manifest and its grid/page files. Replay skips
-	// journal records at or below it, which makes a crash between the
-	// checkpoint's manifest rename and its journal truncation harmless
-	// (the stale journal records are simply ignored). Zero on read-only
-	// layouts that never saw a write.
-	CheckpointLSN uint64       `json:"checkpoint_lsn,omitempty"`
-	Domain        [][2]float64 `json:"domain"`
-	Buckets       []Placement  `json:"buckets"`
-}
-
-// manifestVersion is the envelope a layout's manifest.json is wrapped in:
-// {"version": N, "layout": {…}}. Version 3 with page format 2 is the only
-// layout this package writes or reads; Open refuses anything else. The layout
-// stays raw when read, so the version is checked before it is parsed.
-type manifestVersion struct {
-	Version int             `json:"version"`
-	Layout  json.RawMessage `json:"layout"`
-}
-
-const manifestVersionCurrent = 3
-
-// marshalManifest encodes m in its version envelope, as manifest.json holds
-// it: byte for byte what encoding/json's MarshalIndent with a two-space
-// indent gives (FuzzManifest holds it to that reference), but appended by
-// hand, because a checkpoint encodes one placement per bucket and reflection
-// and indenting were most of its cost.
-func marshalManifest(m *Manifest) ([]byte, error) {
-	b := make([]byte, 0, 512+220*len(m.Buckets))
-	b = append(b, "{\n  \"version\": "...)
-	b = strconv.AppendInt(b, manifestVersionCurrent, 10)
-	b = append(b, ",\n  \"layout\": {\n    \"disks\": "...)
-	b = strconv.AppendInt(b, int64(m.Disks), 10)
-	b = append(b, ",\n    \"dims\": "...)
-	b = strconv.AppendInt(b, int64(m.Dims), 10)
-	b = append(b, ",\n    \"page_bytes\": "...)
-	b = strconv.AppendInt(b, int64(m.PageBytes), 10)
-	if m.Replicas != 0 {
-		b = append(b, ",\n    \"replicas\": "...)
-		b = strconv.AppendInt(b, int64(m.Replicas), 10)
-	}
-	b = append(b, ",\n    \"page_format\": "...)
-	b = strconv.AppendInt(b, int64(m.PageFormat), 10)
-	if m.CheckpointLSN != 0 {
-		b = append(b, ",\n    \"checkpoint_lsn\": "...)
-		b = strconv.AppendUint(b, m.CheckpointLSN, 10)
-	}
-	b = append(b, ",\n    \"domain\": "...)
-	switch {
-	case m.Domain == nil:
-		b = append(b, "null"...)
-	case len(m.Domain) == 0:
-		b = append(b, "[]"...)
-	default:
-		b = append(b, '[')
-		for i, iv := range m.Domain {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, "\n      [\n        "...)
-			var err error
-			if b, err = appendJSONFloat(b, iv[0]); err != nil {
-				return nil, err
-			}
-			b = append(b, ",\n        "...)
-			if b, err = appendJSONFloat(b, iv[1]); err != nil {
-				return nil, err
-			}
-			b = append(b, "\n      ]"...)
-		}
-		b = append(b, "\n    ]"...)
-	}
-	b = append(b, ",\n    \"buckets\": "...)
-	switch {
-	case m.Buckets == nil:
-		b = append(b, "null"...)
-	case len(m.Buckets) == 0:
-		b = append(b, "[]"...)
-	default:
-		b = append(b, '[')
-		for i, pl := range m.Buckets {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, "\n      {\n        \"id\": "...)
-			b = strconv.AppendInt(b, int64(pl.ID), 10)
-			b = append(b, ",\n        \"disk\": "...)
-			b = strconv.AppendInt(b, int64(pl.Disk), 10)
-			b = append(b, ",\n        \"page\": "...)
-			b = strconv.AppendInt(b, pl.Page, 10)
-			b = append(b, ",\n        \"pages\": "...)
-			b = strconv.AppendInt(b, int64(pl.Pages), 10)
-			b = append(b, ",\n        \"recs\": "...)
-			b = strconv.AppendInt(b, int64(pl.Recs), 10)
-			b = append(b, ",\n        \"owner_disks\": "...)
-			b = appendJSONInts(b, pl.OwnerDisks)
-			b = append(b, ",\n        \"owner_pages\": "...)
-			b = appendJSONInts(b, pl.OwnerPages)
-			b = append(b, "\n      }"...)
-		}
-		b = append(b, "\n    ]"...)
-	}
-	return append(b, "\n  }\n}"...), nil
-}
-
-// appendJSONInts appends a placement's owner list as marshalManifest lays it
-// out: one number per line, the brackets at the placement's field indent.
-func appendJSONInts[T int | int64](b []byte, xs []T) []byte {
-	switch {
-	case xs == nil:
-		return append(b, "null"...)
-	case len(xs) == 0:
-		return append(b, "[]"...)
-	}
-	b = append(b, '[')
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n          "...)
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
-	return append(b, "\n        ]"...)
-}
-
-// appendJSONFloat appends f as encoding/json writes a float64: the shortest
-// decimal that reads back as f, in exponent form (e-7, not e-07) below 1e-6
-// and from 1e21 up. NaN and the infinities are not JSON numbers.
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("store: manifest: domain bound %v is not a JSON number", f)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b, nil
+	Disks     int
+	Dims      int
+	PageBytes int
+	Replicas  int // copies per bucket
+	// CheckpointLSN is the last journaled operation whose effects the
+	// checkpoint file and the page files capture. Replay skips journal
+	// records at or below it, which makes a crash between the checkpoint's
+	// rename and its journal truncation harmless (the stale journal records
+	// are simply ignored). Zero on layouts that never saw a write.
+	CheckpointLSN uint64
+	Buckets       []Placement
 }
 
 // recordsPerPage returns how many dims-dimensional keys fit in a page.
@@ -316,7 +183,7 @@ const layoutCurveBits = 16
 // its buckets — primary and replica copies alike — in this one order, so
 // each disk file is a single Hilbert-ordered run and the buckets a range
 // query needs from a disk are near neighbours in it, whatever scheme dealt
-// them out. Placements are explicit in the manifest, so the order is a
+// them out. Placements are explicit in the checkpoint, so the order is a
 // property of freshly written layouts only: readers never assume it, and
 // buckets the write path rewrites or splits off land in a reused extent or
 // at the end of their files, outside the order.
@@ -345,12 +212,12 @@ func encodePage(page []byte, id int32, keys []float64, dims int) {
 // checkpoint zero of an empty one, put on disk by the write path itself: empty
 // disk files, a placement stub per bucket, each bucket's pages appended by
 // rewriteBucket in LayoutOrder, and the whole committed by checkpointLocked —
-// data fsynced, then grid.grd, then manifest.json by rename. Until that rename
-// the directory is not a layout: whatever an earlier life left in it goes
-// first, the manifest before anything else and the journals with it, so that
-// neither a kill part-way nor the next OpenWritable pairs the new pages with
-// the old life's placements or operations. crash is the write path's kill
-// hook, for the tests.
+// data fsynced, then layout.grd by rename. Until that rename the directory is
+// not a layout: whatever an earlier life left in it goes first, its checkpoint
+// before anything else and the journals with it, so that neither a kill
+// part-way nor the next OpenWritable pairs the new pages with the old life's
+// placements or operations. crash is the write path's kill hook, for the
+// tests.
 func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) (*Manifest, error) {
 	if pageBytes <= pageHeaderBytes+8*f.Dims() {
 		return nil, fmt.Errorf("store: page size %d too small for %d-D records", pageBytes, f.Dims())
@@ -358,10 +225,10 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := os.Remove(filepath.Join(dir, "manifest.json")); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(filepath.Join(dir, "layout.grd")); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	if err := removeStrays(dir, "", true); err != nil {
+	if err := removeStrays(dir, true); err != nil {
 		return nil, err
 	}
 	if err := syncDir(dir); err != nil {
@@ -369,16 +236,10 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	}
 
 	s := &Store{
-		manifest: Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, PageFormat: pageFormat},
+		manifest: Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, Replicas: replicas},
 		dir:      dir,
 		grid:     f,
 		w:        &writer{nextPage: make([]int64, disks), nextLSN: 1, crash: crash},
-	}
-	if replicas > 1 {
-		s.manifest.Replicas = replicas
-	}
-	for _, iv := range f.Domain() {
-		s.manifest.Domain = append(s.manifest.Domain, [2]float64{iv.Lo, iv.Hi})
 	}
 	defer func() { closeAll(s.files) }()
 	for d := 0; d < disks; d++ {
@@ -416,9 +277,8 @@ type Store struct {
 	files    []*os.File
 
 	// grid is the layout's grid file — the coordinator's scales, directory
-	// and records — loaded from the file the manifest's checkpoint LSN names
-	// and checked against the manifest by open. A read-only store never
-	// changes it; a writable one mutates it under w.gridMu.
+	// and records — decoded from the checkpoint file by open. A read-only
+	// store never changes it; a writable one mutates it under w.gridMu.
 	grid *gridfile.File
 
 	// pmu is the writers' lock: a placement store (setPlacement) holds it, and
@@ -460,145 +320,35 @@ type Store struct {
 	diskSites []string
 }
 
-// Open loads a layout directory written by Write or WriteReplicated. It
-// reads one layout generation — the version-3 envelope with page format 2 —
-// and refuses every other; it also refuses a manifest whose placements could
-// not all be read from the disk files as they stand, and one whose grid file
-// is missing or is not the grid the placements describe.
+// Open loads a layout directory written by Write or WriteReplicated: its
+// checkpoint file, layout.grd, and the disk files that file places buckets
+// in. It refuses a directory that holds a manifest.json instead (the layout
+// generation before the checkpoint file), a checkpoint of another page format,
+// and one whose placements could not all be read from the disk files as they
+// stand.
 func Open(dir string) (*Store, error) { return open(dir, false) }
 
 // errVintage builds the refusal for a layout generation this reader does not
-// serve: what names the field that gave it away, got its value.
-func errVintage(what string, got int) error {
-	return fmt.Errorf("store: %s %d: only version-%d manifests with page format %d are readable; regenerate the layout with `gridtool layout`",
-		what, got, manifestVersionCurrent, pageFormat)
+// serve; what names what gave it away.
+func errVintage(what string) error {
+	return fmt.Errorf("store: %s: only checkpoints of page format %d are readable; regenerate the layout with `gridtool layout`",
+		what, pageFormat)
 }
 
 // open is the shared Open/OpenWritable core; writable selects read-write
 // disk file handles.
 func open(dir string, writable bool) (*Store, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	return openManifest(dir, raw, writable)
-}
-
-// openManifest opens dir's disk files and grid file under the given
-// manifest.json contents (split from open so FuzzManifest can skip the file
-// write).
-func openManifest(dir string, raw []byte, writable bool) (*Store, error) {
-	var env manifestVersion
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("store: parsing manifest: %w", err)
-	}
-	if env.Version != manifestVersionCurrent || env.Layout == nil {
-		return nil, errVintage("manifest version", env.Version)
-	}
-	var m Manifest
-	if err := json.Unmarshal(env.Layout, &m); err != nil {
-		return nil, fmt.Errorf("store: parsing manifest: %w", err)
-	}
-	if m.PageFormat != pageFormat {
-		return nil, errVintage("page format", m.PageFormat)
-	}
-	if m.Disks < 1 || m.Dims < 1 || len(m.Domain) != m.Dims ||
-		m.PageBytes <= pageHeaderBytes || recordsPerPage(m.PageBytes, m.Dims) < 1 {
-		return nil, fmt.Errorf("store: implausible manifest (disks=%d dims=%d page=%d domain=%d)",
-			m.Disks, m.Dims, m.PageBytes, len(m.Domain))
-	}
-	if m.Replicas == 0 {
-		m.Replicas = 1
-	}
-	if m.Replicas < 1 || m.Replicas > m.Disks {
-		return nil, fmt.Errorf("store: manifest has %d replicas on %d disks", m.Replicas, m.Disks)
-	}
-	s := &Store{
-		manifest: m,
-		dir:      dir,
-		now:      time.Now,
-	}
-	flags := os.O_RDONLY
-	if writable {
-		flags = os.O_RDWR
-	}
-	// The handles are opened one by one rather than into a slice sized from
-	// the manifest, so a hostile disk count fails on its first missing file
-	// instead of allocating.
-	for d := 0; d < m.Disks; d++ {
-		fh, err := os.OpenFile(filepath.Join(dir, DiskFileName(d)), flags, 0)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.files = append(s.files, fh)
-	}
-	sizes, err := s.DiskSizes()
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	for _, pl := range m.Buckets {
-		if err := validatePlacement(pl, &m, sizes); err != nil {
-			s.Close()
-			return nil, err
+	fh, err := os.Open(filepath.Join(dir, "layout.grd"))
+	if errors.Is(err, os.ErrNotExist) {
+		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
+			return nil, errVintage(dir + " holds a manifest.json layout")
 		}
 	}
-	if err := s.loadGrid(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// loadGrid reads the grid file the manifest's checkpoint LSN names
-// (gridFileName) and requires it to be the grid the manifest places: the same
-// dimensionality and buckets, holding the same number of records each. The
-// store is the one owner of a layout's grid; whoever translates queries
-// translates against this one. The placement table is built here, sized by
-// the grid file's bucket ids: an id the manifest claims is checked against
-// them before it can size anything.
-func (s *Store) loadGrid() error {
-	m := &s.manifest
-	fh, err := os.Open(filepath.Join(s.dir, gridFileName(m.CheckpointLSN)))
 	if err != nil {
-		return fmt.Errorf("store: layout has no grid file: %w", err)
+		return nil, err
 	}
 	defer fh.Close()
-	g, err := gridfile.Read(fh)
-	if err != nil {
-		return fmt.Errorf("store: %s: %w", gridFileName(m.CheckpointLSN), err)
-	}
-	views := g.Buckets()
-	if g.Dims() != m.Dims || len(views) != len(m.Buckets) {
-		return fmt.Errorf("store: grid file is %d-D with %d buckets, manifest %d-D with %d (layout from a different grid file?)",
-			g.Dims(), len(views), m.Dims, len(m.Buckets))
-	}
-	t := newPlaceTable(views)
-	pls := slices.Clone(m.Buckets) // one allocation backs every placement
-	for i := range pls {
-		pl := &pls[i]
-		if uint32(pl.ID) >= uint32(len(*t)) { // a negative id too
-			return fmt.Errorf("store: manifest places bucket %d, which the grid file does not hold", pl.ID)
-		}
-		if (*t)[pl.ID].Load() != nil {
-			return fmt.Errorf("store: bucket %d listed twice", pl.ID)
-		}
-		(*t)[pl.ID].Store(pl)
-	}
-	for _, v := range views {
-		pl := (*t)[v.ID].Load()
-		if pl == nil {
-			return fmt.Errorf("store: the grid file's bucket %d is missing from the manifest", v.ID)
-		}
-		if pl.Recs != v.Records {
-			return fmt.Errorf("store: bucket %d holds %d records in the manifest, %d in the grid file",
-				v.ID, pl.Recs, v.Records)
-		}
-	}
-	s.places.Store(t)
-	s.grid = g
-	return nil
+	return openCheckpoint(dir, bufio.NewReader(fh), writable)
 }
 
 // newPlaceTable makes an empty placement table with a slot for every bucket
@@ -612,47 +362,13 @@ func newPlaceTable(views []gridfile.BucketView) *[]atomic.Pointer[Placement] {
 	return &t
 }
 
-// validatePlacement checks one placement against the manifest and the disk
-// files (sizes in pages): exactly Replicas distinct in-range owner disks, one
-// copy of at least one page on each lying wholly inside its file, a primary
-// that mirrors owner 0, and a record count that fits the pages. Whatever
-// passes can be handed to the read path without a bounds check.
-func validatePlacement(pl Placement, m *Manifest, sizes []int64) error {
-	if pl.Pages < 1 {
-		return fmt.Errorf("store: bucket %d occupies %d pages", pl.ID, pl.Pages)
-	}
-	if len(pl.OwnerDisks) != m.Replicas || len(pl.OwnerPages) != m.Replicas {
-		return fmt.Errorf("store: bucket %d has %d/%d owner disks/pages, want %d",
-			pl.ID, len(pl.OwnerDisks), len(pl.OwnerPages), m.Replicas)
-	}
-	if pl.OwnerDisks[0] != pl.Disk || pl.OwnerPages[0] != pl.Page {
-		return fmt.Errorf("store: bucket %d primary disagrees with owner 0", pl.ID)
-	}
-	for i, d := range pl.OwnerDisks {
-		if d < 0 || d >= m.Disks {
-			return fmt.Errorf("store: bucket %d on disk %d of %d", pl.ID, d, m.Disks)
-		}
-		if slices.Contains(pl.OwnerDisks[:i], d) {
-			return fmt.Errorf("store: bucket %d owns disk %d twice", pl.ID, d)
-		}
-		if pg := pl.OwnerPages[i]; pg < 0 || pg > sizes[d]-int64(pl.Pages) {
-			return fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
-				pl.ID, pg, pl.Pages, d, sizes[d])
-		}
-	}
-	// Pages is bounded by a real file size by now, so the product is safe.
-	if pl.Recs < 0 || pl.Recs > pl.Pages*recordsPerPage(m.PageBytes, m.Dims) {
-		return fmt.Errorf("store: bucket %d claims %d records in %d pages", pl.ID, pl.Recs, pl.Pages)
-	}
-	return nil
-}
-
 // Grid returns the layout's grid file. On a writable store it mutates under
 // concurrent queries: callers translating against it must hold the grid read
 // lock (RLockGrid) so a mutation cannot rewrite the directory mid-translation.
 func (s *Store) Grid() *gridfile.File { return s.grid }
 
-// Manifest returns the layout description.
+// Manifest returns the layout description as of the last checkpoint. Its
+// placements are the store's own and must not be modified.
 func (s *Store) Manifest() Manifest {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
@@ -797,7 +513,7 @@ func (s *Store) decodeBucketFlat(data []byte, pl *Placement) (geom.Flat, error) 
 			return geom.Flat{}, err
 		}
 		if k+n*dims > ncoords {
-			return geom.Flat{}, fmt.Errorf("store: bucket %d holds at least %d records, manifest says %d",
+			return geom.Flat{}, fmt.Errorf("store: bucket %d holds at least %d records, its placement says %d",
 				pl.ID, k/dims+n, pl.Recs)
 		}
 		src := page[pageHeaderBytes : pageHeaderBytes+n*8*dims]
@@ -809,7 +525,7 @@ func (s *Store) decodeBucketFlat(data []byte, pl *Placement) (geom.Flat, error) 
 		k += n * dims
 	}
 	if k != ncoords {
-		return geom.Flat{}, fmt.Errorf("store: bucket %d holds %d records, manifest says %d",
+		return geom.Flat{}, fmt.Errorf("store: bucket %d holds %d records, its placement says %d",
 			pl.ID, k/dims, pl.Recs)
 	}
 	fl := geom.Flat{Dims: dims, Coords: coords}
@@ -1018,13 +734,13 @@ func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, o
 	return pages, err
 }
 
-// cmpDiskPage orders placements by (disk, page): the order a sweep of the
-// disk files meets them in.
+// cmpDiskPage orders placements by their primary copy's (disk, page): the
+// order a sweep of the disk files meets them in.
 func cmpDiskPage(a, b *Placement) int {
-	if a.Disk != b.Disk {
-		return a.Disk - b.Disk
+	if a.OwnerDisks[0] != b.OwnerDisks[0] {
+		return a.OwnerDisks[0] - b.OwnerDisks[0]
 	}
-	return cmp.Compare(a.Page, b.Page)
+	return cmp.Compare(a.OwnerPages[0], b.OwnerPages[0])
 }
 
 // nextSpan is the span planner, the one place that decides which positioned
@@ -1144,18 +860,6 @@ func (s *Store) Close() {
 // so tooling that manipulates layouts physically (fault campaigns, tests)
 // agrees with the writer on spelling.
 func DiskFileName(d int) string { return fmt.Sprintf("disk%03d.dat", d) }
-
-// gridFileName names the grid file embedded in a layout directory whose
-// manifest is at checkpoint LSN lsn: grid.grd as the layout writer leaves it,
-// grid.<lsn>.grd once checkpoints have moved it on. A grid file is reachable
-// only through the manifest that names it this way, which is what lets the
-// manifest's rename commit both at once.
-func gridFileName(lsn uint64) string {
-	if lsn == 0 {
-		return "grid.grd"
-	}
-	return fmt.Sprintf("grid.%d.grd", lsn)
-}
 
 // orderKey maps a float64 to an unsigned integer that orders as the floats
 // do (−0 just below +0), with negative NaNs below −Inf and positive NaNs

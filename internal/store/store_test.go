@@ -200,11 +200,11 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 		t.Error("empty dir accepted")
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "layout.grd"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {
-		t.Error("broken manifest accepted")
+		t.Error("broken checkpoint file accepted")
 	}
 }
 
@@ -227,10 +227,10 @@ func TestDomainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := s.Manifest().Domain
+	got := s.Grid().Domain()
 	want := f.Domain()
 	for d := range want {
-		if got[d] != [2]float64{want[d].Lo, want[d].Hi} {
+		if got[d] != want[d] {
 			t.Errorf("domain dim %d = %v, want %v", d, got[d], want[d])
 		}
 	}
@@ -327,7 +327,7 @@ func TestBatchMatchesSingleReads(t *testing.T) {
 // TestTruncatedPageFile proves a disk file cut short under an open store
 // surfaces as an I/O error, never as partial data, for a batch of one and
 // for a whole-disk batch alike — and that Open then refuses the layout,
-// because its manifest places buckets past the end of the file.
+// because its checkpoint places buckets past the end of the file.
 func TestTruncatedPageFile(t *testing.T) {
 	dir, f, _ := buildLayout(t, 2, 4096)
 	s, err := Open(dir)
@@ -362,7 +362,7 @@ func TestTruncatedPageFile(t *testing.T) {
 	}
 	if s2, err := Open(dir); err == nil {
 		s2.Close()
-		t.Error("Open accepted a manifest that places buckets past the end of a disk file")
+		t.Error("Open accepted a checkpoint that places buckets past the end of a disk file")
 	}
 }
 
@@ -547,8 +547,9 @@ func TestReadTiming(t *testing.T) {
 	}
 }
 
-// TestOpenGrid proves the grid file embedded by Write round-trips — Open
-// loads it — and its bucket ids agree with the manifest placements.
+// TestOpenGrid proves the grid file in the checkpoint Write commits
+// round-trips — Open loads it — and every bucket of it has a placement whose
+// record count is the bucket's.
 func TestOpenGrid(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 4096)
 	s, err := Open(dir)
@@ -567,18 +568,18 @@ func TestOpenGrid(t *testing.T) {
 	for _, v := range g.Buckets() {
 		pl, ok := s.Placement(v.ID)
 		if !ok {
-			t.Fatalf("embedded grid bucket %d missing from manifest", v.ID)
+			t.Fatalf("embedded grid bucket %d has no placement", v.ID)
 		}
 		if pl.Recs != v.Records {
-			t.Fatalf("bucket %d: manifest has %d records, grid %d", v.ID, pl.Recs, v.Records)
+			t.Fatalf("bucket %d: placement has %d records, grid %d", v.ID, pl.Recs, v.Records)
 		}
 	}
-	if err := os.Remove(filepath.Join(dir, gridFileName(0))); err != nil {
+	if err := os.Remove(filepath.Join(dir, "layout.grd")); err != nil {
 		t.Fatal(err)
 	}
 	if s2, err := Open(dir); err == nil {
 		s2.Close()
-		t.Error("Open succeeded on a layout without its grid file")
+		t.Error("Open succeeded on a layout without its checkpoint file")
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,22 +40,22 @@ import (
 //
 // Data pages are not fsynced per operation; the journal is the durability
 // story. A checkpoint (periodic, and on Close) moves the layout from one LSN
-// to the next, and has exactly one commit point — the rename of manifest.json
+// to the next, and has exactly one commit point — the rename of layout.grd
 // (see checkpointLocked).
 //
 // Pages (DESIGN.md S43). A rewrite takes an extent of exactly the bucket's
 // page count from the disk's free pages if there is one, and appends at the
 // end of the file otherwise. The extents it supersedes become free once two
-// things hold: the checkpoint whose manifest no longer names them has
-// committed (so a crash never replays onto them), and every reader that could
-// have looked their placement up before the swap has left. Readers — a batch
+// things hold: the checkpoint that no longer names them has committed (so a
+// crash never replays onto them), and every reader that could have looked
+// their placement up before the swap has left. Readers — a batch
 // read from placement lookup to its last pread, a scrub per bucket — register
 // in a two-epoch count (pinPages); a checkpoint retires the extents superseded
 // since the last one and flips the epoch, and the next rewrite that finds no
 // free extent frees them once the old epoch's count is zero. Nothing waits:
 // a checkpoint that finds the previous epoch still held leaves its extents
 // for the next one. OpenWritable takes every page below a disk's end that the
-// committed manifest does not name as free, so the set needs no file of its
+// committed checkpoint does not name as free, so the set needs no file of its
 // own.
 //
 // Failure semantics: a journal append failure aborts the operation before
@@ -177,7 +176,7 @@ func OpenWritable(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := removeStrays(dir, gridFileName(s.manifest.CheckpointLSN), false); err != nil {
+	if err := removeStrays(dir, false); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -228,7 +227,7 @@ type extent struct {
 type extentSize struct{ disk, pages int }
 
 // deriveFree sets up page allocation for a store just opened on a committed
-// manifest: each disk's file ends where the cursor starts, and every page
+// checkpoint: each disk's file ends where the cursor starts, and every page
 // below it that no placement names is free — nothing names it, and no reader
 // has looked anything up yet.
 func (w *writer) deriveFree(s *Store) error {
@@ -293,7 +292,7 @@ func (w *writer) supersede(pl *Placement) {
 }
 
 // retireSuperseded is a committed checkpoint's part in page reuse: the
-// manifest it committed names no superseded extent, so they are retired and
+// placements it committed name no superseded extent, so they are retired and
 // the epoch flips — unless extents retired at the last flip are still held
 // by a reader from before it, in which case the flip, and these extents, wait
 // for the next checkpoint (flipping now would count new readers with those
@@ -493,7 +492,7 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	// readers atomically when the lock is released. A retired bucket's
 	// placement is kept as a tombstone (its old extent is still intact, so a
 	// reader that translated before the merge reads a consistent pre-delete
-	// copy) until the next checkpoint, which builds the manifest from the
+	// copy) until the next checkpoint, which builds the placements from the
 	// grid's live buckets and drops it (dropTombstones).
 	w.gridMu.Lock()
 	m, dirty, err := s.apply(op, key, pl.OwnerDisks)
@@ -570,7 +569,6 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 func placementStub(id int32, owners []int) Placement {
 	return Placement{
 		ID:         id,
-		Disk:       owners[0],
 		OwnerDisks: slices.Clone(owners),
 		OwnerPages: make([]int64, len(owners)),
 	}
@@ -708,10 +706,10 @@ func (s *Store) writePage(ctx context.Context, disk int, buf []byte, off int64) 
 // committed — and therefore replayed — iff a valid record for its LSN is
 // present in the journal of EVERY disk owning its target bucket (located
 // against the deterministically replayed grid state). Anything less was
-// never acknowledged and is discarded. Records at or below the manifest's
-// checkpoint LSN are already in the layout — a checkpoint that was killed
-// after its commit point but before it truncated the journals leaves them
-// behind — and are skipped. Replay finishes with a forced checkpoint, so a
+// never acknowledged and is discarded. Records at or below the checkpoint
+// LSN are already in the layout — a checkpoint that was killed after its
+// commit point but before it truncated the journals leaves them behind — and
+// are skipped. Replay finishes with a forced checkpoint, so a
 // successfully opened store is always clean.
 func (s *Store) replay() error {
 	w := s.w
@@ -804,10 +802,10 @@ func (s *Store) replay() error {
 }
 
 // Checkpoint makes every committed mutation durable in the data files,
-// commits a manifest and grid file that capture them, and truncates the
-// journals. It is withheld (with an error) while any replica copy write has
-// failed since the last checkpoint — truncating the journals then would
-// drop the only redo for the stale copies.
+// commits a checkpoint file that captures them, and truncates the journals.
+// It is withheld (with an error) while any replica copy write has failed
+// since the last checkpoint — truncating the journals then would drop the
+// only redo for the stale copies.
 func (s *Store) Checkpoint() error {
 	w := s.w
 	if w == nil {
@@ -820,18 +818,16 @@ func (s *Store) Checkpoint() error {
 
 // checkpointLocked is Checkpoint with w.mu held; force checkpoints even
 // when no operations are pending (used by replay to truncate stale
-// journals and refresh the manifest, and by writeLayout, whose checkpoint
+// journals and refresh the checkpoint, and by writeLayout, whose checkpoint
 // zero is what makes a directory of page files a layout).
 //
-// A checkpoint moves the layout from the manifest's LSN a to b, the last LSN
-// handed out, and the rename of manifest.json is the only step that does so:
-// placements, checkpoint LSN and — by its name, gridFileName(b) — the grid
-// file move together. Before it, the fsynced data pages and the new grid file
-// are durable but nothing refers to them: reopening removes the unreferenced
-// grid file and replays the journals from a. After it, all that is left to do
-// is unlink a's grid file and truncate the journals; a kill there leaves only
-// an unreferenced file and records at or below b, which the next open removes
-// and skips.
+// A checkpoint moves the layout from the committed LSN a to b, the last LSN
+// handed out, and the rename of layout.grd is the only step that does so: the
+// grid, the placements and the checkpoint LSN are one file. Before it, the
+// fsynced data pages are durable but nothing refers to them: reopening removes
+// the temporary and replays the journals from a. After it, all that is left
+// to do is truncate the journals; a kill there leaves records at or below b,
+// which replay skips.
 func (s *Store) checkpointLocked(force bool) error {
 	w := s.w
 	if w.pendingOps == 0 && !force {
@@ -867,22 +863,11 @@ func (s *Store) checkpointLocked(force bool) error {
 	m := s.manifest
 	m.Buckets = bks
 	m.CheckpointLSN = w.nextLSN - 1
-	env, err := marshalManifest(&m)
-	if err != nil {
+	if err := atomicWriteFile(s.dir, "layout.grd", func(fh io.Writer) error {
+		return writeCheckpoint(fh, s.grid, &m)
+	}); err != nil {
 		return err
 	}
-
-	if err := atomicWriteFile(s.dir, gridFileName(m.CheckpointLSN), s.grid); err != nil {
-		return err
-	}
-	if err := w.crashPoint(); err != nil {
-		return err
-	}
-
-	if err := atomicWriteFile(s.dir, "manifest.json", bytes.NewReader(env)); err != nil {
-		return err
-	}
-	superseded := w.checkpointLSN
 	// Only the fields a checkpoint moves are stored: readers take the
 	// layout's geometry (disks, dims, page size) from s.manifest unlocked.
 	s.pmu.Lock()
@@ -896,11 +881,6 @@ func (s *Store) checkpointLocked(force bool) error {
 		return err
 	}
 
-	if superseded != m.CheckpointLSN {
-		if err := os.Remove(filepath.Join(s.dir, gridFileName(superseded))); err != nil {
-			return fmt.Errorf("store: removing the superseded grid file: %w", err)
-		}
-	}
 	for d, j := range w.journals {
 		if err := j.Truncate(0); err != nil {
 			return fmt.Errorf("store: truncating journal %d: %w", d, err)
@@ -917,7 +897,7 @@ func (s *Store) checkpointLocked(force bool) error {
 
 // dropTombstones removes the placements of buckets a merge retired — kept so
 // a reader that translated before the merge could still read them — once the
-// manifest just committed (live, its bucket list) no longer names them, and
+// checkpoint just committed (live, its placements) no longer names them, and
 // supersedes their pages in ascending id order, so the order pages are reused
 // in is a function of the operations. A reader looking one up afterwards
 // translated before the merge, and its query translates again
@@ -937,10 +917,9 @@ func (s *Store) dropTombstones(live []Placement) {
 }
 
 // removeStrays deletes what a layout directory must not hand to its next
-// opener: atomicWriteFile's temporaries and grid files other than keepGrid —
-// what a kill inside a checkpoint can strand — and, for a fresh build, which
-// keeps no grid file and must replay nothing, the journals.
-func removeStrays(dir, keepGrid string, journals bool) error {
+// opener: atomicWriteFile's temporaries — what a kill inside a checkpoint can
+// strand — and, for a fresh build, which must replay nothing, the journals.
+func removeStrays(dir string, journals bool) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -948,9 +927,8 @@ func removeStrays(dir, keepGrid string, journals bool) error {
 	for _, e := range ents {
 		n := e.Name()
 		tmp := strings.HasPrefix(n, ".") && strings.HasSuffix(n, ".tmp")
-		grid := strings.HasPrefix(n, "grid.") && strings.HasSuffix(n, ".grd") && n != keepGrid
 		wal := journals && strings.HasPrefix(n, "journal") && strings.HasSuffix(n, ".wal")
-		if tmp || grid || wal {
+		if tmp || wal {
 			if err := os.Remove(filepath.Join(dir, n)); err != nil {
 				return err
 			}
@@ -959,15 +937,15 @@ func removeStrays(dir, keepGrid string, journals bool) error {
 	return nil
 }
 
-// atomicWriteFile streams src into name under dir via a synced temp file and
+// atomicWriteFile has write fill name under dir via a synced temp file and
 // rename, then syncs the directory so the rename itself is durable.
-func atomicWriteFile(dir, name string, src io.WriterTo) error {
+func atomicWriteFile(dir, name string, write func(io.Writer) error) error {
 	tmp := filepath.Join(dir, "."+name+".tmp")
 	fh, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err = src.WriteTo(fh); err == nil {
+	if err = write(fh); err == nil {
 		err = fh.Sync()
 	}
 	if cerr := fh.Close(); err == nil {

@@ -226,7 +226,7 @@ func TestReplayAfterAbandon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.CloseNoCheckpoint() // crash stand-in: manifest and grid.grd are stale
+	s.CloseNoCheckpoint() // crash stand-in: layout.grd is stale
 
 	// The stale on-disk grid must not see the inserts...
 	stale, err := Open(dir)

@@ -30,8 +30,8 @@
 #                  layout on disk any other way than rewriteBucket and
 #                  checkpointLocked (os.WriteFile anywhere, os.Rename outside
 #                  atomicWriteFile, encodePage outside rewriteBucket,
-#                  "manifest.json" named by other than the opener, the
-#                  committer and the builder's unlink), and
+#                  "layout.grd" — the checkpoint file — named by other than
+#                  the opener, the committer and the builder's unlink), and
 #                  TestInjectedFaultIsAFailedRead fails when a non-test Go
 #                  file outside internal/fault names fault.ErrInjected
 #                  (internal/store's readSpans excepted: it wraps a torn
@@ -59,8 +59,10 @@
 #                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
 #                  one write (FuzzBatchFraming), grid-file persistence
 #                  (FuzzRead), the range count's split of a box's buckets
-#                  into border and inside (FuzzCountSplit), layout manifests
-#                  (FuzzManifest) and the write-ahead journal reader
+#                  into border and inside (FuzzCountSplit), a layout's
+#                  checkpoint file, layout.grd, seeded with the writer's file
+#                  and every row of TestOpenRefusals (FuzzManifest), and the
+#                  write-ahead journal reader
 #                  (FuzzJournalReplay)
 #   7. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
 #                  and TestScanReservesOnce without the race detector (their
@@ -68,7 +70,8 @@
 #   8. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
 #                  checks — the reply verb of BenchmarkExecRange,
 #                  BenchmarkExecCount and their Cold forms,
-#                  BenchmarkCheckpoint's and BenchmarkDecluster's errors —
+#                  BenchmarkCheckpoint's, BenchmarkOpen's and
+#                  BenchmarkDecluster's errors —
 #                  run nowhere else
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
