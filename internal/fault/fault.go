@@ -64,12 +64,9 @@ const (
 	// guards only reads against disk 3. StoreReadDiskSite builds the name.
 	SiteStoreReadDisk = "store.read.disk"
 	// SiteStoreWAL guards every journal append on the store's write path
-	// (one evaluation per owner-disk journal, before the fsync). An injected
-	// error aborts the mutation before it is acknowledged.
+	// (one evaluation per mutation, before any owner journal is written). An
+	// injected error aborts the mutation before it is acknowledged.
 	SiteStoreWAL = "store.wal"
-	// SiteStoreWALDisk is the per-disk journal-append variant; see
-	// StoreWALDiskSite.
-	SiteStoreWALDisk = "store.wal.disk"
 	// SiteStoreWrite guards every shadow page write of a mutated bucket
 	// copy. Because the journal is already committed when pages are written,
 	// an injected error does NOT un-acknowledge the mutation: the stale copy
@@ -83,11 +80,6 @@ const (
 // StoreReadDiskSite names the per-disk store read failpoint for one disk.
 func StoreReadDiskSite(disk int) string {
 	return SiteStoreReadDisk + strconv.Itoa(disk)
-}
-
-// StoreWALDiskSite names the per-disk journal-append failpoint for one disk.
-func StoreWALDiskSite(disk int) string {
-	return SiteStoreWALDisk + strconv.Itoa(disk)
 }
 
 // StoreWriteDiskSite names the per-disk page-write failpoint for one disk.
@@ -393,9 +385,9 @@ func (r *Registry) Eval(site string) (Injection, bool) {
 }
 
 // Sleep pauses for d, returning early with ctx's error if the context is
-// cancelled first. Injected stalls must sleep through this so a per-disk
-// fetch deadline can bound a stalled read instead of wedging the disk's
-// I/O goroutine.
+// cancelled first. Injected stalls must sleep through this so the query's own
+// deadline can bound a stalled read instead of wedging the disk's I/O
+// goroutine.
 func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

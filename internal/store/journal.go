@@ -28,7 +28,8 @@ import (
 // everything before it (size included). Reading stops at the first short,
 // implausible or checksum-failing record, which discards a torn tail —
 // exactly the records whose fsync never completed, and therefore exactly
-// the operations that were never acknowledged.
+// the operations that were never acknowledged — and at the first record whose
+// LSN does not exceed its predecessor's, which the writer never appends.
 const (
 	journalOpInsert = 1
 	journalOpDelete = 2
@@ -67,9 +68,11 @@ type journalRec struct {
 }
 
 // readJournal decodes every valid record from one journal file's contents,
-// stopping at the first torn or corrupt entry (see the package comment above
-// — the tail past that point holds only unacknowledged writes). A record is
-// valid only if appendJournalRec could have written it, byte for byte.
+// stopping at the first torn or corrupt entry (see the comment above — the
+// tail past that point holds only unacknowledged writes). A record is valid
+// only if appendJournalRec could have written it, byte for byte, and only if
+// its LSN exceeds the one before it: a journal's records are appended in LSN
+// order, so a repeated record must not count as a second operation.
 func readJournal(data []byte, dims int) []journalRec {
 	want := journalRecSize(dims)
 	var out []journalRec
@@ -88,6 +91,9 @@ func readJournal(data []byte, dims int) []journalRec {
 			key: make([]float64, dims),
 		}
 		if (r.op != journalOpInsert && r.op != journalOpDelete) || rec[13]|rec[14]|rec[15] != 0 {
+			break
+		}
+		if len(out) > 0 && r.lsn <= out[len(out)-1].lsn {
 			break
 		}
 		for d := 0; d < dims; d++ {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
@@ -124,7 +125,8 @@ const crashCheckpointEvery = 5
 
 // TestCrashRecoveryAtEveryFailpoint is the recovery property test: for a
 // matrix of allocator families and replication factors, the write path is
-// killed at EVERY crash point — before/after each per-disk journal fsync,
+// killed at EVERY crash point — before each owner journal's append and after
+// its fsync,
 // before/after each replica page write, and after every step of a checkpoint
 // (data fsyncs, the checkpoint file's rename, each journal truncate) — and the
 // store reopened. The property: every acknowledged operation is durable
@@ -284,4 +286,69 @@ func samePoint(a, b geom.Point) bool {
 		}
 	}
 	return true
+}
+
+// TestJournalFaultSite arms fault.SiteStoreWAL on an r=2 layout so that the
+// second of three inserts fails: it is not acknowledged, nothing of it reaches
+// any journal or comes back on replay, and the other two are durable. The site
+// is evaluated once per operation, before any owner journal is written; each
+// record that commits is appended to both owners' journals.
+func TestJournalFaultSite(t *testing.T) {
+	dir, f, _ := buildReplicatedLayout(t, 4, 2)
+	s, err := OpenWritable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetCheckpointEvery(0)
+	reg := fault.NewRegistry(1)
+	if err := reg.SetSpec("store.wal:err:n=2"); err != nil {
+		t.Fatal(err)
+	}
+	s.SetFaults(reg)
+	keys := randKeys(f.Domain(), 3, 23)
+	for i, key := range keys {
+		_, err := s.Insert(context.Background(), key)
+		if i == 1 && !errors.Is(err, fault.ErrInjected) || i != 1 && err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if got := s.WriteCounters().JournalAppends; got != 2*2 {
+		t.Fatalf("journal appends %d, want 4 (2 records, each to its 2 owners' journals)", got)
+	}
+	s.CloseNoCheckpoint()
+
+	held := 0
+	for d := 0; d < 4; d++ {
+		data, err := os.ReadFile(filepath.Join(dir, JournalFileName(d)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := readJournal(data, 2)
+		if len(recs)*journalRecSize(2) != len(data) {
+			t.Fatalf("journal %d holds %d bytes, %d whole records", d, len(data), len(recs))
+		}
+		for _, r := range recs {
+			if !samePoint(r.key, keys[0]) && !samePoint(r.key, keys[2]) {
+				t.Fatalf("journal %d holds %v, which is not the 1st or the 3rd insert", d, r.key)
+			}
+		}
+		held += len(recs)
+	}
+	if held != 2*2 {
+		t.Fatalf("the journals hold %d records, want 4", held)
+	}
+	s2, err := OpenWritable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.WriteCounters().JournalReplays; got != 2 {
+		t.Fatalf("replayed %d ops, want 2", got)
+	}
+	for i, key := range keys {
+		if got, want := len(s2.Grid().Lookup(key)), 1-i%2; got != want {
+			t.Fatalf("insert %d stored %d times after replay, want %d", i, got, want)
+		}
+	}
+	verifyStoreMatchesGrid(t, s2, s2.Grid())
 }

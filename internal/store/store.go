@@ -23,8 +23,9 @@
 // against actual per-disk files rather than in-memory structures.
 //
 // A Store is safe for concurrent readers: ReadFlatsFromTimed addresses pages
-// with pread-style ReadAt calls on per-disk file handles and mutates no
-// shared state, so any number of goroutines may fetch buckets simultaneously
+// with pread-style ReadAt calls on per-disk file handles, and the only shared
+// state it touches is the writable store's reader-epoch count (pinPages), by
+// atomic adds; so any number of goroutines may fetch buckets simultaneously
 // — the property the network query service (internal/server) relies on for
 // its per-disk I/O goroutines.
 //
@@ -574,22 +575,26 @@ func (s *Store) SetVerify(on bool) { s.verify = on }
 // handing the Store to concurrent readers.
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
 
-// inject consults an armed failpoint registry at a site and at its per-disk
-// twin and acts on what fired: the delays add up and stall the caller
-// (bounded by ctx), then the first error, if any, is returned; torn is
-// reported for reads to act on.
-func (s *Store) inject(ctx context.Context, site, diskSite string) (torn bool, err error) {
-	inj, _ := s.faults.Eval(site)
-	inj2, _ := s.faults.Eval(diskSite)
-	if d := inj.Delay + inj2.Delay; d > 0 {
-		if err := fault.Sleep(ctx, d); err != nil {
-			return false, err
+// inject consults an armed failpoint registry at a site and, where it has
+// one, its per-disk twin, and acts on what fired: the delays add up and stall
+// the caller (bounded by ctx), then the first error, if any, is returned; torn
+// is reported for reads to act on.
+func (s *Store) inject(ctx context.Context, sites ...string) (torn bool, err error) {
+	var delay time.Duration
+	for _, site := range sites {
+		inj, _ := s.faults.Eval(site)
+		delay += inj.Delay
+		torn = torn || inj.Torn
+		if err == nil {
+			err = inj.Err
 		}
 	}
-	if inj.Err == nil {
-		inj.Err = inj2.Err
+	if delay > 0 {
+		if serr := fault.Sleep(ctx, delay); serr != nil {
+			return false, serr
+		}
 	}
-	return inj.Torn || inj2.Torn, inj.Err
+	return torn, err
 }
 
 // readAt performs one positioned read against a disk file, first consulting

@@ -59,15 +59,20 @@ import (
 // own.
 //
 // Failure semantics: a journal append failure aborts the operation before
-// it is acknowledged (partially appended records are discarded by replay's
-// all-owner-journals commit rule). A page-write failure after the journal
-// committed does NOT un-acknowledge the operation. The copy it missed is
-// remembered (Placement.missed) until a later rewrite writes it whole: reads
-// steer around it and one that lands on it fails with errStaleCopy, which the
-// server fails over (r >= 2) or absorbs as degraded — the pages there may be
-// another bucket's, or an older version of this one. Checkpoints are withheld
-// so the journals keep the redo, and replay rewrites every copy on the next
-// open.
+// it is acknowledged. A failed write cuts every journal it reached back to its
+// last whole record, so the next acknowledged record never lands behind torn
+// bytes, where replay stops reading; a whole record left in some owners'
+// journals only is discarded by replay's all-owner-journals commit rule. If
+// that cut fails, or an fsync does, the store refuses writes until a reopen
+// replays (after a failed fsync the kernel may have dropped the dirty pages,
+// and a later fsync could report success over the hole). A page-write failure
+// after the journal committed does NOT un-acknowledge the operation. The copy
+// it missed is remembered (Placement.missed) until a later rewrite writes it
+// whole: reads steer around it and one that lands on it fails with
+// errStaleCopy, which the server fails over (r >= 2) or absorbs as degraded —
+// the pages there may be another bucket's, or an older version of this one.
+// Checkpoints are withheld so the journals keep the redo, and replay rewrites
+// every copy on the next open.
 
 // DefaultCheckpointEvery is how many committed mutations a writable store
 // absorbs before checkpointing on its own. SetCheckpointEvery overrides it;
@@ -122,8 +127,11 @@ type writer struct {
 	// the grid write lock is released (SetStaleHook).
 	onStale func(ids ...int32)
 
+	// journals are the per-disk journal handles, opened for append;
+	// journalLen is where each one's last whole, synced record ends — what a
+	// failed append cuts it back to.
 	journals   []*os.File
-	walSites   []string // per-disk fault sites for journal appends
+	journalLen []int64
 	writeSites []string // per-disk fault sites for page writes
 
 	nextPage      []int64 // per-disk end-of-file page cursor (shadow allocation)
@@ -149,10 +157,11 @@ type writer struct {
 	// since the last checkpoint; while set, checkpoints are withheld so
 	// the journals keep the redo for the stale copies.
 	failed error
-	// dead is set when the crash hook fires or a committed operation could
-	// not be applied; every subsequent write is refused, forcing recovery
-	// through replay.
-	dead bool
+	// dead is why every later write is refused, forcing recovery through
+	// replay: the crash hook fired, a committed operation could not be
+	// applied, or a journal could not be synced or cut back after a failed
+	// append.
+	dead error
 
 	// crash, when non-nil, is consulted at every crash point on the write
 	// path (before/after each journal fsync and each page write, and after
@@ -183,14 +192,13 @@ func OpenWritable(dir string) (*Store, error) {
 	w := &writer{
 		checkpointEvery: DefaultCheckpointEvery,
 		nextPage:        make([]int64, s.manifest.Disks),
-		walSites:        make([]string, s.manifest.Disks),
 		writeSites:      make([]string, s.manifest.Disks),
 		checkpointLSN:   s.manifest.CheckpointLSN,
 		nextLSN:         s.manifest.CheckpointLSN + 1,
 		journals:        make([]*os.File, s.manifest.Disks),
+		journalLen:      make([]int64, s.manifest.Disks),
 	}
 	for d := 0; d < s.manifest.Disks; d++ {
-		w.walSites[d] = fault.StoreWALDiskSite(d)
 		w.writeSites[d] = fault.StoreWriteDiskSite(d)
 	}
 	if err := w.deriveFree(s); err != nil {
@@ -425,8 +433,8 @@ func (s *Store) CloseNoCheckpoint() {
 // dead: every later write is refused.
 func (w *writer) crashPoint() error {
 	if w.crash != nil && w.crash() {
-		w.dead = true
-		return errSimulatedCrash
+		w.dead = errSimulatedCrash
+		return w.dead
 	}
 	return nil
 }
@@ -470,8 +478,8 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.dead {
-		return Mutation{}, errSimulatedCrash
+	if w.dead != nil {
+		return Mutation{}, w.dead
 	}
 	id, ok := s.grid.BucketAt(key)
 	if !ok {
@@ -506,7 +514,7 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 	if err != nil {
 		// A committed operation failed to apply (simulated crash, or an
 		// impossibility): refuse further writes, recover through replay.
-		w.dead = true
+		w.dead = err
 		return Mutation{}, err
 	}
 	if m.Applied {
@@ -576,23 +584,32 @@ func placementStub(id int32, owners []int) Placement {
 
 // journalAppend appends one operation record to every owner disk's journal,
 // then fsyncs the owners' journals together. The operation is committed once
-// every one has synced; any failure aborts the (unacknowledged) operation,
-// and replay's all-owner-journals rule discards the partial appends. The
-// crash hook fires before each append and after each fsync, in owner order.
+// every one has synced; any failure aborts the (unacknowledged) operation. An
+// injected fault fires before anything is written; a failed write cuts the
+// journals it reached back to their last whole record, and replay's
+// all-owner-journals rule discards a record that is whole in some of them
+// only. The crash hook fires before each append and after each fsync, in
+// owner order.
 func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op uint8, key geom.Point) error {
 	w := s.w
-	rec := appendJournalRec(make([]byte, 0, journalRecSize(len(key))), lsn, op, key)
-	for _, d := range owners {
-		if s.faults.Enabled() {
-			if _, err := s.inject(ctx, fault.SiteStoreWAL, w.walSites[d]); err != nil {
-				return fmt.Errorf("store: journal append disk %d: %w", d, err)
-			}
+	if s.faults.Enabled() {
+		if _, err := s.inject(ctx, fault.SiteStoreWAL); err != nil {
+			return fmt.Errorf("store: journal append: %w", err)
 		}
+	}
+	rec := appendJournalRec(make([]byte, 0, journalRecSize(len(key))), lsn, op, key)
+	for i, d := range owners {
 		if err := w.crashPoint(); err != nil {
 			return err
 		}
 		if _, err := w.journals[d].Write(rec); err != nil {
-			return fmt.Errorf("store: journal append disk %d: %w", d, err)
+			err = fmt.Errorf("store: journal append disk %d: %w", d, err)
+			for _, d := range owners[:i+1] {
+				if terr := w.journals[d].Truncate(w.journalLen[d]); terr != nil {
+					w.dead = err
+				}
+			}
+			return err
 		}
 	}
 	errs := make([]error, len(owners))
@@ -608,8 +625,12 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 	wg.Wait()
 	for i, d := range owners {
 		if errs[i] != nil {
-			return fmt.Errorf("store: journal fsync disk %d: %w", d, errs[i])
+			w.dead = fmt.Errorf("store: journal fsync disk %d: %w", d, errs[i])
+			return w.dead
 		}
+	}
+	for _, d := range owners {
+		w.journalLen[d] += int64(len(rec))
 		w.appends.Add(1)
 		if err := w.crashPoint(); err != nil {
 			return err
@@ -833,8 +854,8 @@ func (s *Store) checkpointLocked(force bool) error {
 	if w.pendingOps == 0 && !force {
 		return nil
 	}
-	if w.dead {
-		return errSimulatedCrash
+	if w.dead != nil {
+		return w.dead
 	}
 	if w.failed != nil {
 		return fmt.Errorf("store: checkpoint withheld: a replica copy write failed since the last checkpoint (journals retained for replay): %w", w.failed)
@@ -885,6 +906,7 @@ func (s *Store) checkpointLocked(force bool) error {
 		if err := j.Truncate(0); err != nil {
 			return fmt.Errorf("store: truncating journal %d: %w", d, err)
 		}
+		w.journalLen[d] = 0
 		if err := j.Sync(); err != nil {
 			return fmt.Errorf("store: syncing journal %d: %w", d, err)
 		}
