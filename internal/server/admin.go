@@ -210,8 +210,9 @@ func (s *Server) Close() error {
 	}
 	// Only queries send to the disk queues, and every query runs on a
 	// connection handler or one of its tagged workers, all of which connWg
-	// has seen return: nothing can send on a closed queue. Each worker
-	// serves what is left in its queue, then exits.
+	// has seen return: nothing can send on a closed queue, and no query is
+	// left to read its own requests. Each worker drains its queue, reading
+	// what no query read, then exits.
 	for _, q := range s.sched {
 		close(q)
 	}

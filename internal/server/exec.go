@@ -18,7 +18,9 @@ import (
 // qstate is the pooled per-query scratch: the decoded request, the box of a
 // partial match or kNN probe, the bucket-id and arena-record slices query
 // execution scans over, the per-disk batches of the buckets a fetch reads
-// itself (fetchBucketsSlow), the scan's per-bucket covers and kNN's
+// itself (fetchBucketsSlow), the queued requests it may still read on its
+// own goroutine and the channel the disk workers answer the others on
+// (readLeads), the scan's per-bucket covers and kNN's
 // candidate heap. Pooling it keeps the steady-state serving path
 // allocation-free.
 type qstate struct {
@@ -27,6 +29,8 @@ type qstate struct {
 	ids    []int32
 	recs   []geom.Flat
 	leads  []leadBatch
+	own    []fetchReq
+	resp   chan fetchResp
 	covers []bucketCover
 	near   knnHeap
 }

@@ -105,6 +105,11 @@ type Metrics struct {
 	latency       stats.Recorder            // service time
 	fetches       stats.Recorder            // distinct buckets fetched per data query (a count)
 	stageLat      [numStages]stats.Recorder // per-stage time of traced queries
+
+	// Disk batches by who read them: the query that submitted the batch,
+	// finding it at the front of an idle disk, or the disk's worker.
+	batchesByQuery  atomic.Int64
+	batchesByWorker atomic.Int64
 }
 
 // noteRead records one successfully served disk batch: its wanted pages and
@@ -163,6 +168,11 @@ type Snapshot struct {
 	// Writes reports the store's mutation counters on writable servers
 	// (absent on read-only ones).
 	Writes *store.WriteCounters `json:"writes,omitempty"`
+
+	// Disk batches by who read them (served_by on /metrics): their own
+	// query, or the disk's worker.
+	BatchesByQuery  int64 `json:"disk_batches_query"`
+	BatchesByWorker int64 `json:"disk_batches_worker"`
 }
 
 func (m *Metrics) snapshot(inflight int) Snapshot {
@@ -183,6 +193,8 @@ func (m *Metrics) snapshot(inflight int) Snapshot {
 		PagesRead:        m.pagesRead.Load(),
 		SpansRead:        m.spansRead.Load(),
 		GapPagesRead:     m.gapPagesRead.Load(),
+		BatchesByQuery:   m.batchesByQuery.Load(),
+		BatchesByWorker:  m.batchesByWorker.Load(),
 		LatencyMicros:    summarize(&m.latency, time.Microsecond),
 		FetchesPerQry:    summarize(&m.fetches, 1),
 		WriteBatches:     m.writeBatches.Load(),
@@ -232,6 +244,8 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 	fmt.Fprintf(w, "gridserver_pages_read_total %d\n", s.PagesRead)
 	fmt.Fprintf(w, "gridserver_spans_read_total %d\n", s.SpansRead)
 	fmt.Fprintf(w, "gridserver_gap_pages_read_total %d\n", s.GapPagesRead)
+	fmt.Fprintf(w, "gridserver_disk_batches_total{served_by=\"query\"} %d\n", s.BatchesByQuery)
+	fmt.Fprintf(w, "gridserver_disk_batches_total{served_by=\"worker\"} %d\n", s.BatchesByWorker)
 	for d, n := range s.DiskFetches {
 		fmt.Fprintf(w, "gridserver_disk_bucket_fetches_total{disk=\"%d\"} %d\n", d, n)
 	}

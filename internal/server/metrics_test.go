@@ -2,6 +2,8 @@ package server
 
 import (
 	"math"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,5 +68,28 @@ func TestSnapshotStageSummaries(t *testing.T) {
 	// Stage times are reported in nanoseconds, within the recorder's 1/64.
 	if got := s.Stages["pread"].P50; math.Abs(got-300) > 300.0/64 {
 		t.Errorf("pread p50 = %g ns, want 300 within 1/64", got)
+	}
+}
+
+// TestDiskBatchesByReader checks the split of disk batches by who read them:
+// the snapshot carries both counts, and /metrics renders them as one
+// counter with a served_by label.
+func TestDiskBatchesByReader(t *testing.T) {
+	m := newMetrics(2)
+	m.batchesByQuery.Add(3)
+	m.batchesByWorker.Add(5)
+	s := m.snapshot(0)
+	if s.BatchesByQuery != 3 || s.BatchesByWorker != 5 {
+		t.Fatalf("snapshot: %d by query, %d by worker; want 3 and 5", s.BatchesByQuery, s.BatchesByWorker)
+	}
+	w := httptest.NewRecorder()
+	s.writePrometheus(w)
+	for _, line := range []string{
+		`gridserver_disk_batches_total{served_by="query"} 3`,
+		`gridserver_disk_batches_total{served_by="worker"} 5`,
+	} {
+		if !strings.Contains(w.Body.String(), line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }

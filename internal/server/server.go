@@ -136,8 +136,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is a running query service: an acceptor, one handler goroutine per
-// connection, and one I/O goroutine per disk file. The store's grid file
-// (st.Grid()) acts as the coordinator's scales+directory; record data is
+// connection, and one queue and I/O goroutine per disk file. The store's grid
+// file (st.Grid()) acts as the coordinator's scales+directory; record data is
 // fetched from the page store with real file I/O. When the store is writable
 // (st.Writable()) the INSERT/DELETE verbs are accepted and every directory
 // translation runs under the store's grid read-lock, since the grid mutates
@@ -165,7 +165,8 @@ type Server struct {
 	// Without it, conns×pipelineDepth goroutines pile up behind the
 	// admission semaphore and scheduler churn erases the pipelining win.
 	tagSlots chan struct{}
-	sched    []chan fetchReq
+	sched    []chan fetchReq // each disk's queue, in arrival order
+	heads    []diskHead      // who may read each disk next
 	fetchWg  sync.WaitGroup
 
 	// replicated is st.Replicas() > 1: bucket reads are counted as primary
@@ -226,6 +227,7 @@ func newEngine(st *store.Store, cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		tagSlots: make(chan struct{}, cfg.MaxInflight),
 		sched:    make([]chan fetchReq, m.Disks),
+		heads:    make([]diskHead, m.Disks),
 		conns:    make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
@@ -242,15 +244,18 @@ func newEngine(st *store.Store, cfg Config) *Server {
 	}
 	s.replicated = st.Replicas() > 1
 
-	// One I/O worker per disk file: fetches on the same disk serialize (one
-	// head per spindle, as in the paper's model) while distinct disks
-	// proceed in parallel — this is where declustering quality becomes
-	// real wall-clock parallelism. A worker's queue is a channel served in
-	// arrival order. It holds MaxInflight requests: an admitted query has at
-	// most one batch per disk outstanding, so only a failover burst can fill
-	// it, and then the submitting query waits for the worker to drain.
+	// One queue and one I/O worker per disk file: reads of the same disk
+	// serialize, one at a time in arrival order (one head per spindle, as in
+	// the paper's model), while distinct disks proceed in parallel — this is
+	// where declustering quality becomes real wall-clock parallelism. A
+	// queued request is read by the disk's worker, or by its own query when
+	// it reaches the front while nobody reads the disk (diskHead). A queue
+	// holds MaxInflight requests: an admitted query has at most one batch
+	// per disk outstanding, so only a failover burst can fill it, and then
+	// the submitting query waits for the worker to drain it.
 	for d := range s.sched {
 		s.sched[d] = make(chan fetchReq, cfg.MaxInflight)
+		s.heads[d].idle.L = &s.heads[d].mu
 		s.fetchWg.Add(1)
 		go s.diskWorker(d, s.sched[d])
 	}

@@ -19,7 +19,7 @@ import (
 //	admission   waiting for an admission-control slot
 //	translate   grid-directory translation (BucketAt / BucketsInRange)
 //	cache       bucket-cache acquire
-//	fetch_wait  batches queued behind other work on their disk goroutine
+//	fetch_wait  batches queued behind other reads of their disk
 //	pread       positioned disk reads, including injected stalls
 //	decode      page validation and record decoding
 //	encode      result encoding to the wire frame
@@ -49,8 +49,9 @@ var stageNames = [numStages]string{
 }
 
 // Trace accumulates one query's per-stage durations. Stage cells are atomic
-// because disk goroutines record their share (fetch_wait, pread, decode)
-// concurrently with the query goroutine; the cache-outcome counters are
+// because disk workers record their share (fetch_wait, pread, decode)
+// concurrently with the query goroutine, which records the same stages for
+// the batches it reads itself; the cache-outcome counters are
 // touched by the query goroutine only. fetchBuckets gathers every
 // submitted batch before returning, so all disk-side writes happen before
 // the trace is read and released.

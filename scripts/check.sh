@@ -54,7 +54,10 @@
 #                  internal/cache TestInvalidateRacingLeader (loads racing
 #                  a write's invalidation: none begun before it stays
 #                  cached), TestResidentNeverReturnsInvalidatedArena and
-#                  TestByteBoundUnderRandomOps
+#                  TestByteBoundUnderRandomOps; and the disk queue's rules,
+#                  internal/server TestQueryContendsWithWorkerForItsDisk
+#                  (queries reading their own batches against the disk
+#                  workers: one read per disk at a time, in arrival order)
 #   6. fuzz smoke  short runs of the fuzz targets: wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
 #                  one write (FuzzBatchFraming), grid-file persistence
@@ -111,6 +114,7 @@ fi
 echo "== race x20"
 go test -race -count=20 -run '^(TestPlacementTableGrowth|TestPlacementTableGrowsUnderReaders)$' ./internal/store
 go test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$' ./internal/cache
+go test -race -count=20 -run '^TestQueryContendsWithWorkerForItsDisk$' ./internal/server
 
 echo "== fuzz smoke ($FUZZTIME each)"
 go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
