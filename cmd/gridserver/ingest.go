@@ -59,7 +59,7 @@ func runIngest(args []string, out io.Writer) error {
 		return fmt.Errorf("ingest: %w", err)
 	}
 
-	s, err := store.OpenWritable(*dir)
+	s, err := store.Open(*dir)
 	if err != nil {
 		return err
 	}
@@ -96,7 +96,7 @@ func runIngest(args []string, out io.Writer) error {
 	// Recovery: reopen replays every committed operation, rewriting the
 	// affected buckets on every owner disk — which also heals copies a
 	// fault kept the live writer from persisting.
-	s2, err := store.OpenWritable(*dir)
+	s2, err := store.Open(*dir)
 	if err != nil {
 		return fmt.Errorf("ingest: reopen after crash: %w", err)
 	}

@@ -300,19 +300,22 @@ func TestExecutorKnowsNoSocketNoEnvelope(t *testing.T) {
 }
 
 // TestLayoutHasOneWriter holds internal/store to one way of putting a layout
-// on disk (DESIGN S40): a fresh build and a checkpoint are the same path, so
-// in the package's non-test files nothing calls os.WriteFile, os.Rename is
-// called by atomicWriteFile alone, pages are encoded by rewriteBucket alone,
-// and "layout.grd", the checkpoint file, is named only by the opener that
-// reads it, the committer that renames it into place and the builder's first
-// step, which unlinks the old one so that a directory under construction is
-// no layout.
+// on disk (DESIGN S40) and one way of opening it (S57): a fresh build and a
+// checkpoint are the same path, so in the package's non-test files nothing
+// calls os.WriteFile, os.Rename is called by atomicWriteFile alone, pages are
+// encoded by rewriteBucket alone, and "layout.grd", the checkpoint file, is
+// named only by the opener that reads it, the committer that renames it into
+// place and the builder's first step, which unlinks the old one so that a
+// directory under construction is no layout. The disk files are opened only
+// by the checkpoint reader, read-write, and created only by the builder, so
+// no second handle onto them exists to write through.
 func TestLayoutHasOneWriter(t *testing.T) {
 	allowed := map[string]map[string]bool{
 		"os.WriteFile": {},
 		"os.Rename":    {"atomicWriteFile": true},
 		"encodePage":   {"rewriteBucket": true},
-		`"layout.grd"`: {"open": true, "checkpointLocked": true, "writeLayout": true},
+		`"layout.grd"`: {"Open": true, "checkpointLocked": true, "writeLayout": true},
+		"DiskFileName": {"readCheckpoint": true, "writeLayout": true},
 	}
 	dir := filepath.Join("internal", "store")
 	fset := token.NewFileSet()

@@ -51,10 +51,8 @@ func (s *Server) Snapshot() Snapshot {
 		st := s.bcache.Stats()
 		snap.Cache = &st
 	}
-	if s.st.Writable() {
-		wc := s.st.WriteCounters()
-		snap.Writes = &wc
-	}
+	wc := s.st.WriteCounters()
+	snap.Writes = &wc
 	return snap
 }
 

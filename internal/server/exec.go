@@ -218,7 +218,7 @@ func (s *Server) execute(ctx context.Context, qs *qstate, tr *Trace, enc *result
 }
 
 // writeOp executes one mutation (mutate is the store's Insert or Delete)
-// against the writable store. The store tells the bucket cache which buckets
+// against the store. The store tells the bucket cache which buckets
 // the op made stale (SetStaleHook) once it has journaled the op and swapped
 // the rewritten placements, so a read admitted after the ack can never see
 // pre-write data through a stale cache entry (a concurrent miss that loaded
@@ -229,7 +229,7 @@ func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.
 	if dims := s.st.Grid().Dims(); len(key) != dims {
 		return Result{}, fmt.Errorf("key is %d-D, grid is %d-D", len(key), dims)
 	}
-	if !s.st.Writable() {
+	if !s.cfg.Writable {
 		return Result{}, errors.New("server is read-only (restart with writes enabled)")
 	}
 	m, err := mutate(s.st, ctx, key)
@@ -241,12 +241,11 @@ func (s *Server) writeOp(ctx context.Context, mutate func(*store.Store, context.
 	return res, nil
 }
 
-// Translation locking: on a writable server the grid's scales and directory
-// mutate underneath concurrent queries, so every directory translation runs
-// under the store's grid read-lock. The store only takes the corresponding
-// write-lock for the in-memory apply step of a mutation (journal fsyncs
-// happen before it), so readers are never blocked on disk I/O. On read-only
-// stores RLockGrid is a no-op and translation stays lock-free.
+// Translation locking: the grid's scales and directory may mutate underneath
+// concurrent queries, so every directory translation runs under the store's
+// grid read-lock. The store only takes the corresponding write-lock for the
+// in-memory apply step of a mutation (journal fsyncs happen before it), so
+// readers are never blocked on disk I/O.
 //
 // The buckets are fetched after the lock is released, so a split or merge
 // may land between the two: the translated ids then miss the bucket the

@@ -24,11 +24,7 @@ func newTestEngine(t testing.TB, records, disks, replicas int, cfg Config) (*Ser
 // newEngine leaves it, reachable through exec (and reply) only.
 func engineAt(t testing.TB, dir string, cfg Config) *Server {
 	t.Helper()
-	open := store.Open
-	if cfg.Writable {
-		open = store.OpenWritable
-	}
-	st, err := open(dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

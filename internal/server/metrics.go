@@ -165,8 +165,7 @@ type Snapshot struct {
 	// nanoseconds: the stages are sub-microsecond on a warm cache.
 	Stages map[string]QuantileSummary `json:"stage_nanos,omitempty"`
 	Cache  *cache.Stats               `json:"cache,omitempty"`
-	// Writes reports the store's mutation counters on writable servers
-	// (absent on read-only ones).
+	// Writes reports the store's mutation counters.
 	Writes *store.WriteCounters `json:"writes,omitempty"`
 
 	// Disk batches by who read them (served_by on /metrics): their own

@@ -41,10 +41,9 @@ type Config struct {
 	// handlers under /debug/pprof/ on the HTTPAddr mux, so the serving path
 	// can be profiled in place. It needs HTTPAddr: New refuses it alone.
 	Pprof bool
-	// Writable opens the layout for online mutation (OpenDir only): the
-	// store is opened via store.OpenWritable — replaying any write-ahead
-	// journals left by a crash — and the INSERT/DELETE verbs are accepted.
-	// Read-only servers reject the write verbs with a protocol error.
+	// Writable accepts the INSERT/DELETE verbs on an OpenDir server; without
+	// it they are rejected with a protocol error. A New server accepts them
+	// whatever it says: its caller opened the store, and may write it.
 	Writable bool
 
 	// Faults is the failpoint registry threaded into the store's read path
@@ -138,10 +137,10 @@ func (c Config) withDefaults() Config {
 // Server is a running query service: an acceptor, one handler goroutine per
 // connection, and one queue and I/O goroutine per disk file. The store's grid
 // file (st.Grid()) acts as the coordinator's scales+directory; record data is
-// fetched from the page store with real file I/O. When the store is writable
-// (st.Writable()) the INSERT/DELETE verbs are accepted and every directory
-// translation runs under the store's grid read-lock, since the grid mutates
-// underneath concurrent queries.
+// fetched from the page store with real file I/O. Every directory translation
+// runs under the store's grid read-lock, since the grid mutates underneath
+// concurrent queries when the server accepts INSERT/DELETE (Config.Writable)
+// or the store's owner writes it.
 type Server struct {
 	cfg    Config
 	st     *store.Store
@@ -191,11 +190,19 @@ type Server struct {
 // layout's grid file — it decoded it from the layout's checkpoint file with
 // the placements when it opened — so grid must be st.Grid(); the parameter
 // stays only because the frozen bench/ passes it. The caller keeps ownership
-// of st.
+// of st, and the server accepts INSERT/DELETE on it whatever cfg.Writable
+// says.
 func New(grid *gridfile.File, st *store.Store, cfg Config) (*Server, error) {
 	if grid != st.Grid() {
 		return nil, errors.New("server: a store is served from its own grid (pass st.Grid())")
 	}
+	cfg.Writable = true
+	return start(st, cfg)
+}
+
+// start is New, or OpenDir, past its own checks: the engine and its
+// listeners over st.
+func start(st *store.Store, cfg Config) (*Server, error) {
 	if cfg.Pprof && cfg.HTTPAddr == "" {
 		return nil, errors.New("server: Config.Pprof needs Config.HTTPAddr: the pprof handlers are served on the HTTP listener")
 	}
@@ -268,19 +275,15 @@ func newEngine(st *store.Store, cfg Config) *Server {
 }
 
 // OpenDir opens a layout directory written by store.Write or WriteReplicated
-// and serves it; Close releases the store. With cfg.Writable the store is
-// opened for online mutation — crash-left journals are replayed before
-// serving starts.
+// (store.Open: crash-left journals are replayed before serving starts) and
+// serves it; Close releases the store. It accepts INSERT/DELETE only with
+// cfg.Writable.
 func OpenDir(dir string, cfg Config) (*Server, error) {
-	open := store.Open
-	if cfg.Writable {
-		open = store.OpenWritable
-	}
-	st, err := open(dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	s, err := New(st.Grid(), st, cfg)
+	s, err := start(st, cfg)
 	if err != nil {
 		st.Close()
 		return nil, err

@@ -188,6 +188,42 @@ func TestReadOnlyServerRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestReadOnlyServerServesAcknowledgedWrites is the regression test for a
+// server that opened a layout without replaying its journals: a store
+// acknowledges 50 inserts into a 1 200-record layout and dies without a
+// checkpoint, so the inserts live in the journals only, and a server opened
+// over the directory without Writable counted 1 200 records. Every open
+// replays now, so it counts 1 250 — and still refuses writes of its own.
+func TestReadOnlyServerServesAcknowledgedWrites(t *testing.T) {
+	ctx := context.Background()
+	f, dir := newTestLayout(t, 1200, 4, 1)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetCheckpointEvery(0)
+	for _, key := range testKeys(f.Domain(), 50, 21) {
+		if _, err := st.Insert(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.CloseNoCheckpoint()
+
+	s, err := OpenDir(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	cl := newTestClient(t, s, ClientConfig{})
+	if n, _, err := cl.RangeCountCtx(ctx, f.Domain()); err != nil || n != 1250 {
+		t.Fatalf("count over the domain: %d, %v; want 1250 records", n, err)
+	}
+	_, err = cl.InsertCtx(ctx, geom.Point{0.5, 0.5})
+	if se := (*ServerError)(nil); !errors.As(err, &se) || se.Msg != "server is read-only (restart with writes enabled)" {
+		t.Fatalf("insert into a server opened without Writable: %v, want the read-only refusal", err)
+	}
+}
+
 // TestConcurrentWritesAndReads hammers a writable server with parallel
 // writers and readers; under -race this doubles as the locking proof for the
 // grid translation / mutation split.

@@ -57,13 +57,16 @@ func writeCheckpoint(w io.Writer, g *gridfile.File, m *Manifest) error {
 }
 
 // openCheckpoint opens dir's disk files under the checkpoint file read from r
-// (split from open so FuzzCheckpoint can skip the file write).
-func openCheckpoint(dir string, r *bufio.Reader, writable bool) (*Store, error) {
+// and sets up the write path over them, journals aside (split from Open so
+// FuzzManifest can skip the file write).
+func openCheckpoint(dir string, r *bufio.Reader) (*Store, error) {
 	s := &Store{dir: dir, now: time.Now}
-	if err := s.readCheckpoint(r, writable); err != nil {
+	named, err := s.readCheckpoint(r)
+	if err != nil {
 		closeAll(s.files)
 		return nil, err
 	}
+	s.w = newWriter(&s.manifest, named)
 	return s, nil
 }
 
@@ -71,53 +74,56 @@ func openCheckpoint(dir string, r *bufio.Reader, writable bool) (*Store, error) 
 // names on the way. Every count is checked before it sizes anything: the grid
 // section by gridfile.Read, the disk count by opening the files one by one,
 // the replica count against the disks. A placement must name exactly Replicas
-// distinct owner disks, each copy lying wholly inside its file, so whatever
-// passes can be handed to the read path without a bounds check.
-func (s *Store) readCheckpoint(r *bufio.Reader, writable bool) error {
+// distinct owner disks, each copy lying wholly inside its file on pages no
+// other copy names, so whatever passes can be handed to the read path without
+// a bounds check, and a rewrite never lands on a page a live copy holds. It
+// returns which pages of each disk file the placements name, one flag per page
+// of the file as it stands, for the write path's free pages (newWriter).
+func (s *Store) readCheckpoint(r *bufio.Reader) ([][]bool, error) {
 	// gridfile.Read reads no further than the grid section from a
 	// *bufio.Reader, so the header follows in r.
 	g, err := gridfile.Read(r)
 	if err != nil {
-		return fmt.Errorf("store: checkpoint grid section: %w", err)
+		return nil, fmt.Errorf("store: checkpoint grid section: %w", err)
 	}
 	var h [checkpointHeaderBytes]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return fmt.Errorf("store: checkpoint header: %w", err)
+		return nil, fmt.Errorf("store: checkpoint header: %w", err)
 	}
 	le := binary.LittleEndian
 	if magic := string(h[:4]); magic != checkpointMagic {
-		return errVintage(fmt.Sprintf("checkpoint header magic %q", magic))
+		return nil, errVintage(fmt.Sprintf("checkpoint header magic %q", magic))
 	}
 	if format := le.Uint32(h[4:]); format != pageFormat {
-		return errVintage(fmt.Sprintf("page format %d", format))
+		return nil, errVintage(fmt.Sprintf("page format %d", format))
 	}
 	disks, pageBytes, replicas := le.Uint64(h[8:]), le.Uint64(h[16:]), le.Uint64(h[24:])
 	dims := g.Dims()
 	if disks < 1 || disks > math.MaxInt32 || replicas < 1 || replicas > disks ||
 		pageBytes > math.MaxInt32 || pageBytes <= pageHeaderBytes || recordsPerPage(int(pageBytes), dims) < 1 {
-		return fmt.Errorf("store: implausible checkpoint header (disks=%d replicas=%d page=%d, %d-D records)",
+		return nil, fmt.Errorf("store: implausible checkpoint header (disks=%d replicas=%d page=%d, %d-D records)",
 			disks, replicas, pageBytes, dims)
 	}
 	s.manifest = Manifest{Disks: int(disks), Dims: dims, PageBytes: int(pageBytes), Replicas: int(replicas),
 		CheckpointLSN: le.Uint64(h[32:])}
 
-	flags := os.O_RDONLY
-	if writable {
-		flags = os.O_RDWR
-	}
 	// The handles are opened one by one rather than into a slice sized from
 	// the header, so a hostile disk count fails on its first missing file
 	// instead of allocating.
 	for d := 0; d < s.manifest.Disks; d++ {
-		fh, err := os.OpenFile(filepath.Join(s.dir, DiskFileName(d)), flags, 0)
+		fh, err := os.OpenFile(filepath.Join(s.dir, DiskFileName(d)), os.O_RDWR, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.files = append(s.files, fh)
 	}
 	sizes, err := s.DiskSizes()
 	if err != nil {
-		return err
+		return nil, err
+	}
+	named := make([][]bool, len(sizes))
+	for d, n := range sizes {
+		named[d] = make([]bool, n)
 	}
 
 	views := g.Buckets()
@@ -132,20 +138,27 @@ func (s *Store) readCheckpoint(r *bufio.Reader, writable bool) error {
 		pl.OwnerDisks, pl.OwnerPages = owners[i*nr:(i+1)*nr:(i+1)*nr], firsts[i*nr:(i+1)*nr:(i+1)*nr]
 		for c := range nr {
 			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return fmt.Errorf("store: checkpoint placement of bucket %d: %w", v.ID, err)
+				return nil, fmt.Errorf("store: checkpoint placement of bucket %d: %w", v.ID, err)
 			}
 			d, pg := le.Uint32(rec[:]), le.Uint64(rec[4:])
 			if uint64(d) >= disks {
-				return fmt.Errorf("store: bucket %d on disk %d of %d", v.ID, d, s.manifest.Disks)
+				return nil, fmt.Errorf("store: bucket %d on disk %d of %d", v.ID, d, s.manifest.Disks)
 			}
 			if slices.Contains(pl.OwnerDisks[:c], int(d)) {
-				return fmt.Errorf("store: bucket %d owns disk %d twice", v.ID, d)
+				return nil, fmt.Errorf("store: bucket %d owns disk %d twice", v.ID, d)
 			}
 			// The copy's pages must lie wholly inside the file; pl.Pages is
 			// bounded by the grid's record count, so nothing overflows.
 			if n := int64(pl.Pages); sizes[d] < n || pg > uint64(sizes[d]-n) {
-				return fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
+				return nil, fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
 					v.ID, pg, pl.Pages, d, sizes[d])
+			}
+			for p := range int64(pl.Pages) {
+				if named[d][int64(pg)+p] {
+					return nil, fmt.Errorf("store: bucket %d names page %d of disk %d, which another copy holds",
+						v.ID, int64(pg)+p, d)
+				}
+				named[d][int64(pg)+p] = true
 			}
 			pl.OwnerDisks[c], pl.OwnerPages[c] = int(d), int64(pg)
 		}
@@ -155,7 +168,7 @@ func (s *Store) readCheckpoint(r *bufio.Reader, writable bool) error {
 		if err == nil {
 			err = fmt.Errorf("trailing bytes after %d placements", len(pls))
 		}
-		return fmt.Errorf("store: checkpoint: %w", err)
+		return nil, fmt.Errorf("store: checkpoint: %w", err)
 	}
 
 	t := newPlaceTable(views)
@@ -165,5 +178,5 @@ func (s *Store) readCheckpoint(r *bufio.Reader, writable bool) error {
 	s.places.Store(t)
 	s.manifest.Buckets = pls
 	s.grid = g
-	return nil
+	return named, nil
 }

@@ -33,7 +33,7 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 		for _, r := range []int{1, 2} {
 			t.Run(fmt.Sprintf("n=%d/r=%d", n, r), func(t *testing.T) {
 				dir, f, _ := buildReplicatedLayout(t, 4, r)
-				s, err := OpenWritable(dir)
+				s, err := Open(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 				}
 				s.CloseNoCheckpoint()
 
-				s2, err := OpenWritable(dir)
+				s2, err := Open(dir)
 				if err != nil {
 					t.Fatalf("reopen after the torn checkpoint: %v", err)
 				}
@@ -128,7 +128,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	// op reports stale must read back, rewritten, straight after the op — and
 	// after a merge every bucket, in case the report named the wrong ones.
 	apply := func() (s *Store, merges int) {
-		s, err := OpenWritable(copyLayout(t, base))
+		s, err := Open(copyLayout(t, base))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 	free := reusablePages(live)
 	live.Close()
-	live, err := OpenWritable(live.dir)
+	live, err := Open(live.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestReplayMatchesLive(t *testing.T) {
 
 	crashed, _ := apply()
 	crashed.CloseNoCheckpoint()
-	replayed, err := OpenWritable(crashed.dir)
+	replayed, err := Open(crashed.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +237,12 @@ func checkBucketCopies(t *testing.T, s *Store, id int32) {
 
 func cmpRow(a, b [2]float64) int { return slices.Compare(a[:], b[:]) }
 
-// TestOpenWritableRemovesStrays plants what a kill inside a checkpoint can
+// TestOpenRemovesStrays plants what a kill inside a checkpoint can
 // leave in a layout directory — atomicWriteFile's temporary — beside files
 // that are none of the store's business, the files of older layout
-// generations among them, and checks OpenWritable removes the former and only
+// generations among them, and checks Open removes the former and only
 // the former.
-func TestOpenWritableRemovesStrays(t *testing.T) {
+func TestOpenRemovesStrays(t *testing.T) {
 	dir, _, _ := buildReplicatedLayout(t, 4, 2)
 	bystanders := []string{"NOTES.txt", ".hidden", "layout.grd.bak", "grid.grd", "grid.1024.grd"}
 	strays := []string{".layout.grd.tmp", ".manifest.json.tmp"}
@@ -255,7 +255,7 @@ func TestOpenWritableRemovesStrays(t *testing.T) {
 		want[e.Name()] = true
 	}
 	for d := 0; d < 4; d++ {
-		want[JournalFileName(d)] = true // OpenWritable creates the journals
+		want[JournalFileName(d)] = true // Open creates the journals
 	}
 	for _, name := range bystanders {
 		want[name] = true
@@ -266,7 +266,7 @@ func TestOpenWritableRemovesStrays(t *testing.T) {
 		}
 	}
 
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +277,12 @@ func TestOpenWritableRemovesStrays(t *testing.T) {
 	}
 	for _, e := range ents {
 		if !want[e.Name()] {
-			t.Errorf("%s survived OpenWritable", e.Name())
+			t.Errorf("%s survived Open", e.Name())
 		}
 		delete(want, e.Name())
 	}
 	for name := range want {
-		t.Errorf("%s was removed by OpenWritable", name)
+		t.Errorf("%s was removed by Open", name)
 	}
 }
 
@@ -310,12 +310,12 @@ func writeMixLayout(b *testing.B) string {
 	return dir
 }
 
-// BenchmarkCheckpoint times one forced checkpoint of a writable write-mix
-// sized layout: the data fsyncs, the checkpoint file written, synced and
+// BenchmarkCheckpoint times one forced checkpoint of a write-mix sized
+// layout: the data fsyncs, the checkpoint file written, synced and
 // renamed, the journals truncated. It guards the checkpoint's cost below the
 // served benchmark, where it shows as store.checkpoint_s.
 func BenchmarkCheckpoint(b *testing.B) {
-	s, err := OpenWritable(writeMixLayout(b))
+	s, err := Open(writeMixLayout(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,7 +330,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 }
 
 // BenchmarkOpen times Open of a write-mix sized layout: the checkpoint file
-// decoded, the disk files opened and every placement checked against them.
+// decoded, the disk files opened, every placement checked against them, the
+// free pages derived and the (empty) journals opened.
 // It shows in the served benchmark as store.open_s, and inside setup_s.
 func BenchmarkOpen(b *testing.B) {
 	dir := writeMixLayout(b)

@@ -11,7 +11,7 @@ import (
 // Per-disk write-ahead journal. Every mutation is appended (and fsynced) to
 // the journal of every disk owning a copy of the target bucket *before* any
 // data page is touched, and the mutation is acknowledged only once all owner
-// journals hold it. OpenWritable replays the journals through the grid
+// journals hold it. Open replays the journals through the grid
 // file's deterministic insert/delete machinery, so a crash at any point
 // between the last journal fsync and the last replica page write loses
 // nothing — and a crash before the last journal fsync loses only

@@ -35,7 +35,7 @@ func TestFailedJournalAppendKeepsLaterWrites(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("child: %v\n%s", err, out)
 	}
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFailedJournalAppendKeepsLaterWrites(t *testing.T) {
 // limit to half a record past the end of A's journals and insert B, which must
 // fail, restore the limit, insert C, and close without a checkpoint.
 func insertPastFileSizeLimit(t *testing.T, dir string) {
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

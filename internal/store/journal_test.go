@@ -69,6 +69,23 @@ func copyLayout(t *testing.T, src string) string {
 	return dst
 }
 
+// openCommitted opens the layout the last checkpoint committed in dir, as it
+// stands: a copy of dir without its journals, so Open has nothing to replay.
+func openCommitted(t *testing.T, dir string) (*Store, error) {
+	t.Helper()
+	cp := copyLayout(t, dir)
+	wals, err := filepath.Glob(filepath.Join(cp, "journal*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wal := range wals {
+		if err := os.Remove(wal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return Open(cp)
+}
+
 // crashOp is one step of the mutation sequence driven against the store.
 type crashOp struct {
 	del bool
@@ -165,7 +182,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 	total := 0
 	{
 		dir := copyLayout(t, base)
-		s, err := OpenWritable(dir)
+		s, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +218,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 
 	for k := 1; k <= total; k++ {
 		dir := copyLayout(t, base)
-		s, err := OpenWritable(dir)
+		s, err := Open(dir)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -214,7 +231,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		}
 		s.CloseNoCheckpoint() // kill -9 at crash point k
 
-		committed, err := Open(dir)
+		committed, err := openCommitted(t, dir)
 		if err != nil {
 			t.Fatalf("k=%d: the committed layout: %v", k, err)
 		}
@@ -222,7 +239,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		committed.Close()
 
 		// Recovery: reopen replays the journals.
-		s2, err := OpenWritable(dir)
+		s2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("k=%d: recovery failed: %v", k, err)
 		}
@@ -295,7 +312,7 @@ func samePoint(a, b geom.Point) bool {
 // record that commits is appended to both owners' journals.
 func TestJournalFaultSite(t *testing.T) {
 	dir, f, _ := buildReplicatedLayout(t, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +354,7 @@ func TestJournalFaultSite(t *testing.T) {
 	if held != 2*2 {
 		t.Fatalf("the journals hold %d records, want 4", held)
 	}
-	s2, err := OpenWritable(dir)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func layoutDigest(t *testing.T, dir string) string {
 // without a checkpoint: n inserts, all of them still in the journals.
 func abandonAfterInserts(t *testing.T, dir string, n int) {
 	t.Helper()
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFreshLayoutBytes(t *testing.T) {
 // TestRelayoutOverUncheckpointedDirectory is the regression test for a fresh
 // layout inheriting the journals of the directory's previous life: a writable
 // store takes 50 inserts and dies without a checkpoint, the original file is
-// laid out again over the same directory, and the next OpenWritable replayed
+// laid out again over the same directory, and the next writable open replayed
 // the dead store's journals into the new layout (1 250 records, not 1 200).
 // A fresh layout clears what the earlier life left, strays included.
 func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
@@ -124,11 +124,6 @@ func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
 	if _, err := WriteReplicated(dir, f, rm, 4096); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro.Close()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +134,7 @@ func TestRelayoutOverUncheckpointedDirectory(t *testing.T) {
 		}
 	}
 
-	s2, err := OpenWritable(dir)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,16 +219,11 @@ func TestBuildCrashAtEveryFailpoint(t *testing.T) {
 					if err != nil {
 						t.Fatalf("k=%d (used=%v): Open after the commit: %v", k, base != "", err)
 					}
+					if n := s.WriteCounters().JournalReplays; n != 0 || s.Grid().Len() != f.Len() {
+						t.Fatalf("k=%d (used=%v): %d replays, %d records; want 0 and %d", k, base != "", n, s.Grid().Len(), f.Len())
+					}
 					verifyStoreMatchesGrid(t, s, f)
 					s.Close()
-					w, err := OpenWritable(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n := w.WriteCounters().JournalReplays; n != 0 || w.Grid().Len() != f.Len() {
-						t.Fatalf("k=%d (used=%v): %d replays, %d records; want 0 and %d", k, base != "", n, w.Grid().Len(), f.Len())
-					}
-					w.Close()
 				}
 			}
 		})

@@ -129,6 +129,18 @@ var checkpointCases = []checkpointCase{
 		size := d.sizes[binary.LittleEndian.Uint32(b[d.copyAt(0, 0):])]
 		return put64(b, d.copyAt(0, 0)+4, uint64(size-int64(d.pages)+1))
 	}},
+	{name: "two copies share a page", edit: func(d *doctorable, b []byte) []byte {
+		// Bucket 1's copy on the disk of bucket 0's primary — or its primary,
+		// when it has none there — moves onto the primary's first page; its
+		// owners stay distinct and its pages inside the file.
+		primary := b[d.copyAt(0, 0) : d.copyAt(0, 0)+checkpointCopyBytes]
+		c := 0
+		if binary.LittleEndian.Uint32(b[d.copyAt(1, 1):]) == binary.LittleEndian.Uint32(primary) {
+			c = 1
+		}
+		copy(b[d.copyAt(1, c):], primary)
+		return b
+	}},
 	{name: "first page 2^63", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.copyAt(1, 0)+4, 1<<63) }},
 	{name: "first page 2^64-1", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.copyAt(1, 1)+4, 1<<64-1) }},
 
@@ -259,8 +271,9 @@ func TestHostileIDSizesNothing(t *testing.T) {
 // FuzzManifest decodes arbitrary bytes as the checkpoint file beside a valid
 // layout's disk files, seeded with the real encoder's file and every row of
 // the refusal table: the result must be an error or a store whose every
-// bucket copy can be read — successfully or not — without a panic, and whose
-// layout, encoded again by the writer, decodes to the same Manifest.
+// bucket copy can be read — successfully or not — without a panic, no two of
+// whose copies share a page, and whose layout, encoded again by the writer,
+// decodes to the same Manifest.
 func FuzzManifest(f *testing.F) {
 	d := doctorableLayout(f)
 	f.Add(d.valid)
@@ -268,18 +281,31 @@ func FuzzManifest(f *testing.F) {
 		f.Add(c.render(d))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := openCheckpoint(d.dir, bufio.NewReader(bytes.NewReader(data)), false)
+		s, err := openCheckpoint(d.dir, bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
 		defer s.Close()
 		readEverything(s)
 		m := s.Manifest()
+		type diskPage struct{ disk, page int64 }
+		holder := map[diskPage]int32{}
+		for _, pl := range m.Buckets {
+			for i, disk := range pl.OwnerDisks {
+				for p := range int64(pl.Pages) {
+					at := diskPage{int64(disk), pl.OwnerPages[i] + p}
+					if id, ok := holder[at]; ok {
+						t.Fatalf("buckets %d and %d both hold page %d of disk %d", id, pl.ID, at.page, disk)
+					}
+					holder[at] = pl.ID
+				}
+			}
+		}
 		var again bytes.Buffer
 		if err := writeCheckpoint(&again, s.Grid(), &m); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := openCheckpoint(d.dir, bufio.NewReader(&again), false)
+		s2, err := openCheckpoint(d.dir, bufio.NewReader(&again))
 		if err != nil {
 			t.Fatalf("the writer's encoding of an accepted checkpoint is refused: %v", err)
 		}

@@ -77,7 +77,7 @@ func TestConcurrentReadsAgreeWithModel(t *testing.T) {
 		inserts = 500
 	}
 	dir, f, _ := buildReplicatedLayoutOf(t, base, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestConcurrentReadsAgreeWithModel(t *testing.T) {
 func TestPlacementTableGrowsUnderReaders(t *testing.T) {
 	const base, readers, inserts = 60, 2, 700
 	dir, f, _ := buildReplicatedLayoutOf(t, base, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestPlacementTableGrowth(t *testing.T) {
 // it was when it looked it up.
 func TestPinnedReaderOutlivesCheckpoints(t *testing.T) {
 	dir, f, _ := buildReplicatedLayoutOf(t, 600, 4, 1)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestPinnedReaderOutlivesCheckpoints(t *testing.T) {
 // nothing.
 func TestScrubRacingWritesFindsNothing(t *testing.T) {
 	dir, f, _ := buildReplicatedLayoutOf(t, 600, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestScrubRacingWritesFindsNothing(t *testing.T) {
 func TestDiskFilesStayNearLive(t *testing.T) {
 	const every, inserts, disks = 256, 5000, 4
 	dir, f, _ := buildReplicatedLayout(t, disks, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestDiskFilesStayNearLive(t *testing.T) {
 // the next rewrite that reaches the disk clears it.
 func TestReadOfMissedCopyIsRefused(t *testing.T) {
 	dir, f, _ := buildReplicatedLayoutOf(t, 600, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

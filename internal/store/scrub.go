@@ -3,8 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"time"
 )
@@ -30,8 +28,9 @@ type ScrubStats struct {
 // was written or since rewritten in; pause, when positive, is slept between
 // buckets so a background scrub stays low-priority next to live queries.
 // Each bucket's placement is looked up again when its turn comes and pinned
-// (pinPages) while it is scanned: on a writable store the pages a placement
-// named at the start of the pass may since hold another bucket. A copy that
+// (pinPages) while it is scanned: the pages a placement named at the start of
+// the pass may since hold another bucket. Repairs go through the store's own
+// disk handles. A copy that
 // missed its last write (errStaleCopy) is neither verified nor repaired from;
 // replay rewrites it. Scrub reads the disk files directly, bypassing the
 // failpoint registry: it verifies the real bytes on disk, not the fault model.
@@ -56,32 +55,23 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 	}
 	slices.SortFunc(pls, cmpDiskPage)
 
-	// Repair handles are opened lazily, once per disk per pass, and synced
-	// in this deferred block so that EVERY exit path — completion, context
-	// cancellation between buckets or during a pause, a failed repair write
-	// — flushes whatever repairs were already written. A cancelled pass must
-	// not leave its repairs sitting unsynced in the page cache, where a
-	// crash would silently undo them.
-	rw := make(map[int]*os.File)
+	// Every disk a repair was written to is synced in this deferred block,
+	// so that EVERY exit path — completion, context cancellation between
+	// buckets or during a pause, a failed repair write — flushes whatever
+	// repairs were already written. A cancelled pass must not leave its
+	// repairs sitting unsynced in the page cache, where a crash would
+	// silently undo them.
+	repaired := make([]bool, len(s.files))
 	defer func() {
-		for _, fh := range rw {
-			if serr := fh.Sync(); serr != nil && err == nil {
+		for d, ok := range repaired {
+			if !ok {
+				continue
+			}
+			if serr := s.files[d].Sync(); serr != nil && err == nil {
 				err = serr
 			}
-			fh.Close()
 		}
 	}()
-	repairHandle := func(disk int) (*os.File, error) {
-		if fh, ok := rw[disk]; ok {
-			return fh, nil
-		}
-		fh, err := os.OpenFile(filepath.Join(s.dir, DiskFileName(disk)), os.O_RDWR, 0)
-		if err != nil {
-			return nil, err
-		}
-		rw[disk] = fh
-		return fh, nil
-	}
 
 	pageBytes := s.manifest.PageBytes
 	buf := make([]byte, pageBytes)
@@ -124,12 +114,9 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			}
 			for _, i := range owners {
 				d := pl.OwnerDisks[i]
-				fh, err := repairHandle(d)
-				if err != nil {
-					return fmt.Errorf("store: opening disk %d for repair: %w", d, err)
-				}
+				repaired[d] = true
 				off := (pl.OwnerPages[i] + int64(p)) * int64(pageBytes)
-				if _, err := fh.WriteAt(good, off); err != nil {
+				if _, err := s.files[d].WriteAt(good, off); err != nil {
 					return fmt.Errorf("store: repairing bucket %d page %d on disk %d: %w", pl.ID, p, d, err)
 				}
 				if s.scrubReadPage(d, pl.OwnerPages[i]+int64(p), buf, pl.ID, p) {

@@ -10,12 +10,19 @@
 //	                layout
 //	disk000.dat …   one page file per disk; each bucket occupies one or
 //	                more consecutive pages on its assigned disk
-//	journal000.wal … one write-ahead journal per disk, from the first
-//	                OpenWritable on (write.go); a fresh layout has none
+//	journal000.wal … one write-ahead journal per disk, from the first Open
+//	                on (write.go); a fresh layout has none
 //
 // There is one way onto disk: a fresh layout (writeLayout) is checkpoint zero
 // of the write path, and one owner of the grid file: the Store decodes it
 // with the placements, and callers translate queries against Store.Grid().
+//
+// There is one way off disk, too: Open. Every open is the same — disk files
+// read-write, strays removed, free pages derived, journals replayed — so a
+// layout's state is its last checkpoint plus every write acknowledged since,
+// whoever opens it. A layout has one opening process at a time: an Open
+// replays and checkpoints the journals another live Store may be appending
+// to.
 //
 // Pages are fixed-size; a bucket larger than one page (possible only for
 // the overfull duplicate-key case) spans consecutive pages. The reader
@@ -24,8 +31,8 @@
 //
 // A Store is safe for concurrent readers: ReadFlatsFromTimed addresses pages
 // with pread-style ReadAt calls on per-disk file handles, and the only shared
-// state it touches is the writable store's reader-epoch count (pinPages), by
-// atomic adds; so any number of goroutines may fetch buckets simultaneously
+// state it touches is the reader-epoch count (pinPages), by atomic adds; so
+// any number of goroutines may fetch buckets simultaneously
 // — the property the network query service (internal/server) relies on for
 // its per-disk I/O goroutines.
 //
@@ -216,7 +223,7 @@ func encodePage(page []byte, id int32, keys []float64, dims int) {
 // data fsynced, then layout.grd by rename. Until that rename the directory is
 // not a layout: whatever an earlier life left in it goes first, its checkpoint
 // before anything else and the journals with it, so that neither a kill
-// part-way nor the next OpenWritable pairs the new pages with the old life's
+// part-way nor the next Open pairs the new pages with the old life's
 // placements or operations. crash is the write path's kill hook, for the
 // tests.
 func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) (*Manifest, error) {
@@ -240,8 +247,9 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		manifest: Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, Replicas: replicas},
 		dir:      dir,
 		grid:     f,
-		w:        &writer{nextPage: make([]int64, disks), nextLSN: 1, crash: crash},
 	}
+	s.w = newWriter(&s.manifest, make([][]bool, disks))
+	s.w.crash = crash
 	defer func() { closeAll(s.files) }()
 	for d := 0; d < disks; d++ {
 		fh, err := os.Create(filepath.Join(dir, DiskFileName(d)))
@@ -278,8 +286,8 @@ type Store struct {
 	files    []*os.File
 
 	// grid is the layout's grid file — the coordinator's scales, directory
-	// and records — decoded from the checkpoint file by open. A read-only
-	// store never changes it; a writable one mutates it under w.gridMu.
+	// and records — decoded from the checkpoint file by Open, and mutated
+	// under w.gridMu.
 	grid *gridfile.File
 
 	// pmu is the writers' lock: a placement store (setPlacement) holds it, and
@@ -303,7 +311,7 @@ type Store struct {
 	places atomic.Pointer[[]atomic.Pointer[Placement]]
 
 	// w holds the mutable-store state (grid lock, journals, allocation
-	// cursors); nil unless the store was opened with OpenWritable.
+	// cursors).
 	w *writer
 
 	// verify, when true, checks every page's CRC-32C during decode. Set
@@ -321,24 +329,16 @@ type Store struct {
 	diskSites []string
 }
 
-// Open loads a layout directory written by Write or WriteReplicated: its
-// checkpoint file, layout.grd, and the disk files that file places buckets
-// in. It refuses a directory that holds a manifest.json instead (the layout
-// generation before the checkpoint file), a checkpoint of another page format,
-// and one whose placements could not all be read from the disk files as they
-// stand.
-func Open(dir string) (*Store, error) { return open(dir, false) }
-
-// errVintage builds the refusal for a layout generation this reader does not
-// serve; what names what gave it away.
-func errVintage(what string) error {
-	return fmt.Errorf("store: %s: only checkpoints of page format %d are readable; regenerate the layout with `gridtool layout`",
-		what, pageFormat)
-}
-
-// open is the shared Open/OpenWritable core; writable selects read-write
-// disk file handles.
-func open(dir string, writable bool) (*Store, error) {
+// Open loads a layout directory written by Write or WriteReplicated for
+// serving and mutation. It reads the checkpoint file, layout.grd, opens the
+// disk files that file places buckets in read-write — the grid file it holds
+// becomes the mutable coordinator state — clears out what a kill inside a
+// checkpoint may have stranded, replays any journaled operations that survived
+// a crash, and checkpoints the replayed state. It refuses a directory that
+// holds a manifest.json instead (the layout generation before the checkpoint
+// file), a checkpoint of another page format, and one whose placements could
+// not all be read from the disk files as they stand.
+func Open(dir string) (*Store, error) {
 	fh, err := os.Open(filepath.Join(dir, "layout.grd"))
 	if errors.Is(err, os.ErrNotExist) {
 		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
@@ -348,8 +348,40 @@ func open(dir string, writable bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer fh.Close()
-	return openCheckpoint(dir, bufio.NewReader(fh), writable)
+	s, err := openCheckpoint(dir, bufio.NewReader(fh))
+	fh.Close()
+	if err != nil {
+		return nil, err
+	}
+	if err := removeStrays(dir, false); err != nil {
+		s.CloseNoCheckpoint()
+		return nil, err
+	}
+	for d := 0; d < s.manifest.Disks; d++ {
+		jh, err := os.OpenFile(filepath.Join(dir, JournalFileName(d)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			s.CloseNoCheckpoint()
+			return nil, err
+		}
+		s.w.journals = append(s.w.journals, jh)
+	}
+	if err := s.replay(); err != nil {
+		s.CloseNoCheckpoint()
+		return nil, fmt.Errorf("store: journal replay: %w", err)
+	}
+	return s, nil
+}
+
+// OpenWritable is Open under its name from before every open was writable,
+// kept for the benchmark harness (bench/), whose sources change only with the
+// benchmark.
+func OpenWritable(dir string) (*Store, error) { return Open(dir) }
+
+// errVintage builds the refusal for a layout generation this reader does not
+// serve; what names what gave it away.
+func errVintage(what string) error {
+	return fmt.Errorf("store: %s: only checkpoints of page format %d are readable; regenerate the layout with `gridtool layout`",
+		what, pageFormat)
 }
 
 // newPlaceTable makes an empty placement table with a slot for every bucket
@@ -363,9 +395,9 @@ func newPlaceTable(views []gridfile.BucketView) *[]atomic.Pointer[Placement] {
 	return &t
 }
 
-// Grid returns the layout's grid file. On a writable store it mutates under
-// concurrent queries: callers translating against it must hold the grid read
-// lock (RLockGrid) so a mutation cannot rewrite the directory mid-translation.
+// Grid returns the layout's grid file. It mutates under concurrent queries:
+// callers translating against it must hold the grid read lock (RLockGrid) so
+// a mutation cannot rewrite the directory mid-translation.
 func (s *Store) Grid() *gridfile.File { return s.grid }
 
 // Manifest returns the layout description as of the last checkpoint. Its
@@ -705,8 +737,8 @@ var plScratchPool = sync.Pool{New: func() any {
 // pages read — the I/O the paper's response-time metric charges. The cost
 // and the planner's counts accumulate into tm (nil disables both). A copy
 // that missed its last write is refused with errStaleCopy. Safe for
-// concurrent use: positioned reads only, and on a writable store the pages
-// looked up stay pinned (pinPages) until the last pread has returned.
+// concurrent use: positioned reads only, and the pages looked up stay pinned
+// (pinPages) until the last pread has returned.
 func (s *Store) ReadFlatsFromTimed(ctx context.Context, disk int, ids []int32, out []geom.Flat, tm *Timing) (int, error) {
 	e := s.pinPages()
 	defer s.unpinPages(e)
@@ -847,17 +879,16 @@ func (s *Store) DiskSizes() ([]int64, error) {
 	return out, nil
 }
 
-// Close releases the disk file handles. A writable store first attempts a
-// final checkpoint (best-effort — replay covers whatever it could not
-// flush) and closes its journals; use Checkpoint directly when the caller
-// needs the error.
+// Close attempts a final checkpoint (best-effort — replay covers whatever it
+// could not flush; a store that took no write since its last one writes
+// nothing), then releases the journals and the disk file handles; use
+// Checkpoint directly when the caller needs the error.
 func (s *Store) Close() {
-	if w := s.w; w != nil {
-		w.mu.Lock()
-		_ = s.checkpointLocked(false)
-		closeAll(w.journals)
-		w.mu.Unlock()
-	}
+	w := s.w
+	w.mu.Lock()
+	_ = s.checkpointLocked(false)
+	closeAll(w.journals)
+	w.mu.Unlock()
 	closeAll(s.files)
 }
 
@@ -884,8 +915,6 @@ func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 func closeAll(files []*os.File) {
 	for _, fh := range files {
-		if fh != nil {
-			fh.Close()
-		}
+		fh.Close()
 	}
 }

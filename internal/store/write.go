@@ -17,11 +17,11 @@ import (
 	"pgridfile/internal/gridfile"
 )
 
-// The mutable store. OpenWritable loads a layout directory for serving AND
-// mutation. There is one write path: Insert and Delete are the same function
-// (mutate) with a different journal op, journal replay runs the same apply
-// step the live path does, and a fresh layout (writeLayout) is step 4 for
-// every bucket followed by a checkpoint. An operation goes through, in order,
+// The mutable store: every Store serves AND mutates its layout. There is one
+// write path: Insert and Delete are the same function (mutate) with a
+// different journal op, journal replay runs the same apply step the live path
+// does, and a fresh layout (writeLayout) is step 4 for every bucket followed
+// by a checkpoint. An operation goes through, in order,
 //
 //  1. locate: the target bucket and its owner disks (grid translation);
 //  2. journal: the operation is appended to every owner disk's journal
@@ -54,9 +54,9 @@ import (
 // since the last one and flips the epoch, and the next rewrite that finds no
 // free extent frees them once the old epoch's count is zero. Nothing waits:
 // a checkpoint that finds the previous epoch still held leaves its extents
-// for the next one. OpenWritable takes every page below a disk's end that the
-// committed checkpoint does not name as free, so the set needs no file of its
-// own.
+// for the next one. Open takes every page below a disk's end that the
+// committed checkpoint does not name as free (newWriter), so the set needs no
+// file of its own.
 //
 // Failure semantics: a journal append failure aborts the operation before
 // it is acknowledged. A failed write cuts every journal it reached back to its
@@ -74,9 +74,9 @@ import (
 // Checkpoints are withheld so the journals keep the redo, and replay rewrites
 // every copy on the next open.
 
-// DefaultCheckpointEvery is how many committed mutations a writable store
-// absorbs before checkpointing on its own. SetCheckpointEvery overrides it;
-// zero disables automatic checkpoints (Close and Checkpoint still flush).
+// DefaultCheckpointEvery is how many committed mutations a store absorbs
+// before checkpointing on its own. SetCheckpointEvery overrides it; zero
+// disables automatic checkpoints (Close and Checkpoint still flush).
 const DefaultCheckpointEvery = 1024
 
 // WriteCounters are the write path's monotonic counters, surfaced in the
@@ -85,7 +85,7 @@ type WriteCounters struct {
 	Inserts        int64 `json:"inserts"`         // acknowledged inserts
 	Deletes        int64 `json:"deletes"`         // acknowledged deletes that removed a record
 	JournalAppends int64 `json:"journal_appends"` // per-owner-journal record appends (fsynced)
-	JournalReplays int64 `json:"journal_replays"` // journaled operations re-applied by OpenWritable
+	JournalReplays int64 `json:"journal_replays"` // journaled operations re-applied by Open
 	BucketSplits   int64 `json:"bucket_splits"`   // bucket splits triggered by inserts
 }
 
@@ -106,8 +106,7 @@ type Mutation struct {
 // further writes once it fires, modelling a kill -9 at that exact point.
 var errSimulatedCrash = errors.New("store: simulated crash")
 
-// writer is the mutable-store state hanging off a Store opened with
-// OpenWritable.
+// writer is the mutable-store state hanging off every Store.
 type writer struct {
 	// mu serializes every mutation and checkpoint end-to-end. Readers
 	// never take it.
@@ -175,56 +174,6 @@ type writer struct {
 	appends, replays, splits atomic.Int64
 }
 
-// OpenWritable loads a layout directory for serving and mutation. It opens
-// the page files read-write — the grid file open loaded becomes the mutable
-// coordinator state — clears out what a kill inside a checkpoint may have
-// stranded, replays any journaled operations that survived a crash, and
-// checkpoints the replayed state.
-func OpenWritable(dir string) (*Store, error) {
-	s, err := open(dir, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := removeStrays(dir, false); err != nil {
-		s.Close()
-		return nil, err
-	}
-	w := &writer{
-		checkpointEvery: DefaultCheckpointEvery,
-		nextPage:        make([]int64, s.manifest.Disks),
-		writeSites:      make([]string, s.manifest.Disks),
-		checkpointLSN:   s.manifest.CheckpointLSN,
-		nextLSN:         s.manifest.CheckpointLSN + 1,
-		journals:        make([]*os.File, s.manifest.Disks),
-		journalLen:      make([]int64, s.manifest.Disks),
-	}
-	for d := 0; d < s.manifest.Disks; d++ {
-		w.writeSites[d] = fault.StoreWriteDiskSite(d)
-	}
-	if err := w.deriveFree(s); err != nil {
-		s.Close()
-		return nil, err
-	}
-	for d := range w.journals {
-		jh, err := os.OpenFile(filepath.Join(dir, JournalFileName(d)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			closeAll(w.journals)
-			s.Close()
-			return nil, err
-		}
-		w.journals[d] = jh
-	}
-	s.w = w
-	if err := s.replay(); err != nil {
-		s.CloseNoCheckpoint()
-		return nil, fmt.Errorf("store: journal replay: %w", err)
-	}
-	return s, nil
-}
-
-// Writable reports whether the store was opened with OpenWritable.
-func (s *Store) Writable() bool { return s.w != nil }
-
 // extent is the run of pages one copy of a bucket occupies on one disk;
 // extentSize is what a rewrite looking for room matches free extents by.
 type extent struct {
@@ -234,35 +183,31 @@ type extent struct {
 
 type extentSize struct{ disk, pages int }
 
-// deriveFree sets up page allocation for a store just opened on a committed
-// checkpoint: each disk's file ends where the cursor starts, and every page
-// below it that no placement names is free — nothing names it, and no reader
-// has looked anything up yet.
-func (w *writer) deriveFree(s *Store) error {
-	sizes, err := s.DiskSizes()
-	if err != nil {
-		return err
+// newWriter sets up the write path of a store just opened on a committed
+// checkpoint of m, the journals aside (Open opens them). named flags, per
+// disk, every page of the file as it stands that the checkpoint's placements
+// name (readCheckpoint): each disk's cursor starts at its file's end, and
+// every page below it that no placement names is free — nothing names it, and
+// no reader has looked anything up yet.
+func newWriter(m *Manifest, named [][]bool) *writer {
+	w := &writer{
+		checkpointEvery: DefaultCheckpointEvery,
+		nextPage:        make([]int64, m.Disks),
+		writeSites:      make([]string, m.Disks),
+		checkpointLSN:   m.CheckpointLSN,
+		nextLSN:         m.CheckpointLSN + 1,
+		journalLen:      make([]int64, m.Disks),
 	}
-	named := make([][]bool, len(sizes))
-	for d, n := range sizes {
-		named[d] = make([]bool, n)
-	}
-	for _, pl := range s.manifest.Buckets {
-		for i, d := range pl.OwnerDisks {
-			for p := range pl.Pages {
-				named[d][pl.OwnerPages[i]+int64(p)] = true
-			}
-		}
-	}
-	for d, n := range sizes {
-		w.nextPage[d] = n
-		for p, used := range named[d] {
+	for d, pages := range named {
+		w.writeSites[d] = fault.StoreWriteDiskSite(d)
+		w.nextPage[d] = int64(len(pages))
+		for p, used := range pages {
 			if !used {
 				w.addFree(extent{extentSize{d, 1}, int64(p)})
 			}
 		}
 	}
-	return nil
+	return w
 }
 
 func (w *writer) addFree(x extent) {
@@ -326,17 +271,13 @@ func (w *writer) reclaim() {
 	w.retired = w.retired[:0]
 }
 
-// pinPages registers a reader of page positions with a writable store: no
-// extent a placement names when the reader looks it up afterwards is written
-// again until the reader calls unpinPages with the epoch returned. The
-// re-check after the increment keeps a reader that raced an epoch flip from
-// counting itself under an epoch the writer already considers old. A no-op on
-// read-only stores.
+// pinPages registers a reader of page positions: no extent a placement names
+// when the reader looks it up afterwards is written again until the reader
+// calls unpinPages with the epoch returned. The re-check after the increment
+// keeps a reader that raced an epoch flip from counting itself under an epoch
+// the writer already considers old.
 func (s *Store) pinPages() uint64 {
 	w := s.w
-	if w == nil {
-		return 0
-	}
 	for {
 		e := w.epoch.Load()
 		w.readers[e&1].Add(1)
@@ -348,68 +289,37 @@ func (s *Store) pinPages() uint64 {
 }
 
 // unpinPages ends the read pinPages began.
-func (s *Store) unpinPages(e uint64) {
-	if w := s.w; w != nil {
-		w.readers[e&1].Add(-1)
-	}
-}
+func (s *Store) unpinPages(e uint64) { s.w.readers[e&1].Add(-1) }
 
-// RLockGrid takes the grid translation read lock. A no-op on read-only
-// stores, whose grid never changes.
-func (s *Store) RLockGrid() {
-	if s.w != nil {
-		s.w.gridMu.RLock()
-	}
-}
+// RLockGrid takes the grid translation read lock.
+func (s *Store) RLockGrid() { s.w.gridMu.RLock() }
 
 // GridGen returns the grid's generation: it changes whenever a mutation
-// splits a bucket off or merges one away, and never on a read-only store.
-// Bucket ids translated under RLockGrid cover their query only while the
-// generation read under that same lock still stands; a reader that finds
-// another one after fetching them must translate and fetch again, because a
-// split moves records to a bucket it never asked for and a merge copies them
-// into one it also read as it was.
-func (s *Store) GridGen() uint64 {
-	if s.w == nil {
-		return 0
-	}
-	return s.w.gridGen.Load()
-}
+// splits a bucket off or merges one away. Bucket ids translated under
+// RLockGrid cover their query only while the generation read under that same
+// lock still stands; a reader that finds another one after fetching them must
+// translate and fetch again, because a split moves records to a bucket it
+// never asked for and a merge copies them into one it also read as it was.
+func (s *Store) GridGen() uint64 { return s.w.gridGen.Load() }
 
 // RUnlockGrid releases RLockGrid.
-func (s *Store) RUnlockGrid() {
-	if s.w != nil {
-		s.w.gridMu.RUnlock()
-	}
-}
+func (s *Store) RUnlockGrid() { s.w.gridMu.RUnlock() }
 
 // SetStaleHook registers fn to be called with the buckets a mutation
 // superseded (Mutation.Stale) while the mutation still holds the grid write
 // lock: a cache layered above the store drops them there, so that no reader
 // can translate against the new directory and still be handed a bucket's
 // pre-split records. Call before handing the store to concurrent writers.
-func (s *Store) SetStaleHook(fn func(ids ...int32)) {
-	if s.w != nil {
-		s.w.onStale = fn
-	}
-}
+func (s *Store) SetStaleHook(fn func(ids ...int32)) { s.w.onStale = fn }
 
 // SetCheckpointEvery sets how many committed mutations may accumulate
 // before the store checkpoints on its own; 0 disables automatic
 // checkpoints. Call before handing the store to concurrent writers.
-func (s *Store) SetCheckpointEvery(n int) {
-	if s.w != nil {
-		s.w.checkpointEvery = n
-	}
-}
+func (s *Store) SetCheckpointEvery(n int) { s.w.checkpointEvery = n }
 
-// WriteCounters returns the write path's counters (zero for a read-only
-// store).
+// WriteCounters returns the write path's counters.
 func (s *Store) WriteCounters() WriteCounters {
 	w := s.w
-	if w == nil {
-		return WriteCounters{}
-	}
 	return WriteCounters{
 		Inserts:        w.applied[journalOpInsert].Load(),
 		Deletes:        w.applied[journalOpDelete].Load(),
@@ -423,9 +333,7 @@ func (s *Store) WriteCounters() WriteCounters {
 // the journals keep every operation since the last checkpoint. This is the
 // crash stand-in the recovery tests and the ingest smoke gate reopen from.
 func (s *Store) CloseNoCheckpoint() {
-	if w := s.w; w != nil {
-		closeAll(w.journals)
-	}
+	closeAll(s.w.journals)
 	closeAll(s.files)
 }
 
@@ -454,13 +362,11 @@ func (s *Store) Insert(ctx context.Context, key geom.Point) (Mutation, error) {
 // journaled; should a concurrent delete win the race for the last match after
 // the check here, the operation is journaled and then applies as a no-op.
 func (s *Store) Delete(ctx context.Context, key geom.Point) (Mutation, error) {
-	if w := s.w; w != nil {
-		w.gridMu.RLock()
-		missing := len(s.grid.Lookup(key)) == 0
-		w.gridMu.RUnlock()
-		if missing {
-			return Mutation{}, nil
-		}
+	s.RLockGrid()
+	missing := len(s.grid.Lookup(key)) == 0
+	s.RUnlockGrid()
+	if missing {
+		return Mutation{}, nil
 	}
 	return s.mutate(ctx, journalOpDelete, key)
 }
@@ -470,9 +376,6 @@ func (s *Store) Delete(ctx context.Context, key geom.Point) (Mutation, error) {
 // it, rewrite the buckets it made stale, count it.
 func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation, error) {
 	w := s.w
-	if w == nil {
-		return Mutation{}, errors.New("store: not opened writable")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -829,9 +732,6 @@ func (s *Store) replay() error {
 // only redo for the stale copies.
 func (s *Store) Checkpoint() error {
 	w := s.w
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return s.checkpointLocked(true)

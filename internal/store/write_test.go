@@ -94,7 +94,7 @@ func verifyReplicaIdentity(t *testing.T, s *Store, id int32) {
 
 func TestWritableInsertSplitReadBack(t *testing.T) {
 	dir, f, _ := buildReplicatedLayout(t, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +125,10 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 	}
 	verifyStoreMatchesGrid(t, s, grid)
 
-	// Close checkpoints; a read-only reopen must see the mutated state.
+	// Close checkpoints: it truncates the journals, and a reopen sees the
+	// mutated state with nothing to replay.
 	s.Close()
-	ro, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	g2 := ro.Grid()
-	if g2.Len() != f.Len()+2000 {
-		t.Fatalf("reopened grid holds %d records, want %d", g2.Len(), f.Len()+2000)
-	}
-	if ro.Manifest().CheckpointLSN == 0 {
-		t.Fatal("checkpoint LSN not recorded")
-	}
-	verifyStoreMatchesGrid(t, ro, g2)
-	// Checkpoint must have truncated the journals.
-	for d := 0; d < ro.Manifest().Disks; d++ {
+	for d := 0; d < s.Manifest().Disks; d++ {
 		st, err := os.Stat(filepath.Join(dir, JournalFileName(d)))
 		if err != nil {
 			t.Fatal(err)
@@ -150,11 +137,27 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 			t.Fatalf("journal %d holds %d bytes after checkpoint", d, st.Size())
 		}
 	}
+	ro, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if n := ro.WriteCounters().JournalReplays; n != 0 {
+		t.Fatalf("reopen after the checkpoint replayed %d operations", n)
+	}
+	g2 := ro.Grid()
+	if g2.Len() != f.Len()+2000 {
+		t.Fatalf("reopened grid holds %d records, want %d", g2.Len(), f.Len()+2000)
+	}
+	if ro.Manifest().CheckpointLSN == 0 {
+		t.Fatal("checkpoint LSN not recorded")
+	}
+	verifyStoreMatchesGrid(t, ro, g2)
 }
 
 func TestWritableDeleteAndMerge(t *testing.T) {
 	dir, f, _ := buildReplicatedLayout(t, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +202,17 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 		t.Fatal("deleting an out-of-domain key removed something")
 	}
 
-	// After close + reopen the merged state round-trips.
+	// After close + reopen the merged state round-trips, from the checkpoint
+	// Close wrote.
 	s.Close()
 	ro, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
+	if n := ro.WriteCounters().JournalReplays; n != 0 {
+		t.Fatalf("reopen after Close replayed %d operations", n)
+	}
 	g2 := ro.Grid()
 	if g2.Len() != f.Len()-removed {
 		t.Fatalf("reopened grid holds %d records, want %d", g2.Len(), f.Len()-removed)
@@ -215,7 +222,7 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 
 func TestReplayAfterAbandon(t *testing.T) {
 	dir, f, _ := buildReplicatedLayout(t, 4, 2)
-	s, err := OpenWritable(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +235,8 @@ func TestReplayAfterAbandon(t *testing.T) {
 	}
 	s.CloseNoCheckpoint() // crash stand-in: layout.grd is stale
 
-	// The stale on-disk grid must not see the inserts...
-	stale, err := Open(dir)
+	// The stale committed grid must not see the inserts...
+	stale, err := openCommitted(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestReplayAfterAbandon(t *testing.T) {
 	}
 
 	// ...but replay must recover every acknowledged one.
-	s2, err := OpenWritable(dir)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +268,7 @@ func TestReplayAfterAbandon(t *testing.T) {
 
 	// Replay checkpointed: a second reopen replays nothing.
 	s2.Close()
-	s3, err := OpenWritable(dir)
+	s3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,9 @@
 #                  checkpointLocked (os.WriteFile anywhere, os.Rename outside
 #                  atomicWriteFile, encodePage outside rewriteBucket,
 #                  "layout.grd" — the checkpoint file — named by other than
-#                  the opener, the committer and the builder's unlink), and
+#                  Open, the committer and the builder's unlink, or a disk
+#                  file named by other than the checkpoint reader, which
+#                  opens them read-write, and the builder), and
 #                  TestInjectedFaultIsAFailedRead fails when a non-test Go
 #                  file outside internal/fault names fault.ErrInjected
 #                  (internal/store's readSpans excepted: it wraps a torn
