@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"pgridfile/internal/core"
-	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/sim"
@@ -44,38 +43,23 @@ func runLayout(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := store.WriteReplicated(*out, f, rm, *pageBytes)
+	pls, err := store.WriteReplicated(*out, f, rm, *pageBytes)
 	if err != nil {
 		return err
 	}
 
-	// Verify the layout reads back correctly before declaring success: every
-	// copy on every disk (decoding checks each against the grid's record
-	// count), so a torn replica copy fails the build rather than the first
-	// failover that routes to it.
+	// Verify the layout before declaring success: one scrub pass checks every
+	// page of every copy on every disk, checksum included, so a torn replica
+	// copy fails the build rather than the first failover that routes to it.
 	s, err := store.Open(*out)
 	if err != nil {
 		return fmt.Errorf("layout verification: %w", err)
 	}
 	defer s.Close()
-	copies := make([][]int32, m.Disks)
-	for _, pl := range m.Buckets {
-		for _, d := range pl.OwnerDisks {
-			copies[d] = append(copies[d], pl.ID)
-		}
-	}
-	readBack := 0
-	for d, ids := range copies {
-		flats := make([]geom.Flat, len(ids))
-		if _, err := s.ReadFlatsFromTimed(context.Background(), d, ids, flats, nil); err != nil {
-			return fmt.Errorf("layout verification: disk %d: %w", d, err)
-		}
-		for _, fl := range flats {
-			readBack += fl.Len()
-		}
-	}
-	if readBack != f.Len()*s.Replicas() {
-		return fmt.Errorf("layout verification: %d records read back, file has %d in %d copies", readBack, f.Len(), s.Replicas())
+	if st, err := s.Scrub(context.Background(), 0); err != nil {
+		return fmt.Errorf("layout verification: %w", err)
+	} else if st.Corrupt != 0 {
+		return fmt.Errorf("layout verification: %d of %d page copies corrupt", st.Corrupt, st.Pages)
 	}
 	sizes, err := s.DiskSizes()
 	if err != nil {
@@ -83,13 +67,13 @@ func runLayout(args []string) error {
 	}
 	if *replicas > 1 {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s, %d copies each\n",
-			len(m.Buckets), f.Len(), *disks, allocator.Name(), *replicas)
+			len(pls), f.Len(), *disks, allocator.Name(), *replicas)
 	} else {
 		fmt.Printf("laid out %d buckets (%d records) over %d disks with %s\n",
-			len(m.Buckets), f.Len(), *disks, allocator.Name())
+			len(pls), f.Len(), *disks, allocator.Name())
 	}
 	fmt.Printf("pages per disk: %v\n", sizes)
-	if err := printResponse(f, m, *seed); err != nil {
+	if err := printResponse(f, pls, *disks, *seed); err != nil {
 		return err
 	}
 	fmt.Printf("layout is self-contained (the grid file is in layout.grd); serve it with: gridserver serve -store %s\n", *out)
@@ -100,11 +84,11 @@ func runLayout(args []string) error {
 // (primary copies) two ways: the paper's response time — buckets on the
 // busiest disk — and the positioned reads the store's span planner needs on
 // the busiest disk, given where the buckets actually sit in the disk files.
-func printResponse(f *gridfile.File, m *store.Manifest, seed int64) error {
+func printResponse(f *gridfile.File, pls []*store.Placement, disks int, seed int64) error {
 	const ratio, queries = 0.01, 1000
-	alloc := core.Allocation{Disks: m.Disks, Assign: make([]int, len(m.Buckets))}
-	lay := sim.DiskLayout{Page: make([]int64, len(m.Buckets)), Pages: make([]int, len(m.Buckets))}
-	for i, pl := range m.Buckets { // manifest order is f.Buckets() order
+	alloc := core.Allocation{Disks: disks, Assign: make([]int, len(pls))}
+	lay := sim.DiskLayout{Page: make([]int64, len(pls)), Pages: make([]int, len(pls))}
+	for i, pl := range pls { // the writer's order is f.Buckets() order
 		alloc.Assign[i], lay.Page[i], lay.Pages[i] = pl.OwnerDisks[0], pl.OwnerPages[0], pl.Pages
 	}
 	idx := f.IndexByID()

@@ -130,7 +130,7 @@ type Pending struct {
 
 // New creates a cache bounded by maxBytes of decoded bucket data spread
 // over the given number of shards (rounded up to a power of two; <= 0
-// selects 16). maxBytes must be positive.
+// selects 16). A zero budget keeps nothing: every load is a miss.
 func New(maxBytes int64, shards int) *Cache {
 	if shards <= 0 {
 		shards = 16
@@ -142,9 +142,6 @@ func New(maxBytes int64, shards int) *Cache {
 	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1), maxBytes: maxBytes}
 	c.tab.Store(new(table))
 	per := maxBytes / int64(n)
-	if per < 1 {
-		per = 1
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.sentinel.prev = &s.sentinel

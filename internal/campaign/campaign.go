@@ -180,8 +180,11 @@ type layout struct {
 	scheme   string
 	replicas int
 	dir      string
-	manifest *store.Manifest
-	pristine map[string][]byte
+	// placements are where the writer put each bucket, pageBytes the size
+	// of the pages they count in.
+	placements []*store.Placement
+	pageBytes  int
+	pristine   map[string][]byte
 }
 
 func buildLayout(root string, idx int, f *gridfile.File, g core.Grid, scheme string, r int, opts Options) (*layout, error) {
@@ -201,11 +204,11 @@ func buildLayout(root string, idx int, f *gridfile.File, g core.Grid, scheme str
 	if err != nil {
 		return nil, fmt.Errorf("campaign: place %s r=%d: %v", scheme, r, err)
 	}
-	m, err := store.WriteReplicated(dir, f, rm, opts.PageBytes)
+	pls, err := store.WriteReplicated(dir, f, rm, opts.PageBytes)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: layout %s r=%d: %v", scheme, r, err)
 	}
-	l := &layout{scheme: scheme, replicas: r, dir: dir, manifest: m,
+	l := &layout{scheme: scheme, replicas: r, dir: dir, placements: pls, pageBytes: opts.PageBytes,
 		pristine: make(map[string][]byte, opts.Disks)}
 	for d := 0; d < opts.Disks; d++ {
 		name := store.DiskFileName(d)
@@ -232,7 +235,7 @@ func (l *layout) restore() error {
 // spaced buckets — enough damage to hit several disks and schemes
 // differently, fully determined by the layout.
 func (l *layout) corrupt() error {
-	n := len(l.manifest.Buckets)
+	n := len(l.placements)
 	if n == 0 {
 		return fmt.Errorf("campaign: layout %s has no buckets to corrupt", l.scheme)
 	}
@@ -242,12 +245,12 @@ func (l *layout) corrupt() error {
 			continue
 		}
 		seen[i] = true
-		pl := l.manifest.Buckets[i]
+		pl := l.placements[i]
 		fh, err := os.OpenFile(filepath.Join(l.dir, store.DiskFileName(pl.OwnerDisks[0])), os.O_RDWR, 0)
 		if err != nil {
 			return err
 		}
-		off := pl.OwnerPages[0]*int64(l.manifest.PageBytes) + int64(l.manifest.PageBytes)/2
+		off := pl.OwnerPages[0]*int64(l.pageBytes) + int64(l.pageBytes)/2
 		var b [1]byte
 		if _, err := fh.ReadAt(b[:], off); err != nil {
 			fh.Close()

@@ -30,27 +30,29 @@ func (s *Server) Snapshot() Snapshot {
 	for _, iv := range s.dom {
 		snap.Domain = append(snap.Domain, [2]float64{iv.Lo, iv.Hi})
 	}
-	snap.Replicas = s.st.Replicas()
+	snap.Replicas = m.Replicas
 	// Storage overhead as the disk files stand: every page they hold,
-	// against one copy of each bucket the last checkpoint placed.
+	// against one copy of each live bucket.
 	if sizes, err := s.st.DiskSizes(); err == nil {
 		var total, unique int64
 		for _, n := range sizes {
 			total += n
 		}
-		for _, pl := range m.Buckets {
-			unique += int64(pl.Pages)
+		s.st.RLockGrid()
+		for id, i := range s.st.Grid().IndexByID() {
+			if pl, ok := s.st.Placement(int32(id)); ok && i >= 0 {
+				unique += int64(pl.Pages)
+			}
 		}
+		s.st.RUnlockGrid()
 		snap.DiskBytes = total * int64(m.PageBytes)
 		if unique > 0 {
 			snap.WriteAmp = float64(total) / float64(unique)
 		}
 	}
 	snap.FaultInjected = s.faults.Total()
-	if s.bcache != nil {
-		st := s.bcache.Stats()
-		snap.Cache = &st
-	}
+	cs := s.bcache.Stats()
+	snap.Cache = &cs
 	wc := s.st.WriteCounters()
 	snap.Writes = &wc
 	return snap

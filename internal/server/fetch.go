@@ -17,9 +17,6 @@ import (
 // cache. A failed read completes nothing: no query waits on another's load,
 // so its handle is simply dropped.
 func (s *Server) publishLeads(loads []*cache.Pending, recs []geom.Flat) {
-	if s.bcache == nil {
-		return
-	}
 	for i, p := range loads {
 		s.bcache.Complete(p, recs[i], s.st.PagesFor(recs[i].Len()))
 	}
@@ -35,10 +32,7 @@ func (s *Server) publishLeads(loads []*cache.Pending, recs []geom.Flat) {
 // no allocation, one add to the cache's hit counter.
 func (s *Server) fetchBuckets(ctx context.Context, tr *Trace, qs *qstate) (QueryInfo, error) {
 	cacheStart := s.traceNow(tr)
-	n := 0
-	if s.bcache != nil {
-		n = s.bcache.Resident(qs.ids, qs.recs)
-	}
+	n := s.bcache.Resident(qs.ids, qs.recs)
 	if n < len(qs.ids) {
 		return s.fetchBucketsSlow(ctx, tr, qs, n, cacheStart)
 	}
@@ -86,11 +80,7 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i 
 	nleads, hits := 0, 0
 	var err error
 	for ; i < len(ids); i++ {
-		// No cache: every bucket is this query's own read.
-		var r cache.AcquireResult
-		if s.bcache != nil {
-			r = s.bcache.Acquire(ids[i])
-		}
+		r := s.bcache.Acquire(ids[i])
 		if r.Hit {
 			recs[i] = r.Rec
 			info.Buckets++
@@ -119,9 +109,7 @@ func (s *Server) fetchBucketsSlow(ctx context.Context, tr *Trace, qs *qstate, i 
 		b.out = append(b.out, geom.Flat{})
 		nleads++
 	}
-	if s.bcache != nil {
-		s.bcache.CountHits(hits)
-	}
+	s.bcache.CountHits(hits)
 	s.traceSince(tr, stageCache, cacheStart)
 	if err != nil {
 		return info, err

@@ -268,21 +268,19 @@ func (s Snapshot) writePrometheus(w http.ResponseWriter) {
 			fmt.Fprintf(w, "gridserver_stage_observations_total{stage=%q} %d\n", name, q.Count)
 		}
 	}
-	if c := s.Cache; c != nil {
-		fmt.Fprintf(w, "gridserver_cache_hits_total %d\n", c.Hits)
-		fmt.Fprintf(w, "gridserver_cache_misses_total %d\n", c.Misses)
-		fmt.Fprintf(w, "gridserver_cache_evictions_total %d\n", c.Evictions)
-		fmt.Fprintf(w, "gridserver_cache_invalidations_total %d\n", c.Invalidations)
-		fmt.Fprintf(w, "gridserver_cache_resident_bytes %d\n", c.Bytes)
-		fmt.Fprintf(w, "gridserver_cache_resident_entries %d\n", c.Entries)
-		fmt.Fprintf(w, "gridserver_cache_max_bytes %d\n", c.MaxBytes)
-	}
-	if wc := s.Writes; wc != nil {
-		fmt.Fprintf(w, "gridserver_inserts_total %d\n", wc.Inserts)
-		fmt.Fprintf(w, "gridserver_deletes_total %d\n", wc.Deletes)
-		fmt.Fprintf(w, "gridserver_journal_appends_total %d\n", wc.JournalAppends)
-		fmt.Fprintf(w, "gridserver_journal_replays_total %d\n", wc.JournalReplays)
-		fmt.Fprintf(w, "gridserver_bucket_splits_total %d\n", wc.BucketSplits)
-	}
+	c := s.Cache
+	fmt.Fprintf(w, "gridserver_cache_hits_total %d\n", c.Hits)
+	fmt.Fprintf(w, "gridserver_cache_misses_total %d\n", c.Misses)
+	fmt.Fprintf(w, "gridserver_cache_evictions_total %d\n", c.Evictions)
+	fmt.Fprintf(w, "gridserver_cache_invalidations_total %d\n", c.Invalidations)
+	fmt.Fprintf(w, "gridserver_cache_resident_bytes %d\n", c.Bytes)
+	fmt.Fprintf(w, "gridserver_cache_resident_entries %d\n", c.Entries)
+	fmt.Fprintf(w, "gridserver_cache_max_bytes %d\n", c.MaxBytes)
+	wc := s.Writes
+	fmt.Fprintf(w, "gridserver_inserts_total %d\n", wc.Inserts)
+	fmt.Fprintf(w, "gridserver_deletes_total %d\n", wc.Deletes)
+	fmt.Fprintf(w, "gridserver_journal_appends_total %d\n", wc.JournalAppends)
+	fmt.Fprintf(w, "gridserver_journal_replays_total %d\n", wc.JournalReplays)
+	fmt.Fprintf(w, "gridserver_bucket_splits_total %d\n", wc.BucketSplits)
 	fmt.Fprintf(w, "gridserver_uptime_seconds %g\n", s.UptimeSeconds)
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"pgridfile/internal/cache"
 	"pgridfile/internal/stats"
+	"pgridfile/internal/store"
 )
 
 // TestHistObserveBinning checks what the server's histograms make of an
@@ -79,6 +81,7 @@ func TestDiskBatchesByReader(t *testing.T) {
 	m.batchesByQuery.Add(3)
 	m.batchesByWorker.Add(5)
 	s := m.snapshot(0)
+	s.Cache, s.Writes = &cache.Stats{}, &store.WriteCounters{} // a server's snapshot always carries both
 	if s.BatchesByQuery != 3 || s.BatchesByWorker != 5 {
 		t.Fatalf("snapshot: %d by query, %d by worker; want 3 and 5", s.BatchesByQuery, s.BatchesByWorker)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/store"
 )
 
 // TestDiskQueueServesEachRequestAlone fails if queueing behind other requests
@@ -25,9 +26,20 @@ import (
 // requests were sent: disk-model's latency (spans on the busiest disk × the
 // device delay) assumes a disk serves one request at a time, first come first
 // served.
+// placementsOf returns where each of st's buckets lives, in the grid's
+// Buckets() order.
+func placementsOf(st *store.Store) []store.Placement {
+	var out []store.Placement
+	for _, v := range st.Grid().Buckets() {
+		pl, _ := st.Placement(v.ID)
+		out = append(out, pl)
+	}
+	return out
+}
+
 func TestDiskQueueServesEachRequestAlone(t *testing.T) {
 	s, f := newTestServer(t, 900, 1, Config{CacheBytes: -1})
-	file := s.st.Manifest().Buckets
+	file := placementsOf(s.st)
 	const n = 6
 	if len(file) < 2*n {
 		t.Fatalf("layout has %d buckets, want at least %d", len(file), 2*n)
@@ -136,7 +148,7 @@ func TestQueryContendsWithWorkerForItsDisk(t *testing.T) {
 	const disks, queries, rounds = 2, 4, 25
 	s, _ := newTestServer(t, 900, disks, Config{CacheBytes: -1, Faults: armed(t, "store.read:delay=200us:p=0.5")})
 	onDisk := make([][]int32, disks)
-	for _, pl := range s.st.Manifest().Buckets {
+	for _, pl := range placementsOf(s.st) {
 		onDisk[pl.OwnerDisks[0]] = append(onDisk[pl.OwnerDisks[0]], pl.ID)
 	}
 

@@ -15,10 +15,13 @@ import (
 	"pgridfile/internal/synth"
 )
 
+// layoutPageBytes is the page size writeReplicatedDir lays out with.
+const layoutPageBytes = 4096
+
 // writeReplicatedDir lays out f at replication factor r and returns the
-// layout directory plus the manifest (whose placements locate every page
-// copy on disk).
-func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, *store.Manifest) {
+// layout directory plus the placements the writer chose, which locate every
+// page copy on disk.
+func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, []*store.Placement) {
 	t.Helper()
 	g := core.FromGridFile(f)
 	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 4)
@@ -27,7 +30,7 @@ func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, *store.M
 	}
 	dir := t.TempDir()
 	if r == 1 {
-		m, err := store.Write(dir, f, alloc, 4096)
+		m, err := store.Write(dir, f, alloc, layoutPageBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +40,7 @@ func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, *store.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := store.WriteReplicated(dir, f, rm, 4096)
+	m, err := store.WriteReplicated(dir, f, rm, layoutPageBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +106,11 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 
 	// Corrupt the primary copy of the first bucket: reads take the first
 	// whole copy in owner order, the primary, so queries will hit it.
-	victim := m.Buckets[0]
-	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], m.PageBytes)
-	misdirected, source := m.Buckets[1], m.Buckets[2]
+	victim := m[0]
+	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], layoutPageBytes)
+	misdirected, source := m[1], m[2]
 	copyPage(t, dir, source.OwnerDisks[0], source.OwnerPages[0],
-		misdirected.OwnerDisks[0], misdirected.OwnerPages[0], m.PageBytes)
+		misdirected.OwnerDisks[0], misdirected.OwnerPages[0], layoutPageBytes)
 
 	s, err := OpenDir(dir, Config{
 		Degraded:        true,
@@ -177,8 +180,8 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir, m := writeReplicatedDir(t, f, 1)
-	victim := m.Buckets[0]
-	flipPage(t, dir, victim.Disk, victim.Page, m.PageBytes)
+	victim := m[0]
+	flipPage(t, dir, victim.Disk, victim.Page, layoutPageBytes)
 
 	s, err := OpenDir(dir, Config{
 		Degraded:        true,
@@ -209,13 +212,18 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 		t.Fatalf("scrub corrupt=%d repaired=%d, want 1/0", st.Corrupt, st.Repaired)
 	}
 
-	strict, err := OpenDir(dir, Config{VerifyChecksums: true, CacheBytes: -1})
+	// A layout has one server at a time: the strict one serves a second,
+	// identical layout with the same damage.
+	strictDir, _ := writeReplicatedDir(t, f, 1)
+	flipPage(t, strictDir, victim.Disk, victim.Page, layoutPageBytes)
+	strict, err := OpenDir(strictDir, Config{VerifyChecksums: true, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer strict.Close()
 	gone := (victim.Disk + 1) % 4
 	loseDisk(t, dir, gone)
+	loseDisk(t, strictDir, gone)
 	lost, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	if err != nil || !info.Degraded || info.MissedDisks != 2 || lost >= n {
 		t.Fatalf("disk %d truncated: count %d (was %d), degraded=%v missed=%d, err %v, want fewer, 2 disks missed",
@@ -235,8 +243,8 @@ func TestBackgroundScrubLoopRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir, m := writeReplicatedDir(t, f, 2)
-	victim := m.Buckets[0]
-	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], m.PageBytes)
+	victim := m[0]
+	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], layoutPageBytes)
 
 	s, err := OpenDir(dir, Config{
 		VerifyChecksums: true,

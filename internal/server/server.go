@@ -35,7 +35,8 @@ type Config struct {
 	QueryTimeout time.Duration
 	// CacheBytes bounds the sharded second-chance cache of decoded buckets
 	// fronting the page store. 0 selects the default (64 MiB); negative
-	// disables caching entirely.
+	// turns caching off: the cache's budget is zero and it keeps nothing,
+	// so every bucket is read from disk by the same miss path.
 	CacheBytes int64
 	// Pprof additionally exposes the standard net/http/pprof profiling
 	// handlers under /debug/pprof/ on the HTTPAddr mux, so the serving path
@@ -117,7 +118,7 @@ func (c Config) withDefaults() Config {
 		c.CacheBytes = 64 << 20
 	}
 	if c.CacheBytes < 0 {
-		c.CacheBytes = 0 // disabled
+		c.CacheBytes = 0 // off: a zero budget keeps nothing
 	}
 	if c.Faults == nil {
 		c.Faults = fault.NewRegistry(1)
@@ -148,9 +149,10 @@ type Server struct {
 	met    *Metrics
 	faults *fault.Registry
 
-	// bcache caches decoded buckets in front of the page store (nil when
-	// disabled). Directory translation itself needs no lock: the grid
-	// file's query paths are safe for concurrent readers.
+	// bcache caches decoded buckets in front of the page store; with the
+	// cache off its budget is zero, and it keeps nothing. Directory
+	// translation itself needs no lock: the grid file's query paths are safe
+	// for concurrent readers.
 	bcache *cache.Cache
 
 	ln      net.Listener
@@ -168,8 +170,8 @@ type Server struct {
 	heads    []diskHead      // who may read each disk next
 	fetchWg  sync.WaitGroup
 
-	// replicated is st.Replicas() > 1: bucket reads are counted as primary
-	// or secondary copy reads.
+	// replicated is a layout of two or more copies per bucket: bucket reads
+	// are counted as primary or secondary copy reads.
 	replicated bool
 
 	traceSeq atomic.Uint64 // data-query counter driving trace sampling
@@ -242,14 +244,12 @@ func newEngine(st *store.Store, cfg Config) *Server {
 	if cfg.VerifyChecksums {
 		st.SetVerify(true)
 	}
-	if cfg.CacheBytes > 0 {
-		s.bcache = cache.New(cfg.CacheBytes, 0)
-		// Every bucket a write makes stale leaves the cache before the write
-		// releases the grid lock: a query that translates against the
-		// post-split directory must not find the pre-split bucket cached.
-		st.SetStaleHook(s.bcache.Invalidate)
-	}
-	s.replicated = st.Replicas() > 1
+	s.bcache = cache.New(cfg.CacheBytes, 0)
+	// Every bucket a write makes stale leaves the cache before the write
+	// releases the grid lock: a query that translates against the
+	// post-split directory must not find the pre-split bucket cached.
+	st.SetStaleHook(s.bcache.Invalidate)
+	s.replicated = m.Replicas > 1
 
 	// One queue and one I/O worker per disk file: reads of the same disk
 	// serialize, one at a time in arrival order (one head per spindle, as in

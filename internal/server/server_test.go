@@ -364,8 +364,8 @@ func TestServerCacheDisabled(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	if snap.Cache != nil {
-		t.Errorf("cache stats present despite CacheBytes<0: %+v", snap.Cache)
+	if c := snap.Cache; c == nil || c.Entries != 0 || c.Hits != 0 {
+		t.Errorf("cache stats with CacheBytes<0: %+v, want present with 0 entries and 0 hits", c)
 	}
 	var fetches int64
 	for _, n := range snap.DiskFetches {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"pgridfile/internal/gridfile"
@@ -33,20 +34,21 @@ const (
 	checkpointCopyBytes   = 4 + 8
 )
 
-// writeCheckpoint encodes g and m's geometry, checkpoint LSN and placements,
-// which are g's live buckets in Buckets() order, as the checkpoint file.
-func writeCheckpoint(w io.Writer, g *gridfile.File, m *Manifest) error {
+// writeCheckpoint encodes g, m's geometry, the checkpoint LSN lsn and pls —
+// the placements of g's live buckets in Buckets() order — as the checkpoint
+// file.
+func writeCheckpoint(w io.Writer, g *gridfile.File, m Manifest, lsn uint64, pls []*Placement) error {
 	if _, err := g.WriteTo(w); err != nil {
 		return err
 	}
 	le := binary.LittleEndian
-	b := make([]byte, 0, checkpointHeaderBytes+len(m.Buckets)*m.Replicas*checkpointCopyBytes)
+	b := make([]byte, 0, checkpointHeaderBytes+len(pls)*m.Replicas*checkpointCopyBytes)
 	b = append(b, checkpointMagic...)
 	b = le.AppendUint32(b, pageFormat)
-	for _, v := range []uint64{uint64(m.Disks), uint64(m.PageBytes), uint64(m.Replicas), m.CheckpointLSN} {
+	for _, v := range []uint64{uint64(m.Disks), uint64(m.PageBytes), uint64(m.Replicas), lsn} {
 		b = le.AppendUint64(b, v)
 	}
-	for _, pl := range m.Buckets {
+	for _, pl := range pls {
 		for i, d := range pl.OwnerDisks {
 			b = le.AppendUint32(b, uint32(d))
 			b = le.AppendUint64(b, uint64(pl.OwnerPages[i]))
@@ -61,12 +63,12 @@ func writeCheckpoint(w io.Writer, g *gridfile.File, m *Manifest) error {
 // FuzzManifest can skip the file write).
 func openCheckpoint(dir string, r *bufio.Reader) (*Store, error) {
 	s := &Store{dir: dir, now: time.Now}
-	named, err := s.readCheckpoint(r)
+	named, lsn, err := s.readCheckpoint(r)
 	if err != nil {
 		closeAll(s.files)
 		return nil, err
 	}
-	s.w = newWriter(&s.manifest, named)
+	s.w = newWriter(named, lsn)
 	return s, nil
 }
 
@@ -78,34 +80,34 @@ func openCheckpoint(dir string, r *bufio.Reader) (*Store, error) {
 // other copy names, so whatever passes can be handed to the read path without
 // a bounds check, and a rewrite never lands on a page a live copy holds. It
 // returns which pages of each disk file the placements name, one flag per page
-// of the file as it stands, for the write path's free pages (newWriter).
-func (s *Store) readCheckpoint(r *bufio.Reader) ([][]bool, error) {
+// of the file as it stands, for the write path's free pages, and the
+// checkpoint's LSN (newWriter).
+func (s *Store) readCheckpoint(r *bufio.Reader) (named [][]bool, lsn uint64, err error) {
 	// gridfile.Read reads no further than the grid section from a
 	// *bufio.Reader, so the header follows in r.
 	g, err := gridfile.Read(r)
 	if err != nil {
-		return nil, fmt.Errorf("store: checkpoint grid section: %w", err)
+		return nil, 0, fmt.Errorf("store: checkpoint grid section: %w", err)
 	}
 	var h [checkpointHeaderBytes]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return nil, fmt.Errorf("store: checkpoint header: %w", err)
+		return nil, 0, fmt.Errorf("store: checkpoint header: %w", err)
 	}
 	le := binary.LittleEndian
 	if magic := string(h[:4]); magic != checkpointMagic {
-		return nil, errVintage(fmt.Sprintf("checkpoint header magic %q", magic))
+		return nil, 0, errVintage(fmt.Sprintf("checkpoint header magic %q", magic))
 	}
 	if format := le.Uint32(h[4:]); format != pageFormat {
-		return nil, errVintage(fmt.Sprintf("page format %d", format))
+		return nil, 0, errVintage(fmt.Sprintf("page format %d", format))
 	}
 	disks, pageBytes, replicas := le.Uint64(h[8:]), le.Uint64(h[16:]), le.Uint64(h[24:])
 	dims := g.Dims()
 	if disks < 1 || disks > math.MaxInt32 || replicas < 1 || replicas > disks ||
 		pageBytes > math.MaxInt32 || pageBytes <= pageHeaderBytes || recordsPerPage(int(pageBytes), dims) < 1 {
-		return nil, fmt.Errorf("store: implausible checkpoint header (disks=%d replicas=%d page=%d, %d-D records)",
+		return nil, 0, fmt.Errorf("store: implausible checkpoint header (disks=%d replicas=%d page=%d, %d-D records)",
 			disks, replicas, pageBytes, dims)
 	}
-	s.manifest = Manifest{Disks: int(disks), Dims: dims, PageBytes: int(pageBytes), Replicas: int(replicas),
-		CheckpointLSN: le.Uint64(h[32:])}
+	s.manifest = Manifest{Disks: int(disks), Dims: dims, PageBytes: int(pageBytes), Replicas: int(replicas)}
 
 	// The handles are opened one by one rather than into a slice sized from
 	// the header, so a hostile disk count fails on its first missing file
@@ -113,15 +115,15 @@ func (s *Store) readCheckpoint(r *bufio.Reader) ([][]bool, error) {
 	for d := 0; d < s.manifest.Disks; d++ {
 		fh, err := os.OpenFile(filepath.Join(s.dir, DiskFileName(d)), os.O_RDWR, 0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		s.files = append(s.files, fh)
 	}
 	sizes, err := s.DiskSizes()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	named := make([][]bool, len(sizes))
+	named = make([][]bool, len(sizes))
 	for d, n := range sizes {
 		named[d] = make([]bool, n)
 	}
@@ -138,24 +140,24 @@ func (s *Store) readCheckpoint(r *bufio.Reader) ([][]bool, error) {
 		pl.OwnerDisks, pl.OwnerPages = owners[i*nr:(i+1)*nr:(i+1)*nr], firsts[i*nr:(i+1)*nr:(i+1)*nr]
 		for c := range nr {
 			if _, err := io.ReadFull(r, rec[:]); err != nil {
-				return nil, fmt.Errorf("store: checkpoint placement of bucket %d: %w", v.ID, err)
+				return nil, 0, fmt.Errorf("store: checkpoint placement of bucket %d: %w", v.ID, err)
 			}
 			d, pg := le.Uint32(rec[:]), le.Uint64(rec[4:])
 			if uint64(d) >= disks {
-				return nil, fmt.Errorf("store: bucket %d on disk %d of %d", v.ID, d, s.manifest.Disks)
+				return nil, 0, fmt.Errorf("store: bucket %d on disk %d of %d", v.ID, d, s.manifest.Disks)
 			}
 			if slices.Contains(pl.OwnerDisks[:c], int(d)) {
-				return nil, fmt.Errorf("store: bucket %d owns disk %d twice", v.ID, d)
+				return nil, 0, fmt.Errorf("store: bucket %d owns disk %d twice", v.ID, d)
 			}
 			// The copy's pages must lie wholly inside the file; pl.Pages is
 			// bounded by the grid's record count, so nothing overflows.
 			if n := int64(pl.Pages); sizes[d] < n || pg > uint64(sizes[d]-n) {
-				return nil, fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
+				return nil, 0, fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
 					v.ID, pg, pl.Pages, d, sizes[d])
 			}
 			for p := range int64(pl.Pages) {
 				if named[d][int64(pg)+p] {
-					return nil, fmt.Errorf("store: bucket %d names page %d of disk %d, which another copy holds",
+					return nil, 0, fmt.Errorf("store: bucket %d names page %d of disk %d, which another copy holds",
 						v.ID, int64(pg)+p, d)
 				}
 				named[d][int64(pg)+p] = true
@@ -168,15 +170,13 @@ func (s *Store) readCheckpoint(r *bufio.Reader) ([][]bool, error) {
 		if err == nil {
 			err = fmt.Errorf("trailing bytes after %d placements", len(pls))
 		}
-		return nil, fmt.Errorf("store: checkpoint: %w", err)
+		return nil, 0, fmt.Errorf("store: checkpoint: %w", err)
 	}
 
-	t := newPlaceTable(views)
+	s.places.Store(new([]atomic.Pointer[Placement]))
 	for i := range pls {
-		(*t)[pls[i].ID].Store(&pls[i])
+		s.setPlacement(pls[i].ID, &pls[i])
 	}
-	s.places.Store(t)
-	s.manifest.Buckets = pls
 	s.grid = g
-	return named, nil
+	return named, le.Uint64(h[32:]), nil
 }

@@ -54,17 +54,11 @@ func TestCheckpointKilledBeforeCommit(t *testing.T) {
 				if err := s.Checkpoint(); !errors.Is(err, errSimulatedCrash) {
 					t.Fatalf("checkpoint: %v, want the simulated crash", err)
 				}
-				next := s.Manifest()
-				next.Buckets, next.CheckpointLSN = nil, s.w.nextLSN-1
-				for _, v := range s.Grid().Buckets() {
-					pl, _ := s.Placement(v.ID)
-					next.Buckets = append(next.Buckets, pl)
-				}
 				tmp, err := os.Create(filepath.Join(dir, ".layout.grd.tmp"))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := writeCheckpoint(tmp, s.Grid(), &next); err != nil {
+				if err := writeCheckpoint(tmp, s.Grid(), s.Manifest(), s.w.nextLSN-1, mustLive(t, s)); err != nil {
 					t.Fatal(err)
 				}
 				if err := tmp.Close(); err != nil {

@@ -31,7 +31,7 @@ func ExampleWrite() {
 	}
 	defer os.RemoveAll(dir)
 
-	m, err := store.Write(dir, file, alloc, 4096)
+	pls, err := store.Write(dir, file, alloc, 4096)
 	if err != nil {
 		panic(err)
 	}
@@ -43,13 +43,13 @@ func ExampleWrite() {
 
 	// One read call serves any batch of buckets from one disk; a single
 	// bucket is a batch of one, read from the disk that holds it.
-	first := m.Buckets[0]
+	first := pls[0]
 	recs := make([]geom.Flat, 1)
 	pages, err := s.ReadFlatsFromTimed(context.Background(), first.Disk, []int32{first.ID}, recs, nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("disks: %d, buckets laid out: %d\n", m.Disks, len(m.Buckets))
+	fmt.Printf("disks: %d, buckets laid out: %d\n", s.Manifest().Disks, len(pls))
 	fmt.Printf("bucket %d: %d records from %d page(s)\n", first.ID, recs[0].Len(), pages)
 	// Output:
 	// disks: 4, buckets laid out: 28

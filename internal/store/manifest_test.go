@@ -75,7 +75,7 @@ func doctorableLayout(t testing.TB) *doctorable {
 	if d.sizes, err = s.DiskSizes(); err != nil {
 		t.Fatal(err)
 	}
-	if d.pages = s.Manifest().Buckets[0].Pages; d.pages < 2 || f.NumBuckets() < 2 {
+	if d.pages = mustLive(t, s)[0].Pages; d.pages < 2 || f.NumBuckets() < 2 {
 		t.Fatalf("bucket 0 spans %d pages of %d buckets; the cases need two of each", d.pages, f.NumBuckets())
 	}
 	return d
@@ -162,15 +162,26 @@ func (c checkpointCase) render(d *doctorable) []byte {
 	return c.edit(d, bytes.Clone(d.valid))
 }
 
+// mustLive returns s's live placements in the grid's Buckets() order, as the
+// checkpoint writer takes them.
+func mustLive(t testing.TB, s *Store) []*Placement {
+	t.Helper()
+	live, err := s.livePlacements()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
 // readEverything reads every copy of every bucket, singly and as one batch
 // per disk. Errors are the caller's business; the point is that a store Open
 // accepted can be read without a panic.
 func readEverything(s *Store) (failed int) {
 	ctx := context.Background()
-	m := s.Manifest()
-	perDisk := make([][]int32, m.Disks)
+	perDisk := make([][]int32, s.Manifest().Disks)
 	one := make([]geom.Flat, 1)
-	for _, pl := range m.Buckets {
+	live, _ := s.livePlacements()
+	for _, pl := range live {
 		for _, d := range pl.OwnerDisks {
 			perDisk[d] = append(perDisk[d], pl.ID)
 			if _, err := s.ReadFlatsFromTimed(ctx, d, []int32{pl.ID}, one, nil); err != nil {
@@ -287,10 +298,10 @@ func FuzzManifest(f *testing.F) {
 		}
 		defer s.Close()
 		readEverything(s)
-		m := s.Manifest()
+		pls := mustLive(t, s)
 		type diskPage struct{ disk, page int64 }
 		holder := map[diskPage]int32{}
-		for _, pl := range m.Buckets {
+		for _, pl := range pls {
 			for i, disk := range pl.OwnerDisks {
 				for p := range int64(pl.Pages) {
 					at := diskPage{int64(disk), pl.OwnerPages[i] + p}
@@ -302,7 +313,7 @@ func FuzzManifest(f *testing.F) {
 			}
 		}
 		var again bytes.Buffer
-		if err := writeCheckpoint(&again, s.Grid(), &m); err != nil {
+		if err := writeCheckpoint(&again, s.Grid(), s.Manifest(), s.w.checkpointLSN, pls); err != nil {
 			t.Fatal(err)
 		}
 		s2, err := openCheckpoint(d.dir, bufio.NewReader(&again))
@@ -310,8 +321,9 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("the writer's encoding of an accepted checkpoint is refused: %v", err)
 		}
 		defer s2.Close()
-		if m2 := s2.Manifest(); !reflect.DeepEqual(m, m2) {
-			t.Fatalf("re-encoded checkpoint decodes to another layout:\n%+v\n%+v", m, m2)
+		if m, m2 := s.Manifest(), s2.Manifest(); m != m2 || s.w.checkpointLSN != s2.w.checkpointLSN || !reflect.DeepEqual(pls, mustLive(t, s2)) {
+			t.Fatalf("re-encoded checkpoint decodes to another layout:\n%+v LSN %d %+v\n%+v LSN %d %+v",
+				m, s.w.checkpointLSN, pls, m2, s2.w.checkpointLSN, mustLive(t, s2))
 		}
 	})
 }

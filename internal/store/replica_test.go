@@ -58,8 +58,8 @@ func TestWriteReplicatedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Replicas() != r {
-		t.Fatalf("Replicas() = %d, want %d", s.Replicas(), r)
+	if got := s.Manifest().Replicas; got != r {
+		t.Fatalf("Manifest().Replicas = %d, want %d", got, r)
 	}
 	ctx := context.Background()
 	for i, v := range f.Buckets() {

@@ -306,15 +306,15 @@ func TestPlacementTableGrowsUnderReaders(t *testing.T) {
 }
 
 // TestPlacementTableGrowth races lock-free lookups against two writers that
-// publish placements for interleaved ids, each store under pmu alone, so
-// the table grows from empty fifteen times, copying up to 16 384 slots. A
-// reader that looks up an id a writer has acknowledged must find that id's
-// placement: a table published before its slots are copied, or a growth
-// that copies them outside pmu and so loses the other writer's store, hands
-// it nil.
+// publish placements for interleaved ids, each store under the writer lock
+// (w.mu) alone, so the table grows from empty fifteen times, copying up to
+// 16 384 slots. A reader that looks up an id a writer has acknowledged must
+// find that id's placement: a table published before its slots are copied,
+// or a growth that copies them outside the writer lock and so loses the other
+// writer's store, hands it nil.
 func TestPlacementTableGrowth(t *testing.T) {
 	const n, writers, readers = 1 << 15, 2, 2
-	s := &Store{}
+	s := &Store{w: &writer{}}
 	s.places.Store(new([]atomic.Pointer[Placement]))
 	var acked [writers]atomic.Int64 // writer w has published ids w, w+writers, … below acked[w] of them
 	done := make(chan struct{})
@@ -357,9 +357,9 @@ func TestPlacementTableGrowth(t *testing.T) {
 			defer wwg.Done()
 			for id := w; id < n; id += writers {
 				pl := &Placement{ID: int32(id)}
-				s.pmu.Lock()
+				s.w.mu.Lock()
 				s.setPlacement(int32(id), pl)
-				s.pmu.Unlock()
+				s.w.mu.Unlock()
 				acked[w].Add(1)
 			}
 		}(w)
@@ -427,7 +427,7 @@ func TestPinnedReaderOutlivesCheckpoints(t *testing.T) {
 	// Rewrite the target first, then as many buckets on its disk as fit in
 	// the delay, so the target's old page is retired early and a 1-page
 	// extent on that disk is wanted again and again.
-	lsn0 := s.Manifest().CheckpointLSN
+	lsn0 := s.w.checkpointLSN
 	inserted := 0
 	for _, key := range keys {
 		id, _ := s.Grid().BucketAt(key)
@@ -439,7 +439,7 @@ func TestPinnedReaderOutlivesCheckpoints(t *testing.T) {
 		}
 		inserted++
 	}
-	lsn := s.Manifest().CheckpointLSN
+	lsn := s.w.checkpointLSN
 	select {
 	case <-held:
 		t.Fatal("the read returned before the writer was done; lengthen its delay")

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"pgridfile/internal/fault"
 )
 
 // ScrubStats summarizes one scrub pass over a layout.
@@ -23,21 +25,20 @@ type ScrubStats struct {
 // catch corruption on the pages queries happen to touch, the scrubber
 // sweeps the rest.
 //
-// Buckets are visited in (primary disk, primary page) order as of the start
-// of the pass — one sequential sweep per disk file, whatever order the layout
-// was written or since rewritten in; pause, when positive, is slept between
-// buckets so a background scrub stays low-priority next to live queries.
-// Each bucket's placement is looked up again when its turn comes and pinned
-// (pinPages) while it is scanned: the pages a placement named at the start of
-// the pass may since hold another bucket. Repairs go through the store's own
-// disk handles. A copy that
-// missed its last write (errStaleCopy) is neither verified nor repaired from;
-// replay rewrites it. Scrub reads the disk files directly, bypassing the
-// failpoint registry: it verifies the real bytes on disk, not the fault model.
-// Concurrent readers are safe: pages are
-// fixed-size and repair rewrites a page with its own correct contents, so
-// a racing read sees either the torn page (and fails verification or
-// header validation the way it already would) or the repaired one.
+// The live buckets are visited in (primary disk, primary page) order as of the
+// start of the pass — one sequential sweep per disk file, whatever order the
+// layout was written or since rewritten in; pause, when positive, is slept
+// between buckets so a background scrub stays low-priority next to live
+// queries. Each bucket's placement is looked up again when its turn comes and
+// pinned (pinPages) while it is scanned: the pages a placement named at the
+// start of the pass may since hold another bucket. Repairs go through the
+// store's own disk handles. A copy that missed its last write (errStaleCopy)
+// is neither verified nor repaired from; replay rewrites it. Scrub reads the
+// disk files directly, bypassing the failpoint registry: it verifies the real
+// bytes on disk, not the fault model. Concurrent readers are safe: pages are
+// fixed-size and repair rewrites a page with its own correct contents, so a
+// racing read sees either the torn page (and fails verification or header
+// validation the way it already would) or the repaired one.
 //
 // A copy that cannot be read at all (truncated or missing file regions)
 // counts as corrupt in full and is repaired the same way, which also heals
@@ -46,12 +47,9 @@ type ScrubStats struct {
 // no intact sibling (r=1, or all copies damaged) are counted but left in
 // place.
 func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, err error) {
-	var pls []*Placement
-	t := *s.places.Load()
-	for id := range t {
-		if pl := t[id].Load(); pl != nil {
-			pls = append(pls, pl)
-		}
+	pls, err := s.livePlacements()
+	if err != nil {
+		return st, err
 	}
 	slices.SortFunc(pls, cmpDiskPage)
 
@@ -80,7 +78,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 	// scanBucket verifies and repairs one bucket's copies.
 	scanBucket := func(pl *Placement) error {
 		// bad[p] lists the owner indices whose copy of page p failed.
-		var bad map[int][]int
+		bad := map[int][]int{}
 		for i, d := range pl.OwnerDisks {
 			if slices.Contains(pl.missed, d) {
 				continue
@@ -91,9 +89,6 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 					continue
 				}
 				st.Corrupt++
-				if bad == nil {
-					bad = make(map[int][]int)
-				}
 				bad[p] = append(bad[p], i)
 			}
 		}
@@ -140,12 +135,8 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			return st, err
 		}
 		if pause > 0 {
-			t := time.NewTimer(pause)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return st, ctx.Err()
-			case <-t.C:
+			if err := fault.Sleep(ctx, pause); err != nil {
+				return st, err
 			}
 		}
 	}

@@ -45,10 +45,10 @@ type pageCopy struct {
 	page   int64 // absolute page index within the disk file
 }
 
-// layoutPageCopies enumerates every physical page copy in a manifest.
-func layoutPageCopies(m Manifest) []pageCopy {
+// layoutPageCopies enumerates every physical page copy the placements name.
+func layoutPageCopies(pls []*Placement) []pageCopy {
 	var out []pageCopy
-	for _, pl := range m.Buckets {
+	for _, pl := range pls {
 		for i, d := range pl.OwnerDisks {
 			for p := 0; p < pl.Pages; p++ {
 				out = append(out, pageCopy{bucket: pl.ID, disk: d, page: pl.OwnerPages[i] + int64(p)})
@@ -103,7 +103,7 @@ func TestScrubRepairsEveryPage(t *testing.T) {
 			defer s.Close()
 			s.SetVerify(true)
 
-			copies := layoutPageCopies(*m)
+			copies := layoutPageCopies(m)
 			if len(copies) == 0 {
 				t.Fatal("layout has no pages")
 			}
@@ -309,11 +309,11 @@ func TestScrubCancelledPassSyncsRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	m := s.Manifest()
+	m, pls := s.Manifest(), mustLive(t, s)
 	// Corrupt the primary copy of the bucket the sweep starts at: the lowest
 	// primary page on the lowest disk.
-	first := m.Buckets[0]
-	for _, pl := range m.Buckets {
+	first := pls[0]
+	for _, pl := range pls {
 		if pl.Disk < first.Disk || (pl.Disk == first.Disk && pl.Page < first.Page) {
 			first = pl
 		}
@@ -367,9 +367,8 @@ func TestScrubSweepsDisksSequentially(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	m := s.Manifest()
-	sweep := append([]Placement(nil), m.Buckets...)
-	slices.SortFunc(sweep, func(a, b Placement) int { return cmpDiskPage(&a, &b) })
+	m, sweep := s.Manifest(), mustLive(t, s)
+	slices.SortFunc(sweep, cmpDiskPage)
 	byID := true
 	for i := 1; i < len(sweep); i++ {
 		byID = byID && sweep[i-1].ID < sweep[i].ID

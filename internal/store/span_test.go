@@ -21,10 +21,11 @@ import (
 )
 
 // copiesOnDisk lists every bucket copy held by one disk file, in page order.
-func copiesOnDisk(m *Manifest, disk int) []Placement {
+func copiesOnDisk(pls []*Placement, disk int) []Placement {
 	var out []Placement
-	for _, pl := range m.Buckets {
-		if i := slices.Index(pl.OwnerDisks, disk); i >= 0 {
+	for _, p := range pls {
+		if i := slices.Index(p.OwnerDisks, disk); i >= 0 {
+			pl := *p
 			pl.Disk, pl.Page = disk, pl.OwnerPages[i]
 			out = append(out, pl)
 		}
@@ -63,7 +64,7 @@ func TestLayoutIsOneHilbertRunPerDisk(t *testing.T) {
 
 	for _, r := range []int{1, 2} {
 		dir := t.TempDir()
-		var m *Manifest
+		var m []*Placement
 		if r == 1 {
 			m, err = Write(dir, f, alloc, pageBytes)
 		} else {
@@ -216,7 +217,7 @@ func TestSpanReadsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if pageBytes*len(m.Buckets)*2 >= maxCoalesceBytes {
+	if pageBytes*len(m)*2 >= maxCoalesceBytes {
 		t.Fatal("test file is large enough for the span cap to bind; bruteSpans ignores the cap")
 	}
 	file := copiesOnDisk(m, 0)
@@ -293,8 +294,7 @@ func TestTornReadOfGapBearingSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	m := s.Manifest()
-	file := copiesOnDisk(&m, 0)
+	file := copiesOnDisk(mustLive(t, s), 0)
 	ids := []int32{file[0].ID, file[1+ReadThroughPages].ID} // ReadThroughPages one-page buckets between them
 	out := make([]geom.Flat, len(ids))
 	var tm Timing
@@ -318,12 +318,13 @@ func TestTornReadOfGapBearingSpan(t *testing.T) {
 	}
 }
 
-// manifestLayout restates a written layout's primary copies in the
-// simulator's terms (the manifest's bucket list is in f.Buckets() order).
-func manifestLayout(m *Manifest) (core.Allocation, sim.DiskLayout) {
-	alloc := core.Allocation{Disks: m.Disks, Assign: make([]int, len(m.Buckets))}
-	lay := sim.DiskLayout{Page: make([]int64, len(m.Buckets)), Pages: make([]int, len(m.Buckets))}
-	for i, pl := range m.Buckets {
+// manifestLayout restates a written layout's primary copies over disks in
+// the simulator's terms (the writer returns its placements in f.Buckets()
+// order).
+func manifestLayout(m []*Placement, disks int) (core.Allocation, sim.DiskLayout) {
+	alloc := core.Allocation{Disks: disks, Assign: make([]int, len(m))}
+	lay := sim.DiskLayout{Page: make([]int64, len(m)), Pages: make([]int, len(m))}
+	for i, pl := range m {
 		alloc.Assign[i], lay.Page[i], lay.Pages[i] = pl.Disk, pl.Page, pl.Pages
 	}
 	return alloc, lay
@@ -355,8 +356,8 @@ func TestClusteringHalvesSpansOnBusiestDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, written := manifestLayout(m)
-	idOrder := make([]int, len(m.Buckets))
+	alloc, written := manifestLayout(m, disks)
+	idOrder := make([]int, len(m))
 	for i := range idOrder {
 		idOrder[i] = i
 	}

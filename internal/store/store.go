@@ -20,9 +20,9 @@
 // There is one way off disk, too: Open. Every open is the same — disk files
 // read-write, strays removed, free pages derived, journals replayed — so a
 // layout's state is its last checkpoint plus every write acknowledged since,
-// whoever opens it. A layout has one opening process at a time: an Open
-// replays and checkpoints the journals another live Store may be appending
-// to.
+// whoever opens it. A layout has one live Store at a time: Open and the
+// layout writer hold an exclusive lock on the directory until Close, and
+// refuse a directory whose lock another Store holds (lockDir).
 //
 // Pages are fixed-size; a bucket larger than one page (possible only for
 // the overfull duplicate-key case) spans consecutive pages. The reader
@@ -58,6 +58,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pgridfile/internal/core"
@@ -82,13 +83,16 @@ const (
 // pageChecksum computes the CRC-32C of a page with the crc field (bytes
 // 8..12) treated as zero.
 func pageChecksum(page []byte) uint32 {
-	var zero [4]byte
 	c := crc32.Update(0, crcTable, page[:8])
-	c = crc32.Update(c, crcTable, zero[:])
+	c = crc32.Update(c, crcTable, zeroWord[:])
 	return crc32.Update(c, crcTable, page[12:])
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// zeroWord stands in for the crc field; a local array would escape through
+// crc32.Update, an allocation per page.
+var zeroWord [4]byte
 
 // errChecksum reports a page whose stored CRC-32C does not match its
 // contents; checkPage wraps it.
@@ -121,20 +125,14 @@ type Placement struct {
 	missed []int
 }
 
-// Manifest describes a layout directory: the geometry its checkpoint file
-// records, and a placement per live bucket in the grid's Buckets() order.
+// Manifest is a layout's geometry, as its checkpoint file records it. It
+// never changes while the layout is open; where each bucket lives is the
+// store's placement table (Store.Placement).
 type Manifest struct {
 	Disks     int
 	Dims      int
 	PageBytes int
 	Replicas  int // copies per bucket
-	// CheckpointLSN is the last journaled operation whose effects the
-	// checkpoint file and the page files capture. Replay skips journal
-	// records at or below it, which makes a crash between the checkpoint's
-	// rename and its journal truncation harmless (the stale journal records
-	// are simply ignored). Zero on layouts that never saw a write.
-	CheckpointLSN uint64
-	Buckets       []Placement
 }
 
 // recordsPerPage returns how many dims-dimensional keys fit in a page.
@@ -156,23 +154,23 @@ func (s *Store) PagesFor(nrec int) int {
 }
 
 // Write lays out the grid file's buckets over per-disk page files under
-// dir, following the allocation. It returns the manifest it wrote.
-func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (*Manifest, error) {
+// dir, following the allocation. It returns the placements it wrote, in
+// f.Buckets() order.
+func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) ([]*Placement, error) {
 	if err := alloc.Validate(f.NumBuckets()); err != nil {
 		return nil, err
 	}
-	owners := make([][]int, f.NumBuckets())
-	backing := make([]int, f.NumBuckets())
-	for i, d := range alloc.Assign {
-		backing[i] = d
-		owners[i] = backing[i : i+1 : i+1]
+	owners := make([][]int, len(alloc.Assign))
+	for i := range alloc.Assign {
+		owners[i] = alloc.Assign[i : i+1 : i+1]
 	}
 	return writeLayout(dir, f, owners, alloc.Disks, 1, pageBytes, nil)
 }
 
 // WriteReplicated lays out the grid file with each bucket written to every
 // disk in its owner list, following a replica map (see internal/replica).
-func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes int) (*Manifest, error) {
+// It returns the placements it wrote, in f.Buckets() order.
+func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes int) ([]*Placement, error) {
 	if err := rm.Validate(f.NumBuckets()); err != nil {
 		return nil, err
 	}
@@ -224,15 +222,21 @@ func encodePage(page []byte, id int32, keys []float64, dims int) {
 // not a layout: whatever an earlier life left in it goes first, its checkpoint
 // before anything else and the journals with it, so that neither a kill
 // part-way nor the next Open pairs the new pages with the old life's
-// placements or operations. crash is the write path's kill hook, for the
-// tests.
-func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) (*Manifest, error) {
+// placements or operations. The writer holds the directory's lock (lockDir)
+// throughout, so it never rewrites a layout a live Store serves. crash is the
+// write path's kill hook, for the tests.
+func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) ([]*Placement, error) {
 	if pageBytes <= pageHeaderBytes+8*f.Dims() {
 		return nil, fmt.Errorf("store: page size %d too small for %d-D records", pageBytes, f.Dims())
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer lock.Close()
 	if err := os.Remove(filepath.Join(dir, "layout.grd")); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -248,7 +252,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		dir:      dir,
 		grid:     f,
 	}
-	s.w = newWriter(&s.manifest, make([][]bool, disks))
+	s.w = newWriter(make([][]bool, disks), 0)
 	s.w.crash = crash
 	defer func() { closeAll(s.files) }()
 	for d := 0; d < disks; d++ {
@@ -259,10 +263,10 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 		s.files = append(s.files, fh)
 	}
 
-	// The table is made once, at its final size, and the stubs share one
-	// allocation: each bucket's rewrite publishes the one placement it keeps.
+	// The stubs share one allocation: each bucket's rewrite publishes the
+	// one placement it keeps.
 	views := f.Buckets()
-	s.places.Store(newPlaceTable(views))
+	s.places.Store(new([]atomic.Pointer[Placement]))
 	stubs := make([]Placement, len(views))
 	for _, vi := range LayoutOrder(f) {
 		id := views[vi].ID
@@ -275,8 +279,7 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	if err := s.checkpointLocked(true); err != nil {
 		return nil, err
 	}
-	m := s.manifest
-	return &m, nil
+	return s.livePlacements()
 }
 
 // Store reads buckets from a layout directory with real file I/O.
@@ -284,23 +287,21 @@ type Store struct {
 	manifest Manifest
 	dir      string
 	files    []*os.File
+	lock     *os.File // the directory's lock (lockDir), held until Close
 
 	// grid is the layout's grid file — the coordinator's scales, directory
 	// and records — decoded from the checkpoint file by Open, and mutated
 	// under w.gridMu.
 	grid *gridfile.File
 
-	// pmu is the writers' lock: a placement store (setPlacement) holds it, and
-	// so does a checkpoint's update of the manifest's bucket list, which
-	// Manifest reads under RLock. No read path takes it.
-	pmu sync.RWMutex
-	// places is the placement table: slot id holds bucket id's placement, or
-	// nil. Bucket ids index the grid file's bucket table, so the table is
-	// dense. A reader loads the table and a slot with no lock. Placements are
-	// copy-on-write: a writer holding pmu stores a fresh one and never
-	// changes one it has published, so whatever a reader loaded stays whole.
-	// The table grows only by replacement, under pmu, after every slot has
-	// been copied, so a writer always stores into the current table.
+	// places is the placement table, the store's one record of where buckets
+	// live: slot id holds bucket id's placement, or nil. Bucket ids index the
+	// grid file's bucket table, so the table is dense. A reader loads the
+	// table and a slot with no lock. Placements are copy-on-write: a writer
+	// holding w.mu stores a fresh one and never changes one it has published,
+	// so whatever a reader loaded stays whole. The table grows only by
+	// replacement, under w.mu, after every slot has been copied, so a writer
+	// always stores into the current table.
 	// Old-or-new: a reader that loaded the table before a growth may read a
 	// slot as it stood at that growth; any placement published after the
 	// growth was published after the reader began, so its query overlaps that
@@ -330,29 +331,37 @@ type Store struct {
 }
 
 // Open loads a layout directory written by Write or WriteReplicated for
-// serving and mutation. It reads the checkpoint file, layout.grd, opens the
-// disk files that file places buckets in read-write — the grid file it holds
-// becomes the mutable coordinator state — clears out what a kill inside a
-// checkpoint may have stranded, replays any journaled operations that survived
-// a crash, and checkpoints the replayed state. It refuses a directory that
-// holds a manifest.json instead (the layout generation before the checkpoint
-// file), a checkpoint of another page format, and one whose placements could
-// not all be read from the disk files as they stand.
+// serving and mutation. It takes the directory's lock (lockDir), reads the
+// checkpoint file, layout.grd, opens the disk files that file places buckets
+// in read-write — the grid file it holds becomes the mutable coordinator state
+// — clears out what a kill inside a checkpoint may have stranded, replays any
+// journaled operations that survived a crash, and checkpoints the replayed
+// state. It refuses a directory another Store holds open, one that holds a
+// manifest.json instead (the layout generation before the checkpoint file), a
+// checkpoint of another page format, and one whose placements could not all be
+// read from the disk files as they stand.
 func Open(dir string) (*Store, error) {
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	fh, err := os.Open(filepath.Join(dir, "layout.grd"))
 	if errors.Is(err, os.ErrNotExist) {
 		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
-			return nil, errVintage(dir + " holds a manifest.json layout")
+			err = errVintage(dir + " holds a manifest.json layout")
 		}
 	}
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
 	s, err := openCheckpoint(dir, bufio.NewReader(fh))
 	fh.Close()
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
+	s.lock = lock
 	if err := removeStrays(dir, false); err != nil {
 		s.CloseNoCheckpoint()
 		return nil, err
@@ -372,6 +381,22 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
+// lockDir takes a layout directory's lock: an exclusive, non-blocking flock on
+// the directory itself, which adds no file and which the kernel drops with the
+// handle, so a killed process leaves no stale lock. A second live Store would
+// replay the first one's journals and rewrite pages it still serves.
+func lockDir(dir string) (*os.File, error) {
+	dh, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(dh.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		dh.Close()
+		return nil, fmt.Errorf("store: %s is held open by another store: %w", dir, err)
+	}
+	return dh, nil
+}
+
 // OpenWritable is Open under its name from before every open was writable,
 // kept for the benchmark harness (bench/), whose sources change only with the
 // benchmark.
@@ -384,29 +409,13 @@ func errVintage(what string) error {
 		what, pageFormat)
 }
 
-// newPlaceTable makes an empty placement table with a slot for every bucket
-// id among views.
-func newPlaceTable(views []gridfile.BucketView) *[]atomic.Pointer[Placement] {
-	n := 0
-	for _, v := range views {
-		n = max(n, int(v.ID)+1)
-	}
-	t := make([]atomic.Pointer[Placement], n)
-	return &t
-}
-
 // Grid returns the layout's grid file. It mutates under concurrent queries:
 // callers translating against it must hold the grid read lock (RLockGrid) so
 // a mutation cannot rewrite the directory mid-translation.
 func (s *Store) Grid() *gridfile.File { return s.grid }
 
-// Manifest returns the layout description as of the last checkpoint. Its
-// placements are the store's own and must not be modified.
-func (s *Store) Manifest() Manifest {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	return s.manifest
-}
+// Manifest returns the layout's geometry.
+func (s *Store) Manifest() Manifest { return s.manifest }
 
 // placement returns bucket id's placement, or nil for an unknown bucket: a
 // load of the table and of one slot, no lock. The Placement is shared and
@@ -421,7 +430,8 @@ func (s *Store) placement(id int32) *Placement {
 
 // setPlacement publishes pl as bucket id's placement, or drops the bucket's
 // when pl is nil, growing the table first when id lies beyond it. Caller
-// holds pmu, and pl is never modified once stored.
+// holds w.mu, or has the store to itself (Open, writeLayout), and pl is never
+// modified once stored.
 func (s *Store) setPlacement(id int32, pl *Placement) {
 	t := *s.places.Load()
 	if int(id) >= len(t) {
@@ -443,9 +453,24 @@ func (s *Store) Placement(id int32) (Placement, bool) {
 	return Placement{}, false
 }
 
-// Replicas returns the number of copies of each bucket in the layout
-// (1 for an unreplicated layout).
-func (s *Store) Replicas() int { return s.manifest.Replicas }
+// livePlacements returns the live buckets' placements, tombstones left out, in
+// the grid's Buckets() order, read under the grid read lock: one directory's.
+func (s *Store) livePlacements() ([]*Placement, error) {
+	s.RLockGrid()
+	defer s.RUnlockGrid()
+	live := make([]*Placement, 0, s.grid.NumBuckets())
+	for id, i := range s.grid.IndexByID() {
+		if i < 0 {
+			continue // no live bucket has this id
+		}
+		pl := s.placement(int32(id))
+		if pl == nil {
+			return nil, fmt.Errorf("store: live bucket %d has no placement", id)
+		}
+		live = append(live, pl)
+	}
+	return live, nil
+}
 
 // PickOwner returns the first owner disk of one bucket after disk after, in
 // OwnerDisks order, whose copy did not miss its last write (errStaleCopy).
@@ -884,12 +909,10 @@ func (s *Store) DiskSizes() ([]int64, error) {
 // nothing), then releases the journals and the disk file handles; use
 // Checkpoint directly when the caller needs the error.
 func (s *Store) Close() {
-	w := s.w
-	w.mu.Lock()
+	s.w.mu.Lock()
 	_ = s.checkpointLocked(false)
-	closeAll(w.journals)
-	w.mu.Unlock()
-	closeAll(s.files)
+	s.w.mu.Unlock()
+	s.CloseNoCheckpoint()
 }
 
 // DiskFileName names disk d's page file within a layout directory. Exported

@@ -208,6 +208,61 @@ func TestOpenRejectsBadLayouts(t *testing.T) {
 	}
 }
 
+// TestOneOpenerPerLayout: while a Store holds a layout, a second Open and
+// the layout writer are refused with an error naming the directory — a
+// second opener would replay and checkpoint the first one's journals and
+// rewrite pages it still serves. Once the first lets go without a
+// checkpoint, as a crash would, Open succeeds and replays its writes.
+func TestOneOpenerPerLayout(t *testing.T) {
+	dir, f, alloc := buildLayout(t, 2, 4096)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetCheckpointEvery(0)
+	const n = 20
+	for _, key := range randKeys(f.Domain(), n, 3) {
+		if _, err := s.Insert(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s2, err := Open(dir); err == nil {
+		s2.Close()
+		t.Fatal("a second Open of a live layout succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("the refusal does not name the directory: %v", err)
+	}
+	if _, err := Write(dir, f, alloc, 4096); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("the layout writer over a live layout: %v, want a refusal naming the directory", err)
+	}
+	s.CloseNoCheckpoint()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after the first store let go: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.WriteCounters().JournalReplays; got != n {
+		t.Errorf("%d operations replayed, want %d", got, n)
+	}
+	if got := s2.Grid().Len(); got != f.Len()+n {
+		t.Errorf("%d records after the reopen, want %d", got, f.Len()+n)
+	}
+}
+
+// TestPageCodecAllocatesNothing: checksumming and encoding a page — once per
+// page written, read with verification on, and scrubbed — allocate nothing.
+func TestPageCodecAllocatesNothing(t *testing.T) {
+	page := make([]byte, 4096)
+	keys := []float64{1, 2, 3, 4}
+	if n := testing.AllocsPerRun(100, func() { pageChecksum(page) }); n != 0 {
+		t.Errorf("pageChecksum: %v allocations per page", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { encodePage(page, 7, keys, 2) }); n != 0 {
+		t.Errorf("encodePage: %v allocations per page", n)
+	}
+}
+
 func TestReadUnknownBucket(t *testing.T) {
 	dir, _, _ := buildLayout(t, 2, 4096)
 	s, err := Open(dir)
@@ -399,10 +454,10 @@ func TestCorruptPageHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, _, err := readBucket(context.Background(), s, victim); err == nil {
 		t.Error("read accepted a page holding another bucket")
 	}
+	s.Close()
 
 	// An implausible record count must be rejected too.
 	fh, err = os.OpenFile(path, os.O_RDWR, 0)

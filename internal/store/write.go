@@ -133,8 +133,13 @@ type writer struct {
 	journalLen []int64
 	writeSites []string // per-disk fault sites for page writes
 
-	nextPage      []int64 // per-disk end-of-file page cursor (shadow allocation)
-	nextLSN       uint64
+	nextPage []int64 // per-disk end-of-file page cursor (shadow allocation)
+	nextLSN  uint64
+	// checkpointLSN is the last journaled operation whose effects the
+	// committed checkpoint and the page files capture. Replay skips journal
+	// records at or below it, which makes a crash between the checkpoint's
+	// rename and its journal truncation harmless. Zero on layouts that never
+	// saw a write.
 	checkpointLSN uint64
 
 	// Page reuse (see the file comment): superseded holds the extents
@@ -184,19 +189,20 @@ type extent struct {
 type extentSize struct{ disk, pages int }
 
 // newWriter sets up the write path of a store just opened on a committed
-// checkpoint of m, the journals aside (Open opens them). named flags, per
-// disk, every page of the file as it stands that the checkpoint's placements
-// name (readCheckpoint): each disk's cursor starts at its file's end, and
-// every page below it that no placement names is free — nothing names it, and
-// no reader has looked anything up yet.
-func newWriter(m *Manifest, named [][]bool) *writer {
+// checkpoint at LSN lsn, the journals aside (Open opens them). named has one
+// entry per disk and flags every page of the file as it stands that the
+// checkpoint's placements name (readCheckpoint): each disk's cursor starts at
+// its file's end, and every page below it that no placement names is free —
+// nothing names it, and no reader has looked anything up yet.
+func newWriter(named [][]bool, lsn uint64) *writer {
 	w := &writer{
 		checkpointEvery: DefaultCheckpointEvery,
-		nextPage:        make([]int64, m.Disks),
-		writeSites:      make([]string, m.Disks),
-		checkpointLSN:   m.CheckpointLSN,
-		nextLSN:         m.CheckpointLSN + 1,
-		journalLen:      make([]int64, m.Disks),
+		nextPage:        make([]int64, len(named)),
+		writeSites:      make([]string, len(named)),
+		checkpointLSN:   lsn,
+		nextLSN:         lsn + 1,
+		journalLen:      make([]int64, len(named)),
+		free:            make(map[extentSize][]int64),
 	}
 	for d, pages := range named {
 		w.writeSites[d] = fault.StoreWriteDiskSite(d)
@@ -211,9 +217,6 @@ func newWriter(m *Manifest, named [][]bool) *writer {
 }
 
 func (w *writer) addFree(x extent) {
-	if w.free == nil {
-		w.free = make(map[extentSize][]int64)
-	}
 	w.free[x.extentSize] = append(w.free[x.extentSize], x.page)
 }
 
@@ -329,12 +332,13 @@ func (s *Store) WriteCounters() WriteCounters {
 	}
 }
 
-// CloseNoCheckpoint releases every file handle WITHOUT checkpointing, so
-// the journals keep every operation since the last checkpoint. This is the
-// crash stand-in the recovery tests and the ingest smoke gate reopen from.
+// CloseNoCheckpoint releases the files and the directory's lock WITHOUT
+// checkpointing, so the journals keep every operation since the last one:
+// the crash stand-in the recovery tests and the ingest smoke gate reopen from.
 func (s *Store) CloseNoCheckpoint() {
 	closeAll(s.w.journals)
 	closeAll(s.files)
+	s.lock.Close()
 }
 
 // crashPoint fires the crash hook, if armed. Once it fires the store is
@@ -453,9 +457,7 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 				w.supersede(old) // the tombstone of a merged-away bucket whose id the split reuses
 			}
 			stub := placementStub(id, owners)
-			s.pmu.Lock()
 			s.setPlacement(id, &stub)
-			s.pmu.Unlock()
 		}
 		if len(res.Created) > 0 {
 			w.gridGen.Add(1)
@@ -601,9 +603,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	pl.Pages = npages
 	pl.Recs = nrec
 	pl.missed = missed
-	s.pmu.Lock()
 	s.setPlacement(id, &pl)
-	s.pmu.Unlock()
 	w.supersede(old)
 	return nil
 }
@@ -731,9 +731,8 @@ func (s *Store) replay() error {
 // since the last checkpoint — truncating the journals then would drop the
 // only redo for the stale copies.
 func (s *Store) Checkpoint() error {
-	w := s.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
 	return s.checkpointLocked(true)
 }
 
@@ -770,32 +769,18 @@ func (s *Store) checkpointLocked(force bool) error {
 		return err
 	}
 
-	// Placements for exactly the grid's live buckets (merged-away tombstones
-	// drop out here).
-	views := s.grid.Buckets()
-	bks := make([]Placement, 0, len(views))
-	for _, v := range views {
-		pl := s.placement(v.ID)
-		if pl == nil {
-			return fmt.Errorf("store: checkpoint: live bucket %d has no placement", v.ID)
-		}
-		bks = append(bks, *pl)
+	live, err := s.livePlacements()
+	if err != nil {
+		return err
 	}
-	m := s.manifest
-	m.Buckets = bks
-	m.CheckpointLSN = w.nextLSN - 1
+	lsn := w.nextLSN - 1
 	if err := atomicWriteFile(s.dir, "layout.grd", func(fh io.Writer) error {
-		return writeCheckpoint(fh, s.grid, &m)
+		return writeCheckpoint(fh, s.grid, s.manifest, lsn, live)
 	}); err != nil {
 		return err
 	}
-	// Only the fields a checkpoint moves are stored: readers take the
-	// layout's geometry (disks, dims, page size) from s.manifest unlocked.
-	s.pmu.Lock()
-	s.manifest.Buckets, s.manifest.CheckpointLSN = m.Buckets, m.CheckpointLSN
-	s.dropTombstones(bks)
-	s.pmu.Unlock()
-	w.checkpointLSN = m.CheckpointLSN
+	s.dropTombstones(live)
+	w.checkpointLSN = lsn
 	w.pendingOps = 0
 	w.retireSuperseded()
 	if err := w.crashPoint(); err != nil {
@@ -823,8 +808,8 @@ func (s *Store) checkpointLocked(force bool) error {
 // supersedes their pages in ascending id order, so the order pages are reused
 // in is a function of the operations. A reader looking one up afterwards
 // translated before the merge, and its query translates again
-// (Store.GridGen). Caller holds w.mu and pmu.
-func (s *Store) dropTombstones(live []Placement) {
+// (Store.GridGen). Caller holds w.mu, or has the store to itself.
+func (s *Store) dropTombstones(live []*Placement) {
 	t := *s.places.Load()
 	named := make([]bool, len(t))
 	for _, pl := range live {

@@ -149,7 +149,7 @@ func TestWritableInsertSplitReadBack(t *testing.T) {
 	if g2.Len() != f.Len()+2000 {
 		t.Fatalf("reopened grid holds %d records, want %d", g2.Len(), f.Len()+2000)
 	}
-	if ro.Manifest().CheckpointLSN == 0 {
+	if ro.w.checkpointLSN == 0 {
 		t.Fatal("checkpoint LSN not recorded")
 	}
 	verifyStoreMatchesGrid(t, ro, g2)

@@ -60,7 +60,8 @@
 #                  internal/server TestQueryContendsWithWorkerForItsDisk
 #                  (queries reading their own batches against the disk
 #                  workers: one read per disk at a time, in arrival order)
-#   6. fuzz smoke  short runs of the fuzz targets: wire protocol
+#   6. fuzz smoke  short runs of the fuzz targets (`make fuzz`, which lists
+#                  them): wire protocol
 #                  (FuzzCodec, FuzzDegradedCodec), frames concatenated into
 #                  one write (FuzzBatchFraming), grid-file persistence
 #                  (FuzzRead), the range count's split of a box's buckets
@@ -119,18 +120,12 @@ go test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverRetu
 go test -race -count=20 -run '^TestQueryContendsWithWorkerForItsDisk$' ./internal/server
 
 echo "== fuzz smoke ($FUZZTIME each)"
-go test -run='^$' -fuzz=FuzzCodec -fuzztime="$FUZZTIME" ./internal/server
-go test -run='^$' -fuzz=FuzzDegradedCodec -fuzztime="$FUZZTIME" ./internal/server
-go test -run='^$' -fuzz=FuzzBatchFraming -fuzztime="$FUZZTIME" ./internal/server
-go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/gridfile
-go test -run='^$' -fuzz=FuzzCountSplit -fuzztime="$FUZZTIME" ./internal/gridfile
-go test -run='^$' -fuzz=FuzzManifest -fuzztime="$FUZZTIME" ./internal/store
-go test -run='^$' -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/store
+make fuzz FUZZTIME="$FUZZTIME"
 
 echo "== alloc tests"
 go test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$' -count=1 ./internal/server
 
 echo "== benchmarks (once each)"
-go test -run '^$' -bench . -benchtime 1x ./...
+make bench
 
 echo "check.sh: all green"
