@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race check fmt vet fuzz bench loc golden clean
+.PHONY: all build test race race20 check fmt vet fuzz bench loc golden clean
 
 all: build
 
@@ -16,6 +16,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The lock-free tables' and the disk queue's race tests, twenty times each:
+# a growth or fencing race shows only on some interleavings.
+race20:
+	$(GO) test -race -count=20 -run '^(TestPlacementTableGrowth|TestPlacementTableGrowsUnderReaders)$$' ./internal/store
+	$(GO) test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$$' ./internal/cache
+	$(GO) test -race -count=20 -run '^TestQueryContendsWithWorkerForItsDisk$$' ./internal/server
 
 fmt:
 	gofmt -w .

@@ -384,7 +384,7 @@ func TestWeights(t *testing.T) {
 
 func TestMinimaxWithEuclideanWeight(t *testing.T) {
 	g := testGrid(t)
-	mm := &Minimax{Weight: EuclideanWeight, WeightName: "euclid", Seed: 1}
+	mm := &Minimax{Weight: EuclideanWeight, Seed: 1}
 	if mm.Name() != "MiniMax(euclid)" {
 		t.Errorf("Name = %s", mm.Name())
 	}

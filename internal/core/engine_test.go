@@ -145,9 +145,9 @@ func inverseProximity(a, b gridfile.BucketView, d geom.Rect) float64 {
 	return 1 - ProximityWeight(a, b, d)
 }
 
-func proximityAllocators(seed int64, w Weight, name string) []Allocator {
+func proximityAllocators(seed int64, w Weight) []Allocator {
 	return []Allocator{
-		&Minimax{Weight: w, WeightName: name, Seed: seed},
+		&Minimax{Weight: w, Seed: seed},
 		&SSP{Weight: w, Seed: seed},
 		&MST{Weight: w, Seed: seed},
 	}
@@ -182,8 +182,12 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 	for gname, g := range engineTestGrids(t) {
 		for wname, w := range weights {
 			for _, disks := range []int{8, 1} {
-				for ai, alg := range proximityAllocators(seed, w, wname) {
-					name := alg.Name() + "/" + gname + "/" + wname
+				for ai, alg := range proximityAllocators(seed, w) {
+					name := alg.Name()
+					if ai == 0 { // Name() names the euclidean weight only
+						name = "MiniMax(" + wname + ")"
+					}
+					name += "/" + gname + "/" + wname
 					if disks == 1 {
 						name += "/one-tree"
 					}

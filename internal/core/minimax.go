@@ -57,16 +57,15 @@ func EuclideanWeight(a, b gridfile.BucketView, domain geom.Rect) float64 {
 type Minimax struct {
 	// Weight is the edge weight; nil means ProximityWeight.
 	Weight Weight
-	// WeightName qualifies Name() for non-default weights.
-	WeightName string
 	// Seed drives the random seeding phase.
 	Seed int64
 }
 
-// Name implements Allocator.
+// Name implements Allocator; the euclidean weight is named, the proximity
+// index and any other weight are not.
 func (m *Minimax) Name() string {
-	if m.WeightName != "" {
-		return "MiniMax(" + m.WeightName + ")"
+	if kindOf(m.Weight) == kindEuclid {
+		return "MiniMax(euclid)"
 	}
 	return "MiniMax"
 }

@@ -129,7 +129,7 @@ func (l *Lab) AblationEdgeWeight() ([]*stats.Table, error) {
 	queries := l.queriesFor(b.grid.Domain, 0.01)
 	algs := []core.Allocator{
 		&core.Minimax{Seed: l.opts.Seed},
-		&core.Minimax{Weight: core.EuclideanWeight, WeightName: "euclid", Seed: l.opts.Seed},
+		&core.Minimax{Weight: core.EuclideanWeight, Seed: l.opts.Seed},
 	}
 	rt := stats.NewTable(
 		"Ablation A3 — minimax edge weight on stock.3d (r=0.01): mean response time",

@@ -39,8 +39,8 @@ func (s *Server) Snapshot() Snapshot {
 			total += n
 		}
 		s.st.RLockGrid()
-		for id, i := range s.st.Grid().IndexByID() {
-			if pl, ok := s.st.Placement(int32(id)); ok && i >= 0 {
+		for id := range s.st.Grid().IndexByID() {
+			if pl, ok := s.st.Placement(int32(id)); ok {
 				unique += int64(pl.Pages)
 			}
 		}

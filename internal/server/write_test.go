@@ -506,8 +506,8 @@ func TestMissedPageWriteIsNeverServed(t *testing.T) {
 
 // TestFetchOfMergedAwayBucketTranslatesAgain: a point query translates to a
 // bucket and its disk read stalls (an injected delay, then an injected
-// error) while deletes merge that bucket away and a checkpoint drops the
-// retired placement. The read's retry then finds no placement at all. The
+// error) while deletes merge that bucket away, which retires its placement
+// there and then. The read's retry then finds no placement at all. The
 // grid moved since the query translated, so that failure, like an answer,
 // belongs to a stale translation: the query must translate again and find
 // its record in the surviving bucket, not report the error.
@@ -584,11 +584,8 @@ func TestFetchOfMergedAwayBucketTranslatesAgain(t *testing.T) {
 	if !merged {
 		t.Fatalf("the deletes did not retire bucket %d", victim)
 	}
-	if err := s.st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := s.st.Placement(victim); ok {
-		t.Fatalf("the checkpoint kept the placement of retired bucket %d", victim)
+		t.Fatalf("the merge kept the placement of retired bucket %d", victim)
 	}
 	reg.Clear()
 	if a := <-done; a.err != nil || a.n != 1 {

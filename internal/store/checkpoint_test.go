@@ -118,9 +118,10 @@ func TestReplayMatchesLive(t *testing.T) {
 
 	// apply runs the sequence against a copy of the base layout and reports
 	// how many buddy merges it saw (a delete that retired a bucket reports
-	// two stale buckets: the survivor and the retired one). Every bucket an
-	// op reports stale must read back, rewritten, straight after the op — and
-	// after a merge every bucket, in case the report named the wrong ones.
+	// two stale buckets: the survivor and the retired one). Every live bucket
+	// an op reports stale must read back, rewritten, straight after the op,
+	// and a retired one must have no placement left — and after a merge every
+	// bucket must read back, in case the report named the wrong ones.
 	apply := func() (s *Store, merges int) {
 		s, err := Open(copyLayout(t, base))
 		if err != nil {
@@ -136,14 +137,19 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err != nil || !m.Applied {
 				t.Fatalf("op %d: applied=%v err=%v", i, m.Applied, err)
 			}
-			for _, id := range m.Stale {
-				checkBucketCopies(t, s, id)
-			}
-			if op.del && len(m.Stale) == 2 {
+			stale := m.Stale
+			if op.del && len(stale) == 2 { // the survivor, then the bucket merged away
+				if pl, ok := s.Placement(stale[1]); ok {
+					t.Fatalf("op %d: bucket %d merged away, placement %+v left", i, stale[1], pl)
+				}
+				stale = stale[:1]
 				merges++
 				for _, v := range s.Grid().Buckets() {
 					checkBucketCopies(t, s, v.ID)
 				}
+			}
+			for _, id := range stale {
+				checkBucketCopies(t, s, id)
 			}
 		}
 		return s, merges
@@ -199,14 +205,14 @@ func TestReplayMatchesLive(t *testing.T) {
 
 // checkBucketCopies reads one bucket of a writable store from every disk that
 // owns a copy and requires each to decode to the multiset of records the
-// store's grid holds for it. A bucket a merge retired has nothing to check.
+// store's grid holds for it.
 func checkBucketCopies(t *testing.T, s *Store, id int32) {
 	t.Helper()
 	var want [][2]float64
 	if !s.Grid().ForEachRecordInBucket(id, func(key []float64, _ []byte) {
 		want = append(want, [2]float64{key[0], key[1]})
 	}) {
-		return
+		t.Fatalf("bucket %d is not a live bucket of the grid", id)
 	}
 	slices.SortFunc(want, cmpRow)
 	pl, ok := s.Placement(id)

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pgridfile/internal/core"
@@ -18,11 +20,20 @@ import (
 
 // buildCrashLayout lays out a small uniform dataset with the given allocator
 // at replication r, sized so buckets span multiple pages and inserts split.
+// One bucket is thinned to its last two records before the layout is
+// written, so that crashOps can empty it into a buddy merge in a few
+// operations instead of some forty, each with its crash points.
 func buildCrashLayout(t *testing.T, alloc core.Allocator, disks, r int) (string, *gridfile.File) {
 	t.Helper()
 	f, err := synth.Uniform2D(300, 3).Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	thin := mergeDeletes(t, f, nil)
+	for _, key := range thin[:len(thin)-2] {
+		if res := f.DeleteTracked(key); !res.Removed || res.Merged {
+			t.Fatalf("thinning bucket %d: %+v", res.Target, res)
+		}
 	}
 	g := core.FromGridFile(f)
 	a, err := alloc.Decluster(g, disks)
@@ -38,6 +49,45 @@ func buildCrashLayout(t *testing.T, alloc core.Allocator, disks, r int) (string,
 		t.Fatal(err)
 	}
 	return dir, f
+}
+
+// mergeDeletes plays ops on copies of f, which is left as it is, and returns
+// the shortest run of deletes that empties one bucket, in its record order,
+// up to the delete at which a buddy merge retires one of the pair.
+func mergeDeletes(t *testing.T, f *gridfile.File, ops []crashOp) []geom.Point {
+	t.Helper()
+	var raw bytes.Buffer
+	if _, err := f.WriteTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	var best []geom.Point
+	for _, v := range f.Buckets() {
+		g, err := gridfile.Read(bytes.NewReader(raw.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if op.del {
+				g.Delete(op.key)
+			} else if err := g.Insert(gridfile.Record{Key: op.key}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var keys []geom.Point
+		g.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) { keys = append(keys, slices.Clone(key)) })
+		for i, key := range keys {
+			if g.DeleteTracked(key).Merged {
+				if best == nil || i+1 < len(best) {
+					best = keys[:i+1]
+				}
+				break
+			}
+		}
+	}
+	if best == nil {
+		t.Fatal("emptying no bucket merges it with a buddy")
+	}
+	return best
 }
 
 // copyLayout clones a (flat) layout directory so each crash trial starts
@@ -92,17 +142,23 @@ type crashOp struct {
 	key geom.Point
 }
 
-// crashOps builds the trial sequence: a run of inserts with fresh keys
-// followed by deletes of alternating inserted keys, so recovery is checked
-// for both op types and for delete-after-insert interleavings.
-func crashOps(dom geom.Rect) []crashOp {
-	keys := randKeys(dom, 8, 33)
+// crashOps builds the trial sequence on f's records: a run of inserts with
+// fresh keys, deletes of alternating inserted keys, then the deletes that
+// empty one bucket until a buddy merge retires one of the pair
+// (mergeDeletes), so recovery is checked for both op types, for
+// delete-after-insert interleavings and inside a merge.
+func crashOps(t *testing.T, f *gridfile.File) []crashOp {
+	t.Helper()
+	keys := randKeys(f.Domain(), 8, 33)
 	ops := make([]crashOp, 0, len(keys)+len(keys)/2)
 	for _, k := range keys {
 		ops = append(ops, crashOp{key: k})
 	}
 	for i := 1; i < len(keys); i += 2 {
 		ops = append(ops, crashOp{del: true, key: keys[i]})
+	}
+	for _, key := range mergeDeletes(t, f, ops) {
+		ops = append(ops, crashOp{del: true, key: key})
 	}
 	return ops
 }
@@ -136,8 +192,8 @@ func applyUntilCrash(t *testing.T, s *Store, ops []crashOp) int {
 }
 
 // crashCheckpointEvery makes automatic checkpoints fall inside crashOps'
-// twelve operations (after the 5th and the 10th), so the crash points of a
-// checkpoint are traversed between journaled operations as well as after them.
+// operations (after every fifth), so the crash points of a checkpoint are
+// traversed between journaled operations as well as after them.
 const crashCheckpointEvery = 5
 
 // TestCrashRecoveryAtEveryFailpoint is the recovery property test: for a
@@ -174,7 +230,7 @@ func TestCrashRecoveryAtEveryFailpoint(t *testing.T) {
 func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 	const disks = 3
 	base, f := buildCrashLayout(t, alloc, disks, r)
-	ops := crashOps(f.Domain())
+	ops := crashOps(t, f)
 
 	// Dry run: count the crash points the full sequence passes through, and
 	// the checkpoint LSNs they were reached under, and check that some
@@ -189,7 +245,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		s.SetCheckpointEvery(crashCheckpointEvery)
 		lsns := map[uint64]bool{}
 		s.w.crash = func() bool { total++; lsns[s.w.checkpointLSN] = true; return false }
-		grown, written := sum(s.w.nextPage), make([]int64, disks)
+		grown, written, merges := sum(s.w.nextPage), make([]int64, disks), 0
 		for i, op := range ops {
 			mutate := s.Insert
 			if op.del {
@@ -198,6 +254,9 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 			m, err := mutate(context.Background(), op.key)
 			if err != nil {
 				t.Fatalf("dry run op %d: %v", i, err)
+			}
+			if op.del && len(m.Stale) == 2 { // the bucket kept and the one merged away
+				merges++
 			}
 			rewrittenPages(s, m, written)
 		}
@@ -213,8 +272,11 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		if grown >= sum(written) {
 			t.Fatalf("files grew by %d pages for %d rewritten: no write went into a reused page", grown, sum(written))
 		}
+		if merges == 0 {
+			t.Fatal("the sequence merged no buckets: no crash point fell inside a merge")
+		}
+		t.Logf("%d crash points over %d operations, %d of them merges", total, len(ops), merges)
 	}
-	t.Logf("%d crash points", total)
 
 	for k := 1; k <= total; k++ {
 		dir := copyLayout(t, base)

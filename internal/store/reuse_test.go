@@ -189,11 +189,12 @@ func TestConcurrentReadsAgreeWithModel(t *testing.T) {
 // PickOwner and ReadFlatsFromTimed over every bucket of a whole-domain
 // translation — against a writer that inserts into a layout of a few buckets
 // until the placement table has grown several times, then deletes until
-// buddies merge, checkpointing every 16 operations so that dropTombstones
-// clears the merged-away buckets' slots. No lookup may miss while the writer
-// only inserts, nor under a grid generation that still stands after the
-// read, and then the records read must number between what the writer had
-// surely applied and what it may have:
+// buddies merge, checkpointing every 16 operations. After every operation
+// returns, the table's non-nil slots must be exactly the grid's live buckets:
+// a merge retires its bucket's placement at once. No lookup may miss while
+// the writer only inserts, nor under a grid generation that still stands
+// after the read, and then the records read must number between what the
+// writer had surely applied and what it may have:
 // inserts acknowledged before the read less deletes sent by its end, and
 // inserts sent by its end less deletes acknowledged before it. A table
 // published before its slots were copied, or a growth that lost a slot,
@@ -262,6 +263,24 @@ func TestPlacementTableGrowsUnderReaders(t *testing.T) {
 			}
 		}()
 	}
+	// placedAsLive fails the test unless the table's non-nil slots are the
+	// grid's live bucket ids; only this goroutine writes, so between its
+	// operations neither changes.
+	placedAsLive := func(after string) {
+		var placed, live []int32
+		t0 := *s.places.Load()
+		for id := range t0 {
+			if t0[id].Load() != nil {
+				placed = append(placed, int32(id))
+			}
+		}
+		for _, v := range s.Grid().Buckets() {
+			live = append(live, v.ID)
+		}
+		if !slices.Equal(placed, live) {
+			t.Fatalf("after %s: placements for buckets %v, the grid's live buckets are %v", after, placed, live)
+		}
+	}
 	slots, growths, merges := len(*s.places.Load()), 0, 0
 	for _, key := range keys {
 		insSent.Add(1)
@@ -269,6 +288,7 @@ func TestPlacementTableGrowsUnderReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		insAcked.Add(1)
+		placedAsLive("an insert")
 		if n := len(*s.places.Load()); n != slots {
 			slots, growths = n, growths+1
 		}
@@ -280,6 +300,7 @@ func TestPlacementTableGrowsUnderReaders(t *testing.T) {
 			t.Fatalf("delete of %v: applied %v, %v", key, m.Applied, err)
 		}
 		delAcked.Add(1)
+		placedAsLive("a delete")
 		if len(m.Stale) == 2 { // the bucket kept and the one merged away
 			merges++
 		}
@@ -292,15 +313,6 @@ func TestPlacementTableGrowsUnderReaders(t *testing.T) {
 	t.Logf("the table grew %d times to %d slots; %d merges", growths, slots, merges)
 	if growths < 3 || merges == 0 {
 		t.Errorf("%d growths and %d merges: the writer did not exercise the table", growths, merges)
-	}
-	placed := 0
-	for i := range *s.places.Load() {
-		if (*s.places.Load())[i].Load() != nil {
-			placed++
-		}
-	}
-	if placed != s.Grid().NumBuckets() {
-		t.Errorf("%d placements after the checkpoint, the grid has %d buckets: tombstones left", placed, s.Grid().NumBuckets())
 	}
 	verifyStoreMatchesGrid(t, s, s.Grid())
 }

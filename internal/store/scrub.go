@@ -127,7 +127,7 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 			return st, err
 		}
 		e := s.pinPages()
-		if pl := s.placement(at.ID); pl != nil {
+		if pl := s.placement(at.ID); pl != nil { // nil: merged away since the pass began
 			err = scanBucket(pl)
 		}
 		s.unpinPages(e)

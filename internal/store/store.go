@@ -16,6 +16,11 @@
 // There is one way onto disk: a fresh layout (writeLayout) is checkpoint zero
 // of the write path, and one owner of the grid file: the Store decodes it
 // with the placements, and callers translate queries against Store.Grid().
+// The placement table holds exactly the grid's live buckets whenever no write
+// is under way: a split places the buckets it creates, and a buddy merge drops
+// the placement of the bucket it retires, both in the same apply step. A query
+// that translated before a merge and finds its bucket gone translates again
+// (Store.GridGen).
 //
 // There is one way off disk, too: Open. Every open is the same — disk files
 // read-write, strays removed, free pages derived, journals replayed — so a
@@ -453,21 +458,21 @@ func (s *Store) Placement(id int32) (Placement, bool) {
 	return Placement{}, false
 }
 
-// livePlacements returns the live buckets' placements, tombstones left out, in
-// the grid's Buckets() order, read under the grid read lock: one directory's.
+// livePlacements returns the live buckets' placements — the table's non-nil
+// slots, in id order and so in the grid's Buckets() order — read under the
+// grid read lock: one directory's.
 func (s *Store) livePlacements() ([]*Placement, error) {
 	s.RLockGrid()
 	defer s.RUnlockGrid()
 	live := make([]*Placement, 0, s.grid.NumBuckets())
-	for id, i := range s.grid.IndexByID() {
-		if i < 0 {
-			continue // no live bucket has this id
+	t := *s.places.Load()
+	for i := range t {
+		if pl := t[i].Load(); pl != nil {
+			live = append(live, pl)
 		}
-		pl := s.placement(int32(id))
-		if pl == nil {
-			return nil, fmt.Errorf("store: live bucket %d has no placement", id)
-		}
-		live = append(live, pl)
+	}
+	if len(live) != s.grid.NumBuckets() {
+		return nil, fmt.Errorf("store: %d placements for %d live buckets", len(live), s.grid.NumBuckets())
 	}
 	return live, nil
 }

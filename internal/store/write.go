@@ -300,9 +300,11 @@ func (s *Store) RLockGrid() { s.w.gridMu.RLock() }
 // GridGen returns the grid's generation: it changes whenever a mutation
 // splits a bucket off or merges one away. Bucket ids translated under
 // RLockGrid cover their query only while the generation read under that same
-// lock still stands; a reader that finds another one after fetching them must
-// translate and fetch again, because a split moves records to a bucket it
-// never asked for and a merge copies them into one it also read as it was.
+// lock still stands; a reader that finds another one after fetching them,
+// whether the fetch answered or failed, must translate and fetch again: a
+// split moves records to a bucket it never asked for, a merge copies them into
+// one it also read as it was, and the bucket a merge retired has no placement
+// left to fetch.
 func (s *Store) GridGen() uint64 { return s.w.gridGen.Load() }
 
 // RUnlockGrid releases RLockGrid.
@@ -404,11 +406,7 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 
 	// Committed. Apply under the grid write lock: directory mutation, page
 	// rewrites to other extents, and placement swaps become visible to
-	// readers atomically when the lock is released. A retired bucket's
-	// placement is kept as a tombstone (its old extent is still intact, so a
-	// reader that translated before the merge reads a consistent pre-delete
-	// copy) until the next checkpoint, which builds the placements from the
-	// grid's live buckets and drops it (dropTombstones).
+	// readers atomically when the lock is released.
 	w.gridMu.Lock()
 	m, dirty, err := s.apply(op, key, pl.OwnerDisks)
 	for i := 0; err == nil && i < len(dirty); i++ {
@@ -443,7 +441,10 @@ func (s *Store) mutate(ctx context.Context, op uint8, key geom.Point) (Mutation,
 // by replay, so both derive the same splits and merges from the same journal
 // record. It returns what the operation did and the live buckets whose pages
 // must be rewritten: dirty is a prefix of m.Stale, and what follows it in
-// m.Stale was retired by a buddy merge. Caller holds w.mu and, online, gridMu.
+// m.Stale was retired by a buddy merge. A retired bucket's placement goes at
+// once and its pages are superseded; a reader that translated before the merge
+// finds no placement, and its query translates again (GridGen). Caller holds
+// w.mu and, online, gridMu.
 func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty []int32, err error) {
 	w := s.w
 	switch op {
@@ -453,9 +454,6 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 			return Mutation{}, nil, err
 		}
 		for _, id := range res.Created {
-			if old := s.placement(id); old != nil {
-				w.supersede(old) // the tombstone of a merged-away bucket whose id the split reuses
-			}
 			stub := placementStub(id, owners)
 			s.setPlacement(id, &stub)
 		}
@@ -472,6 +470,8 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 		if res.Merged {
 			w.gridGen.Add(1)
 			m.Stale = []int32{res.Keep, res.Dead}
+			w.supersede(s.placement(res.Dead))
+			s.setPlacement(res.Dead, nil)
 		}
 	}
 	return m, dirty, nil
@@ -702,8 +702,7 @@ func (s *Store) replay() error {
 		for _, id := range live {
 			dirty[id] = true
 		}
-		// A retired bucket is not rewritten; the checkpoint that ends replay
-		// drops its placement and supersedes its pages, as it does online.
+		// A retired bucket is not rewritten: apply has dropped its placement.
 		for _, id := range m.Stale[len(live):] {
 			delete(dirty, id)
 		}
@@ -779,7 +778,6 @@ func (s *Store) checkpointLocked(force bool) error {
 	}); err != nil {
 		return err
 	}
-	s.dropTombstones(live)
 	w.checkpointLSN = lsn
 	w.pendingOps = 0
 	w.retireSuperseded()
@@ -800,27 +798,6 @@ func (s *Store) checkpointLocked(force bool) error {
 		}
 	}
 	return nil
-}
-
-// dropTombstones removes the placements of buckets a merge retired — kept so
-// a reader that translated before the merge could still read them — once the
-// checkpoint just committed (live, its placements) no longer names them, and
-// supersedes their pages in ascending id order, so the order pages are reused
-// in is a function of the operations. A reader looking one up afterwards
-// translated before the merge, and its query translates again
-// (Store.GridGen). Caller holds w.mu, or has the store to itself.
-func (s *Store) dropTombstones(live []*Placement) {
-	t := *s.places.Load()
-	named := make([]bool, len(t))
-	for _, pl := range live {
-		named[pl.ID] = true
-	}
-	for id := range t {
-		if pl := t[id].Load(); pl != nil && !named[id] {
-			s.w.supersede(pl)
-			t[id].Store(nil)
-		}
-	}
 }
 
 // removeStrays deletes what a layout directory must not hand to its next

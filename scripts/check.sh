@@ -47,12 +47,14 @@
 #                  compares every table gridbench prints at test scale, byte
 #                  for byte, with testdata/results_test_scale.txt
 #                  (`make golden` regenerates it)
-#   5. race x20    the lock-free tables' race tests again, twenty times each,
-#                  because a growth or fencing race shows only on some
-#                  interleavings: internal/store TestPlacementTableGrowth
+#   5. race x20    the lock-free tables' race tests again, twenty times each
+#                  (`make race20`, which lists them), because a growth or
+#                  fencing race shows only on some interleavings:
+#                  internal/store TestPlacementTableGrowth
 #                  (lookups against two writers growing the placement table)
 #                  and TestPlacementTableGrowsUnderReaders (reads against a
-#                  writer that grows it and drops merged buckets' slots), and
+#                  writer that grows it and drops merged buckets' slots, the
+#                  table matching the grid's live buckets after each write), and
 #                  internal/cache TestInvalidateRacingLeader (loads racing
 #                  a write's invalidation: none begun before it stays
 #                  cached), TestResidentNeverReturnsInvalidatedArena and
@@ -115,9 +117,7 @@ if grep -q '^check.sh: go test exited' "$TEST_OUT"; then
 fi
 
 echo "== race x20"
-go test -race -count=20 -run '^(TestPlacementTableGrowth|TestPlacementTableGrowsUnderReaders)$' ./internal/store
-go test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$' ./internal/cache
-go test -race -count=20 -run '^TestQueryContendsWithWorkerForItsDisk$' ./internal/server
+make race20
 
 echo "== fuzz smoke ($FUZZTIME each)"
 make fuzz FUZZTIME="$FUZZTIME"
