@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race race20 check fmt vet fuzz bench loc golden clean
+.PHONY: all build test race race20 alloc check fmt vet fuzz bench loc golden clean
 
 all: build
 
@@ -23,6 +23,11 @@ race20:
 	$(GO) test -race -count=20 -run '^(TestPlacementTableGrowth|TestPlacementTableGrowsUnderReaders)$$' ./internal/store
 	$(GO) test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$$' ./internal/cache
 	$(GO) test -race -count=20 -run '^TestQueryContendsWithWorkerForItsDisk$$' ./internal/server
+
+# The allocation budgets, without the race detector: their file is built out
+# under -race, where sync.Pool drops what it holds.
+alloc:
+	$(GO) test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$$' -count=1 ./internal/server
 
 fmt:
 	gofmt -w .

@@ -47,7 +47,6 @@ func runServe(args []string) error {
 	degraded := fs.Bool("degraded", true, "answer partially (with the degraded flag) when a read fails and no replica can stand in, instead of erroring")
 	traceSample := fs.Int("trace-sample", 0, "stage-trace every Nth query (1 traces all, 0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", -1, "log traced queries at least this slow to stderr (0 logs every traced query, <0 disables the log)")
-	verify := fs.Bool("verify-checksums", false, "verify per-page checksums on every read")
 	scrubInterval := fs.Duration("scrub-interval", 0, "background checksum scrub period; repairs corrupt pages from replicas (0 disables)")
 	writable := fs.Bool("writable", false, "accept INSERT/DELETE (mutations are journaled per disk)")
 	fs.Parse(args)
@@ -60,20 +59,19 @@ func runServe(args []string) error {
 	}
 
 	s, err := server.OpenDir(*dir, server.Config{
-		Addr:            *addr,
-		HTTPAddr:        *httpAddr,
-		MaxInflight:     *maxInflight,
-		QueryTimeout:    *timeout,
-		CacheBytes:      cacheFlag(*cacheBytes),
-		Pprof:           *pprof,
-		Faults:          reg,
-		Degraded:        *degraded,
-		TraceSample:     *traceSample,
-		TraceSlowLog:    *traceSlow >= 0,
-		TraceSlow:       max(*traceSlow, 0),
-		VerifyChecksums: *verify,
-		ScrubInterval:   *scrubInterval,
-		Writable:        *writable,
+		Addr:          *addr,
+		HTTPAddr:      *httpAddr,
+		MaxInflight:   *maxInflight,
+		QueryTimeout:  *timeout,
+		CacheBytes:    cacheFlag(*cacheBytes),
+		Pprof:         *pprof,
+		Faults:        reg,
+		Degraded:      *degraded,
+		TraceSample:   *traceSample,
+		TraceSlowLog:  *traceSlow >= 0,
+		TraceSlow:     max(*traceSlow, 0),
+		ScrubInterval: *scrubInterval,
+		Writable:      *writable,
 	})
 	if err != nil {
 		return err

@@ -371,10 +371,9 @@ func runTrial(opts Options, f *gridfile.File, l *layout, fa faultAxis, wl worklo
 	reg := fault.NewRegistry(opts.Seed + int64(trial))
 	reg.Set(fa.rules...)
 	s, err := server.OpenDir(l.dir, server.Config{
-		Degraded:        true,
-		CacheBytes:      -1, // every query pays the full read path
-		VerifyChecksums: true,
-		Faults:          reg,
+		Degraded:   true,
+		CacheBytes: -1, // every query pays the full read path
+		Faults:     reg,
 	})
 	if err != nil {
 		return err

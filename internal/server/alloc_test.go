@@ -2,8 +2,8 @@
 
 // The race detector makes sync.Pool drop a share of what is put into it, so
 // an allocation count under -race measures the detector, not the server;
-// scripts/check.sh runs every test in this file on its own, without -race, as
-// its last step.
+// `make alloc` (a step of scripts/check.sh) runs every test in this file on
+// its own, without -race.
 
 package server
 

@@ -428,16 +428,12 @@ func (s *Server) serveOne(disk int, req fetchReq) fetchResp {
 		s.traceSince(req.tr, stageFetchWait, req.enq)
 	}
 	r := fetchResp{leadBatch: req.leadBatch, disk: disk, err: req.ctx.Err()}
-	out := req.out
 	if r.err == nil {
-		if len(out) != len(req.ids) {
-			out = make([]geom.Flat, len(req.ids)) // a request sent without room for its records
-		}
 		// The runtime/trace region brackets the batch's read so `go tool
 		// trace` shows each disk's duty cycle. StartRegion is a no-op
 		// unless tracing is active.
 		region := rtrace.StartRegion(req.ctx, "gridserver.fetchBatch")
-		r.pages, r.err = s.st.ReadFlatsFromTimed(req.ctx, disk, req.ids, out, &tm)
+		r.pages, r.err = s.st.ReadFlatsFromTimed(req.ctx, disk, req.ids, req.out, &tm)
 		region.End()
 	}
 	if req.tr != nil {
@@ -450,7 +446,7 @@ func (s *Server) serveOne(disk int, req fetchReq) fetchResp {
 	}
 	s.met.diskFetches[disk].Add(int64(len(req.ids)))
 	s.met.noteRead(r.pages, &tm)
-	s.publishLeads(req.loads, out)
-	r.recs = out
+	s.publishLeads(req.loads, req.out)
+	r.recs = req.out
 	return r
 }

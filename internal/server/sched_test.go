@@ -14,6 +14,17 @@ import (
 	"pgridfile/internal/store"
 )
 
+// placementsOf returns where each of st's buckets lives, in the grid's
+// Buckets() order.
+func placementsOf(st *store.Store) []store.Placement {
+	var out []store.Placement
+	for _, v := range st.Grid().Buckets() {
+		pl, _ := st.Placement(v.ID)
+		out = append(out, pl)
+	}
+	return out
+}
+
 // TestDiskQueueServesEachRequestAlone fails if queueing behind other requests
 // ever changes a request's outcome, or if a disk serves its queue out of
 // arrival order. Six fetches for disjoint buckets of one disk are sent to the
@@ -26,17 +37,6 @@ import (
 // requests were sent: disk-model's latency (spans on the busiest disk × the
 // device delay) assumes a disk serves one request at a time, first come first
 // served.
-// placementsOf returns where each of st's buckets lives, in the grid's
-// Buckets() order.
-func placementsOf(st *store.Store) []store.Placement {
-	var out []store.Placement
-	for _, v := range st.Grid().Buckets() {
-		pl, _ := st.Placement(v.ID)
-		out = append(out, pl)
-	}
-	return out
-}
-
 func TestDiskQueueServesEachRequestAlone(t *testing.T) {
 	s, f := newTestServer(t, 900, 1, Config{CacheBytes: -1})
 	file := placementsOf(s.st)
@@ -67,6 +67,9 @@ func TestDiskQueueServesEachRequestAlone(t *testing.T) {
 	reqs[unknownAt].ids = append(reqs[unknownAt].ids, 1<<30)
 	reqs[unknownAt].idxs = append(reqs[unknownAt].idxs, len(file))
 	reqs[tracedAt].tr, reqs[tracedAt].enq = tr, time.Now().Add(-time.Millisecond)
+	for i := range reqs {
+		reqs[i].out = make([]geom.Flat, len(reqs[i].ids))
+	}
 
 	before := s.Snapshot()
 	for _, r := range reqs {

@@ -2,13 +2,16 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"pgridfile/internal/core"
+	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/store"
@@ -90,13 +93,65 @@ func flipPage(t *testing.T, dir string, disk int, page int64, pageBytes int) {
 	}
 }
 
+// pageHeaderBytes is the store's page header: a page's records start there.
+const pageHeaderBytes = 16
+
+// flipRecordBit flips the lowest bit of the k-th coordinate stored in a page
+// file's page, at pageHeaderBytes + 8·k: the coordinate moves by one unit in
+// the last place, so its record stays inside the domain but is no longer
+// the grid's. (flipPage's mid-page byte is zero padding whenever a page's
+// records fill less than half of it: no answer would show that flip.)
+func flipRecordBit(t *testing.T, dir string, disk int, page int64, pageBytes, k int) {
+	t.Helper()
+	fh, err := os.OpenFile(filepath.Join(dir, store.DiskFileName(disk)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	off := page*int64(pageBytes) + pageHeaderBytes + 8*int64(k)
+	var b [1]byte
+	if _, err := fh.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := fh.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordSet is the grid's records, each counted as often as it occurs.
+func recordSet(f *gridfile.File) map[string]int {
+	set := make(map[string]int, f.Len())
+	f.Scan(func(key []float64, _ []byte) bool {
+		set[fmt.Sprint(key)]++
+		return true
+	})
+	return set
+}
+
+// missingFrom returns how many of pts are not records of set, taking each
+// record once.
+func missingFrom(set map[string]int, pts []geom.Point) int {
+	left, missing := maps.Clone(set), 0
+	for _, p := range pts {
+		k := fmt.Sprint([]float64(p))
+		if left[k] == 0 {
+			missing++
+			continue
+		}
+		left[k]--
+	}
+	return missing
+}
+
 // TestChecksumFailoverAndScrubRepair is the end-to-end integrity story on a
-// replicated layout: with read-time verification on, a query that hits a
-// corrupt primary copy — a flipped bit, or another bucket's intact page
-// written where this bucket's should be — fails over to the intact replica
-// and still serves a complete (non-degraded) answer; a scrub pass then
-// detects and repairs both, the counters surface all of it, and a second
-// pass finds the layout clean.
+// replicated layout served with the zero Config: a query that hits a
+// corrupt primary copy — a flipped bit in its padding or in one of its
+// records, or another bucket's intact page written where this bucket's
+// should be — fails over to the intact replica and still serves a complete
+// (non-degraded) answer of exactly the grid's records; a scrub pass then
+// detects and repairs all three, the counters surface all of it, and a
+// second pass finds the layout clean.
 func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	f, err := synth.Uniform2D(900, 3).Build()
 	if err != nil {
@@ -111,19 +166,26 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	misdirected, source := m[1], m[2]
 	copyPage(t, dir, source.OwnerDisks[0], source.OwnerPages[0],
 		misdirected.OwnerDisks[0], misdirected.OwnerPages[0], layoutPageBytes)
+	flipped := m[3]
+	flipRecordBit(t, dir, flipped.OwnerDisks[0], flipped.OwnerPages[0], layoutPageBytes, 0)
 
-	s, err := OpenDir(dir, Config{
-		Degraded:        true,
-		VerifyChecksums: true,
-		CacheBytes:      -1,
-	})
+	s, err := OpenDir(dir, Config{Degraded: true, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	cl := newTestClient(t, s, ClientConfig{})
+	want := recordSet(f)
 
 	for i := 0; i < 3; i++ {
+		pts, info, err := cl.RangeCtx(context.Background(), f.Domain())
+		if err != nil || info.Degraded {
+			t.Fatalf("range %d over corrupt primaries: degraded=%v err=%v", i, info.Degraded, err)
+		}
+		if len(pts) != f.Len() || missingFrom(want, pts) != 0 {
+			t.Fatalf("range %d = %d points, %d of them not the grid's; want the grid's %d records",
+				i, len(pts), missingFrom(want, pts), f.Len())
+		}
 		n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 		if err != nil {
 			t.Fatalf("query %d over corrupt primary: %v", i, err)
@@ -136,8 +198,8 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	if snap.ReplicaFailover < 6 {
-		t.Errorf("%d failovers, want >= 6 (two condemned copies, three queries) — did a read miss one?", snap.ReplicaFailover)
+	if snap.ReplicaFailover < 9 {
+		t.Errorf("%d failovers, want >= 9 (three condemned copies, three ranges) — did a read miss one?", snap.ReplicaFailover)
 	}
 	if snap.Errors != 0 || snap.Degraded != 0 {
 		t.Errorf("errors=%d degraded=%d, want 0/0", snap.Errors, snap.Degraded)
@@ -147,12 +209,12 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Corrupt != 2 || st.Repaired != 2 {
-		t.Fatalf("scrub corrupt=%d repaired=%d, want 2/2", st.Corrupt, st.Repaired)
+	if st.Corrupt != 3 || st.Repaired != 3 {
+		t.Fatalf("scrub corrupt=%d repaired=%d, want 3/3", st.Corrupt, st.Repaired)
 	}
 	snap = s.Snapshot()
-	if snap.ScrubPages == 0 || snap.ScrubCorrupt != 2 || snap.ScrubRepaired != 2 {
-		t.Fatalf("snapshot scrub counters pages=%d corrupt=%d repaired=%d, want >0/2/2",
+	if snap.ScrubPages == 0 || snap.ScrubCorrupt != 3 || snap.ScrubRepaired != 3 {
+		t.Fatalf("snapshot scrub counters pages=%d corrupt=%d repaired=%d, want >0/3/3",
 			snap.ScrubPages, snap.ScrubCorrupt, snap.ScrubRepaired)
 	}
 
@@ -169,11 +231,13 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	}
 }
 
-// TestChecksumCorruptionDegradesUnreplicated pins the r=1 contract: a
-// corrupt page cannot be healed or rerouted, so with degraded mode on the
-// answer is partial — never an error, never silently wrong records. A disk
-// file truncated under the server is the same story for every bucket on it,
-// and with degraded mode off it fails the query.
+// TestChecksumCorruptionDegradesUnreplicated pins the r=1 contract on a
+// layout served with the zero Config, damaged by one flipped bit inside a
+// stored record: the page's checksum catches it on the read, and it cannot
+// be healed or rerouted. With degraded mode on the answer is partial and
+// flagged — never an error, never a record the grid does not hold; with it
+// off the query fails with a server error. A disk file truncated under the
+// server is the same story for every bucket on it.
 func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	f, err := synth.Uniform2D(900, 3).Build()
 	if err != nil {
@@ -181,18 +245,29 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	}
 	dir, m := writeReplicatedDir(t, f, 1)
 	victim := m[0]
-	flipPage(t, dir, victim.Disk, victim.Page, layoutPageBytes)
+	if victim.Recs < 2 {
+		t.Fatalf("bucket %d holds %d records, want a second one to damage", victim.ID, victim.Recs)
+	}
+	// The second record's second coordinate.
+	const flipAt = 3
+	flipRecordBit(t, dir, victim.Disk, victim.Page, layoutPageBytes, flipAt)
 
-	s, err := OpenDir(dir, Config{
-		Degraded:        true,
-		VerifyChecksums: true,
-		CacheBytes:      -1,
-	})
+	s, err := OpenDir(dir, Config{Degraded: true, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	cl := newTestClient(t, s, ClientConfig{})
+	want := recordSet(f)
+	pts, info, err := cl.RangeCtx(context.Background(), f.Domain())
+	if err != nil || !info.Degraded || info.MissedDisks != 1 {
+		t.Fatalf("range over a flipped record: degraded=%v missed=%d err=%v, want true/1",
+			info.Degraded, info.MissedDisks, err)
+	}
+	if len(pts) > f.Len()-victim.Recs || missingFrom(want, pts) != 0 {
+		t.Fatalf("degraded range = %d points, %d of them not the grid's; want at most the %d records off bucket %d",
+			len(pts), missingFrom(want, pts), f.Len()-victim.Recs, victim.ID)
+	}
 	n, info, err := cl.RangeCountCtx(context.Background(), f.Domain())
 	if err != nil {
 		t.Fatalf("query over corrupt page errored despite degraded mode: %v", err)
@@ -215,12 +290,18 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	// A layout has one server at a time: the strict one serves a second,
 	// identical layout with the same damage.
 	strictDir, _ := writeReplicatedDir(t, f, 1)
-	flipPage(t, strictDir, victim.Disk, victim.Page, layoutPageBytes)
-	strict, err := OpenDir(strictDir, Config{VerifyChecksums: true, CacheBytes: -1})
+	flipRecordBit(t, strictDir, victim.Disk, victim.Page, layoutPageBytes, flipAt)
+	strict, err := OpenDir(strictDir, Config{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer strict.Close()
+	strictCl := newTestClient(t, strict, ClientConfig{})
+	var se *ServerError
+	if pts, _, err := strictCl.RangeCtx(context.Background(), f.Domain()); !errors.As(err, &se) {
+		t.Fatalf("strict range over a flipped record: %d points (%d not the grid's), err %v; want a server error",
+			len(pts), missingFrom(want, pts), err)
+	}
 	gone := (victim.Disk + 1) % 4
 	loseDisk(t, dir, gone)
 	loseDisk(t, strictDir, gone)
@@ -229,7 +310,7 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 		t.Fatalf("disk %d truncated: count %d (was %d), degraded=%v missed=%d, err %v, want fewer, 2 disks missed",
 			gone, lost, n, info.Degraded, info.MissedDisks, err)
 	}
-	if _, _, err := newTestClient(t, strict, ClientConfig{}).RangeCountCtx(context.Background(), f.Domain()); err == nil {
+	if _, _, err := strictCl.RangeCountCtx(context.Background(), f.Domain()); err == nil {
 		t.Fatal("a truncated disk with degraded mode off did not fail the query")
 	}
 }
@@ -247,9 +328,8 @@ func TestBackgroundScrubLoopRepairs(t *testing.T) {
 	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], layoutPageBytes)
 
 	s, err := OpenDir(dir, Config{
-		VerifyChecksums: true,
-		ScrubInterval:   5 * time.Millisecond,
-		CacheBytes:      -1,
+		ScrubInterval: 5 * time.Millisecond,
+		CacheBytes:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,11 +57,6 @@ type Config struct {
 	// missed-disk count instead of an error. Off by default: the zero
 	// value preserves fail-fast behaviour.
 	Degraded bool
-	// VerifyChecksums validates every page's CRC-32C during decode. A
-	// detected mismatch fails the copy like any failed read: the read
-	// fails over to a surviving replica (r >= 2) or is absorbed as a
-	// degraded answer, instead of silently serving corrupt records.
-	VerifyChecksums bool
 	// ScrubInterval, when positive, runs a background integrity scrub of
 	// the whole layout every interval: each pass verifies every page copy
 	// against its checksum and repairs corrupt copies from an intact
@@ -241,9 +236,6 @@ func newEngine(st *store.Store, cfg Config) *Server {
 		done:     make(chan struct{}),
 	}
 	st.SetFaults(s.faults)
-	if cfg.VerifyChecksums {
-		st.SetVerify(true)
-	}
 	s.bcache = cache.New(cfg.CacheBytes, 0)
 	// Every bucket a write makes stale leaves the cache before the write
 	// releases the grid lock: a query that translates against the

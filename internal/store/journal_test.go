@@ -18,8 +18,14 @@ import (
 	"pgridfile/internal/synth"
 )
 
+// crashPageBytes splits the crash layout's buckets across pages: a 512-byte
+// page holds 31 2-D keys and most of its buckets hold some forty, so their
+// rewrites write two pages a copy and a crash point falls between them.
+const crashPageBytes = 512
+
 // buildCrashLayout lays out a small uniform dataset with the given allocator
-// at replication r, sized so buckets span multiple pages and inserts split.
+// at replication r, in crashPageBytes pages, so most buckets span two pages
+// and inserts split.
 // One bucket is thinned to its last two records before the layout is
 // written, so that crashOps can empty it into a buddy merge in a few
 // operations instead of some forty, each with its crash points.
@@ -45,7 +51,7 @@ func buildCrashLayout(t *testing.T, alloc core.Allocator, disks, r int) (string,
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := WriteReplicated(dir, f, rm, 1024); err != nil {
+	if _, err := WriteReplicated(dir, f, rm, crashPageBytes); err != nil {
 		t.Fatal(err)
 	}
 	return dir, f
@@ -234,7 +240,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 
 	// Dry run: count the crash points the full sequence passes through, and
 	// the checkpoint LSNs they were reached under, and check that some
-	// rewrite went into a reused page.
+	// rewrite went into a reused page and some rewritten copy spans pages.
 	total := 0
 	{
 		dir := copyLayout(t, base)
@@ -245,7 +251,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		s.SetCheckpointEvery(crashCheckpointEvery)
 		lsns := map[uint64]bool{}
 		s.w.crash = func() bool { total++; lsns[s.w.checkpointLSN] = true; return false }
-		grown, written, merges := sum(s.w.nextPage), make([]int64, disks), 0
+		grown, written, merges, widest := sum(s.w.nextPage), make([]int64, disks), 0, 0
 		for i, op := range ops {
 			mutate := s.Insert
 			if op.del {
@@ -258,7 +264,7 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 			if op.del && len(m.Stale) == 2 { // the bucket kept and the one merged away
 				merges++
 			}
-			rewrittenPages(s, m, written)
+			widest = max(widest, rewrittenPages(s, m, written))
 		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -275,7 +281,11 @@ func testCrashRecovery(t *testing.T, alloc core.Allocator, r int) {
 		if merges == 0 {
 			t.Fatal("the sequence merged no buckets: no crash point fell inside a merge")
 		}
-		t.Logf("%d crash points over %d operations, %d of them merges", total, len(ops), merges)
+		if widest < 2 {
+			t.Fatal("every rewritten copy is one page: no crash point fell between two pages of a copy")
+		}
+		t.Logf("%d crash points over %d operations, %d of them merges; rewritten copies span up to %d pages",
+			total, len(ops), merges, widest)
 	}
 
 	for k := 1; k <= total; k++ {

@@ -43,8 +43,9 @@ func reusablePages(s *Store) map[int][]int64 {
 }
 
 // rewrittenPages adds to perDisk the pages a mutation's rewrites wrote on
-// each disk: every copy of every bucket it made stale that is still live.
-func rewrittenPages(s *Store, m Mutation, perDisk []int64) {
+// each disk: every copy of every bucket it made stale that is still live. It
+// returns the most pages one rewritten copy spans.
+func rewrittenPages(s *Store, m Mutation, perDisk []int64) (widest int) {
 	for _, id := range m.Stale {
 		if !s.Grid().ForEachRecordInBucket(id, func([]float64, []byte) {}) {
 			continue // retired by a merge: not rewritten
@@ -53,7 +54,9 @@ func rewrittenPages(s *Store, m Mutation, perDisk []int64) {
 		for _, d := range pl.OwnerDisks {
 			perDisk[d] += int64(pl.Pages)
 		}
+		widest = max(widest, pl.Pages)
 	}
+	return widest
 }
 
 func sum(xs []int64) (n int64) {

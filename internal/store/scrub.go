@@ -16,14 +16,13 @@ type ScrubStats struct {
 	Repaired int64 // corrupt copies rewritten from an intact replica and re-verified
 }
 
-// Scrub verifies every page copy of every bucket the way a verifying read
-// does (checkPage: its stored CRC-32C, its bucket id, a plausible count) and,
+// Scrub verifies every page copy of every bucket the way every read does
+// (checkPage: its stored CRC-32C, its bucket id, a plausible count) and,
 // where a copy is corrupt but another owner holds an intact one, rewrites
 // the damaged pages from the good copy in place — the repair path that
-// makes r >= 2 replication worth its write amplification. It is
-// the background-integrity analogue of the read-time verify flag: reads
-// catch corruption on the pages queries happen to touch, the scrubber
-// sweeps the rest.
+// makes r >= 2 replication worth its write amplification. Reads catch
+// corruption on the pages queries happen to touch, and fail over from it;
+// the scrubber sweeps the rest, and repairs it.
 //
 // The live buckets are visited in (primary disk, primary page) order as of the
 // start of the pass — one sequential sweep per disk file, whatever order the
@@ -145,13 +144,13 @@ func (s *Store) Scrub(ctx context.Context, pause time.Duration) (st ScrubStats, 
 
 // scrubReadPage reads page p of bucket id's copy directly from its disk file,
 // at file page page, and reports whether it is intact: readable, and passing
-// the read path's checkPage with the checksum verified — so a valid page of
-// another bucket is as corrupt here as a flipped bit. Short or failed reads
-// report false (the copy is unusable as-is).
+// the read path's checkPage — so a valid page of another bucket is as corrupt
+// here as a flipped bit. Short or failed reads report false (the copy is
+// unusable as-is).
 func (s *Store) scrubReadPage(disk int, page int64, buf []byte, id int32, p int) bool {
 	if _, err := s.files[disk].ReadAt(buf, page*int64(s.manifest.PageBytes)); err != nil {
 		return false
 	}
-	_, err := s.checkPage(buf, id, p, true)
+	_, err := s.checkPage(buf, id, p)
 	return err == nil
 }

@@ -64,8 +64,7 @@ func layoutPageCopies(pls []*Placement) []pageCopy {
 // misdirected write (another bucket's intact page, checksum and all) — and
 // the scrubber must detect exactly that copy, repair it from the intact
 // replica, and leave every disk file byte-identical to its pristine state,
-// after which every bucket reads back clean under full checksum
-// verification.
+// after which every bucket reads back clean, each page's checksum checked.
 func TestScrubRepairsEveryPage(t *testing.T) {
 	const disks, r, pageBytes = 4, 2, 1024
 	for name, alloc := range scrubAllocators(t) {
@@ -101,7 +100,6 @@ func TestScrubRepairsEveryPage(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			s.SetVerify(true)
 
 			copies := layoutPageCopies(m)
 			if len(copies) == 0 {
@@ -240,9 +238,9 @@ func TestScrubWithoutReplicaDetectsButCannotRepair(t *testing.T) {
 }
 
 // TestVerifiedReadReportsChecksum pins what a read does with the corruption
-// the scrubber has not reached yet: with verification on, a flipped bit in
-// the record area fails the read — alone or inside a batch — with an error
-// that wraps errChecksum and that is not mistaken for an injected fault.
+// the scrubber has not reached yet: a flipped bit in the record area fails
+// the read — alone or inside a batch — with an error that wraps errChecksum
+// and that is not mistaken for an injected fault.
 func TestVerifiedReadReportsChecksum(t *testing.T) {
 	const pageBytes = 4096
 	dir, f, _ := buildLayout(t, 2, pageBytes)
@@ -251,7 +249,6 @@ func TestVerifiedReadReportsChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetVerify(true)
 	victim := f.Buckets()[0].ID
 	pl, _ := s.Placement(victim)
 	corruptPage(t, dir, pageCopy{bucket: victim, disk: pl.Disk, page: pl.Page}, pageBytes, false)

@@ -320,10 +320,6 @@ type Store struct {
 	// cursors).
 	w *writer
 
-	// verify, when true, checks every page's CRC-32C during decode. Set
-	// before concurrent use.
-	verify bool
-
 	// now is the clock timed reads use; a test hook (SetClock) can replace
 	// it.
 	now func() time.Time
@@ -531,15 +527,12 @@ func getBuf(n int) *[]byte {
 func putBuf(bp *[]byte) { bufPool.Put(bp) }
 
 // checkPage is the one test of a page read from disk, for decode and scrub
-// alike: page p of bucket id must carry its checksum (checked when verify is
-// set), the bucket's id and a record count that fits the page. It returns the
-// count.
-func (s *Store) checkPage(page []byte, id int32, p int, verify bool) (int, error) {
-	if verify {
-		if got, want := binary.LittleEndian.Uint32(page[8:]), pageChecksum(page); got != want {
-			return 0, fmt.Errorf("store: bucket %d page %d: %w (stored %08x, computed %08x)",
-				id, p, errChecksum, got, want)
-		}
+// alike: page p of bucket id must carry its checksum, the bucket's id and a
+// record count that fits the page. It returns the count.
+func (s *Store) checkPage(page []byte, id int32, p int) (int, error) {
+	if got, want := binary.LittleEndian.Uint32(page[8:]), pageChecksum(page); got != want {
+		return 0, fmt.Errorf("store: bucket %d page %d: %w (stored %08x, computed %08x)",
+			id, p, errChecksum, got, want)
 	}
 	if got := int32(binary.LittleEndian.Uint32(page[0:])); got != id {
 		return 0, fmt.Errorf("store: page %d of bucket %d holds bucket %d", p, id, got)
@@ -556,10 +549,11 @@ func (s *Store) checkPage(page []byte, id int32, p int, verify bool) (int, error
 // allocated flat coordinate array — a single allocation regardless of
 // record count, with the records' bounding box (geom.Flat.Box) carved from
 // its head. The box is left nil for an empty bucket and when a coordinate is
-// NaN (only a damaged page read with verification off holds one): no box
-// bounds such a row, and the scan's per-row predicate excludes it. The
-// result always carries the manifest's dimensionality, even for an empty
-// bucket, so callers can distinguish "decoded empty" from the zero Flat.
+// NaN (gridfile.Read refuses NaN keys, so only damage that its page's
+// checksum misses can put one there): no box bounds such a row, and the
+// scan's per-row predicate excludes it. The result always carries the
+// manifest's dimensionality, even for an empty bucket, so callers can
+// distinguish "decoded empty" from the zero Flat.
 func (s *Store) decodeBucketFlat(data []byte, pl *Placement) (geom.Flat, error) {
 	dims := s.manifest.Dims
 	pageBytes := s.manifest.PageBytes
@@ -571,7 +565,7 @@ func (s *Store) decodeBucketFlat(data []byte, pl *Placement) (geom.Flat, error) 
 	k := 0 // coordinates decoded so far
 	for p := 0; p < pl.Pages; p++ {
 		page := data[p*pageBytes : (p+1)*pageBytes]
-		n, err := s.checkPage(page, pl.ID, p, s.verify)
+		n, err := s.checkPage(page, pl.ID, p)
 		if err != nil {
 			return geom.Flat{}, err
 		}
@@ -627,10 +621,6 @@ func (s *Store) SetFaults(reg *fault.Registry) {
 		s.diskSites[d] = fault.StoreReadDiskSite(d)
 	}
 }
-
-// SetVerify enables (or disables) CRC-32C validation of every page during
-// decode. Call before handing the Store to concurrent readers.
-func (s *Store) SetVerify(on bool) { s.verify = on }
 
 // SetClock replaces the clock timed reads use. Test hook:
 // a deterministic step clock makes pread/decode timings exact. Call before

@@ -251,7 +251,7 @@ func TestOneOpenerPerLayout(t *testing.T) {
 }
 
 // TestPageCodecAllocatesNothing: checksumming and encoding a page — once per
-// page written, read with verification on, and scrubbed — allocate nothing.
+// page written, read and scrubbed — allocate nothing.
 func TestPageCodecAllocatesNothing(t *testing.T) {
 	page := make([]byte, 4096)
 	keys := []float64{1, 2, 3, 4}

@@ -31,7 +31,6 @@ func randKeys(dom geom.Rect, n int, seed int64) []geom.Point {
 // is byte-identical to the primary with valid checksums.
 func verifyStoreMatchesGrid(t *testing.T, s *Store, f *gridfile.File) {
 	t.Helper()
-	s.SetVerify(true)
 	total := 0
 	for _, v := range f.Buckets() {
 		fl, _, err := readBucket(context.Background(), s, v.ID)

@@ -72,9 +72,9 @@
 #                  and every row of TestOpenRefusals (FuzzManifest), and the
 #                  write-ahead journal reader
 #                  (FuzzJournalReplay)
-#   7. alloc tests internal/server TestAllocBudget, TestOversizedRangeAllocation
-#                  and TestScanReservesOnce without the race detector (their
-#                  file is built out under -race: sync.Pool drops there)
+#   7. alloc tests the allocation budgets without the race detector (`make
+#                  alloc`, which lists them; their file is built out under
+#                  -race: sync.Pool drops there)
 #   8. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
 #                  checks — the reply verb of BenchmarkExecRange,
 #                  BenchmarkExecCount and their Cold forms,
@@ -123,7 +123,7 @@ echo "== fuzz smoke ($FUZZTIME each)"
 make fuzz FUZZTIME="$FUZZTIME"
 
 echo "== alloc tests"
-go test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$' -count=1 ./internal/server
+make alloc
 
 echo "== benchmarks (once each)"
 make bench
