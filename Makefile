@@ -24,10 +24,13 @@ race20:
 	$(GO) test -race -count=20 -run '^(TestInvalidateRacingLeader|TestResidentNeverReturnsInvalidatedArena|TestByteBoundUnderRandomOps)$$' ./internal/cache
 	$(GO) test -race -count=20 -run '^TestQueryContendsWithWorkerForItsDisk$$' ./internal/server
 
-# The allocation budgets, without the race detector: their file is built out
-# under -race, where sync.Pool drops what it holds.
+# The allocation budgets, without the race detector: their files are built out
+# under -race, where sync.Pool drops what it holds and allocation is
+# instrumented. The server's per-query budgets, and the grid file build's
+# bytes per record, which must not climb with the record count.
 alloc:
 	$(GO) test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$$' -count=1 ./internal/server
+	$(GO) test -run '^TestBuildAllocatesLinearly$$' -count=1 ./internal/gridfile
 
 fmt:
 	gofmt -w .

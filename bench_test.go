@@ -14,14 +14,17 @@ package pgridfile
 // Run: go test -bench=. -benchmem
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/experiments"
 	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
+	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
 	"pgridfile/internal/workload"
 )
@@ -374,4 +377,63 @@ func BenchmarkReplayWorkload(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSetupPipeline times, stage by stage, the set-up the repo
+// benchmark's setup_s measures: 400 k hot.2d records → grid file build →
+// minimax on 8 disks → store.Write → store.Open. It reports each stage's
+// milliseconds and the megabytes the build allocates, so a set-up regression
+// — a stage that stops being linear in its input — shows in `make bench`.
+func BenchmarkSetupPipeline(b *testing.B) {
+	const records, disks, pageBytes = 400_000, 8, 4096
+	dir := b.TempDir()
+	var synthMS, buildMS, declusterMS, writeMS, openMS, buildMB float64
+	for i := 0; i < b.N; i++ {
+		t := time.Now()
+		lap := func() float64 {
+			ms := float64(time.Since(t)) / float64(time.Millisecond)
+			t = time.Now()
+			return ms
+		}
+		ds := synth.Hotspot2D(records, 1)
+		synthMS += lap()
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := ds.Build()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buildMS += lap()
+		buildMB += float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+
+		alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), disks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		declusterMS += lap()
+
+		if _, err := store.Write(dir, f, alloc, pageBytes); err != nil {
+			b.Fatal(err)
+		}
+		writeMS += lap()
+
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		openMS += lap()
+		if st.Grid().Len() != records {
+			b.Fatalf("opened %d records, want %d", st.Grid().Len(), records)
+		}
+		st.Close()
+	}
+	n := float64(b.N)
+	b.ReportMetric(synthMS/n, "synth-ms")
+	b.ReportMetric(buildMS/n, "build-ms")
+	b.ReportMetric(declusterMS/n, "decluster-ms")
+	b.ReportMetric(writeMS/n, "write-ms")
+	b.ReportMetric(openMS/n, "open-ms")
+	b.ReportMetric(buildMB/n, "build-MB")
 }

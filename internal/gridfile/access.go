@@ -20,3 +20,15 @@ func (f *File) ForEachRecordInBucket(id int32, fn func(key []float64, data []byt
 	}
 	return true
 }
+
+// AppendBucketKeys appends the keys of the live bucket with the given stable
+// id to dst as one flat array — record i at [i*Dims, (i+1)*Dims) of what it
+// appends — growing dst at most once, and returns the extended slice. It
+// appends nothing for a dead or unknown id. The page writer and the parallel
+// engine use it to copy a bucket out whole.
+func (f *File) AppendBucketKeys(dst []float64, id int32) []float64 {
+	if id < 0 || int(id) >= len(f.bkts) || f.bkts[id] == nil {
+		return dst
+	}
+	return append(dst, f.bkts[id].keys...)
+}

@@ -24,7 +24,6 @@ package gridfile
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"pgridfile/internal/geom"
 )
@@ -202,15 +201,30 @@ func (f *File) cellIndex(cell []int32) int {
 	return idx
 }
 
-// locateCell finds the cell containing p (per-dimension binary search over
-// the scales). p must be inside the domain.
+// locateCell finds the cell containing p. p must be inside the domain.
 func (f *File) locateCell(p geom.Point, cell []int32) {
-	for d := 0; d < f.cfg.Dims; d++ {
-		// sort.SearchFloat64s returns the number of split points <= p[d]
-		// when we search for the first split point strictly greater.
-		s := f.scales[d]
-		cell[d] = int32(sort.Search(len(s), func(i int) bool { return s[i] > p[d] }))
+	for d := range cell {
+		cell[d] = f.scaleCell(d, p[d])
 	}
+}
+
+// scaleCell returns the cell along dimension d that contains coordinate v:
+// the number of split points <= v, found by binary search over the scale.
+// Cell c covers [s[c-1], s[c]), so a key on a split point belongs to the
+// upper cell. It is the one scale search of point location (locate,
+// locateCell), written out so that it inlines and allocates nothing.
+func (f *File) scaleCell(d int, v float64) int32 {
+	s := f.scales[d]
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] > v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return int32(lo)
 }
 
 // cellInterval returns the domain interval of cell index c along dim d.

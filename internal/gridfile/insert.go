@@ -10,7 +10,8 @@ const minCellFraction = 1e-9
 
 // Insert adds one record. The amortized cost is O(log s) scale searches plus
 // occasional bucket splits; a split that needs a new split point rebuilds the
-// directory in O(#cells).
+// directory in O(#cells), as one pair of block copies per index of the
+// dimensions before the refined one, with no per-cell index arithmetic.
 func (f *File) Insert(rec Record) error {
 	_, err := f.InsertTracked(rec)
 	return err
@@ -102,8 +103,8 @@ func (f *File) chooseSplitDim(b *bucket) (int, bool) {
 }
 
 // refineScale inserts a new split point inside cell `at` of dimension d and
-// rebuilds the directory. Every bucket region crossing the new hyperplane is
-// stretched by one cell; regions beyond it shift by one.
+// rebuilds the directory by block copies. Every bucket region crossing the
+// new hyperplane is stretched by one cell; regions beyond it shift by one.
 func (f *File) refineScale(d, at int, split float64) {
 	s := f.scales[d]
 	pos := sort.SearchFloat64s(s, split)
@@ -112,8 +113,14 @@ func (f *File) refineScale(d, at int, split float64) {
 	s[pos] = split
 	f.scales[d] = s
 
-	oldSizes := make([]int32, len(f.sizes))
-	copy(oldSizes, f.sizes)
+	// The directory is row-major, so it is a sequence of blocks, one per
+	// index of the dimensions before d, each holding sizes[d] rows of
+	// `inner` cells (the product of the sizes after d).
+	inner := 1
+	for _, n := range f.sizes[d+1:] {
+		inner *= int(n)
+	}
+	oldBlock := int(f.sizes[d]) * inner
 	f.sizes[d]++
 
 	// Remap bucket regions. Cell `at` becomes cells at and at+1.
@@ -129,18 +136,15 @@ func (f *File) refineScale(d, at int, split float64) {
 		}
 	}
 
-	// Rebuild the directory: new cell j along d maps to old cell j if
-	// j <= at, else j-1.
+	// Rebuild the directory: new row j along d is old row j if j <= at,
+	// else old row j-1. Per block that is two copies: rows 0..at, then rows
+	// at..end, so row at appears twice.
 	newDir := make([]int32, totalCells(f.sizes))
-	newCell := make([]int32, f.cfg.Dims)
-	oldCell := make([]int32, f.cfg.Dims)
-	for i := range newDir {
-		unflatten(i, f.sizes, newCell)
-		copy(oldCell, newCell)
-		if int(newCell[d]) > at {
-			oldCell[d] = newCell[d] - 1
-		}
-		newDir[i] = f.dir[flatten(oldCell, oldSizes)]
+	w := 0
+	for o := 0; o < len(f.dir); o += oldBlock {
+		old := f.dir[o : o+oldBlock]
+		w += copy(newDir[w:], old[:(at+1)*inner])
+		w += copy(newDir[w:], old[at*inner:])
 	}
 	f.dir = newDir
 }
@@ -215,14 +219,6 @@ func totalCells(sizes []int32) int {
 		n *= int(s)
 	}
 	return n
-}
-
-func flatten(cell, sizes []int32) int {
-	idx := 0
-	for d, c := range cell {
-		idx = idx*int(sizes[d]) + int(c)
-	}
-	return idx
 }
 
 func unflatten(idx int, sizes []int32, cell []int32) {

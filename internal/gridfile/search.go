@@ -9,18 +9,20 @@ import (
 )
 
 // locate returns the id of the bucket owning the cell that contains p: the
-// key check, the scale search and the directory lookup every point-addressed
-// operation starts with. It reads only structures that are immutable between
-// mutations plus pooled scratch, so it is safe for concurrent readers.
+// key check, the scale search and the directory lookup every insert, delete,
+// BucketAt and Lookup starts with. It folds each dimension's cell into the
+// row-major directory index as it goes, so it takes no scratch and allocates
+// nothing; it reads only structures that are immutable between mutations, so
+// it is safe for concurrent readers.
 func (f *File) locate(p geom.Point) (int32, error) {
 	if err := f.checkKey(p); err != nil {
 		return 0, err
 	}
-	sc := f.getScratch()
-	f.locateCell(p, sc.cell)
-	id := f.dir[f.cellIndex(sc.cell)]
-	putScratch(sc)
-	return id, nil
+	idx := 0
+	for d, n := range f.sizes {
+		idx = idx*int(n) + int(f.scaleCell(d, p[d]))
+	}
+	return f.dir[idx], nil
 }
 
 // Lookup returns all records whose key equals p exactly (duplicate keys are

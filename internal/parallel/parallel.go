@@ -198,12 +198,8 @@ func New(f *gridfile.File, alloc core.Allocation, cfg Config) (*Engine, error) {
 	dims := f.Dims()
 	for _, v := range views {
 		w := e.workers[alloc.Assign[v.Index]]
-		keys := make([]float64, 0, v.Records*dims)
-		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
-			keys = append(keys, key...)
-		})
 		w.buckets[int64(v.ID)] = bucketData{
-			keys: keys,
+			keys: f.AppendBucketKeys(nil, v.ID),
 			dims: dims,
 			page: int64(len(w.buckets)), // views arrive in ascending id order
 		}

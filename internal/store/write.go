@@ -546,10 +546,12 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 
 // rewriteBucket re-encodes one bucket's records from the grid file and
 // writes them to other extents on every owner disk (allocPages), then swaps
-// the placement and supersedes the old one. Page-write failures on individual
-// copies are absorbed: the copy is marked missed in the new placement, the
-// journal keeps the redo and checkpoints are withheld; only a simulated crash
-// propagates. Caller holds w.mu and, online, gridMu.
+// the placement and supersedes the old one. The records are copied out in one
+// piece, into a key buffer sized once from the bucket's record count.
+// Page-write failures on individual copies are absorbed: the copy is marked
+// missed in the new placement, the journal keeps the redo and checkpoints are
+// withheld; only a simulated crash propagates. Caller holds w.mu and, online,
+// gridMu.
 func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	w := s.w
 	old := s.placement(id)
@@ -558,10 +560,7 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	}
 	dims := s.manifest.Dims
 	pageBytes := s.manifest.PageBytes
-	var keys []float64
-	s.grid.ForEachRecordInBucket(id, func(key []float64, _ []byte) {
-		keys = append(keys, key...)
-	})
+	keys := s.grid.AppendBucketKeys(nil, id)
 	nrec := len(keys) / dims
 	perPage := recordsPerPage(pageBytes, dims)
 	npages := pagesFor(nrec, perPage)

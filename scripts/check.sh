@@ -72,15 +72,16 @@
 #                  and every row of TestOpenRefusals (FuzzManifest), and the
 #                  write-ahead journal reader
 #                  (FuzzJournalReplay)
-#   7. alloc tests the allocation budgets without the race detector (`make
-#                  alloc`, which lists them; their file is built out under
-#                  -race: sync.Pool drops there)
+#   7. alloc tests the allocation budgets and the grid file build's bytes
+#                  per record without the race detector (`make alloc`, which
+#                  lists them; their files are built out under -race:
+#                  sync.Pool drops there and allocation is instrumented)
 #   8. benchmarks  every Go benchmark once (`make bench`): their b.Fatal
 #                  checks — the reply verb of BenchmarkExecRange,
 #                  BenchmarkExecCount and their Cold forms,
 #                  BenchmarkCheckpoint's, BenchmarkOpen's and
-#                  BenchmarkDecluster's errors —
-#                  run nowhere else
+#                  BenchmarkDecluster's and BenchmarkSetupPipeline's
+#                  errors — run nowhere else
 #
 # The quick tier-1 gate (go build ./... && go test ./...) is a subset; run
 # this script before sending a PR. Usage: scripts/check.sh [fuzztime]
