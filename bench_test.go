@@ -382,12 +382,15 @@ func BenchmarkReplayWorkload(b *testing.B) {
 // BenchmarkSetupPipeline times, stage by stage, the set-up the repo
 // benchmark's setup_s measures: 400 k hot.2d records → grid file build →
 // minimax on 8 disks → store.Write → store.Open. It reports each stage's
-// milliseconds and the megabytes the build allocates, so a set-up regression
-// — a stage that stops being linear in its input — shows in `make bench`.
+// milliseconds, the megabytes the build allocates and the megabytes of disk
+// files the layout holds, so a set-up regression — a stage that stops being
+// linear in its input — shows in `make bench`. It fails when the layout
+// takes more than twice its keys' bytes: pages padded far beyond what a full
+// bucket needs (4 KiB pages held these 2-D buckets at about 6.5×).
 func BenchmarkSetupPipeline(b *testing.B) {
 	const records, disks, pageBytes = 400_000, 8, 4096
 	dir := b.TempDir()
-	var synthMS, buildMS, declusterMS, writeMS, openMS, buildMB float64
+	var synthMS, buildMS, declusterMS, writeMS, openMS, buildMB, layoutMB float64
 	for i := 0; i < b.N; i++ {
 		t := time.Now()
 		lap := func() float64 {
@@ -427,7 +430,20 @@ func BenchmarkSetupPipeline(b *testing.B) {
 		if st.Grid().Len() != records {
 			b.Fatalf("opened %d records, want %d", st.Grid().Len(), records)
 		}
+		pages, err := st.DiskSizes()
+		page := int64(st.Manifest().PageBytes)
 		st.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var layout int64
+		for _, n := range pages {
+			layout += n * page
+		}
+		if keys := int64(records * f.Dims() * 8); layout > 2*keys {
+			b.Fatalf("layout holds %d bytes of disk files for %d bytes of keys: over 2×", layout, keys)
+		}
+		layoutMB += float64(layout) / 1e6
 	}
 	n := float64(b.N)
 	b.ReportMetric(synthMS/n, "synth-ms")
@@ -436,4 +452,5 @@ func BenchmarkSetupPipeline(b *testing.B) {
 	b.ReportMetric(writeMS/n, "write-ms")
 	b.ReportMetric(openMS/n, "open-ms")
 	b.ReportMetric(buildMB/n, "build-MB")
+	b.ReportMetric(layoutMB/n, "layout-MB")
 }

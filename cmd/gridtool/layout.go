@@ -18,7 +18,7 @@ func runLayout(args []string) error {
 	path := fs.String("file", "", "grid file (required)")
 	alg := fs.String("alg", "minimax", "declustering algorithm")
 	disks := fs.Int("disks", 16, "number of disks")
-	pageBytes := fs.Int("page", 4096, "page size in bytes")
+	pageBytes := fs.Int("page", 4096, "largest page size in bytes; a page is never larger than a full bucket needs")
 	seed := fs.Int64("seed", 1, "seed for randomized phases")
 	out := fs.String("out", "", "layout directory (required)")
 	replicas := fs.Int("replicas", 1, "copies of every bucket, each on a distinct disk (1 = no replication)")

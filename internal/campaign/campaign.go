@@ -50,7 +50,8 @@ type Options struct {
 	Records int
 	// Disks is the layout's disk count. Default 4.
 	Disks int
-	// PageBytes is the layout page size. Default 4096.
+	// PageBytes caps the layout page size; the store writes pages no larger
+	// than a full bucket needs. Default 4096.
 	PageBytes int
 	// Queries per trial. Default 40.
 	Queries int
@@ -181,7 +182,7 @@ type layout struct {
 	replicas int
 	dir      string
 	// placements are where the writer put each bucket, pageBytes the size
-	// of the pages they count in.
+	// of the pages they count in, as the layout's checkpoint records it.
 	placements []*store.Placement
 	pageBytes  int
 	pristine   map[string][]byte
@@ -208,8 +209,13 @@ func buildLayout(root string, idx int, f *gridfile.File, g core.Grid, scheme str
 	if err != nil {
 		return nil, fmt.Errorf("campaign: layout %s r=%d: %v", scheme, r, err)
 	}
-	l := &layout{scheme: scheme, replicas: r, dir: dir, placements: pls, pageBytes: opts.PageBytes,
+	st, err := store.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	l := &layout{scheme: scheme, replicas: r, dir: dir, placements: pls, pageBytes: st.Manifest().PageBytes,
 		pristine: make(map[string][]byte, opts.Disks)}
+	st.Close()
 	for d := 0; d < opts.Disks; d++ {
 		name := store.DiskFileName(d)
 		data, err := os.ReadFile(filepath.Join(dir, name))
@@ -233,7 +239,9 @@ func (l *layout) restore() error {
 
 // corrupt bit-flips the first page of the primary copy of three evenly
 // spaced buckets — enough damage to hit several disks and schemes
-// differently, fully determined by the layout.
+// differently, fully determined by the layout. The flipped byte sits
+// mid-page: a key or padding, depending on how full the bucket is; the
+// page's checksum catches it either way.
 func (l *layout) corrupt() error {
 	n := len(l.placements)
 	if n == 0 {

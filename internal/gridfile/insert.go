@@ -1,6 +1,9 @@
 package gridfile
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // minCellFraction is the smallest cell width, as a fraction of the domain
 // extent, that a scale refinement may produce. Below this the file stops
@@ -136,17 +139,21 @@ func (f *File) refineScale(d, at int, split float64) {
 		}
 	}
 
-	// Rebuild the directory: new row j along d is old row j if j <= at,
-	// else old row j-1. Per block that is two copies: rows 0..at, then rows
-	// at..end, so row at appears twice.
-	newDir := make([]int32, totalCells(f.sizes))
-	w := 0
-	for o := 0; o < len(f.dir); o += oldBlock {
-		old := f.dir[o : o+oldBlock]
-		w += copy(newDir[w:], old[:(at+1)*inner])
-		w += copy(newDir[w:], old[at*inner:])
+	// Rebuild the directory in place: new row j along d is old row j if
+	// j <= at, else old row j-1. Per block that is two copies: rows at..end,
+	// then rows 0..at, so row at appears twice. Every block moves up, so
+	// going from the last block to the first never overwrites a row still to
+	// be moved. The directory grows geometrically (append's growth), so a
+	// build does not reallocate it at every refinement; mutations exclude
+	// readers, so none sees it half moved.
+	blocks := len(f.dir) / oldBlock
+	newBlock := oldBlock + inner
+	f.dir = slices.Grow(f.dir, blocks*inner)[:blocks*newBlock]
+	for b := blocks - 1; b >= 0; b-- {
+		o, n := b*oldBlock, b*newBlock
+		copy(f.dir[n+(at+1)*inner:n+newBlock], f.dir[o+at*inner:o+oldBlock])
+		copy(f.dir[n:n+(at+1)*inner], f.dir[o:o+(at+1)*inner])
 	}
-	f.dir = newDir
 }
 
 // divideRegion splits bucket id's region in half along dimension d (which

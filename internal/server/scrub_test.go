@@ -18,13 +18,11 @@ import (
 	"pgridfile/internal/synth"
 )
 
-// layoutPageBytes is the page size writeReplicatedDir lays out with.
-const layoutPageBytes = 4096
-
-// writeReplicatedDir lays out f at replication factor r and returns the
-// layout directory plus the placements the writer chose, which locate every
-// page copy on disk.
-func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, []*store.Placement) {
+// writeReplicatedDir lays out f at replication factor r under a 4 KiB page
+// cap and returns the layout directory, the placements the writer chose,
+// which locate every page copy on disk, and the page size the layout's
+// checkpoint records, which addresses their bytes.
+func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, []*store.Placement, int) {
 	t.Helper()
 	g := core.FromGridFile(f)
 	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 4)
@@ -32,22 +30,24 @@ func writeReplicatedDir(t *testing.T, f *gridfile.File, r int) (string, []*store
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	var m []*store.Placement
 	if r == 1 {
-		m, err := store.Write(dir, f, alloc, layoutPageBytes)
-		if err != nil {
-			t.Fatal(err)
+		m, err = store.Write(dir, f, alloc, 4096)
+	} else {
+		var rm *replica.Map
+		if rm, err = (&replica.Placer{Replicas: r}).Place(g, alloc); err == nil {
+			m, err = store.WriteReplicated(dir, f, rm, 4096)
 		}
-		return dir, m
 	}
-	rm, err := (&replica.Placer{Replicas: r}).Place(g, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := store.WriteReplicated(dir, f, rm, layoutPageBytes)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dir, m
+	defer st.Close()
+	return dir, m, st.Manifest().PageBytes
 }
 
 // copyPage overwrites page to of disk toDisk with page from of disk
@@ -99,8 +99,8 @@ const pageHeaderBytes = 16
 // flipRecordBit flips the lowest bit of the k-th coordinate stored in a page
 // file's page, at pageHeaderBytes + 8·k: the coordinate moves by one unit in
 // the last place, so its record stays inside the domain but is no longer
-// the grid's. (flipPage's mid-page byte is zero padding whenever a page's
-// records fill less than half of it: no answer would show that flip.)
+// the grid's. (flipPage's mid-page byte is a key or padding, depending on how
+// full the bucket is; only the checksum is sure to see that flip.)
 func flipRecordBit(t *testing.T, dir string, disk int, page int64, pageBytes, k int) {
 	t.Helper()
 	fh, err := os.OpenFile(filepath.Join(dir, store.DiskFileName(disk)), os.O_RDWR, 0)
@@ -146,8 +146,8 @@ func missingFrom(set map[string]int, pts []geom.Point) int {
 
 // TestChecksumFailoverAndScrubRepair is the end-to-end integrity story on a
 // replicated layout served with the zero Config: a query that hits a
-// corrupt primary copy — a flipped bit in its padding or in one of its
-// records, or another bucket's intact page written where this bucket's
+// corrupt primary copy — a flipped bit mid-page or in one of its records,
+// or another bucket's intact page written where this bucket's
 // should be — fails over to the intact replica and still serves a complete
 // (non-degraded) answer of exactly the grid's records; a scrub pass then
 // detects and repairs all three, the counters surface all of it, and a
@@ -157,17 +157,17 @@ func TestChecksumFailoverAndScrubRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 2)
+	dir, m, pageBytes := writeReplicatedDir(t, f, 2)
 
 	// Corrupt the primary copy of the first bucket: reads take the first
 	// whole copy in owner order, the primary, so queries will hit it.
 	victim := m[0]
-	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], layoutPageBytes)
+	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], pageBytes)
 	misdirected, source := m[1], m[2]
 	copyPage(t, dir, source.OwnerDisks[0], source.OwnerPages[0],
-		misdirected.OwnerDisks[0], misdirected.OwnerPages[0], layoutPageBytes)
+		misdirected.OwnerDisks[0], misdirected.OwnerPages[0], pageBytes)
 	flipped := m[3]
-	flipRecordBit(t, dir, flipped.OwnerDisks[0], flipped.OwnerPages[0], layoutPageBytes, 0)
+	flipRecordBit(t, dir, flipped.OwnerDisks[0], flipped.OwnerPages[0], pageBytes, 0)
 
 	s, err := OpenDir(dir, Config{Degraded: true, CacheBytes: -1})
 	if err != nil {
@@ -243,14 +243,14 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 1)
+	dir, m, pageBytes := writeReplicatedDir(t, f, 1)
 	victim := m[0]
 	if victim.Recs < 2 {
 		t.Fatalf("bucket %d holds %d records, want a second one to damage", victim.ID, victim.Recs)
 	}
 	// The second record's second coordinate.
 	const flipAt = 3
-	flipRecordBit(t, dir, victim.Disk, victim.Page, layoutPageBytes, flipAt)
+	flipRecordBit(t, dir, victim.Disk, victim.Page, pageBytes, flipAt)
 
 	s, err := OpenDir(dir, Config{Degraded: true, CacheBytes: -1})
 	if err != nil {
@@ -289,8 +289,8 @@ func TestChecksumCorruptionDegradesUnreplicated(t *testing.T) {
 
 	// A layout has one server at a time: the strict one serves a second,
 	// identical layout with the same damage.
-	strictDir, _ := writeReplicatedDir(t, f, 1)
-	flipRecordBit(t, strictDir, victim.Disk, victim.Page, layoutPageBytes, flipAt)
+	strictDir, _, _ := writeReplicatedDir(t, f, 1)
+	flipRecordBit(t, strictDir, victim.Disk, victim.Page, pageBytes, flipAt)
 	strict, err := OpenDir(strictDir, Config{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +323,9 @@ func TestBackgroundScrubLoopRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, m := writeReplicatedDir(t, f, 2)
+	dir, m, pageBytes := writeReplicatedDir(t, f, 2)
 	victim := m[0]
-	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], layoutPageBytes)
+	flipPage(t, dir, victim.OwnerDisks[0], victim.OwnerPages[0], pageBytes)
 
 	s, err := OpenDir(dir, Config{
 		ScrubInterval: 5 * time.Millisecond,

@@ -53,15 +53,15 @@ func abandonAfterInserts(t *testing.T, dir string, n int) {
 }
 
 // TestFreshLayoutBytes pins what a fresh layout is, byte for byte: the uniform
-// 1 200-record file, minimax seed 1, 4 disks, 4096-byte pages, at r=1 and r=2.
-// The disk files' digests were computed at the commit before the layout
-// writer became checkpoint zero of the write path (PR 23) and have not moved
-// since; the checkpoint file opens with the grid file those commits wrote as
-// grid.grd, and the whole-directory digests were re-recorded when layout.grd
-// replaced manifest.json and grid.grd. So they hold LayoutOrder and the page
-// format to what they were, and the checkpoint encoding to what it is from
-// here on. A change that means to move them re-records the constants and says
-// so.
+// 1 200-record file, minimax seed 1, 4 disks, a 4096-byte cap — so 1 024-byte
+// pages, the smallest that hold a full bucket — at r=1 and r=2. The disk
+// files' and the whole directory's digests were re-recorded when pages were
+// sized to a full bucket; the 4 KiB pages every earlier layout has are pinned,
+// with the digests recorded before, by TestFullPageLayoutStillServes. The
+// checkpoint file opens with the grid file that layouts kept as grid.grd
+// before the checkpoint file held it. So they hold LayoutOrder, the page size
+// and the page format to what they are, and the checkpoint encoding too. A
+// change that means to move them re-records the constants and says so.
 func TestFreshLayoutBytes(t *testing.T) {
 	const gridDigest = "8512d862e28865aa3b47a95eaea7e6d1d77eb8bef3921d4531999be517619f5b"
 	for _, c := range []struct {
@@ -69,17 +69,17 @@ func TestFreshLayoutBytes(t *testing.T) {
 		layout string
 		disks  [4]string
 	}{
-		{1, "5195368ac1b49c6a988831b131296268411758954a5d094549ff60df2224fa60", [4]string{
-			"43ebcadf76a80174b62b65b2fb0d2e1287220983541efa2f5d73df1f5bdfd340",
-			"e38ded0603668d2c46031c49571c6c40000ad16b5296c93bfa319e04de9c7f85",
-			"9d2c5a593ee7bcf36fc7e5f6292db4f8e93e1200db69a32e2c1eb580764aa34a",
-			"7920951941713b9e298e19e713250817ecf919755272b7034873883a9760a58b",
+		{1, "fe1063a8b51a6b15a5559412ad4511aecd63acc31f0013be76918341d3382485", [4]string{
+			"4ace8efb0866c6b0a2fc5652e97a2cef44d7c71ecd5c56cd40f269b35824b55d",
+			"4877761bafff736cb3bdc784a947e44be91a80ffd5c3a82eb3c076fb21c9f749",
+			"71c94d72d15494530a5dacd33be3c5f5d9f1de4e84b1ae3a6e518a1fb7d16c47",
+			"178c0b0340fa6ee312e07ba39984515cec102c323b256b23125278e421972d57",
 		}},
-		{2, "04df8fcaf071de722d70ad5fad69ae058c6235b42e261791981bd7e0a6a50be4", [4]string{
-			"a673c1c28eb0345feef735d70e7eee5de2bce3d8428bf3ba079991404344c230",
-			"ef7478c23112777d93b7cce72e7e9c7334941e200ac3f7cdfd102948b395ceab",
-			"dc761fbbd225162848d774808722cb73c0ffd92b12b35576a0da304ff6a7e91b",
-			"8aeda380bd876f5761e5fdb31aa92bb3baa1fedee5e3fd97863c4dae03eca1ff",
+		{2, "9aeb4d76eec8a1010f3e5c6c5da94cb8b0526645528186b83f2bd978eadda7fb", [4]string{
+			"151cecad4f0296fb3b62372c182c873d952888d7ce9cc9b4fd3076548922087e",
+			"80cb09d6dc3259b304c89e2326578b4281924ad314e83a5f5c59aa26f6292d7e",
+			"bc82fe84779d17b7b18c945b7a3e93c7e7c1b1859bd8b7b44faf9e57100d22f4",
+			"2c1113f866252306be2f4642d4173d8c17160959544afb1226f2e6fb8559ef7f",
 		}},
 	} {
 		dir, _, _ := buildReplicatedLayout(t, 4, c.r)

@@ -171,7 +171,8 @@ func corruptPage(t *testing.T, dir string, pc pageCopy, pageBytes int, flip bool
 		}
 	} else {
 		// Torn write: the page's tail holds stale garbage. XOR rather than
-		// zero-fill so the damage is guaranteed even in zero-padded tails.
+		// zero-fill so the damage is guaranteed even where the tail is
+		// padding.
 		tail := make([]byte, pageBytes/3)
 		if _, err := fh.ReadAt(tail, off+int64(pageBytes-len(tail))); err != nil {
 			t.Fatal(err)
@@ -242,8 +243,7 @@ func TestScrubWithoutReplicaDetectsButCannotRepair(t *testing.T) {
 // the read — alone or inside a batch — with an error that wraps errChecksum
 // and that is not mistaken for an injected fault.
 func TestVerifiedReadReportsChecksum(t *testing.T) {
-	const pageBytes = 4096
-	dir, f, _ := buildLayout(t, 2, pageBytes)
+	dir, f, _ := buildLayout(t, 2, 4096)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestVerifiedReadReportsChecksum(t *testing.T) {
 	defer s.Close()
 	victim := f.Buckets()[0].ID
 	pl, _ := s.Placement(victim)
-	corruptPage(t, dir, pageCopy{bucket: victim, disk: pl.Disk, page: pl.Page}, pageBytes, false)
+	corruptPage(t, dir, pageCopy{bucket: victim, disk: pl.Disk, page: pl.Page}, s.Manifest().PageBytes, false)
 
 	ctx := context.Background()
 	for name, ids := range map[string][]int32{"alone": {victim}, "in a batch": bucketIDs(f)} {

@@ -110,15 +110,14 @@ func TestLayoutIsOneHilbertRunPerDisk(t *testing.T) {
 }
 
 // TestNextSpanInvariants drives the planner alone over synthetic placements
-// — gaps of 0..8 pages, buckets of 1..400 pages at 4 KiB, so both the
-// read-through bound and the 1 MiB cap bind — and checks what every span
-// must satisfy: spans partition the batch in order, none reads through more
-// than ReadThroughPages between two wanted buckets, none exceeds
-// maxCoalesceBytes unless it is a single oversized bucket, each ends exactly
-// on its last wanted page, and a cut is never taken where the next bucket
-// would have fitted.
+// — gaps of 0..8 pages, buckets of 1..400 pages, so both the read-through
+// bound and the span cap bind — and checks what every span must satisfy:
+// spans partition the batch in order, none reads through more than
+// ReadThroughPages between two wanted buckets, none exceeds maxSpanPages
+// unless it is a single oversized bucket, each ends exactly on its last
+// wanted page, and a cut is never taken where the next bucket would have
+// fitted.
 func TestNextSpanInvariants(t *testing.T) {
-	const pageBytes = 4096
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
 		var pls []plIdx
@@ -132,7 +131,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			page += int64(pages + rng.Intn(9))
 		}
 		for lo := 0; lo < len(pls); {
-			hi, end, gaps := nextSpan(pls, lo, pageBytes)
+			hi, end, gaps := nextSpan(pls, lo)
 			if hi <= lo || hi > len(pls) {
 				t.Fatalf("trial %d: span [%d,%d) of %d placements", trial, lo, hi, len(pls))
 			}
@@ -140,8 +139,8 @@ func TestNextSpanInvariants(t *testing.T) {
 			if want := last.Page + int64(last.Pages); end != want {
 				t.Fatalf("trial %d: span ends at page %d, its last wanted page ends at %d", trial, end, want)
 			}
-			if bytes := (end - first.Page) * pageBytes; bytes > maxCoalesceBytes && hi-lo > 1 {
-				t.Fatalf("trial %d: span of %d buckets is %d bytes", trial, hi-lo, bytes)
+			if pages := end - first.Page; pages > maxSpanPages && hi-lo > 1 {
+				t.Fatalf("trial %d: span of %d buckets is %d pages", trial, hi-lo, pages)
 			}
 			wantGaps := int64(0)
 			for i := lo + 1; i < hi; i++ {
@@ -157,7 +156,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			if hi < len(pls) {
 				nx := pls[hi].pl
 				if nx.Page-end <= ReadThroughPages &&
-					(nx.Page+int64(nx.Pages)-first.Page)*pageBytes <= maxCoalesceBytes {
+					nx.Page+int64(nx.Pages)-first.Page <= maxSpanPages {
 					t.Fatalf("trial %d: span stops before %+v, which fits", trial, nx)
 				}
 			}
@@ -169,7 +168,8 @@ func TestNextSpanInvariants(t *testing.T) {
 // bruteSpans counts, page by page over a whole disk file, the spans and gap
 // pages a set of wanted buckets needs: a span starts at a wanted page and
 // runs on through unwanted stretches of at most ReadThroughPages that lead
-// to another wanted page. (No cap: the test files are far below 1 MiB.)
+// to another wanted page. (No cap: the test files are far below
+// maxSpanPages.)
 func bruteSpans(filePages int64, wanted []Placement) (spans, gapPages int) {
 	want := make([]bool, filePages)
 	for _, pl := range wanted {
@@ -217,7 +217,7 @@ func TestSpanReadsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if pageBytes*len(m)*2 >= maxCoalesceBytes {
+	if len(m)*2 >= maxSpanPages {
 		t.Fatal("test file is large enough for the span cap to bind; bruteSpans ignores the cap")
 	}
 	file := copiesOnDisk(m, 0)

@@ -29,8 +29,9 @@
 // layout writer hold an exclusive lock on the directory until Close, and
 // refuse a directory whose lock another Store holds (lockDir).
 //
-// Pages are fixed-size; a bucket larger than one page (possible only for
-// the overfull duplicate-key case) spans consecutive pages. The reader
+// A layout's pages are one fixed size, no larger than a full bucket needs
+// (pageSize); a bucket larger than one page (a full 4-D bucket under a 4 KiB
+// cap, or an overfull duplicate-key one) spans consecutive pages. The reader
 // serves individual buckets with real file I/O, so experiments can be run
 // against actual per-disk files rather than in-memory structures.
 //
@@ -158,9 +159,23 @@ func (s *Store) PagesFor(nrec int) int {
 	return pagesFor(nrec, recordsPerPage(s.manifest.PageBytes, s.manifest.Dims))
 }
 
+// pageAlign is the granularity of a layout's page size: a disk sector.
+const pageAlign = 512
+
+// pageSize returns the page size a layout of f is written with: pageBytes,
+// or the smallest multiple of pageAlign that holds a full bucket — the header
+// and BucketCapacity keys — when that is smaller. A bucket never grows past
+// its capacity without splitting, so a larger page would only carry padding
+// that every read copies and checksums. A bucket that a full page cannot
+// hold (4-D keys in 4 KiB) still spans several pages.
+func pageSize(f *gridfile.File, pageBytes int) int {
+	full := pageHeaderBytes + f.BucketCapacity()*8*f.Dims()
+	return min(pageBytes, (full+pageAlign-1)/pageAlign*pageAlign)
+}
+
 // Write lays out the grid file's buckets over per-disk page files under
-// dir, following the allocation. It returns the placements it wrote, in
-// f.Buckets() order.
+// dir, following the allocation, in pages of at most pageBytes (pageSize).
+// It returns the placements it wrote, in f.Buckets() order.
 func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) ([]*Placement, error) {
 	if err := alloc.Validate(f.NumBuckets()); err != nil {
 		return nil, err
@@ -169,17 +184,18 @@ func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (
 	for i := range alloc.Assign {
 		owners[i] = alloc.Assign[i : i+1 : i+1]
 	}
-	return writeLayout(dir, f, owners, alloc.Disks, 1, pageBytes, nil)
+	return writeLayout(dir, f, owners, alloc.Disks, 1, pageSize(f, pageBytes), nil)
 }
 
 // WriteReplicated lays out the grid file with each bucket written to every
-// disk in its owner list, following a replica map (see internal/replica).
-// It returns the placements it wrote, in f.Buckets() order.
+// disk in its owner list, following a replica map (see internal/replica), in
+// pages of at most pageBytes (pageSize). It returns the placements it wrote,
+// in f.Buckets() order.
 func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes int) ([]*Placement, error) {
 	if err := rm.Validate(f.NumBuckets()); err != nil {
 		return nil, err
 	}
-	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, pageBytes, nil)
+	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, pageSize(f, pageBytes), nil)
 }
 
 // layoutCurveBits is the per-axis resolution of the curve LayoutOrder ranks
@@ -228,8 +244,9 @@ func encodePage(page []byte, id int32, keys []float64, dims int) {
 // before anything else and the journals with it, so that neither a kill
 // part-way nor the next Open pairs the new pages with the old life's
 // placements or operations. The writer holds the directory's lock (lockDir)
-// throughout, so it never rewrites a layout a live Store serves. crash is the
-// write path's kill hook, for the tests.
+// throughout, so it never rewrites a layout a live Store serves. Its pages are
+// exactly pageBytes long; Write and WriteReplicated size them (pageSize).
+// crash is the write path's kill hook, for the tests.
 func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) ([]*Placement, error) {
 	if pageBytes <= pageHeaderBytes+8*f.Dims() {
 		return nil, fmt.Errorf("store: page size %d too small for %d-D records", pageBytes, f.Dims())
@@ -700,9 +717,12 @@ type Timing struct {
 // timed reports whether reads should charge wall time to tm.
 func (tm *Timing) timed() bool { return tm != nil && !tm.CountsOnly }
 
-// maxCoalesceBytes bounds one span so the pooled buffers stay a sane size
-// even when many wanted buckets are close together on disk.
-const maxCoalesceBytes = 1 << 20
+// maxSpanPages bounds one span — 1 MiB of 4 KiB pages — so the pooled
+// buffers stay a sane size even when many wanted buckets are close together
+// on disk. It counts pages, not bytes, like ReadThroughPages: the planner
+// cuts the same spans from the same page indexes whatever size the layout's
+// pages are.
+const maxSpanPages = 256
 
 // ReadThroughPages is how many unwanted pages a span may read through to
 // reach the next wanted bucket on the same disk rather than ending and
@@ -804,19 +824,18 @@ func cmpDiskPage(a, b *Placement) int {
 // reads serve a batch. Given one disk's placements sorted by page it cuts the
 // span that starts at pls[lo]: the span continues while the next wanted
 // placement starts at most ReadThroughPages past the end of the previous one
-// and the span stays within maxCoalesceBytes (a single
-// placement larger than that is a span of its own). It returns the index one
-// past the span's last placement, the page one past its last wanted page —
-// a span always ends on a wanted page, so a torn read, which destroys the
-// final page, is still caught by a decode — and the unwanted pages inside.
-func nextSpan(pls []plIdx, lo int, pageBytes int64) (hi int, end, gaps int64) {
+// and the span stays within maxSpanPages (a single placement larger than that
+// is a span of its own). It returns the index one past the span's last
+// placement, the page one past its last wanted page — a span always ends on a
+// wanted page, so a torn read, which destroys the final page, is still caught
+// by a decode — and the unwanted pages inside.
+func nextSpan(pls []plIdx, lo int) (hi int, end, gaps int64) {
 	first := pls[lo].page
 	end = first + int64(pls[lo].pl.Pages)
 	for hi = lo + 1; hi < len(pls); hi++ {
 		nx := pls[hi].page
 		nxEnd := nx + int64(pls[hi].pl.Pages)
-		if nx-end > ReadThroughPages ||
-			(nxEnd-first)*pageBytes > maxCoalesceBytes {
+		if nx-end > ReadThroughPages || nxEnd-first > maxSpanPages {
 			break
 		}
 		if nx > end {
@@ -839,7 +858,7 @@ func (s *Store) readSpans(ctx context.Context, disk int, pls []plIdx, out []geom
 	pages, spans, gapPages := 0, 0, int64(0)
 	for lo := 0; lo < len(pls); {
 		first := pls[lo].page
-		hi, end, gaps := nextSpan(pls, lo, pageBytes)
+		hi, end, gaps := nextSpan(pls, lo)
 		bp := getBuf(int((end - first) * pageBytes))
 		buf := *bp
 		var t0 time.Time

@@ -391,7 +391,7 @@ func TestTruncatedPageFile(t *testing.T) {
 	}
 	defer s.Close()
 	// Truncate disk 0 to one page: any multi-bucket read on it must fail.
-	if err := os.Truncate(filepath.Join(dir, DiskFileName(0)), 4096); err != nil {
+	if err := os.Truncate(filepath.Join(dir, DiskFileName(0)), int64(s.Manifest().PageBytes)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -435,6 +435,7 @@ func TestCorruptPageHeader(t *testing.T) {
 	if !ok {
 		t.Fatal("placement missing")
 	}
+	off := pl.Page * int64(s.Manifest().PageBytes)
 	s.Close()
 
 	// Overwrite the page's bucket-id header with a different id.
@@ -445,7 +446,7 @@ func TestCorruptPageHeader(t *testing.T) {
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(victim)+100000)
-	if _, err := fh.WriteAt(hdr[:], pl.Page*4096); err != nil {
+	if _, err := fh.WriteAt(hdr[:], off); err != nil {
 		t.Fatal(err)
 	}
 	fh.Close()
@@ -465,11 +466,11 @@ func TestCorruptPageHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(hdr[:], uint32(victim))
-	if _, err := fh.WriteAt(hdr[:], pl.Page*4096); err != nil {
+	if _, err := fh.WriteAt(hdr[:], off); err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := fh.WriteAt(hdr[:], pl.Page*4096+4); err != nil {
+	if _, err := fh.WriteAt(hdr[:], off+4); err != nil {
 		t.Fatal(err)
 	}
 	fh.Close()
