@@ -26,11 +26,13 @@ race20:
 
 # The allocation budgets, without the race detector: their files are built out
 # under -race, where sync.Pool drops what it holds and allocation is
-# instrumented. The server's per-query budgets, and the grid file build's
-# bytes per record, which must not climb with the record count.
+# instrumented. The server's per-query budgets, the grid file build's bytes
+# per record, which must not climb with the record count, and the objects
+# Open allocates per live bucket.
 alloc:
 	$(GO) test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$$' -count=1 ./internal/server
 	$(GO) test -run '^TestBuildAllocatesLinearly$$' -count=1 ./internal/gridfile
+	$(GO) test -run '^TestOpenAllocationBudget$$' -count=1 ./internal/store
 
 fmt:
 	gofmt -w .

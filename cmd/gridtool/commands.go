@@ -149,7 +149,7 @@ func loadFile(path string) (*gridfile.File, error) {
 		return nil, err
 	}
 	defer r.Close()
-	return gridfile.Read(bufio.NewReader(r))
+	return gridfile.Read(r)
 }
 
 func runStats(args []string) error {

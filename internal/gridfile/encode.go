@@ -1,13 +1,14 @@
 package gridfile
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/le"
 )
 
 // Binary persistence. The format is a compact little-endian encoding:
@@ -131,123 +132,97 @@ func (e *leWriter) i32s(vs []int32) {
 const maxReasonable = 1 << 22
 
 // Read deserializes a grid file written by WriteTo and validates its
-// invariants. From a *bufio.Reader of the default size or larger it reads
-// exactly the bytes WriteTo wrote and no more, so a container can carry
-// further sections behind them (the store's checkpoint file does).
+// invariants. It reads r to its end and ignores whatever follows the grid
+// file; Decode is the form that returns those bytes.
 func Read(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("gridfile: %w", err)
+	}
+	f, _, err := Decode(data)
+	return f, err
+}
 
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("gridfile: reading magic: %w", err)
+// Decode deserializes the grid file WriteTo wrote at the front of data and
+// validates its invariants. rest is the bytes behind it, so a container can
+// carry further sections there (the store's checkpoint file does). The file
+// shares no memory with data. Every count is checked before it sizes
+// anything, and a slice is sized only once its bytes have been taken.
+func Decode(data []byte) (f *File, rest []byte, err error) {
+	r := le.NewReader(data)
+	short := func() (*File, []byte, error) { return nil, nil, fmt.Errorf("gridfile: %w", r.Err()) }
+
+	magic, version, dims, capacity := r.Take(4), r.U32(), r.U32(), r.U32()
+	if r.Err() != nil {
+		return short()
 	}
 	if string(magic) != fileMagic {
-		return nil, fmt.Errorf("gridfile: bad magic %q", magic)
-	}
-	var version, dims, capacity uint32
-	if err := read(&version); err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("gridfile: bad magic %q", magic)
 	}
 	if version != fileVersion {
-		return nil, fmt.Errorf("gridfile: unsupported version %d", version)
-	}
-	if err := read(&dims); err != nil {
-		return nil, err
-	}
-	if err := read(&capacity); err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("gridfile: unsupported version %d", version)
 	}
 	if dims == 0 || dims > 64 {
-		return nil, fmt.Errorf("gridfile: implausible dims %d", dims)
+		return nil, nil, fmt.Errorf("gridfile: implausible dims %d", dims)
 	}
 	domain := make(geom.Rect, dims)
 	for d := range domain {
-		if err := read(&domain[d].Lo); err != nil {
-			return nil, err
-		}
-		if err := read(&domain[d].Hi); err != nil {
-			return nil, err
-		}
+		domain[d] = geom.Interval{Lo: r.F64(), Hi: r.F64()}
+	}
+	if r.Err() != nil {
+		return short()
 	}
 	cfg := Config{Dims: int(dims), Domain: domain, BucketCapacity: int(capacity)}
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	f := &File{cfg: cfg, scales: make([][]float64, dims), sizes: make([]int32, dims)}
-	for d := 0; d < int(dims); d++ {
-		var n uint32
-		if err := read(&n); err != nil {
-			return nil, err
-		}
+	f = &File{cfg: cfg, scales: make([][]float64, dims), sizes: make([]int32, dims)}
+	for d := range f.scales {
+		n := r.U32()
 		if n > maxReasonable {
-			return nil, fmt.Errorf("gridfile: implausible split count %d", n)
+			return nil, nil, fmt.Errorf("gridfile: implausible split count %d", n)
 		}
-		f.scales[d] = make([]float64, n)
-		if err := read(f.scales[d]); err != nil {
-			return nil, err
-		}
+		f.scales[d] = f64s(r.Take(8 * int(n)))
 		f.sizes[d] = int32(n) + 1
 	}
 
-	var nslots uint32
-	if err := read(&nslots); err != nil {
-		return nil, err
-	}
+	nslots := r.U32()
 	if nslots > maxReasonable {
-		return nil, fmt.Errorf("gridfile: implausible bucket count %d", nslots)
+		return nil, nil, fmt.Errorf("gridfile: implausible bucket count %d", nslots)
+	}
+	if r.Err() != nil || int(nslots) > r.Len() { // a slot takes a byte at least
+		return short()
 	}
 	f.bkts = make([]*bucket, nslots)
 	for i := range f.bkts {
-		var present uint8
-		if err := read(&present); err != nil {
-			return nil, err
-		}
-		if present == 0 {
+		if present := r.U8(); present == 0 {
 			continue
 		}
-		b := &bucket{lo: make([]int32, dims), hi: make([]int32, dims)}
-		if err := read(b.lo); err != nil {
-			return nil, err
-		}
-		if err := read(b.hi); err != nil {
-			return nil, err
-		}
-		var nrec uint32
-		if err := read(&nrec); err != nil {
-			return nil, err
-		}
+		b := &bucket{lo: i32s(r.Take(4 * int(dims))), hi: i32s(r.Take(4 * int(dims)))}
+		nrec := r.U32()
 		if uint64(nrec)*uint64(dims) > maxReasonable {
-			return nil, fmt.Errorf("gridfile: implausible record count %d", nrec)
+			return nil, nil, fmt.Errorf("gridfile: implausible record count %d", nrec)
 		}
-		b.keys = make([]float64, int(nrec)*int(dims))
-		if err := read(b.keys); err != nil {
-			return nil, err
+		b.keys = f64s(r.Take(8 * int(nrec) * int(dims)))
+		// hasData reads 0 once a read has failed, so only a record count
+		// whose keys are all there sizes the payloads.
+		if hasData := r.U8(); hasData != 0 {
+			b.data = make([][]byte, nrec)
+			for j := range b.data {
+				n := r.U32()
+				if n > maxReasonable {
+					return nil, nil, fmt.Errorf("gridfile: implausible payload size %d", n)
+				}
+				b.data[j] = bytes.Clone(r.Take(int(n)))
+			}
+		}
+		if r.Err() != nil {
+			return short()
 		}
 		for _, k := range b.keys {
 			if math.IsNaN(k) {
-				return nil, fmt.Errorf("gridfile: NaN key in bucket %d", i)
-			}
-		}
-		var hasData uint8
-		if err := read(&hasData); err != nil {
-			return nil, err
-		}
-		if hasData != 0 {
-			b.data = make([][]byte, nrec)
-			for j := range b.data {
-				var n uint32
-				if err := read(&n); err != nil {
-					return nil, err
-				}
-				if n > maxReasonable {
-					return nil, fmt.Errorf("gridfile: implausible payload size %d", n)
-				}
-				b.data[j] = make([]byte, n)
-				if _, err := io.ReadFull(br, b.data[j]); err != nil {
-					return nil, err
-				}
+				return nil, nil, fmt.Errorf("gridfile: NaN key in bucket %d", i)
 			}
 		}
 		f.bkts[i] = b
@@ -255,20 +230,37 @@ func Read(r io.Reader) (*File, error) {
 		f.nrec += int(nrec)
 	}
 
-	var ncells uint32
-	if err := read(&ncells); err != nil {
-		return nil, err
+	ncells := r.U32()
+	if r.Err() != nil {
+		return short()
 	}
 	if int(ncells) != totalCells(f.sizes) {
-		return nil, fmt.Errorf("gridfile: directory size %d, want %d", ncells, totalCells(f.sizes))
+		return nil, nil, fmt.Errorf("gridfile: directory size %d, want %d", ncells, totalCells(f.sizes))
 	}
-	f.dir = make([]int32, ncells)
-	if err := read(f.dir); err != nil {
-		return nil, err
+	if f.dir = i32s(r.Take(4 * int(ncells))); r.Err() != nil {
+		return short()
 	}
 
 	if err := f.checkInvariants(); err != nil {
-		return nil, fmt.Errorf("gridfile: loaded file fails invariants: %w", err)
+		return nil, nil, fmt.Errorf("gridfile: loaded file fails invariants: %w", err)
 	}
-	return f, nil
+	return f, r.Rest(), nil
+}
+
+// f64s decodes src's little-endian float64s into a new slice.
+func f64s(src []byte) []float64 {
+	out := make([]float64, len(src)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return out
+}
+
+// i32s decodes src's little-endian int32s into a new slice.
+func i32s(src []byte) []int32 {
+	out := make([]int32, len(src)/4)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return out
 }

@@ -2,8 +2,12 @@ package gridfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pgridfile/internal/geom"
@@ -106,6 +110,38 @@ func TestReadRejectsTruncatedValidPrefix(t *testing.T) {
 		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d%% accepted", int(frac*100))
 		}
+	}
+}
+
+// TestHostileDirectorySizesNothing: scales of 65 535 and 65 534 splits (1 MB)
+// make a directory of 65 536 × 65 535 cells, and a directory count that
+// agrees with them passes the size check. With no cells behind the count the
+// file is refused as short, before anything the count would size (16 GiB of
+// ids) is allocated.
+func TestHostileDirectorySizesNothing(t *testing.T) {
+	le := binary.LittleEndian
+	b := append([]byte(fileMagic), make([]byte, 12+32)...)
+	le.PutUint32(b[4:], fileVersion)
+	le.PutUint32(b[8:], 2)
+	le.PutUint32(b[12:], 4)
+	le.PutUint64(b[16+8:], math.Float64bits(1))
+	le.PutUint64(b[16+24:], math.Float64bits(1))
+	for _, n := range []uint32{65535, 65534} {
+		b = le.AppendUint32(b, n)
+		b = append(b, make([]byte, 8*n)...)
+	}
+	b = le.AppendUint32(b, 0) // no bucket slots
+	b = le.AppendUint32(b, 65536*65535)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(b)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "short") {
+		t.Fatalf("a directory count with no cells behind it: %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("refusing it allocated %d bytes (%v)", alloc, err)
 	}
 }
 

@@ -17,9 +17,11 @@ func newRand(seed int64) *rand.Rand       { return rand.New(rand.NewSource(seed)
 // with an error or produce a file that passes the structural invariants —
 // never panic, never corrupt — and that WriteTo encodes to the bytes the
 // reference encoder (referenceWriteTo) gives, which Read then takes back to
-// the same bytes again. Seeds are valid encodings of small files; run
-// with `go test -fuzz=FuzzRead ./internal/gridfile` for a real fuzzing
-// session (without -fuzz the seeds replay as regular tests).
+// the same bytes again. A container's contract holds too: that encoding
+// followed by arbitrary bytes (the input itself) decodes to the same file, and
+// Decode returns exactly those bytes as the rest. Seeds are valid encodings of
+// small files; run with `go test -fuzz=FuzzRead ./internal/gridfile` for a
+// real fuzzing session (without -fuzz the seeds replay as regular tests).
 func FuzzRead(f *testing.F) {
 	// Seed corpus: valid encodings at a few sizes and dimensionalities.
 	for _, seed := range []struct {
@@ -87,6 +89,21 @@ func FuzzRead(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), got.Bytes()) {
 			t.Fatal("a decoded encoding re-encodes to other bytes")
+		}
+
+		carried, rest, err := Decode(append(got.Bytes(), data...))
+		if err != nil {
+			t.Fatalf("Decode refused WriteTo's encoding with %d bytes behind it: %v", len(data), err)
+		}
+		if !bytes.Equal(rest, data) {
+			t.Fatalf("Decode returned %d bytes as the rest, want the %d behind the grid file", len(rest), len(data))
+		}
+		re.Reset()
+		if _, err := carried.WriteTo(&re); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), got.Bytes()) {
+			t.Fatal("the encoding with bytes behind it decodes to another file")
 		}
 	})
 }

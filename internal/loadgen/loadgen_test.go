@@ -165,10 +165,16 @@ func TestRunClosed(t *testing.T) {
 		t.Errorf("p50 %v (each call sleeps 200µs), offered %g, achieved %g", res.Latency.P50, res.Offered, res.Achieved)
 	}
 
+	// Every call after the cancelling one waits for the cancel, so the other
+	// worker cannot claim the remaining indexes before it lands: at most one
+	// more index per worker is claimed once index 5 has been.
 	ctx, cancel := context.WithCancel(context.Background())
 	res, err = RunClosed(ctx, 2, 1000, func(ctx context.Context, i int) error {
 		if i == 5 {
 			cancel()
+		}
+		if i > 5 {
+			<-ctx.Done()
 		}
 		return nil
 	})

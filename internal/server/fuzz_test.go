@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/le"
 )
 
 // FuzzCodec feeds arbitrary bytes through the frame reader and request
@@ -334,32 +335,32 @@ func FuzzDegradedCodec(f *testing.F) {
 }
 
 // referenceDecodeResult is the answer decoder DecodeResultInto replaced: every
-// coordinate read through rbuf.f64, with its bounds check and error test per
-// value. FuzzCodec and FuzzDegradedCodec hold the one-pass decoder to it —
-// the same points, count, info and write fields, and the same error — on
-// every input.
+// coordinate read through the shared cursor's F64 (internal/le), with its
+// bounds check and error test per value. FuzzCodec and FuzzDegradedCodec hold
+// the one-pass decoder to it — the same points, count, info and write fields,
+// and the same error — on every input.
 func referenceDecodeResult(f Frame) (Result, error) {
 	var res Result
-	r := rbuf{b: f.Payload}
+	r := le.NewReader(f.Payload)
 	switch f.Verb {
 	case VerbPoints:
-		dims := int(r.u16())
-		n := int(r.u32())
-		if r.err == nil {
+		dims := int(r.U16())
+		n := int(r.U32())
+		if r.Err() == nil {
 			if dims > maxDims {
 				return Result{}, fmt.Errorf("server: implausible dimensionality %d", dims)
 			}
 			if dims == 0 && n > 0 {
 				return Result{}, errors.New("server: zero-dimensional points")
 			}
-			if need := n * dims * 8; need > len(r.b) {
+			if need := n * dims * 8; need > r.Len() {
 				return Result{}, errors.New("server: short point payload")
 			}
 		}
-		if r.err == nil && n > 0 {
+		if r.Err() == nil && n > 0 {
 			arena := make([]float64, n*dims)
 			for i := range arena {
-				arena[i] = r.f64()
+				arena[i] = r.F64()
 			}
 			for i := 0; i < n; i++ {
 				res.Points = append(res.Points, geom.Point(arena[i*dims:(i+1)*dims:(i+1)*dims]))
@@ -367,23 +368,23 @@ func referenceDecodeResult(f Frame) (Result, error) {
 		}
 		res.Count = len(res.Points)
 	case VerbCount:
-		res.Count = int(r.u32())
+		res.Count = int(r.U32())
 	case VerbWriteOK:
-		applied := r.u8()
-		res.Splits = int(r.u16())
-		if r.err == nil && applied > 1 {
+		applied := r.U8()
+		res.Splits = int(r.U16())
+		if r.Err() == nil && applied > 1 {
 			return Result{}, fmt.Errorf("server: bad applied flag 0x%02x", applied)
 		}
 		res.Applied = applied == 1
 	default:
 		return Result{}, fmt.Errorf("server: not a result verb: 0x%02x", uint8(f.Verb))
 	}
-	res.Info.Buckets = int(r.u32())
-	res.Info.Pages = int(r.u32())
-	res.Info.Elapsed = time.Duration(r.u64())
-	flags := r.u8()
-	missed := int(r.u16())
-	if err := r.done(); err != nil {
+	res.Info.Buckets = int(r.U32())
+	res.Info.Pages = int(r.U32())
+	res.Info.Elapsed = time.Duration(r.U64())
+	flags := r.U8()
+	missed := int(r.U16())
+	if err := done(&r); err != nil {
 		return Result{}, err
 	}
 	if flags > 1 {

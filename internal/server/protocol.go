@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"pgridfile/internal/geom"
+	"pgridfile/internal/le"
 )
 
 // MaxFrameBytes bounds a single frame (verb byte + payload). Oversized
@@ -274,72 +275,13 @@ func (w *wbuf) f64(v float64) {
 	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
 }
 
-// rbuf is a cursor for decoding payloads; the first error sticks.
-type rbuf struct {
-	b   []byte
-	err error
-}
-
-func (r *rbuf) fail(msg string) {
-	if r.err == nil {
-		r.err = errors.New("server: " + msg)
-	}
-}
-
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.fail("short payload")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *rbuf) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *rbuf) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *rbuf) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *rbuf) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
-
 // done verifies the payload was consumed exactly.
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
+func done(r *le.Reader) error {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("server: %d trailing payload bytes", len(r.b))
+	if r.Len() != 0 {
+		return fmt.Errorf("server: %d trailing payload bytes", r.Len())
 	}
 	return nil
 }
@@ -460,11 +402,11 @@ func decodeRequestInto(f Frame, req *Request) error {
 		Query: req.Query[:0],
 		Vals:  req.Vals[:0],
 	}
-	r := rbuf{b: f.Payload}
+	r := le.NewReader(f.Payload)
 	switch f.Verb {
 	case VerbPoint, VerbInsert, VerbDelete:
-		dims := int(r.u16())
-		if r.err == nil {
+		dims := int(r.U16())
+		if r.Err() == nil {
 			if err := checkDims(dims); err != nil {
 				return err
 			}
@@ -472,19 +414,19 @@ func decodeRequestInto(f Frame, req *Request) error {
 		if n := min(dims, maxDims); cap(req.Key) < n {
 			req.Key = make(geom.Point, 0, n)
 		}
-		for d := 0; d < dims && r.err == nil; d++ {
-			req.Key = append(req.Key, r.f64())
+		for d := 0; d < dims && r.Err() == nil; d++ {
+			req.Key = append(req.Key, r.F64())
 		}
-		if err := r.done(); err != nil {
+		if err := done(&r); err != nil {
 			return err
 		}
 		if err := checkFinite(req.Key...); err != nil {
 			return err
 		}
 	case VerbRange:
-		flags := r.u8()
-		dims := int(r.u16())
-		if r.err == nil {
+		flags := r.U8()
+		dims := int(r.U16())
+		if r.Err() == nil {
 			if err := checkDims(dims); err != nil {
 				return err
 			}
@@ -496,11 +438,11 @@ func decodeRequestInto(f Frame, req *Request) error {
 		if n := min(dims, maxDims); cap(req.Query) < n {
 			req.Query = make(geom.Rect, 0, n)
 		}
-		for d := 0; d < dims && r.err == nil; d++ {
-			iv := geom.Interval{Lo: r.f64(), Hi: r.f64()}
+		for d := 0; d < dims && r.Err() == nil; d++ {
+			iv := geom.Interval{Lo: r.F64(), Hi: r.F64()}
 			req.Query = append(req.Query, iv)
 		}
-		if err := r.done(); err != nil {
+		if err := done(&r); err != nil {
 			return err
 		}
 		for _, iv := range req.Query {
@@ -512,8 +454,8 @@ func decodeRequestInto(f Frame, req *Request) error {
 			}
 		}
 	case VerbPartial:
-		dims := int(r.u16())
-		if r.err == nil {
+		dims := int(r.U16())
+		if r.Err() == nil {
 			if err := checkDims(dims); err != nil {
 				return err
 			}
@@ -521,10 +463,10 @@ func decodeRequestInto(f Frame, req *Request) error {
 		if n := min(dims, maxDims); cap(req.Vals) < n {
 			req.Vals = make([]float64, 0, n)
 		}
-		for d := 0; d < dims && r.err == nil; d++ {
-			spec := r.u8()
-			v := r.f64()
-			if r.err != nil {
+		for d := 0; d < dims && r.Err() == nil; d++ {
+			spec := r.U8()
+			v := r.F64()
+			if r.Err() != nil {
 				break
 			}
 			switch spec {
@@ -539,13 +481,13 @@ func decodeRequestInto(f Frame, req *Request) error {
 			}
 			req.Vals = append(req.Vals, v)
 		}
-		if err := r.done(); err != nil {
+		if err := done(&r); err != nil {
 			return err
 		}
 	case VerbKNN:
-		dims := int(r.u16())
-		k := int(r.u32())
-		if r.err == nil {
+		dims := int(r.U16())
+		k := int(r.U32())
+		if r.Err() == nil {
 			if err := checkDims(dims); err != nil {
 				return err
 			}
@@ -557,17 +499,17 @@ func decodeRequestInto(f Frame, req *Request) error {
 		if n := min(dims, maxDims); cap(req.Key) < n {
 			req.Key = make(geom.Point, 0, n)
 		}
-		for d := 0; d < dims && r.err == nil; d++ {
-			req.Key = append(req.Key, r.f64())
+		for d := 0; d < dims && r.Err() == nil; d++ {
+			req.Key = append(req.Key, r.F64())
 		}
-		if err := r.done(); err != nil {
+		if err := done(&r); err != nil {
 			return err
 		}
 		if err := checkFinite(req.Key...); err != nil {
 			return err
 		}
 	case VerbStats:
-		if err := r.done(); err != nil {
+		if err := done(&r); err != nil {
 			return err
 		}
 	case VerbFault:
@@ -747,12 +689,12 @@ func DecodeResultInto(f Frame, res *Result) error {
 	res.Applied = false
 	res.Splits = 0
 	res.Info = QueryInfo{}
-	r := rbuf{b: f.Payload}
+	r := le.NewReader(f.Payload)
 	switch f.Verb {
 	case VerbPoints:
-		dims := int(r.u16())
-		n := int(r.u32())
-		if r.err == nil {
+		dims := int(r.U16())
+		n := int(r.U32())
+		if r.Err() == nil {
 			if dims > maxDims {
 				return fmt.Errorf("server: implausible dimensionality %d", dims)
 			}
@@ -760,16 +702,16 @@ func DecodeResultInto(f Frame, res *Result) error {
 				return errors.New("server: zero-dimensional points")
 			}
 			// The points must actually fit in the received payload.
-			if need := n * dims * 8; need > len(r.b) {
+			if need := n * dims * 8; need > r.Len() {
 				return errors.New("server: short point payload")
 			}
 		}
 		// The size pre-check above is the answer's one bounds check: the rows
 		// are taken in one piece, decoded by a plain little-endian loop into
 		// the arena, and the point headers sliced from it (DESIGN S45).
-		if r.err == nil && n > 0 {
+		if r.Err() == nil && n > 0 {
 			need := n * dims
-			src := r.take(8 * need)
+			src := r.Take(8 * need)
 			if cap(res.arena) < need {
 				res.arena = make([]float64, need)
 			}
@@ -788,23 +730,23 @@ func DecodeResultInto(f Frame, res *Result) error {
 		}
 		res.Count = len(res.Points)
 	case VerbCount:
-		res.Count = int(r.u32())
+		res.Count = int(r.U32())
 	case VerbWriteOK:
-		applied := r.u8()
-		res.Splits = int(r.u16())
-		if r.err == nil && applied > 1 {
+		applied := r.U8()
+		res.Splits = int(r.U16())
+		if r.Err() == nil && applied > 1 {
 			return fmt.Errorf("server: bad applied flag 0x%02x", applied)
 		}
 		res.Applied = applied == 1
 	default:
 		return fmt.Errorf("server: not a result verb: 0x%02x", uint8(f.Verb))
 	}
-	res.Info.Buckets = int(r.u32())
-	res.Info.Pages = int(r.u32())
-	res.Info.Elapsed = time.Duration(r.u64())
-	flags := r.u8()
-	missed := int(r.u16())
-	if err := r.done(); err != nil {
+	res.Info.Buckets = int(r.U32())
+	res.Info.Pages = int(r.U32())
+	res.Info.Elapsed = time.Duration(r.U64())
+	flags := r.U8()
+	missed := int(r.U16())
+	if err := done(&r); err != nil {
 		return err
 	}
 	if flags > 1 {

@@ -1,0 +1,47 @@
+//go:build !race
+
+// The race detector instruments allocation, so an allocation count under
+// -race measures the detector, not the store; `make alloc` (a step of
+// scripts/check.sh) runs this file's test on its own, without -race.
+
+package store
+
+import (
+	"runtime"
+	"testing"
+)
+
+// openAllocBudget is the committed number of objects Open may allocate per
+// live bucket of a write-mix sized layout. Decoding the checkpoint file from
+// one byte slice measures 8.0, four of them the decoded bucket itself: the
+// bucket, its two corner vectors and its keys. Decoding each field through
+// binary.Read measured 14.0, its reflection and scratch buffers being the
+// difference.
+const openAllocBudget = 9
+
+// TestOpenAllocationBudget holds Open of a write-mix sized layout (about
+// 10 000 live buckets, 8 disks, r=2) to openAllocBudget objects per live
+// bucket: the fewest of three opens, so that a collection's background work
+// in one of them cannot fail the test.
+func TestOpenAllocationBudget(t *testing.T) {
+	dir := writeMixLayout(t)
+	best, buckets := uint64(1<<63), 0
+	for range 3 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Open(dir)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buckets = s.Grid().NumBuckets()
+		s.Close()
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	perBucket := float64(best) / float64(buckets)
+	t.Logf("Open allocated %d objects for %d live buckets: %.2f per bucket", best, buckets, perBucket)
+	if perBucket > openAllocBudget {
+		t.Errorf("Open allocates %.2f objects per live bucket, budget %d", perBucket, openAllocBudget)
+	}
+}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/le"
 )
 
 // The checkpoint file. A layout's committed state is one little-endian file,
@@ -41,29 +41,29 @@ func writeCheckpoint(w io.Writer, g *gridfile.File, m Manifest, lsn uint64, pls 
 	if _, err := g.WriteTo(w); err != nil {
 		return err
 	}
-	le := binary.LittleEndian
+	bo := binary.LittleEndian
 	b := make([]byte, 0, checkpointHeaderBytes+len(pls)*m.Replicas*checkpointCopyBytes)
 	b = append(b, checkpointMagic...)
-	b = le.AppendUint32(b, pageFormat)
+	b = bo.AppendUint32(b, pageFormat)
 	for _, v := range []uint64{uint64(m.Disks), uint64(m.PageBytes), uint64(m.Replicas), lsn} {
-		b = le.AppendUint64(b, v)
+		b = bo.AppendUint64(b, v)
 	}
 	for _, pl := range pls {
 		for i, d := range pl.OwnerDisks {
-			b = le.AppendUint32(b, uint32(d))
-			b = le.AppendUint64(b, uint64(pl.OwnerPages[i]))
+			b = bo.AppendUint32(b, uint32(d))
+			b = bo.AppendUint64(b, uint64(pl.OwnerPages[i]))
 		}
 	}
 	_, err := w.Write(b)
 	return err
 }
 
-// openCheckpoint opens dir's disk files under the checkpoint file read from r
-// and sets up the write path over them, journals aside (split from Open so
+// openCheckpoint opens dir's disk files under the checkpoint file data and
+// sets up the write path over them, journals aside (split from Open so
 // FuzzManifest can skip the file write).
-func openCheckpoint(dir string, r *bufio.Reader) (*Store, error) {
+func openCheckpoint(dir string, data []byte) (*Store, error) {
 	s := &Store{dir: dir, now: time.Now}
-	named, lsn, err := s.readCheckpoint(r)
+	named, lsn, err := s.readCheckpoint(data)
 	if err != nil {
 		closeAll(s.files)
 		return nil, err
@@ -72,35 +72,34 @@ func openCheckpoint(dir string, r *bufio.Reader) (*Store, error) {
 	return s, nil
 }
 
-// readCheckpoint decodes the checkpoint file into s, opening the disk files it
-// names on the way. Every count is checked before it sizes anything: the grid
-// section by gridfile.Read, the disk count by opening the files one by one,
-// the replica count against the disks. A placement must name exactly Replicas
-// distinct owner disks, each copy lying wholly inside its file on pages no
-// other copy names, so whatever passes can be handed to the read path without
-// a bounds check, and a rewrite never lands on a page a live copy holds. It
-// returns which pages of each disk file the placements name, one flag per page
-// of the file as it stands, for the write path's free pages, and the
-// checkpoint's LSN (newWriter).
-func (s *Store) readCheckpoint(r *bufio.Reader) (named [][]bool, lsn uint64, err error) {
-	// gridfile.Read reads no further than the grid section from a
-	// *bufio.Reader, so the header follows in r.
-	g, err := gridfile.Read(r)
+// readCheckpoint decodes the checkpoint file data into s, opening the disk
+// files it names on the way. Every count is checked before it sizes anything:
+// the grid section by gridfile.Decode, the disk count by opening the files one
+// by one, the replica count against the disks. A placement must name exactly
+// Replicas distinct owner disks, each copy lying wholly inside its file on
+// pages no other copy names, so whatever passes can be handed to the read path
+// without a bounds check, and a rewrite never lands on a page a live copy
+// holds. It returns which pages of each disk file the placements name, one
+// flag per page of the file as it stands, for the write path's free pages, and
+// the checkpoint's LSN (newWriter).
+func (s *Store) readCheckpoint(data []byte) (named [][]bool, lsn uint64, err error) {
+	g, rest, err := gridfile.Decode(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: checkpoint grid section: %w", err)
 	}
-	var h [checkpointHeaderBytes]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+	r := le.NewReader(rest)
+	magic := r.Take(4)
+	format := r.U32()
+	disks, pageBytes, replicas, lsn := r.U64(), r.U64(), r.U64(), r.U64()
+	if err := r.Err(); err != nil {
 		return nil, 0, fmt.Errorf("store: checkpoint header: %w", err)
 	}
-	le := binary.LittleEndian
-	if magic := string(h[:4]); magic != checkpointMagic {
+	if string(magic) != checkpointMagic {
 		return nil, 0, errVintage(fmt.Sprintf("checkpoint header magic %q", magic))
 	}
-	if format := le.Uint32(h[4:]); format != pageFormat {
+	if format != pageFormat {
 		return nil, 0, errVintage(fmt.Sprintf("page format %d", format))
 	}
-	disks, pageBytes, replicas := le.Uint64(h[8:]), le.Uint64(h[16:]), le.Uint64(h[24:])
 	dims := g.Dims()
 	if disks < 1 || disks > math.MaxInt32 || replicas < 1 || replicas > disks ||
 		pageBytes > math.MaxInt32 || pageBytes <= pageHeaderBytes || recordsPerPage(int(pageBytes), dims) < 1 {
@@ -133,16 +132,15 @@ func (s *Store) readCheckpoint(r *bufio.Reader) (named [][]bool, lsn uint64, err
 	pls := make([]Placement, len(views)) // one allocation backs every placement
 	owners, firsts := make([]int, len(views)*nr), make([]int64, len(views)*nr)
 	perPage := recordsPerPage(s.manifest.PageBytes, dims)
-	var rec [checkpointCopyBytes]byte
 	for i, v := range views {
 		pl := &pls[i]
 		pl.ID, pl.Recs, pl.Pages = v.ID, v.Records, pagesFor(v.Records, perPage)
 		pl.OwnerDisks, pl.OwnerPages = owners[i*nr:(i+1)*nr:(i+1)*nr], firsts[i*nr:(i+1)*nr:(i+1)*nr]
 		for c := range nr {
-			if _, err := io.ReadFull(r, rec[:]); err != nil {
+			d, pg := r.U32(), r.U64()
+			if err := r.Err(); err != nil {
 				return nil, 0, fmt.Errorf("store: checkpoint placement of bucket %d: %w", v.ID, err)
 			}
-			d, pg := le.Uint32(rec[:]), le.Uint64(rec[4:])
 			if uint64(d) >= disks {
 				return nil, 0, fmt.Errorf("store: bucket %d on disk %d of %d", v.ID, d, s.manifest.Disks)
 			}
@@ -166,11 +164,8 @@ func (s *Store) readCheckpoint(r *bufio.Reader) (named [][]bool, lsn uint64, err
 		}
 		pl.Disk, pl.Page = pl.OwnerDisks[0], pl.OwnerPages[0]
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		if err == nil {
-			err = fmt.Errorf("trailing bytes after %d placements", len(pls))
-		}
-		return nil, 0, fmt.Errorf("store: checkpoint: %w", err)
+	if r.Len() != 0 {
+		return nil, 0, fmt.Errorf("store: checkpoint: trailing bytes after %d placements", len(pls))
 	}
 
 	s.places.Store(new([]atomic.Pointer[Placement]))
@@ -178,5 +173,5 @@ func (s *Store) readCheckpoint(r *bufio.Reader) (named [][]bool, lsn uint64, err
 		s.setPlacement(pls[i].ID, &pls[i])
 	}
 	s.grid = g
-	return named, le.Uint64(h[32:]), nil
+	return named, lsn, nil
 }

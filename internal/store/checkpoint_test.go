@@ -289,7 +289,7 @@ func TestOpenRemovesStrays(t *testing.T) {
 // writeMixLayout writes a layout the size of the repo benchmark's write-mix
 // layout — 400 000 hot.2d records, so about 10 000 buckets, minimax over 8
 // disks at r=2.
-func writeMixLayout(b *testing.B) string {
+func writeMixLayout(b testing.TB) string {
 	f, err := synth.Hotspot2D(400_000, 1).Build()
 	if err != nil {
 		b.Fatal(err)
@@ -335,6 +335,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // It shows in the served benchmark as store.open_s, and inside setup_s.
 func BenchmarkOpen(b *testing.B) {
 	dir := writeMixLayout(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Open(dir)

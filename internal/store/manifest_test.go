@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -292,7 +291,7 @@ func FuzzManifest(f *testing.F) {
 		f.Add(c.render(d))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := openCheckpoint(d.dir, bufio.NewReader(bytes.NewReader(data)))
+		s, err := openCheckpoint(d.dir, data)
 		if err != nil {
 			return
 		}
@@ -316,7 +315,7 @@ func FuzzManifest(f *testing.F) {
 		if err := writeCheckpoint(&again, s.Grid(), s.Manifest(), s.w.checkpointLSN, pls); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := openCheckpoint(d.dir, bufio.NewReader(&again))
+		s2, err := openCheckpoint(d.dir, again.Bytes())
 		if err != nil {
 			t.Fatalf("the writer's encoding of an accepted checkpoint is refused: %v", err)
 		}

@@ -51,7 +51,6 @@
 package store
 
 import (
-	"bufio"
 	"cmp"
 	"context"
 	"encoding/binary"
@@ -363,7 +362,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	fh, err := os.Open(filepath.Join(dir, "layout.grd"))
+	data, err := os.ReadFile(filepath.Join(dir, "layout.grd"))
 	if errors.Is(err, os.ErrNotExist) {
 		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
 			err = errVintage(dir + " holds a manifest.json layout")
@@ -373,8 +372,7 @@ func Open(dir string) (*Store, error) {
 		lock.Close()
 		return nil, err
 	}
-	s, err := openCheckpoint(dir, bufio.NewReader(fh))
-	fh.Close()
+	s, err := openCheckpoint(dir, data)
 	if err != nil {
 		lock.Close()
 		return nil, err
