@@ -22,6 +22,7 @@ import (
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/experiments"
+	"pgridfile/internal/replica"
 	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
 	"pgridfile/internal/store"
@@ -381,7 +382,9 @@ func BenchmarkReplayWorkload(b *testing.B) {
 
 // BenchmarkSetupPipeline times, stage by stage, the set-up the repo
 // benchmark's setup_s measures: 400 k hot.2d records → grid file build →
-// minimax on 8 disks → store.Write → store.Open. It reports each stage's
+// minimax on 8 disks → an r = 2 replica placement of that allocation (the
+// write-mix workload's layout; the layout written here stays r = 1) →
+// store.Write → store.Open. It reports each stage's
 // milliseconds, the megabytes the build allocates and the megabytes of disk
 // files the layout holds, so a set-up regression — a stage that stops being
 // linear in its input — shows in `make bench`. It fails when the layout
@@ -390,7 +393,7 @@ func BenchmarkReplayWorkload(b *testing.B) {
 func BenchmarkSetupPipeline(b *testing.B) {
 	const records, disks, pageBytes = 400_000, 8, 4096
 	dir := b.TempDir()
-	var synthMS, buildMS, declusterMS, writeMS, openMS, buildMB, layoutMB float64
+	var synthMS, buildMS, declusterMS, placeMS, writeMS, openMS, buildMB, layoutMB float64
 	for i := 0; i < b.N; i++ {
 		t := time.Now()
 		lap := func() float64 {
@@ -411,11 +414,17 @@ func BenchmarkSetupPipeline(b *testing.B) {
 		buildMS += lap()
 		buildMB += float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 
-		alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), disks)
+		g := core.FromGridFile(f)
+		alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, disks)
 		if err != nil {
 			b.Fatal(err)
 		}
 		declusterMS += lap()
+
+		if _, err := (&replica.Placer{Replicas: 2}).Place(g, alloc); err != nil {
+			b.Fatal(err)
+		}
+		placeMS += lap()
 
 		if _, err := store.Write(dir, f, alloc, pageBytes); err != nil {
 			b.Fatal(err)
@@ -449,6 +458,7 @@ func BenchmarkSetupPipeline(b *testing.B) {
 	b.ReportMetric(synthMS/n, "synth-ms")
 	b.ReportMetric(buildMS/n, "build-ms")
 	b.ReportMetric(declusterMS/n, "decluster-ms")
+	b.ReportMetric(placeMS/n, "place-ms")
 	b.ReportMetric(writeMS/n, "write-ms")
 	b.ReportMetric(openMS/n, "open-ms")
 	b.ReportMetric(buildMB/n, "build-MB")

@@ -143,13 +143,16 @@ func runBuild(args []string) error {
 	return nil
 }
 
+// loadFile reads the grid file at path in one piece and decodes it. Bytes
+// behind the grid file are ignored, as gridfile.Read ignores them, so a
+// layout's checkpoint file, layout.grd, reads as the grid it holds.
 func loadFile(path string) (*gridfile.File, error) {
-	r, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return gridfile.Read(r)
+	f, _, err := gridfile.Decode(data)
+	return f, err
 }
 
 func runStats(args []string) error {

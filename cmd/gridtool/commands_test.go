@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/store"
+	"pgridfile/internal/synth"
 )
 
 func TestParseDomain(t *testing.T) {
@@ -77,5 +81,39 @@ func TestReadPoints(t *testing.T) {
 	}
 	if _, err := readPoints(nonnum); err == nil {
 		t.Error("non-numeric CSV accepted")
+	}
+}
+
+// TestLoadFileReadsCheckpoint holds loadFile to reading a layout's
+// checkpoint file, layout.grd, as the grid file at its front: `gridtool
+// stats -file <dir>/layout.grd` works on any layout. The grid it returns
+// encodes to the bytes of the grid that was written.
+func TestLoadFileReadsCheckpoint(t *testing.T) {
+	f, err := synth.Hotspot2D(3000, 1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := store.Write(dir, f, alloc, 4096); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadFile(filepath.Join(dir, "layout.grd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, have bytes.Buffer
+	if _, err := f.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.WriteTo(&have); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(have.Bytes(), want.Bytes()) {
+		t.Fatalf("loadFile(layout.grd) returned a %d-bucket grid encoding to %d bytes, want the written %d-bucket grid's %d bytes",
+			got.NumBuckets(), have.Len(), f.NumBuckets(), want.Len())
 	}
 }

@@ -25,19 +25,23 @@ import (
 //     copies, no Rect slice-header chasing, no closure call.
 //
 //  2. Block pruning. The buckets are sorted along the Hilbert curve of their
-//     region centres and cut into blocks of blockSize, each with a bounding
-//     box stored behind the bucket boxes in the same layout. The proximity
-//     index never decreases when one of its arguments grows (every operation
-//     of the kernel is monotone, in floating point too — DESIGN.md S35), so
-//     the kernel applied to a pivot and a block's box bounds the pivot's
-//     weight to every bucket of the block from above. A max-merge sweep
-//     skips a block whose bound does not exceed the smallest value the row
+//     region centres and cut into blocks of blockSize, and runs of superSize
+//     blocks form super-blocks. Each block and each super-block has a
+//     bounding box stored behind the bucket boxes in the same layout. The
+//     proximity index never decreases when one of its arguments grows (every
+//     operation of the kernel is monotone, in floating point too — DESIGN.md
+//     S35), so the kernel applied to a pivot and a box bounds the pivot's
+//     weight to every bucket inside from above; a super-block's box contains
+//     its blocks' boxes, so its bound is at least theirs (S64). Every bounded
+//     sweep bounds the super-blocks first and enters only those that could
+//     change its result, bounding their blocks in turn. A max-merge sweep
+//     skips a box whose bound does not exceed the smallest value the row
 //     holds there, an arg-max sweep one whose bound is below the running
 //     best, and an arg-min one whose smallest row value is above it. What a
 //     sweep skips could not have changed its result, so every result is the
 //     one the full sweep computes. Weights without a proven bound (Weight
-//     closures, EuclideanWeight, MST's min-merge) take the same block loops
-//     with the bound at +Inf: every block is visited.
+//     closures, EuclideanWeight, MST's min-merge) take the same loops with
+//     every bound at +Inf: every block is visited.
 //
 // Every reduction uses a total order — (value, vertex index) for
 // arg-min/arg-max, plus tree index for MST's global pick — so the order in
@@ -74,40 +78,50 @@ func kindOf(w Weight) weightKind {
 }
 
 // blockSize is how many buckets share one bounding box. A sweep pays one
-// bound per block and one weight per bucket of each block it cannot skip:
-// smaller blocks have tighter boxes but more bounds to evaluate.
+// bound per block it looks at and one weight per bucket of each block it
+// cannot skip: smaller blocks have tighter boxes but more bounds to evaluate.
 const blockSize = 32
+
+// superSize is how many consecutive blocks share one super-block box. A
+// bounded sweep pays one bound per super-block, plus superSize for each
+// super-block it enters.
+const superSize = 16
 
 // PairEngine is the shared pairwise-weight engine: a flattened copy of a
 // grid's bucket geometry, the set of still-active buckets grouped into
-// spatial blocks, and the pruned sweeps over them. Construct one per
-// Decluster (or per NearestCompanions run); every bucket starts active. A
-// PairEngine must be driven from a single goroutine: its sweeps share
-// scratch buffers.
+// spatial blocks and super-blocks, and the pruned sweeps over them.
+// Construct one per Decluster (or per NearestCompanions run); every bucket
+// starts active. A PairEngine must be driven from a single goroutine: its
+// sweeps share scratch buffers.
 type PairEngine struct {
 	n       int
 	dims    int
 	kind    weightKind
 	grid    Grid      // generic kernel only: the closure's arguments
 	weight  Weight    // generic kernel only
-	boxes   []float64 // (n + blocks) × 2·dims, lo,hi interleaved per axis: bucket boxes, then block boxes
+	boxes   []float64 // (n + blocks + super-blocks) × 2·dims, lo,hi interleaved per axis: bucket boxes, then block boxes, then super-block boxes
 	centers []float64 // n × dims, euclid kernel only
 	lens    []float64 // per-axis domain length, 0 for degenerate axes
 	diag    float64   // euclid: domain diagonal, 0 for a degenerate domain
 
 	// Block b holds members[b·blockSize : (b+1)·blockSize], its active
-	// vertices first: live[b] of them.
+	// vertices first: live[b] of them. Super-block s holds blocks
+	// s·superSize … (s+1)·superSize − 1 and slive[s] active vertices.
 	members []int32
 	pos     []int32 // vertex -> index in members
 	live    []int32
+	slive   []int32
 	active  int // vertices still active, over all blocks
 
-	// bounded reports that the kernel applied to a block's box bounds the
-	// weight to each of its members: the proximity kernel, every region
-	// inside the domain. Otherwise ub stays at +Inf and nothing is skipped.
+	// bounded reports that the kernel applied to a block's or super-block's
+	// box bounds the weight to each of its members: the proximity kernel,
+	// every region inside the domain. Otherwise ub and usb stay at +Inf and
+	// nothing is skipped.
 	bounded  bool
 	blockIDs []int32   // the block boxes' indices in boxes: n, n+1, …
+	superIDs []int32   // the super-block boxes' indices, behind the blocks'
 	ub       []float64 // per block: the current pivot's bound
+	usb      []float64 // per super-block: the current pivot's bound
 	scratch  []float64 // blockSize weights, reused by every sweep
 
 	work
@@ -117,7 +131,7 @@ type PairEngine struct {
 // counts rather than clocks (TestPrunedWorkBudget, BenchmarkDecluster).
 type work struct {
 	weights int64 // bucket–bucket weights
-	bounds  int64 // bucket–block bounds
+	bounds  int64 // bucket–box bounds, blocks and super-blocks
 }
 
 // NewPairEngine builds an engine for g and w (nil means ProximityWeight).
@@ -126,6 +140,7 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 	n := len(g.Buckets)
 	dims := len(g.Domain)
 	nb := (n + blockSize - 1) / blockSize
+	ns := (nb + superSize - 1) / superSize
 	e := &PairEngine{
 		n:       n,
 		dims:    dims,
@@ -134,8 +149,10 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 		members: curveOrder(g),
 		pos:     make([]int32, n),
 		live:    make([]int32, nb),
+		slive:   make([]int32, ns),
 		active:  n,
 		ub:      make([]float64, nb),
+		usb:     make([]float64, ns),
 		scratch: make([]float64, blockSize),
 	}
 	for d, iv := range g.Domain {
@@ -148,13 +165,17 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 	}
 	for b := range e.live {
 		e.live[b] = int32(min(blockSize, n-b*blockSize))
+		e.slive[b/superSize] += e.live[b]
 		e.ub[b] = math.Inf(1)
+	}
+	for s := range e.usb {
+		e.usb[s] = math.Inf(1)
 	}
 	switch kind {
 	case kindGeneric:
 		e.grid, e.weight = g, w
 	case kindProximity:
-		e.boxes = make([]float64, (n+nb)*2*dims)
+		e.boxes = make([]float64, (n+nb+ns)*2*dims)
 		for i, b := range g.Buckets {
 			base := i * 2 * dims
 			for d, iv := range b.Region {
@@ -199,34 +220,57 @@ func curveOrder(g Grid) []int32 {
 }
 
 // boxBlocks stores each block's bounding box behind the bucket boxes and
-// reports whether the boxes are proven bounds: the monotonicity argument
-// needs every gap to be at most the domain length, which holds when every
-// region is a well-formed interval inside the domain (a NaN fails the test).
+// each super-block's behind those, and reports whether the boxes are proven
+// bounds: the monotonicity argument needs every gap to be at most the domain
+// length, which holds when every region is a well-formed interval inside the
+// domain (a NaN fails the test).
 func (e *PairEngine) boxBlocks(domain geom.Rect) bool {
 	d2 := 2 * e.dims
 	inside := true
-	e.blockIDs = make([]int32, len(e.live))
-	for b := range e.live {
-		id := e.n + b
-		e.blockIDs[b] = int32(id)
-		bb := e.boxes[id*d2 : id*d2+d2]
-		for i, x := range e.block(b) {
-			xb := e.boxes[int(x)*d2 : int(x)*d2+d2]
-			for d := 0; d < e.dims; d++ {
-				lo, hi := xb[2*d], xb[2*d+1]
-				if i == 0 || lo < bb[2*d] {
-					bb[2*d] = lo
-				}
-				if i == 0 || hi > bb[2*d+1] {
-					bb[2*d+1] = hi
-				}
-				if e.lens[d] != 0 && !(domain[d].Lo <= lo && lo <= hi && hi <= domain[d].Hi) {
-					inside = false
-				}
+	for x := 0; x < e.n; x++ {
+		xb := e.boxes[x*d2 : x*d2+d2]
+		for d, iv := range domain {
+			lo, hi := xb[2*d], xb[2*d+1]
+			if e.lens[d] != 0 && !(iv.Lo <= lo && lo <= hi && hi <= iv.Hi) {
+				inside = false
 			}
 		}
 	}
+	// grow widens box id to cover box x, or makes it x's copy when first.
+	grow := func(id, x int, first bool) {
+		bb, xb := e.boxes[id*d2:id*d2+d2], e.boxes[x*d2:x*d2+d2]
+		for d := 0; d < e.dims; d++ {
+			lo, hi := xb[2*d], xb[2*d+1]
+			if first || lo < bb[2*d] {
+				bb[2*d] = lo
+			}
+			if first || hi > bb[2*d+1] {
+				bb[2*d+1] = hi
+			}
+		}
+	}
+	nb := len(e.live)
+	e.blockIDs = make([]int32, nb)
+	for b := range e.live {
+		e.blockIDs[b] = int32(e.n + b)
+		for i, x := range e.block(b) {
+			grow(e.n+b, int(x), i == 0)
+		}
+	}
+	e.superIDs = make([]int32, len(e.slive))
+	for s := range e.slive {
+		e.superIDs[s] = int32(e.n + nb + s)
+		lo, hi := e.blocksOf(s)
+		for b := lo; b < hi; b++ {
+			grow(e.n+nb+s, e.n+b, b == lo)
+		}
+	}
 	return inside
+}
+
+// blocksOf returns the range of blocks super-block s holds.
+func (e *PairEngine) blocksOf(s int) (lo, hi int) {
+	return s * superSize, min((s+1)*superSize, len(e.live))
 }
 
 // block returns block b's active vertices.
@@ -241,6 +285,7 @@ func (e *PairEngine) remove(x int32) {
 	i := e.pos[x]
 	b := int(i) / blockSize
 	e.live[b]--
+	e.slive[b/superSize]--
 	last := int32(b*blockSize) + e.live[b]
 	y := e.members[last]
 	e.members[i], e.members[last] = y, x
@@ -419,37 +464,92 @@ func (e *PairEngine) weigh(fixed int32, xs []int32) []float64 {
 	return out
 }
 
-// boundBlocks returns, per block, an upper bound on the weight between the
-// fixed bucket and any bucket of the block: the kernel applied to the block
-// boxes, or +Inf where that is no proven bound.
-func (e *PairEngine) boundBlocks(fixed int32) []float64 {
+// boundSupers returns, per super-block, an upper bound on the weight between
+// the fixed bucket and any bucket of the super-block: the kernel applied to
+// the super-block boxes, or +Inf where that is no proven bound.
+func (e *PairEngine) boundSupers(fixed int32) []float64 {
 	if e.bounded {
-		e.weighBatch(fixed, e.blockIDs, e.ub)
-		e.bounds += int64(len(e.ub))
+		e.weighBatch(fixed, e.superIDs, e.usb)
+		e.bounds += int64(len(e.usb))
+	}
+	return e.usb
+}
+
+// boundBlocks sets, for each block of super-block s, an upper bound on the
+// weight between the fixed bucket and any bucket of the block (the kernel
+// applied to the block boxes, or +Inf where that is no proven bound), and
+// returns the per-block bounds.
+func (e *PairEngine) boundBlocks(fixed int32, s int) []float64 {
+	if e.bounded {
+		lo, hi := e.blocksOf(s)
+		e.weighBatch(fixed, e.blockIDs[lo:hi], e.ub[lo:hi])
+		e.bounds += int64(hi - lo)
 	}
 	return e.ub
 }
 
-// treeRow is one tree's (disk's) row: a value per vertex and, per block, a
-// lower bound in the (value, vertex) order on the row's entries at the
-// block's active vertices. A bound may be stale-low — removing a vertex or
-// raising a value leaves it valid — and is made exact whenever a sweep scans
-// the block.
+// treeRow is one tree's (disk's) row: a value per vertex, per block a lower
+// bound in the (value, vertex) order on the row's entries at the block's
+// active vertices, and per super-block the same over its blocks' bounds. A
+// bound may be stale-low — removing a vertex or raising a value leaves it
+// valid. A block's is made exact whenever a sweep scans the block, a
+// super-block's the least of its active blocks' whenever a sweep enters it
+// (in the same pass over its blocks, or by settle).
 type treeRow struct {
-	val []float64 // per vertex
-	lo  []float64 // per block: the smallest value…
-	arg []int32   // …and the lowest vertex holding it
+	val  []float64 // per vertex
+	lo   []float64 // per block: the smallest value…
+	arg  []int32   // …and the lowest vertex holding it
+	slo  []float64 // per super-block: the smallest value…
+	sarg []int32   // …and the lowest vertex holding it
 }
 
 // newRows returns one treeRow for each of m trees, all values zero.
 func (e *PairEngine) newRows(m int) []treeRow {
-	n, nb := e.n, len(e.live)
+	n, nb, ns := e.n, len(e.live), len(e.slive)
 	val, lo, arg := make([]float64, m*n), make([]float64, m*nb), make([]int32, m*nb)
+	slo, sarg := make([]float64, m*ns), make([]int32, m*ns)
 	rows := make([]treeRow, m)
 	for k := range rows {
-		rows[k] = treeRow{val[k*n : (k+1)*n], lo[k*nb : (k+1)*nb], arg[k*nb : (k+1)*nb]}
+		rows[k] = treeRow{val[k*n : (k+1)*n], lo[k*nb : (k+1)*nb], arg[k*nb : (k+1)*nb],
+			slo[k*ns : (k+1)*ns], sarg[k*ns : (k+1)*ns]}
 	}
 	return rows
+}
+
+// settle sets super-block s's bound in the row to the least of its active
+// blocks' bounds, (+Inf, -1) when none is active.
+func (e *PairEngine) settle(r treeRow, s int) {
+	lo, hi := e.blocksOf(s)
+	r.unset(s)
+	for b := lo; b < hi; b++ {
+		if e.live[b] > 0 {
+			r.fold(s, b)
+		}
+	}
+}
+
+// unset clears super-block s's bound, for fold to rebuild.
+func (r treeRow) unset(s int) {
+	r.slo[s], r.sarg[s] = math.Inf(1), -1
+}
+
+// fold lowers super-block s's bound to block b's when that comes first.
+func (r treeRow) fold(s, b int) {
+	if before(r.lo[b], r.arg[b], r.slo[s], r.sarg[s]) {
+		r.slo[s], r.sarg[s] = r.lo[b], r.arg[b]
+	}
+}
+
+// firstThenRest calls visit on first, then on every other index of [lo, hi)
+// in order: a sweep starts where its result most likely lies, so that the
+// running best prunes the rest.
+func firstThenRest(first, lo, hi int, visit func(int)) {
+	visit(first)
+	for i := lo; i < hi; i++ {
+		if i != first {
+			visit(i)
+		}
+	}
 }
 
 // before is the total order of every arg-min: by value, ties to the lower
@@ -475,6 +575,9 @@ func (e *PairEngine) initRows(seeds []int, rows []treeRow) {
 			}
 			r.lo[b], r.arg[b] = mv, mx
 		}
+		for s := range e.slive {
+			e.settle(r, s)
+		}
 	}
 }
 
@@ -497,57 +600,75 @@ func (r treeRow) mergeMax(b int, xs []int32, out []float64) {
 
 // maxInto max-merges the weight of every active vertex against the fixed
 // bucket into the row — MAX_x(k) maintenance for minimax and residual
-// allocation. A block whose bound does not exceed the row's smallest value
-// there is skipped: no weight in it can exceed the value its entry holds.
+// allocation. A super-block or block whose bound does not exceed the row's
+// smallest value there is skipped: no weight in it can exceed the value its
+// entry holds.
 func (e *PairEngine) maxInto(fixed int32, r treeRow) {
-	ub := e.boundBlocks(fixed)
-	for b, cnt := range e.live {
-		if cnt == 0 || ub[b] <= r.lo[b] {
+	usb := e.boundSupers(fixed)
+	for s, cnt := range e.slive {
+		if cnt == 0 || usb[s] <= r.slo[s] {
 			continue
 		}
-		xs := e.block(b)
-		r.mergeMax(b, xs, e.weigh(fixed, xs))
+		ub := e.boundBlocks(fixed, s)
+		lo, hi := e.blocksOf(s)
+		r.unset(s)
+		for b := lo; b < hi; b++ {
+			if e.live[b] == 0 {
+				continue
+			}
+			if ub[b] > r.lo[b] {
+				xs := e.block(b)
+				r.mergeMax(b, xs, e.weigh(fixed, xs))
+			}
+			r.fold(s, b)
+		}
 	}
 }
 
 // argminRow returns the arg-min of the row over the active vertices (ties to
 // the lowest vertex index), or -1 when there is none. With owners non-nil,
-// the vertices disk already owns are passed over. It starts at the block with
-// the smallest bound, then scans only blocks whose bound comes before the
-// running best.
+// the vertices disk already owns are passed over. It starts at the
+// super-block with the smallest bound, then enters only super-blocks whose
+// bound comes before the running best, and within each scans, in order, the
+// blocks whose bound comes before it; one pass over a super-block's blocks
+// both scans them and makes its bound the least of theirs.
 func (e *PairEngine) argminRow(r treeRow, owners [][]int, disk int) (int32, float64) {
 	first := -1
-	for b, cnt := range e.live {
-		if cnt > 0 && (first < 0 || r.lo[b] < r.lo[first]) {
-			first = b
+	for s, cnt := range e.slive {
+		if cnt > 0 && (first < 0 || before(r.slo[s], r.sarg[s], r.slo[first], r.sarg[first])) {
+			first = s
 		}
 	}
 	bx, bv := int32(-1), math.Inf(1)
 	if first < 0 {
 		return bx, bv
 	}
-	for i := -1; i < len(e.live); i++ {
-		b := i // every block in turn, after the first
-		if i < 0 {
-			b = first
-		} else if i == first {
-			continue
+	firstThenRest(first, 0, len(e.slive), func(s int) {
+		if e.slive[s] == 0 || (bx >= 0 && !before(r.slo[s], r.sarg[s], bv, bx)) {
+			return
 		}
-		if e.live[b] == 0 || (bx >= 0 && !before(r.lo[b], r.arg[b], bv, bx)) {
-			continue
-		}
-		mx, mv := int32(-1), math.Inf(1)
-		for _, x := range e.block(b) {
-			v := r.val[x]
-			if before(v, x, mv, mx) {
-				mx, mv = x, v
+		lo, hi := e.blocksOf(s)
+		r.unset(s)
+		for b := lo; b < hi; b++ {
+			if e.live[b] == 0 {
+				continue
 			}
-			if before(v, x, bv, bx) && (owners == nil || !ownedBy(owners[x], disk)) {
-				bx, bv = x, v
+			if bx < 0 || before(r.lo[b], r.arg[b], bv, bx) {
+				mx, mv := int32(-1), math.Inf(1)
+				for _, x := range e.block(b) {
+					v := r.val[x]
+					if before(v, x, mv, mx) {
+						mx, mv = x, v
+					}
+					if before(v, x, bv, bx) && (owners == nil || !ownedBy(owners[x], disk)) {
+						bx, bv = x, v
+					}
+				}
+				r.lo[b], r.arg[b] = mv, mx
 			}
+			r.fold(s, b)
 		}
-		r.lo[b], r.arg[b] = mv, mx
-	}
+	})
 	return bx, bv
 }
 
@@ -580,6 +701,9 @@ func (e *PairEngine) stepMST(newMember int32, r treeRow) (int32, float64) {
 			bx, bv = mx, mv
 		}
 	}
+	for s := range e.slive {
+		e.settle(r, s)
+	}
 	return bx, bv
 }
 
@@ -591,24 +715,43 @@ func (e *PairEngine) stepMST(newMember int32, r treeRow) (int32, float64) {
 // (a max is order-independent) so that every row meets nearby buckets early
 // wherever it is looked at.
 func (e *PairEngine) initResidualRows(owners [][]int, rows []treeRow) {
-	var own []treeRow // the rows of y's owner disks
+	var own, enter []treeRow // the rows of y's owner disks; those entering a super-block
 	for _, y := range rand.New(rand.NewSource(1)).Perm(e.n) {
 		own = own[:0]
 		for _, k := range owners[y] {
 			own = append(own, rows[k])
 		}
-		ub := e.boundBlocks(int32(y))
-		for b := range e.live {
-			var out []float64 // weighed once, however many rows take it
+		usb := e.boundSupers(int32(y))
+		for s := range e.slive {
+			enter = enter[:0]
 			for _, r := range own {
-				if ub[b] <= r.lo[b] {
+				if usb[s] > r.slo[s] {
+					enter = append(enter, r)
+				}
+			}
+			if len(enter) == 0 {
+				continue
+			}
+			ub := e.boundBlocks(int32(y), s)
+			lo, hi := e.blocksOf(s)
+			for _, r := range enter {
+				r.unset(s)
+			}
+			for b := lo; b < hi; b++ {
+				if e.live[b] == 0 {
 					continue
 				}
-				xs := e.block(b)
-				if out == nil {
-					out = e.weigh(int32(y), xs)
+				var out []float64 // weighed once, however many rows take it
+				for _, r := range enter {
+					if ub[b] > r.lo[b] {
+						xs := e.block(b)
+						if out == nil {
+							out = e.weigh(int32(y), xs)
+						}
+						r.mergeMax(b, xs, out)
+					}
+					r.fold(s, b)
 				}
-				r.mergeMax(b, xs, out)
 			}
 		}
 	}
@@ -617,29 +760,20 @@ func (e *PairEngine) initResidualRows(owners [][]int, rows []treeRow) {
 // argmaxTo returns the active vertex other than fixed with the largest
 // weight to the fixed bucket (ties to the lowest vertex index), or -1 when
 // there is none — SSP's path-growth step and the nearest-companion search.
-// It starts at the block with the largest bound, then scans only blocks
-// whose bound reaches the running best.
+// It starts at the super-block, and within each super-block at the block,
+// with the largest bound, then scans only those whose bound reaches the
+// running best.
 func (e *PairEngine) argmaxTo(fixed int32) (int32, float64) {
-	ub := e.boundBlocks(fixed)
-	first := -1
-	for b, cnt := range e.live {
-		if cnt > 0 && (first < 0 || ub[b] > ub[first]) {
-			first = b
-		}
-	}
+	usb := e.boundSupers(fixed)
+	first := largest(usb, e.slive, 0, len(usb))
 	bx, bv := int32(-1), math.Inf(-1)
 	if first < 0 {
 		return bx, bv
 	}
-	for i := -1; i < len(e.live); i++ {
-		b := i // every block in turn, after the first
-		if i < 0 {
-			b = first
-		} else if i == first {
-			continue
-		}
+	var ub []float64
+	scanBlock := func(b int) {
 		if e.live[b] == 0 || ub[b] < bv {
-			continue
+			return
 		}
 		xs := e.block(b)
 		for j, v := range e.weigh(fixed, xs) {
@@ -649,7 +783,27 @@ func (e *PairEngine) argmaxTo(fixed int32) (int32, float64) {
 			}
 		}
 	}
+	firstThenRest(first, 0, len(usb), func(s int) {
+		if e.slive[s] == 0 || usb[s] < bv {
+			return
+		}
+		ub = e.boundBlocks(fixed, s)
+		lo, hi := e.blocksOf(s)
+		firstThenRest(largest(ub, e.live, lo, hi), lo, hi, scanBlock)
+	})
 	return bx, bv
+}
+
+// largest returns the index in [lo, hi) with the largest bound among those
+// with a nonzero count (ties to the lowest index), or -1 when there is none.
+func largest(bound []float64, count []int32, lo, hi int) int {
+	first := -1
+	for i := lo; i < hi; i++ {
+		if count[i] > 0 && (first < 0 || bound[i] > bound[first]) {
+			first = i
+		}
+	}
+	return first
 }
 
 // NearestCompanions returns, for every bucket, the index of its closest

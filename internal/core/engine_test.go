@@ -7,6 +7,7 @@ import (
 
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
+	"pgridfile/internal/synth"
 )
 
 // TestPermPrefix pins the seeding satellite's contract: permPrefix must
@@ -80,14 +81,28 @@ func doubled(g Grid) Grid {
 	return g
 }
 
+// hotspotGrid builds the hot.2d grid file of n records (seed 5).
+func hotspotGrid(t *testing.T, n int) Grid {
+	t.Helper()
+	f, err := synth.Hotspot2D(n, 5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FromGridFile(f)
+}
+
 // engineTestGrids are the inputs the engine is held to the oracle on: one to
 // four dimensions (the 2-D ones dispatch to proxBatch2, the others to the
 // d-dimensional proxBatch), a degenerate domain axis, tie-heavy Cartesian
 // grids, duplicate regions, and bucket counts below one block, of exactly
-// eight blocks, and not a multiple of the block size.
+// eight blocks, and not a multiple of the block size. Super-blocks: below
+// one (395 buckets in 13 blocks), one full and one partial (794 buckets, a
+// grid file's irregular regions), and three, the last a single block (1056).
 func engineTestGrids(t *testing.T) map[string]Grid {
 	return map[string]Grid{
 		"hotspot":      testGrid(t),
+		"hotspot-395":  hotspotGrid(t, 15000),
+		"hotspot-794":  hotspotGrid(t, 30000),
 		"line1d":       cartesianGrid(t, []int{50}),
 		"sub-block":    cartesianGrid(t, []int{5, 5}),
 		"cartesian":    cartesianGrid(t, []int{16, 16}),
@@ -100,8 +115,9 @@ func engineTestGrids(t *testing.T) map[string]Grid {
 }
 
 // weighOne evaluates the engine's edge weight for one bucket pair (j may be
-// a block id, n+b, for the block's bounding box), through the same batch
-// kernel the sweeps run.
+// a block id, n+b, for the block's bounding box, or a super-block id,
+// n+blocks+s, for the super-block's), through the same batch kernel the
+// sweeps run.
 func weighOne(e *PairEngine, i, j int) float64 {
 	var out [1]float64
 	e.weighBatch(int32(i), []int32{int32(j)}, out[:])
@@ -318,10 +334,10 @@ func randomBoxes(rng *rand.Rand, domain geom.Rect, n int) []gridfile.BucketView 
 
 // TestBlockBoundDominates checks the property the pruning rests on, against
 // geom.Proximity rather than against the engine's own kernel: the kernel
-// applied to a block's box is at least the proximity of every member, bit
-// for bit, and the kernel on the members themselves still equals
-// geom.Proximity. A region outside the domain, where the argument does not
-// hold, must switch the bounds off.
+// applied to a block's box, and to a super-block's, is at least the
+// proximity of every member, bit for bit, and the kernel on the members
+// themselves still equals geom.Proximity. A region outside the domain, where
+// the argument does not hold, must switch the bounds off at both levels.
 func TestBlockBoundDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	domains := map[string]geom.Rect{
@@ -332,22 +348,32 @@ func TestBlockBoundDominates(t *testing.T) {
 		"flat-2d": {{Lo: 0, Hi: 3}, {Lo: 2, Hi: 2}},
 	}
 	for name, domain := range domains {
-		g := Grid{Sizes: make([]int, len(domain)), Domain: domain, Buckets: randomBoxes(rng, domain, 300)}
+		// 600 buckets: 19 blocks, one full super-block and one of three.
+		g := Grid{Sizes: make([]int, len(domain)), Domain: domain, Buckets: randomBoxes(rng, domain, 600)}
 		e := NewPairEngine(g, nil)
 		if !e.bounded {
 			t.Fatalf("%s: regions inside the domain, but the block bounds are off", name)
 		}
+		nb := len(e.live)
 		for i := range g.Buckets {
-			for b := range e.live {
-				ub := weighOne(e, i, e.n+b)
-				for _, x := range e.block(b) {
-					want := geom.Proximity(g.Buckets[i].Region, g.Buckets[x].Region, domain)
-					if got := weighOne(e, i, int(x)); got != want {
-						t.Fatalf("%s: weight(%d,%d) = %v, geom.Proximity %v", name, i, x, got, want)
-					}
-					if ub < want {
-						t.Fatalf("%s: bound of bucket %d to block %d is %v, below member %d's proximity %v",
-							name, i, b, ub, x, want)
+			for s := range e.slive {
+				usb := weighOne(e, i, e.n+nb+s)
+				lo, hi := e.blocksOf(s)
+				for b := lo; b < hi; b++ {
+					ub := weighOne(e, i, e.n+b)
+					for _, x := range e.block(b) {
+						want := geom.Proximity(g.Buckets[i].Region, g.Buckets[x].Region, domain)
+						if got := weighOne(e, i, int(x)); got != want {
+							t.Fatalf("%s: weight(%d,%d) = %v, geom.Proximity %v", name, i, x, got, want)
+						}
+						if ub < want {
+							t.Fatalf("%s: bound of bucket %d to block %d is %v, below member %d's proximity %v",
+								name, i, b, ub, x, want)
+						}
+						if usb < want {
+							t.Fatalf("%s: bound of bucket %d to super-block %d is %v, below member %d's proximity %v",
+								name, i, s, usb, x, want)
+						}
 					}
 				}
 			}
@@ -360,17 +386,33 @@ func TestBlockBoundDominates(t *testing.T) {
 		"inverted": {Lo: 0.6, Hi: 0.4},
 		"nan":      {Lo: math.NaN(), Hi: 1},
 	} {
-		g := Grid{Sizes: []int{1, 1}, Domain: domain, Buckets: randomBoxes(rng, domain, 40)}
-		g.Buckets[17].Region[1] = stray
-		if NewPairEngine(g, nil).bounded {
+		g := Grid{Sizes: []int{1, 1}, Domain: domain, Buckets: randomBoxes(rng, domain, 600)}
+		g.Buckets[517].Region[1] = stray
+		e := NewPairEngine(g, nil)
+		if e.bounded {
 			t.Errorf("%s region: the block bounds must be off", name)
+		}
+		for s, usb := range e.boundSupers(0) {
+			for b, ub := range e.boundBlocks(0, s) {
+				if !math.IsInf(ub, 1) {
+					t.Errorf("%s region: block %d bound %v, want +Inf", name, b, ub)
+				}
+			}
+			if !math.IsInf(usb, 1) {
+				t.Errorf("%s region: super-block %d bound %v, want +Inf", name, s, usb)
+			}
+		}
+		if e.bounds != 0 {
+			t.Errorf("%s region: %d bounds evaluated, want none", name, e.bounds)
 		}
 	}
 }
 
 // TestPrunedWorkBudget holds the pruning to a budget of kernel evaluations —
 // counts, not clocks — on the 128×128 Cartesian grid: the full sweeps cost
-// N²/2 weights for Minimax and 3N²/2 for one ResidualAssign level.
+// N²/2 weights for Minimax and 3N²/2 for one ResidualAssign level, and one
+// bound per block and step costs N·⌈N/32⌉ bounds for Minimax and twice that
+// for a level. The bounds budgets, N²/128 and N²/64, need the super-blocks.
 func TestPrunedWorkBudget(t *testing.T) {
 	g := cartesianGrid(t, []int{128, 128})
 	n := int64(len(g.Buckets))
@@ -383,6 +425,9 @@ func TestPrunedWorkBudget(t *testing.T) {
 		if w.weights+w.bounds > n*n/8 {
 			t.Errorf("Minimax M=%d: %d kernel evaluations, budget N²/8 = %d", disks, w.weights+w.bounds, n*n/8)
 		}
+		if w.bounds > n*n/128 {
+			t.Errorf("Minimax M=%d: %d bounds, budget N²/128 = %d", disks, w.bounds, n*n/128)
+		}
 		owners := make([][]int, n)
 		for x, k := range alloc.Assign {
 			owners[x] = []int{k}
@@ -394,6 +439,9 @@ func TestPrunedWorkBudget(t *testing.T) {
 		t.Logf("ResidualAssign M=%d: %d weights + %d bounds (full sweeps: %d weights)", disks, w.weights, w.bounds, 3*n*n/2)
 		if w.weights+w.bounds > n*n/4 {
 			t.Errorf("ResidualAssign M=%d: %d kernel evaluations, budget N²/4 = %d", disks, w.weights+w.bounds, n*n/4)
+		}
+		if w.bounds > n*n/64 {
+			t.Errorf("ResidualAssign M=%d: %d bounds, budget N²/64 = %d", disks, w.bounds, n*n/64)
 		}
 	}
 }

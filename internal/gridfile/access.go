@@ -21,6 +21,18 @@ func (f *File) ForEachRecordInBucket(id int32, fn func(key []float64, data []byt
 	return true
 }
 
+// ForEachBucket calls fn with the stable id and record count of every live
+// bucket, in ascending id order — Buckets() without the views: no corner
+// vectors copied, no regions computed. The checkpoint reader uses it to size
+// its placements.
+func (f *File) ForEachBucket(fn func(id int32, records int)) {
+	for id, b := range f.bkts {
+		if b != nil {
+			fn(int32(id), b.count(f.cfg.Dims))
+		}
+	}
+}
+
 // AppendBucketKeys appends the keys of the live bucket with the given stable
 // id to dst as one flat array — record i at [i*Dims, (i+1)*Dims) of what it
 // appends — growing dst at most once, and returns the extended slice. It

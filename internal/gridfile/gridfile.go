@@ -242,8 +242,13 @@ func (f *File) cellInterval(d int, c int32) geom.Interval {
 
 // bucketRegion returns the domain-space box covered by bucket b.
 func (f *File) bucketRegion(b *bucket) geom.Rect {
-	r := make(geom.Rect, f.cfg.Dims)
-	for d := 0; d < f.cfg.Dims; d++ {
+	return f.fillRegion(make(geom.Rect, f.cfg.Dims), b)
+}
+
+// fillRegion sets r, of Dims intervals, to b's box in domain coordinates and
+// returns it.
+func (f *File) fillRegion(r geom.Rect, b *bucket) geom.Rect {
+	for d := range r {
 		lo := f.cellInterval(d, b.lo[d])
 		hi := f.cellInterval(d, b.hi[d])
 		r[d] = geom.Interval{Lo: lo.Lo, Hi: hi.Hi}

@@ -1,6 +1,10 @@
 package gridfile
 
-import "fmt"
+import (
+	"fmt"
+
+	"pgridfile/internal/geom"
+)
 
 // checkInvariants validates the full structure. See CheckInvariants.
 func (f *File) checkInvariants() error {
@@ -66,6 +70,7 @@ func (f *File) checkInvariants() error {
 	// Every bucket region cell must map back to the bucket (box exclusivity)
 	// and every record's key must lie in the bucket's domain region.
 	live, nrec := 0, 0
+	region := make(geom.Rect, dims) // each bucket's, in turn
 	for id, b := range f.bkts {
 		if b == nil {
 			continue
@@ -80,7 +85,7 @@ func (f *File) checkInvariants() error {
 		if !ok {
 			return fmt.Errorf("bucket %d: region cell not owned by bucket", id)
 		}
-		region := f.bucketRegion(b)
+		f.fillRegion(region, b)
 		n := b.count(dims)
 		nrec += n
 		for i := 0; i < n; i++ {

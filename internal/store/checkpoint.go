@@ -127,36 +127,38 @@ func (s *Store) readCheckpoint(data []byte) (named [][]bool, lsn uint64, err err
 		named[d] = make([]bool, n)
 	}
 
-	views := g.Buckets()
 	nr := s.manifest.Replicas
-	pls := make([]Placement, len(views)) // one allocation backs every placement
-	owners, firsts := make([]int, len(views)*nr), make([]int64, len(views)*nr)
+	pls := make([]Placement, 0, g.NumBuckets()) // one allocation backs every placement
+	g.ForEachBucket(func(id int32, records int) {
+		pls = append(pls, Placement{ID: id, Recs: records})
+	})
+	owners, firsts := make([]int, len(pls)*nr), make([]int64, len(pls)*nr)
 	perPage := recordsPerPage(s.manifest.PageBytes, dims)
-	for i, v := range views {
+	for i := range pls {
 		pl := &pls[i]
-		pl.ID, pl.Recs, pl.Pages = v.ID, v.Records, pagesFor(v.Records, perPage)
+		pl.Pages = pagesFor(pl.Recs, perPage)
 		pl.OwnerDisks, pl.OwnerPages = owners[i*nr:(i+1)*nr:(i+1)*nr], firsts[i*nr:(i+1)*nr:(i+1)*nr]
 		for c := range nr {
 			d, pg := r.U32(), r.U64()
 			if err := r.Err(); err != nil {
-				return nil, 0, fmt.Errorf("store: checkpoint placement of bucket %d: %w", v.ID, err)
+				return nil, 0, fmt.Errorf("store: checkpoint placement of bucket %d: %w", pl.ID, err)
 			}
 			if uint64(d) >= disks {
-				return nil, 0, fmt.Errorf("store: bucket %d on disk %d of %d", v.ID, d, s.manifest.Disks)
+				return nil, 0, fmt.Errorf("store: bucket %d on disk %d of %d", pl.ID, d, s.manifest.Disks)
 			}
 			if slices.Contains(pl.OwnerDisks[:c], int(d)) {
-				return nil, 0, fmt.Errorf("store: bucket %d owns disk %d twice", v.ID, d)
+				return nil, 0, fmt.Errorf("store: bucket %d owns disk %d twice", pl.ID, d)
 			}
 			// The copy's pages must lie wholly inside the file; pl.Pages is
 			// bounded by the grid's record count, so nothing overflows.
 			if n := int64(pl.Pages); sizes[d] < n || pg > uint64(sizes[d]-n) {
 				return nil, 0, fmt.Errorf("store: bucket %d pages %d+%d lie outside disk %d (%d pages)",
-					v.ID, pg, pl.Pages, d, sizes[d])
+					pl.ID, pg, pl.Pages, d, sizes[d])
 			}
 			for p := range int64(pl.Pages) {
 				if named[d][int64(pg)+p] {
 					return nil, 0, fmt.Errorf("store: bucket %d names page %d of disk %d, which another copy holds",
-						v.ID, int64(pg)+p, d)
+						pl.ID, int64(pg)+p, d)
 				}
 				named[d][int64(pg)+p] = true
 			}
