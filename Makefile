@@ -28,11 +28,11 @@ race20:
 # under -race, where sync.Pool drops what it holds and allocation is
 # instrumented. The server's per-query budgets, the grid file build's bytes
 # per record, which must not climb with the record count, and the objects
-# Open allocates per live bucket.
+# Open and Write allocate per live bucket.
 alloc:
 	$(GO) test -run '^(TestAllocBudget|TestOversizedRangeAllocation|TestScanReservesOnce)$$' -count=1 ./internal/server
 	$(GO) test -run '^TestBuildAllocatesLinearly$$' -count=1 ./internal/gridfile
-	$(GO) test -run '^TestOpenAllocationBudget$$' -count=1 ./internal/store
+	$(GO) test -run '^(TestOpenAllocationBudget|TestWriteAllocationBudget)$$' -count=1 ./internal/store
 
 fmt:
 	gofmt -w .

@@ -39,7 +39,7 @@ type (
 	GridFile = gridfile.File
 	// GridConfig configures a new grid file.
 	GridConfig = gridfile.Config
-	// Record is a key plus optional payload.
+	// Record is a record of the grid file: its key and nothing else.
 	Record = gridfile.Record
 	// Neighbor is one k-NN result.
 	Neighbor = gridfile.Neighbor

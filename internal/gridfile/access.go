@@ -1,10 +1,11 @@
 package gridfile
 
-// ForEachRecordInBucket calls fn with every record in the live bucket with
-// the given stable id. The key slice is a view into bucket storage and must
-// not be retained or modified; copy it if needed beyond the callback. It
-// reports whether the bucket exists. The parallel engine uses this to hand
-// each worker the contents of its assigned buckets.
+// ForEachRecordInBucket calls fn with the key of every record in the live
+// bucket with the given stable id. data is always nil, since a record is its
+// key; the parameter stays for bench/layers.go, the one caller. The key slice
+// is a view into bucket storage and must not be retained or modified. It
+// reports whether the bucket exists. Other code reads a bucket's keys with
+// AppendBucketKeys.
 func (f *File) ForEachRecordInBucket(id int32, fn func(key []float64, data []byte)) bool {
 	if id < 0 || int(id) >= len(f.bkts) || f.bkts[id] == nil {
 		return false
@@ -12,11 +13,7 @@ func (f *File) ForEachRecordInBucket(id int32, fn func(key []float64, data []byt
 	b := f.bkts[id]
 	dims := f.cfg.Dims
 	for i, n := 0, b.count(dims); i < n; i++ {
-		var data []byte
-		if b.data != nil {
-			data = b.data[i]
-		}
-		fn(b.keys[i*dims:(i+1)*dims], data)
+		fn(b.keys[i*dims:(i+1)*dims], nil)
 	}
 	return true
 }

@@ -12,7 +12,7 @@ import (
 
 // TestGenFuzzCorpus regenerates the committed FuzzRead seed corpus under
 // testdata/fuzz/FuzzRead. The entries are real WriteTo encodings (plus
-// targeted corruptions of one), so plain `go test` replays decoder
+// targeted corruptions of them), so plain `go test` replays decoder
 // regressions without a fuzzing session; set GEN_FUZZ_CORPUS=1 to rebuild
 // after a format change.
 func TestGenFuzzCorpus(t *testing.T) {
@@ -31,6 +31,9 @@ func TestGenFuzzCorpus(t *testing.T) {
 	flipped := append([]byte(nil), base...)
 	flipped[len(flipped)/2] ^= 0x10
 	entries["bit-flip"] = flipped
+	// One bucket of three records, so the last slot is live; Decode refuses
+	// it by its reserved byte.
+	entries["payload-flag"] = withPayloads(encodeFile(t, 2, 4, 3), 3, 1)
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzRead")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -59,11 +59,12 @@ func checkCountSplit(t *testing.T, f *File, q geom.Rect) int {
 
 	rows := 0
 	for _, id := range border {
-		f.ForEachRecordInBucket(id, func(key []float64, _ []byte) {
-			if rectContains(q, key) {
+		keys := f.AppendBucketKeys(nil, id)
+		for i := 0; i < len(keys); i += f.Dims() {
+			if rectContains(q, keys[i:i+f.Dims()]) {
 				rows++
 			}
-		})
+		}
 	}
 	if want := f.RangeCount(q); insideRecords+rows != want {
 		t.Fatalf("q=%v: %d inside records + %d border rows, RangeCount %d", q, insideRecords, rows, want)

@@ -92,10 +92,7 @@ func (f *File) mergeInto(idA, idB int32, d int) (int32, int32) {
 		keep, drop = drop, keep
 	}
 	kb, db := f.bkts[keep], f.bkts[drop]
-	dims := f.cfg.Dims
-	for i, n := 0, db.count(dims); i < n; i++ {
-		kb.appendRecord(db.record(i, dims), dims)
-	}
+	kb.keys = append(kb.keys, db.keys...)
 	// Extend keep's region to the union along d.
 	if db.lo[d] < kb.lo[d] {
 		kb.lo[d] = db.lo[d]
@@ -103,7 +100,7 @@ func (f *File) mergeInto(idA, idB int32, d int) (int32, int32) {
 	if db.hi[d] > kb.hi[d] {
 		kb.hi[d] = db.hi[d]
 	}
-	f.forEachCellIn(db.lo, db.hi, make([]int32, dims), func(idx int) {
+	f.forEachCellIn(db.lo, db.hi, make([]int32, f.cfg.Dims), func(idx int) {
 		f.dir[idx] = keep
 	})
 	f.bkts[drop] = nil
@@ -119,7 +116,6 @@ func (f *File) Clear() {
 			continue
 		}
 		b.keys = b.keys[:0]
-		b.data = nil
 	}
 	f.nrec = 0
 }

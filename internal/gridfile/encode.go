@@ -1,8 +1,8 @@
 package gridfile
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,12 +19,14 @@ import (
 //	per dim: nsplits u32, splits f64...
 //	nbucketSlots u32, then per slot: present u8; if present:
 //	    lo i32×dims, hi i32×dims, nrec u32, keys f64×nrec×dims,
-//	    hasData u8, if hasData: per record u32 len + bytes
+//	    reserved u8 (always 0)
 //	directory: ncells u32, ids i32...
 //
 // The directory is stored explicitly (rather than recomputed) so a loaded
 // file is bit-identical to the saved one, including bucket ids, which the
-// declustering experiments rely on.
+// declustering experiments rely on. A record is its key; the reserved byte
+// behind each bucket's keys is always 0. Decode refuses a bucket that sets it
+// rather than decode its keys and drop what follows them.
 
 const (
 	fileMagic   = "GRDF"
@@ -60,15 +62,7 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 		e.i32s(b.hi)
 		e.u32(uint32(b.count(f.cfg.Dims)))
 		e.f64s(b.keys)
-		if b.data == nil {
-			e.u8(0)
-			continue
-		}
-		e.u8(1)
-		for _, d := range b.data {
-			e.u32(uint32(len(d)))
-			e.raw(d)
-		}
+		e.u8(0) // reserved
 	}
 	e.u32(uint32(len(f.dir)))
 	e.i32s(f.dir)
@@ -205,20 +199,12 @@ func Decode(data []byte) (f *File, rest []byte, err error) {
 			return nil, nil, fmt.Errorf("gridfile: implausible record count %d", nrec)
 		}
 		b.keys = f64s(r.Take(8 * int(nrec) * int(dims)))
-		// hasData reads 0 once a read has failed, so only a record count
-		// whose keys are all there sizes the payloads.
-		if hasData := r.U8(); hasData != 0 {
-			b.data = make([][]byte, nrec)
-			for j := range b.data {
-				n := r.U32()
-				if n > maxReasonable {
-					return nil, nil, fmt.Errorf("gridfile: implausible payload size %d", n)
-				}
-				b.data[j] = bytes.Clone(r.Take(int(n)))
-			}
-		}
+		reserved := r.U8()
 		if r.Err() != nil {
 			return short()
+		}
+		if reserved != 0 {
+			return nil, nil, errors.New("gridfile: record payloads are not supported")
 		}
 		for _, k := range b.keys {
 			if math.IsNaN(k) {

@@ -60,25 +60,43 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeWithPayloads(t *testing.T) {
-	f := newTestFile(t, 2, 4)
-	if err := f.Insert(Record{Key: geom.Point{5, 5}, Data: []byte("hello")}); err != nil {
-		t.Fatal(err)
+// withPayloads returns enc, a WriteTo encoding whose last bucket slot is live
+// and holds records records, with that bucket's reserved byte set and a
+// one-byte payload per record behind it: a bucket with payloads, as WriteTo
+// wrote one while records carried them. cells is the directory's size, the
+// section behind the last slot.
+func withPayloads(enc []byte, records, cells int) []byte {
+	at := len(enc) - 4*(1+cells) - 1
+	out := append(bytes.Clone(enc[:at]), 1)
+	for range records {
+		out = append(out, 1, 0, 0, 0, 'x')
 	}
-	if err := f.Insert(Record{Key: geom.Point{6, 6}}); err != nil {
-		t.Fatal(err)
+	return append(out, enc[at+1:]...)
+}
+
+// TestDecodeRefusesPayloads: a record is its key, so a bucket whose reserved
+// byte is set is refused by name, not decoded with its payloads dropped; the
+// same bytes with the byte clear still decode.
+func TestDecodeRefusesPayloads(t *testing.T) {
+	f := newTestFile(t, 2, 4)
+	insertUniform(t, f, 200, 7)
+	last := f.bkts[len(f.bkts)-1]
+	if last == nil {
+		t.Fatal("the last bucket slot is dead; the test edits the last live one")
 	}
 	var buf bytes.Buffer
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Read(&buf)
-	if err != nil {
+	if at := buf.Len() - 4*(1+f.NumCells()) - 1; buf.Bytes()[at] != 0 {
+		t.Fatalf("the reserved byte at %d is %d, want 0", at, buf.Bytes()[at])
+	}
+	if _, _, err := Decode(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	got := g.Lookup(geom.Point{5, 5})
-	if len(got) != 1 || string(got[0].Data) != "hello" {
-		t.Fatalf("payload not preserved: %v", got)
+	_, _, err := Decode(withPayloads(buf.Bytes(), last.count(2), f.NumCells()))
+	if err == nil || err.Error() != "gridfile: record payloads are not supported" {
+		t.Fatalf("a bucket with payloads decoded with error %v, want the payload refusal", err)
 	}
 }
 

@@ -125,15 +125,7 @@ func referenceWriteTo(f *File, w io.Writer) error {
 			vals = append(vals, uint8(0))
 			continue
 		}
-		vals = append(vals, uint8(1), b.lo, b.hi, uint32(b.count(f.cfg.Dims)), b.keys)
-		if b.data == nil {
-			vals = append(vals, uint8(0))
-			continue
-		}
-		vals = append(vals, uint8(1))
-		for _, d := range b.data {
-			vals = append(vals, uint32(len(d)), d)
-		}
+		vals = append(vals, uint8(1), b.lo, b.hi, uint32(b.count(f.cfg.Dims)), b.keys, uint8(0))
 	}
 	vals = append(vals, uint32(len(f.dir)), f.dir)
 	for _, v := range vals {

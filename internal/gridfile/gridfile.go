@@ -28,10 +28,10 @@ import (
 	"pgridfile/internal/geom"
 )
 
-// Record is a multidimensional point plus an optional payload.
+// Record is one entry of the file: a multidimensional point and nothing
+// else. The file, its pages, its checkpoint and the wire hold keys only.
 type Record struct {
-	Key  geom.Point
-	Data []byte
+	Key geom.Point
 }
 
 // Config describes a new grid file.
@@ -66,11 +66,10 @@ func (c Config) validate() error {
 
 // bucket is one data page. Records are stored as a flat coordinate array to
 // keep per-record overhead low (the full-scale 4-D dataset holds millions of
-// records). data is nil until a record with a payload is inserted.
+// records).
 type bucket struct {
 	lo, hi []int32   // inclusive cell-index bounds per dimension
 	keys   []float64 // flat: record i occupies keys[i*dims : (i+1)*dims]
-	data   [][]byte  // nil, or parallel to records
 }
 
 func (b *bucket) count(dims int) int { return len(b.keys) / dims }
@@ -83,34 +82,11 @@ func (b *bucket) cellSpan() int {
 	return span
 }
 
-func (b *bucket) appendRecord(rec Record, dims int) {
-	b.keys = append(b.keys, rec.Key...)
-	if rec.Data != nil && b.data == nil {
-		// Lazily materialize the payload column.
-		b.data = make([][]byte, b.count(dims)-1)
-	}
-	if b.data != nil {
-		b.data = append(b.data, rec.Data)
-	}
-}
-
-func (b *bucket) record(i, dims int) Record {
-	rec := Record{Key: geom.Point(b.keys[i*dims : (i+1)*dims : (i+1)*dims])}
-	if b.data != nil {
-		rec.Data = b.data[i]
-	}
-	return rec
-}
-
 // removeRecord deletes record i by swapping in the last record.
 func (b *bucket) removeRecord(i, dims int) {
 	n := b.count(dims)
 	copy(b.keys[i*dims:(i+1)*dims], b.keys[(n-1)*dims:n*dims])
 	b.keys = b.keys[:(n-1)*dims]
-	if b.data != nil {
-		b.data[i] = b.data[n-1]
-		b.data = b.data[:n-1]
-	}
 }
 
 // File is an in-memory grid file. The read-only query paths — Lookup,

@@ -331,30 +331,6 @@ func TestDuplicateKeysOverflowGracefully(t *testing.T) {
 	}
 }
 
-func TestPayloadsPreserved(t *testing.T) {
-	f := newTestFile(t, 2, 4)
-	rng := rand.New(rand.NewSource(61))
-	type kv struct {
-		p geom.Point
-		d string
-	}
-	var items []kv
-	for i := 0; i < 200; i++ {
-		p := geom.Point{rng.Float64() * 2000, rng.Float64() * 2000}
-		d := string(rune('a' + i%26))
-		items = append(items, kv{p, d})
-		if err := f.Insert(Record{Key: p, Data: []byte(d)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, it := range items {
-		got := f.Lookup(it.p)
-		if len(got) != 1 || string(got[0].Data) != it.d {
-			t.Fatalf("Lookup(%v) = %v, want payload %q", it.p, got, it.d)
-		}
-	}
-}
-
 func TestBucketViews(t *testing.T) {
 	f := newTestFile(t, 2, 8)
 	insertUniform(t, f, 1000, 71)

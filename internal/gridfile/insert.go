@@ -184,7 +184,7 @@ func (f *File) divideRegion(id int32, d int) int32 {
 	n := b.count(dims)
 	for i := 0; i < n; {
 		if b.keys[i*dims+d] >= bound {
-			nb.appendRecord(b.record(i, dims), dims)
+			nb.keys = append(nb.keys, b.keys[i*dims:(i+1)*dims]...)
 			b.removeRecord(i, dims)
 			n--
 		} else {

@@ -106,9 +106,6 @@ func (f *File) checkInvariants() error {
 				return fmt.Errorf("bucket %d: record %d key %v outside region %v", id, i, key, region)
 			}
 		}
-		if b.data != nil && len(b.data) != n {
-			return fmt.Errorf("bucket %d: payload column length %d, want %d", id, len(b.data), n)
-		}
 	}
 	if live != f.live {
 		return fmt.Errorf("live count %d, want %d", f.live, live)

@@ -168,7 +168,7 @@ func cloneStructure(f *File) *File {
 	g.bkts = make([]*bucket, len(f.bkts))
 	for id, b := range f.bkts {
 		if b != nil {
-			g.bkts[id] = &bucket{lo: slices.Clone(b.lo), hi: slices.Clone(b.hi), keys: b.keys, data: b.data}
+			g.bkts[id] = &bucket{lo: slices.Clone(b.lo), hi: slices.Clone(b.hi), keys: b.keys}
 		}
 	}
 	return g

@@ -7,21 +7,17 @@ import (
 	"pgridfile/internal/geom"
 )
 
-// Scan calls fn with every record in the file, bucket by bucket. The key
-// slice is a view into bucket storage and must not be retained or modified.
-// Returning false from fn stops the scan early.
-func (f *File) Scan(fn func(key []float64, data []byte) bool) {
+// Scan calls fn with the key of every record in the file, bucket by bucket.
+// The key slice is a view into bucket storage and must not be retained or
+// modified. Returning false from fn stops the scan early.
+func (f *File) Scan(fn func(key []float64) bool) {
 	dims := f.cfg.Dims
 	for _, b := range f.bkts {
 		if b == nil {
 			continue
 		}
 		for i, n := 0, b.count(dims); i < n; i++ {
-			var data []byte
-			if b.data != nil {
-				data = b.data[i]
-			}
-			if !fn(b.keys[i*dims:(i+1)*dims], data) {
+			if !fn(b.keys[i*dims : (i+1)*dims]) {
 				return
 			}
 		}
@@ -75,7 +71,7 @@ func (f *File) NearestNeighbors(p geom.Point, k int) []Neighbor {
 					d += diff * diff
 				}
 				cands = append(cands, Neighbor{
-					Record:   copyRecord(b.record(i, dims)),
+					Record:   copyRecord(key),
 					Distance: math.Sqrt(d),
 				})
 			}

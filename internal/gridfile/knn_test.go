@@ -13,7 +13,7 @@ func TestScanVisitsEverything(t *testing.T) {
 	f := newTestFile(t, 2, 4)
 	insertUniform(t, f, 400, 201)
 	count := 0
-	f.Scan(func(key []float64, data []byte) bool {
+	f.Scan(func([]float64) bool {
 		count++
 		return true
 	})
@@ -22,7 +22,7 @@ func TestScanVisitsEverything(t *testing.T) {
 	}
 	// Early stop.
 	count = 0
-	f.Scan(func(key []float64, data []byte) bool {
+	f.Scan(func([]float64) bool {
 		count++
 		return count < 10
 	})

@@ -37,8 +37,8 @@ func (f *File) Lookup(p geom.Point) []Record {
 	dims := f.cfg.Dims
 	var out []Record
 	for i, n := 0, b.count(dims); i < n; i++ {
-		if pointEqual(b.keys[i*dims:(i+1)*dims], p) {
-			out = append(out, copyRecord(b.record(i, dims)))
+		if key := b.keys[i*dims : (i+1)*dims]; pointEqual(key, p) {
+			out = append(out, copyRecord(key))
 		}
 	}
 	return out
@@ -63,8 +63,10 @@ func pointEqual(a []float64, b geom.Point) bool {
 	return true
 }
 
-func copyRecord(r Record) Record {
-	return Record{Key: r.Key.Clone(), Data: r.Data}
+// copyRecord is the record of key, a view into bucket storage, with a key of
+// its own that the caller may keep.
+func copyRecord(key []float64) Record {
+	return Record{Key: geom.Point(key).Clone()}
 }
 
 // cellRange computes the inclusive cell-index range [lo,hi] intersected by
@@ -199,7 +201,7 @@ func (f *File) CountSplitAppend(q geom.Rect, ids []int32) (out []int32, insideBu
 // query box.
 func (f *File) RangeSearch(q geom.Rect) []Record {
 	var out []Record
-	f.rangeSearch(q, func(r Record) { out = append(out, copyRecord(r)) })
+	f.rangeSearch(q, func(key []float64) { out = append(out, copyRecord(key)) })
 	return out
 }
 
@@ -207,11 +209,11 @@ func (f *File) RangeSearch(q geom.Rect) []Record {
 // without materializing them.
 func (f *File) RangeCount(q geom.Rect) int {
 	n := 0
-	f.rangeSearch(q, func(Record) { n++ })
+	f.rangeSearch(q, func([]float64) { n++ })
 	return n
 }
 
-func (f *File) rangeSearch(q geom.Rect, emit func(Record)) {
+func (f *File) rangeSearch(q geom.Rect, emit func(key []float64)) {
 	if len(q) != f.cfg.Dims {
 		return
 	}
@@ -221,7 +223,7 @@ func (f *File) rangeSearch(q geom.Rect, emit func(Record)) {
 		for i, n := 0, b.count(dims); i < n; i++ {
 			key := b.keys[i*dims : (i+1)*dims]
 			if rectContains(q, key) {
-				emit(b.record(i, dims))
+				emit(key)
 			}
 		}
 	}
@@ -252,13 +254,13 @@ func (f *File) PartialMatch(vals []float64) []Record {
 		}
 	}
 	var out []Record
-	f.rangeSearch(q, func(r Record) {
+	f.rangeSearch(q, func(key []float64) {
 		for d, v := range vals {
-			if !math.IsNaN(v) && r.Key[d] != v {
+			if !math.IsNaN(v) && key[d] != v {
 				return
 			}
 		}
-		out = append(out, copyRecord(r))
+		out = append(out, copyRecord(key))
 	})
 	return out
 }

@@ -63,7 +63,7 @@ func (f *File) InsertTracked(rec Record) (InsertResult, error) {
 		return InsertResult{}, err
 	}
 	before := len(f.bkts)
-	f.bkts[id].appendRecord(rec, f.cfg.Dims)
+	f.bkts[id].keys = append(f.bkts[id].keys, rec.Key...)
 	f.nrec++
 	f.splitWhileOverfull(id)
 	res := InsertResult{Target: id, Splits: len(f.bkts) - before}

@@ -85,7 +85,7 @@ func SVG(f *gridfile.File, opts SVGOptions) (string, error) {
 	}
 
 	if opts.Points {
-		f.Scan(func(key []float64, _ []byte) bool {
+		f.Scan(func(key []float64) bool {
 			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="1.1" fill="#1a1a1a" fill-opacity="0.6"/>`+"\n",
 				x(key[0]), y(key[1]))
 			return true

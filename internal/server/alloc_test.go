@@ -135,7 +135,7 @@ func TestAllocBudget(t *testing.T) {
 			return reqs
 		}, VerbPoints},
 		{"exec knn", 0.5, func(f *gridfile.File) (reqs []Request) {
-			f.Scan(func(key []float64, _ []byte) bool {
+			f.Scan(func(key []float64) bool {
 				reqs = append(reqs, Request{Verb: VerbKNN, Key: geom.Point{key[0], key[1]}, K: 10})
 				return len(reqs) < 512
 			})

@@ -111,7 +111,7 @@ func chaosRanges(t *testing.T, s *Server, f *gridfile.File, disks int) int64 {
 	// Membership oracle for the strict-subset check on point-returning
 	// queries: a degraded answer may miss records but must never invent one.
 	inFile := map[[2]float64]int{}
-	f.Scan(func(key []float64, _ []byte) bool {
+	f.Scan(func(key []float64) bool {
 		inFile[[2]float64{key[0], key[1]}]++
 		return true
 	})

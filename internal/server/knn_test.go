@@ -234,7 +234,7 @@ func TestKNNAcrossSplits(t *testing.T) {
 	reading.Wait()
 
 	stored := map[[2]float64]bool{}
-	s.st.Grid().Scan(func(key []float64, _ []byte) bool {
+	s.st.Grid().Scan(func(key []float64) bool {
 		stored[[2]float64{key[0], key[1]}] = true
 		return true
 	})

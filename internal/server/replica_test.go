@@ -290,7 +290,7 @@ func TestReadRouteIsAFunctionOfTheQuery(t *testing.T) {
 		ranges = append(ranges, fr)
 	}
 	reqs = append(reqs, ranges...)
-	f.Scan(func(key []float64, _ []byte) bool {
+	f.Scan(func(key []float64) bool {
 		fr, err := encodeRequest(Request{Verb: VerbKNN, Key: geom.Point{key[0], key[1]}, K: 1 + len(reqs)%40})
 		if err != nil {
 			t.Fatal(err)

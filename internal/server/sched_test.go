@@ -107,8 +107,7 @@ func TestDiskQueueServesEachRequestAlone(t *testing.T) {
 			t.Errorf("request %d: charged %d pages, its buckets hold %d", i, r.pages, wantPages[i])
 		}
 		for k, id := range r.ids {
-			var want []float64
-			f.ForEachRecordInBucket(id, func(key []float64, _ []byte) { want = append(want, key...) })
+			want := f.AppendBucketKeys(nil, id)
 			// The layout writer stores a bucket's keys in this order.
 			if got := r.recs[k]; !slices.Equal(got.Coords, want) {
 				t.Errorf("request %d: bucket %d came back with %d records, the grid holds %d (or different ones)",

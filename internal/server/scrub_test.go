@@ -122,7 +122,7 @@ func flipRecordBit(t *testing.T, dir string, disk int, page int64, pageBytes, k 
 // recordSet is the grid's records, each counted as often as it occurs.
 func recordSet(f *gridfile.File) map[string]int {
 	set := make(map[string]int, f.Len())
-	f.Scan(func(key []float64, _ []byte) bool {
+	f.Scan(func(key []float64) bool {
 		set[fmt.Sprint(key)]++
 		return true
 	})

@@ -123,7 +123,7 @@ func TestServerEndToEnd(t *testing.T) {
 	ranges := workload.SquareRange(dom, 0.05, total, 7)
 	partials := workload.PartialMatch(dom, 1, total, 9)
 	var keys []geom.Point
-	f.Scan(func(key []float64, _ []byte) bool {
+	f.Scan(func(key []float64) bool {
 		keys = append(keys, geom.Point{key[0], key[1]})
 		return len(keys) < total
 	})
@@ -469,7 +469,7 @@ func TestServerDeadlines(t *testing.T) {
 	// A single-bucket point query on the other disk fits in the deadline;
 	// stats still serve.
 	var key geom.Point
-	f.Scan(func(k []float64, _ []byte) bool {
+	f.Scan(func(k []float64) bool {
 		key = geom.Point{k[0], k[1]}
 		id, _ := s.st.Grid().BucketAt(key)
 		pl, _ := s.st.Placement(id)
@@ -501,7 +501,7 @@ func TestServerDeadlines(t *testing.T) {
 	js, jf := newTestServer(t, 600, 2, Config{QueryTimeout: 300 * time.Millisecond, Faults: reg})
 	stalledCl := newTestClient(t, js, ClientConfig{Retries: -1})
 	secondCl := newTestClient(t, js, ClientConfig{Retries: -1})
-	jf.Scan(func(k []float64, _ []byte) bool { key = geom.Point{k[0], k[1]}; return false })
+	jf.Scan(func(k []float64) bool { key = geom.Point{k[0], k[1]}; return false })
 	if err := reg.SetSpec("store.read:delay=10s"); err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestServerAdmissionControl(t *testing.T) {
 		Faults:       armed(t, "store.read:delay=5ms"),
 	})
 	var key geom.Point
-	f.Scan(func(k []float64, _ []byte) bool { key = geom.Point{k[0], k[1]}; return false })
+	f.Scan(func(k []float64) bool { key = geom.Point{k[0], k[1]}; return false })
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

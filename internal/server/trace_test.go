@@ -75,7 +75,7 @@ func TestTracingEndToEnd(t *testing.T) {
 		}
 	}
 	var key [2]float64
-	f.Scan(func(k []float64, _ []byte) bool { key = [2]float64{k[0], k[1]}; return false })
+	f.Scan(func(k []float64) bool { key = [2]float64{k[0], k[1]}; return false })
 	if _, _, err := cl.PointCtx(context.Background(), key[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTraceSampling(t *testing.T) {
 	s, f := newTestServer(t, 300, 2, Config{TraceSample: 4})
 	cl := newTestClient(t, s, ClientConfig{})
 	var key [2]float64
-	f.Scan(func(k []float64, _ []byte) bool { key = [2]float64{k[0], k[1]}; return false })
+	f.Scan(func(k []float64) bool { key = [2]float64{k[0], k[1]}; return false })
 	const queries = 40
 	for i := 0; i < queries; i++ {
 		if _, _, err := cl.PointCtx(context.Background(), key[:]); err != nil {

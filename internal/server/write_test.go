@@ -526,7 +526,10 @@ func TestFetchOfMergedAwayBucketTranslatesAgain(t *testing.T) {
 	}
 	grid := buf.Bytes()
 	keysOf := func(f *gridfile.File, id int32) (keys []geom.Point) {
-		f.ForEachRecordInBucket(id, func(key []float64, _ []byte) { keys = append(keys, slices.Clone(key)) })
+		flat := f.AppendBucketKeys(nil, id)
+		for i := 0; i < len(flat); i += 2 {
+			keys = append(keys, geom.Point(flat[i:i+2:i+2]))
+		}
 		return keys
 	}
 	var victim int32

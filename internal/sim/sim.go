@@ -158,7 +158,7 @@ type QuerySpans struct {
 // the way the page store's read planner does: on each disk, in page order, a
 // span continues while the next wanted bucket starts at most readThrough
 // pages past the end of the previous one. readThrough 0 merges only exactly
-// adjacent buckets. (The store also caps a span at 1 MiB, which no query
+// adjacent buckets. (The store also caps a span at 256 pages, which no query
 // near the paper's sizes reaches; the model leaves it out.)
 func ResponseSpans(buckets []int, alloc core.Allocation, lay DiskLayout, readThrough int) QuerySpans {
 	sorted := append([]int(nil), buckets...)

@@ -20,6 +20,13 @@ import (
 // measured 14.0.
 const openAllocBudget = 5
 
+// writeAllocBudget is the committed number of objects Write may allocate per
+// live bucket of the write-mix grid at r=1. It measures 10.01 (12.1 MB for
+// 10 209 buckets): one set of bucket views, for LayoutOrder's region
+// centres. Building a second set only to read each bucket's id measured
+// 13.01 (13.5 MB).
+const writeAllocBudget = 11
+
 // TestOpenAllocationBudget holds Open of a write-mix sized layout (about
 // 10 000 live buckets, 8 disks, r=2) to openAllocBudget objects per live
 // bucket: the fewest of three opens, so that a collection's background work
@@ -44,5 +51,30 @@ func TestOpenAllocationBudget(t *testing.T) {
 	t.Logf("Open allocated %d objects for %d live buckets: %.2f per bucket", best, buckets, perBucket)
 	if perBucket > openAllocBudget {
 		t.Errorf("Open allocates %.2f objects per live bucket, budget %d", perBucket, openAllocBudget)
+	}
+}
+
+// TestWriteAllocationBudget holds Write of the write-mix grid (about 10 000
+// live buckets, minimax over 8 disks, r=1) to writeAllocBudget objects per
+// live bucket: the fewest of three writes, each into a fresh directory.
+func TestWriteAllocationBudget(t *testing.T) {
+	f, alloc := writeMixGrid(t)
+	best := uint64(1 << 63)
+	for range 3 {
+		dir := t.TempDir()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Write(dir, f, alloc, 4096)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	perBucket := float64(best) / float64(f.NumBuckets())
+	t.Logf("Write allocated %d objects for %d live buckets: %.2f per bucket", best, f.NumBuckets(), perBucket)
+	if perBucket > writeAllocBudget {
+		t.Errorf("Write allocates %.2f objects per live bucket, budget %d", perBucket, writeAllocBudget)
 	}
 }

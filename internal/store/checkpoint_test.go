@@ -13,6 +13,7 @@ import (
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/synth"
 )
@@ -107,9 +108,10 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 	for i, v := range f.Buckets() { // empty three buckets in four of the original
 		if i%4 != 0 {
-			f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
-				ops = append(ops, crashOp{del: true, key: slices.Clone(key)})
-			})
+			keys := f.AppendBucketKeys(nil, v.ID)
+			for j := 0; j < len(keys); j += 2 {
+				ops = append(ops, crashOp{del: true, key: keys[j : j+2 : j+2]})
+			}
 		}
 	}
 	for i := 0; i < 500; i += 2 { // and drop half of the inserted
@@ -208,17 +210,12 @@ func TestReplayMatchesLive(t *testing.T) {
 // store's grid holds for it.
 func checkBucketCopies(t *testing.T, s *Store, id int32) {
 	t.Helper()
-	var want [][2]float64
-	if !s.Grid().ForEachRecordInBucket(id, func(key []float64, _ []byte) {
-		want = append(want, [2]float64{key[0], key[1]})
-	}) {
-		t.Fatalf("bucket %d is not a live bucket of the grid", id)
-	}
-	slices.SortFunc(want, cmpRow)
 	pl, ok := s.Placement(id)
 	if !ok {
-		t.Fatalf("bucket %d has no placement", id)
+		t.Fatalf("bucket %d has no placement: not a live bucket", id)
 	}
+	want := keyRows(s.Grid().AppendBucketKeys(nil, id))
+	slices.SortFunc(want, cmpRow)
 	for _, d := range pl.OwnerDisks {
 		out := make([]geom.Flat, 1)
 		if _, err := s.ReadFlatsFromTimed(context.Background(), d, []int32{id}, out, nil); err != nil {
@@ -235,7 +232,31 @@ func checkBucketCopies(t *testing.T, s *Store, id int32) {
 	}
 }
 
+// writeMixGrid builds the grid of the repo benchmark's write-mix layout —
+// 400 000 hot.2d records, so about 10 000 buckets — and declusters it by
+// minimax over 8 disks.
+func writeMixGrid(b testing.TB) (*gridfile.File, core.Allocation) {
+	f, err := synth.Hotspot2D(400_000, 1).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc, err := (&core.Minimax{Seed: 1}).Decluster(core.FromGridFile(f), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f, alloc
+}
+
 func cmpRow(a, b [2]float64) int { return slices.Compare(a[:], b[:]) }
+
+// keyRows cuts flat 2-D keys, as AppendBucketKeys appends them, into rows.
+func keyRows(keys []float64) [][2]float64 {
+	out := make([][2]float64, len(keys)/2)
+	for i := range out {
+		out[i] = [2]float64{keys[2*i], keys[2*i+1]}
+	}
+	return out
+}
 
 // TestOpenRemovesStrays plants what a kill inside a checkpoint can
 // leave in a layout directory — atomicWriteFile's temporary — beside files
@@ -287,19 +308,10 @@ func TestOpenRemovesStrays(t *testing.T) {
 }
 
 // writeMixLayout writes a layout the size of the repo benchmark's write-mix
-// layout — 400 000 hot.2d records, so about 10 000 buckets, minimax over 8
-// disks at r=2.
+// layout — writeMixGrid's grid at r=2.
 func writeMixLayout(b testing.TB) string {
-	f, err := synth.Hotspot2D(400_000, 1).Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := core.FromGridFile(f)
-	alloc, err := (&core.Minimax{Seed: 1}).Decluster(g, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := (&replica.Placer{Replicas: 2}).Place(g, alloc)
+	f, alloc := writeMixGrid(b)
+	rm, err := (&replica.Placer{Replicas: 2}).Place(core.FromGridFile(f), alloc)
 	if err != nil {
 		b.Fatal(err)
 	}

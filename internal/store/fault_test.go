@@ -36,10 +36,12 @@ func faultAllocators(t *testing.T) map[string]core.Allocator {
 // recordCounts is the multiset of record keys in a set of buckets.
 func recordCounts(f *gridfile.File, ids []int32) map[[2]float64]int {
 	got := map[[2]float64]int{}
+	var keys []float64
 	for _, id := range ids {
-		f.ForEachRecordInBucket(id, func(key []float64, _ []byte) {
-			got[[2]float64{key[0], key[1]}]++
-		})
+		keys = f.AppendBucketKeys(keys, id)
+	}
+	for _, k := range keyRows(keys) {
+		got[k]++
 	}
 	return got
 }

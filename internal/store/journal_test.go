@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"pgridfile/internal/core"
@@ -80,7 +79,9 @@ func mergeDeletes(t *testing.T, f *gridfile.File, ops []crashOp) []geom.Point {
 			}
 		}
 		var keys []geom.Point
-		g.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) { keys = append(keys, slices.Clone(key)) })
+		for _, k := range keyRows(g.AppendBucketKeys(nil, v.ID)) {
+			keys = append(keys, geom.Point{k[0], k[1]})
+		}
 		for i, key := range keys {
 			if g.DeleteTracked(key).Merged {
 				if best == nil || i+1 < len(best) {

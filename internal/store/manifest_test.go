@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +31,8 @@ type doctorable struct {
 	pls   int     // offset of the placements
 	sizes []int64 // disk file sizes in pages
 	pages int     // pages of the first bucket placed
+	last  int     // offset of the last bucket slot's reserved byte
+	lastN int     // records in that bucket
 }
 
 func doctorableLayout(t testing.TB) *doctorable {
@@ -65,6 +68,14 @@ func doctorableLayout(t testing.TB) *doctorable {
 	d := &doctorable{dir: dir, valid: valid, slots: 16 + 16*f.Dims(), hdr: grid.Len(), pls: grid.Len() + checkpointHeaderBytes}
 	for dim := range f.Dims() {
 		d.slots += 4 + 8*len(f.Scales(dim))
+	}
+	// The directory follows the last slot; a live one ends in its reserved
+	// byte.
+	d.last = grid.Len() - 4*(1+f.NumCells()) - 1
+	lastID := int32(-1)
+	f.ForEachBucket(func(id int32, records int) { lastID, d.lastN = id, records })
+	if slots := binary.LittleEndian.Uint32(valid[d.slots:]); lastID != int32(slots)-1 {
+		t.Fatalf("the last of %d bucket slots is dead; the payload case edits a live one", slots)
 	}
 	s, err := Open(dir)
 	if err != nil {
@@ -152,6 +163,11 @@ var checkpointCases = []checkpointCase{
 	{name: "page smaller than a record", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+16, pageHeaderBytes+8) }},
 	{name: "page 2^40 bytes", edit: func(d *doctorable, b []byte) []byte { return put64(b, d.hdr+16, 1<<40) }},
 	{name: "grid of 2^31 buckets", edit: func(d *doctorable, b []byte) []byte { return put32(b, d.slots, 1<<31) }},
+	// The last bucket's reserved byte set and a one-byte payload per record
+	// behind it, as the grid file once encoded a bucket with payloads.
+	{name: "record payloads", edit: func(d *doctorable, b []byte) []byte {
+		return slices.Concat(b[:d.last], []byte{1}, bytes.Repeat([]byte{1, 0, 0, 0, 'x'}, d.lastN), b[d.last+1:])
+	}},
 }
 
 func (c checkpointCase) render(d *doctorable) []byte {
@@ -224,6 +240,8 @@ func TestOpenRefusals(t *testing.T) {
 			t.Errorf("%s: Open accepted it", c.name)
 		case c.vintage && !strings.Contains(err.Error(), "gridtool layout"):
 			t.Errorf("%s: refusal does not say how to regenerate: %v", c.name, err)
+		case c.name == "record payloads" && !strings.Contains(err.Error(), "record payloads are not supported"):
+			t.Errorf("%s: refused for another reason: %v", c.name, err)
 		}
 	}
 

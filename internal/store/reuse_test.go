@@ -47,10 +47,10 @@ func reusablePages(s *Store) map[int][]int64 {
 // returns the most pages one rewritten copy spans.
 func rewrittenPages(s *Store, m Mutation, perDisk []int64) (widest int) {
 	for _, id := range m.Stale {
-		if !s.Grid().ForEachRecordInBucket(id, func([]float64, []byte) {}) {
+		pl, ok := s.Placement(id)
+		if !ok {
 			continue // retired by a merge: not rewritten
 		}
-		pl, _ := s.Placement(id)
 		for _, d := range pl.OwnerDisks {
 			perDisk[d] += int64(pl.Pages)
 		}
@@ -415,10 +415,7 @@ func TestPinnedReaderOutlivesCheckpoints(t *testing.T) {
 	keys := randKeys(f.Domain(), 160, 51)
 	target, _ := s.Grid().BucketAt(keys[0])
 	pl, _ := s.Placement(target)
-	var want [][2]float64
-	s.Grid().ForEachRecordInBucket(target, func(key []float64, _ []byte) {
-		want = append(want, [2]float64{key[0], key[1]})
-	})
+	want := keyRows(s.Grid().AppendBucketKeys(nil, target))
 	slices.SortFunc(want, cmpRow)
 
 	if err := reg.SetSpec(fault.StoreReadDiskSite(pl.Disk) + ":delay=2s"); err != nil {

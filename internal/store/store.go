@@ -285,12 +285,14 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	}
 
 	// The stubs share one allocation: each bucket's rewrite publishes the
-	// one placement it keeps.
-	views := f.Buckets()
+	// one placement it keeps. ForEachBucket gives the ids in Buckets() order,
+	// the order owners and LayoutOrder index, without building the views.
+	ids := make([]int32, 0, f.NumBuckets())
+	f.ForEachBucket(func(id int32, _ int) { ids = append(ids, id) })
 	s.places.Store(new([]atomic.Pointer[Placement]))
-	stubs := make([]Placement, len(views))
+	stubs := make([]Placement, len(ids))
 	for _, vi := range LayoutOrder(f) {
-		id := views[vi].ID
+		id := ids[vi]
 		stubs[vi] = placementStub(id, owners[vi])
 		s.setPlacement(id, &stubs[vi])
 		if err := s.rewriteBucket(context.Background(), id); err != nil {
@@ -715,7 +717,8 @@ type Timing struct {
 // timed reports whether reads should charge wall time to tm.
 func (tm *Timing) timed() bool { return tm != nil && !tm.CountsOnly }
 
-// maxSpanPages bounds one span — 1 MiB of 4 KiB pages — so the pooled
+// maxSpanPages bounds one span to 256 pages, whatever size the layout's
+// pages are (1 MiB of 4 KiB pages, 256 KiB of 1 KiB ones), so the pooled
 // buffers stay a sane size even when many wanted buckets are close together
 // on disk. It counts pages, not bytes, like ReadThroughPages: the planner
 // cuts the same spans from the same page indexes whatever size the layout's

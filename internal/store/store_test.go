@@ -96,9 +96,9 @@ func TestWriteAndReadBackAllBuckets(t *testing.T) {
 		totalRecs += fl.Len()
 		// Every key read back must exist in the in-memory bucket.
 		want := map[[2]float64]int{}
-		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
-			want[[2]float64{key[0], key[1]}]++
-		})
+		for _, k := range keyRows(f.AppendBucketKeys(nil, v.ID)) {
+			want[k]++
+		}
 		for i := 0; i < fl.Len(); i++ {
 			p := fl.Row(i)
 			k := [2]float64{p[0], p[1]}

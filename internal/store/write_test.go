@@ -42,9 +42,9 @@ func verifyStoreMatchesGrid(t *testing.T, s *Store, f *gridfile.File) {
 		}
 		total += fl.Len()
 		want := map[[2]float64]int{}
-		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
-			want[[2]float64{key[0], key[1]}]++
-		})
+		for _, k := range keyRows(f.AppendBucketKeys(nil, v.ID)) {
+			want[k]++
+		}
 		for i := 0; i < fl.Len(); i++ {
 			p := fl.Row(i)
 			k := [2]float64{p[0], p[1]}
@@ -166,9 +166,9 @@ func TestWritableDeleteAndMerge(t *testing.T) {
 	// Delete most of the dataset: forces buddy merges.
 	var keys []geom.Point
 	for _, v := range f.Buckets() {
-		f.ForEachRecordInBucket(v.ID, func(key []float64, _ []byte) {
-			keys = append(keys, append(geom.Point(nil), key...))
-		})
+		for _, k := range keyRows(f.AppendBucketKeys(nil, v.ID)) {
+			keys = append(keys, geom.Point{k[0], k[1]})
+		}
 	}
 	removed := 0
 	for i, key := range keys {
