@@ -114,7 +114,7 @@ func DataBalanceDegree(alloc Allocation) float64 { return sim.DataBalanceDegree(
 // ClosestPairsSameDisk counts buckets co-located with their most likely
 // co-accessed companion (Tables 2–3 of the paper).
 func ClosestPairsSameDisk(v DeclusterView, alloc Allocation) int {
-	return sim.ClosestPairsSameDisk(v, alloc, nil)
+	return sim.CountSameDisk(sim.NearestCompanions(v), alloc)
 }
 
 // Workloads.

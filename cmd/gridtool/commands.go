@@ -244,7 +244,7 @@ func runDecluster(args []string) error {
 	fmt.Printf("%s over %d disks: %d buckets, balance degree %.3f, closest pairs co-located %d\n",
 		allocator.Name(), *disks, len(g.Buckets),
 		sim.DataBalanceDegree(alloc),
-		sim.ClosestPairsSameDisk(g, alloc, nil))
+		sim.CountSameDisk(sim.NearestCompanions(g), alloc))
 
 	if *out != "" {
 		w, err := os.Create(*out)

@@ -45,7 +45,7 @@ func runSimulate(args []string) error {
 	fmt.Printf("%-12s %-14s %-12s %-10s %-14s %-9s %-13s %-13s\n",
 		"method", "mean response", "optimal", "balance", "closest pairs",
 		"spans:id", "spans:hilbert", fmt.Sprintf("spans:hilb+%d", store.ReadThroughPages))
-	nn := sim.NearestCompanions(g, nil)
+	nn := sim.NearestCompanions(g)
 	for _, name := range strings.Split(*algs, ",") {
 		alg, err := core.ParseAllocator(strings.TrimSpace(name), *seed, 0)
 		if err != nil {

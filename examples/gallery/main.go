@@ -46,7 +46,7 @@ func main() {
 		&core.Minimax{Seed: 1},
 	}
 	queries := workload.SquareRange(file.Domain(), 0.05, 1000, 7)
-	nn := sim.NearestCompanions(grid, nil)
+	nn := sim.NearestCompanions(grid)
 
 	fmt.Printf("%-8s %-14s %-10s %-14s %s\n", "method", "mean response", "balance", "closest pairs", "svg")
 	for _, alg := range algorithms {

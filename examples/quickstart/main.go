@@ -59,7 +59,7 @@ func main() {
 		fmt.Printf("%-10s %-18.3f %-14.3f %-14d\n",
 			alg.Name(), res.MeanResponseTime,
 			sim.DataBalanceDegree(alloc),
-			sim.ClosestPairsSameDisk(grid, alloc, nil))
+			sim.CountSameDisk(sim.NearestCompanions(grid), alloc))
 	}
 	fmt.Println("\n(lower response time is better; balance 1.0 is perfect;")
 	fmt.Println(" closest pairs counts neighbouring buckets stuck on one disk)")

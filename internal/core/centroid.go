@@ -71,12 +71,12 @@ func CentroidOrder(g Grid, curve sfc.Curve) []int {
 	order := make([]int, len(g.Buckets))
 	coords := make([]uint32, dims)
 	for i, b := range g.Buckets {
-		center := b.Region.Center()
 		for d := 0; d < dims; d++ {
 			ext := g.Domain[d].Length()
 			frac := 0.0
 			if ext > 0 {
-				frac = (center[d] - g.Domain[d].Lo) / ext
+				center := (b.Region[d].Lo + b.Region[d].Hi) / 2
+				frac = (center - g.Domain[d].Lo) / ext
 			}
 			v := int64(frac * side)
 			if v < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pgridfile/internal/geom"
@@ -366,25 +367,40 @@ func TestLineups(t *testing.T) {
 	}
 }
 
+// TestWeights checks the engine's two kernels on a grid file's buckets: both
+// in [0, 1], a bucket's Euclidean weight to itself 1, and the Euclidean
+// weight worked out by hand for two boxes whose centres (1,1) and (4,4) lie
+// √18 apart in a domain whose diagonal is √128: 1 − 3/8.
 func TestWeights(t *testing.T) {
 	g := testGrid(t)
-	a, b := g.Buckets[0], g.Buckets[len(g.Buckets)/2]
-	p := ProximityWeight(a, b, g.Domain)
-	if p < 0 || p > 1 {
-		t.Errorf("ProximityWeight out of range: %v", p)
+	a, b := 0, len(g.Buckets)/2
+	if p := weighOne(NewPairEngine(g, false), a, b); p < 0 || p > 1 {
+		t.Errorf("proximity out of range: %v", p)
 	}
-	e := EuclideanWeight(a, b, g.Domain)
-	if e < 0 || e > 1 {
-		t.Errorf("EuclideanWeight out of range: %v", e)
+	e := NewPairEngine(g, true)
+	if w := weighOne(e, a, b); w < 0 || w > 1 {
+		t.Errorf("Euclidean weight out of range: %v", w)
 	}
-	if ew := EuclideanWeight(a, a, g.Domain); ew != 1 {
-		t.Errorf("EuclideanWeight self = %v, want 1", ew)
+	if w := weighOne(e, a, a); w != 1 {
+		t.Errorf("Euclidean weight to itself = %v, want 1", w)
+	}
+
+	byHand := Grid{
+		Sizes:  []int{1, 1},
+		Domain: geom.Rect{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}},
+		Buckets: []gridfile.BucketView{
+			{Index: 0, Region: geom.NewRect([]float64{0, 0}, []float64{2, 2})},
+			{Index: 1, Region: geom.NewRect([]float64{4, 1}, []float64{4, 7})},
+		},
+	}
+	if w := weighOne(NewPairEngine(byHand, true), 0, 1); math.Abs(w-0.625) > 1e-12 {
+		t.Errorf("Euclidean weight = %v, want 0.625", w)
 	}
 }
 
 func TestMinimaxWithEuclideanWeight(t *testing.T) {
 	g := testGrid(t)
-	mm := &Minimax{Weight: EuclideanWeight, Seed: 1}
+	mm := &Minimax{Euclid: true, Seed: 1}
 	if mm.Name() != "MiniMax(euclid)" {
 		t.Errorf("Name = %s", mm.Name())
 	}

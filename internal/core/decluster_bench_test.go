@@ -86,7 +86,7 @@ const onePassBenchSide = 96
 func BenchmarkNearestCompanions(b *testing.B) {
 	g := declusterBenchGrid(b, onePassBenchSide)
 	for i := 0; i < b.N; i++ {
-		NewPairEngine(g, nil).NearestCompanions()
+		NewPairEngine(g, false).NearestCompanions()
 	}
 }
 
@@ -105,7 +105,7 @@ func BenchmarkResidualAssign(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ResidualAssign(g, disks, owners, nil); err != nil {
+		if _, err := ResidualAssign(g, disks, owners); err != nil {
 			b.Fatal(err)
 		}
 	}

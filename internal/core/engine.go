@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 
 	"pgridfile/internal/geom"
 	"pgridfile/internal/sfc"
@@ -14,8 +13,13 @@ import (
 // replica placement and by the simulator's nearest-companion computation. All
 // of them have the same shape — evaluate an edge weight between one "pivot"
 // bucket and the other live buckets, then reduce (max-merge, min-merge,
-// arg-min, arg-max) — so they share one engine instead of each calling a
-// Weight closure over geom.Proximity per edge.
+// arg-min, arg-max) — so they share one engine instead of each calling
+// geom.Proximity per edge.
+//
+// The edge weight is one of two, fixed when the engine is built: the
+// Kamel–Faloutsos proximity index, the paper's, or normalized Euclidean
+// centre distance, which only minimax's ablation A3 selects (Minimax.Euclid).
+// Each has its own batch kernel; there is no other.
 //
 // The engine gains its speed from two sources:
 //
@@ -39,43 +43,15 @@ import (
 //     holds there, an arg-max sweep one whose bound is below the running
 //     best, and an arg-min one whose smallest row value is above it. What a
 //     sweep skips could not have changed its result, so every result is the
-//     one the full sweep computes. Weights without a proven bound (Weight
-//     closures, EuclideanWeight, MST's min-merge) take the same loops with
-//     every bound at +Inf: every block is visited.
+//     one the full sweep computes. Sweeps without a proven bound (the
+//     Euclidean kernel, MST's min-merge) take the same loops with every
+//     bound at +Inf: every block is visited.
 //
 // Every reduction uses a total order — (value, vertex index) for
 // arg-min/arg-max, plus tree index for MST's global pick — so the order in
 // which blocks and their vertices are visited never influences a result.
 //
-// Everything runs on the calling goroutine. The engine inlines the package's
-// built-in weights (a nil Weight, ProximityWeight and EuclideanWeight). Any
-// other Weight runs through the same sweeps on the generic kernel, which
-// calls the closure once per pair.
-
-// weightKind selects the engine's kernel: generic calls the Weight closure
-// per pair, the other two are the built-in weights the engine inlines.
-type weightKind int
-
-const (
-	kindGeneric weightKind = iota
-	kindProximity
-	kindEuclid
-)
-
-// kindOf recognizes the package's built-in weight functions by identity.
-// Closures and user functions map to kindGeneric.
-func kindOf(w Weight) weightKind {
-	if w == nil {
-		return kindProximity
-	}
-	switch reflect.ValueOf(w).Pointer() {
-	case reflect.ValueOf(ProximityWeight).Pointer():
-		return kindProximity
-	case reflect.ValueOf(EuclideanWeight).Pointer():
-		return kindEuclid
-	}
-	return kindGeneric
-}
+// Everything runs on the calling goroutine.
 
 // blockSize is how many buckets share one bounding box. A sweep pays one
 // bound per block it looks at and one weight per bucket of each block it
@@ -96,13 +72,11 @@ const superSize = 16
 type PairEngine struct {
 	n       int
 	dims    int
-	kind    weightKind
-	grid    Grid      // generic kernel only: the closure's arguments
-	weight  Weight    // generic kernel only
+	euclid  bool      // the Euclidean kernel, not the proximity index
 	boxes   []float64 // (n + blocks + super-blocks) × 2·dims, lo,hi interleaved per axis: bucket boxes, then block boxes, then super-block boxes
-	centers []float64 // n × dims, euclid kernel only
+	centers []float64 // n × dims, Euclidean kernel only
 	lens    []float64 // per-axis domain length, 0 for degenerate axes
-	diag    float64   // euclid: domain diagonal, 0 for a degenerate domain
+	diag    float64   // Euclidean kernel: domain diagonal, 0 for a degenerate domain
 
 	// Block b holds members[b·blockSize : (b+1)·blockSize], its active
 	// vertices first: live[b] of them. Super-block s holds blocks
@@ -122,6 +96,7 @@ type PairEngine struct {
 	superIDs []int32   // the super-block boxes' indices, behind the blocks'
 	ub       []float64 // per block: the current pivot's bound
 	usb      []float64 // per super-block: the current pivot's bound
+	entered  []bool    // per super-block: argmaxTo has bounded its blocks
 	scratch  []float64 // blockSize weights, reused by every sweep
 
 	work
@@ -134,9 +109,9 @@ type work struct {
 	bounds  int64 // bucket–box bounds, blocks and super-blocks
 }
 
-// NewPairEngine builds an engine for g and w (nil means ProximityWeight).
-func NewPairEngine(g Grid, w Weight) *PairEngine {
-	kind := kindOf(w)
+// NewPairEngine builds an engine for g whose edge weight is the proximity
+// index, or with euclid set normalized Euclidean centre distance.
+func NewPairEngine(g Grid, euclid bool) *PairEngine {
 	n := len(g.Buckets)
 	dims := len(g.Domain)
 	nb := (n + blockSize - 1) / blockSize
@@ -144,7 +119,7 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 	e := &PairEngine{
 		n:       n,
 		dims:    dims,
-		kind:    kind,
+		euclid:  euclid,
 		lens:    make([]float64, dims),
 		members: curveOrder(g),
 		pos:     make([]int32, n),
@@ -153,6 +128,7 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 		active:  n,
 		ub:      make([]float64, nb),
 		usb:     make([]float64, ns),
+		entered: make([]bool, ns),
 		scratch: make([]float64, blockSize),
 	}
 	for d, iv := range g.Domain {
@@ -171,20 +147,7 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 	for s := range e.usb {
 		e.usb[s] = math.Inf(1)
 	}
-	switch kind {
-	case kindGeneric:
-		e.grid, e.weight = g, w
-	case kindProximity:
-		e.boxes = make([]float64, (n+nb+ns)*2*dims)
-		for i, b := range g.Buckets {
-			base := i * 2 * dims
-			for d, iv := range b.Region {
-				e.boxes[base+2*d] = iv.Lo
-				e.boxes[base+2*d+1] = iv.Hi
-			}
-		}
-		e.bounded = e.boxBlocks(g.Domain)
-	case kindEuclid:
+	if euclid {
 		e.centers = make([]float64, n*dims)
 		for i, b := range g.Buckets {
 			base := i * dims
@@ -197,7 +160,17 @@ func NewPairEngine(g Grid, w Weight) *PairEngine {
 			diag += iv.Length() * iv.Length()
 		}
 		e.diag = math.Sqrt(diag)
+		return e
 	}
+	e.boxes = make([]float64, (n+nb+ns)*2*dims)
+	for i, b := range g.Buckets {
+		base := i * 2 * dims
+		for d, iv := range b.Region {
+			e.boxes[base+2*d] = iv.Lo
+			e.boxes[base+2*d+1] = iv.Hi
+		}
+	}
+	e.bounded = e.boxBlocks(g.Domain)
 	return e
 }
 
@@ -298,12 +271,7 @@ func (e *PairEngine) remove(x int32) {
 // batch, not per edge.
 func (e *PairEngine) weighBatch(fixed int32, xs []int32, out []float64) {
 	switch {
-	case e.kind == kindGeneric:
-		fb := e.grid.Buckets[fixed]
-		for i, x := range xs {
-			out[i] = e.weight(fb, e.grid.Buckets[x], e.grid.Domain)
-		}
-	case e.kind == kindEuclid:
+	case e.euclid:
 		e.euclidBatch(fixed, xs, out)
 	case e.dims == 2:
 		e.proxBatch2(fixed, xs, out)
@@ -316,7 +284,7 @@ func (e *PairEngine) weighBatch(fixed int32, xs []int32, out []float64) {
 // layout. It performs the exact floating-point operations of geom.Proximity
 // (including the per-axis division by the domain length), so its results —
 // and therefore every assignment built from them — are bit-identical to
-// calling ProximityWeight per pair.
+// calling geom.Proximity per pair.
 func (e *PairEngine) proxBatch(fixed int32, xs []int32, out []float64) {
 	d2 := 2 * e.dims
 	boxes := e.boxes
@@ -430,9 +398,11 @@ func (e *PairEngine) proxBatch2(fixed int32, xs []int32, out []float64) {
 	}
 }
 
-// euclidBatch is the center-distance similarity kernel (EuclideanWeight)
-// over precomputed bucket centers, operation-for-operation identical to
-// calling EuclideanWeight per pair.
+// euclidBatch is the centre-distance similarity kernel over precomputed
+// bucket centres: 1 − distance/diagonal, in (0, 1] inside the domain and 1
+// throughout a degenerate domain. The paper rejects centre distance because it
+// cannot tell partially overlapping regions apart; it is minimax's edge-weight
+// ablation (A3 in DESIGN.md).
 func (e *PairEngine) euclidBatch(fixed int32, xs []int32, out []float64) {
 	if e.diag == 0 {
 		for i := range xs {
@@ -760,19 +730,40 @@ func (e *PairEngine) initResidualRows(owners [][]int, rows []treeRow) {
 // argmaxTo returns the active vertex other than fixed with the largest
 // weight to the fixed bucket (ties to the lowest vertex index), or -1 when
 // there is none — SSP's path-growth step and the nearest-companion search.
-// It starts at the super-block, and within each super-block at the block,
-// with the largest bound, then scans only those whose bound reaches the
-// running best.
+// It first bounds the blocks of the super-blocks with the largest bounds,
+// best first, until no super-block left could hold a block with a larger
+// bound, and scans the block with the largest bound of all; the running best
+// that block sets prunes the sweep over the rest, which scans only the
+// super-blocks and blocks whose bound reaches it. (The block with the
+// largest bound need not lie in the super-block with the largest bound.)
 func (e *PairEngine) argmaxTo(fixed int32) (int32, float64) {
 	usb := e.boundSupers(fixed)
-	first := largest(usb, e.slive, 0, len(usb))
+	entered := e.entered // per super-block: its blocks hold this pivot's bounds
+	clear(entered)
+	first := -1 // the block with the largest bound in the entered super-blocks
+	for {
+		s := -1
+		for i, cnt := range e.slive {
+			if cnt > 0 && !entered[i] && (s < 0 || usb[i] > usb[s]) {
+				s = i
+			}
+		}
+		if s < 0 || (first >= 0 && usb[s] <= e.ub[first]) {
+			break
+		}
+		entered[s] = true
+		ub := e.boundBlocks(fixed, s)
+		lo, hi := e.blocksOf(s)
+		if b := largest(ub, e.live, lo, hi); first < 0 || ub[b] > ub[first] {
+			first = b
+		}
+	}
 	bx, bv := int32(-1), math.Inf(-1)
 	if first < 0 {
 		return bx, bv
 	}
-	var ub []float64
 	scanBlock := func(b int) {
-		if e.live[b] == 0 || ub[b] < bv {
+		if e.live[b] == 0 || e.ub[b] < bv {
 			return
 		}
 		xs := e.block(b)
@@ -783,14 +774,21 @@ func (e *PairEngine) argmaxTo(fixed int32) (int32, float64) {
 			}
 		}
 	}
-	firstThenRest(first, 0, len(usb), func(s int) {
-		if e.slive[s] == 0 || usb[s] < bv {
-			return
+	scanBlock(first)
+	for s, cnt := range e.slive {
+		if cnt == 0 || usb[s] < bv {
+			continue
 		}
-		ub = e.boundBlocks(fixed, s)
+		if !entered[s] {
+			e.boundBlocks(fixed, s)
+		}
 		lo, hi := e.blocksOf(s)
-		firstThenRest(largest(ub, e.live, lo, hi), lo, hi, scanBlock)
-	})
+		for b := lo; b < hi; b++ {
+			if b != first {
+				scanBlock(b)
+			}
+		}
+	}
 	return bx, bv
 }
 

@@ -40,26 +40,6 @@ func TestPermPrefix(t *testing.T) {
 	}
 }
 
-func TestKindOf(t *testing.T) {
-	if kindOf(nil) != kindProximity {
-		t.Error("kindOf(nil) != kindProximity")
-	}
-	if kindOf(ProximityWeight) != kindProximity {
-		t.Error("kindOf(ProximityWeight) != kindProximity")
-	}
-	if kindOf(EuclideanWeight) != kindEuclid {
-		t.Error("kindOf(EuclideanWeight) != kindEuclid")
-	}
-	custom := func(a, b gridfile.BucketView, d geom.Rect) float64 { return 0 }
-	if kindOf(custom) != kindGeneric {
-		t.Error("kindOf(custom closure) != kindGeneric")
-	}
-	// A custom weight gets an engine like any other, on the generic kernel.
-	if e := NewPairEngine(Grid{Domain: geom.Rect{{Lo: 0, Hi: 1}}}, custom); e.kind != kindGeneric {
-		t.Fatalf("NewPairEngine(custom): kind %d, want the generic kernel", e.kind)
-	}
-}
-
 // flatAxis returns g with axis d collapsed to the point 0 in the domain and
 // in every bucket region: a degenerate axis, which the proximity kernels skip.
 func flatAxis(g Grid, d int) Grid {
@@ -124,27 +104,29 @@ func weighOne(e *PairEngine, i, j int) float64 {
 	return out[0]
 }
 
+// engineWeights are the engine's two kernels, each with its per-pair
+// reference.
+var engineWeights = []struct {
+	name   string
+	euclid bool
+	ref    pairWeight
+}{
+	{"proximity", false, proximity},
+	{"euclid", true, euclidean},
+}
+
 // TestEngineWeighMatchesClosure checks the flattened kernels reproduce the
-// closure weights bit-for-bit — the property the engine's
+// per-pair reference weights bit-for-bit — the property the engine's
 // byte-identical-assignment guarantee rests on.
 func TestEngineWeighMatchesClosure(t *testing.T) {
 	for gname, g := range engineTestGrids(t) {
-		for _, tc := range []struct {
-			name string
-			w    Weight
-		}{
-			{"proximity", ProximityWeight},
-			{"euclid", EuclideanWeight},
-		} {
-			e := NewPairEngine(g, tc.w)
-			if e.kind == kindGeneric {
-				t.Fatalf("%s: a built-in weight got the generic kernel", tc.name)
-			}
+		for _, tc := range engineWeights {
+			e := NewPairEngine(g, tc.euclid)
 			n := len(g.Buckets)
 			for i := 0; i < n; i += 7 {
 				for j := 0; j < n; j += 11 {
 					got := weighOne(e, i, j)
-					want := tc.w(g.Buckets[i], g.Buckets[j], g.Domain)
+					want := tc.ref(g.Buckets[i], g.Buckets[j], g.Domain)
 					if got != want {
 						t.Fatalf("%s/%s: weight(%d,%d) = %v, want %v (must be bit-identical)",
 							gname, tc.name, i, j, got, want)
@@ -152,20 +134,6 @@ func TestEngineWeighMatchesClosure(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// inverseProximity is a weight that is not a built-in, so it runs on the
-// generic kernel: far buckets attract, near ones repel.
-func inverseProximity(a, b gridfile.BucketView, d geom.Rect) float64 {
-	return 1 - ProximityWeight(a, b, d)
-}
-
-func proximityAllocators(seed int64, w Weight) []Allocator {
-	return []Allocator{
-		&Minimax{Weight: w, Seed: seed},
-		&SSP{Weight: w, Seed: seed},
-		&MST{Weight: w, Seed: seed},
 	}
 }
 
@@ -184,58 +152,82 @@ func sameAssign(t *testing.T, got, want []int) {
 
 // TestEngineMatchesSerialReference asserts the engine reproduces the
 // textbook serial loops of reference_test.go byte-for-byte: every
-// proximity-based allocator, ResidualAssign (copies two and three) and
-// NearestCompanions, under both inlined built-in weights and under a closure
-// that takes the generic kernel, with one tree and with several.
+// proximity-based allocator, minimax under the Euclidean weight too,
+// ResidualAssign (copies two and three) and NearestCompanions under both
+// kernels, with one tree and with several.
 func TestEngineMatchesSerialReference(t *testing.T) {
 	const seed = 7
-	weights := map[string]Weight{
-		"proximity": ProximityWeight,
-		"euclid":    EuclideanWeight,
-		"inverse":   inverseProximity,
+	// SSP, MST and ResidualAssign weigh by proximity; their euclid rows run
+	// the same code on a Euclidean engine, whose sweeps have no bounds, so
+	// that the unbounded branches are held to the textbook too.
+	ssp, mst := &SSP{Seed: seed}, &MST{Seed: seed}
+	allocators := []struct {
+		name string
+		alg  func(g Grid, euclid bool, disks int) (Allocation, error)
+		ref  func(Grid, pairWeight, int64, int) []int
+	}{
+		{"MiniMax", func(g Grid, euclid bool, disks int) (Allocation, error) {
+			return (&Minimax{Euclid: euclid, Seed: seed}).Decluster(g, disks)
+		}, referenceMinimax},
+		{"SSP", func(g Grid, euclid bool, disks int) (Allocation, error) {
+			if euclid {
+				return ssp.declusterOn(NewPairEngine(g, true), disks), nil
+			}
+			return ssp.Decluster(g, disks)
+		}, referenceSSP},
+		{"MST", func(g Grid, euclid bool, disks int) (Allocation, error) {
+			if euclid {
+				return mst.declusterOn(NewPairEngine(g, true), disks), nil
+			}
+			return mst.Decluster(g, disks)
+		}, referenceMST},
 	}
-	refs := []func(Grid, Weight, int64, int) []int{referenceMinimax, referenceSSP, referenceMST}
 	for gname, g := range engineTestGrids(t) {
-		for wname, w := range weights {
+		for _, w := range engineWeights {
 			for _, disks := range []int{8, 1} {
-				for ai, alg := range proximityAllocators(seed, w) {
-					name := alg.Name()
-					if ai == 0 { // Name() names the euclidean weight only
-						name = "MiniMax(" + wname + ")"
+				for _, a := range allocators {
+					name := a.name
+					if name == "MiniMax" {
+						name += "(" + w.name + ")"
 					}
-					name += "/" + gname + "/" + wname
+					name += "/" + gname + "/" + w.name
 					if disks == 1 {
 						name += "/one-tree"
 					}
 					t.Run(name, func(t *testing.T) {
-						got, err := alg.Decluster(g, disks)
+						got, err := a.alg(g, w.euclid, disks)
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameAssign(t, got.Assign, refs[ai](g, w, seed, disks))
+						sameAssign(t, got.Assign, a.ref(g, w.ref, seed, disks))
 					})
 				}
 			}
-			t.Run("residual/"+gname+"/"+wname, func(t *testing.T) {
+			t.Run("residual/"+gname+"/"+w.name, func(t *testing.T) {
 				// Two levels: the second sees buckets with two owners each.
 				const disks = 8
 				owners := make([][]int, len(g.Buckets))
-				for x, k := range referenceMinimax(g, w, seed, disks) {
+				for x, k := range referenceMinimax(g, w.ref, seed, disks) {
 					owners[x] = []int{k}
 				}
 				for level := 1; level <= 2; level++ {
-					got, err := ResidualAssign(g, disks, owners, w)
-					if err != nil {
-						t.Fatal(err)
+					var got []int
+					if w.euclid {
+						got = residualOn(NewPairEngine(g, true), disks, owners)
+					} else {
+						var err error
+						if got, err = ResidualAssign(g, disks, owners); err != nil {
+							t.Fatal(err)
+						}
 					}
-					sameAssign(t, got, referenceResidual(g, disks, owners, w))
+					sameAssign(t, got, referenceResidual(g, disks, owners, w.ref))
 					for x := range owners {
 						owners[x] = append(owners[x], got[x])
 					}
 				}
 			})
-			t.Run("companions/"+gname+"/"+wname, func(t *testing.T) {
-				sameAssign(t, NewPairEngine(g, w).NearestCompanions(), referenceCompanions(g, w))
+			t.Run("companions/"+gname+"/"+w.name, func(t *testing.T) {
+				sameAssign(t, NewPairEngine(g, w.euclid).NearestCompanions(), referenceCompanions(g, w.ref))
 			})
 		}
 	}
@@ -266,46 +258,29 @@ func TestEngineAtLeastAsManyDisksAsBuckets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAssign(t, got.Assign, referenceSSP(g, nil, seed, disks))
-		second, err := ResidualAssign(g, disks, owners, nil)
+		sameAssign(t, got.Assign, referenceSSP(g, proximity, seed, disks))
+		second, err := ResidualAssign(g, disks, owners)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAssign(t, second, referenceResidual(g, disks, owners, nil))
+		sameAssign(t, second, referenceResidual(g, disks, owners, proximity))
 	}
 }
 
-// TestCustomWeightCalledOncePerPair pins the contract a stateful Weight
-// relies on: each sweep calls it once per (pivot, other) pair — never for a
-// bound, never twice for a bucket with two owners — and the engine never
-// skips a pair it has no proven bound for.
-func TestCustomWeightCalledOncePerPair(t *testing.T) {
+// TestEuclidWeighsOncePerPair pins what a kernel with no proven bound costs:
+// the Euclidean kernel has none, so minimax under it pays exactly one weight
+// for each (pivot, other) pair the textbook loop compares, and no bound.
+func TestEuclidWeighsOncePerPair(t *testing.T) {
 	const disks = 4
 	g := cartesianGrid(t, []int{7, 9})
-	n := len(g.Buckets)
-	calls := 0
-	counting := func(a, b gridfile.BucketView, d geom.Rect) float64 {
-		calls++
-		return ProximityWeight(a, b, d)
-	}
-	owners := make([][]int, n)
-	for x := range owners {
-		owners[x] = []int{x % disks, (x + 1) % disks}
-	}
-	if _, err := ResidualAssign(g, disks, owners, counting); err != nil {
-		t.Fatal(err)
-	}
-	// n² to seed the rows, then each pick against the buckets still unplaced.
-	if want := n*n + n*(n-1)/2; calls != want {
-		t.Fatalf("ResidualAssign called the weight %d times, want %d", calls, want)
-	}
-	calls = 0
-	if _, err := (&Minimax{Weight: counting, Seed: 1}).Decluster(g, disks); err != nil {
+	n := int64(len(g.Buckets))
+	_, w, err := (&Minimax{Euclid: true, Seed: 1}).decluster(g, disks)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Each seed against the n-M others, then each pick against the rest.
-	if want := disks*(n-disks) + (n-disks)*(n-disks-1)/2; calls != want {
-		t.Fatalf("Minimax called the weight %d times, want %d", calls, want)
+	if want := disks*(n-disks) + (n-disks)*(n-disks-1)/2; w.weights != want || w.bounds != 0 {
+		t.Fatalf("Minimax(euclid) paid %d weights and %d bounds, want %d and 0", w.weights, w.bounds, want)
 	}
 }
 
@@ -350,7 +325,7 @@ func TestBlockBoundDominates(t *testing.T) {
 	for name, domain := range domains {
 		// 600 buckets: 19 blocks, one full super-block and one of three.
 		g := Grid{Sizes: make([]int, len(domain)), Domain: domain, Buckets: randomBoxes(rng, domain, 600)}
-		e := NewPairEngine(g, nil)
+		e := NewPairEngine(g, false)
 		if !e.bounded {
 			t.Fatalf("%s: regions inside the domain, but the block bounds are off", name)
 		}
@@ -388,7 +363,7 @@ func TestBlockBoundDominates(t *testing.T) {
 	} {
 		g := Grid{Sizes: []int{1, 1}, Domain: domain, Buckets: randomBoxes(rng, domain, 600)}
 		g.Buckets[517].Region[1] = stray
-		e := NewPairEngine(g, nil)
+		e := NewPairEngine(g, false)
 		if e.bounded {
 			t.Errorf("%s region: the block bounds must be off", name)
 		}
@@ -413,6 +388,10 @@ func TestBlockBoundDominates(t *testing.T) {
 // N²/2 weights for Minimax and 3N²/2 for one ResidualAssign level, and one
 // bound per block and step costs N·⌈N/32⌉ bounds for Minimax and twice that
 // for a level. The bounds budgets, N²/128 and N²/64, need the super-blocks.
+// NearestCompanions is held on a hot.2d grid file, whose irregular regions
+// put the block with the largest bound outside the super-block with the
+// largest bound: a companion search that starts at the best block pays about
+// two blocks' weights per bucket.
 func TestPrunedWorkBudget(t *testing.T) {
 	g := cartesianGrid(t, []int{128, 128})
 	n := int64(len(g.Buckets))
@@ -432,7 +411,7 @@ func TestPrunedWorkBudget(t *testing.T) {
 		for x, k := range alloc.Assign {
 			owners[x] = []int{k}
 		}
-		_, w, err = residualAssign(g, disks, owners, nil)
+		_, w, err = residualAssign(g, disks, owners)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,5 +422,14 @@ func TestPrunedWorkBudget(t *testing.T) {
 		if w.bounds > n*n/64 {
 			t.Errorf("ResidualAssign M=%d: %d bounds, budget N²/64 = %d", disks, w.bounds, n*n/64)
 		}
+	}
+
+	hot := hotspotGrid(t, 100000)
+	e := NewPairEngine(hot, false)
+	e.NearestCompanions()
+	nh := int64(len(hot.Buckets))
+	t.Logf("NearestCompanions N=%d: %d weights + %d bounds (full sweep: %d weights)", nh, e.weights, e.bounds, nh*(nh-1))
+	if e.weights > 70*nh {
+		t.Errorf("NearestCompanions N=%d: %d weights, budget 70·N = %d", nh, e.weights, 70*nh)
 	}
 }

@@ -1,41 +1,6 @@
 package core
 
-import (
-	"math"
-	"math/rand"
-
-	"pgridfile/internal/geom"
-	"pgridfile/internal/gridfile"
-)
-
-// Weight estimates the probability that two buckets are accessed by the same
-// range query; larger means more likely. It is the edge-weight function of
-// the proximity-based algorithms and must be symmetric: the engine calls it
-// as w(pivot, other), never both ways round, and only from the goroutine that
-// called into the package, so a custom Weight may keep unsynchronized state.
-type Weight func(a, b gridfile.BucketView, domain geom.Rect) float64
-
-// ProximityWeight is the Kamel–Faloutsos proximity index, the paper's chosen
-// edge weight for the minimax algorithm.
-func ProximityWeight(a, b gridfile.BucketView, domain geom.Rect) float64 {
-	return geom.Proximity(a.Region, b.Region, domain)
-}
-
-// EuclideanWeight converts center distance into a similarity in (0,1] by
-// normalizing against the domain diagonal. The paper rejects center distance
-// because it cannot distinguish partially overlapping bucket regions; it is
-// kept as the edge-weight ablation (A3 in DESIGN.md).
-func EuclideanWeight(a, b gridfile.BucketView, domain geom.Rect) float64 {
-	diag := 0.0
-	for _, iv := range domain {
-		diag += iv.Length() * iv.Length()
-	}
-	diag = math.Sqrt(diag)
-	if diag == 0 {
-		return 1
-	}
-	return 1 - geom.EuclideanDistance(a.Region, b.Region)/diag
-}
+import "math/rand"
 
 // Minimax is Algorithm 2: the minimax spanning tree declustering algorithm.
 // M spanning trees are seeded with random distinct buckets and grown in
@@ -54,19 +19,21 @@ func EuclideanWeight(a, b gridfile.BucketView, domain geom.Rect) float64 {
 // 0.57 M bounds and 1.3 M weights where the textbook loop takes 53 M weights
 // (hot.2d, N = 10 209, M = 8), 1.08 M and 2.9 M where it takes 134 M
 // (128×128 grid, M = 16).
-// EuclideanWeight and any other Weight have no such bound and are evaluated
-// once per pair.
+// Euclidean centre distance has no such bound and is evaluated once per pair.
 type Minimax struct {
-	// Weight is the edge weight; nil means ProximityWeight.
-	Weight Weight
+	// Euclid makes normalized Euclidean centre distance the edge weight in
+	// place of the proximity index: the edge-weight ablation (A3 in
+	// DESIGN.md), which the paper rejects because centre distance cannot
+	// tell partially overlapping regions apart.
+	Euclid bool
 	// Seed drives the random seeding phase.
 	Seed int64
 }
 
-// Name implements Allocator; the euclidean weight is named, the proximity
-// index and any other weight are not.
+// Name implements Allocator; the Euclidean weight is named, the proximity
+// index is not.
 func (m *Minimax) Name() string {
-	if kindOf(m.Weight) == kindEuclid {
+	if m.Euclid {
 		return "MiniMax(euclid)"
 	}
 	return "MiniMax"
@@ -108,7 +75,7 @@ func (m *Minimax) decluster(g Grid, disks int) (Allocation, work, error) {
 	// unassigned vertex x; each step selects tree k's arg-min and max-merges
 	// the new member's weights into the same row, both pruned by the row's
 	// per-block lower bounds (engine.go).
-	e := NewPairEngine(g, m.Weight)
+	e := NewPairEngine(g, m.Euclid)
 	for _, v := range seeds {
 		e.remove(int32(v))
 	}

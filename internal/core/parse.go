@@ -16,7 +16,7 @@ func ParseAllocator(name string, seed int64, _ int) (Allocator, error) {
 	case "minimax":
 		return &Minimax{Seed: seed}, nil
 	case "minimax-euclid":
-		return &Minimax{Weight: EuclideanWeight, Seed: seed}, nil
+		return &Minimax{Euclid: true, Seed: seed}, nil
 	case "ssp":
 		return &SSP{Seed: seed}, nil
 	case "mst":

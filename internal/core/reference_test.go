@@ -3,19 +3,48 @@ package core
 import (
 	"math"
 	"math/rand"
+
+	"pgridfile/internal/geom"
+	"pgridfile/internal/gridfile"
 )
 
-// The textbook serial loops of the proximity-based allocators: one Weight
-// call per edge, a full rescan per step, no engine. They are the oracle the
-// engine's byte-identical-assignment guarantee is tested against
+// The textbook serial loops of the proximity-based allocators: one pair
+// function call per edge, a full rescan per step, no engine. They are the
+// oracle the engine's byte-identical-assignment guarantee is tested against
 // (TestEngineMatchesSerialReference); production code has one build path, on
 // the engine.
 
-func referenceWeight(w Weight) Weight {
-	if w == nil {
-		return ProximityWeight
+// pairWeight is an edge weight as the textbook states it: a function of two
+// buckets and the domain, called once per pair.
+type pairWeight func(a, b gridfile.BucketView, domain geom.Rect) float64
+
+// proximity is the Kamel–Faloutsos proximity index, the paper's edge weight
+// and the engine's default kernel.
+func proximity(a, b gridfile.BucketView, domain geom.Rect) float64 {
+	return geom.Proximity(a.Region, b.Region, domain)
+}
+
+// euclidean is the reference of the engine's Euclidean kernel
+// (Minimax.Euclid): the distance between the two region centres, normalized
+// by the domain diagonal into a similarity 1 − distance/diagonal, and 1
+// throughout a degenerate domain.
+func euclidean(a, b gridfile.BucketView, domain geom.Rect) float64 {
+	diag := 0.0
+	for _, iv := range domain {
+		diag += iv.Length() * iv.Length()
 	}
-	return w
+	diag = math.Sqrt(diag)
+	if diag == 0 {
+		return 1
+	}
+	sum := 0.0
+	for d := range a.Region {
+		ac := (a.Region[d].Lo + a.Region[d].Hi) / 2
+		bc := (b.Region[d].Lo + b.Region[d].Hi) / 2
+		df := ac - bc
+		sum += df * df
+	}
+	return 1 - math.Sqrt(sum)/diag
 }
 
 // referenceSeeds is the seeding phase Minimax and MST share: M distinct
@@ -34,9 +63,8 @@ func referenceSeeds(n, disks int, seed int64) (seeds, assign []int) {
 
 // referenceMinimax is Algorithm 2 as the paper states it. Requires
 // disks < len(g.Buckets).
-func referenceMinimax(g Grid, weight Weight, seed int64, disks int) []int {
+func referenceMinimax(g Grid, w pairWeight, seed int64, disks int) []int {
 	n := len(g.Buckets)
-	w := referenceWeight(weight)
 	seeds, assign := referenceSeeds(n, disks, seed)
 
 	// maxTo[x*disks+k] is MAX_x(k): the largest edge weight between
@@ -87,9 +115,8 @@ func referenceMinimax(g Grid, weight Weight, seed int64, disks int) []int {
 
 // referenceSSP grows the nearest-neighbour spanning path one full scan per
 // step and deals disks round-robin along it.
-func referenceSSP(g Grid, weight Weight, seed int64, disks int) []int {
+func referenceSSP(g Grid, w pairWeight, seed int64, disks int) []int {
 	n := len(g.Buckets)
-	w := referenceWeight(weight)
 	start := rand.New(rand.NewSource(seed)).Intn(n)
 
 	order := make([]int, 0, n)
@@ -121,9 +148,8 @@ func referenceSSP(g Grid, weight Weight, seed int64, disks int) []int {
 
 // referenceMST joins the globally cheapest tree/vertex pair each step,
 // rescanning every tree's frontier. Requires disks < len(g.Buckets).
-func referenceMST(g Grid, weight Weight, seed int64, disks int) []int {
+func referenceMST(g Grid, w pairWeight, seed int64, disks int) []int {
 	n := len(g.Buckets)
-	w := referenceWeight(weight)
 	seeds, assign := referenceSeeds(n, disks, seed)
 
 	// minTo[x*disks+k] is the smallest edge weight between unassigned x and
@@ -164,11 +190,10 @@ func referenceMST(g Grid, weight Weight, seed int64, disks int) []int {
 }
 
 // referenceResidual is ResidualAssign with the rows seeded and maintained by
-// one Weight call per pair and every selection a full scan in index order.
+// one pair function call per pair and every selection a full scan in index order.
 // owners must satisfy ResidualAssign's argument contract.
-func referenceResidual(g Grid, disks int, owners [][]int, weight Weight) []int {
+func referenceResidual(g Grid, disks int, owners [][]int, w pairWeight) []int {
 	n := len(g.Buckets)
-	w := referenceWeight(weight)
 
 	rows := make([]float64, disks*n)
 	for y := 0; y < n; y++ {
@@ -246,9 +271,8 @@ func referenceResidual(g Grid, disks int, owners [][]int, weight Weight) []int {
 
 // referenceCompanions scans every other bucket for each bucket's closest
 // companion, ties to the lower index; -1 on a single-bucket grid.
-func referenceCompanions(g Grid, weight Weight) []int {
+func referenceCompanions(g Grid, w pairWeight) []int {
 	n := len(g.Buckets)
-	w := referenceWeight(weight)
 	nn := make([]int, n)
 	for i := 0; i < n; i++ {
 		best, bestVal := -1, math.Inf(-1)

@@ -26,16 +26,16 @@ import "fmt"
 // ResidualAssign computes the next replica level: one additional disk per
 // bucket, distinct from that bucket's existing owners. owners[x] lists the
 // disks that already hold a copy of bucket x (at least one, all in
-// [0, disks)); the returned slice has one new disk per bucket. w selects the
-// edge weight (nil means ProximityWeight).
-func ResidualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, error) {
-	assign, _, err := residualAssign(g, disks, owners, w)
+// [0, disks)); the returned slice has one new disk per bucket. The edge
+// weight is the proximity index.
+func ResidualAssign(g Grid, disks int, owners [][]int) ([]int, error) {
+	assign, _, err := residualAssign(g, disks, owners)
 	return assign, err
 }
 
 // residualAssign is ResidualAssign, also reporting the kernel evaluations it
 // cost.
-func residualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, work, error) {
+func residualAssign(g Grid, disks int, owners [][]int) ([]int, work, error) {
 	if err := checkArgs(g, disks); err != nil {
 		return nil, work{}, err
 	}
@@ -57,7 +57,15 @@ func residualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, work, e
 		}
 	}
 
-	e := NewPairEngine(g, w)
+	e := NewPairEngine(g, false)
+	assign := residualOn(e, disks, owners)
+	return assign, e.work, nil
+}
+
+// residualOn is the expansion of residualAssign on e, whose kernel is the
+// edge weight; owners must satisfy ResidualAssign's argument contract.
+func residualOn(e *PairEngine, disks int, owners [][]int) []int {
+	n := e.n
 	rows := e.newRows(disks)
 	e.initResidualRows(owners, rows)
 
@@ -115,7 +123,7 @@ func residualAssign(g Grid, disks int, owners [][]int, w Weight) ([]int, work, e
 			loads[best]++
 		}
 	}
-	return assign, e.work, nil
+	return assign
 }
 
 func ownedBy(owners []int, disk int) bool {

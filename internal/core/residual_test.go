@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"pgridfile/internal/geom"
-	"pgridfile/internal/gridfile"
 	"pgridfile/internal/synth"
 )
 
@@ -34,7 +32,7 @@ func residualFixture(t *testing.T, disks int) (Grid, [][]int, int) {
 func TestResidualAssignDistinctAndBalanced(t *testing.T) {
 	const disks = 4
 	g, owners, n := residualFixture(t, disks)
-	assign, err := ResidualAssign(g, disks, owners, nil)
+	assign, err := ResidualAssign(g, disks, owners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,34 +57,6 @@ func TestResidualAssignDistinctAndBalanced(t *testing.T) {
 	}
 }
 
-// TestResidualAssignCustomWeight exercises the custom-weight (generic
-// kernel) path and its distinct-disk guarantee, including a third level
-// where each bucket already owns two of the four disks.
-func TestResidualAssignCustomWeight(t *testing.T) {
-	const disks = 4
-	g, owners, n := residualFixture(t, disks)
-	custom := func(a, b gridfile.BucketView, dom geom.Rect) float64 {
-		return ProximityWeight(a, b, dom)
-	}
-	second, err := ResidualAssign(g, disks, owners, custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range owners {
-		owners[x] = append(owners[x], second[x])
-	}
-	third, err := ResidualAssign(g, disks, owners, custom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0; x < n; x++ {
-		if third[x] == owners[x][0] || third[x] == owners[x][1] {
-			t.Fatalf("bucket %d: third copy on already-owned disk %d (owners %v)",
-				x, third[x], owners[x])
-		}
-	}
-}
-
 // TestResidualAssignRejectsBadOwners pins the argument contract: owner lists
 // must be present, in range, and leave at least one free disk per bucket.
 func TestResidualAssignRejectsBadOwners(t *testing.T) {
@@ -95,19 +65,19 @@ func TestResidualAssignRejectsBadOwners(t *testing.T) {
 
 	saved := owners[0]
 	owners[0] = nil
-	if _, err := ResidualAssign(g, disks, owners, nil); err == nil {
+	if _, err := ResidualAssign(g, disks, owners); err == nil {
 		t.Error("empty owner list accepted")
 	}
 	owners[0] = []int{0, 1}
-	if _, err := ResidualAssign(g, disks, owners, nil); err == nil {
+	if _, err := ResidualAssign(g, disks, owners); err == nil {
 		t.Error("fully-owned bucket accepted — no disk left for another copy")
 	}
 	owners[0] = []int{disks}
-	if _, err := ResidualAssign(g, disks, owners, nil); err == nil {
+	if _, err := ResidualAssign(g, disks, owners); err == nil {
 		t.Error("out-of-range owner accepted")
 	}
 	owners[0] = saved
-	if _, err := ResidualAssign(g, disks, owners[:1], nil); err == nil {
+	if _, err := ResidualAssign(g, disks, owners[:1]); err == nil {
 		t.Error("short owners slice accepted")
 	}
 }

@@ -16,8 +16,6 @@ import "math/rand"
 //
 // Runs on the pairwise-weight engine.
 type SSP struct {
-	// Weight is the edge weight; nil means ProximityWeight.
-	Weight Weight
 	// Seed selects the path's starting bucket.
 	Seed int64
 }
@@ -30,14 +28,18 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 	if err := checkArgs(g, disks); err != nil {
 		return Allocation{}, err
 	}
-	n := len(g.Buckets)
+	return s.declusterOn(NewPairEngine(g, false), disks), nil
+}
+
+// declusterOn grows the path on e, whose kernel is the edge weight.
+func (s *SSP) declusterOn(e *PairEngine, disks int) Allocation {
+	n := e.n
 	rng := rand.New(rand.NewSource(s.Seed))
 	start := rng.Intn(n)
 
 	order := make([]int, 0, n)
 	order = append(order, start)
 
-	e := NewPairEngine(g, s.Weight)
 	e.remove(int32(start))
 	cur := int32(start)
 	for e.active > 0 {
@@ -51,7 +53,7 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 	for pos, v := range order {
 		assign[v] = pos % disks
 	}
-	return Allocation{Disks: disks, Assign: assign}, nil
+	return Allocation{Disks: disks, Assign: assign}
 }
 
 // MST is the minimal-spanning-tree-based declustering of Fang et al.,
@@ -65,8 +67,6 @@ func (s *SSP) Decluster(g Grid, disks int) (Allocation, error) {
 //
 // Runs on the pairwise-weight engine.
 type MST struct {
-	// Weight is the edge weight; nil means ProximityWeight.
-	Weight Weight
 	// Seed drives the random seeding phase.
 	Seed int64
 }
@@ -80,17 +80,24 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 		return Allocation{}, err
 	}
 	n := len(g.Buckets)
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
 	if disks >= n {
+		assign := make([]int, n)
 		for i := range assign {
 			assign[i] = i
 		}
 		return Allocation{Disks: disks, Assign: assign}, nil
 	}
+	return m.declusterOn(NewPairEngine(g, false), disks), nil
+}
 
+// declusterOn grows the trees on e, whose kernel is the edge weight.
+// Requires disks < e.n.
+func (m *MST) declusterOn(e *PairEngine, disks int) Allocation {
+	n := e.n
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
 	rng := rand.New(rand.NewSource(m.Seed))
 	seeds := permPrefix(rng, n, disks)
 	for k, v := range seeds {
@@ -103,7 +110,6 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 	// arg-min in the same sweep), and rescans — without any weight
 	// evaluations — the rows of trees whose cached arg-min was the vertex
 	// just removed. The textbook loop rescans every tree's full row each step.
-	e := NewPairEngine(g, m.Weight)
 	for _, v := range seeds {
 		e.remove(int32(v))
 	}
@@ -131,7 +137,7 @@ func (m *MST) Decluster(g Grid, disks int) (Allocation, error) {
 		assign[bestX] = bestK
 		e.remove(bestX)
 		if e.active == 0 {
-			return Allocation{Disks: disks, Assign: assign}, nil
+			return Allocation{Disks: disks, Assign: assign}
 		}
 		bestXk[bestK], bestVk[bestK] = e.stepMST(bestX, minTo[bestK])
 		// Other trees' rows are unchanged and the active set only shrank, so

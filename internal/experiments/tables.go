@@ -33,7 +33,7 @@ func (l *Lab) Table1() ([]*stats.Table, error) {
 // disk, per algorithm and disk count.
 func (l *Lab) closestPairsTable(title string, b *built, algs []core.Allocator) (*stats.Table, error) {
 	if b.nn == nil {
-		b.nn = sim.NearestCompanions(b.grid, nil)
+		b.nn = sim.NearestCompanions(b.grid)
 	}
 	return l.allocationTable(title, b.grid, algs, func(a core.Allocation) any {
 		return sim.CountSameDisk(b.nn, a)
@@ -129,7 +129,7 @@ func (l *Lab) AblationEdgeWeight() ([]*stats.Table, error) {
 	queries := l.queriesFor(b.grid.Domain, 0.01)
 	algs := []core.Allocator{
 		&core.Minimax{Seed: l.opts.Seed},
-		&core.Minimax{Weight: core.EuclideanWeight, Seed: l.opts.Seed},
+		&core.Minimax{Euclid: true, Seed: l.opts.Seed},
 	}
 	rt := stats.NewTable(
 		"Ablation A3 — minimax edge weight on stock.3d (r=0.01): mean response time",

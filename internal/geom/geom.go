@@ -183,20 +183,6 @@ func (r Rect) String() string {
 	return strings.Join(parts, "x")
 }
 
-// EuclideanDistance returns the distance between the centers of two boxes.
-// The paper considers (and rejects) center distance as an edge weight for
-// minimax because it cannot distinguish partially overlapping regions; it is
-// kept here as the ablation baseline (experiment A3 in DESIGN.md).
-func EuclideanDistance(r, s Rect) float64 {
-	rc, sc := r.Center(), s.Center()
-	sum := 0.0
-	for i := range rc {
-		d := rc[i] - sc[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
 // Proximity computes the Kamel–Faloutsos proximity index of two
 // d-dimensional boxes within an enclosing domain. The result lies in [0,1];
 // larger means the boxes are more likely to be retrieved by the same range

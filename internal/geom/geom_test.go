@@ -242,17 +242,6 @@ func TestProximitySelfIsMaximal(t *testing.T) {
 	}
 }
 
-func TestEuclideanDistance(t *testing.T) {
-	a := NewRect([]float64{0, 0}, []float64{2, 2}) // center (1,1)
-	b := NewRect([]float64{4, 1}, []float64{4, 7}) // center (4,4)
-	if got := EuclideanDistance(a, b); math.Abs(got-math.Sqrt(18)) > 1e-12 {
-		t.Errorf("EuclideanDistance = %v, want %v", got, math.Sqrt(18))
-	}
-	if got := EuclideanDistance(a, a); got != 0 {
-		t.Errorf("self distance = %v, want 0", got)
-	}
-}
-
 func TestPointCloneIndependent(t *testing.T) {
 	p := Point{1, 2, 3}
 	q := p.Clone()

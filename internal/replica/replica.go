@@ -20,8 +20,6 @@ type Placer struct {
 	// Replicas is the number of copies per bucket, r >= 1. 1 means no
 	// replication: the map echoes the base allocation.
 	Replicas int
-	// Weight scores the residual allocation; nil means ProximityWeight.
-	Weight core.Weight
 }
 
 // Map is an r-way replica placement: every bucket's ordered owner list.
@@ -56,7 +54,7 @@ func (p *Placer) Place(g core.Grid, base core.Allocation) (*Map, error) {
 		owners[x][0] = base.Assign[x]
 	}
 	for level := 1; level < r; level++ {
-		next, err := core.ResidualAssign(g, base.Disks, owners, p.Weight)
+		next, err := core.ResidualAssign(g, base.Disks, owners)
 		if err != nil {
 			return nil, fmt.Errorf("replica: level %d: %w", level, err)
 		}

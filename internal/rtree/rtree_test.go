@@ -153,7 +153,7 @@ func TestDeclusterRTreeLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn := sim.NearestCompanions(g, nil)
+	nn := sim.NearestCompanions(g)
 	mmPairs := sim.CountSameDisk(nn, mm)
 	ccPairs := sim.CountSameDisk(nn, cc)
 	if mmPairs > ccPairs {

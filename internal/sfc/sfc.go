@@ -63,7 +63,18 @@ func (h *Hilbert) Bits() int { return h.bits }
 // Key maps coords to the Hilbert index. It panics if len(coords) != dims
 // or any coordinate overflows the per-dimension bit budget.
 func (h *Hilbert) Key(coords []uint32) uint64 {
-	x := h.checkedCopy(coords)
+	if len(coords) != h.dims {
+		panic(fmt.Sprintf("sfc: coordinate length %d, want %d", len(coords), h.dims))
+	}
+	var buf [64]uint32 // dims·bits ≤ 64: the working copy needs no heap
+	x := buf[:h.dims]
+	limit := uint64(1) << h.bits
+	for i, c := range coords {
+		if uint64(c) >= limit {
+			panic(fmt.Sprintf("sfc: coordinate %d = %d exceeds %d bits", i, c, h.bits))
+		}
+		x[i] = c
+	}
 	axesToTranspose(x, h.bits)
 	return interleaveTranspose(x, h.bits)
 }
@@ -75,21 +86,6 @@ func (h *Hilbert) Coords(key uint64, out []uint32) {
 	}
 	deinterleaveTranspose(key, out, h.bits)
 	transposeToAxes(out, h.bits)
-}
-
-func (h *Hilbert) checkedCopy(coords []uint32) []uint32 {
-	if len(coords) != h.dims {
-		panic(fmt.Sprintf("sfc: coordinate length %d, want %d", len(coords), h.dims))
-	}
-	limit := uint64(1) << h.bits
-	x := make([]uint32, h.dims)
-	for i, c := range coords {
-		if uint64(c) >= limit {
-			panic(fmt.Sprintf("sfc: coordinate %d = %d exceeds %d bits", i, c, h.bits))
-		}
-		x[i] = c
-	}
-	return x
 }
 
 // axesToTranspose converts coordinates in place into the transposed form of

@@ -217,10 +217,7 @@ func TestTailIsWorseForUnbalancedAllocations(t *testing.T) {
 
 // serialNearestCompanions is the pre-engine reference scan, kept in the test
 // to pin NearestCompanions' output against.
-func serialNearestCompanions(g core.Grid, w core.Weight) []int {
-	if w == nil {
-		w = core.ProximityWeight
-	}
+func serialNearestCompanions(g core.Grid) []int {
 	n := len(g.Buckets)
 	nn := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -229,7 +226,7 @@ func serialNearestCompanions(g core.Grid, w core.Weight) []int {
 			if j == i {
 				continue
 			}
-			if v := w(g.Buckets[i], g.Buckets[j], g.Domain); v > bestVal {
+			if v := geom.Proximity(g.Buckets[i].Region, g.Buckets[j].Region, g.Domain); v > bestVal {
 				best, bestVal = j, v
 			}
 		}
@@ -252,13 +249,11 @@ func TestNearestCompanionsMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := core.FromGridFile(f)
-		for _, w := range []core.Weight{nil, core.EuclideanWeight} {
-			want := serialNearestCompanions(g, w)
-			got := NearestCompanions(g, w)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: companion[%d] = %d, want %d", name, i, got[i], want[i])
-				}
+		want := serialNearestCompanions(g)
+		got := NearestCompanions(g)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: companion[%d] = %d, want %d", name, i, got[i], want[i])
 			}
 		}
 	}

@@ -21,11 +21,11 @@ import (
 const openAllocBudget = 5
 
 // writeAllocBudget is the committed number of objects Write may allocate per
-// live bucket of the write-mix grid at r=1. It measures 10.01 (12.1 MB for
-// 10 209 buckets): one set of bucket views, for LayoutOrder's region
-// centres. Building a second set only to read each bucket's id measured
-// 13.01 (13.5 MB).
-const writeAllocBudget = 11
+// live bucket of the write-mix grid at r=1. It measures 8.01: one set of
+// bucket views, for LayoutOrder's region centres. Making a centre Point and a
+// Hilbert key's working copy on the heap for every bucket measured 10.01, and
+// building a second set of views only to read each bucket's id 13.01.
+const writeAllocBudget = 9
 
 // TestOpenAllocationBudget holds Open of a write-mix sized layout (about
 // 10 000 live buckets, 8 disks, r=2) to openAllocBudget objects per live

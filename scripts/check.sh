@@ -18,7 +18,8 @@
 #                  TestDefaultMatrixMatchesCommittedBaseline). So are the
 #                  count budgets that need no quiet machine: the pruned
 #                  declustering sweeps' kernel evaluations (internal/core
-#                  TestPrunedWorkBudget). And the guard that keeps internal/*
+#                  TestPrunedWorkBudget: its Minimax, ResidualAssign and
+#                  NearestCompanions rows). And the guard that keeps internal/*
 #                  cut to what is read: the root package's
 #                  TestNoTestOnlyExports fails on an exported func or method
 #                  that only tests call (allow-list with reasons in
