@@ -99,7 +99,6 @@ type table struct {
 type entry struct {
 	key        int32
 	rec        geom.Flat
-	pages      int
 	bytes      int64
 	ref        atomic.Bool // hit since it was inserted or last reached the cold end
 	prev, next *entry      // the shard's list; under its lock
@@ -227,12 +226,11 @@ func (c *Cache) CountHits(n int) {
 }
 
 // AcquireResult reports how an Acquire was satisfied: a hit (Hit true,
-// Rec/Pages valid) or a miss (Pending set: the caller reads the bucket and,
+// Rec valid) or a miss (Pending set: the caller reads the bucket and,
 // if the read succeeds, hands Pending to Complete once; a failed read just
 // drops it).
 type AcquireResult struct {
 	Rec     geom.Flat
-	Pages   int
 	Hit     bool
 	Pending *Pending
 }
@@ -244,7 +242,7 @@ func hit(entries []atomic.Pointer[entry], id int32) (AcquireResult, bool) {
 		return AcquireResult{}, false
 	}
 	e.mark()
-	return AcquireResult{Rec: e.rec, Pages: e.pages, Hit: true}, true
+	return AcquireResult{Rec: e.rec, Hit: true}, true
 }
 
 // Acquire looks id up and, on a miss, hands the caller a load handle
@@ -301,8 +299,8 @@ func (c *Cache) Invalidate(ids ...int32) {
 // shard's byte budget), unless an Invalidate has stamped its id since
 // Acquire handed p out, another load of the id was cached first, or the
 // entry is too large for its shard's entire budget.
-func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int) {
-	p.rec, p.pages, p.bytes = rec, pages, cost(rec)
+func (c *Cache) Complete(p *Pending, rec geom.Flat) {
+	p.rec, p.bytes = rec, cost(rec)
 	s := c.shardFor(p.key)
 	s.mu.Lock()
 	t := c.tab.Load() // holds p.key: Acquire grew it to
@@ -317,18 +315,19 @@ func (c *Cache) Complete(p *Pending, rec geom.Flat, pages int) {
 	s.mu.Unlock()
 }
 
-// Get is the one-call form: a hit returns at once, and a miss runs load and
-// caches its result if it succeeds. ctx is unused, since nothing waits; the
-// signature stays for the benchmark's cache layer (bench/layers.go).
+// Get is the one-call form: a hit returns at once, having read no pages, and
+// a miss runs load, returns what it read and caches the bucket if the load
+// succeeds. ctx is unused, since nothing waits; the signature stays for the
+// benchmark's cache layer (bench/layers.go).
 func (c *Cache) Get(ctx context.Context, id int32, load func() (geom.Flat, int, error)) (geom.Flat, int, error) {
 	r := c.Acquire(id)
 	if r.Hit {
 		c.CountHits(1)
-		return r.Rec, r.Pages, nil
+		return r.Rec, 0, nil
 	}
 	rec, pages, err := load()
 	if err == nil {
-		c.Complete(r.Pending, rec, pages)
+		c.Complete(r.Pending, rec)
 	}
 	return rec, pages, err
 }

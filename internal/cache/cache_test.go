@@ -37,8 +37,8 @@ func TestGetHitMiss(t *testing.T) {
 		calls++
 		return geom.Flat{}, 0, errors.New("should not be called")
 	})
-	if err != nil || calls != 0 || got.Len() != 10 || pages != 3 {
-		t.Fatalf("hit ran the loader: calls=%d err=%v", calls, err)
+	if err != nil || calls != 0 || got.Len() != 10 || pages != 0 {
+		t.Fatalf("hit: calls=%d pages=%d err=%v, want no load and no pages read", calls, pages, err)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -232,17 +232,17 @@ func TestAcquireAfterInvalidateDoesNotJoinStaleLoad(t *testing.T) {
 			}
 		}
 		if staleFirst {
-			c.Complete(a.Pending, old, 2)
+			c.Complete(a.Pending, old)
 			if r := c.Acquire(3); r.Hit {
 				t.Fatalf("acquire after the outdated completion: %d records cached, want a miss", r.Rec.Len())
 			}
-			c.Complete(b.Pending, fresh, 1)
+			c.Complete(b.Pending, fresh)
 		} else {
-			c.Complete(b.Pending, fresh, 1)
-			c.Complete(a.Pending, old, 2) // the outdated load, last to report
+			c.Complete(b.Pending, fresh)
+			c.Complete(a.Pending, old) // the outdated load, last to report
 		}
 		for i := range late { // the fresh bucket is already cached: no-ops
-			c.Complete(late[i].Pending, fresh, 1)
+			c.Complete(late[i].Pending, fresh)
 		}
 		if r := c.Acquire(3); !r.Hit || r.Rec.Len() != 4 {
 			t.Fatalf("staleFirst=%v: acquire after both reported: %+v, want a hit on the fresh bucket", staleFirst, r)
@@ -292,13 +292,13 @@ func TestInvalidateRacingLeader(t *testing.T) {
 			}
 		}
 		if tc.staleFirst {
-			c.Complete(a.Pending, old, 2)
+			c.Complete(a.Pending, old)
 		}
 		if tc.after {
-			c.Complete(b.Pending, fresh, 1)
+			c.Complete(b.Pending, fresh)
 		}
 		if !tc.staleFirst {
-			c.Complete(a.Pending, old, 2)
+			c.Complete(a.Pending, old)
 		}
 		r := c.Acquire(tc.id)
 		if !tc.after {
@@ -307,7 +307,7 @@ func TestInvalidateRacingLeader(t *testing.T) {
 			if r.Hit {
 				t.Fatalf("%s: the outdated load was cached: %d records", tc.name, r.Rec.Len())
 			}
-			c.Complete(r.Pending, fresh, 1)
+			c.Complete(r.Pending, fresh)
 			r = c.Acquire(tc.id)
 		}
 		if !r.Hit || r.Rec.Len() != 4 {
@@ -338,7 +338,7 @@ func TestInvalidateRacingLeader(t *testing.T) {
 				}
 				v := float64(version.Load())
 				runtime.Gosched() // the read's I/O
-				c.Complete(r.Pending, geom.Flat{Dims: 2, Coords: []float64{v, 0}}, 1)
+				c.Complete(r.Pending, geom.Flat{Dims: 2, Coords: []float64{v, 0}})
 			}()
 		}
 		if round%2 == 0 {
@@ -508,7 +508,7 @@ func TestInvalidateReferencedEntry(t *testing.T) {
 	if r.Hit {
 		t.Fatalf("acquire after invalidate: %+v, want a miss", r)
 	}
-	c.Complete(r.Pending, makeFlat(10), 1)
+	c.Complete(r.Pending, makeFlat(10))
 	c.Get(ctx, 2, loadOf(makeFlat(10), 1))
 	c.Get(ctx, 3, loadOf(makeFlat(10), 1)) // 1 is coldest and unmarked: it goes
 	if resident(c, 1) || !resident(c, 2) || !resident(c, 3) {
@@ -550,7 +550,7 @@ func TestByteBoundUnderRandomOps(t *testing.T) {
 					c.Invalidate(id)
 				default:
 					if r := c.Acquire(id); !r.Hit {
-						c.Complete(r.Pending, makeFlat(1+rng.Intn(120)), 1)
+						c.Complete(r.Pending, makeFlat(1+rng.Intn(120)))
 					}
 				}
 				check()
@@ -654,7 +654,7 @@ func TestResidentNeverReturnsInvalidatedArena(t *testing.T) {
 					err = check(id, floor, a.Rec)
 				} else {
 					// A miss reads what is stored after its stamp was taken.
-					c.Complete(a.Pending, arena(id, stored[w][j].Load()), 1)
+					c.Complete(a.Pending, arena(id, stored[w][j].Load()))
 				}
 				if err != nil {
 					errs <- err
@@ -675,7 +675,7 @@ func TestResidentNeverReturnsInvalidatedArena(t *testing.T) {
 				c.Invalidate(id)
 				acked[w][j].Store(v)
 				if r := c.Acquire(id); !r.Hit {
-					c.Complete(r.Pending, arena(id, stored[w][j].Load()), 1)
+					c.Complete(r.Pending, arena(id, stored[w][j].Load()))
 				}
 			}
 		}(w)

@@ -14,7 +14,11 @@ import (
 // of them have the same shape — evaluate an edge weight between one "pivot"
 // bucket and the other live buckets, then reduce (max-merge, min-merge,
 // arg-min, arg-max) — so they share one engine instead of each calling
-// geom.Proximity per edge.
+// geom.Proximity per edge. There is one max-merge sweep, maxInto: it seeds
+// every tree's row, minimax's and MST's from their seeds and residual
+// allocation's from the copies each disk holds, and maintains the rows of
+// the round-robin expansion minimax and residual allocation share
+// (residual.go).
 //
 // The edge weight is one of two, fixed when the engine is built: the
 // Kamel–Faloutsos proximity index, the paper's, or normalized Euclidean
@@ -98,6 +102,7 @@ type PairEngine struct {
 	usb      []float64 // per super-block: the current pivot's bound
 	entered  []bool    // per super-block: argmaxTo has bounded its blocks
 	scratch  []float64 // blockSize weights, reused by every sweep
+	enter    []int32   // the rows maxInto enters a super-block for
 
 	work
 }
@@ -473,7 +478,11 @@ type treeRow struct {
 	sarg []int32   // …and the lowest vertex holding it
 }
 
-// newRows returns one treeRow for each of m trees, all values zero.
+// newRows returns one treeRow for each of m trees, all values and bounds
+// zero. No weight lies below zero — the proximity index is a product of
+// non-negative factors, and Euclidean similarity is 1 − distance/diagonal
+// for regions inside the domain — so maxInto from a seed fills a row with
+// the seed's weights.
 func (e *PairEngine) newRows(m int) []treeRow {
 	n, nb, ns := e.n, len(e.live), len(e.slive)
 	val, lo, arg := make([]float64, m*n), make([]float64, m*nb), make([]int32, m*nb)
@@ -499,12 +508,12 @@ func (e *PairEngine) settle(r treeRow, s int) {
 }
 
 // unset clears super-block s's bound, for fold to rebuild.
-func (r treeRow) unset(s int) {
+func (r *treeRow) unset(s int) {
 	r.slo[s], r.sarg[s] = math.Inf(1), -1
 }
 
 // fold lowers super-block s's bound to block b's when that comes first.
-func (r treeRow) fold(s, b int) {
+func (r *treeRow) fold(s, b int) {
 	if before(r.lo[b], r.arg[b], r.slo[s], r.sarg[s]) {
 		r.slo[s], r.sarg[s] = r.lo[b], r.arg[b]
 	}
@@ -528,32 +537,9 @@ func before(v float64, x int32, bv float64, bx int32) bool {
 	return v < bv || (v == bv && x < bx)
 }
 
-// initRows sets tree k's row to the weight of every active vertex against
-// seeds[k].
-func (e *PairEngine) initRows(seeds []int, rows []treeRow) {
-	for k, seed := range seeds {
-		r := rows[k]
-		for b := range e.live {
-			xs := e.block(b)
-			mx, mv := int32(-1), math.Inf(1)
-			for i, v := range e.weigh(int32(seed), xs) {
-				x := xs[i]
-				r.val[x] = v
-				if before(v, x, mv, mx) {
-					mx, mv = x, v
-				}
-			}
-			r.lo[b], r.arg[b] = mv, mx
-		}
-		for s := range e.slive {
-			e.settle(r, s)
-		}
-	}
-}
-
 // mergeMax max-merges the weights out of block b's active vertices xs into
 // the row and makes the block's bound exact.
-func (r treeRow) mergeMax(b int, xs []int32, out []float64) {
+func (r *treeRow) mergeMax(b int, xs []int32, out []float64) {
 	mx, mv := int32(-1), math.Inf(1)
 	for i, x := range xs {
 		v := r.val[x]
@@ -569,30 +555,52 @@ func (r treeRow) mergeMax(b int, xs []int32, out []float64) {
 }
 
 // maxInto max-merges the weight of every active vertex against the fixed
-// bucket into the row — MAX_x(k) maintenance for minimax and residual
-// allocation. A super-block or block whose bound does not exceed the row's
-// smallest value there is skipped: no weight in it can exceed the value its
-// entry holds.
-func (e *PairEngine) maxInto(fixed int32, r treeRow) {
+// bucket into each of the rows: MAX_x(k) maintenance for the round-robin
+// expansion, and the seeding of every tree's row, from its seed or from the
+// copies a disk already holds. A super-block or block is skipped for a row
+// whose smallest value there is at least its bound, since no weight in it can
+// exceed the value its entry holds; a block is weighed once, however many
+// rows take it.
+func (e *PairEngine) maxInto(fixed int32, rows ...treeRow) {
 	usb := e.boundSupers(fixed)
+	enter := e.enter
 	for s, cnt := range e.slive {
-		if cnt == 0 || usb[s] <= r.slo[s] {
+		if cnt == 0 {
+			continue
+		}
+		enter = enter[:0]
+		for i := range rows {
+			if usb[s] > rows[i].slo[s] {
+				enter = append(enter, int32(i))
+			}
+		}
+		if len(enter) == 0 {
 			continue
 		}
 		ub := e.boundBlocks(fixed, s)
 		lo, hi := e.blocksOf(s)
-		r.unset(s)
+		for _, i := range enter {
+			rows[i].unset(s)
+		}
 		for b := lo; b < hi; b++ {
 			if e.live[b] == 0 {
 				continue
 			}
-			if ub[b] > r.lo[b] {
-				xs := e.block(b)
-				r.mergeMax(b, xs, e.weigh(fixed, xs))
+			var out []float64
+			for _, i := range enter {
+				r := &rows[i]
+				if ub[b] > r.lo[b] {
+					xs := e.block(b)
+					if out == nil {
+						out = e.weigh(fixed, xs)
+					}
+					r.mergeMax(b, xs, out)
+				}
+				r.fold(s, b)
 			}
-			r.fold(s, b)
 		}
 	}
+	e.enter = enter
 }
 
 // argminRow returns the arg-min of the row over the active vertices (ties to
@@ -630,7 +638,7 @@ func (e *PairEngine) argminRow(r treeRow, owners [][]int, disk int) (int32, floa
 					if before(v, x, mv, mx) {
 						mx, mv = x, v
 					}
-					if before(v, x, bv, bx) && (owners == nil || !ownedBy(owners[x], disk)) {
+					if before(v, x, bv, bx) && !owns(owners, int(x), disk) {
 						bx, bv = x, v
 					}
 				}
@@ -675,56 +683,6 @@ func (e *PairEngine) stepMST(newMember int32, r treeRow) (int32, float64) {
 		e.settle(r, s)
 	}
 	return bx, bv
-}
-
-// initResidualRows sets disk k's row to the maximum weight between each
-// vertex x and any bucket disk k already owns, per the owners lists
-// (owners[y] = disks that already hold a copy of bucket y). Each owned bucket
-// is max-merged in like a new member, so once a row holds a nearby bucket's
-// weights the far ones are skipped; the buckets are fed in a shuffled order
-// (a max is order-independent) so that every row meets nearby buckets early
-// wherever it is looked at.
-func (e *PairEngine) initResidualRows(owners [][]int, rows []treeRow) {
-	var own, enter []treeRow // the rows of y's owner disks; those entering a super-block
-	for _, y := range rand.New(rand.NewSource(1)).Perm(e.n) {
-		own = own[:0]
-		for _, k := range owners[y] {
-			own = append(own, rows[k])
-		}
-		usb := e.boundSupers(int32(y))
-		for s := range e.slive {
-			enter = enter[:0]
-			for _, r := range own {
-				if usb[s] > r.slo[s] {
-					enter = append(enter, r)
-				}
-			}
-			if len(enter) == 0 {
-				continue
-			}
-			ub := e.boundBlocks(int32(y), s)
-			lo, hi := e.blocksOf(s)
-			for _, r := range enter {
-				r.unset(s)
-			}
-			for b := lo; b < hi; b++ {
-				if e.live[b] == 0 {
-					continue
-				}
-				var out []float64 // weighed once, however many rows take it
-				for _, r := range enter {
-					if ub[b] > r.lo[b] {
-						xs := e.block(b)
-						if out == nil {
-							out = e.weigh(int32(y), xs)
-						}
-						r.mergeMax(b, xs, out)
-					}
-					r.fold(s, b)
-				}
-			}
-		}
-	}
 }
 
 // argmaxTo returns the active vertex other than fixed with the largest

@@ -284,6 +284,29 @@ func TestEuclidWeighsOncePerPair(t *testing.T) {
 	}
 }
 
+// TestMinimaxAtQuotaBoundary holds Minimax to the textbook loop where the
+// ⌈N/M⌉ quota of the expansion it shares with ResidualAssign is tightest: N
+// just above M and on either side of 2M, under both kernels. A quota, a
+// stall or the leftover pass acting on a minimax run would show here first.
+func TestMinimaxAtQuotaBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	domain := geom.Rect{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
+	for _, disks := range []int{2, 8, 64} {
+		for _, n := range []int{disks + 1, 2*disks - 1, 2 * disks, 2*disks + 1} {
+			g := Grid{Sizes: []int{1, 1}, Domain: domain, Buckets: randomBoxes(rng, domain, n)}
+			for _, w := range engineWeights {
+				for seed := int64(0); seed < 4; seed++ {
+					got, err := (&Minimax{Euclid: w.euclid, Seed: seed}).Decluster(g, disks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAssign(t, got.Assign, referenceMinimax(g, w.ref, seed, disks))
+				}
+			}
+		}
+	}
+}
+
 // randomBoxes returns n well-formed boxes inside domain whose coordinates
 // come half from a coarse lattice of sevenths — so that boxes touch, nest,
 // coincide, collapse to zero width and sit on the domain's edge, at values

@@ -10,15 +10,19 @@ import "math/rand"
 // perfectly balanced partitions (at most ⌈N/M⌉ buckets per disk), and a very
 // low likelihood that a bucket shares a disk with its closest companion.
 //
-// Decluster runs on the pairwise-weight engine (see engine.go); the
-// assignment is byte-identical to the textbook serial loops. Under the
-// proximity index the N²/2 evaluations are the worst case, not the cost: a
-// step bounds the new member's weight to each super-block of 512 buckets,
-// then to the 32-bucket blocks of those where the bound could raise
-// MAX_x(k), and weighs only the blocks where it still could — measured,
-// 0.57 M bounds and 1.3 M weights where the textbook loop takes 53 M weights
-// (hot.2d, N = 10 209, M = 8), 1.08 M and 2.9 M where it takes 134 M
-// (128×128 grid, M = 16).
+// Decluster is the random seeding followed by residual allocation's
+// round-robin expansion (residual.go) from the seeds, with no owner to
+// avoid: minimax is residual allocation from an empty start. It runs on the
+// pairwise-weight engine (see engine.go); the assignment is byte-identical
+// to the textbook serial loops. Under the proximity index the N²/2
+// evaluations are the worst case, not the cost: a step bounds the new
+// member's weight to each super-block of 512 buckets, then to the 32-bucket
+// blocks of those where the bound could raise MAX_x(k), and weighs only the
+// blocks where it still could — measured, 0.57 M bounds and 1.3 M weights
+// where the textbook loop takes 53 M weights (hot.2d, N = 10 209, M = 8),
+// 1.09 M and 2.9 M where it takes 134 M (128×128 grid, M = 16). Seeding is
+// the same sweep from a zero row, which enters every block: M bounds per
+// block and super-block.
 // Euclidean centre distance has no such bound and is evaluated once per pair.
 type Minimax struct {
 	// Euclid makes normalized Euclidean centre distance the edge weight in
@@ -71,24 +75,17 @@ func (m *Minimax) decluster(g Grid, disks int) (Allocation, work, error) {
 		assign[v] = k
 	}
 
-	// Phase 2: round-robin expansion. maxTo's row k holds MAX_x(k) for every
-	// unassigned vertex x; each step selects tree k's arg-min and max-merges
-	// the new member's weights into the same row, both pruned by the row's
-	// per-block lower bounds (engine.go).
+	// Phase 2: the round-robin expansion (residual.go) from rows holding
+	// each seed's weights. No bucket has an owner to avoid, and a disk takes
+	// at most ⌈(N−M)/M⌉ < ⌈N/M⌉ buckets, so the quota never binds.
 	e := NewPairEngine(g, m.Euclid)
 	for _, v := range seeds {
 		e.remove(int32(v))
 	}
-	maxTo := e.newRows(disks)
-	e.initRows(seeds, maxTo)
-	for k := 0; ; k = (k + 1) % disks {
-		row := maxTo[k]
-		x, _ := e.argminRow(row, nil, 0)
-		assign[x] = k
-		e.remove(x)
-		if e.active == 0 {
-			return Allocation{Disks: disks, Assign: assign}, e.work, nil
-		}
-		e.maxInto(x, row)
+	rows := e.newRows(disks)
+	for k, v := range seeds {
+		e.maxInto(int32(v), rows[k])
 	}
+	e.expand(rows, nil, assign)
+	return Allocation{Disks: disks, Assign: assign}, e.work, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"pgridfile/internal/geom"
 	"pgridfile/internal/gridfile"
@@ -223,7 +224,7 @@ func referenceResidual(g Grid, disks int, owners [][]int, w pairWeight) []int {
 		row := rows[k*n : (k+1)*n]
 		best, bestVal := -1, math.Inf(1)
 		for x := 0; x < n; x++ {
-			if assign[x] >= 0 || ownedBy(owners[x], k) {
+			if assign[x] >= 0 || slices.Contains(owners[x], k) {
 				continue
 			}
 			if v := row[x]; v < bestVal {
@@ -256,7 +257,7 @@ func referenceResidual(g Grid, disks int, owners [][]int, w pairWeight) []int {
 		}
 		best := -1
 		for k := 0; k < disks; k++ {
-			if ownedBy(owners[x], k) {
+			if slices.Contains(owners[x], k) {
 				continue
 			}
 			if best < 0 || loads[k] < loads[best] {

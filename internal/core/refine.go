@@ -24,11 +24,12 @@ type Refine struct {
 	Base Allocator
 	// Queries is the training workload. Required.
 	Queries []geom.Rect
-	// MaxPasses bounds the hill-climbing sweeps (default 16).
-	MaxPasses int
 	// Seed drives tie-breaking and the bucket visit order.
 	Seed int64
 }
+
+// refinePasses bounds Refine's hill-climbing sweeps over the buckets.
+const refinePasses = 16
 
 // Name implements Allocator.
 func (r *Refine) Name() string {
@@ -121,13 +122,9 @@ func (r *Refine) Decluster(g Grid, disks int) (Allocation, error) {
 		alloc.Assign[b] = to
 	}
 
-	passes := r.MaxPasses
-	if passes <= 0 {
-		passes = 16
-	}
 	rng := rand.New(rand.NewSource(r.Seed))
 	order := rng.Perm(n)
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		improved := false
 		for _, b := range order {
 			from := alloc.Assign[b]

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+)
 
 // This file implements residual allocation: declustering a grid a second (or
 // r-th) time against the copies that already exist. It is the scoring core of
@@ -16,12 +20,13 @@ import "fmt"
 //     buckets per disk, relaxed only if the distinct-disk constraint forces
 //     it).
 //
-// The algorithm is the minimax round-robin expansion of minimax.go with two
-// changes: the per-disk rows are seeded from the EXISTING copies instead of
-// from fresh random seeds (so level r sees levels 0..r−1), and each disk's
-// selection skips buckets it already owns. Selection ties break to the
-// lowest bucket index and the row maintenance runs on the pairwise-weight
-// engine.
+// The algorithm is minimax's round-robin expansion, expand, started from the
+// EXISTING copies instead of from random seeds (so level r sees levels
+// 0..r−1), with each disk's selection skipping buckets it already owns.
+// Minimax runs the same expand from its M seeds with no owners, where the
+// quota never binds and no bucket is left over. Selection ties break to the
+// lowest bucket index, and the rows are seeded and maintained by the
+// pairwise-weight engine's one max-merge sweep, maxInto.
 
 // ResidualAssign computes the next replica level: one additional disk per
 // bucket, distinct from that bucket's existing owners. owners[x] lists the
@@ -63,31 +68,49 @@ func residualAssign(g Grid, disks int, owners [][]int) ([]int, work, error) {
 }
 
 // residualOn is the expansion of residualAssign on e, whose kernel is the
-// edge weight; owners must satisfy ResidualAssign's argument contract.
+// edge weight; owners must satisfy ResidualAssign's argument contract. Disk
+// k's row starts as the largest weight between each bucket and any bucket
+// disk k already holds: every bucket is max-merged into its owners' rows, in
+// a shuffled order (a max is order-independent) so that every row meets
+// nearby buckets early wherever it is looked at, and the far ones are
+// skipped.
 func residualOn(e *PairEngine, disks int, owners [][]int) []int {
-	n := e.n
 	rows := e.newRows(disks)
-	e.initResidualRows(owners, rows)
-
-	assign := make([]int, n)
+	var own []treeRow
+	for _, y := range rand.New(rand.NewSource(1)).Perm(e.n) {
+		own = own[:0]
+		for _, k := range owners[y] {
+			own = append(own, rows[k])
+		}
+		e.maxInto(int32(y), own...)
+	}
+	assign := make([]int, e.n)
 	for i := range assign {
 		assign[i] = -1
 	}
-	quota := (n + disks - 1) / disks
-	loads := make([]int, disks)
+	e.expand(rows, owners, assign)
+	return assign
+}
 
-	// Round-robin expansion under the distinct-disk constraint. A disk at
-	// quota, or with no eligible bucket left, passes its turn; when a full
-	// cycle makes no progress the quota is relaxed for the leftover pass.
-	remaining := n
+// expand is the round-robin expansion of minimax and of residual allocation:
+// disk k's turn takes the active bucket with the smallest value in rows[k]
+// that k does not own (owners nil: none is owned), assigns it to k in assign
+// and max-merges its weights into the row. A disk at the ⌈N/M⌉ quota, or
+// with no eligible bucket left, passes its turn; when a full cycle makes no
+// progress the quota is relaxed for the leftover pass, which assigns the
+// stragglers in index order to their least-loaded eligible disk (ties to the
+// lowest disk index). The loads count this expansion's buckets only.
+func (e *PairEngine) expand(rows []treeRow, owners [][]int, assign []int) {
+	disks := len(rows)
+	quota := (e.n + disks - 1) / disks
+	loads := make([]int, disks)
 	stalled := 0
-	for k := 0; remaining > 0 && stalled < disks; k = (k + 1) % disks {
+	for k := 0; e.active > 0 && stalled < disks; k = (k + 1) % disks {
 		if loads[k] >= quota {
 			stalled++
 			continue
 		}
-		row := rows[k]
-		best, _ := e.argminRow(row, owners, k)
+		best, _ := e.argminRow(rows[k], owners, k)
 		if best < 0 {
 			stalled++
 			continue
@@ -96,41 +119,30 @@ func residualOn(e *PairEngine, disks int, owners [][]int) []int {
 		assign[best] = k
 		loads[k]++
 		e.remove(best)
-		remaining--
-		if remaining > 0 {
-			e.maxInto(best, row)
+		if e.active > 0 {
+			e.maxInto(best, rows[k])
 		}
 	}
-
-	// Leftover pass: the distinct-disk constraint starved the round-robin.
-	// Assign the stragglers in index order to their least-loaded eligible
-	// disk (ties to the lowest disk index) with the quota relaxed.
-	if remaining > 0 {
-		for x := 0; x < n; x++ {
-			if assign[x] >= 0 {
+	for x, a := range assign {
+		if a >= 0 {
+			continue
+		}
+		best := -1
+		for k := 0; k < disks; k++ {
+			if owns(owners, x, k) {
 				continue
 			}
-			best := -1
-			for k := 0; k < disks; k++ {
-				if ownedBy(owners[x], k) {
-					continue
-				}
-				if best < 0 || loads[k] < loads[best] {
-					best = k
-				}
+			if best < 0 || loads[k] < loads[best] {
+				best = k
 			}
-			assign[x] = best
-			loads[best]++
 		}
+		assign[x] = best
+		loads[best]++
 	}
-	return assign
 }
 
-func ownedBy(owners []int, disk int) bool {
-	for _, k := range owners {
-		if k == disk {
-			return true
-		}
-	}
-	return false
+// owns reports whether disk already holds a copy of bucket x; with owners
+// nil no disk holds any.
+func owns(owners [][]int, x, disk int) bool {
+	return owners != nil && slices.Contains(owners[x], disk)
 }

@@ -113,9 +113,12 @@ func (m *MST) declusterOn(e *PairEngine, disks int) Allocation {
 	for _, v := range seeds {
 		e.remove(int32(v))
 	}
-	// minTo's row k holds Prim's frontier value of every vertex for tree k.
+	// minTo's row k holds Prim's frontier value of every vertex for tree k,
+	// starting at the weights to seed k.
 	minTo := e.newRows(disks)
-	e.initRows(seeds, minTo)
+	for k, v := range seeds {
+		e.maxInto(int32(v), minTo[k])
+	}
 	argmin := func(k int) (int32, float64) { return e.argminRow(minTo[k], nil, 0) }
 	bestXk := make([]int32, disks)
 	bestVk := make([]float64, disks)

@@ -15,6 +15,7 @@ import (
 	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
 	"pgridfile/internal/synth"
+	"pgridfile/internal/workload"
 )
 
 // Options scales and seeds an experiment run.
@@ -211,5 +212,5 @@ func fmtDisks(disks []int) []string {
 
 // queriesFor builds the standard square-range workload for a dataset.
 func (l *Lab) queriesFor(dom geom.Rect, r float64) []geom.Rect {
-	return squareQueries(dom, r, l.opts.Queries, l.opts.Seed+100)
+	return workload.SquareRange(dom, r, l.opts.Queries, l.opts.Seed+100)
 }

@@ -252,7 +252,7 @@ func (l *Lab) Optimality() ([]*stats.Table, error) {
 			return nil, err
 		}
 		g := core.FromCartesian(c)
-		queries := squareQueries(g.Domain, 0.2, 80, l.opts.Seed+600)
+		queries := workload.SquareRange(g.Domain, 0.2, 80, l.opts.Seed+600)
 
 		objective := func(a core.Allocation) int64 {
 			var total int64
@@ -381,7 +381,7 @@ func (l *Lab) AblationRefine() ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := squareQueries(b.grid.Domain, 0.05, l.opts.Queries, l.opts.Seed+400)
+	train := workload.SquareRange(b.grid.Domain, 0.05, l.opts.Queries, l.opts.Seed+400)
 	eval := l.queriesFor(b.grid.Domain, 0.05) // independent draw
 
 	base := &core.Minimax{Seed: l.opts.Seed}

@@ -7,14 +7,7 @@ import (
 	"pgridfile/internal/geom"
 	"pgridfile/internal/sim"
 	"pgridfile/internal/stats"
-	"pgridfile/internal/workload"
 )
-
-// squareQueries wraps the workload generator (kept here so every experiment
-// builds queries identically).
-func squareQueries(dom geom.Rect, r float64, n int, seed int64) []geom.Rect {
-	return workload.SquareRange(dom, r, n, seed)
-}
 
 // meanResponseRow replays the workload for one allocator across all disk
 // counts and returns the mean response times (and, once, the optimal curve).

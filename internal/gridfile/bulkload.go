@@ -27,17 +27,11 @@ func BulkLoad(cfg Config, recs []Record) (*File, error) {
 	// Order records along a Hilbert curve over a 2^bits grid normalized to
 	// the domain. 10 bits per dimension is plenty of resolution for
 	// ordering purposes and keeps keys within uint64 up to 6 dimensions;
-	// higher dimensionalities fall back to coarser curves.
+	// higher dimensionalities fall back to coarser curves, down to one bit
+	// at maxDims.
 	bits := 10
 	for cfg.Dims*bits > 64 {
 		bits--
-	}
-	if bits < 1 {
-		// Extremely high dimensionality: load in input order.
-		if err := f.InsertAll(recs); err != nil {
-			return nil, err
-		}
-		return f, nil
 	}
 	curve := sfc.NewHilbert(cfg.Dims, bits)
 	side := float64(uint64(1) << bits)

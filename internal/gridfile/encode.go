@@ -156,7 +156,7 @@ func Decode(data []byte) (f *File, rest []byte, err error) {
 	if version != fileVersion {
 		return nil, nil, fmt.Errorf("gridfile: unsupported version %d", version)
 	}
-	if dims == 0 || dims > 64 {
+	if dims == 0 || dims > maxDims {
 		return nil, nil, fmt.Errorf("gridfile: implausible dims %d", dims)
 	}
 	domain := make(geom.Rect, dims)

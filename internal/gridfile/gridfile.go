@@ -34,9 +34,14 @@ type Record struct {
 	Key geom.Point
 }
 
+// maxDims is the most key dimensions a grid file has: one bit of a 64-bit
+// Hilbert key per dimension at least, the key the layout writer and BulkLoad
+// order by.
+const maxDims = 64
+
 // Config describes a new grid file.
 type Config struct {
-	// Dims is the number of key dimensions (>= 1).
+	// Dims is the number of key dimensions, 1 to 64.
 	Dims int
 	// Domain is the data domain; keys outside it are rejected.
 	Domain geom.Rect
@@ -47,8 +52,8 @@ type Config struct {
 }
 
 func (c Config) validate() error {
-	if c.Dims < 1 {
-		return fmt.Errorf("gridfile: Dims must be >= 1, got %d", c.Dims)
+	if c.Dims < 1 || c.Dims > maxDims {
+		return fmt.Errorf("gridfile: Dims must be 1 to %d, got %d", maxDims, c.Dims)
 	}
 	if len(c.Domain) != c.Dims {
 		return fmt.Errorf("gridfile: Domain has %d dims, want %d", len(c.Domain), c.Dims)

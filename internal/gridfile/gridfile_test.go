@@ -1,6 +1,7 @@
 package gridfile
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,6 +57,46 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestDimsCapMatchesDecode: New refuses what Decode refuses, so every grid
+// file written decodes. At maxDims a file builds, takes records and
+// round-trips; one dimension more is an error, not a file the decoder (or
+// the layout writer's one-bit-per-dimension Hilbert order) cannot take.
+func TestDimsCapMatchesDecode(t *testing.T) {
+	unit := func(dims int) geom.Rect {
+		r := make(geom.Rect, dims)
+		for d := range r {
+			r[d] = geom.Interval{Lo: 0, Hi: 1}
+		}
+		return r
+	}
+	if _, err := New(Config{Dims: maxDims + 1, Domain: unit(maxDims + 1), BucketCapacity: 4}); err == nil {
+		t.Fatalf("New accepted %d dims, which Decode refuses", maxDims+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Record, 20)
+	for i := range recs {
+		recs[i].Key = make(geom.Point, maxDims)
+		for d := range recs[i].Key {
+			recs[i].Key[d] = rng.Float64()
+		}
+	}
+	f, err := BulkLoad(Config{Dims: maxDims, Domain: unit(maxDims), BucketCapacity: 4}, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := Decode(buf.Bytes())
+	if err != nil {
+		t.Fatalf("Decode of a %d-D file: %v", maxDims, err)
+	}
+	if g.Len() != len(recs) || g.NumBuckets() != f.NumBuckets() {
+		t.Fatalf("decoded %d records in %d buckets, want %d in %d", g.Len(), g.NumBuckets(), len(recs), f.NumBuckets())
 	}
 }
 

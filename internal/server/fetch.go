@@ -18,7 +18,7 @@ import (
 // so its handle is simply dropped.
 func (s *Server) publishLeads(loads []*cache.Pending, recs []geom.Flat) {
 	for i, p := range loads {
-		s.bcache.Complete(p, recs[i], s.st.PagesFor(recs[i].Len()))
+		s.bcache.Complete(p, recs[i])
 	}
 }
 

@@ -151,13 +151,6 @@ func pagesFor(nrec, perPage int) int {
 	return max(1, (nrec+perPage-1)/perPage)
 }
 
-// PagesFor returns how many pages this layout stores a bucket of nrec
-// records in — what a Placement of that bucket carries as Pages — for a
-// caller that holds the decoded bucket and not its Placement.
-func (s *Store) PagesFor(nrec int) int {
-	return pagesFor(nrec, recordsPerPage(s.manifest.PageBytes, s.manifest.Dims))
-}
-
 // pageAlign is the granularity of a layout's page size: a disk sector.
 const pageAlign = 512
 

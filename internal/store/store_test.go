@@ -642,8 +642,8 @@ func TestOpenGrid(t *testing.T) {
 // TestDecodeBucketFlatBox: every decoded bucket carries the bounding box a
 // brute-force pass over its rows gives (buckets spanning several pages
 // included), carved from the arena's own allocation; an empty bucket and one
-// holding a NaN coordinate carry none. PagesFor, which the server uses in
-// place of a second Placement lookup, agrees with every placement written.
+// holding a NaN coordinate carry none. pagesFor, from the decoded record
+// count, agrees with every placement written.
 func TestDecodeBucketFlatBox(t *testing.T) {
 	dir, f, _ := buildLayout(t, 4, 256)
 	s, err := Open(dir)
@@ -651,13 +651,14 @@ func TestDecodeBucketFlatBox(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	perPage := recordsPerPage(s.manifest.PageBytes, s.manifest.Dims)
 	for _, v := range f.Buckets() {
 		fl, _, err := readBucket(context.Background(), s, v.ID)
 		if err != nil {
 			t.Fatalf("bucket %d: %v", v.ID, err)
 		}
-		if pl, _ := s.Placement(v.ID); s.PagesFor(fl.Len()) != pl.Pages {
-			t.Errorf("bucket %d: PagesFor(%d) = %d, placement has %d pages", v.ID, fl.Len(), s.PagesFor(fl.Len()), pl.Pages)
+		if pl, _ := s.Placement(v.ID); pagesFor(fl.Len(), perPage) != pl.Pages {
+			t.Errorf("bucket %d: pagesFor(%d) = %d, placement has %d pages", v.ID, fl.Len(), pagesFor(fl.Len(), perPage), pl.Pages)
 		}
 		if fl.Len() == 0 {
 			if fl.Box != nil {

@@ -157,6 +157,11 @@ type writer struct {
 	pendingOps      int // committed ops since the last checkpoint
 	checkpointEvery int
 
+	// keys is rewriteBucket's buffer for the bucket it re-encodes: encodePage
+	// copies the keys out, and w.mu (or a writer that has the store to
+	// itself) serializes the rewrites.
+	keys []float64
+
 	// failed is the first replica copy write (or data fsync) that failed
 	// since the last checkpoint; while set, checkpoints are withheld so
 	// the journals keep the redo for the stale copies.
@@ -478,13 +483,12 @@ func (s *Store) apply(op uint8, key geom.Point, owners []int) (m Mutation, dirty
 }
 
 // placementStub places a bucket that has no pages yet on its owner disks; the
-// rewriteBucket that follows assigns them.
+// rewriteBucket that follows assigns them, OwnerPages with them, before any
+// reader can look the bucket up — unless the crash hook kills the write in
+// between, after which the store is only closed. supersede passes a stub
+// over: it has no pages to give up.
 func placementStub(id int32, owners []int) Placement {
-	return Placement{
-		ID:         id,
-		OwnerDisks: slices.Clone(owners),
-		OwnerPages: make([]int64, len(owners)),
-	}
+	return Placement{ID: id, OwnerDisks: slices.Clone(owners)}
 }
 
 // journalAppend appends one operation record to every owner disk's journal,
@@ -547,7 +551,7 @@ func (s *Store) journalAppend(ctx context.Context, owners []int, lsn uint64, op 
 // rewriteBucket re-encodes one bucket's records from the grid file and
 // writes them to other extents on every owner disk (allocPages), then swaps
 // the placement and supersedes the old one. The records are copied out in one
-// piece, into a key buffer sized once from the bucket's record count.
+// piece, into the writer's key buffer.
 // Page-write failures on individual copies are absorbed: the copy is marked
 // missed in the new placement, the journal keeps the redo and checkpoints are
 // withheld; only a simulated crash propagates. Caller holds w.mu and, online,
@@ -560,7 +564,8 @@ func (s *Store) rewriteBucket(ctx context.Context, id int32) error {
 	}
 	dims := s.manifest.Dims
 	pageBytes := s.manifest.PageBytes
-	keys := s.grid.AppendBucketKeys(nil, id)
+	w.keys = s.grid.AppendBucketKeys(w.keys[:0], id)
+	keys := w.keys
 	nrec := len(keys) / dims
 	perPage := recordsPerPage(pageBytes, dims)
 	npages := pagesFor(nrec, perPage)

@@ -18,7 +18,8 @@
 #                  TestDefaultMatrixMatchesCommittedBaseline). So are the
 #                  count budgets that need no quiet machine: the pruned
 #                  declustering sweeps' kernel evaluations (internal/core
-#                  TestPrunedWorkBudget: its Minimax, ResidualAssign and
+#                  TestPrunedWorkBudget: its Minimax rows, which count the
+#                  seeding's bounds too, and its ResidualAssign and
 #                  NearestCompanions rows). And the guard that keeps internal/*
 #                  cut to what is read: the root package's
 #                  TestNoTestOnlyExports fails on an exported func or method
