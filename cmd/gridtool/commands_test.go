@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/sim"
 	"pgridfile/internal/store"
 	"pgridfile/internal/synth"
+	"pgridfile/internal/workload"
 )
 
 func TestParseDomain(t *testing.T) {
@@ -115,5 +119,60 @@ func TestLoadFileReadsCheckpoint(t *testing.T) {
 	if !bytes.Equal(have.Bytes(), want.Bytes()) {
 		t.Fatalf("loadFile(layout.grd) returned a %d-bucket grid encoding to %d bytes, want the written %d-bucket grid's %d bytes",
 			got.NumBuckets(), have.Len(), f.NumBuckets(), want.Len())
+	}
+}
+
+// TestPrintResponseReadsThroughAtLayoutPageSize holds gridtool layout's span
+// figure to the planner's read-through at the layout's own page size: on a
+// 1 KiB-page layout it is the model's at 16 pages, not at 4.
+func TestPrintResponseReadsThroughAtLayoutPageSize(t *testing.T) {
+	const disks, seed = 8, 1
+	f, err := synth.Hotspot2D(20000, 1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := (&core.Minimax{Seed: seed}).Decluster(core.FromGridFile(f), disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	pls, err := store.Write(dir, f, alloc, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageBytes := s.Manifest().PageBytes
+	s.Close()
+	if pageBytes != 1024 {
+		t.Fatalf("layout written in %d-byte pages, want 1024", pageBytes)
+	}
+	var out bytes.Buffer
+	if err := printResponse(&out, f, pls, disks, pageBytes, seed); err != nil {
+		t.Fatal(err)
+	}
+
+	lay := sim.DiskLayout{Page: make([]int64, len(pls)), Pages: make([]int, len(pls))}
+	for i, pl := range pls {
+		lay.Page[i], lay.Pages[i] = pl.OwnerPages[0], pl.Pages
+	}
+	qs := workload.SquareRange(f.Domain(), 0.01, 1000, seed)
+	figure := func(readThrough int) string {
+		sr, err := sim.ReplaySpans(f, alloc, f.IndexByID(), qs, lay, readThrough)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("= %.3f spans on the busiest disk", sr.MeanResponseSpans)
+	}
+	want, old := figure(16), figure(4)
+	if want == old {
+		t.Fatalf("16 and 4 pages of read-through both read %q: the test cannot tell them apart", want)
+	}
+	for _, line := range []string{"span read-through: 16 KiB = 16 pages of 1024 B", want} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("printResponse wrote\n%s\nwant a line with %q", out.String(), line)
+		}
 	}
 }

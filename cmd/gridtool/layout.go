@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"pgridfile/internal/core"
 	"pgridfile/internal/gridfile"
@@ -18,7 +20,7 @@ func runLayout(args []string) error {
 	path := fs.String("file", "", "grid file (required)")
 	alg := fs.String("alg", "minimax", "declustering algorithm")
 	disks := fs.Int("disks", 16, "number of disks")
-	pageBytes := fs.Int("page", 4096, "largest page size in bytes; a page is never larger than a full bucket needs")
+	pageBytes := fs.Int("page", defaultPageBytes, "largest page size in bytes; a page is never larger than a full bucket needs")
 	seed := fs.Int64("seed", 1, "seed for randomized phases")
 	out := fs.String("out", "", "layout directory (required)")
 	replicas := fs.Int("replicas", 1, "copies of every bucket, each on a distinct disk (1 = no replication)")
@@ -73,18 +75,23 @@ func runLayout(args []string) error {
 			len(pls), f.Len(), *disks, allocator.Name())
 	}
 	fmt.Printf("pages per disk: %v\n", sizes)
-	if err := printResponse(f, pls, *disks, *seed); err != nil {
+	if err := printResponse(os.Stdout, f, pls, *disks, s.Manifest().PageBytes, *seed); err != nil {
 		return err
 	}
 	fmt.Printf("layout is self-contained (the grid file is in layout.grd); serve it with: gridserver serve -store %s\n", *out)
 	return nil
 }
 
+// defaultPageBytes is the page-size cap gridtool layout writes with unless
+// -page says otherwise, and the one gridtool simulate models.
+const defaultPageBytes = 4096
+
 // printResponse costs a sample of range queries against the written layout
 // (primary copies) two ways: the paper's response time — buckets on the
 // busiest disk — and the positioned reads the store's span planner needs on
-// the busiest disk, given where the buckets actually sit in the disk files.
-func printResponse(f *gridfile.File, pls []*store.Placement, disks int, seed int64) error {
+// the busiest disk, given where the buckets actually sit in the disk files
+// and the planner's read-through at the layout's page size.
+func printResponse(w io.Writer, f *gridfile.File, pls []*store.Placement, disks, pageBytes int, seed int64) error {
 	const ratio, queries = 0.01, 1000
 	alloc := core.Allocation{Disks: disks, Assign: make([]int, len(pls))}
 	lay := sim.DiskLayout{Page: make([]int64, len(pls)), Pages: make([]int, len(pls))}
@@ -97,11 +104,13 @@ func printResponse(f *gridfile.File, pls []*store.Placement, disks int, seed int
 	if err != nil {
 		return err
 	}
-	sr, err := sim.ReplaySpans(f, alloc, idx, qs, lay, store.ReadThroughPages)
+	readThrough := store.ReadThroughPages(pageBytes)
+	sr, err := sim.ReplaySpans(f, alloc, idx, qs, lay, readThrough)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d range queries (r=%g): mean response %.3f buckets = %.3f spans on the busiest disk (%.1f buckets in %.1f spans per query, %.1f gap pages)\n",
+	fmt.Fprintf(w, "span read-through: %d KiB = %d pages of %d B\n", store.ReadThroughBytes>>10, readThrough, pageBytes)
+	fmt.Fprintf(w, "%d range queries (r=%g): mean response %.3f buckets = %.3f spans on the busiest disk (%.1f buckets in %.1f spans per query, %.1f gap pages)\n",
 		queries, ratio, res.MeanResponseTime, sr.MeanResponseSpans, res.MeanBuckets, sr.MeanSpans, sr.MeanGapPages)
 	return nil
 }

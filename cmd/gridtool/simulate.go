@@ -35,16 +35,20 @@ func runSimulate(args []string) error {
 	// Beside the paper's bucket-based response time, cost each query in
 	// positioned reads on its busiest disk under three within-disk layouts
 	// of one page per bucket: bucket-id order, the page store's Hilbert
-	// order, and Hilbert order with the store's read-through.
+	// order, and Hilbert order with the store's read-through at the page
+	// size the store would write the file in.
 	ones := make([]int, len(g.Buckets))
 	idOrder := make([]int, len(g.Buckets))
 	for i := range ones {
 		ones[i], idOrder[i] = 1, i
 	}
 	hilbertOrder := store.LayoutOrder(f)
-	fmt.Printf("%-12s %-14s %-12s %-10s %-14s %-9s %-13s %-13s\n",
+	pageBytes := store.PageSize(f, defaultPageBytes)
+	readThrough := store.ReadThroughPages(pageBytes)
+	fmt.Printf("span read-through: %d KiB = %d pages of %d B\n", store.ReadThroughBytes>>10, readThrough, pageBytes)
+	fmt.Printf("%-12s %-14s %-12s %-10s %-14s %-9s %-13s %-15s\n",
 		"method", "mean response", "optimal", "balance", "closest pairs",
-		"spans:id", "spans:hilbert", fmt.Sprintf("spans:hilb+%d", store.ReadThroughPages))
+		"spans:id", "spans:hilbert", fmt.Sprintf("spans:hilb+%dKiB", store.ReadThroughBytes>>10))
 	nn := sim.NearestCompanions(g)
 	for _, name := range strings.Split(*algs, ",") {
 		alg, err := core.ParseAllocator(strings.TrimSpace(name), *seed, 0)
@@ -65,14 +69,14 @@ func runSimulate(args []string) error {
 		for i, c := range []struct {
 			lay         sim.DiskLayout
 			readThrough int
-		}{{byID, 0}, {byCurve, 0}, {byCurve, store.ReadThroughPages}} {
+		}{{byID, 0}, {byCurve, 0}, {byCurve, readThrough}} {
 			sr, err := sim.ReplaySpans(f, alloc, idx, qs, c.lay, c.readThrough)
 			if err != nil {
 				return err
 			}
 			spans[i] = sr.MeanResponseSpans
 		}
-		fmt.Printf("%-12s %-14.3f %-12.3f %-10.3f %-14d %-9.3f %-13.3f %-13.3f\n",
+		fmt.Printf("%-12s %-14.3f %-12.3f %-10.3f %-14d %-9.3f %-13.3f %-15.3f\n",
 			alg.Name(), res.MeanResponseTime, res.MeanOptimal,
 			sim.DataBalanceDegree(alloc), sim.CountSameDisk(nn, alloc),
 			spans[0], spans[1], spans[2])

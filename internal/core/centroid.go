@@ -1,8 +1,10 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"pgridfile/internal/geom"
 	"pgridfile/internal/sfc"
 )
 
@@ -65,18 +67,29 @@ func (c *CentroidCurve) Decluster(g Grid, disks int) (Allocation, error) {
 // the order — the locality CentroidCurve deals round-robin across disks and
 // the page store (internal/store) keeps within each disk file.
 func CentroidOrder(g Grid, curve sfc.Curve) []int {
-	dims := g.Domain.Dim()
+	return CentroidOrderFunc(g.Domain, len(g.Buckets), curve, func(fn func(geom.Rect)) {
+		for _, b := range g.Buckets {
+			fn(b.Region)
+		}
+	})
+}
+
+// CentroidOrderFunc is CentroidOrder over n regions that regions hands to
+// its argument in index order. A region is read only during the call, so
+// regions may reuse one Rect: the page store ranks a grid file's buckets
+// this way without building their views.
+func CentroidOrderFunc(domain geom.Rect, n int, curve sfc.Curve, regions func(fn func(geom.Rect))) []int {
+	dims := domain.Dim()
 	side := float64(uint64(1) << curve.Bits())
-	keys := make([]uint64, len(g.Buckets))
-	order := make([]int, len(g.Buckets))
+	keys := make([]uint64, 0, n)
 	coords := make([]uint32, dims)
-	for i, b := range g.Buckets {
+	regions(func(r geom.Rect) {
 		for d := 0; d < dims; d++ {
-			ext := g.Domain[d].Length()
+			ext := domain[d].Length()
 			frac := 0.0
 			if ext > 0 {
-				center := (b.Region[d].Lo + b.Region[d].Hi) / 2
-				frac = (center - g.Domain[d].Lo) / ext
+				center := (r[d].Lo + r[d].Hi) / 2
+				frac = (center - domain[d].Lo) / ext
 			}
 			v := int64(frac * side)
 			if v < 0 {
@@ -87,14 +100,17 @@ func CentroidOrder(g Grid, curve sfc.Curve) []int {
 			}
 			coords[d] = uint32(v)
 		}
-		keys[i] = curve.Key(coords)
+		keys = append(keys, curve.Key(coords))
+	})
+	order := make([]int, len(keys))
+	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 	return order
 }

@@ -1,5 +1,7 @@
 package gridfile
 
+import "pgridfile/internal/geom"
+
 // ForEachRecordInBucket calls fn with the key of every record in the live
 // bucket with the given stable id. data is always nil, since a record is its
 // key; the parameter stays for bench/layers.go, the one caller. The key slice
@@ -26,6 +28,19 @@ func (f *File) ForEachBucket(fn func(id int32, records int)) {
 	for id, b := range f.bkts {
 		if b != nil {
 			fn(int32(id), b.count(f.cfg.Dims))
+		}
+	}
+}
+
+// ForEachRegion calls fn with the domain-space region of every live bucket,
+// in ascending id order — Buckets() without the views. It fills one Rect and
+// hands it to every call, so fn must copy what it keeps. The layout writer
+// ranks region centres with it.
+func (f *File) ForEachRegion(fn func(region geom.Rect)) {
+	r := make(geom.Rect, f.cfg.Dims)
+	for _, b := range f.bkts {
+		if b != nil {
+			fn(f.fillRegion(r, b))
 		}
 	}
 }

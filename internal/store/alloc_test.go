@@ -21,13 +21,14 @@ import (
 const openAllocBudget = 5
 
 // writeAllocBudget is the committed number of objects Write may allocate per
-// live bucket of the write-mix grid at r=1. It measures 6.01: one set of
-// bucket views, for LayoutOrder's region centres. A fresh key slice per
-// rewritten bucket and OwnerPages in every placement stub, which the rewrite
-// replaces, measured 8.01; making a centre Point and a Hilbert key's working
-// copy on the heap for every bucket 10.01, and building a second set of views
-// only to read each bucket's id 13.01.
-const writeAllocBudget = 7
+// live bucket of the write-mix grid at r=1. It measures 3.01. Building a set
+// of bucket views (two corner vectors and a region each) only for
+// LayoutOrder to rank their region centres measured 6.01; a fresh key slice
+// per rewritten bucket and OwnerPages in every placement stub, which the
+// rewrite replaces, 8.01; making a centre Point and a Hilbert key's working
+// copy on the heap for every bucket 10.01, and building a second set of
+// views only to read each bucket's id 13.01.
+const writeAllocBudget = 4
 
 // TestOpenAllocationBudget holds Open of a write-mix sized layout (about
 // 10 000 live buckets, 8 disks, r=2) to openAllocBudget objects per live

@@ -107,6 +107,7 @@ func (s *Store) readCheckpoint(data []byte) (named [][]bool, lsn uint64, err err
 			disks, replicas, pageBytes, dims)
 	}
 	s.manifest = Manifest{Disks: int(disks), Dims: dims, PageBytes: int(pageBytes), Replicas: int(replicas)}
+	s.readThrough = int64(ReadThroughPages(int(pageBytes)))
 
 	// The handles are opened one by one rather than into a slice sized from
 	// the header, so a hostile disk count fails on its first missing file

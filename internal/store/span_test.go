@@ -13,6 +13,7 @@ import (
 	"pgridfile/internal/core"
 	"pgridfile/internal/fault"
 	"pgridfile/internal/geom"
+	"pgridfile/internal/gridfile"
 	"pgridfile/internal/replica"
 	"pgridfile/internal/sfc"
 	"pgridfile/internal/sim"
@@ -110,16 +111,17 @@ func TestLayoutIsOneHilbertRunPerDisk(t *testing.T) {
 }
 
 // TestNextSpanInvariants drives the planner alone over synthetic placements
-// — gaps of 0..8 pages, buckets of 1..400 pages, so both the read-through
-// bound and the span cap bind — and checks what every span must satisfy:
-// spans partition the batch in order, none reads through more than
-// ReadThroughPages between two wanted buckets, none exceeds maxSpanPages
-// unless it is a single oversized bucket, each ends exactly on its last
-// wanted page, and a cut is never taken where the next bucket would have
-// fitted.
+// — at the read-through of 4 KiB and of 1 KiB pages, gaps of 0 to 4 pages
+// past it, buckets of 1..400 pages, so both the read-through bound and the
+// span cap bind — and checks what every span must satisfy: spans partition
+// the batch in order, none reads through more than the read-through between
+// two wanted buckets, none exceeds maxSpanPages unless it is a single
+// oversized bucket, each ends exactly on its last wanted page, and a cut is
+// never taken where the next bucket would have fitted.
 func TestNextSpanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 600; trial++ {
+		readThrough := int64(ReadThroughPages([]int{4096, 1024}[trial%2]))
 		var pls []plIdx
 		page := int64(rng.Intn(5))
 		for n := rng.Intn(80); n > 0; n-- {
@@ -128,10 +130,10 @@ func TestNextSpanInvariants(t *testing.T) {
 				pages = 1 + rng.Intn(400)
 			}
 			pls = append(pls, plIdx{pl: &Placement{ID: int32(len(pls)), Page: page, Pages: pages}, page: page})
-			page += int64(pages + rng.Intn(9))
+			page += int64(pages + rng.Intn(int(readThrough)+5))
 		}
 		for lo := 0; lo < len(pls); {
-			hi, end, gaps := nextSpan(pls, lo)
+			hi, end, gaps := nextSpan(pls, lo, readThrough)
 			if hi <= lo || hi > len(pls) {
 				t.Fatalf("trial %d: span [%d,%d) of %d placements", trial, lo, hi, len(pls))
 			}
@@ -145,7 +147,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			wantGaps := int64(0)
 			for i := lo + 1; i < hi; i++ {
 				gap := pls[i].page - (pls[i-1].page + int64(pls[i-1].pl.Pages))
-				if gap < 0 || gap > ReadThroughPages {
+				if gap < 0 || gap > readThrough {
 					t.Fatalf("trial %d: span joins %+v to %+v", trial, pls[i-1].pl, pls[i].pl)
 				}
 				wantGaps += gap
@@ -155,7 +157,7 @@ func TestNextSpanInvariants(t *testing.T) {
 			}
 			if hi < len(pls) {
 				nx := pls[hi].pl
-				if nx.Page-end <= ReadThroughPages &&
+				if nx.Page-end <= readThrough &&
 					nx.Page+int64(nx.Pages)-first.Page <= maxSpanPages {
 					t.Fatalf("trial %d: span stops before %+v, which fits", trial, nx)
 				}
@@ -167,10 +169,10 @@ func TestNextSpanInvariants(t *testing.T) {
 
 // bruteSpans counts, page by page over a whole disk file, the spans and gap
 // pages a set of wanted buckets needs: a span starts at a wanted page and
-// runs on through unwanted stretches of at most ReadThroughPages that lead
+// runs on through unwanted stretches of at most readThrough pages that lead
 // to another wanted page. (No cap: the test files are far below
 // maxSpanPages.)
-func bruteSpans(filePages int64, wanted []Placement) (spans, gapPages int) {
+func bruteSpans(filePages int64, wanted []Placement, readThrough int) (spans, gapPages int) {
 	want := make([]bool, filePages)
 	for _, pl := range wanted {
 		for p := int64(0); p < int64(pl.Pages); p++ {
@@ -187,7 +189,7 @@ func bruteSpans(filePages int64, wanted []Placement) (spans, gapPages int) {
 			gapPages += unwantedRun
 			unwantedRun = 0
 		case unwantedRun >= 0:
-			if unwantedRun++; unwantedRun > ReadThroughPages {
+			if unwantedRun++; unwantedRun > readThrough {
 				unwantedRun = -1
 			}
 		}
@@ -196,10 +198,11 @@ func bruteSpans(filePages int64, wanted []Placement) (spans, gapPages int) {
 }
 
 // TestSpanReadsProperty reads random wanted subsets with random holes from a
-// single-disk layout: every bucket must decode to exactly what the
-// single-bucket read returns, the wanted-page total must match the
+// single-disk layout of 512 B pages: every bucket must decode to exactly
+// what the single-bucket read returns, the wanted-page total must match the
 // placements, and the planner's span and gap-page counts must equal a
-// page-by-page brute-force count.
+// page-by-page brute-force count at the read-through of the layout's page
+// size (32 pages).
 func TestSpanReadsProperty(t *testing.T) {
 	const pageBytes = 512
 	f, err := synth.Hotspot2D(3000, 5).Build()
@@ -222,6 +225,7 @@ func TestSpanReadsProperty(t *testing.T) {
 	}
 	file := copiesOnDisk(m, 0)
 	filePages := file[len(file)-1].Page + int64(file[len(file)-1].Pages)
+	readThrough := ReadThroughPages(s.Manifest().PageBytes)
 	ctx := context.Background()
 	want := make(map[int32]geom.Flat, len(file))
 	for _, pl := range file {
@@ -271,7 +275,7 @@ func TestSpanReadsProperty(t *testing.T) {
 				t.Fatalf("trial %d: bucket %d decoded differently in a span than alone", trial, pl.ID)
 			}
 		}
-		spans, gaps := bruteSpans(filePages, wanted)
+		spans, gaps := bruteSpans(filePages, wanted, readThrough)
 		if tm.Spans != spans || tm.GapPages != gaps {
 			t.Fatalf("trial %d: planner read %d spans through %d gap pages, brute force counts %d and %d",
 				trial, tm.Spans, tm.GapPages, spans, gaps)
@@ -295,14 +299,15 @@ func TestTornReadOfGapBearingSpan(t *testing.T) {
 	}
 	defer s.Close()
 	file := copiesOnDisk(mustLive(t, s), 0)
-	ids := []int32{file[0].ID, file[1+ReadThroughPages].ID} // ReadThroughPages one-page buckets between them
+	readThrough := ReadThroughPages(s.Manifest().PageBytes)
+	ids := []int32{file[0].ID, file[1+readThrough].ID} // readThrough one-page buckets between them
 	out := make([]geom.Flat, len(ids))
 	var tm Timing
 	if _, err := s.ReadFlatsFromTimed(context.Background(), 0, ids, out, &tm); err != nil {
 		t.Fatal(err)
 	}
-	if tm.Spans != 1 || tm.GapPages != ReadThroughPages {
-		t.Fatalf("read %d spans through %d gap pages, want 1 span through %d", tm.Spans, tm.GapPages, ReadThroughPages)
+	if tm.Spans != 1 || tm.GapPages != readThrough {
+		t.Fatalf("read %d spans through %d gap pages, want 1 span through %d", tm.Spans, tm.GapPages, readThrough)
 	}
 	reg := fault.NewRegistry(1)
 	if err := reg.SetSpec("store.read:torn"); err != nil {
@@ -316,6 +321,67 @@ func TestTornReadOfGapBearingSpan(t *testing.T) {
 	if tm.Spans != 0 || tm.GapPages != 0 {
 		t.Fatalf("failed read counted %d spans, %d gap pages", tm.Spans, tm.GapPages)
 	}
+}
+
+// TestReadThroughBoundary pins the read-through to its byte budget: a span
+// reads through a gap of exactly ReadThroughBytes of unwanted pages — 16
+// pages of 1 KiB, 4 of 4 KiB — and ends before a gap one page longer.
+func TestReadThroughBoundary(t *testing.T) {
+	for _, c := range []struct{ pageBytes, pages int }{{512, 32}, {1024, 16}, {3584, 4}, {4096, 4}} {
+		if got := ReadThroughPages(c.pageBytes); got != c.pages {
+			t.Errorf("%d-byte pages: read through %d pages, want %d", c.pageBytes, got, c.pages)
+		}
+	}
+	f, err := synth.Hotspot2D(3000, 5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := core.Allocation{Disks: 1, Assign: make([]int, f.NumBuckets())}
+	for _, c := range []struct{ pageBytes, readThrough int }{{1024, 16}, {4096, 4}} {
+		dir := t.TempDir()
+		writeAtPageSize(t, dir, f, alloc, c.pageBytes)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := copiesOnDisk(mustLive(t, s), 0)
+		for _, gap := range []int{c.readThrough, c.readThrough + 1} {
+			next := file[1+gap]
+			if next.Page != int64(1+gap) {
+				t.Fatalf("%d-byte pages: bucket %d of the file starts at page %d; the test needs one-page buckets", c.pageBytes, 1+gap, next.Page)
+			}
+			ids := []int32{file[0].ID, next.ID}
+			var tm Timing
+			if _, err := s.ReadFlatsFromTimed(context.Background(), 0, ids, make([]geom.Flat, len(ids)), &tm); err != nil {
+				t.Fatal(err)
+			}
+			wantSpans, wantGaps := 1, gap
+			if gap > c.readThrough {
+				wantSpans, wantGaps = 2, 0
+			}
+			if tm.Spans != wantSpans || tm.GapPages != wantGaps {
+				t.Errorf("%d-byte pages, a %d-page gap: %d spans through %d gap pages, want %d through %d",
+					c.pageBytes, gap, tm.Spans, tm.GapPages, wantSpans, wantGaps)
+			}
+		}
+		s.Close()
+	}
+}
+
+// writeAtPageSize writes alloc's layout of f into dir in pages of exactly
+// pageBytes, larger than Write would choose if need be, and returns the
+// placements in f.Buckets() order.
+func writeAtPageSize(t *testing.T, dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) []*Placement {
+	t.Helper()
+	owners := make([][]int, len(alloc.Assign))
+	for i := range alloc.Assign {
+		owners[i] = alloc.Assign[i : i+1 : i+1]
+	}
+	m, err := writeLayout(dir, f, owners, alloc.Disks, 1, pageBytes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // manifestLayout restates a written layout's primary copies over disks in
@@ -335,14 +401,16 @@ func manifestLayout(m []*Placement, disks int) (core.Allocation, sim.DiskLayout)
 // minimax, 1 % range queries need at most half as many positioned reads on
 // their busiest disk from the layout the writer produces, read with the
 // planner's read-through, as from a bucket-id-order layout read with exact
-// adjacency (what the store did before it clustered): 5.65 -> 1.95 here,
-// 16.7 -> 2.9 at the benchmark's 400 k records. (At 20 k records the same
-// queries touch ~10 buckets, 2.0 on the busiest disk; the floor is 1, so the
-// ratio cannot reach a half there.) The counts are exact — no timing — and
-// the model is checked against the real planner on the real files, so
-// neither the writer's order nor the planner's rule can rot silently.
+// adjacency (what the store did before it clustered): 5.65 -> 1.41 in 1 KiB
+// pages (a 16-page read-through), 5.65 -> 1.95 in 4 KiB ones (4 pages).
+// (At 20 k records the same queries touch ~10 buckets, 2.0 on the busiest
+// disk; the floor is 1, so the ratio cannot reach a half there.) The counts
+// are exact — no timing — and at both page sizes the model is checked
+// against the real planner on the real files, so neither the writer's
+// order, the planner's rule nor the page size it reads through by can rot
+// silently.
 func TestClusteringHalvesSpansOnBusiestDisk(t *testing.T) {
-	const disks, pageBytes = 8, 4096
+	const disks = 8
 	f, err := synth.Hotspot2D(100000, 1).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -351,70 +419,70 @@ func TestClusteringHalvesSpansOnBusiestDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	m, err := Write(dir, f, minimax, pageBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, written := manifestLayout(m, disks)
-	idOrder := make([]int, len(m))
-	for i := range idOrder {
-		idOrder[i] = i
-	}
-	byID := sim.LayoutInOrder(alloc, idOrder, written.Pages)
-
 	idx := f.IndexByID()
 	qs := workload.SquareRange(f.Domain(), 0.01, 500, 1)
-	before, err := sim.ReplaySpans(f, alloc, idx, qs, byID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := sim.ReplaySpans(f, alloc, idx, qs, written, ReadThroughPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("mean spans on the busiest disk: id order %.3f, written layout with read-through %.3f (%.1f -> %.1f spans per query, %.1f gap pages)",
-		before.MeanResponseSpans, after.MeanResponseSpans, before.MeanSpans, after.MeanSpans, after.MeanGapPages)
-	if after.MeanResponseSpans > 0.5*before.MeanResponseSpans {
-		t.Errorf("written layout needs %.3f spans on the busiest disk, id order %.3f: want at most half",
-			after.MeanResponseSpans, before.MeanResponseSpans)
-	}
+	for _, pageBytes := range []int{1024, 4096} {
+		dir := t.TempDir()
+		m := writeAtPageSize(t, dir, f, minimax, pageBytes)
+		alloc, written := manifestLayout(m, disks)
+		idOrder := make([]int, len(m))
+		for i := range idOrder {
+			idOrder[i] = i
+		}
+		byID := sim.LayoutInOrder(alloc, idOrder, written.Pages)
 
-	// The model against the planner: replay the same queries through the
-	// store, one batch per disk as the server submits them.
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var busiest, total, gapPages int
-	for _, q := range qs {
-		perDisk := make([][]int32, disks)
-		for _, id := range f.BucketsInRange(q) {
-			d := alloc.Assign[idx[id]]
-			perDisk[d] = append(perDisk[d], id)
+		before, err := sim.ReplaySpans(f, alloc, idx, qs, byID, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		most := 0
-		for d, ids := range perDisk {
-			if len(ids) == 0 {
-				continue
-			}
-			var tm Timing
-			if _, err := s.ReadFlatsFromTimed(context.Background(), d, ids, make([]geom.Flat, len(ids)), &tm); err != nil {
-				t.Fatal(err)
-			}
-			most = max(most, tm.Spans)
-			total += tm.Spans
-			gapPages += tm.GapPages
+		after, err := sim.ReplaySpans(f, alloc, idx, qs, written, ReadThroughPages(pageBytes))
+		if err != nil {
+			t.Fatal(err)
 		}
-		busiest += most
-	}
-	n := float64(len(qs))
-	if got := float64(busiest) / n; got != after.MeanResponseSpans {
-		t.Errorf("planner read %.4f spans on the busiest disk per query, the model says %.4f", got, after.MeanResponseSpans)
-	}
-	if float64(total)/n != after.MeanSpans || float64(gapPages)/n != after.MeanGapPages {
-		t.Errorf("planner read %.4f spans and %.4f gap pages per query, the model says %.4f and %.4f",
-			float64(total)/n, float64(gapPages)/n, after.MeanSpans, after.MeanGapPages)
+		t.Logf("%d-byte pages, mean spans on the busiest disk: id order %.3f, written layout with read-through %.3f (%.1f -> %.1f spans per query, %.1f gap pages)",
+			pageBytes, before.MeanResponseSpans, after.MeanResponseSpans, before.MeanSpans, after.MeanSpans, after.MeanGapPages)
+		if after.MeanResponseSpans > 0.5*before.MeanResponseSpans {
+			t.Errorf("%d-byte pages: written layout needs %.3f spans on the busiest disk, id order %.3f: want at most half",
+				pageBytes, after.MeanResponseSpans, before.MeanResponseSpans)
+		}
+
+		// The model against the planner: replay the same queries through the
+		// store, one batch per disk as the server submits them.
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var busiest, total, gapPages int
+		for _, q := range qs {
+			perDisk := make([][]int32, disks)
+			for _, id := range f.BucketsInRange(q) {
+				d := alloc.Assign[idx[id]]
+				perDisk[d] = append(perDisk[d], id)
+			}
+			most := 0
+			for d, ids := range perDisk {
+				if len(ids) == 0 {
+					continue
+				}
+				var tm Timing
+				if _, err := s.ReadFlatsFromTimed(context.Background(), d, ids, make([]geom.Flat, len(ids)), &tm); err != nil {
+					t.Fatal(err)
+				}
+				most = max(most, tm.Spans)
+				total += tm.Spans
+				gapPages += tm.GapPages
+			}
+			busiest += most
+		}
+		s.Close()
+		n := float64(len(qs))
+		if got := float64(busiest) / n; got != after.MeanResponseSpans {
+			t.Errorf("%d-byte pages: planner read %.4f spans on the busiest disk per query, the model says %.4f",
+				pageBytes, got, after.MeanResponseSpans)
+		}
+		if float64(total)/n != after.MeanSpans || float64(gapPages)/n != after.MeanGapPages {
+			t.Errorf("%d-byte pages: planner read %.4f spans and %.4f gap pages per query, the model says %.4f and %.4f",
+				pageBytes, float64(total)/n, float64(gapPages)/n, after.MeanSpans, after.MeanGapPages)
+		}
 	}
 }

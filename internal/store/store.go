@@ -30,7 +30,7 @@
 // refuse a directory whose lock another Store holds (lockDir).
 //
 // A layout's pages are one fixed size, no larger than a full bucket needs
-// (pageSize); a bucket larger than one page (a full 4-D bucket under a 4 KiB
+// (PageSize); a bucket larger than one page (a full 4-D bucket under a 4 KiB
 // cap, or an overfull duplicate-key one) spans consecutive pages. The reader
 // serves individual buckets with real file I/O, so experiments can be run
 // against actual per-disk files rather than in-memory structures.
@@ -154,19 +154,21 @@ func pagesFor(nrec, perPage int) int {
 // pageAlign is the granularity of a layout's page size: a disk sector.
 const pageAlign = 512
 
-// pageSize returns the page size a layout of f is written with: pageBytes,
+// PageSize returns the page size a layout of f is written with: pageBytes,
 // or the smallest multiple of pageAlign that holds a full bucket — the header
 // and BucketCapacity keys — when that is smaller. A bucket never grows past
 // its capacity without splitting, so a larger page would only carry padding
 // that every read copies and checksums. A bucket that a full page cannot
-// hold (4-D keys in 4 KiB) still spans several pages.
-func pageSize(f *gridfile.File, pageBytes int) int {
+// hold (4-D keys in 4 KiB) still spans several pages. Tools that model a
+// layout without writing it (gridtool simulate) call it for the page size
+// Write would choose.
+func PageSize(f *gridfile.File, pageBytes int) int {
 	full := pageHeaderBytes + f.BucketCapacity()*8*f.Dims()
 	return min(pageBytes, (full+pageAlign-1)/pageAlign*pageAlign)
 }
 
 // Write lays out the grid file's buckets over per-disk page files under
-// dir, following the allocation, in pages of at most pageBytes (pageSize).
+// dir, following the allocation, in pages of at most pageBytes (PageSize).
 // It returns the placements it wrote, in f.Buckets() order.
 func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) ([]*Placement, error) {
 	if err := alloc.Validate(f.NumBuckets()); err != nil {
@@ -176,18 +178,18 @@ func Write(dir string, f *gridfile.File, alloc core.Allocation, pageBytes int) (
 	for i := range alloc.Assign {
 		owners[i] = alloc.Assign[i : i+1 : i+1]
 	}
-	return writeLayout(dir, f, owners, alloc.Disks, 1, pageSize(f, pageBytes), nil)
+	return writeLayout(dir, f, owners, alloc.Disks, 1, PageSize(f, pageBytes), nil)
 }
 
 // WriteReplicated lays out the grid file with each bucket written to every
 // disk in its owner list, following a replica map (see internal/replica), in
-// pages of at most pageBytes (pageSize). It returns the placements it wrote,
+// pages of at most pageBytes (PageSize). It returns the placements it wrote,
 // in f.Buckets() order.
 func WriteReplicated(dir string, f *gridfile.File, rm *replica.Map, pageBytes int) ([]*Placement, error) {
 	if err := rm.Validate(f.NumBuckets()); err != nil {
 		return nil, err
 	}
-	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, pageSize(f, pageBytes), nil)
+	return writeLayout(dir, f, rm.Owners, rm.Disks, rm.Replicas, PageSize(f, pageBytes), nil)
 }
 
 // layoutCurveBits is the per-axis resolution of the curve LayoutOrder ranks
@@ -208,8 +210,7 @@ const layoutCurveBits = 16
 // at the end of their files, outside the order.
 func LayoutOrder(f *gridfile.File) []int {
 	bits := min(layoutCurveBits, 64/f.Dims())
-	g := core.Grid{Domain: f.Domain(), Buckets: f.Buckets()}
-	return core.CentroidOrder(g, sfc.NewHilbert(f.Dims(), bits))
+	return core.CentroidOrderFunc(f.Domain(), f.NumBuckets(), sfc.NewHilbert(f.Dims(), bits), f.ForEachRegion)
 }
 
 // encodePage fills page with one page of bucket id: the header, the given
@@ -237,7 +238,7 @@ func encodePage(page []byte, id int32, keys []float64, dims int) {
 // part-way nor the next Open pairs the new pages with the old life's
 // placements or operations. The writer holds the directory's lock (lockDir)
 // throughout, so it never rewrites a layout a live Store serves. Its pages are
-// exactly pageBytes long; Write and WriteReplicated size them (pageSize).
+// exactly pageBytes long; Write and WriteReplicated size them (PageSize).
 // crash is the write path's kill hook, for the tests.
 func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, pageBytes int, crash func() bool) ([]*Placement, error) {
 	if pageBytes <= pageHeaderBytes+8*f.Dims() {
@@ -262,9 +263,10 @@ func writeLayout(dir string, f *gridfile.File, owners [][]int, disks, replicas, 
 	}
 
 	s := &Store{
-		manifest: Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, Replicas: replicas},
-		dir:      dir,
-		grid:     f,
+		manifest:    Manifest{Disks: disks, Dims: f.Dims(), PageBytes: pageBytes, Replicas: replicas},
+		readThrough: int64(ReadThroughPages(pageBytes)),
+		dir:         dir,
+		grid:        f,
 	}
 	s.w = newWriter(make([][]bool, disks), 0)
 	s.w.crash = crash
@@ -304,6 +306,10 @@ type Store struct {
 	dir      string
 	files    []*os.File
 	lock     *os.File // the directory's lock (lockDir), held until Close
+
+	// readThrough is ReadThroughPages of the manifest's page size: the span
+	// planner's gap budget for this layout.
+	readThrough int64
 
 	// grid is the layout's grid file — the coordinator's scales, directory
 	// and records — decoded from the checkpoint file by Open, and mutated
@@ -713,25 +719,35 @@ func (tm *Timing) timed() bool { return tm != nil && !tm.CountsOnly }
 // maxSpanPages bounds one span to 256 pages, whatever size the layout's
 // pages are (1 MiB of 4 KiB pages, 256 KiB of 1 KiB ones), so the pooled
 // buffers stay a sane size even when many wanted buckets are close together
-// on disk. It counts pages, not bytes, like ReadThroughPages: the planner
-// cuts the same spans from the same page indexes whatever size the layout's
-// pages are.
+// on disk. It stays in pages while the read-through is in bytes: a 1 MiB cap
+// would let a 1 KiB-page span run four times as long, and on the benchmark's
+// disk-model workload that gained nothing (468 and 475 ops/s against 474
+// and 476 at 256 pages, two pairs).
 const maxSpanPages = 256
 
-// ReadThroughPages is how many unwanted pages a span may read through to
-// reach the next wanted bucket on the same disk rather than ending and
-// paying for another positioned read. Two break-evens bound it. On a device,
-// internal/diskmodel's defaults charge ~10 ms to position and ~1 ms to
-// transfer a 4 KiB page, so reading through pays up to 10 pages. On the
-// page-cache path a positioned read costs a syscall and a gap page costs a
-// copy into a buffer that is then colder; measured on the benchmark's
-// cold-closed workload, 0, 4 and 8 were within the run-to-run spread of each
-// other. 4 is inside both bounds and already halves the spans on a query's
-// busiest disk. It is a constant, not a setting — nothing in the repo needs
-// a second value — and exported only so tools that model a layout without
-// reading it (gridtool simulate, sim.ResponseSpans) cut spans the way the
-// planner does.
-const ReadThroughPages = 4
+// ReadThroughBytes is how many bytes of unwanted pages a span may read
+// through to reach the next wanted bucket on the same disk rather than
+// ending and paying for another positioned read. Two break-evens bound it.
+// On a device, internal/diskmodel's defaults charge ~10 ms to position and
+// ~1 ms to transfer 4 KiB, so reading through pays up to ~40 KiB. On the
+// benchmark grid in 1 KiB pages, positioning plus gap transfer per 1 % range
+// query, over all disks, is 206 ms at 4 KiB, 162 at 16, 154 at 32 and 156 at
+// 64 (EXPERIMENTS.md, "Read-through budget"). On the page-cache path a
+// positioned read costs a syscall and a gap page a copy into a buffer that
+// is then colder; measured on the benchmark's cold-closed workload, 0, 16
+// and 32 KiB of 4 KiB pages were within the run-to-run spread of each
+// other, and in 1 KiB pages 16 KiB read 2.4 % fewer ops/s than 4 KiB did
+// (eight pairs). 16 KiB is inside both bounds. It is a constant, not a setting:
+// nothing in the repo needs a second value.
+const ReadThroughBytes = 16 << 10
+
+// ReadThroughPages returns how many whole pages of pageBytes fit in
+// ReadThroughBytes: 4 for 4 KiB and 3.5 KiB pages, 16 for 1 KiB, 32 for
+// 512 B, none for pages over 16 KiB. The planner reads through that many
+// unwanted pages on a layout of that page size; tools that model a layout
+// without reading it (gridtool layout and simulate, sim.ResponseSpans) pass
+// the same count, so they cut spans the way the planner does.
+func ReadThroughPages(pageBytes int) int { return ReadThroughBytes / pageBytes }
 
 // plIdx is one bucket of a batch as the span planner sees it: its placement,
 // the first page of the copy on the disk being read, and the caller's result
@@ -817,19 +833,19 @@ func cmpDiskPage(a, b *Placement) int {
 // nextSpan is the span planner, the one place that decides which positioned
 // reads serve a batch. Given one disk's placements sorted by page it cuts the
 // span that starts at pls[lo]: the span continues while the next wanted
-// placement starts at most ReadThroughPages past the end of the previous one
+// placement starts at most readThrough pages past the end of the previous one
 // and the span stays within maxSpanPages (a single placement larger than that
 // is a span of its own). It returns the index one past the span's last
 // placement, the page one past its last wanted page — a span always ends on a
 // wanted page, so a torn read, which destroys the final page, is still caught
 // by a decode — and the unwanted pages inside.
-func nextSpan(pls []plIdx, lo int) (hi int, end, gaps int64) {
+func nextSpan(pls []plIdx, lo int, readThrough int64) (hi int, end, gaps int64) {
 	first := pls[lo].page
 	end = first + int64(pls[lo].pl.Pages)
 	for hi = lo + 1; hi < len(pls); hi++ {
 		nx := pls[hi].page
 		nxEnd := nx + int64(pls[hi].pl.Pages)
-		if nx-end > ReadThroughPages || nxEnd-first > maxSpanPages {
+		if nx-end > readThrough || nxEnd-first > maxSpanPages {
 			break
 		}
 		if nx > end {
@@ -852,7 +868,7 @@ func (s *Store) readSpans(ctx context.Context, disk int, pls []plIdx, out []geom
 	pages, spans, gapPages := 0, 0, int64(0)
 	for lo := 0; lo < len(pls); {
 		first := pls[lo].page
-		hi, end, gaps := nextSpan(pls, lo)
+		hi, end, gaps := nextSpan(pls, lo, s.readThrough)
 		bp := getBuf(int((end - first) * pageBytes))
 		buf := *bp
 		var t0 time.Time
